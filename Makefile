@@ -12,10 +12,12 @@ test:
 
 # Repo-specific invariants, both tools in one process so every file is
 # parsed exactly once: colibri-lint (per-file rules) over src/tests/tools
-# and colibri-flow (interprocedural rules) over src/repro.  See
-# docs/static_analysis.md.
+# and colibri-flow (interprocedural rules) over src/repro (see
+# docs/static_analysis.md), then the lines-per-layer ledger check
+# (DESIGN.md §3b must match a fresh count).
 lint:
 	$(PYTHON) -m tools.analysis_core
+	$(PYTHON) tools/loc_ledger.py --check
 
 # Just the interprocedural analyzer (verification-flow, determinism
 # taint, obs-guard discipline, shard process-safety).

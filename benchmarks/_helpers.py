@@ -35,10 +35,7 @@ def report(name: str, title: str, lines: list) -> None:
         handle.write(body)
 
 
-def report_json(
-    name: str, bench: str, rows: list, profile: dict = None,
-    sampling: dict = None,
-) -> None:
+def report_json(name: str, bench: str, rows: list, profile: dict = None) -> None:
     """Persist machine-readable results as ``BENCH_<name>.json``.
 
     ``rows`` is a list of ``{"config": {...}, "pps": float}`` entries.
@@ -51,11 +48,6 @@ def report_json(
     separate instrumented pass.  It is attached *after* the run id is
     computed: profile timings are wall-clock noise by nature and must not
     churn the content hash of the actual measurements.
-
-    ``sampling`` is an optional
-    :meth:`repro.obs.sampling.SamplingProfiler.snapshot` from a sampled
-    wire-path pass (docs/observability.md §9); like ``profile`` it is
-    wall-clock noise and stays outside the run id and the trajectory.
 
     Every run is also appended to ``benchmark_results/trajectory.jsonl``
     (deduplicated by run id, profile excluded), the append-only history
@@ -72,8 +64,6 @@ def report_json(
     )
     if profile is not None:
         payload["profile"] = profile
-    if sampling is not None:
-        payload["sampling"] = sampling
     with open(os.path.join(RESULTS_DIR, f"BENCH_{name}.json"), "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

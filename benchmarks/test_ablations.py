@@ -79,7 +79,7 @@ def test_ablation_two_step_mac(benchmark):
     at setup and each packet costs only Eq. 6; the ablated design pays
     Eq. 4 + Eq. 6 on every packet for every hop."""
     gateway, ids = build_gateway(4, 2**10)
-    entry = gateway._reservations[ids[0]]
+    entry = gateway._reservations[ids[0].packed]
     version = entry.versions[1]
     sigmas = version.hop_auths
     hop_key = b"k" * 16

@@ -39,9 +39,7 @@ from repro.dataplane.hvf import (
     sigma_states,
     verify_hvfs_batch,
 )
-from repro.obs import ObsContext
 from repro.obs.profile import profiling
-from repro.obs.sampling import SamplingProfiler
 from repro.packets.colibri import ColibriPacket
 from repro.packets.fields import EerInfo, PathField, ResInfo
 from repro.packets.wire import PacketArena
@@ -229,28 +227,23 @@ def test_fig5_series(benchmark):
     # hot-path profile to the JSON report.  It runs *after* the timed
     # sweep (profiling wraps every @profiled call, so it must never
     # overlap the measurements) and its timings stay outside the run id.
-    # Besides the fused hot paths, it drives the *staged* batch variant
-    # (dispatch / stamp / serialize as separate @profiled sites), the
-    # zero-copy wire form, and a σ-hit style burst verification — so
-    # BENCH_fig5.json carries a per-stage breakdown of where a burst's
-    # time goes, not just end-to-end pps.
+    # The burst pipeline's three steps are separate @profiled sites
+    # (gateway.plan / gateway.stamp / gateway.emit_packets or
+    # gateway.emit_wire), so driving send_batch, send_batch_wire and a
+    # σ-hit style burst verification gives BENCH_fig5.json a per-stage
+    # breakdown of where a burst's time goes, not just end-to-end pps.
     gateway, ids = build_gateway(4, RESERVATION_COUNTS[-1])
     batches = make_batches(ids, random.Random(7), count=64)
     arena = PacketArena(slots=BATCH, slot_size=ColibriPacket.header_size_for(4))
     with profiling() as profiler:
         batch_pps(gateway, batches, DURATION)
-        for requests in batches[:32]:
-            gateway.send_batch_staged(requests)
-            gateway.clock.advance(1e-6)
-        for requests in batches[:32]:
-            gateway.send_batch_wire(requests, arena)
-            gateway.clock.advance(1e-6)
+        wire_pps(gateway, batches, arena, DURATION)
         # Verify stage: authenticate one burst's first-hop HVFs exactly
         # as a σ-cache-hit router would (hvf.verify_hvfs_batch).
         outcomes = gateway.send_batch(batches[0])
         states, messages, tags = [], [], []
         for (res_id, _), packet in zip(batches[0], outcomes):
-            sigma = gateway._reservations[res_id]._latest.hop_auths[0]
+            sigma = gateway._reservations[res_id.packed]._latest.hop_auths[0]
             states.append(
                 sigma_schedule((sigma,)) or sigma_states((sigma,))[0]
             )
@@ -259,22 +252,9 @@ def test_fig5_series(benchmark):
             )
             tags.append(packet.hvfs[0])
         assert all(verify_hvfs_batch(states, messages, tags))
-    # A sampled pass over the same wire bursts attaches the wire-path
-    # sampling profile (docs/observability.md §9): one burst in
-    # DEFAULT_SAMPLE_EVERY runs the instrumented twin, so the per-stage
-    # wire breakdown rides along without perturbing what it measures.
-    # Like ``profile``, the snapshot stays outside the run id.
-    obs = ObsContext.create(gateway.clock, seed=7)
-    obs.sampler = SamplingProfiler()
-    gateway.obs = obs
-    for requests in batches:
-        gateway.send_batch_wire(requests, arena)
-        gateway.clock.advance(1e-6)
-    gateway.obs = None
     report_json(
         "fig5", "fig5_gateway_forwarding", json_rows,
         profile=profiler.snapshot(),
-        sampling=obs.sampler.snapshot(),
     )
 
     # Shape: longer paths are never meaningfully *faster*.  With the

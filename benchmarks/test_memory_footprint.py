@@ -58,7 +58,7 @@ def router_size_at(reservations: int) -> int:
 def gateway_size_at(reservations: int) -> int:
     if reservations == 0:
         gateway, _ = build_gateway(4, 1)
-        gateway.uninstall(list(gateway._reservations)[0])
+        gateway.uninstall(gateway.known_reservations()[0])
         return deep_size(gateway)
     gateway, _ = build_gateway(4, reservations)
     return deep_size(gateway)

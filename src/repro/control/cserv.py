@@ -1375,6 +1375,8 @@ class ColibriService:
                 for segment_id in reservation.segment_ids:
                     self.store.release_on_segment(segment_id, res_id)
                 self.store.remove_eer(res_id)
+            if self.gateway is not None:
+                self.gateway.uninstall(res_id)
             return
         try:
             reservation.drop_version(version)
@@ -1579,9 +1581,11 @@ class ColibriService:
         Cost is proportional to what actually died: the store's expiry
         wheel surfaces exactly the due reservations (no full scan), and
         the returned id lists drive the per-reservation cleanup —
-        segment-admission entries, registry rows, Eq. (3) tokens, and
-        the transfer-quota demand of expired EERs, which would otherwise
-        accumulate forever and starve other up-SegRs' quotas.
+        segment-admission entries, registry rows, Eq. (3) tokens, the
+        local gateway's entry of each expired EER (HopAuths, key
+        schedules, token bucket), and the transfer-quota demand of
+        expired EERs, which would otherwise accumulate forever and
+        starve other up-SegRs' quotas.
         """
         now = self._now()
         removed, dead_eers, dead_segments = self.store.sweep_expired_details(now)
@@ -1591,6 +1595,10 @@ class ColibriService:
             self._segment_tokens.pop(reservation_id, None)
         for reservation_id in dead_eers:
             self.eer_admission.distributor.release_key(reservation_id)
+            if self.gateway is not None:
+                # Only the source AS's gateway holds the EER; elsewhere
+                # the id is unknown and uninstall is a no-op.
+                self.gateway.uninstall(reservation_id)
         removed["registry"] = self.registry.sweep_expired(now)
         if self.obs is not None:
             metrics = self.obs.metrics

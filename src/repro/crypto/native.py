@@ -720,9 +720,8 @@ class ScheduleBlock:
 
     The native analogue of :func:`repro.dataplane.hvf.sigma_states`: one
     32-byte chaining state per key, laid out back to back so a single C
-    call stamps every hop of a packet (:meth:`stamp_flat`), a whole
-    burst (:meth:`stamp_many_flat`), or writes tags straight into a wire
-    buffer (:meth:`stamp_into`).  Output is byte-identical to the
+    call stamps every hop of a packet (:meth:`stamp_flat`) or a whole
+    burst (:meth:`stamp_many_flat`).  Output is byte-identical to the
     hashlib path by construction and by test.
 
     Not thread-safe (the output scratch buffer is reused per call) —
@@ -781,20 +780,6 @@ class ScheduleBlock:
             )
         return self._view[:]
 
-    def stamp_into(self, message: bytes, out) -> None:
-        """Stamp all per-key tags directly at ``out`` (a ``uint8_t *``
-        into a caller-owned buffer) — the zero-copy wire path."""
-        if self._scheds_t is not None:
-            self._lib.colibri_stamp_t(
-                self._scheds_t, self.count, message, len(message),
-                out, self.tag_len,
-            )
-        else:
-            self._lib.colibri_stamp(
-                self._scheds, self.count, message, len(message),
-                out, self.tag_len,
-            )
-
     def stamp_many_flat(self, messages, message_len: int, count: int) -> bytes:
         """Tags for ``count`` fixed-size messages packed back to back.
 
@@ -827,11 +812,6 @@ class ScheduleBlock:
             )
         return ffi.buffer(out)[:]
 
-    def pointer(self, ffi_buffer) -> object:
-        """A ``uint8_t *`` to the start of a writable Python buffer,
-        for :meth:`stamp_into` pointer arithmetic."""
-        return self._ffi.cast("uint8_t *", self._ffi.from_buffer(ffi_buffer))
-
     def verify(self, message: bytes, tag: bytes) -> bool:
         """Constant-time check of ``tag`` under the *first* schedule —
         the router's σ-cache entries hold exactly one key."""
@@ -854,10 +834,8 @@ class BurstStamper:
     ``counts[p]`` (its hop count), ``offsets[p]`` (where its tags go) —
     and appends its Eq. (6) message to :attr:`messages`; one
     ``colibri_stamp_scatter`` call then stamps every packet of the
-    burst.  ``offsets`` are byte offsets relative to the output base:
-    arena slot positions on the zero-copy wire path
-    (:meth:`stamp_into`), a running row cursor on the object path
-    (:meth:`stamp_flat`).
+    burst (:meth:`stamp_flat`).  ``offsets`` are byte offsets into its
+    flat result — a running row cursor.
 
     The arrays are plain attributes rather than an ``add()`` method on
     purpose: the gateway's burst loop is the hottest Python in the
@@ -904,24 +882,6 @@ class BurstStamper:
             self.offsets = ffi.new("int64_t[]", capacity)
             self._capacity = capacity
 
-    def pointer(self, writable_buffer) -> object:
-        """A ``uint8_t *`` base for :meth:`stamp_into` (e.g. an arena)."""
-        return self._ffi.cast("uint8_t *", self._ffi.from_buffer(writable_buffer))
-
-    def stamp_into(self, npkts: int, message_len: int, out) -> None:
-        """Stamp the planned burst: packet p's tags land at
-        ``out + offsets[p]`` (one C call for the whole burst)."""
-        self._scatter_fn(
-            self.scheds,
-            self.counts,
-            self._ffi.from_buffer(self.messages),
-            message_len,
-            npkts,
-            out,
-            self.offsets,
-            self.tag_len,
-        )
-
     def stamp_flat(self, npkts: int, message_len: int, size: int) -> bytes:
         """Stamp the planned burst into scratch and return it as one
         ``bytes`` of ``size`` total tag bytes — packet p's row sits at
@@ -929,5 +889,14 @@ class BurstStamper:
         if size > self._out_size:
             self._out = self._ffi.new("uint8_t[]", max(1, size))
             self._out_size = max(1, size)
-        self.stamp_into(npkts, message_len, self._out)
+        self._scatter_fn(
+            self.scheds,
+            self.counts,
+            self._ffi.from_buffer(self.messages),
+            message_len,
+            npkts,
+            self._out,
+            self.offsets,
+            self.tag_len,
+        )
         return self._ffi.buffer(self._out, size)[:]

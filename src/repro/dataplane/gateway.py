@@ -17,18 +17,25 @@ stamps packets with the latest live version (§4.2) while the monitor
 keys on the reservation ID alone, so using several versions can never
 exceed the maximum version bandwidth (§4.8).
 
-Fast-path engineering (docs/performance.md): installation builds either
-a native key-schedule block (cffi BLAKE2s kernel — all hop HVFs of a
-packet in one C call) or prehashed hashlib states per σ, and caches the
-latest live version, the monitor's token bucket and the header size per
-reservation.  :meth:`ColibriGateway.send_batch` runs a fully inlined
-per-burst loop; bursts addressed to a single reservation vectorize the
-whole burst's stamping into one C call; and
-:meth:`ColibriGateway.send_batch_wire` serializes straight into a
-preallocated :class:`~repro.packets.wire.PacketArena` with in-place
-header patching — no per-packet ``bytes`` materialization at all.
-Every variant is byte- and counter-identical to calling :meth:`send`
-per request (tests/test_batch_equivalence.py).
+One burst pipeline (docs/performance.md §8) serves both burst APIs:
+
+1. **plan** (:meth:`ColibriGateway._plan`) — the only per-request loop:
+   table lookup, latest live version, Ts assignment and range check,
+   token bucket, counters, and request-aligned error outcomes;
+2. **stamp** (:meth:`ColibriGateway._stamp`) — every Eq. (6) tag of the
+   burst as one flat string: one native scatter call, one ``stamp_many``
+   call when the whole burst resolved to a single version, and on hosts
+   without the native kernel the same row loop over hashlib;
+3. **emit** — :class:`~repro.packets.colibri.ColibriPacket` objects over
+   windows of that string (:meth:`ColibriGateway.send_batch`), or wire
+   bytes written in place into :class:`~repro.packets.wire.PacketArena`
+   slots (:meth:`ColibriGateway.send_batch_wire`).
+
+:meth:`ColibriGateway.send` keeps the serial per-packet form as the
+reference: both burst APIs are byte-, counter- and state-identical to
+calling it per request (tests/test_batch_equivalence.py).  Installation
+pays the key schedules (a native schedule block, or prehashed hashlib
+states per σ) at control-plane rate, so no data packet ever does.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
+from repro.constants import L_HVF
 from repro.dataplane.hvf import (
     burst_stamper,
     sigma_schedule,
@@ -48,7 +56,6 @@ from repro.obs.profile import profiled
 from repro.errors import (
     BandwidthExceeded,
     DataPlaneError,
-    PacketFieldError,
     ReservationError,
     ReservationExpired,
     ReservationNotFound,
@@ -69,12 +76,6 @@ SendOutcome = Union[ColibriPacket, ReservationError, DataPlaneError]
 #: call on the send fast path.
 _HVF_MESSAGE = struct.Struct("!QI")
 
-#: Wire forms patched in place by the zero-copy path: the 8-byte Ts word
-#: at its header offset and the 32-bit payload length prefix (the same
-#: layout ``ColibriPacket.to_bytes`` emits).
-_TS_WIRE = Timestamp.WIRE
-_PAYLOAD_LEN_WIRE = struct.Struct("!I")
-
 _SEQ_BITS = Timestamp._SEQ_BITS
 _SEQ_MASK = Timestamp._SEQ_MASK
 
@@ -94,7 +95,7 @@ class GatewayVersion:
     #: the cffi kernel is available; byte-identical to ``_states``.
     _schedule: Optional[object] = field(default=None, repr=False, compare=False)
     #: Serialized header prefix up to (excluding) Ts — constant per
-    #: version, copied into each arena slot by the zero-copy path.
+    #: version, copied into each arena slot by the wire emitter.
     _wire_template: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     @property
@@ -120,15 +121,6 @@ class GatewayVersion:
         if self._schedule is None and self._states is None:
             self._states = sigma_states(self.hop_auths)
 
-    def states(self) -> tuple:
-        """Prehashed σ states (one per hop), built on first demand for
-        versions not installed through :meth:`ColibriGateway.install`."""
-        states = self._states
-        if states is None:
-            states = sigma_states(self.hop_auths)
-            self._states = states
-        return states
-
     def stamp(self, message: bytes):
         """All per-hop HVFs (Eq. 6) of one packet over ``message``."""
         schedule = self._schedule
@@ -136,7 +128,9 @@ class GatewayVersion:
             return HvfVector(schedule.stamp_flat(message))
         states = self._states
         if states is None:
-            states = self.states()
+            # Not installed through ColibriGateway.install: prehash on
+            # first demand.
+            states = self._states = sigma_states(self.hop_auths)
         return stamp_hvfs(states, message)
 
 
@@ -147,35 +141,32 @@ class GatewayReservation:
     reservation_id: ReservationId
     path: PathField
     eer_info: EerInfo
-    versions: dict  # version number -> GatewayVersion
+    versions: dict  # version number -> GatewayVersion, live at last install
     #: Header bytes of every packet on this EER (fixed by path length).
-    header_size: int = 0
-    #: :class:`~repro.packets.colibri.WireOffsets` of this EER's packets
-    #: — fixed by path length, resolved once at install so the zero-copy
-    #: loop never pays the per-packet layout lookup.
-    wire: Optional[tuple] = None
-    #: ``reservation_id.packed``, computed once: the monitor's flow label
-    #: and part of every replay identifier — packing 12 bytes per packet
-    #: would shadow the MAC cost on short paths.
-    packed_id: bytes = b""
+    header_size: int
+    #: HVF bytes of every packet on this EER (one tag per hop).
+    tag_bytes: int
+    #: :meth:`~repro.packets.colibri.ColibriPacket.wire_header` of this
+    #: EER's packets — fixed by path length, resolved once at install so
+    #: the wire emitter never pays the per-packet layout lookup.
+    wire_header: struct.Struct
+    #: ``reservation_id.packed``, computed once: the table key, the
+    #: monitor's flow label and part of every replay identifier —
+    #: packing 12 bytes per packet would shadow the MAC cost on short
+    #: paths.
+    packed_id: bytes
     #: ``(micros, sequence)`` of the latest stamped packet, for Ts
-    #: uniqueness (kept here so the fast path does not hash the
-    #: ReservationId a second time against a side table).
+    #: uniqueness (kept here so the fast path does not probe a side
+    #: table per packet).
     last_micros: Optional[tuple] = field(default=None, repr=False, compare=False)
     #: The monitor's token bucket for this flow.  Owned by the gateway:
-    #: install/refresh_monitor keep it in sync with ``monitor.watch``,
-    #: so the burst loops account packets against it directly instead of
-    #: re-probing the monitor's flow table per packet.
+    #: install keeps it in sync with ``monitor.watch``, so the burst
+    #: plan accounts packets against it directly instead of re-probing
+    #: the monitor's flow table per packet.
     bucket: Optional[object] = field(default=None, repr=False, compare=False)
-    # Soft per-reservation caches, invalidated on install/uninstall and
-    # (for expiry-driven changes) by refresh_monitor; latest_live also
-    # self-invalidates the moment the cached version stops being live.
+    #: Latest live version as of the last lookup; reset by install and
+    #: re-derived by :meth:`latest_live` the moment it stops being live.
     _latest: Optional[GatewayVersion] = field(default=None, repr=False, compare=False)
-    _bandwidth: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def invalidate_caches(self) -> None:
-        self._latest = None
-        self._bandwidth = None
 
     def latest_live(self, now: float) -> Optional[GatewayVersion]:
         cached = self._latest
@@ -183,56 +174,52 @@ class GatewayReservation:
             return cached
         live = [v for v in self.versions.values() if v.is_live(now)]
         latest = max(live, key=lambda v: v.version) if live else None
-        # Installing a higher version invalidates, and expiry is checked
-        # above, so the cached answer can never outlive its validity.
+        # Installing a higher version resets the cache, and expiry is
+        # checked above, so the cached answer can never outlive its
+        # validity.
         self._latest = latest
         return latest
 
-    def effective_bandwidth(self, now: float) -> float:
-        cached = self._bandwidth
-        if cached is not None and now < cached[1]:
-            return cached[0]
-        live = [v for v in self.versions.values() if v.is_live(now)]
-        if not live:
-            self._bandwidth = None
-            return 0.0
-        value = max(v.res_info.bandwidth for v in live)
-        # Valid until the first live version expires: only an expiry (or
-        # an install, which invalidates) can change the live set.
-        valid_until = min(v.res_info.expiry for v in live)
-        self._bandwidth = (value, valid_until)
-        return value
+
+class _BurstPlan:
+    """What :meth:`ColibriGateway._plan` resolved for one burst."""
+
+    __slots__ = ("outcomes", "rows", "messages", "version", "tag_bytes")
+
+    def __init__(self, outcomes, rows, messages, version, tag_bytes):
+        #: Request-aligned results: the drop error of every refused
+        #: request, ``None`` where an emitter fills in the packet.
+        self.outcomes = outcomes
+        #: One ``(request index, entry, version, Ts word, PktSize,
+        #: payload, tag offset)`` tuple per conforming request, in
+        #: request order; the tag offset locates the packet's HVF row in
+        #: the stamp step's flat result.
+        self.rows = rows
+        #: The rows' Eq. (6) inputs (``_HVF_MESSAGE``), back to back.
+        self.messages = messages
+        #: The one version every row resolved to, else ``None``.
+        self.version = version
+        #: Total HVF bytes of the burst (the flat result's length).
+        self.tag_bytes = tag_bytes
 
 
 class ColibriGateway:
     """The source AS's gateway: monitor, stamp, and forward EER packets."""
 
-    #: Optional :class:`repro.obs.ObsContext`.  Class-level ``None`` so
-    #: the disabled wire path pays one attribute read and no per-instance
-    #: slot; when set *and* carrying a ``sampler``, every Nth
-    #: :meth:`send_batch_wire` burst runs with per-stage wall timings
-    #: (plan vs native stamp) recorded into fixed-bucket histograms —
-    #: the other N-1 bursts take the untouched fast path
-    #: (docs/performance.md §6 still holds, enforced by
-    #: ``tools/obs_overhead.py``).
-    obs = None
-
     def __init__(self, isd_as: IsdAs, clock: Clock, monitor: DeterministicMonitor = None):
         self.isd_as = isd_as
         self.clock = clock
         self.monitor = monitor or DeterministicMonitor()
-        self._reservations: dict[ReservationId, GatewayReservation] = {}
-        #: The same entries keyed by ``ReservationId.packed``.  A dict
-        #: probe under a bytes key costs a C-level hash; under a
-        #: ReservationId it calls the Python ``__hash__`` — a function
-        #: call per packet the burst loops cannot afford, while
-        #: ``.packed`` is a cached attribute read on the request's id.
-        self._by_packed: dict[bytes, GatewayReservation] = {}
+        #: Entries keyed by ``ReservationId.packed``.  A dict probe under
+        #: a bytes key costs a C-level hash; under a ReservationId it
+        #: calls the Python ``__hash__`` — a function call per packet the
+        #: burst plan cannot afford, while ``.packed`` is a cached
+        #: attribute read on the request's id.
+        self._reservations: dict[bytes, GatewayReservation] = {}
         self.packets_sent = 0
         self.packets_dropped = 0
-        #: Lazily built native scatter stamper shared by the burst loops
-        #: (``None`` until first use, and stays ``None`` without the
-        #: native backend — the loops then keep their per-packet paths).
+        #: Lazily built native scatter stamper shared across bursts
+        #: (stays ``None`` without the native backend).
         self._burst = None
 
     # -- reservation installation (fed by the CServ after EER setup) -----------
@@ -248,13 +235,18 @@ class ColibriGateway:
         """Install a new EER or an additional version of an existing one.
 
         Called by the CServ with the HopAuths it decrypted from the setup
-        or renewal response (step 5 of Fig. 1b).
+        or renewal response (step 5 of Fig. 1b).  Versions that have
+        expired since the previous install are dropped here, so an
+        entry's size is bounded by the live versions of its EER, not by
+        how often it was renewed.
         """
         if len(hop_auths) != len(path):
             raise ValueError(
                 f"need one HopAuth per hop: {len(hop_auths)} vs {len(path)} hops"
             )
-        entry = self._reservations.get(reservation_id)
+        now = self.clock.now()
+        packed_id = reservation_id.packed
+        entry = self._reservations.get(packed_id)
         if entry is None:
             entry = GatewayReservation(
                 reservation_id=reservation_id,
@@ -262,38 +254,47 @@ class ColibriGateway:
                 eer_info=eer_info,
                 versions={},
                 header_size=ColibriPacket.header_size_for(len(path)),
-                wire=ColibriPacket.wire_offsets(len(path)),
-                packed_id=reservation_id.packed,
+                tag_bytes=len(path) * L_HVF,
+                wire_header=ColibriPacket.wire_header(len(path)),
+                packed_id=packed_id,
             )
-            self._reservations[reservation_id] = entry
-            self._by_packed[entry.packed_id] = entry
+            self._reservations[packed_id] = entry
+        else:
+            entry.versions = {
+                number: version
+                for number, version in entry.versions.items()
+                if version.is_live(now)
+            }
         version = GatewayVersion(res_info=res_info, hop_auths=tuple(hop_auths))
         version.prepare()
         entry.versions[res_info.version] = version
-        entry.invalidate_caches()
-        # (Re-)arm the deterministic monitor at the new effective
-        # bandwidth, and prime the latest-live cache so a reservation's
-        # first data packet takes the same path as its millionth.
-        now = self.clock.now()
+        # Prime the latest-live cache so a reservation's first data
+        # packet takes the same path as its millionth, and (re-)arm the
+        # deterministic monitor at the live maximum (§4.8) — an expired
+        # high-bandwidth version stops counting at the next renewal.
+        entry._latest = None
         entry.latest_live(now)
-        self.monitor.watch(entry.packed_id, entry.effective_bandwidth(now), now)
-        entry.bucket = self.monitor.bucket_for(entry.packed_id)
+        bandwidth = max(
+            (v.res_info.bandwidth for v in entry.versions.values() if v.is_live(now)),
+            default=0.0,
+        )
+        self.monitor.watch(packed_id, bandwidth, now)
+        entry.bucket = self.monitor.bucket_for(packed_id)
 
     def uninstall(self, reservation_id: ReservationId) -> None:
-        entry = self._reservations.pop(reservation_id, None)
-        if entry is not None:
-            entry.invalidate_caches()
-            entry.bucket = None
-        self._by_packed.pop(reservation_id.packed, None)
-        self.monitor.unwatch(reservation_id.packed)
+        """Forget an EER (expired, aborted or torn down); unknown IDs
+        are a no-op."""
+        packed_id = reservation_id.packed
+        self._reservations.pop(packed_id, None)
+        self.monitor.unwatch(packed_id)
 
     def reservation_count(self) -> int:
         return len(self._reservations)
 
     def known_reservations(self) -> list:
-        return list(self._reservations)
+        return [entry.reservation_id for entry in self._reservations.values()]
 
-    # -- the per-packet fast path (§4.6) ------------------------------------------
+    # -- the serial reference (§4.6) -----------------------------------------------
 
     def send(self, reservation_id: ReservationId, payload: bytes) -> ColibriPacket:
         """Process one packet from a local end host.
@@ -305,385 +306,19 @@ class ColibriGateway:
         """
         return self._send_one(reservation_id, payload, self.clock.now())
 
-    @profiled("gateway.send_batch")
-    def send_batch(self, requests) -> List[SendOutcome]:
-        """Stamp a burst of ``(reservation_id, payload)`` requests.
-
-        Semantically identical to calling :meth:`send` per request, in
-        order — same packets, same monitor accounting, same counters —
-        except that drops come back as error *values* (aligned with their
-        request) instead of raised exceptions, and the clock is read once
-        for the whole burst, the fixed cost the paper's DPDK gateway
-        amortizes across NIC bursts.
-
-        A burst addressed entirely to one reservation (the common shape
-        when an application streams over its EER) additionally vectorizes
-        all its Eq. (6) stamps into a single native call; the pre-scan
-        below exits on the first differing ID, so mixed bursts pay two
-        extra compares, not a grouping pass.
-        """
-        if type(requests) is not list:
-            requests = list(requests)
-        if not requests:
-            return []
-        now = self.clock.now()
-        first_id = requests[0][0]
-        for request in requests:
-            identifier = request[0]
-            if identifier is not first_id and identifier != first_id:
-                break
-        else:
-            outcomes = self._send_burst_same(first_id, requests, now)
-            if outcomes is not None:
-                return outcomes
-        return self._send_burst_mixed(requests, now)
-
-    def _send_burst_mixed(self, requests, now: float) -> List[SendOutcome]:
-        """The general burst loop, scatter-stamped in one native call.
-
-        Two passes: the first resolves each request (reservation, Ts,
-        monitor — same order and error strings as :meth:`_send_one`) and
-        records its stamping plan straight into the shared
-        :class:`~repro.crypto.native.BurstStamper` arrays; one
-        ``colibri_stamp_scatter`` call then computes every Eq. (6) tag
-        of the burst, and the second pass assembles the packet objects
-        over zero-copy :class:`HvfVector` windows into the flat result.
-        Counters follow the :meth:`_send_burst_same` convention: a
-        request that passed monitoring counts as sent once planned.
-        Hosts without the native backend (and versions installed without
-        a schedule) take :meth:`_send_burst_mixed_python` instead.
-        """
-        stamper = self._burst
-        if stamper is None:
-            stamper = self._burst = burst_stamper(slots=len(requests))
-            if stamper is None:
-                return self._send_burst_mixed_python(requests, now)
-        get_entry = self._by_packed.get
-        monitor = self.monitor
-        pack_message = _HVF_MESSAGE.pack
-        make_ts = Timestamp
-        tag_len = stamper.tag_len
-        stamper.reserve(len(requests))
-        plan_scheds = stamper.scheds
-        plan_counts = stamper.counts
-        plan_offsets = stamper.offsets
-        messages = stamper.messages
-        del messages[:]
-        count = len(requests)
-        outcomes: List[SendOutcome] = [None] * count
-        plan = []  # (outcome index, entry, res_info, Timestamp, payload, row, hops)
-        add_plan = plan.append
-        slow = None  # (outcome index, packet) pairs stamped per packet
-        planned = 0
-        position = 0
-        passed = 0
-        sent = 0
-        dropped = 0
-        try:
-            for index in range(count):
-                reservation_id, payload = requests[index]
-                entry = get_entry(reservation_id.packed)
-                if entry is None:
-                    dropped += 1
-                    outcomes[index] = ReservationNotFound(
-                        f"gateway has no EER {reservation_id}"
-                    )
-                    continue
-                version = entry._latest
-                if version is None or now >= version.res_info.expiry:
-                    version = entry.latest_live(now)
-                    if version is None:
-                        dropped += 1
-                        outcomes[index] = ReservationExpired(
-                            f"all versions of EER {reservation_id} expired"
-                        )
-                        continue
-                res_info = version.res_info
-                micros = int((res_info.expiry - now) * 1e6)
-                last = entry.last_micros
-                sequence = last[1] + 1 if last is not None and last[0] == micros else 0
-                entry.last_micros = (micros, sequence)
-                timestamp = make_ts(micros, sequence)
-                size = entry.header_size + len(payload)
-                bucket = entry.bucket
-                if bucket is None:
-                    passed += 1
-                else:
-                    # TokenBucket.conforms inlined (same arithmetic, same
-                    # state writes): two Python frames per packet are the
-                    # price of the method calls, and this loop is the
-                    # Fig. 5 hot path.
-                    tokens = bucket._tokens
-                    if now > bucket._updated:
-                        depth = bucket.depth
-                        tokens += (now - bucket._updated) * bucket.rate
-                        if tokens > depth:
-                            tokens = depth
-                        bucket._updated = now
-                    bits = size * 8
-                    if bits <= tokens:
-                        bucket._tokens = tokens - bits
-                        passed += 1
-                    else:
-                        bucket._tokens = tokens
-                        monitor.record_drop(entry.packed_id, now, bucket)
-                        dropped += 1
-                        outcomes[index] = BandwidthExceeded(
-                            f"EER {reservation_id} exceeded its reserved rate"
-                        )
-                        continue
-                message = pack_message((micros << _SEQ_BITS) | sequence, size)
-                schedule = version._schedule
-                if schedule is not None:
-                    hops = schedule.count
-                    plan_scheds[planned] = schedule._scatter
-                    plan_counts[planned] = hops
-                    plan_offsets[planned] = position
-                    messages += message
-                    add_plan((index, entry, res_info, timestamp, payload, position, hops))
-                    position += hops * tag_len
-                    planned += 1
-                else:
-                    # Version without a native schedule (e.g. the probe
-                    # was flipped after install): stamp it on the spot.
-                    if slow is None:
-                        slow = []
-                    slow.append((index, ColibriPacket.trusted(
-                        PacketType.EER_DATA,
-                        entry.path,
-                        res_info,
-                        timestamp,
-                        version.stamp(message),
-                        entry.eer_info,
-                        payload,
-                    )))
-                sent += 1
-        finally:
-            monitor.packets_passed += passed
-            self.packets_sent += sent
-            self.packets_dropped += dropped
-        if planned:
-            flat = stamper.stamp_flat(planned, _HVF_MESSAGE.size, position)
-            trusted = ColibriPacket.trusted
-            make_vector = HvfVector
-            eer_data = PacketType.EER_DATA
-            for index, entry, res_info, timestamp, payload, row, hops in plan:
-                outcomes[index] = trusted(
-                    eer_data,
-                    entry.path,
-                    res_info,
-                    timestamp,
-                    make_vector(flat, row, hops),
-                    entry.eer_info,
-                    payload,
-                )
-        if slow is not None:
-            for index, packet in slow:
-                outcomes[index] = packet
-        return outcomes
-
-    def _send_burst_mixed_python(self, requests, now: float) -> List[SendOutcome]:
-        """The pure-Python burst loop: :meth:`_send_one` inlined, one pass.
-
-        Attribute lookups are hoisted and the latest-live / token-bucket
-        caches are read directly; every branch mirrors :meth:`_send_one`
-        (same order of Ts assignment, monitor accounting and error
-        strings) so outcomes and counters are indistinguishable from the
-        serial path.
-        """
-        get_entry = self._reservations.get
-        monitor = self.monitor
-        pack_message = _HVF_MESSAGE.pack
-        trusted = ColibriPacket.trusted
-        make_ts = Timestamp
-        outcomes: List[SendOutcome] = []
-        append = outcomes.append
-        sent = 0
-        dropped = 0
-        try:
-            for reservation_id, payload in requests:
-                entry = get_entry(reservation_id)
-                if entry is None:
-                    dropped += 1
-                    append(ReservationNotFound(f"gateway has no EER {reservation_id}"))
-                    continue
-                version = entry._latest
-                if version is None or now >= version.res_info.expiry:
-                    version = entry.latest_live(now)
-                    if version is None:
-                        dropped += 1
-                        append(
-                            ReservationExpired(
-                                f"all versions of EER {reservation_id} expired"
-                            )
-                        )
-                        continue
-                res_info = version.res_info
-                micros = int((res_info.expiry - now) * 1e6)
-                last = entry.last_micros
-                sequence = last[1] + 1 if last is not None and last[0] == micros else 0
-                entry.last_micros = (micros, sequence)
-                timestamp = make_ts(micros, sequence)
-                size = entry.header_size + len(payload)
-                bucket = entry.bucket
-                if bucket is None or bucket.conforms(size, now):
-                    monitor.packets_passed += 1
-                else:
-                    monitor.record_drop(entry.packed_id, now, bucket)
-                    dropped += 1
-                    append(
-                        BandwidthExceeded(
-                            f"EER {reservation_id} exceeded its reserved rate"
-                        )
-                    )
-                    continue
-                message = pack_message((micros << _SEQ_BITS) | sequence, size)
-                append(
-                    trusted(
-                        PacketType.EER_DATA,
-                        entry.path,
-                        res_info,
-                        timestamp,
-                        version.stamp(message),
-                        entry.eer_info,
-                        payload,
-                    )
-                )
-                sent += 1
-        finally:
-            self.packets_sent += sent
-            self.packets_dropped += dropped
-        return outcomes
-
-    def _send_burst_same(
-        self, reservation_id: ReservationId, requests, now: float
-    ) -> Optional[List[SendOutcome]]:
-        """Vectorized stamping for a burst that hits one reservation.
-
-        One native ``stamp_many`` call covers every conforming packet of
-        the burst; the per-packet Python work shrinks to Ts bookkeeping,
-        bucket accounting and packet-object assembly.  Returns ``None``
-        when the vector path does not apply (unknown/expired reservation
-        or no native schedule) — the mixed loop then produces the exact
-        per-request outcomes.
-        """
-        entry = self._reservations.get(reservation_id)
-        if entry is None:
-            return None
-        version = entry._latest
-        if version is None or now >= version.res_info.expiry:
-            version = entry.latest_live(now)
-            if version is None:
-                return None
-        schedule = version._schedule
-        if schedule is None:
-            return None
-        res_info = version.res_info
-        micros = int((res_info.expiry - now) * 1e6)
-        if not 0 <= micros < 1 << 48:
-            return None  # mixed loop raises the exact Timestamp error
-        last = entry.last_micros
-        sequence = last[1] + 1 if last is not None and last[0] == micros else 0
-        header_size = entry.header_size
-        bucket = entry.bucket
-        monitor = self.monitor
-        packed_id = entry.packed_id
-        pack_message = _HVF_MESSAGE.pack
-        make_ts = Timestamp
-        base = micros << _SEQ_BITS
-        count = len(requests)
-        outcomes: List[SendOutcome] = [None] * count
-        messages = bytearray()
-        stamped = []  # (outcome index, Timestamp, payload)
-        add_stamped = stamped.append
-        passed = 0
-        dropped = 0
-        current = sequence - 1
-        try:
-            for index in range(count):
-                payload = requests[index][1]
-                current += 1
-                if current > _SEQ_MASK:
-                    # Same exception (and last_micros state) the serial
-                    # path produces when the sequence overflows.
-                    raise PacketFieldError(
-                        f"timestamp sequence {current} out of 16-bit range"
-                    )
-                size = header_size + len(payload)
-                if bucket is None:
-                    passed += 1
-                else:
-                    # TokenBucket.conforms inlined (identical arithmetic
-                    # and state writes) — after the first packet the
-                    # refill branch is dead because ``now`` is fixed for
-                    # the burst, leaving two compares per packet.
-                    tokens = bucket._tokens
-                    if now > bucket._updated:
-                        depth = bucket.depth
-                        tokens += (now - bucket._updated) * bucket.rate
-                        if tokens > depth:
-                            tokens = depth
-                        bucket._updated = now
-                    bits = size * 8
-                    if bits <= tokens:
-                        bucket._tokens = tokens - bits
-                        passed += 1
-                    else:
-                        bucket._tokens = tokens
-                        monitor.record_drop(packed_id, now, bucket)
-                        dropped += 1
-                        outcomes[index] = BandwidthExceeded(
-                            f"EER {reservation_id} exceeded its reserved rate"
-                        )
-                        continue
-                messages += pack_message(base | current, size)
-                add_stamped((index, make_ts(micros, current), payload))
-        finally:
-            if current >= 0:
-                entry.last_micros = (micros, current)
-            monitor.packets_passed += passed
-            self.packets_sent += len(stamped)
-            self.packets_dropped += dropped
-        if stamped:
-            flat = schedule.stamp_many_flat(messages, _HVF_MESSAGE.size, len(stamped))
-            row = schedule.count * schedule.tag_len
-            hop_count = schedule.count
-            trusted = ColibriPacket.trusted
-            path = entry.path
-            eer_info = entry.eer_info
-            eer_data = PacketType.EER_DATA
-            position = 0
-            for index, timestamp, payload in stamped:
-                outcomes[index] = trusted(
-                    eer_data,
-                    path,
-                    res_info,
-                    timestamp,
-                    HvfVector(flat, position, hop_count),
-                    eer_info,
-                    payload,
-                )
-                position += row
-        return outcomes
-
     def _send_one(
         self, reservation_id: ReservationId, payload: bytes, now: float
     ) -> ColibriPacket:
-        entry = self._reservations.get(reservation_id)
+        entry = self._reservations.get(reservation_id.packed)
         if entry is None:
             self.packets_dropped += 1
             raise ReservationNotFound(f"gateway has no EER {reservation_id}")
-        # Inline of entry.latest_live(now)'s hit path — one attribute read
-        # and one float compare per packet; the miss path (expiry or fresh
-        # install) takes the full recompute.
-        version = entry._latest
-        if version is None or now >= version.res_info.expiry:
-            version = entry.latest_live(now)
-            if version is None:
-                self.packets_dropped += 1
-                raise ReservationExpired(
-                    f"all versions of EER {reservation_id} expired"
-                )
+        version = entry.latest_live(now)
+        if version is None:
+            self.packets_dropped += 1
+            raise ReservationExpired(
+                f"all versions of EER {reservation_id} expired"
+            )
         res_info = version.res_info
 
         # Unique Ts per packet (§4.3): microseconds before expiry plus a
@@ -703,9 +338,7 @@ class ColibriGateway:
             raise BandwidthExceeded(
                 f"EER {reservation_id} exceeded its reserved rate"
             )
-        message = _HVF_MESSAGE.pack(
-            (micros << _SEQ_BITS) | sequence, size
-        )
+        message = _HVF_MESSAGE.pack((micros << _SEQ_BITS) | sequence, size)
         packet = ColibriPacket.trusted(
             PacketType.EER_DATA,
             entry.path,
@@ -718,108 +351,111 @@ class ColibriGateway:
         self.packets_sent += 1
         return packet
 
-    # -- zero-copy wire path ------------------------------------------------------
+    # -- the burst pipeline: plan -> stamp -> emit -----------------------------------
+
+    @profiled("gateway.send_batch")
+    def send_batch(self, requests) -> List[SendOutcome]:
+        """Stamp a burst of ``(reservation_id, payload)`` requests.
+
+        Semantically identical to calling :meth:`send` per request, in
+        order — same packets, same monitor accounting, same counters —
+        except that drops come back as error *values* (aligned with their
+        request) instead of raised exceptions, and the clock is read once
+        for the whole burst, the fixed cost the paper's DPDK gateway
+        amortizes across NIC bursts.  A request that passed monitoring
+        counts as sent once planned.
+        """
+        if type(requests) is not list:
+            requests = list(requests)
+        plan = self._plan(requests, self.clock.now())
+        return self._emit_packets(plan, self._stamp(plan))
 
     def send_batch_wire(self, requests, arena: PacketArena) -> list:
         """Stamp a burst straight into ``arena`` as wire-form packets.
 
-        The zero-copy variant of :meth:`send_batch`: each conforming
-        request claims an arena slot, gets the per-version header
-        template copied in, the Ts word patched and the payload-length /
-        payload written in place, and its HVFs stamped *directly into
-        the slot* by the native kernel (or one flat copy on the Python
-        backend).  Outcomes are request-aligned like :meth:`send_batch`,
-        but successes are :class:`~repro.packets.colibri.WirePacketView`
+        The same plan and stamp steps as :meth:`send_batch`; only the
+        emitter differs.  Each conforming request claims an arena slot
+        and gets the per-version header template, the Ts word, its HVF
+        row, the payload length and the payload written in place.
+        Outcomes are request-aligned like :meth:`send_batch`, but
+        successes are :class:`~repro.packets.colibri.WirePacketView`
         objects whose bytes equal ``packet.to_bytes()`` of the object
-        path — no intermediate ``bytes`` is ever materialized.
+        form — no packet-sized ``bytes`` is ever materialized.
 
         The arena is ``reset()`` at entry, so views from the previous
         burst die here (the mbuf lifetime contract).
         """
         if type(requests) is not list:
             requests = list(requests)
-        obs = self.obs
-        if obs is not None:
-            sampler = obs.sampler
-            if sampler is not None and sampler.tick():
-                arena.reset()
-                return self._send_burst_wire(
-                    requests, arena, self.clock.now(), sampler
-                )
         arena.reset()
-        outcomes = self._send_burst_wire(requests, arena, self.clock.now())
-        return outcomes
+        plan = self._plan(requests, self.clock.now())
+        return self._emit_wire(plan, self._stamp(plan), arena)
 
-    @profiled("gateway.send_batch_wire")
-    def _send_burst_wire(
-        self, requests, arena: PacketArena, now: float, sampler=None
-    ) -> list:
-        if sampler is not None:
-            begin = sampler.clock.now()
-        stamper = self._burst
-        if stamper is None:
-            stamper = self._burst = burst_stamper(slots=len(requests))
-        if stamper is not None:
-            stamper.reserve(len(requests))
-            plan_scheds = stamper.scheds
-            plan_counts = stamper.counts
-            plan_offsets = stamper.offsets
-            messages = stamper.messages
-            del messages[:]
-        get_entry = self._by_packed.get
+    @profiled("gateway.plan")
+    def _plan(self, requests: list, now: float) -> _BurstPlan:
+        """Resolve every request of a burst, in order.
+
+        Each branch mirrors :meth:`_send_one` — same order of Ts
+        assignment, monitor accounting and error strings — so outcomes,
+        counters, bucket levels and ``last_micros`` are
+        indistinguishable from the serial path, including when a Ts
+        sequence overflows mid-burst (the ``PacketFieldError`` surfaces
+        at the same request, with everything before it accounted).
+        """
+        get_entry = self._reservations.get
         monitor = self.monitor
         pack_message = _HVF_MESSAGE.pack
-        ts_pack_into = _TS_WIRE.pack_into
-        len_pack_into = _PAYLOAD_LEN_WIRE.pack_into
-        buffer = arena.buffer
-        # PacketArena.take inlined: cursor arithmetic in locals, written
-        # back in the finally so views handed out before an error stay
-        # owned by their slots.  Error messages match ``take`` exactly.
-        cursor = arena._cursor
-        slot_size = arena.slot_size
-        nslots = arena.slots
-        make_view = WirePacketView
-        outcomes: list = []
-        append = outcomes.append
-        planned = 0
+        outcomes: list = [None] * len(requests)
+        rows: list = []
+        add_row = rows.append
+        messages = bytearray()
+        current = None  # version of the previous row
+        switches = 0  # version changes along the burst (1 = single version)
+        position = 0
         passed = 0
-        sent = 0
         dropped = 0
-        arena_base = None
         try:
-            for reservation_id, payload in requests:
+            for index, (reservation_id, payload) in enumerate(requests):
                 entry = get_entry(reservation_id.packed)
                 if entry is None:
                     dropped += 1
-                    append(ReservationNotFound(f"gateway has no EER {reservation_id}"))
+                    outcomes[index] = ReservationNotFound(
+                        f"gateway has no EER {reservation_id}"
+                    )
                     continue
+                # entry.latest_live(now)'s hit path inlined — one
+                # attribute read and one float compare per packet; the
+                # miss path (expiry or fresh install) recomputes.
                 version = entry._latest
                 if version is None or now >= version.res_info.expiry:
                     version = entry.latest_live(now)
                     if version is None:
                         dropped += 1
-                        append(
-                            ReservationExpired(
-                                f"all versions of EER {reservation_id} expired"
-                            )
+                        outcomes[index] = ReservationExpired(
+                            f"all versions of EER {reservation_id} expired"
                         )
                         continue
-                res_info = version.res_info
-                micros = int((res_info.expiry - now) * 1e6)
+                if version is not current:
+                    # ``now`` is fixed for the burst, so Ts microseconds
+                    # only change when the version does.
+                    current = version
+                    switches += 1
+                    micros = int((version.res_info.expiry - now) * 1e6)
                 last = entry.last_micros
                 sequence = last[1] + 1 if last is not None and last[0] == micros else 0
                 entry.last_micros = (micros, sequence)
                 if not 0 <= micros < 1 << 48 or sequence > _SEQ_MASK:
-                    # Same errors Timestamp() raises on the object path.
-                    Timestamp(micros, sequence)
+                    Timestamp(micros, sequence)  # raises the serial path's error
                 size = entry.header_size + len(payload)
                 bucket = entry.bucket
                 if bucket is None:
                     passed += 1
                 else:
-                    # TokenBucket.conforms inlined — same arithmetic and
-                    # state writes as the method pair, minus two Python
-                    # frames per packet.
+                    # TokenBucket.conforms inlined (same arithmetic, same
+                    # state writes): two Python frames per packet are the
+                    # price of the method calls, and this loop is the
+                    # Fig. 5 hot path.  After a flow's first packet the
+                    # refill branch is dead — ``now`` is fixed per burst.
                     tokens = bucket._tokens
                     if now > bucket._updated:
                         depth = bucket.depth
@@ -835,200 +471,99 @@ class ColibriGateway:
                         bucket._tokens = tokens
                         monitor.record_drop(entry.packed_id, now, bucket)
                         dropped += 1
-                        append(
-                            BandwidthExceeded(
-                                f"EER {reservation_id} exceeded its reserved rate"
-                            )
+                        outcomes[index] = BandwidthExceeded(
+                            f"EER {reservation_id} exceeded its reserved rate"
                         )
                         continue
-                template = version._wire_template
-                if template is None:
-                    template = ColibriPacket.wire_template(
-                        PacketType.EER_DATA, entry.path, res_info, entry.eer_info
-                    )
-                    version._wire_template = template
-                offsets = entry.wire
-                if offsets is None:
-                    offsets = entry.wire = ColibriPacket.wire_offsets(len(entry.path))
-                ts_value = (micros << _SEQ_BITS) | sequence
-                message = pack_message(ts_value, size)
-                if size > slot_size:
-                    raise ValueError(
-                        f"packet of {size} B exceeds arena slot size {slot_size}"
-                    )
-                if cursor >= nslots:
-                    raise ValueError(f"arena exhausted: all {nslots} slots in use")
-                slot = cursor * slot_size
-                cursor += 1
-                buffer[slot : slot + offsets.ts] = template
-                ts_pack_into(buffer, slot + offsets.ts, ts_value)
-                hvf_at = slot + offsets.hvf
-                schedule = version._schedule
-                if schedule is not None:
-                    if stamper is not None:
-                        plan_scheds[planned] = schedule._scatter
-                        plan_counts[planned] = schedule.count
-                        plan_offsets[planned] = hvf_at
-                        messages += message
-                        planned += 1
-                    else:
-                        # Native schedule but no stamper (probe flipped
-                        # after install): stamp this packet on the spot.
-                        if arena_base is None:
-                            arena_base = schedule.pointer(buffer)
-                        schedule.stamp_into(message, arena_base + hvf_at)
-                else:
-                    states = version._states
-                    if states is None:
-                        states = version.states()
-                    flat = b"".join(stamp_hvfs(states, message))
-                    buffer[hvf_at : hvf_at + len(flat)] = flat
-                length_at = slot + offsets.payload_len
-                len_pack_into(buffer, length_at, len(payload))
-                body = length_at + 4
-                buffer[body : body + len(payload)] = payload
-                append(make_view(buffer, slot, size))
-                sent += 1
+                ts_word = (micros << _SEQ_BITS) | sequence
+                messages += pack_message(ts_word, size)
+                add_row((index, entry, version, ts_word, size, payload, position))
+                position += entry.tag_bytes
         finally:
-            arena._cursor = cursor
             monitor.packets_passed += passed
-            self.packets_sent += sent
+            self.packets_sent += len(rows)
             self.packets_dropped += dropped
-        if sampler is not None:
-            planned_at = sampler.clock.now()
-        if planned:
-            # One C call stamps every planned packet of the burst
-            # straight into its arena slot.
-            stamper.stamp_into(planned, _HVF_MESSAGE.size, stamper.pointer(buffer))
-        if sampler is not None:
-            # Stage split of a sampled burst: the fused per-packet loop
-            # ("plan" — lookup, policing, template copy, HVF planning or
-            # Python-backend stamping) vs the single native scatter-stamp
-            # call ("stamp", zero when nothing was planned).
-            finished = sampler.clock.now()
-            sampler.observe_burst(
-                len(requests),
-                (
-                    ("gateway.wire.plan", planned_at - begin),
-                    ("gateway.wire.stamp", finished - planned_at),
-                    ("gateway.wire.burst", finished - begin),
-                ),
+        return _BurstPlan(
+            outcomes, rows, messages, current if switches == 1 else None, position
+        )
+
+    @profiled("gateway.stamp")
+    def _stamp(self, plan: _BurstPlan) -> bytes:
+        """Eq. (6) for every planned packet, as one flat string: row
+        ``k``'s per-hop tags start at its recorded tag offset."""
+        rows = plan.rows
+        if not rows:
+            return b""
+        size = _HVF_MESSAGE.size
+        only = plan.version
+        if only is not None and only._schedule is not None:
+            return only._schedule.stamp_many_flat(plan.messages, size, len(rows))
+        stamper = self._burst
+        if stamper is None:
+            stamper = self._burst = burst_stamper(slots=len(rows))
+        if stamper is not None:
+            stamper.reserve(len(rows))
+            scheds = stamper.scheds
+            counts = stamper.counts
+            offsets = stamper.offsets
+            for number, row in enumerate(rows):
+                schedule = row[2]._schedule
+                if schedule is None:
+                    break  # installed while the native probe was off
+                scheds[number] = schedule._scatter
+                counts[number] = schedule.count
+                offsets[number] = row[6]
+            else:
+                stamper.messages[:] = plan.messages
+                return stamper.stamp_flat(len(rows), size, plan.tag_bytes)
+        messages = bytes(plan.messages)
+        tags: list = []
+        for number, row in enumerate(rows):
+            tags.extend(row[2].stamp(messages[number * size : (number + 1) * size]))
+        return b"".join(tags)
+
+    @profiled("gateway.emit_packets")
+    def _emit_packets(self, plan: _BurstPlan, flat: bytes) -> List[SendOutcome]:
+        """Packet objects over zero-copy windows of the flat tags."""
+        outcomes = plan.outcomes
+        trusted = ColibriPacket.trusted
+        eer_data = PacketType.EER_DATA
+        for index, entry, version, ts_word, _size, payload, position in plan.rows:
+            outcomes[index] = trusted(
+                eer_data,
+                entry.path,
+                version.res_info,
+                Timestamp(ts_word >> _SEQ_BITS, ts_word & _SEQ_MASK),
+                HvfVector(flat, position, len(version.hop_auths)),
+                entry.eer_info,
+                payload,
             )
         return outcomes
 
-    # -- stage-factored variant (profiling instrumentation) -----------------------
-
-    def send_batch_staged(self, requests) -> List[SendOutcome]:
-        """:meth:`send_batch` factored into separately ``@profiled`` stages.
-
-        Outcome- and counter-identical to :meth:`send_batch` (equivalence
-        tested), but each phase — reservation dispatch, Eq. (6) stamping,
-        packet assembly — runs under its own profile site, so the Fig. 5
-        instrumented pass can attach a per-stage breakdown to
-        ``BENCH_fig5.json``.  Slightly slower than the fused loop (it
-        materializes a per-burst plan), so only the profiling pass and
-        tests call it.
-        """
-        if type(requests) is not list:
-            requests = list(requests)
-        if not requests:
-            return []
-        now = self.clock.now()
-        plan, outcomes = self._stage_dispatch(requests, now)
-        stamped = self._stage_stamp(plan)
-        return self._stage_serialize(plan, stamped, outcomes)
-
-    @profiled("gateway.stage.dispatch")
-    def _stage_dispatch(self, requests, now: float):
-        """Resolve reservations, assign Ts, account the monitor."""
-        get_entry = self._reservations.get
-        monitor = self.monitor
-        pack_message = _HVF_MESSAGE.pack
-        outcomes: List[SendOutcome] = [None] * len(requests)
-        plan = []  # (index, entry, version, Timestamp, message, payload)
-        add = plan.append
-        dropped = 0
-        try:
-            for index, (reservation_id, payload) in enumerate(requests):
-                entry = get_entry(reservation_id)
-                if entry is None:
-                    dropped += 1
-                    outcomes[index] = ReservationNotFound(
-                        f"gateway has no EER {reservation_id}"
-                    )
-                    continue
-                version = entry._latest
-                if version is None or now >= version.res_info.expiry:
-                    version = entry.latest_live(now)
-                    if version is None:
-                        dropped += 1
-                        outcomes[index] = ReservationExpired(
-                            f"all versions of EER {reservation_id} expired"
-                        )
-                        continue
-                res_info = version.res_info
-                micros = int((res_info.expiry - now) * 1e6)
-                last = entry.last_micros
-                sequence = last[1] + 1 if last is not None and last[0] == micros else 0
-                entry.last_micros = (micros, sequence)
-                timestamp = Timestamp(micros, sequence)
-                size = entry.header_size + len(payload)
-                bucket = entry.bucket
-                if bucket is None or bucket.conforms(size, now):
-                    monitor.packets_passed += 1
-                else:
-                    monitor.record_drop(entry.packed_id, now, bucket)
-                    dropped += 1
-                    outcomes[index] = BandwidthExceeded(
-                        f"EER {reservation_id} exceeded its reserved rate"
-                    )
-                    continue
-                message = pack_message((micros << _SEQ_BITS) | sequence, size)
-                add((index, entry, version, timestamp, message, payload))
-        finally:
-            self.packets_dropped += dropped
-        return plan, outcomes
-
-    @profiled("gateway.stage.stamp")
-    def _stage_stamp(self, plan) -> list:
-        """Eq. (6) for every planned packet."""
-        return [row[2].stamp(row[4]) for row in plan]
-
-    @profiled("gateway.stage.serialize")
-    def _stage_serialize(self, plan, stamped, outcomes) -> List[SendOutcome]:
-        """Assemble packet objects from the plan and its stamps."""
-        trusted = ColibriPacket.trusted
-        eer_data = PacketType.EER_DATA
-        sent = 0
-        try:
-            for (index, entry, version, timestamp, _message, payload), hvfs in zip(
-                plan, stamped
-            ):
-                outcomes[index] = trusted(
-                    eer_data,
-                    entry.path,
-                    version.res_info,
-                    timestamp,
-                    hvfs,
-                    entry.eer_info,
-                    payload,
+    @profiled("gateway.emit_wire")
+    def _emit_wire(self, plan: _BurstPlan, flat: bytes, arena: PacketArena) -> list:
+        """Wire bytes written in place, one arena slot per packet."""
+        outcomes = plan.outcomes
+        buffer = arena.buffer
+        take = arena.take
+        for index, entry, version, ts_word, size, payload, position in plan.rows:
+            template = version._wire_template
+            if template is None:
+                template = version._wire_template = ColibriPacket.wire_template(
+                    PacketType.EER_DATA, entry.path, version.res_info, entry.eer_info
                 )
-                sent += 1
-        finally:
-            self.packets_sent += sent
+            slot = take(size)
+            entry.wire_header.pack_into(
+                buffer,
+                slot,
+                template,
+                ts_word,
+                flat[position : position + entry.tag_bytes],
+                len(payload),
+            )
+            buffer[slot + entry.header_size : slot + size] = payload
+            outcomes[index] = WirePacketView(buffer, slot, size)
         return outcomes
-
-    def refresh_monitor(self, reservation_id: ReservationId) -> None:
-        """Re-sync the monitor rate after versions expired (called lazily
-        by housekeeping; expiry of a high-bandwidth version lowers the
-        effective budget)."""
-        entry = self._reservations.get(reservation_id)
-        if entry is None:
-            return
-        entry.invalidate_caches()
-        now = self.clock.now()
-        self.monitor.watch(entry.packed_id, entry.effective_bandwidth(now), now)
-        entry.bucket = self.monitor.bucket_for(entry.packed_id)
 
 
 def split_batch(outcomes: List[SendOutcome]) -> Tuple[list, list]:

@@ -153,8 +153,8 @@ def sigma_schedule(hop_auths, tag_len: int = L_HVF):
 
     The vectorized counterpart of :func:`sigma_states`: one contiguous
     C-side schedule block whose :meth:`~repro.crypto.native.ScheduleBlock.stamp_flat`
-    / ``stamp_many_flat`` / ``stamp_into`` calls are byte-identical to
-    looping :func:`stamp_hvfs`.  Returns ``None`` when the native
+    / ``stamp_many_flat`` calls are byte-identical to looping
+    :func:`stamp_hvfs`.  Returns ``None`` when the native
     backend is unavailable so callers keep the hashlib path.
     """
     backend = native.backend()

@@ -197,14 +197,35 @@ class BorderRouter:
                 # path, which is authoritative.
                 cache.counters.bump("rejected_hints")
         ingress, egress = packet.current_pair()
+        return self._recompute(
+            res_info, packet.eer_info, ingress, egress, message, hvf, now
+        )
+
+    def _recompute(
+        self,
+        res_info: ResInfo,
+        eer_info,
+        ingress: int,
+        egress: int,
+        message: bytes,
+        tag: bytes,
+        now: float,
+    ) -> bool:
+        """The stateless Eq. (4) + (6) check: derive σ from the AS secret
+        of the current and then the previous DRKey epoch and compare the
+        HVF it implies against ``tag`` in constant time.
+
+        A σ enters the cache only *after* it validated a packet, so
+        forged headers can never plant entries.
+        """
+        cache = self.sigma_cache
         for when in (now, now - DRKEY_VALIDITY):
             if when < 0:
                 continue
-            hop_key = self.keys.hop_key(when)
             sigma = hop_authenticator(
-                hop_key, res_info, packet.eer_info, ingress, egress
+                self.keys.hop_key(when), res_info, eer_info, ingress, egress
             )
-            if constant_time_equal(truncated_mac(sigma, message), hvf):
+            if constant_time_equal(truncated_mac(sigma, message), tag):
                 if cache is not None:
                     cache.store(
                         (
@@ -363,48 +384,8 @@ class BorderRouter:
         equivalents.
         """
         now = self.clock.now()
-        obs = self.obs
-        if obs is not None:
-            sampler = obs.sampler
-            if sampler is not None and sampler.tick():
-                return self._validate_wire_sampled(views, now, sampler)
         validate_one = self._validate_wire_one
         return [validate_one(view, now) for view in views]
-
-    def _validate_wire_sampled(self, views, now: float, sampler) -> List[bool]:
-        """Sampled variant of :meth:`validate_wire_batch`: identical
-        verdicts through the identical per-packet path, plus per-packet
-        and whole-burst wall timings in the sampler's fixed-bucket
-        histograms and the burst's σ-cache hit/miss deltas as sampled
-        counts — the hit/recompute split *is* the router's stage
-        breakdown (the slow path dominates exactly when hints miss)."""
-        clock = sampler.clock
-        cache = self.sigma_cache
-        hits_before = misses_before = 0
-        if cache is not None:
-            hits_before = cache.counters.get("hits")
-            misses_before = cache.counters.get("misses")
-        validate_one = self._validate_wire_one
-        verdicts: List[bool] = []
-        append = verdicts.append
-        begin = clock.now()
-        for view in views:
-            started = clock.now()
-            verdict = validate_one(view, now)
-            sampler.observe("router.wire.validate", clock.now() - started)
-            append(verdict)
-        sampler.observe_burst(
-            len(views), (("router.wire.burst", clock.now() - begin),)
-        )
-        if cache is not None:
-            sampler.count(
-                "sigma_cache_hits", cache.counters.get("hits") - hits_before
-            )
-            sampler.count(
-                "sigma_cache_misses",
-                cache.counters.get("misses") - misses_before,
-            )
-        return verdicts
 
     def _validate_wire_one(self, view, now: float) -> bool:
         buffer = view.buffer
@@ -432,36 +413,10 @@ class BorderRouter:
                 if entry.verify(message, tag):
                     return True
                 cache.counters.bump("rejected_hints")
-        return self._authenticate_wire_slow(view, message, tag, now)
-
-    def _authenticate_wire_slow(self, view, message: bytes, tag: bytes, now: float) -> bool:
-        """Stateless Eq. (4) + (6) recompute for a wire packet.
-
-        The cold half of :meth:`_validate_wire_one` — mirrors the tail
-        of :meth:`_authenticate` (including the store-after-validation
-        rule), parsing the packet out of the arena only here, where the
-        MAC recompute already dominates the copy.
-        """
+        # Cold half: parse the packet out of the arena only here, where
+        # the MAC recompute already dominates the copy.
         packet = ColibriPacket.from_bytes(view.materialize())
-        res_info = packet.res_info
         ingress, egress = packet.current_pair()
-        cache = self.sigma_cache
-        for when in (now, now - DRKEY_VALIDITY):
-            if when < 0:
-                continue
-            hop_key = self.keys.hop_key(when)
-            sigma = hop_authenticator(
-                hop_key, res_info, packet.eer_info, ingress, egress
-            )
-            if constant_time_equal(truncated_mac(sigma, message), tag):
-                if cache is not None:
-                    cache.store(
-                        (
-                            res_info.reservation.packed,
-                            res_info.version,
-                            int(when // DRKEY_VALIDITY),
-                        ),
-                        sigma,
-                    )
-                return True
-        return False
+        return self._recompute(
+            packet.res_info, packet.eer_info, ingress, egress, message, tag, now
+        )

@@ -64,7 +64,6 @@ from repro.obs.profile import (
     profiling,
     uninstall_profiler,
 )
-from repro.obs.sampling import SamplingProfiler
 from repro.obs.trace import Span, TraceCollector, traced
 from repro.util.clock import Clock, PerfClock
 
@@ -77,7 +76,6 @@ __all__ = [
     "MetricsRegistry",
     "ObsContext",
     "Profiler",
-    "SamplingProfiler",
     "Span",
     "TelemetryFrame",
     "TelemetryGapError",
@@ -120,11 +118,6 @@ class ObsContext:
     journal: Optional[EventJournal] = None
     #: Optional burn-rate alert engine watching :attr:`metrics`.
     alerts: Optional["object"] = None
-    #: Optional wire-path sampling profiler
-    #: (:class:`~repro.obs.sampling.SamplingProfiler`); ``None`` keeps
-    #: ``send_batch_wire``/``validate_wire_batch`` on the untouched
-    #: fast path.
-    sampler: Optional[SamplingProfiler] = None
 
     @classmethod
     def create(

@@ -272,6 +272,27 @@ class ColibriPacket:
             ColibriPacket._WIRE_OFFSETS[key] = offsets
         return offsets
 
+    #: Memoized ``hop_count -> Struct`` of a whole EER data header.
+    _WIRE_HEADERS: ClassVar[dict] = {}
+
+    @staticmethod
+    def wire_header(hop_count: int) -> struct.Struct:
+        """An EER data packet's header as one struct, in the four pieces
+        the gateway's arena emitter holds: the :meth:`wire_template`
+        prefix, the Ts word, the flat HVFs and the payload length.
+
+        One ``pack_into`` then writes a header into an arena slot — a
+        ``bytearray`` slice assignment costs about three ``pack_into``
+        calls, so patching the fields one by one would dominate the
+        emitter.
+        """
+        header = ColibriPacket._WIRE_HEADERS.get(hop_count)
+        if header is None:
+            prefix = ColibriPacket.wire_offsets(hop_count).ts
+            header = struct.Struct(f"!{prefix}sQ{hop_count * L_HVF}sI")
+            ColibriPacket._WIRE_HEADERS[hop_count] = header
+        return header
+
     @staticmethod
     def header_size_for(hop_count: int, is_eer_data: bool = True) -> int:
         """Header bytes of a packet with ``hop_count`` hops.
@@ -463,6 +484,11 @@ class WirePacketView:
     @property
     def hop_count(self) -> int:
         return self.buffer[self.offset + 4]
+
+    @property
+    def total_size(self) -> int:
+        """PktSize of Eq. (6), as :attr:`ColibriPacket.total_size`."""
+        return self.length
 
     def advance_hop(self) -> None:
         """Patch the hop pointer in place — the per-hop header mutation

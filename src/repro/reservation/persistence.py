@@ -214,10 +214,10 @@ def dump_gateway(gateway) -> dict:
     import base64
 
     entries = []
-    for reservation_id, entry in gateway._reservations.items():
+    for entry in gateway._reservations.values():
         entries.append(
             {
-                "id": _res_id(reservation_id),
+                "id": _res_id(entry.reservation_id),
                 "path": list(entry.path.interface_pairs),
                 "src_host": entry.eer_info.src_host.value,
                 "dst_host": entry.eer_info.dst_host.value,

@@ -46,10 +46,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.constants import EER_LIFETIME
 from repro.control.renewal import RenewalScheduler
 from repro.control.rpc import FaultInjector, LinkFaults
-from repro.dataplane.gateway import ColibriGateway
 from repro.dataplane.shards import ShardExecutor
 from repro.errors import ColibriError
-from repro.obs import ObsContext
 from repro.obs.distributed import TelemetryGapError, TraceContext
 from repro.obs.events import (
     MONITOR_CONFIRMED_OVERUSE,
@@ -58,21 +56,14 @@ from repro.obs.events import (
     merge_events,
     parse_jsonl,
 )
-from repro.obs.sampling import SamplingProfiler
 from repro.obs.slo import AlertEngine, SLOSpec, event_counter_name, replay_journal
-from repro.packets.colibri import ColibriPacket
-from repro.packets.fields import EerInfo, PathField, ResInfo
-from repro.packets.wire import PacketArena
-from repro.reservation.ids import ReservationId
 from repro.sim.events import EventLoop
 from repro.sim.scenario import ColibriNetwork
 from repro.sim.traffic import BogusColibriSource, OverusingSource
 from repro.sim.workload import EerWorkload
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.topology.graph import Topology
-from repro.util.clock import SimClock
 from repro.util.memsize import deep_size
-from repro.util.units import gbps
 
 #: Extra simulated time appended to a draining phase so retired sessions'
 #: EERs expire (one lifetime) and housekeeping provably reclaims them.
@@ -225,8 +216,8 @@ class CampaignSpec:
     segr_bandwidth: float = 2e8
     slos: Callable[[], Tuple[SLOSpec, ...]] = None  # default: campaign_slos
     #: Optional post-phase sharded soak with cross-process telemetry
-    #: streaming and an in-parent sampled wire pass; ``None`` skips
-    #: both and leaves the campaign exactly as before.
+    #: streaming; ``None`` skips it and leaves the campaign exactly as
+    #: before.
     shard_soak: Optional[ShardSoakSpec] = None
 
 
@@ -306,9 +297,6 @@ class CampaignResult:
     #: Per-worker telemetry-stream bookkeeping:
     #: ``{worker_id: {"frames": n, "spans": n, "events": n}}``.
     worker_streams: Dict[int, Dict[str, int]] = field(default_factory=dict)
-    #: Wire-path sampling-profiler snapshot from the in-parent sampled
-    #: pass (empty when the campaign ran without a shard soak).
-    sampling: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -329,14 +317,6 @@ class CampaignResult:
             "worker_streams": {
                 str(worker_id): dict(counts)
                 for worker_id, counts in sorted(self.worker_streams.items())
-            },
-            # Only the deterministic head of the profiler snapshot: the
-            # stage timings are real wall durations and live in the
-            # sampling.json artifact, keeping summary.json byte-stable.
-            "sampling": {
-                key: self.sampling[key]
-                for key in ("every", "total_bursts", "sampled_bursts")
-                if key in self.sampling
             },
             "phases": [
                 {
@@ -364,8 +344,6 @@ class CampaignResult:
         * ``slo_replay.json`` — tick times, live + replayed transitions,
           and the equivalence verdict;
         * ``summary.json`` — phase reports and violations;
-        * ``sampling.json`` — the wire-path sampling-profiler snapshot,
-          when the campaign ran one;
 
         and append one row to ``directory/memory_footprint.txt`` so CI
         can track that reservation state stays sublinear in flows.
@@ -384,10 +362,6 @@ class CampaignResult:
                 for event in merged
             )
         (target / "journal.jsonl").write_text(journal_text)
-        if self.sampling:
-            (target / "sampling.json").write_text(
-                json.dumps(self.sampling, sort_keys=True, indent=2) + "\n"
-            )
         (target / "slo_replay.json").write_text(
             json.dumps(
                 {
@@ -580,7 +554,6 @@ class CampaignRunner:
         self._soak_telemetry = None
         self._soak_error: Optional[str] = None
         self._worker_streams: Dict[int, Dict[str, int]] = {}
-        self._sampling: dict = {}
 
     # -- wiring ----------------------------------------------------------------
 
@@ -664,13 +637,6 @@ class CampaignRunner:
 
     # -- the shard soak --------------------------------------------------------
 
-    #: Shape of the in-parent sampled wire pass: small enough to stay
-    #: campaign-smoke cheap, long enough for several profiler samples
-    #: at the default 1-in-16 rate.
-    WIRE_SAMPLE_RESERVATIONS = 16
-    WIRE_SAMPLE_BURSTS = 64
-    WIRE_SAMPLE_PATH = 4
-
     def _run_shard_soak(self) -> None:
         """The post-phase forced-process sharded soak: worker obs shards
         adopt a trace context minted under the campaign tracer, so their
@@ -717,53 +683,6 @@ class CampaignRunner:
             )
         except TelemetryGapError as error:
             self._soak_error = str(error)
-        self._sampling = self._sampled_wire_pass()
-
-    def _sampled_wire_pass(self) -> dict:
-        """A short in-parent ``send_batch_wire`` pass with the wire-path
-        sampling profiler armed, so every campaign artifact set carries
-        a per-stage latency snapshot of the zero-copy fast path.  The
-        gateway is private and disposable — the pass never touches the
-        campaign network's accounting."""
-        batch = self.spec.shard_soak.batch
-        clock = SimClock(1000.0)
-        gateway = ColibriGateway(_WIRE_SAMPLE_AS, clock)
-        rng = random.Random(self.spec.seed)
-        pairs = (
-            [(0, 1)] + [(2, 3)] * (self.WIRE_SAMPLE_PATH - 2) + [(4, 0)]
-        )
-        path = PathField(tuple(pairs))
-        eer_info = EerInfo(HostAddr(1), HostAddr(2))
-        expiry = clock.now() + EER_LIFETIME * 1000
-        ids = []
-        for index in range(self.WIRE_SAMPLE_RESERVATIONS):
-            res_id = ReservationId(_WIRE_SAMPLE_AS, index + 1)
-            res_info = ResInfo(
-                reservation=res_id,
-                bandwidth=gbps(1000),
-                expiry=expiry,
-                version=1,
-            )
-            hop_auths = tuple(
-                rng.getrandbits(128).to_bytes(16, "big")
-                for _ in range(self.WIRE_SAMPLE_PATH)
-            )
-            gateway.install(res_id, path, eer_info, res_info, hop_auths)
-            ids.append(res_id)
-        obs = ObsContext.create(clock, seed=self.spec.seed)
-        obs.sampler = SamplingProfiler()
-        gateway.obs = obs
-        arena = PacketArena(
-            slots=batch,
-            slot_size=ColibriPacket.header_size_for(self.WIRE_SAMPLE_PATH),
-        )
-        for _ in range(self.WIRE_SAMPLE_BURSTS):
-            requests = [
-                (ids[rng.randrange(len(ids))], b"") for _ in range(batch)
-            ]
-            gateway.send_batch_wire(requests, arena)
-            clock.advance(1e-6)
-        return obs.sampler.snapshot()
 
     # -- the run ---------------------------------------------------------------
 
@@ -958,7 +877,6 @@ class CampaignRunner:
                 else ""
             ),
             worker_streams=dict(self._worker_streams),
-            sampling=dict(self._sampling),
         )
 
     def _replay(self, journal_jsonl: str) -> List[tuple]:
@@ -1008,10 +926,6 @@ class CampaignRunner:
 
 def _host(index: int) -> HostAddr:
     return HostAddr(index % (1 << 32))
-
-
-#: Private-use AS for the disposable sampled-wire-pass gateway.
-_WIRE_SAMPLE_AS = IsdAs(1, 0xFF00_0000_0000 + 1)
 
 
 def run_campaign(spec: CampaignSpec) -> CampaignResult:

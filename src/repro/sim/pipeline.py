@@ -160,53 +160,11 @@ class PathPipeline:
         Returns one report per payload, aligned; gateway drops come back
         undelivered with ``dropped_at`` set to the source AS.
         """
-        source = self.handle.hops[0].isd_as
-        gateway = self.network.gateway(source)
+        gateway = self.network.gateway(self.handle.hops[0].isd_as)
         outcomes = gateway.send_batch(
             [(self.handle.reservation_id, payload) for payload in payloads]
         )
-        now = self.network.clock.now()
-        reports: List[Optional[LatencyReport]] = [None] * len(outcomes)
-        wave = []
-        for index, outcome in enumerate(outcomes):
-            if isinstance(outcome, ColibriPacket):
-                wave.append((index, outcome, 0.0, []))
-            else:
-                reports[index] = LatencyReport(
-                    delivered=False, latency=0.0, per_hop=[], dropped_at=source
-                )
-        while wave:
-            # All burst packets share the handle's path, so one wave sits
-            # at one AS and one process_batch call covers it.
-            isd_as = self.handle.hops[wave[0][1].hop_index].isd_as
-            router = self.network.router(isd_as)
-            results = router.process_batch([packet for _, packet, _, _ in wave])
-            port = self.ports[isd_as]
-            next_wave = []
-            for (index, packet, latency, per_hop), result in zip(wave, results):
-                if result.verdict.is_drop:
-                    reports[index] = LatencyReport(
-                        delivered=False,
-                        latency=latency,
-                        per_hop=per_hop,
-                        dropped_at=isd_as,
-                    )
-                    continue
-                hop_delay = port.transit_delay(
-                    packet.total_size, traffic_class, now + latency
-                )
-                latency += hop_delay
-                per_hop.append((isd_as, hop_delay))
-                if result.verdict in (Verdict.DELIVER_HOST, Verdict.DELIVER_CSERV):
-                    reports[index] = LatencyReport(
-                        delivered=True, latency=latency, per_hop=per_hop
-                    )
-                elif result.verdict is Verdict.FORWARD:
-                    next_wave.append((index, packet, latency, per_hop))
-                else:
-                    raise ColibriError(f"unexpected verdict {result.verdict}")
-            wave = next_wave
-        return reports
+        return self._walk(outcomes, ColibriPacket, _process_hop, traffic_class)
 
     def send_batch_wire(
         self,
@@ -231,8 +189,7 @@ class PathPipeline:
         Pass ``arena`` to reuse one slab across bursts; by default a
         burst-sized arena is allocated here.
         """
-        source = self.handle.hops[0].isd_as
-        gateway = self.network.gateway(source)
+        gateway = self.network.gateway(self.handle.hops[0].isd_as)
         if arena is None:
             header = ColibriPacket.header_size_for(
                 len(self.handle.hops), is_eer_data=True
@@ -245,26 +202,40 @@ class PathPipeline:
             [(self.handle.reservation_id, payload) for payload in payloads],
             arena,
         )
+        return self._walk(outcomes, WirePacketView, _validate_hop, traffic_class)
+
+    def _walk(
+        self, outcomes: list, packet_type: type, step, traffic_class: TrafficClass
+    ) -> List[LatencyReport]:
+        """Carry a stamped burst hop by hop to delivery or drop.
+
+        ``step(router, packets)`` is the per-hop router work: it returns
+        one fate per packet — ``None`` dropped here, ``True`` delivered
+        here, ``False`` forwarded (hop pointer already advanced).
+        Outcomes that are not ``packet_type`` are gateway drops.
+        """
+        source = self.handle.hops[0].isd_as
         now = self.network.clock.now()
         reports: List[Optional[LatencyReport]] = [None] * len(outcomes)
         wave = []
         for index, outcome in enumerate(outcomes):
-            if isinstance(outcome, WirePacketView):
+            if isinstance(outcome, packet_type):
                 wave.append((index, outcome, 0.0, []))
             else:
                 reports[index] = LatencyReport(
                     delivered=False, latency=0.0, per_hop=[], dropped_at=source
                 )
         while wave:
+            # All burst packets share the handle's path, so one wave sits
+            # at one AS and one router call covers it.
             isd_as = self.handle.hops[wave[0][1].hop_index].isd_as
-            router = self.network.router(isd_as)
-            valid = router.validate_wire_batch(
-                [packet for _, packet, _, _ in wave]
+            fates = step(
+                self.network.router(isd_as), [packet for _, packet, _, _ in wave]
             )
             port = self.ports[isd_as]
             next_wave = []
-            for (index, packet, latency, per_hop), ok in zip(wave, valid):
-                if not ok:
+            for (index, packet, latency, per_hop), delivered in zip(wave, fates):
+                if delivered is None:
                     reports[index] = LatencyReport(
                         delivered=False,
                         latency=latency,
@@ -273,16 +244,46 @@ class PathPipeline:
                     )
                     continue
                 hop_delay = port.transit_delay(
-                    len(packet), traffic_class, now + latency
+                    packet.total_size, traffic_class, now + latency
                 )
                 latency += hop_delay
                 per_hop.append((isd_as, hop_delay))
-                if packet.hop_index + 1 >= packet.hop_count:
+                if delivered:
                     reports[index] = LatencyReport(
                         delivered=True, latency=latency, per_hop=per_hop
                     )
                 else:
-                    packet.advance_hop()
                     next_wave.append((index, packet, latency, per_hop))
             wave = next_wave
         return reports
+
+
+def _process_hop(router, packets: list) -> list:
+    """Per-hop step over packet objects: the full §4.6 pipeline."""
+    fates = []
+    for result in router.process_batch(packets):
+        verdict = result.verdict
+        if verdict.is_drop:
+            fates.append(None)
+        elif verdict in (Verdict.DELIVER_HOST, Verdict.DELIVER_CSERV):
+            fates.append(True)
+        elif verdict is Verdict.FORWARD:
+            fates.append(False)
+        else:
+            raise ColibriError(f"unexpected verdict {verdict}")
+    return fates
+
+
+def _validate_hop(router, views: list) -> list:
+    """Per-hop step over wire views: in-place validation, then the
+    one-byte hop-pointer patch a forwarding router performs."""
+    fates = []
+    for view, valid in zip(views, router.validate_wire_batch(views)):
+        if not valid:
+            fates.append(None)
+        elif view.hop_index + 1 >= view.hop_count:
+            fates.append(True)
+        else:
+            view.advance_hop()
+            fates.append(False)
+    return fates

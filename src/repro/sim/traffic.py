@@ -80,7 +80,7 @@ class OverusingSource(ReservationSource):
         count = int(exact)
         self._carry = exact - count
         payload = b"\x00" * max(0, self.packet_bytes - 120)
-        entry = self.gateway._reservations[self.handle.reservation_id]
+        entry = self.gateway._reservations[self.handle.reservation_id.packed]
         for _ in range(count):
             self.generated += 1
             version = entry.latest_live(now)

@@ -341,6 +341,21 @@ class TestPipelineBatch:
         latencies = [r.latency for r in batch]
         assert latencies == sorted(latencies)
 
+    def test_wire_walk_matches_object_walk(self):
+        """send_batch_wire walks the same waves as send_batch: one wave
+        walker, two per-hop steps."""
+        payloads = [b"w" * (64 + 29 * index) for index in range(8)]
+        payloads += [b"q" * 10_000] * 14  # the tail overruns the bucket
+        _, object_pipe = self._pipeline()
+        objects = object_pipe.send_batch(payloads)
+        _, wire_pipe = self._pipeline()
+        wires = wire_pipe.send_batch_wire(payloads)
+        assert True in [r.delivered for r in wires]
+        assert False in [r.delivered for r in wires]
+        assert [
+            (r.delivered, r.dropped_at, r.latency, r.per_hop) for r in wires
+        ] == [(r.delivered, r.dropped_at, r.latency, r.per_hop) for r in objects]
+
     def test_batch_gateway_drops_are_aligned(self):
         src, pipe = self._pipeline()
         # 10 Mbps reservation, 0.1 s burst depth = 125 kB: fourteen 10 kB

@@ -203,8 +203,6 @@ def test_shard_soak_green_with_complete_worker_streams(soak_runs):
     for counts in result.worker_streams.values():
         assert counts["frames"] >= 1
         assert counts["events"] >= 1
-    assert result.sampling["total_bursts"] > 0
-    assert result.sampling["sampled_bursts"] > 0
 
 
 def test_shard_soak_worker_journal_deterministic(soak_runs):
@@ -225,11 +223,8 @@ def test_shard_soak_artifact_journal_is_complete(soak_runs, tmp_path):
     workers = parse_jsonl(result.worker_journal_jsonl)
     assert len(merged) == len(parent) + len(workers)
     assert sum(1 for e in merged if e.type == "ShardCompleted") == 2
-    sampling = json.loads((target / "sampling.json").read_text())
-    assert sampling["every"] == result.sampling["every"]
     summary = json.loads((target / "summary.json").read_text())
     assert summary["worker_streams"]["0"]["frames"] >= 1
-    assert summary["sampling"]["total_bursts"] == sampling["total_bursts"]
 
 
 def test_worker_stream_checker_flags_defects():

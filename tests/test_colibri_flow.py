@@ -489,34 +489,34 @@ class TestCF003ObsGuard(unittest.TestCase):
         """
         self.assertEqual([], hits(source, "CF003"))
 
-    def test_unguarded_sampler_chain_flagged(self):
-        # The wire-path profiler guard site: obs alone does not guard
-        # its Optional .sampler field.
+    def test_unguarded_alerts_chain_flagged(self):
+        # Guarding an alias of the context does not guard its Optional
+        # .alerts field.
         source = """
-            class Gateway:
-                def send_batch_wire(self, requests, arena):
+            class Network:
+                def housekeeping(self, now):
                     obs = self.obs
                     if obs is not None:
-                        if obs.sampler.tick():
-                            return self._sampled(requests, arena)
-                    return self._plain(requests, arena)
+                        if obs.alerts.tick(now):
+                            return self._page(now)
+                    return None
         """
         findings = flow(source, "CF003")
         self.assertEqual(["CF003"], [f.rule_id for f in findings])
-        self.assertIn("sampler", findings[0].message)
+        self.assertIn("alerts", findings[0].message)
 
-    def test_guarded_sampler_chain_clean(self):
-        # The idiom send_batch_wire / validate_wire_batch actually use:
-        # guard the context, alias the sampler, guard the alias.
+    def test_guarded_alerts_chain_clean(self):
+        # The idiom the optional links are read with: guard the context,
+        # alias the link, guard the alias.
         source = """
-            class Gateway:
-                def send_batch_wire(self, requests, arena):
+            class Network:
+                def housekeeping(self, now):
                     obs = self.obs
                     if obs is not None:
-                        sampler = obs.sampler
-                        if sampler is not None and sampler.tick():
-                            return self._sampled(requests, arena, sampler)
-                    return self._plain(requests, arena)
+                        alerts = obs.alerts
+                        if alerts is not None and alerts.tick(now):
+                            return self._page(now, alerts)
+                    return None
         """
         self.assertEqual([], hits(source, "CF003"))
 

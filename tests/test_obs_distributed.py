@@ -12,8 +12,8 @@ that threads them through both planes:
   ``RetryingCaller``) and into forced-process shard workers, asserting
   the exact stitched span tree and byte-identical merged artifacts
   across same-seed runs;
-* the wire-path sampling profiler: tick cadence, bucket placement, and
-  verdict/byte equivalence of the sampled gateway/router fast paths.
+* the wire path under ``profiling()``: verdict/byte equivalence with
+  the unprofiled run, and the plan / stamp / emit sites it records.
 """
 
 import json
@@ -44,7 +44,7 @@ from repro.obs.distributed import (
 )
 from repro.obs.events import SHARD_COMPLETED, EventJournal, merge_events
 from repro.obs.metrics import MetricsRegistry, merge_registries
-from repro.obs.sampling import DEFAULT_SAMPLE_EVERY, SamplingProfiler
+from repro.obs.profile import profiling
 from repro.obs.trace import TraceCollector
 from repro.packets.colibri import ColibriPacket
 from repro.packets.fields import EerInfo, PathField, ResInfo
@@ -427,72 +427,15 @@ class TestStitchedShardTree:
         assert result.merged_telemetry() is None
 
 
-# -- the sampling profiler -----------------------------------------------------
+# -- profiled wire-path equivalence --------------------------------------------
 
 
-class TestSamplingProfiler:
-    def test_tick_fires_every_nth(self):
-        profiler = SamplingProfiler(every=4)
-        assert [profiler.tick() for _ in range(12)] == [
-            False, False, False, True,
-            False, False, False, True,
-            False, False, False, True,
-        ]
-        assert profiler.total_bursts == 12
-        assert profiler.sampled_bursts == 3
-
-    def test_every_one_always_samples(self):
-        profiler = SamplingProfiler(every=1)
-        assert all(profiler.tick() for _ in range(5))
-
-    def test_default_rate(self):
-        profiler = SamplingProfiler()
-        assert profiler.every == DEFAULT_SAMPLE_EVERY
-
-    def test_observations_land_in_fixed_buckets(self):
-        profiler = SamplingProfiler(every=1)
-        profiler.tick()
-        profiler.observe_burst(
-            64,
-            (
-                ("gateway.wire.plan", 5e-07),   # below first bound
-                ("gateway.wire.stamp", 2e-06),  # second bucket
-                ("gateway.wire.burst", 1.0),    # overflow bucket
-            ),
-        )
-        profiler.count("sigma_cache_hits", 3)
-        snapshot = profiler.snapshot()
-        assert snapshot["counts"]["sampled_packets"] == 64
-        assert snapshot["counts"]["sigma_cache_hits"] == 3
-        stages = snapshot["stages"]
-        plan = stages["gateway.wire.plan"]
-        assert plan["counts"][0] == 1 and plan["count"] == 1
-        stamp = stages["gateway.wire.stamp"]
-        assert stamp["counts"][1] == 1
-        burst = stages["gateway.wire.burst"]
-        assert burst["counts"][-1] == 1
-        json.dumps(snapshot)  # artifact-ready
-
-    def test_snapshot_is_json_ready_when_idle(self):
-        assert json.loads(json.dumps(SamplingProfiler().snapshot())) == (
-            SamplingProfiler().snapshot()
-        )
-
-
-# -- sampled wire-path equivalence ---------------------------------------------
-
-
-def wire_stack(sampler=None):
-    """A source gateway + middle router pair, optionally instrumented."""
+def wire_stack():
+    """A source gateway + middle router pair."""
     clock = SimClock(1000.0)
     mid_keys = ColibriKeys(DrkeyDeriver(MID, clock, seed=b"mid" * 6))
     gateway = ColibriGateway(SRC, clock)
     router = BorderRouter(MID, mid_keys, clock)
-    if sampler is not None:
-        obs = ObsContext.create(clock, seed=0)
-        obs.sampler = sampler
-        gateway.obs = obs
-        router.obs = obs
     now = clock.now()
     res_id = ReservationId(SRC, 5)
     res_info = ResInfo(
@@ -506,9 +449,9 @@ def wire_stack(sampler=None):
     return clock, gateway, router, res_id
 
 
-def wire_run(sampler=None, bursts=8, batch=8):
-    """Bytes + verdicts of a wire workload, sampled or not."""
-    clock, gateway, router, res_id = wire_stack(sampler)
+def wire_run(bursts=8, batch=8):
+    """Bytes + verdicts of a wire workload."""
+    clock, gateway, router, res_id = wire_stack()
     arena = PacketArena(slots=batch, slot_size=2048)
     rng = random.Random(11)
     all_bytes = []
@@ -532,34 +475,26 @@ def wire_run(sampler=None, bursts=8, batch=8):
     return all_bytes, all_verdicts
 
 
-class TestSampledWireEquivalence:
-    def test_sampled_paths_produce_identical_bytes_and_verdicts(self):
-        plain_bytes, plain_verdicts = wire_run(sampler=None)
-        sampled_bytes, sampled_verdicts = wire_run(
-            sampler=SamplingProfiler(every=1)
-        )
-        assert sampled_bytes == plain_bytes
-        assert sampled_verdicts == plain_verdicts
+class TestProfiledWireEquivalence:
+    def test_profiled_bytes_and_verdicts_identical(self):
+        plain_bytes, plain_verdicts = wire_run()
+        with profiling():
+            profiled_bytes, profiled_verdicts = wire_run()
+        assert profiled_bytes == plain_bytes
+        assert profiled_verdicts == plain_verdicts
         assert False in plain_verdicts and True in plain_verdicts
 
-    def test_default_rate_matches_too(self):
-        plain = wire_run(sampler=None)
-        # every=2: alternating sampled/unsampled bursts on both planes.
-        assert wire_run(sampler=SamplingProfiler(every=2)) == plain
-
-    def test_sampler_records_stages_and_cache_counts(self):
-        sampler = SamplingProfiler(every=1)
-        wire_run(sampler=sampler)
-        snapshot = sampler.snapshot()
-        stages = set(snapshot["stages"])
-        assert {
-            "gateway.wire.plan",
-            "gateway.wire.stamp",
-            "gateway.wire.burst",
-            "router.wire.validate",
-            "router.wire.burst",
-        } <= stages
-        assert snapshot["counts"]["sampled_packets"] > 0
-        # The σ-cache warms on the first burst, then hits.
-        assert snapshot["counts"]["sigma_cache_misses"] >= 1
-        assert snapshot["counts"]["sigma_cache_hits"] > 0
+    def test_profiler_records_plan_stamp_emit(self):
+        with profiling() as profiler:
+            wire_run(bursts=8)
+        snapshot = profiler.snapshot()
+        # One call per burst at each stage of the one burst pipeline,
+        # and one per burst at the router's wire validation.
+        for site in (
+            "gateway.plan",
+            "gateway.stamp",
+            "gateway.emit_wire",
+            "router.validate_wire_batch",
+        ):
+            assert snapshot[site]["calls"] == 8, site
+        assert "gateway.emit_packets" not in snapshot

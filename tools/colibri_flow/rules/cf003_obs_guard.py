@@ -14,10 +14,8 @@ What counts as an *optional subject* inside a function:
   ``ObsContext.create(...)`` / ``enable_observability(...)`` /
   ``run_health_scenario(...)`` — producers return fully-populated,
   non-None contexts;
-* one optional link deeper: ``<obs>.journal``, ``<obs>.alerts`` and
-  ``<obs>.sampler`` are Optional fields of the context itself (the
-  sampler gates the wire-path sampling profiler, so an unguarded
-  ``obs.sampler.tick()`` breaks sampling-disabled runs the same way);
+* one optional link deeper: ``<obs>.journal`` and ``<obs>.alerts`` are
+  Optional fields of the context itself;
 * local aliases of either (``obs = self.obs``,
   ``journal = self.obs.journal``) — guarding the alias name guards the
   value.
@@ -45,7 +43,7 @@ from tools.colibri_flow.rules.cf001_verification_flow import build_parent_map
 PRODUCERS = frozenset({"create", "enable_observability", "run_health_scenario"})
 
 #: Optional attributes *of* the context (beyond the context itself).
-OPTIONAL_LINKS = frozenset({"journal", "alerts", "sampler"})
+OPTIONAL_LINKS = frozenset({"journal", "alerts"})
 
 
 def _chain(expr: ast.expr) -> Optional[str]:

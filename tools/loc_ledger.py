@@ -1,0 +1,96 @@
+#!/usr/bin/env python
+"""Lines of code per layer (ROADMAP aim 2: growth needs a reason).
+
+Prints ``wc -l`` of every ``src/repro/<package>`` and of the three files
+the roadmap watches individually, as the markdown table DESIGN.md §3b
+carries between its ``loc-ledger`` markers.  ``--check`` exits non-zero
+when that table differs from a fresh count, so a PR that grows (or
+shrinks) a layer has to restate the ledger in the same diff — paste
+this tool's output over the stale table.
+
+Usage (from the repo root)::
+
+    python tools/loc_ledger.py [--check]
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_ROOT = ROOT / "src" / "repro"
+DESIGN = ROOT / "DESIGN.md"
+BEGIN = "<!-- loc-ledger:begin -->"
+END = "<!-- loc-ledger:end -->"
+
+#: Files tracked on their own, besides their package's total.
+WATCHED = (
+    "dataplane/gateway.py",
+    "dataplane/router.py",
+    "control/cserv.py",
+)
+
+
+def count_lines(path: Path) -> int:
+    with open(path, "rb") as handle:
+        return sum(1 for _ in handle)
+
+
+def ledger_rows() -> list:
+    """``(label, lines)`` per package, then the total, then the watched
+    files."""
+    rows = []
+    top_level = 0
+    for entry in sorted(PACKAGE_ROOT.iterdir()):
+        if entry.is_dir():
+            lines = sum(count_lines(path) for path in sorted(entry.rglob("*.py")))
+            if lines:
+                rows.append((f"`{entry.name}/`", lines))
+        elif entry.suffix == ".py":
+            top_level += count_lines(entry)
+    rows.append(("top-level modules", top_level))
+    rows.append(("**`src/repro` total**", sum(lines for _, lines in rows)))
+    rows.extend((f"`{name}`", count_lines(PACKAGE_ROOT / name)) for name in WATCHED)
+    return rows
+
+
+def render(rows: list) -> str:
+    lines = ["| layer | lines |", "|---|---:|"]
+    lines.extend(f"| {label} | {count:,} |" for label, count in rows)
+    return "\n".join(lines)
+
+
+def recorded_table() -> str:
+    """The table currently between DESIGN.md's ledger markers."""
+    text = DESIGN.read_text()
+    if BEGIN not in text or END not in text:
+        raise SystemExit(f"loc-ledger: {DESIGN.name} has no {BEGIN} … {END} block")
+    return text.split(BEGIN, 1)[1].split(END, 1)[0].strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="fail when DESIGN.md's ledger table is stale",
+    )
+    args = parser.parse_args(argv)
+    table = render(ledger_rows())
+    if not args.check:
+        print(table)
+        return 0
+    if recorded_table() != table:
+        print(
+            f"loc-ledger: the table in {DESIGN.name} is stale; replace it with\n\n"
+            f"{table}\n",
+            file=sys.stderr,
+        )
+        return 1
+    print("loc-ledger: DESIGN.md ledger is current")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

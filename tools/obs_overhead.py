@@ -1,25 +1,26 @@
 #!/usr/bin/env python
-"""Gate the observability cost of the zero-copy wire path.
+"""Gate the disabled-path cost of the ``@profiled`` sites on the burst path.
 
-``send_batch_wire`` promises 0% overhead when observability is
-disabled: the only addition over the pre-obs code is one ``self.obs``
-attribute read per burst.  This tool measures that promise and fails
-when it breaks, timing three modes over identical pregenerated bursts:
+``ColibriGateway.send_batch`` runs under four ``@profiled`` wrappers
+(the entry point and its plan, stamp and emit steps).  With no profiler
+installed each wrapper is one module-global ``None`` check; this tool
+measures that promise and fails when it breaks, timing three modes over
+identical pregenerated bursts:
 
-* **baseline** — the structural equivalent of the pre-obs path:
-  ``arena.reset()`` + ``_send_burst_wire(...)`` called directly, no
-  obs check at all;
-* **disabled** — ``send_batch_wire`` with ``gateway.obs = None`` (the
-  shipped default everyone who never enables obs runs);
-* **enabled** — ``send_batch_wire`` with a ``SamplingProfiler`` at the
-  default sampling period, for the informational overhead figure.
+* **baseline** — ``ColibriGateway.send_batch.__wrapped__``: the
+  undecorated entry point (its three steps still pass through their own
+  wrappers — they are the cost being bounded);
+* **disabled** — ``gateway.send_batch`` with no profiler installed (the
+  shipped default everyone who never profiles runs);
+* **enabled** — ``gateway.send_batch`` under ``profiling()``, for the
+  informational overhead figure.
 
 Rounds interleave the modes (baseline, disabled, enabled, repeat) so a
 frequency ramp or a noisy neighbour hits all three equally, and each
 mode keeps its best round — shared-host noise only ever slows a sample
 down.  The gate: disabled throughput must stay within ``--threshold``
 (default 2%) of baseline.  The enabled figure is reported but not
-gated — sampling costs what it costs, by design, and only when asked
+gated — profiling costs what it costs, by design, and only when asked
 for.
 
 Usage::
@@ -37,14 +38,12 @@ import argparse
 import random
 import sys
 import time
+from contextlib import nullcontext
 
 from repro.constants import EER_LIFETIME
 from repro.dataplane.gateway import ColibriGateway
-from repro.obs import ObsContext
-from repro.obs.sampling import SamplingProfiler
-from repro.packets.colibri import ColibriPacket
+from repro.obs.profile import profiling
 from repro.packets.fields import EerInfo, PathField, ResInfo
-from repro.packets.wire import PacketArena
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.util.clock import SimClock
@@ -113,34 +112,27 @@ def measure(rounds: int, duration: float) -> dict:
     """Best-of-``rounds`` pps per mode, rounds interleaved."""
     gateway, ids = build_gateway()
     batches = make_batches(ids, random.Random(7), count=256)
-    arena = PacketArena(
-        slots=BATCH, slot_size=ColibriPacket.header_size_for(PATH_LENGTH)
-    )
+    undecorated = ColibriGateway.send_batch.__wrapped__
 
     def baseline(requests):
-        arena.reset()
-        gateway._send_burst_wire(requests, arena, gateway.clock.now())
+        undecorated(gateway, requests)
 
-    def through_api(requests):
-        gateway.send_batch_wire(requests, arena)
-
-    obs = ObsContext.create(gateway.clock, seed=7)
-    obs.sampler = SamplingProfiler()
-
-    modes = [("baseline", None), ("disabled", None), ("enabled", obs)]
-    best = {name: 0.0 for name, _ in modes}
+    modes = [
+        ("baseline", baseline, nullcontext),
+        ("disabled", gateway.send_batch, nullcontext),
+        ("enabled", gateway.send_batch, profiling),
+    ]
+    best = {name: 0.0 for name, _, _ in modes}
     # Saturate the CPU governor and every lazy cache before the first
     # measured sample, then rotate which mode goes first each round —
     # otherwise a frequency ramp systematically flatters whichever mode
     # happens to run last.
-    gateway.obs = None
-    timed_pps(through_api, gateway, batches, duration)
+    timed_pps(gateway.send_batch, gateway, batches, duration)
     for round_index in range(rounds):
         for offset in range(len(modes)):
-            name, obs_value = modes[(round_index + offset) % len(modes)]
-            gateway.obs = obs_value
-            send_one = baseline if name == "baseline" else through_api
-            pps = timed_pps(send_one, gateway, batches, duration)
+            name, send_one, context = modes[(round_index + offset) % len(modes)]
+            with context():
+                pps = timed_pps(send_one, gateway, batches, duration)
             if pps > best[name]:
                 best[name] = pps
     return best
@@ -165,19 +157,19 @@ def main(argv=None) -> int:
         ratio = best[name] / best["baseline"]
         print(f"{name:<10} | {best[name]:>12.1f} | {ratio:>10.3f}x")
     print(
-        f"enabled-mode sampling overhead (informational): "
+        f"enabled-mode profiling overhead (informational): "
         f"{(1.0 - enabled_ratio) * 100.0:+.1f}%"
     )
     if disabled_ratio < 1.0 - args.threshold:
         print(
-            f"obs-overhead: disabled wire path at {disabled_ratio:.3f}x of "
+            f"obs-overhead: unprofiled send_batch at {disabled_ratio:.3f}x of "
             f"baseline exceeds the {args.threshold:.0%} budget — the "
-            f"obs-disabled fast path regressed",
+            f"profiler-disabled burst path regressed",
             file=sys.stderr,
         )
         return 1
     print(
-        f"obs-overhead: disabled wire path within "
+        f"obs-overhead: unprofiled send_batch within "
         f"{args.threshold:.0%} of baseline — OK"
     )
     return 0
