@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint flow bench examples quick clean
+.PHONY: install test lint flow bench e2e-smoke examples quick clean
 
 install:
 	$(PYTHON) -m pip install -e '.[test]'
@@ -26,6 +26,11 @@ flow:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The BENCHMARK.json benchmark's own smoke test (~20 s).  It lives outside
+# the tier-1 testpaths and brings its own imports, hence --noconftest.
+e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e/test_smoke.py -q --noconftest
 
 # Everything the paper reports, captured to the repo root.
 reproduce:

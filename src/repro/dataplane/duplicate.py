@@ -10,7 +10,9 @@ regardless of traffic volume.
 
 Only packets inside the freshness window can be replayed at all — older
 ones already fail the router's timestamp check — so two filters covering
-one window each suffice for no-false-negative suppression.
+one window each suffice for no-false-negative suppression (after two
+silent windows both start empty).  A packet costs one BLAKE2b digest and
+one pass over its k bits; a rotation swaps in a zeroed buffer.
 
 The packet identifier is ``(SrcAS, ResId, Ts)``: the paper makes Ts
 "uniquely identif[y] the packet for the particular source".
@@ -19,6 +21,7 @@ The packet identifier is ``(SrcAS, ResId, Ts)``: the paper makes Ts
 from __future__ import annotations
 
 import hashlib
+import struct
 
 from repro.constants import DUPLICATE_WINDOW
 from repro.obs.events import DUPLICATE_SUPPRESSED
@@ -26,34 +29,48 @@ from repro.util.clock import Clock
 
 
 class _BloomFilter:
-    """A classic k-hash Bloom filter over a bit array."""
+    """A classic k-hash Bloom filter over a bit array: bit ``i`` of an
+    item is the ``i``-th big-endian 64-bit word of its BLAKE2b digest,
+    modulo ``bits``."""
 
     def __init__(self, bits: int, hashes: int):
         self.bits = bits
         self.hashes = hashes
         self._array = bytearray((bits + 7) // 8)
+        self._words = struct.Struct(f">{hashes}Q")
         self.insertions = 0
 
-    def _positions(self, item: bytes):
-        digest = hashlib.blake2b(item, digest_size=8 * self.hashes).digest()
-        for index in range(self.hashes):
-            chunk = digest[8 * index : 8 * (index + 1)]
-            yield int.from_bytes(chunk, "big") % self.bits
+    def positions(self, item: bytes) -> list:
+        digest = hashlib.blake2b(item, digest_size=self._words.size).digest()
+        bits = self.bits
+        return [word % bits for word in self._words.unpack(digest)]
 
-    def add(self, item: bytes) -> None:
-        for position in self._positions(item):
-            self._array[position >> 3] |= 1 << (position & 7)
-        self.insertions += 1
+    def holds(self, positions) -> bool:
+        array = self._array
+        for position in positions:
+            if not array[position >> 3] & (1 << (position & 7)):
+                return False
+        return True
 
     def __contains__(self, item: bytes) -> bool:
-        return all(
-            self._array[position >> 3] & (1 << (position & 7))
-            for position in self._positions(item)
-        )
+        return self.holds(self.positions(item))
+
+    def add(self, positions) -> bool:
+        """One test-and-set pass; ``False`` if every bit was set already."""
+        array = self._array
+        added = False
+        for position in positions:
+            index, mask = position >> 3, 1 << (position & 7)
+            byte = array[index]
+            if not byte & mask:
+                array[index] = byte | mask
+                added = True
+        self.insertions += added
+        return added
 
     def clear(self) -> None:
-        for index in range(len(self._array)):
-            self._array[index] = 0
+        # A fresh zeroed buffer: wiping 128 KiB byte by byte took ~6 ms.
+        self._array = bytearray(len(self._array))
         self.insertions = 0
 
 
@@ -88,18 +105,23 @@ class DuplicateSuppressor:
         self._rotated_at = clock.now()
         self.duplicates_caught = 0
 
-    def _maybe_rotate(self, now: float) -> None:
-        if now - self._rotated_at >= self.window:
-            self._previous, self._current = self._current, self._previous
-            self._current.clear()
-            self._rotated_at = now
+    def _rotate(self, now: float) -> None:
+        """Current becomes previous — unless two windows passed in silence:
+        then it, too, holds only identifiers the freshness check rejects."""
+        self._previous, self._current = self._current, self._previous
+        self._current.clear()
+        if now - self._rotated_at >= 2 * self.window:
+            self._previous.clear()
+        self._rotated_at = now
 
     def check_and_insert(self, identifier: bytes) -> bool:
         """``True`` if the packet is fresh (and is now recorded);
         ``False`` if it is a duplicate and must be discarded."""
         now = self.clock.now()
-        self._maybe_rotate(now)
-        if identifier in self._current or identifier in self._previous:
+        if now - self._rotated_at >= self.window:
+            self._rotate(now)
+        positions = self._current.positions(identifier)
+        if self._previous.holds(positions) or not self._current.add(positions):
             self.duplicates_caught += 1
             if self.obs is not None and self.obs.journal is not None:
                 self.obs.journal.record(
@@ -108,7 +130,6 @@ class DuplicateSuppressor:
                     identifier=identifier.hex(),
                 )
             return False
-        self._current.add(identifier)
         return True
 
     @property
@@ -133,7 +154,8 @@ class DuplicateSuppressor:
         def per_filter(bloom: _BloomFilter) -> float:
             if bloom.insertions == 0:
                 return 0.0
-            set_bits = sum(bin(byte).count("1") for byte in bloom._array)
+            # One C-level popcount of the array (3.9 has no int.bit_count).
+            set_bits = bin(int.from_bytes(bloom._array, "big")).count("1")
             return (set_bits / bloom.bits) ** bloom.hashes
 
         p_current = per_filter(self._current)

@@ -7,11 +7,11 @@ per-flow counters are out; Colibri cites sketch-based detectors
 (LOFT [44], large-flow detection [64]).
 
 This implementation is a **count-min sketch over normalized packet
-sizes**, reset every measurement window:
+sizes**, its rows replaced every measurement window:
 
 * input per packet: the flow label ``(SrcAS, ResId)`` — all versions of
-  an EER share it — and the *normalized* size
-  ``total packet size / reservation bandwidth`` (§4.8), which is the
+  an EER share it; one digest of it picks a cell per row — and the
+  *normalized* size ``total size / reservation bandwidth`` (§4.8), the
   fraction of one second's budget the packet consumes;
 * a flow is reported when its estimated normalized volume within the
   window exceeds ``window * overuse_factor`` — i.e. it consumed more
@@ -26,6 +26,8 @@ to deterministic monitoring instead of punishing them directly.
 from __future__ import annotations
 
 import hashlib
+import struct
+from math import inf
 
 from repro.constants import (
     OFD_DEFAULT_DEPTH,
@@ -62,6 +64,7 @@ class OveruseFlowDetector:
         self.window = window
         self.overuse_factor = overuse_factor
         self._rows = [[0.0] * width for _ in range(depth)]
+        self._words = struct.Struct(f">{depth}I")
         self._window_start = 0.0
         self._suspects: set = set()
         # Cumulative per-flow observations while flagged; survives window
@@ -70,19 +73,11 @@ class OveruseFlowDetector:
         self.packets_seen = 0
         self.reports = 0
 
-    def _positions(self, label: bytes):
-        digest = hashlib.blake2b(label, digest_size=4 * self.depth).digest()
-        for row in range(self.depth):
-            chunk = digest[4 * row : 4 * (row + 1)]
-            yield row, int.from_bytes(chunk, "big") % self.width
-
-    def _maybe_roll(self, now: float) -> None:
-        if now - self._window_start >= self.window:
-            for row in self._rows:
-                for index in range(self.width):
-                    row[index] = 0.0
-            self._suspects.clear()
-            self._window_start = now
+    def _roll(self, now: float) -> None:
+        """Start a new measurement window on fresh, all-zero rows."""
+        self._rows = [[0.0] * self.width for _ in range(self.depth)]
+        self._suspects.clear()
+        self._window_start = now
 
     def observe(self, flow_label: bytes, packet_size: int, bandwidth: float, now: float) -> bool:
         """Record one packet; returns ``True`` if the flow is now suspect.
@@ -90,8 +85,11 @@ class OveruseFlowDetector:
         ``packet_size`` is the total size in bytes (header included);
         ``bandwidth`` the reservation's guaranteed bits per second.
         Normalization makes one detector serve every bandwidth class.
+        Row ``r`` counts the flow in cell ``word_r % width``, ``word_r``
+        the ``r``-th big-endian 32-bit word of the label's digest.
         """
-        self._maybe_roll(now)
+        if now - self._window_start >= self.window:
+            self._roll(now)
         self.packets_seen += 1
         if bandwidth <= 0:
             # A packet on a zero-bandwidth (fully expired) reservation is
@@ -99,10 +97,15 @@ class OveruseFlowDetector:
             self._flag(flow_label, now)
             return True
         normalized = (packet_size * 8) / bandwidth  # seconds of budget
-        estimate = float("inf")
-        for row, position in self._positions(flow_label):
-            self._rows[row][position] += normalized
-            estimate = min(estimate, self._rows[row][position])
+        width = self.width
+        words = self._words
+        digest = hashlib.blake2b(flow_label, digest_size=words.size).digest()
+        estimate = inf
+        for row, word in zip(self._rows, words.unpack(digest)):
+            position = word % width
+            row[position] = count = row[position] + normalized
+            if count < estimate:
+                estimate = count
         if flow_label in self._suspects:
             self._hits[flow_label] = self._hits.get(flow_label, 0) + 1
             return False  # already flagged in this window

@@ -1,22 +1,25 @@
 """The Colibri border router (§4.6) — the stateless fast path.
 
-Per packet, the router of the i-th on-path AS:
+One in-order loop per burst (``process_batch``; ``process`` runs it on a
+burst of one) takes each packet through the steps of the i-th on-path AS:
 
-1. validates packet format, header contents, freshness, and that the
-   reservation has not expired;
-2. consults the policing blocklist (§4.8) — an O(1) hash-set lookup;
-3. authenticates the HVF: for SegR packets by recomputing the Eq. (3)
-   token; for EER packets by recomputing the HopAuth (Eq. 4) from the
-   AS secret and deriving the per-packet HVF (Eq. 6) — *no
-   per-reservation state*, everything comes from the packet header and
-   one AS-level key;
-4. suppresses duplicates (replay defence, §2.3);
-5. feeds the probabilistic overuse detector and, for flagged flows, the
-   deterministic monitor; confirmed overusers get their source AS
-   blocked and reported (§4.8);
-6. forwards: to the next border router (advancing the hop pointer), to
+1. check freshness and that the reservation has not expired;
+2. consult the policing blocklist (§4.8) — an O(1) hash-set lookup;
+3. authenticate the HVF: the Eq. (3) token of a SegR packet, or for an
+   EER packet the HopAuth (Eq. 4) recomputed from the AS secret and the
+   per-packet HVF (Eq. 6) derived from it — *no per-reservation state*,
+   everything comes from the packet header and one AS-level key;
+4. suppress duplicates (replay defence, §2.3);
+5. feed the probabilistic overuse detector and, for flagged flows, the
+   deterministic monitor; a confirmed overuser gets its source AS
+   blocked and reported (§4.8), effective from the next packet on;
+6. forward: to the next border router (advancing the hop pointer), to
    the local CServ (SegR control packets), or to the destination host
    (last hop of an EER).
+
+The loop is fused, not staged in columns: a duplicate, an escalation or
+a σ-cache fill acts on the *next* packet of the same burst, exactly as
+under serial processing (docs/performance.md §9).
 
 The EER authentication of step 3 is accelerated by a bounded LRU σ-cache
 (:mod:`repro.dataplane.sigma_cache`): cached HopAuths are *hints* whose
@@ -61,6 +64,7 @@ from repro.util.clock import Clock
 # memoryview copies on the hot path).
 _TS_WIRE = Timestamp.WIRE
 _WIRE_MESSAGE = struct.Struct("!QI")  # Eq. (6) input, Ts word || PktSize
+_pack_size = struct.Struct("!I").pack  # its PktSize half, after ``Ts.packed``
 _HVF_TAG = struct.Struct(f"!{L_HVF}s")
 _SEQ_BITS = Timestamp._SEQ_BITS
 
@@ -155,8 +159,9 @@ class BorderRouter:
 
     # -- helpers --------------------------------------------------------------------
 
-    def _authenticate(self, packet: ColibriPacket, now: float, size: int) -> bool:
-        """Recompute (or cache-confirm) the HVF for the current hop.
+    def _authenticate(self, packet: ColibriPacket, now: float, message: bytes) -> bool:
+        """Recompute (or cache-confirm) the HVF for the current hop;
+        ``message`` is the Eq. (6) input (unused by Eq. (3) SegR tokens).
 
         HopAuths and tokens are minted from the hop key of the epoch in
         which the reservation was *set up*; DRKey epochs last a day while
@@ -170,33 +175,30 @@ class BorderRouter:
         match the packet's HVF is treated exactly like a miss, so cache
         contents can delay but never decide a verdict.
         """
-        hvf = packet.hvfs[packet.hop_index]
+        res_info = packet.res_info
+        hop_index = packet.hop_index
+        hvf = packet.hvfs[hop_index]
+        ingress, egress = packet.path.interface_pairs[hop_index]
         if packet.packet_type != PacketType.EER_DATA:
-            ingress, egress = packet.current_pair()
             for when in (now, now - DRKEY_VALIDITY):
                 if when < 0:
                     continue
                 hop_key = self.keys.hop_key(when)
-                expected = segment_token(hop_key, packet.res_info, ingress, egress)
+                expected = segment_token(hop_key, res_info, ingress, egress)
                 if constant_time_equal(expected, hvf):
                     return True
             return False
 
-        res_info = packet.res_info
-        message = eer_hvf_message(packet.timestamp, size)
         cache = self.sigma_cache
         if cache is not None:
-            reservation_packed = res_info.reservation.packed
-            entry = cache.lookup(
-                reservation_packed, res_info.version, int(now // DRKEY_VALIDITY)
-            )
+            epoch = int(now // DRKEY_VALIDITY)
+            entry = cache.lookup(res_info.reservation.packed, res_info.version, epoch)
             if entry is not None:
                 if entry.verify(message, hvf):
                     return True
                 # Stale or poisoned hint: fall through to the stateless
                 # path, which is authoritative.
                 cache.counters.bump("rejected_hints")
-        ingress, egress = packet.current_pair()
         return self._recompute(
             res_info, packet.eer_info, ingress, egress, message, hvf, now
         )
@@ -238,33 +240,10 @@ class BorderRouter:
                 return True
         return False
 
-    def _fresh(self, packet: ColibriPacket, now: float) -> bool:
-        created = packet.timestamp.absolute(packet.res_info.expiry)
-        return abs(now - created) <= FRESHNESS_WINDOW
-
-    def _police(self, packet: ColibriPacket, now: float, size: int) -> Optional[Verdict]:
-        """OFD + deterministic monitoring + blocklist escalation (§4.8)."""
-        flow_label = packet.res_info.reservation.packed
-        suspect = self.ofd.observe(
-            flow_label, size, packet.res_info.bandwidth, now
-        )
-        if suspect and not self.monitor.is_watched(flow_label):
-            # Start precise inspection of the flagged flow.
-            self.monitor.watch(flow_label, packet.res_info.bandwidth, now)
-        if not self.monitor.check(flow_label, size, now):
-            if self.monitor.is_confirmed_overuser(flow_label):
-                # Certainty established: block and report (policing).
-                self.blocklist.block(packet.res_info.src_as)
-                if self.on_offense is not None:
-                    self.on_offense(
-                        packet.res_info.src_as, packet.res_info.reservation
-                    )
-            return Verdict.DROP_OVERUSE
-        return None
-
-    def _finish(self, packet: ColibriPacket, verdict: Verdict, egress=None) -> RouterResult:
+    def _finish(self, packet: ColibriPacket, verdict: Verdict) -> RouterResult:
+        """Count one drop and, with observability on, journal why."""
         self.stats[verdict] += 1
-        if verdict.is_drop and self.obs is not None:
+        if self.obs is not None:
             journal = self.obs.journal
             if journal is not None:
                 res_info = packet.res_info
@@ -282,68 +261,103 @@ class BorderRouter:
                     size=packet.total_size,
                     identity_verified=verdict.identity_verified,
                 )
-        return RouterResult(verdict=verdict, packet=packet, egress=egress)
+        return RouterResult(verdict, packet)
 
     # -- the fast path -----------------------------------------------------------------
 
     def process(self, packet: ColibriPacket) -> RouterResult:
-        """Run the full §4.6 pipeline on one packet."""
-        return self._process_one(packet, self.clock.now())
+        """Run the full §4.6 pipeline on one packet: a burst of one."""
+        return self._burst((packet,))[0]
 
     @profiled("router.process_batch")
     def process_batch(self, packets) -> List[RouterResult]:
         """Run the §4.6 pipeline over a burst of packets.
 
         Semantically identical to calling :meth:`process` per packet
-        (verdicts, stats, and mutations are per-packet and in order); the
-        batch form hoists the clock read out of the loop, which is the
-        per-packet fixed cost a deployed router amortizes across a NIC
-        burst (paper §7.1 processes DPDK bursts the same way).
+        (verdicts, stats, and mutations are per-packet and in order);
+        what a deployed router amortizes across a NIC burst (paper §7.1
+        processes DPDK bursts the same way) is the per-burst set-up.
         """
+        return self._burst(packets)
+
+    def _burst(self, packets) -> List[RouterResult]:
+        """Steps 1-6 for each packet in arrival order; the pipeline's only
+        implementation.  The clock, the header-size memo and the policing
+        entry points (off the instances: tracers shadow them) are read once."""
         now = self.clock.now()
-        process_one = self._process_one
-        return [process_one(packet, now) for packet in packets]
-
-    def _process_one(self, packet: ColibriPacket, now: float) -> RouterResult:
-        size = packet.total_size
-
-        # 1. Reservation expiry (allow the paper's assumed clock skew).
-        if now > packet.res_info.expiry + MAX_CLOCK_SKEW:
-            return self._finish(packet, Verdict.DROP_EXPIRED)
-        # 1b. Packet freshness.
-        if not self._fresh(packet, now):
-            return self._finish(packet, Verdict.DROP_STALE)
-
-        # 2. Policing blocklist — cheap, before any crypto.
-        if self.blocklist.is_blocked(packet.res_info.src_as, now):
-            return self._finish(packet, Verdict.DROP_BLOCKED)
-
-        # 3. Cryptographic validation (Eq. 3 or Eq. 4+6).
-        if not self._authenticate(packet, now, size):
-            return self._finish(packet, Verdict.DROP_BAD_HVF)
-
-        if packet.is_eer_data:
+        authenticate = self._authenticate
+        is_blocked = self.blocklist.is_blocked
+        check_and_insert = self.duplicates.check_and_insert
+        observe = self.ofd.observe
+        monitor, check = self.monitor, self.monitor.check
+        header_sizes = ColibriPacket._HEADER_SIZES
+        forward, deliver_host = Verdict.FORWARD, Verdict.DELIVER_HOST
+        forwarded = delivered = 0
+        results = []
+        append = results.append
+        for packet in packets:
+            res_info = packet.res_info
+            timestamp = packet.timestamp
+            # 1. Reservation expiry (allow the paper's assumed clock skew).
+            expiry = res_info.expiry
+            if now > expiry + MAX_CLOCK_SKEW:
+                append(self._finish(packet, Verdict.DROP_EXPIRED))
+                continue
+            # 1b. Packet freshness: Ts encodes µs before expiry.
+            created = expiry - timestamp.micros_before_expiry / 1e6
+            if abs(now - created) > FRESHNESS_WINDOW:
+                append(self._finish(packet, Verdict.DROP_STALE))
+                continue
+            # 2. Policing blocklist — cheap, before any crypto.
+            reservation = res_info.reservation
+            if is_blocked(reservation.src_as, now):
+                append(self._finish(packet, Verdict.DROP_BLOCKED))
+                continue
+            # 3. Cryptographic validation (Eq. 3 or Eq. 4+6) over PktSize.
+            is_eer = packet.packet_type == PacketType.EER_DATA
+            pairs = packet.path.interface_pairs
+            size = header_sizes.get((len(pairs), is_eer))
+            size = packet.total_size if size is None else size + len(packet.payload)
+            message = timestamp.packed + _pack_size(size) if is_eer else b""
+            if not authenticate(packet, now, message):
+                append(self._finish(packet, Verdict.DROP_BAD_HVF))
+                continue
+            if not is_eer:
+                # SegR control traffic: the local CServ authenticates the
+                # payload (DRKey) and re-injects requests in transit.
+                self.stats[Verdict.DELIVER_CSERV] += 1
+                append(RouterResult(Verdict.DELIVER_CSERV, packet))
+                continue
             # 4. Replay suppression on the authenticated unique identifier.
-            identifier = (
-                packet.res_info.reservation.packed + packet.timestamp.packed
-            )
-            if not self.duplicates.check_and_insert(identifier):
-                return self._finish(packet, Verdict.DROP_DUPLICATE)
-            # 5. Monitoring and policing.
-            verdict = self._police(packet, now, size)
-            if verdict is not None:
-                return self._finish(packet, verdict)
+            flow_label = reservation.packed
+            if not check_and_insert(flow_label + timestamp.packed):
+                append(self._finish(packet, Verdict.DROP_DUPLICATE))
+                continue
+            # 5. Policing (§4.8): the OFD flags suspects, the monitor checks
+            # those exactly; a confirmed overuser's AS is blocked and reported.
+            bandwidth = res_info.bandwidth
+            suspect = observe(flow_label, size, bandwidth, now)
+            if suspect and not monitor.is_watched(flow_label):
+                monitor.watch(flow_label, bandwidth, now)
+            if not check(flow_label, size, now):
+                if monitor.is_confirmed_overuser(flow_label):
+                    self.blocklist.block(reservation.src_as)
+                    if self.on_offense is not None:
+                        self.on_offense(reservation.src_as, reservation)
+                append(self._finish(packet, Verdict.DROP_OVERUSE))
+                continue
             # 6. Forward towards the destination.
-            _, egress = packet.current_pair()
-            if packet.hop_index == packet.hop_count - 1:
-                return self._finish(packet, Verdict.DELIVER_HOST)
-            packet.advance_hop()
-            return self._finish(packet, Verdict.FORWARD, egress=egress)
-
-        # SegR packets carry control traffic: hand to the local CServ,
-        # which authenticates the payload with DRKey and (for requests in
-        # transit) re-injects the packet towards the next AS.
-        return self._finish(packet, Verdict.DELIVER_CSERV)
+            hop_index = packet.hop_index
+            if hop_index == len(pairs) - 1:
+                delivered += 1
+                append(RouterResult(deliver_host, packet))
+            else:
+                packet.hop_index = hop_index + 1
+                forwarded += 1
+                append(RouterResult(forward, packet, pairs[hop_index][1]))
+        self.stats[forward] += forwarded
+        self.stats[deliver_host] += delivered
+        return results
 
     # -- bench support --------------------------------------------------------------------
 
@@ -363,11 +377,12 @@ class BorderRouter:
         expiry = packet.res_info.expiry
         if now > expiry + MAX_CLOCK_SKEW:
             return False
-        # Freshness, inlined from _fresh: Ts encodes µs before expiry,
-        # so the creation instant is expiry - µs/1e6.
+        # Freshness: Ts encodes µs before expiry, so the creation
+        # instant is expiry - µs/1e6.
         if abs(now - expiry + packet.timestamp.micros_before_expiry / 1e6) > FRESHNESS_WINDOW:
             return False
-        return self._authenticate(packet, now, packet.total_size)
+        message = eer_hvf_message(packet.timestamp, packet.total_size)
+        return self._authenticate(packet, now, message)
 
     @profiled("router.validate_wire_batch")
     def validate_wire_batch(self, views) -> List[bool]:

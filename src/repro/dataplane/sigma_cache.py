@@ -111,15 +111,17 @@ class SigmaCache:
         or miss per call, so the counters track packets, not probes.
         """
         entries = self._entries
-        for probe in (epoch, epoch - 1):
-            key = (reservation_packed, version, probe)
+        key = (reservation_packed, version, epoch)
+        entry = entries.get(key)
+        if entry is None:
+            key = (reservation_packed, version, epoch - 1)
             entry = entries.get(key)
-            if entry is not None:
-                entries.move_to_end(key)
-                self.counters.bump("hits")
-                return entry
-        self.counters.bump("misses")
-        return None
+            if entry is None:
+                self.counters.bump("misses")
+                return None
+        entries.move_to_end(key)
+        self.counters.bump("hits")
+        return entry
 
     def store(self, key: tuple, sigma: bytes) -> SigmaEntry:
         """Remember a σ that just validated a packet (and only then)."""

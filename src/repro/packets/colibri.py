@@ -83,7 +83,11 @@ class HvfVector:
         return index
 
     def __getitem__(self, index: int) -> bytes:
-        offset = self.start + self._index(index) * L_HVF
+        # Read once per packet and hop by the router: in-range indices
+        # (all it ever asks for) skip the normalizing call.
+        if not 0 <= index < self.count:
+            index = self._index(index)
+        offset = self.start + index * L_HVF
         return self.buffer[offset : offset + L_HVF]
 
     def __setitem__(self, index: int, tag: bytes) -> None:

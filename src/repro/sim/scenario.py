@@ -395,11 +395,20 @@ class ColibriNetwork:
         return report
 
     def forward(self, packet: ColibriPacket) -> DeliveryReport:
-        """Walk an already-stamped packet along its path."""
+        """Walk an already-stamped packet along its path.
+
+        The packet header stores interface pairs, not AS IDs; the walk
+        tracks position via the hop pointer against the EER path recorded
+        at setup.  The path is read once, from the reservation stored at
+        the source CServ — every on-path stack was built from the same
+        topology, so positions agree.
+        """
         obs = self.obs
         verdicts = []
+        source_cserv = self.cserv(packet.res_info.src_as)
+        hops = source_cserv.store.get_eer(packet.res_info.reservation).hops
         while True:
-            isd_as = packet.path and self._as_at(packet)
+            isd_as = hops[packet.hop_index].isd_as
             router = self.router(isd_as)
             span = None
             if obs is not None:
@@ -421,19 +430,6 @@ class ColibriNetwork:
             return DeliveryReport(
                 delivered=delivered, verdicts=verdicts, packet=packet
             )
-
-    def _as_at(self, packet: ColibriPacket) -> IsdAs:
-        """Which AS currently holds the packet.
-
-        The packet header stores interface pairs, not AS IDs; the walk
-        tracks position via the hop pointer against the EER path recorded
-        at setup.  We recover the AS from the reservation stored at the
-        source CServ — every on-path stack was built from the same
-        topology, so positions agree.
-        """
-        source_cserv = self.cserv(packet.res_info.src_as)
-        reservation = source_cserv.store.get_eer(packet.res_info.reservation)
-        return reservation.hops[packet.hop_index].isd_as
 
     # -- time -----------------------------------------------------------------------------
 

@@ -101,6 +101,23 @@ class TestEndHostApi:
         assert socket.stats.delivered == 5
         assert socket.stats.delivery_rate == 1.0
 
+    def test_forward_reads_the_eer_path_once(self, net):
+        """The walk resolves hop pointer -> AS against the EER's recorded
+        path: one store lookup per packet, not one per hop."""
+        net.reserve_segments(SRC, DST, gbps(1))
+        socket = EndHost(net, SRC, HostAddr(1)).connect(DST, HostAddr(2), mbps(10))
+        store = net.cserv(SRC).store
+        lookups = []
+        get_eer = store.get_eer
+        store.get_eer = lambda res_id: lookups.append(res_id) or get_eer(res_id)
+        report = socket.send(b"datagram")
+        assert lookups == [socket.handle.reservation_id]
+        path = [hop.isd_as for hop in socket.handle.hops]
+        assert len(path) == 6 and [isd_as for isd_as, _ in report.verdicts] == path
+        assert [verdict.name for _, verdict in report.verdicts] == (
+            ["FORWARD"] * 5 + ["DELIVER_HOST"]
+        )
+
     def test_connect_without_segments_raises(self, net):
         host = EndHost(net, SRC, HostAddr(1))
         with pytest.raises(NoPathError):

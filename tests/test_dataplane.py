@@ -1,6 +1,8 @@
 """Unit tests for repro.dataplane: HVF crypto, token bucket, duplicate
 suppression, OFD, blocklist, monitor, queueing."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +219,42 @@ class TestDuplicateSuppressor:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             DuplicateSuppressor(SimClock(), window=0)
+
+    def test_idle_gap_clears_both_filters(self):
+        """After two silent windows both filters hold only identifiers
+        the freshness check already rejects; keeping the newer one as
+        ``previous`` would only cost false positives."""
+        clock = SimClock(0.0)
+        suppressor = DuplicateSuppressor(clock, window=1.0, bits=1 << 10, hashes=4)
+        for index in range(400):
+            suppressor.check_and_insert(f"old-{index}".encode())
+        assert suppressor.false_positive_rate() > 0.1
+        clock.advance(3.0)
+        assert suppressor.check_and_insert(b"after-the-gap")
+        # One identifier in a 1,024-bit filter, nothing in the other.
+        assert suppressor.false_positive_rate() == (4 / 1024) ** 4
+        clock.advance(1.0)  # a single window: the usual swap, nothing lost
+        assert not suppressor.check_and_insert(b"after-the-gap")
+
+    def test_bit_positions_are_the_digest_words(self):
+        """Filter contents are a function of the identifiers alone:
+        bit ``i`` of an item is the ``i``-th 64-bit word of its BLAKE2b
+        digest modulo the filter size, whatever the implementation."""
+        suppressor = DuplicateSuppressor(SimClock(0.0), bits=1 << 12, hashes=3)
+        expected = bytearray((1 << 12) // 8)
+        for index in range(300):
+            identifier = f"id-{index}".encode()
+            digest = hashlib.blake2b(identifier, digest_size=8 * 3).digest()
+            positions = [
+                int.from_bytes(digest[8 * word : 8 * word + 8], "big") % (1 << 12)
+                for word in range(3)
+            ]
+            seen = all(expected[p >> 3] & (1 << (p & 7)) for p in positions)
+            assert suppressor.check_and_insert(identifier) is not seen
+            if not seen:
+                for position in positions:
+                    expected[position >> 3] |= 1 << (position & 7)
+        assert suppressor._current._array == expected
 
 
 class TestOveruseFlowDetector:
@@ -448,6 +486,16 @@ class TestBloomSizing:
     def test_empty_filter_has_zero_rate(self):
         suppressor = DuplicateSuppressor(SimClock(0.0))
         assert suppressor.false_positive_rate() == 0.0
+
+    def test_popcount_matches_per_byte_formula(self):
+        suppressor = DuplicateSuppressor(SimClock(0.0), bits=1 << 14, hashes=4)
+        for index in range(1500):
+            suppressor.check_and_insert(f"p{index}".encode())
+        bloom = suppressor._current
+        set_bits = sum(bin(byte).count("1") for byte in bloom._array)
+        p_current = (set_bits / bloom.bits) ** bloom.hashes
+        # The previous filter is empty; equal to the last bit.
+        assert suppressor.false_positive_rate() == 1.0 - (1.0 - p_current)
 
     def test_rate_grows_with_load(self):
         suppressor = DuplicateSuppressor(SimClock(0.0), bits=1 << 12)
