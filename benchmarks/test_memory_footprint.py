@@ -29,7 +29,7 @@ from repro.reservation import (
     E2EReservation,
     E2EVersion,
     ReservationId,
-    ShardedReservationStore,
+    ReservationStore,
 )
 from repro.topology import IsdAs
 from repro.topology.addresses import HostAddr
@@ -64,16 +64,16 @@ def gateway_size_at(reservations: int) -> int:
     return deep_size(gateway)
 
 
-def build_store(live: int, near_fraction: float = 0.0) -> ShardedReservationStore:
+def build_store(live: int, near_fraction: float = 0.0) -> ReservationStore:
     """A CServ reservation store holding ``live`` EERs.
 
     Payload objects (``eer_info``, hops) are shared across records so the
     measured growth is the store's own per-EER state — record, version,
-    expiry-wheel entry, shard route — not duplicated request payloads.
+    expiry-wheel entry — not duplicated request payloads.
     ``near_fraction`` of the population expires at t=10 (sweepable), the
     rest is spread over ~50k expiry buckets far in the future.
     """
-    store = ShardedReservationStore()
+    store = ReservationStore()
     src = IsdAs(1, BASE + 1)
     info = EerInfo(HostAddr(1), HostAddr(2))
     hops = (
@@ -148,7 +148,7 @@ def test_store_memory_linear_in_live(benchmark):
     Two failure modes would break a million-EER deployment: superlinear
     per-EER overhead (the expiry index costing more than the records it
     indexes) and state that survives the reservations — swept EERs whose
-    wheel entries, shard routes, or allocation rows stay behind.  Half
+    wheel entries or allocation rows stay behind.  Half
     the population here expires at t=10; after the sweep the store must
     shrink by roughly that half.
     """

@@ -10,14 +10,20 @@ Key asymmetry does the heavy lifting here:
 
 * **AS_i** (the verifier of the base payload, the author of a grant)
   *derives* ``K_{AS_i -> SrcAS}`` locally from its secret value — one
-  PRF call, no state, no network;
+  PRF call, no state, no network — and uses that one key for the MAC
+  check, its grant MAC and the Eq. (5) seal (the EER handlers derive it
+  once per request and pass it to :meth:`_verify_under` /
+  :meth:`_grant_under`; :meth:`verify_at` / :meth:`add_grant_mac`
+  derive it themselves for everyone else);
 * **the source AS** must *fetch* that key once per epoch from AS_i's key
   server — acceptable because it initiates requests deliberately, and
   impossible to exploit for DoS because the verifier side never fetches.
 
 An :class:`AuthenticatedRequest` carries the immutable base payload, the
 source's per-AS MACs over it, and a MAC per appended grant.  The response
-path lets the initiator verify each AS's grant with the same keys.
+path lets the initiator verify each AS's grant with the same keys.  The
+initiator MACs the payload under all on-path keys in one batched pass
+(:func:`~repro.crypto.prf.prf_under_keys`).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.crypto.keyserver import KeyServerDirectory
 from repro.crypto.mac import constant_time_equal, mac
+from repro.crypto.prf import prf_under_keys
 from repro.dataplane.hvf import ColibriKeys
 from repro.errors import MacVerificationError
 from repro.packets.control import AsGrant, ControlMessage
@@ -57,14 +64,11 @@ class AuthenticatedRequest:
         when: float = None,
     ) -> "AuthenticatedRequest":
         """Initiator side: fetch ``K_{ASi->Src}`` for every on-path AS
-        and MAC the payload once per AS."""
+        and MAC the payload once per AS (no MAC to self)."""
         base = message.authenticated_bytes
-        macs = {}
-        for isd_as in on_path:
-            if isd_as == source:
-                continue  # no MAC to self
-            key = directory.fetch_key(isd_as, source, when)
-            macs[isd_as] = mac(key, base)
+        remote = [isd_as for isd_as in on_path if isd_as != source]
+        keys = [directory.fetch_key(isd_as, source, when) for isd_as in remote]
+        macs = dict(zip(remote, prf_under_keys(keys, base)))
         return cls(source=source, base_payload=base, source_macs=macs)
 
     def verify_at(self, keys: ColibriKeys, when: float = None) -> None:
@@ -72,21 +76,28 @@ class AuthenticatedRequest:
         local = keys.local_as
         if local == self.source:
             return
-        tag = self.source_macs.get(local)
-        if tag is None:
+        if local not in self.source_macs:  # nothing to derive a key for
             raise MacVerificationError(
                 f"request from {self.source} carries no MAC for AS {local}"
             )
-        key = keys.control_key(self.source, when)
-        if not constant_time_equal(mac(key, self.base_payload), tag):
+        self._verify_under(keys.control_key(self.source, when), local)
+
+    def _verify_under(self, key: bytes, local: IsdAs) -> None:
+        """Check the source's MAC for AS ``local`` under an already
+        derived ``K_{local->Src}``."""
+        tag = self.source_macs.get(local)
+        if tag is None or not constant_time_equal(mac(key, self.base_payload), tag):
             raise MacVerificationError(
-                f"control-plane MAC from {self.source} failed at AS {local}"
+                f"control-plane MAC from {self.source} missing or wrong at AS {local}"
             )
 
     def add_grant_mac(self, keys: ColibriKeys, grant: AsGrant, when: float = None) -> None:
         """On-path AS side: authenticate the grant it appends, under the
         same ``K_{ASi->Src}`` key (derived, not fetched)."""
-        key = keys.control_key(self.source, when)
+        self._grant_under(keys.control_key(self.source, when), grant)
+
+    def _grant_under(self, key: bytes, grant: AsGrant) -> None:
+        """Append the grant MAC under an already derived key."""
         self.grant_macs.append(
             (grant.isd_as, mac(key, _grant_bytes(grant, self.base_payload)))
         )

@@ -62,6 +62,7 @@ from repro.dataplane.gateway import ColibriGateway
 from repro.dataplane.hvf import ColibriKeys, hop_authenticator, segment_token
 from repro.errors import (
     AdmissionDenied,
+    AeadError,
     ColibriError,
     InsufficientBandwidth,
     NoPathError,
@@ -97,7 +98,7 @@ from repro.packets.fields import EerInfo, PathField, ResInfo
 from repro.reservation.e2e import E2EReservation, E2EVersion
 from repro.reservation.ids import ReservationId
 from repro.reservation.segment import SegmentReservation, SegmentVersion
-from repro.reservation.sharded import ShardedReservationStore
+from repro.reservation.store import ReservationStore
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.topology.graph import ASNode, Topology
 from repro.topology.paths import combine_segments
@@ -108,12 +109,30 @@ from repro.util.sequence import SequenceAllocator
 #: Default per-source-AS request rate at the CServ (§5.3).
 DEFAULT_REQUEST_RATE = 1000.0
 
+#: Chains whose combined path :meth:`ColibriService._combine_chain` keeps.
+_CHAIN_MEMO_SIZE = 256
+
 _SEGMENT_TYPE_TO_CODE = {
     SegmentType.UP: SEGMENT_TYPE_CODES["up"],
     SegmentType.DOWN: SEGMENT_TYPE_CODES["down"],
     SegmentType.CORE: SEGMENT_TYPE_CODES["core"],
 }
 _CODE_TO_SEGMENT_TYPE = {code: st for st, code in _SEGMENT_TYPE_TO_CODE.items()}
+
+
+def _refused(what: str, grants: tuple) -> InsufficientBandwidth:
+    """The denial an initiator raises for a failed request: it names the
+    AS with the smallest grant so the caller can locate the bottleneck
+    (§3.3)."""
+    bottleneck = min(grants, key=lambda g: g.granted, default=None)
+    if bottleneck is None:
+        return InsufficientBandwidth(f"{what} failed; bottleneck unknown")
+    return InsufficientBandwidth(
+        f"{what} failed; bottleneck at {bottleneck.isd_as} "
+        f"granting {bottleneck.granted:.0f} bps",
+        granted=bottleneck.granted,
+        at_as=bottleneck.isd_as,
+    )
 
 
 @dataclass
@@ -204,11 +223,10 @@ class ColibriService:
         #: by request identity, replayed when a lost response is retried.
         self.idempotency = IdempotencyCache(clock)
 
-        #: Per-AS-pair sharded store behind the flat-store interface:
-        #: the million-reservation target needs sweep and accounting
-        #: costs bounded by the *affected* reservations, never the
-        #: population (ROADMAP; SIBRA's steady/ephemeral split).
-        self.store = ShardedReservationStore()
+        #: One store per AS: sweep and accounting costs are bounded by
+        #: the *affected* reservations (expiry wheel, incremental sums),
+        #: never the population.
+        self.store = ReservationStore()
         self.matrix = TrafficMatrix(node)
         self.seg_admission = SegmentAdmission(self.matrix)
         self.eer_admission = EerAdmission(
@@ -220,6 +238,7 @@ class ColibriService:
         )
         self._ids = SequenceAllocator()
         self._segment_tokens: dict[ReservationId, tuple] = {}
+        self._chain_paths: dict = {}  # see _combine_chain
         self.request_limiter = RateLimiter(request_rate)
         self.renewal_limiter = RateLimiter(1.0 / EER_RENEWAL_MIN_INTERVAL)
         #: ASes caught overusing: future reservations are denied (§4.8).
@@ -240,28 +259,32 @@ class ColibriService:
 
     # ------------------------------------------------------------------ utils --
 
+    def _journal(self, event_type: str, reservation, **attrs) -> None:
+        """Journal an event about ``reservation`` at this AS.  Nothing
+        is formatted unless observability is attached."""
+        obs = self.obs
+        if obs is not None:
+            emit(
+                obs,
+                event_type,
+                isd_as=str(self.isd_as),
+                reservation=str(reservation),
+                **attrs,
+            )
+
     def _decided(
         self, reservation, kind: str, hop_index: int, granted: float, admitted: bool
     ) -> None:
         """Journal this AS's own admission decision (one event per
         handler invocation, cached idempotent replays excluded)."""
-        emit(
-            self.obs,
+        self._journal(
             ADMISSION_DECIDED,
-            isd_as=str(self.isd_as),
-            reservation=str(reservation),
+            reservation,
             kind=kind,
             hop=hop_index,
             granted=granted,
             admitted=admitted,
         )
-
-    def _now(self) -> float:
-        return self.clock.now()
-
-    def _call(self, isd_as: IsdAs, method: str, *args, **kwargs):
-        """Forward a control-plane call with retries/backoff/breaking."""
-        return self.caller.call(isd_as, method, *args, **kwargs)
 
     @property
     def _remote_cache(self) -> dict:
@@ -308,7 +331,7 @@ class ColibriService:
                 f"AS {self.isd_as} can only initiate SegRs starting at itself, "
                 f"segment starts at {segment.first_as}"
             )
-        now = self._now()
+        now = self.clock.now()
         res_id = ReservationId(self.isd_as, self._ids.allocate())
         res_info = ResInfo(
             reservation=res_id,
@@ -334,14 +357,7 @@ class ColibriService:
             self._abort_segment(res_id, 1, segment.ases)
             raise
         if not response.success:
-            bottleneck = min(response.grants, key=lambda g: g.granted, default=None)
-            raise InsufficientBandwidth(
-                f"SegR setup failed; bottleneck at "
-                f"{bottleneck.isd_as if bottleneck else 'unknown'} "
-                f"granting {bottleneck.granted if bottleneck else 0.0:.0f} bps",
-                granted=bottleneck.granted if bottleneck else 0.0,
-                at_as=bottleneck.isd_as if bottleneck else None,
-            )
+            raise _refused("SegR setup", response.grants)
         auth.verify_grants(self.directory, response.grants, now)
         self._segment_tokens[res_id] = response.tokens
         reservation = self.store.get_segment(res_id)
@@ -361,7 +377,7 @@ class ColibriService:
         self, request: SegSetupRequest, auth: AuthenticatedRequest, hop_index: int
     ) -> SegSetupResponse:
         """On-path processing of a SegReq (➋ of Fig. 1a) and its response."""
-        now = self._now()
+        now = self.clock.now()
         hop = self._hop_of(request.hops, hop_index)
         source = request.res_info.src_as
         if hop_index > 0:
@@ -423,7 +439,7 @@ class ColibriService:
             )
         else:
             next_as = request.hops[hop_index + 1].isd_as
-            response = self._call(
+            response = self.caller.call(
                 next_as, "handle_seg_setup", forwarded, auth, hop_index + 1
             )
 
@@ -468,7 +484,7 @@ class ColibriService:
     ) -> int:
         """Request a new (pending) version of an own SegR over the SegR
         itself; returns the pending version number."""
-        now = self._now()
+        now = self.clock.now()
         reservation = self.store.get_segment(reservation_id)
         new_version = reservation.next_version_number()
         request = SegRenewalRequest(
@@ -489,19 +505,11 @@ class ColibriService:
             self._abort_segment(reservation_id, new_version, reservation.segment.ases)
             raise
         if not response.success:
-            bottleneck = min(response.grants, key=lambda g: g.granted, default=None)
-            raise InsufficientBandwidth(
-                f"SegR renewal failed; bottleneck at "
-                f"{bottleneck.isd_as if bottleneck else 'unknown'}",
-                granted=bottleneck.granted if bottleneck else 0.0,
-                at_as=bottleneck.isd_as if bottleneck else None,
-            )
+            raise _refused("SegR renewal", response.grants)
         self._segment_tokens[reservation_id] = response.tokens
-        emit(
-            self.obs,
+        self._journal(
             RESERVATION_RENEWED,
-            isd_as=str(self.isd_as),
-            reservation=str(reservation_id),
+            reservation_id,
             kind="segment",
             version=new_version,
             granted=response.granted,
@@ -519,7 +527,7 @@ class ColibriService:
     def handle_seg_renewal(
         self, request: SegRenewalRequest, auth: AuthenticatedRequest, hop_index: int
     ) -> SegSetupResponse:
-        now = self._now()
+        now = self.clock.now()
         try:
             reservation = self.store.get_segment(request.reservation)
         except ReservationNotFound:
@@ -586,7 +594,7 @@ class ColibriService:
             )
         else:
             next_as = hops[hop_index + 1].isd_as
-            response = self._call(
+            response = self.caller.call(
                 next_as, "handle_seg_renewal", forwarded, auth, hop_index + 1
             )
 
@@ -618,7 +626,7 @@ class ColibriService:
                 "let them expire first"
             )
         request = SegTeardownNotice(reservation=reservation_id)
-        now = self._now()
+        now = self.clock.now()
         auth = AuthenticatedRequest.create(
             self.directory, self.isd_as, list(reservation.segment.ases), request, now
         )
@@ -627,7 +635,7 @@ class ColibriService:
     def handle_seg_teardown(
         self, request: SegTeardownNotice, auth: AuthenticatedRequest, hop_index: int
     ) -> bool:
-        now = self._now()
+        now = self.clock.now()
         try:
             reservation = self.store.get_segment(request.reservation)
         except ReservationNotFound:
@@ -643,7 +651,7 @@ class ColibriService:
             return False  # EERs still riding: keep until they expire
         hops = reservation.segment.hops
         if hop_index < len(hops) - 1:
-            self._call(
+            self.caller.call(
                 hops[hop_index + 1].isd_as,
                 "handle_seg_teardown",
                 request,
@@ -654,11 +662,9 @@ class ColibriService:
         self.store.remove_segment(request.reservation)
         self.registry.unregister(request.reservation)
         self._segment_tokens.pop(request.reservation, None)
-        emit(
-            self.obs,
+        self._journal(
             RESERVATION_TORN_DOWN,
-            isd_as=str(self.isd_as),
-            reservation=str(request.reservation),
+            request.reservation,
             kind="segment",
             reason="teardown",
         )
@@ -668,7 +674,7 @@ class ColibriService:
         """Explicitly switch an own SegR to a pending version everywhere."""
         reservation = self.store.get_segment(reservation_id)
         request = SegActivationRequest(reservation=reservation_id, version=version)
-        now = self._now()
+        now = self.clock.now()
         auth = AuthenticatedRequest.create(
             self.directory, self.isd_as, list(reservation.segment.ases), request, now
         )
@@ -681,7 +687,7 @@ class ColibriService:
     def handle_seg_activation(
         self, request: SegActivationRequest, auth: AuthenticatedRequest, hop_index: int
     ) -> bool:
-        now = self._now()
+        now = self.clock.now()
         reservation = self.store.get_segment(request.reservation)
         if hop_index > 0:
             auth.verify_at(self.keys, now)
@@ -694,14 +700,13 @@ class ColibriService:
         # Activate downstream first: if any AS refuses (e.g. the version
         # expired under clock skew), upstream ASes keep the old version.
         if hop_index < len(hops) - 1:
-            self._call(
+            self.caller.call(
                 hops[hop_index + 1].isd_as,
                 "handle_seg_activation",
                 request,
                 auth,
                 hop_index + 1,
             )
-        previous = reservation.active
         new = reservation.activate(request.version, now)
         reservation.prune(now)
         # Activation replaced the expiry-defining version: re-index.
@@ -724,7 +729,6 @@ class ColibriService:
                     granted=new.bandwidth,
                 )
             )
-        del previous
         return True
 
     # ================================================================== EERs ==
@@ -751,7 +755,7 @@ class ColibriService:
         setup of the EER, allowing the end host to retry"), the cache is
         invalidated and the chain search re-run up to ``retries`` times.
         """
-        now = self._now()
+        now = self.clock.now()
         descriptors, path = chain if chain is not None else self.find_segment_chain(
             destination
         )
@@ -778,13 +782,13 @@ class ColibriService:
             # Retries exhausted mid-path: hops beyond the loss point may
             # hold committed allocations whose response never returned.
             # Abort path-wide, then refetch descriptors on any retry.
-            self._invalidate_remote_cache(descriptors)
+            self.remote_client.invalidate(descriptors)
             self._abort_eer(res_id, 1, path.hops)
             raise
         if not response.success:
             # A stale cached SegR is one failure cause (Appendix C):
             # invalidate the cache so a retry refetches fresh descriptors.
-            self._invalidate_remote_cache(descriptors)
+            self.remote_client.invalidate(descriptors)
             expiry_soon = any(d.is_expired(now) for d in descriptors)
             if retries > 0 and chain is None and expiry_soon:
                 return self.setup_eer(
@@ -794,13 +798,7 @@ class ColibriService:
                     bandwidth,
                     retries=retries - 1,
                 )
-            bottleneck = min(response.grants, key=lambda g: g.granted, default=None)
-            raise InsufficientBandwidth(
-                f"EER setup failed; bottleneck at "
-                f"{bottleneck.isd_as if bottleneck else 'unknown'}",
-                granted=bottleneck.granted if bottleneck else 0.0,
-                at_as=bottleneck.isd_as if bottleneck else None,
-            )
+            raise _refused("EER setup", response.grants)
         final_info = response.res_info
         hop_auths = self._open_hopauths(path.hops, response.sealed_hopauths, now)
         if self.gateway is not None:
@@ -831,8 +829,6 @@ class ColibriService:
         the EER lifetime (16 s) — bounded, unusable state for the
         attacker, since without the HopAuths nobody can stamp packets.
         """
-        from repro.errors import AeadError
-
         if len(sealed_hopauths) != len(hops):
             raise AdmissionDenied(
                 f"response carries {len(sealed_hopauths)} HopAuths for "
@@ -853,13 +849,14 @@ class ColibriService:
 
     def _role_and_segments(self, request_segment_ids: tuple, hop_index: int, last_index: int):
         """Determine this AS's role (§4.1) and the SegRs it must check."""
-        present = [
-            sid for sid in request_segment_ids if self.store.has_segment(sid)
-        ]
         if hop_index == 0:
             return AsRole.SOURCE, None, request_segment_ids[0]
         if hop_index == last_index:
             return AsRole.DESTINATION, request_segment_ids[-1], None
+        # Only transit and transfer ASes need to look: which of the
+        # named SegRs end, start or pass here?
+        has_segment = self.store.has_segment
+        present = [sid for sid in request_segment_ids if has_segment(sid)]
         if len(present) >= 2:
             for first, second in zip(request_segment_ids, request_segment_ids[1:]):
                 if first in present and second in present:
@@ -883,13 +880,18 @@ class ColibriService:
         self, request: EerSetupRequest, auth: AuthenticatedRequest, hop_index: int
     ) -> EerSetupResponse:
         """On-path processing of an EEReq (➌ of Fig. 1b) and its response."""
-        now = self._now()
+        now = self.clock.now()
         hop = self._hop_of(request.hops, hop_index)
         source = request.res_info.src_as
         last_index = len(request.hops) - 1
         if hop_index > 0:
             self._admission_gate(source, now)
-            auth.verify_at(self.keys, now)
+        # K_{AS_i->Src}, derived once: "the same key is used to
+        # authenticate the information AS_i itself adds" (§4.5) — the
+        # MAC check, the grant MAC and the Eq. (5) seal below.
+        key = self.keys.control_key(source, now)
+        if hop_index > 0:
+            auth._verify_under(key, self.isd_as)
         idem_key = (
             "eer_setup",
             request.res_info.reservation,
@@ -956,21 +958,26 @@ class ColibriService:
         )
         as_grant = AsGrant(self.isd_as, decision.granted)
         forwarded = request.with_grant(as_grant)
-        auth.add_grant_mac(self.keys, as_grant, now)
+        auth._grant_under(key, as_grant)
 
         if hop_index == last_index:
             final = min(g.granted for g in forwarded.grants)
-            success = final > 0
+            info = request.res_info
             response = EerSetupResponse(
-                res_info=replace(request.res_info, bandwidth=final),
-                success=success,
+                res_info=ResInfo(
+                    reservation=info.reservation,
+                    bandwidth=final,
+                    expiry=info.expiry,
+                    version=info.version,
+                ),
+                success=final > 0,
                 granted=final,
                 grants=forwarded.grants,
             )
         else:
             next_as = request.hops[hop_index + 1].isd_as
             try:
-                response = self._call(
+                response = self.caller.call(
                     next_as, "handle_eer_setup", forwarded, auth, hop_index + 1
                 )
             except TransportError:
@@ -1008,10 +1015,7 @@ class ColibriService:
                 hop.ingress,
                 hop.egress,
             )
-            sealed = aead_seal(self.keys.control_key(source, now), sigma)
-            response = replace(
-                response, sealed_hopauths=(sealed,) + response.sealed_hopauths
-            )
+            response = self._with_hopauth(response, aead_seal(key, sigma))
             self.idempotency.put(idem_key, response)
         else:
             # Release everything the failed attempt's `decide` consumed:
@@ -1047,7 +1051,7 @@ class ColibriService:
     def renew_eer(self, handle: EerHandle, new_bandwidth: float = None) -> EerHandle:
         """Renew an own EER ahead of expiry (§4.2); returns the updated
         handle with the new version installed at the gateway."""
-        now = self._now()
+        now = self.clock.now()
         self.renewal_limiter.check(handle.reservation_id, now)
         reservation = self.store.get_eer(handle.reservation_id)
         if new_bandwidth is None:
@@ -1070,13 +1074,7 @@ class ColibriService:
             self._abort_eer(handle.reservation_id, request.new_version, handle.hops)
             raise
         if not response.success:
-            bottleneck = min(response.grants, key=lambda g: g.granted, default=None)
-            raise InsufficientBandwidth(
-                f"EER renewal failed; bottleneck at "
-                f"{bottleneck.isd_as if bottleneck else 'unknown'}",
-                granted=bottleneck.granted if bottleneck else 0.0,
-                at_as=bottleneck.isd_as if bottleneck else None,
-            )
+            raise _refused("EER renewal", response.grants)
         final_info = response.res_info
         hop_auths = self._open_hopauths(
             handle.hops, response.sealed_hopauths, now
@@ -1089,11 +1087,9 @@ class ColibriService:
                 final_info,
                 tuple(hop_auths),
             )
-        emit(
-            self.obs,
+        self._journal(
             RESERVATION_RENEWED,
-            isd_as=str(self.isd_as),
-            reservation=str(handle.reservation_id),
+            handle.reservation_id,
             kind="eer",
             version=final_info.version,
             granted=response.granted,
@@ -1118,7 +1114,7 @@ class ColibriService:
     def handle_eer_renewal(
         self, request: EerRenewalRequest, auth: AuthenticatedRequest, hop_index: int
     ) -> EerSetupResponse:
-        now = self._now()
+        now = self.clock.now()
         source = request.reservation.src_as
 
         def fail(granted: float) -> EerSetupResponse:
@@ -1146,7 +1142,9 @@ class ColibriService:
         last_index = len(hops) - 1
         if hop_index > 0:
             self._admission_gate(source, now)
-            auth.verify_at(self.keys, now)
+        key = self.keys.control_key(source, now)  # once, as in setup
+        if hop_index > 0:
+            auth._verify_under(key, self.isd_as)
         idem_key = (
             "eer_renewal", request.reservation, request.new_version, hop_index
         )
@@ -1172,7 +1170,7 @@ class ColibriService:
         try:
             decision = self.eer_admission.renew_delta(
                 request.reservation,
-                decisions_segments(segment_in, segment_out),
+                [sid for sid in (segment_in, segment_out) if sid is not None],
                 request.new_bandwidth,
                 now,
                 role=role,
@@ -1188,7 +1186,7 @@ class ColibriService:
         )
         as_grant = AsGrant(self.isd_as, offered)
         forwarded = request.with_grant(as_grant)
-        auth.add_grant_mac(self.keys, as_grant, now)
+        auth._grant_under(key, as_grant)
 
         if hop_index == last_index:
             final = min(g.granted for g in forwarded.grants)
@@ -1207,7 +1205,7 @@ class ColibriService:
             # Renewal's `decide` ran with host=None and no contention
             # flag, so a transport failure here leaves no temp state to
             # release — the error just climbs back to the initiator.
-            response = self._call(
+            response = self.caller.call(
                 hops[hop_index + 1].isd_as,
                 "handle_eer_renewal",
                 forwarded,
@@ -1239,12 +1237,20 @@ class ColibriService:
                 hop.ingress,
                 hop.egress,
             )
-            sealed = aead_seal(self.keys.control_key(source, now), sigma)
-            response = replace(
-                response, sealed_hopauths=(sealed,) + response.sealed_hopauths
-            )
+            response = self._with_hopauth(response, aead_seal(key, sigma))
             self.idempotency.put(idem_key, response)
         return response
+
+    @staticmethod
+    def _with_hopauth(response: EerSetupResponse, sealed: bytes) -> EerSetupResponse:
+        """The response with this AS's Eq. (5) blob prepended."""
+        return EerSetupResponse(
+            res_info=response.res_info,
+            success=response.success,
+            granted=response.granted,
+            sealed_hopauths=(sealed,) + response.sealed_hopauths,
+            grants=response.grants,
+        )
 
     # ==================================================== abort paths (§3.3) ==
     #
@@ -1260,7 +1266,7 @@ class ColibriService:
         """Release a half-committed SegR setup (version 1) or renewal
         (version > 1) at every on-path AS."""
         self.aborts["segments"] += 1
-        now = self._now()
+        now = self.clock.now()
         request = SegAbortNotice(reservation=res_id, version=version)
         targets = [isd_as for isd_as in ases if isd_as != self.isd_as]
         auth = AuthenticatedRequest.create(
@@ -1269,7 +1275,7 @@ class ColibriService:
         self._local_seg_abort(res_id, version)
         for isd_as in targets:
             try:
-                self._call(isd_as, "handle_seg_abort", request, auth)
+                self.caller.call(isd_as, "handle_seg_abort", request, auth)
             except TransportError:
                 # Even the generous cleanup budget ran dry; that AS's
                 # residue now expires with the reservation lifetime.
@@ -1278,7 +1284,7 @@ class ColibriService:
     def handle_seg_abort(
         self, request: SegAbortNotice, auth: AuthenticatedRequest
     ) -> bool:
-        now = self._now()
+        now = self.clock.now()
         auth.verify_at(self.keys, now)
         # Only the initiator may tear down its own half-committed state.
         if request.reservation.src_as != auth.source:
@@ -1298,11 +1304,9 @@ class ColibriService:
             reservation = self.store.get_segment(res_id)
         except ReservationNotFound:
             return  # the request never committed here: nothing to undo
-        emit(
-            self.obs,
+        self._journal(
             RESERVATION_TORN_DOWN,
-            isd_as=str(self.isd_as),
-            reservation=str(res_id),
+            res_id,
             kind="segment",
             reason="abort",
             version=version,
@@ -1322,7 +1326,7 @@ class ColibriService:
         """Release a half-committed EER setup (version 1) or renewal
         version (version > 1) at every on-path AS."""
         self.aborts["eers"] += 1
-        now = self._now()
+        now = self.clock.now()
         request = EerAbortNotice(reservation=res_id, version=version)
         targets = [hop.isd_as for hop in hops if hop.isd_as != self.isd_as]
         auth = AuthenticatedRequest.create(
@@ -1331,14 +1335,14 @@ class ColibriService:
         self._local_eer_abort(res_id, version)
         for isd_as in targets:
             try:
-                self._call(isd_as, "handle_eer_abort", request, auth)
+                self.caller.call(isd_as, "handle_eer_abort", request, auth)
             except TransportError:
                 self.aborts["undeliverable"] += 1
 
     def handle_eer_abort(
         self, request: EerAbortNotice, auth: AuthenticatedRequest
     ) -> bool:
-        now = self._now()
+        now = self.clock.now()
         auth.verify_at(self.keys, now)
         if request.reservation.src_as != auth.source:
             raise AdmissionDenied(
@@ -1355,16 +1359,10 @@ class ColibriService:
             reservation = self.store.get_eer(res_id)
         except ReservationNotFound:
             return
-        emit(
-            self.obs,
-            RESERVATION_TORN_DOWN,
-            isd_as=str(self.isd_as),
-            reservation=str(res_id),
-            kind="eer",
-            reason="abort",
-            version=version,
+        self._journal(
+            RESERVATION_TORN_DOWN, res_id, kind="eer", reason="abort", version=version
         )
-        now = self._now()
+        now = self.clock.now()
         if version <= 1:
             # Abort of the initial setup: the whole EER goes, and every
             # SegR this AS holds gets its allocation back — exact zero,
@@ -1375,6 +1373,7 @@ class ColibriService:
                 for segment_id in reservation.segment_ids:
                     self.store.release_on_segment(segment_id, res_id)
                 self.store.remove_eer(res_id)
+            self.renewal_limiter.forget(res_id)
             if self.gateway is not None:
                 self.gateway.uninstall(res_id)
             return
@@ -1452,14 +1451,7 @@ class ColibriService:
 
     def query_registry(self, first_as: IsdAs, last_as: IsdAs, requester: IsdAs) -> list:
         """Remote-facing registry lookup (Appendix C)."""
-        return self.registry.query(first_as, last_as, requester, self._now())
-
-    def _fetch_descriptors(self, owner: IsdAs, first: IsdAs, last: IsdAs) -> list:
-        """Local registry, then cache, then a remote CServ query."""
-        return self.remote_client.fetch(owner, first, last)
-
-    def _invalidate_remote_cache(self, descriptors: list) -> None:
-        self.remote_client.invalidate(descriptors)
+        return self.registry.query(first_as, last_as, requester, self.clock.now())
 
     def find_segment_chain(self, destination: IsdAs):
         """Assemble 1-3 SegRs covering a path to ``destination``.
@@ -1504,7 +1496,7 @@ class ColibriService:
             )
         if destination == self.isd_as:
             raise NoPathError("source and destination AS are identical")
-        now = self._now()
+        now = self.clock.now()
         src_core = self.node.is_core
         dst_core = self.topology.node(destination).is_core
 
@@ -1522,7 +1514,7 @@ class ColibriService:
         else:
             down_options = []
             for core in self.topology.core_ases(destination.isd):
-                for descriptor in self._fetch_descriptors(
+                for descriptor in self.remote_client.fetch(
                     core.isd_as, core.isd_as, destination
                 ):
                     down_options.append((descriptor, core.isd_as))
@@ -1537,7 +1529,7 @@ class ColibriService:
                     if path is not None:
                         yield chain, path
                     continue
-                for core_descriptor in self._fetch_descriptors(
+                for core_descriptor in self.remote_client.fetch(
                     up_core, up_core, down_core
                 ):
                     chain = [
@@ -1549,14 +1541,23 @@ class ColibriService:
                     if path is not None:
                         yield chain, path
 
-    @staticmethod
-    def _combine_chain(descriptors: list):
-        try:
-            return combine_segments(
-                [d.segment for d in descriptors], allow_shortcut=False
-            )
-        except ColibriError:
-            return None
+    def _combine_chain(self, descriptors: list):
+        """The combined path of a SegR chain, or ``None`` if the
+        segments do not join.  A SegR's segment never changes, so this
+        is a pure function of the chain's reservation ids and is
+        memoized on them (the memo is dropped when full)."""
+        memo = self._chain_paths
+        chain = tuple(d.reservation_id for d in descriptors)
+        if chain not in memo:
+            if len(memo) >= _CHAIN_MEMO_SIZE:
+                memo.clear()
+            try:
+                memo[chain] = combine_segments(
+                    [d.segment for d in descriptors], allow_shortcut=False
+                )
+            except ColibriError:
+                memo[chain] = None
+        return memo[chain]
 
     # ============================================================== policing ==
 
@@ -1587,7 +1588,7 @@ class ColibriService:
         expired EERs, which would otherwise accumulate forever and
         starve other up-SegRs' quotas.
         """
-        now = self._now()
+        now = self.clock.now()
         removed, dead_eers, dead_segments = self.store.sweep_expired_details(now)
         for reservation_id in dead_segments:
             self.seg_admission.release(reservation_id)
@@ -1595,9 +1596,10 @@ class ColibriService:
             self._segment_tokens.pop(reservation_id, None)
         for reservation_id in dead_eers:
             self.eer_admission.distributor.release_key(reservation_id)
+            # Only the source AS holds a renewal bucket and a gateway
+            # entry for the EER; elsewhere both are no-ops.
+            self.renewal_limiter.forget(reservation_id)
             if self.gateway is not None:
-                # Only the source AS's gateway holds the EER; elsewhere
-                # the id is unknown and uninstall is a no-op.
                 self.gateway.uninstall(reservation_id)
         removed["registry"] = self.registry.sweep_expired(now)
         if self.obs is not None:
@@ -1623,8 +1625,3 @@ class ColibriService:
     def segment_tokens(self, reservation_id: ReservationId) -> tuple:
         """The Eq. (3) tokens returned at setup, for building SegR packets."""
         return self._segment_tokens[reservation_id]
-
-
-def decisions_segments(segment_in, segment_out):
-    """The non-None segment IDs an EER decision touches."""
-    return [sid for sid in (segment_in, segment_out) if sid is not None]

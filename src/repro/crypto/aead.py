@@ -7,12 +7,17 @@ authenticated encryption with associated data" (Eq. 5):
 We build AEAD from the library PRF in an encrypt-then-MAC construction:
 
 * a keystream is derived per message from ``(key, nonce)`` and XORed with
-  the plaintext (a stream cipher in counter mode);
+  the plaintext (a stream cipher in counter mode): block ``i`` is the PRF
+  of ``nonce || i`` under an encryption subkey, evaluated from one
+  prehashed context per message, and the XOR is a single big-integer
+  operation rather than a per-byte loop;
 * a MAC over ``nonce || associated_data || ciphertext`` authenticates the
   whole message under a MAC subkey derived from the same key.
 
 The nonce is chosen randomly per seal and carried with the ciphertext, so
-callers only manage the shared DRKey.
+callers only manage the shared DRKey.  The wire format ``nonce ||
+ciphertext || tag`` is what sealed HopAuths cross ASes in; it is pinned
+by known-answer vectors in ``tests/test_crypto.py``.
 """
 
 from __future__ import annotations
@@ -20,25 +25,32 @@ from __future__ import annotations
 import os
 
 from repro.crypto.mac import constant_time_equal, mac
-from repro.crypto.prf import prf
+from repro.crypto.prf import KEY_LENGTH, prf, prf_context
 from repro.errors import AeadError
 
 NONCE_LENGTH = 12
 TAG_LENGTH = 16
+_BLOCK_LENGTH = KEY_LENGTH  # one PRF output per keystream block
 
 _ENC_LABEL = b"colibri-aead-enc"
 _MAC_LABEL = b"colibri-aead-mac"
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Derive ``length`` pseudo-random bytes from ``(key, nonce)``."""
-    enc_key = prf(key, _ENC_LABEL)
+def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """``data`` XOR the ``(key, nonce)`` keystream (its own inverse)."""
+    length = len(data)
+    if not length:
+        return b""
+    state = prf_context(prf(key, _ENC_LABEL))
     blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(prf(enc_key, nonce + counter.to_bytes(8, "big")))
-        counter += 1
-    return b"".join(blocks)[:length]
+    for counter in range(-(-length // _BLOCK_LENGTH)):
+        block = state.copy()
+        block.update(nonce + counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
+    stream = b"".join(blocks)[:length]
+    return (
+        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    ).to_bytes(length, "big")
 
 
 def aead_seal(key: bytes, plaintext: bytes, associated_data: bytes = b"") -> bytes:
@@ -48,10 +60,8 @@ def aead_seal(key: bytes, plaintext: bytes, associated_data: bytes = b"") -> byt
     authenticated but not transmitted (the caller reconstructs it).
     """
     nonce = os.urandom(NONCE_LENGTH)
-    stream = _keystream(key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-    mac_key = prf(key, _MAC_LABEL)
-    tag = mac(mac_key, nonce + associated_data + ciphertext)
+    ciphertext = _xor_keystream(key, nonce, plaintext)
+    tag = mac(prf(key, _MAC_LABEL), nonce + associated_data + ciphertext)
     return nonce + ciphertext + tag
 
 
@@ -65,10 +75,7 @@ def aead_open(key: bytes, sealed: bytes, associated_data: bytes = b"") -> bytes:
         raise AeadError(f"sealed message too short: {len(sealed)} bytes")
     nonce = sealed[:NONCE_LENGTH]
     ciphertext = sealed[NONCE_LENGTH:-TAG_LENGTH]
-    tag = sealed[-TAG_LENGTH:]
-    mac_key = prf(key, _MAC_LABEL)
-    expected = mac(mac_key, nonce + associated_data + ciphertext)
-    if not constant_time_equal(expected, tag):
+    expected = mac(prf(key, _MAC_LABEL), nonce + associated_data + ciphertext)
+    if not constant_time_equal(expected, sealed[-TAG_LENGTH:]):
         raise AeadError("AEAD tag verification failed")
-    stream = _keystream(key, nonce, len(ciphertext))
-    return bytes(c ^ s for c, s in zip(ciphertext, stream))
+    return _xor_keystream(key, nonce, ciphertext)

@@ -66,12 +66,18 @@ class KeyServerDirectory:
         """Fetch ``K_{owner->requester}`` on behalf of ``requester``."""
         if when is None:
             when = self.clock.now()
-        owner_key = encode_entity(owner)
+        # An IsdAs carries its wire form; anything else is encoded.
+        owner_key = getattr(owner, "packed", None)
+        if type(owner_key) is not bytes:
+            owner_key = encode_entity(owner)
         server = self._servers.get(owner_key)
         if server is None:
             raise KeyFetchError(f"no key server registered for AS {owner!r}")
+        requester_key = getattr(requester, "packed", None)
+        if type(requester_key) is not bytes:
+            requester_key = encode_entity(requester)
         epoch = server.deriver.secret_for(when).epoch
-        cache_key = (owner_key, encode_entity(requester), epoch)
+        cache_key = (owner_key, requester_key, epoch)
         cached = self._cache.get(cache_key)
         if cached is not None:
             return cached

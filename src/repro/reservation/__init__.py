@@ -12,7 +12,6 @@ from repro.reservation.persistence import (
     load_store,
     loads_store,
 )
-from repro.reservation.sharded import ShardedReservationStore
 from repro.reservation.store import ReservationStore
 from repro.reservation.timewheel import ExpiryWheel
 
@@ -23,7 +22,6 @@ __all__ = [
     "E2EReservation",
     "E2EVersion",
     "ReservationStore",
-    "ShardedReservationStore",
     "ExpiryWheel",
     "InterfacePairIndex",
     "dump_store",

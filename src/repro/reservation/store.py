@@ -9,7 +9,12 @@ with an undo journal, so any exception inside the block rolls back every
 mutation made through the store — *including* expiry sweeps, which the
 original implementation deleted outside the journal (a sweep inside a
 later-aborted transaction left allocations restored for EERs that no
-longer existed).
+longer existed).  The block is a plain ``__enter__``/``__exit__`` object
+the store allocates once: a CServ opens one per committed request.
+
+There is one store per AS.  A per-AS-pair sharding wrapper used to sit
+in front of it; in a single-threaded CServ the extra routing lookup per
+call could only cost (docs/performance.md §10), so it was removed.
 
 The store also maintains the EER-per-SegR allocation accounting that EER
 admission reads: ``allocated_on_segment`` is an O(1) lookup thanks to
@@ -31,7 +36,6 @@ rather than merely eventual.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ReservationNotFound, StoreConflict
@@ -39,6 +43,32 @@ from repro.reservation.e2e import E2EReservation
 from repro.reservation.ids import ReservationId
 from repro.reservation.segment import SegmentReservation
 from repro.reservation.timewheel import ExpiryWheel
+
+
+class _Transaction:
+    """The ``with store.transaction():`` block: opens the undo journal
+    on entry; on exit closes it and, if the block raised, replays it in
+    reverse."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: "ReservationStore"):
+        self._store = store
+
+    def __enter__(self) -> "ReservationStore":
+        store = self._store
+        if store._journal is not None:
+            raise StoreConflict("nested transactions are not supported")
+        store._journal = []
+        return store
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        store = self._store
+        journal, store._journal = store._journal, None
+        if exc_type is not None:
+            for undo in reversed(journal):
+                undo()
+        return False
 
 
 class ReservationStore:
@@ -54,27 +84,13 @@ class ReservationStore:
         self._eer_wheel = ExpiryWheel()
         self._seg_wheel = ExpiryWheel()
         self._journal: Optional[list] = None
-        # Where a swept EER's allocations are released.  A standalone
-        # store releases against itself; a sharding wrapper points every
-        # shard here, because an EER's SegRs may live in *other* shards.
-        self._release_router: "ReservationStore" = self
+        self._transaction = _Transaction(self)
 
     # -- transactions -----------------------------------------------------------
 
-    @contextmanager
-    def transaction(self):
+    def transaction(self) -> _Transaction:
         """All store mutations inside the block commit or roll back together."""
-        if self._journal is not None:
-            raise StoreConflict("nested transactions are not supported")
-        self._journal = []
-        try:
-            yield self
-        except BaseException:
-            for undo in reversed(self._journal):
-                undo()
-            raise
-        finally:
-            self._journal = None
+        return self._transaction
 
     def _record(self, undo: Callable[[], None]) -> None:
         if self._journal is not None:
@@ -152,8 +168,9 @@ class ReservationStore:
         allocations via :meth:`release_on_segment` so the cleanup is one
         journaled transaction.
         """
-        reservation = self.get_eer(res_id)
-        del self._eers[res_id]
+        reservation = self._eers.pop(res_id, None)
+        if reservation is None:
+            raise ReservationNotFound(f"unknown EER {res_id}")
         self._record(lambda: self._eers.__setitem__(res_id, reservation))
         scheduled = self._eer_wheel.scheduled_expiry(res_id)
         if scheduled is not None:
@@ -343,7 +360,7 @@ class ReservationStore:
                 reservation.prune(now)
                 continue
             for segment_id in reservation.segment_ids:
-                self._release_router.release_on_segment(segment_id, res_id)
+                self.release_on_segment(segment_id, res_id)
             self.remove_eer(res_id)
             self._record(
                 lambda res_id=res_id, scheduled=scheduled:

@@ -31,6 +31,13 @@ class IsdAs:
             raise ValueError(f"ISD {self.isd} out of range [0, 2^{ISD_BITS})")
         if not 0 <= self.asn < (1 << AS_BITS):
             raise ValueError(f"AS number {self.asn} out of range [0, 2^{AS_BITS})")
+        # Immutable value object: precompute the hash once, as
+        # ReservationId does.  Every store, limiter, registry and key
+        # cache on the control path is keyed by (or through) an IsdAs.
+        object.__setattr__(self, "_hash", hash((self.isd, self.asn)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "IsdAs":

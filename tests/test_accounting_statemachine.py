@@ -5,7 +5,7 @@ store alone.  This machine drives the *composition* the control plane
 actually runs — transfer-AS admission with core contention, incremental
 renewal, aborts, and expiry sweeps, including transactions that fail
 midway — against a brute-force model tracking allocations, distributor
-demand, and the live population.  After every step the sharded store's
+demand, and the live population.  After every step the store's
 incremental sums, the transfer distributor's totals, and the store
 contents must match the model exactly.
 
@@ -36,9 +36,9 @@ from repro.reservation import (
     E2EReservation,
     E2EVersion,
     ReservationId,
+    ReservationStore,
     SegmentReservation,
     SegmentVersion,
-    ShardedReservationStore,
 )
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.topology.graph import NO_INTERFACE
@@ -73,7 +73,7 @@ def make_segr(local_id, segment_type, bandwidth):
 class AccountingMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.store = ShardedReservationStore(shards=4)
+        self.store = ReservationStore()
         self.up = make_segr(1, SegmentType.UP, UP_BW)
         self.core = make_segr(2, SegmentType.CORE, CORE_BW)
         self.store.add_segment(self.up)
@@ -289,8 +289,6 @@ class AccountingMachine(RuleBasedStateMachine):
     @invariant()
     def no_journal_left_behind(self):
         assert self.store._journal is None
-        for shard in self.store._shards:
-            assert shard._journal is None
 
 
 AccountingMachine.TestCase.settings = settings(

@@ -4,11 +4,13 @@ over the bus, unknown reservations, renewal negotiation."""
 
 import pytest
 
+from repro.constants import EER_LIFETIME, EER_RENEWAL_MIN_INTERVAL
 from repro.control.auth import AuthenticatedRequest
 from repro.errors import (
     ColibriError,
     InsufficientBandwidth,
     MacVerificationError,
+    RateLimited,
     ReservationNotFound,
 )
 from repro.packets.control import EerRenewalRequest, SegRenewalRequest
@@ -355,3 +357,41 @@ class TestHostAuthentication:
         assert cserv.provision_host_key(HostAddr(5)) != cserv.provision_host_key(
             HostAddr(6)
         )
+
+
+class TestRenewalLimiterForgets:
+    """The per-EER renewal limiter (§4.2) holds one bucket per EER that
+    was ever renewed; the bucket must go when the EER does."""
+
+    def test_expired_eer_is_forgotten_at_the_sweep(self, net):
+        net.reserve_segments(SRC, DST, gbps(1))
+        cserv = net.cserv(SRC)
+        handle = net.establish_eer(SRC, DST, mbps(10))
+        net.advance(2.0)
+        cserv.renew_eer(handle)
+        assert cserv.renewal_limiter.tracked_keys() == 1
+        net.advance(EER_LIFETIME + 1.0)
+        assert net.housekeeping()["eers"] == 6
+        assert cserv.renewal_limiter.tracked_keys() == 0
+
+    def test_live_eer_keeps_its_bucket(self, net):
+        net.reserve_segments(SRC, DST, gbps(1))
+        cserv = net.cserv(SRC)
+        handle = net.establish_eer(SRC, DST, mbps(10))
+        net.advance(2.0)
+        handle = cserv.renew_eer(handle)
+        net.housekeeping()  # nothing is due: the bucket must survive it
+        assert cserv.renewal_limiter.tracked_keys() == 1
+        net.advance(EER_RENEWAL_MIN_INTERVAL / 2)
+        with pytest.raises(RateLimited):
+            cserv.renew_eer(handle)
+
+    def test_aborted_setup_is_forgotten(self, net):
+        net.reserve_segments(SRC, DST, gbps(1))
+        cserv = net.cserv(SRC)
+        handle = net.establish_eer(SRC, DST, mbps(10))
+        net.advance(2.0)
+        cserv.renew_eer(handle)
+        cserv._abort_eer(handle.reservation_id, 1, handle.hops)
+        assert cserv.renewal_limiter.tracked_keys() == 0
+        assert net.audit() == []

@@ -472,11 +472,12 @@ class TestExpiryIndex:
         assert store._eer_wheel.scheduled_expiry(eer.reservation_id) == 16.0
 
 
-class TestShardedReservationStore:
-    def build(self, shards=4):
-        from repro.reservation import ShardedReservationStore
+class TestStoreTransactions:
+    """One journal over every map of the store: SegRs, EERs, per-SegR
+    allocations and both expiry wheels commit or roll back together."""
 
-        store = ShardedReservationStore(shards=shards)
+    def build(self):
+        store = ReservationStore()
         segr = make_segr(expiry=300.0)
         store.add_segment(segr)
         eer = make_eer(expiry=16.0, segment_ids=(segr.reservation_id,))
@@ -498,7 +499,7 @@ class TestShardedReservationStore:
         assert store.eer_allocation(
             segr.reservation_id, eer.reservation_id
         ) == pytest.approx(1e7)
-        # the compat view used by persistence and the consistency checker
+        # the map persistence and the consistency checker read
         assert dict(store._eer_alloc[segr.reservation_id]) == {
             eer.reservation_id: 1e7
         }
@@ -509,18 +510,7 @@ class TestShardedReservationStore:
         with pytest.raises(ReservationNotFound):
             store.allocated_on_segment(ReservationId(SRC, 404))
 
-    def test_shard_placement_by_as_pair(self):
-        from repro.reservation import ShardedReservationStore
-
-        store = ShardedReservationStore(shards=4)
-        for local_id in range(1, 9):
-            store.add_segment(make_segr(local_id=local_id))
-        # Same AS pair -> same shard, and the routing stays consistent.
-        occupied = [s for s in store._shards if s.segment_count() > 0]
-        assert len(occupied) == 1
-        assert occupied[0].segment_count() == 8
-
-    def test_cross_shard_transaction_rollback(self):
+    def test_multi_step_transaction_rollback(self):
         store, segr, eer = self.build()
         other = ReservationId(SRC, 500)
         with pytest.raises(RuntimeError):
@@ -537,13 +527,23 @@ class TestShardedReservationStore:
             with pytest.raises(StoreConflict):
                 with store.transaction():
                     pass
+        # The refused inner block must not have closed the outer one's
+        # journal, and the store is usable again afterwards.
+        with store.transaction():
+            pass
 
-    def test_sweep_releases_cross_shard_allocations(self):
-        # EERs and the SegRs they ride can hash to different shards; the
-        # sweep must release through the router, not shard-locally.
-        from repro.reservation import ShardedReservationStore
+    def test_transaction_is_reusable_after_rollback(self):
+        store, segr, eer = self.build()
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                store.remove_eer(eer.reservation_id)
+                raise RuntimeError("fail")
+        with store.transaction():
+            store.remove_eer(eer.reservation_id)
+        assert not store.has_eer(eer.reservation_id)
 
-        store = ShardedReservationStore(shards=8)
+    def test_sweep_releases_allocations_of_many_eers(self):
+        store = ReservationStore()
         segr = make_segr(expiry=300.0)
         store.add_segment(segr)
         for local_id in range(100, 120):
@@ -558,7 +558,7 @@ class TestShardedReservationStore:
         assert store.eer_count() == 0
         assert store.allocated_on_segment(segr.reservation_id) == 0.0
 
-    def test_sweep_rolls_back_across_shards(self):
+    def test_sweep_rolls_back_then_sweeps_again(self):
         store, segr, eer = self.build()
         with pytest.raises(RuntimeError):
             with store.transaction():
