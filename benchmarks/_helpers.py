@@ -44,7 +44,7 @@ def report_json(name: str, bench: str, rows: list, profile: dict = None) -> None
     identical inputs produces an identical file (the diff, not a clock,
     says whether performance changed).
 
-    ``profile`` is an optional :meth:`repro.obs.Profiler.snapshot` from a
+    ``profile`` is an optional :meth:`repro.obs.profile.Profiler.snapshot` from a
     separate instrumented pass.  It is attached *after* the run id is
     computed: profile timings are wall-clock noise by nature and must not
     churn the content hash of the actual measurements.

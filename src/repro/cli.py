@@ -91,13 +91,14 @@ def cmd_telemetry(args) -> int:
     handle = network.establish_eer(SRC, DST, mbps(10))
     for _ in range(args.packets):
         network.send(SRC, handle, b"telemetry workload")
-    snapshot = network.telemetry()
     if args.format == "prometheus":
-        from repro.util.observability import render_metrics
+        from repro.obs.metrics import MetricsRegistry
 
-        print(render_metrics(snapshot), end="")
+        registry = MetricsRegistry()
+        network.export_telemetry(registry)
+        print(registry.render(), end="")
     else:
-        print(json.dumps(snapshot, indent=2))
+        print(json.dumps(network.telemetry(), indent=2))
     return 0
 
 
@@ -119,9 +120,7 @@ def cmd_trace(args) -> int:
     else:
         print(obs.tracer.render_tree())
     if args.metrics:
-        from repro.util.observability import render_metrics
-
-        print(render_metrics(network.telemetry(), registry=obs.metrics), end="")
+        print(obs.metrics.render(), end="")
     return 0
 
 
@@ -131,18 +130,13 @@ def _trace_distributed(args) -> int:
     context, and the streams stitch into one forest
     (docs/observability.md §9)."""
     from repro.dataplane.shards import ShardExecutor
-    from repro.obs.distributed import (
-        TraceContext,
-        merge_traces,
-        render_span_forest,
-        spans_jsonl,
-    )
-    from repro.obs.trace import TraceCollector
+    from repro.obs.distributed import TraceContext, merge_traces
+    from repro.obs.trace import TraceCollector, render_span_forest, spans_jsonl
     from repro.util.clock import SimClock
 
     tracer = TraceCollector(SimClock(0.0), seed=args.seed)
     span = tracer.start("fig6.sharded_run")
-    context = TraceContext.from_span(span, seed=args.seed)
+    context = TraceContext.from_span(span)
     executor = ShardExecutor(
         "router", reservations=64, packets=args.packets or 256, batch=64,
         seed=args.seed, obs_seed=args.seed, trace=context,

@@ -33,7 +33,6 @@ committed — before re-raising.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -147,40 +146,9 @@ class EerHandle:
     granted: float
 
 
-def _workflow(name: str) -> Callable:
-    """Trace an initiator-side admission workflow and observe its
-    wall-clock duration into ``admission_latency_seconds`` (§6.1 measures
-    setup latency end to end, so the timer covers the whole path walk,
-    retries and backoff included).  No-ops unless ``self.obs`` is set."""
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(self, *args, **kwargs):
-            obs = self.obs
-            if obs is None:
-                return fn(self, *args, **kwargs)
-            span = obs.tracer.start(name, {"initiator": str(self.isd_as)})
-            begin = obs.perf.now()
-            try:
-                result = fn(self, *args, **kwargs)
-            except BaseException as error:
-                obs.metrics.histogram("admission_latency_seconds").observe(
-                    obs.perf.now() - begin
-                )
-                obs.tracer.finish(
-                    span, status="error", error=type(error).__name__
-                )
-                raise
-            obs.metrics.histogram("admission_latency_seconds").observe(
-                obs.perf.now() - begin
-            )
-            obs.tracer.finish(span)
-            return result
-
-        wrapper.__wrapped__ = fn
-        return wrapper
-
-    return decorate
+def _initiator(self, *args, **kwargs) -> dict:
+    """Span attributes of the initiator-side admission workflows."""
+    return {"initiator": str(self.isd_as)}
 
 
 class ColibriService:
@@ -312,7 +280,7 @@ class ColibriService:
 
     # ================================================================== SegRs ==
 
-    @_workflow("seg.setup")
+    @traced("seg.setup", attrs=_initiator, latency="admission_latency_seconds")
     def setup_segment(
         self,
         segment: Segment,
@@ -475,7 +443,7 @@ class ColibriService:
 
     # -- renewal and activation (§4.2, §4.4) ----------------------------------------
 
-    @_workflow("seg.renewal")
+    @traced("seg.renewal", attrs=_initiator, latency="admission_latency_seconds")
     def renew_segment(
         self,
         reservation_id: ReservationId,
@@ -733,7 +701,7 @@ class ColibriService:
 
     # ================================================================== EERs ==
 
-    @_workflow("eer.setup")
+    @traced("eer.setup", attrs=_initiator, latency="admission_latency_seconds")
     def setup_eer(
         self,
         destination: IsdAs,
@@ -1047,7 +1015,7 @@ class ColibriService:
             # registered, not the (possibly larger) requested amount.
             self.eer_admission.distributor.release_key(eer_id)
 
-    @_workflow("eer.renewal")
+    @traced("eer.renewal", attrs=_initiator, latency="admission_latency_seconds")
     def renew_eer(self, handle: EerHandle, new_bandwidth: float = None) -> EerHandle:
         """Renew an own EER ahead of expiry (§4.2); returns the updated
         handle with the new version installed at the gateway."""

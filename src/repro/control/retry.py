@@ -45,8 +45,7 @@ from repro.constants import (
     RETRY_MULTIPLIER,
 )
 from repro.errors import CircuitOpen, RetriesExhausted, TransportError
-from repro.obs.distributed import TraceContext
-from repro.obs.events import BREAKER_TRANSITION
+from repro.obs.events import BREAKER_TRANSITION, emit
 from repro.topology.addresses import IsdAs
 from repro.util.clock import Clock
 
@@ -139,7 +138,7 @@ class CircuitBreaker:
         self._opened_at: Optional[float] = None
         self.fast_failures = 0
         #: Called as ``observer(old_state, new_state)`` on every state
-        #: change; the retry layer points it at the trace collector.
+        #: change; the retry layer points it at the event journal.
         self.observer: Optional[Callable[[str, str], None]] = None
 
     def _transition(self, new_state: str) -> None:
@@ -232,7 +231,7 @@ class RetryingCaller:
         #: Optional :class:`repro.obs.ObsContext`; when set, each logical
         #: call records a ``retry.call`` span (attempt count attached),
         #: observes the ``retry_attempts`` histogram, and breaker state
-        #: changes become ``breaker.transition`` events.
+        #: changes become ``BreakerTransition`` journal events.
         self.obs = None
 
     def breaker(self, isd_as: IsdAs) -> CircuitBreaker:
@@ -246,19 +245,15 @@ class RetryingCaller:
         return breaker
 
     def _breaker_transition(self, isd_as: IsdAs, old: str, new: str) -> None:
-        obs = self.obs
-        if obs is not None:
-            obs.tracer.event(
-                "breaker.transition", dest=str(isd_as), old=old, new=new
+        if self.obs is not None:
+            emit(
+                self.obs,
+                BREAKER_TRANSITION,
+                isd_as=str(self.source),
+                dest=str(isd_as),
+                old=old,
+                new=new,
             )
-            if obs.journal is not None:
-                obs.journal.record(
-                    BREAKER_TRANSITION,
-                    isd_as=str(self.source),
-                    dest=str(isd_as),
-                    old=old,
-                    new=new,
-                )
 
     def open_breakers(self) -> int:
         """Breakers currently not CLOSED — feeds the
@@ -274,14 +269,13 @@ class RetryingCaller:
         if obs is None:
             return self._call(isd_as, method, args, kwargs)
         tracer = obs.tracer
+        # One span per *logical* call: every attempt's ``bus.call`` span
+        # opens under it, so a retried fan-out is one tree, not one per
+        # attempt.
         span = tracer.start("retry.call", {"method": method, "dest": str(isd_as)})
-        # One context per *logical* call, derived from the retry.call
-        # span: every attempt frames the same parent, so a retried
-        # fan-out stitches into one tree instead of one per attempt.
-        trace = TraceContext.from_span(span) if span is not None else None
         attempts_before = self.stats.attempts
         try:
-            result = self._call(isd_as, method, args, kwargs, trace=trace)
+            result = self._call(isd_as, method, args, kwargs)
         except BaseException as error:
             attempts = self.stats.attempts - attempts_before
             obs.metrics.histogram("retry_attempts").observe(attempts)
@@ -303,7 +297,6 @@ class RetryingCaller:
         method: str,
         args: tuple,
         kwargs: dict,
-        trace: Optional[TraceContext] = None,
     ):
         policy = self.policies.for_method(method)
         breaker = self.breaker(isd_as)
@@ -325,7 +318,6 @@ class RetryingCaller:
                     *args,
                     caller=self.source,
                     timeout=policy.timeout,
-                    trace=trace,
                     **kwargs,
                 )
             except (RetriesExhausted, CircuitOpen):

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import CallTimeout, ColibriError, TransportError, Unreachable
-from repro.obs.distributed import TraceContext
 from repro.topology.addresses import IsdAs
 
 __all__ = ["FaultInjector", "LinkFaults", "MessageBus", "Unreachable"]
@@ -144,11 +143,6 @@ class MessageBus:
         #: Optional :class:`repro.obs.trace.TraceCollector`; when set,
         #: every call records a ``bus.call`` span (errored on raise).
         self.tracer = None
-        #: Trace contexts framing in-flight calls, innermost last — the
-        #: RPC equivalent of a propagation header.  Handlers (and
-        #: anything they fan out to, e.g. shard specs) read the
-        #: innermost via :meth:`current_trace`.
-        self._trace_frames: list = []
         #: Virtual time spent inside calls (injected latency only); the
         #: bus never touches the wall clock (§6.1 disregards propagation
         #: delay — injected latency exists purely to exercise budgets).
@@ -167,14 +161,6 @@ class MessageBus:
         """Attach (or clear) the failure plan driving this bus."""
         self.faults = faults
 
-    def current_trace(self) -> Optional[TraceContext]:
-        """The :class:`~repro.obs.distributed.TraceContext` framing the
-        in-flight call, or ``None`` outside any traced call.  This is
-        the bus's propagation header: a handler that fans work out
-        across a process boundary (shard specs, nested buses) forwards
-        it so the remote spans graft onto the caller's trace."""
-        return self._trace_frames[-1] if self._trace_frames else None
-
     def call(
         self,
         isd_as: IsdAs,
@@ -182,7 +168,6 @@ class MessageBus:
         *args,
         caller: Optional[IsdAs] = None,
         timeout: Optional[float] = None,
-        trace: Optional[TraceContext] = None,
         **kwargs,
     ):
         """Invoke ``method`` on the service of ``isd_as``.
@@ -193,36 +178,19 @@ class MessageBus:
         call raises :class:`CallTimeout` *after* the handler ran, i.e.
         the response was too late, not the request.
 
-        ``trace`` is a framing field, not a handler argument: the bus
-        consumes it (never forwarding it into ``kwargs``) and exposes it
-        to the handler via :meth:`current_trace`.  When omitted and the
-        tracer is armed, the call's own ``bus.call`` span becomes the
-        propagated context — so downstream work parents correctly even
-        when no caller threaded a context explicitly.
+        With a tracer armed the call is one ``bus.call`` span; whatever
+        the handler opens nests under it through the collector's span
+        stack, so downstream work parents correctly with nothing
+        threaded through the call.
         """
         tracer = self.tracer
-        if tracer is None and trace is None:
+        if tracer is None:
             return self._call(isd_as, method, args, caller, timeout, kwargs)
-        span = None
-        if tracer is not None:
-            attributes = {"method": method, "dest": str(isd_as)}
-            if caller is not None:
-                attributes["caller"] = str(caller)
-            span = tracer.start("bus.call", attributes)
-            if trace is None and span is not None:
-                trace = TraceContext.from_span(span)
-        self._trace_frames.append(trace)
-        try:
-            result = self._call(isd_as, method, args, caller, timeout, kwargs)
-        except BaseException as error:
-            if tracer is not None:
-                tracer.finish(span, status="error", error=type(error).__name__)
-            raise
-        finally:
-            self._trace_frames.pop()
-        if tracer is not None:
-            tracer.finish(span)
-        return result
+        attributes = {"method": method, "dest": str(isd_as)}
+        if caller is not None:
+            attributes["caller"] = str(caller)
+        with tracer.span("bus.call", **attributes):
+            return self._call(isd_as, method, args, caller, timeout, kwargs)
 
     def _call(
         self,

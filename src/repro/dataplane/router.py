@@ -96,7 +96,7 @@ del _verdict
 # expiry, freshness, and the blocklist *before* the HVF (steps 1-2 vs. 3),
 # so those drops — and DROP_BAD_HVF itself — judge attacker-controlled
 # header bytes: forensic tooling must not attribute them to the claimed
-# reservation as established fact (see sim/tracing).
+# reservation as established fact (see obs/forensics).
 for _verdict in Verdict:
     _verdict.identity_verified = _verdict not in (
         Verdict.DROP_EXPIRED,
@@ -198,7 +198,7 @@ class BorderRouter:
                     return True
                 # Stale or poisoned hint: fall through to the stateless
                 # path, which is authoritative.
-                cache.counters.bump("rejected_hints")
+                cache.rejected_hints += 1
         return self._recompute(
             res_info, packet.eer_info, ingress, egress, message, hvf, now
         )
@@ -427,7 +427,7 @@ class BorderRouter:
             if entry is not None:
                 if entry.verify(message, tag):
                     return True
-                cache.counters.bump("rejected_hints")
+                cache.rejected_hints += 1
         # Cold half: parse the packet out of the arena only here, where
         # the MAC recompute already dominates the copy.
         packet = ColibriPacket.from_bytes(view.materialize())

@@ -110,7 +110,7 @@ class ShardSpec:
     #: and the result queue carrying nothing but the outcome tuple.
     obs_seed: Optional[int] = None
     #: Propagated caller context: the worker's root span grafts onto
-    #: this trace, and its sampling decision gates span collection.
+    #: this trace.
     trace: Optional[TraceContext] = None
 
 
@@ -158,8 +158,8 @@ class ShardRunResult:
         """Per-shard counters plus their merged ``total``, in the same
         ``{entity: {counter: value}}`` shape as
         :meth:`~repro.sim.scenario.ColibriNetwork.telemetry`, so
-        :func:`repro.util.observability.render_metrics` ingests it
-        directly."""
+        :meth:`repro.obs.metrics.MetricsRegistry.family_source` exports
+        it directly."""
         snapshot = {
             f"shard-{outcome.shard_index}": dict(outcome.counters)
             for outcome in self.shards
@@ -363,31 +363,23 @@ def _observed_pass(spec: ShardSpec, loop, snapshot, clock):
     Returns ``(outcome, frames)``.  The capture is rebuilt per
     submission — the deterministic ``obs_seed + shard_index`` seeding
     and the workload's injected clock make a same-seed run's frames
-    byte-identical.  Span collection honors the propagated sampling
-    decision; metrics and journal events are always captured (they are
-    the accounting record, not a sample).
+    byte-identical.
     """
     if spec.obs_seed is None:
         return _timed_pass(spec, loop, snapshot), []
-    seed = spec.obs_seed + spec.shard_index
-    tracer = None
-    if spec.trace is None or spec.trace.sampled:
-        tracer = TraceCollector(clock, seed=seed)
-        if spec.trace is not None:
-            tracer.adopt(spec.trace.trace_id, spec.trace.span_id)
+    tracer = TraceCollector(clock, seed=spec.obs_seed + spec.shard_index)
+    if spec.trace is not None:
+        tracer.adopt(spec.trace.trace_id, spec.trace.span_id)
     registry = MetricsRegistry()
     journal = EventJournal(clock)
-    root = loop_span = None
-    if tracer is not None:
-        root = tracer.start(
-            "shard.run",
-            {"component": spec.component, "shard": spec.shard_index},
-        )
-        loop_span = tracer.start("shard.loop")
+    root = tracer.start(
+        "shard.run",
+        {"component": spec.component, "shard": spec.shard_index},
+    )
+    loop_span = tracer.start("shard.loop")
     outcome = _timed_pass(spec, loop, snapshot)
-    if tracer is not None:
-        tracer.finish(loop_span, packets=outcome.packets)
-        tracer.finish(root)
+    tracer.finish(loop_span, packets=outcome.packets)
+    tracer.finish(root)
     registry.counter(
         "shard_passes_total", help_text="Timed passes run by this worker"
     ).inc()

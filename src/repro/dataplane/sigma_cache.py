@@ -24,8 +24,8 @@ The cache key is ``(ResId bytes, version, DRKey epoch)``:
 * capacity is bounded (LRU) so a busy router holds soft state only for
   the working set, the same argument the paper makes for DRKey itself.
 
-Hit/miss/eviction counts surface through
-:class:`repro.util.metrics.Counters` and the telemetry snapshot.
+Hit/miss/eviction/rejected-hint counts are plain attributes, surfaced
+through :meth:`SigmaCache.snapshot` and the telemetry snapshot.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Optional
 from repro.crypto import native
 from repro.crypto.mac import constant_time_equal
 from repro.crypto.prf import prf_context
-from repro.util.metrics import Counters
 
 #: Default entry bound.  One entry is a σ plus a prehashed MAC state
 #: (~300 B in CPython), so the default costs a few tens of MB at worst —
@@ -76,15 +75,16 @@ class SigmaEntry:
 class SigmaCache:
     """LRU map ``(ResId, version, epoch) -> SigmaEntry`` with counters."""
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_SIGMA_CACHE_CAPACITY,
-        counters: Optional[Counters] = None,
-    ):
+    def __init__(self, capacity: int = DEFAULT_SIGMA_CACHE_CAPACITY):
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.counters = counters if counters is not None else Counters("sigma_cache")
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        #: Hits whose σ failed to verify the packet (bumped by the router,
+        #: which then falls through to the stateless recompute).
+        self.rejected_hints = 0
         self._entries: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
@@ -94,10 +94,10 @@ class SigmaCache:
         """The entry for ``key``, refreshed as most-recently used."""
         entry = self._entries.get(key)
         if entry is None:
-            self.counters.bump("misses")
+            self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.counters.bump("hits")
+        self.hits += 1
         return entry
 
     def lookup(
@@ -117,10 +117,10 @@ class SigmaCache:
             key = (reservation_packed, version, epoch - 1)
             entry = entries.get(key)
             if entry is None:
-                self.counters.bump("misses")
+                self.misses += 1
                 return None
         entries.move_to_end(key)
-        self.counters.bump("hits")
+        self.hits += 1
         return entry
 
     def store(self, key: tuple, sigma: bytes) -> SigmaEntry:
@@ -130,7 +130,7 @@ class SigmaCache:
         self._entries.move_to_end(key)
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.counters.bump("evictions")
+            self.evictions += 1
         return entry
 
     def invalidate(self, reservation_packed: bytes) -> int:
@@ -148,8 +148,16 @@ class SigmaCache:
         self._entries.clear()
 
     def snapshot(self) -> dict:
-        """Counter values plus the current size, for telemetry."""
-        values = self.counters.snapshot()
-        prefix = self.counters.prefix or "sigma_cache"
-        values[f"{prefix}_entries"] = len(self._entries)
+        """The counters that have moved plus the current size, for
+        telemetry (a counter still at zero is omitted)."""
+        counts = {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "rejected_hints": self.rejected_hints,
+        }
+        values = {
+            f"sigma_cache_{name}": count for name, count in counts.items() if count
+        }
+        values["sigma_cache_entries"] = len(self._entries)
         return values

@@ -1,29 +1,29 @@
-"""Cross-layer observability: trace spans, metrics, profiling hooks.
+"""The telemetry spine: one registry, one event stream, one span stack.
 
 The paper evaluates Colibri by *measuring* it — admission latency
 percentiles (§6.1), per-hop processing cost (Fig. 5), monitor/OFD
-behaviour under attack (§7.1) — so the reproduction needs first-class
-instrumentation an operator (and the test suite) can assert on:
+behaviour under attack (§7.1) — so the reproduction carries first-class
+instrumentation an operator (and the test suite) can assert on.  There
+is one of each kind, behind :class:`ObsContext`:
 
-* :mod:`repro.obs.trace` — propagated trace spans over the control plane
-  (bus calls, retries, breaker transitions, admission decisions,
-  renewals, dissemination) and the data plane (gateway stamp, per-hop
-  router verdicts), recorded by a seeded, injected-clock
-  :class:`~repro.obs.trace.TraceCollector` with JSON-lines export and a
-  query API;
-* :mod:`repro.obs.metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  with counters, gauges, and fixed-bucket histograms, rendered in the
-  Prometheus exposition format next to the flat telemetry counters;
-* :mod:`repro.obs.profile` — a zero-cost-when-disabled ``@profiled``
-  timer over the hot paths, feeding the ``BENCH_*.json`` writers;
-* :mod:`repro.obs.events` — a bounded, typed
-  :class:`~repro.obs.events.EventJournal` (flight recorder) both planes
-  emit structured events into;
-* :mod:`repro.obs.slo` — SLO specs and a multi-window burn-rate
-  :class:`~repro.obs.slo.AlertEngine` over registry snapshots;
-* :mod:`repro.obs.forensics` — journal-backed
-  :class:`~repro.obs.forensics.OveruseEvidence` records for §5
-  complaints, with a verifier.
+* ``metrics`` — *how much*: the :class:`~repro.obs.metrics.MetricsRegistry`,
+  the only store an exporter reads and the only Prometheus renderer.
+  The flat per-AS telemetry counters are exported through it as one
+  labelled family source, not mirrored into it;
+* ``journal`` — *what happened and why*: the bounded, typed
+  :class:`~repro.obs.events.EventJournal`.  Router verdicts, admission
+  decisions and state transitions (breaker flips, sweeps) are events and
+  nothing else;
+* ``tracer`` — *how long*: the seeded, injected-clock
+  :class:`~repro.obs.trace.TraceCollector`.  Spans only; a span finds
+  its parent through the collector's span stack.
+
+Beside them, :mod:`repro.obs.profile` is the one hot-path timer (a
+``@profiled`` wrapper that costs one global read when idle);
+:mod:`repro.obs.slo` evaluates burn-rate alerts over registry snapshots,
+:mod:`repro.obs.forensics` joins journal events into §5 complaint
+evidence, and :mod:`repro.obs.distributed` carries all three sinks
+across the shard executor's process boundary.
 
 Everything is deterministic (seeded span IDs, injected clocks) and
 disabled by default: an un-instrumented run takes the exact same fast
@@ -36,64 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.obs.distributed import (
-    MergedTelemetry,
-    TelemetryFrame,
-    TelemetryGapError,
-    TraceContext,
-    assemble_frames,
-    frames_from,
-    merge_frames,
-    merge_traces,
-    render_span_forest,
-)
-from repro.obs.events import EventJournal, emit
+from repro.obs.events import EventJournal
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_RETRY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import (
-    Profiler,
-    active_profiler,
-    install_profiler,
-    profiled,
-    profiling,
-    uninstall_profiler,
-)
-from repro.obs.trace import Span, TraceCollector, traced
+from repro.obs.trace import TraceCollector
 from repro.util.clock import Clock, PerfClock
 
-__all__ = [
-    "Counter",
-    "EventJournal",
-    "Gauge",
-    "Histogram",
-    "MergedTelemetry",
-    "MetricsRegistry",
-    "ObsContext",
-    "Profiler",
-    "Span",
-    "TelemetryFrame",
-    "TelemetryGapError",
-    "TraceCollector",
-    "TraceContext",
-    "active_profiler",
-    "assemble_frames",
-    "emit",
-    "frames_from",
-    "install_profiler",
-    "merge_frames",
-    "merge_traces",
-    "profiled",
-    "profiling",
-    "render_span_forest",
-    "traced",
-    "uninstall_profiler",
-]
+__all__ = ["EventJournal", "MetricsRegistry", "ObsContext", "TraceCollector"]
 
 
 @dataclass
@@ -125,7 +77,6 @@ class ObsContext:
         clock: Clock,
         seed: int = 0,
         perf: Optional[Clock] = None,
-        trace_capacity: int = 100_000,
         journal: bool = False,
         journal_capacity: int = 65_536,
     ) -> "ObsContext":
@@ -141,7 +92,7 @@ class ObsContext:
             help_text="Bus attempts consumed per logical control-plane call",
         )
         return cls(
-            tracer=TraceCollector(clock, seed=seed, capacity=trace_capacity),
+            tracer=TraceCollector(clock, seed=seed),
             metrics=metrics,
             perf=perf if perf is not None else PerfClock(),
             journal=(

@@ -11,13 +11,12 @@ a worker's spans, events and histograms die with the worker.
 This module supplies the two halves of the Dapper-style answer:
 
 * **Propagation** — :class:`TraceContext` is the compact, picklable
-  (trace_id, parent span_id, sampling decision) triple carried as a
-  framing field in :meth:`~repro.control.rpc.MessageBus.call` and in
-  :class:`~repro.dataplane.shards.ShardSpec`.  A receiver hands it to
-  :meth:`TraceCollector.adopt`, so its root spans graft onto the
-  caller's trace with correct parentage.  The sampling decision is a
-  seeded hash over the trace ID — every participant derives the same
-  verdict without coordination.
+  (trace_id, parent span_id) pair carried in
+  :class:`~repro.dataplane.shards.ShardSpec`, the one real process
+  boundary.  A receiver hands it to :meth:`TraceCollector.adopt`, so its
+  root spans graft onto the caller's trace with correct parentage.
+  (Inside one process the collector's span stack is the only
+  propagation: a span opened under another is its child.)
 * **Collection** — workers package their private collectors into
   bounded, sequence-numbered :class:`TelemetryFrame` chunks
   (:func:`frames_from`) and ship them over the existing result queues.
@@ -31,15 +30,13 @@ This module supplies the two halves of the Dapper-style answer:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ColibriError
-from repro.obs.events import Event, merge_events
+from repro.obs.events import Event, events_jsonl, merge_events
 from repro.obs.metrics import MetricsRegistry, merge_registries
-from repro.obs.trace import STATUS_ERROR, Span
+from repro.obs.trace import Span
 
 #: Spans + events per frame.  Small enough that a frame is one cheap
 #: queue message, large enough that a typical shard pass fits in one.
@@ -54,55 +51,19 @@ class TelemetryGapError(ColibriError):
 # -- trace context ------------------------------------------------------------
 
 
-def sampling_decision(trace_id: str, seed: int = 0, one_in: int = 1) -> bool:
-    """Deterministic head-sampling verdict for a trace.
-
-    Hashes ``(seed, trace_id)`` with unkeyed BLAKE2s — no entropy, no
-    coordination: every process that sees the same context derives the
-    same verdict.  ``one_in`` is the sampling ratio (one trace in N);
-    ``one_in <= 1`` samples always.
-    """
-    if one_in <= 1:
-        return True
-    digest = hashlib.blake2s(
-        f"{seed}:{trace_id}".encode("ascii"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") % one_in == 0
-
-
 @dataclass(frozen=True)
 class TraceContext:
-    """The propagated third of a span: enough for a remote party to
+    """The propagated part of a span: enough for a remote party to
     continue the trace, nothing more.  Frozen and scalar-only, so it is
-    picklable (shard specs), hashable (spec cache keys) and has a
-    stable one-line wire form (RPC framing)."""
+    picklable (shard specs) and hashable (spec cache keys)."""
 
     trace_id: str
     span_id: str
-    sampled: bool = True
 
     @classmethod
-    def from_span(
-        cls, span: Span, seed: int = 0, one_in: int = 1
-    ) -> "TraceContext":
+    def from_span(cls, span: Span) -> "TraceContext":
         """Context a callee should adopt to become ``span``'s child."""
-        return cls(
-            trace_id=span.trace_id,
-            span_id=span.span_id,
-            sampled=sampling_decision(span.trace_id, seed=seed, one_in=one_in),
-        )
-
-    def to_wire(self) -> str:
-        """``"<trace_id>-<span_id>-<sampled>"`` — the framing-field
-        encoding (documented in docs/observability.md)."""
-        return f"{self.trace_id}-{self.span_id}-{int(self.sampled)}"
-
-    @classmethod
-    def from_wire(cls, text: str) -> "TraceContext":
-        parts = text.split("-")
-        if len(parts) != 3 or parts[2] not in ("0", "1"):
-            raise ValueError(f"malformed trace context {text!r}")
-        return cls(parts[0], parts[1], parts[2] == "1")
+        return cls(trace_id=span.trace_id, span_id=span.span_id)
 
 
 # -- telemetry frames ---------------------------------------------------------
@@ -126,18 +87,6 @@ class TelemetryFrame:
     events: Tuple[dict, ...] = ()
     metrics: Optional[dict] = None
     last: bool = False
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TelemetryFrame):
-            return NotImplemented
-        return (
-            self.worker_id == other.worker_id
-            and self.seq == other.seq
-            and self.spans == other.spans
-            and self.events == other.events
-            and self.metrics == other.metrics
-            and self.last == other.last
-        )
 
 
 def frames_from(
@@ -268,10 +217,7 @@ class MergedTelemetry:
     def events_jsonl(self) -> str:
         """Worker events in the journal interchange form, identity
         order — byte-identical across same-seed runs."""
-        return "".join(
-            json.dumps(event.to_dict(), sort_keys=True) + "\n"
-            for event in self.events
-        )
+        return events_jsonl(self.events)
 
 
 def merge_frames(
@@ -318,49 +264,3 @@ def merge_traces(
     for worker_id in sorted(worker_spans):
         merged.extend(worker_spans[worker_id])
     return merged
-
-
-def render_span_forest(spans: Sequence[Span]) -> str:
-    """Render a merged span list as a tree, in the same format as
-    :meth:`TraceCollector.render_tree`.
-
-    Unlike the collector's renderer this one understands *adopted*
-    spans: a span whose parent id references a span in the list is
-    indented under it even if it was recorded by a different process;
-    a span whose parent is absent entirely renders as a root.
-    """
-    known = {span.span_id for span in spans}
-    by_parent: Dict[Optional[str], List[Span]] = {}
-    roots: List[Span] = []
-    for span in spans:
-        if span.parent_id is None or span.parent_id not in known:
-            roots.append(span)
-        else:
-            by_parent.setdefault(span.parent_id, []).append(span)
-    lines: List[str] = []
-
-    def walk(span: Span, depth: int) -> None:
-        mark = "!" if span.status == STATUS_ERROR else "."
-        attrs = " ".join(
-            f"{key}={span.attributes[key]}" for key in sorted(span.attributes)
-        )
-        duration = f"{span.duration * 1e3:9.3f}ms" if span.closed else "     open"
-        lines.append(
-            f"{duration} {mark} {'  ' * depth}{span.name}"
-            + (f" [{attrs}]" if attrs else "")
-        )
-        for child in by_parent.get(span.span_id, []):
-            walk(child, depth + 1)
-
-    for root in roots:
-        walk(root, 0)
-    return "\n".join(lines)
-
-
-def spans_jsonl(spans: Sequence[Span]) -> str:
-    """Span-list interchange form, mirroring
-    :meth:`TraceCollector.export_jsonl` for merged cross-process
-    traces."""
-    return "".join(
-        json.dumps(span.to_dict(), sort_keys=True) + "\n" for span in spans
-    )

@@ -19,6 +19,7 @@ import json
 from collections import deque
 from typing import Iterable, List, Optional
 
+from repro.errors import ColibriError
 from repro.util.clock import Clock
 
 # -- event types --------------------------------------------------------------
@@ -59,6 +60,12 @@ EVENT_TYPES = frozenset(
 _SCALARS = (str, int, float, bool, type(None))
 
 
+class JournalFormatError(ColibriError):
+    """An imported journal export is not what :func:`events_jsonl`
+    writes: bad JSON, a missing field, an unknown event type, or a
+    non-scalar attribute."""
+
+
 class Event:
     """One journal entry: ``(seq, time, type, attrs)``."""
 
@@ -80,7 +87,23 @@ class Event:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Event":
-        return cls(data["seq"], data["time"], data["type"], data["attrs"])
+        """Rebuild an event from :meth:`to_dict` output.  An export is a
+        file carried between machines, so the input is checked like any
+        outside input: :class:`JournalFormatError` unless it has the four
+        fields, a known type and scalar attributes."""
+        if not isinstance(data, dict):
+            raise JournalFormatError(f"event is not an object: {data!r}")
+        missing = [key for key in ("seq", "time", "type", "attrs") if key not in data]
+        if missing:
+            raise JournalFormatError(f"event lacks {', '.join(missing)}")
+        if data["type"] not in EVENT_TYPES:
+            raise JournalFormatError(f"unknown event type {data['type']!r}")
+        attrs = data["attrs"]
+        if not isinstance(attrs, dict) or not all(
+            isinstance(value, _SCALARS) for value in attrs.values()
+        ):
+            raise JournalFormatError(f"event attrs are not scalars: {attrs!r}")
+        return cls(data["seq"], data["time"], data["type"], attrs)
 
     def identity(self) -> tuple:
         """Order- and shard-independent identity: what happened and when,
@@ -135,13 +158,17 @@ class EventJournal:
                     f"event attribute {key}={value!r} is not a JSON scalar"
                 )
         event = Event(self._seq, self.clock.now(), event_type, attrs)
-        self._seq += 1
+        self._append(event)
+        return event
+
+    def _append(self, event: Event) -> None:
+        """Enter ``event`` into the ring — recorded or imported alike."""
         if len(self._events) == self.capacity:
             self.dropped_events += 1
         self._events.append(event)
         self.total_events += 1
-        self._type_totals[event_type] += 1
-        return event
+        self._type_totals[event.type] += 1
+        self._seq = max(self._seq, event.seq + 1)
 
     # -- queries --------------------------------------------------------------
 
@@ -176,18 +203,6 @@ class EventJournal:
             result.append(event)
         return result
 
-    def by_type(self, event_type: str) -> List[Event]:
-        return self.query(event_type=event_type)
-
-    def by_reservation(self, reservation: str) -> List[Event]:
-        return self.query(reservation=reservation)
-
-    def by_as(self, isd_as: str) -> List[Event]:
-        return self.query(isd_as=isd_as)
-
-    def in_window(self, start: float, end: float) -> List[Event]:
-        return self.query(start=start, end=end)
-
     def count_by_type(self) -> dict:
         """Retained-event histogram, keyed by type, sorted by key."""
         counts: dict = {}
@@ -220,10 +235,7 @@ class EventJournal:
     def export_jsonl(self) -> str:
         """One JSON object per retained event, oldest first — byte
         identical across same-seed runs (``sort_keys``, injected clock)."""
-        return "".join(
-            json.dumps(event.to_dict(), sort_keys=True) + "\n"
-            for event in self._events
-        )
+        return events_jsonl(self._events)
 
     @classmethod
     def import_jsonl(
@@ -234,22 +246,31 @@ class EventJournal:
         consulted for events recorded *after* the import."""
         journal = cls(clock, capacity=capacity)
         for event in parse_jsonl(text):
-            if len(journal._events) == journal.capacity:
-                journal.dropped_events += 1
-            journal._events.append(event)
-            journal.total_events += 1
-            journal._type_totals[event.type] += 1
-            journal._seq = max(journal._seq, event.seq + 1)
+            journal._append(event)
         return journal
 
 
+def events_jsonl(events: Iterable[Event]) -> str:
+    """The journal interchange form: one sorted-key JSON object per
+    event, in the order given."""
+    return "".join(
+        json.dumps(event.to_dict(), sort_keys=True) + "\n" for event in events
+    )
+
+
 def parse_jsonl(text: str) -> List[Event]:
-    """Parse an :meth:`EventJournal.export_jsonl` export into events."""
-    return [
-        Event.from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    """Parse an :func:`events_jsonl` export into events; a line that is
+    not one raises :class:`JournalFormatError` naming its 1-based
+    number."""
+    events = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            events.append(Event.from_dict(json.loads(line)))
+        except (json.JSONDecodeError, JournalFormatError) as error:
+            raise JournalFormatError(f"journal line {number}: {error}") from error
+    return events
 
 
 def merge_events(*streams: Iterable[Event]) -> List[Event]:

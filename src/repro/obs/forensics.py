@@ -9,9 +9,11 @@ artifact an operator exports and attaches to a complaint — and supplies
 :func:`verify_evidence`, the receiving side's re-check of every claim
 against the journal.
 
-Evidentiary discipline follows :mod:`repro.sim.tracing`: only drops
-whose claimed identity was **cryptographically verified** before the
-verdict (``Verdict.identity_verified``) may serve as sample packets.
+Evidentiary discipline — "claimed vs. authenticated identity": a
+``VerdictDropped`` event always names the reservation the packet header
+*claimed*, and only drops whose claimed identity was **cryptographically
+verified** before the verdict (``Verdict.identity_verified``, journalled
+as ``identity_verified``) may serve as sample packets.
 Overuse drops qualify — the §4.6 pipeline authenticates the HVF before
 policing — while a forged packet dies earlier as ``drop_bad_hvf`` and is
 rejected as evidence (the attacker replayed header bytes naming the
@@ -89,7 +91,7 @@ class EvidenceBuilder:
         """Flow labels with at least one confirmed-overuse event,
         discovery order, deduplicated."""
         seen: dict = {}
-        for event in self.journal.by_type(MONITOR_CONFIRMED_OVERUSE):
+        for event in self.journal.query(MONITOR_CONFIRMED_OVERUSE):
             seen.setdefault(event.attrs["flow"], None)
         return list(seen)
 
@@ -103,7 +105,7 @@ class EvidenceBuilder:
         """
         confirmations = [
             event
-            for event in self.journal.by_type(MONITOR_CONFIRMED_OVERUSE)
+            for event in self.journal.query(MONITOR_CONFIRMED_OVERUSE)
             if event.attrs["flow"] == flow
         ]
         if not confirmations:
@@ -116,7 +118,7 @@ class EvidenceBuilder:
         drops = self._verified_drops(flow, window_start, window_end)
         ofd_events = [
             event
-            for event in self.journal.by_type(OFD_FLAGGED)
+            for event in self.journal.query(OFD_FLAGGED)
             if event.attrs["flow"] == flow
         ]
         reservation = confirmation.attrs.get("reservation", "")
@@ -165,7 +167,7 @@ class EvidenceBuilder:
         ``window_end``)."""
         return [
             event
-            for event in self.journal.by_type(VERDICT_DROPPED)
+            for event in self.journal.query(VERDICT_DROPPED)
             if event.attrs.get("flow") == flow
             and event.attrs.get("verdict") == "drop_overuse"
             and event.attrs.get("identity_verified")
@@ -189,7 +191,7 @@ def verify_evidence(
 
     confirmations = [
         event
-        for event in journal.by_type(MONITOR_CONFIRMED_OVERUSE)
+        for event in journal.query(MONITOR_CONFIRMED_OVERUSE)
         if event.attrs["flow"] == evidence.flow
         and event.time == evidence.confirmed_at
     ]
@@ -233,7 +235,7 @@ def verify_evidence(
             f"evidence claims {evidence.dropped_bytes}"
         )
 
-    by_seq = {event.seq: event for event in journal.by_type(VERDICT_DROPPED)}
+    by_seq = {event.seq: event for event in journal.query(VERDICT_DROPPED)}
     for sample in evidence.sample_packets:
         event = by_seq.get(sample["seq"])
         if event is None:
@@ -264,7 +266,7 @@ def verify_evidence(
     ofd_max = max(
         (
             int(event.attrs.get("hits", 0))
-            for event in journal.by_type(OFD_FLAGGED)
+            for event in journal.query(OFD_FLAGGED)
             if event.attrs["flow"] == evidence.flow
         ),
         default=0,

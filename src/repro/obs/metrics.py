@@ -1,14 +1,18 @@
-"""Histogram/gauge/counter instruments and their exposition rendering.
+"""The metrics registry: the one store an exporter reads, and the one
+exposition renderer.
 
-The flat :class:`repro.util.metrics.Counters` stay the workhorse for
-per-component event counts; this module adds the instrument types the
-paper's evaluation needs and that counters cannot express — latency
-*distributions* (admission percentiles, §6.1) and point-in-time *levels*
-(token-bucket occupancy, σ-cache fill).  Instruments render in the
-Prometheus exposition format alongside the counter samples produced by
-:func:`repro.util.observability.render_metrics`; histograms follow the
-standard ``_bucket{le=…}/_sum/_count`` encoding with cumulative,
-monotone bucket counts.
+Instruments cover what the paper's evaluation measures — latency
+*distributions* (admission percentiles, §6.1), point-in-time *levels*
+(token-bucket occupancy, σ-cache fill) and event counts.  Components
+that already keep plain per-entity counters (the per-AS
+:meth:`~repro.sim.scenario.ColibriNetwork.telemetry` snapshot, the shard
+executor's per-shard counters) are not copied in: the registry exports
+such a snapshot as labelled gauge families through
+:meth:`MetricsRegistry.family_source`, reading it once per
+:meth:`~MetricsRegistry.state` or :meth:`~MetricsRegistry.render`.
+Everything renders in the Prometheus exposition format; histograms
+follow the standard ``_bucket{le=…}/_sum/_count`` encoding with
+cumulative, monotone bucket counts.
 
 Registries from the shard executor's per-process stacks merge
 associatively (:meth:`MetricsRegistry.merge`): counters and histogram
@@ -44,9 +48,6 @@ DEFAULT_LATENCY_BUCKETS = (
 #: below 8, so the top finite bucket catches policy changes.
 DEFAULT_RETRY_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 
-#: Occupancy ratios (0..1) for token buckets and caches.
-DEFAULT_RATIO_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
-
 
 def _validate_name(name: str) -> str:
     if not name or not all(c.isalnum() or c == "_" for c in name):
@@ -57,7 +58,7 @@ def _validate_name(name: str) -> str:
 
 
 class Counter:
-    """Monotone event count (registry-level sibling of ``Counters``)."""
+    """Monotone event count."""
 
     kind = "counter"
     __slots__ = ("name", "help_text", "value")
@@ -212,6 +213,7 @@ class MetricsRegistry:
     def __init__(self, prefix: str = "colibri"):
         self.prefix = prefix
         self._instruments: dict = {}
+        self._sources: list = []  # (snapshot_fn, help_texts)
 
     def _get_or_create(self, cls, name: str, **kwargs):
         existing = self._instruments.get(name)
@@ -258,6 +260,30 @@ class MetricsRegistry:
             help_text=help_text,
         )
 
+    def family_source(
+        self, snapshot_fn: Callable[[], dict], help_texts: Optional[dict] = None
+    ) -> None:
+        """Export a flat ``{entity: {name: value}}`` snapshot — the
+        :meth:`~repro.sim.scenario.ColibriNetwork.telemetry` shape — as
+        gauge families: one family per name, one ``isd_as``-labelled
+        sample per entity, the ``"total"`` entity unlabelled.
+
+        ``snapshot_fn`` is called once per :meth:`state` and once per
+        :meth:`render`, however many names and entities it reports; the
+        ``"total"`` values are what :meth:`state` (and so the SLO engine)
+        sees.  Names without an entry in ``help_texts`` get a generic
+        HELP line, so new counters flow through unannounced."""
+        self._sources.append((snapshot_fn, help_texts or {}))
+
+    def _source_families(self):
+        """``(name, help, snapshot)`` per exported name of every source,
+        from one snapshot per source."""
+        for snapshot_fn, help_texts in self._sources:
+            snapshot = snapshot_fn()
+            names = {name for entry in snapshot.values() for name in entry}
+            for name in sorted(names):
+                yield name, help_texts.get(name, f"Colibri counter {name}"), snapshot
+
     def instruments(self) -> list:
         return [self._instruments[name] for name in sorted(self._instruments)]
 
@@ -289,8 +315,16 @@ class MetricsRegistry:
 
     def state(self) -> dict:
         """Picklable snapshot for crossing process boundaries (callback
-        gauges are frozen to their current reading)."""
+        gauges and family-source totals are frozen to their current
+        reading)."""
         out = {}
+        for name, help_text, snapshot in self._source_families():
+            if name in snapshot["total"]:
+                out[name] = {
+                    "kind": "gauge",
+                    "help": help_text,
+                    "value": float(snapshot["total"][name]),
+                }
         for name, inst in self._instruments.items():
             if isinstance(inst, Histogram):
                 out[name] = {
@@ -330,21 +364,34 @@ class MetricsRegistry:
 
     # -- exposition -----------------------------------------------------------
 
-    def render(self, exclude: frozenset = frozenset()) -> str:
-        """Exposition-format text for every instrument, name-sorted.
-        ``render_metrics(telemetry, registry=…)`` appends this block to
-        the counter samples so one scrape covers both layers; it passes
-        the telemetry-derived names as ``exclude`` so instruments
-        mirrored from the flat counters are not reported twice."""
+    def render(self) -> str:
+        """Exposition-format text for every family — instruments and
+        family sources alike — name-sorted, each family exactly once."""
+        families = {
+            inst.name: (inst.kind, inst.help_text, inst.samples(self.prefix))
+            for inst in self._instruments.values()
+        }
+        for name, help_text, snapshot in self._source_families():
+            if name in families:
+                raise ValueError(f"metric family {name!r} exported twice")
+            samples = [
+                (
+                    f"{self.prefix}_{name}",
+                    "" if entity == "total" else f'{{isd_as="{entity}"}}',
+                    snapshot[entity][name],
+                )
+                for entity in sorted(snapshot)
+                if name in snapshot[entity]
+            ]
+            families[name] = ("gauge", help_text, samples)
         lines: list = []
-        for inst in self.instruments():
-            if inst.name in exclude:
-                continue
-            full = f"{self.prefix}_{inst.name}"
-            if inst.help_text:
-                lines.append(f"# HELP {full} {inst.help_text}")
-            lines.append(f"# TYPE {full} {inst.kind}")
-            for sample_name, labels, value in inst.samples(self.prefix):
+        for name in sorted(families):
+            kind, help_text, samples = families[name]
+            full = f"{self.prefix}_{name}"
+            if help_text:
+                lines.append(f"# HELP {full} {help_text}")
+            lines.append(f"# TYPE {full} {kind}")
+            for sample_name, labels, value in samples:
                 lines.append(f"{sample_name}{labels} {_format_value(value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 

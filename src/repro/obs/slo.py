@@ -25,9 +25,10 @@ modes:
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.obs.events import EVENT_TYPES, Event
 from repro.obs.metrics import MetricsRegistry
@@ -362,21 +363,24 @@ def event_counter_name(event_type: str) -> str:
     return f"events_{snake_case(event_type)}_total"
 
 
-def register_journal_gauges(registry: MetricsRegistry, journal) -> None:
-    """Expose a live journal's cumulative per-type event counts (and the
-    overall total) as monotone callback gauges, one per event type."""
+def register_journal_gauges(
+    registry: MetricsRegistry,
+    total_count: Callable[[str], int],
+    total_events: Callable[[], int],
+) -> None:
+    """Expose cumulative per-type event counts (and the overall total)
+    as monotone callback gauges, one per event type.  Live, the readers
+    are a journal's :meth:`~repro.obs.events.EventJournal.total_count`
+    and ``total_events``; offline, :func:`registry_from_events` passes a
+    recount of an exported stream — one gauge set either way."""
     for event_type in sorted(EVENT_TYPES):
-        gauge = registry.gauge(
+        registry.gauge(
             event_counter_name(event_type),
             help_text=f"Journal events of type {event_type} recorded",
-        )
-        gauge.set_function(
-            lambda event_type=event_type: journal.total_count(event_type)
-        )
-    total = registry.gauge(
+        ).set_function(functools.partial(total_count, event_type))
+    registry.gauge(
         "events_total", help_text="Journal events recorded (all types)"
-    )
-    total.set_function(lambda: journal.total_events)
+    ).set_function(total_events)
 
 
 def registry_from_events(
@@ -386,22 +390,14 @@ def registry_from_events(
     stream, as of time ``upto``.  Exact equivalence with the live gauges
     holds as long as the journal did not wrap its ring buffer (evicted
     events cannot be recounted — the export is the retention boundary)."""
-    registry = MetricsRegistry()
     counts = {event_type: 0 for event_type in EVENT_TYPES}
-    total = 0
     for event in events:
-        if upto is not None and event.time > upto:
-            continue
-        counts[event.type] += 1
-        total += 1
-    for event_type in sorted(EVENT_TYPES):
-        registry.gauge(
-            event_counter_name(event_type),
-            help_text=f"Journal events of type {event_type} recorded",
-        ).set(counts[event_type])
-    registry.gauge(
-        "events_total", help_text="Journal events recorded (all types)"
-    ).set(total)
+        if upto is None or event.time <= upto:
+            counts[event.type] += 1
+    registry = MetricsRegistry()
+    register_journal_gauges(
+        registry, counts.__getitem__, lambda: sum(counts.values())
+    )
     return registry
 
 

@@ -12,9 +12,13 @@ span under the same ``retry.call`` parent, same trace ID).
 
 Determinism: span and trace IDs come from one ``random.Random(seed)``
 and timestamps from the injected clock, so a seeded scenario produces a
-byte-identical span tree on every run.  The collector is bounded like
-:class:`~repro.sim.tracing.PacketTracer`; overflow drops new spans and
-counts them rather than growing without bound.
+byte-identical span tree on every run.  The collector is bounded;
+overflow drops new spans and counts them rather than growing without
+bound.
+
+Spans record *how long*; what happened — verdicts, decisions, state
+transitions such as a circuit-breaker flip — is a journal event
+(:mod:`repro.obs.events`), never a zero-duration span.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import functools
 import json
 import random
 from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.util.clock import Clock
 
@@ -119,11 +123,6 @@ class TraceCollector:
         caller's trace across the process boundary."""
         self._remote_parent = (trace_id, span_id)
 
-    def current_span(self) -> Optional[Span]:
-        """The innermost open span — what a propagated context should
-        name as the remote parent — or ``None`` outside any span."""
-        return self._stack[-1] if self._stack else None
-
     def start(self, name: str, attributes: Optional[dict] = None) -> Optional[Span]:
         """Open a span as a child of the innermost open span (or of the
         adopted remote parent, or a new trace root).  Returns ``None``
@@ -180,13 +179,6 @@ class TraceCollector:
             raise
         self.finish(span)
 
-    def event(self, name: str, **attributes) -> Optional[Span]:
-        """A zero-duration span: state transitions (circuit breaker
-        flips, monitor confirmations) that have no extent of their own."""
-        span = self.start(name, attributes or None)
-        self.finish(span)
-        return span
-
     # -- queries --------------------------------------------------------------
 
     def spans(
@@ -241,36 +233,13 @@ class TraceCollector:
     def export_jsonl(self) -> str:
         """One JSON object per span, start order — the interchange form
         (``colibri-repro trace --format jsonl``)."""
-        return "".join(
-            json.dumps(span.to_dict(), sort_keys=True) + "\n"
-            for span in self._spans
-        )
+        return spans_jsonl(self._spans)
 
     def render_tree(self, trace_id: Optional[str] = None) -> str:
         """Human-readable span forest (one trace, or all of them)."""
-        lines: list = []
-        by_parent: dict = {}
-        for span in self._spans:
-            if trace_id is not None and span.trace_id != trace_id:
-                continue
-            by_parent.setdefault(span.parent_id, []).append(span)
-
-        def walk(span: Span, depth: int) -> None:
-            mark = "!" if span.status == STATUS_ERROR else "."
-            attrs = " ".join(
-                f"{key}={span.attributes[key]}" for key in sorted(span.attributes)
-            )
-            duration = f"{span.duration * 1e3:9.3f}ms" if span.closed else "     open"
-            lines.append(
-                f"{duration} {mark} {'  ' * depth}{span.name}"
-                + (f" [{attrs}]" if attrs else "")
-            )
-            for child in by_parent.get(span.span_id, []):
-                walk(child, depth + 1)
-
-        for root in by_parent.get(None, []):
-            walk(root, 0)
-        return "\n".join(lines)
+        return render_span_forest(
+            [s for s in self._spans if trace_id is None or s.trace_id == trace_id]
+        )
 
     def clear(self) -> None:
         self._spans.clear()
@@ -281,7 +250,53 @@ class TraceCollector:
         return len(self._spans)
 
 
-def traced(name: str, attrs: Optional[Callable] = None) -> Callable:
+def spans_jsonl(spans: Sequence[Span]) -> str:
+    """The span interchange form: one sorted-key JSON object per span,
+    in the order given (a collector's spans, or a merged cross-process
+    list from :func:`~repro.obs.distributed.merge_traces`)."""
+    return "".join(
+        json.dumps(span.to_dict(), sort_keys=True) + "\n" for span in spans
+    )
+
+
+def render_span_forest(spans: Sequence[Span]) -> str:
+    """Render a span list as an indented forest.
+
+    A span whose parent id names a span in the list is indented under it
+    even if another process recorded it (an adopted remote parent); one
+    whose parent is absent from the list renders as a root.
+    """
+    known = {span.span_id for span in spans}
+    by_parent: dict = {}
+    roots: list = []
+    for span in spans:
+        if span.parent_id is None or span.parent_id not in known:
+            roots.append(span)
+        else:
+            by_parent.setdefault(span.parent_id, []).append(span)
+    lines: list = []
+
+    def walk(span: Span, depth: int) -> None:
+        mark = "!" if span.status == STATUS_ERROR else "."
+        attrs = " ".join(
+            f"{key}={span.attributes[key]}" for key in sorted(span.attributes)
+        )
+        duration = f"{span.duration * 1e3:9.3f}ms" if span.closed else "     open"
+        lines.append(
+            f"{duration} {mark} {'  ' * depth}{span.name}"
+            + (f" [{attrs}]" if attrs else "")
+        )
+        for child in by_parent.get(span.span_id, []):
+            walk(child, depth + 1)
+
+    for root in roots:
+        walk(root, 0)
+    return "\n".join(lines)
+
+
+def traced(
+    name: str, attrs: Optional[Callable] = None, latency: Optional[str] = None
+) -> Callable:
     """Method decorator: span ``name`` around the call when the owning
     object carries an enabled ``obs`` context; a plain call otherwise.
 
@@ -289,6 +304,12 @@ def traced(name: str, attrs: Optional[Callable] = None) -> Callable:
     span's attribute dict.  Responses exposing ``success``/``granted``
     (the admission response shape) annotate the span automatically, so
     admission outcomes are queryable without per-site code.
+
+    ``latency`` names a registry histogram that additionally observes the
+    call's wall duration on :attr:`ObsContext.perf`, raised or returned
+    (§6.1 measures setup latency end to end, so around an initiator-side
+    workflow the timer covers the whole path walk, retries and backoff
+    included).
     """
 
     def decorate(fn: Callable) -> Callable:
@@ -297,24 +318,20 @@ def traced(name: str, attrs: Optional[Callable] = None) -> Callable:
             obs = getattr(self, "obs", None)
             if obs is None:
                 return fn(self, *args, **kwargs)
-            tracer = obs.tracer
-            span = tracer.start(
-                name, attrs(self, *args, **kwargs) if attrs is not None else None
-            )
+            begin = obs.perf.now() if latency is not None else None
+            attributes = attrs(self, *args, **kwargs) if attrs is not None else {}
             try:
-                result = fn(self, *args, **kwargs)
-            except BaseException as error:
-                tracer.finish(span, status=STATUS_ERROR, error=type(error).__name__)
-                raise
-            extra = {}
-            success = getattr(result, "success", None)
-            if success is not None:
-                extra["success"] = success
-            granted = getattr(result, "granted", None)
-            if granted is not None:
-                extra["granted"] = granted
-            tracer.finish(span, **extra)
-            return result
+                with obs.tracer.span(name, **attributes) as span:
+                    result = fn(self, *args, **kwargs)
+                    if span is not None:
+                        for key in ("success", "granted"):
+                            value = getattr(result, key, None)
+                            if value is not None:
+                                span.attributes[key] = value
+                    return result
+            finally:
+                if latency is not None:
+                    obs.metrics.histogram(latency).observe(obs.perf.now() - begin)
 
         wrapper.__wrapped__ = fn
         return wrapper

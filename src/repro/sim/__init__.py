@@ -19,7 +19,6 @@ from repro.sim.events import Event, EventLoop
 from repro.sim.netsim import AtHop, LinkSim, PortSim
 from repro.sim.pipeline import HopPort, LatencyReport, PathPipeline
 from repro.sim.scenario import ColibriNetwork
-from repro.sim.tracing import PacketTracer, TraceEvent
 from repro.sim.workload import EerWorkload, WorkloadStats
 from repro.sim.traffic import (
     BestEffortSource,
@@ -44,8 +43,6 @@ __all__ = [
     "ReservationSource",
     "EerWorkload",
     "WorkloadStats",
-    "PacketTracer",
-    "TraceEvent",
     "CampaignSpec",
     "CampaignRunner",
     "CampaignResult",

@@ -652,7 +652,7 @@ class CampaignRunner:
                 "campaign.shard_soak",
                 {"component": soak.component, "shards": soak.shards},
             )
-            ctx = TraceContext.from_span(span, seed=self.spec.seed)
+            ctx = TraceContext.from_span(span)
         executor = ShardExecutor(
             soak.component,
             reservations=soak.reservations,

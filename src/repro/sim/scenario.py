@@ -35,7 +35,6 @@ from repro.dataplane.router import BorderRouter, RouterResult, Verdict
 from repro.errors import ColibriError
 from repro.obs import ObsContext
 from repro.obs.slo import AlertEngine, default_slos, register_journal_gauges
-from repro.util.observability import register_telemetry_gauges
 from repro.packets.colibri import ColibriPacket
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.topology.beaconing import Beaconing
@@ -44,6 +43,22 @@ from repro.topology.paths import PathLookup
 from repro.util.clock import Clock, SimClock, SkewedClock
 
 DEFAULT_MASTER_SEED = b"colibri-repro-master-seed"
+
+#: HELP text of the :meth:`ColibriNetwork.telemetry` counters as the
+#: registry exports them (keys not listed get a generic line).
+TELEMETRY_HELP = {
+    "segments": "Segment reservations stored at the AS",
+    "eers": "End-to-end reservations stored at the AS",
+    "seg_decisions": "SegR admission decisions taken",
+    "eer_decisions": "EER admission decisions taken",
+    "gateway_sent": "Packets stamped and sent by the gateway",
+    "gateway_dropped": "Packets dropped at the gateway (monitoring/expiry)",
+    "router_drops": "Packets dropped by the border router",
+    "router_forwarded": "Packets forwarded or delivered by the border router",
+    "blocked_sources": "Source ASes currently on the policing blocklist",
+    "offenses": "Confirmed overuse offenses reported to the CServ",
+    "sigma_cache_entries": "Live HopAuth entries in the border-router sigma cache",
+}
 
 
 @dataclass
@@ -101,9 +116,6 @@ class ColibriNetwork:
         self.directory = KeyServerDirectory(self.clock)
         self.beaconing = Beaconing(topology)
         self.path_lookup = PathLookup(self.beaconing)
-        #: Optional :class:`~repro.sim.tracing.PacketTracer`; when set,
-        #: every router decision in :meth:`forward` is recorded.
-        self.tracer = None
         #: Optional :class:`repro.obs.ObsContext` shared by every stack;
         #: attach with :meth:`enable_observability`.
         self.obs = None
@@ -162,7 +174,6 @@ class ColibriNetwork:
     def enable_observability(
         self,
         seed: int = 0,
-        trace_capacity: int = 100_000,
         journal: bool = False,
         journal_capacity: int = 65_536,
         slos: bool = False,
@@ -171,11 +182,12 @@ class ColibriNetwork:
         """Attach one :class:`~repro.obs.ObsContext` across every layer.
 
         Wires the trace collector into the bus (``bus.call`` spans),
-        every CServ (admission workflows and handlers, retries, breaker
-        transitions, dissemination), and this network's data-plane walk
+        every CServ (admission workflows and handlers, retries,
+        dissemination), and this network's data-plane walk
         (``packet.send`` → ``gateway.stamp`` → per-hop ``router.hop``
         spans).  Also registers the callback gauges over live data-plane
-        state: σ-cache fill and token-bucket occupancy.  Span IDs come
+        state (token-bucket occupancy, open breakers, OFD suspects) and
+        exports the :meth:`telemetry` counters through the registry.  Span IDs come
         from ``seed`` and timestamps from the shared simulation clock, so
         a seeded scenario produces a byte-identical trace every run.
 
@@ -197,7 +209,6 @@ class ColibriNetwork:
             self.clock,
             seed=seed,
             perf=perf,
-            trace_capacity=trace_capacity,
             journal=journal,
             journal_capacity=journal_capacity,
         )
@@ -215,17 +226,13 @@ class ColibriNetwork:
                 policer.obs = obs
                 policer.isd_as = label
         obs.metrics.gauge(
-            "sigma_cache_entries",
-            help_text="Live HopAuth entries across all border-router sigma caches",
-        ).set_function(self._sigma_cache_entries)
-        obs.metrics.gauge(
             "token_bucket_occupancy",
             help_text="Mean fill ratio of watched token buckets, all monitors",
         ).set_function(self._token_bucket_occupancy)
-        # Mirror the flat telemetry counters (router_drops, gateway_sent,
-        # sigma_cache_*, …) into the registry so the SLO engine sees the
-        # management plane too; render_metrics de-duplicates the scrape.
-        register_telemetry_gauges(obs.metrics, self.telemetry)
+        # The flat telemetry counters (router_drops, gateway_sent,
+        # sigma_cache_*, …) reach the SLO engine and the scrape through
+        # the registry too: one snapshot per state()/render().
+        self.export_telemetry(obs.metrics)
         obs.metrics.gauge(
             "router_processed_total",
             help_text="Packets processed across all border routers (drops + forwarded)",
@@ -246,20 +253,19 @@ class ColibriNetwork:
             "ofd_hits_total",
             help_text="Cumulative flagged-flow observations across all OFDs",
         ).set_function(self._ofd_hits)
-        if obs.journal is not None:
-            register_journal_gauges(obs.metrics, obs.journal)
+        journal = obs.journal
+        if journal is not None:
+            register_journal_gauges(
+                obs.metrics, journal.total_count, lambda: journal.total_events
+            )
         if slos:
             obs.alerts = AlertEngine(default_slos()).watch(obs.metrics, self.clock)
         return obs
 
-    def _sigma_cache_entries(self) -> float:
-        return float(
-            sum(
-                len(stack.router.sigma_cache)
-                for stack in self._stacks.values()
-                if stack.router.sigma_cache is not None
-            )
-        )
+    def export_telemetry(self, registry) -> None:
+        """Export :meth:`telemetry` through ``registry`` as per-AS
+        labelled gauge families (the Prometheus view of the snapshot)."""
+        registry.family_source(self.telemetry, TELEMETRY_HELP)
 
     def _token_bucket_occupancy(self) -> float:
         monitors = [stack.gateway.monitor for stack in self._stacks.values()]
@@ -417,10 +423,6 @@ class ColibriNetwork:
             if obs is not None:
                 obs.tracer.finish(span, verdict=result.verdict.value)
             verdicts.append((isd_as, result.verdict))
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.clock.now(), isd_as, result.verdict, packet
-                )
             if result.verdict is Verdict.FORWARD:
                 continue
             delivered = result.verdict in (

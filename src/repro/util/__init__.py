@@ -1,7 +1,6 @@
 """Utility substrates: clocks, bandwidth units, ID sequences."""
 
 from repro.util.clock import Clock, PerfClock, SimClock, SkewedClock, WallClock
-from repro.util.metrics import Counters
 from repro.util.sequence import SequenceAllocator
 from repro.util.units import (
     GBPS,
@@ -21,7 +20,6 @@ __all__ = [
     "SimClock",
     "SkewedClock",
     "WallClock",
-    "Counters",
     "SequenceAllocator",
     "GBPS",
     "MBPS",

@@ -1,51 +1,12 @@
-"""Small statistics helpers used across tests and benchmarks, plus the
-named-counter primitive the data-plane fast paths report through."""
+"""Small statistics helpers used across tests and benchmarks."""
 
 from __future__ import annotations
 
 import math
 
 
-class Counters:
-    """Named monotonic counters for soft-state components.
-
-    The σ-cache (docs/performance.md) and similar accelerators report
-    hit/miss/eviction counts through one of these; the snapshot feeds
-    :func:`repro.util.observability.render_metrics` via
-    :meth:`~repro.sim.scenario.ColibriNetwork.telemetry`.  Deliberately
-    minimal — a dict with a bump method — so incrementing stays cheap
-    enough for per-packet paths.
-
-    >>> c = Counters("sigma_cache")
-    >>> c.bump("hits"); c.bump("hits"); c.bump("misses")
-    >>> c.snapshot()
-    {'sigma_cache_hits': 2, 'sigma_cache_misses': 1}
-    """
-
-    __slots__ = ("prefix", "_values")
-
-    def __init__(self, prefix: str = ""):
-        self.prefix = prefix
-        self._values: dict = {}
-
-    def bump(self, name: str, by: int = 1) -> None:
-        self._values[name] = self._values.get(name, 0) + by
-
-    def get(self, name: str) -> int:
-        return self._values.get(name, 0)
-
-    def reset(self) -> None:
-        self._values.clear()
-
-    def snapshot(self) -> dict:
-        """Counter values keyed ``<prefix>_<name>`` (or bare names)."""
-        if not self.prefix:
-            return dict(self._values)
-        return {f"{self.prefix}_{name}": value for name, value in self._values.items()}
-
-
 def merge_counters(snapshots: list) -> dict:
-    """Key-wise sum of counter snapshots (the ``Counters.snapshot`` /
+    """Key-wise sum of counter snapshots (the ``SigmaCache.snapshot`` /
     router ``stats`` shape): how the shard executor folds per-process
     telemetry back into one view.  Associative and commutative, so the
     merge order across shards cannot change the result."""

@@ -84,8 +84,8 @@ class TestSigmaCacheInvalidation:
         res_id, _ = install(gateway, mid_keys, clock, version=1)
         assert router.validate_only(arriving(gateway, res_id))
         assert router.validate_only(arriving(gateway, res_id))
-        assert cache.counters.get("hits") == 1
-        assert cache.counters.get("misses") == 1
+        assert cache.hits == 1
+        assert cache.misses == 1
 
         # Renewal: version 2 has a different ResInfo, hence different σs.
         install(gateway, mid_keys, clock, local_id=5, version=2)
@@ -93,7 +93,7 @@ class TestSigmaCacheInvalidation:
         assert packet.res_info.version == 2
         assert router.validate_only(packet)
         # The new version missed (fresh recompute), it did not reuse v1.
-        assert cache.counters.get("misses") == 2
+        assert cache.misses == 2
         assert len(cache) == 2
         epoch = int(clock.now() // DRKEY_VALIDITY)
         v1 = cache.get((res_id.packed, 1, epoch))
@@ -116,7 +116,7 @@ class TestSigmaCacheInvalidation:
         clock.advance(7.0)
         assert int(clock.now() // DRKEY_VALIDITY) == 1
         assert router.validate_only(arriving(gateway, res_id))
-        assert cache.counters.get("hits") == 1
+        assert cache.hits == 1
         assert len(cache) == 1  # no duplicate entry under the new epoch
 
     def test_epoch_rollover_cold_cache_recomputes_with_old_key(self):
@@ -131,7 +131,7 @@ class TestSigmaCacheInvalidation:
         clock.advance(7.0)
         assert router.validate_only(arriving(gateway, res_id))
         cache = router.sigma_cache
-        assert cache.counters.get("misses") == 1
+        assert cache.misses == 1
         # Stored under the minting epoch, addressable via the fallback.
         assert cache.get((res_id.packed, 1, 0)) is not None
 
@@ -153,7 +153,7 @@ class TestSigmaCacheInvalidation:
         # ...and an honest packet is still accepted (stateless fallback),
         # with the rejected hint counted and the entry healed.
         assert router.validate_only(arriving(gateway, res_id))
-        assert cache.counters.get("rejected_hints") >= 2
+        assert cache.rejected_hints >= 2
         honest = hop_authenticator(
             mid_keys.hop_key(clock.now()), res_info, EER, 2, 3
         )
@@ -170,7 +170,7 @@ class TestSigmaCacheInvalidation:
         for _ in range(4):
             assert router.validate_only(arriving(gateway, a))
             assert router.validate_only(arriving(gateway, b))
-        assert cache.counters.get("evictions") >= 6
+        assert cache.evictions >= 6
         assert len(cache) == 1
 
     def test_explicit_invalidate_drops_all_versions(self):
@@ -307,7 +307,7 @@ class TestBatchEquivalence:
                 )
             passes[cache] = rounds
             if cache:
-                assert router.sigma_cache.counters.get("hits") >= 23
+                assert router.sigma_cache.hits >= 23
         assert passes[True] == passes[False]
 
 

@@ -521,14 +521,14 @@ class TestCF003ObsGuard(unittest.TestCase):
         self.assertEqual([], hits(source, "CF003"))
 
     def test_trace_context_emit_guard_clean(self):
-        # The RPC-framing site: a guarded ternary over the tracer is a
-        # guard, and the produced context gates the frame emit.
+        # The bus.call site: a guarded ternary over the context is a
+        # guard, and the tracer it yields gates the span.
         source = """
             class Bus:
-                def call(self, method, trace=None):
+                def call(self, method):
                     tracer = self.obs.tracer if self.obs is not None else None
                     span = tracer.start("bus.call") if tracer is not None else None
-                    return self._dispatch(method, trace)
+                    return self._dispatch(method, span)
         """
         self.assertEqual([], hits(source, "CF003"))
 

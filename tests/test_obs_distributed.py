@@ -8,10 +8,10 @@ that threads them through both planes:
   replays, conflicting replays, truncated and gapped streams must
   produce a deterministic merged result or a typed
   :class:`TelemetryGapError`;
-* trace-context propagation over the RPC framing (``bus.call`` /
-  ``RetryingCaller``) and into forced-process shard workers, asserting
-  the exact stitched span tree and byte-identical merged artifacts
-  across same-seed runs;
+* span parentage across retried bus calls (the collector's span stack)
+  and trace-context propagation into forced-process shard workers,
+  asserting the exact stitched span tree and byte-identical merged
+  artifacts across same-seed runs;
 * the wire path under ``profiling()``: verdict/byte equivalence with
   the unprofiled run, and the plan / stamp / emit sites it records.
 """
@@ -38,14 +38,11 @@ from repro.obs.distributed import (
     frames_from,
     merge_frames,
     merge_traces,
-    render_span_forest,
-    sampling_decision,
-    spans_jsonl,
 )
 from repro.obs.events import SHARD_COMPLETED, EventJournal, merge_events
 from repro.obs.metrics import MetricsRegistry, merge_registries
 from repro.obs.profile import profiling
-from repro.obs.trace import TraceCollector
+from repro.obs.trace import TraceCollector, render_span_forest, spans_jsonl
 from repro.packets.colibri import ColibriPacket
 from repro.packets.fields import EerInfo, PathField, ResInfo
 from repro.packets.wire import PacketArena
@@ -67,47 +64,12 @@ EER = EerInfo(HostAddr(1), HostAddr(2))
 
 
 class TestTraceContext:
-    def test_wire_roundtrip(self):
-        ctx = TraceContext("a1b2c3", "d4e5", sampled=False)
-        assert TraceContext.from_wire(ctx.to_wire()) == ctx
-        assert ctx.to_wire() == "a1b2c3-d4e5-0"
-
-    @pytest.mark.parametrize(
-        "text", ["", "onlyone", "a-b", "a-b-c-d", "a-b-2", "a-b-yes"]
-    )
-    def test_malformed_wire_rejected(self, text):
-        with pytest.raises(ValueError):
-            TraceContext.from_wire(text)
-
     def test_from_span_names_the_span_as_parent(self):
         tracer = TraceCollector(SimClock(0.0), seed=5)
         span = tracer.start("root")
         ctx = TraceContext.from_span(span)
         assert ctx.trace_id == span.trace_id
         assert ctx.span_id == span.span_id
-        assert ctx.sampled is True
-
-    def test_sampling_decision_is_deterministic_and_seeded(self):
-        verdicts = [
-            sampling_decision(f"trace-{i}", seed=3, one_in=4)
-            for i in range(256)
-        ]
-        assert verdicts == [
-            sampling_decision(f"trace-{i}", seed=3, one_in=4)
-            for i in range(256)
-        ]
-        # A 1-in-4 head sample keeps *some* traces and drops others.
-        assert any(verdicts) and not all(verdicts)
-        # A different seed flips some verdicts (no accidental constants).
-        assert verdicts != [
-            sampling_decision(f"trace-{i}", seed=4, one_in=4)
-            for i in range(256)
-        ]
-
-    def test_one_in_one_samples_everything(self):
-        assert all(
-            sampling_decision(f"t{i}", seed=9, one_in=1) for i in range(32)
-        )
 
 
 # -- frame assembly under adversarial interleavings ----------------------------
@@ -272,88 +234,88 @@ class TestMergeDeterminism:
             )
 
 
-# -- RPC framing propagation ---------------------------------------------------
+# -- span parentage across retried bus calls -----------------------------------
 
 
-class Echo:
-    """A service that records the propagation header it was called under."""
-
-    def __init__(self, bus):
-        self.bus = bus
-        self.seen = []
-
-    def ping(self):
-        self.seen.append(self.bus.current_trace())
-        return "pong"
-
-
-class Flaky(Echo):
+class Flaky:
     """Fails with a retriable transport error on the first attempt."""
 
+    def __init__(self):
+        self.calls = 0
+
     def ping(self):
-        super().ping()
-        if len(self.seen) == 1:
+        self.calls += 1
+        if self.calls == 1:
             raise TransportError("first attempt drops")
         return "pong"
+
+
+class Nested:
+    """A service whose handler opens a span of its own."""
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+
+    def ping(self):
+        with self.tracer.span("handler.work"):
+            return "pong"
 
 
 class TestRpcPropagation:
     def test_bus_call_frames_a_context_from_its_span(self):
         bus = MessageBus()
         bus.tracer = TraceCollector(SimClock(0.0), seed=1)
-        service = Echo(bus)
-        bus.register(SRC, service)
-        assert bus.call(SRC, "ping") == "pong"
-        (ctx,) = service.seen
-        (span,) = bus.tracer.spans(name="bus.call")
-        assert ctx == TraceContext.from_span(span)
-        # Outside the call the framing stack is empty again.
-        assert bus.current_trace() is None
-
-    def test_explicit_context_wins_and_flows_without_a_tracer(self):
-        bus = MessageBus()
-        service = Echo(bus)
-        bus.register(SRC, service)
-        ctx = TraceContext("feed", "beef", sampled=True)
-        bus.call(SRC, "ping", trace=ctx)
-        assert service.seen == [ctx]
-        assert bus.current_trace() is None
+        bus.register(SRC, Nested(bus.tracer))
+        assert bus.call(SRC, "ping", caller=DST) == "pong"
+        (call,) = bus.tracer.spans(name="bus.call")
+        (work,) = bus.tracer.spans(name="handler.work")
+        # The open bus.call span is the handler's context: nothing is
+        # passed, the collector's span stack parents the handler's span.
+        assert (work.trace_id, work.parent_id) == (call.trace_id, call.span_id)
+        assert call.attributes == {
+            "method": "ping", "dest": str(SRC), "caller": str(DST),
+        }
+        # Outside the call the stack is empty again.
+        assert bus.tracer.open_spans() == []
+        assert bus.tracer.start("next").parent_id is None
 
     def test_untraced_call_frames_nothing(self):
-        bus = MessageBus()
-        service = Echo(bus)
-        bus.register(SRC, service)
-        bus.call(SRC, "ping")
-        assert service.seen == [None]
+        tracer = TraceCollector(SimClock(0.0), seed=1)
+        bus = MessageBus()  # no tracer armed
+        bus.register(SRC, Nested(tracer))
+        assert bus.call(SRC, "ping") == "pong"
+        # The bus recorded nothing and gave the handler no parent.
+        (work,) = tracer.spans()
+        assert work.name == "handler.work" and work.parent_id is None
 
     def test_retry_attempts_share_one_logical_context(self):
         clock = SimClock(0.0)
         bus = MessageBus()
-        service = Flaky(bus)
+        service = Flaky()
         bus.register(SRC, service)
         caller = RetryingCaller(bus, clock, DST)
         caller.obs = ObsContext.create(clock, seed=2)
         bus.tracer = caller.obs.tracer
         assert caller.call(SRC, "ping") == "pong"
-        assert len(service.seen) == 2
-        first, second = service.seen
-        assert first is not None and first == second
+        assert service.calls == 2
         (retry_span,) = caller.obs.tracer.spans(name="retry.call")
-        assert first == TraceContext.from_span(retry_span)
-        # Both bus.call attempt spans are children of the retry span.
+        # Both bus.call attempt spans are children of the one retry span,
+        # in its trace: the span stack is the only propagation there is.
         attempts = caller.obs.tracer.spans(name="bus.call")
         assert len(attempts) == 2
         assert {span.parent_id for span in attempts} == {retry_span.span_id}
+        assert {span.trace_id for span in attempts} == {retry_span.trace_id}
+        assert [span.status for span in attempts] == ["error", "ok"]
 
 
 # -- the stitched shard tree ---------------------------------------------------
 
 
-def sharded_run(seed: int, sampled: bool = True):
+def sharded_run(seed: int):
     """A fig6-style forced-process sharded run under a parent trace."""
     tracer = TraceCollector(SimClock(0.0), seed=seed)
     root = tracer.start("fig6.sharded_run")
-    ctx = TraceContext(root.trace_id, root.span_id, sampled=sampled)
+    ctx = TraceContext.from_span(root)
     executor = ShardExecutor(
         "router", reservations=64, packets=256, batch=64,
         obs_seed=seed, trace=ctx,
@@ -406,17 +368,6 @@ class TestStitchedShardTree:
         assert json.dumps(
             merged_a.registry.state(), sort_keys=True
         ) == json.dumps(merged_b.registry.state(), sort_keys=True)
-
-    def test_unsampled_context_skips_spans_not_accounting(self):
-        _, result = sharded_run(seed=9, sampled=False)
-        merged = result.merged_telemetry(expected_workers=[0, 1])
-        # Span collection honors the head-sampling decision...
-        assert all(not spans for spans in merged.spans.values())
-        # ...but the accounting record (journal + metrics) always ships.
-        completed = [e for e in merged.events if e.type == SHARD_COMPLETED]
-        assert {e.attrs["shard_index"] for e in completed} == {0, 1}
-        state = json.dumps(merged.registry.state())
-        assert "shard_packets_total" in state
 
     def test_obs_free_run_ships_no_frames(self):
         executor = ShardExecutor(

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.errors import ColibriError
 from repro.obs.events import (
     ADMISSION_DECIDED,
     BREAKER_TRANSITION,
@@ -13,6 +14,7 @@ from repro.obs.events import (
     OFD_FLAGGED,
     VERDICT_DROPPED,
     EventJournal,
+    JournalFormatError,
     emit,
     merge_events,
     parse_jsonl,
@@ -91,21 +93,21 @@ class TestQueryApi:
         self.journal.record(BREAKER_TRANSITION, isd_as="1-a")
 
     def test_by_type(self):
-        assert len(self.journal.by_type(VERDICT_DROPPED)) == 2
+        assert len(self.journal.query(VERDICT_DROPPED)) == 2
 
     def test_by_reservation(self):
-        events = self.journal.by_reservation("r1")
+        events = self.journal.query(reservation="r1")
         assert [event.type for event in events] == [
             ADMISSION_DECIDED,
             VERDICT_DROPPED,
         ]
 
     def test_by_as(self):
-        assert len(self.journal.by_as("2-b")) == 2
+        assert len(self.journal.query(isd_as="2-b")) == 2
 
     def test_window_is_half_open(self):
-        assert len(self.journal.in_window(1.0, 3.0)) == 2
-        assert len(self.journal.in_window(1.0, 3.0 + 1e-9)) == 3
+        assert len(self.journal.query(start=1.0, end=3.0)) == 2
+        assert len(self.journal.query(start=1.0, end=3.0 + 1e-9)) == 3
 
     def test_combined_filters(self):
         events = self.journal.query(
@@ -134,6 +136,37 @@ class TestExportImport:
         journal.record(ADMISSION_DECIDED, z="last", a="first")
         (line,) = journal.export_jsonl().splitlines()
         assert line == json.dumps(json.loads(line), sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "line, complaint",
+        [
+            (
+                '{"seq":0,"time":1.0,"type":"Bogus","attrs":{}}',
+                "unknown event type 'Bogus'",
+            ),
+            ('{"seq":0,"type":"StoreSwept","attrs":{}}', "lacks time"),
+            (
+                '{"seq":0,"time":1.0,"type":"StoreSwept","attrs":{"hops":[1]}}',
+                "not scalars",
+            ),
+        ],
+    )
+    def test_foreign_export_raises_typed_error_naming_the_line(
+        self, line, complaint
+    ):
+        """A journal export is a file carried between machines: a bad
+        line is a typed error that names it, never a bare KeyError."""
+        good = '{"attrs": {}, "seq": 0, "time": 1.0, "type": "StoreSwept"}'
+        text = f"{good}\n\n{line}\n"  # the bad line is line 3
+        for load in (
+            parse_jsonl,
+            lambda text: EventJournal.import_jsonl(text, SimClock(start=0.0)),
+        ):
+            with pytest.raises(
+                JournalFormatError, match=f"journal line 3: .*{complaint}"
+            ):
+                load(text)
+        assert issubclass(JournalFormatError, ColibriError)
 
 
 class TestScenarioDeterminism:

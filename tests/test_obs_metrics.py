@@ -10,8 +10,9 @@ Three invariant families, per the ISSUE checklist:
   property the shard executor's telemetry aggregation relies on;
 * **exposition round-trip** — the rendered text parses under a strict
   line grammar back into exactly the instrument states that produced
-  it, including the combined ``render_metrics(telemetry, registry=…)``
-  output.
+  it, including the family sources (the flat per-AS telemetry) and a
+  live network's whole scrape — every family exactly once, from one
+  telemetry snapshot.
 """
 
 import math
@@ -28,8 +29,11 @@ from repro.obs.metrics import (
     merge_registries,
 )
 from repro.obs.profile import Profiler, active_profiler, profiled, profiling
+from repro.sim import ColibriNetwork
+from repro.topology import build_line_topology, build_two_isd_topology
 from repro.util.clock import SimClock
 from repro.util.metrics import merge_counters
+from repro.util.units import gbps, mbps
 
 # ------------------------------------------------------------ line grammar --
 
@@ -51,7 +55,8 @@ _SAMPLE_RE = re.compile(
 def parse_exposition(text: str):
     """Strict parser: returns ``(types, samples)`` where ``samples`` maps
     ``(sample_name, labels_text)`` to float.  Raises on any line that
-    does not match the grammar, and on duplicate samples."""
+    does not match the grammar, on duplicate samples, and on a family
+    declared twice."""
     if not text.endswith("\n"):
         raise ValueError("exposition text must end with a newline")
     types = {}
@@ -65,6 +70,8 @@ def parse_exposition(text: str):
             match = _TYPE_RE.match(line)
             if not match:
                 raise ValueError(f"malformed TYPE line: {line!r}")
+            if match.group("name") in types:
+                raise ValueError(f"family declared twice: {line!r}")
             types[match.group("name")] = match.group("kind")
             continue
         match = _SAMPLE_RE.match(line)
@@ -281,8 +288,6 @@ class TestExpositionRoundTrip:
         )
 
     def test_combined_telemetry_and_registry_exposition(self):
-        from repro.util.observability import render_metrics
-
         registry = MetricsRegistry()
         registry.histogram("retry_attempts", buckets=DEFAULT_RETRY_BUCKETS).observe(2)
         registry.gauge("occupancy").set(0.5)
@@ -290,7 +295,8 @@ class TestExpositionRoundTrip:
             "1-ff00:0:1": {"segments": 2, "eers": 1},
             "total": {"segments": 2, "eers": 1},
         }
-        text = render_metrics(telemetry, registry=registry)
+        registry.family_source(lambda: telemetry, {"eers": "EERs stored"})
+        text = registry.render()
         types, samples = parse_exposition(text)
         assert samples[("colibri_segments", 'isd_as="1-ff00:0:1"')] == 2
         assert samples[("colibri_segments", "")] == 2
@@ -298,10 +304,52 @@ class TestExpositionRoundTrip:
         assert samples[("colibri_retry_attempts_bucket", 'le="+Inf"')] == 1
         assert samples[("colibri_occupancy", "")] == 0.5
         assert types["colibri_retry_attempts"] == "histogram"
-        # Without a registry the output is unchanged legacy exposition.
-        legacy = render_metrics(telemetry)
-        assert text.startswith(legacy)
-        parse_exposition(legacy)  # still grammar-clean
+        assert types["colibri_segments"] == "gauge"
+        assert "# HELP colibri_eers EERs stored\n" in text
+        # The snapshot's totals are what state() — and the SLO engine — sees.
+        assert registry.state()["segments"] == {
+            "kind": "gauge",
+            "help": "Colibri counter segments",
+            "value": 2.0,
+        }
+        # An instrument and a source may not both claim one family.
+        registry.gauge("eers")
+        with pytest.raises(ValueError, match="exported twice"):
+            registry.render()
+
+    @pytest.mark.parametrize(
+        "build", [build_two_isd_topology, lambda: build_line_topology(4)]
+    )
+    def test_live_scrape_is_one_walk_and_parses_whole(self, build, monkeypatch):
+        """One ``state()`` (what every ``AlertEngine.tick()`` takes) and
+        one scrape each walk the network's telemetry exactly once,
+        whatever the AS count; the whole scrape is grammar-clean with
+        every family declared once."""
+        walks = []
+        telemetry = ColibriNetwork.telemetry
+        monkeypatch.setattr(
+            ColibriNetwork,
+            "telemetry",
+            lambda self: walks.append(1) or telemetry(self),
+        )
+        net = ColibriNetwork(build())
+        obs = net.enable_observability(journal=True)
+        ases = sorted(net.ases(), key=str)
+        net.reserve_segments(ases[0], ases[-1], gbps(1))
+        net.send(ases[0], net.establish_eer(ases[0], ases[-1], mbps(10)), b"x")
+        del walks[:]
+        state = obs.metrics.state()
+        assert len(walks) == 1
+        text = obs.metrics.render()
+        assert len(walks) == 2
+        types, samples = parse_exposition(text)
+        total = net.telemetry()["total"]
+        for name, value in total.items():
+            assert types[f"colibri_{name}"] == "gauge"
+            assert samples[(f"colibri_{name}", "")] == value == state[name]["value"]
+        assert samples[("colibri_eers", f'isd_as="{ases[0]}"')] == 1
+        assert types["colibri_admission_latency_seconds"] == "histogram"
+        assert ("colibri_events_total", "") in samples
 
     def test_parser_rejects_malformed_lines(self):
         with pytest.raises(ValueError):

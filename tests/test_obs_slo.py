@@ -299,7 +299,7 @@ class TestEvidence:
         evidence = builder.build(builder.confirmed_flows()[0])
         forged_drop = next(
             event
-            for event in obs.journal.by_type(VERDICT_DROPPED)
+            for event in obs.journal.query(VERDICT_DROPPED)
             if event.attrs["verdict"] == "drop_bad_hvf"
         )
         assert not forged_drop.attrs["identity_verified"]

@@ -11,9 +11,11 @@ Covers the ISSUE checklist:
 * every started span is closed, including under injected faults;
 * trace IDs survive retries (failed attempts are sibling spans of the
   successful one, under the same logical-call parent);
-* circuit-breaker transitions appear as zero-duration events;
-* the PacketTracer identity fix: pre-authentication drops carry claimed
-  (not proven) identity and never pollute the victim's record.
+* circuit-breaker transitions are ``BreakerTransition`` journal events
+  (state changes live in the journal only, never as pseudo-spans);
+* the forensic identity rule over ``VerdictDropped`` events:
+  pre-authentication drops carry claimed (not proven) identity and never
+  pollute the victim's authenticated record.
 """
 
 import copy
@@ -25,6 +27,7 @@ from repro.control.retry import RetryingCaller
 from repro.control.rpc import FaultInjector, LinkFaults, Unreachable
 from repro.errors import CircuitOpen, RetriesExhausted
 from repro.obs import ObsContext
+from repro.obs.events import BREAKER_TRANSITION, VERDICT_DROPPED
 from repro.obs.trace import (
     STATUS_ERROR,
     STATUS_OK,
@@ -33,7 +36,6 @@ from repro.obs.trace import (
 )
 from repro.packets.fields import Timestamp
 from repro.sim import ColibriNetwork
-from repro.sim.tracing import PacketTracer
 from repro.topology import IsdAs, build_line_topology, build_two_isd_topology
 from repro.util.clock import SimClock
 from repro.util.units import gbps, mbps
@@ -89,17 +91,6 @@ class TestTraceCollector:
         assert span.attributes["error"] == "ValueError"
         assert span.closed
         assert tracer.open_spans() == []
-
-    def test_event_is_zero_duration(self):
-        clock, tracer = self.make()
-        with tracer.span("work"):
-            clock.advance(5.0)
-            tracer.event("milestone", detail="x")
-        (event,) = tracer.spans(name="milestone")
-        assert event.duration == 0.0
-        assert event.attributes["detail"] == "x"
-        (work,) = tracer.spans(name="work")
-        assert event.parent_id == work.span_id
 
     def test_critical_path_follows_latest_finisher(self):
         clock, tracer = self.make()
@@ -329,7 +320,7 @@ class TestBreakerTransitionEvents:
 
     def test_transitions_traced_through_breaker_cycle(self):
         clock = SimClock(start=0.0)
-        obs = ObsContext.create(clock)
+        obs = ObsContext.create(clock, journal=True)
         # All four attempts of the first logical call fail; the fourth
         # failure trips the breaker exactly as the retry budget runs out,
         # so the caller reports RetriesExhausted and leaves the circuit
@@ -346,31 +337,44 @@ class TestBreakerTransitionEvents:
             caller.call(DST, "handle_seg_setup")
         clock.advance(31.0)  # past reset_timeout: next call probes
         assert caller.call(DST, "handle_seg_setup") == "ok"
-        transitions = [
-            (e.attributes["old"], e.attributes["new"])
-            for e in obs.tracer.spans(name="breaker.transition")
-        ]
-        assert transitions == [
+        events = obs.journal.query(BREAKER_TRANSITION)
+        assert [(e.attrs["old"], e.attrs["new"]) for e in events] == [
             ("closed", "open"),
             ("open", "half-open"),
             ("half-open", "closed"),
         ]
-        # Events were recorded inside their logical-call spans.
-        for event in obs.tracer.spans(name="breaker.transition"):
-            assert event.parent_id is not None
+        assert {(e.attrs["isd_as"], e.attrs["dest"]) for e in events} == {
+            (str(SRC), str(DST))
+        }
+        # One fact, one record: the flips are not spans as well.
+        assert {s.name for s in obs.tracer.spans()} == {"retry.call"}
         assert obs.tracer.open_spans() == []
 
 
-# ------------------------------------- PacketTracer identity (regression) --
+# ---------------------------------- forensic identity (journal regression) --
 
 
 class TestPacketTracerIdentity:
+    """Drops are journal queries: every ``VerdictDropped`` event names
+    the reservation the header *claimed*; ``identity_verified`` says
+    whether the router had authenticated it before the verdict."""
+
     def make_traced_net(self):
         net = ColibriNetwork(build_two_isd_topology())
-        net.tracer = PacketTracer()
+        obs = net.enable_observability(journal=True)
         net.reserve_segments(SRC, DST, gbps(1))
         handle = net.establish_eer(SRC, DST, mbps(10))
-        return net, handle
+        return net, obs.journal, handle
+
+    @staticmethod
+    def drops(journal, handle, include_claimed=False):
+        return [
+            event
+            for event in journal.query(
+                VERDICT_DROPPED, reservation=str(handle.reservation_id)
+            )
+            if include_claimed or event.attrs["identity_verified"]
+        ]
 
     def forge_naming_victim(self, net, report):
         """A forged copy of a delivered packet: fresh timestamp, stale
@@ -385,45 +389,37 @@ class TestPacketTracerIdentity:
         return forged
 
     def test_forged_drop_not_attributed_to_victim(self):
-        net, handle = self.make_traced_net()
+        net, journal, handle = self.make_traced_net()
         report = net.send(SRC, handle, b"legit")
         assert report.delivered
-        legit = net.tracer.for_reservation(handle.reservation_id)
         forged_report = net.forward(self.forge_naming_victim(net, report))
         assert not forged_report.delivered
         assert forged_report.verdicts[-1][1].value == "drop_bad_hvf"
         # The victim's authenticated record is unchanged: the forgery's
         # claimed identity does not appear in it...
-        assert net.tracer.for_reservation(handle.reservation_id) == legit
+        assert self.drops(journal, handle) == []
         # ...but remains reachable as an explicit claimed-identity view.
-        claimed = net.tracer.for_reservation(
-            handle.reservation_id, include_claimed=True
-        )
-        assert len(claimed) == len(legit) + 1
-        (drop,) = net.tracer.claimed_drops()
-        assert drop.verdict.value == "drop_bad_hvf"
-        assert not drop.identity_verified
-        assert "res~=" in drop.render()
+        (drop,) = self.drops(journal, handle, include_claimed=True)
+        assert drop.attrs["verdict"] == "drop_bad_hvf"
+        assert drop.attrs["identity_verified"] is False
+        assert drop.attrs["isd_as"] == str(forged_report.dropped_at)
 
     def test_authenticated_drops_still_attributed(self):
-        net, handle = self.make_traced_net()
+        net, journal, handle = self.make_traced_net()
         victim_hop = handle.hops[3].isd_as
         net.router(victim_hop).blocklist.block(SRC)
         # Blocklist drops are pre-authentication too: the claimed view
         # shows them, the authenticated view does not.
         net.send(SRC, handle, b"will die")
-        assert net.tracer.claimed_drops()
-        journey = net.tracer.for_reservation(handle.reservation_id)
-        assert all(e.identity_verified for e in journey)
+        (blocked,) = self.drops(journal, handle, include_claimed=True)
+        assert blocked.attrs["verdict"] == "drop_blocked"
+        assert self.drops(journal, handle) == []
         # Post-authentication drops (duplicate) keep proven identity.
         report = net.send(SRC, handle, b"fresh")
         net.router(victim_hop).blocklist.unblock(SRC)
         replay = copy.deepcopy(report.packet)
         replay.hop_index = 0
         net.forward(replay)
-        dup_drops = [
-            e
-            for e in net.tracer.for_reservation(handle.reservation_id)
-            if e.verdict.is_drop
+        assert [e.attrs["verdict"] for e in self.drops(journal, handle)] == [
+            "drop_duplicate"
         ]
-        assert [e.verdict.value for e in dup_drops] == ["drop_duplicate"]

@@ -15,7 +15,8 @@ from repro.reservation.persistence import (
 from repro.sim import ColibriNetwork
 from repro.topology import IsdAs, build_two_isd_topology
 from repro.topology.addresses import HostAddr
-from repro.util.observability import render_metrics
+from repro.obs.events import VERDICT_DROPPED
+from repro.obs.metrics import MetricsRegistry
 from repro.util.units import gbps, mbps
 
 BASE = 0xFF00_0000_0000
@@ -114,9 +115,18 @@ class TestPersistence:
             load_store({"format": 999, "segments": [], "eers": []})
 
 
+def exposition_of(snapshot_fn) -> str:
+    """The exposition of one telemetry-shaped snapshot source."""
+    registry = MetricsRegistry()
+    registry.family_source(snapshot_fn)
+    return registry.render()
+
+
 class TestMetricsExport:
     def test_render_contains_totals_and_labels(self, loaded_net):
-        text = render_metrics(loaded_net.telemetry())
+        registry = MetricsRegistry()
+        loaded_net.export_telemetry(registry)
+        text = registry.render()
         assert "# HELP colibri_segments" in text
         assert "# TYPE colibri_segments gauge" in text
         # Unlabelled aggregate and a labelled per-AS sample.
@@ -125,7 +135,7 @@ class TestMetricsExport:
 
     def test_values_match_telemetry(self, loaded_net):
         telemetry = loaded_net.telemetry()
-        text = render_metrics(telemetry)
+        text = exposition_of(loaded_net.telemetry)
         for line in text.splitlines():
             if line.startswith("colibri_eers "):
                 assert int(line.split()[-1]) == telemetry["total"]["eers"]
@@ -134,7 +144,8 @@ class TestMetricsExport:
             pytest.fail("aggregate colibri_eers sample missing")
 
     def test_unknown_counters_flow_through(self):
-        text = render_metrics({"total": {"custom_thing": 7}})
+        text = exposition_of(lambda: {"total": {"custom_thing": 7}})
+        assert "# HELP colibri_custom_thing Colibri counter custom_thing" in text
         assert "colibri_custom_thing 7" in text
 
 
@@ -200,40 +211,55 @@ class TestTopologySerialization:
 
 
 class TestPacketTracer:
-    def test_records_full_journey(self, loaded_net):
-        from repro.sim.tracing import PacketTracer
+    """A packet's journey is its ``router.hop`` spans; its drops are
+    ``VerdictDropped`` journal events."""
 
-        tracer = PacketTracer()
-        loaded_net.tracer = tracer
+    def test_records_full_journey(self, loaded_net):
+        obs = loaded_net.enable_observability(journal=True)
         handle = loaded_net.establish_eer(
             SRC, DST, mbps(1), src_host=HostAddr(77), dst_host=HostAddr(78)
         )
+        obs.tracer.clear()
         loaded_net.send(SRC, handle, b"traced")
-        journey = tracer.for_reservation(handle.reservation_id)
+        journey = obs.tracer.spans(name="router.hop")
         assert len(journey) == 6  # every on-path AS decided once
-        assert journey[-1].verdict.value == "deliver_host"
-        assert not tracer.drops()
+        assert [span.attributes["isd_as"] for span in journey] == [
+            str(hop.isd_as) for hop in handle.hops
+        ]
+        assert journey[-1].attributes["verdict"] == "deliver_host"
+        assert not obs.journal.query(VERDICT_DROPPED)
 
     def test_drop_visible_in_trace(self, loaded_net):
-        from repro.sim.tracing import PacketTracer
-
-        tracer = PacketTracer()
-        loaded_net.tracer = tracer
+        obs = loaded_net.enable_observability(journal=True)
         handle = loaded_net.establish_eer(
             SRC, DST, mbps(1), src_host=HostAddr(79), dst_host=HostAddr(80)
         )
         victim = handle.hops[3].isd_as
         loaded_net.router(victim).blocklist.block(SRC)
+        obs.tracer.clear()
         loaded_net.send(SRC, handle, b"will die")
-        drops = tracer.drops()
-        assert len(drops) == 1
-        assert drops[0].isd_as == victim
-        assert "drop_blocked" in tracer.render()
+        (drop,) = obs.journal.query(VERDICT_DROPPED)
+        assert drop.attrs["isd_as"] == str(victim)
+        assert drop.attrs["verdict"] == "drop_blocked"
+        assert drop.attrs["reservation"] == str(handle.reservation_id)
+        # The walk stops at the dropping hop, and its span says why.
+        journey = obs.tracer.spans(name="router.hop")
+        assert len(journey) == 4
+        assert journey[-1].attributes["verdict"] == "drop_blocked"
 
-    def test_capacity_bound(self):
-        from repro.sim.tracing import PacketTracer
-
-        tracer = PacketTracer(capacity=2)
+    def test_capacity_bound(self, loaded_net):
+        """The drop record is bounded by the journal's ring: the newest
+        ``journal_capacity`` events stay, evictions are counted."""
+        obs = loaded_net.enable_observability(journal=True, journal_capacity=2)
+        handle = loaded_net.establish_eer(
+            SRC, DST, mbps(1), src_host=HostAddr(81), dst_host=HostAddr(82)
+        )
+        loaded_net.router(handle.hops[3].isd_as).blocklist.block(SRC)
+        before = obs.journal.total_count(VERDICT_DROPPED)
+        for _ in range(3):
+            loaded_net.send(SRC, handle, b"will die")
+        assert obs.journal.total_count(VERDICT_DROPPED) == before + 3
+        assert len(obs.journal) == 2
+        assert obs.journal.dropped_events == obs.journal.total_events - 2
         with pytest.raises(ValueError):
-            PacketTracer(capacity=0)
-        assert len(tracer) == 0
+            loaded_net.enable_observability(journal=True, journal_capacity=0)

@@ -342,7 +342,7 @@ def full_state(router):
         "ofd": (ofd._window_start, ofd.packets_seen, ofd.reports, dict(ofd._hits)),
         "monitor": (router.monitor.packets_passed, router.monitor.packets_dropped),
         "blocks_imposed": router.blocklist.blocks_imposed,
-        "sigma_counters": cache.counters.snapshot(),
+        "sigma_counters": cache.snapshot(),
         "sigma_lru": list(cache._entries),
     }
 

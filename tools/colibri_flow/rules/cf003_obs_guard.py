@@ -15,7 +15,8 @@ What counts as an *optional subject* inside a function:
   ``run_health_scenario(...)`` — producers return fully-populated,
   non-None contexts;
 * one optional link deeper: ``<obs>.journal`` and ``<obs>.alerts`` are
-  Optional fields of the context itself;
+  Optional fields of the context itself (``tracer``, ``metrics`` and
+  ``perf`` are always populated);
 * local aliases of either (``obs = self.obs``,
   ``journal = self.obs.journal``) — guarding the alias name guards the
   value.

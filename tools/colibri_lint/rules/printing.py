@@ -1,11 +1,13 @@
 """CL009 — no ``print`` or ad-hoc ``logging`` in library code.
 
-The library's sanctioned output channels are structured: journal events
-(:mod:`repro.obs.events`), metrics instruments, and trace spans.  A
-``print`` in a control- or data-plane module writes unparseable text to
-stdout — invisible to the SLO engine, the forensic verifier, and every
-test — and ``logging`` smuggles in global mutable configuration the
-deterministic scenarios cannot control.  The CLI (``repro/cli.py``) is
+The library's sanctioned output channels are the three sinks behind
+``ObsContext``: journal events (``obs.journal``, what happened),
+registry instruments (``obs.metrics``, how much) and trace spans
+(``obs.tracer``, how long).  A ``print`` in a control- or data-plane
+module writes unparseable text to stdout — invisible to the SLO engine,
+the forensic verifier, and every test — and ``logging`` smuggles in
+global mutable configuration the deterministic scenarios cannot
+control.  The CLI (``repro/cli.py``) is
 the one place whose entire job is printing; it is exempt.
 """
 
