@@ -11,13 +11,14 @@ Key asymmetry does the heavy lifting here:
 * **AS_i** (the verifier of the base payload, the author of a grant)
   *derives* ``K_{AS_i -> SrcAS}`` locally from its secret value — one
   PRF call, no state, no network — and uses that one key for the MAC
-  check, its grant MAC and the Eq. (5) seal (the EER handlers derive it
-  once per request and pass it to :meth:`_verify_under` /
-  :meth:`_grant_under`; :meth:`verify_at` / :meth:`add_grant_mac`
-  derive it themselves for everyone else);
+  check, its grant MAC and the Eq. (5) seal (the CServ's hop derives it
+  once per request and passes it to :meth:`_verify_under` /
+  :meth:`_grant_under`; :meth:`verify_at` derives it itself for the
+  walks and aborts, which use it once);
 * **the source AS** must *fetch* that key once per epoch from AS_i's key
   server — acceptable because it initiates requests deliberately, and
   impossible to exploit for DoS because the verifier side never fetches.
+  Within one request it looks each key up once (:class:`PathKeys`).
 
 An :class:`AuthenticatedRequest` carries the immutable base payload, the
 source's per-AS MACs over it, and a MAC per appended grant.  The response
@@ -28,6 +29,7 @@ initiator MACs the payload under all on-path keys in one batched pass
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.crypto.keyserver import KeyServerDirectory
@@ -36,13 +38,38 @@ from repro.crypto.prf import prf_under_keys
 from repro.dataplane.hvf import ColibriKeys
 from repro.errors import MacVerificationError
 from repro.packets.control import AsGrant, ControlMessage
-from repro.packets.wire import Writer
 from repro.topology.addresses import IsdAs
+
+
+class PathKeys:
+    """One request's ``K_{AS_i->Src}``, each fetched from the key-server
+    directory once.  The initiator MACs the payload, checks the grants
+    and opens the HopAuths under the same keys (§4.5), so it passes this
+    memo wherever those steps take the directory.  It stays with the
+    initiator: no key material rides the :class:`AuthenticatedRequest`.
+    """
+
+    def __init__(self, directory: KeyServerDirectory):
+        self.directory = directory
+        self._fetched: dict = {}  # owner AS -> key, one requester and epoch
+
+    def fetch_key(self, owner: IsdAs, requester: IsdAs, when: float = None) -> bytes:
+        key = self._fetched.get(owner)
+        if key is None:
+            key = self._fetched[owner] = self.directory.fetch_key(
+                owner, requester, when
+            )
+        return key
+
+
+#: A grant's MAC input: the AS, its offer, then the request it answers
+#: (length-prefixed) — the :class:`~repro.packets.wire.Writer` layout.
+_GRANT_HEAD = struct.Struct("!8sdI")
 
 
 def _grant_bytes(grant: AsGrant, base: bytes) -> bytes:
     """MAC input binding a grant to the request it answers."""
-    return Writer().raw(grant.isd_as.packed).f64(grant.granted).blob(base).finish()
+    return _GRANT_HEAD.pack(grant.isd_as.packed, grant.granted, len(base)) + base
 
 
 @dataclass
@@ -91,13 +118,9 @@ class AuthenticatedRequest:
                 f"control-plane MAC from {self.source} missing or wrong at AS {local}"
             )
 
-    def add_grant_mac(self, keys: ColibriKeys, grant: AsGrant, when: float = None) -> None:
-        """On-path AS side: authenticate the grant it appends, under the
-        same ``K_{ASi->Src}`` key (derived, not fetched)."""
-        self._grant_under(keys.control_key(self.source, when), grant)
-
     def _grant_under(self, key: bytes, grant: AsGrant) -> None:
-        """Append the grant MAC under an already derived key."""
+        """On-path AS side: authenticate the grant it appends, under the
+        same (derived, not fetched) ``K_{ASi->Src}``."""
         self.grant_macs.append(
             (grant.isd_as, mac(key, _grant_bytes(grant, self.base_payload)))
         )
@@ -113,9 +136,7 @@ class AuthenticatedRequest:
         Raises on any mismatch — a transit AS manipulating another AS's
         grant is detected here, so bottleneck diagnosis can be trusted.
         """
-        tags = dict()
-        for isd_as, tag in self.grant_macs:
-            tags[isd_as] = tag
+        tags = dict(self.grant_macs)
         for grant in grants:
             if grant.isd_as == self.source:
                 continue

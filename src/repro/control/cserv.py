@@ -15,9 +15,16 @@ The CServ handles every control-plane task of its AS:
 Requests travel hop by hop: the initiator processes itself as AS0, then
 each AS forwards over the :class:`~repro.control.rpc.MessageBus` to the
 next; responses unwind along the reverse path, exactly the ➋/➌/➍
-choreography of Fig. 1.  Grants are evaluated on the forward pass and
-committed on the (successful) unwind, so a failed setup leaves no
-temporary reservations behind (§3.3).
+choreography of Fig. 1.  That choreography is written once:
+:meth:`ColibriService._initiate` is the client side and
+:meth:`ColibriService._hop` one on-path AS's part of every setup and
+renewal, SegR or EER; a :class:`_Flow` names what a workflow adds — where
+the path comes from, how the AS decides, what it commits and which
+credential it mints.  :meth:`ColibriService._walk` is the same for the
+two downstream-first walks (activation, teardown).  The public
+``setup_*`` / ``renew_*`` / ``handle_*`` methods are thin named entry
+points: the bus dispatches on them, and every hop — hop 0 included —
+looks them up on the instance.
 
 Fault tolerance (§3.3, docs/robustness.md): every forwarded call goes
 through a :class:`~repro.control.retry.RetryingCaller` (capped
@@ -25,16 +32,17 @@ exponential backoff, per-method latency budgets, per-destination circuit
 breaker).  Handlers are retry-safe: successful responses are remembered
 in an :class:`~repro.control.retry.IdempotencyCache` keyed by request
 identity, so a retry after a *lost response* replays the answer instead
-of double-admitting bandwidth.  When retries are exhausted the transport
-error propagates back to the initiator, which aborts the whole path —
-explicitly releasing whatever the hops beyond the loss point already
-committed — before re-raising.
+of double-admitting bandwidth; the two walks are idempotent by state.
+When retries are exhausted the transport error propagates back to the
+initiator, which aborts the whole path — explicitly releasing whatever
+the hops beyond the loss point already committed — before re-raising; a
+response whose grant MACs do not verify is aborted the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.admission.eer_admission import AsRole, EerAdmission
 from repro.admission.policy import AdmissionPolicy
@@ -45,9 +53,8 @@ from repro.constants import (
     EER_RENEWAL_MIN_INTERVAL,
     SEGR_LIFETIME,
 )
-from repro.control.auth import AuthenticatedRequest
+from repro.control.auth import AuthenticatedRequest, PathKeys
 from repro.control.dissemination import (
-    REMOTE_CACHE_TTL,
     RemoteQueryClient,
     SegmentDescriptor,
     SegmentRegistry,
@@ -64,10 +71,12 @@ from repro.errors import (
     AeadError,
     ColibriError,
     InsufficientBandwidth,
+    MacVerificationError,
     NoPathError,
     PolicyDenied,
     ReservationExpired,
     ReservationNotFound,
+    TopologyError,
     TransportError,
     VersionError,
 )
@@ -111,6 +120,10 @@ DEFAULT_REQUEST_RATE = 1000.0
 #: Chains whose combined path :meth:`ColibriService._combine_chain` keeps.
 _CHAIN_MEMO_SIZE = 256
 
+#: An EER setup that fails over a stale cached chain is re-run once
+#: against fresh descriptors (Appendix C).
+_EER_SETUP_ATTEMPTS = 2
+
 _SEGMENT_TYPE_TO_CODE = {
     SegmentType.UP: SEGMENT_TYPE_CODES["up"],
     SegmentType.DOWN: SEGMENT_TYPE_CODES["down"],
@@ -149,6 +162,57 @@ class EerHandle:
 def _initiator(self, *args, **kwargs) -> dict:
     """Span attributes of the initiator-side admission workflows."""
     return {"initiator": str(self.isd_as)}
+
+
+def _on_path(self, request, auth, hop_index) -> dict:
+    """Span attributes of one on-path AS's admission handler."""
+    return {
+        "isd_as": str(self.isd_as),
+        "hop": hop_index,
+        "reservation": str(_asked(request).reservation),
+    }
+
+
+def _asked(request) -> ResInfo:
+    """The ResInfo a request asks for (Eq. 2c): a setup carries it; a
+    renewal rides its reservation (§4.4), so it only names the new
+    bandwidth, expiry and version."""
+    if hasattr(request, "res_info"):
+        return request.res_info
+    return ResInfo(
+        request.reservation,
+        request.new_bandwidth,
+        request.new_expiry,
+        request.new_version,
+    )
+
+
+def _nothing_charged(cserv, state, wanted) -> None:
+    """Most decisions are pure reads: a request that will not commit
+    leaves nothing to give back."""
+
+
+class _Flow(NamedTuple):
+    """What one admission workflow adds to :meth:`ColibriService._hop`
+    and :meth:`ColibriService._initiate`; everything else is shared.
+    The four are assembled at the end of :class:`ColibriService`."""
+
+    method: str  # the bus entry point; also tags remembered responses
+    kind: str  # of the journaled ADMISSION_DECIDED
+    what: str  # names the workflow in a refusal
+    response: type  # (res_info, success, granted, credentials, grants)
+    #: ``(cserv, request) -> (subject, hops)``: the path, and what later
+    #: steps read the reservation from — the request itself for a setup,
+    #: the stored reservation for a renewal (raises ReservationNotFound).
+    resolve: Callable
+    #: ``(cserv, subject, wanted, hop, hop_index, last_index, now) ->
+    #: (offered, state)``; ``state`` is handed to commit/release, and
+    #: ``None`` refuses.  May raise a denial or ReservationNotFound/Expired.
+    decide: Callable
+    commit: Callable  # (cserv, subject, state, response, now), in one transaction
+    mint: Callable  # (cserv, key, subject, hop, response, now) -> response + credential
+    abort: Callable  # (cserv, res_id, version, hops): path-wide release
+    release: Callable = _nothing_charged  # (cserv, state, wanted)
 
 
 class ColibriService:
@@ -240,25 +304,6 @@ class ColibriService:
                 **attrs,
             )
 
-    def _decided(
-        self, reservation, kind: str, hop_index: int, granted: float, admitted: bool
-    ) -> None:
-        """Journal this AS's own admission decision (one event per
-        handler invocation, cached idempotent replays excluded)."""
-        self._journal(
-            ADMISSION_DECIDED,
-            reservation,
-            kind=kind,
-            hop=hop_index,
-            granted=granted,
-            admitted=admitted,
-        )
-
-    @property
-    def _remote_cache(self) -> dict:
-        """The remote descriptor cache (moved to :attr:`remote_client`)."""
-        return self.remote_client._cache
-
     def _hop_of(self, hops: tuple, hop_index: int):
         hop = hops[hop_index]
         if hop.isd_as != self.isd_as:
@@ -277,6 +322,177 @@ class ColibriService:
                 at_as=self.isd_as,
             )
         self.request_limiter.check(source, now)
+
+    def _owner_only(self, request, auth: AuthenticatedRequest) -> None:
+        """Only the initiator may activate, retire or abort its own
+        reservation: the MAC was checked under ``auth.source``'s key, so
+        that must be the AS the reservation id names."""
+        if request.reservation.src_as != auth.source:
+            raise AdmissionDenied(
+                f"{type(request).__name__} for {request.reservation} "
+                "not requested by its owner"
+            )
+
+    # ================================ one hop, one initiator (§3.3, Fig. 1) ==
+
+    def _hop(self, flow: _Flow, request, auth: AuthenticatedRequest, hop_index: int):
+        """One on-path AS's part in a setup or renewal, SegR or EER: the
+        request's way forward (➋/➌ of Fig. 1) and, inside the forwarding
+        call, the response's way back.  Grants are evaluated on the
+        forward pass and committed on the unwind, so a failed request
+        leaves nothing behind (§3.3)."""
+        now = self.clock.now()
+        wanted = _asked(request)
+        # EER requests name no floor (§4.4): any positive grant succeeds.
+        minimum = getattr(request, "min_bandwidth", 0.0)
+        res_id = wanted.reservation
+        source = res_id.src_as
+        # 1. Gate the source: denied ASes, per-AS request rate (§5.3).
+        if hop_index > 0:
+            self._admission_gate(source, now)
+        # 2. Derive K_{AS_i->Src} once: "the same key is used to
+        #    authenticate the information AS_i itself adds" (§4.5) — the
+        #    MAC check, the grant MAC and the Eq. (5) seal below.
+        key = self.keys.control_key(source, now)
+        # 3. Verify the source's MAC.  Nothing is read, journaled or
+        #    answered before this point.
+        if hop_index > 0:
+            auth._verify_under(key, self.isd_as)
+        # 4. Retry safety: if this exact request already succeeded here
+        #    (its response was lost upstream), replay the remembered
+        #    answer instead of admitting the bandwidth twice (§3.3).
+        idem_key = (flow.method, res_id, wanted.version, hop_index)
+        cached = self.idempotency.get(idem_key)
+        if cached is not None:
+            return cached
+        # 5. Resolve the path, this hop and the reservation (from the
+        #    request for a setup, the store for a renewal) and 6. decide
+        #    what this AS offers (§4.7).  An unknown or expired
+        #    reservation is an offer of nothing, a denial an offer of
+        #    what the AS could have granted: either way the initiator
+        #    gets a signed grant to locate the bottleneck by.
+        state = None
+        try:
+            subject, hops = flow.resolve(self, request)
+            hop = self._hop_of(hops, hop_index)
+            last_index = len(hops) - 1
+            offered, state = flow.decide(
+                self, subject, wanted, hop, hop_index, last_index, now
+            )
+        except (InsufficientBandwidth, PolicyDenied) as denial:
+            offered = denial.granted
+        except (ReservationNotFound, ReservationExpired):
+            offered = 0.0
+        admitted = state is not None and offered >= minimum and offered > 0
+        self._journal(
+            ADMISSION_DECIDED,
+            res_id,
+            kind=flow.kind,
+            hop=hop_index,
+            granted=offered,
+            admitted=admitted,
+        )
+        # 7. Append the grant and authenticate it (§4.5).
+        grant = AsGrant(self.isd_as, offered)
+        grants = request.grants + (grant,)
+        auth._grant_under(key, grant)
+        # 8. Refuse here (this AS is the bottleneck: do not bother the
+        #    ASes downstream), close the request at the last hop with
+        #    the minimum grant, or forward it.
+        if not admitted:
+            response = flow.response(wanted, False, 0.0, (), grants)
+        elif hop_index == last_index:
+            final = min(g.granted for g in grants)
+            info = wanted  # admitted in full: exactly what was asked for
+            if final != wanted.bandwidth:
+                info = ResInfo(res_id, final, wanted.expiry, wanted.version)
+            success = final >= minimum and final > 0
+            response = flow.response(info, success, final, (), grants)
+        else:
+            forwarded = request.with_grant(grant)
+            next_as = hops[hop_index + 1].isd_as
+            try:
+                response = self.caller.call(
+                    next_as, flow.method, forwarded, auth, hop_index + 1
+                )
+            except ColibriError:
+                # Nothing committed here yet, but the decision may have
+                # charged policy budget or transfer demand — return it
+                # before the error (retries exhausted, or a downstream
+                # AS's own gate or MAC check) climbs back (§3.3).
+                flow.release(self, state, wanted)
+                raise
+        if not response.success:
+            flow.release(self, state, wanted)
+            return response
+        # 9. The unwind: commit in one store transaction, mint this AS's
+        #    credential (Eq. 3 token or Eq. 5 sealed HopAuth), remember.
+        with self.store.transaction():
+            flow.commit(self, subject, state, response, now)
+        response = flow.mint(self, key, subject, hop, response, now)
+        self.idempotency.put(idem_key, response)
+        return response
+
+    def _initiate(self, flow: _Flow, request, hops: tuple, now: float):
+        """The initiator's side of a setup or renewal, the same for
+        SegRs and EERs: MAC the request for every on-path AS (§4.5),
+        process it here as AS 0, and trust neither outcome before every
+        grant MAC verifies — a transit AS rewriting another AS's grant
+        must neither frame it as the bottleneck nor shrink a reservation
+        unnoticed.  When the response is lost for good or carries a
+        forged grant, hops beyond the fault may have committed: abort
+        path-wide before giving up (§3.3).
+
+        Returns the successful response and the on-path keys (the EER
+        workflows open the HopAuths with them); raises
+        :class:`InsufficientBandwidth` naming the bottleneck otherwise.
+        """
+        on_path = [hop.isd_as for hop in hops]
+        keys = PathKeys(self.directory)
+        auth = AuthenticatedRequest.create(keys, self.isd_as, on_path, request, now)
+        try:
+            response = getattr(self, flow.method)(request, auth, 0)
+            auth.verify_grants(keys, response.grants, now)
+        except (TransportError, MacVerificationError):
+            wanted = _asked(request)
+            flow.abort(self, wanted.reservation, wanted.version, hops)
+            raise
+        if not response.success:
+            raise _refused(flow.what, response.grants)
+        return response, keys
+
+    def _walk(self, method: str, request, auth, hop_index: int, idle_only=False):
+        """One AS's part in a downstream-first walk along an own SegR
+        (activation, teardown): gate → verify → owner → store, then the
+        ASes downstream.  Returns the stored SegR for the caller to act
+        on once every AS downstream has — so if any AS refuses, every AS
+        upstream of it keeps what it had — or, with ``idle_only``,
+        ``None`` where EERs ride the SegR: the walk stops, the SegR stays.
+        """
+        now = self.clock.now()
+        res_id = request.reservation
+        if hop_index > 0:
+            self._admission_gate(res_id.src_as, now)
+            auth.verify_at(self.keys, now)
+        self._owner_only(request, auth)
+        reservation = self.store.get_segment(res_id)
+        hops = reservation.segment.hops
+        self._hop_of(hops, hop_index)
+        if idle_only and self.store.allocated_on_segment(res_id) > 0:
+            return None
+        if hop_index < len(hops) - 1:
+            self.caller.call(
+                hops[hop_index + 1].isd_as, method, request, auth, hop_index + 1
+            )
+        return reservation
+
+    def _start_walk(self, method: str, request, reservation: SegmentReservation):
+        """Authenticate a walk for the SegR's on-path ASes; walk as AS 0."""
+        on_path = list(reservation.segment.ases)
+        auth = AuthenticatedRequest.create(
+            self.directory, self.isd_as, on_path, request, self.clock.now()
+        )
+        return getattr(self, method)(request, auth, 0)
 
     # ================================================================== SegRs ==
 
@@ -301,147 +517,67 @@ class ColibriService:
             )
         now = self.clock.now()
         res_id = ReservationId(self.isd_as, self._ids.allocate())
-        res_info = ResInfo(
-            reservation=res_id,
-            bandwidth=bandwidth,
-            expiry=now + SEGR_LIFETIME,
-            version=1,
-        )
         request = SegSetupRequest(
-            res_info=res_info,
+            res_info=ResInfo(res_id, bandwidth, now + SEGR_LIFETIME, 1),
             hops=segment.hops,
             min_bandwidth=minimum,
             segment_type=_SEGMENT_TYPE_TO_CODE[segment.segment_type],
         )
-        auth = AuthenticatedRequest.create(
-            self.directory, self.isd_as, list(segment.ases), request, now
-        )
-        try:
-            response = self.handle_seg_setup(request, auth, 0)
-        except TransportError:
-            # Retries exhausted mid-path.  Hops beyond the loss point may
-            # have committed (their success response never came back);
-            # clean up the whole path before giving up (§3.3).
-            self._abort_segment(res_id, 1, segment.ases)
-            raise
-        if not response.success:
-            raise _refused("SegR setup", response.grants)
-        auth.verify_grants(self.directory, response.grants, now)
+        response, _ = self._initiate(self._SEG_SETUP, request, segment.hops, now)
         self._segment_tokens[res_id] = response.tokens
         reservation = self.store.get_segment(res_id)
         if register:
             self.registry.register(SegmentDescriptor.of(reservation), whitelist)
         return reservation
 
-    @traced(
-        "admission.seg_setup",
-        attrs=lambda self, request, auth, hop_index: {
-            "isd_as": str(self.isd_as),
-            "hop": hop_index,
-            "reservation": str(request.res_info.reservation),
-        },
-    )
+    @traced("admission.seg_setup", attrs=_on_path)
     def handle_seg_setup(
         self, request: SegSetupRequest, auth: AuthenticatedRequest, hop_index: int
     ) -> SegSetupResponse:
         """On-path processing of a SegReq (➋ of Fig. 1a) and its response."""
-        now = self.clock.now()
-        hop = self._hop_of(request.hops, hop_index)
-        source = request.res_info.src_as
-        if hop_index > 0:
-            self._admission_gate(source, now)
-            auth.verify_at(self.keys, now)
-        # Retry safety: if this exact request already succeeded here (its
-        # response was lost upstream), replay the remembered answer
-        # instead of admitting the bandwidth twice (§3.3).
-        idem_key = (
-            "seg_setup",
-            request.res_info.reservation,
-            request.res_info.version,
-            hop_index,
-        )
-        cached = self.idempotency.get(idem_key)
-        if cached is not None:
-            return cached
+        return self._hop(self._SEG_SETUP, request, auth, hop_index)
 
+    def _resolve_setup(self, request):
+        return request, request.hops
+
+    def _decide_segment(self, subject, wanted, hop, hop_index, last_index, now):
+        """N-Tube evaluation (§4.7), for setups and renewals alike: the
+        evaluator excludes the SegR's own current demand, so a renewal
+        competes fairly ("on-path ASes can also re-negotiate the
+        bandwidth granted", §4.4)."""
+        res_id = wanted.reservation
         try:
             grant = self.seg_admission.evaluate(
-                request.res_info.reservation,
-                source,
-                hop.ingress,
-                hop.egress,
-                request.res_info.bandwidth,
+                res_id, res_id.src_as, hop.ingress, hop.egress, wanted.bandwidth
             )
-        except ColibriError:
-            grant = None
-        offered = grant.granted if grant is not None else 0.0
-        self._decided(
-            request.res_info.reservation,
-            "segment",
-            hop_index,
-            offered,
-            offered >= request.min_bandwidth and offered > 0,
+        except TopologyError:  # the request names an interface we lack
+            return 0.0, None
+        return grant.granted, grant
+
+    def _commit_seg_setup(self, request, grant: SegmentGrant, response, now):
+        info = response.res_info
+        self.seg_admission.commit(
+            SegmentGrant(grant.reservation_id, grant.demand, response.granted)
         )
-        as_grant = AsGrant(self.isd_as, offered)
-        forwarded = request.with_grant(as_grant)
-        auth.add_grant_mac(self.keys, as_grant, now)
+        segment_type = _CODE_TO_SEGMENT_TYPE[request.segment_type]
+        self.store.add_segment(
+            SegmentReservation(
+                reservation_id=info.reservation,
+                segment=Segment.from_hops(segment_type, request.hops),
+                first_version=SegmentVersion(
+                    info.version, response.granted, info.expiry
+                ),
+            )
+        )
 
-        if offered < request.min_bandwidth:
-            # This AS is the bottleneck: fail immediately, do not bother
-            # downstream ASes (they would clean up anyway).
-            return SegSetupResponse(
-                res_info=request.res_info,
-                success=False,
-                granted=0.0,
-                grants=forwarded.grants,
-            )
+    def _mint_token(self, key, subject, hop, response, now):
+        """The response with this AS's Eq. (3) token prepended."""
+        token = segment_token(
+            self.keys.hop_key(now), response.res_info, hop.ingress, hop.egress
+        )
+        return replace(response, tokens=(token,) + response.tokens)
 
-        if hop_index == len(request.hops) - 1:
-            final = min(g.granted for g in forwarded.grants)
-            success = final >= request.min_bandwidth and final > 0
-            response = SegSetupResponse(
-                res_info=replace(request.res_info, bandwidth=final),
-                success=success,
-                granted=final,
-                grants=forwarded.grants,
-            )
-        else:
-            next_as = request.hops[hop_index + 1].isd_as
-            response = self.caller.call(
-                next_as, "handle_seg_setup", forwarded, auth, hop_index + 1
-            )
-
-        if response.success:
-            final_info = response.res_info
-            committed = SegmentGrant(
-                reservation_id=grant.reservation_id,
-                demand=grant.demand,
-                granted=response.granted,
-            )
-            with self.store.transaction():
-                self.seg_admission.commit(committed)
-                segment = Segment.from_hops(
-                    _CODE_TO_SEGMENT_TYPE[request.segment_type], request.hops
-                )
-                self.store.add_segment(
-                    SegmentReservation(
-                        reservation_id=final_info.reservation,
-                        segment=segment,
-                        first_version=SegmentVersion(
-                            version=final_info.version,
-                            bandwidth=response.granted,
-                            expiry=final_info.expiry,
-                        ),
-                    )
-                )
-            token = segment_token(
-                self.keys.hop_key(now), final_info, hop.ingress, hop.egress
-            )
-            response = replace(response, tokens=(token,) + response.tokens)
-            self.idempotency.put(idem_key, response)
-        return response
-
-    # -- renewal and activation (§4.2, §4.4) ----------------------------------------
+    # -- renewal, activation, teardown (§4.2, §4.4) ----------------------------------
 
     @traced("seg.renewal", attrs=_initiator, latency="admission_latency_seconds")
     def renew_segment(
@@ -454,132 +590,79 @@ class ColibriService:
         itself; returns the pending version number."""
         now = self.clock.now()
         reservation = self.store.get_segment(reservation_id)
-        new_version = reservation.next_version_number()
         request = SegRenewalRequest(
             reservation=reservation_id,
             new_bandwidth=new_bandwidth,
             min_bandwidth=minimum,
             new_expiry=now + SEGR_LIFETIME,
-            new_version=new_version,
+            new_version=reservation.next_version_number(),
         )
-        auth = AuthenticatedRequest.create(
-            self.directory, self.isd_as, list(reservation.segment.ases), request, now
-        )
-        try:
-            response = self.handle_seg_renewal(request, auth, 0)
-        except TransportError:
-            # Drop the pending version wherever the unwind installed it
-            # before the response was lost (§3.3).
-            self._abort_segment(reservation_id, new_version, reservation.segment.ases)
-            raise
-        if not response.success:
-            raise _refused("SegR renewal", response.grants)
+        hops = reservation.segment.hops
+        response, _ = self._initiate(self._SEG_RENEWAL, request, hops, now)
         self._segment_tokens[reservation_id] = response.tokens
         self._journal(
             RESERVATION_RENEWED,
             reservation_id,
             kind="segment",
-            version=new_version,
+            version=request.new_version,
             granted=response.granted,
         )
-        return new_version
+        return request.new_version
 
-    @traced(
-        "admission.seg_renewal",
-        attrs=lambda self, request, auth, hop_index: {
-            "isd_as": str(self.isd_as),
-            "hop": hop_index,
-            "reservation": str(request.reservation),
-        },
-    )
+    @traced("admission.seg_renewal", attrs=_on_path)
     def handle_seg_renewal(
         self, request: SegRenewalRequest, auth: AuthenticatedRequest, hop_index: int
     ) -> SegSetupResponse:
-        now = self.clock.now()
+        return self._hop(self._SEG_RENEWAL, request, auth, hop_index)
+
+    def _resolve_seg_renewal(self, request: SegRenewalRequest):
+        reservation = self.store.get_segment(request.reservation)
+        return reservation, reservation.segment.hops
+
+    def _commit_seg_renewal(self, reservation, grant, response, now):
+        """The new version stays pending — admission state included —
+        until the initiator activates it (§4.2)."""
+        info = response.res_info
+        reservation.add_pending(
+            SegmentVersion(info.version, response.granted, info.expiry)
+        )
+
+    def activate_segment(self, reservation_id: ReservationId, version: int) -> None:
+        """Explicitly switch an own SegR to a pending version everywhere."""
+        reservation = self.store.get_segment(reservation_id)
+        request = SegActivationRequest(reservation=reservation_id, version=version)
+        self._start_walk("handle_seg_activation", request, reservation)
         try:
-            reservation = self.store.get_segment(request.reservation)
-        except ReservationNotFound:
-            return SegSetupResponse(
-                res_info=ResInfo(
-                    reservation=request.reservation,
-                    bandwidth=0.0,
-                    expiry=request.new_expiry,
-                    version=request.new_version,
-                ),
-                success=False,
-                granted=0.0,
-                grants=request.grants,
-            )
-        hop = reservation.segment.hop_of(self.isd_as)
-        source = request.reservation.src_as
-        if hop_index > 0:
-            self._admission_gate(source, now)
-            auth.verify_at(self.keys, now)
-        idem_key = (
-            "seg_renewal", request.reservation, request.new_version, hop_index
-        )
-        cached = self.idempotency.get(idem_key)
-        if cached is not None:
-            return cached
+            self.registry.update(SegmentDescriptor.of(reservation))
+        except KeyError:
+            pass  # unregistered (private) SegRs have nothing to refresh
 
-        # Renewal re-runs admission; the evaluator excludes this SegR's
-        # current demand so it competes fairly ("on-path ASes can also
-        # re-negotiate the bandwidth granted", §4.4).
-        grant = self.seg_admission.evaluate(
-            request.reservation, source, hop.ingress, hop.egress, request.new_bandwidth
-        )
-        self._decided(
-            request.reservation,
-            "segment_renewal",
-            hop_index,
-            grant.granted,
-            grant.granted >= request.min_bandwidth and grant.granted > 0,
-        )
-        as_grant = AsGrant(self.isd_as, grant.granted)
-        forwarded = request.with_grant(as_grant)
-        auth.add_grant_mac(self.keys, as_grant, now)
-
-        new_info = ResInfo(
-            reservation=request.reservation,
-            bandwidth=grant.granted,
-            expiry=request.new_expiry,
-            version=request.new_version,
-        )
-        if grant.granted < request.min_bandwidth:
-            return SegSetupResponse(
-                res_info=new_info, success=False, granted=0.0, grants=forwarded.grants
+    def handle_seg_activation(
+        self, request: SegActivationRequest, auth: AuthenticatedRequest, hop_index: int
+    ) -> bool:
+        """Downstream first: if any AS refuses (e.g. the version expired
+        under clock skew), upstream ASes keep the old version."""
+        reservation = self._walk("handle_seg_activation", request, auth, hop_index)
+        res_id = request.reservation
+        if reservation.active.version == request.version:
+            # Idempotent by state: a retried or re-issued activation
+            # finds the switch already made here and touches nothing.
+            return True
+        now = self.clock.now()
+        new = reservation.activate(request.version, now)
+        reservation.prune(now)
+        # Activation replaced the expiry-defining version: re-index.
+        self.store.touch(res_id)
+        # Committed admission state must track the active version's size.
+        if res_id in self.seg_admission.index:
+            hop = reservation.segment.hop_of(self.isd_as)
+            grant = self.seg_admission.evaluate(
+                res_id, res_id.src_as, hop.ingress, hop.egress, new.bandwidth
             )
-
-        hops = reservation.segment.hops
-        if hop_index == len(hops) - 1:
-            final = min(g.granted for g in forwarded.grants)
-            success = final >= request.min_bandwidth and final > 0
-            response = SegSetupResponse(
-                res_info=replace(new_info, bandwidth=final),
-                success=success,
-                granted=final,
-                grants=forwarded.grants,
+            self.seg_admission.commit(
+                SegmentGrant(res_id, grant.demand, new.bandwidth)
             )
-        else:
-            next_as = hops[hop_index + 1].isd_as
-            response = self.caller.call(
-                next_as, "handle_seg_renewal", forwarded, auth, hop_index + 1
-            )
-
-        if response.success:
-            reservation.add_pending(
-                SegmentVersion(
-                    version=request.new_version,
-                    bandwidth=response.granted,
-                    expiry=request.new_expiry,
-                )
-            )
-            token = segment_token(
-                self.keys.hop_key(now), response.res_info, hop.ingress, hop.egress
-            )
-            response = replace(response, tokens=(token,) + response.tokens)
-            self.idempotency.put(idem_key, response)
-        return response
+        return True
 
     def teardown_segment(self, reservation_id: ReservationId) -> None:
         """Advisory early removal of an own SegR (extension; the paper
@@ -594,42 +677,23 @@ class ColibriService:
                 "let them expire first"
             )
         request = SegTeardownNotice(reservation=reservation_id)
-        now = self.clock.now()
-        auth = AuthenticatedRequest.create(
-            self.directory, self.isd_as, list(reservation.segment.ases), request, now
-        )
-        self.handle_seg_teardown(request, auth, 0)
+        self._start_walk("handle_seg_teardown", request, reservation)
 
     def handle_seg_teardown(
         self, request: SegTeardownNotice, auth: AuthenticatedRequest, hop_index: int
     ) -> bool:
-        now = self.clock.now()
+        """False where the SegR stays (EERs still riding: keep it until
+        they expire) or is already gone (a retried teardown)."""
         try:
-            reservation = self.store.get_segment(request.reservation)
+            reservation = self._walk(
+                "handle_seg_teardown", request, auth, hop_index, idle_only=True
+            )
         except ReservationNotFound:
             return False
-        if hop_index > 0:
-            auth.verify_at(self.keys, now)
-        # Only the initiator may retire its reservation.
-        if request.reservation.src_as != auth.source:
-            raise AdmissionDenied(
-                f"teardown of {request.reservation} not requested by its owner"
-            )
-        if self.store.allocated_on_segment(request.reservation) > 0:
-            return False  # EERs still riding: keep until they expire
-        hops = reservation.segment.hops
-        if hop_index < len(hops) - 1:
-            self.caller.call(
-                hops[hop_index + 1].isd_as,
-                "handle_seg_teardown",
-                request,
-                auth,
-                hop_index + 1,
-            )
-        self.seg_admission.release(request.reservation)
+        if reservation is None:
+            return False
         self.store.remove_segment(request.reservation)
-        self.registry.unregister(request.reservation)
-        self._segment_tokens.pop(request.reservation, None)
+        self._forget_segment(request.reservation)
         self._journal(
             RESERVATION_TORN_DOWN,
             request.reservation,
@@ -638,66 +702,13 @@ class ColibriService:
         )
         return True
 
-    def activate_segment(self, reservation_id: ReservationId, version: int) -> None:
-        """Explicitly switch an own SegR to a pending version everywhere."""
-        reservation = self.store.get_segment(reservation_id)
-        request = SegActivationRequest(reservation=reservation_id, version=version)
-        now = self.clock.now()
-        auth = AuthenticatedRequest.create(
-            self.directory, self.isd_as, list(reservation.segment.ases), request, now
-        )
-        self.handle_seg_activation(request, auth, 0)
-        try:
-            self.registry.update(SegmentDescriptor.of(reservation))
-        except KeyError:
-            pass  # unregistered (private) SegRs have nothing to refresh
-
-    def handle_seg_activation(
-        self, request: SegActivationRequest, auth: AuthenticatedRequest, hop_index: int
-    ) -> bool:
-        now = self.clock.now()
-        reservation = self.store.get_segment(request.reservation)
-        if hop_index > 0:
-            auth.verify_at(self.keys, now)
-        idem_key = (
-            "seg_activate", request.reservation, request.version, hop_index
-        )
-        if self.idempotency.get(idem_key) is not None:
-            return True  # retried activation: already switched here
-        hops = reservation.segment.hops
-        # Activate downstream first: if any AS refuses (e.g. the version
-        # expired under clock skew), upstream ASes keep the old version.
-        if hop_index < len(hops) - 1:
-            self.caller.call(
-                hops[hop_index + 1].isd_as,
-                "handle_seg_activation",
-                request,
-                auth,
-                hop_index + 1,
-            )
-        new = reservation.activate(request.version, now)
-        reservation.prune(now)
-        # Activation replaced the expiry-defining version: re-index.
-        self.store.touch(request.reservation)
-        # Committed admission state must track the active version's size.
-        if request.reservation in self.seg_admission.index:
-            entry = self.seg_admission.index.entry(request.reservation)
-            hop = reservation.segment.hop_of(self.isd_as)
-            grant = self.seg_admission.evaluate(
-                request.reservation,
-                request.reservation.src_as,
-                hop.ingress,
-                hop.egress,
-                new.bandwidth,
-            )
-            self.seg_admission.commit(
-                SegmentGrant(
-                    reservation_id=request.reservation,
-                    demand=grant.demand,
-                    granted=new.bandwidth,
-                )
-            )
-        return True
+    def _forget_segment(self, res_id: ReservationId) -> None:
+        """Drop what this AS holds for a SegR beside its store row —
+        admission entry, registry row, Eq. (3) tokens — wherever the
+        SegR ends: teardown, abort, expiry, an abandoned fallback path."""
+        self.seg_admission.release(res_id)
+        self.registry.unregister(res_id)
+        self._segment_tokens.pop(res_id, None)
 
     # ================================================================== EERs ==
 
@@ -709,7 +720,6 @@ class ColibriService:
         dst_host: HostAddr,
         bandwidth: float,
         chain=None,
-        retries: int = 1,
     ) -> EerHandle:
         """Initiate an EER for a local host (Fig. 1b).
 
@@ -721,72 +731,67 @@ class ColibriService:
         When the failure looks like stale cached remote SegRs (Appendix
         C: "the remote CServ can indicate expiry of the SegR during
         setup of the EER, allowing the end host to retry"), the cache is
-        invalidated and the chain search re-run up to ``retries`` times.
+        invalidated and the chain search re-run, once.
         """
-        now = self.clock.now()
-        descriptors, path = chain if chain is not None else self.find_segment_chain(
-            destination
-        )
-        res_id = ReservationId(self.isd_as, self._ids.allocate())
-        res_info = ResInfo(
-            reservation=res_id,
-            bandwidth=bandwidth,
-            expiry=now + EER_LIFETIME,
-            version=1,
-        )
         eer_info = EerInfo(src_host=src_host, dst_host=dst_host)
-        request = EerSetupRequest(
-            res_info=res_info,
-            eer_info=eer_info,
-            hops=path.hops,
-            segment_ids=tuple(d.reservation_id for d in descriptors),
-        )
-        auth = AuthenticatedRequest.create(
-            self.directory, self.isd_as, list(path.ases), request, now
-        )
-        try:
-            response = self.handle_eer_setup(request, auth, 0)
-        except TransportError:
-            # Retries exhausted mid-path: hops beyond the loss point may
-            # hold committed allocations whose response never returned.
-            # Abort path-wide, then refetch descriptors on any retry.
-            self.remote_client.invalidate(descriptors)
-            self._abort_eer(res_id, 1, path.hops)
-            raise
-        if not response.success:
-            # A stale cached SegR is one failure cause (Appendix C):
-            # invalidate the cache so a retry refetches fresh descriptors.
-            self.remote_client.invalidate(descriptors)
-            expiry_soon = any(d.is_expired(now) for d in descriptors)
-            if retries > 0 and chain is None and expiry_soon:
-                return self.setup_eer(
-                    destination,
-                    src_host,
-                    dst_host,
-                    bandwidth,
-                    retries=retries - 1,
+        for attempts_left in reversed(range(_EER_SETUP_ATTEMPTS)):
+            now = self.clock.now()
+            descriptors, path = (
+                chain if chain is not None else self.find_segment_chain(destination)
+            )
+            res_id = ReservationId(self.isd_as, self._ids.allocate())
+            request = EerSetupRequest(
+                res_info=ResInfo(res_id, bandwidth, now + EER_LIFETIME, 1),
+                eer_info=eer_info,
+                hops=path.hops,
+                segment_ids=tuple(d.reservation_id for d in descriptors),
+            )
+            try:
+                response, keys = self._initiate(
+                    self._EER_SETUP, request, path.hops, now
                 )
-            raise _refused("EER setup", response.grants)
-        final_info = response.res_info
-        hop_auths = self._open_hopauths(path.hops, response.sealed_hopauths, now)
+            except (TransportError, InsufficientBandwidth) as failure:
+                # A stale cached SegR is one failure cause (Appendix C):
+                # invalidate the cache so a retry — the one below or the
+                # caller's — refetches fresh descriptors.
+                self.remote_client.invalidate(descriptors)
+                stale = (
+                    chain is None
+                    and isinstance(failure, InsufficientBandwidth)
+                    and any(d.is_expired(now) for d in descriptors)
+                )
+                if not (stale and attempts_left):
+                    raise
+            else:
+                return self._install_eer(
+                    response, keys, eer_info, path.hops, request.segment_ids, now
+                )
+
+    def _install_eer(self, response, keys, eer_info, hops, segment_ids, now):
+        """Open the HopAuths of a successful EER response, install the
+        version at the local gateway and hand the host its handle."""
+        info = response.res_info
+        hop_auths = self._open_hopauths(keys, hops, response.sealed_hopauths, now)
         if self.gateway is not None:
             self.gateway.install(
-                res_id,
-                PathField.from_hops(path.hops),
+                info.reservation,
+                PathField.from_hops(hops),
                 eer_info,
-                final_info,
+                info,
                 tuple(hop_auths),
             )
         return EerHandle(
-            reservation_id=res_id,
-            res_info=final_info,
+            reservation_id=info.reservation,
+            res_info=info,
             eer_info=eer_info,
-            hops=path.hops,
-            segment_ids=request.segment_ids,
+            hops=hops,
+            segment_ids=segment_ids,
             granted=response.granted,
         )
 
-    def _open_hopauths(self, hops: tuple, sealed_hopauths: tuple, now: float) -> list:
+    def _open_hopauths(
+        self, keys: PathKeys, hops: tuple, sealed_hopauths: tuple, now: float
+    ) -> list:
         """Decrypt the Eq. (5) HopAuth blobs, attributing any corruption.
 
         A malicious transit AS could corrupt another AS's sealed blob on
@@ -804,7 +809,7 @@ class ColibriService:
             )
         hop_auths = []
         for hop, sealed in zip(hops, sealed_hopauths):
-            key = self.directory.fetch_key(hop.isd_as, self.isd_as, now)
+            key = keys.fetch_key(hop.isd_as, self.isd_as, now)
             try:
                 hop_auths.append(aead_open(key, sealed))
             except AeadError as error:
@@ -836,67 +841,27 @@ class ColibriService:
             f"{[str(s) for s in request_segment_ids]} named by the EEReq"
         )
 
-    @traced(
-        "admission.eer_setup",
-        attrs=lambda self, request, auth, hop_index: {
-            "isd_as": str(self.isd_as),
-            "hop": hop_index,
-            "reservation": str(request.res_info.reservation),
-        },
-    )
+    @traced("admission.eer_setup", attrs=_on_path)
     def handle_eer_setup(
         self, request: EerSetupRequest, auth: AuthenticatedRequest, hop_index: int
     ) -> EerSetupResponse:
         """On-path processing of an EEReq (➌ of Fig. 1b) and its response."""
-        now = self.clock.now()
-        hop = self._hop_of(request.hops, hop_index)
-        source = request.res_info.src_as
-        last_index = len(request.hops) - 1
-        if hop_index > 0:
-            self._admission_gate(source, now)
-        # K_{AS_i->Src}, derived once: "the same key is used to
-        # authenticate the information AS_i itself adds" (§4.5) — the
-        # MAC check, the grant MAC and the Eq. (5) seal below.
-        key = self.keys.control_key(source, now)
-        if hop_index > 0:
-            auth._verify_under(key, self.isd_as)
-        idem_key = (
-            "eer_setup",
-            request.res_info.reservation,
-            request.res_info.version,
-            hop_index,
+        return self._hop(self._EER_SETUP, request, auth, hop_index)
+
+    def _decide_eer_setup(self, request, wanted, hop, hop_index, last_index, now):
+        """Role-specific admission (§4.7).  The state it returns is what
+        :meth:`_release_eer_decision` needs to undo the decision."""
+        role, segment_in, segment_out = self._role_and_segments(
+            request.segment_ids, hop_index, last_index
         )
-        cached = self.idempotency.get(idem_key)
-        if cached is not None:
-            return cached
-
-        def fail(granted: float) -> EerSetupResponse:
-            self._decided(
-                request.res_info.reservation, "eer", hop_index, granted, False
-            )
-            return EerSetupResponse(
-                res_info=request.res_info,
-                success=False,
-                granted=0.0,
-                grants=request.grants + (AsGrant(self.isd_as, granted),),
-            )
-
-        try:
-            role, segment_in, segment_out = self._role_and_segments(
-                request.segment_ids, hop_index, last_index
-            )
-        except ReservationNotFound:
-            return fail(0.0)
-
         host = None
         if role is AsRole.SOURCE:
             host = request.eer_info.src_host
         elif role is AsRole.DESTINATION:
             host = request.eer_info.dst_host
             # The destination host must explicitly accept the EER (§4.4).
-            if not self.host_acceptor(request.eer_info, request.res_info.bandwidth):
-                return fail(0.0)
-
+            if not self.host_acceptor(request.eer_info, wanted.bandwidth):
+                return 0.0, None
         core_contention = False
         if role is AsRole.TRANSFER:
             seg_in = self.store.get_segment(segment_in)
@@ -905,123 +870,77 @@ class ColibriService:
                 seg_in.segment.segment_type is SegmentType.UP
                 and seg_out.segment.segment_type is SegmentType.CORE
             )
-        try:
-            decision = self.eer_admission.decide(
-                role,
-                request.res_info.bandwidth,
-                now,
-                segment_in=segment_in,
-                segment_out=segment_out,
-                host=host,
-                core_contention=core_contention,
-                flow=request.res_info.reservation,
-            )
-        except (InsufficientBandwidth, PolicyDenied) as denial:
-            return fail(denial.granted)
-        except ReservationExpired:
-            return fail(0.0)
-
-        self._decided(
-            request.res_info.reservation, "eer", hop_index, decision.granted, True
+        decision = self.eer_admission.decide(
+            role,
+            wanted.bandwidth,
+            now,
+            segment_in=segment_in,
+            segment_out=segment_out,
+            host=host,
+            core_contention=core_contention,
+            flow=wanted.reservation,
         )
-        as_grant = AsGrant(self.isd_as, decision.granted)
-        forwarded = request.with_grant(as_grant)
-        auth._grant_under(key, as_grant)
+        return decision.granted, (decision, role, host, core_contention)
 
-        if hop_index == last_index:
-            final = min(g.granted for g in forwarded.grants)
-            info = request.res_info
-            response = EerSetupResponse(
-                res_info=ResInfo(
-                    reservation=info.reservation,
-                    bandwidth=final,
-                    expiry=info.expiry,
-                    version=info.version,
-                ),
-                success=final > 0,
-                granted=final,
-                grants=forwarded.grants,
+    def _commit_eer_setup(self, request, state: tuple, response, now):
+        info = response.res_info
+        self.eer_admission.commit(info.reservation, state[0], response.granted)
+        self.store.add_eer(
+            E2EReservation(
+                reservation_id=info.reservation,
+                eer_info=request.eer_info,
+                hops=request.hops,
+                segment_ids=request.segment_ids,
+                first_version=E2EVersion(info.version, response.granted, info.expiry),
             )
-        else:
-            next_as = request.hops[hop_index + 1].isd_as
-            try:
-                response = self.caller.call(
-                    next_as, "handle_eer_setup", forwarded, auth, hop_index + 1
-                )
-            except TransportError:
-                # Nothing committed here yet, but `decide` charged policy
-                # budget / transfer demand — return it before the error
-                # climbs back towards the initiator (§3.3 cleanup).
-                self._release_eer_decision(
-                    role, host, request.res_info.bandwidth,
-                    core_contention, request.res_info.reservation,
-                )
-                raise
+        )
 
-        if response.success:
-            final_info = response.res_info
-            eer_id = final_info.reservation
-            with self.store.transaction():
-                self.eer_admission.commit(eer_id, decision, response.granted)
-                self.store.add_eer(
-                    E2EReservation(
-                        reservation_id=eer_id,
-                        eer_info=request.eer_info,
-                        hops=request.hops,
-                        segment_ids=request.segment_ids,
-                        first_version=E2EVersion(
-                            version=final_info.version,
-                            bandwidth=response.granted,
-                            expiry=final_info.expiry,
-                        ),
-                    )
-                )
-            sigma = hop_authenticator(
-                self.keys.hop_key(now),
-                final_info,
-                request.eer_info,
-                hop.ingress,
-                hop.egress,
-            )
-            response = self._with_hopauth(response, aead_seal(key, sigma))
-            self.idempotency.put(idem_key, response)
-        else:
-            # Release everything the failed attempt's `decide` consumed:
-            # policy budget at host-facing roles, and — previously leaked
-            # — the transfer AS's registered core-SegR demand, which
-            # would otherwise shrink other up-SegRs' quotas forever.
-            self._release_eer_decision(
-                role, host, request.res_info.bandwidth,
-                core_contention, request.res_info.reservation,
-            )
-        return response
-
-    def _release_eer_decision(
-        self,
-        role: AsRole,
-        host,
-        bandwidth: float,
-        core_contention: bool,
-        eer_id: ReservationId,
-    ) -> None:
+    def _release_eer_decision(self, state: Optional[tuple], wanted: ResInfo) -> None:
         """Undo the temporary state :meth:`EerAdmission.decide` created
-        for a request that will not commit here (§3.3 cleanup)."""
+        for a request that will not commit here (§3.3 cleanup): policy
+        budget at host-facing roles, and the transfer AS's registered
+        core-SegR demand, which would otherwise shrink other up-SegRs'
+        quotas forever."""
+        if state is None:
+            return  # refused here: `decide` already rolled itself back
+        _, role, host, core_contention = state
         if host is not None and role is AsRole.SOURCE:
-            self.eer_admission.source_policy.release(host, bandwidth)
+            self.eer_admission.source_policy.release(host, wanted.bandwidth)
         elif host is not None and role is AsRole.DESTINATION:
-            self.eer_admission.destination_policy.release(host, bandwidth)
+            self.eer_admission.destination_policy.release(host, wanted.bandwidth)
         if role is AsRole.TRANSFER and core_contention:
             # Keyed release: exactly the capped increment `decide`
             # registered, not the (possibly larger) requested amount.
-            self.eer_admission.distributor.release_key(eer_id)
+            self.eer_admission.distributor.release_key(wanted.reservation)
+
+    def _mint_hopauth(self, key, subject, hop, response, now):
+        """The response with this AS's Eq. (5) blob prepended: its
+        Eq. (4) HopAuth, sealed for the source under ``key``."""
+        sigma = hop_authenticator(
+            self.keys.hop_key(now),
+            response.res_info,
+            subject.eer_info,
+            hop.ingress,
+            hop.egress,
+        )
+        return EerSetupResponse(
+            res_info=response.res_info,
+            success=response.success,
+            granted=response.granted,
+            sealed_hopauths=(aead_seal(key, sigma),) + response.sealed_hopauths,
+            grants=response.grants,
+        )
 
     @traced("eer.renewal", attrs=_initiator, latency="admission_latency_seconds")
     def renew_eer(self, handle: EerHandle, new_bandwidth: float = None) -> EerHandle:
         """Renew an own EER ahead of expiry (§4.2); returns the updated
-        handle with the new version installed at the gateway."""
+        handle with the new version installed at the gateway.  On
+        failure the base version keeps carrying traffic."""
         now = self.clock.now()
-        self.renewal_limiter.check(handle.reservation_id, now)
+        # Look the EER up before charging the limiter: a renewal of a
+        # swept EER must not leave a bucket nothing ever forgets.
         reservation = self.store.get_eer(handle.reservation_id)
+        self.renewal_limiter.check(handle.reservation_id, now)
         if new_bandwidth is None:
             new_bandwidth = handle.res_info.bandwidth
         request = EerRenewalRequest(
@@ -1030,195 +949,72 @@ class ColibriService:
             new_expiry=now + EER_LIFETIME,
             new_version=reservation.next_version_number(),
         )
-        on_path = [hop.isd_as for hop in handle.hops]
-        auth = AuthenticatedRequest.create(
-            self.directory, self.isd_as, on_path, request, now
+        response, keys = self._initiate(self._EER_RENEWAL, request, handle.hops, now)
+        renewed = self._install_eer(
+            response, keys, handle.eer_info, handle.hops, handle.segment_ids, now
         )
-        try:
-            response = self.handle_eer_renewal(request, auth, 0)
-        except TransportError:
-            # Drop the half-installed renewal version everywhere; the
-            # base version keeps carrying traffic (§4.2).
-            self._abort_eer(handle.reservation_id, request.new_version, handle.hops)
-            raise
-        if not response.success:
-            raise _refused("EER renewal", response.grants)
-        final_info = response.res_info
-        hop_auths = self._open_hopauths(
-            handle.hops, response.sealed_hopauths, now
-        )
-        if self.gateway is not None:
-            self.gateway.install(
-                handle.reservation_id,
-                PathField.from_hops(handle.hops),
-                handle.eer_info,
-                final_info,
-                tuple(hop_auths),
-            )
         self._journal(
             RESERVATION_RENEWED,
             handle.reservation_id,
             kind="eer",
-            version=final_info.version,
+            version=renewed.res_info.version,
             granted=response.granted,
         )
-        return EerHandle(
-            reservation_id=handle.reservation_id,
-            res_info=final_info,
-            eer_info=handle.eer_info,
-            hops=handle.hops,
-            segment_ids=handle.segment_ids,
-            granted=response.granted,
-        )
+        return renewed
 
-    @traced(
-        "admission.eer_renewal",
-        attrs=lambda self, request, auth, hop_index: {
-            "isd_as": str(self.isd_as),
-            "hop": hop_index,
-            "reservation": str(request.reservation),
-        },
-    )
+    @traced("admission.eer_renewal", attrs=_on_path)
     def handle_eer_renewal(
         self, request: EerRenewalRequest, auth: AuthenticatedRequest, hop_index: int
     ) -> EerSetupResponse:
-        now = self.clock.now()
-        source = request.reservation.src_as
+        return self._hop(self._EER_RENEWAL, request, auth, hop_index)
 
-        def fail(granted: float) -> EerSetupResponse:
-            self._decided(
-                request.reservation, "eer_renewal", hop_index, granted, False
-            )
-            return EerSetupResponse(
-                res_info=ResInfo(
-                    reservation=request.reservation,
-                    bandwidth=0.0,
-                    expiry=request.new_expiry,
-                    version=request.new_version,
-                ),
-                success=False,
-                granted=0.0,
-                grants=request.grants + (AsGrant(self.isd_as, granted),),
-            )
+    def _resolve_eer_renewal(self, request: EerRenewalRequest):
+        reservation = self.store.get_eer(request.reservation)
+        return reservation, reservation.hops
 
-        try:
-            reservation = self.store.get_eer(request.reservation)
-        except ReservationNotFound:
-            return fail(0.0)
-        hops = reservation.hops
-        hop = self._hop_of(hops, hop_index)
-        last_index = len(hops) - 1
-        if hop_index > 0:
-            self._admission_gate(source, now)
-        key = self.keys.control_key(source, now)  # once, as in setup
-        if hop_index > 0:
-            auth._verify_under(key, self.isd_as)
-        idem_key = (
-            "eer_renewal", request.reservation, request.new_version, hop_index
+    def _decide_eer_renewal(
+        self, reservation, wanted, hop, hop_index, last_index, now
+    ):
+        """Renewal is a delta-recompute, not a fresh admission: versions
+        share the EER's budget (§4.2), so each SegR offers its current
+        allocation plus whatever is free, in two O(1) reads — no
+        release-and-readmit through the full bounded-tube path, and no
+        policy/demand charge to unwind on failure (policy budget was
+        charged at setup).  An AS that cannot cover the full growth
+        offers a *partial* grant, so service never regresses below what
+        already runs."""
+        role, segment_in, segment_out = self._role_and_segments(
+            reservation.segment_ids, hop_index, last_index
         )
-        cached = self.idempotency.get(idem_key)
-        if cached is not None:
-            return cached
-
-        try:
-            role, segment_in, segment_out = self._role_and_segments(
-                reservation.segment_ids, hop_index, last_index
-            )
-        except ReservationNotFound:
-            return fail(0.0)
-
-        # Renewal is a delta-recompute, not a fresh admission: versions
-        # share the EER's budget (§4.2), so each SegR offers its current
-        # allocation plus whatever is free, in two O(1) reads — no
-        # release-and-readmit through the full bounded-tube path, and no
-        # policy/demand charge to unwind on failure (policy budget was
-        # charged at setup).  An AS that cannot cover the full growth
-        # offers a *partial* grant, so service never regresses below
-        # what already runs.
-        try:
-            decision = self.eer_admission.renew_delta(
-                request.reservation,
-                [sid for sid in (segment_in, segment_out) if sid is not None],
-                request.new_bandwidth,
-                now,
-                role=role,
-            )
-        except (ReservationExpired, ReservationNotFound):
-            return fail(0.0)
-        offered = decision.granted
-        if offered <= 0:
-            return fail(0.0)
-
-        self._decided(
-            request.reservation, "eer_renewal", hop_index, offered, True
+        segment_ids = [sid for sid in (segment_in, segment_out) if sid is not None]
+        decision = self.eer_admission.renew_delta(
+            wanted.reservation, segment_ids, wanted.bandwidth, now, role=role
         )
-        as_grant = AsGrant(self.isd_as, offered)
-        forwarded = request.with_grant(as_grant)
-        auth._grant_under(key, as_grant)
+        return decision.granted, decision
 
-        if hop_index == last_index:
-            final = min(g.granted for g in forwarded.grants)
-            response = EerSetupResponse(
-                res_info=ResInfo(
-                    reservation=request.reservation,
-                    bandwidth=final,
-                    expiry=request.new_expiry,
-                    version=request.new_version,
-                ),
-                success=final > 0,
-                granted=final,
-                grants=forwarded.grants,
-            )
-        else:
-            # Renewal's `decide` ran with host=None and no contention
-            # flag, so a transport failure here leaves no temp state to
-            # release — the error just climbs back to the initiator.
-            response = self.caller.call(
-                hops[hop_index + 1].isd_as,
-                "handle_eer_renewal",
-                forwarded,
-                auth,
-                hop_index + 1,
-            )
-
-        if response.success:
-            final_info = response.res_info
-            with self.store.transaction():
-                reservation.add_version(
-                    E2EVersion(
-                        version=final_info.version,
-                        bandwidth=response.granted,
-                        expiry=final_info.expiry,
-                    )
-                )
-                reservation.prune(now)
-                self.eer_admission.commit_renewal(
-                    request.reservation, decision, response.granted
-                )
-                # The new version moved the expiry: re-index the EER so
-                # the time-indexed sweep sees the extension immediately.
-                self.store.touch(request.reservation)
-            sigma = hop_authenticator(
-                self.keys.hop_key(now),
-                final_info,
-                reservation.eer_info,
-                hop.ingress,
-                hop.egress,
-            )
-            response = self._with_hopauth(response, aead_seal(key, sigma))
-            self.idempotency.put(idem_key, response)
-        return response
-
-    @staticmethod
-    def _with_hopauth(response: EerSetupResponse, sealed: bytes) -> EerSetupResponse:
-        """The response with this AS's Eq. (5) blob prepended."""
-        return EerSetupResponse(
-            res_info=response.res_info,
-            success=response.success,
-            granted=response.granted,
-            sealed_hopauths=(sealed,) + response.sealed_hopauths,
-            grants=response.grants,
+    def _commit_eer_renewal(self, reservation, decision, response, now):
+        info = response.res_info
+        reservation.add_version(
+            E2EVersion(info.version, response.granted, info.expiry)
         )
+        reservation.prune(now)
+        self.eer_admission.commit_renewal(
+            info.reservation, decision, response.granted
+        )
+        # The new version moved the expiry: re-index the EER so the
+        # time-indexed sweep sees the extension immediately.
+        self.store.touch(info.reservation)
+
+    def _forget_eer(self, res_id: ReservationId) -> None:
+        """Drop what this AS holds for an EER beside its store rows —
+        transfer-quota demand (it would otherwise accumulate forever and
+        starve other up-SegRs' quotas), and at the source AS the renewal
+        bucket and the gateway entry (HopAuths, key schedules, token
+        bucket); elsewhere those two are no-ops."""
+        self.eer_admission.distributor.release_key(res_id)
+        self.renewal_limiter.forget(res_id)
+        if self.gateway is not None:
+            self.gateway.uninstall(res_id)
 
     # ==================================================== abort paths (§3.3) ==
     #
@@ -1230,20 +1026,27 @@ class ColibriService:
     # the circuit breaker, because cleanup towards a flaky AS is exactly
     # the call that must not be refused.
 
-    def _abort_segment(self, res_id: ReservationId, version: int, ases) -> None:
+    def _abort_segment(self, res_id: ReservationId, version: int, hops) -> None:
         """Release a half-committed SegR setup (version 1) or renewal
-        (version > 1) at every on-path AS."""
+        (version > 1: drop the pending version) at every on-path AS."""
         self.aborts["segments"] += 1
-        now = self.clock.now()
-        request = SegAbortNotice(reservation=res_id, version=version)
-        targets = [isd_as for isd_as in ases if isd_as != self.isd_as]
+        self._abort("handle_seg_abort", SegAbortNotice(res_id, version), hops)
+
+    def _abort_eer(self, res_id: ReservationId, version: int, hops) -> None:
+        """Release a half-committed EER setup (version 1) or renewal
+        version (version > 1) at every on-path AS."""
+        self.aborts["eers"] += 1
+        self._abort("handle_eer_abort", EerAbortNotice(res_id, version), hops)
+
+    def _abort(self, method: str, notice, hops) -> None:
+        targets = [hop.isd_as for hop in hops if hop.isd_as != self.isd_as]
         auth = AuthenticatedRequest.create(
-            self.directory, self.isd_as, targets, request, now
+            self.directory, self.isd_as, targets, notice, self.clock.now()
         )
-        self._local_seg_abort(res_id, version)
+        getattr(self, method)(notice, auth)
         for isd_as in targets:
             try:
-                self.caller.call(isd_as, "handle_seg_abort", request, auth)
+                self.caller.call(isd_as, method, notice, auth)
             except TransportError:
                 # Even the generous cleanup budget ran dry; that AS's
                 # residue now expires with the reservation lifetime.
@@ -1252,22 +1055,26 @@ class ColibriService:
     def handle_seg_abort(
         self, request: SegAbortNotice, auth: AuthenticatedRequest
     ) -> bool:
-        now = self.clock.now()
-        auth.verify_at(self.keys, now)
-        # Only the initiator may tear down its own half-committed state.
-        if request.reservation.src_as != auth.source:
-            raise AdmissionDenied(
-                f"abort of {request.reservation} not requested by its owner"
-            )
-        self._local_seg_abort(request.reservation, request.version)
-        return True
+        return self._handle_abort(request, auth, self._local_seg_abort)
 
-    def _local_seg_abort(self, res_id: ReservationId, version: int) -> None:
+    def handle_eer_abort(
+        self, request: EerAbortNotice, auth: AuthenticatedRequest
+    ) -> bool:
+        return self._handle_abort(request, auth, self._local_eer_abort)
+
+    def _handle_abort(self, notice, auth: AuthenticatedRequest, undo: Callable) -> bool:
+        auth.verify_at(self.keys, self.clock.now())
+        self._owner_only(notice, auth)
         # Forget replay answers for the aborted request so a later
         # legitimate retry is admitted fresh, not served stale state.
+        res_id, version = notice.reservation, notice.version
         self.idempotency.invalidate(
             lambda key: key[1] == res_id and (version <= 1 or key[2] == version)
         )
+        undo(res_id, version)
+        return True
+
+    def _local_seg_abort(self, res_id: ReservationId, version: int) -> None:
         try:
             reservation = self.store.get_segment(res_id)
         except ReservationNotFound:
@@ -1280,49 +1087,15 @@ class ColibriService:
             version=version,
         )
         if version <= 1:
-            self.seg_admission.release(res_id)
             self.store.remove_segment(res_id)
-            self.registry.unregister(res_id)
-            self._segment_tokens.pop(res_id, None)
+            self._forget_segment(res_id)
             return
         try:
             reservation.drop_pending(version)
         except VersionError:
             pass  # renewal never landed here, or was already activated
 
-    def _abort_eer(self, res_id: ReservationId, version: int, hops) -> None:
-        """Release a half-committed EER setup (version 1) or renewal
-        version (version > 1) at every on-path AS."""
-        self.aborts["eers"] += 1
-        now = self.clock.now()
-        request = EerAbortNotice(reservation=res_id, version=version)
-        targets = [hop.isd_as for hop in hops if hop.isd_as != self.isd_as]
-        auth = AuthenticatedRequest.create(
-            self.directory, self.isd_as, targets, request, now
-        )
-        self._local_eer_abort(res_id, version)
-        for isd_as in targets:
-            try:
-                self.caller.call(isd_as, "handle_eer_abort", request, auth)
-            except TransportError:
-                self.aborts["undeliverable"] += 1
-
-    def handle_eer_abort(
-        self, request: EerAbortNotice, auth: AuthenticatedRequest
-    ) -> bool:
-        now = self.clock.now()
-        auth.verify_at(self.keys, now)
-        if request.reservation.src_as != auth.source:
-            raise AdmissionDenied(
-                f"abort of {request.reservation} not requested by its owner"
-            )
-        self._local_eer_abort(request.reservation, request.version)
-        return True
-
     def _local_eer_abort(self, res_id: ReservationId, version: int) -> None:
-        self.idempotency.invalidate(
-            lambda key: key[1] == res_id and (version <= 1 or key[2] == version)
-        )
         try:
             reservation = self.store.get_eer(res_id)
         except ReservationNotFound:
@@ -1330,27 +1103,22 @@ class ColibriService:
         self._journal(
             RESERVATION_TORN_DOWN, res_id, kind="eer", reason="abort", version=version
         )
-        now = self.clock.now()
         if version <= 1:
             # Abort of the initial setup: the whole EER goes, and every
             # SegR this AS holds gets its allocation back — exact zero,
-            # not "wait 16 s for expiry" (§3.3).  The keyed ledger
-            # returns exactly the transfer demand this EER registered.
-            self.eer_admission.distributor.release_key(res_id)
+            # not "wait 16 s for expiry" (§3.3).
             with self.store.transaction():
                 for segment_id in reservation.segment_ids:
                     self.store.release_on_segment(segment_id, res_id)
                 self.store.remove_eer(res_id)
-            self.renewal_limiter.forget(res_id)
-            if self.gateway is not None:
-                self.gateway.uninstall(res_id)
+            self._forget_eer(res_id)
             return
         try:
             reservation.drop_version(version)
         except VersionError:
             return  # the renewal version never landed here
         # Shrink the allocation back to what the surviving versions need.
-        remaining = reservation.effective_bandwidth(now)
+        remaining = reservation.effective_bandwidth(self.clock.now())
         with self.store.transaction():
             for segment_id in reservation.segment_ids:
                 if not self.store.has_segment(segment_id):
@@ -1549,26 +1317,15 @@ class ColibriService:
 
         Cost is proportional to what actually died: the store's expiry
         wheel surfaces exactly the due reservations (no full scan), and
-        the returned id lists drive the per-reservation cleanup —
-        segment-admission entries, registry rows, Eq. (3) tokens, the
-        local gateway's entry of each expired EER (HopAuths, key
-        schedules, token bucket), and the transfer-quota demand of
-        expired EERs, which would otherwise accumulate forever and
-        starve other up-SegRs' quotas.
+        the returned id lists drive the per-reservation cleanup
+        (:meth:`_forget_segment`, :meth:`_forget_eer`).
         """
         now = self.clock.now()
         removed, dead_eers, dead_segments = self.store.sweep_expired_details(now)
         for reservation_id in dead_segments:
-            self.seg_admission.release(reservation_id)
-            self.registry.unregister(reservation_id)
-            self._segment_tokens.pop(reservation_id, None)
+            self._forget_segment(reservation_id)
         for reservation_id in dead_eers:
-            self.eer_admission.distributor.release_key(reservation_id)
-            # Only the source AS holds a renewal bucket and a gateway
-            # entry for the EER; elsewhere both are no-ops.
-            self.renewal_limiter.forget(reservation_id)
-            if self.gateway is not None:
-                self.gateway.uninstall(reservation_id)
+            self._forget_eer(reservation_id)
         removed["registry"] = self.registry.sweep_expired(now)
         if self.obs is not None:
             metrics = self.obs.metrics
@@ -1593,3 +1350,32 @@ class ColibriService:
     def segment_tokens(self, reservation_id: ReservationId) -> tuple:
         """The Eq. (3) tokens returned at setup, for building SegR packets."""
         return self._segment_tokens[reservation_id]
+
+    # ============================================== the workflows, assembled ==
+    #
+    # Everything a workflow does that :meth:`_hop` / :meth:`_initiate` do
+    # not.  SegRs decide by N-Tube and mint Eq. (3) tokens; EERs decide by
+    # role over their SegRs and mint sealed HopAuths (Eq. 5); setups read
+    # the request and add a store row, renewals read the store and add a
+    # version to the row.  Only an EER setup's decision charges anything.
+
+    _SEG_SETUP = _Flow(
+        "handle_seg_setup", "segment", "SegR setup", SegSetupResponse,
+        _resolve_setup, _decide_segment, _commit_seg_setup, _mint_token,
+        _abort_segment,
+    )
+    _SEG_RENEWAL = _Flow(
+        "handle_seg_renewal", "segment_renewal", "SegR renewal", SegSetupResponse,
+        _resolve_seg_renewal, _decide_segment, _commit_seg_renewal, _mint_token,
+        _abort_segment,
+    )
+    _EER_SETUP = _Flow(
+        "handle_eer_setup", "eer", "EER setup", EerSetupResponse,
+        _resolve_setup, _decide_eer_setup, _commit_eer_setup, _mint_hopauth,
+        _abort_eer, _release_eer_decision,
+    )
+    _EER_RENEWAL = _Flow(
+        "handle_eer_renewal", "eer_renewal", "EER renewal", EerSetupResponse,
+        _resolve_eer_renewal, _decide_eer_renewal, _commit_eer_renewal,
+        _mint_hopauth, _abort_eer,
+    )

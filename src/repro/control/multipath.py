@@ -73,9 +73,8 @@ def reserve_segments_with_fallback(
                 for hop in reservation.segment.hops:
                     cserv = network.cserv(hop.isd_as)
                     if cserv.store.has_segment(reservation.reservation_id):
-                        cserv.seg_admission.release(reservation.reservation_id)
                         cserv.store.remove_segment(reservation.reservation_id)
-                        cserv.registry.unregister(reservation.reservation_id)
+                        cserv._forget_segment(reservation.reservation_id)
     raise InsufficientBandwidth(
         f"no path from {source} to {destination} admits "
         f"{bandwidth:.0f} bps (tried {len(paths)})",

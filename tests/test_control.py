@@ -339,7 +339,7 @@ class TestControlPlaneSecurity:
             directory, asid(1, 1), [asid(1, 1), asid(2, 1)], message
         )
         honest = AsGrant(asid(2, 1), 100.0)
-        auth.add_grant_mac(ColibriKeys(b), honest)
+        auth._grant_under(ColibriKeys(b).control_key(auth.source), honest)
         inflated = AsGrant(asid(2, 1), 999.0)
         with pytest.raises(MacVerificationError):
             auth.verify_grants(directory, (inflated,))

@@ -255,3 +255,40 @@ def test_a_forged_request_mac_is_refused_before_any_work(deployment):
         net.cserv(SRC).setup_eer(DST, SRC_HOST, DST_HOST, mbps(8))
     assert target.eer_admission.decisions == decisions
     assert target.store.eer_count() == 0
+
+
+def test_segr_handlers_do_the_same_work_per_hop():
+    """SegR setup and renewal go through the same hop as the EER
+    workflows: per on-path AS one key derivation, one admission read and
+    one store write (setup) or one store read (renewal: the new version
+    is pending on the stored row)."""
+    net = ColibriNetwork(build_two_isd_topology(), clock=SimClock(start=1000.0))
+    segment = net.path_lookup.paths(SRC, DST, limit=1)[0].segments[0]
+    on_path = list(segment.ases)
+    assert len(on_path) == 3
+    work = Counter()
+    for isd_as in on_path:
+        stack = net.stack(isd_as)
+        HopLog._count(stack.keys, "control_key", work, (isd_as, "key"))
+        HopLog._count(stack.cserv.seg_admission, "evaluate", work, (isd_as, "decide"))
+        for method in ("add_segment", "get_segment"):
+            HopLog._count(stack.cserv.store, method, work, (isd_as, method))
+
+    segr = net.cserv(SRC).setup_segment(segment, gbps(1), register=False)
+    expected = Counter()
+    for isd_as in on_path:
+        expected.update({(isd_as, "key"): 1, (isd_as, "decide"): 1,
+                         (isd_as, "add_segment"): 1})
+    expected[(SRC, "get_segment")] = 1  # the initiator returns its record
+    assert work == expected
+
+    work.clear()
+    net.advance(3.0)
+    assert net.cserv(SRC).renew_segment(segr.reservation_id, gbps(2)) == 2
+    expected = Counter()
+    for isd_as in on_path:
+        expected.update({(isd_as, "key"): 1, (isd_as, "decide"): 1,
+                         (isd_as, "get_segment"): 1})
+    expected[(SRC, "get_segment")] += 1  # the initiator's own lookup
+    assert work == expected
+    assert net.audit() == []

@@ -2,18 +2,30 @@
 partial renewal grants (§4.2), misrouted requests, forged MACs arriving
 over the bus, unknown reservations, renewal negotiation."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.admission.policy import PerHostCapPolicy
 from repro.constants import EER_LIFETIME, EER_RENEWAL_MIN_INTERVAL
 from repro.control.auth import AuthenticatedRequest
+from repro.control.rate_limit import RateLimiter
 from repro.errors import (
+    AdmissionDenied,
     ColibriError,
     InsufficientBandwidth,
     MacVerificationError,
     RateLimited,
     ReservationNotFound,
 )
-from repro.packets.control import EerRenewalRequest, SegRenewalRequest
+from repro.obs.events import ADMISSION_DECIDED
+from repro.packets.control import (
+    AsGrant,
+    EerRenewalRequest,
+    SegActivationRequest,
+    SegRenewalRequest,
+    SegTeardownNotice,
+)
 from repro.reservation.ids import ReservationId
 from repro.sim import ColibriNetwork
 from repro.topology import IsdAs, build_two_isd_topology
@@ -166,7 +178,7 @@ class TestHandlerRobustness:
         net.reserve_segments(SRC, DST, gbps(1))
         cserv = net.cserv(SRC)
         cserv.find_segment_chain(DST)  # warm the remote-descriptor cache
-        assert cserv._remote_cache
+        assert cserv.remote_client.cached_pairs()
         net.advance(SEGR_LIFETIME + 1)  # everything expired, caches stale
         with pytest.raises(ColibriError):
             net.establish_eer(SRC, DST, mbps(10))
@@ -386,6 +398,20 @@ class TestRenewalLimiterForgets:
         with pytest.raises(RateLimited):
             cserv.renew_eer(handle)
 
+    def test_failed_renewal_of_a_swept_eer_leaves_no_bucket(self, net):
+        net.reserve_segments(SRC, DST, gbps(1))
+        cserv = net.cserv(SRC)
+        handles = [
+            net.establish_eer(SRC, DST, mbps(1), src_host=HostAddr(10 + i))
+            for i in range(5)
+        ]
+        net.advance(EER_LIFETIME + 1.0)
+        net.housekeeping()
+        for handle in handles:
+            with pytest.raises(ReservationNotFound):
+                cserv.renew_eer(handle)
+        assert cserv.renewal_limiter.tracked_keys() == 0
+
     def test_aborted_setup_is_forgotten(self, net):
         net.reserve_segments(SRC, DST, gbps(1))
         cserv = net.cserv(SRC)
@@ -394,4 +420,168 @@ class TestRenewalLimiterForgets:
         cserv.renew_eer(handle)
         cserv._abort_eer(handle.reservation_id, 1, handle.hops)
         assert cserv.renewal_limiter.tracked_keys() == 0
+        assert net.audit() == []
+
+
+TRANSIT = asid(1, 11)  # hop 1 of both the up-SegR and the EER path
+GHOST = ReservationId(SRC, 424242)  # a reservation no AS stores
+
+
+def ghost_request(kind, now):
+    if kind == "handle_eer_renewal":
+        return EerRenewalRequest(GHOST, mbps(1), now + 16, 2)
+    if kind == "handle_seg_renewal":
+        return SegRenewalRequest(GHOST, mbps(1), 0.0, now + 300, 2)
+    if kind == "handle_seg_teardown":
+        return SegTeardownNotice(GHOST)
+    return SegActivationRequest(GHOST, 2)
+
+
+def deny(cserv, auth):
+    cserv.report_offense(SRC, GHOST)
+    return AdmissionDenied
+
+
+def throttle(cserv, auth):
+    cserv.request_limiter = RateLimiter(1.0, burst=1.0)
+    assert cserv.request_limiter.allow(SRC, cserv.clock.now())
+    return RateLimited
+
+
+def forge(cserv, auth):
+    tag = auth.source_macs[TRANSIT]
+    auth.source_macs[TRANSIT] = bytes([tag[0] ^ 1]) + tag[1:]
+    return MacVerificationError
+
+
+class TestNothingBeforeTheGateAndTheMac:
+    """§5.3 / §4.5: an on-path AS reads no state, journals nothing and
+    answers nothing for a request that fails the rate gate, the
+    denied-source check or the MAC — known reservation or not."""
+
+    HANDLERS = (
+        "handle_eer_renewal",
+        "handle_seg_renewal",
+        "handle_seg_teardown",
+        "handle_seg_activation",
+    )
+
+    @pytest.mark.parametrize("spoil", [deny, throttle, forge])
+    @pytest.mark.parametrize("handler", HANDLERS)
+    def test_unknown_reservation_at_a_transit_as(self, net, handler, spoil):
+        obs = net.enable_observability(seed=0, journal=True)
+        cserv = net.cserv(TRANSIT)
+        lookups = []
+        for getter in ("get_eer", "get_segment"):
+            setattr(cserv.store, getter, lambda res_id, g=getter: lookups.append(g))
+        request = ghost_request(handler, net.clock.now())
+        auth = AuthenticatedRequest.create(
+            net.directory, SRC, [SRC, TRANSIT], request
+        )
+        with pytest.raises(spoil(cserv, auth)):
+            getattr(cserv, handler)(request, auth, 1)
+        assert lookups == []
+        assert obs.journal.query(ADMISSION_DECIDED) == []
+
+
+def lower_upstream_grant(cserv, handler, factor):
+    """Make ``cserv`` a malicious transit AS: it rewrites the grant of
+    the AS right before it on the way forward."""
+    original = getattr(cserv, handler)
+
+    def tampering(request, auth, hop_index):
+        victim = request.grants[-1]
+        forged = AsGrant(victim.isd_as, victim.granted * factor)
+        request = replace(request, grants=request.grants[:-1] + (forged,))
+        return original(request, auth, hop_index)
+
+    setattr(cserv, handler, tampering)
+
+
+def held(net):
+    """Per AS: stored SegRs with pending versions, EERs with versions,
+    and the bandwidth allocated on every SegR."""
+    return {
+        isd_as: (
+            sorted(
+                (
+                    str(segr.reservation_id),
+                    sorted(segr.versions),
+                    store.allocated_on_segment(segr.reservation_id),
+                )
+                for segr in store.segments()
+            ),
+            sorted((str(e.reservation_id), sorted(e.versions)) for e in store.eers()),
+        )
+        for isd_as in net.ases()
+        for store in [net.cserv(isd_as).store]
+    }
+
+
+class TestForgedGrantAbortsPathWide:
+    """Every initiator verifies the grant MACs before it trusts either
+    outcome: a transit AS lowering another AS's grant gets a
+    MacVerificationError — not a smaller reservation, and not an
+    InsufficientBandwidth framing the innocent AS — and whatever the
+    forged request committed is released at every hop."""
+
+    FORGER = asid(1, 1)  # hop 2: rewrites the grant of 1-ff00:0:b
+
+    def check(self, net, handler, factor, operation):
+        before = held(net)
+        aborts = dict(net.cserv(SRC).aborts)
+        lower_upstream_grant(net.cserv(self.FORGER), handler, factor)
+        with pytest.raises(MacVerificationError):
+            operation()
+        assert held(net) == before
+        assert net.audit() == []
+        return {k: v - aborts[k] for k, v in net.cserv(SRC).aborts.items()}
+
+    def test_eer_setup(self, net):
+        net.reserve_segments(SRC, DST, mbps(100))
+        net.establish_eer(SRC, DST, mbps(7))
+        aborted = self.check(
+            net, "handle_eer_setup", 0.5,
+            lambda: net.establish_eer(SRC, DST, mbps(10), src_host=HostAddr(3)),
+        )
+        assert aborted == {"segments": 0, "eers": 1, "undeliverable": 0}
+        assert net.gateway(SRC).reservation_count() == 1
+
+    def test_eer_renewal(self, net):
+        net.reserve_segments(SRC, DST, mbps(100))
+        handle = net.establish_eer(SRC, DST, mbps(10))
+        net.advance(2.0)
+        self.check(
+            net, "handle_eer_renewal", 0.5,
+            lambda: net.cserv(SRC).renew_eer(handle, mbps(20)),
+        )
+
+    def test_segment_renewal(self, net):
+        segrs = net.reserve_segments(SRC, DST, mbps(100))
+        self.check(
+            net, "handle_seg_renewal", 0.5,
+            lambda: net.cserv(SRC).renew_segment(segrs[0].reservation_id, mbps(200)),
+        )
+
+    def test_failed_segment_setup(self, net):
+        segrs = net.reserve_segments(SRC, DST, mbps(100))
+        self.check(
+            net, "handle_seg_setup", 0.0,
+            lambda: net.cserv(SRC).setup_segment(segrs[0].segment, mbps(50)),
+        )
+
+
+class TestDecisionReleasedWhateverStopsTheRequest:
+    def test_downstream_denial_returns_the_source_policy_charge(self, net):
+        """The source AS charges the host's policy budget on the forward
+        pass; a downstream AS refusing the source at its gate is not a
+        transport error, but the charge must come back all the same."""
+        net.reserve_segments(SRC, DST, mbps(100))
+        policy = PerHostCapPolicy(mbps(50))
+        net.cserv(SRC).eer_admission.source_policy = policy
+        net.cserv(asid(2, 1)).report_offense(SRC, GHOST)
+        for _ in range(3):
+            with pytest.raises(AdmissionDenied):
+                net.establish_eer(SRC, DST, mbps(40))
+        assert policy.in_use(HostAddr(1)) == 0
         assert net.audit() == []

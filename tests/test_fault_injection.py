@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.constants import IDEMPOTENCY_TTL
 from repro.control.distributed import DistributedCServ
 from repro.control.renewal import RenewalScheduler
 from repro.control.retry import (
@@ -33,6 +34,7 @@ from repro.errors import (
 )
 from repro.sim import ColibriNetwork
 from repro.topology import IsdAs, build_two_isd_topology
+from repro.topology.addresses import HostAddr
 from repro.util.clock import SimClock
 from repro.util.units import gbps, mbps
 
@@ -554,3 +556,225 @@ class TestDistributedPassthroughs:
             assert net.cserv(isd_as).store.eer_count() == 0
         # The abort really went through a sharded worker, not the parent.
         assert sum(worker.handled for worker in distributed.eer_workers) > 0
+
+
+# ------------------------------------ the workflow x loss-position matrix --
+#
+# Six hop-by-hop workflows x every link each crosses on the 6-AS path x
+# three loss modes.  One lost message must be invisible in the outcome;
+# a response lost until the retries run out must leave either the
+# pre-request state (setups and renewals: the initiator aborts
+# path-wide) or a state that re-issuing the request completes (the two
+# downstream-first walks, idempotent by state).
+
+LINKS = list(zip(PATH, PATH[1:]))
+MODES = ("request_lost_once", "response_lost_once", "responses_lost")
+
+
+def control_state(net):
+    """Per AS, everything the control plane holds about reservations:
+    SegR versions with their states, EER versions, per-SegR allocation,
+    the N-Tube index entry and the transfer distributor's demand."""
+    state = {}
+    for isd_as in net.ases():
+        cserv = net.cserv(isd_as)
+        store, index = cserv.store, cserv.seg_admission.index
+        segments = {}
+        for segr in store.segments():
+            sid = segr.reservation_id
+            segments[sid] = (
+                segr.active.version,
+                sorted(
+                    (v.version, v.bandwidth, v.expiry, v.state.value)
+                    for v in segr.versions.values()
+                ),
+                store.allocated_on_segment(sid),
+                index.entry(sid).granted if sid in index else None,
+                cserv.eer_admission.distributor.total_demand(sid),
+            )
+        eers = {
+            eer.reservation_id: sorted(
+                (v.version, v.bandwidth, v.expiry) for v in eer.versions.values()
+            )
+            for eer in store.eers()
+        }
+        state[isd_as] = (segments, eers, len(index))
+    return state
+
+
+def inject(net, link, mode):
+    """Lose messages on ``link``: one request, one response (healed from
+    the caller's backoff hook, so exactly one is lost), or every
+    response until the caller gives up."""
+    upstream, downstream = link
+    injector = FaultInjector(seed=0)
+    loss = "request_loss" if mode == "request_lost_once" else "response_loss"
+    injector.set_link(upstream, downstream, LinkFaults(**{loss: 1.0}))
+    net.bus.install_faults(injector)
+    if mode != "responses_lost":
+        caller = net.cserv(upstream).caller
+        backoff = caller.sleeper
+
+        def heal_then_back_off(delay):
+            net.bus.install_faults(None)
+            backoff(delay)
+
+        caller.sleeper = heal_then_back_off
+    return injector
+
+
+class Workflow:
+    """One matrix row: ``prepare`` builds the precondition on a fresh
+    network and returns what ``run`` needs; ``walk`` marks the two
+    workflows a failed attempt of which is completed by re-issuing."""
+
+    walk = False
+
+    def __init__(self, segment_index=None):
+        self.segment_index = segment_index  # which of the three SegRs
+
+    def fresh(self):
+        net = lossy_network()
+        segrs = net.reserve_segments(SRC, DST, mbps(100))
+        net.establish_eer(SRC, DST, mbps(7))  # non-zero baseline everywhere
+        return net, segrs
+
+    def links(self, segrs):
+        if self.segment_index is None:
+            return LINKS
+        ases = segrs[self.segment_index].segment.ases
+        return list(zip(ases, ases[1:]))
+
+    def prepare(self, net, segrs):
+        return segrs[self.segment_index] if self.segment_index is not None else None
+
+
+class SegSetup(Workflow):
+    def run(self, net, segr):
+        net.cserv(segr.segment.first_as).setup_segment(segr.segment, mbps(50))
+
+
+class SegRenewal(Workflow):
+    def run(self, net, segr):
+        net.cserv(segr.segment.first_as).renew_segment(
+            segr.reservation_id, mbps(150)
+        )
+
+
+class SegActivation(Workflow):
+    walk = True
+
+    def prepare(self, net, segrs):
+        segr = segrs[self.segment_index]
+        owner = net.cserv(segr.segment.first_as)
+        return segr, owner.renew_segment(segr.reservation_id, mbps(150))
+
+    def run(self, net, prepared):
+        segr, version = prepared
+        net.cserv(segr.segment.first_as).activate_segment(
+            segr.reservation_id, version
+        )
+
+
+class SegTeardown(Workflow):
+    walk = True
+
+    def fresh(self):
+        net = lossy_network()  # no EER: a ridden SegR refuses teardown
+        return net, net.reserve_segments(SRC, DST, mbps(100))
+
+    def run(self, net, segr):
+        net.cserv(segr.segment.first_as).teardown_segment(segr.reservation_id)
+
+
+class EerSetup(Workflow):
+    def run(self, net, _):
+        net.establish_eer(SRC, DST, mbps(10), src_host=HostAddr(3))
+
+
+class EerRenewal(Workflow):
+    def prepare(self, net, segrs):
+        handle = net.establish_eer(SRC, DST, mbps(10), src_host=HostAddr(3))
+        net.advance(2.0)
+        return handle
+
+    def run(self, net, handle):
+        net.cserv(SRC).renew_eer(handle, mbps(12))
+
+
+WORKFLOWS = {
+    f"{cls.__name__}-{name}": cls(index)
+    for cls in (SegSetup, SegRenewal, SegActivation, SegTeardown)
+    for index, name in enumerate(("up", "core", "down"))
+}
+WORKFLOWS.update({"EerSetup": EerSetup(), "EerRenewal": EerRenewal()})
+
+
+class TestWorkflowLossMatrix:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    def test_every_link(self, name, mode):
+        workflow = WORKFLOWS[name]
+        reference, segrs = workflow.fresh()
+        workflow.run(reference, workflow.prepare(reference, segrs))
+        fault_free = control_state(reference)
+        assert reference.audit() == []
+
+        for link in workflow.links(segrs):
+            net, segrs = workflow.fresh()
+            prepared = workflow.prepare(net, segrs)
+            before = control_state(net)
+            injector = inject(net, link, mode)
+            if mode == "responses_lost":
+                with pytest.raises(RetriesExhausted):
+                    workflow.run(net, prepared)
+                net.bus.install_faults(None)
+                if workflow.walk:
+                    net.advance(2 * IDEMPOTENCY_TTL)  # no cache entry helps
+                    workflow.run(net, prepared)
+                    assert control_state(net) == fault_free, link
+                else:
+                    assert control_state(net) == before, link
+            else:
+                workflow.run(net, prepared)
+                assert control_state(net) == fault_free, link
+            assert sum(injector.injected.values()) >= 1, link
+            assert net.audit() == [], link
+
+
+class TestActivationIdempotentByState:
+    """Activation is retry-safe because an AS already on the requested
+    version answers success — not because of a remembered response."""
+
+    def renewed_core_segr(self):
+        net = lossy_network()
+        (segr,) = net.reserve_segments(asid(1, 1), asid(2, 1), gbps(1))
+        owner = net.cserv(asid(1, 1))
+        return net, owner, segr, owner.renew_segment(segr.reservation_id, gbps(2))
+
+    def versions(self, net, segr):
+        return [
+            net.cserv(isd_as).store.get_segment(segr.reservation_id).active.version
+            for isd_as in segr.segment.ases
+        ]
+
+    def test_one_lost_response_converges(self):
+        net, owner, segr, version = self.renewed_core_segr()
+        injector = inject(net, (asid(1, 1), asid(2, 1)), "response_lost_once")
+        owner.activate_segment(segr.reservation_id, version)
+        assert injector.injected["response_loss"] == 1
+        assert self.versions(net, segr) == [version, version]
+        assert net.audit() == []
+
+    @pytest.mark.parametrize("wait", [0.0, 2 * IDEMPOTENCY_TTL])
+    def test_reissue_after_exhaustion_converges(self, wait):
+        net, owner, segr, version = self.renewed_core_segr()
+        inject(net, (asid(1, 1), asid(2, 1)), "responses_lost")
+        with pytest.raises(RetriesExhausted):
+            owner.activate_segment(segr.reservation_id, version)
+        assert self.versions(net, segr) == [1, version]  # downstream first
+        net.bus.install_faults(None)
+        net.advance(wait)
+        owner.activate_segment(segr.reservation_id, version)
+        assert self.versions(net, segr) == [version, version]
+        assert net.audit() == []
