@@ -55,8 +55,8 @@ void colibri_stamp_scatter(uint32_t * const *scheds, const int32_t *nscheds,
                            const uint8_t *msgs, size_t msglen, size_t npkts,
                            uint8_t *out, const int64_t *offsets,
                            size_t tag_len);
-int colibri_verify(const uint32_t *sched, const uint8_t *msg, size_t msglen,
-                   const uint8_t *tag, size_t tag_len);
+int colibri_verify(const uint8_t *sched, const uint8_t *msg, size_t msglen,
+                   const uint8_t *tag, size_t tag_len, uint8_t *mac_out);
 int colibri_has_avx2(void);
 void colibri_b2s_transpose(const uint32_t *scheds, size_t nscheds,
                            uint32_t *out);
@@ -188,7 +188,7 @@ void colibri_b2s_key_schedule(const uint8_t *key, size_t keylen,
 }
 
 /* Finish a keyed MAC over one message from a prepared key schedule. */
-static void b2s_tail(const uint32_t *sched, const uint8_t *msg,
+static void b2s_tail(const void *sched, const uint8_t *msg,
                      size_t msglen, uint8_t *out, size_t outlen)
 {
     uint32_t h[8];
@@ -574,15 +574,14 @@ void colibri_stamp_scatter_t(uint32_t * const *scheds_t,
                         msglen, out + offsets[p], tag_len);
 }
 
-/* Constant-time verify of one (truncated) tag under one schedule. */
-int colibri_verify(const uint32_t *sched, const uint8_t *msg, size_t msglen,
-                   const uint8_t *tag, size_t tag_len)
+/* Constant-time verify of one (truncated) tag; mac_out gets all 16 bytes. */
+int colibri_verify(const uint8_t *sched, const uint8_t *msg, size_t msglen,
+                   const uint8_t *tag, size_t tag_len, uint8_t *mac_out)
 {
-    uint8_t expect[32];
-    uint8_t acc = 0;
+    uint8_t acc = (uint8_t)(tag_len > 16);
     size_t i;
-    b2s_tail(sched, msg, msglen, expect, tag_len > 32 ? 32 : tag_len);
-    for (i = 0; i < tag_len; i++) acc |= (uint8_t)(expect[i] ^ tag[i]);
+    b2s_tail(sched, msg, msglen, mac_out, 16);
+    for (i = 0; i < tag_len && i < 16; i++) acc |= (uint8_t)(mac_out[i] ^ tag[i]);
     return acc == 0;
 }
 """
@@ -610,7 +609,7 @@ def _compile_extension(name: str) -> str:
 
     Compiles in a per-process scratch directory and atomically renames
     the result, so concurrent first-callers (e.g. spawned shard workers)
-    cannot corrupt each other's build.
+    cannot corrupt each other's build; older revisions' builds then go.
     """
     from cffi import FFI, VerificationError
 
@@ -627,6 +626,12 @@ def _compile_extension(name: str) -> str:
         raise OSError(f"native kernel compile failed: {error}") from error
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    for entry in os.listdir(_BUILD_DIR):  # builds of older source revisions
+        if entry.startswith("_colibri_b2s_") and not entry.startswith(name):
+            try:
+                os.unlink(os.path.join(_BUILD_DIR, entry))
+            except OSError:  # a concurrent builder removed it first
+                pass
     return final
 
 
@@ -696,23 +701,28 @@ def _normalize_key(key: bytes) -> bytes:
 
 
 class NativeBackend:
-    """A loaded kernel: the cffi ``ffi``/``lib`` pair plus constructors."""
+    """A loaded kernel: the cffi ``ffi``/``lib`` pair and the verify scratch."""
 
-    __slots__ = ("ffi", "lib", "has_avx2")
+    __slots__ = ("ffi", "lib", "has_avx2", "mac_out", "mac_view")
 
     def __init__(self, ffi, lib):
         self.ffi = ffi
         self.lib = lib
+        #: Scratch ``colibri_verify`` leaves the untruncated MAC in, read out
+        #: by ``mac_view[:]``; one per process, so one verifying thread.
+        self.mac_out = ffi.new("uint8_t[]", MAC_LENGTH)
+        self.mac_view = ffi.buffer(self.mac_out)
         # Decided once per process: when the CPU runs AVX2, schedule
         # blocks also build the transposed lane layout and every stamp
         # routes through the 8-way `_t` entry points.
         self.has_avx2 = bool(lib.colibri_has_avx2())
 
-    def schedule_block(self, keys, tag_len: int = L_HVF) -> "ScheduleBlock":
-        return ScheduleBlock(self, keys, tag_len)
-
-    def burst_stamper(self, tag_len: int = L_HVF, slots: int = 64) -> "BurstStamper":
-        return BurstStamper(self, tag_len, slots)
+    def key_schedule(self, key: bytes) -> bytes:
+        """One key's 32-byte chaining state, as ``colibri_verify`` takes it."""
+        key = _normalize_key(key)
+        words = self.ffi.new("uint32_t[8]")
+        self.lib.colibri_b2s_key_schedule(key, len(key), MAC_LENGTH, words)
+        return self.ffi.buffer(words)[:]
 
 
 class ScheduleBlock:
@@ -811,16 +821,6 @@ class ScheduleBlock:
                 self.tag_len,
             )
         return ffi.buffer(out)[:]
-
-    def verify(self, message: bytes, tag: bytes) -> bool:
-        """Constant-time check of ``tag`` under the *first* schedule —
-        the router's σ-cache entries hold exactly one key."""
-        return (
-            self._lib.colibri_verify(
-                self._scheds, message, len(message), tag, len(tag)
-            )
-            == 1
-        )
 
 
 class BurstStamper:

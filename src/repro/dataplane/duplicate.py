@@ -11,62 +11,36 @@ regardless of traffic volume.
 Only packets inside the freshness window can be replayed at all — older
 ones already fail the router's timestamp check — so two filters covering
 one window each suffice for no-false-negative suppression (after two
-silent windows both start empty).  A packet costs one BLAKE2b digest and
-one pass over its k bits; a rotation swaps in a zeroed buffer.
+silent windows both start empty).
 
-The packet identifier is ``(SrcAS, ResId, Ts)``: the paper makes Ts
-"uniquely identif[y] the packet for the particular source".
+The packet identifier is the untruncated Eq. (6) MAC the router computed
+to authenticate it: unique per (ResId, version, Ts, PktSize) — the paper
+makes Ts "uniquely identif[y] the packet for the particular source" —
+pseudorandom, and unpredictable without σ, so collisions cannot be aimed
+at the filter.  No second hash: bit ``i`` of a packet is ``(h1 + i·h2)
+mod bits`` over the MAC's two big-endian 64-bit halves (double hashing,
+any k).  A packet costs one pass over its k bits; a rotation a new buffer.
 """
 
 from __future__ import annotations
 
-import hashlib
+import math
 import struct
 
 from repro.constants import DUPLICATE_WINDOW
 from repro.obs.events import DUPLICATE_SUPPRESSED
 from repro.util.clock import Clock
 
+_HALVES = struct.Struct(">QQ").unpack  # raises unless given the 16 bytes of a MAC
+
 
 class _BloomFilter:
-    """A classic k-hash Bloom filter over a bit array: bit ``i`` of an
-    item is the ``i``-th big-endian 64-bit word of its BLAKE2b digest,
-    modulo ``bits``."""
+    """A k-position Bloom filter over a bit array."""
 
     def __init__(self, bits: int, hashes: int):
-        self.bits = bits
-        self.hashes = hashes
+        self.bits, self.hashes = bits, hashes
         self._array = bytearray((bits + 7) // 8)
-        self._words = struct.Struct(f">{hashes}Q")
         self.insertions = 0
-
-    def positions(self, item: bytes) -> list:
-        digest = hashlib.blake2b(item, digest_size=self._words.size).digest()
-        bits = self.bits
-        return [word % bits for word in self._words.unpack(digest)]
-
-    def holds(self, positions) -> bool:
-        array = self._array
-        for position in positions:
-            if not array[position >> 3] & (1 << (position & 7)):
-                return False
-        return True
-
-    def __contains__(self, item: bytes) -> bool:
-        return self.holds(self.positions(item))
-
-    def add(self, positions) -> bool:
-        """One test-and-set pass; ``False`` if every bit was set already."""
-        array = self._array
-        added = False
-        for position in positions:
-            index, mask = position >> 3, 1 << (position & 7)
-            byte = array[index]
-            if not byte & mask:
-                array[index] = byte | mask
-                added = True
-        self.insertions += added
-        return added
 
     def clear(self) -> None:
         # A fresh zeroed buffer: wiping 128 KiB byte by byte took ~6 ms.
@@ -98,10 +72,10 @@ class DuplicateSuppressor:
     ):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        self.clock = clock
         self.window = window
         self._current = _BloomFilter(bits, hashes)
         self._previous = _BloomFilter(bits, hashes)
+        self._rounds = range(hashes)
         self._rotated_at = clock.now()
         self.duplicates_caught = 0
 
@@ -114,23 +88,45 @@ class DuplicateSuppressor:
             self._previous.clear()
         self._rotated_at = now
 
-    def check_and_insert(self, identifier: bytes) -> bool:
-        """``True`` if the packet is fresh (and is now recorded);
-        ``False`` if it is a duplicate and must be discarded."""
-        now = self.clock.now()
+    def check_and_insert(self, identifier: bytes, now: float) -> bool:
+        """``True`` if the packet is fresh (and is now recorded); ``False``
+        if it is a duplicate and must be discarded.  ``identifier`` is its
+        16-byte MAC, ``now`` the caller's clock (the router reads it per burst)."""
         if now - self._rotated_at >= self.window:
             self._rotate(now)
-        positions = self._current.positions(identifier)
-        if self._previous.holds(positions) or not self._current.add(positions):
-            self.duplicates_caught += 1
-            if self.obs is not None and self.obs.journal is not None:
-                self.obs.journal.record(
-                    DUPLICATE_SUPPRESSED,
-                    isd_as=self.isd_as,
-                    identifier=identifier.hex(),
-                )
-            return False
+        first, step = _HALVES(identifier)
+        current = self._current
+        array, bits, rounds = current._array, current.bits, self._rounds
+        previous, position = self._previous._array, first
+        for _ in rounds:
+            bit = position % bits
+            if not previous[bit >> 3] & (1 << (bit & 7)):
+                break
+            position += step
+        else:
+            return self._caught(identifier)  # seen in the previous window
+        # One test-and-set pass; fresh if any bit was still clear.
+        fresh = False
+        for _ in rounds:
+            bit = first % bits
+            index, mask = bit >> 3, 1 << (bit & 7)
+            byte = array[index]
+            if not byte & mask:
+                array[index] = byte | mask
+                fresh = True
+            first += step
+        if not fresh:
+            return self._caught(identifier)
+        current.insertions += 1
         return True
+
+    def _caught(self, identifier: bytes) -> bool:
+        self.duplicates_caught += 1
+        if self.obs is not None and self.obs.journal is not None:
+            self.obs.journal.record(
+                DUPLICATE_SUPPRESSED, isd_as=self.isd_as, identifier=identifier.hex()
+            )
+        return False
 
     @property
     def memory_bytes(self) -> int:
@@ -168,8 +164,6 @@ class DuplicateSuppressor:
     ) -> int:
         """Bits needed so a window of ``packets_per_window`` insertions
         stays under ``target_fp_rate`` — the provisioning formula."""
-        import math
-
         if not 0 < target_fp_rate < 1:
             raise ValueError(f"target rate must be in (0,1), got {target_fp_rate}")
         if packets_per_window <= 0:

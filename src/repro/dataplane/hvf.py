@@ -229,11 +229,12 @@ def verify_hvfs_batch(states, messages, tags, length: int = L_HVF) -> list:
     schedule_type = native.ScheduleBlock
     for state, message, tag in zip(states, messages, tags):
         if type(state) is schedule_type:
-            append(state.verify(message, tag))
+            expected = state.stamp_flat(message)  # a one-key block: its one tag
         else:
             clone = state.copy()
             clone.update(message)
-            append(constant_time_equal(clone.digest()[: len(tag)], tag))
+            expected = clone.digest()
+        append(constant_time_equal(expected[: len(tag)], tag))
     return verdicts
 
 

@@ -10,9 +10,10 @@ This implementation is a **count-min sketch over normalized packet
 sizes**, its rows replaced every measurement window:
 
 * input per packet: the flow label ``(SrcAS, ResId)`` — all versions of
-  an EER share it; one digest of it picks a cell per row — and the
-  *normalized* size ``total size / reservation bandwidth`` (§4.8), the
-  fraction of one second's budget the packet consumes;
+  an EER share it; one digest of it picks a cell per row, a pure function
+  the router memoizes beside σ — and the *normalized* size ``total size /
+  reservation bandwidth`` (§4.8), the fraction of one second's budget
+  the packet consumes;
 * a flow is reported when its estimated normalized volume within the
   window exceeds ``window * overuse_factor`` — i.e. it consumed more
   than its reserved share of the window (plus slack against noise).
@@ -63,7 +64,7 @@ class OveruseFlowDetector:
         self.depth = depth
         self.window = window
         self.overuse_factor = overuse_factor
-        self._rows = [[0.0] * width for _ in range(depth)]
+        self._counts = None  # flat rows, r at [r*width, (r+1)*width); made by _roll
         self._words = struct.Struct(f">{depth}I")
         self._window_start = 0.0
         self._suspects: set = set()
@@ -75,21 +76,30 @@ class OveruseFlowDetector:
 
     def _roll(self, now: float) -> None:
         """Start a new measurement window on fresh, all-zero rows."""
-        self._rows = [[0.0] * self.width for _ in range(self.depth)]
+        self._counts = [0.0] * (self.width * self.depth)
         self._suspects.clear()
         self._window_start = now
 
-    def observe(self, flow_label: bytes, packet_size: int, bandwidth: float, now: float) -> bool:
+    def cells_for(self, flow_label: bytes) -> tuple:
+        """The flow's cell in each row, as indices into the flat counts:
+        row ``r`` counts it at ``word_r % width``, ``word_r`` the ``r``-th
+        big-endian 32-bit word of the label's BLAKE2b digest."""
+        words, width = self._words, self.width
+        digest = hashlib.blake2b(flow_label, digest_size=words.size).digest()
+        return tuple(row * width + word % width for row, word in enumerate(words.unpack(digest)))
+
+    def observe(
+        self, flow_label: bytes, packet_size: int, bandwidth: float, now: float, cells=None
+    ) -> bool:
         """Record one packet; returns ``True`` if the flow is now suspect.
 
         ``packet_size`` is the total size in bytes (header included);
         ``bandwidth`` the reservation's guaranteed bits per second.
         Normalization makes one detector serve every bandwidth class.
-        Row ``r`` counts the flow in cell ``word_r % width``, ``word_r``
-        the ``r``-th big-endian 32-bit word of the label's digest.
+        ``cells``: this detector's :meth:`cells_for` of the label, if kept.
         """
-        if now - self._window_start >= self.window:
-            self._roll(now)
+        if now - self._window_start >= self.window or self._counts is None:
+            self._roll(now)  # also the first packet: it opens the first window
         self.packets_seen += 1
         if bandwidth <= 0:
             # A packet on a zero-bandwidth (fully expired) reservation is
@@ -97,13 +107,10 @@ class OveruseFlowDetector:
             self._flag(flow_label, now)
             return True
         normalized = (packet_size * 8) / bandwidth  # seconds of budget
-        width = self.width
-        words = self._words
-        digest = hashlib.blake2b(flow_label, digest_size=words.size).digest()
+        counts = self._counts
         estimate = inf
-        for row, word in zip(self._rows, words.unpack(digest)):
-            position = word % width
-            row[position] = count = row[position] + normalized
+        for cell in cells or self.cells_for(flow_label):
+            counts[cell] = count = counts[cell] + normalized
             if count < estimate:
                 estimate = count
         if flow_label in self._suspects:
@@ -130,11 +137,6 @@ class OveruseFlowDetector:
 
     def is_suspect(self, flow_label: bytes) -> bool:
         return flow_label in self._suspects
-
-    def hit_count(self, flow_label: bytes) -> int:
-        """Cumulative observations of ``flow_label`` while flagged —
-        the per-flow evidence counter forensics reads."""
-        return self._hits.get(flow_label, 0)
 
     def suspect_count(self) -> int:
         """Flows flagged in the current window — feeds the

@@ -21,11 +21,15 @@ The loop is fused, not staged in columns: a duplicate, an escalation or
 a σ-cache fill acts on the *next* packet of the same burst, exactly as
 under serial processing (docs/performance.md §9).
 
-The EER authentication of step 3 is accelerated by a bounded LRU σ-cache
-(:mod:`repro.dataplane.sigma_cache`): cached HopAuths are *hints* whose
-derived HVF is still compared against the packet, and any miss, stale
-hint, or evicted entry falls back to the stateless Eq. (4) recompute —
-verdicts never depend on cache contents (docs/performance.md).
+Step 3 is the hop's one hash.  A bounded LRU σ-cache
+(:mod:`repro.dataplane.sigma_cache`) holds a record per flow version: σ,
+the Eq. (4) input it was minted from, its Eq. (6) key schedule, the
+flow's sketch cells.  An entry is a *hint*: it counts only when the
+packet carries that same input and its HVF matches the MAC under σ;
+anything else falls back to the stateless Eq. (4) recompute, so verdicts
+never depend on cache contents (docs/performance.md §1).  The full MAC
+then names the packet to the duplicate filter (step 4) and the memoized
+cells index the sketch (step 5).
 
 Every drop reason is an explicit enum member so tests, the simulator,
 and Table 2 accounting can distinguish *why* traffic died.
@@ -41,31 +45,25 @@ from typing import Callable, List, Optional
 from repro.constants import DRKEY_VALIDITY, FRESHNESS_WINDOW, L_HVF, MAX_CLOCK_SKEW
 from repro.dataplane.blocklist import Blocklist
 from repro.dataplane.duplicate import DuplicateSuppressor
-from repro.dataplane.hvf import (
-    ColibriKeys,
-    eer_hvf_message,
-    hop_authenticator,
-    segment_token,
-)
+from repro.dataplane.hvf import ColibriKeys, eer_hvf_message, hop_authenticator, segment_token
 from repro.dataplane.monitor import DeterministicMonitor
 from repro.dataplane.ofd import OveruseFlowDetector
-from repro.dataplane.sigma_cache import SigmaCache
-from repro.crypto.mac import constant_time_equal, truncated_mac
+from repro.dataplane.sigma_cache import SigmaCache, SigmaEntry
+from repro.crypto.mac import constant_time_equal
 from repro.obs.events import VERDICT_DROPPED
 from repro.obs.profile import profiled
 from repro.packets.colibri import ColibriPacket, PacketType
-from repro.packets.fields import ResInfo, Timestamp
+from repro.packets.fields import PathField, ResInfo, Timestamp
 from repro.topology.addresses import IsdAs
 from repro.util.clock import Clock
 
-# Wire-form field readers for validate_wire_batch: the router reads the
-# fields it authenticates straight out of the arena buffer with
-# ``unpack_from`` (which yields fresh ``bytes`` for ``s`` fields — no
-# memoryview copies on the hot path).
+# Wire-form field readers for validate_wire_batch: ``unpack_from`` reads
+# straight out of the arena buffer (fresh ``bytes`` for ``s`` fields).
 _TS_WIRE = Timestamp.WIRE
 _WIRE_MESSAGE = struct.Struct("!QI")  # Eq. (6) input, Ts word || PktSize
 _pack_size = struct.Struct("!I").pack  # its PktSize half, after ``Ts.packed``
 _HVF_TAG = struct.Struct(f"!{L_HVF}s")
+_PAIR_WIRE = PathField.WIRE_PAIR
 _SEQ_BITS = Timestamp._SEQ_BITS
 
 
@@ -83,21 +81,17 @@ class Verdict(enum.Enum):
     DROP_OVERUSE = "drop_overuse"  # deterministic monitor non-conformance
 
 
+# Fixed at class creation, so each member carries them as plain attributes.
 # ``is_drop`` is read once per processed packet by every consumer of a
-# RouterResult; membership is fixed at class-creation time, so each member
-# carries it as a plain attribute instead of re-deriving it from the name
-# on every call.
+# RouterResult.  ``identity_verified``: whether the packet's claimed
+# identity (ResId, Ts) was cryptographically authenticated before the
+# verdict was reached.  The §4.6 pipeline checks expiry, freshness, and
+# the blocklist *before* the HVF (steps 1-2 vs. 3), so those drops — and
+# DROP_BAD_HVF itself — judge attacker-controlled header bytes: forensic
+# tooling must not attribute them to the claimed reservation as
+# established fact (see obs/forensics).
 for _verdict in Verdict:
     _verdict.is_drop = _verdict.name.startswith("DROP")
-del _verdict
-
-# Whether the packet's claimed identity (ResId, Ts) was cryptographically
-# authenticated before the verdict was reached.  The §4.6 pipeline checks
-# expiry, freshness, and the blocklist *before* the HVF (steps 1-2 vs. 3),
-# so those drops — and DROP_BAD_HVF itself — judge attacker-controlled
-# header bytes: forensic tooling must not attribute them to the claimed
-# reservation as established fact (see obs/forensics).
-for _verdict in Verdict:
     _verdict.identity_verified = _verdict not in (
         Verdict.DROP_EXPIRED,
         Verdict.DROP_STALE,
@@ -149,12 +143,9 @@ class BorderRouter:
         self.on_offense = on_offense
         #: Soft state only: ``None`` (``enable_sigma_cache=False``) runs
         #: the seed's fully stateless path, bit-for-bit.
-        if sigma_cache is not None:
-            self.sigma_cache = sigma_cache
-        elif enable_sigma_cache:
-            self.sigma_cache = SigmaCache()
-        else:
-            self.sigma_cache = None
+        if sigma_cache is None and enable_sigma_cache:
+            sigma_cache = SigmaCache()
+        self.sigma_cache = sigma_cache
         self.stats = {verdict: 0 for verdict in Verdict}
 
     # -- helpers --------------------------------------------------------------------
@@ -166,79 +157,64 @@ class BorderRouter:
         HopAuths and tokens are minted from the hop key of the epoch in
         which the reservation was *set up*; DRKey epochs last a day while
         reservations live minutes, so a reservation can straddle one
-        boundary.  Standard key-rotation practice applies: try the
-        current epoch's key first and fall back to the previous epoch's
+        boundary: try the current epoch's key, then the previous epoch's
         (both derive from local secrets — still zero per-flow state).
 
-        The σ-cache short-circuits the Eq. (4) recompute for EER packets,
-        but only on agreement: a cached σ whose Eq. (6) output does not
-        match the packet's HVF is treated exactly like a miss, so cache
-        contents can delay but never decide a verdict.
+        For EER packets this is the check ``_burst`` inlines: a σ-cache
+        entry counts only if bound to this packet's Eq. (4) input (same
+        objects, else equal ones) and its Eq. (6) MAC matches the HVF.
         """
         res_info = packet.res_info
         hop_index = packet.hop_index
         hvf = packet.hvfs[hop_index]
-        ingress, egress = packet.path.interface_pairs[hop_index]
+        pair = packet.path.interface_pairs[hop_index]
         if packet.packet_type != PacketType.EER_DATA:
             for when in (now, now - DRKEY_VALIDITY):
                 if when < 0:
                     continue
                 hop_key = self.keys.hop_key(when)
-                expected = segment_token(hop_key, res_info, ingress, egress)
-                if constant_time_equal(expected, hvf):
+                if constant_time_equal(segment_token(hop_key, res_info, *pair), hvf):
                     return True
             return False
-
+        eer_info = packet.eer_info
         cache = self.sigma_cache
         if cache is not None:
             epoch = int(now // DRKEY_VALIDITY)
             entry = cache.lookup(res_info.reservation.packed, res_info.version, epoch)
             if entry is not None:
-                if entry.verify(message, hvf):
+                bound = entry.res_info
+                if (
+                    (bound is res_info or bound == res_info)
+                    and (entry.eer_info is eer_info or entry.eer_info == eer_info)
+                    and entry.pair == pair
+                    and entry.verify(message, hvf) is not None
+                ):
                     return True
-                # Stale or poisoned hint: fall through to the stateless
-                # path, which is authoritative.
                 cache.rejected_hints += 1
-        return self._recompute(
-            res_info, packet.eer_info, ingress, egress, message, hvf, now
-        )
+        return self._recompute(res_info, eer_info, pair, message, hvf, now)[1] is not None
 
-    def _recompute(
-        self,
-        res_info: ResInfo,
-        eer_info,
-        ingress: int,
-        egress: int,
-        message: bytes,
-        tag: bytes,
-        now: float,
-    ) -> bool:
+    def _recompute(self, res_info, eer_info, pair, message: bytes, tag: bytes, now: float):
         """The stateless Eq. (4) + (6) check: derive σ from the AS secret
         of the current and then the previous DRKey epoch and compare the
-        HVF it implies against ``tag`` in constant time.
-
-        A σ enters the cache only *after* it validated a packet, so
-        forged headers can never plant entries.
+        HVF it implies against ``tag`` in constant time.  Returns the
+        flow's entry and the full MAC, or ``(None, None)``; the entry is
+        cached only now that its σ validated a packet, so forged headers
+        can never plant entries.
         """
-        cache = self.sigma_cache
         for when in (now, now - DRKEY_VALIDITY):
             if when < 0:
                 continue
-            sigma = hop_authenticator(
-                self.keys.hop_key(when), res_info, eer_info, ingress, egress
-            )
-            if constant_time_equal(truncated_mac(sigma, message), tag):
-                if cache is not None:
-                    cache.store(
-                        (
-                            res_info.reservation.packed,
-                            res_info.version,
-                            int(when // DRKEY_VALIDITY),
-                        ),
-                        sigma,
+            sigma = hop_authenticator(self.keys.hop_key(when), res_info, eer_info, *pair)
+            entry = SigmaEntry(sigma, res_info, eer_info, pair)
+            mac = entry.verify(message, tag)
+            if mac is not None:
+                if self.sigma_cache is not None:
+                    epoch = int(when // DRKEY_VALIDITY)
+                    self.sigma_cache.store(
+                        (res_info.reservation.packed, res_info.version, epoch), entry
                     )
-                return True
-        return False
+                return entry, mac
+        return None, None
 
     def _finish(self, packet: ColibriPacket, verdict: Verdict) -> RouterResult:
         """Count one drop and, with observability on, journal why."""
@@ -247,9 +223,6 @@ class BorderRouter:
             journal = self.obs.journal
             if journal is not None:
                 res_info = packet.res_info
-                # Drops before the HVF check (expiry/freshness/blocklist/
-                # bad-HVF) judge attacker-controlled header bytes; the
-                # flag lets forensics exclude them as established fact.
                 journal.record(
                     VERDICT_DROPPED,
                     isd_as=str(self.isd_as),
@@ -285,10 +258,11 @@ class BorderRouter:
         implementation.  The clock, the header-size memo and the policing
         entry points (off the instances: tracers shadow them) are read once."""
         now = self.clock.now()
-        authenticate = self._authenticate
+        epoch = int(now // DRKEY_VALIDITY)
+        cache = self.sigma_cache
         is_blocked = self.blocklist.is_blocked
         check_and_insert = self.duplicates.check_and_insert
-        observe = self.ofd.observe
+        ofd, observe = self.ofd, self.ofd.observe
         monitor, check = self.monitor, self.monitor.check
         header_sizes = ColibriPacket._HEADER_SIZES
         forward, deliver_host = Verdict.FORWARD, Verdict.DELIVER_HOST
@@ -314,29 +288,54 @@ class BorderRouter:
                 append(self._finish(packet, Verdict.DROP_BLOCKED))
                 continue
             # 3. Cryptographic validation (Eq. 3 or Eq. 4+6) over PktSize.
-            is_eer = packet.packet_type == PacketType.EER_DATA
-            pairs = packet.path.interface_pairs
-            size = header_sizes.get((len(pairs), is_eer))
-            size = packet.total_size if size is None else size + len(packet.payload)
-            message = timestamp.packed + _pack_size(size) if is_eer else b""
-            if not authenticate(packet, now, message):
-                append(self._finish(packet, Verdict.DROP_BAD_HVF))
-                continue
-            if not is_eer:
+            if packet.packet_type != PacketType.EER_DATA:
                 # SegR control traffic: the local CServ authenticates the
                 # payload (DRKey) and re-injects requests in transit.
-                self.stats[Verdict.DELIVER_CSERV] += 1
-                append(RouterResult(Verdict.DELIVER_CSERV, packet))
+                if self._authenticate(packet, now, b""):
+                    self.stats[Verdict.DELIVER_CSERV] += 1
+                    append(RouterResult(Verdict.DELIVER_CSERV, packet))
+                else:
+                    append(self._finish(packet, Verdict.DROP_BAD_HVF))
                 continue
-            # 4. Replay suppression on the authenticated unique identifier.
+            pairs = packet.path.interface_pairs
+            size = header_sizes.get((len(pairs), True))
+            size = packet.total_size if size is None else size + len(packet.payload)
+            message = timestamp.packed + _pack_size(size)
+            hop_index = packet.hop_index
+            pair = pairs[hop_index]
+            hvf = packet.hvfs[hop_index]
+            eer_info = packet.eer_info
             flow_label = reservation.packed
-            if not check_and_insert(flow_label + timestamp.packed):
+            # The flow's record, if bound to this very Eq. (4) input and
+            # its σ explains the HVF; else the stateless recompute.
+            mac = None
+            if cache is not None:
+                entry = cache.lookup(flow_label, res_info.version, epoch)
+                if entry is not None:
+                    bound = entry.res_info
+                    if (
+                        (bound is res_info or bound == res_info)
+                        and (entry.eer_info is eer_info or entry.eer_info == eer_info)
+                        and entry.pair == pair
+                    ):
+                        mac = entry.verify(message, hvf)
+                    if mac is None:
+                        cache.rejected_hints += 1
+            if mac is None:
+                entry, mac = self._recompute(res_info, eer_info, pair, message, hvf, now)
+                if mac is None:
+                    append(self._finish(packet, Verdict.DROP_BAD_HVF))
+                    continue
+            # 4. Replay suppression, on the MAC as the packet's unique name.
+            if not check_and_insert(mac, now):
                 append(self._finish(packet, Verdict.DROP_DUPLICATE))
                 continue
             # 5. Policing (§4.8): the OFD flags suspects, the monitor checks
             # those exactly; a confirmed overuser's AS is blocked and reported.
+            if entry.detector is not ofd:
+                entry.detector, entry.cells = ofd, ofd.cells_for(flow_label)
             bandwidth = res_info.bandwidth
-            suspect = observe(flow_label, size, bandwidth, now)
+            suspect = observe(flow_label, size, bandwidth, now, entry.cells)
             if suspect and not monitor.is_watched(flow_label):
                 monitor.watch(flow_label, bandwidth, now)
             if not check(flow_label, size, now):
@@ -347,14 +346,13 @@ class BorderRouter:
                 append(self._finish(packet, Verdict.DROP_OVERUSE))
                 continue
             # 6. Forward towards the destination.
-            hop_index = packet.hop_index
             if hop_index == len(pairs) - 1:
                 delivered += 1
                 append(RouterResult(deliver_host, packet))
             else:
                 packet.hop_index = hop_index + 1
                 forwarded += 1
-                append(RouterResult(forward, packet, pairs[hop_index][1]))
+                append(RouterResult(forward, packet, pair[1]))
         self.stats[forward] += forwarded
         self.stats[deliver_host] += delivered
         return results
@@ -377,8 +375,7 @@ class BorderRouter:
         expiry = packet.res_info.expiry
         if now > expiry + MAX_CLOCK_SKEW:
             return False
-        # Freshness: Ts encodes µs before expiry, so the creation
-        # instant is expiry - µs/1e6.
+        # Freshness: created at expiry - µs/1e6, Ts encoding µs before expiry.
         if abs(now - expiry + packet.timestamp.micros_before_expiry / 1e6) > FRESHNESS_WINDOW:
             return False
         message = eer_hvf_message(packet.timestamp, packet.total_size)
@@ -391,12 +388,10 @@ class BorderRouter:
         Takes the :class:`~repro.packets.colibri.WirePacketView` bursts
         the gateway's ``send_batch_wire`` produces and validates each
         packet *in place* inside its arena slot: expiry, freshness and
-        the σ-cache-hit Eq. (6) check all read header fields straight
-        from the wire buffer, so the hit path never parses a packet
-        object.  Only a miss or rejected hint materializes the packet
-        for the stateless Eq. (4) recompute.  Verdicts (and cache
-        counters) equal running :meth:`validate_batch` over the parsed
-        equivalents.
+        the σ-cache hit (bound-input compare, Eq. (6) check) read header
+        fields straight from the wire buffer; only a miss or rejected
+        hint parses the packet, for the stateless Eq. (4) recompute.
+        Verdicts (and cache counters) equal :meth:`validate_batch`'s.
         """
         now = self.clock.now()
         validate_one = self._validate_wire_one
@@ -425,13 +420,18 @@ class BorderRouter:
         if cache is not None:
             entry = cache.lookup(reservation_packed, version, int(now // DRKEY_VALIDITY))
             if entry is not None:
-                if entry.verify(message, tag):
+                # Bound input: ResInfo || EERInfo as one header slice, and (In, Eg).
+                pair_at = base + offsets.path + 4 * hop_index
+                if (
+                    buffer[base + offsets.res : base + offsets.ts] == entry.wire
+                    and _PAIR_WIRE.unpack_from(buffer, pair_at) == entry.pair
+                    and entry.verify(message, tag) is not None
+                ):
                     return True
                 cache.rejected_hints += 1
         # Cold half: parse the packet out of the arena only here, where
         # the MAC recompute already dominates the copy.
         packet = ColibriPacket.from_bytes(view.materialize())
-        ingress, egress = packet.current_pair()
         return self._recompute(
-            packet.res_info, packet.eer_info, ingress, egress, message, tag, now
-        )
+            packet.res_info, packet.eer_info, packet.current_pair(), message, tag, now
+        )[1] is not None

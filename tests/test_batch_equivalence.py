@@ -17,6 +17,8 @@ contract:
   labeled measured/modeled results.
 """
 
+import hashlib
+import os
 import random
 
 import pytest
@@ -96,8 +98,8 @@ class TestSigmaCacheInvalidation:
         assert cache.misses == 2
         assert len(cache) == 2
         epoch = int(clock.now() // DRKEY_VALIDITY)
-        v1 = cache.get((res_id.packed, 1, epoch))
-        v2 = cache.get((res_id.packed, 2, epoch))
+        v1 = cache.lookup(res_id.packed, 1, epoch)
+        v2 = cache.lookup(res_id.packed, 2, epoch)
         assert v1 is not None and v2 is not None
         assert v1.sigma != v2.sigma
 
@@ -133,7 +135,7 @@ class TestSigmaCacheInvalidation:
         cache = router.sigma_cache
         assert cache.misses == 1
         # Stored under the minting epoch, addressable via the fallback.
-        assert cache.get((res_id.packed, 1, 0)) is not None
+        assert (res_id.packed, 1, 0) in cache._entries
 
     def test_poisoned_entry_never_changes_a_verdict(self):
         clock, gateway, router, mid_keys = make_stack()
@@ -142,10 +144,11 @@ class TestSigmaCacheInvalidation:
         assert router.validate_only(arriving(gateway, res_id))
         epoch = int(clock.now() // DRKEY_VALIDITY)
         key = (res_id.packed, 1, epoch)
-        assert cache.get(key) is not None
+        assert cache.lookup(*key) is not None
 
-        # Corrupt the entry behind the router's back.
-        cache._entries[key] = SigmaEntry(b"poisoned-sigma!!")
+        # Corrupt the entry behind the router's back: the right bound
+        # input (so the hint is tried) under the wrong σ.
+        cache._entries[key] = SigmaEntry(b"poisoned-sigma!!", res_info, EER, (2, 3))
         # A forged packet is still rejected...
         forged = arriving(gateway, res_id)
         forged.hvfs[1] = bytes(L_HVF)
@@ -157,7 +160,7 @@ class TestSigmaCacheInvalidation:
         honest = hop_authenticator(
             mid_keys.hop_key(clock.now()), res_info, EER, 2, 3
         )
-        assert cache.get(key).sigma == honest
+        assert cache.lookup(*key).sigma == honest
 
     def test_eviction_never_changes_a_verdict(self):
         clock, gateway, router, mid_keys = make_stack(capacity=1)
@@ -172,6 +175,37 @@ class TestSigmaCacheInvalidation:
             assert router.validate_only(arriving(gateway, b))
         assert cache.evictions >= 6
         assert len(cache) == 1
+
+    def test_renewed_flow_holds_at_most_two_versions(self):
+        """Storing version v pops v-2 (under the minting epoch or the one
+        before): a renewed flow never sits in the cache more than twice,
+        the pops are not evictions, and what stays is in LRU order."""
+        start = DRKEY_VALIDITY - 30.0  # renewals straddle the epoch boundary
+        clock, gateway, router, mid_keys = make_stack(now=start)
+        cache = router.sigma_cache
+        other, _ = install(gateway, mid_keys, clock, local_id=6)
+        assert router.validate_only(arriving(gateway, other))
+        for version in range(1, 9):
+            res_id, _ = install(gateway, mid_keys, clock, version=version)
+            assert router.validate_only(arriving(gateway, res_id))
+            assert router.validate_only(arriving(gateway, res_id))
+            held = [key for key in cache._entries if key[0] == res_id.packed]
+            epoch = int(clock.now() // DRKEY_VALIDITY)
+            assert [v for _, v, _ in held] == [max(1, version - 1), version][-len(held):]
+            assert all(minted in (epoch, epoch - 1) for _, _, minted in held)
+            assert len(held) <= 2
+            clock.advance(10.0)
+        assert {minted for _, _, minted in cache._entries} == {0, 1}
+        assert cache.evictions == 0
+        assert cache.misses == 1 + 8 and cache.hits == 8
+        # The bystander was stored first and never touched again: still
+        # the least recently used, then the two live versions in order.
+        assert [(key[0], key[1]) for key in cache._entries] == [
+            (other.packed, 1), (res_id.packed, 7), (res_id.packed, 8)
+        ]
+        assert set(cache.snapshot()) == {
+            "sigma_cache_hits", "sigma_cache_misses", "sigma_cache_entries"
+        }
 
     def test_explicit_invalidate_drops_all_versions(self):
         clock, gateway, router, mid_keys = make_stack()
@@ -737,6 +771,35 @@ class TestNativeBatchIdentity:
         flat = stamper.stamp_flat(len(schedules), 12, position)
         for (start, width), schedule, message in zip(rows, schedules, messages):
             assert flat[start : start + width] == schedule.stamp_flat(message)
+
+
+    def test_verify_returns_the_untruncated_mac(self):
+        """``colibri_verify`` over a schedule given as plain bytes: the
+        full MAC on a match (whatever the tag width), nothing otherwise."""
+        (sigma,) = self._sigmas(1, seed=9)
+        res_info = ResInfo(ReservationId(SRC, 5), gbps(1), 1016.0, 1)
+        entry = SigmaEntry(sigma, res_info, EER, (2, 3))
+        assert type(entry._schedule) is bytes and len(entry._schedule) == 32
+        for message in (b"t" * 12, b"s" * 64, b"m" * 200):
+            mac = hashlib.blake2s(message, key=sigma, digest_size=16).digest()
+            for width in (1, L_HVF, 16):
+                assert entry.verify(message, mac[:width]) == mac
+            assert entry.verify(message, bytes([mac[0] ^ 1]) + mac[1:L_HVF]) is None
+            assert entry.verify(message, mac + b"x") is None
+
+    def test_compile_sweeps_builds_of_older_sources(self, tmp_path, monkeypatch):
+        from repro.crypto import native
+
+        monkeypatch.setattr(native, "_BUILD_DIR", str(tmp_path))
+        stale = tmp_path / "_colibri_b2s_000000000000.cpython-311-x86_64-linux-gnu.so"
+        stale.write_bytes(b"old")
+        (tmp_path / "notes.txt").write_text("not ours")
+        name = native._module_name()
+        built = native._compile_extension(name)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [os.path.basename(built), "notes.txt"]
+        )
+        assert native._find_extension(name) == built
 
 
 class TestShardWorkerPool:

@@ -2,6 +2,7 @@
 suppression, OFD, blocklist, monitor, queueing."""
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,20 @@ def res_info(bw=1e9, expiry=1000.0, version=1, local_id=7):
 
 def make_keys(name=b"AS-A", seed=b"k" * 16):
     return ColibriKeys(DrkeyDeriver(name, SimClock(100.0), seed=seed))
+
+
+def mac_like(name: str) -> bytes:
+    """A 16-byte pseudorandom packet identifier, as the router's Eq. (6)
+    MAC is to the duplicate filter."""
+    return hashlib.blake2s(name.encode(), digest_size=16).digest()
+
+
+def bloom_bits(identifier: bytes, bits: int, hashes: int) -> list:
+    """The filter's position rule, written out: double hashing over the
+    identifier's two big-endian 64-bit halves."""
+    first = int.from_bytes(identifier[:8], "big")
+    step = int.from_bytes(identifier[8:], "big")
+    return [(first + index * step) % bits for index in range(hashes)]
 
 
 class TestHvfCrypto:
@@ -178,43 +193,43 @@ class TestTokenBucket:
 class TestDuplicateSuppressor:
     def test_first_sighting_accepted(self):
         suppressor = DuplicateSuppressor(SimClock(0.0))
-        assert suppressor.check_and_insert(b"packet-1")
+        assert suppressor.check_and_insert(mac_like("packet-1"), 0.0)
 
     def test_replay_caught(self):
         suppressor = DuplicateSuppressor(SimClock(0.0))
-        suppressor.check_and_insert(b"packet-1")
-        assert not suppressor.check_and_insert(b"packet-1")
+        suppressor.check_and_insert(mac_like("packet-1"), 0.0)
+        assert not suppressor.check_and_insert(mac_like("packet-1"), 0.0)
         assert suppressor.duplicates_caught == 1
 
     def test_distinct_packets_pass(self):
         suppressor = DuplicateSuppressor(SimClock(0.0))
         for index in range(1000):
-            assert suppressor.check_and_insert(f"packet-{index}".encode())
+            assert suppressor.check_and_insert(mac_like(f"packet-{index}"), 0.0)
 
     def test_replay_caught_across_rotation(self):
         clock = SimClock(0.0)
         suppressor = DuplicateSuppressor(clock, window=1.0)
-        suppressor.check_and_insert(b"packet-1")
+        suppressor.check_and_insert(mac_like("packet-1"), clock.now())
         clock.advance(1.5)  # one rotation: identifier now in previous filter
-        assert not suppressor.check_and_insert(b"packet-1")
+        assert not suppressor.check_and_insert(mac_like("packet-1"), clock.now())
 
     def test_memory_constant(self):
         suppressor = DuplicateSuppressor(SimClock(0.0), bits=1 << 10)
         before = suppressor.memory_bytes
         for index in range(500):
-            suppressor.check_and_insert(f"p{index}".encode())
+            suppressor.check_and_insert(mac_like(f"p{index}"), 0.0)
         assert suppressor.memory_bytes == before
 
     def test_no_false_negatives_property(self):
         """Within two windows a duplicate is always caught."""
         clock = SimClock(0.0)
         suppressor = DuplicateSuppressor(clock, window=1.0)
-        identifiers = [f"id-{i}".encode() for i in range(200)]
+        identifiers = [mac_like(f"id-{i}") for i in range(200)]
         for identifier in identifiers:
-            suppressor.check_and_insert(identifier)
+            suppressor.check_and_insert(identifier, clock.now())
             clock.advance(0.001)
         for identifier in identifiers[100:]:  # still within window coverage
-            assert not suppressor.check_and_insert(identifier)
+            assert not suppressor.check_and_insert(identifier, clock.now())
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -227,34 +242,38 @@ class TestDuplicateSuppressor:
         clock = SimClock(0.0)
         suppressor = DuplicateSuppressor(clock, window=1.0, bits=1 << 10, hashes=4)
         for index in range(400):
-            suppressor.check_and_insert(f"old-{index}".encode())
+            suppressor.check_and_insert(mac_like(f"old-{index}"), clock.now())
         assert suppressor.false_positive_rate() > 0.1
         clock.advance(3.0)
-        assert suppressor.check_and_insert(b"after-the-gap")
+        assert suppressor.check_and_insert(mac_like("after-the-gap"), clock.now())
         # One identifier in a 1,024-bit filter, nothing in the other.
         assert suppressor.false_positive_rate() == (4 / 1024) ** 4
         clock.advance(1.0)  # a single window: the usual swap, nothing lost
-        assert not suppressor.check_and_insert(b"after-the-gap")
+        assert not suppressor.check_and_insert(mac_like("after-the-gap"), clock.now())
 
     def test_bit_positions_are_the_digest_words(self):
-        """Filter contents are a function of the identifiers alone:
-        bit ``i`` of an item is the ``i``-th 64-bit word of its BLAKE2b
-        digest modulo the filter size, whatever the implementation."""
-        suppressor = DuplicateSuppressor(SimClock(0.0), bits=1 << 12, hashes=3)
-        expected = bytearray((1 << 12) // 8)
-        for index in range(300):
-            identifier = f"id-{index}".encode()
-            digest = hashlib.blake2b(identifier, digest_size=8 * 3).digest()
-            positions = [
-                int.from_bytes(digest[8 * word : 8 * word + 8], "big") % (1 << 12)
-                for word in range(3)
-            ]
-            seen = all(expected[p >> 3] & (1 << (p & 7)) for p in positions)
-            assert suppressor.check_and_insert(identifier) is not seen
-            if not seen:
-                for position in positions:
-                    expected[position >> 3] |= 1 << (position & 7)
-        assert suppressor._current._array == expected
+        """Filter contents are a function of the identifiers alone: bit
+        ``i`` of a packet is ``(h1 + i*h2) mod bits`` over the two 64-bit
+        halves of its MAC — no second hash — for any k and any filter
+        size, powers of two or not."""
+        for bits, hashes in [(1 << 12, 4), (1 << 12, 3), (4999, 7), (1000, 1)]:
+            suppressor = DuplicateSuppressor(SimClock(0.0), bits=bits, hashes=hashes)
+            expected = bytearray((bits + 7) // 8)
+            for index in range(300):
+                identifier = mac_like(f"id-{index}")
+                positions = bloom_bits(identifier, bits, hashes)
+                assert len(positions) == hashes and all(0 <= p < bits for p in positions)
+                seen = all(expected[p >> 3] & (1 << (p & 7)) for p in positions)
+                assert suppressor.check_and_insert(identifier, 0.0) is not seen
+                if not seen:
+                    for position in positions:
+                        expected[position >> 3] |= 1 << (position & 7)
+            assert suppressor._current._array == expected
+
+    def test_identifier_must_be_a_whole_mac(self):
+        suppressor = DuplicateSuppressor(SimClock(0.0))
+        with pytest.raises(struct.error):
+            suppressor.check_and_insert(b"short", 0.0)
 
 
 class TestOveruseFlowDetector:
@@ -490,7 +509,7 @@ class TestBloomSizing:
     def test_popcount_matches_per_byte_formula(self):
         suppressor = DuplicateSuppressor(SimClock(0.0), bits=1 << 14, hashes=4)
         for index in range(1500):
-            suppressor.check_and_insert(f"p{index}".encode())
+            suppressor.check_and_insert(mac_like(f"p{index}"), 0.0)
         bloom = suppressor._current
         set_bits = sum(bin(byte).count("1") for byte in bloom._array)
         p_current = (set_bits / bloom.bits) ** bloom.hashes
@@ -500,10 +519,10 @@ class TestBloomSizing:
     def test_rate_grows_with_load(self):
         suppressor = DuplicateSuppressor(SimClock(0.0), bits=1 << 12)
         for index in range(200):
-            suppressor.check_and_insert(f"p{index}".encode())
+            suppressor.check_and_insert(mac_like(f"p{index}"), 0.0)
         light = suppressor.false_positive_rate()
         for index in range(200, 2000):
-            suppressor.check_and_insert(f"p{index}".encode())
+            suppressor.check_and_insert(mac_like(f"p{index}"), 0.0)
         heavy = suppressor.false_positive_rate()
         assert 0.0 < light < heavy < 1.0
 
@@ -512,15 +531,15 @@ class TestBloomSizing:
         a small factor on an overloaded filter."""
         suppressor = DuplicateSuppressor(SimClock(0.0), bits=1 << 12, hashes=4)
         for index in range(2000):
-            suppressor.check_and_insert(f"seen-{index}".encode())
+            suppressor.check_and_insert(mac_like(f"seen-{index}"), 0.0)
         predicted = suppressor.false_positive_rate()
         trials = 4000
         # Probe membership without inserting, so the measurement does not
         # fill the filter it is measuring.
+        array = suppressor._current._array
         false_hits = sum(
-            1
+            all(array[p >> 3] & (1 << (p & 7)) for p in bloom_bits(mac_like(f"fresh-{index}"), 1 << 12, 4))
             for index in range(trials)
-            if f"fresh-{index}".encode() in suppressor._current
         )
         observed = false_hits / trials
         assert observed == pytest.approx(predicted, abs=0.05)
@@ -531,7 +550,7 @@ class TestBloomSizing:
         )
         suppressor = DuplicateSuppressor(SimClock(0.0), bits=bits)
         for index in range(10_000):
-            suppressor.check_and_insert(f"p{index}".encode())
+            suppressor.check_and_insert(mac_like(f"p{index}"), 0.0)
         assert suppressor.false_positive_rate() <= 1e-3 * 1.1
 
     def test_size_for_validates_arguments(self):

@@ -216,13 +216,13 @@ class TestStoreProperties:
 
 
 class TestDuplicateProperties:
-    @given(st.lists(st.binary(min_size=8, max_size=16), min_size=1, max_size=200))
+    @given(st.lists(st.binary(min_size=16, max_size=16), min_size=1, max_size=200))
     @settings(max_examples=50)
     def test_never_accepts_twice_within_window(self, identifiers):
         suppressor = DuplicateSuppressor(SimClock(0.0), window=10.0)
         accepted = set()
         for identifier in identifiers:
-            if suppressor.check_and_insert(identifier):
+            if suppressor.check_and_insert(identifier, 0.0):
                 assert identifier not in accepted
                 accepted.add(identifier)
 

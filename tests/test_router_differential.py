@@ -4,7 +4,7 @@
 ``process_batch``, a σ-cache, a Bloom-filter pair and an array sketch.
 :class:`ReferenceRouter` below is the same pipeline written straight
 from the paper with none of that: the stateless Eq. (3)/(4)+(6)
-recompute, a ``set`` of seen identifiers, a dict-of-floats count-min
+recompute, a ``set`` of seen packet MACs, a dict-of-floats count-min
 with the same hash, the real :class:`TokenBucket`.  One seeded script
 runs through the reference, through ``process`` packet by packet and
 through ``process_batch`` in bursts of 1, 7 and 64, each on a fresh
@@ -12,10 +12,13 @@ router, and after every burst compares the verdict sequence, egress,
 hop pointers and policing state with the reference, and *everything*
 (filter bytes, sketch rows, bucket levels, σ-cache counters and LRU
 order) between the optimized modes — on the native backend and on
-``COLIBRI_NATIVE=0``.
+``COLIBRI_NATIVE=0``.  The script's warm-cache tamper block and
+``test_warm_cache_verdicts_equal_cold_cache_verdicts`` pin that a σ-cache
+entry answers only for the Eq. (4) input it was minted from.
 """
 
 import collections
+import dataclasses
 import hashlib
 import random
 import struct
@@ -35,7 +38,7 @@ from repro.constants import (
 )
 from repro.crypto import native
 from repro.crypto.drkey import DrkeyDeriver
-from repro.crypto.mac import truncated_mac
+from repro.crypto.mac import mac
 from repro.dataplane.hvf import ColibriKeys, eer_hvf, hop_authenticator, segment_token
 from repro.dataplane.ofd import OveruseFlowDetector
 from repro.dataplane.monitor import (
@@ -44,7 +47,7 @@ from repro.dataplane.monitor import (
 )
 from repro.dataplane.router import BorderRouter, Verdict
 from repro.dataplane.token_bucket import TokenBucket
-from repro.packets.colibri import ColibriPacket, PacketType
+from repro.packets.colibri import ColibriPacket, PacketType, WirePacketView
 from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
@@ -73,25 +76,25 @@ class ReferenceRouter:
     def __init__(self, keys, clock, blocked):
         self.keys, self.clock = keys, clock
         self.blocked = set(blocked)
-        self.seen = set()  # replay: every identifier ever authenticated
+        self.seen = set()  # replay: the Eq. (6) MAC of every packet ever authenticated
         self.cells, self.window_start, self.suspects = {}, 0.0, set()
         self.buckets, self.streaks, self.confirmed = {}, {}, set()
         self.stats = collections.Counter()
         self.offenses = []
 
     def authentic(self, packet, now, size):
+        """The packet's full MAC if its HVF is the start of it, else ``None``."""
         ingress, egress = packet.path.pair(packet.hop_index)
         for when in (now, now - DRKEY_VALIDITY):  # this epoch's key, then the last
             key = self.keys.hop_key(when)
             if packet.packet_type == PacketType.EER_DATA:
                 sigma = hop_authenticator(key, packet.res_info, packet.eer_info, ingress, egress)
-                message = packet.timestamp.packed + struct.pack("!I", size)
-                expected = truncated_mac(sigma, message, L_HVF)
+                expected = mac(sigma, packet.timestamp.packed + struct.pack("!I", size))
             else:
                 expected = segment_token(key, packet.res_info, ingress, egress)
-            if expected == packet.hvfs[packet.hop_index]:
-                return True
-        return False
+            if expected[:L_HVF] == packet.hvfs[packet.hop_index]:
+                return expected
+        return None
 
     def suspect(self, label, size, bandwidth, now):
         if now - self.window_start >= OFD_DEFAULT_WINDOW:
@@ -132,14 +135,15 @@ class ReferenceRouter:
             return Verdict.DROP_STALE, None
         if info.src_as in self.blocked:
             return Verdict.DROP_BLOCKED, None
-        if not self.authentic(packet, now, size):
+        identifier = self.authentic(packet, now, size)
+        if identifier is None:
             return Verdict.DROP_BAD_HVF, None
         if packet.packet_type != PacketType.EER_DATA:
             return Verdict.DELIVER_CSERV, None
         label = info.reservation.packed
-        if label + packet.timestamp.packed in self.seen:
+        if identifier in self.seen:
             return Verdict.DROP_DUPLICATE, None
-        self.seen.add(label + packet.timestamp.packed)
+        self.seen.add(identifier)
         if self.suspect(label, size, info.bandwidth, now) and label not in self.buckets:
             self.buckets[label] = TokenBucket(info.bandwidth, DEFAULT_BURST_SECONDS, now=now)
         if not self.conforms(label, size, now):
@@ -224,6 +228,32 @@ def copy_of(packet):
     return replayed
 
 
+def tampered(packet, pair=None, eer_info=None, **res_fields):
+    """The packet's bytes and authentic HVF around rewritten header
+    fields: what the source AS, which holds σ, or a replayer can send.
+    Eq. (6) covers none of them directly — Eq. (4) does, through σ."""
+    forged = copy_of(packet)
+    forged.res_info = dataclasses.replace(forged.res_info, **res_fields)
+    if eer_info is not None:
+        forged.eer_info = eer_info
+    if pair is not None:
+        pairs = forged.path.interface_pairs
+        forged.path = PathField(pairs[:HOP] + (pair,) + pairs[HOP + 1 :])
+    return forged
+
+
+def tamper_cases(world, captured, age):
+    """Four forgeries around authentic HVFs of flow "late" and of
+    ``captured``, a packet of flow "long" sent ``age`` seconds ago."""
+    stamp = world.stamp
+    return [
+        tampered(stamp("late"), bandwidth=gbps(1000)),  # evades OFD normalization
+        tampered(captured, expiry=captured.res_info.expiry + age),  # a replay made fresh
+        tampered(stamp("late"), eer_info=EerInfo(EER.dst_host, EER.src_host)),
+        tampered(stamp("late"), pair=(2, 7)),  # steers the egress
+    ]
+
+
 def script(world):
     """Yields bursts (lists of packets); moves the world's clock and
     reservations between them.  Every mode replays it on its own world."""
@@ -240,8 +270,8 @@ def script(world):
         return [stamp(rng.choice(("short", "long")), b"h" * rng.randrange(300)) for _ in range(count)]
 
     # Honest traffic, cold σ-cache then warm; a SegR packet, a forged one.
-    first = honest(40)
-    yield first + [world.control("long"), world.control("long", honest=False)]
+    first, captured = honest(40), stamp("long", b"captured")
+    yield first + [captured, world.control("long"), world.control("long", honest=False)]
     # A duplicate inside one burst, and duplicates of an earlier burst.
     again = stamp("long", b"twice")
     yield honest(5) + [again, stamp("short"), copy_of(again)] + [copy_of(p) for p in first[:3]]
@@ -254,9 +284,12 @@ def script(world):
     last = stamp("brief")
     yield honest(7)  # same filter window, same OFD window
     clock.advance(0.65)
-    yield [last] + honest(3)  # 0.05 s past its expiry: inside the assumed skew
+    recent = honest(3)
+    yield [last] + recent  # 0.05 s past its expiry: inside the assumed skew
     clock.advance(0.6)  # filter rotation + OFD roll
-    yield [held, brief, copy_of(first[0])] + honest(6)  # stale, expired, stale
+    # Stale, expired, stale — and a replay still fresh after the rotation,
+    # which only the previous filter remembers.
+    yield [held, brief, copy_of(first[0]), copy_of(recent[0])] + honest(6)
     # Overuse: 600 B packets on 100 kbps.  The sketch flags the flow, the
     # monitor confirms it, the blocklist escalates — all inside one burst,
     # so its tail must be DROP_BLOCKED without touching filter or sketch.
@@ -281,6 +314,12 @@ def script(world):
     # Three silent windows: both filters start over.
     clock.advance(3 * DUPLICATE_WINDOW)
     yield [stamp("short"), stamp("late", b"x" * 100)] + [stamp("new") for _ in range(5)]
+    # Warm σ-cache, tampered headers: each is DROP_BAD_HVF as on a cold
+    # cache, and the flows' honest packets around them still pass.  By now
+    # ``captured`` is past freshness and out of both filters.
+    age = clock.now() - START
+    assert age > FRESHNESS_WINDOW + 2 * DUPLICATE_WINDOW
+    yield [stamp("late"), copy_of(captured)] + tamper_cases(world, captured, age) + [stamp("late")]
     # A seeded random mix, time moving in small steps.
     for _ in range(6):
         clock.advance(rng.choice((0.0, 1e-3, 0.3, 1.3)))
@@ -320,9 +359,8 @@ def policing_state(router):
         monitor = router.monitor
         buckets, streaks, confirmed = monitor._buckets, monitor._drops, monitor._confirmed
         cells = {
-            (row, position): count
-            for row, counts in enumerate(router.ofd._rows)
-            for position, count in enumerate(counts)
+            divmod(cell, OFD_WIDTH): count
+            for cell, count in enumerate(router.ofd._counts or ())
             if count
         }
         suspects, blocked = router.ofd._suspects, set(router.blocklist.blocked_ases())
@@ -401,11 +439,85 @@ def test_burst_loop_matches_the_reference(backend):
     assert verdicts.index(Verdict.DROP_OVERUSE) < verdicts.index(Verdict.DROP_BLOCKED) < 64
     assert len(reference[-1][2]) == 1
     # σ-cache: eight cold misses (one per flow version that got as far as
-    # step 3), warm hits, the forged tag as the one rejected hint, and σs
-    # under both DRKey epochs; the filters rotated at four instants or more.
+    # step 3), warm hits, the forged tag and the four tampered headers as
+    # the rejected hints, and σs under both DRKey epochs; the filters
+    # rotated at four instants or more.
     final = serial[-1][4]
     assert final["sigma_counters"]["sigma_cache_misses"] == 8
     assert final["sigma_counters"]["sigma_cache_hits"] > 100
-    assert final["sigma_counters"]["sigma_cache_rejected_hints"] == 1
+    assert final["sigma_counters"]["sigma_cache_rejected_hints"] == 1 + 4
     assert {epoch for _, _, epoch in final["sigma_lru"]} == {2, 3}
     assert len({step[4]["rotated_at"] for step in serial}) >= 4
+
+
+def test_warm_cache_verdicts_equal_cold_cache_verdicts(backend):
+    """Every path that consults the σ-cache gives a tampered header the
+    verdict a cold cache gives it, and counts the hint it refused."""
+    expected = [Verdict.FORWARD, Verdict.DROP_STALE] + [Verdict.DROP_BAD_HVF] * 4 + [Verdict.FORWARD]
+    tamper_burst, reference = next(
+        (index, step[0])
+        for index, step in enumerate(replay(run_reference, reference=True))
+        if [verdict for verdict, _ in step[0]] == expected
+    )
+    for label, run in [("process", run_serial)] + [
+        (f"process_batch/{n}", run_batches(n)) for n in (1, 7, 64)
+    ]:
+        world, before = World(reference=False), None
+        for index, burst in enumerate(script(world)):
+            if index == tamper_burst:
+                before = world.router.sigma_cache.rejected_hints
+            outcomes = run(world.router, burst)
+            if index == tamper_burst:
+                assert outcomes == reference, label
+                assert world.router.sigma_cache.rejected_hints == before + 4, label
+                break
+
+    def as_views(packets):
+        views, buffer = [], bytearray()
+        for packet in packets:
+            wire = packet.to_bytes()
+            views.append((len(buffer), len(wire)))
+            buffer += wire
+        return [WirePacketView(buffer, offset, length) for offset, length in views]
+
+    validators = {
+        "validate_batch": lambda router, packets: router.validate_batch(packets),
+        "validate_wire_batch": lambda router, packets: router.validate_wire_batch(as_views(packets)),
+    }
+    for label, validate in validators.items():
+        world = World(reference=False)
+        world.reserve("long", SRC, hops=16)
+        world.reserve("late", SRC, hops=16)
+        captured = world.stamp("long", b"captured")
+        assert validate(world.router, [captured, world.stamp("late")]) == [True, True]
+        age = FRESHNESS_WINDOW + 2 * DUPLICATE_WINDOW + 4.4
+        world.clock.advance(age)
+        cases = tamper_cases(world, captured, age)
+        cache = world.router.sigma_cache
+        assert len(cache) == 2 and cache.rejected_hints == 0
+        warm = validate(world.router, cases + [world.stamp("late")])
+        assert cache.rejected_hints == 4, label
+        cache.clear()
+        cold = validate(world.router, cases + [world.stamp("late")])
+        assert warm == cold == [False] * 4 + [True], label
+
+
+def test_the_filter_is_keyed_on_the_untruncated_mac(backend):
+    """Step 4 names a packet by all 16 bytes of its Eq. (6) MAC, on a
+    σ-cache miss and on a hit alike — not by the 4-byte HVF."""
+    world = World(reference=False)
+    world.reserve("long", SRC, hops=16)
+    seen = []
+    check_and_insert = world.router.duplicates.check_and_insert
+    world.router.duplicates.check_and_insert = lambda identifier, now: (
+        seen.append(identifier) or check_and_insert(identifier, now)
+    )
+    packets = [world.stamp("long", b"p" * size) for size in (0, 10)]
+    sigma = world.flows["long"][2]
+    expected = [
+        mac(sigma, packet.timestamp.packed + struct.pack("!I", packet.total_size))
+        for packet in packets
+    ]
+    assert [r.verdict for r in world.router.process_batch(packets)] == [Verdict.FORWARD] * 2
+    assert seen == expected
+    assert [packet.hvfs[HOP] for packet in packets] == [m[:L_HVF] for m in expected]

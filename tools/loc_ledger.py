@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Lines of code per layer (ROADMAP aim 2: growth needs a reason).
 
-Prints ``wc -l`` of every ``src/repro/<package>`` and of the three files
-the roadmap watches individually, as the markdown table DESIGN.md §3b
+Prints ``wc -l`` of every ``src/repro/<package>`` and of the files (and
+one file group) the roadmap watches individually, as the markdown table DESIGN.md §3b
 carries between its ``loc-ledger`` markers.  ``--check`` exits non-zero
 when that table differs from a fresh count, so a PR that grows (or
 shrinks) a layer has to restate the ledger in the same diff — paste
@@ -25,10 +25,12 @@ DESIGN = ROOT / "DESIGN.md"
 BEGIN = "<!-- loc-ledger:begin -->"
 END = "<!-- loc-ledger:end -->"
 
-#: Files tracked on their own, besides their package's total.
+#: Files tracked on their own, besides their package's total; a
+#: ``{a,b,c}`` group is one row, the sum of its files.
 WATCHED = (
     "dataplane/gateway.py",
     "dataplane/router.py",
+    "dataplane/{duplicate,ofd,sigma_cache}.py",
     "control/cserv.py",
 )
 
@@ -36,6 +38,15 @@ WATCHED = (
 def count_lines(path: Path) -> int:
     with open(path, "rb") as handle:
         return sum(1 for _ in handle)
+
+
+def watched_lines(name: str) -> int:
+    """Lines of one watched file, or of every file of a ``{a,b,c}`` group."""
+    if "{" not in name:
+        return count_lines(PACKAGE_ROOT / name)
+    head, rest = name.split("{", 1)
+    stems, tail = rest.split("}", 1)
+    return sum(count_lines(PACKAGE_ROOT / (head + stem + tail)) for stem in stems.split(","))
 
 
 def ledger_rows() -> list:
@@ -52,7 +63,7 @@ def ledger_rows() -> list:
             top_level += count_lines(entry)
     rows.append(("top-level modules", top_level))
     rows.append(("**`src/repro` total**", sum(lines for _, lines in rows)))
-    rows.extend((f"`{name}`", count_lines(PACKAGE_ROOT / name)) for name in WATCHED)
+    rows.extend((f"`{name}`", watched_lines(name)) for name in WATCHED)
     return rows
 
 
