@@ -41,9 +41,7 @@ reproduce:
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/critical_service.py
-	$(PYTHON) examples/multipath_failover.py
 	$(PYTHON) examples/video_call.py
-	$(PYTHON) examples/operator_day.py
 	$(PYTHON) examples/ddos_defense.py
 	$(PYTHON) examples/video_stream.py
 

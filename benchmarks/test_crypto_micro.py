@@ -9,8 +9,8 @@ paper's Mpps (DESIGN.md §2).
 The prehashed-context rows quantify the batch fast path's core trick:
 paying the per-key BLAKE2s key schedule once (at install or on a σ-cache
 hit) and cloning the hash state per message, versus re-keying on every
-MAC.  The 16-hop stamp rows are the exact inner loop of Fig. 5's
-worst-case column, in both cold (re-keyed) and warm (prehashed) form.
+MAC.  The 16-hop stamp row is the exact inner loop of Fig. 5's
+worst-case column.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.dataplane.hvf import (
     sigma_schedule,
     sigma_states,
     stamp_hvfs,
-    stamp_hvfs_direct,
 )
 from repro.packets.fields import EerInfo, ResInfo, Timestamp
 from repro.reservation.ids import ReservationId
@@ -66,7 +65,6 @@ def test_crypto_micro(benchmark):
         "HopAuth (Eq. 4)": lambda: hop_authenticator(KEY, RES_INFO, EER, 2, 3),
         "EER HVF (Eq. 6)": lambda: eer_hvf(KEY, TS, 600),
         "EER HVF (prehashed ctx)": lambda: CTX.truncated(MSG),
-        "16-hop stamp (re-keyed)": lambda: stamp_hvfs_direct(SIGMAS_16, MSG),
         "16-hop stamp (prehashed)": lambda: stamp_hvfs(STATES_16, MSG),
         "AEAD seal (Eq. 5)": lambda: aead_seal(KEY, b"sigma" * 3),
         "AEAD open (Eq. 5)": lambda: aead_open(KEY, SEALED),
@@ -147,7 +145,6 @@ def test_crypto_micro(benchmark):
     assert rates["EER HVF (Eq. 6)"] >= rates["HopAuth (Eq. 4)"] * 0.8
     assert rates["AEAD seal (Eq. 5)"] < rates["MAC (full)"]
     # The batch fast path's premise: cloning a prehashed state beats
-    # re-running the key schedule, per HVF and across a 16-hop stamp.
+    # re-running the key schedule.
     assert rates["EER HVF (prehashed ctx)"] > rates["EER HVF (Eq. 6)"]
-    assert rates["16-hop stamp (prehashed)"] > rates["16-hop stamp (re-keyed)"]
     benchmark(operations["EER HVF (Eq. 6)"])

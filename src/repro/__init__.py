@@ -3,7 +3,7 @@ infrastructure — a full Python reproduction of the CoNEXT 2021 paper.
 
 Layered public API (see README.md for a quickstart):
 
-* ``repro.app`` — end-host stack and one-call helpers;
+* ``repro.app`` — end-host stack;
 * ``repro.sim`` — :class:`~repro.sim.scenario.ColibriNetwork`, the full
   per-AS deployment over any topology;
 * ``repro.control`` / ``repro.dataplane`` / ``repro.admission`` — the
@@ -17,7 +17,7 @@ Layered public API (see README.md for a quickstart):
 __version__ = "1.0.0"
 
 from repro import constants, errors
-from repro.app import ColibriSocket, EndHost, quick_network, reserve_and_send
+from repro.app import ColibriSocket, EndHost
 from repro.sim import ColibriNetwork
 from repro.topology import HostAddr, IsdAs
 
@@ -27,8 +27,6 @@ __all__ = [
     "ColibriNetwork",
     "EndHost",
     "ColibriSocket",
-    "quick_network",
-    "reserve_and_send",
     "IsdAs",
     "HostAddr",
     "__version__",

@@ -113,7 +113,7 @@ class TransferDistributor:
             if not pairs:
                 del self._registered[key]
         demands = self._demands.get(core_segment)
-        if not demands or not amount:
+        if not demands or not amount or up_segment not in demands:
             return
         demands[up_segment] = max(0.0, demands[up_segment] - amount)
 
@@ -128,11 +128,26 @@ class TransferDistributor:
         released = 0.0
         for (core_segment, up_segment), applied in pairs.items():
             demands = self._demands.get(core_segment)
-            if not demands:
-                continue
+            if not demands or up_segment not in demands:
+                continue  # the SegR went first (forget_segment)
             demands[up_segment] = max(0.0, demands[up_segment] - applied)
             released += applied
         return released
+
+    def forget_segment(self, res_id: ReservationId) -> None:
+        """Drop what is held for a SegR that is gone (teardown, abort,
+        expiry): its row as core-SegR and its entry as up-SegR in every
+        other row.  Registrations still keyed to it release as no-ops."""
+        self._demands.pop(res_id, None)
+        for demands in self._demands.values():
+            demands.pop(res_id, None)
+
+    def segments(self) -> set:
+        """Every SegR a row is held for, as core- or up-SegR."""
+        held = set(self._demands)
+        for demands in self._demands.values():
+            held.update(demands)
+        return held
 
     def demand(
         self, core_segment: ReservationId, up_segment: ReservationId

@@ -102,9 +102,6 @@ class DenyListPolicy(AdmissionPolicy):
     def allow(self, host: HostAddr) -> None:
         self._denied.discard(host)
 
-    def is_denied(self, host: HostAddr) -> bool:
-        return host in self._denied
-
     def authorize(self, host: HostAddr, requested: float) -> None:
         if host in self._denied:
             raise PolicyDenied(f"host {host} is deny-listed")

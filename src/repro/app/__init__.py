@@ -1,12 +1,9 @@
-"""End-host-facing layer: the host networking stack and high-level API."""
+"""End-host-facing layer: the host networking stack."""
 
-from repro.app.api import quick_network, reserve_and_send
 from repro.app.host import ColibriSocket, EndHost, establish_bidirectional
 
 __all__ = [
     "EndHost",
     "ColibriSocket",
-    "quick_network",
-    "reserve_and_send",
     "establish_bidirectional",
 ]

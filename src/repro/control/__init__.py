@@ -1,13 +1,6 @@
 """Colibri control plane: the CServ and its supporting machinery."""
 
-from repro.control.billing import BillingAgent, Invoice, PricingModel, UsageLedger
 from repro.control.cserv import ColibriService
-from repro.control.forecast import TrafficForecaster
-from repro.control.multipath import (
-    FallbackResult,
-    MultipathEer,
-    reserve_segments_with_fallback,
-)
 from repro.control.dissemination import (
     RemoteQueryClient,
     SegmentDescriptor,
@@ -47,14 +40,6 @@ __all__ = [
     "CircuitBreaker",
     "IdempotencyCache",
     "DistributedCServ",
-    "TrafficForecaster",
-    "BillingAgent",
-    "UsageLedger",
-    "PricingModel",
-    "Invoice",
-    "MultipathEer",
-    "FallbackResult",
-    "reserve_segments_with_fallback",
     "build_control_packet",
     "walk_control_packet",
     "ControlDelivery",

@@ -704,9 +704,10 @@ class ColibriService:
 
     def _forget_segment(self, res_id: ReservationId) -> None:
         """Drop what this AS holds for a SegR beside its store row —
-        admission entry, registry row, Eq. (3) tokens — wherever the
-        SegR ends: teardown, abort, expiry, an abandoned fallback path."""
+        admission entry, transfer-quota rows, registry row, Eq. (3)
+        tokens — wherever the SegR ends: teardown, abort, expiry."""
         self.seg_admission.release(res_id)
+        self.eer_admission.distributor.forget_segment(res_id)
         self.registry.unregister(res_id)
         self._segment_tokens.pop(res_id, None)
 
@@ -719,13 +720,11 @@ class ColibriService:
         src_host: HostAddr,
         dst_host: HostAddr,
         bandwidth: float,
-        chain=None,
     ) -> EerHandle:
         """Initiate an EER for a local host (Fig. 1b).
 
-        Finds a SegR chain to ``destination`` (Appendix C) — or uses the
-        explicit ``(descriptors, path)`` pair a multipath caller picked —
-        runs the hop-by-hop admission, decrypts the returned HopAuths
+        Finds a SegR chain to ``destination`` (Appendix C), runs the
+        hop-by-hop admission, decrypts the returned HopAuths
         (Eq. 5) and installs the reservation in the local gateway.
 
         When the failure looks like stale cached remote SegRs (Appendix
@@ -736,9 +735,7 @@ class ColibriService:
         eer_info = EerInfo(src_host=src_host, dst_host=dst_host)
         for attempts_left in reversed(range(_EER_SETUP_ATTEMPTS)):
             now = self.clock.now()
-            descriptors, path = (
-                chain if chain is not None else self.find_segment_chain(destination)
-            )
+            descriptors, path = self.find_segment_chain(destination)
             res_id = ReservationId(self.isd_as, self._ids.allocate())
             request = EerSetupRequest(
                 res_info=ResInfo(res_id, bandwidth, now + EER_LIFETIME, 1),
@@ -755,10 +752,8 @@ class ColibriService:
                 # invalidate the cache so a retry — the one below or the
                 # caller's — refetches fresh descriptors.
                 self.remote_client.invalidate(descriptors)
-                stale = (
-                    chain is None
-                    and isinstance(failure, InsufficientBandwidth)
-                    and any(d.is_expired(now) for d in descriptors)
+                stale = isinstance(failure, InsufficientBandwidth) and any(
+                    d.is_expired(now) for d in descriptors
                 )
                 if not (stale and attempts_left):
                     raise
@@ -1203,26 +1198,6 @@ class ColibriService:
             f"no SegR chain from {self.isd_as} to {destination}; "
             "set up the missing segment reservations first"
         )
-
-    def find_segment_chains(self, destination: IsdAs, limit: int = 5) -> list:
-        """Up to ``limit`` distinct SegR chains to ``destination``,
-        deduplicated on the combined AS path — the raw material for
-        multipath reservations (§2.1)."""
-        chains = []
-        seen = set()
-        for descriptors, path in self.iter_segment_chains(destination):
-            if path.ases in seen:
-                continue
-            seen.add(path.ases)
-            chains.append((descriptors, path))
-            if len(chains) >= limit:
-                break
-        if not chains:
-            raise NoPathError(
-                f"no SegR chain from {self.isd_as} to {destination}; "
-                "set up the missing segment reservations first"
-            )
-        return chains
 
     def iter_segment_chains(self, destination: IsdAs):
         """Yield every combinable SegR chain towards ``destination``."""

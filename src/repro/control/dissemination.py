@@ -125,13 +125,6 @@ class SegmentRegistry:
         result.sort(key=lambda d: d.expiry, reverse=True)
         return result
 
-    def destinations_from(self, first_as: IsdAs) -> list:
-        """All last-AS endpoints registered from ``first_as``."""
-        return sorted(
-            last for (first, last), bucket in self._by_pair.items()
-            if first == first_as and bucket
-        )
-
     def sweep_expired(self, now: float) -> int:
         removed = 0
         for bucket in self._by_pair.values():

@@ -93,12 +93,6 @@ class KeyedMacContext:
         state.update(data)
         return state.digest()[:length]
 
-    def verify_truncated(self, data: bytes, tag: bytes) -> bool:
-        """Constant-time check of a (possibly truncated) tag."""
-        state = self.state.copy()
-        state.update(data)
-        return constant_time_equal(state.digest()[: len(tag)], tag)
-
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
     """Timing-safe tag comparison."""

@@ -2,7 +2,6 @@
 duplicate suppression, and traffic-class isolation."""
 
 from repro.dataplane.blocklist import Blocklist
-from repro.dataplane.dscp import InternalSwitch, MarkedFrame, classify_packet
 from repro.dataplane.duplicate import DuplicateSuppressor
 from repro.dataplane.gateway import ColibriGateway
 from repro.dataplane.hvf import (
@@ -10,14 +9,12 @@ from repro.dataplane.hvf import (
     eer_hvf,
     hop_authenticator,
     segment_token,
-    verify_eer_hvf,
     verify_segment_token,
 )
 from repro.dataplane.monitor import DeterministicMonitor
 from repro.dataplane.ofd import OveruseFlowDetector
 from repro.dataplane.queueing import PriorityScheduler, TrafficClass
 from repro.dataplane.router import BorderRouter
-from repro.dataplane.sample_hold import SampleAndHoldDetector
 from repro.dataplane.shards import ShardExecutor, shard_of
 from repro.dataplane.sigma_cache import SigmaCache
 from repro.dataplane.token_bucket import TokenBucket
@@ -28,7 +25,6 @@ __all__ = [
     "hop_authenticator",
     "eer_hvf",
     "verify_segment_token",
-    "verify_eer_hvf",
     "ColibriGateway",
     "BorderRouter",
     "SigmaCache",
@@ -41,8 +37,4 @@ __all__ = [
     "Blocklist",
     "PriorityScheduler",
     "TrafficClass",
-    "SampleAndHoldDetector",
-    "InternalSwitch",
-    "MarkedFrame",
-    "classify_packet",
 ]

@@ -32,8 +32,8 @@ import struct
 from repro.constants import L_HVF
 from repro.crypto import native
 from repro.crypto.drkey import DrkeyDeriver, EntityId
-from repro.crypto.mac import KeyedMacContext, constant_time_equal, mac, truncated_mac
-from repro.crypto.prf import prf, prf_context, prf_under_keys
+from repro.crypto.mac import constant_time_equal, mac, truncated_mac
+from repro.crypto.prf import prf, prf_context
 from repro.errors import HvfMismatch
 from repro.obs.profile import profiled
 from repro.packets.fields import EerInfo, ResInfo, Timestamp
@@ -93,16 +93,6 @@ def eer_hvf_message(timestamp: Timestamp, packet_size: int) -> bytes:
     all hops instead of re-packing them per HVF.
     """
     return timestamp.packed + _SIZE.pack(packet_size)
-
-
-def sigma_context(hop_auth: bytes) -> KeyedMacContext:
-    """Prehashed Eq. (6) MAC state under one HopAuth σ.
-
-    ``sigma_context(s).truncated(eer_hvf_message(ts, n))`` equals
-    ``eer_hvf(s, ts, n)`` byte for byte; the context only amortizes the
-    per-σ key schedule across packets (gateway) or cache hits (router).
-    """
-    return KeyedMacContext(hop_auth)
 
 
 @profiled("hvf.sigma_states")
@@ -236,27 +226,6 @@ def verify_hvfs_batch(states, messages, tags, length: int = L_HVF) -> list:
             expected = clone.digest()
         append(constant_time_equal(expected[: len(tag)], tag))
     return verdicts
-
-
-def stamp_hvfs_direct(hop_auths, message: bytes, length: int = L_HVF) -> list:
-    """Eq. (6) across all hops from raw σs, one C call per hop.
-
-    The cold-path counterpart of :func:`stamp_hvfs` for versions whose
-    prehashed contexts have not been built (e.g. a table of 2^17 mostly
-    idle reservations hit with random IDs — Fig. 5's worst case, where
-    paying a key schedule per packet would be pure loss).
-    """
-    return [tag[:length] for tag in prf_under_keys(hop_auths, message)]
-
-
-def verify_eer_hvf(
-    hop_auth: bytes, timestamp: Timestamp, packet_size: int, hvf: bytes
-) -> None:
-    expected = eer_hvf(hop_auth, timestamp, packet_size)
-    if not constant_time_equal(expected, hvf):
-        raise HvfMismatch(
-            f"EER HVF mismatch (packet size {packet_size}, ts {timestamp!r})"
-        )
 
 
 class ColibriKeys:

@@ -147,13 +147,6 @@ class DeterministicMonitor:
         ``monitor_confirmed_flows`` registry gauge."""
         return len(self._confirmed)
 
-    def drop_streak(self, flow_label: bytes) -> tuple:
-        """Current confirmation-window state ``(drops, last_drop_at)``
-        for a flow (``(0, None)`` when it has no streak) — the state
-        forensics and SLOs previously had to poke out of ``_drops``."""
-        count, last_drop = self._drops.get(flow_label, (0, None))
-        return count, last_drop
-
     def watched_count(self) -> int:
         return len(self._buckets)
 

@@ -200,20 +200,8 @@ class HvfMismatch(DataPlaneError):
     """The hop validation field in the packet does not match Eq. (3)/(6)."""
 
 
-class DuplicatePacket(DataPlaneError):
-    """The replay-suppression system flagged the packet as a duplicate."""
-
-
-class SourceBlocked(DataPlaneError):
-    """The packet's source AS is on the policing blocklist (§4.8)."""
-
-
 class BandwidthExceeded(DataPlaneError):
     """The deterministic monitor dropped the packet for overuse."""
-
-
-class FreshnessError(DataPlaneError):
-    """The packet timestamp lies outside the acceptance window."""
 
 
 # ---------------------------------------------------------------------------

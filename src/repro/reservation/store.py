@@ -23,9 +23,8 @@ Fig. 4.
 
 Expiry is time-indexed: every reservation is scheduled on an
 :class:`~repro.reservation.timewheel.ExpiryWheel` keyed by its expiry,
-so :meth:`sweep_expired` and the expiry-window queries
-(:meth:`eers_expiring_by`, :meth:`segments_expiring_by`) cost
-O(log buckets + matched) instead of a full scan.  The wheel records the
+so :meth:`sweep_expired` costs O(log buckets + matched) instead of a
+full scan.  The wheel records the
 expiry *as of the last store interaction*; reservation objects whose
 expiry moved out of band (renewal versions added, versions dropped,
 activation) are lazily revalidated when they surface — a live candidate
@@ -226,26 +225,6 @@ class ReservationStore:
                 wheel.schedule(res_id, previous)
 
         self._record(undo)
-
-    def eers_expiring_by(self, deadline: float) -> List[E2EReservation]:
-        """EERs whose expiry is at or before ``deadline`` —
-        O(buckets + matched), never a full scan."""
-        due = []
-        for res_id, _ in self._eer_wheel.peek_due(deadline):
-            reservation = self._eers.get(res_id)
-            if reservation is not None and reservation.expiry <= deadline:
-                due.append(reservation)
-        return due
-
-    def segments_expiring_by(self, deadline: float) -> List[SegmentReservation]:
-        """SegRs whose active version expires by ``deadline`` —
-        O(buckets + matched), never a full scan."""
-        due = []
-        for res_id, _ in self._seg_wheel.peek_due(deadline):
-            reservation = self._segments.get(res_id)
-            if reservation is not None and reservation.expiry <= deadline:
-                due.append(reservation)
-        return due
 
     # -- EER-on-SegR allocation accounting -----------------------------------------
 

@@ -29,21 +29,18 @@ import heapq
 import math
 from typing import Hashable, List, Optional, Tuple
 
-#: Default quantum (seconds) a bucket covers.  EERs live 16 s and SegRs
+#: Quantum (seconds) a bucket covers.  EERs live 16 s and SegRs
 #: minutes, so one-second buckets keep the bucket count small and
 #: constant relative to the reservation count.
-DEFAULT_BUCKET_WIDTH = 1.0
+BUCKET_WIDTH = 1.0
 
 
 class ExpiryWheel:
     """Buckets of keys indexed by quantized expiry, earliest-first."""
 
-    __slots__ = ("_width", "_expiry", "_buckets", "_heap")
+    __slots__ = ("_expiry", "_buckets", "_heap")
 
-    def __init__(self, bucket_width: float = DEFAULT_BUCKET_WIDTH):
-        if bucket_width <= 0:
-            raise ValueError(f"bucket width must be positive, got {bucket_width}")
-        self._width = bucket_width
+    def __init__(self):
         self._expiry: dict = {}  # key -> scheduled absolute expiry
         self._buckets: dict = {}  # bucket index -> set of keys
         self._heap: List[int] = []  # one entry per existing bucket
@@ -55,7 +52,7 @@ class ExpiryWheel:
         return key in self._expiry
 
     def _bucket_of(self, expiry: float) -> int:
-        return math.floor(expiry / self._width)
+        return math.floor(expiry / BUCKET_WIDTH)
 
     # -- scheduling -----------------------------------------------------------
 
@@ -107,9 +104,9 @@ class ExpiryWheel:
                 heapq.heappop(self._heap)
                 self._buckets.pop(index, None)
                 continue
-            if index * self._width > now:
+            if index * BUCKET_WIDTH > now:
                 break  # earliest possible expiry in any bucket is in the future
-            if (index + 1) * self._width <= now:
+            if (index + 1) * BUCKET_WIDTH <= now:
                 # The whole bucket lies in the past: drain it in bulk.
                 heapq.heappop(self._heap)
                 del self._buckets[index]
@@ -124,24 +121,3 @@ class ExpiryWheel:
                 due.append((key, self._expiry.pop(key)))
             break
         return due
-
-    def peek_due(self, deadline: float) -> List[Tuple[Hashable, float]]:
-        """All ``(key, scheduled_expiry)`` with expiry <= ``deadline``,
-        without consuming them — O(buckets + matched), for expiry-window
-        queries ("what renews/expires in the next N seconds").
-        """
-        limit = self._bucket_of(deadline)
-        due: List[Tuple[Hashable, float]] = []
-        for index in self._heap:
-            if index > limit:
-                continue
-            for key in self._buckets.get(index, ()):
-                expiry = self._expiry[key]
-                if expiry <= deadline:
-                    due.append((key, expiry))
-        return due
-
-    def bucket_count(self) -> int:
-        """Existing buckets (observability; bounded by the span of
-        scheduled expiries over the bucket width, not by key count)."""
-        return len(self._buckets)

@@ -460,7 +460,8 @@ class ColibriNetwork:
           bandwidth;
         * a SegR's active version agrees at every on-path AS (the §4.2
           activation discipline);
-        * the incremental allocation sums match exact recomputation.
+        * the incremental allocation sums match exact recomputation;
+        * no transfer-quota row outlives its SegR.
 
         An empty list means the deployment is coherent; soak and
         integration tests call this after churn.
@@ -502,6 +503,11 @@ class ColibriNetwork:
                     violations.append(
                         f"{isd_as}: SegR {reservation.reservation_id} "
                         f"over-allocated: {total} > {reservation.bandwidth}"
+                    )
+            for segment_id in stack.cserv.eer_admission.distributor.segments():
+                if not store.has_segment(segment_id):
+                    violations.append(
+                        f"{isd_as}: transfer-quota row outlives SegR {segment_id}"
                     )
             for eer in store.eers():
                 if eer.is_expired(now):

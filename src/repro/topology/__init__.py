@@ -20,13 +20,6 @@ from repro.topology.generator import (
 from repro.topology.graph import ASNode, Interface, Link, Topology
 from repro.topology.paths import EndToEndPath, PathLookup, combine_segments
 from repro.topology.segments import HopField, Segment, SegmentType
-from repro.topology.selection import (
-    disjointness,
-    max_capacity_first,
-    most_disjoint,
-    path_capacity,
-    shortest_first,
-)
 from repro.topology.serialization import (
     dump_topology,
     dumps_topology,
@@ -55,11 +48,6 @@ __all__ = [
     "build_power_law",
     "build_caida_like",
     "add_multihoming",
-    "most_disjoint",
-    "disjointness",
-    "path_capacity",
-    "shortest_first",
-    "max_capacity_first",
     "dump_topology",
     "dumps_topology",
     "load_topology",

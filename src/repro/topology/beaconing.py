@@ -164,12 +164,6 @@ class Beaconing:
         """Core-segments from core AS ``first`` to core AS ``last``."""
         return list(self._core.get((first, last), []))
 
-    def all_down_destinations(self, core_as: IsdAs) -> list:
-        """Leaf ASes reachable from ``core_as`` by a down-segment."""
-        return sorted(
-            leaf for (core, leaf) in self._down if core == core_as
-        )
-
     def reachable_cores(self, leaf: IsdAs) -> list:
         """Core ASes the leaf has an up-segment to (its own AS if core)."""
         node = self.topology.node(leaf)

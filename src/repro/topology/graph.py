@@ -67,14 +67,6 @@ class Link:
             return self.a
         raise TopologyError(f"AS {this} is not an endpoint of link {self}")
 
-    def local_end(self, this: IsdAs) -> Interface:
-        """The interface at AS ``this``."""
-        if self.a.owner == this:
-            return self.a
-        if self.b.owner == this:
-            return self.b
-        raise TopologyError(f"AS {this} is not an endpoint of link {self}")
-
     def __str__(self) -> str:
         return f"{self.a}<->{self.b}({self.link_type.value})"
 

@@ -529,6 +529,29 @@ class TestDistributorLedger:
         )
         assert self.distributor.total_demand(self.core) == pytest.approx(gbps(3))
 
+    def test_forget_segment_drops_core_row_and_up_entries(self):
+        other_core, other_up = ReservationId(SRC, 3), ReservationId(OTHER, 4)
+        flow1, flow2 = ReservationId(SRC, 100), ReservationId(SRC, 101)
+        for core, up, flow in (
+            (self.core, self.up, flow1),
+            (other_core, self.up, flow2),
+            (other_core, other_up, flow2),
+        ):
+            self.distributor.register_demand(
+                core, up, gbps(3), up_capacity=gbps(10), key=flow
+            )
+        self.distributor.forget_segment(self.up)  # as up-SegR, in both rows
+        assert self.distributor.segments() == {self.core, other_core, other_up}
+        assert self.distributor.total_demand(other_core) == pytest.approx(gbps(3))
+        self.distributor.forget_segment(other_core)  # as core-SegR
+        assert self.distributor.segments() == {self.core}
+        # The EERs outlived their SegRs: releasing them must neither
+        # raise nor bring a dropped row back.
+        assert self.distributor.release_key(flow1) == 0.0
+        self.distributor.release_demand(other_core, other_up, key=flow2)
+        assert self.distributor.release_key(flow2) == 0.0
+        assert self.distributor.segments() == {self.core}
+
     def test_amount_release_still_supported(self):
         self.distributor.register_demand(
             self.core, self.up, gbps(4), up_capacity=gbps(10)

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.app import ColibriSocket, EndHost, quick_network, reserve_and_send
+from repro.app import ColibriSocket, EndHost
 from repro.constants import EER_LIFETIME
 from repro.errors import InsufficientBandwidth, NoPathError, SimulationError
 from repro.sim import ColibriNetwork, EventLoop, PortSim
@@ -87,11 +87,6 @@ class TestEventLoop:
 
 
 class TestEndHostApi:
-    def test_quick_network_and_helper(self):
-        net = quick_network()
-        stats = reserve_and_send(net, SRC, DST)
-        assert stats.delivered == 1
-
     def test_socket_send_and_stats(self, net):
         net.reserve_segments(SRC, DST, gbps(1))
         host = EndHost(net, SRC, HostAddr(1))

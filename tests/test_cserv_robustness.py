@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.admission.policy import PerHostCapPolicy
-from repro.constants import EER_LIFETIME, EER_RENEWAL_MIN_INTERVAL
+from repro.constants import EER_LIFETIME, EER_RENEWAL_MIN_INTERVAL, SEGR_LIFETIME
 from repro.control.auth import AuthenticatedRequest
 from repro.control.rate_limit import RateLimiter
 from repro.errors import (
@@ -420,6 +420,45 @@ class TestRenewalLimiterForgets:
         cserv.renew_eer(handle)
         cserv._abort_eer(handle.reservation_id, 1, handle.hops)
         assert cserv.renewal_limiter.tracked_keys() == 0
+        assert net.audit() == []
+
+
+class TestTransferQuotaRowsGoWithTheirSegRs:
+    """The transfer AS's distributor (§4.7) keys its demand rows by
+    core- and up-SegR; a row must not outlive either."""
+
+    def held(self, net):
+        """``{AS: SegR ids its distributor holds a row for}``, non-empty only."""
+        rows = {
+            isd_as: net.cserv(isd_as).eer_admission.distributor.segments()
+            for isd_as in net.ases()
+        }
+        return {isd_as: ids for isd_as, ids in rows.items() if ids}
+
+    def test_expiry_and_housekeeping_leave_no_row(self, net):
+        net.reserve_segments(SRC, DST, gbps(1))
+        for i in range(3):
+            net.establish_eer(SRC, DST, mbps(300), src_host=HostAddr(10 + i))
+        with pytest.raises(InsufficientBandwidth):  # contended: SegRs full
+            net.establish_eer(SRC, DST, mbps(300), src_host=HostAddr(20))
+        assert self.held(net), "no transfer AS registered demand"
+        net.advance(EER_LIFETIME + 1.0)
+        net.housekeeping()  # EERs gone, SegRs alive: rows may stay, zeroed
+        assert net.audit() == []
+        net.advance(SEGR_LIFETIME)
+        net.housekeeping()
+        assert self.held(net) == {}
+        assert net.audit() == []
+
+    def test_teardown_leaves_no_row(self, net):
+        up, core, down = net.reserve_segments(SRC, DST, gbps(1))
+        net.establish_eer(SRC, DST, mbps(10))
+        net.advance(EER_LIFETIME + 1.0)
+        net.housekeeping()
+        net.cserv(core.segment.first_as).teardown_segment(core.reservation_id)
+        assert core.reservation_id not in set().union(*self.held(net).values())
+        net.cserv(SRC).teardown_segment(up.reservation_id)
+        assert self.held(net) == {}
         assert net.audit() == []
 
 

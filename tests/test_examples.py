@@ -33,16 +33,6 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "first packet delivered: True" in out
 
-    def test_multipath_failover(self, capsys):
-        run_example("multipath_failover.py")
-        out = capsys.readouterr().out
-        assert "all 60 chunks delivered" in out
-
-    def test_operator_day(self, capsys):
-        run_example("operator_day.py")
-        out = capsys.readouterr().out
-        assert "zero operator actions" in out
-
     def test_ddos_defense(self, capsys):
         run_example("ddos_defense.py")
         out = capsys.readouterr().out

@@ -1,367 +1,15 @@
-"""Tests for the paper's optional/extension features: multipath (§2.1),
-traffic forecasting (§3.2), neighbor billing (§4.7/§9), intra-domain
-traffic-class encoding (App. B), sample-and-hold OFD, telemetry."""
+"""Management-plane telemetry (§1 "management scalability"): the per-AS
+snapshot of ``ColibriNetwork.telemetry``."""
 
-import pytest
-
-from repro.control import (
-    BillingAgent,
-    MultipathEer,
-    PricingModel,
-    RenewalScheduler,
-    TrafficForecaster,
-    UsageLedger,
-    reserve_segments_with_fallback,
-)
-from repro.dataplane import (
-    InternalSwitch,
-    MarkedFrame,
-    OveruseFlowDetector,
-    SampleAndHoldDetector,
-    TrafficClass,
-    classify_packet,
-)
-from repro.dataplane.dscp import DSCP_AF41, DSCP_DEFAULT, DSCP_EF
-from repro.errors import InsufficientBandwidth
-from repro.reservation.ids import ReservationId
 from repro.sim import ColibriNetwork
-from repro.topology import IsdAs, build_core_mesh, build_two_isd_topology
-from repro.util.clock import SimClock
-from repro.util.units import GBPS, gbps, mbps
+from repro.topology import IsdAs, build_two_isd_topology
+from repro.util.units import gbps, mbps
 
 BASE = 0xFF00_0000_0000
 
 
 def asid(isd, index):
     return IsdAs(isd, BASE + index)
-
-
-class TestFallbackReservation:
-    def test_first_path_wins_when_free(self):
-        net = ColibriNetwork(build_core_mesh(4))
-        result = reserve_segments_with_fallback(
-            net, asid(1, 1), asid(1, 3), gbps(4)
-        )
-        assert result.path_index == 0
-        assert result.attempts == 1
-        assert not result.failures
-
-    def test_falls_back_when_first_path_full(self):
-        net = ColibriNetwork(build_core_mesh(4))
-        src, dst = asid(1, 1), asid(1, 3)
-        # Saturate the direct link with a competing reservation.
-        direct = net.path_lookup.paths(src, dst, limit=1)[0]
-        net.cserv(src).setup_segment(direct.segments[0], gbps(32))
-        result = reserve_segments_with_fallback(
-            net, src, dst, gbps(20), minimum=gbps(20)
-        )
-        assert result.path_index > 0
-        assert result.failures
-        # The winning chain is alive and usable for EERs.
-        handle = net.establish_eer(src, dst, mbps(10))
-        assert handle.granted == pytest.approx(mbps(10))
-
-    def test_all_paths_full_raises_with_best_offer(self):
-        net = ColibriNetwork(build_core_mesh(3))
-        src, dst = asid(1, 1), asid(1, 2)
-        for path in net.path_lookup.paths(src, dst, limit=5):
-            try:
-                for segment in path.segments:
-                    net.cserv(segment.first_as).setup_segment(segment, gbps(32))
-            except InsufficientBandwidth:
-                pass
-        with pytest.raises(InsufficientBandwidth):
-            reserve_segments_with_fallback(
-                net, src, dst, gbps(30), minimum=gbps(30)
-            )
-
-    def test_failed_attempts_leave_no_state(self):
-        net = ColibriNetwork(build_core_mesh(4))
-        src, dst = asid(1, 1), asid(1, 3)
-        direct = net.path_lookup.paths(src, dst, limit=1)[0]
-        blocker = net.cserv(src).setup_segment(direct.segments[0], gbps(32))
-        before = {
-            str(a): net.cserv(a).store.segment_count() for a in net.ases()
-        }
-        reserve_segments_with_fallback(net, src, dst, gbps(20), minimum=gbps(20))
-        # Only the winning chain's ASes gained reservations; count the
-        # total new records: exactly one new SegR stored at each AS of
-        # the winning (2-hop-detour) path.
-        after = {str(a): net.cserv(a).store.segment_count() for a in net.ases()}
-        gained = sum(after[a] - before[a] for a in after)
-        assert gained == 3  # one 3-AS detour segment
-
-
-class TestMultipathEer:
-    def make_net(self):
-        net = ColibriNetwork(build_core_mesh(4))
-        src, dst = asid(1, 1), asid(1, 3)
-        for path in net.path_lookup.paths(src, dst, limit=4):
-            for segment in path.segments:
-                try:
-                    net.cserv(segment.first_as).setup_segment(segment, gbps(2))
-                except InsufficientBandwidth:
-                    pass
-        return net, src, dst
-
-    def test_establishes_distinct_paths(self):
-        net, src, dst = self.make_net()
-        multipath = MultipathEer.establish(net, src, dst, mbps(10), subflows=2)
-        assert multipath.subflow_count == 2
-        paths = {
-            tuple(hop.isd_as for hop in subflow.handle.hops)
-            for subflow in multipath._subflows
-        }
-        assert len(paths) == 2
-
-    def test_aggregate_bandwidth(self):
-        net, src, dst = self.make_net()
-        multipath = MultipathEer.establish(net, src, dst, mbps(10), subflows=2)
-        assert multipath.aggregate_bandwidth == pytest.approx(mbps(20))
-
-    def test_traffic_spreads_over_subflows(self):
-        net, src, dst = self.make_net()
-        multipath = MultipathEer.establish(net, src, dst, mbps(10), subflows=2)
-        for index in range(40):
-            assert multipath.send(f"chunk {index}".encode()).delivered
-        counts = list(multipath.distribution().values())
-        assert sum(counts) == 40
-        assert min(counts) >= 15  # roughly even (equal weights)
-
-    def test_failover_on_dead_subflow(self):
-        net, src, dst = self.make_net()
-        multipath = MultipathEer.establish(net, src, dst, mbps(10), subflows=2)
-        # Kill subflow 0's reservation at its gateway: sends start failing.
-        victim = multipath._subflows[0].handle
-        net.gateway(src).uninstall(victim.reservation_id)
-        for index in range(20):
-            assert multipath.send(b"x").delivered
-        assert len(multipath.live_subflows()) == 1
-        assert multipath._subflows[1].delivered >= 20
-
-
-class TestTrafficForecaster:
-    def test_learns_flat_demand(self):
-        clock = SimClock(0.0)
-        forecaster = TrafficForecaster(clock, period=24.0, buckets=24, headroom=1.0)
-        for hour in range(48):
-            forecaster.observe(mbps(100), when=float(hour))
-        assert forecaster.forecast(when=50.0) == pytest.approx(mbps(100), rel=0.01)
-
-    def test_learns_diurnal_pattern(self):
-        clock = SimClock(0.0)
-        forecaster = TrafficForecaster(
-            clock, period=24.0, buckets=24, headroom=1.0, smoothing=0.5
-        )
-        # Three "days": busy at hour 12, quiet at hour 0.
-        for day in range(6):
-            for hour in range(24):
-                demand = mbps(500) if 10 <= hour < 14 else mbps(50)
-                forecaster.observe(demand, when=day * 24.0 + hour)
-        busy = forecaster.forecast(when=7 * 24.0 + 12)
-        quiet = forecaster.forecast(when=7 * 24.0 + 2)
-        assert busy > quiet * 1.5
-
-    def test_headroom_applied(self):
-        clock = SimClock(0.0)
-        forecaster = TrafficForecaster(clock, period=24.0, headroom=1.5)
-        forecaster.observe(mbps(100), when=0.0)
-        assert forecaster.forecast(when=0.0) == pytest.approx(mbps(150), rel=0.05)
-
-    def test_floor_without_data(self):
-        forecaster = TrafficForecaster(SimClock(), floor=mbps(5))
-        assert forecaster.forecast() == mbps(5)
-
-    def test_drives_renewal_scheduler(self):
-        net = ColibriNetwork(build_two_isd_topology())
-        src, dst = asid(1, 1), asid(2, 1)
-        (segr,) = net.reserve_segments(src, dst, mbps(100))
-        owner = net.cserv(src)
-        forecaster = TrafficForecaster(
-            owner.clock, period=3600.0, buckets=6, headroom=1.2, smoothing=1.0
-        )
-        scheduler = RenewalScheduler(owner, segr_lead=60.0)
-        scheduler.track_segment(
-            segr.reservation_id, bandwidth_fn=forecaster.bandwidth_fn()
-        )
-        forecaster.observe(mbps(200))
-        net.advance(280.0)
-        forecaster.observe(mbps(200))
-        assert scheduler.tick()["segments"] == 1
-        # Renewed at forecast x headroom = 240 Mbps.
-        assert segr.bandwidth == pytest.approx(mbps(240), rel=0.05)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            TrafficForecaster(SimClock(), period=0)
-        with pytest.raises(ValueError):
-            TrafficForecaster(SimClock(), smoothing=0)
-        with pytest.raises(ValueError):
-            TrafficForecaster(SimClock(), headroom=0.5)
-        forecaster = TrafficForecaster(SimClock())
-        with pytest.raises(ValueError):
-            forecaster.observe(-1.0)
-
-
-class TestBilling:
-    SRC = IsdAs(1, BASE + 1)
-    NEIGHBOR = IsdAs(1, BASE + 2)
-
-    def ledger(self, price=2.0, base=10.0):
-        return UsageLedger(
-            self.SRC, self.NEIGHBOR, PricingModel(price_per_gbit_second=price, base_fee=base)
-        )
-
-    def test_accrual_is_bandwidth_times_time(self):
-        ledger = self.ledger()
-        rid = ReservationId(self.NEIGHBOR, 1)
-        ledger.start(rid, gbps(2), now=0.0)
-        assert ledger.accrued_gbit_seconds(now=100.0) == pytest.approx(200.0)
-
-    def test_adjust_changes_rate_midway(self):
-        ledger = self.ledger()
-        rid = ReservationId(self.NEIGHBOR, 1)
-        ledger.start(rid, gbps(2), now=0.0)
-        ledger.adjust(rid, gbps(4), now=50.0)
-        # 2 Gbps x 50 s + 4 Gbps x 50 s = 300 Gbit-seconds
-        assert ledger.accrued_gbit_seconds(now=100.0) == pytest.approx(300.0)
-
-    def test_stop_ends_accrual(self):
-        ledger = self.ledger()
-        rid = ReservationId(self.NEIGHBOR, 1)
-        ledger.start(rid, gbps(1), now=0.0)
-        ledger.stop(rid, now=60.0)
-        assert ledger.accrued_gbit_seconds(now=600.0) == pytest.approx(60.0)
-
-    def test_settlement_prices_usage(self):
-        ledger = self.ledger(price=2.0, base=10.0)
-        rid = ReservationId(self.NEIGHBOR, 1)
-        ledger.start(rid, gbps(1), now=0.0)
-        invoice = ledger.settle(now=100.0)
-        assert invoice.gbit_seconds == pytest.approx(100.0)
-        assert invoice.amount == pytest.approx(10.0 + 200.0)
-        assert invoice.line_items[0][0] == rid
-
-    def test_settlement_resets_period(self):
-        ledger = self.ledger(base=0.0)
-        rid = ReservationId(self.NEIGHBOR, 1)
-        ledger.start(rid, gbps(1), now=0.0)
-        ledger.settle(now=100.0)
-        # The open accrual continues into the new period.
-        second = ledger.settle(now=150.0)
-        assert second.gbit_seconds == pytest.approx(50.0)
-
-    def test_billing_agent_per_neighbor(self):
-        agent = BillingAgent(self.SRC, PricingModel(1.0))
-        other = IsdAs(1, BASE + 3)
-        agent.set_pricing(other, PricingModel(5.0))
-        rid1, rid2 = ReservationId(self.NEIGHBOR, 1), ReservationId(other, 1)
-        agent.on_grant(self.NEIGHBOR, rid1, gbps(1), now=0.0)
-        agent.on_grant(other, rid2, gbps(1), now=0.0)
-        invoices = {inv.neighbor: inv for inv in agent.settle_all(now=10.0)}
-        assert invoices[self.NEIGHBOR].amount == pytest.approx(10.0)
-        assert invoices[other].amount == pytest.approx(50.0)
-
-    def test_negative_usage_rejected(self):
-        with pytest.raises(ValueError):
-            PricingModel(1.0).price(-1.0)
-
-
-class TestDscpEncoding:
-    def test_class_mapping_roundtrip(self):
-        from repro.dataplane.dscp import CLASS_TO_DSCP, DSCP_TO_CLASS
-
-        for traffic_class, dscp in CLASS_TO_DSCP.items():
-            assert DSCP_TO_CLASS[dscp] is traffic_class
-
-    def test_classify_authenticated_eer(self):
-        net = ColibriNetwork(build_two_isd_topology())
-        net.reserve_segments(asid(1, 101), asid(2, 101), gbps(1))
-        handle = net.establish_eer(asid(1, 101), asid(2, 101), mbps(10))
-        packet = net.gateway(asid(1, 101)).send(handle.reservation_id, b"x")
-        assert classify_packet(packet, authenticated=True) is TrafficClass.EER_DATA
-        assert classify_packet(packet, authenticated=False) is TrafficClass.BEST_EFFORT
-
-    def test_switch_honours_gateway_marking(self):
-        switch = InternalSwitch(capacity=8000.0)
-        switch.ingest(MarkedFrame(600, DSCP_EF, marked_by_gateway=True))
-        switch.ingest(MarkedFrame(600, DSCP_DEFAULT, marked_by_gateway=True))
-        sent = switch.drain(1.0)
-        assert sent[TrafficClass.EER_DATA] == 600
-
-    def test_switch_remarks_untrusted_priority(self):
-        """A malicious host writing EF into its own headers gains nothing
-        (Appendix B's trust rule)."""
-        switch = InternalSwitch(capacity=8000.0)
-        switch.ingest(MarkedFrame(600, DSCP_EF, marked_by_gateway=False))
-        switch.ingest(MarkedFrame(600, DSCP_AF41, marked_by_gateway=True))
-        sent = switch.drain(1.0)
-        assert switch.remarked == 1
-        assert sent[TrafficClass.CONTROL] == 600
-        assert sent[TrafficClass.BEST_EFFORT] == 0  # demoted behind control
-
-
-class TestSampleAndHold:
-    def test_overuser_detected(self):
-        detector = SampleAndHoldDetector(window=1.0)
-        flagged = False
-        for step in range(1000):
-            flagged = flagged or detector.observe(
-                b"bad", 500, mbps(1), now=step * 0.001
-            )  # 4x reserved
-        assert flagged
-
-    def test_conforming_flow_not_flagged(self):
-        detector = SampleAndHoldDetector(window=1.0)
-        for step in range(1000):
-            assert not detector.observe(b"good", 125, mbps(1), now=step * 0.001)
-
-    def test_exactness_no_false_positives_among_many(self):
-        """Unlike the count-min sketch, held counters are exact: with
-        many conforming flows, nobody is flagged."""
-        detector = SampleAndHoldDetector(window=1.0, max_held=64)
-        for step in range(1000):
-            now = step * 0.001
-            for index in range(50):
-                detector.observe(f"flow-{index}".encode(), 125, mbps(1), now=now)
-        assert not detector.suspects()
-
-    def test_cm_sketch_same_load_may_false_positive(self):
-        """The contrast case: a tiny count-min sketch over the same load
-        does flag innocents (why the two designs trade off)."""
-        sketch = OveruseFlowDetector(window=1.0, width=4, depth=1)
-        for step in range(1000):
-            now = step * 0.001
-            for index in range(50):
-                sketch.observe(f"flow-{index}".encode(), 125, mbps(1), now=now)
-        assert sketch.suspects()
-
-    def test_table_bounded(self):
-        detector = SampleAndHoldDetector(window=10.0, max_held=16, sample_budget=100.0)
-        for step in range(2000):
-            detector.observe(f"f{step}".encode(), 50_000, mbps(1), now=0.001 * step)
-        assert detector.memory_cells <= 16
-        assert detector.table_full_events > 0
-
-    def test_window_roll_clears(self):
-        detector = SampleAndHoldDetector(window=1.0)
-        for step in range(1000):
-            detector.observe(b"bad", 500, mbps(1), now=step * 0.001)
-        assert detector.is_suspect(b"bad")
-        detector.observe(b"other", 100, mbps(1), now=2.5)
-        assert not detector.is_suspect(b"bad")
-
-    def test_zero_bandwidth_flagged(self):
-        detector = SampleAndHoldDetector()
-        assert detector.observe(b"dead", 100, 0.0, now=0.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SampleAndHoldDetector(max_held=0)
-        with pytest.raises(ValueError):
-            SampleAndHoldDetector(sample_budget=0)
-        with pytest.raises(ValueError):
-            SampleAndHoldDetector(window=0)
 
 
 class TestTelemetry:

@@ -13,6 +13,7 @@ routing table), while re-beaconing steers only *future* path discovery.
 
 import pytest
 
+from repro.constants import EER_LIFETIME
 from repro.errors import NoPathError, TopologyError
 from repro.sim import ColibriNetwork
 from repro.topology import Beaconing, IsdAs, PathLookup, build_core_mesh, build_two_isd_topology
@@ -94,26 +95,33 @@ class TestOffPathChurnDoesNotTouchReservations:
 
 
 class TestOnPathFailure:
-    def test_on_path_cut_detected_and_multipath_recovers(self):
+    def test_on_path_cut_detected_and_fresh_eer_takes_detour(self):
         """An on-path failure does break the reservation (physics), but
-        path choice means an alternative reservation exists (§2.1)."""
+        path choice means an alternative exists (§2.1): after
+        re-beaconing, a fresh SegR + EER ride the surviving detour."""
         net = ColibriNetwork(build_core_mesh(4))
         src, dst = asid(1, 1), asid(1, 3)
-        for path in net.path_lookup.paths(src, dst, limit=3):
-            for segment in path.segments:
-                net.cserv(segment.first_as).setup_segment(segment, gbps(1))
-        from repro.control import MultipathEer
+        (direct,) = net.reserve_segments(src, dst, gbps(1))
+        handle = net.establish_eer(src, dst, mbps(10))
+        assert [hop.isd_as for hop in handle.hops] == [src, dst]
+        assert net.send(src, handle, b"over the direct link").delivered
 
-        multipath = MultipathEer.establish(net, src, dst, mbps(10), subflows=2)
-        assert multipath.subflow_count == 2
-        # Simulate the direct link dying: its far-end router now drops
-        # everything from src (a blunt but effective stand-in for loss).
-        direct_subflow = min(
-            multipath._subflows, key=lambda s: len(s.handle.hops)
-        )
-        last_as = direct_subflow.handle.hops[-1].isd_as
-        # Drop by uninstalling the gateway side of the direct subflow.
-        net.gateway(src).uninstall(direct_subflow.handle.reservation_id)
-        for _ in range(10):
-            assert multipath.send(b"rerouted").delivered
-        assert len(multipath.live_subflows()) == 1
+        net.topology.remove_link(net.topology.link_between(src, dst))
+        net.beaconing.discover()
+        # Detected: the pinned path crosses a link that no longer exists,
+        # and path discovery stops offering it.
+        with pytest.raises(TopologyError):
+            net.topology.link_between(*(hop.isd_as for hop in handle.hops))
+        assert min(len(path) for path in net.path_lookup.paths(src, dst)) == 3
+
+        # The owner lets the stranded EER expire, retires the dead SegR
+        # and reserves over what beaconing now offers.
+        net.advance(EER_LIFETIME + 1.0)
+        net.housekeeping()
+        net.cserv(src).teardown_segment(direct.reservation_id)
+        net.reserve_segments(src, dst, gbps(1))
+        fresh = net.establish_eer(src, dst, mbps(10))
+        via = [hop.isd_as for hop in fresh.hops]
+        assert len(via) == 3 and via[0] == src and via[-1] == dst
+        assert net.send(src, fresh, b"rerouted").delivered
+        assert net.audit() == []

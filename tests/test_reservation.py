@@ -420,12 +420,15 @@ class TestExpiryIndex:
         far = make_eer(local_id=101, expiry=48.0, segment_ids=(segr.reservation_id,))
         store.add_eer(near)
         store.add_eer(far)
-        assert store.eers_expiring_by(20.0) == [near]
-        assert sorted(
-            r.reservation_id.local_id for r in store.eers_expiring_by(60.0)
-        ) == [100, 101]
-        assert store.segments_expiring_by(299.0) == []
-        assert store.segments_expiring_by(300.0) == [segr]
+        # Each sweep surfaces exactly what came due since the last one.
+        assert store.sweep_expired_details(15.9) == (
+            {"eers": 0, "segments": 0}, [], [])
+        assert store.sweep_expired_details(20.0) == (
+            {"eers": 1, "segments": 0}, [near.reservation_id], [])
+        assert store.sweep_expired_details(299.0) == (
+            {"eers": 1, "segments": 0}, [far.reservation_id], [])
+        assert store.sweep_expired_details(300.0) == (
+            {"eers": 0, "segments": 1}, [], [segr.reservation_id])
 
     def test_out_of_band_renewal_heals_lazily(self):
         # A renewal adds a version directly on the object; the next sweep
@@ -451,8 +454,9 @@ class TestExpiryIndex:
         store.touch(eer.reservation_id)
         eer.drop_version(2)
         store.touch(eer.reservation_id)
-        assert store.eers_expiring_by(16.0) == [eer]
-        assert store.sweep_expired(now=16.0) == {"eers": 1, "segments": 0}
+        assert store.sweep_expired_details(15.9)[1] == []
+        assert store.sweep_expired_details(16.0) == (
+            {"eers": 1, "segments": 0}, [eer.reservation_id], [])
 
     def test_touch_unknown_is_noop(self):
         store = ReservationStore()

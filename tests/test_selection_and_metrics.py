@@ -1,93 +1,20 @@
-"""Tests for path-selection policies and the statistics helpers, plus
-the Coremelt-style collusion attack on the admission algorithm (§5.2,
-the [26]/[53] attack class §8 references)."""
+"""Tests for the statistics helpers, plus the Coremelt-style collusion
+attack on the admission algorithm (§5.2, the [26]/[53] attack class §8
+references)."""
 
 import pytest
 
 from repro.errors import InsufficientBandwidth
 from repro.sim import ColibriNetwork
-from repro.topology import Beaconing, IsdAs, PathLookup, build_core_mesh
-from repro.topology.selection import (
-    disjointness,
-    max_capacity_first,
-    most_disjoint,
-    path_capacity,
-    shortest_first,
-)
+from repro.topology import IsdAs, build_core_mesh
 from repro.util.metrics import jain_fairness, mean, percentile
-from repro.util.units import gbps, mbps
+from repro.util.units import gbps
 
 BASE = 0xFF00_0000_0000
 
 
 def asid(isd, index):
     return IsdAs(isd, BASE + index)
-
-
-@pytest.fixture
-def mesh_paths():
-    topology = build_core_mesh(5)
-    lookup = PathLookup(Beaconing(topology))
-    return topology, lookup.paths(asid(1, 1), asid(1, 3), limit=10)
-
-
-class TestSelectionPolicies:
-    def test_shortest_first(self, mesh_paths):
-        _, paths = mesh_paths
-        ordered = shortest_first(paths)
-        assert [len(p) for p in ordered] == sorted(len(p) for p in paths)
-        assert len(ordered[0]) == 2  # the direct link
-
-    def test_path_capacity_is_bottleneck(self):
-        topology = build_core_mesh(3, capacity=gbps(40))
-        # Shrink one link and verify the path through it reports it.
-        link = topology.link_between(asid(1, 1), asid(1, 2))
-        topology.remove_link(link)
-        topology.add_link(asid(1, 1), asid(1, 2), capacity=gbps(10))
-        lookup = PathLookup(Beaconing(topology))
-        paths = lookup.paths(asid(1, 1), asid(1, 2), limit=5)
-        direct = [p for p in paths if len(p) == 2][0]
-        detour = [p for p in paths if len(p) == 3][0]
-        assert path_capacity(topology, direct) == pytest.approx(gbps(10))
-        assert path_capacity(topology, detour) == pytest.approx(gbps(40))
-
-    def test_max_capacity_first_prefers_wide_detour(self):
-        topology = build_core_mesh(3, capacity=gbps(40))
-        link = topology.link_between(asid(1, 1), asid(1, 2))
-        topology.remove_link(link)
-        topology.add_link(asid(1, 1), asid(1, 2), capacity=gbps(10))
-        lookup = PathLookup(Beaconing(topology))
-        paths = lookup.paths(asid(1, 1), asid(1, 2), limit=5)
-        ordered = max_capacity_first(topology, paths)
-        assert len(ordered[0]) == 3  # the wide detour outranks the thin link
-
-    def test_disjointness_metric(self, mesh_paths):
-        _, paths = mesh_paths
-        direct = [p for p in paths if len(p) == 2][0]
-        detours = [p for p in paths if len(p) == 3]
-        assert disjointness(direct, detours[0]) == 1.0  # no transit at all
-        assert disjointness(detours[0], direct) == 1.0  # direct shares nothing
-        same = disjointness(detours[0], detours[0])
-        assert same == 0.0
-
-    def test_most_disjoint_selection(self, mesh_paths):
-        _, paths = mesh_paths
-        chosen = most_disjoint(paths, count=3)
-        assert len(chosen) == 3
-        # Pairwise transit-disjoint in a 5-mesh: each detour uses a
-        # different middle AS.
-        for i, a in enumerate(chosen):
-            for b in chosen[i + 1 :]:
-                middle_a = set(a.ases[1:-1])
-                middle_b = set(b.ases[1:-1])
-                assert not (middle_a & middle_b)
-
-    def test_most_disjoint_handles_small_sets(self, mesh_paths):
-        _, paths = mesh_paths
-        assert most_disjoint(paths[:1], count=5) == paths[:1]
-        assert most_disjoint([], count=2) == []
-        with pytest.raises(ValueError):
-            most_disjoint(paths, count=0)
 
 
 class TestMetrics:

@@ -1,16 +1,14 @@
-"""Tests for SegR teardown, EER setup auto-retry (App. C), the NetworkX
-bridge, and renewal-round fairness convergence properties."""
+"""Tests for SegR teardown, EER setup auto-retry (App. C) and
+renewal-round fairness convergence properties."""
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import SEGR_LIFETIME
-from repro.errors import ColibriError, TopologyError
+from repro.errors import ColibriError
 from repro.sim import ColibriNetwork
-from repro.topology import Beaconing, IsdAs, PathLookup, build_two_isd_topology
-from repro.topology.nx_bridge import from_networkx, to_networkx
+from repro.topology import IsdAs, build_two_isd_topology
 from repro.util.metrics import jain_fairness
 from repro.util.units import gbps, mbps
 
@@ -87,66 +85,6 @@ class TestEerSetupRetry:
         net.advance(2.0)  # old chain now expired, new one alive
         handle = net.establish_eer(SRC, DST, mbps(10))
         assert handle.granted == pytest.approx(mbps(10))
-
-
-class TestNetworkxBridge:
-    def make_graph(self):
-        graph = nx.Graph()
-        graph.add_node(1, isd=1, core=True)
-        graph.add_node(2, isd=1, core=True)
-        graph.add_node(10, isd=1, core=False, level=1)
-        graph.add_node(11, isd=1, core=False, level=2)
-        graph.add_edge(1, 2, capacity=gbps(100))
-        graph.add_edge(1, 10)
-        graph.add_edge(10, 11)
-        return graph
-
-    def test_from_networkx_structure(self):
-        topology = from_networkx(self.make_graph())
-        assert len(topology) == 4
-        assert len(topology.core_ases()) == 2
-        link = topology.link_between(IsdAs(1, 1), IsdAs(1, 2))
-        assert link.capacity == pytest.approx(gbps(100))
-        # level decided parent/child: 10 is the provider of 11
-        assert IsdAs(1, 11) in topology.children(IsdAs(1, 10))
-
-    def test_colibri_runs_on_imported_graph(self):
-        topology = from_networkx(self.make_graph())
-        net = ColibriNetwork(topology)
-        lookup = PathLookup(Beaconing(topology))
-        paths = lookup.paths(IsdAs(1, 11), IsdAs(1, 2))
-        assert paths
-        net.reserve_segments(IsdAs(1, 11), IsdAs(1, 2), mbps(50))
-        handle = net.establish_eer(IsdAs(1, 11), IsdAs(1, 2), mbps(5))
-        assert net.send(IsdAs(1, 11), handle, b"from networkx").delivered
-
-    def test_missing_attributes_rejected(self):
-        graph = nx.Graph()
-        graph.add_node("lonely")
-        with pytest.raises(TopologyError):
-            from_networkx(graph)
-
-    def test_classifier_override(self):
-        graph = nx.Graph()
-        graph.add_node("a")
-        graph.add_node("b")
-        graph.add_edge("a", "b")
-        topology = from_networkx(
-            graph, classify=lambda node, attrs: (1, True)
-        )
-        assert len(topology.core_ases()) == 2
-
-    def test_roundtrip_to_networkx(self):
-        topology = build_two_isd_topology()
-        graph = to_networkx(topology)
-        assert graph.number_of_nodes() == len(topology)
-        assert graph.number_of_edges() == len(list(topology.links()))
-        back = from_networkx(
-            graph,
-            classify=lambda node, attrs: (attrs["isd"], attrs["core"]),
-        )
-        assert len(back) == len(topology)
-        assert len(back.core_ases()) == len(topology.core_ases())
 
 
 class TestFairnessConvergenceProperty:

@@ -11,8 +11,7 @@ proves reachability per submitted entry point; this rule keeps the two
 packages where workers live free of such bindings in the first place.
 
 Module-level *immutable* tables stay legal: tuples, ``frozenset``, and
-``types.MappingProxyType(...)``-wrapped mappings (the idiom
-``repro/dataplane/dscp.py`` uses for its DSCP tables).
+``types.MappingProxyType(...)``-wrapped mappings.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ Two ways a verification can silently become a no-op:
   for effect only.
 
 The repro's own verifiers (``verify_mac``, ``verify_segment_token``,
-``verify_eer_hvf``, ``AuthenticatedRequest.verify_at``, ``verify_grants``)
+``AuthenticatedRequest.verify_at``, ``verify_grants``)
 raise :class:`~repro.errors.MacVerificationError`/:class:`HvfMismatch` on
 failure, so statement position is exactly right for them — they are
 allowlisted.  Any other ``verify*`` call whose return value is unused is
@@ -33,7 +33,6 @@ RAISING_VERIFIERS = frozenset(
         "verify_at",
         "verify_grants",
         "verify_segment_token",
-        "verify_eer_hvf",
     }
 )
 

@@ -6,7 +6,8 @@ one file group) the roadmap watches individually, as the markdown table DESIGN.m
 carries between its ``loc-ledger`` markers.  ``--check`` exits non-zero
 when that table differs from a fresh count, so a PR that grows (or
 shrinks) a layer has to restate the ledger in the same diff — paste
-this tool's output over the stale table.
+this tool's output over the stale table — and when a row is over its
+:data:`BUDGETS` bound, naming the row and the excess.
 
 Usage (from the repo root)::
 
@@ -33,6 +34,15 @@ WATCHED = (
     "dataplane/{duplicate,ofd,sigma_cache}.py",
     "control/cserv.py",
 )
+
+TOTAL = "**`src/repro` total**"
+
+#: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
+BUDGETS = {
+    TOTAL: 19_500,
+    "`dataplane/gateway.py` + `dataplane/router.py`": 1_019,
+    "`dataplane/{duplicate,ofd,sigma_cache}.py`": 500,
+}
 
 
 def count_lines(path: Path) -> int:
@@ -62,9 +72,21 @@ def ledger_rows() -> list:
         elif entry.suffix == ".py":
             top_level += count_lines(entry)
     rows.append(("top-level modules", top_level))
-    rows.append(("**`src/repro` total**", sum(lines for _, lines in rows)))
+    rows.append((TOTAL, sum(lines for _, lines in rows)))
     rows.extend((f"`{name}`", watched_lines(name)) for name in WATCHED)
     return rows
+
+
+def over_budget(rows: list) -> list:
+    """``(label, lines, bound)`` for each :data:`BUDGETS` row over its
+    bound; a ``a + b`` label is the sum of those two rows."""
+    counts = dict(rows)
+    over = []
+    for label, bound in BUDGETS.items():
+        lines = sum(counts[part] for part in label.split(" + "))
+        if lines > bound:
+            over.append((label, lines, bound))
+    return over
 
 
 def render(rows: list) -> str:
@@ -88,10 +110,20 @@ def main(argv=None) -> int:
         help="fail when DESIGN.md's ledger table is stale",
     )
     args = parser.parse_args(argv)
-    table = render(ledger_rows())
+    rows = ledger_rows()
+    table = render(rows)
     if not args.check:
         print(table)
         return 0
+    over = over_budget(rows)
+    for label, lines, bound in over:
+        print(
+            f"loc-ledger: {label} is {lines:,} lines, {lines - bound:,} over "
+            f"its budget of {bound:,}",
+            file=sys.stderr,
+        )
+    if over:
+        return 1
     if recorded_table() != table:
         print(
             f"loc-ledger: the table in {DESIGN.name} is stale; replace it with\n\n"
@@ -99,7 +131,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    print("loc-ledger: DESIGN.md ledger is current")
+    print("loc-ledger: DESIGN.md ledger is current and within budget")
     return 0
 
 

@@ -38,7 +38,6 @@ ORDER = [
     "topology_scale",
     "crypto_micro",
     "memory_footprint",
-    "ofd_comparison",
     "ablation_memoization",
     "ablation_two_step_mac",
     "ablation_isolation",
