@@ -119,14 +119,6 @@ CALL_TIMEOUT_QUERY = 1.0  # seconds, single registry lookup (Appendix C)
 CIRCUIT_FAILURE_THRESHOLD = 5  # consecutive failures to open (§4.2)
 CIRCUIT_RESET_TIMEOUT = 10.0  # seconds until a half-open probe (§4.2)
 
-# Idempotency cache: handlers remember successful setup/renewal responses
-# by request identity so a retry after a *lost response* replays the
-# answer instead of double-admitting bandwidth (§3.3 cleanup invariant).
-# Entries must outlive the longest retry storm: attempts x capped backoff
-# plus the call budget, comfortably under one EER lifetime (§3.3).
-IDEMPOTENCY_TTL = 2 * EER_LIFETIME  # seconds (§3.3)
-IDEMPOTENCY_MAX_ENTRIES = 4096  # bounded memory at busy CServs (§5.3)
-
 # --------------------------------------------------------------------------
 # Evaluation geometry (§7.1, Table 2).
 # --------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.control.rate_limit import RateLimiter
 from repro.control.renewal import RenewalScheduler
 from repro.control.retry import (
     CircuitBreaker,
-    IdempotencyCache,
     PolicyTable,
     RetryingCaller,
     RetryPolicy,
@@ -38,7 +37,6 @@ __all__ = [
     "PolicyTable",
     "RetryingCaller",
     "CircuitBreaker",
-    "IdempotencyCache",
     "DistributedCServ",
     "build_control_packet",
     "walk_control_packet",

@@ -29,10 +29,11 @@ looks them up on the instance.
 Fault tolerance (§3.3, docs/robustness.md): every forwarded call goes
 through a :class:`~repro.control.retry.RetryingCaller` (capped
 exponential backoff, per-method latency budgets, per-destination circuit
-breaker).  Handlers are retry-safe: successful responses are remembered
-in an :class:`~repro.control.retry.IdempotencyCache` keyed by request
-identity, so a retry after a *lost response* replays the answer instead
-of double-admitting bandwidth; the two walks are idempotent by state.
+breaker).  Handlers are retry-safe: the reservation record is the
+replay record — an AS packs what it answered onto the version it
+committed, so a retry after a *lost response* is answered from the store
+instead of double-admitting bandwidth, while that version is the
+reservation's newest; the two walks are idempotent by state.
 When retries are exhausted the transport error propagates back to the
 initiator, which aborts the whole path — explicitly releasing whatever
 the hops beyond the loss point already committed — before re-raising; a
@@ -41,7 +42,8 @@ response whose grant MACs do not verify is aborted the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from repro.admission.eer_admission import AsRole, EerAdmission
@@ -60,7 +62,7 @@ from repro.control.dissemination import (
     SegmentRegistry,
 )
 from repro.control.rate_limit import RateLimiter
-from repro.control.retry import IdempotencyCache, PolicyTable, RetryingCaller
+from repro.control.retry import PolicyTable, RetryingCaller
 from repro.control.rpc import MessageBus
 from repro.crypto.aead import aead_open, aead_seal
 from repro.crypto.keyserver import KeyServerDirectory
@@ -197,10 +199,12 @@ class _Flow(NamedTuple):
     and :meth:`ColibriService._initiate`; everything else is shared.
     The four are assembled at the end of :class:`ColibriService`."""
 
-    method: str  # the bus entry point; also tags remembered responses
+    method: str  # the bus entry point
     kind: str  # of the journaled ADMISSION_DECIDED
     what: str  # names the workflow in a refusal
     response: type  # (res_info, success, granted, credentials, grants)
+    credentials: str  # the response field holding them, one per AS
+    find: str  # the store's lookup of the reservation, or None
     #: ``(cserv, request) -> (subject, hops)``: the path, and what later
     #: steps read the reservation from — the request itself for a setup,
     #: the stored reservation for a renewal (raises ReservationNotFound).
@@ -209,8 +213,8 @@ class _Flow(NamedTuple):
     #: (offered, state)``; ``state`` is handed to commit/release, and
     #: ``None`` refuses.  May raise a denial or ReservationNotFound/Expired.
     decide: Callable
-    commit: Callable  # (cserv, subject, state, response, now), in one transaction
-    mint: Callable  # (cserv, key, subject, hop, response, now) -> response + credential
+    commit: Callable  # (cserv, subject, state, response, now) -> the version stored
+    mint: Callable  # (cserv, key, subject, hop, response, now) -> this AS's credential
     abort: Callable  # (cserv, res_id, version, hops): path-wide release
     release: Callable = _nothing_charged  # (cserv, state, wanted)
 
@@ -251,9 +255,7 @@ class ColibriService:
             policies=retry_policies,
             sleeper=retry_sleeper,
         )
-        #: Server-side retry safety: successful setup/renewal responses
-        #: by request identity, replayed when a lost response is retried.
-        self.idempotency = IdempotencyCache(clock)
+        self.replays = 0  # retries answered from a stored version's record
 
         #: One store per AS: sweep and accounting costs are bounded by
         #: the *affected* reservations (expiry wheel, incremental sums),
@@ -358,13 +360,13 @@ class ColibriService:
         #    answered before this point.
         if hop_index > 0:
             auth._verify_under(key, self.isd_as)
-        # 4. Retry safety: if this exact request already succeeded here
-        #    (its response was lost upstream), replay the remembered
-        #    answer instead of admitting the bandwidth twice (§3.3).
-        idem_key = (flow.method, res_id, wanted.version, hop_index)
-        cached = self.idempotency.get(idem_key)
-        if cached is not None:
-            return cached
+        # 4. Retry safety: if this request already succeeded here (its
+        #    response was lost upstream), replay the answer the stored
+        #    version remembers instead of admitting the bandwidth twice,
+        #    and without bothering the ASes downstream again (§3.3).
+        replayed = self._replay(flow, wanted, hop_index)
+        if replayed is not None:
+            return replayed
         # 5. Resolve the path, this hop and the reservation (from the
         #    request for a setup, the store for a renewal) and 6. decide
         #    what this AS offers (§4.7).  An unknown or expired
@@ -426,12 +428,46 @@ class ColibriService:
             flow.release(self, state, wanted)
             return response
         # 9. The unwind: commit in one store transaction, mint this AS's
-        #    credential (Eq. 3 token or Eq. 5 sealed HopAuth), remember.
+        #    credential (Eq. 3 token or Eq. 5 sealed HopAuth) and leave
+        #    the answer on the committed version, packed: the path's
+        #    grant values, then the credentials from this AS down.  No
+        #    call is ever retried towards hop 0: the initiator keeps none.
         with self.store.transaction():
-            flow.commit(self, subject, state, response, now)
-        response = flow.mint(self, key, subject, hop, response, now)
-        self.idempotency.put(idem_key, response)
-        return response
+            version = flow.commit(self, subject, state, response, now)
+        credential = flow.mint(self, key, subject, hop, response, now)
+        credentials = (credential,) + getattr(response, flow.credentials)
+        if hop_index > 0:
+            values = [grant.granted for grant in response.grants]
+            packed = struct.pack(f"!{len(values)}d", *values)
+            version.replay = packed + b"".join(credentials)
+        return flow.response(
+            response.res_info, True, response.granted, credentials, response.grants
+        )
+
+    def _replay(self, flow: _Flow, wanted: ResInfo, hop_index: int):
+        """The answer this AS gave when it committed ``wanted``, rebuilt
+        from the stored version (step 9 of :meth:`_hop`), or ``None``:
+        only a reservation's newest version keeps a record, and an
+        abort, ``prune`` or the sweep takes it along with the version."""
+        reservation = getattr(self.store, flow.find)(wanted.reservation)
+        if reservation is None:
+            return None
+        version = reservation.latest_version()
+        record, hops = version.replay, reservation.hops
+        if record is None or version.version != wanted.version:
+            return None
+        self._hop_of(hops, hop_index)
+        self.replays += 1
+        granted, head = version.bandwidth, 8 * len(hops)
+        values = struct.unpack_from(f"!{len(hops)}d", record)
+        size = (len(record) - head) // (len(hops) - hop_index)
+        return flow.response(
+            ResInfo(wanted.reservation, granted, version.expiry, version.version),
+            True,
+            granted,
+            tuple(record[at : at + size] for at in range(head, len(record), size)),
+            tuple(AsGrant(hop.isd_as, value) for hop, value in zip(hops, values)),
+        )
 
     def _initiate(self, flow: _Flow, request, hops: tuple, now: float):
         """The initiator's side of a setup or renewal, the same for
@@ -560,22 +596,21 @@ class ColibriService:
             SegmentGrant(grant.reservation_id, grant.demand, response.granted)
         )
         segment_type = _CODE_TO_SEGMENT_TYPE[request.segment_type]
+        version = SegmentVersion(info.version, response.granted, info.expiry)
         self.store.add_segment(
             SegmentReservation(
                 reservation_id=info.reservation,
                 segment=Segment.from_hops(segment_type, request.hops),
-                first_version=SegmentVersion(
-                    info.version, response.granted, info.expiry
-                ),
+                first_version=version,
             )
         )
+        return version
 
     def _mint_token(self, key, subject, hop, response, now):
-        """The response with this AS's Eq. (3) token prepended."""
-        token = segment_token(
+        """This AS's Eq. (3) token."""
+        return segment_token(
             self.keys.hop_key(now), response.res_info, hop.ingress, hop.egress
         )
-        return replace(response, tokens=(token,) + response.tokens)
 
     # -- renewal, activation, teardown (§4.2, §4.4) ----------------------------------
 
@@ -617,15 +652,15 @@ class ColibriService:
 
     def _resolve_seg_renewal(self, request: SegRenewalRequest):
         reservation = self.store.get_segment(request.reservation)
-        return reservation, reservation.segment.hops
+        return reservation, reservation.hops
 
     def _commit_seg_renewal(self, reservation, grant, response, now):
         """The new version stays pending — admission state included —
         until the initiator activates it (§4.2)."""
         info = response.res_info
-        reservation.add_pending(
-            SegmentVersion(info.version, response.granted, info.expiry)
-        )
+        version = SegmentVersion(info.version, response.granted, info.expiry)
+        reservation.add_pending(version)
+        return version
 
     def activate_segment(self, reservation_id: ReservationId, version: int) -> None:
         """Explicitly switch an own SegR to a pending version everywhere."""
@@ -880,15 +915,17 @@ class ColibriService:
     def _commit_eer_setup(self, request, state: tuple, response, now):
         info = response.res_info
         self.eer_admission.commit(info.reservation, state[0], response.granted)
+        version = E2EVersion(info.version, response.granted, info.expiry)
         self.store.add_eer(
             E2EReservation(
                 reservation_id=info.reservation,
                 eer_info=request.eer_info,
                 hops=request.hops,
                 segment_ids=request.segment_ids,
-                first_version=E2EVersion(info.version, response.granted, info.expiry),
+                first_version=version,
             )
         )
+        return version
 
     def _release_eer_decision(self, state: Optional[tuple], wanted: ResInfo) -> None:
         """Undo the temporary state :meth:`EerAdmission.decide` created
@@ -909,8 +946,8 @@ class ColibriService:
             self.eer_admission.distributor.release_key(wanted.reservation)
 
     def _mint_hopauth(self, key, subject, hop, response, now):
-        """The response with this AS's Eq. (5) blob prepended: its
-        Eq. (4) HopAuth, sealed for the source under ``key``."""
+        """This AS's Eq. (5) blob: its Eq. (4) HopAuth, sealed for the
+        source under ``key``."""
         sigma = hop_authenticator(
             self.keys.hop_key(now),
             response.res_info,
@@ -918,13 +955,7 @@ class ColibriService:
             hop.ingress,
             hop.egress,
         )
-        return EerSetupResponse(
-            res_info=response.res_info,
-            success=response.success,
-            granted=response.granted,
-            sealed_hopauths=(aead_seal(key, sigma),) + response.sealed_hopauths,
-            grants=response.grants,
-        )
+        return aead_seal(key, sigma)
 
     @traced("eer.renewal", attrs=_initiator, latency="admission_latency_seconds")
     def renew_eer(self, handle: EerHandle, new_bandwidth: float = None) -> EerHandle:
@@ -989,9 +1020,8 @@ class ColibriService:
 
     def _commit_eer_renewal(self, reservation, decision, response, now):
         info = response.res_info
-        reservation.add_version(
-            E2EVersion(info.version, response.granted, info.expiry)
-        )
+        version = E2EVersion(info.version, response.granted, info.expiry)
+        reservation.add_version(version)
         reservation.prune(now)
         self.eer_admission.commit_renewal(
             info.reservation, decision, response.granted
@@ -999,6 +1029,7 @@ class ColibriService:
         # The new version moved the expiry: re-index the EER so the
         # time-indexed sweep sees the extension immediately.
         self.store.touch(info.reservation)
+        return version
 
     def _forget_eer(self, res_id: ReservationId) -> None:
         """Drop what this AS holds for an EER beside its store rows —
@@ -1060,13 +1091,7 @@ class ColibriService:
     def _handle_abort(self, notice, auth: AuthenticatedRequest, undo: Callable) -> bool:
         auth.verify_at(self.keys, self.clock.now())
         self._owner_only(notice, auth)
-        # Forget replay answers for the aborted request so a later
-        # legitimate retry is admitted fresh, not served stale state.
-        res_id, version = notice.reservation, notice.version
-        self.idempotency.invalidate(
-            lambda key: key[1] == res_id and (version <= 1 or key[2] == version)
-        )
-        undo(res_id, version)
+        undo(notice.reservation, notice.version)
         return True
 
     def _local_seg_abort(self, res_id: ReservationId, version: int) -> None:
@@ -1335,22 +1360,22 @@ class ColibriService:
     # version to the row.  Only an EER setup's decision charges anything.
 
     _SEG_SETUP = _Flow(
-        "handle_seg_setup", "segment", "SegR setup", SegSetupResponse,
-        _resolve_setup, _decide_segment, _commit_seg_setup, _mint_token,
-        _abort_segment,
+        "handle_seg_setup", "segment", "SegR setup", SegSetupResponse, "tokens",
+        "find_segment", _resolve_setup, _decide_segment, _commit_seg_setup,
+        _mint_token, _abort_segment,
     )
     _SEG_RENEWAL = _Flow(
         "handle_seg_renewal", "segment_renewal", "SegR renewal", SegSetupResponse,
-        _resolve_seg_renewal, _decide_segment, _commit_seg_renewal, _mint_token,
-        _abort_segment,
+        "tokens", "find_segment", _resolve_seg_renewal, _decide_segment,
+        _commit_seg_renewal, _mint_token, _abort_segment,
     )
     _EER_SETUP = _Flow(
-        "handle_eer_setup", "eer", "EER setup", EerSetupResponse,
-        _resolve_setup, _decide_eer_setup, _commit_eer_setup, _mint_hopauth,
-        _abort_eer, _release_eer_decision,
+        "handle_eer_setup", "eer", "EER setup", EerSetupResponse, "sealed_hopauths",
+        "find_eer", _resolve_setup, _decide_eer_setup, _commit_eer_setup,
+        _mint_hopauth, _abort_eer, _release_eer_decision,
     )
     _EER_RENEWAL = _Flow(
         "handle_eer_renewal", "eer_renewal", "EER renewal", EerSetupResponse,
-        _resolve_eer_renewal, _decide_eer_renewal, _commit_eer_renewal,
-        _mint_hopauth, _abort_eer,
+        "sealed_hopauths", "find_eer", _resolve_eer_renewal, _decide_eer_renewal,
+        _commit_eer_renewal, _mint_hopauth, _abort_eer,
     )

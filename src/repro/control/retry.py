@@ -13,10 +13,12 @@ of that robustness:
 * :class:`CircuitBreaker` — per-destination fail-fast once an AS looks
   persistently dead, with clock-injected half-open probing;
 * :class:`RetryingCaller` — ties the three together around a
-  :class:`~repro.control.rpc.MessageBus`;
-* :class:`IdempotencyCache` — the server-side complement: handlers
-  remember successful responses by request identity so a retry after a
-  *lost response* replays the answer instead of double-admitting.
+  :class:`~repro.control.rpc.MessageBus`.
+
+The server-side complement — a retry after a *lost response* must be
+replayed, not admitted twice — needs nothing here: the answer lives on
+the reservation version the handler committed
+(``ColibriService._hop``, docs/robustness.md).
 
 Everything is deterministic: jitter comes from one ``random.Random``
 seeded from the owning AS, delays are virtual (reported via an optional
@@ -37,8 +39,6 @@ from repro.constants import (
     CIRCUIT_FAILURE_THRESHOLD,
     CIRCUIT_RESET_TIMEOUT,
     CLEANUP_MAX_ATTEMPTS,
-    IDEMPOTENCY_MAX_ENTRIES,
-    IDEMPOTENCY_TTL,
     RETRY_BASE_DELAY,
     RETRY_MAX_ATTEMPTS,
     RETRY_MAX_DELAY,
@@ -346,60 +346,3 @@ class RetryingCaller:
             f"{policy.max_attempts} attempts of {method!r} to AS {isd_as} "
             f"all failed; last error: {last_error}"
         ) from last_error
-
-
-class IdempotencyCache:
-    """Remembered successful responses, keyed by request identity.
-
-    A lost *response* means the handler committed state the caller never
-    saw; when the caller retries, the handler must replay the remembered
-    answer instead of admitting the bandwidth twice (§3.3).  Entries
-    carry a TTL against the injected clock and the cache is size-bounded
-    (oldest-first eviction) so a busy CServ cannot be ballooned by
-    request-ID churn (§5.3).
-    """
-
-    def __init__(
-        self,
-        clock: Clock,
-        ttl: float = IDEMPOTENCY_TTL,
-        max_entries: int = IDEMPOTENCY_MAX_ENTRIES,
-    ):
-        self.clock = clock
-        self.ttl = ttl
-        self.max_entries = max_entries
-        self._entries: dict = {}  # key -> (response, stored_at); insertion-ordered
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        response, stored_at = entry
-        if self.clock.now() - stored_at > self.ttl:
-            del self._entries[key]
-            self.misses += 1
-            return None
-        self.hits += 1
-        return response
-
-    def put(self, key, response) -> None:
-        now = self.clock.now()
-        self._entries.pop(key, None)
-        self._entries[key] = (response, now)
-        while len(self._entries) > self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-
-    def invalidate(self, predicate: Callable) -> int:
-        """Drop entries whose key matches ``predicate`` (e.g. after an
-        abort, so a stale cached success cannot resurrect state)."""
-        stale = [key for key in self._entries if predicate(key)]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
-
-    def __len__(self) -> int:
-        return len(self._entries)

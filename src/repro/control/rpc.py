@@ -20,8 +20,8 @@ trace (see docs/robustness.md).
 A *request* loss raises :class:`Unreachable` before the handler runs; a
 *response* loss (or a blown latency budget, :class:`CallTimeout`) raises
 *after* the handler ran — the destination committed state the caller
-never learned about.  The distinction is what makes the retry layer's
-idempotency caching (:mod:`repro.control.retry`) necessary and testable.
+never learned about.  The distinction is what makes the CServ's replay
+record (``ColibriService._hop``) necessary and testable.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ EER admission accounting and monitoring use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import VersionError
 from repro.reservation.ids import ReservationId
@@ -24,20 +24,30 @@ if TYPE_CHECKING:  # avoid a packets <-> reservation import cycle
     from repro.packets.fields import EerInfo
 
 
-@dataclass
+@dataclass(init=False)
 class E2EVersion:
     """One version of an EER; expires on its own, never removed early.
 
     Slotted: a million-EER store (ROADMAP) holds at least one of these
     per EER, and the instance ``__dict__`` would roughly double the
-    per-version footprint.
+    per-version footprint.  ``replay`` is what the CServ answered when it
+    committed this version, packed (``ColibriService._hop``), so that a
+    retry after a lost response is replayed (§3.3): only an EER's newest
+    version keeps one, and it goes wherever the version goes.
     """
 
-    __slots__ = ("version", "bandwidth", "expiry")
+    __slots__ = ("version", "bandwidth", "expiry", "replay")
 
     version: int
     bandwidth: float  # bits per second
     expiry: float  # absolute seconds
+    replay: Optional[bytes]
+
+    def __init__(self, version, bandwidth, expiry, replay=None):
+        self.version = version
+        self.bandwidth = bandwidth
+        self.expiry = expiry
+        self.replay = replay
 
     def is_live(self, now: float) -> bool:
         return now < self.expiry
@@ -48,10 +58,18 @@ class E2EReservation:
 
     Slotted for the same reason as :class:`E2EVersion`: EERs dominate a
     large store's population (16 s lifetime, §4.2, renewed continuously),
-    so per-instance dict overhead is the store's memory floor.
+    so per-instance overhead is the store's memory floor.  The record
+    and its versions are all the cyclic collector tracks per EER: the
+    versions sit in one tuple in version order (at most three at the
+    16 s lifetime and usual renewal cadence; a tuple is sized exactly,
+    an appended-to list holds room for eight), and the store's expiry
+    wheel keeps its schedule here, in ``scheduled_expiry``.
     """
 
-    __slots__ = ("reservation_id", "eer_info", "hops", "segment_ids", "_versions")
+    __slots__ = (
+        "reservation_id", "eer_info", "hops", "segment_ids", "_versions",
+        "scheduled_expiry",
+    )
 
     def __init__(
         self,
@@ -65,61 +83,71 @@ class E2EReservation:
         self.eer_info = eer_info
         self.hops = hops  # tuple[HopField], the full end-to-end path
         self.segment_ids = segment_ids  # the 1-3 SegRs the EER rides on
-        self._versions: dict[int, E2EVersion] = {first_version.version: first_version}
+        self._versions = (first_version,)  # ascending version numbers
+        self.scheduled_expiry: Optional[float] = None  # by the store's wheel
 
     # -- views ----------------------------------------------------------------
 
     @property
     def versions(self) -> dict:
-        return dict(self._versions)
+        return {version.version: version for version in self._versions}
 
     def live_versions(self, now: float) -> list:
-        return [v for v in self._versions.values() if v.is_live(now)]
+        return [v for v in self._versions if now < v.expiry]
 
     def latest_version(self) -> E2EVersion:
         """The highest-numbered version — what the gateway stamps packets
         with ("the gateway generally uses a single version (the latest
         one) to send traffic", §4.2)."""
-        return self._versions[max(self._versions)]
+        return self._versions[-1]
 
     def latest_live_version(self, now: float):
         """The highest-numbered unexpired version, or ``None``."""
-        live = self.live_versions(now)
-        return max(live, key=lambda v: v.version) if live else None
+        for version in reversed(self._versions):
+            if now < version.expiry:
+                return version
+        return None
 
     def effective_bandwidth(self, now: float) -> float:
         """Max bandwidth over all live versions — the monitored budget (§4.8)."""
-        live = self.live_versions(now)
-        return max((v.bandwidth for v in live), default=0.0)
+        return max((v.bandwidth for v in self._versions if now < v.expiry), default=0.0)
 
     def is_expired(self, now: float) -> bool:
-        return not self.live_versions(now)
+        for version in self._versions:
+            if now < version.expiry:
+                return False
+        return True
 
     @property
     def expiry(self) -> float:
         """Latest expiry across versions (when the EER record can be GC'd)."""
-        return max(v.expiry for v in self._versions.values())
+        return max([v.expiry for v in self._versions])
 
     # -- lifecycle --------------------------------------------------------------
 
     def add_version(self, version: E2EVersion) -> None:
-        """Record a renewal's version; coexists with older ones (§4.2)."""
-        if version.version in self._versions:
-            raise VersionError(
-                f"EER {self.reservation_id} already has version {version.version}"
-            )
-        if version.version <= max(self._versions):
+        """Record a renewal's version; coexists with older ones (§4.2).
+        The version it supersedes gives up its replay record: a retry of
+        that older request can no longer be the initiator's."""
+        newest = self._versions[-1]
+        if version.version <= newest.version:
+            if version.version in self.versions:
+                raise VersionError(
+                    f"EER {self.reservation_id} already has version {version.version}"
+                )
             raise VersionError(
                 f"new version {version.version} must exceed existing versions "
-                f"(max {max(self._versions)})"
+                f"(max {newest.version})"
             )
-        self._versions[version.version] = version
+        newest.replay = None
+        self._versions += (version,)
 
     def drop_version(self, version_number: int) -> E2EVersion:
         """Remove one version early — the abort path of a failed renewal
         whose response was lost (§3.3 cleanup).  The base version (the
         only one left) can never be dropped this way."""
-        if version_number not in self._versions:
+        dropped = self.versions.get(version_number)
+        if dropped is None:
             raise VersionError(
                 f"EER {self.reservation_id} has no version {version_number}"
             )
@@ -128,25 +156,25 @@ class E2EReservation:
                 f"cannot drop the only version of EER {self.reservation_id}; "
                 "abort the whole reservation instead"
             )
-        return self._versions.pop(version_number)
+        self._versions = tuple(v for v in self._versions if v is not dropped)
+        return dropped
 
     def prune(self, now: float) -> int:
         """Drop expired versions (keep at least the newest for bookkeeping)."""
-        newest = max(self._versions)
-        stale = [
-            number
-            for number, version in self._versions.items()
-            if number != newest and not version.is_live(now)
-        ]
-        for number in stale:
-            del self._versions[number]
-        return len(stale)
+        versions = self._versions
+        if len(versions) > 1:
+            newest = versions[-1]
+            self._versions = tuple(
+                v for v in versions if now < v.expiry or v is newest
+            )
+        return len(versions) - len(self._versions)
 
     def next_version_number(self) -> int:
-        return max(self._versions) + 1
+        return self._versions[-1].version + 1
 
     def __repr__(self) -> str:
         return (
             f"E2EReservation({self.reservation_id}, "
-            f"versions={sorted(self._versions)}, segments={len(self.segment_ids)})"
+            f"versions={[v.version for v in self._versions]}, "
+            f"segments={len(self.segment_ids)})"
         )

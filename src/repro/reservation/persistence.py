@@ -9,14 +9,18 @@ states, EERs with all versions, EER-on-SegR allocations) to a plain
 JSON-compatible dict; :func:`load_store` reconstructs an equivalent
 store.
 
-Secrets never appear here: HopAuths live in the *gateway*, tokens in the
-initiator's CServ — the store holds only reservation metadata, so a
-snapshot file is not key material (it still reveals traffic relations,
-so treat it as confidential operational data).
+A reservation's newest version also carries the committing CServ's
+replay record (base64), so a retry that arrives after a crash and a
+reload is still replayed instead of refused (§3.3).  For an EER that is
+ciphertext only the source AS can open (Eq. 5); for a SegR it holds the
+Eq. (3) tokens from this AS down, which let a holder build that SegR's
+control packets until the version expires — keep a store snapshot like
+the gateway's below, with the keys, not with the logs.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 
 from repro.errors import ColibriError
@@ -49,6 +53,28 @@ def _hops(hops) -> list:
     ]
 
 
+def _version(version) -> dict:
+    """The fields SegR and EER versions share; ``replay`` only if held."""
+    spec = {
+        "version": version.version,
+        "bandwidth": version.bandwidth,
+        "expiry": version.expiry,
+    }
+    if version.replay is not None:
+        spec["replay"] = base64.b64encode(version.replay).decode("ascii")
+    return spec
+
+
+def _parse_version(cls, spec: dict):
+    replay = spec.get("replay")
+    return cls(
+        version=spec["version"],
+        bandwidth=spec["bandwidth"],
+        expiry=spec["expiry"],
+        replay=None if replay is None else base64.b64decode(replay),
+    )
+
+
 def _parse_hops(data: list) -> tuple:
     return tuple(
         HopField(
@@ -74,12 +100,7 @@ def dump_store(store: ReservationStore) -> dict:
                 "hops": _hops(reservation.segment.hops),
                 "active": reservation.active.version,
                 "versions": [
-                    {
-                        "version": version.version,
-                        "bandwidth": version.bandwidth,
-                        "expiry": version.expiry,
-                        "state": version.state.value,
-                    }
+                    dict(_version(version), state=version.state.value)
                     for version in reservation.versions.values()
                 ],
                 "allocations": {
@@ -100,12 +121,7 @@ def dump_store(store: ReservationStore) -> dict:
                 "hops": _hops(reservation.hops),
                 "segments": [_res_id(sid) for sid in reservation.segment_ids],
                 "versions": [
-                    {
-                        "version": version.version,
-                        "bandwidth": version.bandwidth,
-                        "expiry": version.expiry,
-                    }
-                    for version in reservation.versions.values()
+                    _version(version) for version in reservation.versions.values()
                 ],
             }
         )
@@ -129,26 +145,15 @@ def load_store(data: dict) -> ReservationStore:
     store = ReservationStore()
     for entry in data["segments"]:
         versions = sorted(entry["versions"], key=lambda v: v["version"])
-        first_spec = versions[0]
         reservation = SegmentReservation(
             reservation_id=_parse_res_id(entry["id"]),
             segment=Segment.from_hops(
                 SegmentType(entry["type"]), _parse_hops(entry["hops"])
             ),
-            first_version=SegmentVersion(
-                version=first_spec["version"],
-                bandwidth=first_spec["bandwidth"],
-                expiry=first_spec["expiry"],
-            ),
+            first_version=_parse_version(SegmentVersion, versions[0]),
         )
         for spec in versions[1:]:
-            reservation.add_pending(
-                SegmentVersion(
-                    version=spec["version"],
-                    bandwidth=spec["bandwidth"],
-                    expiry=spec["expiry"],
-                )
-            )
+            reservation.add_pending(_parse_version(SegmentVersion, spec))
         # Restore lifecycle states exactly (activation order is gone, but
         # the end state is what admission reads).
         if entry["active"] != reservation.active.version:
@@ -164,7 +169,6 @@ def load_store(data: dict) -> ReservationStore:
         store.add_segment(reservation)
     for entry in data["eers"]:
         versions = sorted(entry["versions"], key=lambda v: v["version"])
-        first_spec = versions[0]
         reservation = E2EReservation(
             reservation_id=_parse_res_id(entry["id"]),
             eer_info=EerInfo(
@@ -173,20 +177,10 @@ def load_store(data: dict) -> ReservationStore:
             ),
             hops=_parse_hops(entry["hops"]),
             segment_ids=tuple(_parse_res_id(sid) for sid in entry["segments"]),
-            first_version=E2EVersion(
-                version=first_spec["version"],
-                bandwidth=first_spec["bandwidth"],
-                expiry=first_spec["expiry"],
-            ),
+            first_version=_parse_version(E2EVersion, versions[0]),
         )
         for spec in versions[1:]:
-            reservation.add_version(
-                E2EVersion(
-                    version=spec["version"],
-                    bandwidth=spec["bandwidth"],
-                    expiry=spec["expiry"],
-                )
-            )
+            reservation.add_version(_parse_version(E2EVersion, spec))
         store.add_eer(reservation)
     # Allocations last: every referenced SegR now exists.
     for entry in data["segments"]:
@@ -211,8 +205,6 @@ def loads_store(text: str) -> ReservationStore:
 
 def dump_gateway(gateway) -> dict:
     """Serialize a gateway's reservation table (HopAuths base64'd)."""
-    import base64
-
     entries = []
     for entry in gateway._reservations.values():
         entries.append(
@@ -241,8 +233,6 @@ def dump_gateway(gateway) -> dict:
 def load_gateway(gateway, data: dict) -> int:
     """Re-install a snapshot into a (fresh) gateway; returns the number
     of reservations restored."""
-    import base64
-
     from repro.packets.fields import PathField
 
     if data.get("format") != FORMAT_VERSION:

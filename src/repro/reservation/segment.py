@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
+
 from repro.errors import ReservationExpired, VersionError
 from repro.reservation.ids import ReservationId
 from repro.topology.segments import Segment
@@ -38,6 +40,7 @@ class SegmentVersion:
     bandwidth: float  # bits per second granted
     expiry: float  # absolute seconds
     state: VersionState = VersionState.PENDING
+    replay: Optional[bytes] = None  # as on E2EVersion: newest version only
 
     def is_expired(self, now: float) -> bool:
         return now >= self.expiry
@@ -57,6 +60,7 @@ class SegmentReservation:
         first_version.state = VersionState.ACTIVE
         self._versions: dict[int, SegmentVersion] = {first_version.version: first_version}
         self._active_version: int = first_version.version
+        self.scheduled_expiry: Optional[float] = None  # by the store's wheel
 
     # -- views ----------------------------------------------------------------
 
@@ -67,6 +71,10 @@ class SegmentReservation:
     @property
     def versions(self) -> dict:
         return dict(self._versions)
+
+    def latest_version(self) -> SegmentVersion:
+        """The highest-numbered version (they are added in that order)."""
+        return self._versions[max(self._versions)]
 
     def pending_versions(self) -> list:
         return [v for v in self._versions.values() if v.state is VersionState.PENDING]
@@ -80,6 +88,10 @@ class SegmentReservation:
         return self.active.is_expired(now)
 
     @property
+    def hops(self) -> tuple:
+        return self.segment.hops
+
+    @property
     def bandwidth(self) -> float:
         """The currently active version's bandwidth."""
         return self.active.bandwidth
@@ -91,16 +103,19 @@ class SegmentReservation:
     # -- lifecycle --------------------------------------------------------------
 
     def add_pending(self, version: SegmentVersion) -> None:
-        """Record a renewal's new version as pending (§4.2)."""
+        """Record a renewal's new version as pending (§4.2); the
+        version it supersedes gives up its replay record."""
         if version.version in self._versions:
             raise VersionError(
                 f"SegR {self.reservation_id} already has version {version.version}"
             )
-        if version.version <= max(self._versions):
+        newest = self.latest_version()
+        if version.version <= newest.version:
             raise VersionError(
                 f"new version {version.version} must exceed all existing versions "
-                f"(max {max(self._versions)})"
+                f"(max {newest.version})"
             )
+        newest.replay = None
         version.state = VersionState.PENDING
         self._versions[version.version] = version
 

@@ -24,8 +24,10 @@ Fig. 4.
 Expiry is time-indexed: every reservation is scheduled on an
 :class:`~repro.reservation.timewheel.ExpiryWheel` keyed by its expiry,
 so :meth:`sweep_expired` costs O(log buckets + matched) instead of a
-full scan.  The wheel records the
-expiry *as of the last store interaction*; reservation objects whose
+full scan.  The wheel records the expiry *as of the last store
+interaction* on the reservation itself (``scheduled_expiry``: the store
+keeps one dict slot and one wheel-bucket entry per reservation, nothing
+else); reservation objects whose
 expiry moved out of band (renewal versions added, versions dropped,
 activation) are lazily revalidated when they surface — a live candidate
 is simply re-indexed at its real expiry — and callers that shrink an
@@ -104,28 +106,29 @@ class ReservationStore:
         self._segments[res_id] = reservation
         self._eer_alloc[res_id] = {}
         self._eer_alloc_sum[res_id] = 0.0
-        self._seg_wheel.schedule(res_id, reservation.expiry)
-        self._record(lambda: self._drop_segment(res_id))
+        self._seg_wheel.schedule(reservation, reservation.expiry)
+        self._record(lambda: self._drop_segment(reservation))
 
-    def _drop_segment(self, res_id: ReservationId) -> None:
+    def _drop_segment(self, reservation: SegmentReservation) -> None:
+        res_id = reservation.reservation_id
         self._segments.pop(res_id, None)
         self._eer_alloc.pop(res_id, None)
         self._eer_alloc_sum.pop(res_id, None)
-        self._seg_wheel.remove(res_id)
+        self._seg_wheel.remove(reservation)
 
     def remove_segment(self, res_id: ReservationId) -> SegmentReservation:
         reservation = self.get_segment(res_id)
         allocations = self._eer_alloc[res_id]
         alloc_sum = self._eer_alloc_sum[res_id]
-        scheduled = self._seg_wheel.scheduled_expiry(res_id)
-        self._drop_segment(res_id)
+        scheduled = reservation.scheduled_expiry
+        self._drop_segment(reservation)
 
         def undo():
             self._segments[res_id] = reservation
             self._eer_alloc[res_id] = allocations
             self._eer_alloc_sum[res_id] = alloc_sum
             if scheduled is not None:
-                self._seg_wheel.schedule(res_id, scheduled)
+                self._seg_wheel.schedule(reservation, scheduled)
 
         self._record(undo)
         return reservation
@@ -135,6 +138,9 @@ class ReservationStore:
         if reservation is None:
             raise ReservationNotFound(f"unknown SegR {res_id}")
         return reservation
+
+    def find_segment(self, res_id: ReservationId) -> Optional[SegmentReservation]:
+        return self._segments.get(res_id)
 
     def has_segment(self, res_id: ReservationId) -> bool:
         return res_id in self._segments
@@ -152,11 +158,11 @@ class ReservationStore:
         if res_id in self._eers:
             raise StoreConflict(f"EER {res_id} already stored")
         self._eers[res_id] = reservation
-        self._eer_wheel.schedule(res_id, reservation.expiry)
+        self._eer_wheel.schedule(reservation, reservation.expiry)
 
         def undo():
             self._eers.pop(res_id, None)
-            self._eer_wheel.remove(res_id)
+            self._eer_wheel.remove(reservation)
 
         self._record(undo)
 
@@ -171,10 +177,10 @@ class ReservationStore:
         if reservation is None:
             raise ReservationNotFound(f"unknown EER {res_id}")
         self._record(lambda: self._eers.__setitem__(res_id, reservation))
-        scheduled = self._eer_wheel.scheduled_expiry(res_id)
+        scheduled = reservation.scheduled_expiry
         if scheduled is not None:
-            self._eer_wheel.remove(res_id)
-            self._record(lambda: self._eer_wheel.schedule(res_id, scheduled))
+            self._eer_wheel.remove(reservation)
+            self._record(lambda: self._eer_wheel.schedule(reservation, scheduled))
         return reservation
 
     def get_eer(self, res_id: ReservationId) -> E2EReservation:
@@ -182,6 +188,9 @@ class ReservationStore:
         if reservation is None:
             raise ReservationNotFound(f"unknown EER {res_id}")
         return reservation
+
+    def find_eer(self, res_id: ReservationId) -> Optional[E2EReservation]:
+        return self._eers.get(res_id)
 
     def has_eer(self, res_id: ReservationId) -> bool:
         return res_id in self._eers
@@ -207,22 +216,21 @@ class ReservationStore:
         so a rolled-back transaction also restores the old schedule.
         Unknown ids are a no-op.
         """
-        if res_id in self._eers:
-            wheel, expiry = self._eer_wheel, self._eers[res_id].expiry
-        elif res_id in self._segments:
-            wheel, expiry = self._seg_wheel, self._segments[res_id].expiry
-        else:
-            return
-        previous = wheel.scheduled_expiry(res_id)
+        reservation, wheel = self._eers.get(res_id), self._eer_wheel
+        if reservation is None:
+            reservation, wheel = self._segments.get(res_id), self._seg_wheel
+            if reservation is None:
+                return
+        previous, expiry = reservation.scheduled_expiry, reservation.expiry
         if previous == expiry:
             return
-        wheel.schedule(res_id, expiry)
+        wheel.schedule(reservation, expiry)
 
         def undo():
             if previous is None:
-                wheel.remove(res_id)
+                wheel.remove(reservation)
             else:
-                wheel.schedule(res_id, previous)
+                wheel.schedule(reservation, previous)
 
         self._record(undo)
 
@@ -328,41 +336,32 @@ class ReservationStore:
         completely — reservations, allocations, and expiry index alike.
         """
         dead_eers: List[ReservationId] = []
-        for res_id, scheduled in self._eer_wheel.collect_due(now):
-            reservation = self._eers.get(res_id)
-            if reservation is None:
-                continue  # stale index entry for an already-removed EER
+        for reservation, scheduled in self._eer_wheel.collect_due(now):
             if not reservation.is_expired(now):
                 # Renewed out of band: re-index at the real expiry.
-                self._reschedule(self._eer_wheel, res_id, scheduled,
-                                 reservation.expiry)
-                reservation.prune(now)
+                self._reschedule(self._eer_wheel, reservation, scheduled, now)
                 continue
+            res_id = reservation.reservation_id
             for segment_id in reservation.segment_ids:
                 self.release_on_segment(segment_id, res_id)
             self.remove_eer(res_id)
             self._record(
-                lambda res_id=res_id, scheduled=scheduled:
-                self._eer_wheel.schedule(res_id, scheduled)
+                lambda reservation=reservation, scheduled=scheduled:
+                self._eer_wheel.schedule(reservation, scheduled)
             )
             dead_eers.append(res_id)
         dead_segments: List[ReservationId] = []
-        for res_id, scheduled in self._seg_wheel.collect_due(now):
-            reservation = self._segments.get(res_id)
-            if reservation is None:
-                continue
+        for reservation, scheduled in self._seg_wheel.collect_due(now):
             if not reservation.is_expired(now):
                 # Activated to a longer-lived version out of band.
-                self._reschedule(self._seg_wheel, res_id, scheduled,
-                                 reservation.expiry)
-                reservation.prune(now)
+                self._reschedule(self._seg_wheel, reservation, scheduled, now)
                 continue
-            self.remove_segment(res_id)
+            self.remove_segment(reservation.reservation_id)
             self._record(
-                lambda res_id=res_id, scheduled=scheduled:
-                self._seg_wheel.schedule(res_id, scheduled)
+                lambda reservation=reservation, scheduled=scheduled:
+                self._seg_wheel.schedule(reservation, scheduled)
             )
-            dead_segments.append(res_id)
+            dead_segments.append(reservation.reservation_id)
         return (
             {"eers": len(dead_eers), "segments": len(dead_segments)},
             dead_eers,
@@ -370,10 +369,11 @@ class ReservationStore:
         )
 
     def _reschedule(
-        self, wheel: ExpiryWheel, res_id: ReservationId,
-        scheduled: float, expiry: float,
+        self, wheel: ExpiryWheel, reservation, scheduled: float, now: float
     ) -> None:
-        """Re-index a sweep candidate that turned out to be live, with an
-        undo restoring the consumed (earlier) schedule on rollback."""
-        wheel.schedule(res_id, expiry)
-        self._record(lambda: wheel.schedule(res_id, scheduled))
+        """Re-index a sweep candidate that turned out to be live (and
+        drop its stale versions), with an undo restoring the consumed
+        (earlier) schedule on rollback."""
+        wheel.schedule(reservation, reservation.expiry)
+        self._record(lambda: wheel.schedule(reservation, scheduled))
+        reservation.prune(now)

@@ -17,17 +17,22 @@ activation).  The owning store revalidates every candidate the wheel
 surfaces against the object's actual state and reschedules the still
 live ones — see ``ReservationStore.sweep_expired``.
 
-Invariant: each scheduled key appears in exactly one bucket, the one
-covering its recorded expiry, and the heap holds exactly one index per
-existing bucket.  ``schedule`` migrates a key between buckets when its
-expiry changes; ``collect_due`` removes what it returns.
+What it schedules are the reservation records themselves, and a
+record's schedule is the record's own ``scheduled_expiry`` attribute
+(``None`` while unscheduled): the wheel keeps no second index by key,
+so a scheduled reservation costs one set entry here and nothing else.
+
+Invariant: each scheduled record appears in exactly one bucket, the one
+covering its ``scheduled_expiry``, and the heap holds exactly one index
+per existing bucket.  ``schedule`` migrates a record between buckets
+when its expiry changes; ``collect_due`` removes what it returns.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Hashable, List, Optional, Tuple
+from typing import List, Tuple
 
 #: Quantum (seconds) a bucket covers.  EERs live 16 s and SegRs
 #: minutes, so one-second buckets keep the bucket count small and
@@ -36,66 +41,57 @@ BUCKET_WIDTH = 1.0
 
 
 class ExpiryWheel:
-    """Buckets of keys indexed by quantized expiry, earliest-first."""
+    """Buckets of records indexed by quantized expiry, earliest-first."""
 
-    __slots__ = ("_expiry", "_buckets", "_heap")
+    __slots__ = ("_buckets", "_heap")
 
     def __init__(self):
-        self._expiry: dict = {}  # key -> scheduled absolute expiry
-        self._buckets: dict = {}  # bucket index -> set of keys
+        self._buckets: dict = {}  # bucket index -> set of records
         self._heap: List[int] = []  # one entry per existing bucket
-
-    def __len__(self) -> int:
-        return len(self._expiry)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._expiry
 
     def _bucket_of(self, expiry: float) -> int:
         return math.floor(expiry / BUCKET_WIDTH)
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule(self, key: Hashable, expiry: float) -> None:
-        """Index ``key`` under ``expiry``, replacing any prior schedule."""
-        previous = self._expiry.get(key)
+    def schedule(self, record, expiry: float) -> None:
+        """Index ``record`` under ``expiry``, replacing any prior schedule."""
+        previous = record.scheduled_expiry
         if previous is not None:
             if previous == expiry:
                 return
-            self._discard_from_bucket(key, previous)
-        self._expiry[key] = expiry
+            self._discard_from_bucket(record, previous)
+        record.scheduled_expiry = expiry
         index = self._bucket_of(expiry)
         bucket = self._buckets.get(index)
         if bucket is None:
-            self._buckets[index] = {key}
+            self._buckets[index] = {record}
             heapq.heappush(self._heap, index)
         else:
-            bucket.add(key)
+            bucket.add(record)
 
-    def remove(self, key: Hashable) -> None:
-        """Forget a key; unknown keys are a no-op."""
-        expiry = self._expiry.pop(key, None)
+    def remove(self, record) -> None:
+        """Forget a record; an unscheduled one is a no-op."""
+        expiry = record.scheduled_expiry
         if expiry is not None:
-            self._discard_from_bucket(key, expiry)
+            record.scheduled_expiry = None
+            self._discard_from_bucket(record, expiry)
 
-    def _discard_from_bucket(self, key: Hashable, expiry: float) -> None:
+    def _discard_from_bucket(self, record, expiry: float) -> None:
         bucket = self._buckets.get(self._bucket_of(expiry))
         if bucket is not None:
-            bucket.discard(key)
-
-    def scheduled_expiry(self, key: Hashable) -> Optional[float]:
-        return self._expiry.get(key)
+            bucket.discard(record)
 
     # -- collection -----------------------------------------------------------
 
-    def collect_due(self, now: float) -> List[Tuple[Hashable, float]]:
-        """Remove and return all ``(key, scheduled_expiry)`` with
+    def collect_due(self, now: float) -> List[Tuple[object, float]]:
+        """Remove and return all ``(record, scheduled_expiry)`` with
         ``scheduled_expiry <= now`` — O(log buckets + returned).
 
         A reservation with ``expiry == now`` is no longer live
         (liveness is ``now < expiry``), so the bound is inclusive.
         """
-        due: List[Tuple[Hashable, float]] = []
+        due: List[Tuple[object, float]] = []
         while self._heap:
             index = self._heap[0]
             bucket = self._buckets.get(index)
@@ -106,18 +102,20 @@ class ExpiryWheel:
                 continue
             if index * BUCKET_WIDTH > now:
                 break  # earliest possible expiry in any bucket is in the future
-            if (index + 1) * BUCKET_WIDTH <= now:
+            whole = (index + 1) * BUCKET_WIDTH <= now
+            if whole:
                 # The whole bucket lies in the past: drain it in bulk.
                 heapq.heappop(self._heap)
                 del self._buckets[index]
-                for key in bucket:
-                    due.append((key, self._expiry.pop(key)))
-                continue
-            # Boundary bucket straddling `now`: filter item by item, keep
-            # the rest scheduled, and stop — later buckets are all future.
-            ripe = [key for key in bucket if self._expiry[key] <= now]
-            for key in ripe:
-                bucket.discard(key)
-                due.append((key, self._expiry.pop(key)))
-            break
+                ripe = bucket
+            else:
+                # Boundary bucket straddling `now`: filter record by record
+                # and keep the rest scheduled.
+                ripe = [r for r in bucket if r.scheduled_expiry <= now]
+                bucket.difference_update(ripe)
+            for record in ripe:
+                due.append((record, record.scheduled_expiry))
+                record.scheduled_expiry = None
+            if not whole:
+                break  # later buckets are all future
         return due

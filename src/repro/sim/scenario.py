@@ -461,7 +461,9 @@ class ColibriNetwork:
         * a SegR's active version agrees at every on-path AS (the §4.2
           activation discipline);
         * the incremental allocation sums match exact recomputation;
-        * no transfer-quota row outlives its SegR.
+        * no transfer-quota row outlives its SegR;
+        * no version other than a reservation's newest holds a replay
+          record (a stale one could answer a request never made).
 
         An empty list means the deployment is coherent; soak and
         integration tests call this after churn.
@@ -509,6 +511,14 @@ class ColibriNetwork:
                     violations.append(
                         f"{isd_as}: transfer-quota row outlives SegR {segment_id}"
                     )
+            for reservation in store.segments() + store.eers():
+                newest = reservation.latest_version()
+                for version in reservation.versions.values():
+                    if version.replay is not None and version is not newest:
+                        violations.append(
+                            f"{isd_as}: {reservation.reservation_id} keeps a "
+                            f"replay record on superseded version {version.version}"
+                        )
             for eer in store.eers():
                 if eer.is_expired(now):
                     continue
@@ -569,6 +579,7 @@ class ColibriNetwork:
                 "router_forwarded": router_forwarded,
                 "blocked_sources": len(stack.router.blocklist),
                 "offenses": stack.cserv.offenses_reported,
+                "replays": stack.cserv.replays,
             }
             # σ-cache effectiveness of this AS's border router (absent
             # when the cache is disabled): hits/misses/evictions plus

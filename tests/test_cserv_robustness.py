@@ -226,7 +226,7 @@ class TestHandlerRobustness:
         # Remote AS loses the pending version (simulated state loss).
         remote = net.cserv(asid(2, 1))
         remote_segr = remote.store.get_segment(segr.reservation_id)
-        remote_segr._versions.pop(version)
+        remote_segr.drop_pending(version)
         with pytest.raises(ColibriError):
             owner.activate_segment(segr.reservation_id, version)
         # The initiator still runs the old version.

@@ -14,29 +14,33 @@ import random
 
 import pytest
 
-from repro.constants import IDEMPOTENCY_TTL
+from repro.constants import EER_LIFETIME
+from repro.control.auth import AuthenticatedRequest
 from repro.control.distributed import DistributedCServ
 from repro.control.renewal import RenewalScheduler
 from repro.control.retry import (
     CLEANUP_POLICY,
     CircuitBreaker,
-    IdempotencyCache,
     PolicyTable,
     RetryingCaller,
     RetryPolicy,
 )
 from repro.control.rpc import FaultInjector, LinkFaults, MessageBus, Unreachable
+from repro.crypto.aead import aead_open
 from repro.errors import (
     AdmissionDenied,
     CallTimeout,
     CircuitOpen,
     RetriesExhausted,
 )
+from repro.packets.control import EerSetupRequest
+from repro.packets.fields import ResInfo
+from repro.reservation.ids import ReservationId
 from repro.sim import ColibriNetwork
 from repro.topology import IsdAs, build_two_isd_topology
 from repro.topology.addresses import HostAddr
 from repro.util.clock import SimClock
-from repro.util.units import gbps, mbps
+from repro.util.units import gbps, kbps, mbps
 
 BASE = 0xFF00_0000_0000
 
@@ -308,33 +312,6 @@ class TestRetryingCaller:
         assert first.stats.backoff_total > 0
 
 
-class TestIdempotencyCache:
-    def test_ttl_expiry(self):
-        clock = SimClock(start=0.0)
-        cache = IdempotencyCache(clock, ttl=10.0)
-        cache.put(("k",), "v")
-        assert cache.get(("k",)) == "v"
-        clock.advance(11.0)
-        assert cache.get(("k",)) is None
-
-    def test_size_bound_evicts_oldest(self):
-        cache = IdempotencyCache(SimClock(start=0.0), max_entries=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        cache.put(("c",), 3)
-        assert cache.get(("a",)) is None
-        assert cache.get(("b",)) == 2
-        assert cache.get(("c",)) == 3
-
-    def test_invalidate_by_predicate(self):
-        cache = IdempotencyCache(SimClock(start=0.0))
-        cache.put(("setup", "r1", 1), "x")
-        cache.put(("setup", "r2", 1), "y")
-        assert cache.invalidate(lambda key: key[1] == "r1") == 1
-        assert cache.get(("setup", "r1", 1)) is None
-        assert cache.get(("setup", "r2", 1)) == "y"
-
-
 # ------------------------------------------------- end-to-end under faults --
 
 
@@ -356,7 +333,7 @@ class TestResponseLossIdempotency:
         assert handle.granted == pytest.approx(mbps(10))
         assert injector.injected["response_loss"] == 1
         dest = net.cserv(DST)
-        assert dest.idempotency.hits == 1  # the retry was served a replay
+        assert dest.replays == 1  # the retry was served a replay
         down_segr = [s for s in segrs if DST in s.segment.ases]
         assert len(down_segr) == 1
         allocated = dest.store.allocated_on_segment(down_segr[0].reservation_id)
@@ -384,7 +361,7 @@ class TestAbortAfterExhaustion:
             assert net.cserv(isd_as).store.eer_count() == 0
         assert allocation_snapshot(net) == before
         # The destination committed exactly once; replays served the rest.
-        assert net.cserv(DST).idempotency.hits >= 1
+        assert net.cserv(DST).replays >= 1
 
     def test_service_recovers_after_faults_cleared(self):
         injector = FaultInjector(seed=5)
@@ -730,7 +707,7 @@ class TestWorkflowLossMatrix:
                     workflow.run(net, prepared)
                 net.bus.install_faults(None)
                 if workflow.walk:
-                    net.advance(2 * IDEMPOTENCY_TTL)  # no cache entry helps
+                    net.advance(4 * EER_LIFETIME)  # no replay record helps
                     workflow.run(net, prepared)
                     assert control_state(net) == fault_free, link
                 else:
@@ -766,7 +743,7 @@ class TestActivationIdempotentByState:
         assert self.versions(net, segr) == [version, version]
         assert net.audit() == []
 
-    @pytest.mark.parametrize("wait", [0.0, 2 * IDEMPOTENCY_TTL])
+    @pytest.mark.parametrize("wait", [0.0, 4.0 * EER_LIFETIME])
     def test_reissue_after_exhaustion_converges(self, wait):
         net, owner, segr, version = self.renewed_core_segr()
         inject(net, (asid(1, 1), asid(2, 1)), "responses_lost")
@@ -778,3 +755,245 @@ class TestActivationIdempotentByState:
         owner.activate_segment(segr.reservation_id, version)
         assert self.versions(net, segr) == [version, version]
         assert net.audit() == []
+
+
+# ------------------------------------ the replay record (§3.3, step 4 / 9) --
+#
+# An AS that commits a setup or renewal packs its answer onto the version
+# it stored; a retry after a lost response is answered from there.  The
+# record has no lifetime of its own: it is the newest version's, and goes
+# where the version goes.
+
+HANDLERS = {
+    SegSetup: "handle_seg_setup",
+    SegRenewal: "handle_seg_renewal",
+    EerSetup: "handle_eer_setup",
+    EerRenewal: "handle_eer_renewal",
+}
+
+
+def record_responses(net, isd_as, method):
+    """Shadow one AS's handler; returns the list its responses land in."""
+    cserv = net.cserv(isd_as)
+    original, seen = getattr(cserv, method), []
+
+    def handler(request, auth, hop_index):
+        seen.append((request, hop_index, original(request, auth, hop_index)))
+        return seen[-1][2]
+
+    setattr(cserv, method, handler)
+    return seen
+
+
+def replay_records(net, reservation_id):
+    """(AS, version) of each version of one reservation holding a record."""
+    return sorted(
+        (isd_as, version.version)
+        for isd_as in net.ases()
+        for store in [net.cserv(isd_as).store]
+        for reservation in store.segments() + store.eers()
+        if reservation.reservation_id == reservation_id
+        for version in reservation.versions.values()
+        if version.replay is not None
+    )
+
+
+def replays(net):
+    return {
+        isd_as: net.cserv(isd_as).replays
+        for isd_as in net.ases()
+        if net.cserv(isd_as).replays
+    }
+
+
+REPLAY_CASES = [
+    (name, hop)
+    for name, workflow in sorted(WORKFLOWS.items())
+    if type(workflow) in HANDLERS
+    for hop in range(1, 6 if workflow.segment_index is None else 3 - workflow.segment_index % 2)
+]
+
+
+class TestReplayDifferential:
+    """Four flows x every hop a response can be lost towards: the
+    replayed response is the original, and only that one AS replays."""
+
+    @pytest.mark.parametrize("name,hop", REPLAY_CASES)
+    def test_replay_equals_the_lost_response(self, name, hop):
+        workflow = WORKFLOWS[name]
+        method = HANDLERS[type(workflow)]
+
+        reference, segrs = workflow.fresh()
+        prepared = workflow.prepare(reference, segrs)
+        calls = reference.bus.calls
+        workflow.run(reference, prepared)
+        loss_free_calls = reference.bus.calls - calls
+
+        net, segrs = workflow.fresh()
+        prepared = workflow.prepare(net, segrs)
+        link = workflow.links(segrs)[hop - 1]
+        seen = record_responses(net, link[1], method)
+        injector = inject(net, link, "response_lost_once")
+        calls = net.bus.calls
+        workflow.run(net, prepared)
+
+        assert injector.injected["response_loss"] == 1
+        (request, index, lost), (retried, again, replayed) = seen
+        assert retried is request and index == again == hop
+        assert replayed.success and replayed.res_info == lost.res_info
+        assert replayed.granted == lost.granted and replayed.grants == lost.grants
+        if workflow.segment_index is None:
+            source, now = request.grants[0].isd_as, net.clock.now()
+            keys = [net.directory.fetch_key(g.isd_as, source, now) for g in lost.grants]
+            opened = [
+                [aead_open(key, blob) for key, blob in zip(keys[hop:], sealed)]
+                for sealed in (lost.sealed_hopauths, replayed.sealed_hopauths)
+            ]
+            assert opened[0] == opened[1] and len(opened[1]) == len(keys) - hop
+        else:
+            assert replayed.tokens == lost.tokens
+            assert len(replayed.tokens) == len(lost.grants) - hop
+        # Exactly one more call than loss-free: nothing downstream of
+        # the loss was walked again, and nobody else replayed.
+        assert net.bus.calls - calls == loss_free_calls + 1
+        assert replays(net) == {link[1]: 1}
+        assert net.telemetry()["total"]["replays"] == 1
+        assert allocation_snapshot(net) == allocation_snapshot(reference)
+        assert control_state(net) == control_state(reference)
+        assert net.audit() == []
+
+
+class TestReplayIndependentOfLoad:
+    def test_retry_after_4097_other_requests_is_replayed(self):
+        """A renewal commits at the last hop, its response is lost, and
+        4,097 other requests commit at that CServ before the retry: the
+        bounded response cache this replaces had evicted the answer by
+        then, the retry died with ``VersionError … already has version``
+        and, no abort being sent, the destination kept a version its
+        upstream had released."""
+        net = lossy_network()
+        segrs = net.reserve_segments(SRC, DST, mbps(100))
+        handle = net.establish_eer(SRC, DST, mbps(10))
+        net.advance(2.0)
+        dest, last = net.cserv(DST), len(handle.hops) - 1
+        injector = FaultInjector(seed=1)  # first draw 0.134: lost
+        injector.set_link(PATH[-2], DST, LinkFaults(response_loss=0.6))
+        net.bus.install_faults(injector)
+        upstream = net.cserv(PATH[-2]).caller
+        backoff = upstream.sleeper
+
+        def busy_then_back_off(delay):
+            net.bus.install_faults(None)
+            now = net.clock.now()
+            for local_id in range(4097):
+                other = EerSetupRequest(
+                    res_info=ResInfo(
+                        ReservationId(SRC, 1_000_000 + local_id),
+                        kbps(1),
+                        now + EER_LIFETIME,
+                        1,
+                    ),
+                    eer_info=handle.eer_info,
+                    hops=handle.hops,
+                    segment_ids=handle.segment_ids,
+                )
+                auth = AuthenticatedRequest.create(net.directory, SRC, [DST], other, now)
+                assert dest.handle_eer_setup(other, auth, last).success
+            backoff(delay)
+
+        upstream.sleeper = busy_then_back_off
+        renewed = net.cserv(SRC).renew_eer(handle, mbps(12))
+
+        assert injector.injected["response_loss"] == 1
+        assert renewed.res_info.version == 2 and renewed.granted == mbps(12)
+        assert replays(net) == {DST: 1}
+        assert net.cserv(SRC).aborts["eers"] == 0
+        assert dest.store.eer_count() == 4097 + 1
+        down = [s for s in segrs if DST in s.segment.ases][0].reservation_id
+        assert dest.store.eer_allocation(down, handle.reservation_id) == mbps(12)
+        assert net.audit() == []
+
+
+class TestReplayRecordLifetime:
+    def network(self):
+        net = lossy_network()
+        segrs = net.reserve_segments(SRC, DST, mbps(100))
+        return net, segrs, net.establish_eer(SRC, DST, mbps(10))
+
+    def test_newest_version_only_and_never_at_the_initiator(self):
+        net, segrs, handle = self.network()
+        eer, downstream = handle.reservation_id, sorted(PATH[1:])
+        assert replay_records(net, eer) == [(isd_as, 1) for isd_as in downstream]
+        net.advance(2.0)
+        net.cserv(SRC).renew_eer(handle)  # commit of v2 clears v1's
+        assert replay_records(net, eer) == [(isd_as, 2) for isd_as in downstream]
+        up = segrs[0]
+        net.cserv(SRC).renew_segment(up.reservation_id, mbps(150))
+        assert replay_records(net, up.reservation_id) == [
+            (isd_as, 2) for isd_as in sorted(up.segment.ases[1:])
+        ]
+        assert net.audit() == []
+
+    def test_abort_of_a_renewal_version_takes_its_record(self):
+        net, _, handle = self.network()
+        net.advance(2.0)
+        source = net.cserv(SRC)
+        source.renew_eer(handle)
+        source._abort_eer(handle.reservation_id, 2, handle.hops)
+        assert replay_records(net, handle.reservation_id) == []
+        decisions = net.telemetry()["total"]["eer_decisions"]
+        net.advance(2.0)
+        again = source.renew_eer(handle)  # version 2 once more: admitted fresh
+        assert again.res_info.version == 2
+        assert net.telemetry()["total"]["eer_decisions"] == decisions + len(PATH)
+        assert replays(net) == {}
+        assert net.audit() == []
+
+    def test_abort_of_a_setup_takes_the_record_with_the_reservation(self):
+        net, _, handle = self.network()
+        source = net.cserv(SRC)
+        seen = record_responses(net, PATH[1], "handle_eer_setup")
+        second = net.establish_eer(SRC, DST, mbps(5))
+        request = seen[0][0]
+        source._abort_eer(second.reservation_id, 1, second.hops)
+        assert replay_records(net, second.reservation_id) == []
+        # The identical request again: admitted fresh at every AS.
+        response, _ = source._initiate(
+            source._EER_SETUP, request, request.hops, net.clock.now()
+        )
+        assert response.success and replays(net) == {}
+        assert all(net.cserv(a).store.has_eer(second.reservation_id) for a in PATH)
+        assert net.audit() == []
+
+    def test_abort_of_a_pending_segr_version_takes_its_record(self):
+        net, segrs, _ = self.network()
+        core = segrs[1]
+        owner = net.cserv(core.segment.first_as)
+        version = owner.renew_segment(core.reservation_id, mbps(150))
+        owner._abort_segment(core.reservation_id, version, core.segment.hops)
+        assert replay_records(net, core.reservation_id) == []
+        assert owner.renew_segment(core.reservation_id, mbps(150)) == version
+        assert replays(net) == {} and net.audit() == []
+
+    def test_prune_and_sweep_leave_none_behind(self):
+        net, _, handle = self.network()
+        eer = handle.reservation_id
+        for _ in range(3):  # v1 expires under the renewals: pruned
+            net.advance(6.0)
+            handle = net.cserv(SRC).renew_eer(handle)
+        stored = net.cserv(DST).store.get_eer(eer)
+        assert sorted(stored.versions) == [2, 3, 4]
+        assert replay_records(net, eer) == [(isd_as, 4) for isd_as in sorted(PATH[1:])]
+        net.advance(EER_LIFETIME + 1.0)
+        net.housekeeping()
+        assert replay_records(net, eer) == []
+        assert net.audit() == []
+
+    def test_audit_reports_a_record_on_a_superseded_version(self):
+        net, _, handle = self.network()
+        net.advance(2.0)
+        net.cserv(SRC).renew_eer(handle)
+        stored = net.cserv(DST).store.get_eer(handle.reservation_id)
+        stored.versions[1].replay = stored.versions[2].replay
+        (violation,) = net.audit()
+        assert "replay record on superseded version 1" in violation

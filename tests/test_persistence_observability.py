@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.constants import EER_LIFETIME
+from repro.control.rpc import FaultInjector, LinkFaults
 from repro.errors import ColibriError
 from repro.reservation.persistence import (
     dump_store,
@@ -109,6 +110,50 @@ class TestPersistence:
             segment_in=segr.reservation_id,
         )
         assert decision.granted == pytest.approx(mbps(1))
+
+    def test_roundtrip_preserves_replay_records(self, loaded_net):
+        held = 0
+        for isd_as in loaded_net.ases():
+            store = loaded_net.cserv(isd_as).store
+            restored = self.roundtrip(store)
+            for original in store.segments() + store.eers():
+                find = (
+                    restored.get_eer
+                    if store.has_eer(original.reservation_id)
+                    else restored.get_segment
+                )
+                copy = find(original.reservation_id)
+                for number, version in original.versions.items():
+                    assert copy.versions[number].replay == version.replay
+                    held += version.replay is not None
+        assert held  # the fixture's on-path ASes do hold records
+
+    def test_retry_after_crash_and_reload_is_replayed(self, loaded_net):
+        """The destination commits a renewal, the response is lost, the
+        CServ restarts from its snapshot before the retry arrives: the
+        restored version still answers it (§3.3)."""
+        net = loaded_net
+        handle = net.establish_eer(SRC, DST, mbps(10))
+        net.advance(2.0)
+        dest = net.cserv(DST)
+        upstream = net.cserv(handle.hops[-2].isd_as).caller
+        injector = FaultInjector(seed=0)
+        injector.set_link(upstream.source, DST, LinkFaults(response_loss=1.0))
+        net.bus.install_faults(injector)
+        backoff = upstream.sleeper
+
+        def crash_reload_then_back_off(delay):
+            net.bus.install_faults(None)
+            dest.store = dest.eer_admission.store = loads_store(dumps_store(dest.store))
+            backoff(delay)
+
+        upstream.sleeper = crash_reload_then_back_off
+        renewed = net.cserv(SRC).renew_eer(handle)
+        assert injector.injected["response_loss"] == 1
+        assert renewed.res_info.version == 2
+        assert dest.replays == 1
+        assert sorted(dest.store.get_eer(handle.reservation_id).versions) == [1, 2]
+        assert net.audit() == []
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ColibriError):

@@ -473,7 +473,7 @@ class TestExpiryIndex:
                 raise RuntimeError("fail")
         # The object keeps the version (it is not store state), but the
         # index schedule is restored to the pre-transaction expiry.
-        assert store._eer_wheel.scheduled_expiry(eer.reservation_id) == 16.0
+        assert eer.scheduled_expiry == 16.0
 
 
 class TestStoreTransactions:
