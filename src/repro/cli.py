@@ -125,10 +125,9 @@ def cmd_trace(args) -> int:
 
 
 def _trace_distributed(args) -> int:
-    """A two-worker forced-process sharded pass with trace propagation:
-    the parent opens the root span, each worker adopts the remote
-    context, and the streams stitch into one forest
-    (docs/observability.md §9)."""
+    """A two-worker sharded pass with trace propagation: the parent
+    opens the root span, each worker adopts the remote context, and the
+    captures stitch into one forest (docs/observability.md §9)."""
     from repro.dataplane.shards import ShardExecutor
     from repro.obs.distributed import TraceContext, merge_traces
     from repro.obs.trace import TraceCollector, render_span_forest, spans_jsonl
@@ -142,10 +141,10 @@ def _trace_distributed(args) -> int:
         seed=args.seed, obs_seed=args.seed, trace=context,
     )
     try:
-        result = executor.run(2, force_processes=True)
+        result = executor.run(2)
     finally:
         tracer.finish(span)
-    merged = result.merged_telemetry(expected_workers=[0, 1])
+    merged = result.merged_telemetry()
     stitched = merge_traces(tracer.spans(), merged.spans)
     if args.format == "jsonl":
         print(spans_jsonl(stitched), end="")
@@ -216,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--distributed",
         action="store_true",
-        help="run a 2-worker forced-process sharded pass and print the "
+        help="run a 2-worker sharded pass and print the "
         "stitched cross-process span forest",
     )
     trace.set_defaults(handler=cmd_trace)

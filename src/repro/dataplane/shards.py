@@ -19,17 +19,12 @@ This module makes that structure executable rather than argued:
   to it, and times a batched packet loop with
   :class:`~repro.util.clock.PerfClock` (setup is control-plane work and
   excluded, as in the paper's measurements);
-* :class:`ShardWorkerPool` keeps those workers *alive*: long-lived
-  daemon processes, one inbox each, caching the built-and-warmed stack
-  per spec so repeated measurements of a sweep point time steady-state
-  forwarding rather than fork + install + warm-up;
-* :class:`ShardExecutor` fans the workers out as OS processes when the
-  host has the cores and aggregates *measured* throughput; on smaller
-  hosts it falls back to the linear model and says so — every result
-  carries an explicit ``mode`` label so a modeled number can never
-  masquerade as a measured one.
+* :class:`ShardExecutor` fans the workers out as OS processes — one
+  stdlib pool ``map(run_shard, specs)`` — and aggregates *measured*
+  throughput; every result carries an explicit ``mode`` label saying
+  whether the host had a CPU per shard.
 
-Aggregate throughput of a measured run is ``total packets / slowest
+Aggregate throughput of a run is ``total packets / slowest
 shard's loop time``: under true parallelism the shards overlap and this
 approaches the sum of per-shard rates, while on an oversubscribed host
 the preempted shards stretch their own timing windows and the aggregate
@@ -52,12 +47,7 @@ from repro.dataplane.gateway import ColibriGateway
 from repro.dataplane.hvf import ColibriKeys, eer_hvf, hop_authenticator
 from repro.dataplane.router import BorderRouter
 from repro.errors import SimulationError
-from repro.obs.distributed import (
-    MergedTelemetry,
-    TraceContext,
-    frames_from,
-    merge_frames,
-)
+from repro.obs.distributed import MergedTelemetry, TraceContext, merge_captures
 from repro.obs.events import SHARD_COMPLETED, EventJournal
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceCollector
@@ -73,6 +63,10 @@ from repro.util.units import gbps
 _BASE = 0xFF00_0000_0000
 _SRC = IsdAs(1, _BASE + 1)
 _ROUTER_AS = IsdAs(1, _BASE + 2)
+
+#: Seconds :meth:`ShardExecutor.run` waits for its workers; a Fig. 6
+#: sweep point builds, warms and times a shard in a few seconds.
+_RUN_DEADLINE = 120.0
 
 
 def shard_of(reservation_id: ReservationId, num_shards: int) -> int:
@@ -105,13 +99,20 @@ class ShardSpec:
     batch: int = 64
     seed: int = 2026
     #: Arms a per-worker obs shard (tracer/registry/journal, seeded
-    #: ``obs_seed + shard_index``) whose capture streams back to the
-    #: parent as telemetry frames; ``None`` keeps the worker obs-free
-    #: and the result queue carrying nothing but the outcome tuple.
+    #: ``obs_seed + shard_index``) whose capture rides home inside the
+    #: :class:`ShardOutcome`; ``None`` keeps the worker obs-free.
     obs_seed: Optional[int] = None
     #: Propagated caller context: the worker's root span grafts onto
     #: this trace.
     trace: Optional[TraceContext] = None
+
+    def __post_init__(self):
+        if self.component not in ("gateway", "router"):
+            raise ValueError(f"unknown shard component {self.component!r}")
+        if self.path_length < 2:
+            raise ValueError(
+                f"a shard path needs at least 2 hops, got {self.path_length}"
+            )
 
 
 @dataclass
@@ -128,31 +129,24 @@ class ShardOutcome:
     #: existed the per-process counters died with the worker, so a
     #: sharded run reported throughput with a blank forensic record.
     counters: dict = field(default_factory=dict)
-    #: Sequence-numbered telemetry frames from the shard's obs capture
-    #: (spans, journal events, registry state), empty unless the spec
-    #: carried an ``obs_seed``.  Frames travel the result queue as their
-    #: own messages; the parent reattaches them here.
-    frames: list = field(default_factory=list)
+    #: The shard's obs capture — ``{"spans": [...], "events": [...],
+    #: "metrics": registry state}`` — or ``None`` unless the spec carried
+    #: an ``obs_seed``.  It crosses the process boundary as part of this
+    #: one return value: the parent has a worker's whole capture or no
+    #: outcome at all.
+    capture: Optional[dict] = None
 
 
 @dataclass
 class ShardRunResult:
     """Aggregate of one :meth:`ShardExecutor.run` invocation."""
 
-    component: str
-    num_shards: int
-    #: ``"measured"`` — every shard ran as its own OS process;
-    #: ``"measured-oversubscribed"`` — processes ran, but the host has
-    #: fewer CPUs than shards, so overlap is partial;
-    #: ``"modeled"`` — one shard measured, aggregate extrapolated
-    #: linearly (the fallback for hosts without the cores).
+    #: ``"measured"`` — every shard ran as its own OS process on a host
+    #: with a CPU for each; ``"oversubscribed"`` — the processes ran, but
+    #: the host has fewer CPUs than shards, so overlap is partial.
     mode: str
     shards: List[ShardOutcome]
     aggregate_pps: float
-
-    @property
-    def measured(self) -> bool:
-        return self.mode.startswith("measured")
 
     def telemetry(self) -> dict:
         """Per-shard counters plus their merged ``total``, in the same
@@ -169,24 +163,19 @@ class ShardRunResult:
         )
         return snapshot
 
-    def merged_telemetry(
-        self, expected_workers: Optional[List[int]] = None
-    ) -> Optional[MergedTelemetry]:
-        """Reassemble the workers' streamed obs shards into one
+    def merged_telemetry(self) -> Optional[MergedTelemetry]:
+        """Merge the workers' obs captures into one
         :class:`~repro.obs.distributed.MergedTelemetry` (spans per
         worker, merged registry, identity-ordered events).
 
-        Returns ``None`` when no shard carried frames (obs was off).
-        Pass ``expected_workers`` to turn a silently absent stream into
-        a :class:`~repro.obs.distributed.TelemetryGapError` — the check
-        the campaign harness's worker-stream checker runs.
+        Returns ``None`` when no shard carried a capture (obs was off).
         """
-        frames = [
-            frame for outcome in self.shards for frame in outcome.frames
-        ]
-        if not frames and expected_workers is None:
-            return None
-        return merge_frames(frames, expected_workers=expected_workers)
+        captures = {
+            outcome.shard_index: outcome.capture
+            for outcome in self.shards
+            if outcome.capture is not None
+        }
+        return merge_captures(captures) if captures else None
 
 
 def _owned_ids(spec: ShardSpec) -> list:
@@ -259,35 +248,25 @@ def _gateway_workload(spec: ShardSpec):
     return loop, snapshot, clock
 
 
-def _router_workload(spec: ShardSpec):
-    """A private border router plus honestly stamped packets for this
-    shard's reservations, batched for the timed validation loop.
-
-    Returns ``(loop, snapshot, clock)`` like :func:`_gateway_workload`; the
-    router's counters are its σ-cache statistics (the validation loop
-    bypasses the verdict pipeline, so cache behaviour *is* its telemetry)."""
+def _router_stack(spec: ShardSpec):
+    """``(router, packets, clock)``: a private border router plus one
+    honestly stamped packet per reservation this shard owns, arriving at
+    hop 1 of the path — the BR validation workload of Fig. 6."""
     clock = SimClock(1000.0)
     keys = ColibriKeys(DrkeyDeriver(_ROUTER_AS, clock, seed=b"shard-router-key"))
     router = BorderRouter(_ROUTER_AS, keys, clock)
-    rng = random.Random(spec.seed + spec.shard_index)
     pairs = [(0, 1)] + [(2, 3)] * (spec.path_length - 2) + [(4, 0)]
     path = PathField(tuple(pairs))
     eer_info = EerInfo(HostAddr(1), HostAddr(2))
     expiry = clock.now() + EER_LIFETIME
-
-    def snapshot() -> dict:
-        cache = router.sigma_cache
-        return dict(cache.snapshot()) if cache is not None else {}
-
-    owned = _owned_ids(spec)
-    if not owned:
-        return (lambda: 0), snapshot, clock
     packets = []
-    for res_id in owned:
+    for res_id in _owned_ids(spec):
         res_info = ResInfo(
             reservation=res_id, bandwidth=gbps(1), expiry=expiry, version=1
         )
-        sigma = hop_authenticator(keys.hop_key(), res_info, eer_info, 2, 3)
+        # σ for the hop the packet is stamped at: hop 1 is the last hop,
+        # (4, 0), on a 2-hop path and (2, 3) on any longer one.
+        sigma = hop_authenticator(keys.hop_key(), res_info, eer_info, *pairs[1])
         timestamp = Timestamp.create(clock.now(), expiry)
         packet = ColibriPacket(
             packet_type=PacketType.EER_DATA,
@@ -301,6 +280,25 @@ def _router_workload(spec: ShardSpec):
         )
         packet.hvfs[1] = eer_hvf(sigma, timestamp, packet.total_size)
         packets.append(packet)
+    return router, packets, clock
+
+
+def _router_workload(spec: ShardSpec):
+    """:func:`_router_stack`'s packets batched for the timed validation
+    loop.
+
+    Returns ``(loop, snapshot, clock)`` like :func:`_gateway_workload`; the
+    router's counters are its σ-cache statistics (the validation loop
+    bypasses the verdict pipeline, so cache behaviour *is* its telemetry)."""
+    router, packets, clock = _router_stack(spec)
+    rng = random.Random(spec.seed + spec.shard_index)
+
+    def snapshot() -> dict:
+        cache = router.sigma_cache
+        return dict(cache.snapshot()) if cache is not None else {}
+
+    if not packets:
+        return (lambda: 0), snapshot, clock
     batches = [
         [packets[rng.randrange(len(packets))] for _ in range(spec.batch)]
         for _ in range(max(1, spec.packets // spec.batch))
@@ -326,14 +324,10 @@ def _router_workload(spec: ShardSpec):
 
 
 def _workload(spec: ShardSpec):
-    """``(loop, snapshot, clock)`` for one spec — the component dispatch
-    shared by the one-shot :func:`run_shard` and the persistent pool
-    workers."""
+    """``(loop, snapshot, clock)`` for one spec."""
     if spec.component == "gateway":
         return _gateway_workload(spec)
-    if spec.component == "router":
-        return _router_workload(spec)
-    raise ValueError(f"unknown shard component {spec.component!r}")
+    return _router_workload(spec)
 
 
 def _timed_pass(spec: ShardSpec, loop, snapshot) -> ShardOutcome:
@@ -355,18 +349,28 @@ def _timed_pass(spec: ShardSpec, loop, snapshot) -> ShardOutcome:
 _SHARD_LOOP_BUCKETS = (256.0, 1024.0, 4096.0, 16384.0, 65536.0)
 
 
-def _observed_pass(spec: ShardSpec, loop, snapshot, clock):
-    """One measured pass plus, when the spec arms it, the worker's obs
-    shard: a fresh seeded tracer/registry/journal around the timed
-    loop, packaged into telemetry frames.
+def run_shard(spec: ShardSpec) -> ShardOutcome:
+    """Build one shard's private stack and time its packet loop.
 
-    Returns ``(outcome, frames)``.  The capture is rebuilt per
-    submission — the deterministic ``obs_seed + shard_index`` seeding
-    and the workload's injected clock make a same-seed run's frames
-    byte-identical.
+    Module-level (picklable) so :class:`ShardExecutor` can dispatch it
+    through :mod:`multiprocessing`; also callable inline.
+
+    When the spec arms it, the timed pass runs inside the worker's obs
+    shard — a fresh seeded tracer/registry/journal — which the outcome
+    carries home as its ``capture``.  The deterministic ``obs_seed +
+    shard_index`` seeding and the workload's injected clock make a
+    same-seed run's capture byte-identical.
     """
+    loop, snapshot, clock = _workload(spec)
+    # One untimed warm-up pass brings soft state to steady state — the
+    # router's σ-cache fills, lazily packed header fields materialize —
+    # so the timed pass measures sustained throughput, the quantity the
+    # paper's Fig. 6 reports.  Counters cover warm-up + timed pass — the
+    # shard's whole life — and are read inside the worker, before the
+    # process exits.
+    loop()
     if spec.obs_seed is None:
-        return _timed_pass(spec, loop, snapshot), []
+        return _timed_pass(spec, loop, snapshot)
     tracer = TraceCollector(clock, seed=spec.obs_seed + spec.shard_index)
     if spec.trace is not None:
         tracer.adopt(spec.trace.trace_id, spec.trace.span_id)
@@ -397,172 +401,12 @@ def _observed_pass(spec: ShardSpec, loop, snapshot, clock):
         shard_index=spec.shard_index,
         packets=outcome.packets,
     )
-    frames = frames_from(
-        spec.shard_index, tracer=tracer, registry=registry, journal=journal
-    )
-    return outcome, frames
-
-
-def run_shard(spec: ShardSpec) -> ShardOutcome:
-    """Build one shard's private stack and time its packet loop.
-
-    Module-level (picklable) so :class:`ShardExecutor` can dispatch it
-    through :mod:`multiprocessing`; also callable inline for the
-    single-shard and modeled paths.
-    """
-    loop, snapshot, clock = _workload(spec)
-    # One untimed warm-up pass brings soft state to steady state — the
-    # router's σ-cache fills, lazily packed header fields materialize —
-    # so the timed pass measures sustained throughput, the quantity the
-    # paper's Fig. 6 reports.  Counters cover warm-up + timed pass — the
-    # shard's whole life — and are read inside the worker, before the
-    # process exits.
-    loop()
-    outcome, frames = _observed_pass(spec, loop, snapshot, clock)
-    outcome.frames = frames
+    outcome.capture = {
+        "spans": tracer.spans(),
+        "events": journal.events(),
+        "metrics": registry.state(),
+    }
     return outcome
-
-
-def _pool_worker(inbox, outbox) -> None:
-    """Long-lived worker loop behind :class:`ShardWorkerPool`.
-
-    Builds each spec's private stack on first sight (setup plus one
-    untimed warm-up pass, exactly like :func:`run_shard`) and keeps it
-    in a worker-local cache; every submission after that reuses the
-    pre-warmed stack, so repeated measurements see steady-state
-    forwarding instead of fork + install + warm-up.  A ``None`` spec is
-    the shutdown sentinel.
-
-    Messages to the parent are tagged tuples: zero or more
-    ``("frame", shard_index, TelemetryFrame)`` when the spec arms an
-    obs shard, then exactly one ``("result", shard_index, outcome,
-    reason)``.  Failures ship a ``result`` with ``reason`` set and are
-    then re-raised so a broken worker dies loudly instead of serving
-    corrupt stacks.
-
-    The workload cache is keyed on the spec *minus* its obs fields: a
-    resubmission that only changes the propagated trace context (a new
-    parent span every run) must still hit the warm stack.
-    """
-    workloads: dict = {}
-    while True:
-        spec = inbox.get()
-        if spec is None:
-            break
-        try:
-            key = replace(spec, obs_seed=None, trace=None)
-            cached = workloads.get(key)
-            if cached is None:
-                cached = _workload(spec)
-                cached[0]()  # untimed warm-up, as in run_shard
-                workloads[key] = cached
-            outcome, frames = _observed_pass(
-                spec, cached[0], cached[1], cached[2]
-            )
-        except Exception as error:
-            outbox.put(
-                (
-                    "result",
-                    spec.shard_index,
-                    None,
-                    f"{type(error).__name__}: {error}",
-                )
-            )
-            raise
-        for frame in frames:
-            outbox.put(("frame", spec.shard_index, frame))
-        outbox.put(("result", spec.shard_index, outcome, None))
-
-
-class ShardWorkerPool:
-    """Persistent shard workers with pre-warmed private stacks.
-
-    ``multiprocessing.Pool(num_shards)`` per measurement — the previous
-    dispatch — charges every run the fork, reservation install and
-    warm-up of a cold stack.  This pool starts its workers once; each
-    worker owns a private inbox and a per-spec workload cache, so the
-    *second* submission of a spec times nothing but the packet loop.
-    Shard ``i`` is pinned to worker ``i % size`` — resubmitting the same
-    sweep point always lands on the worker holding its warm stack.
-
-    Workers are daemonic and also honor an explicit ``None`` sentinel
-    via :meth:`close`; the pool is a context manager.
-    """
-
-    def __init__(self, size: int):
-        if size <= 0:
-            raise ValueError(f"pool size must be positive, got {size}")
-        context = multiprocessing.get_context()
-        self.size = size
-        self._outbox = context.Queue()
-        self._inboxes = []
-        self._workers = []
-        self._closed = False
-        for _ in range(size):
-            inbox = context.Queue()
-            worker = context.Process(
-                target=_pool_worker, args=(inbox, self._outbox), daemon=True
-            )
-            worker.start()
-            self._inboxes.append(inbox)
-            self._workers.append(worker)
-
-    def map(self, specs: List[ShardSpec]) -> List[ShardOutcome]:
-        """Outcomes for ``specs``, in spec order.
-
-        Specs must carry distinct shard indices (one result slot each).
-        Raises :class:`~repro.errors.SimulationError` if a worker
-        reports a failure.
-        """
-        if self._closed:
-            raise SimulationError("shard worker pool is closed")
-        specs = list(specs)
-        indices = [spec.shard_index for spec in specs]
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"duplicate shard indices in batch: {indices}")
-        for spec in specs:
-            self._inboxes[spec.shard_index % self.size].put(spec)
-        by_index = {}
-        frames_by_index: dict = {}
-        pending = set(indices)
-        while pending:
-            message = self._outbox.get()
-            if message[0] == "frame":
-                _, shard_index, frame = message
-                frames_by_index.setdefault(shard_index, []).append(frame)
-                continue
-            _, shard_index, outcome, reason = message
-            if reason is not None:
-                raise SimulationError(
-                    f"shard {shard_index} worker failed: {reason}"
-                )
-            # Workers emit a shard's frames before its result, and the
-            # queue preserves per-worker order, so the stream is whole
-            # by the time its result lands.
-            outcome.frames = frames_by_index.pop(shard_index, [])
-            by_index[shard_index] = outcome
-            pending.discard(shard_index)
-        return [by_index[spec.shard_index] for spec in specs]
-
-    def close(self) -> None:
-        """Send every worker the shutdown sentinel and reap it."""
-        if self._closed:
-            return
-        self._closed = True
-        for inbox in self._inboxes:
-            inbox.put(None)
-        for worker in self._workers:
-            worker.join(timeout=10.0)
-        for worker in self._workers:
-            if worker.is_alive():
-                worker.terminate()
-                worker.join(timeout=1.0)
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 class ShardExecutor:
@@ -573,31 +417,15 @@ class ShardExecutor:
                  batch: int = 64, seed: int = 2026,
                  obs_seed: Optional[int] = None,
                  trace: Optional[TraceContext] = None):
-        if component not in ("gateway", "router"):
-            raise ValueError(f"unknown shard component {component!r}")
-        self.component = component
-        self.path_length = path_length
-        self.reservations = reservations
-        self.packets = packets
-        self.batch = batch
-        self.seed = seed
-        self.obs_seed = obs_seed
-        self.trace = trace
+        #: Shard 0 of 1; :meth:`_specs` re-indexes it per shard.
+        self._spec = ShardSpec(
+            component, 0, 1, path_length, reservations, packets, batch,
+            seed, obs_seed, trace,
+        )
 
     def _specs(self, num_shards: int) -> List[ShardSpec]:
         return [
-            ShardSpec(
-                component=self.component,
-                shard_index=index,
-                num_shards=num_shards,
-                path_length=self.path_length,
-                reservations=self.reservations,
-                packets=self.packets,
-                batch=self.batch,
-                seed=self.seed,
-                obs_seed=self.obs_seed,
-                trace=self.trace,
-            )
+            replace(self._spec, shard_index=index, num_shards=num_shards)
             for index in range(num_shards)
         ]
 
@@ -615,78 +443,40 @@ class ShardExecutor:
             return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
 
-    def shard_loads(self, num_shards: int) -> List[int]:
-        """Reservations owned per shard under :func:`shard_of`."""
-        loads = [0] * num_shards
-        for index in range(self.reservations):
-            loads[shard_of(ReservationId(_SRC, index + 1), num_shards)] += 1
-        return loads
+    def run(self, num_shards: int) -> ShardRunResult:
+        """Throughput over ``num_shards`` shards, one OS process each.
 
-    def run(
-        self,
-        num_shards: int,
-        force_processes: bool = False,
-        pool: Optional[ShardWorkerPool] = None,
-    ) -> ShardRunResult:
-        """Throughput over ``num_shards`` shards.
-
-        Dispatches real processes when the host has at least
-        ``num_shards`` CPUs (or ``force_processes`` demands it, e.g. to
-        exercise the dispatch machinery in tests); otherwise measures
-        one shard and extrapolates linearly, labeled ``"modeled"``.
-
-        Pass a :class:`ShardWorkerPool` (with ``pool.size >=
-        num_shards``) to dispatch through persistent pre-warmed workers:
-        the second ``run`` of the same configuration then measures
-        steady-state forwarding.  An undersized pool is ignored in
-        favor of a transient one — shards must not queue behind each
-        other inside one measurement, or the slowest-shard aggregation
-        would count waiting as forwarding time.  A pool never overrides
-        the modeled fallback: hosts without the cores still extrapolate.
+        The pool lives for this call only: :func:`run_shard` warms its
+        own stack and times nothing but the packet loop, so a cold
+        process measures the steady state a kept-alive one would.  A
+        shard's own exception is re-raised as raised there; a worker
+        that died or hung leaves the run without its outcomes at
+        ``_RUN_DEADLINE``, a :class:`~repro.errors.SimulationError`.
+        Either way leaving the ``with`` block terminates every worker.
         """
         specs = self._specs(num_shards)
-        cpus = self.available_cpus()
-        usable_pool = pool if pool is not None and pool.size >= num_shards else None
-        if num_shards == 1 and usable_pool is None:
-            outcome = run_shard(specs[0])
-            return ShardRunResult(
-                component=self.component,
-                num_shards=1,
-                mode="measured",
-                shards=[outcome],
-                aggregate_pps=outcome.pps,
-            )
-        if cpus >= num_shards or force_processes:
-            if usable_pool is not None:
-                outcomes = usable_pool.map(specs)
-            else:
-                with ShardWorkerPool(num_shards) as transient:
-                    outcomes = transient.map(specs)
-            mode = "measured" if cpus >= num_shards else "measured-oversubscribed"
-            total = sum(outcome.packets for outcome in outcomes)
-            # Idle shards (nothing owned) finish instantly; the slowest
-            # *working* shard bounds the burst's completion time.
-            working = [o.elapsed for o in outcomes if o.packets > 0]
-            slowest = max(working) if working else 0.0
-            return ShardRunResult(
-                component=self.component,
-                num_shards=num_shards,
-                mode=mode,
-                shards=outcomes,
-                aggregate_pps=total / slowest if slowest > 0 else 0.0,
-            )
-        # Not enough CPUs for a meaningful parallel measurement: measure
-        # the busiest shard's private stack and extrapolate the linear
-        # shared-nothing model over the shards that actually own work,
-        # clearly labeled as such.
-        loads = self.shard_loads(num_shards)
-        busiest = max(range(num_shards), key=loads.__getitem__)
-        populated = sum(1 for load in loads if load)
-        outcome = run_shard(specs[busiest])
+        with multiprocessing.get_context().Pool(num_shards) as pool:
+            try:
+                outcomes = pool.map_async(run_shard, specs, chunksize=1).get(
+                    _RUN_DEADLINE
+                )
+            except multiprocessing.TimeoutError:
+                raise SimulationError(
+                    f"{self._spec.component} run over {num_shards} shard(s): "
+                    f"no result within {_RUN_DEADLINE:g} s — a worker process "
+                    f"died or hung"
+                ) from None
+        total = sum(outcome.packets for outcome in outcomes)
+        # Idle shards (nothing owned) finish instantly; the slowest
+        # *working* shard bounds the burst's completion time.
+        working = [o.elapsed for o in outcomes if o.packets > 0]
+        slowest = max(working) if working else 0.0
         return ShardRunResult(
-            component=self.component,
-            num_shards=num_shards,
-            mode="modeled",
-            shards=[outcome],
-            aggregate_pps=outcome.pps * populated,
+            mode=(
+                "measured"
+                if self.available_cpus() >= num_shards
+                else "oversubscribed"
+            ),
+            shards=outcomes,
+            aggregate_pps=total / slowest if slowest > 0 else 0.0,
         )

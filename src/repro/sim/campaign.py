@@ -46,14 +46,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.constants import EER_LIFETIME
 from repro.control.renewal import RenewalScheduler
 from repro.control.rpc import FaultInjector, LinkFaults
-from repro.dataplane.shards import ShardExecutor
 from repro.errors import ColibriError
-from repro.obs.distributed import TelemetryGapError, TraceContext
 from repro.obs.events import (
     MONITOR_CONFIRMED_OVERUSE,
-    SHARD_COMPLETED,
     VERDICT_DROPPED,
-    merge_events,
     parse_jsonl,
 )
 from repro.obs.slo import AlertEngine, SLOSpec, event_counter_name, replay_journal
@@ -157,30 +153,6 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class ShardSoakSpec:
-    """A short forced-process sharded data-plane soak run after the
-    last phase — the campaign's cross-process telemetry leg.
-
-    Each worker process runs its own obs shard (tracer/registry/journal
-    seeded ``campaign seed + shard index``) under a
-    :class:`~repro.obs.distributed.TraceContext` minted from the
-    campaign tracer's ``campaign.shard_soak`` span, so the workers'
-    spans stitch into the campaign's own trace, and streams its capture
-    home as sequence-numbered telemetry frames.  The merged worker
-    journal lands in the ``journal.jsonl`` artifact; SLO replay keeps
-    reading the parent-only export (worker events ride a private
-    workload clock, so replaying them against campaign tick times would
-    be meaningless).
-    """
-
-    component: str = "router"
-    shards: int = 2
-    reservations: int = 256
-    packets: int = 2048
-    batch: int = 64
-
-
-@dataclass(frozen=True)
 class Phase:
     """One segment of the campaign timeline."""
 
@@ -215,10 +187,6 @@ class CampaignSpec:
     #: fit the reservable share of a ~2.5 Gbps deep leaf uplink.
     segr_bandwidth: float = 2e8
     slos: Callable[[], Tuple[SLOSpec, ...]] = None  # default: campaign_slos
-    #: Optional post-phase sharded soak with cross-process telemetry
-    #: streaming; ``None`` skips it and leaves the campaign exactly as
-    #: before.
-    shard_soak: Optional[ShardSoakSpec] = None
 
 
 def campaign_slos() -> Tuple[SLOSpec, ...]:
@@ -289,14 +257,6 @@ class CampaignResult:
     transitions: List[tuple]
     replay_transitions: List[tuple]
     violations: List[str]
-    #: Shard-soak workers' journal events in interchange form (identity
-    #: order, byte-identical across same-seed runs); merged into the
-    #: ``journal.jsonl`` artifact while :attr:`journal_jsonl` stays
-    #: parent-only for SLO replay.
-    worker_journal_jsonl: str = ""
-    #: Per-worker telemetry-stream bookkeeping:
-    #: ``{worker_id: {"frames": n, "spans": n, "events": n}}``.
-    worker_streams: Dict[int, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -314,10 +274,6 @@ class CampaignResult:
             "violations": self.violations,
             "replay_equivalent": self.replay_equivalent,
             "slo_transitions": [list(t) for t in self.transitions],
-            "worker_streams": {
-                str(worker_id): dict(counts)
-                for worker_id, counts in sorted(self.worker_streams.items())
-            },
             "phases": [
                 {
                     "name": report.name,
@@ -337,10 +293,7 @@ class CampaignResult:
     def write_artifacts(self, directory) -> Path:
         """Write the per-campaign artifact set under ``directory/name``.
 
-        * ``journal.jsonl`` — the full exported flight recording,
-          including the shard-soak workers' streamed events (merged by
-          event identity, so the artifact is the *complete* evidence
-          set even though SLO replay reads the parent-only export);
+        * ``journal.jsonl`` — the full exported flight recording;
         * ``slo_replay.json`` — tick times, live + replayed transitions,
           and the equivalence verdict;
         * ``summary.json`` — phase reports and violations;
@@ -351,17 +304,7 @@ class CampaignResult:
         root = Path(directory)
         target = root / self.name
         target.mkdir(parents=True, exist_ok=True)
-        journal_text = self.journal_jsonl
-        if self.worker_journal_jsonl:
-            merged = merge_events(
-                parse_jsonl(self.journal_jsonl),
-                parse_jsonl(self.worker_journal_jsonl),
-            )
-            journal_text = "".join(
-                json.dumps(event.to_dict(), sort_keys=True) + "\n"
-                for event in merged
-            )
-        (target / "journal.jsonl").write_text(journal_text)
+        (target / "journal.jsonl").write_text(self.journal_jsonl)
         (target / "slo_replay.json").write_text(
             json.dumps(
                 {
@@ -476,40 +419,6 @@ def check_no_residual_eers(runner: "CampaignRunner") -> List[str]:
     return violations
 
 
-def check_worker_streams(runner: "CampaignRunner") -> List[str]:
-    """Every shard-soak worker must have streamed a complete telemetry
-    sequence home (§7.1 forensics across the process boundary).
-
-    An absent stream, a gapped or truncated frame sequence (the
-    assembler's sequence-number check), or a worker whose journal never
-    recorded its ``ShardCompleted`` event all mean the merged
-    ``journal.jsonl`` artifact is silently missing evidence.
-    """
-    soak = runner.spec.shard_soak
-    if soak is None:
-        return []
-    if runner._soak_error is not None:
-        return [f"worker telemetry stream defect: {runner._soak_error}"]
-    merged = runner._soak_telemetry
-    if merged is None:
-        return ["shard soak produced no telemetry frames"]
-    completed = {
-        event.attrs.get("shard_index")
-        for event in merged.events
-        if event.type == SHARD_COMPLETED
-    }
-    violations = []
-    for worker_id in range(soak.shards):
-        if not runner._worker_streams.get(worker_id, {}).get("frames"):
-            violations.append(f"worker {worker_id}: no telemetry frames")
-        elif worker_id not in completed:
-            violations.append(
-                f"worker {worker_id}: journal stream carries no "
-                f"{SHARD_COMPLETED} event"
-            )
-    return violations
-
-
 #: Evaluated after every phase.
 PHASE_CHECKERS: Tuple[Tuple[str, Callable], ...] = (
     ("accounting", check_accounting),
@@ -520,7 +429,6 @@ PHASE_CHECKERS: Tuple[Tuple[str, Callable], ...] = (
 #: Evaluated once after the final phase.
 FINAL_CHECKERS: Tuple[Tuple[str, Callable], ...] = (
     ("no_residual_eers", check_no_residual_eers),
-    ("worker_streams", check_worker_streams),
 )
 
 #: Final checkers that are only meaningful after a fully drained
@@ -550,10 +458,6 @@ class CampaignRunner:
         self._live_workloads: List[EerWorkload] = []
         self._reported: Dict[int, Dict[str, int]] = {}
         self._tracked_handles: List[Tuple[IsdAs, object]] = []
-        # Shard-soak results (populated only when spec.shard_soak is set).
-        self._soak_telemetry = None
-        self._soak_error: Optional[str] = None
-        self._worker_streams: Dict[int, Dict[str, int]] = {}
 
     # -- wiring ----------------------------------------------------------------
 
@@ -634,55 +538,6 @@ class CampaignRunner:
             verdicts[packet.verdict.value] = (
                 verdicts.get(packet.verdict.value, 0) + 1
             )
-
-    # -- the shard soak --------------------------------------------------------
-
-    def _run_shard_soak(self) -> None:
-        """The post-phase forced-process sharded soak: worker obs shards
-        adopt a trace context minted under the campaign tracer, so their
-        spans stitch into the campaign's own trace, and their journals
-        ride home as sequence-numbered telemetry frames."""
-        soak = self.spec.shard_soak
-        obs = self.network.obs
-        tracer = obs.tracer if obs is not None else None
-        span = None
-        ctx = None
-        if tracer is not None:
-            span = tracer.start(
-                "campaign.shard_soak",
-                {"component": soak.component, "shards": soak.shards},
-            )
-            ctx = TraceContext.from_span(span)
-        executor = ShardExecutor(
-            soak.component,
-            reservations=soak.reservations,
-            packets=soak.packets,
-            batch=soak.batch,
-            seed=self.spec.seed,
-            obs_seed=self.spec.seed,
-            trace=ctx,
-        )
-        try:
-            result = executor.run(soak.shards, force_processes=True)
-        finally:
-            if tracer is not None:
-                tracer.finish(span)
-        streams: Dict[int, Dict[str, int]] = {}
-        for outcome in result.shards:
-            for frame in outcome.frames:
-                row = streams.setdefault(
-                    frame.worker_id, {"frames": 0, "spans": 0, "events": 0}
-                )
-                row["frames"] += 1
-                row["spans"] += len(frame.spans)
-                row["events"] += len(frame.events)
-        self._worker_streams = streams
-        try:
-            self._soak_telemetry = result.merged_telemetry(
-                expected_workers=list(range(soak.shards))
-            )
-        except TelemetryGapError as error:
-            self._soak_error = str(error)
 
     # -- the run ---------------------------------------------------------------
 
@@ -843,9 +698,6 @@ class CampaignRunner:
                 for violation in report.violations
             )
 
-        if self.spec.shard_soak is not None:
-            self._run_shard_soak()
-
         drained = bool(self.spec.phases) and self.spec.phases[-1].drain
         for checker_name, checker in FINAL_CHECKERS:
             if checker in DRAIN_ONLY_FINAL and not drained:
@@ -871,12 +723,6 @@ class CampaignRunner:
             transitions=list(self._engine.transitions),
             replay_transitions=replayed,
             violations=all_violations,
-            worker_journal_jsonl=(
-                self._soak_telemetry.events_jsonl()
-                if self._soak_telemetry is not None
-                else ""
-            ),
-            worker_streams=dict(self._worker_streams),
         )
 
     def _replay(self, journal_jsonl: str) -> List[tuple]:

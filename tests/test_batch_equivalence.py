@@ -13,13 +13,15 @@ contract:
   ``process``, ``send_batch``/``process_batch``, and a cache-disabled
   router produces byte-identical packets, identical verdict sequences,
   and identical counters;
-* the shard executor — a deterministic partition rule and honestly
-  labeled measured/modeled results.
+* the shard executor — a deterministic partition rule, one process
+  per shard, and a dead or hung worker surfacing as a typed error.
 """
 
 import hashlib
+import multiprocessing
 import os
 import random
+import time
 
 import pytest
 
@@ -28,14 +30,15 @@ from repro.crypto.drkey import DrkeyDeriver
 from repro.dataplane import ColibriKeys, hop_authenticator
 from repro.dataplane.gateway import ColibriGateway, split_batch
 from repro.dataplane.router import BorderRouter, Verdict
+from repro.dataplane import shards
 from repro.dataplane.shards import ShardExecutor, ShardSpec, run_shard, shard_of
 from repro.dataplane.sigma_cache import SigmaCache, SigmaEntry
-from repro.errors import BandwidthExceeded, ReservationNotFound
+from repro.errors import BandwidthExceeded, ReservationNotFound, SimulationError
 from repro.packets.colibri import ColibriPacket
 from repro.packets.fields import EerInfo, PathField, ResInfo
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
-from repro.util.clock import SimClock
+from repro.util.clock import PerfClock, SimClock
 from repro.util.units import gbps, mbps
 
 SRC = IsdAs.parse("1-ff00:0:110")
@@ -429,34 +432,60 @@ class TestShardExecutor:
         assert sum(len(part) for part in owned) == len(ids)
         assert owned[0] | owned[1] | owned[2] == set(ids)
 
-    def test_single_shard_is_measured(self):
-        executor = ShardExecutor("router", reservations=64, packets=512, batch=32)
+    @pytest.mark.parametrize("path_length", [2, 3, 4, 5])
+    @pytest.mark.parametrize("component", ["router", "gateway"])
+    def test_single_shard_is_measured(self, component, path_length):
+        executor = ShardExecutor(
+            component, path_length=path_length, reservations=64, packets=512,
+            batch=32,
+        )
         result = executor.run(1)
         assert result.mode == "measured"
-        assert result.measured
         assert len(result.shards) == 1
         assert result.shards[0].packets == 512
         assert result.aggregate_pps > 0
 
-    def test_modeled_fallback_on_small_host(self, monkeypatch):
+    @pytest.mark.parametrize("component", ["router", "gateway"])
+    def test_one_hop_path_is_rejected(self, component):
+        with pytest.raises(ValueError, match="at least 2 hops"):
+            ShardExecutor(component, path_length=1)
+
+    def test_oversubscribed_host_is_labeled(self, monkeypatch):
         executor = ShardExecutor("router", reservations=64, packets=512, batch=32)
         monkeypatch.setattr(ShardExecutor, "available_cpus", staticmethod(lambda: 1))
-        result = executor.run(4)
-        assert result.mode == "modeled"
-        assert not result.measured
-        assert len(result.shards) == 1  # only the busiest shard ran
-        populated = sum(1 for load in executor.shard_loads(4) if load)
-        assert result.aggregate_pps == pytest.approx(
-            result.shards[0].pps * populated
-        )
+        result = executor.run(2)
+        assert result.mode == "oversubscribed"
+        assert len(result.shards) == 2  # every shard still ran
 
     def test_forced_processes_really_dispatch(self):
         executor = ShardExecutor("gateway", reservations=64, packets=512, batch=32)
-        result = executor.run(2, force_processes=True)
-        assert result.measured
+        result = executor.run(2)
         assert len(result.shards) == 2
         assert sum(outcome.packets for outcome in result.shards) >= 512
         assert all(outcome.pps > 0 for outcome in result.shards if outcome.packets)
+
+    @pytest.mark.parametrize(
+        "fate",
+        [lambda spec: os._exit(1), lambda spec: time.sleep(60)],
+        ids=["killed", "hung"],
+    )
+    def test_lost_worker_is_a_typed_error(self, monkeypatch, fate):
+        """ROADMAP 6(c): a worker that dies or hangs mid-run must not
+        block the caller — the run fails at its deadline, named, and
+        leaves no child process behind."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched workload reaches workers by fork only")
+        monkeypatch.setattr(shards, "_RUN_DEADLINE", 1.0)
+        monkeypatch.setattr(shards, "_workload", fate)
+        executor = ShardExecutor("router", reservations=64, packets=512, batch=32)
+        wall = PerfClock()
+        started = wall.now()
+        with pytest.raises(
+            SimulationError, match=r"router run over 2 shard.*within 1 s"
+        ):
+            executor.run(2)
+        assert wall.now() - started < 5.0
+        assert multiprocessing.active_children() == []
 
     def test_empty_shard_idles(self):
         # One reservation, many shards: all but one shard own nothing.
@@ -485,7 +514,7 @@ class TestShardExecutor:
 
         executor = ShardExecutor("gateway", reservations=64, packets=512, batch=32)
         serial = [run_shard(spec) for spec in executor._specs(2)]
-        sharded = executor.run(2, force_processes=True)
+        sharded = executor.run(2)
         assert [outcome.counters for outcome in sharded.shards] == [
             outcome.counters for outcome in serial
         ]
@@ -508,6 +537,16 @@ class TestShardExecutor:
         assert total["sigma_cache_misses"] == 64
         assert total["sigma_cache_hits"] > 0
         assert total["sigma_cache_entries"] == 64
+
+    def test_available_cpus_reads_affinity(self, monkeypatch):
+        import os as os_module
+
+        if not hasattr(os_module, "sched_getaffinity"):
+            pytest.skip("platform exposes no affinity mask")
+        monkeypatch.setattr(
+            os_module, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=True
+        )
+        assert ShardExecutor.available_cpus() == 3
 
 
 def run_wire_workload(mode):
@@ -800,45 +839,3 @@ class TestNativeBatchIdentity:
             [os.path.basename(built), "notes.txt"]
         )
         assert native._find_extension(name) == built
-
-
-class TestShardWorkerPool:
-    """Persistent workers: steady-state reuse with serial-identical results."""
-
-    def test_pool_reuses_the_same_workers(self):
-        from repro.dataplane.shards import ShardWorkerPool
-
-        executor = ShardExecutor("gateway", reservations=64, packets=256, batch=32)
-        with ShardWorkerPool(2) as pool:
-            pids = {worker.pid for worker in pool._workers}
-            assert len(pids) == 2
-            for _ in range(3):
-                outcomes = pool.map(executor._specs(2))
-                assert all(outcome.packets > 0 for outcome in outcomes)
-                # Same processes every round — no respawn between runs.
-                assert {worker.pid for worker in pool._workers} == pids
-
-    def test_pool_results_equal_serial(self):
-        from repro.dataplane.shards import ShardWorkerPool
-
-        executor = ShardExecutor("gateway", reservations=64, packets=256, batch=32)
-        specs = executor._specs(2)
-        serial = [run_shard(spec) for spec in specs]
-        with ShardWorkerPool(2) as pool:
-            pooled = pool.map(specs)
-        assert [outcome.counters for outcome in pooled] == [
-            outcome.counters for outcome in serial
-        ]
-        assert [outcome.packets for outcome in pooled] == [
-            outcome.packets for outcome in serial
-        ]
-
-    def test_available_cpus_reads_affinity(self, monkeypatch):
-        import os as os_module
-
-        if not hasattr(os_module, "sched_getaffinity"):
-            pytest.skip("platform exposes no affinity mask")
-        monkeypatch.setattr(
-            os_module, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=True
-        )
-        assert ShardExecutor.available_cpus() == 3

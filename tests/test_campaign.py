@@ -18,10 +18,8 @@ from repro.sim.campaign import (
     CampaignSpec,
     Phase,
     WorkloadSpec,
-    ShardSoakSpec,
     campaign_slos,
     check_no_residual_eers,
-    check_worker_streams,
     run_campaign,
 )
 from repro.sim.campaigns import CANONICAL, QUICK, endpoints, flash_crowd
@@ -168,96 +166,3 @@ def test_canonical_catalog_complete():
         spec = builder(QUICK, seed=1)
         assert spec.name == f"{name}_{QUICK}"
         assert spec.phases
-
-
-# -- shard soak: cross-process telemetry (ISSUE 10) ----------------------------
-
-
-def soak_spec(seed=3):
-    """A short one-phase campaign with the forced-process shard soak."""
-    topology = build_two_isd_topology()
-    leaves = [node.isd_as for node in topology.ases() if not node.is_core]
-    src = leaves[0]
-    dst = next(isd_as for isd_as in leaves if isd_as.isd != src.isd)
-    return CampaignSpec(
-        name="soak",
-        topology=build_two_isd_topology,
-        seed=seed,
-        phases=(Phase("calm", 2.0, workloads=(WorkloadSpec(src, dst),)),),
-        shard_soak=ShardSoakSpec(
-            component="router", shards=2, reservations=64, packets=256,
-            batch=64,
-        ),
-    )
-
-
-@pytest.fixture(scope="module")
-def soak_runs():
-    return run_campaign(soak_spec()), run_campaign(soak_spec())
-
-
-def test_shard_soak_green_with_complete_worker_streams(soak_runs):
-    result = soak_runs[0]
-    assert result.ok, result.violations
-    assert sorted(result.worker_streams) == [0, 1]
-    for counts in result.worker_streams.values():
-        assert counts["frames"] >= 1
-        assert counts["events"] >= 1
-
-
-def test_shard_soak_worker_journal_deterministic(soak_runs):
-    first, second = soak_runs
-    assert first.worker_journal_jsonl == second.worker_journal_jsonl
-    assert len(first.worker_journal_jsonl) > 0
-    # Workers never pollute the parent export SLO replay reads.
-    assert first.replay_equivalent
-    assert "ShardCompleted" not in first.journal_jsonl
-    assert "ShardCompleted" in first.worker_journal_jsonl
-
-
-def test_shard_soak_artifact_journal_is_complete(soak_runs, tmp_path):
-    result = soak_runs[0]
-    target = result.write_artifacts(tmp_path)
-    merged = parse_jsonl((target / "journal.jsonl").read_text())
-    parent = parse_jsonl(result.journal_jsonl)
-    workers = parse_jsonl(result.worker_journal_jsonl)
-    assert len(merged) == len(parent) + len(workers)
-    assert sum(1 for e in merged if e.type == "ShardCompleted") == 2
-    summary = json.loads((target / "summary.json").read_text())
-    assert summary["worker_streams"]["0"]["frames"] >= 1
-
-
-def test_worker_stream_checker_flags_defects():
-    soak = ShardSoakSpec(shards=2)
-    base = dict(
-        spec=SimpleNamespace(shard_soak=soak),
-        _soak_error=None,
-        _soak_telemetry=None,
-        _worker_streams={},
-    )
-    # A stream defect recorded by the assembler.
-    runner = SimpleNamespace(**{**base, "_soak_error": "stream gapped at seq 1"})
-    assert check_worker_streams(runner) == [
-        "worker telemetry stream defect: stream gapped at seq 1"
-    ]
-    # No frames at all.
-    runner = SimpleNamespace(**base)
-    assert check_worker_streams(runner) == [
-        "shard soak produced no telemetry frames"
-    ]
-    # Telemetry present but worker 1 silent.
-    telemetry = SimpleNamespace(events=[])
-    runner = SimpleNamespace(**{
-        **base,
-        "_soak_telemetry": telemetry,
-        "_worker_streams": {0: {"frames": 1, "spans": 0, "events": 0}},
-    })
-    violations = check_worker_streams(runner)
-    assert any("worker 1: no telemetry frames" in v for v in violations)
-    # A worker that streamed frames but never journaled completion.
-    assert "worker 0: journal stream carries no ShardCompleted event" in (
-        violations
-    )
-    # No soak configured: vacuously clean.
-    runner = SimpleNamespace(spec=SimpleNamespace(shard_soak=None))
-    assert check_worker_streams(runner) == []

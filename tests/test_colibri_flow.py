@@ -682,6 +682,25 @@ class TestCF004ShardSafety(unittest.TestCase):
         """
         self.assertEqual([], hits(source, "CF004"))
 
+    def test_context_pool_map_async_clean(self):
+        # The production submission site (dataplane/shards.py): a pool
+        # off the default context, map_async under a module deadline.
+        source = """
+            import multiprocessing
+
+            DEADLINE = 120.0
+
+            def work(spec):
+                return spec + 1
+
+            def run(specs):
+                with multiprocessing.get_context().Pool(len(specs)) as pool:
+                    return pool.map_async(work, specs, chunksize=1).get(
+                        DEADLINE
+                    )
+        """
+        self.assertEqual([], hits(source, "CF004"))
+
     def test_builtin_map_not_a_submission(self):
         source = """
             CACHE = {}

@@ -10,11 +10,11 @@ import unittest
 from collections import Counter
 from pathlib import Path
 
+from tools.analysis_core.reporters import render_json, render_text
 from tools.colibri_lint import check_source, lint_paths
 from tools.colibri_lint.baseline import filter_findings, load_baseline, write_baseline
 from tools.colibri_lint.cli import run as cli_run
 from tools.colibri_lint.engine import SYNTAX_ERROR_ID
-from tools.colibri_lint.reporters import render_json, render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PROD_PATH = "src/repro/example.py"

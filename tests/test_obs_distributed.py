@@ -3,13 +3,9 @@
 Covers the two halves of :mod:`repro.obs.distributed` plus the code
 that threads them through both planes:
 
-* frame assembly under *adversarial interleavings* — property-tested
-  with seeded permutations: shuffled arrival order, byte-identical
-  replays, conflicting replays, truncated and gapped streams must
-  produce a deterministic merged result or a typed
-  :class:`TelemetryGapError`;
+* the merge is invariant under the order its inputs arrive in;
 * span parentage across retried bus calls (the collector's span stack)
-  and trace-context propagation into forced-process shard workers,
+  and trace-context propagation into shard worker processes,
   asserting the exact stitched span tree and byte-identical merged
   artifacts across same-seed runs;
 * the wire path under ``profiling()``: verdict/byte equivalence with
@@ -18,8 +14,6 @@ that threads them through both planes:
 
 import json
 import random
-
-import pytest
 
 from repro.control.retry import RetryingCaller
 from repro.control.rpc import MessageBus
@@ -30,15 +24,7 @@ from repro.dataplane.router import BorderRouter
 from repro.dataplane.shards import ShardExecutor
 from repro.errors import TransportError
 from repro.obs import ObsContext
-from repro.obs.distributed import (
-    TelemetryFrame,
-    TelemetryGapError,
-    TraceContext,
-    assemble_frames,
-    frames_from,
-    merge_frames,
-    merge_traces,
-)
+from repro.obs.distributed import TraceContext, merge_traces
 from repro.obs.events import SHARD_COMPLETED, EventJournal, merge_events
 from repro.obs.metrics import MetricsRegistry, merge_registries
 from repro.obs.profile import profiling
@@ -72,121 +58,7 @@ class TestTraceContext:
         assert ctx.span_id == span.span_id
 
 
-# -- frame assembly under adversarial interleavings ----------------------------
-
-
-def worker_stream(worker_id: int, items: int = 5, limit: int = 2):
-    """A real worker capture chunked into a multi-frame stream."""
-    clock = SimClock(1000.0)
-    tracer = TraceCollector(clock, seed=100 + worker_id)
-    registry = MetricsRegistry()
-    journal = EventJournal(clock)
-    for index in range(items):
-        with tracer.span(f"op-{index}"):
-            clock.advance(0.001)
-        journal.record(
-            SHARD_COMPLETED,
-            component="router",
-            shard_index=worker_id,
-            packets=index,
-        )
-        registry.counter("shard_packets_total").inc(index)
-    return frames_from(
-        worker_id, tracer=tracer, registry=registry, journal=journal,
-        limit=limit,
-    )
-
-
-def merged_fingerprint(merged) -> tuple:
-    """Byte-stable identity of a MergedTelemetry for equality checks."""
-    return (
-        {w: spans_jsonl(spans) for w, spans in merged.spans.items()},
-        merged.events_jsonl(),
-        json.dumps(merged.registry.state(), sort_keys=True),
-        merged.frame_counts,
-    )
-
-
-class TestFrameAssembly:
-    def test_streams_chunk_and_carry_metrics_on_final_frame(self):
-        frames = worker_stream(0, items=5, limit=2)
-        assert [frame.seq for frame in frames] == list(range(len(frames)))
-        assert len(frames) > 2  # 10 items at 2/frame
-        assert frames[-1].last and not any(f.last for f in frames[:-1])
-        assert frames[-1].metrics is not None
-        assert all(f.metrics is None for f in frames[:-1])
-
-    def test_empty_capture_still_emits_liveness_frame(self):
-        frames = frames_from(3)
-        assert len(frames) == 1
-        assert frames[0].last and frames[0].seq == 0
-        assert assemble_frames(frames, expected_workers=[3])[3] == frames
-
-    def test_shuffled_arrival_is_deterministic(self):
-        """Property: any arrival permutation of any workers' frames
-        merges to the identical result (20 seeded shuffles)."""
-        frames = [f for w in range(3) for f in worker_stream(w)]
-        baseline = merged_fingerprint(
-            merge_frames(frames, expected_workers=range(3))
-        )
-        for seed in range(20):
-            shuffled = list(frames)
-            random.Random(seed).shuffle(shuffled)
-            merged = merge_frames(shuffled, expected_workers=range(3))
-            assert merged_fingerprint(merged) == baseline, f"seed {seed}"
-
-    def test_identical_replay_is_deduped(self):
-        """A result queue may redeliver: byte-identical duplicates must
-        not change the merge (every duplication position, shuffled)."""
-        frames = [f for w in range(2) for f in worker_stream(w)]
-        baseline = merged_fingerprint(
-            merge_frames(frames, expected_workers=range(2))
-        )
-        for seed, frame in enumerate(frames):
-            replayed = frames + [frame]
-            random.Random(seed).shuffle(replayed)
-            merged = merge_frames(replayed, expected_workers=range(2))
-            assert merged_fingerprint(merged) == baseline
-
-    def test_conflicting_replay_raises(self):
-        frames = worker_stream(0)
-        forged = TelemetryFrame(
-            worker_id=0, seq=0, spans=(), events=(), last=False
-        )
-        assert forged != frames[0]
-        with pytest.raises(TelemetryGapError, match="conflicting frames"):
-            assemble_frames(frames + [forged])
-
-    def test_truncated_stream_raises(self):
-        frames = worker_stream(0)
-        with pytest.raises(TelemetryGapError, match="truncated"):
-            assemble_frames(frames[:-1])
-
-    def test_gapped_stream_raises(self):
-        frames = worker_stream(0, items=6, limit=2)
-        assert len(frames) >= 3
-        for seed in range(10):
-            gapped = frames[:1] + frames[2:]
-            random.Random(seed).shuffle(gapped)
-            with pytest.raises(TelemetryGapError, match="gapped at seq 1"):
-                assemble_frames(gapped)
-
-    def test_missing_expected_worker_raises(self):
-        frames = worker_stream(0)
-        with pytest.raises(TelemetryGapError, match="workers \\[1\\]"):
-            assemble_frames(frames, expected_workers=[0, 1])
-
-    def test_frames_beyond_final_marker_raise(self):
-        frames = worker_stream(0, items=4, limit=2)
-        early_last = TelemetryFrame(
-            worker_id=0,
-            seq=0,
-            spans=frames[0].spans,
-            events=frames[0].events,
-            last=True,
-        )
-        with pytest.raises(TelemetryGapError, match="beyond the final"):
-            assemble_frames([early_last] + frames[1:])
+# -- deterministic merge -------------------------------------------------------
 
 
 class TestMergeDeterminism:
@@ -312,7 +184,7 @@ class TestRpcPropagation:
 
 
 def sharded_run(seed: int):
-    """A fig6-style forced-process sharded run under a parent trace."""
+    """A fig6-style sharded run under a parent trace."""
     tracer = TraceCollector(SimClock(0.0), seed=seed)
     root = tracer.start("fig6.sharded_run")
     ctx = TraceContext.from_span(root)
@@ -320,7 +192,7 @@ def sharded_run(seed: int):
         "router", reservations=64, packets=256, batch=64,
         obs_seed=seed, trace=ctx,
     )
-    result = executor.run(2, force_processes=True)
+    result = executor.run(2)
     tracer.finish(root)
     return tracer, result
 
@@ -328,7 +200,7 @@ def sharded_run(seed: int):
 class TestStitchedShardTree:
     def test_exact_cross_process_tree(self):
         tracer, result = sharded_run(seed=2026)
-        merged = result.merged_telemetry(expected_workers=[0, 1])
+        merged = result.merged_telemetry()
         assert merged is not None
         (root,) = tracer.spans(name="fig6.sharded_run")
         assert sorted(merged.spans) == [0, 1]
@@ -359,8 +231,8 @@ class TestStitchedShardTree:
     def test_same_seed_runs_are_byte_identical(self):
         tracer_a, result_a = sharded_run(seed=7)
         tracer_b, result_b = sharded_run(seed=7)
-        merged_a = result_a.merged_telemetry(expected_workers=[0, 1])
-        merged_b = result_b.merged_telemetry(expected_workers=[0, 1])
+        merged_a = result_a.merged_telemetry()
+        merged_b = result_b.merged_telemetry()
         assert spans_jsonl(
             merge_traces(tracer_a.spans(), merged_a.spans)
         ) == spans_jsonl(merge_traces(tracer_b.spans(), merged_b.spans))
@@ -373,8 +245,8 @@ class TestStitchedShardTree:
         executor = ShardExecutor(
             "router", reservations=64, packets=256, batch=64
         )
-        result = executor.run(2, force_processes=True)
-        assert all(not outcome.frames for outcome in result.shards)
+        result = executor.run(2)
+        assert all(outcome.capture is None for outcome in result.shards)
         assert result.merged_telemetry() is None
 
 

@@ -18,8 +18,8 @@ Usage::
 See ``docs/static_analysis.md`` for the rule catalogue and workflow.
 """
 
+from tools.analysis_core.findings import Finding
 from tools.colibri_lint.engine import check_source, lint_paths
-from tools.colibri_lint.findings import Finding
 from tools.colibri_lint.rules import ALL_RULES, RULES_BY_ID
 
 __all__ = ["check_source", "lint_paths", "Finding", "ALL_RULES", "RULES_BY_ID"]

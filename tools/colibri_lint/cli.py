@@ -9,9 +9,9 @@ import argparse
 import sys
 from pathlib import Path
 
+from tools.analysis_core.reporters import render_json, render_text
 from tools.colibri_lint import baseline as baseline_mod
 from tools.colibri_lint.engine import lint_paths
-from tools.colibri_lint.reporters import render_json, render_text
 from tools.colibri_lint.rules import ALL_RULES, RULES_BY_ID
 
 

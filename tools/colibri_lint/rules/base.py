@@ -1,7 +1,7 @@
 """Rule interface.
 
 A rule is a small object with an ID (``CLxxx``), a one-line name, and a
-``check`` generator over a :class:`~tools.colibri_lint.context.FileContext`.
+``check`` generator over a :class:`~tools.analysis_core.context.FileContext`.
 ``applies_to`` lets a rule scope itself to production code, to a single
 module, or exclude an allowed module — path discipline lives with the rule
 instead of in the engine.
