@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint flow bench e2e-smoke examples quick clean
+.PHONY: install test lint flow bench e2e-smoke native-asan examples quick clean
 
 install:
 	$(PYTHON) -m pip install -e '.[test]'
@@ -29,8 +29,17 @@ bench:
 
 # The BENCHMARK.json benchmark's own smoke test (~20 s).  It lives outside
 # the tier-1 testpaths and brings its own imports, hence --noconftest.
+# Then one quick data-plane run without the native kernel, so the
+# correctness pass (replay, forged HVF, stale packet) also covers the
+# Python bodies of the MAC check and the policing tables.
 e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e/test_smoke.py -q --noconftest
+	COLIBRI_NATIVE=0 $(PYTHON) benchmarks/e2e/run.py --workload burst_long_path --quick --blocks 2
+
+# The native kernel (MAC verify and stamps, Bloom test-and-set, sketch
+# add, and the inputs they must refuse) under ASan + UBSan, ~6 s.
+native-asan:
+	PYTHONPATH=src $(PYTHON) tools/native_asan.py
 
 # Everything the paper reports, captured to the repo root.
 reproduce:

@@ -1,4 +1,5 @@
-"""Optional cffi-native keyed-BLAKE2s kernel for Eq. (6) stamping.
+"""Optional cffi-native kernel: keyed BLAKE2s for Eq. (6) stamping and
+verification, and the border router's two policing-table primitives.
 
 The paper's DPDK prototype reaches line rate because AES-NI computes a
 per-packet MAC in tens of cycles; our pure-Python data plane pays three
@@ -6,10 +7,17 @@ per-packet MAC in tens of cycles; our pure-Python data plane pays three
 is the corresponding "hardware" acceleration for the reproduction: a
 small C implementation of keyed BLAKE2s, compiled on demand through
 cffi, whose entry points amortize the Python→C boundary over a whole
-packet (``colibri_stamp``: all hops in one call), a whole
-single-reservation burst (``colibri_stamp_many``), or a whole *mixed*
-burst (``colibri_stamp_scatter``: per-packet schedules, messages and
-output offsets, one call — see :class:`BurstStamper`).
+packet (``colibri_stamp_t``: all hops in one call), a whole
+single-reservation burst (``colibri_stamp_many_t``), or a whole *mixed*
+burst (``colibri_stamp_scatter_t``: per-packet schedules, messages and
+output offsets, one call — see :class:`BurstStamper`).  The router side
+gets three leaf calls per packet-hop: ``colibri_verify`` (the σ-cache
+entry's Eq. (6) check), ``colibri_bloom_check`` (the duplicate filter's
+test-and-set on that MAC) and ``colibri_sketch_add`` (the overuse
+detector's count-min update).  The last two work on caller-owned buffers
+— a ``bytearray`` pair, an ``array('d')`` — that Python reads and
+replaces as before; both refuse, without writing, an index outside the
+buffer they were handed.
 
 Byte-identity is the admission contract (docs/performance.md): for every
 key and message,
@@ -45,19 +53,13 @@ from repro.constants import L_HVF, MAC_LENGTH
 _CDEF = """
 void colibri_b2s_key_schedule(const uint8_t *key, size_t keylen,
                               size_t outlen, uint32_t *h_out);
-void colibri_stamp(const uint32_t *scheds, size_t nscheds,
-                   const uint8_t *msg, size_t msglen,
-                   uint8_t *out, size_t tag_len);
-void colibri_stamp_many(const uint32_t *scheds, size_t nscheds,
-                        const uint8_t *msgs, size_t msglen, size_t nmsgs,
-                        uint8_t *out, size_t tag_len);
-void colibri_stamp_scatter(uint32_t * const *scheds, const int32_t *nscheds,
-                           const uint8_t *msgs, size_t msglen, size_t npkts,
-                           uint8_t *out, const int64_t *offsets,
-                           size_t tag_len);
 int colibri_verify(const uint8_t *sched, const uint8_t *msg, size_t msglen,
                    const uint8_t *tag, size_t tag_len, uint8_t *mac_out);
-int colibri_has_avx2(void);
+int colibri_bloom_check(uint8_t *current, const uint8_t *previous,
+                        size_t nbytes, uint64_t bits, size_t hashes,
+                        const uint8_t *mac, size_t maclen);
+double colibri_sketch_add(double *counts, size_t ncounts,
+                          const uint32_t *cells, size_t ncells, double amount);
 void colibri_b2s_transpose(const uint32_t *scheds, size_t nscheds,
                            uint32_t *out);
 void colibri_stamp_t(const uint32_t *scheds_t, size_t nscheds,
@@ -160,12 +162,7 @@ static void b2s_compress(uint32_t h[8], const uint8_t block[64],
                          uint64_t t, uint32_t f0)
 {
     uint32_t m[16];
-    int i;
-    for (i = 0; i < 16; i++) {
-        m[i] = (uint32_t)block[4 * i] | ((uint32_t)block[4 * i + 1] << 8)
-             | ((uint32_t)block[4 * i + 2] << 16)
-             | ((uint32_t)block[4 * i + 3] << 24);
-    }
+    b2s_block_words(block, 64, m);
     b2s_compress_words(h, m, t, f0);
 }
 
@@ -209,121 +206,15 @@ static void b2s_tail(const void *sched, const uint8_t *msg,
         out[i] = (uint8_t)(h[i / 4] >> (8 * (i % 4)));
 }
 
-/* Finish a MAC whose (single-block) message is already decoded. */
-static void b2s_tail_words(const uint32_t *sched, const uint32_t m[16],
-                           uint64_t t, uint8_t *out, size_t outlen)
-{
-    uint32_t h[8];
-    size_t i;
-    memcpy(h, sched, 32);
-    b2s_compress_words(h, m, t, 0xFFFFFFFFUL);
-    for (i = 0; i < outlen; i++)
-        out[i] = (uint8_t)(h[i / 4] >> (8 * (i % 4)));
-}
-
-/* One message, many key schedules: all hop HVFs of one packet (Eq. 6).
-   The Ts||PktSize message fits one block, so it is decoded to words
-   once and every hop pays only its compression. */
-void colibri_stamp(const uint32_t *scheds, size_t nscheds,
-                   const uint8_t *msg, size_t msglen,
-                   uint8_t *out, size_t tag_len)
-{
-    size_t i;
-    if (msglen <= 64) {
-        uint32_t m[16];
-        uint64_t t = 64 + msglen;
-        b2s_block_words(msg, msglen, m);
-        for (i = 0; i < nscheds; i++)
-            b2s_tail_words(scheds + 8 * i, m, t, out + i * tag_len, tag_len);
-        return;
-    }
-    for (i = 0; i < nscheds; i++)
-        b2s_tail(scheds + 8 * i, msg, msglen, out + i * tag_len, tag_len);
-}
-
-/* Many fixed-size messages x many schedules: a whole burst in one call.
-   out is message-major: nmsgs rows of nscheds tags of tag_len bytes. */
-void colibri_stamp_many(const uint32_t *scheds, size_t nscheds,
-                        const uint8_t *msgs, size_t msglen, size_t nmsgs,
-                        uint8_t *out, size_t tag_len)
-{
-    size_t p, i;
-    if (msglen <= 64) {
-        uint32_t m[16];
-        uint64_t t = 64 + msglen;
-        for (p = 0; p < nmsgs; p++) {
-            uint8_t *row = out + p * nscheds * tag_len;
-            b2s_block_words(msgs + p * msglen, msglen, m);
-            for (i = 0; i < nscheds; i++)
-                b2s_tail_words(scheds + 8 * i, m, t, row + i * tag_len,
-                               tag_len);
-        }
-        return;
-    }
-    for (p = 0; p < nmsgs; p++) {
-        const uint8_t *msg = msgs + p * msglen;
-        uint8_t *row = out + p * nscheds * tag_len;
-        for (i = 0; i < nscheds; i++)
-            b2s_tail(scheds + 8 * i, msg, msglen, row + i * tag_len, tag_len);
-    }
-}
-
-/* A whole *mixed* burst in one call: packet p carries nscheds[p] hop
-   schedules at scheds[p], its fixed-size message at msgs + p*msglen,
-   and its tags land at out + offsets[p] (an arena byte offset on the
-   wire path, a running row offset on the object path).  This is what
-   lets bursts spanning many reservations amortize the Python->C
-   boundary the way single-reservation bursts do with stamp_many. */
-void colibri_stamp_scatter(uint32_t * const *scheds, const int32_t *nscheds,
-                           const uint8_t *msgs, size_t msglen, size_t npkts,
-                           uint8_t *out, const int64_t *offsets,
-                           size_t tag_len)
-{
-    size_t p, i;
-    if (msglen <= 64) {
-        uint32_t m[16];
-        uint64_t t = 64 + msglen;
-        for (p = 0; p < npkts; p++) {
-            const uint32_t *sched = scheds[p];
-            uint8_t *row = out + offsets[p];
-            size_t hops = (size_t)nscheds[p];
-            /* Bursts over big reservation tables touch a random ~32 B/hop
-               schedule per packet; pull the next packet's schedule toward
-               the core while this packet's ~16 compressions run, hiding
-               most of the miss latency. */
-            if (p + 1 < npkts) {
-                const char *next = (const char *)scheds[p + 1];
-                size_t nbytes = (size_t)nscheds[p + 1] * 32;
-                size_t line;
-                for (line = 0; line < nbytes; line += 64)
-                    __builtin_prefetch(next + line, 0, 1);
-            }
-            b2s_block_words(msgs + p * msglen, msglen, m);
-            for (i = 0; i < hops; i++)
-                b2s_tail_words(sched + 8 * i, m, t, row + i * tag_len,
-                               tag_len);
-        }
-        return;
-    }
-    for (p = 0; p < npkts; p++) {
-        const uint32_t *sched = scheds[p];
-        uint8_t *row = out + offsets[p];
-        size_t hops = (size_t)nscheds[p];
-        for (i = 0; i < hops; i++)
-            b2s_tail(sched + 8 * i, msgs + p * msglen, msglen,
-                     row + i * tag_len, tag_len);
-    }
-}
-
 /* ---- 8-way SIMD lane layout ----------------------------------------
    All hops of one packet MAC the same (single-block) message under
    different schedules -- the textbook shape for N-way SIMD hashing:
    lane L of a vector compress runs hop L.  Schedules are re-laid-out
    once at install time ("transposed": groups of 8 hops, word-major
    within a group, zero-padded lanes) so the vector loads need no
-   per-packet gathers.  The `_t` entry points consume that layout and
-   fall back to scalar compressions over the same layout when the CPU
-   lacks AVX2, so callers route purely on which layout they built. */
+   per-packet gathers.  It is the only layout: the `_t` entry points
+   fall back to scalar compressions over it when the CPU lacks AVX2 (or
+   the build defines COLIBRI_SCALAR, as the sanitizer driver does). */
 
 void colibri_b2s_transpose(const uint32_t *scheds, size_t nscheds,
                            uint32_t *out)
@@ -343,11 +234,11 @@ static void sched_lane(const uint32_t *scheds_t, size_t lane, uint32_t sc[8])
     for (w = 0; w < 8; w++) sc[w] = group[w * 8];
 }
 
-#if defined(__GNUC__) && defined(__x86_64__)
+#if defined(__GNUC__) && defined(__x86_64__) && !defined(COLIBRI_SCALAR)
 #define COLIBRI_AVX2 1
 #include <immintrin.h>
 
-int colibri_has_avx2(void) { return __builtin_cpu_supports("avx2"); }
+static int colibri_has_avx2(void) { return __builtin_cpu_supports("avx2"); }
 
 /* The 16-bit and 8-bit rotations are byte permutations, so they map to
    one shuffle; 12 and 7 need the two-shift form. */
@@ -469,11 +360,10 @@ static void b2s_tails_x8(const uint32_t *group, const uint8_t *msg,
     b2s_compress_x8(h, m, t, 0xFFFFFFFFUL);
     b2s_emit_x8(h, out, lanes, tag_len);
 }
-#else
-int colibri_has_avx2(void) { return 0; }
 #endif
 
-/* colibri_stamp over the transposed layout: 8 hops per compress. */
+/* One message, many key schedules: all hop HVFs of one packet (Eq. 6),
+   8 hops per compress. */
 void colibri_stamp_t(const uint32_t *scheds_t, size_t nscheds,
                      const uint8_t *msg, size_t msglen,
                      uint8_t *out, size_t tag_len)
@@ -583,6 +473,61 @@ int colibri_verify(const uint8_t *sched, const uint8_t *msg, size_t msglen,
     b2s_tail(sched, msg, msglen, mac_out, 16);
     for (i = 0; i < tag_len && i < 16; i++) acc |= (uint8_t)(mac_out[i] ^ tag[i]);
     return acc == 0;
+}
+
+static uint64_t be64(const uint8_t *p)
+{
+    uint64_t x = 0;
+    int i;
+    for (i = 0; i < 8; i++) x = (x << 8) | p[i];
+    return x;
+}
+
+/* Rotating-Bloom test-and-set on a 16-byte MAC: bit i is (h1 + i*h2) mod
+   bits over its two big-endian halves, both reduced first so the running
+   sum never wraps.  1 = fresh and now recorded in `current`, 0 = seen (in
+   `previous`, or every bit already set), -1 = not a MAC or `bits` does
+   not fit the nbytes both filters hold: nothing read, nothing written. */
+int colibri_bloom_check(uint8_t *current, const uint8_t *previous,
+                        size_t nbytes, uint64_t bits, size_t hashes,
+                        const uint8_t *mac, size_t maclen)
+{
+    uint64_t first, step, bit;
+    size_t i;
+    int fresh = 0;
+    if (maclen != 16 || bits == 0 || (bits - 1) / 8 >= nbytes) return -1;
+    first = be64(mac) % bits;
+    step = be64(mac + 8) % bits;
+    for (i = 0, bit = first; i < hashes; i++) {
+        if (!(previous[bit >> 3] & (1 << (bit & 7)))) break;
+        bit = bit + step < bits ? bit + step : bit + step - bits;
+    }
+    if (i == hashes) return 0;
+    for (i = 0, bit = first; i < hashes; i++) {
+        if (!(current[bit >> 3] & (1 << (bit & 7)))) {
+            current[bit >> 3] |= (uint8_t)(1 << (bit & 7));
+            fresh = 1;
+        }
+        bit = bit + step < bits ? bit + step : bit + step - bits;
+    }
+    return fresh;
+}
+
+/* Count-min add: `amount` onto each of the flow's cells, returning the
+   smallest new count (+inf for no cells); NaN, with nothing written, when
+   a cell lies outside counts[0..ncounts). */
+double colibri_sketch_add(double *counts, size_t ncounts,
+                          const uint32_t *cells, size_t ncells, double amount)
+{
+    double estimate = __builtin_inf(), count;
+    size_t i;
+    for (i = 0; i < ncells; i++)
+        if (cells[i] >= ncounts) return __builtin_nan("");
+    for (i = 0; i < ncells; i++) {
+        count = counts[cells[i]] += amount;
+        if (count < estimate) estimate = count;
+    }
+    return estimate;
 }
 """
 
@@ -703,7 +648,7 @@ def _normalize_key(key: bytes) -> bytes:
 class NativeBackend:
     """A loaded kernel: the cffi ``ffi``/``lib`` pair and the verify scratch."""
 
-    __slots__ = ("ffi", "lib", "has_avx2", "mac_out", "mac_view")
+    __slots__ = ("ffi", "lib", "mac_out", "mac_view")
 
     def __init__(self, ffi, lib):
         self.ffi = ffi
@@ -712,10 +657,6 @@ class NativeBackend:
         #: by ``mac_view[:]``; one per process, so one verifying thread.
         self.mac_out = ffi.new("uint8_t[]", MAC_LENGTH)
         self.mac_view = ffi.buffer(self.mac_out)
-        # Decided once per process: when the CPU runs AVX2, schedule
-        # blocks also build the transposed lane layout and every stamp
-        # routes through the 8-way `_t` entry points.
-        self.has_avx2 = bool(lib.colibri_has_avx2())
 
     def key_schedule(self, key: bytes) -> bytes:
         """One key's 32-byte chaining state, as ``colibri_verify`` takes it."""
@@ -739,10 +680,7 @@ class ScheduleBlock:
     data-plane object here; shard workers each build their own.
     """
 
-    __slots__ = (
-        "count", "tag_len", "_ffi", "_lib", "_scheds", "_scheds_t",
-        "_scatter", "_out", "_view",
-    )
+    __slots__ = ("count", "tag_len", "_ffi", "_lib", "_scatter", "_out", "_view")
 
     def __init__(self, backend: NativeBackend, keys, tag_len: int = L_HVF):
         if not 0 < tag_len <= MAC_LENGTH:
@@ -760,34 +698,20 @@ class ScheduleBlock:
         self.tag_len = tag_len
         self._ffi = ffi
         self._lib = lib
-        self._scheds = scheds
-        if backend.has_avx2:
-            # The 8-way lane layout (see the C side): built once here at
-            # install time so the per-packet stamps never gather.
-            groups = (len(keys) + 7) // 8
-            scheds_t = ffi.new("uint32_t[]", max(64, groups * 64))
-            lib.colibri_b2s_transpose(scheds, len(keys), scheds_t)
-        else:
-            scheds_t = None
-        self._scheds_t = scheds_t
-        # What a BurstStamper plan should reference for this block —
-        # matches the scatter entry point the stamper was built with.
-        self._scatter = scheds_t if scheds_t is not None else scheds
+        # The 8-way lane layout (see the C side), built once here at
+        # install time so the per-packet stamps never gather; it is also
+        # what a BurstStamper plan references for this block.
+        groups = (len(keys) + 7) // 8
+        self._scatter = ffi.new("uint32_t[]", max(64, groups * 64))
+        lib.colibri_b2s_transpose(scheds, len(keys), self._scatter)
         self._out = ffi.new("uint8_t[]", max(1, self.count * tag_len))
         self._view = ffi.buffer(self._out)
 
     def stamp_flat(self, message: bytes) -> bytes:
         """All per-key tags over ``message``, concatenated (one C call)."""
-        if self._scheds_t is not None:
-            self._lib.colibri_stamp_t(
-                self._scheds_t, self.count, message, len(message),
-                self._out, self.tag_len,
-            )
-        else:
-            self._lib.colibri_stamp(
-                self._scheds, self.count, message, len(message),
-                self._out, self.tag_len,
-            )
+        self._lib.colibri_stamp_t(
+            self._scatter, self.count, message, len(message), self._out, self.tag_len
+        )
         return self._view[:]
 
     def stamp_many_flat(self, messages, message_len: int, count: int) -> bytes:
@@ -800,26 +724,15 @@ class ScheduleBlock:
         ffi = self._ffi
         row = self.count * self.tag_len
         out = ffi.new("uint8_t[]", max(1, count * row))
-        if self._scheds_t is not None:
-            self._lib.colibri_stamp_many_t(
-                self._scheds_t,
-                self.count,
-                ffi.from_buffer(messages),
-                message_len,
-                count,
-                out,
-                self.tag_len,
-            )
-        else:
-            self._lib.colibri_stamp_many(
-                self._scheds,
-                self.count,
-                ffi.from_buffer(messages),
-                message_len,
-                count,
-                out,
-                self.tag_len,
-            )
+        self._lib.colibri_stamp_many_t(
+            self._scatter,
+            self.count,
+            ffi.from_buffer(messages),
+            message_len,
+            count,
+            out,
+            self.tag_len,
+        )
         return ffi.buffer(out)[:]
 
 
@@ -833,7 +746,7 @@ class BurstStamper:
     packet's version's :attr:`ScheduleBlock._scatter` block),
     ``counts[p]`` (its hop count), ``offsets[p]`` (where its tags go) —
     and appends its Eq. (6) message to :attr:`messages`; one
-    ``colibri_stamp_scatter`` call then stamps every packet of the
+    ``colibri_stamp_scatter_t`` call then stamps every packet of the
     burst (:meth:`stamp_flat`).  ``offsets`` are byte offsets into its
     flat result — a running row cursor.
 
@@ -847,7 +760,7 @@ class BurstStamper:
 
     __slots__ = (
         "tag_len", "scheds", "counts", "offsets", "messages",
-        "_ffi", "_lib", "_scatter_fn", "_capacity", "_out", "_out_size",
+        "_ffi", "_lib", "_capacity", "_out", "_out_size",
     )
 
     def __init__(self, backend: NativeBackend, tag_len: int = L_HVF, slots: int = 64):
@@ -857,14 +770,6 @@ class BurstStamper:
             )
         self._ffi = backend.ffi
         self._lib = backend.lib
-        # ScheduleBlock._scatter pointers built by the same backend use
-        # the layout this entry point expects, so the pairing is always
-        # consistent.
-        self._scatter_fn = (
-            backend.lib.colibri_stamp_scatter_t
-            if backend.has_avx2
-            else backend.lib.colibri_stamp_scatter
-        )
         self.tag_len = tag_len
         self._capacity = 0
         self._out = None
@@ -889,7 +794,7 @@ class BurstStamper:
         if size > self._out_size:
             self._out = self._ffi.new("uint8_t[]", max(1, size))
             self._out_size = max(1, size)
-        self._scatter_fn(
+        self._lib.colibri_stamp_scatter_t(
             self.scheds,
             self.counts,
             self._ffi.from_buffer(self.messages),

@@ -19,7 +19,8 @@ makes Ts "uniquely identif[y] the packet for the particular source" —
 pseudorandom, and unpredictable without σ, so collisions cannot be aimed
 at the filter.  No second hash: bit ``i`` of a packet is ``(h1 + i·h2)
 mod bits`` over the MAC's two big-endian 64-bit halves (double hashing,
-any k).  A packet costs one pass over its k bits; a rotation a new buffer.
+any k).  A packet costs one pass over its k bits (one C call on the two
+buffers when :mod:`repro.crypto.native` is loaded); a rotation a new buffer.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import math
 import struct
 
 from repro.constants import DUPLICATE_WINDOW
+from repro.crypto import native
 from repro.obs.events import DUPLICATE_SUPPRESSED
 from repro.util.clock import Clock
 
@@ -37,14 +39,16 @@ _HALVES = struct.Struct(">QQ").unpack  # raises unless given the 16 bytes of a M
 class _BloomFilter:
     """A k-position Bloom filter over a bit array."""
 
-    def __init__(self, bits: int, hashes: int):
-        self.bits, self.hashes = bits, hashes
-        self._array = bytearray((bits + 7) // 8)
-        self.insertions = 0
+    def __init__(self, bits: int, hashes: int, backend=None):
+        self.bits, self.hashes, self._backend = bits, hashes, backend
+        self.clear()
 
     def clear(self) -> None:
-        # A fresh zeroed buffer: wiping 128 KiB byte by byte took ~6 ms.
-        self._array = bytearray(len(self._array))
+        # A fresh zeroed buffer: wiping 128 KiB byte by byte took ~6 ms.  The
+        # kernel's view moves with it, or the old buffer would go on being written.
+        self._array = array = bytearray((self.bits + 7) // 8)
+        backend = self._backend
+        self._view = None if backend is None else backend.ffi.from_buffer("uint8_t[]", array)
         self.insertions = 0
 
 
@@ -72,9 +76,13 @@ class DuplicateSuppressor:
     ):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
+        if bits <= 0 or hashes <= 0:
+            raise ValueError(f"filter geometry must be positive: {bits} bits, {hashes} hashes")
         self.window = window
-        self._current = _BloomFilter(bits, hashes)
-        self._previous = _BloomFilter(bits, hashes)
+        backend = native.backend()
+        self._test_and_set = None if backend is None else backend.lib.colibri_bloom_check
+        self._current = _BloomFilter(bits, hashes, backend)
+        self._previous = _BloomFilter(bits, hashes, backend)
         self._rounds = range(hashes)
         self._rotated_at = clock.now()
         self.duplicates_caught = 0
@@ -94,27 +102,37 @@ class DuplicateSuppressor:
         16-byte MAC, ``now`` the caller's clock (the router reads it per burst)."""
         if now - self._rotated_at >= self.window:
             self._rotate(now)
-        first, step = _HALVES(identifier)
         current = self._current
-        array, bits, rounds = current._array, current.bits, self._rounds
-        previous, position = self._previous._array, first
-        for _ in rounds:
-            bit = position % bits
-            if not previous[bit >> 3] & (1 << (bit & 7)):
-                break
-            position += step
+        view = current._view
+        if view is not None:
+            fresh = self._test_and_set(
+                view, self._previous._view, len(view), current.bits, current.hashes,
+                identifier, len(identifier),
+            )
+            if fresh < 0:  # refused: not a MAC, or bits beyond the buffer
+                _HALVES(identifier)
+                raise IndexError(f"{current.bits} filter bits do not fit {len(view)} bytes")
         else:
-            return self._caught(identifier)  # seen in the previous window
-        # One test-and-set pass; fresh if any bit was still clear.
-        fresh = False
-        for _ in rounds:
-            bit = first % bits
-            index, mask = bit >> 3, 1 << (bit & 7)
-            byte = array[index]
-            if not byte & mask:
-                array[index] = byte | mask
-                fresh = True
-            first += step
+            first, step = _HALVES(identifier)
+            array, bits, rounds = current._array, current.bits, self._rounds
+            previous, position = self._previous._array, first
+            for _ in rounds:
+                bit = position % bits
+                if not previous[bit >> 3] & (1 << (bit & 7)):
+                    break
+                position += step
+            else:
+                return self._caught(identifier)  # seen in the previous window
+            # One test-and-set pass; fresh if any bit was still clear.
+            fresh = False
+            for _ in rounds:
+                bit = first % bits
+                index, mask = bit >> 3, 1 << (bit & 7)
+                byte = array[index]
+                if not byte & mask:
+                    array[index] = byte | mask
+                    fresh = True
+                first += step
         if not fresh:
             return self._caught(identifier)
         current.insertions += 1

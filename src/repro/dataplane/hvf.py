@@ -158,7 +158,7 @@ def burst_stamper(tag_len: int = L_HVF, slots: int = 64):
 
     One :class:`~repro.crypto.native.BurstStamper` per data-plane
     component (the gateway holds one across bursts): the per-packet loop
-    fills its plan arrays, then a single ``colibri_stamp_scatter`` call
+    fills its plan arrays, then a single ``colibri_stamp_scatter_t`` call
     stamps every packet of the burst — the mixed-burst counterpart of
     :meth:`~repro.crypto.native.ScheduleBlock.stamp_many_flat`, with the
     same byte-identity contract.  ``None`` when the native backend is

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
 from math import inf
 
 from repro.constants import (
@@ -36,6 +37,7 @@ from repro.constants import (
     OFD_DEFAULT_WINDOW,
     OFD_OVERUSE_FACTOR,
 )
+from repro.crypto import native
 from repro.obs.events import OFD_FLAGGED
 
 
@@ -64,9 +66,13 @@ class OveruseFlowDetector:
         self.depth = depth
         self.window = window
         self.overuse_factor = overuse_factor
-        self._counts = None  # flat rows, r at [r*width, (r+1)*width); made by _roll
+        # Flat rows of doubles, r at [r*width, (r+1)*width), and the native
+        # kernel's view of that buffer; both made by _roll.
+        self._counts = self._view = None
+        self._backend = backend = native.backend()
+        self._add = None if backend is None else backend.lib.colibri_sketch_add
         self._words = struct.Struct(f">{depth}I")
-        self._window_start = 0.0
+        self._window_start = -inf  # so the first packet opens the first window
         self._suspects: set = set()
         # Cumulative per-flow observations while flagged; survives window
         # rolls (evidence wants the whole history, not one window's).
@@ -76,7 +82,9 @@ class OveruseFlowDetector:
 
     def _roll(self, now: float) -> None:
         """Start a new measurement window on fresh, all-zero rows."""
-        self._counts = [0.0] * (self.width * self.depth)
+        self._counts = counts = array("d", bytes(8 * self.width * self.depth))
+        if self._backend is not None:  # re-bound: the old view pins the old rows
+            self._view = self._backend.ffi.from_buffer("double[]", counts)
         self._suspects.clear()
         self._window_start = now
 
@@ -86,7 +94,9 @@ class OveruseFlowDetector:
         big-endian 32-bit word of the label's BLAKE2b digest."""
         words, width = self._words, self.width
         digest = hashlib.blake2b(flow_label, digest_size=words.size).digest()
-        return tuple(row * width + word % width for row, word in enumerate(words.unpack(digest)))
+        cells = tuple(row * width + word % width for row, word in enumerate(words.unpack(digest)))
+        # As the kernel takes them, still iterable: a memoized set is never converted.
+        return cells if self._backend is None else self._backend.ffi.new("uint32_t[]", cells)
 
     def observe(
         self, flow_label: bytes, packet_size: int, bandwidth: float, now: float, cells=None
@@ -98,8 +108,8 @@ class OveruseFlowDetector:
         Normalization makes one detector serve every bandwidth class.
         ``cells``: this detector's :meth:`cells_for` of the label, if kept.
         """
-        if now - self._window_start >= self.window or self._counts is None:
-            self._roll(now)  # also the first packet: it opens the first window
+        if now - self._window_start >= self.window:
+            self._roll(now)
         self.packets_seen += 1
         if bandwidth <= 0:
             # A packet on a zero-bandwidth (fully expired) reservation is
@@ -107,12 +117,19 @@ class OveruseFlowDetector:
             self._flag(flow_label, now)
             return True
         normalized = (packet_size * 8) / bandwidth  # seconds of budget
-        counts = self._counts
-        estimate = inf
-        for cell in cells or self.cells_for(flow_label):
-            counts[cell] = count = counts[cell] + normalized
-            if count < estimate:
-                estimate = count
+        cells = cells or self.cells_for(flow_label)
+        view = self._view
+        if view is not None:
+            estimate = self._add(view, len(view), cells, len(cells), normalized)
+            if estimate != estimate:  # NaN: refused, nothing written
+                raise IndexError(f"sketch cell outside {len(view)} counts: {list(cells)}")
+        else:
+            counts = self._counts
+            estimate = inf
+            for cell in cells:
+                counts[cell] = count = counts[cell] + normalized
+                if count < estimate:
+                    estimate = count
         if flow_label in self._suspects:
             self._hits[flow_label] = self._hits.get(flow_label, 0) + 1
             return False  # already flagged in this window
