@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint flow bench e2e-smoke native-asan examples quick clean
+.PHONY: install test lint flow bench e2e-smoke native-asan reproduce examples quick clean
 
 install:
 	$(PYTHON) -m pip install -e '.[test]'
@@ -24,8 +24,13 @@ lint:
 flow:
 	$(PYTHON) -m colibri_flow src/repro
 
+# The one measurement command: every paper figure as a table plus shape
+# predicates (benchmarks/figures.py), EXPERIMENTS.md and
+# REPRODUCTION_REPORT.md rewritten from the rows, non-zero exit on a
+# violated predicate.  `$(PYTHON) tools/make_report.py --quick` is the
+# reduced sweep CI runs.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) tools/make_report.py
 
 # The BENCHMARK.json benchmark's own smoke test (~20 s).  It lives outside
 # the tier-1 testpaths and brings its own imports, hence --noconftest.
@@ -41,10 +46,9 @@ e2e-smoke:
 native-asan:
 	PYTHONPATH=src $(PYTHON) tools/native_asan.py
 
-# Everything the paper reports, captured to the repo root.
+# Everything the paper reports: the tests, then the one command.
 reproduce:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 	$(PYTHON) tools/make_report.py
 
 examples:

@@ -24,7 +24,7 @@ arrivals pick up at their next renewal.  SegRs renew every ~5 minutes
 Everything is O(1) in the number of existing SegRs: the aggregates come
 from the memoized :class:`~repro.reservation.index.InterfacePairIndex`.
 A ``memoize=False`` mode recomputes the aggregates from scratch on every
-request, reproducing the naive O(n) behaviour for the ablation bench.
+request, the naive O(n) behaviour Fig. 3's mutant build measures.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Drives the three congestion vectors against a victim link —
 
 — and reports whether a benign reservation's traffic kept flowing.
 :class:`VolumetricAttack` is the scenario driver behind both the §5
-security tests and the Table 2 bench.
+security tests and the §5 figure of ``benchmarks/figures.py``.
 """
 
 from __future__ import annotations

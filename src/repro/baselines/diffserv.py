@@ -8,7 +8,7 @@ entities on the path" — and, crucially, nothing authenticates the
 marking: any sender can claim the highest class.
 
 :class:`DiffServRouter` honours DSCP markings with weighted queues and
-no admission control.  Tests and the baseline bench show the predictable
+no admission control.  Tests and the baseline figure show the predictable
 failure: an adversary marking its flood as EF takes the premium class
 down with it, which Colibri's authenticated, admission-controlled
 reservations prevent.

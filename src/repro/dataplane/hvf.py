@@ -131,9 +131,9 @@ def backend_name() -> str:
     """Which Eq. (6) implementation the data plane is running on.
 
     ``"native"`` when the cffi BLAKE2s kernel loaded, ``"python"``
-    otherwise.  Benchmarks record this in their config rows so
-    ``tools/bench_regress.py`` never compares throughput across
-    backends.
+    otherwise.  ``benchmarks/e2e`` stores it with every result and
+    ``tools/make_report.py`` prints it, so throughput is never compared
+    across backends unknowingly.
     """
     return "native" if native.available() else "python"
 
@@ -201,31 +201,6 @@ def stamp_hvfs_batch(states, messages, length: int = L_HVF) -> list:
             tags.append(clone.digest()[:length])
         append(join(tags))
     return out
-
-
-@profiled("hvf.verify_hvfs_batch")
-def verify_hvfs_batch(states, messages, tags, length: int = L_HVF) -> list:
-    """Burst verification: one verdict per (state, message, tag) triple.
-
-    The router-side counterpart of :func:`stamp_hvfs_batch` for σ-cache
-    hits: ``states[i]`` authenticates packet ``i`` (each packet has its
-    own reservation's σ, unlike the gateway which stamps many hops of
-    one reservation).  Entries may mix native
-    :class:`~repro.crypto.native.ScheduleBlock` objects and prehashed
-    hashlib states; comparison is constant-time either way.
-    """
-    verdicts = []
-    append = verdicts.append
-    schedule_type = native.ScheduleBlock
-    for state, message, tag in zip(states, messages, tags):
-        if type(state) is schedule_type:
-            expected = state.stamp_flat(message)  # a one-key block: its one tag
-        else:
-            clone = state.copy()
-            clone.update(message)
-            expected = clone.digest()
-        append(constant_time_equal(expected[: len(tag)], tag))
-    return verdicts
 
 
 class ColibriKeys:

@@ -12,7 +12,7 @@ bandwidth is wasted".
 :class:`PriorityScheduler` models one output port: per-class drop-tail
 FIFO queues and a drain operation that serves one time slice in strict
 priority order (control > Colibri data > best-effort).  The Table 2
-bench drives three input mixes through it and reads the per-class output
+figure drives three input mixes through it and reads the per-class output
 rates.
 """
 

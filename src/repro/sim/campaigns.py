@@ -7,7 +7,7 @@ CAIDA-like topology at one of three scales:
   budget suite in ``tests/load`` / ``tests/stress`` runs these;
 * ``default`` — hundreds of ASes, the local-dev soak shape;
 * ``full`` — thousands of ASes and ≥10⁵ EER arrivals, the
-  EXPERIMENTS.md record produced by ``benchmarks/test_campaign_scale``.
+  internet-scale run of ``tools/run_campaigns.py --scale full``.
 
 Endpoints are chosen deterministically from the topology's stub ASes,
 round-robined across ISDs so every campaign exercises inter-ISD paths.

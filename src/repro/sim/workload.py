@@ -5,7 +5,7 @@ admission (§6.1); a deployed CServ instead sees a continuous arrival
 process.  :class:`EerWorkload` models it: Poisson EER arrivals with
 exponential holding times and a configurable bandwidth distribution,
 driven over a :class:`~repro.sim.events.EventLoop`.  Used by the soak
-test and the churn bench to exercise setup / renewal / expiry /
+test and the campaigns to exercise setup / renewal / expiry /
 housekeeping concurrently over long simulated horizons.
 """
 

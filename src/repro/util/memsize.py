@@ -6,8 +6,8 @@ the same primitive: the total heap reachable from a component, not just
 id-deduplicated, so shared payloads are charged to whoever is reached
 first and never double-counted.
 
-Used by ``benchmarks/test_memory_footprint.py`` and the campaign
-runner's per-phase ``memory_footprint`` rows.
+Used by the state figure of ``benchmarks/figures.py``, the e2e probes
+and the campaign runner's per-phase ``memory_footprint`` rows.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import pytest
 
+from benchmarks import figures
 from repro.attacks import DocAttack, ReplayAttack, SpoofingAttack, VolumetricAttack
 from repro.sim import ColibriNetwork
 from repro.topology import IsdAs, build_two_isd_topology
@@ -189,3 +190,10 @@ class TestUnauthenticControlFlood:
         assert rejected == 50
         # No admission work was spent on the forgeries.
         assert transit.seg_admission.decisions == decisions_before
+
+
+def test_the_security_figure_holds_and_its_mutants_are_caught():
+    """The §5 table ``tools/make_report.py`` prints: the four adversaries
+    over the whole path, unbroken and with a defence switched off."""
+    entry = next(entry for entry in figures.REGISTRY if entry.key == "security")
+    assert figures.self_test(entry) == []

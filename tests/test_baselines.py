@@ -3,6 +3,7 @@ failure modes (the reasons Colibri exists, §1)."""
 
 import pytest
 
+from benchmarks import figures
 from repro.baselines import (
     DiffServRouter,
     DscpClass,
@@ -18,19 +19,32 @@ BASE = 0xFF00_0000_0000
 PATH = [IsdAs(1, BASE + i) for i in range(1, 5)]
 
 
+@pytest.fixture(scope="module")
+def comparison():
+    """The state/baseline figure ``tools/make_report.py`` runs."""
+    return figures.baselines("quick")
+
+
+def verdicts(figure, prefix: str) -> list:
+    found = [p.verdict for p in figure.shape if p.name.startswith(prefix)]
+    assert found, prefix
+    return found
+
+
 class TestIntServ:
     def test_reservation_installs_state_everywhere(self):
         net = IntServNetwork(PATH, capacity=gbps(1))
         net.reserve(PATH[0], PATH[-1], mbps(10))
         assert net.total_state() == len(PATH)
 
-    def test_per_flow_state_grows_linearly(self):
-        """The scalability failure: router state = number of flows."""
-        net = IntServNetwork(PATH, capacity=gbps(10))
-        for _ in range(500):
-            net.reserve(PATH[0], PATH[-1], mbps(1))
-        for router in net.routers.values():
-            assert router.state_size == 500
+    def test_per_flow_state_grows_linearly(self, comparison):
+        """The scalability failure: router state = number of flows, in
+        entries and in heap; the Colibri border router's heap is flat."""
+        assert set(verdicts(comparison, "IntServ keeps one entry per flow")) == {figures.OK}
+        assert verdicts(comparison, "IntServ router heap grows") == [figures.OK]
+        assert verdicts(comparison, "border-router heap flat") == [figures.OK]
+        mutant = figures.baselines("quick", build=figures.remembering_router)
+        assert mutant.violated() == ["border-router heap flat in flows"]
 
     def test_admission_enforced(self):
         net = IntServNetwork(PATH, capacity=mbps(100))
@@ -59,15 +73,10 @@ class TestIntServ:
             router.refresh_sweep(now=RSVP_STATE_LIFETIME + 1)
         assert net.total_state() == 0
 
-    def test_refresh_work_scales_with_flows(self):
+    def test_refresh_work_scales_with_flows(self, comparison):
         """Control-plane cost: every refresh period touches every flow at
         every router — contrast with Colibri's O(1) admission."""
-        net = IntServNetwork(PATH, capacity=gbps(10))
-        for _ in range(100):
-            net.reserve(PATH[0], PATH[-1], mbps(1))
-        router = net.routers[PATH[0]]
-        router.refresh_sweep(now=1.0)
-        assert router.refresh_work == 100
+        assert set(verdicts(comparison, "an RSVP refresh period touches")) == {figures.OK}
 
     def test_unauthenticated_teardown_kills_victim(self):
         """The security failure: 'an adversary can spoof protocol
@@ -104,22 +113,13 @@ class TestDiffServ:
         victim_rate = router.flow_rate(DscpClass.EF, "victim", 1.0)
         assert victim_rate < 8000.0  # no guaranteed share
 
-    def test_adversarial_marking_destroys_premium_class(self):
+    def test_adversarial_marking_destroys_premium_class(self, comparison):
         """The headline failure: an attacker marks its flood EF and the
         victim's premium traffic collapses.  Colibri's authenticated,
-        admission-controlled EERs make this impossible (test_attacks)."""
-        router = DiffServRouter(capacity=80_000.0, queue_bytes=20_000)
-        duration = 1.0
-        ticks = 100
-        for _ in range(ticks):
-            # victim offers 40 kbps worth; attacker floods 10x in EF
-            router.enqueue("victim", 50, DscpClass.EF)
-            for _ in range(10):
-                router.enqueue("attacker", 500, DscpClass.EF)
-            router.drain(duration / ticks)
-        victim_rate = router.flow_rate(DscpClass.EF, "victim", duration)
-        offered = 50 * ticks * 8 / duration
-        assert victim_rate < offered * 0.9  # the victim lost traffic
+        admission-controlled EERs make this impossible: the conforming
+        reservation of Table 2 phase 3 keeps its guarantee."""
+        assert verdicts(comparison, "a DiffServ victim loses premium traffic") == [figures.OK]
+        assert verdicts(comparison, "the Colibri victim of the same flood") == [figures.OK]
 
     def test_queue_overflow_drops(self):
         router = DiffServRouter(capacity=8.0, queue_bytes=1000)

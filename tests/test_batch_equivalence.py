@@ -767,24 +767,6 @@ class TestNativeBatchIdentity:
         python_rows = stamp_hvfs_batch(sigma_states(sigmas), messages)
         assert native_rows == python_rows
 
-    def test_verify_hvfs_batch_mixed_states(self):
-        from repro.crypto.prf import prf_context
-        from repro.dataplane.hvf import sigma_schedule, stamp_hvfs_batch, verify_hvfs_batch
-
-        sigmas = self._sigmas(6, seed=4)
-        messages = [bytes([seq]) * 12 for seq in range(6)]
-        tags = [
-            stamp_hvfs_batch(sigma_schedule((sigma,)), [message])[0]
-            for sigma, message in zip(sigmas, messages)
-        ]
-        tags[2] = b"\x00" * L_HVF  # forged
-        states = [
-            sigma_schedule((sigma,)) if index % 2 == 0 else prf_context(sigma)
-            for index, sigma in enumerate(sigmas)
-        ]
-        verdicts = verify_hvfs_batch(states, messages, tags)
-        assert verdicts == [True, True, False, True, True, True]
-
     def test_burst_stamper_scatter_equals_per_packet(self):
         """The scatter plan (mixed hop counts, interleaved output rows)
         produces exactly what per-packet stamp_flat calls produce."""

@@ -2,23 +2,18 @@
 
 import pytest
 
+from benchmarks import figures
 from repro.dataplane.queueing import TrafficClass
-from repro.sim import ColibriNetwork
-from repro.sim.pipeline import HopPort, PathPipeline
-from repro.topology import IsdAs, build_two_isd_topology
-from repro.util.units import gbps, mbps
-
-BASE = 0xFF00_0000_0000
-SRC = IsdAs(1, BASE + 101)
-DST = IsdAs(2, BASE + 101)
+from repro.sim.pipeline import HopPort
+from repro.util.units import mbps
 
 
 @pytest.fixture
 def pipeline():
-    net = ColibriNetwork(build_two_isd_topology())
-    net.reserve_segments(SRC, DST, gbps(1))
-    handle = net.establish_eer(SRC, DST, mbps(10))
-    return net, PathPipeline(net, handle, capacity=mbps(100), propagation=0.001)
+    """The §9 figure's own stack: a 10 Mbps EER over the 6-AS path,
+    100 Mbps ports, 1 ms propagation per hop."""
+    path = figures.latency_pipeline()
+    return path.network, path
 
 
 class TestHopPort:
@@ -58,18 +53,14 @@ class TestPathPipeline:
         assert report.latency == pytest.approx(0.006, rel=0.2)
         assert len(report.per_hop) == 6
 
-    def test_reserved_latency_immune_to_congestion(self, pipeline):
+    def test_reserved_latency_immune_to_congestion(self):
         """The §9 claim: reservations keep low latency under congestion
-        that ruins best-effort latency on the same ports."""
-        net, path = pipeline
-        baseline = path.send(b"x" * 500).latency
-        path.load_cross_traffic(rate=mbps(500), duration=1.0)  # heavy flood
-        reserved = path.send(b"x" * 500).latency
-        best_effort = path.send(
-            b"x" * 500, traffic_class=TrafficClass.BEST_EFFORT
-        ).latency
-        assert reserved == pytest.approx(baseline, rel=0.25)
-        assert best_effort > reserved * 20
+        that ruins best-effort latency on the same ports — and with strict
+        priority off they do not."""
+        figure = figures.latency("quick")
+        assert {p.verdict for p in figure.shape} == {figures.OK}
+        mutant = figures.latency("quick", build=figures.fifo_pipeline)
+        assert "reserved latency flat in cross load" in mutant.violated()
 
     def test_congestion_at_one_hop_only(self, pipeline):
         net, path = pipeline
@@ -91,7 +82,7 @@ class TestPathPipeline:
     def test_dropped_packet_reports_location(self, pipeline):
         net, path = pipeline
         victim = path.handle.hops[2].isd_as
-        net.router(victim).blocklist.block(SRC)
+        net.router(victim).blocklist.block(path.handle.hops[0].isd_as)
         report = path.send(b"blocked")
         assert not report.delivered
         assert report.dropped_at == victim

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Lines of code per layer (ROADMAP aim 2: growth needs a reason).
 
-Prints ``wc -l`` of every ``src/repro/<package>`` and of the files (and
-one file group) the roadmap watches individually, as the markdown table DESIGN.md §3b
+Prints ``wc -l`` of every ``src/repro/<package>``, of the files (and
+one file group) the roadmap watches individually and of the figure
+registry under ``benchmarks/`` (outside ``e2e/``), as the markdown table DESIGN.md §3b
 carries between its ``loc-ledger`` markers.  ``--check`` exits non-zero
 when that table differs from a fresh count, so a PR that grows (or
 shrinks) a layer has to restate the ledger in the same diff — paste
@@ -39,6 +40,8 @@ WATCHED = (
 )
 
 TOTAL = "**`src/repro` total**"
+#: The paper-figure registry and its self-test: ``benchmarks/*.py``.
+FIGURES = "`benchmarks/` outside `e2e/`"
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
@@ -48,6 +51,7 @@ BUDGETS = {
     "`dataplane/{duplicate,ofd,sigma_cache}.py`": 535,
     "`dataplane/shards.py` + `obs/distributed.py`": 600,
     "`sim/campaign.py`": 810,
+    FIGURES: 1_200,
 }
 
 
@@ -67,7 +71,7 @@ def watched_lines(name: str) -> int:
 
 def ledger_rows() -> list:
     """``(label, lines)`` per package, then the total, then the watched
-    files."""
+    files, then the figure registry."""
     rows = []
     top_level = 0
     for entry in sorted(PACKAGE_ROOT.iterdir()):
@@ -80,6 +84,8 @@ def ledger_rows() -> list:
     rows.append(("top-level modules", top_level))
     rows.append((TOTAL, sum(lines for _, lines in rows)))
     rows.extend((f"`{name}`", watched_lines(name)) for name in WATCHED)
+    figures = sorted((ROOT / "benchmarks").glob("*.py"))
+    rows.append((FIGURES, sum(count_lines(path) for path in figures)))
     return rows
 
 

@@ -91,7 +91,7 @@ def make_batches(ids, rng, count, batch=BATCH):
 def timed_pps(send_one, gateway, batches, duration):
     """Sustained throughput of ``send_one(requests)`` cycling over the
     pregenerated bursts, one virtual microsecond per burst (Ts
-    uniqueness; see benchmarks/test_fig5_gateway.py)."""
+    uniqueness; see ``_burst_op`` in benchmarks/figures.py)."""
     send_one(batches[0])  # warm up
     advance = gateway.clock.advance
     count = len(batches)
