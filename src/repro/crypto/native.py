@@ -1,5 +1,5 @@
 """Optional cffi-native kernel: keyed BLAKE2s for Eq. (6) stamping and
-verification, and the border router's two policing-table primitives.
+verification, and the border router's policing body for one packet-hop.
 
 The paper's DPDK prototype reaches line rate because AES-NI computes a
 per-packet MAC in tens of cycles; our pure-Python data plane pays three
@@ -11,13 +11,14 @@ packet (``colibri_stamp_t``: all hops in one call), a whole
 single-reservation burst (``colibri_stamp_many_t``), or a whole *mixed*
 burst (``colibri_stamp_scatter_t``: per-packet schedules, messages and
 output offsets, one call — see :class:`BurstStamper`).  The router side
-gets three leaf calls per packet-hop: ``colibri_verify`` (the σ-cache
-entry's Eq. (6) check), ``colibri_bloom_check`` (the duplicate filter's
-test-and-set on that MAC) and ``colibri_sketch_add`` (the overuse
-detector's count-min update).  The last two work on caller-owned buffers
-— a ``bytearray`` pair, an ``array('d')`` — that Python reads and
-replaces as before; both refuse, without writing, an index outside the
-buffer they were handed.
+crosses once per packet-hop: ``colibri_hop`` runs §4.6 steps 3–5 — the
+σ-cache entry's Eq. (6) check, the duplicate filter's test-and-set on
+that MAC, the overuse detector's count-min update — on the router's own
+tables, found through a ``colibri_police_t`` that :class:`HopPolicer`
+keeps pointed at them.  The tables stay caller-owned buffers — a
+``bytearray`` pair, an ``array('d')`` — that Python reads and replaces as
+before, and a geometry that does not fit them is refused before anything
+is written.  (``colibri_verify`` alone serves the validate-only paths.)
 
 Byte-identity is the admission contract (docs/performance.md): for every
 key and message,
@@ -50,16 +51,32 @@ from typing import Optional
 
 from repro.constants import L_HVF, MAC_LENGTH
 
-_CDEF = """
+#: One router's policing tables as ``colibri_hop`` sees them; shared by the
+#: cffi declarations and the C source.
+_POLICE_T = """
+typedef struct {
+    uint8_t *current;         /* duplicate filter taking insertions */
+    const uint8_t *previous;  /* the window before: consulted only */
+    size_t nbytes;            /* what each filter buffer holds */
+    uint64_t bits;
+    size_t hashes;
+    double *counts;           /* sketch rows, flat */
+    size_t ncounts;
+    double threshold;         /* an estimate above it is overuse */
+    double estimate;          /* out: the flow's count-min estimate */
+    uint8_t mac[16];          /* out: the untruncated Eq. (6) MAC */
+} colibri_police_t;
+"""
+
+_CDEF = _POLICE_T + """
 void colibri_b2s_key_schedule(const uint8_t *key, size_t keylen,
                               size_t outlen, uint32_t *h_out);
 int colibri_verify(const uint8_t *sched, const uint8_t *msg, size_t msglen,
                    const uint8_t *tag, size_t tag_len, uint8_t *mac_out);
-int colibri_bloom_check(uint8_t *current, const uint8_t *previous,
-                        size_t nbytes, uint64_t bits, size_t hashes,
-                        const uint8_t *mac, size_t maclen);
-double colibri_sketch_add(double *counts, size_t ncounts,
-                          const uint32_t *cells, size_t ncells, double amount);
+int colibri_hop(colibri_police_t *police, const uint8_t *sched,
+                const uint8_t *msg, size_t msglen,
+                const uint8_t *tag, size_t tag_len,
+                const uint32_t *cells, size_t ncells, double amount);
 void colibri_b2s_transpose(const uint32_t *scheds, size_t nscheds,
                            uint32_t *out);
 void colibri_stamp_t(const uint32_t *scheds_t, size_t nscheds,
@@ -78,7 +95,7 @@ void colibri_stamp_scatter_t(uint32_t * const *scheds_t,
 _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
-
+""" + _POLICE_T + r"""
 static const uint32_t B2S_IV[8] = {
     0x6A09E667UL, 0xBB67AE85UL, 0x3C6EF372UL, 0xA54FF53AUL,
     0x510E527FUL, 0x9B05688CUL, 0x1F83D9ABUL, 0x5BE0CD19UL
@@ -486,18 +503,13 @@ static uint64_t be64(const uint8_t *p)
 /* Rotating-Bloom test-and-set on a 16-byte MAC: bit i is (h1 + i*h2) mod
    bits over its two big-endian halves, both reduced first so the running
    sum never wraps.  1 = fresh and now recorded in `current`, 0 = seen (in
-   `previous`, or every bit already set), -1 = not a MAC or `bits` does
-   not fit the nbytes both filters hold: nothing read, nothing written. */
-int colibri_bloom_check(uint8_t *current, const uint8_t *previous,
-                        size_t nbytes, uint64_t bits, size_t hashes,
-                        const uint8_t *mac, size_t maclen)
+   `previous`, or every bit already set).  colibri_hop checked the geometry. */
+static int colibri_bloom_check(uint8_t *current, const uint8_t *previous,
+                               uint64_t bits, size_t hashes, const uint8_t *mac)
 {
-    uint64_t first, step, bit;
+    uint64_t first = be64(mac) % bits, step = be64(mac + 8) % bits, bit;
     size_t i;
     int fresh = 0;
-    if (maclen != 16 || bits == 0 || (bits - 1) / 8 >= nbytes) return -1;
-    first = be64(mac) % bits;
-    step = be64(mac + 8) % bits;
     for (i = 0, bit = first; i < hashes; i++) {
         if (!(previous[bit >> 3] & (1 << (bit & 7)))) break;
         bit = bit + step < bits ? bit + step : bit + step - bits;
@@ -514,20 +526,40 @@ int colibri_bloom_check(uint8_t *current, const uint8_t *previous,
 }
 
 /* Count-min add: `amount` onto each of the flow's cells, returning the
-   smallest new count (+inf for no cells); NaN, with nothing written, when
-   a cell lies outside counts[0..ncounts). */
-double colibri_sketch_add(double *counts, size_t ncounts,
-                          const uint32_t *cells, size_t ncells, double amount)
+   smallest new count (+inf for no cells). */
+static double colibri_sketch_add(double *counts, const uint32_t *cells,
+                                 size_t ncells, double amount)
 {
     double estimate = __builtin_inf(), count;
     size_t i;
-    for (i = 0; i < ncells; i++)
-        if (cells[i] >= ncounts) return __builtin_nan("");
     for (i = 0; i < ncells; i++) {
         count = counts[cells[i]] += amount;
         if (count < estimate) estimate = count;
     }
     return estimate;
+}
+
+/* One packet-hop, §4.6 steps 3-5 in order: Eq. (6) verify under the flow's
+   schedule, duplicate test-and-set on the untruncated MAC, count-min add.
+   -1 = refused, nothing written: `bits` does not fit the nbytes both
+   filters hold, or a cell lies outside counts[0..ncounts); 0 = bad HVF;
+   1 = duplicate; 2 = policed; 3 = policed and the estimate is over the
+   threshold. */
+int colibri_hop(colibri_police_t *police, const uint8_t *sched,
+                const uint8_t *msg, size_t msglen,
+                const uint8_t *tag, size_t tag_len,
+                const uint32_t *cells, size_t ncells, double amount)
+{
+    size_t i;
+    if (police->bits == 0 || (police->bits - 1) / 8 >= police->nbytes) return -1;
+    for (i = 0; i < ncells; i++)
+        if (cells[i] >= police->ncounts) return -1;
+    if (!colibri_verify(sched, msg, msglen, tag, tag_len, police->mac)) return 0;
+    if (!colibri_bloom_check(police->current, police->previous, police->bits,
+                             police->hashes, police->mac))
+        return 1;
+    police->estimate = colibri_sketch_add(police->counts, cells, ncells, amount);
+    return police->estimate > police->threshold ? 3 : 2;
 }
 """
 
@@ -805,3 +837,52 @@ class BurstStamper:
             self.tag_len,
         )
         return self._ffi.buffer(self._out, size)[:]
+
+
+class HopPolicer:
+    """One router's ``colibri_police_t``, kept pointed at its live tables.
+
+    :meth:`bind` answers the router's per-burst question "may ``colibri_hop``
+    run at ``now``?" with the struct — re-pointed at whichever buffers the
+    duplicate filter and the sketch hold *now* (a rotation, a window roll or
+    a ``clear`` replaces them), geometry and threshold read afresh — or with
+    ``None`` while a rotation or a roll is due: that packet takes the Python
+    bodies, which rotate or roll exactly when they always did (on the first
+    packet that authenticates), so the kernel needs no rotation rule of its
+    own.  The pinned views keep every buffer the struct names alive.  Call
+    as ``hop(state, schedule, message, len(message), tag, len(tag), cells,
+    len(cells), amount)``; a duplicate's MAC is then ``mac[:]``.  Not
+    thread-safe: one router, one burst at a time.
+    """
+
+    __slots__ = ("hop", "state", "mac", "_ffi", "_bound", "_pins")
+
+    def __init__(self, backend: NativeBackend):
+        self._ffi = backend.ffi
+        self.hop = backend.lib.colibri_hop
+        self.state = backend.ffi.new("colibri_police_t *")
+        self.mac = backend.ffi.buffer(self.state.mac)
+        self._bound = self._pins = ()
+
+    def bind(self, duplicates, ofd, now: float):
+        rotation_due = now - duplicates._rotated_at >= duplicates.window
+        if rotation_due or now - ofd._window_start >= ofd.window:
+            return None
+        current = duplicates._current
+        bound = (
+            id(current._array), id(duplicates._previous._array), id(ofd._counts),
+            current.bits, current.hashes, ofd.window * ofd.overuse_factor,
+        )
+        state = self.state
+        if bound != self._bound:  # pinned, so an id() names one live buffer
+            from_buffer = self._ffi.from_buffer
+            self._pins = pins = (
+                from_buffer("uint8_t[]", current._array),
+                from_buffer("uint8_t[]", duplicates._previous._array),
+                from_buffer("double[]", ofd._counts),
+            )
+            state.current, state.previous, state.counts = pins
+            state.nbytes, state.ncounts = min(len(pins[0]), len(pins[1])), len(pins[2])
+            state.bits, state.hashes, state.threshold = bound[3:]
+            self._bound = bound
+        return state

@@ -19,8 +19,9 @@ makes Ts "uniquely identif[y] the packet for the particular source" —
 pseudorandom, and unpredictable without σ, so collisions cannot be aimed
 at the filter.  No second hash: bit ``i`` of a packet is ``(h1 + i·h2)
 mod bits`` over the MAC's two big-endian 64-bit halves (double hashing,
-any k).  A packet costs one pass over its k bits (one C call on the two
-buffers when :mod:`repro.crypto.native` is loaded); a rotation a new buffer.
+any k).  A packet costs one pass over its k bits — here, or with
+:mod:`repro.crypto.native` loaded inside ``colibri_hop`` on these very
+buffers, this body then being the oracle; a rotation a new buffer.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import math
 import struct
 
 from repro.constants import DUPLICATE_WINDOW
-from repro.crypto import native
 from repro.obs.events import DUPLICATE_SUPPRESSED
 from repro.util.clock import Clock
 
@@ -39,16 +39,14 @@ _HALVES = struct.Struct(">QQ").unpack  # raises unless given the 16 bytes of a M
 class _BloomFilter:
     """A k-position Bloom filter over a bit array."""
 
-    def __init__(self, bits: int, hashes: int, backend=None):
-        self.bits, self.hashes, self._backend = bits, hashes, backend
+    def __init__(self, bits: int, hashes: int):
+        self.bits, self.hashes = bits, hashes
         self.clear()
 
     def clear(self) -> None:
         # A fresh zeroed buffer: wiping 128 KiB byte by byte took ~6 ms.  The
-        # kernel's view moves with it, or the old buffer would go on being written.
-        self._array = array = bytearray((self.bits + 7) // 8)
-        backend = self._backend
-        self._view = None if backend is None else backend.ffi.from_buffer("uint8_t[]", array)
+        # kernel's struct follows it at the next burst (native.HopPolicer.bind).
+        self._array = bytearray((self.bits + 7) // 8)
         self.insertions = 0
 
 
@@ -79,10 +77,8 @@ class DuplicateSuppressor:
         if bits <= 0 or hashes <= 0:
             raise ValueError(f"filter geometry must be positive: {bits} bits, {hashes} hashes")
         self.window = window
-        backend = native.backend()
-        self._test_and_set = None if backend is None else backend.lib.colibri_bloom_check
-        self._current = _BloomFilter(bits, hashes, backend)
-        self._previous = _BloomFilter(bits, hashes, backend)
+        self._current = _BloomFilter(bits, hashes)
+        self._previous = _BloomFilter(bits, hashes)
         self._rounds = range(hashes)
         self._rotated_at = clock.now()
         self.duplicates_caught = 0
@@ -103,36 +99,26 @@ class DuplicateSuppressor:
         if now - self._rotated_at >= self.window:
             self._rotate(now)
         current = self._current
-        view = current._view
-        if view is not None:
-            fresh = self._test_and_set(
-                view, self._previous._view, len(view), current.bits, current.hashes,
-                identifier, len(identifier),
-            )
-            if fresh < 0:  # refused: not a MAC, or bits beyond the buffer
-                _HALVES(identifier)
-                raise IndexError(f"{current.bits} filter bits do not fit {len(view)} bytes")
+        first, step = _HALVES(identifier)
+        array, bits, rounds = current._array, current.bits, self._rounds
+        previous, position = self._previous._array, first
+        for _ in rounds:
+            bit = position % bits
+            if not previous[bit >> 3] & (1 << (bit & 7)):
+                break
+            position += step
         else:
-            first, step = _HALVES(identifier)
-            array, bits, rounds = current._array, current.bits, self._rounds
-            previous, position = self._previous._array, first
-            for _ in rounds:
-                bit = position % bits
-                if not previous[bit >> 3] & (1 << (bit & 7)):
-                    break
-                position += step
-            else:
-                return self._caught(identifier)  # seen in the previous window
-            # One test-and-set pass; fresh if any bit was still clear.
-            fresh = False
-            for _ in rounds:
-                bit = first % bits
-                index, mask = bit >> 3, 1 << (bit & 7)
-                byte = array[index]
-                if not byte & mask:
-                    array[index] = byte | mask
-                    fresh = True
-                first += step
+            return self._caught(identifier)  # seen in the previous window
+        # One test-and-set pass; fresh if any bit was still clear.
+        fresh = False
+        for _ in rounds:
+            bit = first % bits
+            index, mask = bit >> 3, 1 << (bit & 7)
+            byte = array[index]
+            if not byte & mask:
+                array[index] = byte | mask
+                fresh = True
+            first += step
         if not fresh:
             return self._caught(identifier)
         current.insertions += 1

@@ -66,11 +66,10 @@ class OveruseFlowDetector:
         self.depth = depth
         self.window = window
         self.overuse_factor = overuse_factor
-        # Flat rows of doubles, r at [r*width, (r+1)*width), and the native
-        # kernel's view of that buffer; both made by _roll.
-        self._counts = self._view = None
-        self._backend = backend = native.backend()
-        self._add = None if backend is None else backend.lib.colibri_sketch_add
+        # Flat rows of doubles, r at [r*width, (r+1)*width), made by _roll;
+        # with the kernel loaded, colibri_hop adds into this same buffer.
+        self._counts = None
+        self._backend = native.backend()
         self._words = struct.Struct(f">{depth}I")
         self._window_start = -inf  # so the first packet opens the first window
         self._suspects: set = set()
@@ -82,9 +81,7 @@ class OveruseFlowDetector:
 
     def _roll(self, now: float) -> None:
         """Start a new measurement window on fresh, all-zero rows."""
-        self._counts = counts = array("d", bytes(8 * self.width * self.depth))
-        if self._backend is not None:  # re-bound: the old view pins the old rows
-            self._view = self._backend.ffi.from_buffer("double[]", counts)
+        self._counts = array("d", bytes(8 * self.width * self.depth))
         self._suspects.clear()
         self._window_start = now
 
@@ -118,25 +115,23 @@ class OveruseFlowDetector:
             return True
         normalized = (packet_size * 8) / bandwidth  # seconds of budget
         cells = cells or self.cells_for(flow_label)
-        view = self._view
-        if view is not None:
-            estimate = self._add(view, len(view), cells, len(cells), normalized)
-            if estimate != estimate:  # NaN: refused, nothing written
-                raise IndexError(f"sketch cell outside {len(view)} counts: {list(cells)}")
-        else:
-            counts = self._counts
-            estimate = inf
-            for cell in cells:
-                counts[cell] = count = counts[cell] + normalized
-                if count < estimate:
-                    estimate = count
+        counts = self._counts
+        estimate = inf
+        for cell in cells:
+            counts[cell] = count = counts[cell] + normalized
+            if count < estimate:
+                estimate = count
+        return self._judge(flow_label, estimate > self.window * self.overuse_factor, now)
+
+    def _judge(self, flow_label: bytes, over: bool, now: float) -> bool:
+        """After the add, whichever body made it: a flow already flagged in
+        this window collects a hit; otherwise it is flagged iff ``over``."""
         if flow_label in self._suspects:
             self._hits[flow_label] = self._hits.get(flow_label, 0) + 1
-            return False  # already flagged in this window
-        if estimate > self.window * self.overuse_factor:
+            return False
+        if over:
             self._flag(flow_label, now)
-            return True
-        return False
+        return over
 
     def _flag(self, flow_label: bytes, now: float) -> None:
         """A flow crossed the sketch threshold: flag it for deterministic

@@ -29,7 +29,8 @@ packet carries that same input and its HVF matches the MAC under σ;
 anything else falls back to the stateless Eq. (4) recompute, so verdicts
 never depend on cache contents (docs/performance.md §1).  The full MAC
 then names the packet to the duplicate filter (step 4) and the memoized
-cells index the sketch (step 5).
+cells index the sketch (step 5) — with :mod:`repro.crypto.native` loaded,
+steps 3-5 of a packet are one ``colibri_hop`` call on the router's tables.
 
 Every drop reason is an explicit enum member so tests, the simulator,
 and Table 2 accounting can distinguish *why* traffic died.
@@ -49,6 +50,7 @@ from repro.dataplane.hvf import ColibriKeys, eer_hvf_message, hop_authenticator,
 from repro.dataplane.monitor import DeterministicMonitor
 from repro.dataplane.ofd import OveruseFlowDetector
 from repro.dataplane.sigma_cache import SigmaCache, SigmaEntry
+from repro.crypto import native
 from repro.crypto.mac import constant_time_equal
 from repro.obs.events import VERDICT_DROPPED
 from repro.obs.profile import profiled
@@ -65,6 +67,9 @@ _pack_size = struct.Struct("!I").pack  # its PktSize half, after ``Ts.packed``
 _HVF_TAG = struct.Struct(f"!{L_HVF}s")
 _PAIR_WIRE = PathField.WIRE_PAIR
 _SEQ_BITS = Timestamp._SEQ_BITS
+# What steps 3-5 made of an EER packet, as ``colibri_hop`` returns it (less
+# is refused, more is over the threshold), and the drop the first two mean.
+_BAD_HVF, _DUPLICATE, _POLICED = 0, 1, 2
 
 
 class Verdict(enum.Enum):
@@ -99,6 +104,7 @@ for _verdict in Verdict:
         Verdict.DROP_BAD_HVF,
     )
 del _verdict
+_DROPS = (Verdict.DROP_BAD_HVF, Verdict.DROP_DUPLICATE)
 
 
 @dataclass
@@ -146,6 +152,9 @@ class BorderRouter:
         if sigma_cache is None and enable_sigma_cache:
             sigma_cache = SigmaCache()
         self.sigma_cache = sigma_cache
+        #: The kernel's handle on the policing tables, if it is loaded.
+        backend = native.backend()
+        self._policer = backend and native.HopPolicer(backend)
         self.stats = {verdict: 0 for verdict in Verdict}
 
     # -- helpers --------------------------------------------------------------------
@@ -160,9 +169,9 @@ class BorderRouter:
         boundary: try the current epoch's key, then the previous epoch's
         (both derive from local secrets — still zero per-flow state).
 
-        For EER packets this is the check ``_burst`` inlines: a σ-cache
-        entry counts only if bound to this packet's Eq. (4) input (same
-        objects, else equal ones) and its Eq. (6) MAC matches the HVF.
+        For EER packets a σ-cache entry counts, as in ``_burst``, only if
+        bound to this packet's Eq. (4) input (same objects, else equal
+        ones) and its Eq. (6) MAC matches the HVF.
         """
         res_info = packet.res_info
         hop_index = packet.hop_index
@@ -191,30 +200,28 @@ class BorderRouter:
                 ):
                     return True
                 cache.rejected_hints += 1
-        return self._recompute(res_info, eer_info, pair, message, hvf, now)[1] is not None
+        return self._recompute(res_info, eer_info, pair, message, hvf, now) is not None
 
     def _recompute(self, res_info, eer_info, pair, message: bytes, tag: bytes, now: float):
         """The stateless Eq. (4) + (6) check: derive σ from the AS secret
         of the current and then the previous DRKey epoch and compare the
         HVF it implies against ``tag`` in constant time.  Returns the
-        flow's entry and the full MAC, or ``(None, None)``; the entry is
-        cached only now that its σ validated a packet, so forged headers
-        can never plant entries.
+        flow's entry, or ``None``; the entry is cached only now that its σ
+        validated a packet, so forged headers can never plant entries.
         """
         for when in (now, now - DRKEY_VALIDITY):
             if when < 0:
                 continue
             sigma = hop_authenticator(self.keys.hop_key(when), res_info, eer_info, *pair)
             entry = SigmaEntry(sigma, res_info, eer_info, pair)
-            mac = entry.verify(message, tag)
-            if mac is not None:
+            if entry.verify(message, tag) is not None:
                 if self.sigma_cache is not None:
                     epoch = int(when // DRKEY_VALIDITY)
                     self.sigma_cache.store(
                         (res_info.reservation.packed, res_info.version, epoch), entry
                     )
-                return entry, mac
-        return None, None
+                return entry
+        return None
 
     def _finish(self, packet: ColibriPacket, verdict: Verdict) -> RouterResult:
         """Count one drop and, with observability on, journal why."""
@@ -255,106 +262,146 @@ class BorderRouter:
 
     def _burst(self, packets) -> List[RouterResult]:
         """Steps 1-6 for each packet in arrival order; the pipeline's only
-        implementation.  The clock, the header-size memo and the policing
-        entry points (off the instances: tracers shadow them) are read once."""
+        implementation.  Read once per burst: the clock, and with it whether
+        ``colibri_hop`` may run steps 3-5 (``police``; else the Python trio,
+        looked up on the instances: tracers shadow it), and the live blocklist
+        and bucket dicts, which cost no call while empty.  Tallies kept in
+        locals reach their counters even if a packet raises."""
         now = self.clock.now()
         epoch = int(now // DRKEY_VALIDITY)
         cache = self.sigma_cache
-        is_blocked = self.blocklist.is_blocked
-        check_and_insert = self.duplicates.check_and_insert
-        ofd, observe = self.ofd, self.ofd.observe
-        monitor, check = self.monitor, self.monitor.check
+        blocked, is_blocked = self.blocklist._blocked, self.blocklist.is_blocked
+        duplicates, check_and_insert = self.duplicates, self.duplicates.check_and_insert
+        ofd, observe, suspects = self.ofd, self.ofd.observe, self.ofd._suspects
+        monitor, check, buckets = self.monitor, self.monitor.check, self.monitor._buckets
+        policer = self._policer
+        police, hop = policer and policer.bind(duplicates, ofd, now), policer and policer.hop
         header_sizes = ColibriPacket._HEADER_SIZES
         forward, deliver_host = Verdict.FORWARD, Verdict.DELIVER_HOST
-        forwarded = delivered = 0
+        forwarded = delivered = policed = passed = 0
         results = []
         append = results.append
-        for packet in packets:
-            res_info = packet.res_info
-            timestamp = packet.timestamp
-            # 1. Reservation expiry (allow the paper's assumed clock skew).
-            expiry = res_info.expiry
-            if now > expiry + MAX_CLOCK_SKEW:
-                append(self._finish(packet, Verdict.DROP_EXPIRED))
-                continue
-            # 1b. Packet freshness: Ts encodes µs before expiry.
-            created = expiry - timestamp.micros_before_expiry / 1e6
-            if abs(now - created) > FRESHNESS_WINDOW:
-                append(self._finish(packet, Verdict.DROP_STALE))
-                continue
-            # 2. Policing blocklist — cheap, before any crypto.
-            reservation = res_info.reservation
-            if is_blocked(reservation.src_as, now):
-                append(self._finish(packet, Verdict.DROP_BLOCKED))
-                continue
-            # 3. Cryptographic validation (Eq. 3 or Eq. 4+6) over PktSize.
-            if packet.packet_type != PacketType.EER_DATA:
-                # SegR control traffic: the local CServ authenticates the
-                # payload (DRKey) and re-injects requests in transit.
-                if self._authenticate(packet, now, b""):
-                    self.stats[Verdict.DELIVER_CSERV] += 1
-                    append(RouterResult(Verdict.DELIVER_CSERV, packet))
-                else:
-                    append(self._finish(packet, Verdict.DROP_BAD_HVF))
-                continue
-            pairs = packet.path.interface_pairs
-            size = header_sizes.get((len(pairs), True))
-            size = packet.total_size if size is None else size + len(packet.payload)
-            message = timestamp.packed + _pack_size(size)
-            hop_index = packet.hop_index
-            pair = pairs[hop_index]
-            hvf = packet.hvfs[hop_index]
-            eer_info = packet.eer_info
-            flow_label = reservation.packed
-            # The flow's record, if bound to this very Eq. (4) input and
-            # its σ explains the HVF; else the stateless recompute.
-            mac = None
-            if cache is not None:
-                entry = cache.lookup(flow_label, res_info.version, epoch)
-                if entry is not None:
-                    bound = entry.res_info
-                    if (
-                        (bound is res_info or bound == res_info)
+        try:
+            for packet in packets:
+                res_info = packet.res_info
+                timestamp = packet.timestamp
+                # 1. Reservation expiry (allow the paper's assumed clock skew).
+                expiry = res_info.expiry
+                if now > expiry + MAX_CLOCK_SKEW:
+                    append(self._finish(packet, Verdict.DROP_EXPIRED))
+                    continue
+                # 1b. Packet freshness: Ts encodes µs before expiry.
+                created = expiry - timestamp.micros_before_expiry / 1e6
+                if abs(now - created) > FRESHNESS_WINDOW:
+                    append(self._finish(packet, Verdict.DROP_STALE))
+                    continue
+                # 2. Policing blocklist — cheap, before any crypto.
+                reservation = res_info.reservation
+                if blocked and is_blocked(reservation.src_as, now):
+                    append(self._finish(packet, Verdict.DROP_BLOCKED))
+                    continue
+                # 3. Cryptographic validation (Eq. 3 or Eq. 4+6) over PktSize.
+                if packet.packet_type != PacketType.EER_DATA:
+                    # SegR control traffic: the local CServ authenticates the
+                    # payload (DRKey) and re-injects requests in transit.
+                    if self._authenticate(packet, now, b""):
+                        self.stats[Verdict.DELIVER_CSERV] += 1
+                        append(RouterResult(Verdict.DELIVER_CSERV, packet))
+                    else:
+                        append(self._finish(packet, Verdict.DROP_BAD_HVF))
+                    continue
+                pairs = packet.path.interface_pairs
+                size = header_sizes.get((len(pairs), True))
+                size = packet.total_size if size is None else size + len(packet.payload)
+                message = timestamp.packed + _pack_size(size)
+                hop_index = packet.hop_index
+                pair = pairs[hop_index]
+                hvf = packet.hvfs[hop_index]
+                eer_info = packet.eer_info
+                flow_label = reservation.packed
+                bandwidth = res_info.bandwidth
+                # The flow's record, if bound to this very Eq. (4) input and its
+                # σ explains the HVF, else the stateless recompute's (bound by
+                # construction); either is policed the same way.
+                hint = entry = None
+                if cache is not None:
+                    hint = entry = cache.lookup(flow_label, res_info.version, epoch)
+                while True:
+                    if entry is None:
+                        entry = self._recompute(res_info, eer_info, pair, message, hvf, now)
+                        if entry is None:
+                            outcome = _BAD_HVF
+                            break
+                    if entry.detector is not ofd:
+                        entry.detector, entry.cells = ofd, ofd.cells_for(flow_label)
+                    cells = entry.cells
+                    # 3-5. Verify, replay suppression on the MAC as the packet's
+                    # unique name, overuse detection: one C call, or the trio.
+                    if not (
+                        (entry.res_info is res_info or entry.res_info == res_info)
                         and (entry.eer_info is eer_info or entry.eer_info == eer_info)
                         and entry.pair == pair
                     ):
+                        outcome = _BAD_HVF
+                    elif police is not None and bandwidth > 0:
+                        outcome = hop(
+                            police, entry.schedule, message, len(message), hvf, len(hvf),
+                            cells, len(cells), size * 8 / bandwidth,
+                        )
+                        if outcome >= _POLICED:
+                            policed += 1
+                            over = outcome > _POLICED
+                            suspect = (over or suspects) and ofd._judge(flow_label, over, now)
+                        elif outcome == _DUPLICATE:
+                            duplicates._caught(policer.mac[:])
+                        elif outcome < _BAD_HVF:
+                            raise IndexError(f"policing tables or cells {list(cells)} refused")
+                    else:
                         mac = entry.verify(message, hvf)
-                    if mac is None:
-                        cache.rejected_hints += 1
-            if mac is None:
-                entry, mac = self._recompute(res_info, eer_info, pair, message, hvf, now)
-                if mac is None:
-                    append(self._finish(packet, Verdict.DROP_BAD_HVF))
+                        if mac is None:
+                            outcome = _BAD_HVF
+                        elif not check_and_insert(mac, now):
+                            outcome = _DUPLICATE
+                        else:
+                            outcome = _POLICED
+                            suspect = observe(flow_label, size, bandwidth, now, cells)
+                        # A rotation or roll that was due has now happened, or not:
+                        # every packet the kernel polices in this burst follows it.
+                        police = policer and policer.bind(duplicates, ofd, now)
+                    if outcome != _BAD_HVF or entry is not hint:
+                        break
+                    cache.rejected_hints += 1
+                    entry = None
+                if outcome < _POLICED:
+                    append(self._finish(packet, _DROPS[outcome]))
                     continue
-            # 4. Replay suppression, on the MAC as the packet's unique name.
-            if not check_and_insert(mac, now):
-                append(self._finish(packet, Verdict.DROP_DUPLICATE))
-                continue
-            # 5. Policing (§4.8): the OFD flags suspects, the monitor checks
-            # those exactly; a confirmed overuser's AS is blocked and reported.
-            if entry.detector is not ofd:
-                entry.detector, entry.cells = ofd, ofd.cells_for(flow_label)
-            bandwidth = res_info.bandwidth
-            suspect = observe(flow_label, size, bandwidth, now, entry.cells)
-            if suspect and not monitor.is_watched(flow_label):
-                monitor.watch(flow_label, bandwidth, now)
-            if not check(flow_label, size, now):
-                if monitor.is_confirmed_overuser(flow_label):
-                    self.blocklist.block(reservation.src_as)
-                    if self.on_offense is not None:
-                        self.on_offense(reservation.src_as, reservation)
-                append(self._finish(packet, Verdict.DROP_OVERUSE))
-                continue
-            # 6. Forward towards the destination.
-            if hop_index == len(pairs) - 1:
-                delivered += 1
-                append(RouterResult(deliver_host, packet))
-            else:
-                packet.hop_index = hop_index + 1
-                forwarded += 1
-                append(RouterResult(forward, packet, pair[1]))
-        self.stats[forward] += forwarded
-        self.stats[deliver_host] += delivered
+                # 5b. The monitor checks the OFD's suspects exactly; a confirmed
+                # overuser's AS is blocked and reported (§4.8).
+                if suspect and not monitor.is_watched(flow_label):
+                    monitor.watch(flow_label, bandwidth, now)
+                if not buckets:
+                    passed += 1
+                elif not check(flow_label, size, now):
+                    if monitor.is_confirmed_overuser(flow_label):
+                        self.blocklist.block(reservation.src_as)
+                        if self.on_offense is not None:
+                            self.on_offense(reservation.src_as, reservation)
+                    append(self._finish(packet, Verdict.DROP_OVERUSE))
+                    continue
+                # 6. Forward towards the destination.
+                if hop_index == len(pairs) - 1:
+                    delivered += 1
+                    append(RouterResult(deliver_host, packet))
+                else:
+                    packet.hop_index = hop_index + 1
+                    forwarded += 1
+                    append(RouterResult(forward, packet, pair[1]))
+        finally:
+            self.stats[forward] += forwarded
+            self.stats[deliver_host] += delivered
+            duplicates._current.insertions += policed
+            ofd.packets_seen += policed
+            monitor.packets_passed += passed
         return results
 
     # -- bench support --------------------------------------------------------------------
@@ -434,4 +481,4 @@ class BorderRouter:
         packet = ColibriPacket.from_bytes(view.materialize())
         return self._recompute(
             packet.res_info, packet.eer_info, packet.current_pair(), message, tag, now
-        )[1] is not None
+        ) is not None

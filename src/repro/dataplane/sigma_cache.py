@@ -55,7 +55,7 @@ class SigmaEntry:
 
     __slots__ = (
         "sigma", "res_info", "eer_info", "pair", "wire",
-        "_backend", "_schedule", "detector", "cells",
+        "_backend", "schedule", "detector", "cells",
     )
 
     def __init__(self, sigma: bytes, res_info, eer_info, pair: tuple):
@@ -68,7 +68,7 @@ class SigmaEntry:
         #: The native kernel's 32-byte schedule, or without the kernel a
         #: prehashed hashlib state (clone-only) — never both.
         self._backend = backend = native.backend()
-        self._schedule = prf_context(sigma) if backend is None else backend.key_schedule(sigma)
+        self.schedule = prf_context(sigma) if backend is None else backend.key_schedule(sigma)
         #: ``detector.cells_for(ResId)``, filled in by the router.
         self.detector = self.cells = None
 
@@ -77,12 +77,12 @@ class SigmaEntry:
         starts with ``tag`` (constant-time compare), else ``None``."""
         backend = self._backend
         if backend is None:
-            state = self._schedule.copy()
+            state = self.schedule.copy()
             state.update(message)
             mac = state.digest()
             return mac if constant_time_equal(mac[: len(tag)], tag) else None
         if backend.lib.colibri_verify(
-            self._schedule, message, len(message), tag, len(tag), backend.mac_out
+            self.schedule, message, len(message), tag, len(tag), backend.mac_out
         ):
             return backend.mac_view[:]
         return None

@@ -800,7 +800,7 @@ class TestNativeBatchIdentity:
         (sigma,) = self._sigmas(1, seed=9)
         res_info = ResInfo(ReservationId(SRC, 5), gbps(1), 1016.0, 1)
         entry = SigmaEntry(sigma, res_info, EER, (2, 3))
-        assert type(entry._schedule) is bytes and len(entry._schedule) == 32
+        assert type(entry.schedule) is bytes and len(entry.schedule) == 32
         for message in (b"t" * 12, b"s" * 64, b"m" * 200):
             mac = hashlib.blake2s(message, key=sigma, digest_size=16).digest()
             for width in (1, L_HVF, 16):

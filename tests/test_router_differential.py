@@ -15,6 +15,22 @@ order) between the optimized modes — on the native backend and on
 ``COLIBRI_NATIVE=0``.  The script's warm-cache tamper block and
 ``test_warm_cache_verdicts_equal_cold_cache_verdicts`` pin that a σ-cache
 entry answers only for the Eq. (4) input it was minted from.
+
+Mutants.  With the kernel loaded, steps 3-5 of a packet are one
+``colibri_hop`` call; the packet on which a filter rotation or a sketch
+roll is due takes the Python trio, whatever the build.  The script is
+written so that a one-line mutant of either body changes something
+compared here, and docs/performance.md lists them (§11: fourteen, applied to
+``_burst`` and the trio; §14: those again in C where they have a C form,
+and the kernel's own).  Three of the latter shaped this file:
+
+* *previous filter not consulted* (``colibri_bloom_check``): the replay of
+  ``recent[0]`` sits **behind** the packet that rotates the filters, where
+  the kernel decides it;
+* *sketch added before the duplicate test* (``colibri_hop``): a duplicate
+  inside a burst would leave its size in the sketch cells;
+* ``>=`` *for* ``>`` *at the threshold*: flow "edge" lands on the threshold
+  exactly, one packet before it exceeds it.
 """
 
 import collections
@@ -39,6 +55,7 @@ from repro.constants import (
 from repro.crypto import native
 from repro.crypto.drkey import DrkeyDeriver
 from repro.crypto.mac import mac
+from repro.dataplane.duplicate import DuplicateSuppressor
 from repro.dataplane.hvf import ColibriKeys, eer_hvf, hop_authenticator, segment_token
 from repro.dataplane.ofd import OveruseFlowDetector
 from repro.dataplane.monitor import (
@@ -65,6 +82,22 @@ EER = EerInfo(HostAddr(1), HostAddr(2))
 OFD_WIDTH = 2
 #: The script starts 5 s before a DRKey epoch boundary and crosses it.
 START = 3 * DRKEY_VALIDITY - 5.0
+
+
+def _edge():
+    """A payload and a bandwidth at which one packet of a 3-hop EER is worth
+    exactly half the sketch threshold, in floating point as computed."""
+    path = PathField(((0, 1), (2, 3), (4, 0)))
+    half = OFD_DEFAULT_WINDOW * OFD_OVERUSE_FACTOR / 2
+    for length in range(64):
+        size = ColibriPacket.header_size_for(len(path)) + length
+        bandwidth = size * 8 / half
+        if size * 8 / bandwidth == half and half + half == 2 * half < half + half + half:
+            return b"e" * length, bandwidth
+    raise AssertionError("no payload length lands on the threshold")
+
+
+EDGE_PAYLOAD, EDGE_BANDWIDTH = _edge()
 
 
 # ------------------------------------------------------------ reference ----
@@ -99,6 +132,9 @@ class ReferenceRouter:
     def suspect(self, label, size, bandwidth, now):
         if now - self.window_start >= OFD_DEFAULT_WINDOW:
             self.cells, self.suspects, self.window_start = {}, set(), now
+        if bandwidth <= 0:  # nothing reserved: overuse by definition, on every packet
+            self.suspects.add(label)
+            return True
         digest = hashlib.blake2b(label, digest_size=4 * OFD_DEFAULT_DEPTH).digest()
         counts = []
         for row in range(OFD_DEFAULT_DEPTH):
@@ -289,7 +325,9 @@ def script(world):
     clock.advance(0.6)  # filter rotation + OFD roll
     # Stale, expired, stale — and a replay still fresh after the rotation,
     # which only the previous filter remembers.
-    yield [held, brief, copy_of(first[0]), copy_of(recent[0])] + honest(6)
+    # The replay comes after the packet that rotates (the Python body's,
+    # whatever the build), so the kernel too must consult the previous filter.
+    yield [held, brief, copy_of(first[0])] + honest(3) + [copy_of(recent[0])] + honest(3)
     # Overuse: 600 B packets on 100 kbps.  The sketch flags the flow, the
     # monitor confirms it, the blocklist escalates — all inside one burst,
     # so its tail must be DROP_BLOCKED without touching filter or sketch.
@@ -314,6 +352,11 @@ def script(world):
     # Three silent windows: both filters start over.
     clock.advance(3 * DUPLICATE_WINDOW)
     yield [stamp("short"), stamp("late", b"x" * 100)] + [stamp("new") for _ in range(5)]
+    # Alone in a fresh sketch window, three packets of half the threshold
+    # each: the second lands exactly on it, which is not yet overuse.
+    world.reserve("edge", SRC, hops=3, bandwidth=EDGE_BANDWIDTH)
+    clock.advance(OFD_DEFAULT_WINDOW)
+    yield [stamp("edge", EDGE_PAYLOAD) for _ in range(3)]
     # Warm σ-cache, tampered headers: each is DROP_BAD_HVF as on a cold
     # cache, and the flows' honest packets around them still pass.  By now
     # ``captured`` is past freshness and out of both filters.
@@ -438,12 +481,12 @@ def test_burst_loop_matches_the_reference(backend):
     assert verdicts.count(Verdict.DROP_BLOCKED) > 10
     assert verdicts.index(Verdict.DROP_OVERUSE) < verdicts.index(Verdict.DROP_BLOCKED) < 64
     assert len(reference[-1][2]) == 1
-    # σ-cache: eight cold misses (one per flow version that got as far as
+    # σ-cache: nine cold misses (one per flow version that got as far as
     # step 3), warm hits, the forged tag and the four tampered headers as
     # the rejected hints, and σs under both DRKey epochs; the filters
     # rotated at four instants or more.
     final = serial[-1][4]
-    assert final["sigma_counters"]["sigma_cache_misses"] == 8
+    assert final["sigma_counters"]["sigma_cache_misses"] == 9
     assert final["sigma_counters"]["sigma_cache_hits"] > 100
     assert final["sigma_counters"]["sigma_cache_rejected_hints"] == 1 + 4
     assert {epoch for _, _, epoch in final["sigma_lru"]} == {2, 3}
@@ -504,7 +547,9 @@ def test_warm_cache_verdicts_equal_cold_cache_verdicts(backend):
 
 def test_the_filter_is_keyed_on_the_untruncated_mac(backend):
     """Step 4 names a packet by all 16 bytes of its Eq. (6) MAC, on a
-    σ-cache miss and on a hit alike — not by the 4-byte HVF."""
+    σ-cache miss and on a hit alike — not by the 4-byte HVF.  The trio is
+    watched through ``check_and_insert``; the kernel, which never calls
+    it, by the bits it left in the filter."""
     world = World(reference=False)
     world.reserve("long", SRC, hops=16)
     seen = []
@@ -512,12 +557,20 @@ def test_the_filter_is_keyed_on_the_untruncated_mac(backend):
     world.router.duplicates.check_and_insert = lambda identifier, now: (
         seen.append(identifier) or check_and_insert(identifier, now)
     )
-    packets = [world.stamp("long", b"p" * size) for size in (0, 10)]
+    packets = [world.stamp("long", b"p" * size) for size in (0, 10, 20)]
     sigma = world.flows["long"][2]
     expected = [
         mac(sigma, packet.timestamp.packed + struct.pack("!I", packet.total_size))
         for packet in packets
     ]
-    assert [r.verdict for r in world.router.process_batch(packets)] == [Verdict.FORWARD] * 2
-    assert seen == expected
+    assert [r.verdict for r in world.router.process_batch(packets)] == [Verdict.FORWARD] * 3
+    if backend == "hashlib":
+        assert seen == expected
+    else:
+        assert seen == expected[:1]  # the first packet opened the sketch window: trio
+        oracle = DuplicateSuppressor(world.clock)
+        assert all(oracle.check_and_insert(identifier, world.clock.now()) for identifier in expected)
+        assert any(oracle._current._array)
+        assert world.router.duplicates._current._array == oracle._current._array
+        assert world.router.duplicates._current.insertions == 3
     assert [packet.hvfs[HOP] for packet in packets] == [m[:L_HVF] for m in expected]

@@ -15,12 +15,15 @@ side — hashlib for the MACs, the ``COLIBRI_NATIVE=0`` bodies of
 
 * Eq. (6) verify (good tag, bad tag) and ``colibri_stamp_t`` /
   ``_many_t`` / ``_scatter_t`` over 1, 8, 9 and 16 hops;
-* Bloom test-and-set for ``hashes`` 1…8 over power-of-two and odd
-  ``bits`` (4,999 and 1,000), verdicts and final filter bytes;
-* sketch add at the first and the last cell, and the minimum returned;
-* the refused inputs — a 15- and a 17-byte identifier, zero ``bits``,
-  ``bits`` past the buffer, a cell past the counts — answered with the
-  error value and no write.
+* ``colibri_hop`` over a script of fresh, repeated and forged packets for
+  ``hashes`` 1…8, power-of-two and odd ``bits`` (4,999 and 1,000) and
+  sketches from 1x1 to 1024x6 — every return value, the final filter
+  bytes and the final counts — with a rotation and a roll half way: the
+  old buffers are freed and the struct re-bound to fresh ones, so a write
+  through a stale pointer aborts;
+* the refused inputs — zero ``bits``, ``bits`` past the buffer, a cell
+  past ``ncounts`` — answered with -1, and a 17-byte tag answered as a
+  bad HVF, all without a write; a full 16-byte tag verifies.
 
 Usage (from the repo root)::
 
@@ -33,6 +36,7 @@ import argparse
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -48,6 +52,7 @@ from repro.util.clock import SimClock  # noqa: E402
 CFLAGS = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
 HOP_COUNTS = (1, 8, 9, 16)
 BLOOM_CASES = [(1 << 10, hashes) for hashes in range(1, 9)] + [(4999, 7), (1000, 1), (4999, 4)]
+SKETCHES = [(1, 1), (16, 4), (1024, 6)]  # width, depth; a hop case takes them in turn
 MESSAGE = bytes(range(12))  # Ts || PktSize, one block
 LONG_MESSAGE = bytes(range(150))  # three blocks: the cold multi-block path
 
@@ -146,90 +151,125 @@ def crypto_section() -> tuple:
     return decls, body
 
 
-def bloom_section() -> tuple:
+def hop_section() -> tuple:
+    """``colibri_hop`` against the Python trio: one script per filter case."""
     decls, body = [], []
-    packets = [identifier(index % 150) for index in range(400)]  # repeats included
-    decls.append(c_bytes("IDS", b"".join(packets)))
+    messages = [struct.pack("!QI", index, 1000) for index in range(150)]
+    macs = [mac(key(0), message) for message in messages]
+    script = [(index * 7) % 150 for index in range(400)]  # repeats included
+    forged = {index for index in range(400) if index % 13 == 5}
+    decls.append(
+        c_bytes("HOP_MSGS", b"".join(messages))
+        + c_bytes("HOP_TAGS", b"".join(m[:4] for m in macs))
+        + c_bytes("HOP_SCRIPT", bytes(script))
+        + c_bytes("HOP_FORGED", bytes(index in forged for index in range(400)))
+        + c_bytes("HOP_WIDE", macs[149] + b"\0")  # the whole MAC as a tag, and one byte more
+    )
     for case, (bits, hashes) in enumerate(BLOOM_CASES):
+        width, depth = SKETCHES[case % len(SKETCHES)]
         suppressor = DuplicateSuppressor(SimClock(0.0), bits=bits, hashes=hashes)
-        for packet in packets[:40]:  # the previous window already holds some of them
-            suppressor.check_and_insert(packet, 0.0)
+        ofd = OveruseFlowDetector(width=width, depth=depth)
+        threshold = ofd.window * ofd.overuse_factor
+        flows = [ofd.cells_for(b"flow-%d" % flow) for flow in range(5)]
+        for packet in script[:40]:  # the previous window already holds some of them
+            suppressor.check_and_insert(macs[packet], 0.0)
         suppressor._rotate(1.0)
         previous = bytes(suppressor._previous._array)
-        verdicts = bytes(suppressor.check_and_insert(packet, 1.0) for packet in packets)
+        outcomes, now = [], 1.0
+        for step, packet in enumerate(script):
+            if step == 200:  # the driver frees and re-binds all three buffers here
+                now = 2.5
+                suppressor._rotate(now)
+                ofd._roll(now)
+            cells = flows[packet % 5]
+            if step in forged:
+                outcomes.append(0)
+            elif not suppressor.check_and_insert(macs[packet], now):
+                outcomes.append(1)
+            else:
+                ofd.observe(b"flow-%d" % (packet % 5), 1000, 8e4, now, cells)
+                outcomes.append(3 if min(ofd._counts[cell] for cell in cells) > threshold else 2)
+        assert {0, 1, 2, 3} <= set(outcomes), (bits, hashes, set(outcomes))
         decls.append(
             c_bytes(f"PREV_{case}", previous)
             + c_bytes(f"WANT_{case}", bytes(suppressor._current._array))
-            + c_bytes(f"VERDICTS_{case}", verdicts)
+            + c_bytes(f"WANT_PREV_{case}", bytes(suppressor._previous._array))
+            + c_bytes(f"OUTCOMES_{case}", bytes(outcomes))
+            + f"static const uint32_t CELLS_{case}[] = {{{','.join(str(c) for f in flows for c in f)}}};\n"
+            + f"static const double COUNTS_{case}[] = {{{','.join(repr(c) for c in ofd._counts)}}};\n"
         )
+        ncounts = width * depth
         body.append(f"""
     {{
         size_t nbytes = sizeof PREV_{case}, p;
-        uint8_t *current = calloc(nbytes, 1), *previous = heap(PREV_{case}, nbytes);
-        for (p = 0; p < {len(packets)}; p++) {{
-            uint8_t *id = heap(IDS + 16 * p, 16);
-            CHECK(colibri_bloom_check(current, previous, nbytes, {bits}, {hashes}, id, 16)
-                  == VERDICTS_{case}[p]);
-            free(id);
+        colibri_police_t *police = calloc(1, sizeof *police);
+        uint32_t *sched = malloc(32);
+        uint8_t *key = heap(KEYS, 16);
+        uint8_t *previous = heap(PREV_{case}, nbytes);
+        colibri_b2s_key_schedule(key, 16, 16, sched);
+        police->current = calloc(nbytes, 1); police->previous = previous; police->nbytes = nbytes;
+        police->bits = {bits}; police->hashes = {hashes};
+        police->counts = calloc({ncounts}, sizeof(double)); police->ncounts = {ncounts};
+        police->threshold = {threshold!r};
+        for (p = 0; p < 400; p++) {{
+            uint8_t *msg = heap(HOP_MSGS + 12 * HOP_SCRIPT[p], 12);
+            uint8_t *tag = heap(HOP_TAGS + 4 * HOP_SCRIPT[p], 4);
+            uint32_t *cells = heap(CELLS_{case} + {depth} * (HOP_SCRIPT[p] % 5), {4 * depth});
+            if (p == 200) {{   /* rotation and roll: old buffers gone, struct re-bound */
+                free(previous); free(police->counts);
+                previous = police->current;
+                police->previous = previous;
+                police->current = calloc(nbytes, 1);
+                police->counts = calloc({ncounts}, sizeof(double));
+            }}
+            tag[0] ^= HOP_FORGED[p];
+            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, tag, 4, cells, {depth}, {1000 * 8 / 8e4!r})
+                  == OUTCOMES_{case}[p]);
+            free(msg); free(tag); free(cells);
         }}
-        CHECK(memcmp(current, WANT_{case}, nbytes) == 0);
-        CHECK(memcmp(previous, PREV_{case}, nbytes) == 0);
-        {{   /* refused: nothing read beyond, nothing written */
-            uint8_t *id = heap(IDS, 15), *wide = heap(IDS, 17);
-            CHECK(colibri_bloom_check(current, previous, nbytes, {bits}, {hashes}, id, 15) == -1);
-            CHECK(colibri_bloom_check(current, previous, nbytes, {bits}, {hashes}, wide, 17) == -1);
-            CHECK(colibri_bloom_check(current, previous, nbytes, 0, {hashes}, wide, 16) == -1);
-            CHECK(colibri_bloom_check(current, previous, nbytes, 8 * nbytes + 1, {hashes}, wide, 16) == -1);
-            CHECK(colibri_bloom_check(current, previous, nbytes, UINT64_MAX, {hashes}, wide, 16) == -1);
-            CHECK(memcmp(current, WANT_{case}, nbytes) == 0);
-            free(id); free(wide);
+        CHECK(memcmp(police->current, WANT_{case}, nbytes) == 0);
+        CHECK(memcmp(previous, WANT_PREV_{case}, nbytes) == 0);
+        CHECK(memcmp(police->counts, COUNTS_{case}, sizeof COUNTS_{case}) == 0);
+        {{   /* refused, or a tag no MAC can match: nothing written */
+            uint8_t *msg = heap(HOP_MSGS + 12 * 149, 12), *wide = heap(HOP_WIDE, 17);
+            uint32_t *cells = heap(CELLS_{case}, {4 * depth});
+            uint32_t past[] = {{0, {ncounts}}}, far[] = {{UINT32_MAX}};
+            uint8_t mac_before[16];
+            uint64_t bits = police->bits;
+            memcpy(mac_before, police->mac, 16);
+            police->bits = 0;
+            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, cells, {depth}, 1.0) == -1);
+            police->bits = 8 * nbytes + 1;
+            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, cells, {depth}, 1.0) == -1);
+            police->bits = UINT64_MAX;
+            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, cells, {depth}, 1.0) == -1);
+            police->bits = bits;
+            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, past, 2, 1.0) == -1);
+            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, far, 1, 1.0) == -1);
+            CHECK(memcmp(police->mac, mac_before, 16) == 0);
+            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 17, cells, {depth}, 1.0) == 0);
+            CHECK(memcmp(police->current, WANT_{case}, nbytes) == 0);
+            CHECK(memcmp(police->counts, COUNTS_{case}, sizeof COUNTS_{case}) == 0);
+            /* the untruncated MAC is a tag too; with no cells the estimate is +inf */
+            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, far, 0, 1.0)
+                  == HOP_WIDE_OUTCOME_{case});
+            free(msg); free(wide); free(cells);
         }}
-        free(current); free(previous);
+        free(police->current); free(previous); free(police->counts);
+        free(police); free(sched); free(key);
     }}""")
+        # Message 149 once more, whole MAC as the tag, no cells: a duplicate if the
+        # script's second half already carried it, else fresh with an infinite estimate.
+        fresh = suppressor.check_and_insert(macs[149], now)
+        decls.append(f"enum {{ HOP_WIDE_OUTCOME_{case} = {3 if fresh else 1} }};\n")
     return decls, body
-
-
-def sketch_section() -> tuple:
-    body = []
-    for width, depth in [(1, 1), (16, 4), (1024, 6)]:
-        ofd = OveruseFlowDetector(width=width, depth=depth, overuse_factor=1e9)
-        last = width * depth - 1
-        # Distinct cells per call, so the minimum returned is the smallest final count.
-        script = [(0,), (last,), tuple(row * width for row in range(depth)), (last, 0)[: last + 1]]
-        lines = []
-        for cells in script:
-            ofd.observe(b"flow", 1000, 4e6, 0.0, cells)
-            estimate = min(ofd._counts[cell] for cell in cells)
-            array = ",".join(str(cell) for cell in cells)
-            lines.append(f"""
-        {{
-            uint32_t want[] = {{{array}}};
-            uint32_t *cells = heap(want, sizeof want);
-            CHECK(colibri_sketch_add(counts, {last + 1}, cells, {len(cells)}, 0.002) == {estimate!r});
-            free(cells);
-        }}""")
-        want = ",".join(repr(count) for count in ofd._counts)
-        body.append(f"""
-    {{
-        static const double want_counts[] = {{{want}}};
-        double *counts = calloc({last + 1}, sizeof(double));
-        uint32_t past[] = {{0, {last + 1}}}, far[] = {{UINT32_MAX}};
-        {"".join(lines)}
-        CHECK(memcmp(counts, want_counts, sizeof want_counts) == 0);
-        CHECK(isnan(colibri_sketch_add(counts, {last + 1}, past, 2, 1.0)));
-        CHECK(isnan(colibri_sketch_add(counts, {last + 1}, far, 1, 1.0)));
-        CHECK(isinf(colibri_sketch_add(counts, {last + 1}, far, 0, 1.0)));
-        CHECK(memcmp(counts, want_counts, sizeof want_counts) == 0);
-        free(counts);
-    }}""")
-    return [], body
 
 
 def driver_source() -> str:
     os.environ["COLIBRI_NATIVE"] = "0"  # expected tables come from the Python bodies
     native.reset_for_tests()
     decls, body = [], []
-    for section in (crypto_section, bloom_section, sketch_section):
+    for section in (crypto_section, hop_section):
         section_decls, section_body = section()
         decls += section_decls
         body += section_body
