@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint flow bench e2e-smoke native-asan reproduce examples quick clean
+.PHONY: install test lint bench e2e-smoke native-asan reproduce examples quick clean
 
 install:
 	$(PYTHON) -m pip install -e '.[test]'
@@ -10,19 +10,12 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Repo-specific invariants, both tools in one process so every file is
-# parsed exactly once: colibri-lint (per-file rules) over src/tests/tools
-# and colibri-flow (interprocedural rules) over src/repro (see
-# docs/static_analysis.md), then the lines-per-layer ledger check
-# (DESIGN.md §3b must match a fresh count).
+# Repo-specific invariants: colibri-lint's per-file rules over
+# src/tests/tools (docs/static_analysis.md), then the ledger check
+# (DESIGN.md §3b must match a fresh count, every row within its bound).
 lint:
-	$(PYTHON) -m tools.analysis_core
+	$(PYTHON) -m tools.colibri_lint src tests tools
 	$(PYTHON) tools/loc_ledger.py --check
-
-# Just the interprocedural analyzer (verification-flow, determinism
-# taint, obs-guard discipline, shard process-safety).
-flow:
-	$(PYTHON) -m colibri_flow src/repro
 
 # The one measurement command: every paper figure as a table plus shape
 # predicates (benchmarks/figures.py), EXPERIMENTS.md and

@@ -8,9 +8,6 @@ completeness, identity-verified policing, zero residual state, SLO
 replay equivalence) are enforced inside the harness itself — a single
 ``result.ok`` covers them all.
 """
-# Wall-clock budgets measure real elapsed time on purpose (the whole
-# point of a load budget); the injected-Clock rule does not apply here.
-# colibri-lint: disable-file=CL001
 
 import time
 

@@ -5,9 +5,6 @@ lead 4 s) on top of background churn.  Budgets: no renewal failures, at
 least one full wave of cohort renewals, and a housekeeping sweep that
 stays under its time budget with the cohort live.
 """
-# Wall-clock budgets measure real elapsed time on purpose (the whole
-# point of a load budget); the injected-Clock rule does not apply here.
-# colibri-lint: disable-file=CL001
 
 import time
 

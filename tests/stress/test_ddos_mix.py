@@ -12,9 +12,6 @@ honest churn keeps arriving.  The paper's §4.8 asymmetry must hold:
 * honest admissions keep succeeding throughout, and the drop-burn SLO
   alert fires during the flood and resolves after the drain.
 """
-# Wall-clock budgets measure real elapsed time on purpose (the whole
-# point of a load budget); the injected-Clock rule does not apply here.
-# colibri-lint: disable-file=CL001
 
 import time
 

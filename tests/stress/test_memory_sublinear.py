@@ -5,9 +5,6 @@ the reservation-store heap may not follow.  Expired EERs are swept, so
 state tracks *live* reservations, not cumulative arrivals — the same
 property the ``memory_footprint.txt`` CI artifact row records.
 """
-# Wall-clock budgets measure real elapsed time on purpose (the whole
-# point of a load budget); the injected-Clock rule does not apply here.
-# colibri-lint: disable-file=CL001
 
 import time
 

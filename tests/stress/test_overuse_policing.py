@@ -6,9 +6,6 @@ deterministically, blocklist exactly the three attacker ASes — nobody
 else — and every punitive verdict must trace back to an
 identity-verified HVF (enforced by the harness checker).
 """
-# Wall-clock budgets measure real elapsed time on purpose (the whole
-# point of a load budget); the injected-Clock rule does not apply here.
-# colibri-lint: disable-file=CL001
 
 import time
 

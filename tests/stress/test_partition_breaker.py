@@ -6,9 +6,6 @@ hanging retries), the fabric must stay conservative (accounting stays
 clean — harness checker), and after the partition heals the recovery
 phase must admit traffic again and drain to zero residual state.
 """
-# Wall-clock budgets measure real elapsed time on purpose (the whole
-# point of a load budget); the injected-Clock rule does not apply here.
-# colibri-lint: disable-file=CL001
 
 import json
 import time

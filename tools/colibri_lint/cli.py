@@ -1,18 +1,53 @@
 """Command-line interface: ``python -m tools.colibri_lint [paths...]``.
 
 Exit codes: 0 clean (modulo baseline), 1 findings, 2 usage error.
+
+Reports are text (``path:line:col: RULE message``, then a per-rule
+summary) or JSON with the stable schema ``{"tool", "findings": [{path,
+line, col, rule, message, line_text}], "count", "grandfathered"}``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from tools.analysis_core.reporters import render_json, render_text
 from tools.colibri_lint import baseline as baseline_mod
 from tools.colibri_lint.engine import lint_paths
 from tools.colibri_lint.rules import ALL_RULES, RULES_BY_ID
+
+TOOL = "colibri-lint"
+
+
+def render_text(findings: list, grandfathered_count: int = 0) -> str:
+    lines = [
+        f"{f.path}:{f.line}:{f.col + 1}: {f.rule_id} {f.message}" for f in findings
+    ]
+    if findings:
+        per_rule = Counter(finding.rule_id for finding in findings)
+        breakdown = ", ".join(
+            f"{rule}: {count}" for rule, count in sorted(per_rule.items())
+        )
+        lines += ["", f"{len(findings)} finding(s) ({breakdown})"]
+    else:
+        lines.append(f"{TOOL}: clean")
+    if grandfathered_count:
+        lines.append(f"{grandfathered_count} grandfathered finding(s) in baseline")
+    return "\n".join(lines)
+
+
+def render_json(findings: list, grandfathered_count: int = 0) -> str:
+    payload = {
+        "tool": TOOL,
+        "findings": [finding.to_dict() for finding in findings],
+        "count": len(findings),
+        "grandfathered": grandfathered_count,
+    }
+    return json.dumps(payload, indent=2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -20,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m tools.colibri_lint",
         description=(
             "AST-based invariant checker for the Colibri reproduction: "
-            "clock injection, seeded randomness, strippable asserts, "
-            "silent excepts, bandwidth units, discarded verifications, "
-            "and paper citations."
+            "strippable asserts, silent excepts, discarded verifications "
+            "and verdicts, module-level mutable state in the data plane, "
+            "and unguarded instrumentation."
         ),
     )
     parser.add_argument(
@@ -84,8 +119,6 @@ def _safe_print(text: str) -> None:
     try:
         print(text)
     except BrokenPipeError:
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 

@@ -2,31 +2,19 @@
 
 from __future__ import annotations
 
-from tools.colibri_lint.rules.arena_copies import ArenaCopyRule
 from tools.colibri_lint.rules.asserts import ProductionAssertRule
 from tools.colibri_lint.rules.base import Rule
-from tools.colibri_lint.rules.citations import ConstantCitationRule
-from tools.colibri_lint.rules.clocks import DirectClockRule
 from tools.colibri_lint.rules.exceptions import BroadExceptRule
 from tools.colibri_lint.rules.module_state import ModuleStateRule
-from tools.colibri_lint.rules.mutable_defaults import MutableDefaultRule
-from tools.colibri_lint.rules.printing import LibraryPrintRule
-from tools.colibri_lint.rules.randomness import UnseededRandomRule
-from tools.colibri_lint.rules.units import UnitLiteralRule
+from tools.colibri_lint.rules.obs_guard import ObsGuardRule
 from tools.colibri_lint.rules.verification import DiscardedVerificationRule
 
 ALL_RULES: list = [
-    DirectClockRule(),
-    UnseededRandomRule(),
     ProductionAssertRule(),
     BroadExceptRule(),
-    UnitLiteralRule(),
-    MutableDefaultRule(),
     DiscardedVerificationRule(),
-    ConstantCitationRule(),
-    LibraryPrintRule(),
     ModuleStateRule(),
-    ArenaCopyRule(),
+    ObsGuardRule(),
 ]
 
 RULES_BY_ID: dict = {rule.rule_id: rule for rule in ALL_RULES}

@@ -12,8 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.analysis_core.context import FileContext
-from tools.analysis_core.findings import Finding
+from tools.colibri_lint.context import FileContext, Finding
 from tools.colibri_lint.rules.base import Rule
 
 

@@ -1,18 +1,27 @@
 """Rule interface.
 
 A rule is a small object with an ID (``CLxxx``), a one-line name, and a
-``check`` generator over a :class:`~tools.analysis_core.context.FileContext`.
-``applies_to`` lets a rule scope itself to production code, to a single
-module, or exclude an allowed module — path discipline lives with the rule
-instead of in the engine.
+``check`` generator over a :class:`~tools.colibri_lint.context.FileContext`.
+``applies_to`` lets a rule scope itself to production code or to some
+packages — path discipline lives with the rule instead of in the engine.
 """
 
 from __future__ import annotations
 
+import ast
 from typing import Iterator
 
-from tools.analysis_core.context import FileContext
-from tools.analysis_core.findings import Finding
+from tools.colibri_lint.context import FileContext, Finding
+
+
+def call_name(func) -> str:
+    """The terminal name of a call's callee: ``f`` for ``f(...)`` and
+    ``a.b.f(...)``, ``""`` for anything else."""
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return ""
 
 
 class Rule:

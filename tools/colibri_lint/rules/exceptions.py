@@ -12,9 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.analysis_core.context import FileContext
-from tools.analysis_core.findings import Finding
-from tools.colibri_lint.rules.base import Rule
+from tools.colibri_lint.context import FileContext, Finding
+from tools.colibri_lint.rules.base import Rule, call_name
 
 BROAD_NAMES = frozenset({"Exception", "BaseException"})
 LOG_METHODS = frozenset(
@@ -34,22 +33,11 @@ def _is_broad(type_node) -> bool:
 
 def _handler_recovers(handler: ast.ExceptHandler) -> bool:
     """True if the handler re-raises or logs what it caught."""
-    for node in ast.walk(handler):
-        if isinstance(node, ast.Raise):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in LOG_METHODS
-        ):
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in LOG_METHODS
-        ):
-            return True
-    return False
+    return any(
+        isinstance(node, ast.Raise)
+        or isinstance(node, ast.Call) and call_name(node.func) in LOG_METHODS
+        for node in ast.walk(handler)
+    )
 
 
 class BroadExceptRule(Rule):

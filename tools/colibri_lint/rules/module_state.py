@@ -1,14 +1,15 @@
 """CL010 — no mutable module-level state in the data plane or crypto.
 
 The shard executor's shared-nothing claim (paper §7.1: linear multi-core
-scaling) and the ROADMAP's persistent-worker plans both assume that the
-code a shard worker runs reaches no cross-process shared state.  A
-module-scope ``dict``/``list``/``set`` is exactly that: under ``fork``
-every worker silently inherits (and can diverge from) one copy, under
-``spawn`` re-import re-creates it, and either way mutation from two
-shards is a race the type system never sees.  ``colibri_flow``'s CF004
-proves reachability per submitted entry point; this rule keeps the two
-packages where workers live free of such bindings in the first place.
+scaling) assumes that the code a shard worker runs reaches no
+cross-process shared state.  A module-scope ``dict``/``list``/``set`` is
+exactly that: under ``fork`` every worker silently inherits (and can
+diverge from) one copy, under ``spawn`` re-import re-creates it, and
+either way mutation from two shards is a race the type system never
+sees.  This rule keeps the two packages where workers live free of such
+bindings; the real pool dispatch in
+``tests/test_batch_equivalence.py::TestShardExecutor`` covers that what
+a worker is handed pickles.
 
 Module-level *immutable* tables stay legal: tuples, ``frozenset``, and
 ``types.MappingProxyType(...)``-wrapped mappings.
@@ -19,23 +20,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from tools.analysis_core.context import FileContext
-from tools.analysis_core.findings import Finding
-from tools.colibri_lint.rules.base import Rule
+from tools.colibri_lint.context import FileContext, Finding
+from tools.colibri_lint.rules.base import Rule, call_name
 
 #: Constructor names that produce mutable containers.
 MUTABLE_CALLS = frozenset(
     {"dict", "list", "set", "bytearray", "defaultdict", "Counter", "deque",
      "OrderedDict"}
 )
-
-
-def _call_name(func) -> str:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
 
 
 def is_mutable_container(value) -> bool:
@@ -48,7 +40,7 @@ def is_mutable_container(value) -> bool:
     ):
         return True
     if isinstance(value, ast.Call):
-        return _call_name(value.func) in MUTABLE_CALLS
+        return call_name(value.func) in MUTABLE_CALLS
     return False
 
 
@@ -62,10 +54,7 @@ class ModuleStateRule(Rule):
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        if not ctx.is_production:
-            return False
-        path = f"/{ctx.rel_path}"
-        return "/repro/dataplane/" in path or "/repro/crypto/" in path
+        return ctx.in_package("dataplane", "crypto")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ctx.tree.body:

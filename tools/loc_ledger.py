@@ -2,13 +2,17 @@
 """Lines of code per layer (ROADMAP aim 2: growth needs a reason).
 
 Prints ``wc -l`` of every ``src/repro/<package>``, of the files (and
-one file group) the roadmap watches individually and of the figure
-registry under ``benchmarks/`` (outside ``e2e/``), as the markdown table DESIGN.md §3b
-carries between its ``loc-ledger`` markers.  ``--check`` exits non-zero
-when that table differs from a fresh count, so a PR that grows (or
-shrinks) a layer has to restate the ledger in the same diff — paste
-this tool's output over the stale table — and when a row is over its
-:data:`BUDGETS` bound, naming the row and the excess.
+one file group) the roadmap watches individually, of the figure
+registry under ``benchmarks/`` (outside ``e2e/``), of ``tools/`` and of
+docs/performance.md, as the markdown table DESIGN.md §3b carries
+between its ``loc-ledger`` markers.  ``--check`` exits non-zero when a
+row is over its :data:`BUDGETS` bound, naming the row and the excess;
+when a CHANGES.md line from PR :data:`CHANGES_FROM_PR` on is longer than
+:data:`CHANGES_LINE_LIMIT` characters (what changed, why, and the claim
+fit in that; inventories go in the commit message); and when the table
+differs from a fresh count, so a PR that grows (or shrinks) a layer has
+to restate the ledger in the same diff — paste this tool's output over
+the stale table.
 
 Usage (from the repo root)::
 
@@ -24,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = ROOT / "src" / "repro"
 DESIGN = ROOT / "DESIGN.md"
+CHANGES = ROOT / "CHANGES.md"
+PERFORMANCE = ROOT / "docs" / "performance.md"
 BEGIN = "<!-- loc-ledger:begin -->"
 END = "<!-- loc-ledger:end -->"
 
@@ -43,6 +49,13 @@ WATCHED = (
 TOTAL = "**`src/repro` total**"
 #: The paper-figure registry and its self-test: ``benchmarks/*.py``.
 FIGURES = "`benchmarks/` outside `e2e/`"
+TOOLS = "`tools/`"
+PERFORMANCE_ROW = "`docs/performance.md`"
+
+#: CHANGES.md lines starting ``PR <n>`` with n at least this are capped
+#: at :data:`CHANGES_LINE_LIMIT` characters.
+CHANGES_FROM_PR = 26
+CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
@@ -54,6 +67,8 @@ BUDGETS = {
     "`dataplane/shards.py` + `obs/distributed.py`": 600,
     "`sim/campaign.py`": 810,
     FIGURES: 1_200,
+    TOOLS: 2_600,
+    PERFORMANCE_ROW: 700,
 }
 
 
@@ -73,7 +88,7 @@ def watched_lines(name: str) -> int:
 
 def ledger_rows() -> list:
     """``(label, lines)`` per package, then the total, then the watched
-    files, then the figure registry."""
+    files, then the figure registry, ``tools/`` and performance.md."""
     rows = []
     top_level = 0
     for entry in sorted(PACKAGE_ROOT.iterdir()):
@@ -88,6 +103,9 @@ def ledger_rows() -> list:
     rows.extend((f"`{name}`", watched_lines(name)) for name in WATCHED)
     figures = sorted((ROOT / "benchmarks").glob("*.py"))
     rows.append((FIGURES, sum(count_lines(path) for path in figures)))
+    tools = sorted((ROOT / "tools").rglob("*.py"))
+    rows.append((TOOLS, sum(count_lines(path) for path in tools)))
+    rows.append((PERFORMANCE_ROW, count_lines(PERFORMANCE)))
     return rows
 
 
@@ -101,6 +119,19 @@ def over_budget(rows: list) -> list:
         if lines > bound:
             over.append((label, lines, bound))
     return over
+
+
+def long_changes_lines(text: str) -> list:
+    """``(pr, characters)`` for each CHANGES.md line of PR
+    :data:`CHANGES_FROM_PR` or later that is over the limit."""
+    long = []
+    for line in text.splitlines():
+        words = line.split(maxsplit=2)
+        if len(words) < 2 or words[0] != "PR" or not words[1].isdigit():
+            continue
+        if int(words[1]) >= CHANGES_FROM_PR and len(line) > CHANGES_LINE_LIMIT:
+            long.append((int(words[1]), len(line)))
+    return long
 
 
 def render(rows: list) -> str:
@@ -136,7 +167,14 @@ def main(argv=None) -> int:
             f"its budget of {bound:,}",
             file=sys.stderr,
         )
-    if over:
+    long = long_changes_lines(CHANGES.read_text(encoding="utf-8"))
+    for pr, characters in long:
+        print(
+            f"loc-ledger: the {CHANGES.name} line of PR {pr} is {characters:,} "
+            f"characters, over the {CHANGES_LINE_LIMIT} limit",
+            file=sys.stderr,
+        )
+    if over or long:
         return 1
     if recorded_table() != table:
         print(

@@ -25,12 +25,9 @@ for.
 
 Usage::
 
-    PYTHONPATH=src python tools/obs_overhead.py [--rounds 5]
+    python tools/obs_overhead.py [--rounds 5]
         [--duration 0.08] [--threshold 0.02]
 """
-# This tool *is* a wall-clock benchmark; the injected-Clock rule does
-# not apply here.
-# colibri-lint: disable-file=CL001
 
 from __future__ import annotations
 
@@ -39,45 +36,19 @@ import random
 import sys
 import time
 from contextlib import nullcontext
+from pathlib import Path
 
-from repro.constants import EER_LIFETIME
-from repro.dataplane.gateway import ColibriGateway
-from repro.obs.profile import profiling
-from repro.packets.fields import EerInfo, PathField, ResInfo
-from repro.reservation.ids import ReservationId
-from repro.topology.addresses import HostAddr, IsdAs
-from repro.util.clock import SimClock
-from repro.util.units import gbps
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
 
-SRC = IsdAs(1, 0xFF00_0000_0000 + 1)
+import figures  # noqa: E402
+from repro.dataplane.gateway import ColibriGateway  # noqa: E402
+from repro.obs.profile import profiling  # noqa: E402
+
+#: The Fig. 5 gateway this gate times: 2^10 EERs on 4-AS paths.
 PATH_LENGTH = 4
 RESERVATIONS = 2**10
 BATCH = 64
-
-
-def build_gateway():
-    """A fig5-style gateway: 2^10 EERs on 4-AS paths, synthetic
-    HopAuths (the gateway only MACs under them)."""
-    clock = SimClock(1000.0)
-    gateway = ColibriGateway(SRC, clock)
-    rng = random.Random(42)
-    pairs = [(0, 1)] + [(2, 3)] * (PATH_LENGTH - 2) + [(4, 0)]
-    path = PathField(tuple(pairs))
-    eer_info = EerInfo(HostAddr(1), HostAddr(2))
-    expiry = clock.now() + EER_LIFETIME * 1000
-    ids = []
-    for index in range(RESERVATIONS):
-        res_id = ReservationId(SRC, index + 1)
-        res_info = ResInfo(
-            reservation=res_id, bandwidth=gbps(1000), expiry=expiry, version=1
-        )
-        hop_auths = tuple(
-            rng.getrandbits(128).to_bytes(16, "big")
-            for _ in range(PATH_LENGTH)
-        )
-        gateway.install(res_id, path, eer_info, res_info, hop_auths)
-        ids.append(res_id)
-    return gateway, ids
 
 
 def make_batches(ids, rng, count, batch=BATCH):
@@ -110,7 +81,7 @@ def timed_pps(send_one, gateway, batches, duration):
 
 def measure(rounds: int, duration: float) -> dict:
     """Best-of-``rounds`` pps per mode, rounds interleaved."""
-    gateway, ids = build_gateway()
+    gateway, ids = figures.stamping_gateway(PATH_LENGTH, RESERVATIONS)
     batches = make_batches(ids, random.Random(7), count=256)
     undecorated = ColibriGateway.send_batch.__wrapped__
 

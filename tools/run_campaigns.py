@@ -19,9 +19,6 @@ Usage::
     PYTHONPATH=src python tools/run_campaigns.py \
         [--scale quick] [--seed 7] [--out campaign_artifacts] [NAME ...]
 """
-# Wall-clock budgets measure real elapsed time on purpose (the whole
-# point of a load budget); the injected-Clock rule does not apply here.
-# colibri-lint: disable-file=CL001
 
 from __future__ import annotations
 
