@@ -10,21 +10,20 @@ Key asymmetry does the heavy lifting here:
 
 * **AS_i** (the verifier of the base payload, the author of a grant)
   *derives* ``K_{AS_i -> SrcAS}`` locally from its secret value — one
-  PRF call, no state, no network — and uses that one key for the MAC
-  check, its grant MAC and the Eq. (5) seal (the CServ's hop derives it
-  once per request and passes it to :meth:`_verify_under` /
-  :meth:`_grant_under`; :meth:`verify_at` derives it itself for the
-  walks and aborts, which use it once);
+  PRF call, no network — and uses that one key for the MAC check, its
+  grant MAC and the Eq. (5) seal.  The key is a
+  :class:`~repro.crypto.aead.KeyContext` from
+  :meth:`ColibriKeys.control_key`, derived once per (source, DRKey
+  epoch) and memoized only after the source's MAC verified under it;
 * **the source AS** must *fetch* that key once per epoch from AS_i's key
   server — acceptable because it initiates requests deliberately, and
   impossible to exploit for DoS because the verifier side never fetches.
-  Within one request it looks each key up once (:class:`PathKeys`).
+  The directory caches the fetched key objects; within one request the
+  initiator looks each up once (:class:`PathKeys`).
 
 An :class:`AuthenticatedRequest` carries the immutable base payload, the
 source's per-AS MACs over it, and a MAC per appended grant.  The response
-path lets the initiator verify each AS's grant with the same keys.  The
-initiator MACs the payload under all on-path keys in one batched pass
-(:func:`~repro.crypto.prf.prf_under_keys`).
+path lets the initiator verify each AS's grant with the same keys.
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
+from repro.crypto.aead import KeyContext
 from repro.crypto.keyserver import KeyServerDirectory
-from repro.crypto.mac import constant_time_equal, mac
-from repro.crypto.prf import prf_under_keys
+from repro.crypto.mac import constant_time_equal
 from repro.dataplane.hvf import ColibriKeys
 from repro.errors import MacVerificationError
 from repro.packets.control import AsGrant, ControlMessage
@@ -53,7 +52,7 @@ class PathKeys:
         self.directory = directory
         self._fetched: dict = {}  # owner AS -> key, one requester and epoch
 
-    def fetch_key(self, owner: IsdAs, requester: IsdAs, when: float = None) -> bytes:
+    def fetch_key(self, owner: IsdAs, requester: IsdAs, when: float = None) -> KeyContext:
         key = self._fetched.get(owner)
         if key is None:
             key = self._fetched[owner] = self.directory.fetch_key(
@@ -93,9 +92,10 @@ class AuthenticatedRequest:
         """Initiator side: fetch ``K_{ASi->Src}`` for every on-path AS
         and MAC the payload once per AS (no MAC to self)."""
         base = message.authenticated_bytes
-        remote = [isd_as for isd_as in on_path if isd_as != source]
-        keys = [directory.fetch_key(isd_as, source, when) for isd_as in remote]
-        macs = dict(zip(remote, prf_under_keys(keys, base)))
+        macs = {
+            isd_as: directory.fetch_key(isd_as, source, when).mac(base)
+            for isd_as in on_path if isd_as != source
+        }
         return cls(source=source, base_payload=base, source_macs=macs)
 
     def verify_at(self, keys: ColibriKeys, when: float = None) -> None:
@@ -107,22 +107,22 @@ class AuthenticatedRequest:
             raise MacVerificationError(
                 f"request from {self.source} carries no MAC for AS {local}"
             )
-        self._verify_under(keys.control_key(self.source, when), local)
+        keys.control_key(self.source, when, lambda key: self._verify_under(key, local))
 
-    def _verify_under(self, key: bytes, local: IsdAs) -> None:
+    def _verify_under(self, key: KeyContext, local: IsdAs) -> None:
         """Check the source's MAC for AS ``local`` under an already
         derived ``K_{local->Src}``."""
         tag = self.source_macs.get(local)
-        if tag is None or not constant_time_equal(mac(key, self.base_payload), tag):
+        if tag is None or not constant_time_equal(key.mac(self.base_payload), tag):
             raise MacVerificationError(
                 f"control-plane MAC from {self.source} missing or wrong at AS {local}"
             )
 
-    def _grant_under(self, key: bytes, grant: AsGrant) -> None:
+    def _grant_under(self, key: KeyContext, grant: AsGrant) -> None:
         """On-path AS side: authenticate the grant it appends, under the
         same (derived, not fetched) ``K_{ASi->Src}``."""
         self.grant_macs.append(
-            (grant.isd_as, mac(key, _grant_bytes(grant, self.base_payload)))
+            (grant.isd_as, key.mac(_grant_bytes(grant, self.base_payload)))
         )
 
     def verify_grants(
@@ -147,7 +147,7 @@ class AuthenticatedRequest:
                 )
             key = directory.fetch_key(grant.isd_as, self.source, when)
             if not constant_time_equal(
-                mac(key, _grant_bytes(grant, self.base_payload)), tag
+                key.mac(_grant_bytes(grant, self.base_payload)), tag
             ):
                 raise MacVerificationError(
                     f"grant MAC from {grant.isd_as} failed verification"

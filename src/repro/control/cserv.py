@@ -37,7 +37,7 @@ reservation's newest; the two walks are idempotent by state.
 When retries are exhausted the transport error propagates back to the
 initiator, which aborts the whole path — explicitly releasing whatever
 the hops beyond the loss point already committed — before re-raising; a
-response whose grant MACs do not verify is aborted the same way.
+response whose grant MACs or HopAuths fail to verify is aborted alike.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from repro.control.dissemination import (
 from repro.control.rate_limit import RateLimiter
 from repro.control.retry import PolicyTable, RetryingCaller
 from repro.control.rpc import MessageBus
-from repro.crypto.aead import aead_open, aead_seal
 from repro.crypto.keyserver import KeyServerDirectory
 from repro.dataplane.gateway import ColibriGateway
 from repro.dataplane.hvf import ColibriKeys, hop_authenticator, segment_token
@@ -78,6 +77,7 @@ from repro.errors import (
     PolicyDenied,
     ReservationExpired,
     ReservationNotFound,
+    TamperedResponse,
     TopologyError,
     TransportError,
     VersionError,
@@ -217,6 +217,7 @@ class _Flow(NamedTuple):
     mint: Callable  # (cserv, key, subject, hop, response, now) -> this AS's credential
     abort: Callable  # (cserv, res_id, version, hops): path-wide release
     release: Callable = _nothing_charged  # (cserv, state, wanted)
+    open: Callable = None  # (cserv, keys, hops, sealed, now) -> opened HopAuths
 
 
 class ColibriService:
@@ -350,16 +351,15 @@ class ColibriService:
         res_id = wanted.reservation
         source = res_id.src_as
         # 1. Gate the source: denied ASes, per-AS request rate (§5.3).
+        check = None
         if hop_index > 0:
             self._admission_gate(source, now)
-        # 2. Derive K_{AS_i->Src} once: "the same key is used to
-        #    authenticate the information AS_i itself adds" (§4.5) — the
-        #    MAC check, the grant MAC and the Eq. (5) seal below.
-        key = self.keys.control_key(source, now)
-        # 3. Verify the source's MAC.  Nothing is read, journaled or
-        #    answered before this point.
-        if hop_index > 0:
-            auth._verify_under(key, self.isd_as)
+            check = lambda key: auth._verify_under(key, self.isd_as)  # noqa: E731
+        # 2. K_{AS_i->Src}, one key object per source and DRKey epoch, and
+        #    3. the source's MAC verified under it (a fresh key is memoized
+        #    only then): nothing is read, journaled or answered before.  The
+        #    same key MACs the grant and seals the HopAuth below (§4.5).
+        key = self.keys.control_key(source, now, check)
         # 4. Retry safety: if this request already succeeded here (its
         #    response was lost upstream), replay the answer the stored
         #    version remembers instead of admitting the bandwidth twice,
@@ -476,12 +476,12 @@ class ColibriService:
         grant MAC verifies — a transit AS rewriting another AS's grant
         must neither frame it as the bottleneck nor shrink a reservation
         unnoticed.  When the response is lost for good or carries a
-        forged grant, hops beyond the fault may have committed: abort
-        path-wide before giving up (§3.3).
+        forged grant or a HopAuth that does not open, hops beyond the
+        fault may have committed: abort path-wide before giving up (§3.3).
 
-        Returns the successful response and the on-path keys (the EER
-        workflows open the HopAuths with them); raises
-        :class:`InsufficientBandwidth` naming the bottleneck otherwise.
+        Returns the successful response and, for an EER, its opened
+        HopAuths; raises :class:`InsufficientBandwidth` naming the
+        bottleneck otherwise.
         """
         on_path = [hop.isd_as for hop in hops]
         keys = PathKeys(self.directory)
@@ -489,13 +489,16 @@ class ColibriService:
         try:
             response = getattr(self, flow.method)(request, auth, 0)
             auth.verify_grants(keys, response.grants, now)
-        except (TransportError, MacVerificationError):
+            if response.success and flow.open is not None:
+                sealed = response.sealed_hopauths
+                return response, flow.open(self, keys, hops, sealed, now)
+        except (TransportError, MacVerificationError, TamperedResponse):
             wanted = _asked(request)
             flow.abort(self, wanted.reservation, wanted.version, hops)
             raise
         if not response.success:
             raise _refused(flow.what, response.grants)
-        return response, keys
+        return response, None
 
     def _walk(self, method: str, request, auth, hop_index: int, idle_only=False):
         """One AS's part in a downstream-first walk along an own SegR
@@ -779,7 +782,7 @@ class ColibriService:
                 segment_ids=tuple(d.reservation_id for d in descriptors),
             )
             try:
-                response, keys = self._initiate(
+                response, hop_auths = self._initiate(
                     self._EER_SETUP, request, path.hops, now
                 )
             except (TransportError, InsufficientBandwidth) as failure:
@@ -794,14 +797,13 @@ class ColibriService:
                     raise
             else:
                 return self._install_eer(
-                    response, keys, eer_info, path.hops, request.segment_ids, now
+                    response, hop_auths, eer_info, path.hops, request.segment_ids
                 )
 
-    def _install_eer(self, response, keys, eer_info, hops, segment_ids, now):
-        """Open the HopAuths of a successful EER response, install the
-        version at the local gateway and hand the host its handle."""
+    def _install_eer(self, response, hop_auths, eer_info, hops, segment_ids):
+        """Install a successful EER response's opened HopAuths at the
+        local gateway and hand the host its handle."""
         info = response.res_info
-        hop_auths = self._open_hopauths(keys, hops, response.sealed_hopauths, now)
         if self.gateway is not None:
             self.gateway.install(
                 info.reservation,
@@ -827,13 +829,11 @@ class ColibriService:
         A malicious transit AS could corrupt another AS's sealed blob on
         the response path.  The AEAD tag detects it; we convert the raw
         crypto error into a typed failure naming the affected hop so the
-        initiator knows where the response was tampered with.  The
-        already-committed allocations along the path simply expire with
-        the EER lifetime (16 s) — bounded, unusable state for the
-        attacker, since without the HopAuths nobody can stamp packets.
+        initiator knows where the response was tampered with, and
+        :meth:`_initiate` aborts the EER path-wide, as for a forged grant.
         """
         if len(sealed_hopauths) != len(hops):
-            raise AdmissionDenied(
+            raise TamperedResponse(
                 f"response carries {len(sealed_hopauths)} HopAuths for "
                 f"{len(hops)} hops — tampered on the return path"
             )
@@ -841,9 +841,9 @@ class ColibriService:
         for hop, sealed in zip(hops, sealed_hopauths):
             key = keys.fetch_key(hop.isd_as, self.isd_as, now)
             try:
-                hop_auths.append(aead_open(key, sealed))
+                hop_auths.append(key.open(sealed))
             except AeadError as error:
-                raise AdmissionDenied(
+                raise TamperedResponse(
                     f"HopAuth from {hop.isd_as} failed authenticated "
                     f"decryption — response tampered in transit",
                     at_as=hop.isd_as,
@@ -955,7 +955,7 @@ class ColibriService:
             hop.ingress,
             hop.egress,
         )
-        return aead_seal(key, sigma)
+        return key.seal(sigma)
 
     @traced("eer.renewal", attrs=_initiator, latency="admission_latency_seconds")
     def renew_eer(self, handle: EerHandle, new_bandwidth: float = None) -> EerHandle:
@@ -975,9 +975,9 @@ class ColibriService:
             new_expiry=now + EER_LIFETIME,
             new_version=reservation.next_version_number(),
         )
-        response, keys = self._initiate(self._EER_RENEWAL, request, handle.hops, now)
+        response, hop_auths = self._initiate(self._EER_RENEWAL, request, handle.hops, now)
         renewed = self._install_eer(
-            response, keys, handle.eer_info, handle.hops, handle.segment_ids, now
+            response, hop_auths, handle.eer_info, handle.hops, handle.segment_ids
         )
         self._journal(
             RESERVATION_RENEWED,
@@ -1163,7 +1163,7 @@ class ColibriService:
         from repro.crypto.drkey import derive_host_key
 
         parent = self.keys.control_key(self.isd_as)
-        return derive_host_key(parent, host.packed)
+        return derive_host_key(parent.key, host.packed)
 
     @staticmethod
     def _host_request_bytes(
@@ -1372,10 +1372,10 @@ class ColibriService:
     _EER_SETUP = _Flow(
         "handle_eer_setup", "eer", "EER setup", EerSetupResponse, "sealed_hopauths",
         "find_eer", _resolve_setup, _decide_eer_setup, _commit_eer_setup,
-        _mint_hopauth, _abort_eer, _release_eer_decision,
+        _mint_hopauth, _abort_eer, _release_eer_decision, _open_hopauths,
     )
     _EER_RENEWAL = _Flow(
         "handle_eer_renewal", "eer_renewal", "EER renewal", EerSetupResponse,
         "sealed_hopauths", "find_eer", _resolve_eer_renewal, _decide_eer_renewal,
-        _commit_eer_renewal, _mint_hopauth, _abort_eer,
+        _commit_eer_renewal, _mint_hopauth, _abort_eer, open=_open_hopauths,
     )

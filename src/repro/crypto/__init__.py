@@ -7,23 +7,17 @@ property the protocol relies on: determinism, key-dependence, and
 preimage/forgery resistance.  See DESIGN.md §2 for the substitution table.
 """
 
-from repro.crypto.aead import aead_open, aead_seal
+from repro.crypto.aead import KeyContext, aead_open, aead_seal
 from repro.crypto.drkey import DrkeyDeriver, DrkeySecret, derive_as_key, derive_host_key
 from repro.crypto.keyserver import KeyServer, KeyServerDirectory
-from repro.crypto.mac import (
-    KeyedMacContext,
-    constant_time_equal,
-    mac,
-    truncated_mac,
-    verify_mac,
-)
+from repro.crypto.mac import constant_time_equal, mac, truncated_mac, verify_mac
 from repro.crypto.prf import prf, prf_context, random_key
 
 __all__ = [
     "prf",
     "prf_context",
     "random_key",
-    "KeyedMacContext",
+    "KeyContext",
     "mac",
     "truncated_mac",
     "verify_mac",

@@ -14,6 +14,7 @@ enforces that by passing the authenticated identity of the requester.
 
 from __future__ import annotations
 
+from repro.crypto.aead import KeyContext
 from repro.crypto.drkey import DrkeyDeriver, EntityId, encode_entity
 from repro.errors import KeyFetchError
 from repro.util.clock import Clock
@@ -49,20 +50,24 @@ class KeyServerDirectory:
     requester — the directory models the transport authenticating that
     identity (certificate check in the real system).
 
-    Fetched keys are cached per ``(owner, requester, epoch)``; repeated
-    lookups within an epoch never hit the remote server again, matching
-    the "fetched ahead of time and only infrequently renewed" behaviour.
+    Fetched keys are cached per ``(owner, requester, epoch)`` as
+    :class:`~repro.crypto.aead.KeyContext` objects, key schedules
+    included; repeated lookups within an epoch never hit the remote
+    server again, matching the "fetched ahead of time and only
+    infrequently renewed" behaviour.
     """
 
     def __init__(self, clock: Clock):
         self.clock = clock
         self._servers: dict[bytes, KeyServer] = {}
-        self._cache: dict[tuple[bytes, bytes, int], bytes] = {}
+        self._cache: dict[tuple[bytes, bytes, int], KeyContext] = {}
 
     def register(self, server: KeyServer) -> None:
         self._servers[encode_entity(server.local_as)] = server
 
-    def fetch_key(self, owner: EntityId, requester: EntityId, when: float = None) -> bytes:
+    def fetch_key(
+        self, owner: EntityId, requester: EntityId, when: float = None
+    ) -> KeyContext:
         """Fetch ``K_{owner->requester}`` on behalf of ``requester``."""
         if when is None:
             when = self.clock.now()
@@ -81,6 +86,5 @@ class KeyServerDirectory:
         cached = self._cache.get(cache_key)
         if cached is not None:
             return cached
-        key = server.fetch(requester, when)
-        self._cache[cache_key] = key
+        key = self._cache[cache_key] = KeyContext(server.fetch(requester, when))
         return key

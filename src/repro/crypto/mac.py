@@ -19,13 +19,12 @@ from __future__ import annotations
 import hmac
 
 from repro.constants import L_HVF, MAC_LENGTH
-from repro.crypto.prf import prf, prf_context
+from repro.crypto.prf import prf
 from repro.errors import CryptoError, MacVerificationError
 
 
-# The default truncation width every hot-path caller uses is validated
-# once at import; per-packet calls then only re-validate non-default
-# lengths (see KeyedMacContext.truncated).
+# The default truncation width is validated once at import: the batch
+# Eq. (6) paths (hvf.stamp_hvfs, the native kernel) slice to it unchecked.
 if not 0 < L_HVF <= MAC_LENGTH:  # pragma: no cover - import-time sanity
     raise ValueError(
         f"L_HVF must be in (0, {MAC_LENGTH}], got {L_HVF}"
@@ -51,47 +50,6 @@ def truncated_mac(key: bytes, data: bytes, length: int = L_HVF) -> bytes:
     if not 0 < length <= MAC_LENGTH:
         raise ValueError(f"truncation length must be in (0, {MAC_LENGTH}], got {length}")
     return mac(key, data)[:length]
-
-
-class KeyedMacContext:
-    """Prehashed MAC state: one key schedule amortized over many messages.
-
-    The paper's DPDK prototype amortizes AES key expansion across packets;
-    this is the keyed-BLAKE2s counterpart.  The batch fast paths (gateway
-    HVF stamping, router σ-cache hits) create one context per key and
-    clone it per message, replacing the per-call key scheduling inside
-    :func:`mac`.  Results are byte-identical to :func:`mac` /
-    :func:`truncated_mac` — the context caches only the key schedule,
-    never message state, so it is safe to share within one component.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, key: bytes):
-        #: The keyed hash state.  Clone-only: callers in hot loops may
-        #: read it directly but must ``.copy()`` before updating.
-        self.state = prf_context(key)
-
-    def mac(self, data: bytes) -> bytes:
-        """Full-width MAC, equal to ``mac(key, data)``."""
-        state = self.state.copy()
-        state.update(data)
-        return state.digest()
-
-    def truncated(self, data: bytes, length: int = L_HVF) -> bytes:
-        """Truncated MAC, equal to ``truncated_mac(key, data, length)``.
-
-        The default width is validated at module import; only explicit
-        non-default lengths pay the range check here, keeping the
-        ``ValueError`` contract without a per-packet branch pair.
-        """
-        if length != L_HVF and not 0 < length <= MAC_LENGTH:
-            raise ValueError(
-                f"truncation length must be in (0, {MAC_LENGTH}], got {length}"
-            )
-        state = self.state.copy()
-        state.update(data)
-        return state.digest()[:length]
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

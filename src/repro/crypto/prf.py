@@ -51,26 +51,6 @@ def prf_context(key: bytes):
     return hashlib.blake2s(key=key, digest_size=KEY_LENGTH)
 
 
-def prf_under_keys(keys, data: bytes) -> list:
-    """``prf(key, data)`` for each key over one shared message.
-
-    The batch counterpart of :func:`prf` for fan-out points like Eq. (6)
-    stamping (one message, one MAC per on-path σ): a single Python-level
-    loop with one C call per key, byte-identical to calling :func:`prf`
-    per key.
-    """
-    blake2s = hashlib.blake2s
-    tags = []
-    append = tags.append
-    for key in keys:
-        if not key:
-            raise ValueError("PRF key must be non-empty")
-        if len(key) > 32:
-            key = blake2s(key).digest()
-        append(blake2s(data, key=key, digest_size=KEY_LENGTH).digest())
-    return tags
-
-
 def random_key(length: int = KEY_LENGTH) -> bytes:
     """Generate a fresh uniformly random key (AS secret values, SVs)."""
     if length <= 0:

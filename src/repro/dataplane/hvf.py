@@ -31,7 +31,8 @@ import struct
 
 from repro.constants import L_HVF
 from repro.crypto import native
-from repro.crypto.drkey import DrkeyDeriver, EntityId
+from repro.crypto.aead import KeyContext
+from repro.crypto.drkey import DrkeyDeriver, EntityId, encode_entity
 from repro.crypto.mac import constant_time_equal, mac, truncated_mac
 from repro.crypto.prf import prf, prf_context
 from repro.errors import HvfMismatch
@@ -100,7 +101,7 @@ def sigma_states(hop_auths) -> tuple:
     """Raw prehashed Eq. (6) MAC states, one per HopAuth σ, path order.
 
     The gateway's stamp tables: bare ``blake2s`` objects rather than
-    :class:`KeyedMacContext` wrappers, so the Fig. 5 hot loop
+    :class:`~repro.crypto.aead.KeyContext` wrappers, so the Fig. 5 hot loop
     (:func:`stamp_hvfs`) pays no attribute hop per HVF.  Built once per
     installed version — key scheduling happens at control-plane time,
     the software analogue of expanding AES round keys at setup.
@@ -215,6 +216,7 @@ class ColibriKeys:
     def __init__(self, deriver: DrkeyDeriver):
         self.deriver = deriver
         self._hop_keys: dict[int, bytes] = {}
+        self._control_keys: dict[int, dict] = {}  # epoch -> {remote: key}
 
     @property
     def local_as(self) -> EntityId:
@@ -229,7 +231,31 @@ class ColibriKeys:
             self._hop_keys[secret.epoch] = key
         return key
 
-    def control_key(self, remote: EntityId, when: float = None) -> bytes:
-        """``K_{local->remote}`` used for control-plane MACs and the
-        AEAD channel of Eq. (5)."""
-        return self.deriver.as_key(remote, when)
+    def control_key(self, remote: EntityId, when: float = None, check=None) -> KeyContext:
+        """``K_{local->remote}``, the key of the control-plane MACs and the
+        AEAD channel of Eq. (5): one :class:`KeyContext` per (remote, DRKey
+        epoch), memoized for the current and previous epochs.
+
+        ``check(key)`` verifies a MAC from ``remote``, raising on a
+        mismatch; it runs on every call, and a key derived on a miss is
+        memoized only after it passed, so a forged source plants nothing
+        (store-after-validate, as in the σ-cache).  Without it the caller
+        vouches for ``remote`` (the local AS).  The memo is soft state:
+        emptying it changes no verdict, only the derivation count.
+        """
+        if when is None:
+            when = self.deriver.clock.now()
+        epoch = self.deriver.secret_for(when).epoch
+        packed = encode_entity(remote)
+        memo = self._control_keys.get(epoch)
+        key = memo.get(packed) if memo is not None else None
+        fresh = key is None
+        if fresh:
+            key = KeyContext(self.deriver.as_key(remote, when))
+        if check is not None:
+            check(key)
+        if fresh:
+            self._control_keys.setdefault(epoch, {})[packed] = key
+            if len(self._control_keys) > 2:
+                del self._control_keys[min(self._control_keys)]
+        return key

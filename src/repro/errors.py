@@ -179,6 +179,10 @@ class InsufficientBandwidth(AdmissionDenied):
     """Less bandwidth than the requested minimum is available."""
 
 
+class TamperedResponse(AdmissionDenied):
+    """A response's sealed HopAuths did not open at the initiator (Eq. 5)."""
+
+
 class RateLimited(ReservationError):
     """The CServ rate limiter rejected the request (§5.3)."""
 

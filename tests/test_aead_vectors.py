@@ -9,13 +9,20 @@ implementation this repository shipped before the one-pass rewrite
 The plaintexts are prefixes of one pattern and the cipher is a stream
 cipher, so every ciphertext is a prefix of :data:`CIPHERTEXT`; only the
 tag depends on the length and the associated data.
+
+The hops and the initiator seal and open through a prehashed
+:class:`~repro.crypto.aead.KeyContext`; the property at the end holds it
+to the module functions these vectors pin.
 """
 
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.crypto.aead import NONCE_LENGTH, TAG_LENGTH, aead_open, aead_seal
+from repro.crypto.aead import NONCE_LENGTH, TAG_LENGTH, KeyContext, aead_open, aead_seal
+from repro.crypto.mac import mac
 from repro.errors import AeadError
 
 KEY = bytes(range(16))
@@ -105,3 +112,30 @@ def test_long_keys_are_compressed_like_the_prf():
     # prf() hashes keys over 32 bytes first; seal and open must agree.
     key = bytes(range(48))
     assert aead_open(key, aead_seal(key, plaintext(40), b"ad"), b"ad") == plaintext(40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    key=st.binary(min_size=1, max_size=48),
+    plain=st.binary(max_size=64),
+    associated=st.binary(max_size=24),
+    nonce=st.binary(min_size=NONCE_LENGTH, max_size=NONCE_LENGTH),
+    flip=st.integers(min_value=0),
+)
+def test_key_context_equals_the_module_functions(key, plain, associated, nonce, flip):
+    """The key object's MAC, seal and open are the raw-key functions'
+    bytes, for any key (over-long ones included), plaintext of 0-64 B
+    and associated data; a flipped byte fails to open under both."""
+    context = KeyContext(key)
+    assert context.key == key
+    assert context.mac(plain + associated) == mac(key, plain + associated)
+    with mock.patch("os.urandom", return_value=nonce):
+        sealed = context.seal(plain, associated)
+        assert sealed == aead_seal(key, plain, associated)
+    assert context.open(sealed, associated) == plain
+    assert aead_open(key, sealed, associated) == plain
+    tampered = bytearray(sealed)
+    tampered[flip % len(sealed)] ^= 0x01
+    for opener in (context.open, lambda blob, ad: aead_open(key, blob, ad)):
+        with pytest.raises(AeadError):
+            opener(bytes(tampered), associated)

@@ -1,30 +1,37 @@
 """One control-plane hop against the paper's list (§4.5, Eq. 4-5).
 
-Per on-path AS an EER request costs one on-the-fly DRKey derivation,
-one MAC check, one admission decision, one grant MAC, one store write
-and one sealed HopAuth.  The handlers in ``control/cserv.py`` are the
-optimized path; this file is the tens-of-lines reference they are
+Per on-path AS an EER request costs one key lookup, one MAC check, one
+admission decision, one grant MAC, one store write and one sealed
+HopAuth.  The lookup serves ``K_{AS_i->Src}`` from the AS's memo: a
+DRKey derivation happens once per (source, epoch), and only a key whose
+source MAC verified is kept.  The handlers in ``control/cserv.py`` are
+the optimized path; this file is the tens-of-lines reference they are
 checked against: every MAC, grant and HopAuth is recomputed from each
 AS's *own* key material, per-SegR allocations are recomputed by brute
 force from the stored EERs, and counting wrappers pin the per-hop work
 to the list above.  Each scenario also runs with the renewal falling in
-the DRKey epoch after the setup's.
+the DRKey epoch after the setup's, and again with every key memo
+emptied before every hop, which must change no byte.
 """
 
+import copy
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.constants import DRKEY_VALIDITY
+from repro.control.auth import AuthenticatedRequest
 from repro.crypto.mac import mac
 from repro.dataplane.hvf import hop_authenticator
 from repro.errors import InsufficientBandwidth, MacVerificationError
-from repro.packets.control import AsGrant
+from repro.packets.control import AsGrant, EerAbortNotice
 from repro.sim.scenario import ColibriNetwork
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.topology.generator import build_two_isd_topology
 from repro.util.clock import SimClock
 from repro.util.units import gbps, mbps
+from tests import test_cserv_observability_cost as golden
 
 SRC = IsdAs.parse("1-ff00:0:65")
 DST = IsdAs.parse("2-ff00:0:65")
@@ -43,14 +50,14 @@ class HopLog:
 
     def __init__(self, net, path):
         self.calls = []  # one dict per handler invocation, in hop order
-        self.derivations = Counter()
+        self.lookups = Counter()  # control_key calls: memo hits and misses
         self.writes = Counter()  # (isd_as, "add_eer" | "touch") -> calls
         self.installed = []  # (res_info, hop_auths) per gateway.install
         for isd_as in path:
             stack = net.stack(isd_as)
             for method in HANDLERS:
                 self._record(stack.cserv, method)
-            self._count(stack.keys, "control_key", self.derivations, isd_as)
+            self._count(stack.keys, "control_key", self.lookups, isd_as)
             for method in ("add_eer", "touch"):
                 self._count(stack.cserv.store, method, self.writes, (isd_as, method))
         gateway = net.gateway(path[0])
@@ -86,22 +93,27 @@ class HopLog:
 
     def take(self):
         """The invocations since the last take, with the counters."""
-        taken = (list(self.calls), Counter(self.derivations), Counter(self.writes))
-        for record in (self.calls, self.derivations, self.writes):
+        taken = (list(self.calls), Counter(self.lookups), Counter(self.writes))
+        for record in (self.calls, self.lookups, self.writes):
             record.clear()  # in place: the wrappers hold these objects
         return taken
 
 
-@pytest.fixture(params=sorted(STARTS))
-def deployment(request):
-    net = ColibriNetwork(
-        build_two_isd_topology(), clock=SimClock(start=STARTS[request.param])
-    )
+def deploy(start: float, prepare=None):
+    """The 6-AS path with its three SegRs; ``prepare(net)`` runs first."""
+    net = ColibriNetwork(build_two_isd_topology(), clock=SimClock(start=start))
+    if prepare is not None:
+        prepare(net)
     path = net.path_lookup.paths(SRC, DST, limit=1)[0]
     for segment, bandwidth in zip(path.segments, (gbps(10), gbps(10), gbps(1))):
         net.cserv(segment.first_as).setup_segment(segment, bandwidth)
     assert len(path.ases) == 6
     return net, path.ases, HopLog(net, path.ases)
+
+
+@pytest.fixture(params=sorted(STARTS))
+def deployment(request):
+    return deploy(STARTS[request.param])
 
 
 # ------------------------------------------------------------ reference ----
@@ -166,13 +178,13 @@ def check_allocations(net):
     assert net.audit() == []
 
 
-def check_work(path, calls, derivations, writes, write, committed):
-    """One handler invocation and one key derivation per AS reached;
-    one store write at each AS that committed, none elsewhere."""
+def check_work(path, calls, lookups, writes, write, committed):
+    """One handler invocation and one key lookup per AS reached; one
+    store write at each AS that committed, none elsewhere."""
     reached = path[: len(calls)]
     assert [call["at"] for call in calls] == list(reached)
     assert [call["hop"] for call in calls] == list(range(len(calls)))
-    assert derivations == Counter(reached)
+    assert lookups == Counter(reached)
     expected = Counter({(isd_as, write): 1 for isd_as in path[:committed]})
     assert +writes == expected
 
@@ -185,9 +197,9 @@ def test_admitted_setup_then_renewal(deployment):
     cserv = net.cserv(SRC)
 
     handle = cserv.setup_eer(DST, SRC_HOST, DST_HOST, mbps(8))
-    calls, derivations, writes = log.take()
+    calls, lookups, writes = log.take()
     assert handle.granted == mbps(8)
-    check_work(path, calls, derivations, writes, "add_eer", committed=6)
+    check_work(path, calls, lookups, writes, "add_eer", committed=6)
     check_request_macs(net, path, calls)
     check_grants(net, path, calls, granted_by=6)
     check_hop_auths(net, calls, log.installed[-1], handle.eer_info, handle.hops)
@@ -195,9 +207,9 @@ def test_admitted_setup_then_renewal(deployment):
 
     net.advance(3.0)  # in "across_epochs", now past the DRKey boundary
     renewed = cserv.renew_eer(handle, mbps(12))
-    calls, derivations, writes = log.take()
+    calls, lookups, writes = log.take()
     assert renewed.granted == mbps(12) and renewed.res_info.version == 2
-    check_work(path, calls, derivations, writes, "touch", committed=6)
+    check_work(path, calls, lookups, writes, "touch", committed=6)
     check_request_macs(net, path, calls)
     check_grants(net, path, calls, granted_by=6)
     check_hop_auths(net, calls, log.installed[-1], handle.eer_info, handle.hops)
@@ -215,9 +227,9 @@ def test_refusal_at_the_far_transfer_as(deployment):
 
     with pytest.raises(InsufficientBandwidth) as refusal:
         net.cserv(SRC).setup_eer(DST, SRC_HOST, DST_HOST, gbps(2))
-    calls, derivations, writes = log.take()
+    calls, lookups, writes = log.take()
     assert refusal.value.at_as == FAR_TRANSFER == path[3]
-    check_work(path, calls, derivations, writes, "add_eer", committed=0)
+    check_work(path, calls, lookups, writes, "add_eer", committed=0)
     check_request_macs(net, path, calls)
     # The three ASes before the refuser granted, and signed their grants.
     check_grants(net, path, calls, granted_by=3)
@@ -230,9 +242,9 @@ def test_refusal_at_the_source(deployment):
     net, path, log = deployment
     with pytest.raises(InsufficientBandwidth) as refusal:
         net.cserv(SRC).setup_eer(DST, SRC_HOST, DST_HOST, gbps(20))
-    calls, derivations, writes = log.take()
+    calls, lookups, writes = log.take()
     assert refusal.value.at_as == SRC
-    check_work(path, calls, derivations, writes, "add_eer", committed=0)
+    check_work(path, calls, lookups, writes, "add_eer", committed=0)
     check_request_macs(net, path, calls)
     assert net.bus.calls_by_method["handle_eer_setup"] == 0  # nothing was sent
     assert log.installed == []
@@ -259,7 +271,7 @@ def test_a_forged_request_mac_is_refused_before_any_work(deployment):
 
 def test_segr_handlers_do_the_same_work_per_hop():
     """SegR setup and renewal go through the same hop as the EER
-    workflows: per on-path AS one key derivation, one admission read and
+    workflows: per on-path AS one key lookup, one admission read and
     one store write (setup) or one store read (renewal: the new version
     is pending on the stored row)."""
     net = ColibriNetwork(build_two_isd_topology(), clock=SimClock(start=1000.0))
@@ -292,3 +304,152 @@ def test_segr_handlers_do_the_same_work_per_hop():
     expected[(SRC, "get_segment")] += 1  # the initiator's own lookup
     assert work == expected
     assert net.audit() == []
+
+
+# ------------------------------------------------------- the key memo ----
+
+
+def memo(net, isd_as) -> dict:
+    """AS ``isd_as``'s control-key memo: DRKey epoch -> {source: key}."""
+    return net.stack(isd_as).keys._control_keys
+
+
+def count_derivations(net, path) -> Counter:
+    """Counts the ``K_{AS_i->Src}`` derivations each AS on ``path`` makes
+    for its own hops, i.e. its memo's misses: the AS's ColibriKeys gets a
+    counting copy of the deriver, its key server keeps the original, so
+    the initiator's key fetches are not counted."""
+    derived = Counter()
+    for isd_as in path:
+        keys = net.stack(isd_as).keys
+        keys.deriver = copy.copy(keys.deriver)
+        HopLog._count(keys.deriver, "as_key", derived, isd_as)
+    return derived
+
+
+def empty_every_memo(net) -> None:
+    net.directory._cache.clear()
+    for isd_as in net.ases():
+        memo(net, isd_as).clear()
+
+
+def empty_before_every_hop(net) -> None:
+    """Every SegR and EER handler empties every key memo, each AS's and
+    the initiator's key-server cache, before it runs."""
+    for isd_as in net.ases():
+        cserv = net.cserv(isd_as)
+        for method in HANDLERS + ("handle_seg_setup", "handle_seg_renewal"):
+            original = getattr(cserv, method)
+
+            def handler(request, auth, hop_index, original=original):
+                empty_every_memo(net)
+                return original(request, auth, hop_index)
+
+            setattr(cserv, method, handler)
+
+
+def test_one_derivation_per_as_and_epoch(deployment):
+    net, path, log = deployment
+    empty_every_memo(net)
+    derived = count_derivations(net, path)
+    cserv = net.cserv(SRC)
+
+    handle = cserv.setup_eer(DST, SRC_HOST, DST_HOST, mbps(8))
+    assert derived == Counter(path)
+    derived.clear()
+    net.advance(0.5)
+    cserv.setup_eer(DST, SRC_HOST, DST_HOST, mbps(8))
+    assert derived == Counter()
+    net.advance(2.5)  # in "across_epochs", now past the DRKey boundary
+    cserv.renew_eer(handle, mbps(12))
+    crossed = net.clock.now() >= 5 * DRKEY_VALIDITY
+    assert derived == (Counter(path) if crossed else Counter())
+    _, lookups, _ = log.take()
+    assert lookups == Counter({isd_as: 3 for isd_as in path})  # one per request
+    epochs = [4, 5] if crossed else [int(net.clock.now() // DRKEY_VALIDITY)]
+    for isd_as in path:
+        assert sorted(memo(net, isd_as)) == epochs
+
+
+def test_a_wrong_source_mac_leaves_the_memo_unchanged(deployment):
+    """Warm or cold, a request or abort notice whose MAC for AS_i is
+    wrong is refused and leaves AS_i's memo as it was: a key derived for
+    it is checked and dropped."""
+    net, path, log = deployment
+    net.cserv(SRC).setup_eer(DST, SRC_HOST, DST_HOST, mbps(8))
+    calls, _, _ = log.take()
+    target, request, auth = net.cserv(path[1]), calls[1]["request"], calls[1]["auth"]
+    notice = EerAbortNotice(request.res_info.reservation, 1)
+    abort_auth = AuthenticatedRequest.create(net.directory, SRC, [path[1]], notice)
+    derived = count_derivations(net, path[1:2])
+    forged = {path[1]: bytes(16)}
+    for warm in (True, False):
+        if not warm:
+            empty_every_memo(net)
+        before = {epoch: dict(keys) for epoch, keys in memo(net, path[1]).items()}
+        with pytest.raises(MacVerificationError):
+            target.handle_eer_setup(request, replace(auth, source_macs=forged), 1)
+        with pytest.raises(MacVerificationError):
+            target.handle_eer_abort(notice, replace(abort_auth, source_macs=forged))
+        assert memo(net, path[1]) == before
+    assert derived[path[1]] == 2  # the two cold refusals, none kept
+    assert target.store.eer_count() == 1  # the abort was refused too
+
+
+def test_the_memo_holds_two_epochs_at_most():
+    net = ColibriNetwork(build_two_isd_topology(), clock=SimClock(start=1000.0))
+    keys = net.stack(SRC).keys
+    first = int(1000.0 // DRKEY_VALIDITY)
+    for step in range(4):
+        when = 1000.0 + step * DRKEY_VALIDITY
+        for remote in (DST, FAR_TRANSFER):
+            keys.control_key(remote, when)
+        expected = [first + step - 1, first + step] if step else [first]
+        assert sorted(keys._control_keys) == expected
+    # A key for an older epoch is still served; the memo keeps the newest two.
+    old = keys.control_key(DST, 1000.0)
+    assert old.key == keys.deriver.as_key(DST, 1000.0)
+    assert sorted(keys._control_keys) == [first + 2, first + 3]
+
+
+def answers(start: float, prepare=None):
+    """Everything a setup, a renewal and two refusals leave behind that
+    the key memos could influence: per handler call its grants, grant
+    MACs and source MACs; the opened HopAuths; every AS's allocations."""
+    net, path, log = deploy(start, prepare)
+    cserv = net.cserv(SRC)
+    handle = cserv.setup_eer(DST, SRC_HOST, DST_HOST, mbps(8))
+    net.advance(3.0)
+    cserv.renew_eer(handle, mbps(12))
+    for refused in (gbps(2), gbps(20)):
+        with pytest.raises(InsufficientBandwidth):
+            cserv.setup_eer(DST, SRC_HOST, DST_HOST, refused)
+    calls = [
+        (call["at"], call["hop"], call["response"].grants,
+         list(call["auth"].grant_macs), dict(call["auth"].source_macs))
+        for call in log.calls
+    ]
+    stores = {}
+    for isd_as in net.ases():
+        store = net.cserv(isd_as).store
+        stores[isd_as] = (store.eer_count(), {
+            segment.reservation_id: store.allocated_on_segment(segment.reservation_id)
+            for segment in store.segments()
+        })
+    return calls, log.installed, stores
+
+
+@pytest.mark.parametrize("start", sorted(STARTS))
+def test_emptying_every_memo_changes_no_byte(start):
+    assert answers(STARTS[start], empty_before_every_hop) == answers(STARTS[start])
+
+
+def test_emptying_every_memo_keeps_the_golden_journal():
+    net = ColibriNetwork(build_two_isd_topology())
+    net.enable_observability(seed=7, journal=True, perf=net.clock)
+    empty_before_every_hop(net)
+    net.reserve_segments(SRC, DST, gbps(1))
+    golden.admitted_traffic(net)
+    golden.refused_setup(net)
+    golden.expire_and_sweep(net)
+    assert golden.journaled(net) == golden.GOLDEN.read_text()

@@ -84,15 +84,20 @@ def test_disabled_observability_formats_nothing(formatted):
     assert formatted == []
 
 
+def journaled(net) -> str:
+    """The admission, renewal and sweep records, as the golden file
+    holds them."""
+    kept = {ADMISSION_DECIDED, RESERVATION_RENEWED, STORE_SWEPT}
+    return "".join(
+        json.dumps(event.to_dict(), sort_keys=True) + "\n"
+        for event in net.obs.journal.events()
+        if event.type in kept
+    )
+
+
 def test_enabled_journal_matches_the_parent():
     net = build(observed=True)
     admitted_traffic(net)
     refused_setup(net)
     expire_and_sweep(net)
-    kept = {ADMISSION_DECIDED, RESERVATION_RENEWED, STORE_SWEPT}
-    lines = [
-        json.dumps(event.to_dict(), sort_keys=True) + "\n"
-        for event in net.obs.journal.events()
-        if event.type in kept
-    ]
-    assert "".join(lines) == GOLDEN.read_text()
+    assert journaled(net) == GOLDEN.read_text()

@@ -245,7 +245,21 @@ class TestHandlerRobustness:
         assert excinfo.value.granted == pytest.approx(mbps(5), rel=0.01)
 
 
+def assert_nothing_reserved(net):
+    """No AS holds an EER or any EER bandwidth on its SegRs."""
+    for isd_as in net.ases():
+        store = net.cserv(isd_as).store
+        assert store.eer_count() == 0, isd_as
+        for segment in store.segments():
+            assert store.allocated_on_segment(segment.reservation_id) == 0, isd_as
+    assert net.audit() == []
+
+
 class TestTamperedResponsePath:
+    """A response whose HopAuths do not open is aborted path-wide, like
+    one carrying a forged grant: every AS that committed releases the EER
+    at once instead of holding its bandwidth for the EER lifetime."""
+
     def test_corrupted_hopauth_blob_attributed(self, net):
         """A transit AS corrupting another AS's sealed HopAuth on the
         response path is detected by the AEAD tag, and the failure names
@@ -279,8 +293,10 @@ class TestTamperedResponsePath:
         finally:
             cserv.handle_eer_setup = original
         assert excinfo.value.at_as is not None
-        # Nothing usable leaked: the gateway holds no reservation.
+        # Nothing usable leaked: the gateway holds no reservation, and no
+        # AS on the path still holds the EER or its bandwidth.
         assert net.gateway(SRC).reservation_count() == 0
+        assert_nothing_reserved(net)
 
     def test_truncated_hopauth_list_rejected(self, net):
         from repro.errors import AdmissionDenied
@@ -305,6 +321,8 @@ class TestTamperedResponsePath:
                 net.establish_eer(SRC, DST, mbps(10))
         finally:
             cserv.handle_eer_setup = original
+        assert net.gateway(SRC).reservation_count() == 0
+        assert_nothing_reserved(net)
 
 
 class TestHostAuthentication:

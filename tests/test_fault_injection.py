@@ -26,7 +26,6 @@ from repro.control.retry import (
     RetryPolicy,
 )
 from repro.control.rpc import FaultInjector, LinkFaults, MessageBus, Unreachable
-from repro.crypto.aead import aead_open
 from repro.errors import (
     AdmissionDenied,
     CallTimeout,
@@ -846,7 +845,7 @@ class TestReplayDifferential:
             source, now = request.grants[0].isd_as, net.clock.now()
             keys = [net.directory.fetch_key(g.isd_as, source, now) for g in lost.grants]
             opened = [
-                [aead_open(key, blob) for key, blob in zip(keys[hop:], sealed)]
+                [key.open(blob) for key, blob in zip(keys[hop:], sealed)]
                 for sealed in (lost.sealed_hopauths, replayed.sealed_hopauths)
             ]
             assert opened[0] == opened[1] and len(opened[1]) == len(keys) - hop
