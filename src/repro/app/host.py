@@ -47,8 +47,12 @@ class ColibriSocket:
 
     @property
     def handle(self):
+        """The scheduler's freshest handle, or the last one it had."""
         if self._scheduler is not None:
-            return self._scheduler.eer_handle(self._handle.reservation_id)
+            try:
+                self._handle = self._scheduler.eer_handle(self._handle.reservation_id)
+            except KeyError:  # tick() untracked it (torn down or swept): the gateway says why
+                pass
         return self._handle
 
     @property

@@ -14,11 +14,10 @@ output offsets, one call — see :class:`BurstStamper`).  The router side
 crosses once per packet-hop: ``colibri_hop`` runs §4.6 steps 3–5 — the
 σ-cache entry's Eq. (6) check, the duplicate filter's test-and-set on
 that MAC, the overuse detector's count-min update — on the router's own
-tables, found through a ``colibri_police_t`` that :class:`HopPolicer`
-keeps pointed at them.  The tables stay caller-owned buffers — a
-``bytearray`` pair, an ``array('d')`` — that Python reads and replaces as
-before, and a geometry that does not fit them is refused before anything
-is written.  (``colibri_verify`` alone serves the validate-only paths.)
+tables — a ``bytearray`` pair, an ``array('d')``, Python's to read and
+replace — through a ``colibri_police_t`` they re-point as they change
+(:class:`HopPolicer`); a geometry that does not fit them is refused before
+anything is written.  (``colibri_verify`` serves the validate-only paths.)
 
 Byte-identity is the admission contract (docs/performance.md): for every
 key and message,
@@ -45,8 +44,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import importlib.util
+import operator
 import os
 import shutil
+import weakref
 from typing import Optional
 
 from repro.constants import L_HVF, MAC_LENGTH
@@ -839,50 +840,51 @@ class BurstStamper:
         return self._ffi.buffer(self._out, size)[:]
 
 
+def repointing(name: str) -> property:
+    """A table attribute the struct copies: setting it calls ``_repoint``."""
+
+    def assign(table, value) -> None:
+        setattr(table, name, value)
+        table._repoint()
+
+    return property(operator.attrgetter(name), assign)
+
+
 class HopPolicer:
     """One router's ``colibri_police_t``, kept pointed at its live tables.
 
-    :meth:`bind` answers the router's per-burst question "may ``colibri_hop``
-    run at ``now``?" with the struct — re-pointed at whichever buffers the
-    duplicate filter and the sketch hold *now* (a rotation, a window roll or
-    a ``clear`` replaces them), geometry and threshold read afresh — or with
-    ``None`` while a rotation or a roll is due: that packet takes the Python
-    bodies, which rotate or roll exactly when they always did (on the first
-    packet that authenticates), so the kernel needs no rotation rule of its
-    own.  The pinned views keep every buffer the struct names alive.  Call
-    as ``hop(state, schedule, message, len(message), tag, len(tag), cells,
+    Push-bound, nothing polls: :meth:`point` is the ``_repoint`` of both
+    filters and the sketch, called where they change — ``_BloomFilter.clear``
+    (so every rotation), ``_roll``, a :func:`repointing` attribute (``bits``,
+    ``hashes``, ``overuse_factor``).  The router asks only whether a rotation
+    or roll is due (that packet takes the Python trio, which does it).  Pins
+    keep the buffers alive; weak proxies to the tables avoid a cycle.  Call
+    ``hop(state, schedule, message, len(message), tag, len(tag), cells,
     len(cells), amount)``; a duplicate's MAC is then ``mac[:]``.  Not
     thread-safe: one router, one burst at a time.
     """
 
-    __slots__ = ("hop", "state", "mac", "_ffi", "_bound", "_pins")
+    __slots__ = ("hop", "state", "mac", "_ffi", "_pins", "_duplicates", "_ofd")
 
-    def __init__(self, backend: NativeBackend):
-        self._ffi = backend.ffi
-        self.hop = backend.lib.colibri_hop
+    def __init__(self, backend: NativeBackend, duplicates, ofd):
+        self._ffi, self.hop = backend.ffi, backend.lib.colibri_hop
         self.state = backend.ffi.new("colibri_police_t *")
         self.mac = backend.ffi.buffer(self.state.mac)
-        self._bound = self._pins = ()
+        self._duplicates, self._ofd = weakref.proxy(duplicates), weakref.proxy(ofd)
+        for table in (duplicates._current, duplicates._previous, ofd):
+            table._repoint = self.point
+        self.point()
 
-    def bind(self, duplicates, ofd, now: float):
-        rotation_due = now - duplicates._rotated_at >= duplicates.window
-        if rotation_due or now - ofd._window_start >= ofd.window:
-            return None
-        current = duplicates._current
-        bound = (
-            id(current._array), id(duplicates._previous._array), id(ofd._counts),
-            current.bits, current.hashes, ofd.window * ofd.overuse_factor,
+    def point(self) -> None:
+        """Aim the struct at the tables' buffers, geometry and threshold now."""
+        duplicates, ofd, state = self._duplicates, self._ofd, self.state
+        current, from_buffer = duplicates._current, self._ffi.from_buffer
+        self._pins = pins = (
+            from_buffer("uint8_t[]", current._array),
+            from_buffer("uint8_t[]", duplicates._previous._array),
+            from_buffer("double[]", ofd._counts),
         )
-        state = self.state
-        if bound != self._bound:  # pinned, so an id() names one live buffer
-            from_buffer = self._ffi.from_buffer
-            self._pins = pins = (
-                from_buffer("uint8_t[]", current._array),
-                from_buffer("uint8_t[]", duplicates._previous._array),
-                from_buffer("double[]", ofd._counts),
-            )
-            state.current, state.previous, state.counts = pins
-            state.nbytes, state.ncounts = min(len(pins[0]), len(pins[1])), len(pins[2])
-            state.bits, state.hashes, state.threshold = bound[3:]
-            self._bound = bound
-        return state
+        state.current, state.previous, state.counts = pins
+        state.nbytes, state.ncounts = min(len(pins[0]), len(pins[1])), len(pins[2])
+        state.bits, state.hashes = current.bits, current.hashes
+        state.threshold = ofd.window * ofd.overuse_factor  # what observe() compares with

@@ -30,6 +30,7 @@ import math
 import struct
 
 from repro.constants import DUPLICATE_WINDOW
+from repro.crypto import native
 from repro.obs.events import DUPLICATE_SUPPRESSED
 from repro.util.clock import Clock
 
@@ -39,15 +40,18 @@ _HALVES = struct.Struct(">QQ").unpack  # raises unless given the 16 bytes of a M
 class _BloomFilter:
     """A k-position Bloom filter over a bit array."""
 
+    _repoint = staticmethod(lambda: None)  # a new buffer or geometry: native.HopPolicer
+    bits, hashes = native.repointing("_bits"), native.repointing("_hashes")
+
     def __init__(self, bits: int, hashes: int):
-        self.bits, self.hashes = bits, hashes
+        self._bits, self._hashes = bits, hashes
         self.clear()
 
     def clear(self) -> None:
-        # A fresh zeroed buffer: wiping 128 KiB byte by byte took ~6 ms.  The
-        # kernel's struct follows it at the next burst (native.HopPolicer.bind).
-        self._array = bytearray((self.bits + 7) // 8)
+        # A fresh zeroed buffer: wiping 128 KiB byte by byte took ~6 ms.
+        self._array = bytearray((self._bits + 7) // 8)
         self.insertions = 0
+        self._repoint()
 
 
 class DuplicateSuppressor:
@@ -100,7 +104,7 @@ class DuplicateSuppressor:
             self._rotate(now)
         current = self._current
         first, step = _HALVES(identifier)
-        array, bits, rounds = current._array, current.bits, self._rounds
+        array, bits, rounds = current._array, current._bits, self._rounds
         previous, position = self._previous._array, first
         for _ in rounds:
             bit = position % bits

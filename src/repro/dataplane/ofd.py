@@ -50,6 +50,8 @@ class OveruseFlowDetector:
     #: only when a flow is newly flagged).
     obs = None
     isd_as = ""
+    _repoint = staticmethod(lambda: None)  # new rows or factor: native.HopPolicer
+    overuse_factor = native.repointing("_overuse_factor")
 
     def __init__(
         self,
@@ -68,7 +70,7 @@ class OveruseFlowDetector:
         self.overuse_factor = overuse_factor
         # Flat rows of doubles, r at [r*width, (r+1)*width), made by _roll;
         # with the kernel loaded, colibri_hop adds into this same buffer.
-        self._counts = None
+        self._counts = array("d")
         self._backend = native.backend()
         self._words = struct.Struct(f">{depth}I")
         self._window_start = -inf  # so the first packet opens the first window
@@ -84,6 +86,7 @@ class OveruseFlowDetector:
         self._counts = array("d", bytes(8 * self.width * self.depth))
         self._suspects.clear()
         self._window_start = now
+        self._repoint()
 
     def cells_for(self, flow_label: bytes) -> tuple:
         """The flow's cell in each row, as indices into the flat counts:
@@ -121,7 +124,7 @@ class OveruseFlowDetector:
             counts[cell] = count = counts[cell] + normalized
             if count < estimate:
                 estimate = count
-        return self._judge(flow_label, estimate > self.window * self.overuse_factor, now)
+        return self._judge(flow_label, estimate > self.window * self._overuse_factor, now)
 
     def _judge(self, flow_label: bytes, over: bool, now: float) -> bool:
         """After the add, whichever body made it: a flow already flagged in

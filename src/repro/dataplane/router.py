@@ -84,6 +84,7 @@ class Verdict(enum.Enum):
     DROP_BLOCKED = "drop_blocked"  # source AS on the blocklist
     DROP_DUPLICATE = "drop_duplicate"  # replay suppressed
     DROP_OVERUSE = "drop_overuse"  # deterministic monitor non-conformance
+    __hash__ = object.__hash__  # singletons: identity, in C (``Enum.__hash__`` is Python)
 
 
 # Fixed at class creation, so each member carries them as plain attributes.
@@ -105,6 +106,7 @@ for _verdict in Verdict:
     )
 del _verdict
 _DROPS = (Verdict.DROP_BAD_HVF, Verdict.DROP_DUPLICATE)
+_FORWARD, _DELIVER_HOST = Verdict.FORWARD, Verdict.DELIVER_HOST  # a member read is ~0.1 µs
 
 
 @dataclass
@@ -154,7 +156,7 @@ class BorderRouter:
         self.sigma_cache = sigma_cache
         #: The kernel's handle on the policing tables, if it is loaded.
         backend = native.backend()
-        self._policer = backend and native.HopPolicer(backend)
+        self._policer = backend and native.HopPolicer(backend, self.duplicates, self.ofd)
         self.stats = {verdict: 0 for verdict in Verdict}
 
     # -- helpers --------------------------------------------------------------------
@@ -261,28 +263,28 @@ class BorderRouter:
         return self._burst(packets)
 
     def _burst(self, packets) -> List[RouterResult]:
-        """Steps 1-6 for each packet in arrival order; the pipeline's only
-        implementation.  Read once per burst: the clock, and with it whether
-        ``colibri_hop`` may run steps 3-5 (``police``; else the Python trio,
-        looked up on the instances: tracers shadow it), and the live blocklist
-        and bucket dicts, which cost no call while empty.  Tallies kept in
-        locals reach their counters even if a packet raises."""
+        """Steps 1-6 per packet in arrival order, the pipeline's only body, so
+        its set-up is what a lone packet pays: the clock, the live blocklist and
+        bucket dicts (no call while empty), and — at the first packet, again
+        after the trio ran (looked up on the instances: tracers shadow it) —
+        whether ``colibri_hop`` may police (not while a rotation or roll is due).
+        Tallies kept in locals reach their counters even if a packet raises."""
         now = self.clock.now()
         epoch = int(now // DRKEY_VALIDITY)
-        cache = self.sigma_cache
-        blocked, is_blocked = self.blocklist._blocked, self.blocklist.is_blocked
-        duplicates, check_and_insert = self.duplicates, self.duplicates.check_and_insert
-        ofd, observe, suspects = self.ofd, self.ofd.observe, self.ofd._suspects
-        monitor, check, buckets = self.monitor, self.monitor.check, self.monitor._buckets
+        cache, blocked = self.sigma_cache, self.blocklist._blocked
+        duplicates, ofd, suspects = self.duplicates, self.ofd, self.ofd._suspects
+        monitor, buckets = self.monitor, self.monitor._buckets
         policer = self._policer
-        police, hop = policer and policer.bind(duplicates, ofd, now), policer and policer.hop
+        police, hop, recheck = None, policer and policer.hop, policer is not None
         header_sizes = ColibriPacket._HEADER_SIZES
-        forward, deliver_host = Verdict.FORWARD, Verdict.DELIVER_HOST
         forwarded = delivered = policed = passed = 0
         results = []
         append = results.append
         try:
             for packet in packets:
+                if recheck:  # the trio's own compares: a due rotation or roll is its to do
+                    recheck, due = False, now - duplicates._rotated_at >= duplicates.window
+                    police = None if due or now - ofd._window_start >= ofd.window else policer.state
                 res_info = packet.res_info
                 timestamp = packet.timestamp
                 # 1. Reservation expiry (allow the paper's assumed clock skew).
@@ -297,7 +299,7 @@ class BorderRouter:
                     continue
                 # 2. Policing blocklist — cheap, before any crypto.
                 reservation = res_info.reservation
-                if blocked and is_blocked(reservation.src_as, now):
+                if blocked and self.blocklist.is_blocked(reservation.src_as, now):
                     append(self._finish(packet, Verdict.DROP_BLOCKED))
                     continue
                 # 3. Cryptographic validation (Eq. 3 or Eq. 4+6) over PktSize.
@@ -360,14 +362,12 @@ class BorderRouter:
                         mac = entry.verify(message, hvf)
                         if mac is None:
                             outcome = _BAD_HVF
-                        elif not check_and_insert(mac, now):
+                        elif not duplicates.check_and_insert(mac, now):
                             outcome = _DUPLICATE
                         else:
                             outcome = _POLICED
-                            suspect = observe(flow_label, size, bandwidth, now, cells)
-                        # A rotation or roll that was due has now happened, or not:
-                        # every packet the kernel polices in this burst follows it.
-                        police = policer and policer.bind(duplicates, ofd, now)
+                            suspect = ofd.observe(flow_label, size, bandwidth, now, cells)
+                        recheck = policer is not None  # did it rotate or roll?
                     if outcome != _BAD_HVF or entry is not hint:
                         break
                     cache.rejected_hints += 1
@@ -381,7 +381,7 @@ class BorderRouter:
                     monitor.watch(flow_label, bandwidth, now)
                 if not buckets:
                     passed += 1
-                elif not check(flow_label, size, now):
+                elif not monitor.check(flow_label, size, now):
                     if monitor.is_confirmed_overuser(flow_label):
                         self.blocklist.block(reservation.src_as)
                         if self.on_offense is not None:
@@ -391,14 +391,14 @@ class BorderRouter:
                 # 6. Forward towards the destination.
                 if hop_index == len(pairs) - 1:
                     delivered += 1
-                    append(RouterResult(deliver_host, packet))
+                    append(RouterResult(_DELIVER_HOST, packet))
                 else:
                     packet.hop_index = hop_index + 1
                     forwarded += 1
-                    append(RouterResult(forward, packet, pair[1]))
+                    append(RouterResult(_FORWARD, packet, pair[1]))
         finally:
-            self.stats[forward] += forwarded
-            self.stats[deliver_host] += delivered
+            self.stats[_FORWARD] += forwarded
+            self.stats[_DELIVER_HOST] += delivered
             duplicates._current.insertions += policed
             ofd.packets_seen += policed
             monitor.packets_passed += passed

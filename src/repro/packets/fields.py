@@ -168,6 +168,8 @@ class Timestamp:
             raise PacketFieldError(f"timestamp sequence {sequence} out of 16-bit range")
         self.micros_before_expiry = micros_before_expiry
         self.sequence = sequence
+        # Packed once, here: every on-path router reads it (Eq. 6 message).
+        self.packed = self.WIRE.pack((micros_before_expiry << self._SEQ_BITS) | sequence)
 
     @classmethod
     def create(cls, now: float, expiry: float, sequence: int = 0) -> "Timestamp":
@@ -180,13 +182,6 @@ class Timestamp:
     def absolute(self, expiry: float) -> float:
         """Recover the absolute creation time given the expiry from ResInfo."""
         return expiry - self.micros_before_expiry / 1e6
-
-    @cached_property
-    def packed(self) -> bytes:
-        # Cached: Ts never changes after creation, and every on-path
-        # router packs it twice (Eq. 6 message + replay identifier).
-        value = (self.micros_before_expiry << self._SEQ_BITS) | self.sequence
-        return self.WIRE.pack(value)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Timestamp":

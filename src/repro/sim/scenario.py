@@ -31,7 +31,7 @@ from repro.dataplane.duplicate import DuplicateSuppressor
 from repro.dataplane.gateway import ColibriGateway
 from repro.dataplane.hvf import ColibriKeys
 from repro.dataplane.ofd import OveruseFlowDetector
-from repro.dataplane.router import BorderRouter, RouterResult, Verdict
+from repro.dataplane.router import BorderRouter, Verdict
 from repro.errors import ColibriError
 from repro.obs import ObsContext
 from repro.obs.slo import AlertEngine, default_slos, register_journal_gauges
@@ -377,7 +377,7 @@ class ColibriNetwork:
         (unknown/expired reservation, rate exceeded); router drops are
         reported in the returned :class:`DeliveryReport`.
         """
-        gateway = self.gateway(source)
+        gateway = self.stack(source).gateway
         obs = self.obs
         if obs is None:
             packet = gateway.send(handle.reservation_id, payload)
@@ -407,31 +407,22 @@ class ColibriNetwork:
         tracks position via the hop pointer against the EER path recorded
         at setup.  The path is read once, from the reservation stored at
         the source CServ — every on-path stack was built from the same
-        topology, so positions agree.
+        topology, so positions agree and each hop's router is one lookup.
         """
-        obs = self.obs
-        verdicts = []
-        source_cserv = self.cserv(packet.res_info.src_as)
-        hops = source_cserv.store.get_eer(packet.res_info.reservation).hops
+        stacks, obs, verdicts, forward = self._stacks, self.obs, [], Verdict.FORWARD
+        res_info = packet.res_info
+        hops = self.stack(res_info.src_as).cserv.store.get_eer(res_info.reservation).hops
         while True:
             isd_as = hops[packet.hop_index].isd_as
-            router = self.router(isd_as)
-            span = None
-            if obs is not None:
+            if obs is None:
+                verdict = stacks[isd_as].router.process(packet).verdict
+            else:
                 span = obs.tracer.start("router.hop", {"isd_as": str(isd_as)})
-            result: RouterResult = router.process(packet)
-            if obs is not None:
-                obs.tracer.finish(span, verdict=result.verdict.value)
-            verdicts.append((isd_as, result.verdict))
-            if result.verdict is Verdict.FORWARD:
-                continue
-            delivered = result.verdict in (
-                Verdict.DELIVER_HOST,
-                Verdict.DELIVER_CSERV,
-            )
-            return DeliveryReport(
-                delivered=delivered, verdicts=verdicts, packet=packet
-            )
+                verdict = stacks[isd_as].router.process(packet).verdict
+                obs.tracer.finish(span, verdict=verdict.value)
+            verdicts.append((isd_as, verdict))
+            if verdict is not forward:  # delivered to the host or the CServ, or dropped
+                return DeliveryReport(delivered=not verdict.is_drop, verdicts=verdicts, packet=packet)
 
     # -- time -----------------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.app import ColibriSocket, EndHost
 from repro.constants import EER_LIFETIME
-from repro.errors import InsufficientBandwidth, NoPathError, SimulationError
+from repro.errors import InsufficientBandwidth, NoPathError, ReservationNotFound, SimulationError
 from repro.sim import ColibriNetwork, EventLoop, PortSim
 from repro.sim.traffic import (
     BestEffortSource,
@@ -138,6 +138,26 @@ class TestEndHostApi:
             for keeper in keepers:
                 keeper.tick()
             assert socket.send(b"ping").delivered
+
+    @pytest.mark.parametrize("vanish", ["swept", "aborted"])
+    def test_send_after_the_scheduler_untracked_the_eer(self, net, vanish):
+        """Once ``tick`` untracks a vanished EER the socket keeps its last
+        handle: ``send`` raises the gateway's typed drop, which it counts,
+        instead of a bare ``KeyError``."""
+        net.reserve_segments(SRC, DST, gbps(1))
+        socket = EndHost(net, SRC, HostAddr(1)).connect(DST, HostAddr(2), mbps(10))
+        assert socket.send(b"ping").delivered
+        last = socket.handle
+        if vanish == "swept":
+            net.advance(EER_LIFETIME + 1.0)
+            net.housekeeping()
+        else:
+            net.cserv(SRC)._abort_eer(last.reservation_id, last.res_info.version, last.hops)
+        with pytest.raises(ReservationNotFound):
+            socket.send(b"ping")
+        assert socket._scheduler.renewals["eers"] == 0 and not socket._scheduler._eers
+        assert socket.handle is last and socket.reserved_bandwidth == last.res_info.bandwidth
+        assert (socket.stats.packets, socket.stats.gateway_drops) == (2, 1)
 
     def test_send_paced_delivers_all(self, net):
         net.reserve_segments(SRC, DST, gbps(1))

@@ -17,6 +17,7 @@ contract:
   per shard, and a dead or hung worker surfacing as a typed error.
 """
 
+import collections
 import hashlib
 import multiprocessing
 import os
@@ -346,6 +347,80 @@ class TestBatchEquivalence:
             if cache:
                 assert router.sigma_cache.hits >= 23
         assert passes[True] == passes[False]
+
+
+def host_rounds(seed=28, count=48):
+    """A host's sending, seeded: each round is the flows of the packets
+    sent at one instant, their payload lengths, replays of earlier packets
+    (as indices back into what was sent) and the clock step after it."""
+    rng = random.Random(seed)
+    rounds = []
+    for _ in range(count):
+        sends = [(rng.choice("ab"), rng.randrange(0, 900)) for _ in range(rng.randint(1, 6))]
+        replays = [rng.randrange(40) for _ in range(rng.random() < 0.3)]
+        rounds.append((sends, replays, rng.choice((0.0, 0.05, 0.2, 0.45))))
+    return rounds
+
+
+class TestBurstOfOne:
+    """``process`` is ``_burst`` on a burst of one: a host's packets handed
+    over one call each leave exactly what the same packets in bursts leave,
+    on the kernel router, the ``COLIBRI_NATIVE=0`` router and the reference,
+    across filter rotations and sketch rolls."""
+
+    def test_one_at_a_time_equals_bursts(self):
+        from tests import test_router_differential as differential
+        from tests.test_policing_native import scripted_world
+
+        kernel = _native_backend() is not None  # else the trio alone, against the reference
+        one_at_a_time, bursts = differential.run_serial, differential.run_batches(64)
+        modes = {"reference": (scripted_world(), differential.run_reference)}
+        bodies = ("kernel", "trio") if kernel else ("trio",)
+        for body in bodies:
+            for label, run in (("process", one_at_a_time), ("process_batch", bursts)):
+                modes[f"{body}/{label}"] = (scripted_world(body == "kernel"), run)
+        real = [world for label, (world, _) in modes.items() if label != "reference"]
+        assert [w.router._policer is not None for w in real] == [b == "kernel" for b in bodies for _ in "ab"]
+        trio_calls = collections.Counter()
+
+        def counted(label, check_and_insert):
+            def shadow(mac, now):
+                trio_calls[label] += 1
+                return check_and_insert(mac, now)
+
+            return shadow
+
+        for label, (world, _) in modes.items():
+            if label != "reference":
+                duplicates = world.router.duplicates
+                duplicates.check_and_insert = counted(label, duplicates.check_and_insert)
+        rotations, rolls = set(), set()
+        for sends, replays, step in host_rounds():
+            traces = []
+            for world, run in modes.values():
+                burst = [world.stamp(name, b"h" * length) for name, length in sends]
+                burst += [differential.copy_of(world.sent[-1 - back % len(world.sent)]) for back in replays]
+                world.sent += burst[: len(sends)]
+                outcomes = run(world.router, burst)
+                traces.append((outcomes, [p.hop_index for p in burst], differential.policing_state(world.router)))
+                world.clock.advance(step)
+            assert all(trace == traces[0] for trace in traces), (sends, replays)
+            states = [
+                (differential.full_state(w.router), w.router.ofd._counts.tobytes(), w.router.obs.journal.export_jsonl())
+                for w in real
+            ]
+            assert all(state == states[0] for state in states)
+            rotations.add(states[0][0]["rotated_at"])
+            rolls.add(states[0][0]["ofd"][0])
+        # The sequence crossed rotations and rolls, and drove forwards,
+        # deliveries and replays; the kernel policed most packets and the
+        # trio took the ones on which a rotation or a roll was due.
+        assert len(rotations) >= 4 and len(rolls) >= 4
+        stats = real[0].router.stats
+        assert min(stats[Verdict.FORWARD], stats[Verdict.DELIVER_HOST], stats[Verdict.DROP_DUPLICATE]) > 0
+        assert trio_calls["trio/process"] == trio_calls["trio/process_batch"] > 100
+        if kernel:
+            assert 0 < trio_calls["kernel/process"] == trio_calls["kernel/process_batch"] < 20
 
 
 class TestPipelineBatch:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.constants import OFD_OVERUSE_FACTOR
 from repro.crypto import native
 from repro.dataplane import DuplicateSuppressor, OveruseFlowDetector
 from repro.dataplane.monitor import DeterministicMonitor
@@ -63,11 +64,31 @@ def warm_world(make):
     world = make(lambda: World(reference=False))
     world.reserve("flow", SRC, hops=3, lifetime=600.0)
     assert world.router.process(world.stamp("flow")).verdict is Verdict.FORWARD
-    policer = world.router._policer
-    world.kernel = policer is not None
-    if world.kernel:
-        assert policer.bind(world.router.duplicates, world.router.ofd, world.clock.now()) is not None
+    world.kernel = world.router._policer is not None
+    assert_aimed(world.router)
     return world
+
+
+def assert_aimed(router):
+    """The kernel's struct names the router's live buffers, geometry and
+    threshold — as the tables left it, no packet sent, nothing polled."""
+    policer = router._policer
+    if policer is None:
+        return
+    ffi, state = policer._ffi, policer.state
+    duplicates, ofd = router.duplicates, router.ofd
+
+    def address(cdata):
+        return int(ffi.cast("uintptr_t", cdata))
+
+    buffers = (duplicates._current._array, duplicates._previous._array, ofd._counts)
+    assert [address(state.current), address(state.previous), address(state.counts)] == [
+        address(ffi.from_buffer(buffer)) for buffer in buffers
+    ]
+    assert (state.nbytes, state.ncounts) == (len(buffers[0]), len(ofd._counts))
+    current = duplicates._current
+    assert (state.bits, state.hashes) == (current.bits, current.hashes)
+    assert state.threshold == ofd.window * ofd.overuse_factor
 
 
 def tables(router):
@@ -122,6 +143,7 @@ class TestRefusals:
         duplicates = world.router.duplicates
         before = tables(world.router)
         duplicates._current.bits = duplicates._previous.bits = 1 << 40
+        assert_aimed(world.router)  # the kernel is told the new geometry too
         with pytest.raises(IndexError):
             for _ in range(64):  # some position of some MAC is out of range
                 send(world)
@@ -156,6 +178,29 @@ class TestRefusals:
 
 
 class TestViewsFollowTheirBuffers:
+    """The tables push every change to the kernel's struct: after each one
+    ``assert_aimed`` reads it before the next packet, and nothing polls."""
+
+    def test_the_hooks_fire_where_the_tables_change(self, make):
+        """Steady packets re-point nothing; a rotation re-points once, from
+        the filter it clears, and a roll once, from the sketch."""
+        world = warm_world(make)
+        policer, calls = world.router._policer, []
+
+        def hook(table):
+            return lambda: calls.append(table) or (policer and policer.point())
+
+        for table in (world.router.duplicates._current, world.router.duplicates._previous):
+            table._repoint = hook("filter")
+        world.router.ofd._repoint = hook("sketch")
+        for _ in range(5):
+            assert send(world) is Verdict.FORWARD
+        assert calls == []
+        world.clock.advance(1.25)
+        assert send(world) is Verdict.FORWARD
+        assert calls == ["filter", "sketch"]
+        assert_aimed(world.router)
+
     def test_rotation_and_clear(self, make):
         world = warm_world(make)
         clock, duplicates = world.clock, world.router.duplicates
@@ -170,6 +215,7 @@ class TestViewsFollowTheirBuffers:
         clock.advance(0.75)
         assert send(world) is Verdict.FORWARD  # rotation was due: the trio's packet
         assert duplicates._previous._array is first and duplicates._current._array is not first
+        assert_aimed(world.router)
         assert world.router.process(copy_of(packet)).verdict is Verdict.DROP_DUPLICATE
         assert send(world) is Verdict.FORWARD
         assert bytes(first) == recorded and duplicates._current.insertions == 2
@@ -177,9 +223,11 @@ class TestViewsFollowTheirBuffers:
         clock.advance(5.0)
         assert send(world) is Verdict.FORWARD
         assert not any(duplicates._previous._array) and bytes(first) == recorded
+        assert_aimed(world.router)
         stale = duplicates._current._array
         recorded = bytes(stale)
         duplicates._current.clear()
+        assert_aimed(world.router)
         assert send(world) is Verdict.FORWARD
         assert any(duplicates._current._array) and duplicates._current.insertions == 1
         assert bytes(stale) == recorded
@@ -198,9 +246,28 @@ class TestViewsFollowTheirBuffers:
         assert sum(ofd._counts) == pytest.approx(2 * ofd.depth * per_packet)
         rolled = ofd._counts
         ofd._roll(world.clock.now())  # replaced behind the router's back
+        assert_aimed(world.router)
         assert send(world) is Verdict.FORWARD
         assert sum(ofd._counts) == pytest.approx(ofd.depth * per_packet)
         assert sum(rolled) == pytest.approx(2 * ofd.depth * per_packet)
+
+    def test_overuse_factor_on_a_warm_router(self, make):
+        """What attacks/ddos.py, obs/report.py and benchmarks/figures.py do
+        after construction: an infinite factor, then the default again."""
+        world = warm_world(make)
+        ofd = world.router.ofd
+        world.reserve("rogue", ROGUE, hops=3, lifetime=600.0, bandwidth=kbps(100))
+
+        def flood():
+            return {world.router.process(world.stamp("rogue", b"r" * 540)).verdict for _ in range(30)}
+
+        ofd.overuse_factor = float("inf")
+        assert_aimed(world.router)
+        assert flood() == {Verdict.FORWARD} and ofd.reports == 0
+        ofd.overuse_factor = OFD_OVERUSE_FACTOR
+        assert_aimed(world.router)
+        world.clock.advance(1.0)  # a fresh window: the flood now crosses the threshold
+        assert Verdict.DROP_OVERUSE in flood() and ofd.reports == 1
 
 
 def test_bit_positions_on_both_backends(make):
@@ -217,9 +284,9 @@ def test_bit_positions_on_both_backends(make):
     for bits, hashes in [(1 << 12, 4), (1 << 12, 3), (4999, 7), (1000, 1)]:
         suppressor = DuplicateSuppressor(SimClock(0.0), bits=bits, hashes=hashes)
         ofd = OveruseFlowDetector(width=1, depth=1)
-        ofd._roll(0.0)
-        policer = native.HopPolicer(backend)
-        state = policer.bind(suppressor, ofd, 0.0)
+        policer = native.HopPolicer(backend, suppressor, ofd)
+        ofd._roll(0.0)  # the new rows re-point the struct
+        state = policer.state
         expected = bytearray((bits + 7) // 8)
         for index in range(300):
             message = b"id-%d" % index

@@ -62,7 +62,7 @@ BUDGETS = {
     TOTAL: 19_000,
     "`control/`": 2_911,
     "`dataplane/gateway.py` + `dataplane/router.py`": 1_066,
-    "`dataplane/{duplicate,ofd,sigma_cache}.py`": 520,
+    "`dataplane/{duplicate,ofd,sigma_cache}.py`": 523,
     "`crypto/native.py`": 890,
     "`dataplane/shards.py` + `obs/distributed.py`": 600,
     "`sim/campaign.py`": 810,
