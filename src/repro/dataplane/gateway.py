@@ -52,7 +52,6 @@ from repro.dataplane.hvf import (
     stamp_hvfs,
 )
 from repro.dataplane.monitor import DeterministicMonitor
-from repro.obs.profile import profiled
 from repro.errors import (
     BandwidthExceeded,
     DataPlaneError,
@@ -353,7 +352,6 @@ class ColibriGateway:
 
     # -- the burst pipeline: plan -> stamp -> emit -----------------------------------
 
-    @profiled("gateway.send_batch")
     def send_batch(self, requests) -> List[SendOutcome]:
         """Stamp a burst of ``(reservation_id, payload)`` requests.
 
@@ -391,7 +389,6 @@ class ColibriGateway:
         plan = self._plan(requests, self.clock.now())
         return self._emit_wire(plan, self._stamp(plan), arena)
 
-    @profiled("gateway.plan")
     def _plan(self, requests: list, now: float) -> _BurstPlan:
         """Resolve every request of a burst, in order.
 
@@ -487,7 +484,6 @@ class ColibriGateway:
             outcomes, rows, messages, current if switches == 1 else None, position
         )
 
-    @profiled("gateway.stamp")
     def _stamp(self, plan: _BurstPlan) -> bytes:
         """Eq. (6) for every planned packet, as one flat string: row
         ``k``'s per-hop tags start at its recorded tag offset."""
@@ -522,7 +518,6 @@ class ColibriGateway:
             tags.extend(row[2].stamp(messages[number * size : (number + 1) * size]))
         return b"".join(tags)
 
-    @profiled("gateway.emit_packets")
     def _emit_packets(self, plan: _BurstPlan, flat: bytes) -> List[SendOutcome]:
         """Packet objects over zero-copy windows of the flat tags."""
         outcomes = plan.outcomes
@@ -540,7 +535,6 @@ class ColibriGateway:
             )
         return outcomes
 
-    @profiled("gateway.emit_wire")
     def _emit_wire(self, plan: _BurstPlan, flat: bytes, arena: PacketArena) -> list:
         """Wire bytes written in place, one arena slot per packet."""
         outcomes = plan.outcomes

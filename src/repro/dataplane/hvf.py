@@ -36,7 +36,6 @@ from repro.crypto.drkey import DrkeyDeriver, EntityId, encode_entity
 from repro.crypto.mac import constant_time_equal, mac, truncated_mac
 from repro.crypto.prf import prf, prf_context
 from repro.errors import HvfMismatch
-from repro.obs.profile import profiled
 from repro.packets.fields import EerInfo, ResInfo, Timestamp
 
 _PAIR = struct.Struct("!HH")
@@ -67,7 +66,6 @@ def verify_segment_token(
         )
 
 
-@profiled("hvf.hop_authenticator")
 def hop_authenticator(
     hop_key: bytes, res_info: ResInfo, eer_info: EerInfo, ingress: int, egress: int
 ) -> bytes:
@@ -96,7 +94,6 @@ def eer_hvf_message(timestamp: Timestamp, packet_size: int) -> bytes:
     return timestamp.packed + _SIZE.pack(packet_size)
 
 
-@profiled("hvf.sigma_states")
 def sigma_states(hop_auths) -> tuple:
     """Raw prehashed Eq. (6) MAC states, one per HopAuth σ, path order.
 
@@ -109,7 +106,6 @@ def sigma_states(hop_auths) -> tuple:
     return tuple(prf_context(sigma) for sigma in hop_auths)
 
 
-@profiled("hvf.stamp_hvfs")
 def stamp_hvfs(states, message: bytes, length: int = L_HVF) -> list:
     """Eq. (6) across all hops of one packet: the gateway's batch stamp.
 
@@ -171,7 +167,6 @@ def burst_stamper(tag_len: int = L_HVF, slots: int = 64):
     return native.BurstStamper(backend, tag_len, slots)
 
 
-@profiled("hvf.stamp_hvfs_batch")
 def stamp_hvfs_batch(states, messages, length: int = L_HVF) -> list:
     """Eq. (6) for a whole burst: one flat HVF string per message.
 

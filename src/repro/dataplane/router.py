@@ -53,7 +53,6 @@ from repro.dataplane.sigma_cache import SigmaCache, SigmaEntry
 from repro.crypto import native
 from repro.crypto.mac import constant_time_equal
 from repro.obs.events import VERDICT_DROPPED
-from repro.obs.profile import profiled
 from repro.packets.colibri import ColibriPacket, PacketType
 from repro.packets.fields import PathField, ResInfo, Timestamp
 from repro.topology.addresses import IsdAs
@@ -251,7 +250,6 @@ class BorderRouter:
         """Run the full §4.6 pipeline on one packet: a burst of one."""
         return self._burst((packet,))[0]
 
-    @profiled("router.process_batch")
     def process_batch(self, packets) -> List[RouterResult]:
         """Run the §4.6 pipeline over a burst of packets.
 
@@ -411,7 +409,6 @@ class BorderRouter:
         cost Figs. 5-6 measure for the border router."""
         return self._validate_one(packet, self.clock.now())
 
-    @profiled("router.validate_batch")
     def validate_batch(self, packets) -> List[bool]:
         """:meth:`validate_only` over a burst, clock read hoisted."""
         now = self.clock.now()
@@ -428,7 +425,6 @@ class BorderRouter:
         message = eer_hvf_message(packet.timestamp, packet.total_size)
         return self._authenticate(packet, now, message)
 
-    @profiled("router.validate_wire_batch")
     def validate_wire_batch(self, views) -> List[bool]:
         """:meth:`validate_batch` over zero-copy wire packets.
 

@@ -18,12 +18,14 @@ is one of each kind, behind :class:`ObsContext`:
   :class:`~repro.obs.trace.TraceCollector`.  Spans only; a span finds
   its parent through the collector's span stack.
 
-Beside them, :mod:`repro.obs.profile` is the one hot-path timer (a
-``@profiled`` wrapper that costs one global read when idle);
-:mod:`repro.obs.slo` evaluates burn-rate alerts over registry snapshots,
-:mod:`repro.obs.forensics` joins journal events into §5 complaint
-evidence, and :mod:`repro.obs.distributed` carries all three sinks
-across the shard executor's process boundary.
+Beside them, :mod:`repro.obs.slo` evaluates burn-rate alerts over
+registry snapshots, :mod:`repro.obs.forensics` joins journal events into
+§5 complaint evidence, and :mod:`repro.obs.distributed` carries all
+three sinks across the shard executor's process boundary.
+
+Wall time per layer is not a sink here: the end-to-end benchmark's
+``--trace 1`` budget attaches its timers from outside for one run, so
+the data-plane hot paths carry no wrapper (docs/observability.md §3).
 
 Everything is deterministic (seeded span IDs, injected clocks) and
 disabled by default: an un-instrumented run takes the exact same fast

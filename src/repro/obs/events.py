@@ -16,6 +16,7 @@ JSONL on every run — the journal of a run *is* reproducible evidence.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from typing import Iterable, List, Optional
 
@@ -62,8 +63,8 @@ _SCALARS = (str, int, float, bool, type(None))
 
 class JournalFormatError(ColibriError):
     """An imported journal export is not what :func:`events_jsonl`
-    writes: bad JSON, a missing field, an unknown event type, or a
-    non-scalar attribute."""
+    writes: bad JSON, a missing field, a bad ``seq`` or ``time``, an
+    unknown event type, or a non-scalar attribute."""
 
 
 class Event:
@@ -90,12 +91,18 @@ class Event:
         """Rebuild an event from :meth:`to_dict` output.  An export is a
         file carried between machines, so the input is checked like any
         outside input: :class:`JournalFormatError` unless it has the four
-        fields, a known type and scalar attributes."""
+        fields, a non-negative integer ``seq``, a finite number ``time``
+        (neither a ``bool``), a known type and scalar attributes."""
         if not isinstance(data, dict):
             raise JournalFormatError(f"event is not an object: {data!r}")
         missing = [key for key in ("seq", "time", "type", "attrs") if key not in data]
         if missing:
             raise JournalFormatError(f"event lacks {', '.join(missing)}")
+        seq, time = data["seq"], data["time"]
+        if type(seq) is not int or seq < 0:
+            raise JournalFormatError(f"event seq is not a non-negative integer: {seq!r}")
+        if type(time) not in (int, float) or not math.isfinite(time):
+            raise JournalFormatError(f"event time is not a finite number: {time!r}")
         if data["type"] not in EVENT_TYPES:
             raise JournalFormatError(f"unknown event type {data['type']!r}")
         attrs = data["attrs"]
@@ -103,7 +110,7 @@ class Event:
             isinstance(value, _SCALARS) for value in attrs.values()
         ):
             raise JournalFormatError(f"event attrs are not scalars: {attrs!r}")
-        return cls(data["seq"], data["time"], data["type"], attrs)
+        return cls(seq, time, data["type"], attrs)
 
     def identity(self) -> tuple:
         """Order- and shard-independent identity: what happened and when,

@@ -113,35 +113,28 @@ class PathPipeline:
         """One packet through routers + queues, accumulating latency.
 
         ``traffic_class`` overrides let the ablation push the same packet
-        through the best-effort queues (no isolation).
+        through the best-effort queues (no isolation).  The routers are
+        walked by :meth:`~repro.sim.scenario.ColibriNetwork.send`; each
+        accepting hop's port is then charged in path order (routers never
+        read ports, so the delays are those of an interleaved walk).
         """
-        gateway = self.network.gateway(self.handle.hops[0].isd_as)
-        packet = gateway.send(self.handle.reservation_id, payload)
         now = self.network.clock.now()
+        report = self.network.send(self.handle.hops[0].isd_as, self.handle, payload)
+        size = report.packet.total_size
         latency = 0.0
         per_hop = []
-        while True:
-            isd_as = self.handle.hops[packet.hop_index].isd_as
-            router = self.network.router(isd_as)
-            result = router.process(packet)
-            if result.verdict.is_drop:
+        for isd_as, verdict in report.verdicts:
+            if verdict.is_drop:
                 return LatencyReport(
                     delivered=False,
                     latency=latency,
                     per_hop=per_hop,
                     dropped_at=isd_as,
                 )
-            hop_delay = self.ports[isd_as].transit_delay(
-                packet.total_size, traffic_class, now + latency
-            )
+            hop_delay = self.ports[isd_as].transit_delay(size, traffic_class, now + latency)
             latency += hop_delay
             per_hop.append((isd_as, hop_delay))
-            if result.verdict in (Verdict.DELIVER_HOST, Verdict.DELIVER_CSERV):
-                return LatencyReport(
-                    delivered=True, latency=latency, per_hop=per_hop
-                )
-            if result.verdict is not Verdict.FORWARD:
-                raise ColibriError(f"unexpected verdict {result.verdict}")
+        return LatencyReport(delivered=True, latency=latency, per_hop=per_hop)
 
     def send_batch(
         self,

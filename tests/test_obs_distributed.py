@@ -7,9 +7,7 @@ that threads them through both planes:
 * span parentage across retried bus calls (the collector's span stack)
   and trace-context propagation into shard worker processes,
   asserting the exact stitched span tree and byte-identical merged
-  artifacts across same-seed runs;
-* the wire path under ``profiling()``: verdict/byte equivalence with
-  the unprofiled run, and the plan / stamp / emit sites it records.
+  artifacts across same-seed runs.
 """
 
 import json
@@ -17,33 +15,18 @@ import random
 
 from repro.control.retry import RetryingCaller
 from repro.control.rpc import MessageBus
-from repro.crypto.drkey import DrkeyDeriver
-from repro.dataplane import ColibriKeys, hop_authenticator
-from repro.dataplane.gateway import ColibriGateway
-from repro.dataplane.router import BorderRouter
 from repro.dataplane.shards import ShardExecutor
 from repro.errors import TransportError
 from repro.obs import ObsContext
 from repro.obs.distributed import TraceContext, merge_traces
 from repro.obs.events import SHARD_COMPLETED, EventJournal, merge_events
 from repro.obs.metrics import MetricsRegistry, merge_registries
-from repro.obs.profile import profiling
 from repro.obs.trace import TraceCollector, render_span_forest, spans_jsonl
-from repro.packets.colibri import ColibriPacket
-from repro.packets.fields import EerInfo, PathField, ResInfo
-from repro.packets.wire import PacketArena
-from repro.reservation.ids import ReservationId
-from repro.topology.addresses import HostAddr, IsdAs
+from repro.topology.addresses import IsdAs
 from repro.util.clock import SimClock
-from repro.util.units import gbps
-from repro.constants import EER_LIFETIME, L_HVF
 
 SRC = IsdAs.parse("1-ff00:0:110")
-MID = IsdAs.parse("1-ff00:0:111")
 DST = IsdAs.parse("1-ff00:0:112")
-
-PATH = PathField(((0, 1), (2, 3), (4, 0)))
-EER = EerInfo(HostAddr(1), HostAddr(2))
 
 
 # -- trace context -------------------------------------------------------------
@@ -248,76 +231,3 @@ class TestStitchedShardTree:
         result = executor.run(2)
         assert all(outcome.capture is None for outcome in result.shards)
         assert result.merged_telemetry() is None
-
-
-# -- profiled wire-path equivalence --------------------------------------------
-
-
-def wire_stack():
-    """A source gateway + middle router pair."""
-    clock = SimClock(1000.0)
-    mid_keys = ColibriKeys(DrkeyDeriver(MID, clock, seed=b"mid" * 6))
-    gateway = ColibriGateway(SRC, clock)
-    router = BorderRouter(MID, mid_keys, clock)
-    now = clock.now()
-    res_id = ReservationId(SRC, 5)
-    res_info = ResInfo(
-        reservation=res_id, bandwidth=gbps(1), expiry=now + EER_LIFETIME,
-        version=1,
-    )
-    sigma_mid = hop_authenticator(mid_keys.hop_key(now), res_info, EER, 2, 3)
-    gateway.install(
-        res_id, PATH, EER, res_info, (b"x" * 16, sigma_mid, b"y" * 16)
-    )
-    return clock, gateway, router, res_id
-
-
-def wire_run(bursts=8, batch=8):
-    """Bytes + verdicts of a wire workload."""
-    clock, gateway, router, res_id = wire_stack()
-    arena = PacketArena(slots=batch, slot_size=2048)
-    rng = random.Random(11)
-    all_bytes = []
-    all_verdicts = []
-    for burst in range(bursts):
-        requests = [
-            (res_id, b"z" * rng.randrange(16, 64)) for _ in range(batch)
-        ]
-        views = gateway.send_batch_wire(requests, arena)
-        for view in views:
-            all_bytes.append(view.materialize())
-            view.advance_hop()
-        if burst == bursts - 1:
-            # Corrupt one HVF so the verdict set includes a False.
-            view = views[0]
-            offsets = ColibriPacket.wire_offsets(view.hop_count, True)
-            at = view.offset + offsets.hvf + view.hop_index * L_HVF
-            arena.buffer[at] ^= 0xFF
-        all_verdicts.extend(router.validate_wire_batch(views))
-        clock.advance(1e-6)
-    return all_bytes, all_verdicts
-
-
-class TestProfiledWireEquivalence:
-    def test_profiled_bytes_and_verdicts_identical(self):
-        plain_bytes, plain_verdicts = wire_run()
-        with profiling():
-            profiled_bytes, profiled_verdicts = wire_run()
-        assert profiled_bytes == plain_bytes
-        assert profiled_verdicts == plain_verdicts
-        assert False in plain_verdicts and True in plain_verdicts
-
-    def test_profiler_records_plan_stamp_emit(self):
-        with profiling() as profiler:
-            wire_run(bursts=8)
-        snapshot = profiler.snapshot()
-        # One call per burst at each stage of the one burst pipeline,
-        # and one per burst at the router's wire validation.
-        for site in (
-            "gateway.plan",
-            "gateway.stamp",
-            "gateway.emit_wire",
-            "router.validate_wire_batch",
-        ):
-            assert snapshot[site]["calls"] == 8, site
-        assert "gateway.emit_packets" not in snapshot

@@ -149,6 +149,18 @@ class TestExportImport:
                 '{"seq":0,"time":1.0,"type":"StoreSwept","attrs":{"hops":[1]}}',
                 "not scalars",
             ),
+            (
+                '{"seq":"7","time":1.0,"type":"StoreSwept","attrs":{}}',
+                "seq is not a non-negative integer: '7'",
+            ),
+            (
+                '{"seq":1.5,"time":1.0,"type":"StoreSwept","attrs":{}}',
+                "seq is not a non-negative integer: 1.5",
+            ),
+            (
+                '{"seq":1,"time":"x","type":"StoreSwept","attrs":{}}',
+                "time is not a finite number: 'x'",
+            ),
         ],
     )
     def test_foreign_export_raises_typed_error_naming_the_line(

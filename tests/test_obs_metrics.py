@@ -28,10 +28,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_registries,
 )
-from repro.obs.profile import Profiler, active_profiler, profiled, profiling
 from repro.sim import ColibriNetwork
 from repro.topology import build_line_topology, build_two_isd_topology
-from repro.util.clock import SimClock
 from repro.util.metrics import merge_counters
 from repro.util.units import gbps, mbps
 
@@ -360,68 +358,3 @@ class TestExpositionRoundTrip:
             parse_exposition("colibri x 1\n")
         with pytest.raises(ValueError):
             parse_exposition("colibri_x 1\ncolibri_x 2\n")
-
-
-# ------------------------------------------------------------- profiling --
-
-
-class TestProfiler:
-    def test_disabled_decorator_is_a_plain_call(self):
-        calls = []
-
-        @profiled("site")
-        def work(x):
-            calls.append(x)
-            return x + 1
-
-        assert active_profiler() is None
-        assert work(1) == 2
-        assert calls == [1]
-        assert work.__profiled_name__ == "site"
-
-    def test_enabled_decorator_accumulates_deterministic_timings(self):
-        clock = SimClock(start=0.0)
-
-        @profiled("site")
-        def work(seconds):
-            clock.advance(seconds)
-            return seconds
-
-        with profiling(Profiler(clock=clock)) as profiler:
-            work(0.25)
-            work(0.75)
-        entry = profiler.entry("site")
-        assert entry.calls == 2
-        assert entry.total == pytest.approx(1.0)
-        assert entry.min == pytest.approx(0.25)
-        assert entry.max == pytest.approx(0.75)
-        snapshot = profiler.snapshot()
-        assert snapshot["site"]["mean_seconds"] == pytest.approx(0.5)
-        # The context manager uninstalled the profiler on exit.
-        assert active_profiler() is None
-        assert work(0.5) == 0.5  # disabled again, still callable
-
-    def test_double_install_rejected(self):
-        from repro.obs.profile import install_profiler, uninstall_profiler
-
-        profiler = install_profiler()
-        try:
-            with pytest.raises(RuntimeError):
-                install_profiler()
-        finally:
-            assert uninstall_profiler() is profiler
-        assert uninstall_profiler() is None
-
-    def test_errors_are_still_timed(self):
-        clock = SimClock(start=0.0)
-
-        @profiled("site")
-        def explode():
-            clock.advance(1.0)
-            raise RuntimeError("boom")
-
-        with profiling(Profiler(clock=clock)) as profiler:
-            with pytest.raises(RuntimeError):
-                explode()
-        assert profiler.entry("site").calls == 1
-        assert profiler.entry("site").total == pytest.approx(1.0)

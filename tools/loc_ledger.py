@@ -59,7 +59,8 @@ CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
-    TOTAL: 19_000,
+    TOTAL: 18_836,
+    "`obs/`": 2_230,
     "`control/`": 2_911,
     "`dataplane/gateway.py` + `dataplane/router.py`": 1_066,
     "`dataplane/{duplicate,ofd,sigma_cache}.py`": 523,
