@@ -369,11 +369,13 @@ def rekeying_gateway(path_length: int, reservations: int):
     gateway, ids = stamping_gateway(path_length, reservations)
 
     def stamp(plan) -> bytes:
-        messages = bytes(plan.messages)
+        # A plan row is (entry, version, Ts word, PktSize, ...); a drop
+        # is its error.
         return b"".join(
-            truncated_mac(sigma, messages[n * _MESSAGE_SIZE : (n + 1) * _MESSAGE_SIZE], L_HVF)
-            for n, row in enumerate(plan.rows)
-            for sigma in row[2].hop_auths
+            truncated_mac(sigma, row[2].to_bytes(8, "big") + row[3].to_bytes(4, "big"), L_HVF)
+            for row in plan[0]
+            if type(row) is tuple
+            for sigma in row[1].hop_auths
         )
 
     gateway._stamp = stamp

@@ -17,23 +17,27 @@ stamps packets with the latest live version (§4.2) while the monitor
 keys on the reservation ID alone, so using several versions can never
 exceed the maximum version bandwidth (§4.8).
 
-One burst pipeline (docs/performance.md §8) serves both burst APIs:
+One pipeline (docs/performance.md §8) serves all three APIs —
+:meth:`ColibriGateway.send` (a burst of one: the host path),
+:meth:`ColibriGateway.send_batch` and :meth:`ColibriGateway.send_batch_wire`:
 
 1. **plan** (:meth:`ColibriGateway._plan`) — the only per-request loop:
    table lookup, latest live version, Ts assignment and range check,
    token bucket, counters, and request-aligned error outcomes;
 2. **stamp** (:meth:`ColibriGateway._stamp`) — every Eq. (6) tag of the
-   burst as one flat string: one native scatter call, one ``stamp_many``
-   call when the whole burst resolved to a single version, and on hosts
-   without the native kernel the same row loop over hashlib;
+   burst as one flat string: one ``stamp_flat`` call for a lone packet,
+   one ``stamp_many`` call when the whole burst resolved to a single
+   version, else one native scatter call, and on hosts without the
+   native kernel the same row loop over hashlib;
 3. **emit** — :class:`~repro.packets.colibri.ColibriPacket` objects over
-   windows of that string (:meth:`ColibriGateway.send_batch`), or wire
-   bytes written in place into :class:`~repro.packets.wire.PacketArena`
-   slots (:meth:`ColibriGateway.send_batch_wire`).
+   windows of that string (``send``, ``send_batch``), or wire bytes
+   written in place into :class:`~repro.packets.wire.PacketArena` slots
+   (``send_batch_wire``).
 
-:meth:`ColibriGateway.send` keeps the serial per-packet form as the
-reference: both burst APIs are byte-, counter- and state-identical to
-calling it per request (tests/test_batch_equivalence.py).  Installation
+The reference lives in tests/test_gateway_differential.py:
+``ReferenceGateway`` writes §4.3 and §4.6 down per packet, with its own
+token buckets and Eq. (6) per σ, sharing no code with this module; all
+three APIs are byte-, counter- and state-identical to it.  Installation
 pays the key schedules (a native schedule block, or prehashed hashlib
 states per σ) at control-plane rate, so no data packet ever does.
 """
@@ -85,10 +89,9 @@ class GatewayVersion:
 
     res_info: ResInfo
     hop_auths: tuple  # one sigma_i per on-path AS, in path order
-    #: Prehashed Eq. (6) MAC states, one per σ.  Built at control-plane
-    #: time — the software analogue of expanding AES round keys at setup
-    #: — so no data packet ever pays a key schedule.  Not part of the
-    #: version's identity and not picklable.
+    #: Prehashed Eq. (6) MAC states, one per σ, on hosts without the
+    #: native kernel.  Not part of the version's identity and not
+    #: picklable.
     _states: Optional[tuple] = field(default=None, repr=False, compare=False)
     #: Native key-schedule block (all σs contiguous in C memory), when
     #: the cffi kernel is available; byte-identical to ``_states``.
@@ -109,28 +112,24 @@ class GatewayVersion:
         return now < self.res_info.expiry
 
     def prepare(self) -> None:
-        """Pay the per-σ key schedules now, at control-plane rate.
+        """Pay the per-σ key schedules now, at control-plane rate — the
+        software analogue of expanding AES round keys at setup — so no
+        data packet ever does.
 
         Prefers one native schedule block (lighter than a tuple of
         hashlib objects at 2^17 installed reservations); hosts without
         the native backend prehash hashlib states instead.
         """
+        self._schedule = sigma_schedule(self.hop_auths)
         if self._schedule is None:
-            self._schedule = sigma_schedule(self.hop_auths)
-        if self._schedule is None and self._states is None:
             self._states = sigma_states(self.hop_auths)
 
-    def stamp(self, message: bytes):
-        """All per-hop HVFs (Eq. 6) of one packet over ``message``."""
-        schedule = self._schedule
-        if schedule is not None:
-            return HvfVector(schedule.stamp_flat(message))
-        states = self._states
-        if states is None:
-            # Not installed through ColibriGateway.install: prehash on
-            # first demand.
-            states = self._states = sigma_states(self.hop_auths)
-        return stamp_hvfs(states, message)
+    def stamp(self, message: bytes) -> bytes:
+        """All per-hop HVFs (Eq. 6) of one packet over ``message``, as
+        one flat string in path order."""
+        if self._schedule is not None:
+            return self._schedule.stamp_flat(message)
+        return b"".join(stamp_hvfs(self._states, message))
 
 
 @dataclass
@@ -158,11 +157,6 @@ class GatewayReservation:
     #: uniqueness (kept here so the fast path does not probe a side
     #: table per packet).
     last_micros: Optional[tuple] = field(default=None, repr=False, compare=False)
-    #: The monitor's token bucket for this flow.  Owned by the gateway:
-    #: install keeps it in sync with ``monitor.watch``, so the burst
-    #: plan accounts packets against it directly instead of re-probing
-    #: the monitor's flow table per packet.
-    bucket: Optional[object] = field(default=None, repr=False, compare=False)
     #: Latest live version as of the last lookup; reset by install and
     #: re-derived by :meth:`latest_live` the moment it stops being live.
     _latest: Optional[GatewayVersion] = field(default=None, repr=False, compare=False)
@@ -178,28 +172,6 @@ class GatewayReservation:
         # validity.
         self._latest = latest
         return latest
-
-
-class _BurstPlan:
-    """What :meth:`ColibriGateway._plan` resolved for one burst."""
-
-    __slots__ = ("outcomes", "rows", "messages", "version", "tag_bytes")
-
-    def __init__(self, outcomes, rows, messages, version, tag_bytes):
-        #: Request-aligned results: the drop error of every refused
-        #: request, ``None`` where an emitter fills in the packet.
-        self.outcomes = outcomes
-        #: One ``(request index, entry, version, Ts word, PktSize,
-        #: payload, tag offset)`` tuple per conforming request, in
-        #: request order; the tag offset locates the packet's HVF row in
-        #: the stamp step's flat result.
-        self.rows = rows
-        #: The rows' Eq. (6) inputs (``_HVF_MESSAGE``), back to back.
-        self.messages = messages
-        #: The one version every row resolved to, else ``None``.
-        self.version = version
-        #: Total HVF bytes of the burst (the flat result's length).
-        self.tag_bytes = tag_bytes
 
 
 class ColibriGateway:
@@ -278,7 +250,6 @@ class ColibriGateway:
             default=0.0,
         )
         self.monitor.watch(packed_id, bandwidth, now)
-        entry.bucket = self.monitor.bucket_for(packed_id)
 
     def uninstall(self, reservation_id: ReservationId) -> None:
         """Forget an EER (expired, aborted or torn down); unknown IDs
@@ -293,64 +264,20 @@ class ColibriGateway:
     def known_reservations(self) -> list:
         return [entry.reservation_id for entry in self._reservations.values()]
 
-    # -- the serial reference (§4.6) -----------------------------------------------
+    # -- the burst pipeline: plan -> stamp -> emit -----------------------------------
 
     def send(self, reservation_id: ReservationId, payload: bytes) -> ColibriPacket:
-        """Process one packet from a local end host.
+        """Process one packet from a local end host: a burst of one.
 
         The host hands the gateway its ResId and payload (its packet's
         "header fields are empty, with the exception of the ResId and the
         Payload").  Returns the fully stamped packet ready for the border
         router, or raises — a raise is a drop.
         """
-        return self._send_one(reservation_id, payload, self.clock.now())
-
-    def _send_one(
-        self, reservation_id: ReservationId, payload: bytes, now: float
-    ) -> ColibriPacket:
-        entry = self._reservations.get(reservation_id.packed)
-        if entry is None:
-            self.packets_dropped += 1
-            raise ReservationNotFound(f"gateway has no EER {reservation_id}")
-        version = entry.latest_live(now)
-        if version is None:
-            self.packets_dropped += 1
-            raise ReservationExpired(
-                f"all versions of EER {reservation_id} expired"
-            )
-        res_info = version.res_info
-
-        # Unique Ts per packet (§4.3): microseconds before expiry plus a
-        # sequence counter for packets created in the same microsecond.
-        micros = int((res_info.expiry - now) * 1e6)
-        last = entry.last_micros
-        sequence = last[1] + 1 if last is not None and last[0] == micros else 0
-        entry.last_micros = (micros, sequence)
-        timestamp = Timestamp(micros, sequence)
-
-        # Deterministic monitoring before stamping: a non-conforming
-        # packet is dropped and never authorized.  PktSize is known from
-        # the path geometry alone, so the drop path never builds a packet.
-        size = entry.header_size + len(payload)
-        if not self.monitor.check(entry.packed_id, size, now):
-            self.packets_dropped += 1
-            raise BandwidthExceeded(
-                f"EER {reservation_id} exceeded its reserved rate"
-            )
-        message = _HVF_MESSAGE.pack((micros << _SEQ_BITS) | sequence, size)
-        packet = ColibriPacket.trusted(
-            PacketType.EER_DATA,
-            entry.path,
-            res_info,
-            timestamp,
-            version.stamp(message),
-            entry.eer_info,
-            payload,
-        )
-        self.packets_sent += 1
-        return packet
-
-    # -- the burst pipeline: plan -> stamp -> emit -----------------------------------
+        plan = self._plan(((reservation_id, payload),), self.clock.now())
+        if not plan[1]:
+            raise plan[0][0]
+        return self._emit_packets(plan, self._stamp(plan))[0]
 
     def send_batch(self, requests) -> List[SendOutcome]:
         """Stamp a burst of ``(reservation_id, payload)`` requests.
@@ -363,8 +290,6 @@ class ColibriGateway:
         amortizes across NIC bursts.  A request that passed monitoring
         counts as sent once planned.
         """
-        if type(requests) is not list:
-            requests = list(requests)
         plan = self._plan(requests, self.clock.now())
         return self._emit_packets(plan, self._stamp(plan))
 
@@ -383,180 +308,184 @@ class ColibriGateway:
         The arena is ``reset()`` at entry, so views from the previous
         burst die here (the mbuf lifetime contract).
         """
-        if type(requests) is not list:
-            requests = list(requests)
         arena.reset()
         plan = self._plan(requests, self.clock.now())
         return self._emit_wire(plan, self._stamp(plan), arena)
 
-    def _plan(self, requests: list, now: float) -> _BurstPlan:
-        """Resolve every request of a burst, in order.
+    def _plan(self, requests, now: float) -> tuple:
+        """Resolve every request of a burst, in order (§4.3, §4.6).
 
-        Each branch mirrors :meth:`_send_one` — same order of Ts
-        assignment, monitor accounting and error strings — so outcomes,
-        counters, bucket levels and ``last_micros`` are
-        indistinguishable from the serial path, including when a Ts
-        sequence overflows mid-burst (the ``PacketFieldError`` surfaces
-        at the same request, with everything before it accounted).
+        The pipeline's only per-request loop, so its set-up is what a
+        lone :meth:`send` pays.  Per request: the table probe, the latest
+        live version, a unique Ts (microseconds before expiry plus a
+        sequence for packets of the same microsecond; one out of range
+        raises ``PacketFieldError`` at its request, everything before it
+        accounted), the flow's token bucket as the monitor holds it now
+        (an unwatched flow passes), and the counters.
+
+        Returns ``(outcomes, rows, version, tag_bytes)``: one outcome per
+        request — its drop error, or the ``(entry, version, Ts word,
+        PktSize, payload, tag offset)`` row an emitter replaces with the
+        packet; the number of rows; the one version every row resolved
+        to, else ``None``; the burst's total HVF bytes.  One list for
+        both keeps a lone packet's allocations to what it needs.
         """
-        get_entry = self._reservations.get
+        table = self._reservations
         monitor = self.monitor
-        pack_message = _HVF_MESSAGE.pack
-        outcomes: list = [None] * len(requests)
-        rows: list = []
-        add_row = rows.append
-        messages = bytearray()
+        buckets = monitor._buckets
+        outcomes: list = []
         current = None  # version of the previous row
         switches = 0  # version changes along the burst (1 = single version)
-        position = 0
-        passed = 0
-        dropped = 0
-        try:
-            for index, (reservation_id, payload) in enumerate(requests):
-                entry = get_entry(reservation_id.packed)
-                if entry is None:
-                    dropped += 1
-                    outcomes[index] = ReservationNotFound(
-                        f"gateway has no EER {reservation_id}"
+        position = rows = 0
+        for reservation_id, payload in requests:
+            entry = table.get(reservation_id.packed)
+            if entry is None:
+                self.packets_dropped += 1
+                outcomes.append(ReservationNotFound(f"gateway has no EER {reservation_id}"))
+                continue
+            # entry.latest_live(now)'s hit path inlined — one attribute
+            # read and one float compare per packet; the miss path
+            # (expiry or fresh install) recomputes.
+            version = entry._latest
+            if version is None or now >= version.res_info.expiry:
+                version = entry.latest_live(now)
+                if version is None:
+                    self.packets_dropped += 1
+                    outcomes.append(
+                        ReservationExpired(f"all versions of EER {reservation_id} expired")
                     )
                     continue
-                # entry.latest_live(now)'s hit path inlined — one
-                # attribute read and one float compare per packet; the
-                # miss path (expiry or fresh install) recomputes.
-                version = entry._latest
-                if version is None or now >= version.res_info.expiry:
-                    version = entry.latest_live(now)
-                    if version is None:
-                        dropped += 1
-                        outcomes[index] = ReservationExpired(
-                            f"all versions of EER {reservation_id} expired"
-                        )
-                        continue
-                if version is not current:
-                    # ``now`` is fixed for the burst, so Ts microseconds
-                    # only change when the version does.
-                    current = version
-                    switches += 1
-                    micros = int((version.res_info.expiry - now) * 1e6)
-                last = entry.last_micros
-                sequence = last[1] + 1 if last is not None and last[0] == micros else 0
-                entry.last_micros = (micros, sequence)
-                if not 0 <= micros < 1 << 48 or sequence > _SEQ_MASK:
-                    Timestamp(micros, sequence)  # raises the serial path's error
-                size = entry.header_size + len(payload)
-                bucket = entry.bucket
-                if bucket is None:
-                    passed += 1
+            if version is not current:
+                # ``now`` is fixed for the burst, so Ts microseconds
+                # only change when the version does.
+                current = version
+                switches += 1
+                micros = int((version.res_info.expiry - now) * 1e6)
+            last = entry.last_micros
+            sequence = last[1] + 1 if last is not None and last[0] == micros else 0
+            entry.last_micros = (micros, sequence)
+            if micros >> 48 or sequence > _SEQ_MASK:  # micros < 0 shifts to -1
+                Timestamp(micros, sequence)  # raises the field's own error
+            # Deterministic monitoring before stamping: a
+            # non-conforming packet is dropped and never authorized.
+            size = entry.header_size + len(payload)
+            bucket = buckets.get(entry.packed_id)
+            if bucket is not None:
+                # TokenBucket.conforms inlined (same arithmetic, same
+                # state writes): two Python frames per packet are the
+                # price of the method calls, and this loop is the
+                # Fig. 5 hot path.  After a flow's first packet the
+                # refill branch is dead — ``now`` is fixed per burst.
+                tokens = bucket._tokens
+                if now > bucket._updated:
+                    depth = bucket.depth
+                    tokens += (now - bucket._updated) * bucket.rate
+                    if tokens > depth:
+                        tokens = depth
+                    bucket._updated = now
+                bits = size * 8
+                if bits <= tokens:
+                    bucket._tokens = tokens - bits
                 else:
-                    # TokenBucket.conforms inlined (same arithmetic, same
-                    # state writes): two Python frames per packet are the
-                    # price of the method calls, and this loop is the
-                    # Fig. 5 hot path.  After a flow's first packet the
-                    # refill branch is dead — ``now`` is fixed per burst.
-                    tokens = bucket._tokens
-                    if now > bucket._updated:
-                        depth = bucket.depth
-                        tokens += (now - bucket._updated) * bucket.rate
-                        if tokens > depth:
-                            tokens = depth
-                        bucket._updated = now
-                    bits = size * 8
-                    if bits <= tokens:
-                        bucket._tokens = tokens - bits
-                        passed += 1
-                    else:
-                        bucket._tokens = tokens
-                        monitor.record_drop(entry.packed_id, now, bucket)
-                        dropped += 1
-                        outcomes[index] = BandwidthExceeded(
-                            f"EER {reservation_id} exceeded its reserved rate"
-                        )
-                        continue
-                ts_word = (micros << _SEQ_BITS) | sequence
-                messages += pack_message(ts_word, size)
-                add_row((index, entry, version, ts_word, size, payload, position))
-                position += entry.tag_bytes
-        finally:
-            monitor.packets_passed += passed
-            self.packets_sent += len(rows)
-            self.packets_dropped += dropped
-        return _BurstPlan(
-            outcomes, rows, messages, current if switches == 1 else None, position
-        )
+                    bucket._tokens = tokens
+                    monitor.record_drop(entry.packed_id, now, bucket)
+                    self.packets_dropped += 1
+                    outcomes.append(
+                        BandwidthExceeded(f"EER {reservation_id} exceeded its reserved rate")
+                    )
+                    continue
+            outcomes.append(
+                (entry, version, (micros << _SEQ_BITS) | sequence, size, payload, position)
+            )
+            position += entry.tag_bytes
+            rows += 1
+            # Counted as they happen, so a raise mid-burst leaves every
+            # counter exact for the requests before it.
+            monitor.packets_passed += 1
+            self.packets_sent += 1
+        return outcomes, rows, current if switches == 1 else None, position
 
-    def _stamp(self, plan: _BurstPlan) -> bytes:
-        """Eq. (6) for every planned packet, as one flat string: row
-        ``k``'s per-hop tags start at its recorded tag offset."""
-        rows = plan.rows
-        if not rows:
+    def _stamp(self, plan: tuple) -> bytes:
+        """Eq. (6) for every planned packet, as one flat string: a row's
+        per-hop tags start at its recorded tag offset."""
+        outcomes, count, only, tag_bytes = plan
+        if not count:
             return b""
+        if len(outcomes) == 1:  # a lone packet, as every send is
+            row = outcomes[0]
+            return row[1].stamp(_HVF_MESSAGE.pack(row[2], row[3]))
+        rows = [row for row in outcomes if type(row) is tuple]
+        messages = [_HVF_MESSAGE.pack(row[2], row[3]) for row in rows]
         size = _HVF_MESSAGE.size
-        only = plan.version
         if only is not None and only._schedule is not None:
-            return only._schedule.stamp_many_flat(plan.messages, size, len(rows))
+            return only._schedule.stamp_many_flat(b"".join(messages), size, count)
         stamper = self._burst
         if stamper is None:
-            stamper = self._burst = burst_stamper(slots=len(rows))
+            stamper = self._burst = burst_stamper(slots=count)
         if stamper is not None:
-            stamper.reserve(len(rows))
+            stamper.reserve(count)
             scheds = stamper.scheds
             counts = stamper.counts
             offsets = stamper.offsets
             for number, row in enumerate(rows):
-                schedule = row[2]._schedule
+                schedule = row[1]._schedule
                 if schedule is None:
                     break  # installed while the native probe was off
                 scheds[number] = schedule._scatter
                 counts[number] = schedule.count
-                offsets[number] = row[6]
+                offsets[number] = row[5]
             else:
-                stamper.messages[:] = plan.messages
-                return stamper.stamp_flat(len(rows), size, plan.tag_bytes)
-        messages = bytes(plan.messages)
-        tags: list = []
-        for number, row in enumerate(rows):
-            tags.extend(row[2].stamp(messages[number * size : (number + 1) * size]))
-        return b"".join(tags)
+                stamper.messages[:] = b"".join(messages)
+                return stamper.stamp_flat(count, size, tag_bytes)
+        return b"".join([row[1].stamp(message) for row, message in zip(rows, messages)])
 
-    def _emit_packets(self, plan: _BurstPlan, flat: bytes) -> List[SendOutcome]:
+    def _emit_packets(self, plan: tuple, flat: bytes) -> List[SendOutcome]:
         """Packet objects over zero-copy windows of the flat tags."""
-        outcomes = plan.outcomes
+        outcomes = plan[0]
         trusted = ColibriPacket.trusted
         eer_data = PacketType.EER_DATA
-        for index, entry, version, ts_word, _size, payload, position in plan.rows:
-            outcomes[index] = trusted(
-                eer_data,
-                entry.path,
-                version.res_info,
-                Timestamp(ts_word >> _SEQ_BITS, ts_word & _SEQ_MASK),
-                HvfVector(flat, position, len(version.hop_auths)),
-                entry.eer_info,
-                payload,
-            )
+        index = 0
+        for row in outcomes:
+            if type(row) is tuple:
+                entry, version, ts_word, _size, payload, position = row
+                outcomes[index] = trusted(
+                    eer_data,
+                    entry.path,
+                    version.res_info,
+                    Timestamp.from_word(ts_word),
+                    HvfVector(flat, position, len(version.hop_auths)),
+                    entry.eer_info,
+                    payload,
+                )
+            index += 1
         return outcomes
 
-    def _emit_wire(self, plan: _BurstPlan, flat: bytes, arena: PacketArena) -> list:
+    def _emit_wire(self, plan: tuple, flat: bytes, arena: PacketArena) -> list:
         """Wire bytes written in place, one arena slot per packet."""
-        outcomes = plan.outcomes
+        outcomes = plan[0]
         buffer = arena.buffer
         take = arena.take
-        for index, entry, version, ts_word, size, payload, position in plan.rows:
-            template = version._wire_template
-            if template is None:
-                template = version._wire_template = ColibriPacket.wire_template(
-                    PacketType.EER_DATA, entry.path, version.res_info, entry.eer_info
+        index = 0
+        for row in outcomes:
+            if type(row) is tuple:
+                entry, version, ts_word, size, payload, position = row
+                template = version._wire_template
+                if template is None:
+                    template = version._wire_template = ColibriPacket.wire_template(
+                        PacketType.EER_DATA, entry.path, version.res_info, entry.eer_info
+                    )
+                slot = take(size)
+                entry.wire_header.pack_into(
+                    buffer,
+                    slot,
+                    template,
+                    ts_word,
+                    flat[position : position + entry.tag_bytes],
+                    len(payload),
                 )
-            slot = take(size)
-            entry.wire_header.pack_into(
-                buffer,
-                slot,
-                template,
-                ts_word,
-                flat[position : position + entry.tag_bytes],
-                len(payload),
-            )
-            buffer[slot + entry.header_size : slot + size] = payload
-            outcomes[index] = WirePacketView(buffer, slot, size)
+                buffer[slot + entry.header_size : slot + size] = payload
+                outcomes[index] = WirePacketView(buffer, slot, size)
+            index += 1
         return outcomes
 
 

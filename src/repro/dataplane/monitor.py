@@ -86,17 +86,6 @@ class DeterministicMonitor:
     def is_watched(self, flow_label: bytes) -> bool:
         return flow_label in self._buckets
 
-    def bucket_for(self, flow_label: bytes):
-        """The flow's token bucket, or ``None`` when unwatched.
-
-        The gateway caches this per reservation (re-synced on every
-        ``watch``) so its burst loops call ``bucket.conforms`` directly
-        instead of re-probing the flow table per packet; callers that
-        inline the pass path must bump :attr:`packets_passed` themselves
-        and report non-conforming packets via :meth:`record_drop`.
-        """
-        return self._buckets.get(flow_label)
-
     def check(self, flow_label: bytes, packet_size: int, now: float) -> bool:
         """Account one packet; ``True`` = conforming, ``False`` = drop.
 
@@ -112,10 +101,12 @@ class DeterministicMonitor:
     def record_drop(self, flow_label: bytes, now: float, bucket=None) -> None:
         """Account one non-conforming packet and track confirmation.
 
-        The drop half of :meth:`check`, factored out so callers holding
-        the bucket already (via :meth:`bucket_for`) keep streak tracking,
+        The drop half of :meth:`check`, factored out so a caller that
+        charges the bucket itself (the gateway's burst plan reads
+        :attr:`_buckets` live, per packet) keeps streak tracking,
         journaling and the confirmation callback identical to the
-        non-inlined path.
+        non-inlined path; such a caller bumps :attr:`packets_passed`
+        itself.
         """
         self.packets_dropped += 1
         count, last_drop = self._drops.get(flow_label, (0, now))

@@ -184,11 +184,20 @@ class Timestamp:
         return expiry - self.micros_before_expiry / 1e6
 
     @classmethod
+    def from_word(cls, word: int) -> "Timestamp":
+        """The Ts packed in the 64-bit ``word``: every such word is in
+        range, so the constructor's checks have nothing to check."""
+        timestamp = object.__new__(cls)
+        timestamp.micros_before_expiry = word >> cls._SEQ_BITS
+        timestamp.sequence = word & cls._SEQ_MASK
+        timestamp.packed = cls.WIRE.pack(word)
+        return timestamp
+
+    @classmethod
     def unpack(cls, data: bytes) -> "Timestamp":
         if len(data) < cls.SIZE:
             raise PacketDecodeError(f"timestamp truncated: {len(data)} < {cls.SIZE}")
-        (value,) = cls.WIRE.unpack(data[: cls.SIZE])
-        return cls(value >> cls._SEQ_BITS, value & cls._SEQ_MASK)
+        return cls.from_word(cls.WIRE.unpack(data[: cls.SIZE])[0])
 
     def __eq__(self, other) -> bool:
         return (

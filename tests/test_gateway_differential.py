@@ -1,29 +1,41 @@
-"""Differential test of the gateway's burst pipeline against ``send``.
+"""Differential test of the gateway's three APIs against a reference.
 
-``ColibriGateway.send`` is the tens-of-lines serial reference;
-``send_batch`` and ``send_batch_wire`` share one plan → stamp → emit
-pipeline that must be indistinguishable from it.  The randomized
-workload in tests/test_batch_equivalence.py draws uniformly over a
-handful of live EERs; this script drives the shapes that draw misses —
-single-EER bursts, the same id recurring non-adjacently, an EER whose
-every version expired, a renewal installed between bursts, a version
-expiring while its successor lives, unknown ids, over-rate payloads, and
-a Ts sequence crossing 2^16 inside one microsecond — and compares
-*everything observable*: packet bytes, request-aligned drop types, the
-raised ``PacketFieldError``, both gateway counters, the monitor's
-counters, every bucket's level and every entry's ``last_micros`` after
-every step, on the native backend and on ``COLIBRI_NATIVE=0``.
+``ColibriGateway.send`` (a burst of one), ``send_batch`` and
+``send_batch_wire`` share one plan → stamp → emit pipeline;
+:class:`ReferenceGateway` below is §4.3 and §4.6 written down per packet,
+sharing no code with it.  The randomized workload in
+tests/test_batch_equivalence.py draws uniformly over a handful of live
+EERs; this script drives the shapes that draw misses — single-EER
+bursts, the same id recurring non-adjacently, an EER whose every version
+expired, a renewal installed between bursts, a version expiring while its
+successor lives, a renewal expiring before its predecessor, unknown ids,
+over-rate payloads, a flow the monitor stops watching and watches again,
+and a Ts sequence crossing 2^16 inside one microsecond — and compares
+*everything observable*: packet bytes, request-aligned drop types and
+messages, the raised ``PacketFieldError``, both gateway counters, the
+monitor's counters, every bucket's level and every entry's Ts state
+after every step, on the native backend and on ``COLIBRI_NATIVE=0``.
 """
 
 import random
 
 import pytest
 
+from repro.constants import DEFAULT_BURST_SECONDS
 from repro.crypto import native
 from repro.dataplane.gateway import ColibriGateway
-from repro.errors import DataPlaneError, PacketFieldError, ReservationError
-from repro.packets.colibri import ColibriPacket
-from repro.packets.fields import EerInfo, PathField, ResInfo
+from repro.dataplane.hvf import eer_hvf
+from repro.dataplane.token_bucket import TokenBucket
+from repro.errors import (
+    BandwidthExceeded,
+    DataPlaneError,
+    PacketFieldError,
+    ReservationError,
+    ReservationExpired,
+    ReservationNotFound,
+)
+from repro.packets.colibri import ColibriPacket, PacketType
+from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp
 from repro.packets.wire import PacketArena
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
@@ -39,6 +51,100 @@ START = 1000.0
 HOPS = {1: 2, 2: 3, 3: 8, 4: 16, 5: 3, 6: 2}
 STREAM, SECOND, LONG, LONGEST, SLOW, DOOMED = (ReservationId(SRC, n) for n in HOPS)
 UNKNOWN = ReservationId(SRC, 99)
+SLOW_RATE = kbps(400)
+
+
+class ReferenceGateway:
+    """The source gateway's job per packet (§4.3, §4.6), in a few lines.
+
+    Find the EER; take its latest *live* version; give the packet a
+    unique Ts — microseconds before that version's expiry, plus a
+    sequence for packets of the same microsecond; charge the flow's own
+    token bucket with the whole packet's size; stamp Eq. (6) once per σ.
+    No ``GatewayVersion``, no key schedule, no native code.
+
+    Each one-line mutant of dataplane/gateway.py below fails
+    :func:`test_burst_pipeline_matches_serial_reference` (checked by
+    applying them one at a time to a copy of the tree):
+
+    * the Ts sequence is not reset on a new microsecond
+      (``_plan``: ``last[0] == micros`` dropped from the sequence rule);
+    * the latest version is used instead of the latest live one
+      (``latest_live``: ``if v.is_live(now)`` dropped);
+    * ``micros`` is kept across a mid-burst version switch
+      (``_plan``: ``if version is not current`` → ``if current is None``);
+    * ``len(payload)`` is missing from PktSize
+      (``_plan``: ``size = entry.header_size``);
+    * the bucket refill is skipped (``_plan``: ``tokens += …`` dropped);
+    * a drop is not counted (``_plan``: the policed request's
+      ``self.packets_dropped += 1`` dropped);
+    * the one-row stamp reads the wrong field of its row (``_stamp``:
+      ``row[5]``, the tag offset, packed for ``row[3]``, PktSize);
+    * a row's tag offset counts a policed request (``_plan``:
+      ``position += entry.tag_bytes`` before its ``continue``), so the
+      emitters read past tags the stamps wrote back to back.
+    """
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.eers = {}  # packed id -> _Eer
+        self.buckets = {}  # packed id -> TokenBucket, while watched
+        self.sent = self.dropped = self.passed = self.policed = 0
+
+    def install(self, reservation_id, path, eer_info, res_info, hop_auths):
+        now = self.clock.now()
+        eer = self.eers.setdefault(reservation_id.packed, _Eer(path, eer_info))
+        eer.versions = {n: v for n, v in eer.versions.items() if now < v[0].expiry}
+        eer.versions[res_info.version] = (res_info, tuple(hop_auths))
+        bandwidth = max((v[0].bandwidth for v in eer.live(now)), default=0.0)
+        self.watch(reservation_id.packed, bandwidth)
+
+    def watch(self, flow: bytes, bandwidth: float) -> None:
+        now = self.clock.now()
+        bucket = self.buckets.get(flow)
+        if bucket is None:
+            self.buckets[flow] = TokenBucket(bandwidth, DEFAULT_BURST_SECONDS, now)
+        elif bucket.rate != bandwidth:
+            bucket.set_rate(bandwidth, now, DEFAULT_BURST_SECONDS)
+
+    def send(self, reservation_id, payload) -> ColibriPacket:
+        now = self.clock.now()
+        eer = self.eers.get(reservation_id.packed)
+        if eer is None:
+            self.dropped += 1
+            raise ReservationNotFound(f"gateway has no EER {reservation_id}")
+        if not eer.live(now):
+            self.dropped += 1
+            raise ReservationExpired(f"all versions of EER {reservation_id} expired")
+        res_info, sigmas = max(eer.live(now), key=lambda v: v[0].version)
+        micros = int((res_info.expiry - now) * 1e6)
+        sequence = eer.last[1] + 1 if eer.last and eer.last[0] == micros else 0
+        eer.last = (micros, sequence)
+        timestamp = Timestamp(micros, sequence)
+        empty = [ColibriPacket.EMPTY_HVF] * len(sigmas)
+        packet = ColibriPacket(
+            PacketType.EER_DATA, eer.path, res_info, timestamp, empty, eer.eer_info, payload
+        )
+        size = packet.total_size
+        bucket = self.buckets.get(reservation_id.packed)
+        if bucket is not None and not bucket.conforms(size, now):
+            self.dropped += 1
+            self.policed += 1
+            raise BandwidthExceeded(f"EER {reservation_id} exceeded its reserved rate")
+        self.sent += 1
+        self.passed += 1
+        packet.hvfs = [eer_hvf(sigma, timestamp, size) for sigma in sigmas]
+        return packet
+
+
+class _Eer:
+    def __init__(self, path, eer_info):
+        self.path, self.eer_info = path, eer_info
+        self.versions = {}  # version number -> (ResInfo, σs)
+        self.last = None  # (micros, sequence) of the latest stamped packet
+
+    def live(self, now):
+        return [v for v in self.versions.values() if now < v[0].expiry]
 
 
 def path_of(hops: int) -> PathField:
@@ -64,9 +170,11 @@ def install(gateway, res_id, version=1, bandwidth=gbps(1), lifetime=16.0):
 
 def script():
     """The step list every mode replays: ``("burst", requests)``,
-    ``("advance", seconds)``, ``("install", kwargs)`` or
-    ``("saturate", res_id)`` (park the id's Ts sequence five below the
-    16-bit limit for the current microsecond)."""
+    ``("advance", seconds)``, ``("install", kwargs)``, ``("unwatch",
+    res_id)`` / ``("watch", res_id)`` (the monitor stops / resumes
+    policing the flow at ``SLOW_RATE``) or ``("saturate", res_id)`` (park
+    the id's Ts sequence five below the 16-bit limit for the current
+    microsecond)."""
     rng = random.Random(12)
 
     def small():
@@ -88,11 +196,21 @@ def script():
         burst.append((SECOND if n % 2 else LONGEST, small()))
     steps.append(("burst", burst))
     steps.append(("advance", 0.01))
+    # Policed requests ahead of a burst's only conforming row.
     steps.append(("burst", [(SLOW, b"x" * 1400)] * 4 + [(STREAM, b"")]))
+    # Unwatched, the flow is not policed at all; watched again, it is.
+    steps.append(("unwatch", SLOW))
+    steps.append(("burst", [(SLOW, b"x" * 1400)] * 8))
+    steps.append(("watch", SLOW))
+    steps.append(("burst", [(SLOW, b"x" * 1400)] * 6))
+    # A renewal that expires before its predecessor: once it has, the
+    # older version is the latest live one again.
+    steps.append(("install", dict(res_id=LONG, version=2, lifetime=1.0)))
+    steps.append(("burst", [(LONG, small()), (STREAM, small())]))
     # An EER whose only version has expired; the others are still live.
     steps.append(("advance", 2.0))
     steps.append(("burst", [(DOOMED, b"late"), (STREAM, small()), (DOOMED, b"")]))
-    steps.append(("burst", [(DOOMED, small()) for _ in range(5)]))
+    steps.append(("burst", [(DOOMED, small()) for _ in range(5)] + [(LONG, small())]))
     # A renewal between bursts: v2 outlives v1, both live at first...
     steps.append(("install", dict(res_id=STREAM, version=2, lifetime=16.0)))
     steps.append(("burst", [(STREAM, small()) for _ in range(6)] + [(LONG, b"")]))
@@ -121,34 +239,42 @@ def script():
     return steps
 
 
-def state_of(gateway):
-    """Everything the three modes must agree on after every step."""
-    monitor = gateway.monitor
-    entries = {}
-    for packed_id, entry in gateway._reservations.items():
-        bucket = entry.bucket
-        entries[packed_id] = (
-            entry.last_micros,
-            sorted(entry.versions),
-            (bucket._tokens, bucket._updated, bucket.rate),
-        )
-    return (
-        gateway.packets_sent,
-        gateway.packets_dropped,
+def bucket_state(bucket):
+    return None if bucket is None else (bucket._tokens, bucket._updated, bucket.rate)
+
+
+def state_of(target):
+    """Everything the modes must agree on after every step: ``(sent,
+    dropped, monitor passed, monitor dropped)`` and, per EER, ``(Ts
+    state, installed versions, bucket)``."""
+    if isinstance(target, ReferenceGateway):
+        counters = (target.sent, target.dropped, target.passed, target.policed)
+        entries = {
+            flow: (eer.last, sorted(eer.versions), bucket_state(target.buckets.get(flow)))
+            for flow, eer in target.eers.items()
+        }
+        return counters, entries
+    monitor = target.monitor
+    counters = (
+        target.packets_sent,
+        target.packets_dropped,
         monitor.packets_passed,
         monitor.packets_dropped,
-        entries,
     )
+    entries = {
+        flow: (entry.last_micros, sorted(entry.versions), bucket_state(monitor._buckets.get(flow)))
+        for flow, entry in target._reservations.items()
+    }
+    return counters, entries
 
 
-def send_serial(gateway, requests, _arena):
-    """The reference: ``send`` per request.  A drop is an outcome; any
-    other error propagates and ends the burst, as it does out of a
-    burst's plan."""
+def send_serial(target, requests, _arena):
+    """``send`` per request.  A drop is an outcome; any other error
+    propagates and ends the burst, as it does out of a burst's plan."""
     outcomes = []
     for res_id, payload in requests:
         try:
-            outcomes.append(gateway.send(res_id, payload).to_bytes())
+            outcomes.append(target.send(res_id, payload).to_bytes())
         except (ReservationError, DataPlaneError) as error:
             outcomes.append((type(error).__name__, str(error)))
     return outcomes
@@ -172,34 +298,63 @@ def send_wire(gateway, requests, arena):
     ]
 
 
-def replay(send_burst):
+def saturate(target, res_id):
+    now = target.clock.now()
+    if isinstance(target, ReferenceGateway):
+        eer = target.eers[res_id.packed]
+        expiry = max(eer.live(now), key=lambda v: v[0].version)[0].expiry
+        eer.last = (int((expiry - now) * 1e6), 0xFFFF - 5)
+    else:
+        entry = target._reservations[res_id.packed]
+        expiry = entry.latest_live(now).expiry
+        entry.last_micros = (int((expiry - now) * 1e6), 0xFFFF - 5)
+
+
+def replay(factory, send_burst):
     """Run the script through one mode; returns the per-step trace."""
     clock = SimClock(START)
-    gateway = ColibriGateway(SRC, clock)
+    target = factory(clock)
     for res_id in (STREAM, SECOND, LONG, LONGEST):
-        install(gateway, res_id)
-    install(gateway, SLOW, bandwidth=kbps(400))
-    install(gateway, DOOMED, lifetime=1.0)
+        install(target, res_id)
+    install(target, SLOW, bandwidth=SLOW_RATE)
+    install(target, DOOMED, lifetime=1.0)
     arena = PacketArena(slots=64, slot_size=2048)
     trace = []
     for kind, argument in script():
         if kind == "advance":
             clock.advance(argument)
         elif kind == "install":
-            install(gateway, **argument)
+            install(target, **argument)
         elif kind == "saturate":
-            entry = gateway._reservations[argument.packed]
-            expiry = entry.latest_live(clock.now()).expiry
-            entry.last_micros = (int((expiry - clock.now()) * 1e6), 0xFFFF - 5)
+            saturate(target, argument)
+        elif kind in ("unwatch", "watch"):
+            rewatch = kind == "watch"
+            if isinstance(target, ReferenceGateway):
+                if rewatch:
+                    target.watch(argument.packed, SLOW_RATE)
+                else:
+                    del target.buckets[argument.packed]
+            elif rewatch:
+                target.monitor.watch(argument.packed, SLOW_RATE, clock.now())
+            else:
+                target.monitor.unwatch(argument.packed)
+            trace.append(("monitor", kind, state_of(target)))
         else:
             try:
-                outcomes = send_burst(gateway, argument, arena)
+                outcomes = send_burst(target, argument, arena)
             except PacketFieldError as error:
                 # What was stamped before the raising request is visible
                 # in the state below in every mode.
                 outcomes = ("raised", type(error).__name__, str(error))
-            trace.append((outcomes, state_of(gateway)))
+            trace.append((outcomes, state_of(target)))
     return trace
+
+
+def gateway(clock):
+    return ColibriGateway(SRC, clock)
+
+
+MODES = {"send": send_serial, "send_batch": send_object, "send_batch_wire": send_wire}
 
 
 @pytest.fixture(params=["native", "hashlib"])
@@ -217,51 +372,62 @@ def backend(request, monkeypatch):
 def assert_traces_equal(reference, other, label):
     assert len(reference) == len(other)
     for step, (expected, actual) in enumerate(zip(reference, other)):
-        assert actual[0] == expected[0], f"{label}: outcomes differ at burst {step}"
-        assert actual[1] == expected[1], f"{label}: state differs after burst {step}"
+        assert actual[:-1] == expected[:-1], f"{label}: outcomes differ at step {step}"
+        assert actual[-1] == expected[-1], f"{label}: state differs after step {step}"
 
 
 def test_burst_pipeline_matches_serial_reference(backend):
-    reference = replay(send_serial)
-    assert_traces_equal(reference, replay(send_object), f"send_batch/{backend}")
-    assert_traces_equal(reference, replay(send_wire), f"send_batch_wire/{backend}")
+    reference = replay(ReferenceGateway, send_serial)
+    for label, send_burst in MODES.items():
+        assert_traces_equal(reference, replay(gateway, send_burst), f"{label}/{backend}")
 
     # The script really drove every shape it claims to.
+    bursts = [step for step in reference if step[0] != "monitor"]
     kinds = set()
-    raised = [outcomes for outcomes, _ in reference if outcomes[:1] == ("raised",)]
-    for outcomes, _ in reference:
+    raised = [outcomes for outcomes, _ in bursts if outcomes[:1] == ("raised",)]
+    for outcomes, _ in bursts:
         if outcomes[:1] != ("raised",):
             kinds.update(o[0] for o in outcomes if isinstance(o, tuple))
     assert kinds == {"ReservationNotFound", "ReservationExpired", "BandwidthExceeded"}
     assert [r[1] for r in raised] == ["PacketFieldError"]
     # The overflow surfaced at STREAM's sixth request of that burst, with
     # the five before it (and SECOND's five) stamped and accounted.
-    overflow = next(i for i, (o, _) in enumerate(reference) if o[:1] == ("raised",))
-    before, after = reference[overflow - 1][1], reference[overflow][1]
-    assert after[0] - before[0] == 10
-    assert after[4][STREAM.packed][0][1] == 0x10000
-    versions = {
-        ColibriPacket.from_bytes(o).res_info.version
-        for outcomes, _ in reference
-        if outcomes[:1] != ("raised",)
-        for o in outcomes
-        if isinstance(o, bytes)
-        and ColibriPacket.from_bytes(o).res_info.reservation == STREAM
-    }
-    assert versions == {1, 2}
+    overflow = next(i for i, (o, _) in enumerate(bursts) if o[:1] == ("raised",))
+    before, after = bursts[overflow - 1][1], bursts[overflow][1]
+    assert after[0][0] - before[0][0] == 10
+    assert after[1][STREAM.packed][0][1] == 0x10000
+    # Unwatched, SLOW passed all eight over-rate requests; watched again,
+    # its fresh bucket policed it.
+    unwatched = next(i for i, step in enumerate(reference) if step[:2] == ("monitor", "unwatch"))
+    assert all(isinstance(o, bytes) for o in reference[unwatched + 1][0])
+    assert any(isinstance(o, tuple) for o in reference[unwatched + 3][0])
+
+    def versions_of(res_id):
+        return {
+            ColibriPacket.from_bytes(o).res_info.version
+            for outcomes, _ in bursts
+            if outcomes[:1] != ("raised",)
+            for o in outcomes
+            if isinstance(o, bytes)
+            and ColibriPacket.from_bytes(o).res_info.reservation == res_id
+        }
+
+    assert versions_of(STREAM) == {1, 2}
+    assert versions_of(LONG) == {1, 2}
 
 
 def test_backends_agree_on_the_reference(monkeypatch):
-    """The serial trace itself is backend-independent, so the two
-    parametrizations above pin one behaviour, not two."""
+    """The reference runs no native code, so the parametrizations above
+    hold both backends to one behaviour; ``send`` agrees with itself
+    across them too."""
     try:
         monkeypatch.delenv("COLIBRI_NATIVE", raising=False)
         native.reset_for_tests()
-        with_native = replay(send_serial)
+        with_native = replay(gateway, send_serial)
         monkeypatch.setenv("COLIBRI_NATIVE", "0")
         native.reset_for_tests()
-        with_hashlib = replay(send_serial)
+        with_hashlib = replay(gateway, send_serial)
     finally:
         monkeypatch.undo()
         native.reset_for_tests()
-    assert with_native == with_hashlib
+    assert with_native == with_hashlib == replay(ReferenceGateway, send_serial)

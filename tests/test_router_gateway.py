@@ -14,6 +14,7 @@ from repro.errors import (
 )
 from repro.packets.colibri import ColibriPacket, PacketType
 from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp
+from repro.packets.wire import PacketArena
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.util.clock import SimClock
@@ -123,6 +124,61 @@ class TestGateway:
         assert gateway.reservation_count() == 0
         with pytest.raises(ReservationNotFound):
             gateway.send(res_id, b"")
+
+    def test_send_is_a_burst_of_one(self):
+        """``send`` runs the burst pipeline's one per-request loop, once
+        per call, for a drop as for a stamped packet."""
+        clock, gateway, router, *_ = make_stack()
+        res_id, _ = install(gateway, router.keys, clock)
+        plans = []
+        plan = gateway._plan
+
+        def counting(requests, now):
+            plans.append(list(requests))
+            return plan(requests, now)
+
+        gateway._plan = counting
+        gateway.send(res_id, b"a")
+        gateway.send(res_id, b"b")
+        with pytest.raises(ReservationNotFound):
+            gateway.send(ReservationId(SRC, 99), b"c")
+        assert plans == [[(res_id, b"a")], [(res_id, b"b")], [(ReservationId(SRC, 99), b"c")]]
+
+    @pytest.mark.parametrize("api", ["send", "send_batch", "send_batch_wire"])
+    def test_unwatched_flow_is_not_policed(self, api):
+        """The monitor decides what is policed, live: a flow it stops
+        watching passes on every API, and policing resumes the moment it
+        watches the flow again."""
+        clock, gateway, router, *_ = make_stack()
+        res_id, _ = install(gateway, router.keys, clock, bandwidth=mbps(1))
+        arena = PacketArena(slots=200, slot_size=1200)
+
+        def passed(count):
+            requests = [(res_id, b"z" * 1000)] * count
+            if api == "send":
+                sent = 0
+                for request in requests:
+                    try:
+                        gateway.send(*request)
+                        sent += 1
+                    except BandwidthExceeded:
+                        pass
+                return sent
+            if api == "send_batch":
+                outcomes = gateway.send_batch(requests)
+            else:
+                outcomes = gateway.send_batch_wire(requests, arena)
+            return sum(not isinstance(outcome, Exception) for outcome in outcomes)
+
+        gateway.monitor.unwatch(res_id.packed)
+        assert passed(200) == 200
+        assert gateway.monitor.confirmed_count() == 0
+        assert gateway.packets_dropped == 0
+        gateway.monitor.watch(res_id.packed, mbps(1), clock.now())
+        # A fresh 1 Mbps bucket holds 0.1 s worth: 100,000 bits.
+        size = ColibriPacket.header_size_for(len(PATH)) + 1000
+        assert passed(40) == 100_000 // (size * 8)
+        assert gateway.monitor.confirmed_count() == 1
 
     def test_install_checks_hopauth_count(self):
         clock, gateway, router, *_ = make_stack()

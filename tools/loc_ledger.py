@@ -59,10 +59,10 @@ CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
-    TOTAL: 18_836,
+    TOTAL: 18_765,
     "`obs/`": 2_230,
     "`control/`": 2_911,
-    "`dataplane/gateway.py` + `dataplane/router.py`": 1_066,
+    "`dataplane/gateway.py` + `dataplane/router.py`": 985,
     "`dataplane/{duplicate,ofd,sigma_cache}.py`": 523,
     "`crypto/native.py`": 890,
     "`dataplane/shards.py` + `obs/distributed.py`": 600,
