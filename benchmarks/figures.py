@@ -32,7 +32,6 @@ import hashlib
 import random
 import sys
 import time
-from collections import deque
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -70,7 +69,7 @@ from repro.reservation import (  # noqa: E402
 )
 from repro.sim import ColibriNetwork, PortSim  # noqa: E402
 from repro.sim.netsim import AtHop  # noqa: E402
-from repro.sim.pipeline import HopPort, PathPipeline  # noqa: E402
+from repro.sim.pipeline import PathPipeline  # noqa: E402
 from repro.sim.traffic import (  # noqa: E402
     BestEffortSource,
     BogusColibriSource,
@@ -572,23 +571,13 @@ def unauthenticated_port(overuse: bool):
 
 
 class _FifoScheduler(PriorityScheduler):
-    """One drop-tail queue served in arrival order; classes only label bytes."""
+    """Mutant port: one queue served in arrival order; every class is best effort."""
 
-    def __init__(self, capacity: float):
-        super().__init__(capacity)
-        self._fifo = deque()
+    def enqueue(self, size_bytes: int, traffic_class: TrafficClass, label=None) -> bool:
+        return super().enqueue(size_bytes, TrafficClass.BEST_EFFORT, label)
 
-    def enqueue(self, size_bytes: int, traffic_class: TrafficClass) -> bool:
-        self._fifo.append((size_bytes, traffic_class))
-        return True
-
-    def drain(self, duration: float) -> dict:
-        budget_bits = self.capacity * duration
-        while self._fifo and self._fifo[0][0] * 8 <= budget_bits:
-            size, traffic_class = self._fifo.popleft()
-            budget_bits -= size * 8
-            self.sent_bytes[traffic_class] += size
-        return dict(self.sent_bytes)
+    def transit_delay(self, size_bytes: int, traffic_class: TrafficClass, now: float) -> float:
+        return super().transit_delay(size_bytes, TrafficClass.BEST_EFFORT, now)
 
 
 def unisolated_port(overuse: bool):
@@ -669,16 +658,11 @@ def latency_pipeline() -> PathPipeline:
     return PathPipeline(net, net.establish_eer(_SRC1, _DST, mbps(10)), capacity=_PORT)
 
 
-class _FifoPort(HopPort):
-    def transit_delay(self, size_bytes: int, traffic_class: TrafficClass, now: float) -> float:
-        return super().transit_delay(size_bytes, TrafficClass.BEST_EFFORT, now)
-
-
 def fifo_pipeline() -> PathPipeline:
     """Mutant: strict priority off — every packet queues behind all bytes."""
     pipeline = latency_pipeline()
     pipeline.ports = {
-        isd_as: _FifoPort(port.capacity, port.propagation) for isd_as, port in pipeline.ports.items()
+        isd_as: _FifoScheduler(port.capacity, port.queue_bytes) for isd_as, port in pipeline.ports.items()
     }
     return pipeline
 

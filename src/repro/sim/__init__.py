@@ -16,8 +16,8 @@ from repro.sim.campaign import (
 )
 from repro.sim.campaigns import CANONICAL
 from repro.sim.events import Event, EventLoop
-from repro.sim.netsim import AtHop, LinkSim, PortSim
-from repro.sim.pipeline import HopPort, LatencyReport, PathPipeline
+from repro.sim.netsim import AtHop, PortSim
+from repro.sim.pipeline import LatencyReport, PathPipeline
 from repro.sim.scenario import ColibriNetwork
 from repro.sim.workload import EerWorkload, WorkloadStats
 from repro.sim.traffic import (
@@ -31,11 +31,9 @@ __all__ = [
     "EventLoop",
     "Event",
     "ColibriNetwork",
-    "LinkSim",
     "PortSim",
     "AtHop",
     "PathPipeline",
-    "HopPort",
     "LatencyReport",
     "BestEffortSource",
     "BogusColibriSource",

@@ -12,34 +12,18 @@ geometry:
   (:class:`~repro.dataplane.queueing.PriorityScheduler`).
 
 Per tick, arriving packets are run through the router, survivors are
-enqueued in their class, and the scheduler drains one tick of the output
-capacity.  Output is accounted per traffic class *and* per reservation,
-giving exactly the rows of Table 2.
+enqueued in their class under their row's label, and the scheduler drains
+one tick of the output capacity.  The port credits every byte it sends to
+its packet's label, which gives exactly the rows of Table 2.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from repro.dataplane.queueing import PriorityScheduler, TrafficClass
 from repro.dataplane.router import BorderRouter
 from repro.util.clock import SimClock
-
-
-@dataclass
-class LinkSim:
-    """A point-to-point link: capacity plus a propagation delay.
-
-    Used by multi-hop simulations to model serialization; the Table 2
-    port experiment needs only the output side (see :class:`PortSim`).
-    """
-
-    capacity: float  # bits per second
-    delay: float = 0.0  # seconds
-
-    def transmission_time(self, size_bytes: int) -> float:
-        return size_bytes * 8 / self.capacity + self.delay
 
 
 class AtHop:
@@ -67,9 +51,7 @@ class PortSim:
         self.clock = clock
         self.scheduler = PriorityScheduler(capacity)
         self.input_bytes: dict = defaultdict(int)  # (port, label) -> bytes
-        self.output_bytes: dict = defaultdict(int)  # label -> bytes
         self.router_drops: dict = defaultdict(int)  # verdict -> count
-        self._pending: dict = {}  # ReservationId or class label -> queue slot
 
     # Labels: reservations are tracked individually, other traffic by class.
     BEST_EFFORT = "best-effort"
@@ -103,53 +85,14 @@ class PortSim:
                     if result.verdict.is_drop:
                         self.router_drops[result.verdict] += 1
                         continue
-                    if self.scheduler.enqueue(size, TrafficClass.EER_DATA):
-                        self._account_later(label, size)
+                    self.scheduler.enqueue(size, TrafficClass.EER_DATA, label)
             for port, source in best_effort_inputs:
                 for size in source.sizes(now, tick):
                     self.input_bytes[(port, self.BEST_EFFORT)] += size
-                    if self.scheduler.enqueue(size, TrafficClass.BEST_EFFORT):
-                        self._account_later(self.BEST_EFFORT, size)
+                    self.scheduler.enqueue(size, TrafficClass.BEST_EFFORT, self.BEST_EFFORT)
             self.scheduler.drain(tick)
             self.clock.advance(tick)
-        return self._finalize(duration)
-
-    # The strict-priority scheduler serves whole packets FIFO per class;
-    # since every enqueued packet is eventually served or still queued at
-    # the end, per-label output = enqueued - backlog share.  We track the
-    # enqueue order per class to attribute the backlog precisely.
-
-    def _account_later(self, label: str, size: int) -> None:
-        self._pending.setdefault(label, []).append(size)
-
-    def _finalize(self, duration: float) -> dict:
-        sent = {}
-        # Serve accounting: per class, scheduler.sent_bytes tells how many
-        # bytes left the port; attribute them to labels in FIFO order.
-        class_of = lambda label: (  # noqa: E731
-            TrafficClass.BEST_EFFORT
-            if label == self.BEST_EFFORT
-            else TrafficClass.EER_DATA
-        )
-        by_class: dict = defaultdict(list)
-        for label, sizes in self._pending.items():
-            by_class[class_of(label)].append((label, sizes))
-        for traffic_class, labelled in by_class.items():
-            budget = self.scheduler.sent_bytes[traffic_class]
-            # Interleave FIFO queues per label in round-robin order —
-            # matches the per-tick interleaving of sources above closely
-            # enough for rate accounting (ticks are small).
-            queues = [(label, list(sizes)) for label, sizes in labelled]
-            index = 0
-            while budget > 0 and any(sizes for _, sizes in queues):
-                label, sizes = queues[index % len(queues)]
-                index += 1
-                if not sizes:
-                    continue
-                size = sizes.pop(0)
-                take = min(size, budget)
-                sent[label] = sent.get(label, 0) + take
-                budget -= take
         return {
-            label: total * 8 / duration / 1e9 for label, total in sent.items()
+            label: total * 8 / duration / 1e9
+            for label, total in self.scheduler.sent_by_label.items()
         }

@@ -35,7 +35,7 @@ from repro.dataplane import shards
 from repro.dataplane.shards import ShardExecutor, ShardSpec, run_shard, shard_of
 from repro.dataplane.sigma_cache import SigmaCache, SigmaEntry
 from repro.errors import BandwidthExceeded, ReservationNotFound, SimulationError
-from repro.packets.colibri import ColibriPacket
+from repro.packets.colibri import ColibriPacket, WirePacketView
 from repro.packets.fields import EerInfo, PathField, ResInfo
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
@@ -424,63 +424,60 @@ class TestBurstOfOne:
 
 
 class TestPipelineBatch:
-    """PathPipeline.send_batch delivers exactly what serial sends do."""
+    """The gateway's wire burst, carried router to router, gets the verdicts
+    ``ColibriNetwork.forward`` gives its object burst."""
 
     @staticmethod
-    def _pipeline():
+    def _network():
         from repro.sim import ColibriNetwork
-        from repro.sim.pipeline import PathPipeline
         from repro.topology import build_two_isd_topology
 
         base = 0xFF00_0000_0000
         src, dst = IsdAs(1, base + 101), IsdAs(2, base + 101)
         net = ColibriNetwork(build_two_isd_topology())
         net.reserve_segments(src, dst, gbps(1))
-        handle = net.establish_eer(src, dst, mbps(10))
-        return src, PathPipeline(net, handle, capacity=mbps(100))
-
-    def test_batch_delivery_matches_serial(self):
-        payloads = [b"p" * (100 + 37 * index) for index in range(8)]
-        _, serial_pipe = self._pipeline()
-        serial = [serial_pipe.send(payload) for payload in payloads]
-        _, batch_pipe = self._pipeline()
-        batch = batch_pipe.send_batch(payloads)
-        assert [r.delivered for r in serial] == [r.delivered for r in batch]
-        assert all(r.delivered for r in batch)
-        assert [r.dropped_at for r in serial] == [r.dropped_at for r in batch]
-        # Burst semantics: later packets queue behind batch-mates, so
-        # latency is non-decreasing within the burst.
-        latencies = [r.latency for r in batch]
-        assert latencies == sorted(latencies)
+        return src, net, net.establish_eer(src, dst, mbps(10))
 
     def test_wire_walk_matches_object_walk(self):
-        """send_batch_wire walks the same waves as send_batch: one wave
-        walker, two per-hop steps."""
+        """Each wire view is validated in place at every on-path router
+        and its hop pointer advanced; it must deliver or drop where
+        ``forward`` delivers or drops the same request's packet object."""
+        from repro.packets.wire import PacketArena
+
         payloads = [b"w" * (64 + 29 * index) for index in range(8)]
         payloads += [b"q" * 10_000] * 14  # the tail overruns the bucket
-        _, object_pipe = self._pipeline()
-        objects = object_pipe.send_batch(payloads)
-        _, wire_pipe = self._pipeline()
-        wires = wire_pipe.send_batch_wire(payloads)
-        assert True in [r.delivered for r in wires]
-        assert False in [r.delivered for r in wires]
-        assert [
-            (r.delivered, r.dropped_at, r.latency, r.per_hop) for r in wires
-        ] == [(r.delivered, r.dropped_at, r.latency, r.per_hop) for r in objects]
+        src, net, handle = self._network()
+        objects = []
+        for outcome in net.gateway(src).send_batch([(handle.reservation_id, p) for p in payloads]):
+            if isinstance(outcome, ColibriPacket):
+                report = net.forward(outcome)
+                objects.append((report.delivered, report.dropped_at))
+            else:
+                objects.append((False, src))
 
-    def test_batch_gateway_drops_are_aligned(self):
-        src, pipe = self._pipeline()
-        # 10 Mbps reservation, 0.1 s burst depth = 125 kB: fourteen 10 kB
-        # payloads overrun it, so the tail of the burst drops at the
-        # source gateway, aligned with its request index.
-        reports = pipe.send_batch([b"q" * 10_000] * 14)
-        delivered = [r.delivered for r in reports]
-        assert True in delivered and False in delivered
-        assert delivered == sorted(delivered, reverse=True)  # prefix delivers
-        for report in reports:
-            if not report.delivered:
-                assert report.dropped_at == src
-                assert report.latency == 0.0
+        src, net, handle = self._network()
+        header = ColibriPacket.header_size_for(len(handle.hops), is_eer_data=True)
+        arena = PacketArena(slots=len(payloads), slot_size=header + max(map(len, payloads)))
+        outcomes = net.gateway(src).send_batch_wire(
+            [(handle.reservation_id, p) for p in payloads], arena
+        )
+        wires = [None if isinstance(o, WirePacketView) else (False, src) for o in outcomes]
+        wave = [(index, o) for index, o in enumerate(outcomes) if isinstance(o, WirePacketView)]
+        for hop in handle.hops:  # one burst, one path: the wave sits at one AS
+            valid = net.router(hop.isd_as).validate_wire_batch([view for _, view in wave])
+            next_wave = []
+            for (index, view), ok in zip(wave, valid):
+                if not ok:
+                    wires[index] = (False, hop.isd_as)
+                elif view.hop_index + 1 == view.hop_count:
+                    wires[index] = (True, None)
+                else:
+                    view.advance_hop()
+                    next_wave.append((index, view))
+            wave = next_wave
+        assert not wave
+        assert (True, None) in wires and (False, src) in wires
+        assert wires == objects
 
 
 class TestShardExecutor:

@@ -466,6 +466,21 @@ class TestPriorityScheduler:
         sent = scheduler.drain(1.0)
         assert sent[TrafficClass.BEST_EFFORT] == 500
 
+    def test_packet_longer_than_a_slice_still_leaves(self):
+        scheduler = PriorityScheduler(capacity=8000.0)  # 1000 B per slice
+        scheduler.enqueue(1500, TrafficClass.BEST_EFFORT)
+        scheduler.enqueue(100, TrafficClass.BEST_EFFORT)
+        assert scheduler.drain(1.0)[TrafficClass.BEST_EFFORT] == 0
+        assert scheduler.drain(1.0)[TrafficClass.BEST_EFFORT] == 1600
+        assert scheduler.total_backlog() == 0
+
+    def test_idle_port_banks_no_budget(self):
+        scheduler = PriorityScheduler(capacity=8000.0)
+        scheduler.drain(10.0)
+        scheduler.enqueue(600, TrafficClass.EER_DATA)
+        scheduler.enqueue(600, TrafficClass.EER_DATA)
+        assert scheduler.drain(1.0)[TrafficClass.EER_DATA] == 600
+
     def test_tail_drop_when_queue_full(self):
         scheduler = PriorityScheduler(capacity=8000.0, queue_bytes=1000)
         assert scheduler.enqueue(800, TrafficClass.BEST_EFFORT)

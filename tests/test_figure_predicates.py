@@ -2,6 +2,9 @@
 cells' quartile intervals: *ok* only when the claim holds across them,
 *violated* only when it fails across them, *unresolved* in between."""
 
+from pathlib import Path
+
+from benchmarks import figures
 from benchmarks.figures import (
     OK,
     UNRESOLVED,
@@ -44,3 +47,18 @@ def test_ratio_at_least_and_equal():
     assert ratio_at_least("r", exact(1.0), exact(0.0), 100.0).verdict == OK
     assert equal("e", 3, 3).verdict == OK
     assert equal("e", 3, 4).verdict == VIOLATED
+
+
+def test_simulated_clock_figures_match_experiments_md():
+    """Table 2 and the latency figure run on the simulated clock, so their
+    rows are exact at every scale: a port or router change that moves a
+    number fails here until EXPERIMENTS.md is re-recorded."""
+    text = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text()
+    for key, figure in (("table2", figures.table2("quick")), ("latency", figures.latency("quick"))):
+        block = text.split(f"<!-- figure:{key}:begin -->")[1].split(f"<!-- figure:{key}:end -->")[0]
+        recorded = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in block.splitlines()
+            if line.startswith("| ")
+        ]
+        assert recorded == [list(figure.header), *map(list, figure.rows)], key

@@ -24,15 +24,15 @@ UNWIRED = {
     # Paper-described, not yet wired (ROADMAP says what will wire each).
     "repro.control.protected":
         "sole producer of the Eq. 3 control packets the router's SegR "
-        "branch verifies (§5.3); ROADMAP housekeeping: renewals ride it "
+        "branch verifies (§5.3); ROADMAP item 8(a): renewals ride it "
         "on the scenario/campaign path",
     "repro.control.distributed":
-        "§3 / App. D distributed CServ; ROADMAP housekeeping: a campaign "
+        "§3 / App. D distributed CServ; ROADMAP item 8(b): a campaign "
         "runs one transit AS distributed",
     "repro.reservation.persistence":
-        "crash/reload half of ROADMAP open item 2's differential machine",
+        "crash/reload half of ROADMAP item 7's differential machine",
     "repro.topology.serialization":
-        "topology half of the same crash/reload snapshot (ROADMAP item 2)",
+        "topology half of the same crash/reload snapshot (ROADMAP item 7)",
 }
 
 

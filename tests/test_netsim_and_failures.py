@@ -1,13 +1,16 @@
 """Unit tests for the netsim building blocks and failure-injection
 scenarios (mid-chain partitions must leave no state behind)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.control.rpc import Unreachable
 from repro.dataplane.router import Verdict
-from repro.sim import AtHop, ColibriNetwork, LinkSim, PortSim
+from repro.sim import AtHop, ColibriNetwork, PortSim
 from repro.sim.traffic import BestEffortSource, ReservationSource
 from repro.topology import IsdAs, build_two_isd_topology
+from repro.util.clock import SimClock
 from repro.util.units import gbps, mbps
 
 BASE = 0xFF00_0000_0000
@@ -19,19 +22,6 @@ def asid(isd, index):
 
 SRC = asid(1, 101)
 DST = asid(2, 101)
-
-
-class TestLinkSim:
-    def test_transmission_time(self):
-        link = LinkSim(capacity=mbps(100), delay=0.002)
-        assert link.transmission_time(1250) == pytest.approx(
-            0.002 + 1250 * 8 / mbps(100)
-        )
-
-    def test_zero_delay_default(self):
-        assert LinkSim(capacity=mbps(8)).transmission_time(1000) == pytest.approx(
-            0.001
-        )
 
 
 class TestAtHop:
@@ -78,6 +68,31 @@ class TestPortSim:
         )
         assert "flow" not in rates
         assert sim.router_drops[Verdict.DROP_BLOCKED] > 0
+
+    def test_credits_bytes_to_the_packets_that_left(self):
+        """One slice of a 1,000 B/s port gets nine 100 B packets of ``b``
+        and then a 900 B packet of ``a``: the port sends ``b``'s 900 B,
+        and ``a`` must not be credited with bytes of a packet still queued."""
+
+        class Forwarding:
+            def process(self, packet):
+                return SimpleNamespace(verdict=Verdict.FORWARD)
+
+        class Burst:
+            def __init__(self, *sizes):
+                self.sizes = sizes
+
+            def packets(self, now, tick):
+                return [SimpleNamespace(total_size=size) for size in self.sizes]
+
+        sim = PortSim(Forwarding(), SimClock(0.0), capacity=8000.0)
+        rates = sim.run(
+            duration=1.0,
+            colibri_inputs=[(1, Burst(*[100] * 9), "b"), (2, Burst(900), "a")],
+            best_effort_inputs=[],
+            tick=1.0,
+        )
+        assert rates == {"b": 900 * 8 / 1e9}
 
 
 class TestPartitionFailures:

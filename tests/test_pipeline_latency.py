@@ -3,8 +3,7 @@
 import pytest
 
 from benchmarks import figures
-from repro.dataplane.queueing import TrafficClass
-from repro.sim.pipeline import HopPort
+from repro.dataplane.queueing import PriorityScheduler, TrafficClass
 from repro.util.units import mbps
 
 
@@ -17,29 +16,42 @@ def pipeline():
 
 
 class TestHopPort:
+    """A hop's output port, as the §9 figure queries it:
+    ``PriorityScheduler.transit_delay`` is queueing plus serialization;
+    the pipeline adds propagation."""
+
     def test_unloaded_delay_is_serialization_plus_propagation(self):
-        port = HopPort(capacity=mbps(100), propagation=0.002)
-        delay = port.transit_delay(1250, TrafficClass.EER_DATA, now=0.0)
+        port = PriorityScheduler(capacity=mbps(100))
+        propagation = 0.002  # PathPipeline adds it per hop
+        delay = port.transit_delay(1250, TrafficClass.EER_DATA, now=0.0) + propagation
         assert delay == pytest.approx(0.002 + 1250 * 8 / mbps(100))
 
     def test_backlog_drains_over_time(self):
-        port = HopPort(capacity=mbps(100), propagation=0.0)
-        port.offer_cross_traffic(125_000, TrafficClass.BEST_EFFORT, now=0.0)
+        port = PriorityScheduler(capacity=mbps(100))
+        port.enqueue(125_000, TrafficClass.BEST_EFFORT)
         # 125 kB at 100 Mbps = 10 ms to drain; after 20 ms it's gone.
         delay = port.transit_delay(1250, TrafficClass.BEST_EFFORT, now=0.020)
         assert delay == pytest.approx(1250 * 8 / mbps(100))
 
+    def test_packet_is_gone_when_its_serialization_ends(self):
+        port = PriorityScheduler(capacity=mbps(100))
+        serialization = port.transit_delay(1500, TrafficClass.BEST_EFFORT, now=100.0)
+        # (100.0 + s) - 100.0 rounds to a hair under s; the port still
+        # counts the first packet as sent.
+        later = port.transit_delay(1500, TrafficClass.BEST_EFFORT, now=100.0 + serialization)
+        assert later == serialization
+
     def test_priority_traffic_skips_best_effort_backlog(self):
-        port = HopPort(capacity=mbps(100), propagation=0.0)
-        port.offer_cross_traffic(1_000_000, TrafficClass.BEST_EFFORT, now=0.0)
+        port = PriorityScheduler(capacity=mbps(100))
+        port.enqueue(1_000_000, TrafficClass.BEST_EFFORT)
         fast = port.transit_delay(1250, TrafficClass.EER_DATA, now=0.0)
         slow = port.transit_delay(1250, TrafficClass.BEST_EFFORT, now=0.0)
         assert fast < 0.001
         assert slow > 0.05
 
     def test_control_ahead_of_eer_data(self):
-        port = HopPort(capacity=mbps(100), propagation=0.0)
-        port.offer_cross_traffic(1_000_000, TrafficClass.EER_DATA, now=0.0)
+        port = PriorityScheduler(capacity=mbps(100))
+        port.enqueue(1_000_000, TrafficClass.EER_DATA)
         control = port.transit_delay(1250, TrafficClass.CONTROL, now=0.0)
         assert control < 0.001
 

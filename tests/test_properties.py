@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core data structures and
 system invariants, complementing the per-module suites."""
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -230,27 +232,43 @@ class TestDuplicateProperties:
 class TestSchedulerProperties:
     @given(
         st.lists(
-            st.tuples(st.sampled_from(list(TrafficClass)), st.integers(1, 5000)),
+            st.tuples(
+                st.sampled_from(list(TrafficClass)),
+                st.integers(1, 5000),
+                st.floats(0.001, 0.2),
+            ),
             min_size=1,
             max_size=100,
         )
     )
     @settings(max_examples=50)
     def test_conservation_and_budget(self, arrivals):
-        """Bytes out <= bytes in, and out <= capacity x time; nothing is
-        created or silently lost (sent + backlog + dropped = offered)."""
-        scheduler = PriorityScheduler(capacity=80_000.0, queue_bytes=50_000)
-        offered = 0
-        enqueued = 0
-        for traffic_class, size in arrivals:
-            offered += size
+        """Over many slices, bytes out never exceed capacity x elapsed time
+        (to within the port's nanosecond of rounding slack), and nothing
+        is created or silently lost (sent + backlog = enqueued); once
+        arrivals stop, every queued packet leaves, even one longer than a
+        slice."""
+        capacity = 80_000.0
+        scheduler = PriorityScheduler(capacity=capacity, queue_bytes=50_000)
+        enqueued = sent = 0
+        elapsed = 0.0
+
+        def drain(duration):
+            nonlocal sent, elapsed
+            sent += sum(scheduler.drain(duration).values())
+            elapsed += duration
+            assert sent * 8 <= capacity * (elapsed + 1e-9)  # a nanosecond's rounding
+            assert sent + scheduler.total_backlog() == enqueued
+
+        for traffic_class, size, duration in arrivals:
             if scheduler.enqueue(size, traffic_class):
                 enqueued += size
-        sent = scheduler.drain(1.0)
-        total_sent = sum(sent.values())
-        assert total_sent <= enqueued
-        assert total_sent * 8 <= 80_000.0 + 5000 * 8  # budget + one packet slack
-        assert total_sent + scheduler.total_backlog() == enqueued
+            drain(duration)
+        # 10 ms slices carry 100 B, less than most packets.
+        for _ in range(math.ceil(scheduler.total_backlog() * 8 / (capacity * 0.01)) + 1):
+            drain(0.01)
+        assert scheduler.total_backlog() == 0
+        assert sent == enqueued
 
 
 class TestClockSkewProperties:

@@ -44,6 +44,7 @@ WATCHED = (
     "dataplane/shards.py",
     "obs/distributed.py",
     "sim/campaign.py",
+    "sim/{pipeline,netsim}.py",
 )
 
 TOTAL = "**`src/repro` total**"
@@ -59,7 +60,7 @@ CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
-    TOTAL: 18_765,
+    TOTAL: 18_548,
     "`obs/`": 2_230,
     "`control/`": 2_911,
     "`dataplane/gateway.py` + `dataplane/router.py`": 985,
@@ -67,6 +68,7 @@ BUDGETS = {
     "`crypto/native.py`": 890,
     "`dataplane/shards.py` + `obs/distributed.py`": 600,
     "`sim/campaign.py`": 810,
+    "`sim/{pipeline,netsim}.py`": 190,
     FIGURES: 1_200,
     TOOLS: 2_600,
     PERFORMANCE_ROW: 700,
