@@ -790,7 +790,7 @@ _IS_PATH = [IsdAs(1, BASE + index) for index in range(1, 5)]
 def bounded_router(flows: int):
     """A border router that has validated one packet of each of ``flows``
     reservations; its σ-cache (soft state, an LRU) holds 64 flows."""
-    router, packets, _ = _router_stack(ShardSpec("router", 0, 1, reservations=flows))
+    router, packets = _router_stack(ShardSpec("router", 0, 1, reservations=flows))
     router.sigma_cache = SigmaCache(capacity=_CACHE_FLOWS)
     if not all(router.validate_batch(packets)):
         raise SimulationError("an honest packet failed validation")
@@ -799,7 +799,7 @@ def bounded_router(flows: int):
 
 def remembering_router(flows: int):
     """Mutant: the router keeps a record of every flow it has seen."""
-    router, packets, _ = _router_stack(ShardSpec("router", 0, 1, reservations=flows))
+    router, packets = _router_stack(ShardSpec("router", 0, 1, reservations=flows))
     router.sigma_cache = SigmaCache(capacity=10**9)
     router.validate_batch(packets)
     return router
@@ -896,7 +896,7 @@ def forwarding_stack(reservations: int):
         return op
 
     def validate(payload: int) -> Callable:
-        router, packets, _ = _router_stack(ShardSpec("router", 0, 1, reservations=64))
+        router, packets = _router_stack(ShardSpec("router", 0, 1, reservations=64))
         hop_key = router.keys.hop_key()
         for packet in packets:
             packet.payload = bytes(payload)

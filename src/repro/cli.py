@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four commands for kicking the tires without writing code:
+Six commands for kicking the tires without writing code:
 
 * ``demo``      — the quickstart flow with verbose per-hop output;
 * ``attack``    — run one of the §5 adversaries and print the outcome;
@@ -103,8 +103,6 @@ def cmd_telemetry(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if args.distributed:
-        return _trace_distributed(args)
     network = ColibriNetwork(build_two_isd_topology())
     obs = network.enable_observability(seed=args.seed, journal=args.events)
     network.reserve_segments(SRC, DST, gbps(1))
@@ -121,39 +119,6 @@ def cmd_trace(args) -> int:
         print(obs.tracer.render_tree())
     if args.metrics:
         print(obs.metrics.render(), end="")
-    return 0
-
-
-def _trace_distributed(args) -> int:
-    """A two-worker sharded pass with trace propagation: the parent
-    opens the root span, each worker adopts the remote context, and the
-    captures stitch into one forest (docs/observability.md §9)."""
-    from repro.dataplane.shards import ShardExecutor
-    from repro.obs.distributed import TraceContext, merge_traces
-    from repro.obs.trace import TraceCollector, render_span_forest, spans_jsonl
-    from repro.util.clock import SimClock
-
-    tracer = TraceCollector(SimClock(0.0), seed=args.seed)
-    span = tracer.start("fig6.sharded_run")
-    context = TraceContext.from_span(span)
-    executor = ShardExecutor(
-        "router", reservations=64, packets=args.packets or 256, batch=64,
-        seed=args.seed, obs_seed=args.seed, trace=context,
-    )
-    try:
-        result = executor.run(2)
-    finally:
-        tracer.finish(span)
-    merged = result.merged_telemetry()
-    stitched = merge_traces(tracer.spans(), merged.spans)
-    if args.format == "jsonl":
-        print(spans_jsonl(stitched), end="")
-    else:
-        print(render_span_forest(stitched))
-    if args.events:
-        print(merged.events_jsonl(), end="")
-    if args.metrics:
-        print(merged.registry.render(), end="")
     return 0
 
 
@@ -211,12 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--events",
         action="store_true",
         help="interleave journal events with the spans, chronologically",
-    )
-    trace.add_argument(
-        "--distributed",
-        action="store_true",
-        help="run a 2-worker sharded pass and print the "
-        "stitched cross-process span forest",
     )
     trace.set_defaults(handler=cmd_trace)
 

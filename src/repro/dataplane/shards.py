@@ -39,7 +39,7 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List
 
 from repro.constants import EER_LIFETIME
 from repro.crypto.drkey import DrkeyDeriver
@@ -47,10 +47,6 @@ from repro.dataplane.gateway import ColibriGateway
 from repro.dataplane.hvf import ColibriKeys, eer_hvf, hop_authenticator
 from repro.dataplane.router import BorderRouter
 from repro.errors import SimulationError
-from repro.obs.distributed import MergedTelemetry, TraceContext, merge_captures
-from repro.obs.events import SHARD_COMPLETED, EventJournal
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceCollector
 from repro.packets.colibri import ColibriPacket, PacketType
 from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp
 from repro.reservation.ids import ReservationId
@@ -98,13 +94,6 @@ class ShardSpec:
     packets: int = 16384
     batch: int = 64
     seed: int = 2026
-    #: Arms a per-worker obs shard (tracer/registry/journal, seeded
-    #: ``obs_seed + shard_index``) whose capture rides home inside the
-    #: :class:`ShardOutcome`; ``None`` keeps the worker obs-free.
-    obs_seed: Optional[int] = None
-    #: Propagated caller context: the worker's root span grafts onto
-    #: this trace.
-    trace: Optional[TraceContext] = None
 
     def __post_init__(self):
         if self.component not in ("gateway", "router"):
@@ -129,12 +118,6 @@ class ShardOutcome:
     #: existed the per-process counters died with the worker, so a
     #: sharded run reported throughput with a blank forensic record.
     counters: dict = field(default_factory=dict)
-    #: The shard's obs capture — ``{"spans": [...], "events": [...],
-    #: "metrics": registry state}`` — or ``None`` unless the spec carried
-    #: an ``obs_seed``.  It crosses the process boundary as part of this
-    #: one return value: the parent has a worker's whole capture or no
-    #: outcome at all.
-    capture: Optional[dict] = None
 
 
 @dataclass
@@ -163,20 +146,6 @@ class ShardRunResult:
         )
         return snapshot
 
-    def merged_telemetry(self) -> Optional[MergedTelemetry]:
-        """Merge the workers' obs captures into one
-        :class:`~repro.obs.distributed.MergedTelemetry` (spans per
-        worker, merged registry, identity-ordered events).
-
-        Returns ``None`` when no shard carried a capture (obs was off).
-        """
-        captures = {
-            outcome.shard_index: outcome.capture
-            for outcome in self.shards
-            if outcome.capture is not None
-        }
-        return merge_captures(captures) if captures else None
-
 
 def _owned_ids(spec: ShardSpec) -> list:
     """This shard's slice of the global reservation ID space."""
@@ -192,11 +161,9 @@ def _gateway_workload(spec: ShardSpec):
     """A private gateway with this shard's reservations installed, plus
     the pregenerated request batches for the timed loop.
 
-    Returns ``(loop, snapshot, clock)``: the timed packet loop, a
-    zero-arg callable reading the stack's counters (taken *in the
-    worker* so the numbers survive the process boundary), and the
-    stack's deterministic clock — the timestamp source for the shard's
-    optional obs capture."""
+    Returns ``(loop, snapshot)``: the timed packet loop and a zero-arg
+    callable reading the stack's counters (taken *in the worker* so the
+    numbers survive the process boundary)."""
     clock = SimClock(1000.0)
     gateway = ColibriGateway(_SRC, clock)
     rng = random.Random(spec.seed + spec.shard_index)
@@ -217,7 +184,7 @@ def _gateway_workload(spec: ShardSpec):
     if not ids:
         # A shard can own nothing (fewer reservations than shards, e.g.
         # Fig. 6's r=1 column): it simply idles.
-        return (lambda: 0), snapshot, clock
+        return (lambda: 0), snapshot
     for res_id in ids:
         res_info = ResInfo(
             reservation=res_id, bandwidth=gbps(1000), expiry=expiry, version=1
@@ -245,11 +212,11 @@ def _gateway_workload(spec: ShardSpec):
             done += len(requests)
         return done
 
-    return loop, snapshot, clock
+    return loop, snapshot
 
 
 def _router_stack(spec: ShardSpec):
-    """``(router, packets, clock)``: a private border router plus one
+    """``(router, packets)``: a private border router plus one
     honestly stamped packet per reservation this shard owns, arriving at
     hop 1 of the path — the BR validation workload of Fig. 6."""
     clock = SimClock(1000.0)
@@ -280,17 +247,17 @@ def _router_stack(spec: ShardSpec):
         )
         packet.hvfs[1] = eer_hvf(sigma, timestamp, packet.total_size)
         packets.append(packet)
-    return router, packets, clock
+    return router, packets
 
 
 def _router_workload(spec: ShardSpec):
     """:func:`_router_stack`'s packets batched for the timed validation
     loop.
 
-    Returns ``(loop, snapshot, clock)`` like :func:`_gateway_workload`; the
+    Returns ``(loop, snapshot)`` like :func:`_gateway_workload`; the
     router's counters are its σ-cache statistics (the validation loop
     bypasses the verdict pipeline, so cache behaviour *is* its telemetry)."""
-    router, packets, clock = _router_stack(spec)
+    router, packets = _router_stack(spec)
     rng = random.Random(spec.seed + spec.shard_index)
 
     def snapshot() -> dict:
@@ -298,7 +265,7 @@ def _router_workload(spec: ShardSpec):
         return dict(cache.snapshot()) if cache is not None else {}
 
     if not packets:
-        return (lambda: 0), snapshot, clock
+        return (lambda: 0), snapshot
     batches = [
         [packets[rng.randrange(len(packets))] for _ in range(spec.batch)]
         for _ in range(max(1, spec.packets // spec.batch))
@@ -320,18 +287,30 @@ def _router_workload(spec: ShardSpec):
             done += len(verdicts)
         return done
 
-    return loop, snapshot, clock
+    return loop, snapshot
 
 
 def _workload(spec: ShardSpec):
-    """``(loop, snapshot, clock)`` for one spec."""
+    """``(loop, snapshot)`` for one spec."""
     if spec.component == "gateway":
         return _gateway_workload(spec)
     return _router_workload(spec)
 
 
-def _timed_pass(spec: ShardSpec, loop, snapshot) -> ShardOutcome:
-    """One measured trip through a shard's packet loop."""
+def run_shard(spec: ShardSpec) -> ShardOutcome:
+    """Build one shard's private stack and time its packet loop.
+
+    Module-level (picklable) so :class:`ShardExecutor` can dispatch it
+    through :mod:`multiprocessing`; also callable inline.
+    """
+    loop, snapshot = _workload(spec)
+    # One untimed warm-up pass brings soft state to steady state — the
+    # router's σ-cache fills, lazily packed header fields materialize —
+    # so the timed pass measures sustained throughput, the quantity the
+    # paper's Fig. 6 reports.  Counters cover warm-up + timed pass — the
+    # shard's whole life — and are read inside the worker, before the
+    # process exits.
+    loop()
     clock = PerfClock()
     start = clock.now()
     done = loop()
@@ -345,82 +324,15 @@ def _timed_pass(spec: ShardSpec, loop, snapshot) -> ShardOutcome:
     )
 
 
-#: Packets per timed loop; Fig. 6 sweeps run 2**11..2**14 per shard.
-_SHARD_LOOP_BUCKETS = (256.0, 1024.0, 4096.0, 16384.0, 65536.0)
-
-
-def run_shard(spec: ShardSpec) -> ShardOutcome:
-    """Build one shard's private stack and time its packet loop.
-
-    Module-level (picklable) so :class:`ShardExecutor` can dispatch it
-    through :mod:`multiprocessing`; also callable inline.
-
-    When the spec arms it, the timed pass runs inside the worker's obs
-    shard — a fresh seeded tracer/registry/journal — which the outcome
-    carries home as its ``capture``.  The deterministic ``obs_seed +
-    shard_index`` seeding and the workload's injected clock make a
-    same-seed run's capture byte-identical.
-    """
-    loop, snapshot, clock = _workload(spec)
-    # One untimed warm-up pass brings soft state to steady state — the
-    # router's σ-cache fills, lazily packed header fields materialize —
-    # so the timed pass measures sustained throughput, the quantity the
-    # paper's Fig. 6 reports.  Counters cover warm-up + timed pass — the
-    # shard's whole life — and are read inside the worker, before the
-    # process exits.
-    loop()
-    if spec.obs_seed is None:
-        return _timed_pass(spec, loop, snapshot)
-    tracer = TraceCollector(clock, seed=spec.obs_seed + spec.shard_index)
-    if spec.trace is not None:
-        tracer.adopt(spec.trace.trace_id, spec.trace.span_id)
-    registry = MetricsRegistry()
-    journal = EventJournal(clock)
-    root = tracer.start(
-        "shard.run",
-        {"component": spec.component, "shard": spec.shard_index},
-    )
-    loop_span = tracer.start("shard.loop")
-    outcome = _timed_pass(spec, loop, snapshot)
-    tracer.finish(loop_span, packets=outcome.packets)
-    tracer.finish(root)
-    registry.counter(
-        "shard_passes_total", help_text="Timed passes run by this worker"
-    ).inc()
-    registry.counter(
-        "shard_packets_total", help_text="Packets through timed shard loops"
-    ).inc(outcome.packets)
-    registry.histogram(
-        "shard_loop_packets",
-        buckets=_SHARD_LOOP_BUCKETS,
-        help_text="Packets completed per timed shard loop",
-    ).observe(outcome.packets)
-    journal.record(
-        SHARD_COMPLETED,
-        component=spec.component,
-        shard_index=spec.shard_index,
-        packets=outcome.packets,
-    )
-    outcome.capture = {
-        "spans": tracer.spans(),
-        "events": journal.events(),
-        "metrics": registry.state(),
-    }
-    return outcome
-
-
 class ShardExecutor:
     """Fan a workload out over shared-nothing shards and measure it."""
 
     def __init__(self, component: str, path_length: int = 4,
                  reservations: int = 1024, packets: int = 16384,
-                 batch: int = 64, seed: int = 2026,
-                 obs_seed: Optional[int] = None,
-                 trace: Optional[TraceContext] = None):
+                 batch: int = 64, seed: int = 2026):
         #: Shard 0 of 1; :meth:`_specs` re-indexes it per shard.
         self._spec = ShardSpec(
-            component, 0, 1, path_length, reservations, packets, batch,
-            seed, obs_seed, trace,
+            component, 0, 1, path_length, reservations, packets, batch, seed
         )
 
     def _specs(self, num_shards: int) -> List[ShardSpec]:

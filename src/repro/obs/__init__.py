@@ -19,9 +19,10 @@ is one of each kind, behind :class:`ObsContext`:
   its parent through the collector's span stack.
 
 Beside them, :mod:`repro.obs.slo` evaluates burn-rate alerts over
-registry snapshots, :mod:`repro.obs.forensics` joins journal events into
-§5 complaint evidence, and :mod:`repro.obs.distributed` carries all
-three sinks across the shard executor's process boundary.
+registry snapshots and :mod:`repro.obs.forensics` joins journal events
+into §5 complaint evidence.  All of it is per-process: a shard worker of
+:mod:`repro.dataplane.shards` returns plain numbers (packets, loop time,
+counters), not telemetry.
 
 Wall time per layer is not a sink here: the end-to-end benchmark's
 ``--trace 1`` budget attaches its timers from outside for one run, so

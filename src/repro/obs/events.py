@@ -2,11 +2,12 @@
 
 Spans answer "how long did this take"; the journal answers "what
 happened".  Each entry is a typed, structured event with a seeded-clock
-timestamp and a monotonic sequence number, held in a bounded ring
-buffer.  The journal is the substrate both for forensic evidence
-(:mod:`repro.obs.forensics` joins journal events into §5 complaint
-records) and for offline SLO evaluation (:mod:`repro.obs.slo` replays a
-journal export exactly as it would watch a live registry).
+timestamp and a sequence number that strictly increases within one
+journal (an import refuses an export where it does not), held in a
+bounded ring buffer.  The journal is the substrate both for forensic
+evidence (:mod:`repro.obs.forensics` joins journal events into §5
+complaint records) and for offline SLO evaluation (:mod:`repro.obs.slo`
+replays a journal export exactly as it would watch a live registry).
 
 Determinism: timestamps come from the injected clock and attributes are
 restricted to JSON scalars, so a seeded scenario exports byte-identical
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.errors import ColibriError
 from repro.util.clock import Clock
@@ -39,7 +40,6 @@ OFD_FLAGGED = "OfdFlagged"
 DUPLICATE_SUPPRESSED = "DuplicateSuppressed"
 BREAKER_TRANSITION = "BreakerTransition"
 STORE_SWEPT = "StoreSwept"
-SHARD_COMPLETED = "ShardCompleted"
 
 EVENT_TYPES = frozenset(
     {
@@ -52,7 +52,6 @@ EVENT_TYPES = frozenset(
         DUPLICATE_SUPPRESSED,
         BREAKER_TRANSITION,
         STORE_SWEPT,
-        SHARD_COMPLETED,
     }
 )
 
@@ -62,9 +61,10 @@ _SCALARS = (str, int, float, bool, type(None))
 
 
 class JournalFormatError(ColibriError):
-    """An imported journal export is not what :func:`events_jsonl`
-    writes: bad JSON, a missing field, a bad ``seq`` or ``time``, an
-    unknown event type, or a non-scalar attribute."""
+    """An imported journal export is not what
+    :meth:`EventJournal.export_jsonl` writes: bad JSON, a missing field,
+    a bad ``seq`` or ``time``, a ``seq`` out of order, an unknown event
+    type, or a non-scalar attribute."""
 
 
 class Event:
@@ -111,12 +111,6 @@ class Event:
         ):
             raise JournalFormatError(f"event attrs are not scalars: {attrs!r}")
         return cls(seq, time, data["type"], attrs)
-
-    def identity(self) -> tuple:
-        """Order- and shard-independent identity: what happened and when,
-        regardless of which journal's sequence counter stamped it.  Used
-        to compare a serial journal against merged per-shard journals."""
-        return (self.time, self.type, json.dumps(self.attrs, sort_keys=True))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Event):
@@ -242,7 +236,10 @@ class EventJournal:
     def export_jsonl(self) -> str:
         """One JSON object per retained event, oldest first — byte
         identical across same-seed runs (``sort_keys``, injected clock)."""
-        return events_jsonl(self._events)
+        return "".join(
+            json.dumps(event.to_dict(), sort_keys=True) + "\n"
+            for event in self._events
+        )
 
     @classmethod
     def import_jsonl(
@@ -257,38 +254,26 @@ class EventJournal:
         return journal
 
 
-def events_jsonl(events: Iterable[Event]) -> str:
-    """The journal interchange form: one sorted-key JSON object per
-    event, in the order given."""
-    return "".join(
-        json.dumps(event.to_dict(), sort_keys=True) + "\n" for event in events
-    )
-
-
 def parse_jsonl(text: str) -> List[Event]:
-    """Parse an :func:`events_jsonl` export into events; a line that is
-    not one raises :class:`JournalFormatError` naming its 1-based
-    number."""
-    events = []
+    """Parse an :meth:`EventJournal.export_jsonl` export into events; a
+    line that is not one, or whose ``seq`` does not exceed the previous
+    event's (one journal numbers its events strictly increasingly),
+    raises :class:`JournalFormatError` naming its 1-based number."""
+    events: List[Event] = []
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            events.append(Event.from_dict(json.loads(line)))
+            event = Event.from_dict(json.loads(line))
+            if events and event.seq <= events[-1].seq:
+                raise JournalFormatError(
+                    f"event seq {event.seq} does not exceed the previous "
+                    f"seq {events[-1].seq}"
+                )
         except (json.JSONDecodeError, JournalFormatError) as error:
             raise JournalFormatError(f"journal line {number}: {error}") from error
+        events.append(event)
     return events
-
-
-def merge_events(*streams: Iterable[Event]) -> List[Event]:
-    """Merge event streams from independent journals (e.g. one per
-    shard) into one chronological stream, ordered by
-    :meth:`Event.identity` — deterministic regardless of how work was
-    partitioned, so a merged sharded run compares equal to a serial
-    one."""
-    merged = [event for stream in streams for event in stream]
-    merged.sort(key=Event.identity)
-    return merged
 
 
 def emit(obs, event_type: str, **attrs) -> None:

@@ -13,18 +13,13 @@ such a snapshot as labelled gauge families through
 Everything renders in the Prometheus exposition format; histograms
 follow the standard ``_bucket{le=…}/_sum/_count`` encoding with
 cumulative, monotone bucket counts.
-
-Registries from the shard executor's per-process stacks merge
-associatively (:meth:`MetricsRegistry.merge`): counters and histogram
-buckets add, gauges take the last written value — the same semantics
-Prometheus federation applies.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 #: Admission workflows are Python-scale: sub-millisecond local admission
 #: up to tens of milliseconds for long paths under retries.
@@ -73,9 +68,6 @@ class Counter:
             raise ValueError(f"counter {self.name} cannot decrease by {amount}")
         self.value += amount
 
-    def merge_from(self, other: "Counter") -> None:
-        self.value += other.value
-
     def samples(self, prefix: str) -> list:
         return [(f"{prefix}_{self.name}", "", self.value)]
 
@@ -107,12 +99,6 @@ class Gauge:
             return float(self._fn())
         return self._value
 
-    def merge_from(self, other: "Gauge") -> None:
-        # Last-writer-wins, matching Prometheus federation for gauges;
-        # callback gauges are process-local and never arrive via merge.
-        self._fn = None
-        self._value = other.value
-
     def samples(self, prefix: str) -> list:
         return [(f"{prefix}_{self.name}", "", self.value)]
 
@@ -122,9 +108,8 @@ class Histogram:
 
     ``buckets`` are the finite upper bounds (strictly increasing); the
     implicit ``+Inf`` bucket always exists.  Internally counts are
-    per-bucket (non-cumulative) so :meth:`merge_from` is plain
-    elementwise addition; :meth:`samples` emits the cumulative counts
-    the exposition format requires.
+    per-bucket (non-cumulative); :meth:`samples` emits the cumulative
+    counts the exposition format requires.
     """
 
     kind = "histogram"
@@ -173,16 +158,6 @@ class Histogram:
                 return bound
         raise RuntimeError(f"rank {rank} unreachable in {self.name}")  # pragma: no cover
 
-    def merge_from(self, other: "Histogram") -> None:
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"cannot merge {self.name}: bounds {other.buckets} != {self.buckets}"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.sum += other.sum
-        self.count += other.count
-
     def samples(self, prefix: str) -> list:
         base = f"{prefix}_{self.name}"
         out = []
@@ -203,12 +178,8 @@ def _format_bound(bound: float) -> str:
 
 
 class MetricsRegistry:
-    """Get-or-create instrument registry with merge and exposition.
-
-    One registry per process (attached via ``ObsContext``); the shard
-    executor returns per-process registries to the parent, which merges
-    them into its own before rendering.
-    """
+    """Get-or-create instrument registry with exposition; one per
+    process, attached via ``ObsContext``."""
 
     def __init__(self, prefix: str = "colibri"):
         self.prefix = prefix
@@ -290,33 +261,10 @@ class MetricsRegistry:
     def get(self, name: str):
         return self._instruments.get(name)
 
-    def merge(self, *others: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold ``others`` into this registry (associative, in place;
-        returns self for chaining).  Unknown instruments are adopted
-        with the same type and bounds."""
-        for other in others:
-            for name, instrument in other._instruments.items():
-                mine = self._instruments.get(name)
-                if mine is None:
-                    if isinstance(instrument, Histogram):
-                        mine = self.histogram(
-                            name,
-                            buckets=instrument.buckets,
-                            help_text=instrument.help_text,
-                        )
-                    elif isinstance(instrument, Gauge):
-                        mine = self.gauge(name, help_text=instrument.help_text)
-                    else:
-                        mine = self.counter(name, help_text=instrument.help_text)
-                mine.merge_from(instrument)
-        return self
-
-    # -- multiprocessing transport --------------------------------------------
-
     def state(self) -> dict:
-        """Picklable snapshot for crossing process boundaries (callback
-        gauges and family-source totals are frozen to their current
-        reading)."""
+        """Plain-data snapshot of every family (callback gauges and
+        family-source totals are frozen to their current reading) — what
+        the SLO engine reads."""
         out = {}
         for name, help_text, snapshot in self._source_families():
             if name in snapshot["total"]:
@@ -342,25 +290,6 @@ class MetricsRegistry:
                     "value": inst.value,
                 }
         return out
-
-    @classmethod
-    def from_state(cls, state: dict, prefix: str = "colibri") -> "MetricsRegistry":
-        registry = cls(prefix=prefix)
-        for name, payload in state.items():
-            if payload["kind"] == "histogram":
-                hist = registry.histogram(
-                    name, buckets=payload["buckets"], help_text=payload["help"]
-                )
-                hist.counts = list(payload["counts"])
-                hist.sum = payload["sum"]
-                hist.count = payload["count"]
-            elif payload["kind"] == "gauge":
-                registry.gauge(name, help_text=payload["help"]).set(payload["value"])
-            else:
-                registry.counter(name, help_text=payload["help"]).inc(
-                    payload["value"]
-                )
-        return registry
 
     # -- exposition -----------------------------------------------------------
 
@@ -403,10 +332,3 @@ def _format_value(value: float) -> str:
         return str(int(value))
     return repr(float(value))
 
-
-def merge_registries(registries: Iterable[MetricsRegistry]) -> MetricsRegistry:
-    """Fresh registry holding the fold of ``registries`` (left intact)."""
-    merged = MetricsRegistry()
-    for registry in registries:
-        merged.merge(MetricsRegistry.from_state(registry.state()))
-    return merged

@@ -27,7 +27,7 @@ import functools
 import json
 import random
 from contextlib import contextmanager
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.util.clock import Clock
 
@@ -106,7 +106,6 @@ class TraceCollector:
         self._rng = random.Random(seed)
         self._spans: list = []  # completion-agnostic, in start order
         self._stack: list = []  # open spans, innermost last
-        self._remote_parent: Optional[tuple] = None  # adopted (trace, span)
         self.dropped_spans = 0  # collector overflow, not packet drops
 
     # -- recording ------------------------------------------------------------
@@ -114,27 +113,15 @@ class TraceCollector:
     def _new_id(self, nibbles: int) -> str:
         return f"{self._rng.getrandbits(nibbles * 4):0{nibbles}x}"
 
-    def adopt(self, trace_id: str, span_id: str) -> None:
-        """Graft this collector onto a remote trace: spans started with
-        no local parent become children of ``span_id`` under
-        ``trace_id`` instead of opening a fresh trace.  This is how a
-        shard worker (or any process handed a serialized
-        :class:`~repro.obs.distributed.TraceContext`) continues its
-        caller's trace across the process boundary."""
-        self._remote_parent = (trace_id, span_id)
-
     def start(self, name: str, attributes: Optional[dict] = None) -> Optional[Span]:
-        """Open a span as a child of the innermost open span (or of the
-        adopted remote parent, or a new trace root).  Returns ``None``
-        when the collector is full."""
+        """Open a span as a child of the innermost open span (or as a
+        new trace root).  Returns ``None`` when the collector is full."""
         if len(self._spans) >= self.capacity:
             self.dropped_spans += 1
             return None
         parent = self._stack[-1] if self._stack else None
         if parent is not None:
             trace_id, parent_id = parent.trace_id, parent.span_id
-        elif self._remote_parent is not None:
-            trace_id, parent_id = self._remote_parent
         else:
             trace_id, parent_id = self._new_id(16), None
         span = Span(
@@ -233,13 +220,42 @@ class TraceCollector:
     def export_jsonl(self) -> str:
         """One JSON object per span, start order — the interchange form
         (``colibri-repro trace --format jsonl``)."""
-        return spans_jsonl(self._spans)
+        return "".join(
+            json.dumps(span.to_dict(), sort_keys=True) + "\n"
+            for span in self._spans
+        )
 
     def render_tree(self, trace_id: Optional[str] = None) -> str:
         """Human-readable span forest (one trace, or all of them)."""
-        return render_span_forest(
-            [s for s in self._spans if trace_id is None or s.trace_id == trace_id]
-        )
+        by_parent: dict = {}
+        roots: list = []
+        for span in self._spans:
+            if trace_id is not None and span.trace_id != trace_id:
+                continue
+            if span.parent_id is None:
+                roots.append(span)
+            else:
+                by_parent.setdefault(span.parent_id, []).append(span)
+        lines: list = []
+
+        def walk(span: Span, depth: int) -> None:
+            mark = "!" if span.status == STATUS_ERROR else "."
+            attrs = " ".join(
+                f"{key}={span.attributes[key]}" for key in sorted(span.attributes)
+            )
+            duration = (
+                f"{span.duration * 1e3:9.3f}ms" if span.closed else "     open"
+            )
+            lines.append(
+                f"{duration} {mark} {'  ' * depth}{span.name}"
+                + (f" [{attrs}]" if attrs else "")
+            )
+            for child in by_parent.get(span.span_id, []):
+                walk(child, depth + 1)
+
+        for root in roots:
+            walk(root, 0)
+        return "\n".join(lines)
 
     def clear(self) -> None:
         self._spans.clear()
@@ -248,50 +264,6 @@ class TraceCollector:
 
     def __len__(self) -> int:
         return len(self._spans)
-
-
-def spans_jsonl(spans: Sequence[Span]) -> str:
-    """The span interchange form: one sorted-key JSON object per span,
-    in the order given (a collector's spans, or a merged cross-process
-    list from :func:`~repro.obs.distributed.merge_traces`)."""
-    return "".join(
-        json.dumps(span.to_dict(), sort_keys=True) + "\n" for span in spans
-    )
-
-
-def render_span_forest(spans: Sequence[Span]) -> str:
-    """Render a span list as an indented forest.
-
-    A span whose parent id names a span in the list is indented under it
-    even if another process recorded it (an adopted remote parent); one
-    whose parent is absent from the list renders as a root.
-    """
-    known = {span.span_id for span in spans}
-    by_parent: dict = {}
-    roots: list = []
-    for span in spans:
-        if span.parent_id is None or span.parent_id not in known:
-            roots.append(span)
-        else:
-            by_parent.setdefault(span.parent_id, []).append(span)
-    lines: list = []
-
-    def walk(span: Span, depth: int) -> None:
-        mark = "!" if span.status == STATUS_ERROR else "."
-        attrs = " ".join(
-            f"{key}={span.attributes[key]}" for key in sorted(span.attributes)
-        )
-        duration = f"{span.duration * 1e3:9.3f}ms" if span.closed else "     open"
-        lines.append(
-            f"{duration} {mark} {'  ' * depth}{span.name}"
-            + (f" [{attrs}]" if attrs else "")
-        )
-        for child in by_parent.get(span.span_id, []):
-            walk(child, depth + 1)
-
-    for root in roots:
-        walk(root, 0)
-    return "\n".join(lines)
 
 
 def traced(

@@ -78,3 +78,20 @@ class TestCli:
         assert "# TYPE colibri_admission_latency_seconds histogram" in out
         assert 'colibri_retry_attempts_bucket{le="+Inf"}' in out
         assert "# TYPE colibri_token_bucket_occupancy gauge" in out
+
+    def test_health_clean_run_exits_zero(self, capsys):
+        assert main(["health"]) == 0
+        assert "none — error budgets intact" in capsys.readouterr().out
+
+    def test_health_json_parses_with_nothing_firing(self, capsys):
+        assert main(["health", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["firing"] == []
+
+    def test_trace_events_interleaves_and_is_seed_deterministic(self, capsys):
+        assert main(["trace", "--events", "--packets", "1"]) == 0
+        first = capsys.readouterr().out
+        assert "[span ]" in first
+        assert "[event]" in first
+        assert main(["trace", "--events", "--packets", "1"]) == 0
+        assert capsys.readouterr().out == first

@@ -1,5 +1,5 @@
 """EventJournal tests: determinism, ring retention, the query API, and
-serial ≡ sharded stream merging."""
+export / import."""
 
 import json
 
@@ -16,7 +16,6 @@ from repro.obs.events import (
     EventJournal,
     JournalFormatError,
     emit,
-    merge_events,
     parse_jsonl,
 )
 from repro.obs.report import run_health_scenario
@@ -161,6 +160,10 @@ class TestExportImport:
                 '{"seq":1,"time":"x","type":"StoreSwept","attrs":{}}',
                 "time is not a finite number: 'x'",
             ),
+            (
+                '{"seq":0,"time":1.0,"type":"StoreSwept","attrs":{}}',
+                "seq 0 does not exceed the previous seq 0",
+            ),
         ],
     )
     def test_foreign_export_raises_typed_error_naming_the_line(
@@ -197,40 +200,3 @@ class TestScenarioDeterminism:
                 "_" + c.lower() if c.isupper() else c for c in event_type
             ).lstrip("_")
             assert f"events_{snake}_total" in state
-
-
-class TestMergeEvents:
-    def test_serial_equals_sharded(self):
-        """Splitting a workload across per-shard journals and merging
-        yields the same identity stream as one serial journal."""
-        serial, serial_clock = make_journal(capacity=64)
-        shard_a, clock_a = make_journal(capacity=64)
-        shard_b, clock_b = make_journal(capacity=64)
-        for index in range(20):
-            attrs = {"reservation": f"r{index % 3}", "index": index}
-            serial.record(VERDICT_DROPPED, **attrs)
-            shard = (shard_a, clock_a) if index % 2 == 0 else (shard_b, clock_b)
-            shard[0].record(VERDICT_DROPPED, **attrs)
-            for clock in (serial_clock, clock_a, clock_b):
-                clock.advance(0.5)
-        merged = merge_events(shard_a.events(), shard_b.events())
-        assert [event.identity() for event in merged] == [
-            event.identity() for event in serial.events()
-        ]
-
-    def test_merge_survives_jsonl_round_trip(self):
-        shard_a, clock_a = make_journal()
-        shard_b, _ = make_journal()
-        shard_a.record(OFD_FLAGGED, flow="aa")
-        clock_a.advance(1.0)
-        shard_a.record(OFD_FLAGGED, flow="bb")
-        shard_b.record(VERDICT_DROPPED, flow="aa")
-        merged = merge_events(
-            parse_jsonl(shard_a.export_jsonl()),
-            parse_jsonl(shard_b.export_jsonl()),
-        )
-        assert [event.type for event in merged] == [
-            OFD_FLAGGED,
-            VERDICT_DROPPED,
-            OFD_FLAGGED,
-        ]

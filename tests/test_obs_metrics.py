@@ -1,13 +1,11 @@
 """Property-style tests for the metrics layer (seeded random inputs).
 
-Three invariant families, per the ISSUE checklist:
+Two invariant families, plus the registry's own contract (kind
+conflicts, frozen ``state()`` snapshots):
 
 * **bucket monotonicity** — a histogram's cumulative bucket counts are
   non-decreasing, end at the total observation count, and agree with a
   brute-force recount of the raw observations;
-* **merge associativity** — folding per-process registries is
-  independent of grouping (and, for counters/histograms, of order), the
-  property the shard executor's telemetry aggregation relies on;
 * **exposition round-trip** — the rendered text parses under a strict
   line grammar back into exactly the instrument states that produced
   it, including the family sources (the flat per-AS telemetry) and a
@@ -26,7 +24,6 @@ from repro.obs.metrics import (
     DEFAULT_RETRY_BUCKETS,
     Histogram,
     MetricsRegistry,
-    merge_registries,
 )
 from repro.sim import ColibriNetwork
 from repro.topology import build_line_topology, build_two_isd_topology
@@ -94,6 +91,20 @@ def random_histogram(rng, name="latency_seconds", buckets=DEFAULT_LATENCY_BUCKET
     return histogram, observations
 
 
+def random_registry(rng, gauge_value=None):
+    registry = MetricsRegistry()
+    histogram = registry.histogram("admission_latency_seconds")
+    for _ in range(rng.randrange(10, 50)):
+        histogram.observe(10 ** rng.uniform(-5, 0))
+    retries = registry.histogram("retry_attempts", buckets=DEFAULT_RETRY_BUCKETS)
+    for _ in range(rng.randrange(5, 20)):
+        retries.observe(rng.randrange(1, 5))
+    registry.counter("setups_total").inc(rng.randrange(1, 100))
+    if gauge_value is not None:
+        registry.gauge("occupancy").set(gauge_value)
+    return registry
+
+
 # ------------------------------------------------------- bucket invariants --
 
 
@@ -139,91 +150,11 @@ class TestHistogramInvariants:
         with pytest.raises(ValueError):
             Histogram("empty", (1.0,)).percentile(50)
 
-    def test_merge_requires_equal_bounds(self):
-        a = Histogram("h", (1.0, 2.0))
-        b = Histogram("h", (1.0, 3.0))
-        with pytest.raises(ValueError):
-            a.merge_from(b)
+
+# ----------------------------------------------------------------- registry --
 
 
-# ---------------------------------------------------------- merge algebra --
-
-
-def random_registry(rng, gauge_value=None):
-    registry = MetricsRegistry()
-    histogram = registry.histogram("admission_latency_seconds")
-    for _ in range(rng.randrange(10, 50)):
-        histogram.observe(10 ** rng.uniform(-5, 0))
-    retries = registry.histogram("retry_attempts", buckets=DEFAULT_RETRY_BUCKETS)
-    for _ in range(rng.randrange(5, 20)):
-        retries.observe(rng.randrange(1, 5))
-    registry.counter("setups_total").inc(rng.randrange(1, 100))
-    if gauge_value is not None:
-        registry.gauge("occupancy").set(gauge_value)
-    return registry
-
-
-def additive_state(registry):
-    """The registry's state minus gauges (whose merge is last-writer-wins
-    by design, hence order-sensitive and excluded from the associativity
-    and commutativity claims)."""
-    return {
-        name: payload
-        for name, payload in registry.state().items()
-        if payload["kind"] != "gauge"
-    }
-
-
-def assert_states_equal(a, b):
-    """State equality with float-sum tolerance: histogram ``sum`` (and
-    counter values) are float folds, and float addition regroups with
-    rounding in the last ulp — the *integer* bucket counts are the part
-    that must match bit-for-bit."""
-    assert a.keys() == b.keys()
-    for name in a:
-        mine, theirs = dict(a[name]), dict(b[name])
-        if mine["kind"] == "histogram":
-            assert mine.pop("sum") == pytest.approx(theirs.pop("sum"))
-        else:
-            assert mine.pop("value") == pytest.approx(theirs.pop("value"))
-        assert mine == theirs, name
-
-
-class TestMergeAlgebra:
-    @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_merge_is_associative(self, seed):
-        rng = random.Random(seed)
-        parts = [random_registry(rng, gauge_value=i) for i in range(3)]
-
-        left = merge_registries([parts[0], parts[1]]).merge(parts[2])
-        right = MetricsRegistry.from_state(parts[0].state()).merge(
-            merge_registries([parts[1], parts[2]])
-        )
-        flat = merge_registries(parts)
-        assert_states_equal(left.state(), right.state())
-        assert_states_equal(left.state(), flat.state())
-
-    @pytest.mark.parametrize("seed", [21, 22, 23])
-    def test_additive_instruments_commute(self, seed):
-        rng = random.Random(seed)
-        parts = [random_registry(rng) for _ in range(3)]
-        forward = merge_registries(parts)
-        backward = merge_registries(list(reversed(parts)))
-        assert_states_equal(
-            additive_state(forward), additive_state(backward)
-        )
-
-    def test_merge_leaves_sources_intact_and_adopts_unknown(self):
-        a = MetricsRegistry()
-        a.counter("only_in_a").inc(5)
-        b = MetricsRegistry()
-        b.counter("only_in_b").inc(7)
-        merged = merge_registries([a, b])
-        assert merged.get("only_in_a").value == 5
-        assert merged.get("only_in_b").value == 7
-        assert a.get("only_in_b") is None  # sources untouched
-        assert b.get("only_in_a") is None
-
+class TestRegistry:
     def test_kind_conflicts_rejected(self):
         registry = MetricsRegistry()
         registry.counter("x")
@@ -243,12 +174,16 @@ class TestMergeAlgebra:
         assert merged == backward
 
     def test_state_round_trip_freezes_callback_gauges(self):
+        reading = [0.75]
         registry = MetricsRegistry()
-        registry.gauge("live").set_function(lambda: 0.75)
-        copy = MetricsRegistry.from_state(registry.state())
-        assert copy.get("live").value == 0.75
-        # The copy is a frozen reading, not a live callback.
-        assert copy.state()["live"]["value"] == 0.75
+        registry.gauge("live").set_function(lambda: reading[0])
+        state = registry.state()
+        assert state["live"] == {"kind": "gauge", "help": "", "value": 0.75}
+        # The snapshot is a frozen reading, not a live callback: the SLO
+        # engine compares snapshots taken at different times.
+        reading[0] = 0.25
+        assert state["live"]["value"] == 0.75
+        assert registry.state()["live"]["value"] == 0.25
 
 
 # ------------------------------------------------------ exposition parsing --

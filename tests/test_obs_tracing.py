@@ -10,7 +10,8 @@ Covers the ISSUE checklist:
 * the exact span tree of one EER setup on a known topology;
 * every started span is closed, including under injected faults;
 * trace IDs survive retries (failed attempts are sibling spans of the
-  successful one, under the same logical-call parent);
+  successful one, under the same logical-call parent), and a
+  ``bus.call`` span parents the handler's spans through the span stack;
 * circuit-breaker transitions are ``BreakerTransition`` journal events
   (state changes live in the journal only, never as pseudo-spans);
 * the forensic identity rule over ``VerdictDropped`` events:
@@ -24,8 +25,8 @@ import json
 import pytest
 
 from repro.control.retry import RetryingCaller
-from repro.control.rpc import FaultInjector, LinkFaults, Unreachable
-from repro.errors import CircuitOpen, RetriesExhausted
+from repro.control.rpc import FaultInjector, LinkFaults, MessageBus, Unreachable
+from repro.errors import CircuitOpen, RetriesExhausted, TransportError
 from repro.obs import ObsContext
 from repro.obs.events import BREAKER_TRANSITION, VERDICT_DROPPED
 from repro.obs.trace import (
@@ -162,6 +163,80 @@ class TestTracedDecorator:
         assert ok.status == STATUS_OK and ok.attributes["value"] == 3
         assert failed.status == STATUS_ERROR
         assert failed.attributes["error"] == "ValueError"
+
+
+# ------------------------------------- span parentage across bus calls --
+
+
+class Flaky:
+    """Fails with a retriable transport error on the first attempt."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def ping(self):
+        self.calls += 1
+        if self.calls == 1:
+            raise TransportError("first attempt drops")
+        return "pong"
+
+
+class Nested:
+    """A service whose handler opens a span of its own."""
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+
+    def ping(self):
+        with self.tracer.span("handler.work"):
+            return "pong"
+
+
+class TestRpcPropagation:
+    def test_bus_call_frames_a_context_from_its_span(self):
+        bus = MessageBus()
+        bus.tracer = TraceCollector(SimClock(0.0), seed=1)
+        bus.register(SRC, Nested(bus.tracer))
+        assert bus.call(SRC, "ping", caller=DST) == "pong"
+        (call,) = bus.tracer.spans(name="bus.call")
+        (work,) = bus.tracer.spans(name="handler.work")
+        # The open bus.call span is the handler's context: nothing is
+        # passed, the collector's span stack parents the handler's span.
+        assert (work.trace_id, work.parent_id) == (call.trace_id, call.span_id)
+        assert call.attributes == {
+            "method": "ping", "dest": str(SRC), "caller": str(DST),
+        }
+        # Outside the call the stack is empty again.
+        assert bus.tracer.open_spans() == []
+        assert bus.tracer.start("next").parent_id is None
+
+    def test_untraced_call_frames_nothing(self):
+        tracer = TraceCollector(SimClock(0.0), seed=1)
+        bus = MessageBus()  # no tracer armed
+        bus.register(SRC, Nested(tracer))
+        assert bus.call(SRC, "ping") == "pong"
+        # The bus recorded nothing and gave the handler no parent.
+        (work,) = tracer.spans()
+        assert work.name == "handler.work" and work.parent_id is None
+
+    def test_retry_attempts_share_one_logical_context(self):
+        clock = SimClock(0.0)
+        bus = MessageBus()
+        service = Flaky()
+        bus.register(SRC, service)
+        caller = RetryingCaller(bus, clock, DST)
+        caller.obs = ObsContext.create(clock, seed=2)
+        bus.tracer = caller.obs.tracer
+        assert caller.call(SRC, "ping") == "pong"
+        assert service.calls == 2
+        (retry_span,) = caller.obs.tracer.spans(name="retry.call")
+        # Both bus.call attempt spans are children of the one retry span,
+        # in its trace: the span stack is the only propagation there is.
+        attempts = caller.obs.tracer.spans(name="bus.call")
+        assert len(attempts) == 2
+        assert {span.parent_id for span in attempts} == {retry_span.span_id}
+        assert {span.trace_id for span in attempts} == {retry_span.trace_id}
+        assert [span.status for span in attempts] == ["error", "ok"]
 
 
 # ------------------------------------------------- the exact EER span tree --

@@ -42,7 +42,6 @@ WATCHED = (
     "crypto/native.py",
     "control/cserv.py",
     "dataplane/shards.py",
-    "obs/distributed.py",
     "sim/campaign.py",
     "sim/{pipeline,netsim}.py",
 )
@@ -60,13 +59,13 @@ CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
-    TOTAL: 18_548,
-    "`obs/`": 2_230,
+    TOTAL: 18_191,
+    "`obs/`": 2_002,
     "`control/`": 2_911,
     "`dataplane/gateway.py` + `dataplane/router.py`": 985,
     "`dataplane/{duplicate,ofd,sigma_cache}.py`": 523,
     "`crypto/native.py`": 890,
-    "`dataplane/shards.py` + `obs/distributed.py`": 600,
+    "`dataplane/shards.py`": 394,
     "`sim/campaign.py`": 810,
     "`sim/{pipeline,netsim}.py`": 190,
     FIGURES: 1_200,
