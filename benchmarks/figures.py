@@ -533,7 +533,6 @@ def protection_port(overuse: bool):
     gateway1 = net.gateway(_SRC1)
     if overuse:
         source1 = OverusingSource(gateway1, handle1, FLOOD, _PACKET)
-        gateway1.monitor.unwatch(handle1.reservation_id.packed)
     else:
         source1 = ReservationSource(gateway1, handle1, RES1, _PACKET)
     source2 = ReservationSource(net.gateway(_SRC2), handle2, RES2, _PACKET)

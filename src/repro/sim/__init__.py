@@ -5,7 +5,6 @@ from repro.sim.campaign import (
     CampaignResult,
     CampaignRunner,
     CampaignSpec,
-    FaultSpec,
     OveruseSpec,
     Phase,
     PhaseReport,
@@ -50,7 +49,6 @@ __all__ = [
     "OveruseSpec",
     "BogusSpec",
     "RenewalStormSpec",
-    "FaultSpec",
     "campaign_slos",
     "run_campaign",
     "CANONICAL",

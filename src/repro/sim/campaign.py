@@ -12,10 +12,14 @@ scaling arrival rates instead of the clock.  Each :class:`Phase` mixes
 * §4.8 adversaries (:class:`OveruseSpec` — a rogue gateway stamping
   valid HVFs above the reserved rate; :class:`BogusSpec` — forged-HVF
   DDoS floods fired straight at a victim border router),
-* control-plane faults (:class:`FaultSpec` — deterministic link loss
-  creating partial partitions the retry/breaker layer must ride out),
+* control-plane partitions (``Phase.partitioned`` — links whose every
+  request is lost, a partial partition the retry/breaker layer must
+  ride out),
 
-over a shared :class:`~repro.sim.events.EventLoop`.  Between phases the
+over a shared :class:`~repro.sim.events.EventLoop`.  A spec names only
+what differs between campaigns; the attack rates, packet sizes, pump
+and housekeeping cadences, SegR tube size and journal capacity are the
+module constants below.  Between phases the
 runner evaluates soak-style **invariant checkers**:
 
 * *accounting conservation* — :meth:`ColibriNetwork.audit` finds no
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -69,6 +73,34 @@ DRAIN_MARGIN = EER_LIFETIME * 1.25 + 1.0
 #: attack/storm EERs tracked in per-AS RenewalSchedulers).
 RENEWAL_TICK = 1.0
 
+#: Cadences of store housekeeping and of the SLO engine's ticks.
+HOUSEKEEPING_EVERY = 5.0
+SLO_EVERY = 1.0
+
+#: Flight-recorder capacity: large enough that no campaign wraps it
+#: (``check_journal_bounded``).
+JOURNAL_CAPACITY = 1 << 20
+
+#: Bandwidth of the pre-reserved SegR "tubes" under every used pair.
+#: Sized for tier-decayed CAIDA-like access links: several tubes must
+#: fit the reservable share of a ~2.5 Gbps deep leaf uplink.
+SEGR_BANDWIDTH = 2e8
+
+#: A rogue overuser's reserved rate (bits/s) and the multiple of it
+#: that it sends; a forged-HVF flood's rate; both attacks' packet size
+#: and pump cadence.
+OVERUSE_BANDWIDTH = 4e5
+OVERUSE_FACTOR = 6.0
+BOGUS_RATE = 4e6
+ATTACK_PACKET_BYTES = 500
+ATTACK_TICK = 0.1
+
+#: Hop-field interface pairs in a forged packet's header.
+BOGUS_PATH = ((0, 1), (2, 0))
+
+#: Bandwidth of each EER in a renewal-storm cohort.
+STORM_BANDWIDTH = 1e5
+
 
 # -- declarative specs ---------------------------------------------------------
 
@@ -82,26 +114,20 @@ class WorkloadSpec:
     destination: IsdAs
     arrival_rate: float = 2.0
     mean_holding: float = 30.0
-    min_bandwidth: float = 1e5
-    max_bandwidth: float = 1e7
 
 
 @dataclass(frozen=True)
 class OveruseSpec:
     """A rogue source AS overusing its own valid EER (§4.8, threat 3).
 
-    The attacker holds a legitimate reservation of ``bandwidth`` but
-    stamps ``factor``× that rate through its own (non-monitoring)
-    gateway; downstream routers must OFD-flag, confirm, blocklist, and
-    report it.
+    The attacker holds a legitimate reservation of
+    :data:`OVERUSE_BANDWIDTH` but stamps :data:`OVERUSE_FACTOR`× that
+    rate through its own (non-monitoring) gateway; downstream routers
+    must OFD-flag, confirm, blocklist, and report it.
     """
 
     source: IsdAs
     destination: IsdAs
-    bandwidth: float = 1e6
-    factor: float = 4.0
-    packet_bytes: int = 500
-    tick: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -110,15 +136,11 @@ class BogusSpec:
 
     These packets reference no stored reservation, so they are fired at
     the victim's router directly — exactly what an adversary outside the
-    reservation system can do.
+    reservation system can do — at :data:`BOGUS_RATE`.
     """
 
     attacker: IsdAs
     victim: IsdAs
-    rate: float = 8e6  # bits/second offered
-    packet_bytes: int = 500
-    path_pairs: tuple = ((0, 1), (2, 0))
-    tick: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -133,23 +155,6 @@ class RenewalStormSpec:
     source: IsdAs
     destination: IsdAs
     count: int = 100
-    bandwidth: float = 1e5
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Deterministic link loss for the phase (partial partition).
-
-    ``pairs`` are ``(caller, dest)`` with ``None`` as wildcard, exactly
-    as :meth:`FaultInjector.set_link` takes them.  Faults are applied at
-    phase start and cleared when the phase's active window ends, so the
-    drain window observes the healing (breakers closing again).
-    """
-
-    pairs: Tuple[Tuple[Optional[IsdAs], Optional[IsdAs]], ...]
-    request_loss: float = 1.0
-    response_loss: float = 0.0
-    latency: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -162,9 +167,11 @@ class Phase:
     overuse: Tuple[OveruseSpec, ...] = ()
     bogus: Tuple[BogusSpec, ...] = ()
     storms: Tuple[RenewalStormSpec, ...] = ()
-    faults: Tuple[FaultSpec, ...] = ()
-    housekeeping_every: float = 5.0
-    slo_every: float = 1.0
+    #: ``(caller, dest)`` control-plane links, ``None`` a wildcard as
+    #: :meth:`FaultInjector.set_link` takes them, that lose every
+    #: request from phase start until the active window ends — so the
+    #: drain window observes the healing (breakers closing again).
+    partitioned: Tuple[Tuple[Optional[IsdAs], Optional[IsdAs]], ...] = ()
     #: Append a drain window (``DRAIN_MARGIN``) where arrivals stop,
     #: sessions retire, and housekeeping reclaims the expired state —
     #: the teardown half of a flash crowd.  Phases that hand their churn
@@ -180,13 +187,6 @@ class CampaignSpec:
     topology: Callable[[], Topology]
     phases: Tuple[Phase, ...]
     seed: int = 0
-    journal_capacity: int = 1 << 20
-    compact_dataplane: bool = True
-    #: Bandwidth of the pre-reserved SegR "tubes" under every used pair.
-    #: Sized for tier-decayed CAIDA-like access links: several tubes must
-    #: fit the reservable share of a ~2.5 Gbps deep leaf uplink.
-    segr_bandwidth: float = 2e8
-    slos: Callable[[], Tuple[SLOSpec, ...]] = None  # default: campaign_slos
 
 
 def campaign_slos() -> Tuple[SLOSpec, ...]:
@@ -274,20 +274,7 @@ class CampaignResult:
             "violations": self.violations,
             "replay_equivalent": self.replay_equivalent,
             "slo_transitions": [list(t) for t in self.transitions],
-            "phases": [
-                {
-                    "name": report.name,
-                    "started": report.started,
-                    "ended": report.ended,
-                    "stats": report.stats,
-                    "attack_verdicts": report.attack_verdicts,
-                    "renewals": report.renewals,
-                    "telemetry": report.telemetry,
-                    "memory": report.memory,
-                    "violations": report.violations,
-                }
-                for report in self.phase_reports
-            ],
+            "phases": [asdict(report) for report in self.phase_reports],
         }
 
     def write_artifacts(self, directory) -> Path:
@@ -483,30 +470,26 @@ class CampaignRunner:
 
     def _setup(self) -> None:
         net = ColibriNetwork(
-            self.spec.topology(),
-            faults=self.faults,
-            compact_dataplane=self.spec.compact_dataplane,
+            self.spec.topology(), faults=self.faults, compact_dataplane=True
         )
         self.network = net
         self.loop = EventLoop(net.clock)
         obs = net.enable_observability(
             seed=self.spec.seed,
             journal=True,
-            journal_capacity=self.spec.journal_capacity,
+            journal_capacity=JOURNAL_CAPACITY,
             perf=net.clock,
         )
-        slo_factory = self.spec.slos or campaign_slos
-        self._engine = AlertEngine(slo_factory()).watch(obs.metrics, net.clock)
+        self._engine = AlertEngine(campaign_slos()).watch(obs.metrics, net.clock)
         # Pre-reserve the SegR tubes every used pair rides, and keep
         # them alive for the whole campaign horizon.
         for source, destination in self._pairs():
             for segment_reservation in net.reserve_segments(
-                source, destination, self.spec.segr_bandwidth
+                source, destination, SEGR_BANDWIDTH
             ):
                 initiator = segment_reservation.reservation_id.src_as
                 self._scheduler(initiator).track_segment(
-                    segment_reservation.reservation_id,
-                    bandwidth=self.spec.segr_bandwidth,
+                    segment_reservation.reservation_id, bandwidth=SEGR_BANDWIDTH
                 )
 
     def _tick_slo(self) -> None:
@@ -519,22 +502,19 @@ class CampaignRunner:
 
     # -- attack pumps ----------------------------------------------------------
 
-    def _pump_overuse(
-        self, source: OverusingSource, tick: float, verdicts: Dict[str, int]
-    ) -> None:
+    def _pump_overuse(self, source: OverusingSource, verdicts: Dict[str, int]) -> None:
         now = self.network.clock.now()
-        for packet in source.packets(now, tick):
+        for packet in source.packets(now, ATTACK_TICK):
             report = self.network.forward(packet)
             for _, verdict in report.verdicts:
                 verdicts[verdict.value] = verdicts.get(verdict.value, 0) + 1
 
     def _pump_bogus(
-        self, source: BogusColibriSource, victim: IsdAs, tick: float,
-        verdicts: Dict[str, int],
+        self, source: BogusColibriSource, victim: IsdAs, verdicts: Dict[str, int]
     ) -> None:
         now = self.network.clock.now()
         router = self.network.router(victim)
-        for packet in router.process_batch(list(source.packets(now, tick))):
+        for packet in router.process_batch(list(source.packets(now, ATTACK_TICK))):
             verdicts[packet.verdict.value] = (
                 verdicts.get(packet.verdict.value, 0) + 1
             )
@@ -552,17 +532,8 @@ class CampaignRunner:
             active_end = start + phase.duration
             phase_end = active_end + (DRAIN_MARGIN if phase.drain else 0.0)
 
-            for fault_spec in phase.faults:
-                for caller, dest in fault_spec.pairs:
-                    self.faults.set_link(
-                        caller,
-                        dest,
-                        LinkFaults(
-                            request_loss=fault_spec.request_loss,
-                            response_loss=fault_spec.response_loss,
-                            latency=fault_spec.latency,
-                        ),
-                    )
+            for caller, dest in phase.partitioned:
+                self.faults.set_link(caller, dest, LinkFaults(request_loss=1.0))
 
             for workload_spec in phase.workloads:
                 workload = EerWorkload(
@@ -572,8 +543,6 @@ class CampaignRunner:
                     workload_spec.destination,
                     arrival_rate=workload_spec.arrival_rate,
                     mean_holding=workload_spec.mean_holding,
-                    min_bandwidth=workload_spec.min_bandwidth,
-                    max_bandwidth=workload_spec.max_bandwidth,
                     seed=self._rng.randrange(1 << 31),
                 )
                 workload.start()
@@ -590,7 +559,7 @@ class CampaignRunner:
                             # Distinct src hosts so each EER is its own flow.
                             _host(index + 1),
                             _host(1),
-                            storm.bandwidth,
+                            STORM_BANDWIDTH,
                         )
                     except ColibriError:
                         storm_failures += 1
@@ -605,60 +574,52 @@ class CampaignRunner:
                     overuse_spec.destination,
                     _host(9000 + phase_index),
                     _host(1),
-                    overuse_spec.bandwidth,
+                    OVERUSE_BANDWIDTH,
                 )
                 self._scheduler(overuse_spec.source).track_eer(handle)
                 self._tracked_handles.append((overuse_spec.source, handle))
                 source = OverusingSource(
                     net.gateway(overuse_spec.source),
                     handle,
-                    overuse_spec.bandwidth * overuse_spec.factor,
-                    overuse_spec.packet_bytes,
+                    OVERUSE_BANDWIDTH * OVERUSE_FACTOR,
+                    ATTACK_PACKET_BYTES,
                 )
                 loop.every(
-                    overuse_spec.tick,
-                    lambda s=source, t=overuse_spec.tick: self._pump_overuse(
-                        s, t, attack_verdicts
-                    ),
+                    ATTACK_TICK,
+                    lambda s=source: self._pump_overuse(s, attack_verdicts),
                     until=active_end,
                 )
 
             for bogus_spec in phase.bogus:
                 source = BogusColibriSource(
                     bogus_spec.attacker,
-                    bogus_spec.path_pairs,
-                    bogus_spec.rate,
-                    bogus_spec.packet_bytes,
+                    BOGUS_PATH,
+                    BOGUS_RATE,
+                    ATTACK_PACKET_BYTES,
                     # A plausible (encodable) expiry: the forgeries must
                     # fail HVF verification, not timestamp validation.
                     expiry=active_end + EER_LIFETIME,
                     seed=self._rng.randrange(1 << 31),
                 )
                 loop.every(
-                    bogus_spec.tick,
-                    lambda s=source, v=bogus_spec.victim,
-                    t=bogus_spec.tick: self._pump_bogus(
-                        s, v, t, attack_verdicts
+                    ATTACK_TICK,
+                    lambda s=source, v=bogus_spec.victim: self._pump_bogus(
+                        s, v, attack_verdicts
                     ),
                     until=active_end,
                 )
 
-            loop.every(
-                phase.housekeeping_every,
-                lambda: net.housekeeping(),
-                until=phase_end,
-            )
-            loop.every(phase.slo_every, self._tick_slo, until=phase_end)
+            loop.every(HOUSEKEEPING_EVERY, lambda: net.housekeeping(), until=phase_end)
+            loop.every(SLO_EVERY, self._tick_slo, until=phase_end)
             loop.every(RENEWAL_TICK, self._tick_renewals, until=active_end)
 
             loop.run_until(max(active_end, net.clock.now()))
 
-            # Heal this phase's faults before draining, so the drain
+            # Heal this phase's partition before draining, so the drain
             # window observes the recovery (breakers closing, renewals
             # succeeding again).
-            for fault_spec in phase.faults:
-                for caller, dest in fault_spec.pairs:
-                    self.faults.set_link(caller, dest, LinkFaults())
+            for caller, dest in phase.partitioned:
+                self.faults.set_link(caller, dest, LinkFaults())
 
             if phase.drain:
                 for workload in self._live_workloads:
@@ -728,8 +689,7 @@ class CampaignRunner:
     def _replay(self, journal_jsonl: str) -> List[tuple]:
         """Re-run the campaign SLOs offline over the exported journal at
         the recorded live tick times."""
-        slo_factory = self.spec.slos or campaign_slos
-        engine = AlertEngine(slo_factory())
+        engine = AlertEngine(campaign_slos())
         replay_journal(parse_jsonl(journal_jsonl), engine, self._slo_times)
         return engine.transitions
 

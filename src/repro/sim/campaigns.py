@@ -1,11 +1,10 @@
 """The five canonical ROADMAP campaigns, parameterized by scale.
 
 Each builder returns a :class:`~repro.sim.campaign.CampaignSpec` over a
-CAIDA-like topology at one of three scales:
+CAIDA-like topology at one of two scales:
 
 * ``quick`` — tens of ASes, seconds of simulated time: the CI-gated
   budget suite in ``tests/load`` / ``tests/stress`` runs these;
-* ``default`` — hundreds of ASes, the local-dev soak shape;
 * ``full`` — thousands of ASes and ≥10⁵ EER arrivals, the
   internet-scale run of ``tools/run_campaigns.py --scale full``.
 
@@ -35,7 +34,6 @@ from typing import Callable, Dict, List
 from repro.sim.campaign import (
     BogusSpec,
     CampaignSpec,
-    FaultSpec,
     OveruseSpec,
     Phase,
     RenewalStormSpec,
@@ -45,14 +43,12 @@ from repro.topology.addresses import IsdAs
 from repro.topology.generator import build_caida_like
 
 QUICK = "quick"
-DEFAULT = "default"
 FULL = "full"
 
 #: Topology shape per scale.  One seed across scales: a campaign at any
 #: scale is reproducible from its (name, scale, seed) triple alone.
 TOPOLOGY_PARAMS: Dict[str, dict] = {
     QUICK: dict(as_count=60, isd_count=3, tier1_per_isd=2, seed=29),
-    DEFAULT: dict(as_count=300, isd_count=5, tier1_per_isd=3, seed=29),
     FULL: dict(as_count=2000, isd_count=8, tier1_per_isd=3, seed=29),
 }
 
@@ -60,7 +56,6 @@ TOPOLOGY_PARAMS: Dict[str, dict] = {
 #: active phase duration in simulated seconds, storm cohort size).
 _INTENSITY: Dict[str, dict] = {
     QUICK: dict(arrivals=1.0, surge=6.0, duration=10.0, cohort=30),
-    DEFAULT: dict(arrivals=4.0, surge=8.0, duration=30.0, cohort=200),
     FULL: dict(arrivals=40.0, surge=10.0, duration=120.0, cohort=2000),
 }
 
@@ -160,16 +155,7 @@ def multi_as_overuse(scale: str = QUICK, seed: int = 0) -> CampaignSpec:
     intensity = _INTENSITY[scale]
     src, dst, victim, att_a, att_b, att_c = endpoints(scale, 6)
     honest = (WorkloadSpec(src, dst, arrival_rate=intensity["arrivals"]),)
-    attackers = tuple(
-        OveruseSpec(
-            attacker,
-            victim,
-            bandwidth=4e5,
-            factor=6.0,
-            tick=0.1,
-        )
-        for attacker in (att_a, att_b, att_c)
-    )
+    attackers = tuple(OveruseSpec(attacker, victim) for attacker in (att_a, att_b, att_c))
     return CampaignSpec(
         name=f"multi_as_overuse_{scale}",
         topology=_topology_factory(scale),
@@ -221,7 +207,7 @@ def partition_recovery(scale: str = QUICK, seed: int = 0) -> CampaignSpec:
                 "partition",
                 intensity["duration"],
                 workloads=(),
-                faults=(FaultSpec(pairs=((None, dst),)),),
+                partitioned=((None, dst),),
                 drain=False,
             ),
             Phase("recovery", intensity["duration"] / 2, workloads=()),
@@ -242,13 +228,8 @@ def ddos_mix(scale: str = QUICK, seed: int = 0) -> CampaignSpec:
                 "mix",
                 intensity["duration"],
                 workloads=(WorkloadSpec(src, dst, arrival_rate=intensity["arrivals"]),),
-                overuse=(
-                    OveruseSpec(rogue, rogue_dst, bandwidth=4e5, factor=6.0, tick=0.1),
-                ),
-                bogus=(
-                    BogusSpec(src, victim_a, rate=4e6, tick=0.1),
-                    BogusSpec(src, victim_b, rate=4e6, tick=0.1),
-                ),
+                overuse=(OveruseSpec(rogue, rogue_dst),),
+                bogus=(BogusSpec(src, victim_a), BogusSpec(src, victim_b)),
             ),
         ),
     )

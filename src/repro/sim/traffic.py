@@ -7,9 +7,9 @@ configurable rates; these sources reproduce that mix:
   its EER (reservations 1 and 2 of Table 2);
 * :class:`OverusingSource` — authentic Colibri traffic at a rate above
   the reservation, modelling "a faulty or malicious AS [that] may not
-  monitor Colibri flows originating in its network" (threat 3): it
-  stamps valid HVFs using the real HopAuths but **bypasses the
-  gateway's deterministic monitor**;
+  monitor Colibri flows originating in its network" (threat 3): its own
+  gateway stamps valid HVFs with the **deterministic monitor off** for
+  the flow;
 * :class:`BogusColibriSource` — packets with random authentication tags
   (threat 2), hoping to overwhelm the router's crypto checks;
 * :class:`BestEffortSource` — plain best-effort volume (threat 1).
@@ -26,7 +26,7 @@ from typing import Iterator
 from repro.constants import L_HVF
 from repro.control.cserv import EerHandle
 from repro.dataplane.gateway import ColibriGateway
-from repro.errors import DataPlaneError
+from repro.errors import DataPlaneError, ReservationError
 from repro.packets.colibri import ColibriPacket, PacketType
 from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp
 from repro.reservation.ids import ReservationId
@@ -62,54 +62,24 @@ class ReservationSource:
             self.generated += 1
             try:
                 yield self.gateway.send(self.handle.reservation_id, payload)
-            except DataPlaneError:
+            except (DataPlaneError, ReservationError):
                 self.gateway_drops += 1
 
 
 class OverusingSource(ReservationSource):
-    """EER traffic stamped *without* monitoring — a rogue source AS.
+    """EER traffic its own AS's gateway stamps *unmonitored* — a rogue
+    source AS.
 
-    Reaches into the gateway's reservation table for the HopAuths (the
-    rogue AS operates its own gateway, so it has them) and stamps packets
-    directly, skipping the token-bucket check.  Downstream ASes must
-    catch this via OFD + deterministic monitoring (§4.8, Table 2 phase 3).
+    The rogue AS runs its gateway with the flow's token bucket disarmed,
+    so every packet gets valid HVFs whatever the rate.  The flow is
+    unwatched at every tick because a renewal's ``install`` re-arms the
+    monitor.  Downstream ASes must catch this via OFD + deterministic
+    monitoring (§4.8, Table 2 phase 3).
     """
 
     def packets(self, now: float, tick: float) -> Iterator[ColibriPacket]:
-        exact = self.rate * tick / (self.packet_bytes * 8) + self._carry
-        count = int(exact)
-        self._carry = exact - count
-        payload = b"\x00" * max(0, self.packet_bytes - 120)
-        entry = self.gateway._reservations[self.handle.reservation_id.packed]
-        for _ in range(count):
-            self.generated += 1
-            version = entry.latest_live(now)
-            if version is None:
-                self.gateway_drops += 1
-                continue
-            # Same Ts-uniqueness rule the honest gateway applies, driven
-            # off the shared per-entry (micros, sequence) state.
-            micros = int((version.expiry - now) * 1e6)
-            last = entry.last_micros
-            sequence = last[1] + 1 if last is not None and last[0] == micros else 0
-            entry.last_micros = (micros, sequence)
-            timestamp = Timestamp(micros, sequence)
-            packet = ColibriPacket(
-                packet_type=PacketType.EER_DATA,
-                path=entry.path,
-                res_info=version.res_info,
-                timestamp=timestamp,
-                hvfs=[ColibriPacket.EMPTY_HVF] * len(entry.path),
-                eer_info=entry.eer_info,
-                payload=payload,
-            )
-            from repro.dataplane.hvf import eer_hvf  # local to avoid cycle
-
-            size = packet.total_size
-            packet.hvfs = [
-                eer_hvf(sigma, timestamp, size) for sigma in version.hop_auths
-            ]
-            yield packet
+        self.gateway.monitor.unwatch(self.handle.reservation_id.packed)
+        return super().packets(now, tick)
 
 
 class BogusColibriSource:

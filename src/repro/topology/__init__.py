@@ -14,7 +14,6 @@ from repro.topology.generator import (
     build_core_mesh,
     build_internet_like,
     build_line_topology,
-    build_power_law,
     build_two_isd_topology,
 )
 from repro.topology.graph import ASNode, Interface, Link, Topology
@@ -45,7 +44,6 @@ __all__ = [
     "build_two_isd_topology",
     "build_core_mesh",
     "build_internet_like",
-    "build_power_law",
     "build_caida_like",
     "add_multihoming",
     "dump_topology",

@@ -1,7 +1,7 @@
 """Synthetic topology generators.
 
 The paper evaluates on commodity hardware with synthetic workloads; the
-reproduction needs topologies of controlled shape.  Four generators cover
+reproduction needs topologies of controlled shape.  Five generators cover
 the spectrum:
 
 * :func:`build_line_topology` — a chain of core ASes, the minimal shape
@@ -10,22 +10,21 @@ the spectrum:
 * :func:`build_core_mesh` — fully meshed core, for path-choice tests;
 * :func:`build_two_isd_topology` — the canonical integration fixture: two
   ISDs, trees of non-core ASes, matching Fig. 1's S - X - Y - Z shape;
-* :func:`build_internet_like` — a parameterized hierarchy (many ISDs,
-  several cores each, branching customer trees) for scalability tests;
+* :func:`build_internet_like` — a hierarchy of ISDs, several cores each,
+  over binary customer trees, for scalability tests;
 * :func:`build_caida_like` — thousands of ASes shaped like the measured
   AS graph: heavy-tailed customer cones under a peered tier-1 core,
   with multihomed leaves, for the Internet-scale scenario campaigns.
 
-:func:`add_multihoming` retrofits secondary provider uplinks onto any
-generated hierarchy; every generator that takes a ``multihome_fraction``
-knob routes through it.
+Each takes only what its callers vary (sizes and a seed); the shape
+parameters are the module constants below.  :func:`add_multihoming`
+retrofits secondary provider uplinks onto any generated hierarchy.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Optional
 
 from repro.errors import TopologyError
 from repro.topology.addresses import IsdAs
@@ -39,15 +38,28 @@ DEFAULT_CAPACITY = gbps(40.0)
 #: reservable bandwidth.
 MAX_CAPACITY_TIER = 4
 
+#: Customers per provider at every level of :func:`build_internet_like`.
+CHILDREN_PER_NODE = 2
+
+# build_caida_like's shape: Pareto exponent of provider attractiveness
+# (must exceed 1) and its clamp, inter-ISD peering chords per ISD, the
+# share of single-homed ASes given a second provider, and the per-tier
+# capacity factor (in (0, 1]).
+PARETO_ALPHA = 2.1
+MAX_ATTRACTIVENESS = 256.0
+PEERING_DEGREE = 1.0
+MULTIHOME_FRACTION = 0.15
+TIER_CAPACITY_DECAY = 0.5
+
 
 def _as_id(isd: int, index: int) -> IsdAs:
     """Deterministic AS numbering: readable and unique per generator call."""
     return IsdAs(isd=isd, asn=0xFF00_0000_0000 + index)
 
 
-def _tier_capacity(capacity: float, depth: int, decay: float) -> float:
+def _tier_capacity(depth: int) -> float:
     """Link capacity for a customer at ``depth`` hops below the core."""
-    return capacity * decay ** min(depth, MAX_CAPACITY_TIER)
+    return DEFAULT_CAPACITY * TIER_CAPACITY_DECAY ** min(depth, MAX_CAPACITY_TIER)
 
 
 def _core_depths(topology: Topology) -> dict:
@@ -72,12 +84,7 @@ def _core_depths(topology: Topology) -> dict:
     return depths
 
 
-def add_multihoming(
-    topology: Topology,
-    fraction: float,
-    seed: int = 17,
-    rng: Optional[random.Random] = None,
-) -> int:
+def add_multihoming(topology: Topology, fraction: float, rng: random.Random) -> int:
     """Give a fraction of single-homed ASes a secondary provider uplink.
 
     Real stub ASes are frequently multihomed; a pure provider tree
@@ -90,12 +97,11 @@ def add_multihoming(
     capacities non-increasing toward the leaves.
 
     The secondary uplink copies the primary uplink's capacity.  Returns
-    the number of uplinks added.  Deterministic per seed; pass ``rng``
-    to splice into an outer generator's random stream.
+    the number of uplinks added.  Draws from ``rng``, so it is
+    deterministic per seed of the caller's random stream.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"multihome fraction must be in [0, 1], got {fraction}")
-    chooser = rng if rng is not None else random.Random(seed)
     depths = _core_depths(topology)
     by_isd: dict = {}
     for node in topology.ases():
@@ -108,7 +114,7 @@ def add_multihoming(
         parents = topology.parents(isd_as)
         if len(parents) != 1:
             continue
-        if chooser.random() >= fraction:
+        if rng.random() >= fraction:
             continue
         depth = depths.get(isd_as)
         if depth is None:
@@ -120,45 +126,49 @@ def add_multihoming(
         ]
         if not candidates:
             continue
-        provider = chooser.choice(candidates)
+        provider = rng.choice(candidates)
         primary = topology.link_between(isd_as, parents[0])
         topology.add_link(provider, isd_as, LinkType.PARENT_CHILD, primary.capacity)
         added += 1
     return added
 
 
-def _add_core_chords(
-    topology: Topology,
-    rng: random.Random,
-    cores,
-    count: int,
-    capacity: float,
-) -> int:
-    """Add up to ``count`` random CORE chords between cores of *different*
-    ISDs (intra-ISD cores are already meshed).  Attempts are bounded so a
-    near-complete core graph can't loop forever."""
-    if count <= 0 or len(cores) < 2:
-        return 0
-    added = 0
-    for _ in range(count * 20):
-        if added >= count:
-            break
-        a, b = rng.sample(cores, 2)
-        if a.isd == b.isd:
-            continue
-        try:
-            topology.link_between(a, b)
-        except TopologyError:
-            # Not linked yet — add the chord.
+def _meshed_cores(
+    topology: Topology, isd: int, count: int, capacity: float = DEFAULT_CAPACITY
+) -> list:
+    """Add ``count`` core ASes to ``isd``, fully meshed; return them."""
+    cores = []
+    for index in range(count):
+        core = _as_id(isd, index + 1)
+        topology.add_as(core, is_core=True)
+        cores.append(core)
+    for i, a in enumerate(cores):
+        for b in cores[i + 1 :]:
             topology.add_link(a, b, LinkType.CORE, capacity)
-            added += 1
-    return added
+    return cores
 
 
-def build_line_topology(
-    length: int, capacity: float = DEFAULT_CAPACITY, isd: int = 1
-) -> Topology:
-    """A chain of ``length`` core ASes joined by core links.
+def _link_once(topology: Topology, a: IsdAs, b: IsdAs) -> bool:
+    """Add a core link between ``a`` and ``b`` unless one exists."""
+    try:
+        topology.link_between(a, b)
+    except TopologyError:
+        topology.add_link(a, b, LinkType.CORE, DEFAULT_CAPACITY)
+        return True
+    return False
+
+
+def _core_ring(topology: Topology, all_cores: list) -> None:
+    """Ring over the first core of each ISD: one link per adjacent pair
+    (with two ISDs, the two directions of the ring are one pair)."""
+    if len(all_cores) < 2:
+        return
+    for index, cores in enumerate(all_cores):
+        _link_once(topology, cores[0], all_cores[(index + 1) % len(all_cores)][0])
+
+
+def build_line_topology(length: int, capacity: float = DEFAULT_CAPACITY) -> Topology:
+    """A chain of ``length`` core ASes of ISD 1 joined by core links.
 
     Every AS pair at distance d has exactly one d-hop core-segment, which
     makes expected admission state and path lengths trivially computable
@@ -169,7 +179,7 @@ def build_line_topology(
     topology = Topology()
     previous = None
     for index in range(length):
-        isd_as = _as_id(isd, index + 1)
+        isd_as = _as_id(1, index + 1)
         topology.add_as(isd_as, is_core=True)
         if previous is not None:
             topology.add_link(previous, isd_as, LinkType.CORE, capacity)
@@ -177,23 +187,16 @@ def build_line_topology(
     return topology
 
 
-def build_core_mesh(size: int, capacity: float = DEFAULT_CAPACITY, isd: int = 1) -> Topology:
-    """``size`` core ASes, fully meshed: maximal path choice."""
+def build_core_mesh(size: int, capacity: float = DEFAULT_CAPACITY) -> Topology:
+    """``size`` core ASes of ISD 1, fully meshed: maximal path choice."""
     if size < 1:
         raise ValueError(f"core mesh needs at least 1 AS, got {size}")
     topology = Topology()
-    ases = []
-    for index in range(size):
-        isd_as = _as_id(isd, index + 1)
-        topology.add_as(isd_as, is_core=True)
-        ases.append(isd_as)
-    for i, a in enumerate(ases):
-        for b in ases[i + 1 :]:
-            topology.add_link(a, b, LinkType.CORE, capacity)
+    _meshed_cores(topology, 1, size, capacity)
     return topology
 
 
-def build_two_isd_topology(capacity: float = DEFAULT_CAPACITY) -> Topology:
+def build_two_isd_topology() -> Topology:
     """Two ISDs with one core AS each and two levels of customers.
 
     Shape (parent-child edges point down)::
@@ -213,19 +216,19 @@ def build_two_isd_topology(capacity: float = DEFAULT_CAPACITY) -> Topology:
     core2 = _as_id(2, 1)
     topology.add_as(core1, is_core=True)
     topology.add_as(core2, is_core=True)
-    topology.add_link(core1, core2, LinkType.CORE, capacity)
+    topology.add_link(core1, core2, LinkType.CORE, DEFAULT_CAPACITY)
 
     def grow(isd: int, core: IsdAs, children: int, grandchildren: list) -> list:
         added = []
         for child_index in range(children):
             child = _as_id(isd, 10 + child_index + 1)
             topology.add_as(child, is_core=False)
-            topology.add_link(core, child, LinkType.PARENT_CHILD, capacity)
+            topology.add_link(core, child, LinkType.PARENT_CHILD, DEFAULT_CAPACITY)
             added.append(child)
             for grand_index in range(grandchildren[child_index]):
                 grand = _as_id(isd, 100 + child_index * 10 + grand_index + 1)
                 topology.add_as(grand, is_core=False)
-                topology.add_link(child, grand, LinkType.PARENT_CHILD, capacity)
+                topology.add_link(child, grand, LinkType.PARENT_CHILD, DEFAULT_CAPACITY)
                 added.append(grand)
         return added
 
@@ -234,92 +237,20 @@ def build_two_isd_topology(capacity: float = DEFAULT_CAPACITY) -> Topology:
     return topology
 
 
-def build_power_law(
-    as_count: int = 300,
-    isd_count: int = 5,
-    cores_per_isd: int = 3,
-    capacity: float = DEFAULT_CAPACITY,
-    seed: int = 13,
-    multihome_fraction: float = 0.0,
-) -> Topology:
-    """A power-law-ish AS hierarchy via preferential attachment.
-
-    The real Internet's AS graph is heavy-tailed: a few providers serve
-    very many customers.  Inside each ISD, non-core ASes attach to an
-    existing AS chosen with probability proportional to its current
-    customer count (+1) — the classic Barabási-Albert process projected
-    onto a provider tree, so SCION's segment structure stays intact.
-    Cores are fully meshed inside an ISD; across ISDs a ring plus random
-    chords (as in :func:`build_internet_like`) gives multiple
-    core-segments per pair instead of a single ring path.
-
-    Used by the scalability tests: hundreds of ASes with realistic
-    degree skew, still fast to beacon.
-    """
-    if as_count < isd_count * cores_per_isd:
-        raise ValueError(
-            f"need at least {isd_count * cores_per_isd} ASes for "
-            f"{isd_count} ISDs x {cores_per_isd} cores"
-        )
-    rng = random.Random(seed)
-    topology = Topology()
-    all_cores = []
-    per_isd = as_count // isd_count
-
-    for isd in range(1, isd_count + 1):
-        cores = []
-        for core_index in range(cores_per_isd):
-            core = _as_id(isd, core_index + 1)
-            topology.add_as(core, is_core=True)
-            cores.append(core)
-        for i, a in enumerate(cores):
-            for b in cores[i + 1 :]:
-                topology.add_link(a, b, LinkType.CORE, capacity)
-        all_cores.append(cores)
-
-        # Preferential attachment below the cores.
-        members = list(cores)  # candidates to attach to
-        child_counts = {isd_as: 1 for isd_as in members}  # +1 smoothing
-        for index in range(per_isd - cores_per_isd):
-            child = _as_id(isd, 100 + index)
-            topology.add_as(child, is_core=False)
-            weights = [child_counts[candidate] for candidate in members]
-            parent = rng.choices(members, weights=weights, k=1)[0]
-            topology.add_link(parent, child, LinkType.PARENT_CHILD, capacity)
-            child_counts[parent] += 1
-            child_counts[child] = 1
-            members.append(child)
-
-    for index in range(isd_count):
-        if isd_count > 1:
-            a = all_cores[index][0]
-            b = all_cores[(index + 1) % isd_count][0]
-            try:
-                topology.link_between(a, b)
-            except TopologyError:
-                # Not linked yet — add the inter-ISD core link.
-                topology.add_link(a, b, LinkType.CORE, capacity)
-    flattened = [core for cores in all_cores for core in cores]
-    _add_core_chords(topology, rng, flattened, max(0, isd_count - 2), capacity)
-    if multihome_fraction:
-        add_multihoming(topology, multihome_fraction, rng=rng)
-    return topology
-
-
 def build_internet_like(
     isd_count: int = 3,
     cores_per_isd: int = 2,
-    children_per_node: int = 2,
     depth: int = 2,
-    capacity: float = DEFAULT_CAPACITY,
     seed: int = 7,
 ) -> Topology:
     """A hierarchy of ``isd_count`` ISDs with branching customer trees.
 
     Core ASes inside an ISD are fully meshed; across ISDs a ring plus
     random chords connects the cores, giving multiple core-segments per
-    pair.  Every non-core AS has one provider (a tree), which matches the
-    segment model (multi-homing can be added by extra ``add_link`` calls).
+    pair.  Every non-core AS has one provider (a tree of
+    :data:`CHILDREN_PER_NODE`-way branching, ``depth`` levels), which
+    matches the segment model; :func:`add_multihoming` adds second
+    providers.
     """
     if isd_count < 1 or cores_per_isd < 1:
         raise ValueError("need at least one ISD and one core AS per ISD")
@@ -328,14 +259,7 @@ def build_internet_like(
     all_cores = []
 
     for isd in range(1, isd_count + 1):
-        cores = []
-        for core_index in range(cores_per_isd):
-            core = _as_id(isd, core_index + 1)
-            topology.add_as(core, is_core=True)
-            cores.append(core)
-        for i, a in enumerate(cores):
-            for b in cores[i + 1 :]:
-                topology.add_link(a, b, LinkType.CORE, capacity)
+        cores = _meshed_cores(topology, isd, cores_per_isd)
         all_cores.append(cores)
 
         next_id = 100
@@ -343,30 +267,20 @@ def build_internet_like(
         for _level in range(depth):
             new_frontier = []
             for parent in frontier:
-                for _child in range(children_per_node):
+                for _child in range(CHILDREN_PER_NODE):
                     child = _as_id(isd, next_id)
                     next_id += 1
                     topology.add_as(child, is_core=False)
-                    topology.add_link(parent, child, LinkType.PARENT_CHILD, capacity)
+                    topology.add_link(parent, child, LinkType.PARENT_CHILD, DEFAULT_CAPACITY)
                     new_frontier.append(child)
             frontier = new_frontier
 
     # Inter-ISD core connectivity: ring over the first core of each ISD,
     # then random chords between remaining cores for path diversity.
-    for index in range(isd_count):
-        a = all_cores[index][0]
-        b = all_cores[(index + 1) % isd_count][0]
-        if index != (index + 1) % isd_count:
-            topology.add_link(a, b, LinkType.CORE, capacity)
+    _core_ring(topology, all_cores)
     flattened = [core for cores in all_cores for core in cores]
-    extra_chords = max(0, isd_count - 2)
-    for _ in range(extra_chords):
-        a, b = rng.sample(flattened, 2)
-        try:
-            topology.link_between(a, b)
-        except TopologyError:
-            # The sampled core pair is not linked yet — add the chord.
-            topology.add_link(a, b, LinkType.CORE, capacity)
+    for _ in range(max(0, isd_count - 2)):
+        _link_once(topology, *rng.sample(flattened, 2))
     return topology
 
 
@@ -374,38 +288,32 @@ def build_caida_like(
     as_count: int = 2000,
     isd_count: int = 8,
     tier1_per_isd: int = 3,
-    alpha: float = 2.1,
-    max_children: int = 256,
-    peering_degree: float = 1.0,
-    multihome_fraction: float = 0.15,
-    capacity: float = DEFAULT_CAPACITY,
-    tier_capacity_decay: float = 0.5,
     seed: int = 29,
 ) -> Topology:
     """A CAIDA-like AS graph: heavy-tailed customer cones under a peered
     tier-1 core, with multihomed leaves.
 
     Three structural properties of the measured AS graph matter for the
-    Internet-scale campaigns and :func:`build_power_law` only delivers
-    the first:
+    Internet-scale campaigns:
 
     * **heavy-tailed customer cones** — provider attractiveness is drawn
-      from a Pareto(``alpha``) distribution (clamped at ``max_children``),
-      so a handful of tier-1/tier-2 providers accumulate cones of
-      hundreds of customers while most ASes are stubs.  Attachment
-      probability is proportional to drawn attractiveness × (customers
-      so far + 1), i.e. preferential attachment with intrinsic fitness;
+      from a Pareto(:data:`PARETO_ALPHA`) distribution (clamped at
+      :data:`MAX_ATTRACTIVENESS`), so a handful of tier-1/tier-2
+      providers accumulate cones of hundreds of customers while most
+      ASes are stubs.  Attachment probability is proportional to drawn
+      attractiveness × (customers so far + 1), i.e. preferential
+      attachment with intrinsic fitness;
     * **a peered core** — ``tier1_per_isd`` cores per ISD are meshed
       intra-ISD, ring-connected across ISDs, and then
-      ``peering_degree × isd_count`` random inter-ISD peering chords are
-      added, so core-segment diversity scales with the core instead of
-      collapsing onto one ring;
-    * **multihomed edges** — ``multihome_fraction`` of single-homed ASes
-      gain a secondary provider uplink via :func:`add_multihoming`.
+      :data:`PEERING_DEGREE` × ``isd_count`` random inter-ISD peering
+      chords are added, so core-segment diversity scales with the core
+      instead of collapsing onto one ring;
+    * **multihomed edges** — :data:`MULTIHOME_FRACTION` of single-homed
+      ASes gain a secondary provider uplink via :func:`add_multihoming`.
 
-    Link capacities decay by ``tier_capacity_decay`` per provider tier
-    (floored at tier :data:`MAX_CAPACITY_TIER`), so core links are fat
-    and access links thin — a child's uplink never exceeds its
+    Link capacities decay by :data:`TIER_CAPACITY_DECAY` per provider
+    tier (floored at tier :data:`MAX_CAPACITY_TIER`), so core links are
+    fat and access links thin — a child's uplink never exceeds its
     provider's own uplink, which is the capacity-conservation property
     the generators guarantee.  Deterministic per seed at any
     ``as_count``; thousands of ASes build in well under a second.
@@ -417,38 +325,29 @@ def build_caida_like(
             f"need at least {isd_count * tier1_per_isd} ASes for "
             f"{isd_count} ISDs x {tier1_per_isd} tier-1 cores"
         )
-    if alpha <= 1.0:
-        raise ValueError(f"Pareto exponent must exceed 1, got {alpha}")
-    if not 0.0 < tier_capacity_decay <= 1.0:
-        raise ValueError(f"tier capacity decay must be in (0, 1], got {tier_capacity_decay}")
     rng = random.Random(seed)
     topology = Topology()
-    all_cores = []
+    all_cores = [
+        _meshed_cores(topology, isd, tier1_per_isd) for isd in range(1, isd_count + 1)
+    ]
 
-    for isd in range(1, isd_count + 1):
-        cores = []
-        for core_index in range(tier1_per_isd):
-            core = _as_id(isd, core_index + 1)
-            topology.add_as(core, is_core=True)
-            cores.append(core)
-        for i, a in enumerate(cores):
-            for b in cores[i + 1 :]:
-                topology.add_link(a, b, LinkType.CORE, capacity)
-        all_cores.append(cores)
-
-    # Inter-ISD ring for baseline reachability, then peering chords.
+    # Inter-ISD ring for baseline reachability, then peering chords
+    # between cores of different ISDs (intra-ISD cores are meshed);
+    # attempts are bounded so a near-complete core can't loop forever.
     if isd_count > 1:
-        for index in range(isd_count):
-            a = all_cores[index][0]
-            b = all_cores[(index + 1) % isd_count][0]
-            try:
-                topology.link_between(a, b)
-            except TopologyError:
-                topology.add_link(a, b, LinkType.CORE, capacity)
+        _core_ring(topology, all_cores)
         flattened = [core for cores in all_cores for core in cores]
-        _add_core_chords(
-            topology, rng, flattened, int(peering_degree * isd_count), capacity
-        )
+        chords = int(PEERING_DEGREE * isd_count)
+        added = 0
+        for _ in range(chords * 20):
+            if added >= chords:
+                break
+            a, b = rng.sample(flattened, 2)
+            if a.isd != b.isd:
+                added += _link_once(topology, a, b)
+
+    def fitness_draw() -> float:
+        return min(MAX_ATTRACTIVENESS, (1.0 - rng.random()) ** (-1.0 / (PARETO_ALPHA - 1.0)))
 
     # Customer cones: fitness-weighted preferential attachment per ISD.
     remaining = as_count - isd_count * tier1_per_isd
@@ -458,14 +357,8 @@ def build_caida_like(
         cone_size = base + (1 if isd_index < leftover else 0)
         members = list(cores)
         depth = {isd_as: 0 for isd_as in members}
-        attractiveness = {
-            isd_as: min(
-                float(max_children), (1.0 - rng.random()) ** (-1.0 / (alpha - 1.0))
-            )
-            for isd_as in members
-        }
         customers = [0 for _ in members]
-        fitness = [attractiveness[m] for m in members]
+        fitness = [fitness_draw() for _ in members]
         weights = list(fitness)
         for index in range(cone_size):
             child = _as_id(isd, 1000 + index)
@@ -474,10 +367,7 @@ def build_caida_like(
             provider = members[provider_index]
             child_depth = depth[provider] + 1
             topology.add_link(
-                provider,
-                child,
-                LinkType.PARENT_CHILD,
-                _tier_capacity(capacity, child_depth, tier_capacity_decay),
+                provider, child, LinkType.PARENT_CHILD, _tier_capacity(child_depth)
             )
             customers[provider_index] += 1
             weights[provider_index] = fitness[provider_index] * (
@@ -486,11 +376,8 @@ def build_caida_like(
             depth[child] = child_depth
             members.append(child)
             customers.append(0)
-            fitness.append(
-                min(float(max_children), (1.0 - rng.random()) ** (-1.0 / (alpha - 1.0)))
-            )
+            fitness.append(fitness_draw())
             weights.append(fitness[-1])
 
-    if multihome_fraction:
-        add_multihoming(topology, multihome_fraction, rng=rng)
+    add_multihoming(topology, MULTIHOME_FRACTION, rng)
     return topology

@@ -35,15 +35,6 @@ BUDGETS = {
         peak_store_kb=4096,
         rss_mb=4096,
     ),
-    "default": dict(
-        wall_seconds=180.0,
-        admission_p95_ms=40.0,
-        min_admission_ratio=0.05,
-        min_delivery_ratio=0.95,
-        sweep_seconds=1.0,
-        peak_store_kb=16384,
-        rss_mb=6144,
-    ),
     "full": dict(
         wall_seconds=1800.0,
         admission_p95_ms=80.0,

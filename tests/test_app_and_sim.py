@@ -263,16 +263,18 @@ class TestBidirectional:
 
 
 class TestPowerLawTopology:
-    def test_scale_and_connectivity(self):
-        from repro.topology import Beaconing, PathLookup, build_power_law
+    """The heavy-tailed (CAIDA-like) AS graph end to end."""
 
-        topology = build_power_law(as_count=300, isd_count=5)
+    def test_scale_and_connectivity(self):
+        from repro.topology import Beaconing, build_caida_like
+
+        topology = build_caida_like(as_count=300, isd_count=5)
         assert len(topology) == 300
         beaconing = Beaconing(topology)
         for node in topology.ases():
             if not node.is_core:
                 assert beaconing.reachable_cores(node.isd_as)
-        # End-to-end across the power-law graph works.
+        # End-to-end across the heavy-tailed graph works.
         net = ColibriNetwork(topology)
         leaves = [n.isd_as for n in topology.ases() if not n.is_core]
         src = [a for a in leaves if a.isd == 1][0]
@@ -282,9 +284,9 @@ class TestPowerLawTopology:
         assert net.send(src, handle, b"power law").delivered
 
     def test_degree_skew(self):
-        from repro.topology import build_power_law
+        from repro.topology import build_caida_like
 
-        topology = build_power_law(as_count=300, isd_count=3)
+        topology = build_caida_like(as_count=300, isd_count=3)
         degrees = sorted(
             (len(node.interfaces) for node in topology.ases()), reverse=True
         )
@@ -293,7 +295,7 @@ class TestPowerLawTopology:
         assert degrees[len(degrees) // 2] <= 2
 
     def test_validates_parameters(self):
-        from repro.topology import build_power_law
+        from repro.topology import build_caida_like
 
         with pytest.raises(ValueError):
-            build_power_law(as_count=5, isd_count=5, cores_per_isd=3)
+            build_caida_like(as_count=5, isd_count=5, tier1_per_isd=3)

@@ -118,7 +118,7 @@ def test_phase_defaults_are_draining():
     phase = Phase("p", 5.0)
     assert phase.drain is True
     assert phase.workloads == ()
-    assert phase.faults == ()
+    assert phase.partitioned == ()
 
 
 def test_result_ok_reflects_violations():

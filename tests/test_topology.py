@@ -427,3 +427,11 @@ class TestGenerators:
         for node in topology.ases():
             if not node.is_core:
                 assert beaconing.reachable_cores(node.isd_as)
+
+    @pytest.mark.parametrize("isd_count", [1, 2, 3, 4])
+    def test_internet_like_links_each_as_pair_once(self, isd_count):
+        """With two ISDs the core ring visits one pair in both directions;
+        it must still link it once."""
+        topology = build_internet_like(isd_count=isd_count)
+        pairs = [frozenset((link.a.owner, link.b.owner)) for link in topology.links()]
+        assert len(pairs) == len(set(pairs))

@@ -1,8 +1,8 @@
 """Property tests for the synthetic topology generators.
 
-The campaign harness trusts ``build_caida_like`` / ``build_power_law``
-for four load-bearing properties, each checked here across three orders
-of magnitude (50, 300, 2000 ASes):
+The campaign harness trusts ``build_caida_like`` for four load-bearing
+properties, each checked here across three orders of magnitude (50,
+300, 2000 ASes):
 
 * **connected** — every AS is reachable from the core fabric;
 * **beaconable** — beaconing discovers at least one up-segment for
@@ -14,12 +14,17 @@ of magnitude (50, 300, 2000 ASes):
 """
 
 import collections
+import random
 
 import pytest
 
-from repro.topology import add_multihoming, build_caida_like, build_power_law
+from repro.topology import add_multihoming, build_caida_like, build_internet_like
 from repro.topology.beaconing import Beaconing
-from repro.topology.generator import DEFAULT_CAPACITY, MAX_CAPACITY_TIER
+from repro.topology.generator import (
+    DEFAULT_CAPACITY,
+    MAX_CAPACITY_TIER,
+    TIER_CAPACITY_DECAY,
+)
 from repro.topology.graph import LinkType
 from repro.topology.serialization import dumps_topology
 
@@ -103,7 +108,7 @@ def test_caida_deterministic_per_seed(as_count):
 
 def test_caida_capacity_conserving(caida):
     depths = _depths(caida)
-    floor = DEFAULT_CAPACITY * 0.5**MAX_CAPACITY_TIER
+    floor = DEFAULT_CAPACITY * TIER_CAPACITY_DECAY**MAX_CAPACITY_TIER
     uplink = {}
     for link in caida.links():
         if link.link_type is not LinkType.PARENT_CHILD:
@@ -149,7 +154,7 @@ def test_caida_multihoming_properties(caida):
             assert len(parents) == 2
             for parent in parents:
                 assert parent.isd == node.isd
-    assert multihomed > 0, "default multihome_fraction produced no multihoming"
+    assert multihomed > 0, "MULTIHOME_FRACTION produced no multihoming"
     # The provider relation stays acyclic even with secondary uplinks
     # (Kahn's algorithm consumes every AS).
     indegree = collections.Counter()
@@ -170,28 +175,36 @@ def test_caida_multihoming_properties(caida):
 
 def test_add_multihoming_is_idempotent_on_fraction_zero():
     topology = build_caida_like(as_count=50, isd_count=2, tier1_per_isd=2)
-    assert add_multihoming(topology, 0.0) == 0
+    assert add_multihoming(topology, 0.0, random.Random(17)) == 0
 
 
-def test_power_law_multihoming_knob_and_chords():
-    base = build_power_law(as_count=120, isd_count=4, seed=11)
-    homed = build_power_law(
-        as_count=120, isd_count=4, seed=11, multihome_fraction=0.3
+def _multihomed(topology):
+    return sum(
+        1
+        for node in topology.ases()
+        if not node.is_core and len(topology.parents(node.isd_as)) > 1
     )
-    def count_multi(topology):
-        return sum(
-            1
-            for node in topology.ases()
-            if not node.is_core and len(topology.parents(node.isd_as)) > 1
-        )
-    assert count_multi(base) == 0
-    assert count_multi(homed) > 0
-    # Inter-ISD chords: strictly more cross-ISD core links than the
-    # isd_count-edge ring alone.
+
+
+def test_add_multihoming_fraction_knob():
+    """On a single-homed tree the fraction alone decides: none at 0.0,
+    some at 0.3, and each added uplink is counted."""
+    base = build_internet_like(isd_count=4, depth=2, seed=11)
+    assert _multihomed(base) == 0
+    assert add_multihoming(base, 0.0, random.Random(11)) == 0
+    assert _multihomed(base) == 0
+    added = add_multihoming(base, 0.3, random.Random(11))
+    assert added > 0
+    assert _multihomed(base) == added
+
+
+def test_caida_chords_beyond_ring():
+    """Inter-ISD peering chords: strictly more cross-ISD core links than
+    the isd_count-edge ring alone."""
+    topology = build_caida_like(as_count=120, isd_count=4, tier1_per_isd=3, seed=11)
     cross = sum(
         1
-        for link in homed.links()
-        if link.link_type is LinkType.CORE
-        and link.a.owner.isd != link.b.owner.isd
+        for link in topology.links()
+        if link.link_type is LinkType.CORE and link.a.owner.isd != link.b.owner.isd
     )
     assert cross > 4

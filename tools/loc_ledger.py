@@ -59,14 +59,15 @@ CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
-    TOTAL: 18_191,
+    TOTAL: 17_985,
     "`obs/`": 2_002,
     "`control/`": 2_911,
     "`dataplane/gateway.py` + `dataplane/router.py`": 985,
     "`dataplane/{duplicate,ofd,sigma_cache}.py`": 523,
     "`crypto/native.py`": 890,
     "`dataplane/shards.py`": 394,
-    "`sim/campaign.py`": 810,
+    "`sim/campaign.py`": 739,
+    "`sim/` + `topology/`": 3_690,
     "`sim/{pipeline,netsim}.py`": 190,
     FIGURES: 1_200,
     TOOLS: 2_600,

@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     parser.add_argument("names", nargs="*", default=None,
                         help="campaign names (default: all canonical)")
     parser.add_argument("--scale", default="quick",
-                        choices=("quick", "default", "full"))
+                        choices=("quick", "full"))
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--out", default="campaign_artifacts")
     args = parser.parse_args(argv)
