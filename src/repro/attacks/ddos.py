@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import DataPlaneError
+from repro.packets.colibri import ColibriPacket
 from repro.sim.scenario import ColibriNetwork
 from repro.topology.addresses import IsdAs
 
@@ -89,14 +90,18 @@ class VolumetricAttack:
         )
         attack_packet = max(200, benign_bytes)
         attack_count = max(1, attack_bytes_per_tick // attack_packet)
+        benign_payload = b"b" * max(
+            0, benign_bytes - ColibriPacket.header_size_for(len(benign_handle.hops))
+        )
+        attack_payload = b"a" * max(
+            0, attack_packet - ColibriPacket.header_size_for(len(attack_handle.hops))
+        )
 
         for _ in range(rounds):
             # Benign conforming packet.
             outcome.benign_sent += 1
             try:
-                report = self.network.send(
-                    self.benign, benign_handle, b"b" * max(0, benign_bytes - 120)
-                )
+                report = self.network.send(self.benign, benign_handle, benign_payload)
                 if report.delivered:
                     outcome.benign_delivered += 1
                 else:
@@ -108,9 +113,7 @@ class VolumetricAttack:
                 outcome.attack_sent += 1
                 try:
                     report = self.network.send(
-                        self.attacker,
-                        attack_handle,
-                        b"a" * max(0, attack_packet - 120),
+                        self.attacker, attack_handle, attack_payload
                     )
                     if report.delivered:
                         outcome.attack_delivered += 1

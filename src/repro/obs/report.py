@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 
 from repro.obs.forensics import EvidenceBuilder, verify_evidence
+from repro.packets.colibri import ColibriPacket
 from repro.sim.scenario import ColibriNetwork
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.topology.generator import build_two_isd_topology
@@ -65,9 +66,10 @@ def run_health_scenario(
         SRC, DST, mbps(8), src_host=HostAddr(1), dst_host=HostAddr(2)
     )
     benign_bytes = int(benign_handle.res_info.bandwidth * tick / 8)
+    # Both EERs run from a stub under ISD 1's core to DST: one header size.
+    header = ColibriPacket.header_size_for(len(benign_handle.hops))
     attack_handle = None
     attack_count = 0
-    attack_packet = 0
     if attack:
         attack_handle = network.establish_eer(
             ATTACKER, DST, mbps(8), src_host=HostAddr(3), dst_host=HostAddr(2)
@@ -83,11 +85,9 @@ def run_health_scenario(
         attack_packet = max(200, benign_bytes)
         attack_count = max(1, attack_bytes // attack_packet)
     for index in range(rounds):
-        network.send(SRC, benign_handle, b"b" * max(0, benign_bytes - 120))
+        network.send(SRC, benign_handle, b"b" * max(0, benign_bytes - header))
         for _ in range(attack_count):
-            network.send(
-                ATTACKER, attack_handle, b"a" * max(0, attack_packet - 120)
-            )
+            network.send(ATTACKER, attack_handle, b"a" * max(0, attack_packet - header))
         network.advance(tick)
         if index % TICK_EVERY == 0:
             obs.alerts.tick()

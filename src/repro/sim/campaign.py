@@ -19,8 +19,8 @@ scaling arrival rates instead of the clock.  Each :class:`Phase` mixes
 over a shared :class:`~repro.sim.events.EventLoop`.  A spec names only
 what differs between campaigns; the attack rates, packet sizes, pump
 and housekeeping cadences, SegR tube size and journal capacity are the
-module constants below.  Between phases the
-runner evaluates soak-style **invariant checkers**:
+module constants below.  Between phases the runner evaluates soak-style
+**invariant checkers**:
 
 * *accounting conservation* — :meth:`ColibriNetwork.audit` finds no
   allocation drift, over-allocation, or orphaned EERs;

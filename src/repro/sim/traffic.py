@@ -57,7 +57,8 @@ class ReservationSource:
         exact = self.rate * tick / (self.packet_bytes * 8) + self._carry
         count = int(exact)
         self._carry = exact - count
-        payload = b"\x00" * max(0, self.packet_bytes - 120)
+        header = ColibriPacket.header_size_for(len(self.handle.hops))
+        payload = b"\x00" * max(0, self.packet_bytes - header)
         for _ in range(count):
             self.generated += 1
             try:
@@ -112,7 +113,8 @@ class BogusColibriSource:
         exact = self.rate * tick / (self.packet_bytes * 8) + self._carry
         count = int(exact)
         self._carry = exact - count
-        payload = b"\x00" * max(0, self.packet_bytes - 120)
+        header = ColibriPacket.header_size_for(len(self.path))
+        payload = b"\x00" * max(0, self.packet_bytes - header)
         for _ in range(count):
             self.generated += 1
             res_info = ResInfo(

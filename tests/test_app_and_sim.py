@@ -212,6 +212,25 @@ class TestTrafficSources:
         result = net.router(asid(1, 11)).process(packets[0])
         assert not result.verdict.is_drop
 
+    def test_packet_bytes_is_the_size_on_the_wire(self, net):
+        """Sources size payloads for their own path's header, not an
+        8-hop one: a 6-hop EER and a 2-hop forgery both emit packets of
+        exactly ``packet_bytes``."""
+        net.reserve_segments(SRC, DST, gbps(1))
+        handle = net.establish_eer(SRC, DST, mbps(8))
+        assert len(handle.hops) == 6
+        honest = ReservationSource(
+            net.gateway(SRC), handle, rate=mbps(8), packet_bytes=500
+        )
+        bogus = BogusColibriSource(
+            SRC, ((0, 1), (2, 0)), rate=mbps(8), packet_bytes=500,
+            expiry=net.clock.now() + 100,
+        )
+        now = net.clock.now()
+        packets = list(honest.packets(now, 0.01)) + list(bogus.packets(now, 0.01))
+        assert len(packets) == 40
+        assert {packet.total_size for packet in packets} == {500}
+
     def test_bogus_source_generates_invalid_packets(self, net):
         source = BogusColibriSource(
             SRC, ((0, 1), (2, 0)), rate=mbps(8), packet_bytes=1000,

@@ -59,7 +59,7 @@ CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
-    TOTAL: 17_985,
+    TOTAL: 17_990,
     "`obs/`": 2_002,
     "`control/`": 2_911,
     "`dataplane/gateway.py` + `dataplane/router.py`": 985,
@@ -67,7 +67,7 @@ BUDGETS = {
     "`crypto/native.py`": 890,
     "`dataplane/shards.py`": 394,
     "`sim/campaign.py`": 739,
-    "`sim/` + `topology/`": 3_690,
+    "`sim/` + `topology/`": 3_692,
     "`sim/{pipeline,netsim}.py`": 190,
     FIGURES: 1_200,
     TOOLS: 2_600,
