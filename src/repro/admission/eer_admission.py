@@ -19,8 +19,7 @@ store's incrementally maintained sums — the flat lines of Fig. 4.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from typing import Optional
 
 from repro.admission.policy import AdmissionPolicy, AllowAllPolicy
@@ -39,13 +38,11 @@ class AsRole(enum.Enum):
     DESTINATION = "destination"
 
 
-@dataclass(frozen=True)
-class EerDecision:
-    """Outcome of one AS's EER admission check."""
+class EerDecision(namedtuple("EerDecision", "granted role segments_checked")):
+    """Outcome of one AS's EER admission check (a tuple, like the
+    messages of :mod:`repro.packets.control`)."""
 
-    granted: float
-    role: AsRole
-    segments_checked: tuple
+    __slots__ = ()
 
 
 class TransferDistributor:
@@ -303,7 +300,7 @@ class EerAdmission:
             checked.append(segment_in)
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unknown role {role}")
-        return EerDecision(granted=granted, role=role, segments_checked=tuple(checked))
+        return EerDecision(granted, role, tuple(checked))
 
     def commit(
         self, eer_id: ReservationId, decision: EerDecision, bandwidth: float
@@ -346,11 +343,7 @@ class EerAdmission:
             current = self.store.eer_allocation(segment_id, eer_id)
             headroom = current + self._segment_available(segment_id, now)
             offered = min(offered, headroom)
-        return EerDecision(
-            granted=max(0.0, offered),
-            role=role,
-            segments_checked=tuple(segment_ids),
-        )
+        return EerDecision(max(0.0, offered), role, tuple(segment_ids))
 
     def commit_renewal(
         self, eer_id: ReservationId, decision: EerDecision, granted: float

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.dataplane.router import Verdict
 from repro.packets.colibri import ColibriPacket, PacketType
@@ -78,13 +78,12 @@ class SpoofingAttack:
         report = SpoofingReport()
         router = self.network.router(self.target)
         mutations = [
-            lambda p: setattr(p, "res_info", replace(p.res_info, bandwidth=1e12)),
+            lambda p: setattr(p, "res_info", p.res_info._replace(bandwidth=1e12)),
             lambda p: setattr(p, "payload", p.payload + b"pad"),
             lambda p: setattr(
                 p,
                 "res_info",
-                replace(
-                    p.res_info,
+                p.res_info._replace(
                     reservation=ReservationId(
                         self.victim, (p.res_info.reservation.local_id + 1) % (1 << 31)
                     ),

@@ -19,7 +19,8 @@ Key asymmetry does the heavy lifting here:
   server — acceptable because it initiates requests deliberately, and
   impossible to exploit for DoS because the verifier side never fetches.
   The directory caches the fetched key objects; within one request the
-  initiator looks each up once (:class:`PathKeys`).
+  initiator looks each up once and signs, checks grants and opens
+  HopAuths with that ``{AS: key}`` map (:meth:`AuthenticatedRequest.signed`).
 
 An :class:`AuthenticatedRequest` carries the immutable base payload, the
 source's per-AS MACs over it, and a MAC per appended grant.  The response
@@ -38,27 +39,6 @@ from repro.dataplane.hvf import ColibriKeys
 from repro.errors import MacVerificationError
 from repro.packets.control import AsGrant, ControlMessage
 from repro.topology.addresses import IsdAs
-
-
-class PathKeys:
-    """One request's ``K_{AS_i->Src}``, each fetched from the key-server
-    directory once.  The initiator MACs the payload, checks the grants
-    and opens the HopAuths under the same keys (§4.5), so it passes this
-    memo wherever those steps take the directory.  It stays with the
-    initiator: no key material rides the :class:`AuthenticatedRequest`.
-    """
-
-    def __init__(self, directory: KeyServerDirectory):
-        self.directory = directory
-        self._fetched: dict = {}  # owner AS -> key, one requester and epoch
-
-    def fetch_key(self, owner: IsdAs, requester: IsdAs, when: float = None) -> KeyContext:
-        key = self._fetched.get(owner)
-        if key is None:
-            key = self._fetched[owner] = self.directory.fetch_key(
-                owner, requester, when
-            )
-        return key
 
 
 #: A grant's MAC input: the AS, its offer, then the request it answers
@@ -91,12 +71,21 @@ class AuthenticatedRequest:
     ) -> "AuthenticatedRequest":
         """Initiator side: fetch ``K_{ASi->Src}`` for every on-path AS
         and MAC the payload once per AS (no MAC to self)."""
-        base = message.authenticated_bytes
-        macs = {
-            isd_as: directory.fetch_key(isd_as, source, when).mac(base)
+        keys = {
+            isd_as: directory.fetch_key(isd_as, source, when)
             for isd_as in on_path if isd_as != source
         }
-        return cls(source=source, base_payload=base, source_macs=macs)
+        return cls.signed(keys, source, message)
+
+    @classmethod
+    def signed(cls, keys: dict, source: IsdAs, message: ControlMessage):
+        """MAC ``message`` under each fetched ``K_{ASi->Src}`` of ``keys``
+        (on-path AS -> key), skipping the source's own."""
+        base = message.authenticated_bytes
+        macs = {
+            isd_as: key.mac(base) for isd_as, key in keys.items() if isd_as != source
+        }
+        return cls(source, base, macs)
 
     def verify_at(self, keys: ColibriKeys, when: float = None) -> None:
         """On-path AS side: derive the key on the fly and check the MAC."""
@@ -125,13 +114,9 @@ class AuthenticatedRequest:
             (grant.isd_as, key.mac(_grant_bytes(grant, self.base_payload)))
         )
 
-    def verify_grants(
-        self,
-        directory: KeyServerDirectory,
-        grants: tuple,
-        when: float = None,
-    ) -> None:
-        """Initiator side: verify every accumulated grant MAC.
+    def verify_grants(self, keys: dict, grants: tuple) -> None:
+        """Initiator side: verify every accumulated grant MAC under the
+        on-path keys the request was signed with (AS -> key).
 
         Raises on any mismatch — a transit AS manipulating another AS's
         grant is detected here, so bottleneck diagnosis can be trusted.
@@ -141,11 +126,11 @@ class AuthenticatedRequest:
             if grant.isd_as == self.source:
                 continue
             tag = tags.get(grant.isd_as)
-            if tag is None:
+            key = keys.get(grant.isd_as)
+            if tag is None or key is None:
                 raise MacVerificationError(
-                    f"grant from {grant.isd_as} carries no MAC"
+                    f"grant from {grant.isd_as} carries no MAC for this path"
                 )
-            key = directory.fetch_key(grant.isd_as, self.source, when)
             if not constant_time_equal(
                 key.mac(_grant_bytes(grant, self.base_payload)), tag
             ):

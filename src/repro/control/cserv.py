@@ -55,7 +55,7 @@ from repro.constants import (
     EER_RENEWAL_MIN_INTERVAL,
     SEGR_LIFETIME,
 )
-from repro.control.auth import AuthenticatedRequest, PathKeys
+from repro.control.auth import AuthenticatedRequest
 from repro.control.dissemination import (
     RemoteQueryClient,
     SegmentDescriptor,
@@ -217,7 +217,7 @@ class _Flow(NamedTuple):
     mint: Callable  # (cserv, key, subject, hop, response, now) -> this AS's credential
     abort: Callable  # (cserv, res_id, version, hops): path-wide release
     release: Callable = _nothing_charged  # (cserv, state, wanted)
-    open: Callable = None  # (cserv, keys, hops, sealed, now) -> opened HopAuths
+    open: Callable = None  # (cserv, keys, hops, sealed) -> opened HopAuths
 
 
 class ColibriService:
@@ -386,14 +386,15 @@ class ColibriService:
         except (ReservationNotFound, ReservationExpired):
             offered = 0.0
         admitted = state is not None and offered >= minimum and offered > 0
-        self._journal(
-            ADMISSION_DECIDED,
-            res_id,
-            kind=flow.kind,
-            hop=hop_index,
-            granted=offered,
-            admitted=admitted,
-        )
+        if self.obs is not None:
+            self._journal(
+                ADMISSION_DECIDED,
+                res_id,
+                kind=flow.kind,
+                hop=hop_index,
+                granted=offered,
+                admitted=admitted,
+            )
         # 7. Append the grant and authenticate it (§4.5).
         grant = AsGrant(self.isd_as, offered)
         grants = request.grants + (grant,)
@@ -483,15 +484,14 @@ class ColibriService:
         HopAuths; raises :class:`InsufficientBandwidth` naming the
         bottleneck otherwise.
         """
-        on_path = [hop.isd_as for hop in hops]
-        keys = PathKeys(self.directory)
-        auth = AuthenticatedRequest.create(keys, self.isd_as, on_path, request, now)
+        fetch, source = self.directory.fetch_key, self.isd_as
+        keys = {hop.isd_as: fetch(hop.isd_as, source, now) for hop in hops}
+        auth = AuthenticatedRequest.signed(keys, source, request)
         try:
             response = getattr(self, flow.method)(request, auth, 0)
-            auth.verify_grants(keys, response.grants, now)
+            auth.verify_grants(keys, response.grants)
             if response.success and flow.open is not None:
-                sealed = response.sealed_hopauths
-                return response, flow.open(self, keys, hops, sealed, now)
+                return response, flow.open(self, keys, hops, response.sealed_hopauths)
         except (TransportError, MacVerificationError, TamperedResponse):
             wanted = _asked(request)
             flow.abort(self, wanted.reservation, wanted.version, hops)
@@ -770,16 +770,16 @@ class ColibriService:
         setup of the EER, allowing the end host to retry"), the cache is
         invalidated and the chain search re-run, once.
         """
-        eer_info = EerInfo(src_host=src_host, dst_host=dst_host)
+        eer_info = EerInfo(src_host, dst_host)
         for attempts_left in reversed(range(_EER_SETUP_ATTEMPTS)):
             now = self.clock.now()
             descriptors, path = self.find_segment_chain(destination)
             res_id = ReservationId(self.isd_as, self._ids.allocate())
             request = EerSetupRequest(
-                res_info=ResInfo(res_id, bandwidth, now + EER_LIFETIME, 1),
-                eer_info=eer_info,
-                hops=path.hops,
-                segment_ids=tuple(d.reservation_id for d in descriptors),
+                ResInfo(res_id, bandwidth, now + EER_LIFETIME, 1),
+                eer_info,
+                path.hops,
+                tuple(d.reservation_id for d in descriptors),
             )
             try:
                 response, hop_auths = self._initiate(
@@ -821,10 +821,9 @@ class ColibriService:
             granted=response.granted,
         )
 
-    def _open_hopauths(
-        self, keys: PathKeys, hops: tuple, sealed_hopauths: tuple, now: float
-    ) -> list:
-        """Decrypt the Eq. (5) HopAuth blobs, attributing any corruption.
+    def _open_hopauths(self, keys: dict, hops: tuple, sealed_hopauths: tuple) -> list:
+        """Decrypt the Eq. (5) HopAuth blobs under the request's keys (on-path
+        AS -> ``K_{AS_i->Src}``), attributing any corruption.
 
         A malicious transit AS could corrupt another AS's sealed blob on
         the response path.  The AEAD tag detects it; we convert the raw
@@ -839,9 +838,8 @@ class ColibriService:
             )
         hop_auths = []
         for hop, sealed in zip(hops, sealed_hopauths):
-            key = keys.fetch_key(hop.isd_as, self.isd_as, now)
             try:
-                hop_auths.append(key.open(sealed))
+                hop_auths.append(keys[hop.isd_as].open(sealed))
             except AeadError as error:
                 raise TamperedResponse(
                     f"HopAuth from {hop.isd_as} failed authenticated "
@@ -970,10 +968,10 @@ class ColibriService:
         if new_bandwidth is None:
             new_bandwidth = handle.res_info.bandwidth
         request = EerRenewalRequest(
-            reservation=handle.reservation_id,
-            new_bandwidth=new_bandwidth,
-            new_expiry=now + EER_LIFETIME,
-            new_version=reservation.next_version_number(),
+            handle.reservation_id,
+            new_bandwidth,
+            now + EER_LIFETIME,
+            reservation.next_version_number(),
         )
         response, hop_auths = self._initiate(self._EER_RENEWAL, request, handle.hops, now)
         renewed = self._install_eer(

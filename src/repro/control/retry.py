@@ -265,84 +265,75 @@ class RetryingCaller:
         )
 
     def call(self, isd_as: IsdAs, method: str, *args, **kwargs):
-        obs = self.obs
-        if obs is None:
-            return self._call(isd_as, method, args, kwargs)
-        tracer = obs.tracer
-        # One span per *logical* call: every attempt's ``bus.call`` span
-        # opens under it, so a retried fan-out is one tree, not one per
-        # attempt.
-        span = tracer.start("retry.call", {"method": method, "dest": str(isd_as)})
-        attempts_before = self.stats.attempts
+        obs, stats = self.obs, self.stats
+        if obs is not None:
+            # One span per *logical* call: every attempt's ``bus.call``
+            # span opens under it, so a retried fan-out is one tree, not
+            # one per attempt.
+            tracer = obs.tracer
+            span = tracer.start("retry.call", {"method": method, "dest": str(isd_as)})
+            attempts_before = stats.attempts
         try:
-            result = self._call(isd_as, method, args, kwargs)
-        except BaseException as error:
-            attempts = self.stats.attempts - attempts_before
-            obs.metrics.histogram("retry_attempts").observe(attempts)
-            tracer.finish(
-                span,
-                status="error",
-                error=type(error).__name__,
-                attempts=attempts,
-            )
-            raise
-        attempts = self.stats.attempts - attempts_before
-        obs.metrics.histogram("retry_attempts").observe(attempts)
-        tracer.finish(span, attempts=attempts)
-        return result
-
-    def _call(
-        self,
-        isd_as: IsdAs,
-        method: str,
-        args: tuple,
-        kwargs: dict,
-    ):
-        policy = self.policies.for_method(method)
-        breaker = self.breaker(isd_as)
-        self.stats.calls += 1
-        self.stats.by_method[method] = self.stats.by_method.get(method, 0) + 1
-        last_error: Optional[TransportError] = None
-        for attempt in range(policy.max_attempts):
-            if policy.use_breaker:
+            policy = self.policies.for_method(method)
+            breaker = self._breakers.get(isd_as) or self.breaker(isd_as)
+            stats.calls += 1
+            stats.by_method[method] = stats.by_method.get(method, 0) + 1
+            last_error: Optional[TransportError] = None
+            for attempt in range(policy.max_attempts):
+                if policy.use_breaker and breaker.state != CircuitBreaker.CLOSED:
+                    try:
+                        breaker.allow()  # raises CircuitOpen: the AS looks dead
+                    except CircuitOpen:
+                        stats.fast_failed += 1
+                        raise
+                stats.attempts += 1
                 try:
-                    breaker.allow()  # raises CircuitOpen: the AS looks dead
-                except CircuitOpen:
-                    self.stats.fast_failed += 1
+                    result = self.bus.call(
+                        isd_as,
+                        method,
+                        *args,
+                        caller=self.source,
+                        timeout=policy.timeout,
+                        **kwargs,
+                    )
+                except (RetriesExhausted, CircuitOpen):
+                    # A hop further down the path already gave up (or fast-
+                    # failed).  This link is not at fault: retrying here would
+                    # replay the downstream storm 4x per upstream hop, and
+                    # recording a failure would charge this breaker for a
+                    # loss on someone else's link.  Propagate as-is.
                     raise
-            self.stats.attempts += 1
-            try:
-                result = self.bus.call(
-                    isd_as,
-                    method,
-                    *args,
-                    caller=self.source,
-                    timeout=policy.timeout,
-                    **kwargs,
+                except TransportError as error:
+                    if policy.use_breaker:
+                        breaker.record_failure()
+                    last_error = error
+                    if attempt + 1 < policy.max_attempts:
+                        delay = policy.delay(attempt, self._rng)
+                        stats.retries += 1
+                        stats.backoff_total += delay
+                        if self.sleeper is not None:
+                            self.sleeper(delay)
+                    continue
+                # A no-op on a closed breaker with no failure counted.
+                if breaker.state != CircuitBreaker.CLOSED or breaker._consecutive_failures:
+                    breaker.record_success()
+                break
+            else:
+                stats.gave_up += 1
+                raise RetriesExhausted(
+                    f"{policy.max_attempts} attempts of {method!r} to AS {isd_as} "
+                    f"all failed; last error: {last_error}"
+                ) from last_error
+        except BaseException as error:
+            if obs is not None:
+                attempts = stats.attempts - attempts_before
+                obs.metrics.histogram("retry_attempts").observe(attempts)
+                tracer.finish(
+                    span, status="error", error=type(error).__name__, attempts=attempts
                 )
-            except (RetriesExhausted, CircuitOpen):
-                # A hop further down the path already gave up (or fast-
-                # failed).  This link is not at fault: retrying here would
-                # replay the downstream storm 4x per upstream hop, and
-                # recording a failure would charge this breaker for a
-                # loss on someone else's link.  Propagate as-is.
-                raise
-            except TransportError as error:
-                if policy.use_breaker:
-                    breaker.record_failure()
-                last_error = error
-                if attempt + 1 >= policy.max_attempts:
-                    break
-                delay = policy.delay(attempt, self._rng)
-                self.stats.retries += 1
-                self.stats.backoff_total += delay
-                if self.sleeper is not None:
-                    self.sleeper(delay)
-                continue
-            breaker.record_success()
-            return result
-        self.stats.gave_up += 1
-        raise RetriesExhausted(
-            f"{policy.max_attempts} attempts of {method!r} to AS {isd_as} "
-            f"all failed; last error: {last_error}"
-        ) from last_error
+            raise
+        if obs is not None:
+            attempts = stats.attempts - attempts_before
+            obs.metrics.histogram("retry_attempts").observe(attempts)
+            tracer.finish(span, attempts=attempts)
+        return result

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import CallTimeout, ColibriError, TransportError, Unreachable
+from repro.obs.trace import STATUS_ERROR
 from repro.topology.addresses import IsdAs
 
 __all__ = ["FaultInjector", "LinkFaults", "MessageBus", "Unreachable"]
@@ -151,12 +152,6 @@ class MessageBus:
     def register(self, isd_as: IsdAs, service: object) -> None:
         self._services[isd_as] = service
 
-    def service_of(self, isd_as: IsdAs) -> object:
-        service = self._services.get(isd_as)
-        if service is None:
-            raise Unreachable(f"no service registered for AS {isd_as}")
-        return service
-
     def install_faults(self, faults: Optional[FaultInjector]) -> None:
         """Attach (or clear) the failure plan driving this bus."""
         self.faults = faults
@@ -184,65 +179,62 @@ class MessageBus:
         threaded through the call.
         """
         tracer = self.tracer
-        if tracer is None:
-            return self._call(isd_as, method, args, caller, timeout, kwargs)
-        attributes = {"method": method, "dest": str(isd_as)}
-        if caller is not None:
-            attributes["caller"] = str(caller)
-        with tracer.span("bus.call", **attributes):
-            return self._call(isd_as, method, args, caller, timeout, kwargs)
-
-    def _call(
-        self,
-        isd_as: IsdAs,
-        method: str,
-        args: tuple,
-        caller: Optional[IsdAs],
-        timeout: Optional[float],
-        kwargs: dict,
-    ):
-        self.calls += 1
-        call_number = self.calls
-        self.calls_by_method[method] += 1
-        faults = self.faults
-        link = faults.faults_for(caller, isd_as) if faults is not None else None
-
-        if faults is not None and faults.is_flapping(isd_as, call_number):
-            faults.injected["flap"] += 1
-            raise Unreachable(f"AS {isd_as} is flapping (call {call_number})")
-        if isd_as in self._partitioned:
-            raise Unreachable(f"AS {isd_as} is partitioned")
-        if link is not None and faults.draw(link.request_loss):
-            faults.injected["request_loss"] += 1
-            raise Unreachable(f"request to AS {isd_as} lost in transit")
-
-        service = self.service_of(isd_as)
-        handler = getattr(service, method, None)
-        if handler is None:
-            raise ColibriError(
-                f"service of AS {isd_as} has no control-plane method {method!r}"
-            )
-
-        started = self.virtual_elapsed
-        if link is not None:
-            self.virtual_elapsed += link.latency  # request leg
-        result = handler(*args, **kwargs)
-        if link is not None:
-            self.virtual_elapsed += link.latency  # response leg
-        elapsed = self.virtual_elapsed - started
-
-        # From here on the handler HAS run: any failure is a lost/late
-        # response and the destination holds state the caller never saw.
-        if link is not None and faults.draw(link.response_loss):
-            faults.injected["response_loss"] += 1
-            raise Unreachable(f"response from AS {isd_as} lost in transit")
-        if timeout is not None and elapsed > timeout:
+        if tracer is not None:
+            attributes = {"method": method, "dest": str(isd_as)}
+            if caller is not None:
+                attributes["caller"] = str(caller)
+            span = tracer.start("bus.call", attributes)
+        try:
+            self.calls += 1
+            call_number = self.calls
+            self.calls_by_method[method] += 1
+            faults = self.faults
+            link = None
             if faults is not None:
-                faults.injected["timeout"] += 1
-            raise CallTimeout(
-                f"call {method!r} to AS {isd_as} took {elapsed:.3f}s of "
-                f"injected latency against a {timeout:.3f}s budget"
-            )
+                link = faults.faults_for(caller, isd_as)
+                if faults.is_flapping(isd_as, call_number):
+                    faults.injected["flap"] += 1
+                    raise Unreachable(f"AS {isd_as} is flapping (call {call_number})")
+            if isd_as in self._partitioned:
+                raise Unreachable(f"AS {isd_as} is partitioned")
+            if link is not None and faults.draw(link.request_loss):
+                faults.injected["request_loss"] += 1
+                raise Unreachable(f"request to AS {isd_as} lost in transit")
+
+            service = self._services.get(isd_as)
+            if service is None:
+                raise Unreachable(f"no service registered for AS {isd_as}")
+            handler = getattr(service, method, None)
+            if handler is None:
+                raise ColibriError(
+                    f"service of AS {isd_as} has no control-plane method {method!r}"
+                )
+            started = self.virtual_elapsed
+            if link is not None:
+                self.virtual_elapsed += link.latency  # request leg
+            result = handler(*args, **kwargs)
+            if link is not None:
+                self.virtual_elapsed += link.latency  # response leg
+            elapsed = self.virtual_elapsed - started
+
+            # From here on the handler HAS run: any failure is a lost/late
+            # response and the destination holds state the caller never saw.
+            if link is not None and faults.draw(link.response_loss):
+                faults.injected["response_loss"] += 1
+                raise Unreachable(f"response from AS {isd_as} lost in transit")
+            if timeout is not None and elapsed > timeout:
+                if faults is not None:
+                    faults.injected["timeout"] += 1
+                raise CallTimeout(
+                    f"call {method!r} to AS {isd_as} took {elapsed:.3f}s of "
+                    f"injected latency against a {timeout:.3f}s budget"
+                )
+        except BaseException as error:
+            if tracer is not None:
+                tracer.finish(span, status=STATUS_ERROR, error=type(error).__name__)
+            raise
+        if tracer is not None:
+            tracer.finish(span)
         return result
 
     # -- failure injection ---------------------------------------------------------

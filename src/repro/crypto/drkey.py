@@ -98,19 +98,18 @@ class DrkeyDeriver:
         self._master = seed if seed is not None else random_key()
         self._secrets: dict[int, DrkeySecret] = {}
 
-    def _epoch_of(self, when: float) -> int:
-        return int(when // DRKEY_VALIDITY)
-
     def secret_for(self, when: float = None) -> DrkeySecret:
-        """The secret value covering time ``when`` (default: now)."""
+        """The secret value covering time ``when`` (default: now).  Those of
+        the newest two epochs are kept; an older one is derived again."""
         if when is None:
             when = self.clock.now()
-        epoch = self._epoch_of(when)
+        epoch = int(when // DRKEY_VALIDITY)
         secret = self._secrets.get(epoch)
         if secret is None:
             value = prf(self._master, b"sv|" + epoch.to_bytes(8, "big"))
-            secret = DrkeySecret(value=value, epoch=epoch)
-            self._secrets[epoch] = secret
+            secret = self._secrets[epoch] = DrkeySecret(value=value, epoch=epoch)
+            if len(self._secrets) > 2:
+                del self._secrets[min(self._secrets)]
         return secret
 
     def as_key(self, remote: EntityId, when: float = None) -> bytes:

@@ -15,7 +15,7 @@ enforces that by passing the authenticated identity of the requester.
 from __future__ import annotations
 
 from repro.crypto.aead import KeyContext
-from repro.crypto.drkey import DrkeyDeriver, EntityId, encode_entity
+from repro.crypto.drkey import DRKEY_VALIDITY, DrkeyDeriver, EntityId, encode_entity
 from repro.errors import KeyFetchError
 from repro.util.clock import Clock
 
@@ -50,17 +50,17 @@ class KeyServerDirectory:
     requester — the directory models the transport authenticating that
     identity (certificate check in the real system).
 
-    Fetched keys are cached per ``(owner, requester, epoch)`` as
-    :class:`~repro.crypto.aead.KeyContext` objects, key schedules
-    included; repeated lookups within an epoch never hit the remote
-    server again, matching the "fetched ahead of time and only
-    infrequently renewed" behaviour.
+    Fetched keys are cached per ``(owner, requester)`` for the current
+    and the previous DRKey epoch as :class:`~repro.crypto.aead.KeyContext`
+    objects, key schedules included; repeated lookups within an epoch
+    never hit the remote server again, matching the "fetched ahead of
+    time and only infrequently renewed" behaviour.
     """
 
     def __init__(self, clock: Clock):
         self.clock = clock
         self._servers: dict[bytes, KeyServer] = {}
-        self._cache: dict[tuple[bytes, bytes, int], KeyContext] = {}
+        self._cache: dict[int, dict] = {}  # epoch -> {(owner, requester): key}
 
     def register(self, server: KeyServer) -> None:
         self._servers[encode_entity(server.local_as)] = server
@@ -75,16 +75,17 @@ class KeyServerDirectory:
         owner_key = getattr(owner, "packed", None)
         if type(owner_key) is not bytes:
             owner_key = encode_entity(owner)
-        server = self._servers.get(owner_key)
-        if server is None:
-            raise KeyFetchError(f"no key server registered for AS {owner!r}")
         requester_key = getattr(requester, "packed", None)
         if type(requester_key) is not bytes:
             requester_key = encode_entity(requester)
-        epoch = server.deriver.secret_for(when).epoch
-        cache_key = (owner_key, requester_key, epoch)
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            return cached
-        key = self._cache[cache_key] = KeyContext(server.fetch(requester, when))
+        epoch = int(when // DRKEY_VALIDITY)  # the owner's secret_for(when).epoch
+        memo = self._cache.setdefault(epoch, {})
+        key = memo.get((owner_key, requester_key))
+        if key is None:
+            server = self._servers.get(owner_key)
+            if server is None:
+                raise KeyFetchError(f"no key server registered for AS {owner!r}")
+            key = memo[owner_key, requester_key] = KeyContext(server.fetch(requester, when))
+            if len(self._cache) > 2:
+                del self._cache[min(self._cache)]
         return key

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.constants import L_HVF
+from repro.constants import DRKEY_VALIDITY, L_HVF
 from repro.crypto import native
 from repro.crypto.aead import KeyContext
 from repro.crypto.drkey import DrkeyDeriver, EntityId, encode_entity
@@ -219,11 +219,15 @@ class ColibriKeys:
 
     def hop_key(self, when: float = None) -> bytes:
         """The AS secret ``K_i`` for the epoch covering ``when``."""
-        secret = self.deriver.secret_for(when)
-        key = self._hop_keys.get(secret.epoch)
+        if when is None:
+            when = self.deriver.clock.now()
+        epoch = int(when // DRKEY_VALIDITY)
+        key = self._hop_keys.get(epoch)
         if key is None:
-            key = prf(secret.value, _HOP_LABEL)
-            self._hop_keys[secret.epoch] = key
+            secret = self.deriver.secret_for(when).value
+            key = self._hop_keys[epoch] = prf(secret, _HOP_LABEL)
+            if len(self._hop_keys) > 2:  # the current and previous epochs
+                del self._hop_keys[min(self._hop_keys)]
         return key
 
     def control_key(self, remote: EntityId, when: float = None, check=None) -> KeyContext:
@@ -240,8 +244,10 @@ class ColibriKeys:
         """
         if when is None:
             when = self.deriver.clock.now()
-        epoch = self.deriver.secret_for(when).epoch
-        packed = encode_entity(remote)
+        epoch = int(when // DRKEY_VALIDITY)
+        packed = getattr(remote, "packed", None)  # an IsdAs's wire form
+        if type(packed) is not bytes:
+            packed = encode_entity(remote)
         memo = self._control_keys.get(epoch)
         key = memo.get(packed) if memo is not None else None
         fresh = key is None

@@ -19,7 +19,8 @@ the segment" (§3.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+
 from repro.errors import PacketDecodeError
 from repro.packets.fields import EerInfo, ResInfo
 from repro.packets.wire import Reader, Writer
@@ -30,10 +31,25 @@ from repro.topology.segments import HopField
 _MESSAGE_TYPES = {}
 
 
-def _register(type_tag: int):
-    def decorate(cls):
-        cls.TYPE_TAG = type_tag
-        _MESSAGE_TYPES[type_tag] = cls
+def _message(type_tag: int, fields: str, defaults: tuple = ()):
+    """Class decorator: the decorated body becomes a ``namedtuple`` of
+    ``fields`` that is also a :class:`ControlMessage`, registered under
+    ``type_tag``.  One ``tuple.__new__`` builds a message; it is
+    immutable, carries no ``__dict__``, and its repr, hash and field-wise
+    equality are a frozen dataclass's (it also equals the plain tuple of
+    its fields)."""
+
+    def decorate(body: type) -> type:
+        namespace = {
+            name: value
+            for name, value in vars(body).items()
+            if name not in ("__dict__", "__weakref__")
+        }
+        namespace.update(__slots__=(), TYPE_TAG=type_tag)
+        base = namedtuple(body.__name__, fields, defaults=defaults)
+        cls = _MESSAGE_TYPES[type_tag] = type(
+            body.__name__, (base, ControlMessage), namespace
+        )
         return cls
 
     return decorate
@@ -42,6 +58,7 @@ def _register(type_tag: int):
 class ControlMessage:
     """Base class: tagged serialization plus the MAC input bytes."""
 
+    __slots__ = ()
     TYPE_TAG = None
 
     def to_bytes(self) -> bytes:
@@ -91,19 +108,18 @@ def _read_hops(reader: Reader) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class AsGrant:
-    """One AS's bandwidth offer, accumulated along a setup request."""
+class AsGrant(namedtuple("AsGrant", "isd_as granted")):
+    """One AS's bandwidth offer (bits per second), accumulated along a
+    setup request."""
 
-    isd_as: IsdAs
-    granted: float  # bits per second
+    __slots__ = ()
 
     def write(self, writer: Writer) -> None:
         writer.raw(self.isd_as.packed).f64(self.granted)
 
     @classmethod
     def read(cls, reader: Reader) -> "AsGrant":
-        return cls(isd_as=IsdAs.unpack(reader.raw(8)), granted=reader.f64())
+        return cls(IsdAs.unpack(reader.raw(8)), reader.f64())
 
 
 def _write_grants(writer: Writer, grants: tuple) -> None:
@@ -134,9 +150,8 @@ SEGMENT_TYPE_CODES = {"up": 0, "down": 1, "core": 2}
 SEGMENT_TYPE_NAMES = {code: name for name, code in SEGMENT_TYPE_CODES.items()}
 
 
-@_register(1)
-@dataclass(frozen=True)
-class SegSetupRequest(ControlMessage):
+@_message(1, "res_info hops min_bandwidth segment_type grants", (0, ()))
+class SegSetupRequest:
     """Segment-reservation setup request (SegReq, §3.3).
 
     Travels as best-effort traffic along ``hops``; ``res_info.bandwidth``
@@ -146,12 +161,6 @@ class SegSetupRequest(ControlMessage):
     ASes which kind of SegR they are granting — transfer-AS EER admission
     later depends on the up/core distinction (§4.7).
     """
-
-    res_info: ResInfo
-    hops: tuple
-    min_bandwidth: float
-    segment_type: int = 0
-    grants: tuple = ()
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.res_info.packed)
@@ -171,30 +180,18 @@ class SegSetupRequest(ControlMessage):
         )
 
     def with_grant(self, grant: AsGrant) -> "SegSetupRequest":
-        return SegSetupRequest(
-            res_info=self.res_info,
-            hops=self.hops,
-            min_bandwidth=self.min_bandwidth,
-            segment_type=self.segment_type,
-            grants=self.grants + (grant,),
-        )
+        res_info, hops, minimum, segment_type, grants = self
+        return SegSetupRequest(res_info, hops, minimum, segment_type, grants + (grant,))
 
 
-@_register(2)
-@dataclass(frozen=True)
-class SegSetupResponse(ControlMessage):
+@_message(2, "res_info success granted tokens grants", ((), ()))
+class SegSetupResponse:
     """Reply to a SegReq, sent back along the segment (§3.3).
 
     On success, ``granted`` is the final agreed bandwidth and ``tokens``
     holds one Eq. (3) token per on-path AS (in path order).  On failure,
     ``grants`` exposes each AS's offer for bottleneck diagnosis.
     """
-
-    res_info: ResInfo
-    success: bool
-    granted: float
-    tokens: tuple = ()
-    grants: tuple = ()
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.res_info.packed).u8(1 if self.success else 0).f64(self.granted)
@@ -212,21 +209,15 @@ class SegSetupResponse(ControlMessage):
         )
 
 
-@_register(3)
-@dataclass(frozen=True)
-class SegRenewalRequest(ControlMessage):
+@_message(
+    3, "reservation new_bandwidth min_bandwidth new_expiry new_version grants", ((),)
+)
+class SegRenewalRequest:
     """Renewal of an existing SegR, sent over the SegR itself (§4.4).
 
     The packet already carries Path/SrcAS/ResId, so the payload only
     names the new bandwidth, minimum, expiry, and version.
     """
-
-    reservation: ReservationId
-    new_bandwidth: float
-    min_bandwidth: float
-    new_expiry: float
-    new_version: int
-    grants: tuple = ()
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.reservation.packed)
@@ -246,28 +237,18 @@ class SegRenewalRequest(ControlMessage):
         )
 
     def with_grant(self, grant: AsGrant) -> "SegRenewalRequest":
-        return SegRenewalRequest(
-            reservation=self.reservation,
-            new_bandwidth=self.new_bandwidth,
-            min_bandwidth=self.min_bandwidth,
-            new_expiry=self.new_expiry,
-            new_version=self.new_version,
-            grants=self.grants + (grant,),
-        )
+        *fields, grants = self
+        return SegRenewalRequest(*fields, grants + (grant,))
 
 
-@_register(4)
-@dataclass(frozen=True)
-class SegActivationRequest(ControlMessage):
+@_message(4, "reservation version")
+class SegActivationRequest:
     """Explicit switch of a SegR to a pending version (§4.2).
 
     Only one SegR version may be active at a time; activation is a
     separate request so every on-path AS switches at a controlled instant
     and EER admission never sees two versions at once.
     """
-
-    reservation: ReservationId
-    version: int
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.reservation.packed).u16(self.version)
@@ -279,14 +260,11 @@ class SegActivationRequest(ControlMessage):
         )
 
 
-@_register(5)
-@dataclass(frozen=True)
-class SegTeardownNotice(ControlMessage):
+@_message(5, "reservation")
+class SegTeardownNotice:
     """Advisory removal of a SegR before expiry (extension beyond the
     paper, which lets SegRs expire naturally; an explicit teardown frees
     bandwidth faster when an AS retires a segment)."""
-
-    reservation: ReservationId
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.reservation.packed)
@@ -299,21 +277,14 @@ class SegTeardownNotice(ControlMessage):
 # -- end-to-end reservations ----------------------------------------------------
 
 
-@_register(6)
-@dataclass(frozen=True)
-class EerSetupRequest(ControlMessage):
+@_message(6, "res_info eer_info hops segment_ids grants", ((),))
+class EerSetupRequest:
     """End-to-end-reservation setup request (EEReq, §3.3, §4.4).
 
     Carries the EER path, the EER ResInfo, the EERInfo, "plus the ResIds
     of all segments" it rides on (one to three SegRs).  Transfer ASes use
     ``segment_ids`` to copy the payload onto the next SegR's packet.
     """
-
-    res_info: ResInfo
-    eer_info: EerInfo
-    hops: tuple
-    segment_ids: tuple
-    grants: tuple = ()
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.res_info.packed).raw(self.eer_info.packed)
@@ -340,30 +311,18 @@ class EerSetupRequest(ControlMessage):
         )
 
     def with_grant(self, grant: AsGrant) -> "EerSetupRequest":
-        return EerSetupRequest(
-            res_info=self.res_info,
-            eer_info=self.eer_info,
-            hops=self.hops,
-            segment_ids=self.segment_ids,
-            grants=self.grants + (grant,),
-        )
+        res_info, eer_info, hops, segment_ids, grants = self
+        return EerSetupRequest(res_info, eer_info, hops, segment_ids, grants + (grant,))
 
 
-@_register(7)
-@dataclass(frozen=True)
-class EerSetupResponse(ControlMessage):
+@_message(7, "res_info success granted sealed_hopauths grants", ((), ()))
+class EerSetupResponse:
     """Reply to an EEReq (§3.3).
 
     On success, ``sealed_hopauths`` holds one AEAD-encrypted HopAuth per
     on-path AS (Eq. 5), decryptable only by the source AS's CServ; the
     grant vector is returned on failure for bottleneck diagnosis.
     """
-
-    res_info: ResInfo
-    success: bool
-    granted: float
-    sealed_hopauths: tuple = ()
-    grants: tuple = ()
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.res_info.packed).u8(1 if self.success else 0).f64(self.granted)
@@ -381,20 +340,13 @@ class EerSetupResponse(ControlMessage):
         )
 
 
-@_register(8)
-@dataclass(frozen=True)
-class EerRenewalRequest(ControlMessage):
+@_message(8, "reservation new_bandwidth new_expiry new_version grants", ((),))
+class EerRenewalRequest:
     """Renewal of an existing EER over the EER itself (§4.4).
 
     Only the new bandwidth, expiry and version are specified; multiple
     versions of an EER may coexist (§4.2) so no activation step exists.
     """
-
-    reservation: ReservationId
-    new_bandwidth: float
-    new_expiry: float
-    new_version: int
-    grants: tuple = ()
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.reservation.packed)
@@ -412,21 +364,15 @@ class EerRenewalRequest(ControlMessage):
         )
 
     def with_grant(self, grant: AsGrant) -> "EerRenewalRequest":
-        return EerRenewalRequest(
-            reservation=self.reservation,
-            new_bandwidth=self.new_bandwidth,
-            new_expiry=self.new_expiry,
-            new_version=self.new_version,
-            grants=self.grants + (grant,),
-        )
+        reservation, bandwidth, expiry, version, grants = self
+        return EerRenewalRequest(reservation, bandwidth, expiry, version, grants + (grant,))
 
 
 # -- failure cleanup ------------------------------------------------------------
 
 
-@_register(9)
-@dataclass(frozen=True)
-class EerAbortNotice(ControlMessage):
+@_message(9, "reservation version")
+class EerAbortNotice:
     """Initiator-issued cleanup of a failed EER setup or renewal (§3.3).
 
     "In case of an unsuccessful request, the ASes clean up their
@@ -436,9 +382,6 @@ class EerAbortNotice(ControlMessage):
     ``version <= 1`` removes the whole EER; a higher version drops only
     that renewal's state (older versions stay live, §4.2).
     """
-
-    reservation: ReservationId
-    version: int
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.reservation.packed).u16(self.version)
@@ -450,18 +393,14 @@ class EerAbortNotice(ControlMessage):
         )
 
 
-@_register(10)
-@dataclass(frozen=True)
-class SegAbortNotice(ControlMessage):
+@_message(10, "reservation version")
+class SegAbortNotice:
     """Initiator-issued cleanup of a failed SegR setup or renewal (§3.3).
 
     Same semantics as :class:`EerAbortNotice`, for segment reservations:
     ``version <= 1`` removes the SegR entirely, a higher version drops
     only the pending renewal version.
     """
-
-    reservation: ReservationId
-    version: int
 
     def _write_body(self, writer: Writer) -> None:
         writer.raw(self.reservation.packed).u16(self.version)

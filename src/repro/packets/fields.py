@@ -15,8 +15,8 @@ authenticated message.  All multi-byte integers are big-endian.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.errors import PacketDecodeError, PacketFieldError
 from repro.reservation.ids import ReservationId
@@ -74,31 +74,35 @@ class PathField:
         return cls(pairs)
 
 
-@dataclass(frozen=True)
-class ResInfo:
-    """Reservation metadata: (SrcAS, ResId, Bw, ExpT, Ver) (Eq. 2c)."""
+class ResInfo(namedtuple("ResInfo", "reservation bandwidth expiry version")):
+    """Reservation metadata: (SrcAS, ResId, Bw, ExpT, Ver) (Eq. 2c).
 
-    reservation: ReservationId
-    bandwidth: float  # bits per second
-    expiry: float  # absolute expiration time, seconds
-    version: int
+    Like every message object a hop builds, a tuple of its fields: made
+    in one ``tuple.__new__``, immutable, with no per-instance dict.
+    ``bandwidth`` is in bits per second, ``expiry`` an absolute time in
+    seconds.
+    """
+
+    __slots__ = ()
 
     WIRE = struct.Struct("!12sdd H")
+    SIZE = WIRE.size
 
-    def __post_init__(self):
-        if self.bandwidth < 0:
-            raise PacketFieldError(f"bandwidth must be non-negative, got {self.bandwidth}")
-        if not 0 <= self.version < 1 << 16:
-            raise PacketFieldError(f"version {self.version} out of 16-bit range")
+    def __new__(
+        cls, reservation: ReservationId, bandwidth: float, expiry: float, version: int
+    ):
+        if bandwidth < 0:
+            raise PacketFieldError(f"bandwidth must be non-negative, got {bandwidth}")
+        if not 0 <= version < 1 << 16:
+            raise PacketFieldError(f"version {version} out of 16-bit range")
+        return tuple.__new__(cls, (reservation, bandwidth, expiry, version))
 
     @property
     def src_as(self) -> IsdAs:
         return self.reservation.src_as
 
-    @cached_property
+    @property
     def packed(self) -> bytes:
-        # Cached: ResInfo is frozen and its wire form feeds every Eq. 3/4
-        # MAC recompute, so each instance packs at most once.
         return self.WIRE.pack(
             self.reservation.packed, self.bandwidth, self.expiry, self.version
         )
@@ -108,22 +112,15 @@ class ResInfo:
         if len(data) < cls.WIRE.size:
             raise PacketDecodeError(f"ResInfo truncated: {len(data)} < {cls.WIRE.size}")
         res_id_bytes, bandwidth, expiry, version = cls.WIRE.unpack(data[: cls.WIRE.size])
-        return cls(
-            reservation=ReservationId.unpack(res_id_bytes),
-            bandwidth=bandwidth,
-            expiry=expiry,
-            version=version,
-        )
-
-    SIZE = WIRE.size
+        return cls(ReservationId.unpack(res_id_bytes), bandwidth, expiry, version)
 
 
-@dataclass(frozen=True)
-class EerInfo:
+class EerInfo(namedtuple("EerInfo", "src_host dst_host")):
     """End-host addresses, only present on EER data packets (Eq. 2d)."""
 
-    src_host: HostAddr
-    dst_host: HostAddr
+    __slots__ = ()
+
+    SIZE = 8
 
     @property
     def packed(self) -> bytes:
@@ -133,11 +130,7 @@ class EerInfo:
     def unpack(cls, data: bytes) -> "EerInfo":
         if len(data) < 8:
             raise PacketDecodeError(f"EERInfo truncated: {len(data)} < 8 bytes")
-        return cls(
-            src_host=HostAddr.unpack(data[:4]), dst_host=HostAddr.unpack(data[4:8])
-        )
-
-    SIZE = 8
+        return cls(HostAddr.unpack(data[:4]), HostAddr.unpack(data[4:8]))
 
 
 class Timestamp:

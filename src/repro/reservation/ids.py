@@ -10,30 +10,23 @@ flow label the overuse detector keys on (§4.8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from repro.topology.addresses import IsdAs
+from repro.topology.addresses import IsdAs, immutable
 
 
-@dataclass(frozen=True, order=True)
-class ReservationId:
-    """The globally unique pair ``(SrcAS, ResId)``."""
+class ReservationId(namedtuple("ReservationId", "src_as local_id")):
+    """The globally unique pair ``(SrcAS, ResId)``: a tuple, so it
+    hashes as ``hash(((isd, asn), local_id))`` and orders by
+    ``(src_as, local_id)`` in C (see :class:`IsdAs`)."""
 
-    src_as: IsdAs
-    local_id: int
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        if not 0 <= self.local_id < (1 << 32):
-            raise ValueError(f"local reservation ID {self.local_id} out of range [0, 2^32)")
-        # Immutable value object: precompute the hash once.  The gateway
-        # keys its reservation table on ReservationId, so the generated
-        # hash (tuple build + nested IsdAs hash) would otherwise run on
-        # every data packet.
-        object.__setattr__(self, "_hash", hash((self.src_as, self.local_id)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, src_as: IsdAs, local_id: int):
+        if not 0 <= local_id < (1 << 32):
+            raise ValueError(f"local reservation ID {local_id} out of range [0, 2^32)")
+        return tuple.__new__(cls, (src_as, local_id))
 
     @cached_property
     def packed(self) -> bytes:
@@ -42,8 +35,7 @@ class ReservationId:
         Cached: the wire form is the flow label (§4.8), the σ-cache key
         component, and the replay identifier prefix, so the router reads
         it several times per data packet.  (``cached_property`` writes
-        the instance ``__dict__`` directly, which is legal on a frozen
-        dataclass — immutability of the *fields* is unaffected.)
+        the instance ``__dict__`` directly; the fields are tuple items.)
         """
         return self.src_as.packed + self.local_id.to_bytes(4, "big")
 

@@ -9,8 +9,9 @@ unique inside their AS (§4.3), so a full host identity is the pair
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from collections import namedtuple
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 
 _AS_TEXT_RE = re.compile(r"^([0-9a-fA-F]{1,4}):([0-9a-fA-F]{1,4}):([0-9a-fA-F]{1,4})$")
 
@@ -18,26 +19,30 @@ ISD_BITS = 16
 AS_BITS = 48
 
 
-@total_ordering
-@dataclass(frozen=True)
-class IsdAs:
-    """An ISD-AS address: 16-bit ISD number + 48-bit AS number."""
+def immutable(self, name, *value):
+    """``__setattr__`` / ``__delattr__`` of the tuple-backed ids: their
+    fields are tuple items, and their ``__dict__`` only caches ``packed``."""
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    isd: int
-    asn: int
 
-    def __post_init__(self):
-        if not 0 <= self.isd < (1 << ISD_BITS):
-            raise ValueError(f"ISD {self.isd} out of range [0, 2^{ISD_BITS})")
-        if not 0 <= self.asn < (1 << AS_BITS):
-            raise ValueError(f"AS number {self.asn} out of range [0, 2^{AS_BITS})")
-        # Immutable value object: precompute the hash once, as
-        # ReservationId does.  Every store, limiter, registry and key
-        # cache on the control path is keyed by (or through) an IsdAs.
-        object.__setattr__(self, "_hash", hash((self.isd, self.asn)))
+class IsdAs(namedtuple("IsdAs", "isd asn")):
+    """An ISD-AS address: 16-bit ISD number + 48-bit AS number.
 
-    def __hash__(self) -> int:
-        return self._hash
+    The ids (this, :class:`HostAddr` and
+    :class:`~repro.reservation.ids.ReservationId`) are tuples of their
+    fields, so they hash, compare and order in C: ``hash((isd, asn))``,
+    ordered by ``(isd, asn)``.  Hence an id also compares equal to the
+    plain tuple of its fields; no map mixes the two.
+    """
+
+    __setattr__ = __delattr__ = immutable
+
+    def __new__(cls, isd: int, asn: int):
+        if not 0 <= isd < (1 << ISD_BITS):
+            raise ValueError(f"ISD {isd} out of range [0, 2^{ISD_BITS})")
+        if not 0 <= asn < (1 << AS_BITS):
+            raise ValueError(f"AS number {asn} out of range [0, 2^{AS_BITS})")
+        return tuple.__new__(cls, (isd, asn))
 
     @classmethod
     def parse(cls, text: str) -> "IsdAs":
@@ -80,27 +85,22 @@ class IsdAs:
     def __repr__(self) -> str:
         return f"IsdAs.parse({str(self)!r})"
 
-    def __lt__(self, other: "IsdAs") -> bool:
-        if not isinstance(other, IsdAs):
-            return NotImplemented
-        return (self.isd, self.asn) < (other.isd, other.asn)
 
-
-@dataclass(frozen=True)
-class HostAddr:
+class HostAddr(namedtuple("HostAddr", "value")):
     """A host address, unique inside its AS (§4.3).
 
     Kept deliberately opaque (an integer), as Colibri never interprets
     host addresses beyond equality and wire encoding.
     """
 
-    value: int
+    __setattr__ = __delattr__ = immutable
 
-    def __post_init__(self):
-        if not 0 <= self.value < (1 << 32):
-            raise ValueError(f"host address {self.value} out of range [0, 2^32)")
+    def __new__(cls, value: int):
+        if not 0 <= value < (1 << 32):
+            raise ValueError(f"host address {value} out of range [0, 2^32)")
+        return tuple.__new__(cls, (value,))
 
-    @property
+    @cached_property
     def packed(self) -> bytes:
         return self.value.to_bytes(4, "big")
 

@@ -341,9 +341,10 @@ class TestControlPlaneSecurity:
         honest = AsGrant(asid(2, 1), 100.0)
         auth._grant_under(ColibriKeys(b).control_key(auth.source), honest)
         inflated = AsGrant(asid(2, 1), 999.0)
+        keys = {asid(2, 1): directory.fetch_key(asid(2, 1), asid(1, 1))}
         with pytest.raises(MacVerificationError):
-            auth.verify_grants(directory, (inflated,))
-        auth.verify_grants(directory, (honest,))  # the honest one passes
+            auth.verify_grants(keys, (inflated,))
+        auth.verify_grants(keys, (honest,))  # the honest one passes
 
     def test_denied_source_cannot_reserve(self, net):
         net.reserve_segments(SRC, DST, gbps(1))

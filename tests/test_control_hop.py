@@ -15,11 +15,15 @@ emptied before every hop, which must change no byte.
 """
 
 import copy
+import hashlib
+import os
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.constants import DRKEY_VALIDITY
 from repro.control.auth import AuthenticatedRequest
 from repro.crypto.mac import mac
@@ -141,12 +145,13 @@ def check_grants(net, path, calls, granted_by):
     auth, response, now = first["auth"], first["response"], first["now"]
     grants = response.grants[:granted_by]
     assert [grant.isd_as for grant in grants] == list(path[:granted_by])
-    auth.verify_grants(net.directory, grants, now)
+    keys = {isd_as: net.directory.fetch_key(isd_as, SRC, now) for isd_as in path}
+    auth.verify_grants(keys, grants)
     if granted_by > 1:
         victim = grants[1]
         forged = (grants[0], AsGrant(victim.isd_as, victim.granted / 2)) + grants[2:]
         with pytest.raises(MacVerificationError):
-            auth.verify_grants(net.directory, forged, now)
+            auth.verify_grants(keys, forged)
 
 
 def check_hop_auths(net, calls, installed, eer_info, hops):
@@ -397,19 +402,39 @@ def test_a_wrong_source_mac_leaves_the_memo_unchanged(deployment):
 
 
 def test_the_memo_holds_two_epochs_at_most():
+    """The control-key memo, the hop-key memo, the deriver's secrets and
+    the key-server directory's cache each keep the newest two DRKey
+    epochs; a key of an older epoch is derived again, and equal."""
     net = ColibriNetwork(build_two_isd_topology(), clock=SimClock(start=1000.0))
     keys = net.stack(SRC).keys
+    memos = {
+        "control keys": keys._control_keys,
+        "hop keys": keys._hop_keys,
+        "secrets": keys.deriver._secrets,
+        "fetched keys": net.directory._cache,
+    }
+
+    def first_epoch():
+        fetched = net.directory.fetch_key(DST, SRC, 1000.0)
+        return (keys.control_key(DST, 1000.0).key, keys.hop_key(1000.0),
+                keys.deriver.secret_for(1000.0), fetched.key)
+
+    derived = first_epoch()
     first = int(1000.0 // DRKEY_VALIDITY)
     for step in range(4):
         when = 1000.0 + step * DRKEY_VALIDITY
         for remote in (DST, FAR_TRANSFER):
             keys.control_key(remote, when)
+            net.directory.fetch_key(remote, SRC, when)
+        keys.hop_key(when)
         expected = [first + step - 1, first + step] if step else [first]
-        assert sorted(keys._control_keys) == expected
-    # A key for an older epoch is still served; the memo keeps the newest two.
-    old = keys.control_key(DST, 1000.0)
-    assert old.key == keys.deriver.as_key(DST, 1000.0)
-    assert sorted(keys._control_keys) == [first + 2, first + 3]
+        for name, memo in memos.items():
+            assert sorted(memo) == expected, name
+    # Keys of an older epoch are still served, derived again; the memos
+    # keep the newest two.
+    assert first_epoch() == derived
+    for name, memo in memos.items():
+        assert sorted(memo) == [first + 2, first + 3], name
 
 
 def answers(start: float, prepare=None):
@@ -453,3 +478,71 @@ def test_emptying_every_memo_keeps_the_golden_journal():
     golden.refused_setup(net)
     golden.expire_and_sweep(net)
     assert golden.journaled(net) == golden.GOLDEN.read_text()
+
+
+# ------------------------------------------------- work per request ----
+
+BLAKE2S = type(hashlib.blake2s())
+REPRO = os.path.dirname(repro.__file__) + os.sep
+
+
+def work_of(operation) -> tuple:
+    """BLAKE2s digests, and Python calls into ``repro`` code (generated
+    ``<string>`` methods included), that ``operation()`` makes."""
+    digests = calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal digests, calls
+        if event == "call":
+            filename = frame.f_code.co_filename
+            calls += filename == "<string>" or filename.startswith(REPRO)
+        elif event == "c_call" and type(getattr(arg, "__self__", None)) is BLAKE2S:
+            digests += arg.__name__ == "digest"
+
+    sys.setprofile(profile)
+    try:
+        operation()
+    finally:
+        sys.setprofile(None)
+    return digests, calls
+
+
+def refused(cserv, bandwidth):
+    def setup():
+        with pytest.raises(InsufficientBandwidth):
+            cserv.setup_eer(DST, SRC_HOST, DST_HOST, bandwidth)
+
+    return setup
+
+
+def test_work_per_request_on_a_warm_path():
+    """Per request on the warmed 6-AS path, BLAKE2s digests sit at the
+    §4.5 / Eq. 4-5 floor (docs/performance.md §15): an admitted setup or
+    renewal 51 (5 source MACs and their 5 checks, 6 grant MACs and 5
+    checks, 6 σ, 6 two-block seals and opens), a refusal at the far
+    transfer AS 15, at the source 6.  The cold first setup also derives
+    each AS's key for the source (69: the initiator fetched its own key
+    during the SegR setups).  Python calls are ceilings, the counts of
+    docs/performance.md §17 on either backend (the native gateway install
+    makes 7 fewer)."""
+    net, path, log = deploy(STARTS["one_epoch"])
+    cserv = net.cserv(SRC)
+    handle = None
+
+    def setup():
+        nonlocal handle
+        handle = cserv.setup_eer(DST, SRC_HOST, DST_HOST, mbps(8))
+
+    assert work_of(setup)[0] == 69
+    net.advance(0.5)
+    measured = {"setup": work_of(setup)}
+    net.advance(3.0)
+    measured["renewal"] = work_of(lambda: cserv.renew_eer(handle, mbps(12)))
+    net.advance(0.5)
+    measured["far refusal"] = work_of(refused(cserv, gbps(2)))
+    measured["near refusal"] = work_of(refused(cserv, gbps(20)))
+    digests = {name: work[0] for name, work in measured.items()}
+    assert digests == {"setup": 51, "renewal": 51, "far refusal": 15, "near refusal": 6}
+    ceilings = {"setup": 656, "renewal": 647, "far refusal": 338, "near refusal": 175}
+    for name, (_, calls) in measured.items():
+        assert calls <= ceilings[name], (name, calls)

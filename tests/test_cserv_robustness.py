@@ -2,7 +2,6 @@
 partial renewal grants (§4.2), misrouted requests, forged MACs arriving
 over the bus, unknown reservations, renewal negotiation."""
 
-from dataclasses import replace
 
 import pytest
 
@@ -281,9 +280,7 @@ class TestTamperedResponsePath:
                 corrupted = bytearray(blobs[victim_index])
                 corrupted[-1] ^= 0xFF
                 blobs[victim_index] = bytes(corrupted)
-                from dataclasses import replace
-
-                response = replace(response, sealed_hopauths=tuple(blobs))
+                response = response._replace(sealed_hopauths=tuple(blobs))
             return response
 
         cserv.handle_eer_setup = corrupting
@@ -308,10 +305,8 @@ class TestTamperedResponsePath:
         def truncating(request, auth, hop_index):
             response = original(request, auth, hop_index)
             if hop_index == 0 and response.success:
-                from dataclasses import replace
-
-                response = replace(
-                    response, sealed_hopauths=response.sealed_hopauths[:-1]
+                response = response._replace(
+                    sealed_hopauths=response.sealed_hopauths[:-1]
                 )
             return response
 
@@ -549,7 +544,7 @@ def lower_upstream_grant(cserv, handler, factor):
     def tampering(request, auth, hop_index):
         victim = request.grants[-1]
         forged = AsGrant(victim.isd_as, victim.granted * factor)
-        request = replace(request, grants=request.grants[:-1] + (forged,))
+        request = request._replace(grants=request.grants[:-1] + (forged,))
         return original(request, auth, hop_index)
 
     setattr(cserv, handler, tampering)

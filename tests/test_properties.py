@@ -2,6 +2,7 @@
 system invariants, complementing the per-module suites."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -108,6 +109,73 @@ class TestPacketProperties:
             decode_message(data)
         except PacketDecodeError:
             pass
+
+
+class TestIdProperties:
+    """``IsdAs``, ``ReservationId`` and ``HostAddr`` are tuples of their
+    fields: they hash, compare and order in C, and their hashes are
+    ``hash((isd, asn))``, ``hash(((isd, asn), local_id))`` and
+    ``hash((value,))`` as ever, so no set order, journal or digest
+    moves.  A tuple-backed id therefore compares equal to the plain
+    tuple of its fields, ``IsdAs(1, 5) == (1, 5)``; no map of the
+    program mixes ids and plain tuples as keys."""
+
+    host_st = st.builds(HostAddr, st.integers(0, (1 << 32) - 1))
+
+    @given(st.lists(res_id_st, min_size=1, max_size=8), st.lists(host_st, max_size=4))
+    def test_hash_and_order_are_the_field_tuples(self, ids, hosts):
+        for res_id in ids:
+            src = res_id.src_as
+            assert hash(src) == hash((src.isd, src.asn))
+            assert hash(res_id) == hash(((src.isd, src.asn), res_id.local_id))
+        for host in hosts:
+            assert hash(host) == hash((host.value,))
+        fields = [((r.src_as.isd, r.src_as.asn), r.local_id) for r in ids]
+        assert [
+            ((r.src_as.isd, r.src_as.asn), r.local_id) for r in sorted(ids)
+        ] == sorted(fields)
+        ases = [(r.src_as.isd, r.src_as.asn) for r in ids]
+        assert [(a.isd, a.asn) for a in sorted(r.src_as for r in ids)] == sorted(ases)
+
+    @given(res_id_st, host_st)
+    def test_packed_pickle_and_repr_round_trip(self, res_id, host):
+        src = res_id.src_as
+        assert IsdAs.unpack(src.packed) == src
+        assert ReservationId.unpack(res_id.packed) == res_id
+        assert HostAddr.unpack(host.packed) == host
+        assert res_id.packed == src.packed + res_id.local_id.to_bytes(4, "big")
+        for value in (src, res_id, host):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and type(copy) is type(value)
+            assert copy.packed == value.packed
+        assert repr(src) == f"IsdAs.parse({str(src)!r})"
+        assert repr(res_id) == f"ReservationId(src_as={src!r}, local_id={res_id.local_id})"
+        assert repr(host) == f"HostAddr(value={host.value})"
+        names = {"IsdAs": IsdAs, "ReservationId": ReservationId, "HostAddr": HostAddr}
+        assert eval(repr(res_id), names) == res_id
+        fields = (src, "isd"), (src, "x"), (res_id, "local_id"), (host, "value")
+        for value, field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1)
+
+    @given(
+        st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 16)),
+        st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 48)),
+        st.one_of(st.integers(max_value=-1), st.integers(min_value=1 << 32)),
+    )
+    def test_out_of_range_fields_raise(self, isd, asn, local):
+        cases = (
+            (lambda: IsdAs(isd, 1), rf"ISD {isd} out of range \[0, 2\^16\)"),
+            (lambda: IsdAs(1, asn), rf"AS number {asn} out of range \[0, 2\^48\)"),
+            (
+                lambda: ReservationId(SRC, local),
+                rf"local reservation ID {local} out of range \[0, 2\^32\)",
+            ),
+            (lambda: HostAddr(local), rf"host address {local} out of range \[0, 2\^32\)"),
+        )
+        for build, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
 
 
 class TestCryptoProperties:

@@ -51,14 +51,12 @@ class TestProtectedControlPackets:
         assert len(outcome.verdicts) == len(up.segment)
 
     def test_tampered_res_info_dropped(self, net):
-        from dataclasses import replace
-
         (up, *_rest) = net.reserve_segments(SRC, DST, gbps(1))
         cserv = net.cserv(SRC)
         message = make_renewal_message(cserv, up.reservation_id)
         packet = build_control_packet(cserv, up.reservation_id, message)
         # Inflate the claimed bandwidth: the Eq. (3) token covers ResInfo.
-        packet.res_info = replace(packet.res_info, bandwidth=1e15)
+        packet.res_info = packet.res_info._replace(bandwidth=1e15)
         outcome = walk_control_packet(net, packet)
         assert not outcome.delivered
         assert outcome.verdicts[0][1] is Verdict.DROP_BAD_HVF

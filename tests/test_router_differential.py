@@ -34,7 +34,6 @@ and the kernel's own).  Three of the latter shaped this file:
 """
 
 import collections
-import dataclasses
 import hashlib
 import random
 import struct
@@ -269,7 +268,7 @@ def tampered(packet, pair=None, eer_info=None, **res_fields):
     fields: what the source AS, which holds σ, or a replayer can send.
     Eq. (6) covers none of them directly — Eq. (4) does, through σ."""
     forged = copy_of(packet)
-    forged.res_info = dataclasses.replace(forged.res_info, **res_fields)
+    forged.res_info = forged.res_info._replace(**res_fields)
     if eer_info is not None:
         forged.eer_info = eer_info
     if pair is not None:

@@ -65,5 +65,6 @@ def test_bytes_and_tracked_objects_per_eer():
     assert all(len(eer.latest_version().replay) == len(RECORD) for eer in store.eers())
 
     # The record, its tuple of versions and the two versions; nothing else.
+    # Bytes: 953 per EER on Python 3.11.
     assert tracked / EERS <= 5
-    assert (deep_size(store) - empty) / EERS <= 1200
+    assert (deep_size(store) - empty) / EERS <= 980

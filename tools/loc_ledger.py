@@ -59,9 +59,9 @@ CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
-    TOTAL: 17_990,
+    TOTAL: 17_878,
     "`obs/`": 2_002,
-    "`control/`": 2_911,
+    "`control/`": 2_877,
     "`dataplane/gateway.py` + `dataplane/router.py`": 985,
     "`dataplane/{duplicate,ofd,sigma_cache}.py`": 523,
     "`crypto/native.py`": 890,
