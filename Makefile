@@ -34,9 +34,9 @@ e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e/test_smoke.py -q --noconftest
 	COLIBRI_NATIVE=0 $(PYTHON) benchmarks/e2e/run.py --workload burst_long_path --quick --blocks 2
 
-# The native kernel (MAC verify and stamps, colibri_hop against the Python
-# policing bodies, the inputs it must refuse, buffers freed and re-bound
-# mid-script) under ASan + UBSan, ~6 s.
+# The native kernel (MAC verify and stamps, colibri_burst and its flow table
+# against the Python policing bodies, every stop, the inputs it must refuse,
+# buffers freed and re-bound mid-script) under ASan + UBSan, ~20 s.
 native-asan:
 	PYTHONPATH=src $(PYTHON) tools/native_asan.py
 

@@ -58,7 +58,6 @@ from repro.dataplane.shards import (  # noqa: E402
     _router_stack,
     run_shard,
 )
-from repro.dataplane.sigma_cache import SigmaCache, SigmaEntry  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
 from repro.packets.fields import EerInfo, PathField, ResInfo  # noqa: E402
 from repro.reservation import (  # noqa: E402
@@ -551,21 +550,16 @@ def unpoliced_port(overuse: bool):
     return built
 
 
-class _TrustedEntry(SigmaEntry):
-    """A σ-cache entry under which any HVF verifies."""
-
-    def verify(self, message: bytes, tag: bytes) -> bytes:
-        return hashlib.blake2s(self.wire + message + tag, digest_size=16).digest()
-
-
 def unauthenticated_port(overuse: bool):
-    """Mutant: step 3 of §4.6 accepts whatever HVF a packet carries."""
+    """Mutant: step 3 of §4.6 accepts whatever HVF a packet carries — a
+    router without the kernel whose Python body names each packet by a
+    hash of its header instead of checking its MAC."""
     built = protection_port(overuse)
     router = built[1].router
-    router._policer = None  # the kernel would check the HVF itself
-    router._recompute = lambda res_info, eer_info, pair, message, tag, now: _TrustedEntry(
-        bytes(16), res_info, eer_info, pair
-    )
+    router.kernel = None
+    router._authenticate = lambda packet, now, message: hashlib.blake2s(
+        packet.res_info.packed + message + packet.hvfs[packet.hop_index], digest_size=16
+    ).digest()
     return built
 
 
@@ -782,26 +776,34 @@ def security(scale: str, build=attacked_network) -> Figure:
 
 # -- §1 / §4.6: router state and the IntServ / DiffServ baselines -------------
 
-_CACHE_FLOWS = 64  # σ-cache bound of the measured router, below every row
+_CACHE_FLOWS = 64  # flow-table bound of the measured router, below every row
 _IS_PATH = [IsdAs(1, BASE + index) for index in range(1, 5)]
+
+
+def _validated(router, packets, capacity: int):
+    """``router`` after one 64-packet burst at a time of ``packets``, its
+    flow table (if it has the kernel) bounded to ``capacity`` flows."""
+    if router.kernel is not None:
+        router.kernel.capacity = capacity
+    for start in range(0, len(packets), 64):
+        if not all(router.validate_batch(packets[start : start + 64])):
+            raise SimulationError("an honest packet failed validation")
+    return router
 
 
 def bounded_router(flows: int):
     """A border router that has validated one packet of each of ``flows``
-    reservations; its σ-cache (soft state, an LRU) holds 64 flows."""
-    router, packets = _router_stack(ShardSpec("router", 0, 1, reservations=flows))
-    router.sigma_cache = SigmaCache(capacity=_CACHE_FLOWS)
-    if not all(router.validate_batch(packets)):
-        raise SimulationError("an honest packet failed validation")
-    return router
+    reservations; its flow table (soft state) holds 64 flows."""
+    return _validated(*_router_stack(ShardSpec("router", 0, 1, reservations=flows)), _CACHE_FLOWS)
 
 
 def remembering_router(flows: int):
-    """Mutant: the router keeps a record of every flow it has seen."""
+    """Mutant: the router keeps a record of every flow it has seen — an
+    unbounded flow table, or without the kernel each packet's ResInfo."""
     router, packets = _router_stack(ShardSpec("router", 0, 1, reservations=flows))
-    router.sigma_cache = SigmaCache(capacity=10**9)
-    router.validate_batch(packets)
-    return router
+    if router.kernel is None:
+        router.seen = [packet.res_info for packet in packets]
+    return _validated(router, packets, 10**9)
 
 
 def _diffserv_victim_share() -> float:
@@ -866,7 +868,7 @@ def baselines(scale: str, build=bounded_router) -> Figure:
          "IntServ entries / router", "RSVP refresh ops / period"),
         rows,
         shape,
-        f"deep heap size after one packet of every flow; the border router's σ-cache is "
+        f"deep heap size after one packet of every flow; the border router's flow table is "
         f"capped at {_CACHE_FLOWS} flows here (65,536 as shipped) — bounded soft state that "
         "no verdict depends on",
     )

@@ -1,42 +1,31 @@
-"""Optional cffi-native kernel: keyed BLAKE2s for Eq. (6) stamping and
-verification, and the border router's policing body for one packet-hop.
+"""Optional cffi-native kernel: keyed BLAKE2s for Eq. (6) stamping, and
+the border router's §4.6 burst loop with its flow table.
 
 The paper's DPDK prototype reaches line rate because AES-NI computes a
-per-packet MAC in tens of cycles; our pure-Python data plane pays three
-``hashlib`` C calls *per hop* plus Python glue around each.  This module
-is the corresponding "hardware" acceleration for the reproduction: a
-small C implementation of keyed BLAKE2s, compiled on demand through
-cffi, whose entry points amortize the Python→C boundary over a whole
-packet (``colibri_stamp_t``: all hops in one call), a whole
-single-reservation burst (``colibri_stamp_many_t``), or a whole *mixed*
-burst (``colibri_stamp_scatter_t``: per-packet schedules, messages and
-output offsets, one call — see :class:`BurstStamper`).  The router side
-crosses once per packet-hop: ``colibri_hop`` runs §4.6 steps 3–5 — the
-σ-cache entry's Eq. (6) check, the duplicate filter's test-and-set on
-that MAC, the overuse detector's count-min update — on the router's own
-tables — a ``bytearray`` pair, an ``array('d')``, Python's to read and
-replace — through a ``colibri_police_t`` they re-point as they change
-(:class:`HopPolicer`); a geometry that does not fit them is refused before
-anything is written.  (``colibri_verify`` serves the validate-only paths.)
+per-packet MAC in tens of cycles; the pure-Python data plane pays
+``hashlib`` calls per hop plus Python glue around each.  This module is
+the reproduction's "hardware": keyed BLAKE2s in C, compiled on demand
+through cffi.  The gateway crosses once per packet (``colibri_stamp_t``:
+all hops), per single-reservation burst (``colibri_stamp_many_t``) or per
+mixed burst (``colibri_stamp_scatter_t``, see :class:`BurstStamper`).  The
+router crosses once per burst: ``colibri_burst`` runs steps 1 and 3-5 over
+one 64-byte row per packet (:data:`ROW`) on the router's own tables — a
+``bytearray`` pair, an ``array('d')``, Python's to read and replace —
+through a ``colibri_police_t`` they re-point as they change, with σ from a
+flow table in the same struct (:class:`BurstKernel`).
 
 Byte-identity is the admission contract (docs/performance.md): for every
-key and message,
+key and message, ``ScheduleBlock(backend, [key]).stamp_flat(msg) ==
+hashlib.blake2s(msg, key=key, digest_size=16).digest()[:L_HVF]``, which
+is :func:`repro.crypto.prf.prf` truncated; tests/test_batch_equivalence.py
+enforces it, and every consumer falls back to hashlib with identical
+output when the backend is unavailable.
 
-    ScheduleBlock(backend, [key]).stamp_flat(msg)
-        == hashlib.blake2s(msg, key=key, digest_size=16).digest()[:L_HVF]
-
-which is exactly :func:`repro.crypto.prf.prf` truncated — the property
-tests in tests/test_batch_equivalence.py enforce it, and every consumer
-(gateway stamping, router σ-cache verification) falls back to the
-hashlib path with identical output when the backend is unavailable.
-
-Availability is best-effort by design: no cffi, no C compiler, or
-``COLIBRI_NATIVE=0`` in the environment all mean
-:func:`backend` returns ``None`` and the callers keep their pure-Python
-hot paths.  Builds are cached under ``_native_build/`` (gitignored)
-keyed by a hash of the C source, so the compiler runs once per source
-revision per machine; concurrent builders compile into a private
-directory and atomically rename the finished extension into place.
+Availability is best-effort: no cffi, no C compiler, or
+``COLIBRI_NATIVE=0`` mean :func:`backend` returns ``None`` and callers
+keep their pure-Python paths.  Builds are cached under ``_native_build/``
+(gitignored) keyed by a hash of the C source; concurrent builders compile
+into a private directory and atomically rename the extension into place.
 """
 
 from __future__ import annotations
@@ -47,14 +36,23 @@ import importlib.util
 import operator
 import os
 import shutil
+import struct
 import weakref
 from typing import Optional
 
-from repro.constants import L_HVF, MAC_LENGTH
+from repro.constants import DRKEY_VALIDITY, FRESHNESS_WINDOW, L_HVF, MAC_LENGTH, MAX_CLOCK_SKEW
 
-#: One router's policing tables as ``colibri_hop`` sees them; shared by the
-#: cffi declarations and the C source.
+#: One router's policing tables, flow table and clock as ``colibri_burst``
+#: sees them; shared by the cffi declarations and the C source.
 _POLICE_T = """
+typedef struct {
+    uint8_t input[42];        /* the Eq. (4) input σ was minted from */
+    uint8_t used, spare;
+    uint32_t epoch;           /* the DRKey epoch of the K_i that minted it */
+    uint32_t sched[8];        /* σ's Eq. (6) key schedule */
+    uint32_t cells[8];        /* the flow's sketch cells, `depth` of them */
+} colibri_flow_t;
+
 typedef struct {
     uint8_t *current;         /* duplicate filter taking insertions */
     const uint8_t *previous;  /* the window before: consulted only */
@@ -62,22 +60,26 @@ typedef struct {
     uint64_t bits;
     size_t hashes;
     double *counts;           /* sketch rows, flat */
-    size_t ncounts;
+    size_t ncounts, width, depth;
     double threshold;         /* an estimate above it is overuse */
-    double estimate;          /* out: the flow's count-min estimate */
-    uint8_t mac[16];          /* out: the untruncated Eq. (6) MAC */
+    double rotated_at, duplicate_window, window_start, sketch_window;
+    double skew, freshness;   /* MAX_CLOCK_SKEW, FRESHNESS_WINDOW */
+    double epoch_start, epoch_end;  /* where `key` is the current K_i */
+    uint32_t epoch, prev_epoch, has_prev;
+    uint32_t key[8], prev_key[8];   /* K_i's schedule, this epoch and the last */
+    colibri_flow_t *slots;    /* the flow table: linear probing */
+    size_t nslots, max_slots, count, capacity;
+    uint64_t hits, misses, evictions, rejected_hints;
 } colibri_police_t;
 """
 
 _CDEF = _POLICE_T + """
 void colibri_b2s_key_schedule(const uint8_t *key, size_t keylen,
                               size_t outlen, uint32_t *h_out);
-int colibri_verify(const uint8_t *sched, const uint8_t *msg, size_t msglen,
-                   const uint8_t *tag, size_t tag_len, uint8_t *mac_out);
-int colibri_hop(colibri_police_t *police, const uint8_t *sched,
-                const uint8_t *msg, size_t msglen,
-                const uint8_t *tag, size_t tag_len,
-                const uint32_t *cells, size_t ncells, double amount);
+long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
+                   size_t start, uint8_t *verdicts, double now, int validate);
+void colibri_flows_move(colibri_police_t *p, colibri_flow_t *slots,
+                        size_t nslots);
 void colibri_b2s_transpose(const uint32_t *scheds, size_t nscheds,
                            uint32_t *out);
 void colibri_stamp_t(const uint32_t *scheds_t, size_t nscheds,
@@ -117,22 +119,16 @@ static const uint8_t B2S_SIGMA[10][16] = {
 
 #define ROTR32(x, n) (((x) >> (n)) | ((x) << (32 - (n))))
 
-#define G(r, i, a, b, c, d)                         \
-    do {                                            \
-        a = a + b + m[B2S_SIGMA[r][2 * i + 0]];     \
-        d = ROTR32(d ^ a, 16);                      \
-        c = c + d;                                  \
-        b = ROTR32(b ^ c, 12);                      \
-        a = a + b + m[B2S_SIGMA[r][2 * i + 1]];     \
-        d = ROTR32(d ^ a, 8);                       \
-        c = c + d;                                  \
-        b = ROTR32(b ^ c, 7);                       \
+#define G(r, i, a, b, c, d)                                               \
+    do {                                                                  \
+        a = a + b + m[B2S_SIGMA[r][2 * i]]; d = ROTR32(d ^ a, 16);        \
+        c = c + d; b = ROTR32(b ^ c, 12);                                 \
+        a = a + b + m[B2S_SIGMA[r][2 * i + 1]]; d = ROTR32(d ^ a, 8);     \
+        c = c + d; b = ROTR32(b ^ c, 7);                                  \
     } while (0)
 
-/* One full round, spelled out so the sigma indices are compile-time
-   constants.  The rolled `for (r = 0; ...)` form makes every message
-   word load an indirect table lookup; unrolling lets the compiler fold
-   B2S_SIGMA into immediate offsets (~20% on the 16-hop stamp). */
+/* One full round, spelled out so the sigma indices fold into immediate
+   offsets (~20% on the 16-hop stamp against the rolled loop). */
 #define ROUND(r)                                    \
     G(r, 0, v[0], v[4], v[ 8], v[12]);              \
     G(r, 1, v[1], v[5], v[ 9], v[13]);              \
@@ -225,14 +221,11 @@ static void b2s_tail(const void *sched, const uint8_t *msg,
 }
 
 /* ---- 8-way SIMD lane layout ----------------------------------------
-   All hops of one packet MAC the same (single-block) message under
-   different schedules -- the textbook shape for N-way SIMD hashing:
-   lane L of a vector compress runs hop L.  Schedules are re-laid-out
-   once at install time ("transposed": groups of 8 hops, word-major
-   within a group, zero-padded lanes) so the vector loads need no
-   per-packet gathers.  It is the only layout: the `_t` entry points
-   fall back to scalar compressions over it when the CPU lacks AVX2 (or
-   the build defines COLIBRI_SCALAR, as the sanitizer driver does). */
+   All hops of a packet MAC one single-block message under different
+   schedules: lane L of a vector compress runs hop L.  Schedules are laid
+   out once at install ("transposed": groups of 8 hops, word-major, zero-
+   padded lanes); without AVX2 (or with COLIBRI_SCALAR) the `_t` entry
+   points run scalar compressions over the same layout. */
 
 void colibri_b2s_transpose(const uint32_t *scheds, size_t nscheds,
                            uint32_t *out)
@@ -483,8 +476,8 @@ void colibri_stamp_scatter_t(uint32_t * const *scheds_t,
 }
 
 /* Constant-time verify of one (truncated) tag; mac_out gets all 16 bytes. */
-int colibri_verify(const uint8_t *sched, const uint8_t *msg, size_t msglen,
-                   const uint8_t *tag, size_t tag_len, uint8_t *mac_out)
+static int colibri_verify(const uint8_t *sched, const uint8_t *msg, size_t msglen,
+                          const uint8_t *tag, size_t tag_len, uint8_t *mac_out)
 {
     uint8_t acc = (uint8_t)(tag_len > 16);
     size_t i;
@@ -501,10 +494,64 @@ static uint64_t be64(const uint8_t *p)
     return x;
 }
 
+static uint32_t be32(const uint8_t *p)
+{
+    return ((uint32_t)p[0] << 24) | ((uint32_t)p[1] << 16) | ((uint32_t)p[2] << 8) | p[3];
+}
+
+static double be_double(const uint8_t *p)
+{
+    uint64_t x = be64(p);
+    double d;
+    return *(double *)memcpy(&d, &x, 8);
+}
+
+/* ---- BLAKE2b of a flow label: the sketch cells' digest ------------------ */
+
+static const uint64_t B2B_IV[8] = {
+    0x6A09E667F3BCC908ULL, 0xBB67AE8584CAA73BULL, 0x3C6EF372FE94F82BULL,
+    0xA54FF53A5F1D36F1ULL, 0x510E527FADE682D1ULL, 0x9B05688C2B3E6C1FULL,
+    0x1F83D9ABFB41BD6BULL, 0x5BE0CD19137E2179ULL
+};
+
+#define ROTR64(x, n) (((x) >> (n)) | ((x) << (64 - (n))))
+#define GB(a, b, c, d, x, y)                                              \
+    do {                                                                  \
+        a = a + b + (x); d = ROTR64(d ^ a, 32); c = c + d; b = ROTR64(b ^ c, 24); \
+        a = a + b + (y); d = ROTR64(d ^ a, 16); c = c + d; b = ROTR64(b ^ c, 63); \
+    } while (0)
+
+/* Unkeyed BLAKE2b of one message of at most 128 bytes, `outlen` bytes of it. */
+static void b2b_one_block(const uint8_t *msg, size_t len, uint8_t *out, size_t outlen)
+{
+    uint64_t h[8], v[16], m[16] = {0};
+    size_t i;
+    int r;
+    for (i = 0; i < len; i++) m[i / 8] |= (uint64_t)msg[i] << (8 * (i % 8));
+    for (i = 0; i < 8; i++) v[i] = h[i] = B2B_IV[i];
+    v[0] = h[0] ^= 0x01010000ULL ^ outlen;
+    for (i = 0; i < 8; i++) v[i + 8] = B2B_IV[i];
+    v[12] ^= len;
+    v[14] = ~v[14];
+    for (r = 0; r < 12; r++) {
+        const uint8_t *s = B2S_SIGMA[r % 10];
+        GB(v[0], v[4], v[ 8], v[12], m[s[ 0]], m[s[ 1]]);
+        GB(v[1], v[5], v[ 9], v[13], m[s[ 2]], m[s[ 3]]);
+        GB(v[2], v[6], v[10], v[14], m[s[ 4]], m[s[ 5]]);
+        GB(v[3], v[7], v[11], v[15], m[s[ 6]], m[s[ 7]]);
+        GB(v[0], v[5], v[10], v[15], m[s[ 8]], m[s[ 9]]);
+        GB(v[1], v[6], v[11], v[12], m[s[10]], m[s[11]]);
+        GB(v[2], v[7], v[ 8], v[13], m[s[12]], m[s[13]]);
+        GB(v[3], v[4], v[ 9], v[14], m[s[14]], m[s[15]]);
+    }
+    for (i = 0; i < outlen; i++)
+        out[i] = (uint8_t)((h[i / 8] ^ v[i / 8] ^ v[i / 8 + 8]) >> (8 * (i % 8)));
+}
+
 /* Rotating-Bloom test-and-set on a 16-byte MAC: bit i is (h1 + i*h2) mod
    bits over its two big-endian halves, both reduced first so the running
    sum never wraps.  1 = fresh and now recorded in `current`, 0 = seen (in
-   `previous`, or every bit already set).  colibri_hop checked the geometry. */
+   `previous`, or every bit already set).  colibri_burst checked the geometry. */
 static int colibri_bloom_check(uint8_t *current, const uint8_t *previous,
                                uint64_t bits, size_t hashes, const uint8_t *mac)
 {
@@ -540,27 +587,182 @@ static double colibri_sketch_add(double *counts, const uint32_t *cells,
     return estimate;
 }
 
-/* One packet-hop, §4.6 steps 3-5 in order: Eq. (6) verify under the flow's
-   schedule, duplicate test-and-set on the untruncated MAC, count-min add.
-   -1 = refused, nothing written: `bits` does not fit the nbytes both
-   filters hold, or a cell lies outside counts[0..ncounts); 0 = bad HVF;
-   1 = duplicate; 2 = policed; 3 = policed and the estimate is over the
-   threshold. */
-int colibri_hop(colibri_police_t *police, const uint8_t *sched,
-                const uint8_t *msg, size_t msglen,
-                const uint8_t *tag, size_t tag_len,
-                const uint32_t *cells, size_t ncells, double amount)
+/* ---- the flow table: (ResId, Ver, epoch) -> σ's schedule and cells -------
+   Linear probing, at most half full (Python doubles it on V_GROW, up to
+   max_slots); deletion shifts the run back.  The key, ResInfo's bytes 0-11
+   and 28-29 and the epoch, is hashed as bytes (FNV-1a). */
+
+static size_t flow_home(const colibri_police_t *p, const uint8_t *input, uint32_t epoch)
 {
-    size_t i;
-    if (police->bits == 0 || (police->bits - 1) / 8 >= police->nbytes) return -1;
-    for (i = 0; i < ncells; i++)
-        if (cells[i] >= police->ncounts) return -1;
-    if (!colibri_verify(sched, msg, msglen, tag, tag_len, police->mac)) return 0;
-    if (!colibri_bloom_check(police->current, police->previous, police->bits,
-                             police->hashes, police->mac))
-        return 1;
-    police->estimate = colibri_sketch_add(police->counts, cells, ncells, amount);
-    return police->estimate > police->threshold ? 3 : 2;
+    uint64_t h = 0xCBF29CE484222325ULL;
+    int i;
+    for (i = 0; i < 12; i++) h = (h ^ input[i]) * 0x100000001B3ULL;
+    for (i = 28; i < 30; i++) h = (h ^ input[i]) * 0x100000001B3ULL;
+    for (i = 0; i < 4; i++) h = (h ^ ((epoch >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+    return (size_t)(h ^ (h >> 32)) & (p->nslots - 1);
+}
+
+static colibri_flow_t *flow_find(const colibri_police_t *p, const uint8_t *input,
+                                 uint32_t epoch)
+{
+    size_t i = flow_home(p, input, epoch);
+    colibri_flow_t *f;
+    for (;; i = (i + 1) & (p->nslots - 1)) {
+        f = p->slots + i;
+        if (!f->used) return NULL;
+        if (f->epoch == epoch && !memcmp(f->input, input, 12)
+            && f->input[28] == input[28] && f->input[29] == input[29])
+            return f;
+    }
+}
+
+static void flow_delete(colibri_police_t *p, colibri_flow_t *f)
+{
+    size_t mask = p->nslots - 1, hole = (size_t)(f - p->slots), j = hole, home;
+    colibri_flow_t *s = p->slots;
+    for (;;) {
+        j = (j + 1) & mask;
+        if (!s[j].used) break;
+        home = flow_home(p, s[j].input, s[j].epoch);
+        if (hole <= j ? (home <= hole || home > j) : (home <= hole && home > j)) {
+            s[hole] = s[j];
+            hole = j;
+        }
+    }
+    s[hole].used = 0;
+    p->count--;
+}
+
+/* Store a σ that just validated a packet (and only then).  Version v - 2
+   leaves first, under either epoch (not an eviction); a full table evicts
+   the first flow at or after the new key's home slot. */
+static colibri_flow_t *flow_store(colibri_police_t *p, const uint8_t *input,
+                                  uint32_t epoch, const uint32_t sched[8])
+{
+    uint8_t key[42], digest[32];
+    colibri_flow_t *f;
+    size_t i, version = ((size_t)input[28] << 8) | input[29];
+    if (version >= 2) {
+        memcpy(key, input, 30);
+        key[28] = (uint8_t)((version - 2) >> 8), key[29] = (uint8_t)(version - 2);
+        if ((f = flow_find(p, key, epoch)) != NULL) flow_delete(p, f);
+        if ((f = flow_find(p, key, epoch - 1)) != NULL) flow_delete(p, f);
+    }
+    f = flow_find(p, input, epoch);
+    if (f == NULL) {
+        if (p->count && (p->count >= p->capacity || 2 * (p->count + 1) > p->nslots)) {
+            for (i = flow_home(p, input, epoch); !p->slots[i].used; i = (i + 1) & (p->nslots - 1));
+            flow_delete(p, p->slots + i);
+            p->evictions++;
+        }
+        for (i = flow_home(p, input, epoch); p->slots[i].used; i = (i + 1) & (p->nslots - 1));
+        f = p->slots + i;
+        f->used = 1, p->count++;
+    }
+    memcpy(f->input, input, 42), memcpy(f->sched, sched, 32);
+    f->epoch = epoch;
+    b2b_one_block(input, 12, digest, 4 * p->depth);
+    for (i = 0; i < p->depth; i++)
+        f->cells[i] = (uint32_t)(i * p->width + be32(digest + 4 * i) % p->width);
+    return f;
+}
+
+/* Rehash every live flow into `slots` (zeroed, a power of two at least
+   twice the count) and make it the table. */
+void colibri_flows_move(colibri_police_t *p, colibri_flow_t *slots, size_t nslots)
+{
+    colibri_flow_t *old = p->slots;
+    size_t nold = p->nslots, i, j;
+    p->slots = slots;
+    p->nslots = nslots;
+    for (i = 0; i < nold; i++) {
+        if (!old[i].used) continue;
+        for (j = flow_home(p, old[i].input, old[i].epoch); slots[j].used; j = (j + 1) & (nslots - 1));
+        slots[j] = old[i];
+    }
+}
+
+/* ---- the §4.6 burst loop ---------------------------------------------------
+   Row i (native.ROW) holds ResInfo || EERInfo || (In, Eg), the 42-byte
+   Eq. (4) input; Ts || PktSize, the Eq. (6) input; the HVF; the flags.
+   Steps 1 and 3-5 in arrival order from `start`, a verdict byte per row.
+   Returns the row it stopped at (nrows when done), whose verdict says why:
+   V_PYTHON (flagged, SegR, no bandwidth, a rotation or roll due: past step
+   1 untouched), V_OVER (policed, over the threshold), V_REFUSED (a cell
+   outside the sketch), V_GROW (the table needs room), V_REKEY (`now` left
+   `key`'s epoch); -1: the geometry does not fit, nothing written.
+   `validate`: steps 1 and 3 only, filters and sketch untouched. */
+enum { V_FORWARD = 1, V_DELIVER, V_EXPIRED, V_STALE, V_BAD_HVF, V_DUPLICATE,
+       V_PYTHON, V_OVER, V_REFUSED, V_GROW, V_REKEY };
+enum { F_PYTHON = 1, F_FLAGGED = 2, F_LAST = 4 };
+
+long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
+                   size_t start, uint8_t *verdicts, double now, int validate)
+{
+    size_t i, r;
+    int e, due = now - p->rotated_at >= p->duplicate_window
+              || now - p->window_start >= p->sketch_window;
+    if (p->depth == 0 || p->depth > 8 || p->nslots < 2 || (p->nslots & (p->nslots - 1))
+        || 2 * p->count > p->nslots
+        || (!validate && (p->bits == 0 || (p->bits - 1) / 8 >= p->nbytes)))
+        return -1;
+    if (start < nrows && (now < p->epoch_start || now >= p->epoch_end)) {
+        verdicts[start] = V_REKEY;
+        return (long)start;
+    }
+    for (i = start; i < nrows; i++) {
+        uint8_t *row = rows + 64 * i, mac[16], sigma[16];
+        double expiry = be_double(row + 20), bandwidth = be_double(row + 12);
+        double age = now - (expiry - (double)(be64(row + 42) >> 16) / 1e6), estimate;
+        uint32_t sched[8];
+        colibri_flow_t *f;
+        int hit;
+        if (now > expiry + p->skew) { verdicts[i] = V_EXPIRED; continue; }
+        if (age > p->freshness || -age > p->freshness) { verdicts[i] = V_STALE; continue; }
+        if ((row[58] & (F_PYTHON | F_FLAGGED)) || (!validate && (due || !(bandwidth > 0)))) {
+            verdicts[i] = V_PYTHON;
+            return (long)i;
+        }
+        /* 3. σ from the table if bound to this very input and it explains
+           the HVF, else derived from K_i (this epoch, then the last) and
+           stored only now that it validated the packet. */
+        f = flow_find(p, row, p->epoch);
+        if (f == NULL && p->has_prev) f = flow_find(p, row, p->prev_epoch);
+        hit = f != NULL;
+        if (!hit || memcmp(f->input, row, 42)
+            || !colibri_verify((const uint8_t *)f->sched, row + 42, 12, row + 54, 4, mac)) {
+            for (f = NULL, e = 0; f == NULL && e <= (int)p->has_prev; e++) {
+                b2s_tail(e ? p->prev_key : p->key, row, 42, sigma, 16);
+                colibri_b2s_key_schedule(sigma, 16, 16, sched);
+                if (!colibri_verify((const uint8_t *)sched, row + 42, 12, row + 54, 4, mac))
+                    continue;
+                if (p->nslots < p->max_slots && 2 * (p->count + 1) > p->nslots) {
+                    verdicts[i] = V_GROW;
+                    return (long)i;
+                }
+                f = flow_store(p, row, e ? p->prev_epoch : p->epoch, sched);
+            }
+            p->rejected_hints += hit;
+        }
+        p->hits += hit;
+        p->misses += !hit;
+        if (f == NULL) { verdicts[i] = V_BAD_HVF; continue; }
+        if (validate) { verdicts[i] = V_FORWARD; continue; }
+        for (r = 0; r < p->depth; r++)
+            if (f->cells[r] >= p->ncounts) { verdicts[i] = V_REFUSED; return (long)i; }
+        /* 4. The full MAC names the packet to the duplicate filter. */
+        if (!colibri_bloom_check(p->current, p->previous, p->bits, p->hashes, mac)) {
+            memcpy(row, mac, 16);  /* for the journal */
+            verdicts[i] = V_DUPLICATE;
+            continue;
+        }
+        /* 5. The sketch, over the normalized size. */
+        estimate = colibri_sketch_add(p->counts, f->cells, p->depth,
+                                      (double)((uint64_t)be32(row + 50) * 8) / bandwidth);
+        if (estimate > p->threshold) { verdicts[i] = V_OVER; return (long)i; }
+        verdicts[i] = row[58] & F_LAST ? V_DELIVER : V_FORWARD;
+    }
+    return (long)nrows;
 }
 """
 
@@ -630,14 +832,11 @@ def _load() -> "NativeBackend":
 def _probe() -> tuple:
     """``(backend, unavailable_reason)`` — exactly one is non-``None``.
 
-    Memoized pure probe of the host environment (``COLIBRI_NATIVE=0``
-    disables; otherwise load a cached build or compile one).  Failure to
-    build is remembered — a host without a compiler pays the probe once,
-    not per reservation install.  The cache lives on the function object
-    rather than in module globals so shard workers reaching this through
-    forked fast paths stay shared-nothing (CF004): the memoized value is
-    a pure function of the process environment, identical in every
-    worker that probes it independently.
+    Memoized probe of the environment (``COLIBRI_NATIVE=0`` disables, else
+    load a cached build or compile one): a host without a compiler pays it
+    once.  The memo lives on the function, not in a module global, and is a
+    pure function of the process environment, so shard workers stay
+    shared-nothing.
     """
     if os.environ.get("COLIBRI_NATIVE", "1").lower() in ("0", "no", "off"):
         return None, "disabled via COLIBRI_NATIVE"
@@ -652,15 +851,6 @@ def _probe() -> tuple:
 def backend() -> Optional["NativeBackend"]:
     """The loaded native backend, or ``None`` when unavailable."""
     return _probe()[0]
-
-
-def available() -> bool:
-    return backend() is not None
-
-
-def why_unavailable() -> Optional[str]:
-    """Human-readable reason the backend is off (``None`` when loaded)."""
-    return _probe()[1]
 
 
 def reset_for_tests() -> None:
@@ -679,20 +869,15 @@ def _normalize_key(key: bytes) -> bytes:
 
 
 class NativeBackend:
-    """A loaded kernel: the cffi ``ffi``/``lib`` pair and the verify scratch."""
+    """A loaded kernel: the cffi ``ffi``/``lib`` pair."""
 
-    __slots__ = ("ffi", "lib", "mac_out", "mac_view")
+    __slots__ = ("ffi", "lib")
 
     def __init__(self, ffi, lib):
-        self.ffi = ffi
-        self.lib = lib
-        #: Scratch ``colibri_verify`` leaves the untruncated MAC in, read out
-        #: by ``mac_view[:]``; one per process, so one verifying thread.
-        self.mac_out = ffi.new("uint8_t[]", MAC_LENGTH)
-        self.mac_view = ffi.buffer(self.mac_out)
+        self.ffi, self.lib = ffi, lib
 
     def key_schedule(self, key: bytes) -> bytes:
-        """One key's 32-byte chaining state, as ``colibri_verify`` takes it."""
+        """One key's 32-byte chaining state, as the kernel keys a MAC with it."""
         key = _normalize_key(key)
         words = self.ffi.new("uint32_t[8]")
         self.lib.colibri_b2s_key_schedule(key, len(key), MAC_LENGTH, words)
@@ -702,15 +887,10 @@ class NativeBackend:
 class ScheduleBlock:
     """Contiguous native key schedules for one ordered key set.
 
-    The native analogue of :func:`repro.dataplane.hvf.sigma_states`: one
-    32-byte chaining state per key, laid out back to back so a single C
-    call stamps every hop of a packet (:meth:`stamp_flat`) or a whole
-    burst (:meth:`stamp_many_flat`).  Output is byte-identical to the
-    hashlib path by construction and by test.
-
-    Not thread-safe (the output scratch buffer is reused per call) —
-    the same single-threaded-per-component discipline as every other
-    data-plane object here; shard workers each build their own.
+    The native analogue of :func:`repro.dataplane.hvf.sigma_states`: one C
+    call stamps every hop of a packet (:meth:`stamp_flat`) or a whole burst
+    (:meth:`stamp_many_flat`), byte-identical to the hashlib path.  Not
+    thread-safe (the output scratch is reused per call).
     """
 
     __slots__ = ("count", "tag_len", "_ffi", "_lib", "_scatter", "_out", "_view")
@@ -731,9 +911,8 @@ class ScheduleBlock:
         self.tag_len = tag_len
         self._ffi = ffi
         self._lib = lib
-        # The 8-way lane layout (see the C side), built once here at
-        # install time so the per-packet stamps never gather; it is also
-        # what a BurstStamper plan references for this block.
+        # The 8-way lane layout (see the C side), built once at install; a
+        # BurstStamper plan references it too.
         groups = (len(keys) + 7) // 8
         self._scatter = ffi.new("uint32_t[]", max(64, groups * 64))
         lib.colibri_b2s_transpose(scheds, len(keys), self._scatter)
@@ -772,23 +951,14 @@ class ScheduleBlock:
 class BurstStamper:
     """Scatter plan for stamping one *mixed* burst with a single C call.
 
-    :meth:`ScheduleBlock.stamp_many_flat` amortizes the Python->C
-    boundary only for bursts addressed to one reservation; this is the
-    general form.  The caller's per-packet loop records each packet's
-    plan directly into the exposed cdata arrays — ``scheds[p]`` (the
-    packet's version's :attr:`ScheduleBlock._scatter` block),
-    ``counts[p]`` (its hop count), ``offsets[p]`` (where its tags go) —
-    and appends its Eq. (6) message to :attr:`messages`; one
-    ``colibri_stamp_scatter_t`` call then stamps every packet of the
-    burst (:meth:`stamp_flat`).  ``offsets`` are byte offsets into its
-    flat result — a running row cursor.
-
-    The arrays are plain attributes rather than an ``add()`` method on
-    purpose: the gateway's burst loop is the hottest Python in the
-    repository, and a per-packet method call would give back a measurable
-    slice of what the single C call saves.  Not thread-safe (the plan
-    arrays and output scratch are reused per burst) — the same
-    single-threaded-per-component discipline as :class:`ScheduleBlock`.
+    The caller's per-packet loop writes each packet's plan straight into
+    the cdata arrays — ``scheds[p]`` (its version's
+    :attr:`ScheduleBlock._scatter`), ``counts[p]`` (its hop count),
+    ``offsets[p]`` (where its tags go in the flat result) — and appends
+    its Eq. (6) message to :attr:`messages`; one
+    ``colibri_stamp_scatter_t`` call (:meth:`stamp_flat`) then stamps the
+    burst.  Plain attributes, not an ``add()`` method: a per-packet call
+    would give back what the single C call saves.  Not thread-safe.
     """
 
     __slots__ = (
@@ -850,33 +1020,49 @@ def repointing(name: str) -> property:
     return property(operator.attrgetter(name), assign)
 
 
-class HopPolicer:
-    """One router's ``colibri_police_t``, kept pointed at its live tables.
+#: A packet's row as ``colibri_burst`` reads it: ResId, Bw, ExpT, Ver,
+#: SrcHost, DstHost, In, Eg (the Eq. (4) input), Ts, PktSize, HVF, flags.
+ROW = struct.Struct("!12sddHIIHH8sI4sB5x")
+#: Its verdict bytes and row flags (the C enums).
+FORWARD, DELIVER, EXPIRED, STALE, BAD_HVF, DUPLICATE, PYTHON, OVER, REFUSED, GROW, REKEY = range(1, 12)
+F_PYTHON, F_FLAGGED, F_LAST = 1, 2, 4
+#: The flow table's bound, in flows: soft state for the working set only.
+FLOW_CAPACITY = 65536
 
-    Push-bound, nothing polls: :meth:`point` is the ``_repoint`` of both
-    filters and the sketch, called where they change — ``_BloomFilter.clear``
-    (so every rotation), ``_roll``, a :func:`repointing` attribute (``bits``,
-    ``hashes``, ``overuse_factor``).  The router asks only whether a rotation
-    or roll is due (that packet takes the Python trio, which does it).  Pins
-    keep the buffers alive; weak proxies to the tables avoid a cycle.  Call
-    ``hop(state, schedule, message, len(message), tag, len(tag), cells,
-    len(cells), amount)``; a duplicate's MAC is then ``mac[:]``.  Not
-    thread-safe: one router, one burst at a time.
+
+class BurstKernel:
+    """One router's ``colibri_police_t``: its filters and sketch, its flow
+    table and the row and verdict buffers of a burst.
+
+    Push-bound, nothing polls: :meth:`point` is the ``_repoint`` of the
+    suppressor, both filters and the sketch, called where they change —
+    ``_BloomFilter.clear`` (so every rotation), ``_roll``, a
+    :func:`repointing` attribute (``bits``, ``hashes``, ``overuse_factor``,
+    ``_rotated_at``).  The flow table and the buffers are bytearrays (a
+    heap walk sees them); :meth:`resume` grows the table or loads the
+    epoch's keys when the kernel stops for it.  Weak proxies to the tables
+    avoid a cycle.  Not thread-safe: one router, one burst at a time.
     """
 
-    __slots__ = ("hop", "state", "mac", "_ffi", "_pins", "_duplicates", "_ofd")
+    __slots__ = (
+        "state", "run", "rows", "verdicts", "buffers",
+        "_ffi", "_schedule", "_move_flows", "_keys", "_pins", "_table", "_duplicates", "_ofd",
+    )
 
-    def __init__(self, backend: NativeBackend, duplicates, ofd):
-        self._ffi, self.hop = backend.ffi, backend.lib.colibri_hop
-        self.state = backend.ffi.new("colibri_police_t *")
-        self.mac = backend.ffi.buffer(self.state.mac)
+    def __init__(self, backend: NativeBackend, keys, duplicates, ofd):
+        self._ffi, self._schedule, self._keys = backend.ffi, backend.key_schedule, keys
+        self.run, self._move_flows = backend.lib.colibri_burst, backend.lib.colibri_flows_move
+        self.state = state = backend.ffi.new("colibri_police_t *")
+        state.skew, state.freshness = MAX_CLOCK_SKEW, FRESHNESS_WINDOW
         self._duplicates, self._ofd = weakref.proxy(duplicates), weakref.proxy(ofd)
-        for table in (duplicates._current, duplicates._previous, ofd):
+        for table in (duplicates, duplicates._current, duplicates._previous, ofd):
             table._repoint = self.point
         self.point()
+        self.reserve(64)
+        self.capacity = FLOW_CAPACITY
 
     def point(self) -> None:
-        """Aim the struct at the tables' buffers, geometry and threshold now."""
+        """Aim the struct at the tables' buffers, geometry, windows and threshold now."""
         duplicates, ofd, state = self._duplicates, self._ofd, self.state
         current, from_buffer = duplicates._current, self._ffi.from_buffer
         self._pins = pins = (
@@ -887,4 +1073,68 @@ class HopPolicer:
         state.current, state.previous, state.counts = pins
         state.nbytes, state.ncounts = min(len(pins[0]), len(pins[1])), len(pins[2])
         state.bits, state.hashes = current.bits, current.hashes
+        state.width, state.depth = ofd.width, ofd.depth
         state.threshold = ofd.window * ofd.overuse_factor  # what observe() compares with
+        state.rotated_at, state.duplicate_window = duplicates._rotated_at, duplicates.window
+        state.window_start, state.sketch_window = ofd._window_start, ofd.window
+
+    def reserve(self, count: int) -> None:
+        """Row and verdict buffers for a burst of ``count`` packets."""
+        self.rows, self.verdicts = bytearray(ROW.size * count), bytearray(count)
+        self.buffers = (self._ffi.from_buffer(self.rows), self._ffi.from_buffer(self.verdicts))
+
+    @property
+    def capacity(self) -> int:
+        """The most flows the table holds; setting it empties the table."""
+        return self.state.capacity
+
+    @capacity.setter
+    def capacity(self, flows: int) -> None:
+        if flows <= 0:
+            raise ValueError(f"flow capacity must be positive, got {flows}")
+        self.state.capacity, self.state.max_slots = flows, 1 << (2 * flows - 1).bit_length()
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every flow (the counters stay)."""
+        self.state.slots, self.state.nslots, self.state.count = self._ffi.NULL, 0, 0
+        self._move(min(64, self.state.max_slots))
+
+    def _move(self, slots: int) -> None:
+        table = bytearray(slots * self._ffi.sizeof("colibri_flow_t"))
+        self._table = (table, self._ffi.from_buffer("colibri_flow_t[]", table))
+        self._move_flows(self.state, self._table[1], slots)
+
+    def resume(self, count: int, stop: int, now: float, validate: int) -> int:
+        """After ``colibri_burst`` over rows ``:count`` returned ``stop``: do
+        what it stopped for before touching a row — double the flow table
+        (``GROW``), load the K_i of ``now``'s DRKey epoch and the one before
+        (``REKEY``) — and run on; the row Python takes (``count`` if none)."""
+        state, memmove, hop_key = self.state, self._ffi.memmove, self._keys.hop_key
+        while stop < 0 or (stop < count and self.verdicts[stop] >= GROW):
+            if stop < 0:
+                raise IndexError("the policing tables' geometry was refused")
+            if self.verdicts[stop] == GROW:
+                self._move(2 * state.nslots)
+            else:
+                epoch, previous = int(now // DRKEY_VALIDITY), now - DRKEY_VALIDITY
+                state.epoch, state.has_prev = epoch, previous >= 0
+                state.epoch_start, state.epoch_end = epoch * DRKEY_VALIDITY, (epoch + 1) * DRKEY_VALIDITY
+                memmove(state.key, self._schedule(hop_key(now)), 32)
+                if previous >= 0:
+                    state.prev_epoch = int(previous // DRKEY_VALIDITY)
+                    memmove(state.prev_key, self._schedule(hop_key(previous)), 32)
+            stop = self.run(state, self.buffers[0], count, stop, self.buffers[1], now, validate)
+        return stop
+
+    def snapshot(self) -> dict:
+        """The ``sigma_cache_*`` telemetry: the counters that have moved and
+        the flows held."""
+        state = self.state
+        values = {
+            f"sigma_cache_{name}": getattr(state, name)
+            for name in ("hits", "misses", "evictions", "rejected_hints")
+            if getattr(state, name)
+        }
+        values["sigma_cache_entries"] = state.count
+        return values

@@ -16,7 +16,6 @@ from repro.dataplane.ofd import OveruseFlowDetector
 from repro.dataplane.queueing import PriorityScheduler, TrafficClass
 from repro.dataplane.router import BorderRouter
 from repro.dataplane.shards import ShardExecutor, shard_of
-from repro.dataplane.sigma_cache import SigmaCache
 from repro.dataplane.token_bucket import TokenBucket
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "verify_segment_token",
     "ColibriGateway",
     "BorderRouter",
-    "SigmaCache",
     "ShardExecutor",
     "shard_of",
     "TokenBucket",

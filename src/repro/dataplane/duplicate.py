@@ -20,7 +20,7 @@ pseudorandom, and unpredictable without σ, so collisions cannot be aimed
 at the filter.  No second hash: bit ``i`` of a packet is ``(h1 + i·h2)
 mod bits`` over the MAC's two big-endian 64-bit halves (double hashing,
 any k).  A packet costs one pass over its k bits — here, or with
-:mod:`repro.crypto.native` loaded inside ``colibri_hop`` on these very
+:mod:`repro.crypto.native` loaded inside ``colibri_burst`` on these very
 buffers, this body then being the oracle; a rotation a new buffer.
 """
 
@@ -40,7 +40,7 @@ _HALVES = struct.Struct(">QQ").unpack  # raises unless given the 16 bytes of a M
 class _BloomFilter:
     """A k-position Bloom filter over a bit array."""
 
-    _repoint = staticmethod(lambda: None)  # a new buffer or geometry: native.HopPolicer
+    _repoint = staticmethod(lambda: None)  # a new buffer or geometry: native.BurstKernel
     bits, hashes = native.repointing("_bits"), native.repointing("_hashes")
 
     def __init__(self, bits: int, hashes: int):
@@ -68,6 +68,8 @@ class DuplicateSuppressor:
     #: fresh-packet fast path is unchanged.
     obs = None
     isd_as = ""
+    _repoint = staticmethod(lambda: None)  # a rotation: native.BurstKernel
+    _rotated_at = native.repointing("_rotated")
 
     def __init__(
         self,

@@ -132,7 +132,7 @@ def backend_name() -> str:
     ``tools/make_report.py`` prints it, so throughput is never compared
     across backends unknowingly.
     """
-    return "native" if native.available() else "python"
+    return "native" if native.backend() is not None else "python"
 
 
 def sigma_schedule(hop_auths, tag_len: int = L_HVF):
@@ -238,7 +238,7 @@ class ColibriKeys:
         ``check(key)`` verifies a MAC from ``remote``, raising on a
         mismatch; it runs on every call, and a key derived on a miss is
         memoized only after it passed, so a forged source plants nothing
-        (store-after-validate, as in the σ-cache).  Without it the caller
+        (store-after-validate, as in the flow table).  Without it the caller
         vouches for ``remote`` (the local AS).  The memo is soft state:
         emptying it changes no verdict, only the derivation count.
         """

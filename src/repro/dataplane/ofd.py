@@ -11,7 +11,7 @@ sizes**, its rows replaced every measurement window:
 
 * input per packet: the flow label ``(SrcAS, ResId)`` — all versions of
   an EER share it; one digest of it picks a cell per row, a pure function
-  the router memoizes beside σ — and the *normalized* size ``total size /
+  the router's flow table keeps beside σ — and the *normalized* size ``total size /
   reservation bandwidth`` (§4.8), the fraction of one second's budget
   the packet consumes;
 * a flow is reported when its estimated normalized volume within the
@@ -50,7 +50,7 @@ class OveruseFlowDetector:
     #: only when a flow is newly flagged).
     obs = None
     isd_as = ""
-    _repoint = staticmethod(lambda: None)  # new rows or factor: native.HopPolicer
+    _repoint = staticmethod(lambda: None)  # new rows or factor: native.BurstKernel
     overuse_factor = native.repointing("_overuse_factor")
 
     def __init__(
@@ -69,9 +69,8 @@ class OveruseFlowDetector:
         self.window = window
         self.overuse_factor = overuse_factor
         # Flat rows of doubles, r at [r*width, (r+1)*width), made by _roll;
-        # with the kernel loaded, colibri_hop adds into this same buffer.
+        # with the kernel loaded, colibri_burst adds into this same buffer.
         self._counts = array("d")
-        self._backend = native.backend()
         self._words = struct.Struct(f">{depth}I")
         self._window_start = -inf  # so the first packet opens the first window
         self._suspects: set = set()
@@ -94,19 +93,14 @@ class OveruseFlowDetector:
         big-endian 32-bit word of the label's BLAKE2b digest."""
         words, width = self._words, self.width
         digest = hashlib.blake2b(flow_label, digest_size=words.size).digest()
-        cells = tuple(row * width + word % width for row, word in enumerate(words.unpack(digest)))
-        # As the kernel takes them, still iterable: a memoized set is never converted.
-        return cells if self._backend is None else self._backend.ffi.new("uint32_t[]", cells)
+        return tuple(row * width + word % width for row, word in enumerate(words.unpack(digest)))
 
-    def observe(
-        self, flow_label: bytes, packet_size: int, bandwidth: float, now: float, cells=None
-    ) -> bool:
+    def observe(self, flow_label: bytes, packet_size: int, bandwidth: float, now: float) -> bool:
         """Record one packet; returns ``True`` if the flow is now suspect.
 
         ``packet_size`` is the total size in bytes (header included);
         ``bandwidth`` the reservation's guaranteed bits per second.
         Normalization makes one detector serve every bandwidth class.
-        ``cells``: this detector's :meth:`cells_for` of the label, if kept.
         """
         if now - self._window_start >= self.window:
             self._roll(now)
@@ -117,10 +111,9 @@ class OveruseFlowDetector:
             self._flag(flow_label, now)
             return True
         normalized = (packet_size * 8) / bandwidth  # seconds of budget
-        cells = cells or self.cells_for(flow_label)
         counts = self._counts
         estimate = inf
-        for cell in cells:
+        for cell in self.cells_for(flow_label):
             counts[cell] = count = counts[cell] + normalized
             if count < estimate:
                 estimate = count

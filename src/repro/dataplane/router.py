@@ -17,20 +17,24 @@ burst of one) takes each packet through the steps of the i-th on-path AS:
    the local CServ (SegR control packets), or to the destination host
    (last hop of an EER).
 
-The loop is fused, not staged in columns: a duplicate, an escalation or
-a σ-cache fill acts on the *next* packet of the same burst, exactly as
-under serial processing (docs/performance.md §9).
+The loop is fused, not staged in columns: a duplicate or an escalation
+acts on the *next* packet of the same burst, exactly as under serial
+processing (docs/performance.md §9).
 
-Step 3 is the hop's one hash.  A bounded LRU σ-cache
-(:mod:`repro.dataplane.sigma_cache`) holds a record per flow version: σ,
-the Eq. (4) input it was minted from, its Eq. (6) key schedule, the
-flow's sketch cells.  An entry is a *hint*: it counts only when the
-packet carries that same input and its HVF matches the MAC under σ;
-anything else falls back to the stateless Eq. (4) recompute, so verdicts
-never depend on cache contents (docs/performance.md §1).  The full MAC
-then names the packet to the duplicate filter (step 4) and the memoized
-cells index the sketch (step 5) — with :mod:`repro.crypto.native` loaded,
-steps 3-5 of a packet are one ``colibri_hop`` call on the router's tables.
+With :mod:`repro.crypto.native` loaded the loop is one C call,
+``colibri_burst``, over a 64-byte row per packet (:data:`native.ROW`):
+steps 1 and 3-5 in arrival order, one verdict byte per packet, on the
+tables ``DuplicateSuppressor`` and ``OveruseFlowDetector`` own.  σ comes
+from the kernel's flow table, keyed by (ResId, Ver, DRKey epoch): an
+entry counts only if the packet carries the very Eq. (4) input it was
+minted from and its HVF verifies under it; anything else derives σ from
+K_i, and an entry is stored only after its σ validated a packet, so
+verdicts never depend on the table (docs/performance.md §1).  The
+kernel hands a packet back to the Python body below — a SegR packet,
+a blocked source, a watched or suspect flow, no bandwidth, a due filter
+rotation or sketch roll, an estimate over the OFD threshold — and then
+resumes with the next one.  That body, stateless like the paper's
+router, is the whole loop under ``COLIBRI_NATIVE=0`` and the oracle.
 
 Every drop reason is an explicit enum member so tests, the simulator,
 and Table 2 accounting can distinguish *why* traffic died.
@@ -40,35 +44,24 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, List, Optional
 
-from repro.constants import DRKEY_VALIDITY, FRESHNESS_WINDOW, L_HVF, MAX_CLOCK_SKEW
+from repro.constants import DRKEY_VALIDITY, FRESHNESS_WINDOW, MAX_CLOCK_SKEW
+from repro.crypto import native
+from repro.crypto.mac import constant_time_equal, mac
 from repro.dataplane.blocklist import Blocklist
 from repro.dataplane.duplicate import DuplicateSuppressor
-from repro.dataplane.hvf import ColibriKeys, eer_hvf_message, hop_authenticator, segment_token
+from repro.dataplane.hvf import ColibriKeys, hop_authenticator, segment_token
 from repro.dataplane.monitor import DeterministicMonitor
 from repro.dataplane.ofd import OveruseFlowDetector
-from repro.dataplane.sigma_cache import SigmaCache, SigmaEntry
-from repro.crypto import native
-from repro.crypto.mac import constant_time_equal
 from repro.obs.events import VERDICT_DROPPED
-from repro.packets.colibri import ColibriPacket, PacketType
-from repro.packets.fields import PathField, ResInfo, Timestamp
+from repro.packets.colibri import ColibriPacket, HvfVector, PacketType
 from repro.topology.addresses import IsdAs
 from repro.util.clock import Clock
 
-# Wire-form field readers for validate_wire_batch: ``unpack_from`` reads
-# straight out of the arena buffer (fresh ``bytes`` for ``s`` fields).
-_TS_WIRE = Timestamp.WIRE
-_WIRE_MESSAGE = struct.Struct("!QI")  # Eq. (6) input, Ts word || PktSize
-_pack_size = struct.Struct("!I").pack  # its PktSize half, after ``Ts.packed``
-_HVF_TAG = struct.Struct(f"!{L_HVF}s")
-_PAIR_WIRE = PathField.WIRE_PAIR
-_SEQ_BITS = Timestamp._SEQ_BITS
-# What steps 3-5 made of an EER packet, as ``colibri_hop`` returns it (less
-# is refused, more is over the threshold), and the drop the first two mean.
-_BAD_HVF, _DUPLICATE, _POLICED = 0, 1, 2
+_pack_size = struct.Struct("!I").pack  # Eq. (6)'s PktSize, after ``Ts.packed``
+_new = tuple.__new__
 
 
 class Verdict(enum.Enum):
@@ -104,15 +97,16 @@ for _verdict in Verdict:
         Verdict.DROP_BAD_HVF,
     )
 del _verdict
-_DROPS = (Verdict.DROP_BAD_HVF, Verdict.DROP_DUPLICATE)
 _FORWARD, _DELIVER_HOST = Verdict.FORWARD, Verdict.DELIVER_HOST  # a member read is ~0.1 µs
+_V_FORWARD, _V_DELIVER, _LAST, _PYTHON = native.FORWARD, native.DELIVER, native.F_LAST, native.F_PYTHON
+_PACK_ROW, _EER = native.ROW.pack_into, PacketType.EER_DATA  # per-packet reads, hoisted
+#: The drop a kernel verdict byte means, at its value (EXPIRED to DUPLICATE).
+_DROPPED = (None,) * native.EXPIRED + (
+    Verdict.DROP_EXPIRED, Verdict.DROP_STALE, Verdict.DROP_BAD_HVF, Verdict.DROP_DUPLICATE)
 
 
-@dataclass
-class RouterResult:
-    verdict: Verdict
-    packet: ColibriPacket
-    egress: Optional[int] = None  # interface to forward on (FORWARD only)
+#: A packet's verdict and, for FORWARD only, the interface to forward on.
+RouterResult = namedtuple("RouterResult", "verdict packet egress", defaults=(None,))
 
 
 class BorderRouter:
@@ -135,8 +129,6 @@ class BorderRouter:
         ofd: Optional[OveruseFlowDetector] = None,
         monitor: Optional[DeterministicMonitor] = None,
         on_offense: Optional[Callable] = None,
-        sigma_cache: Optional[SigmaCache] = None,
-        enable_sigma_cache: bool = True,
     ):
         self.isd_as = isd_as
         self.keys = keys
@@ -148,80 +140,36 @@ class BorderRouter:
         #: Called with (source AS, reservation id) when overuse is
         #: confirmed — the report to the local CServ (§4.8).
         self.on_offense = on_offense
-        #: Soft state only: ``None`` (``enable_sigma_cache=False``) runs
-        #: the seed's fully stateless path, bit-for-bit.
-        if sigma_cache is None and enable_sigma_cache:
-            sigma_cache = SigmaCache()
-        self.sigma_cache = sigma_cache
-        #: The kernel's handle on the policing tables, if it is loaded.
+        #: The burst kernel and its flow table (soft state), if loaded.
         backend = native.backend()
-        self._policer = backend and native.HopPolicer(backend, self.duplicates, self.ofd)
+        self.kernel = backend and native.BurstKernel(backend, keys, self.duplicates, self.ofd)
         self.stats = {verdict: 0 for verdict in Verdict}
 
-    # -- helpers --------------------------------------------------------------------
+    # -- the Python body ----------------------------------------------------------------
 
-    def _authenticate(self, packet: ColibriPacket, now: float, message: bytes) -> bool:
-        """Recompute (or cache-confirm) the HVF for the current hop;
-        ``message`` is the Eq. (6) input (unused by Eq. (3) SegR tokens).
-
-        HopAuths and tokens are minted from the hop key of the epoch in
-        which the reservation was *set up*; DRKey epochs last a day while
-        reservations live minutes, so a reservation can straddle one
-        boundary: try the current epoch's key, then the previous epoch's
+    def _authenticate(self, packet: ColibriPacket, now: float, message: bytes) -> Optional[bytes]:
+        """The stateless step 3: the Eq. (3) token (SegR) or the full Eq. (6)
+        MAC under the σ recomputed by Eq. (4) (EER, over ``message``) if the
+        packet's HVF is its start, else ``None``.  HopAuths and tokens are
+        minted from the hop key of the epoch the reservation was *set up*
+        in; DRKey epochs last a day, reservations minutes, so one can
+        straddle a boundary: try this epoch's key, then the previous one's
         (both derive from local secrets — still zero per-flow state).
-
-        For EER packets a σ-cache entry counts, as in ``_burst``, only if
-        bound to this packet's Eq. (4) input (same objects, else equal
-        ones) and its Eq. (6) MAC matches the HVF.
         """
-        res_info = packet.res_info
-        hop_index = packet.hop_index
-        hvf = packet.hvfs[hop_index]
-        pair = packet.path.interface_pairs[hop_index]
-        if packet.packet_type != PacketType.EER_DATA:
-            for when in (now, now - DRKEY_VALIDITY):
-                if when < 0:
-                    continue
-                hop_key = self.keys.hop_key(when)
-                if constant_time_equal(segment_token(hop_key, res_info, *pair), hvf):
-                    return True
-            return False
-        eer_info = packet.eer_info
-        cache = self.sigma_cache
-        if cache is not None:
-            epoch = int(now // DRKEY_VALIDITY)
-            entry = cache.lookup(res_info.reservation.packed, res_info.version, epoch)
-            if entry is not None:
-                bound = entry.res_info
-                if (
-                    (bound is res_info or bound == res_info)
-                    and (entry.eer_info is eer_info or entry.eer_info == eer_info)
-                    and entry.pair == pair
-                    and entry.verify(message, hvf) is not None
-                ):
-                    return True
-                cache.rejected_hints += 1
-        return self._recompute(res_info, eer_info, pair, message, hvf, now) is not None
-
-    def _recompute(self, res_info, eer_info, pair, message: bytes, tag: bytes, now: float):
-        """The stateless Eq. (4) + (6) check: derive σ from the AS secret
-        of the current and then the previous DRKey epoch and compare the
-        HVF it implies against ``tag`` in constant time.  Returns the
-        flow's entry, or ``None``; the entry is cached only now that its σ
-        validated a packet, so forged headers can never plant entries.
-        """
+        res_info, hop_index = packet.res_info, packet.hop_index
+        hvf, pair = packet.hvfs[hop_index], packet.path.interface_pairs[hop_index]
         for when in (now, now - DRKEY_VALIDITY):
             if when < 0:
                 continue
-            sigma = hop_authenticator(self.keys.hop_key(when), res_info, eer_info, *pair)
-            entry = SigmaEntry(sigma, res_info, eer_info, pair)
-            if entry.verify(message, tag) is not None:
-                if self.sigma_cache is not None:
-                    epoch = int(when // DRKEY_VALIDITY)
-                    self.sigma_cache.store(
-                        (res_info.reservation.packed, res_info.version, epoch), entry
-                    )
-                return entry
+            key = self.keys.hop_key(when)
+            if packet.packet_type != PacketType.EER_DATA:
+                token = segment_token(key, res_info, *pair)
+                if constant_time_equal(token, hvf):
+                    return token
+            else:
+                full = mac(hop_authenticator(key, res_info, packet.eer_info, *pair), message)
+                if constant_time_equal(full[: len(hvf)], hvf):
+                    return full
         return None
 
     def _finish(self, packet: ColibriPacket, verdict: Verdict) -> RouterResult:
@@ -244,6 +192,64 @@ class BorderRouter:
                 )
         return RouterResult(verdict, packet)
 
+    def _packet(self, packet: ColibriPacket, now: float) -> RouterResult:
+        """Steps 1-6 for one packet, in Python: the ``COLIBRI_NATIVE=0``
+        loop, the oracle, and the packets the kernel hands back."""
+        res_info = packet.res_info
+        # 1. Reservation expiry (allow the paper's assumed clock skew) and
+        # packet freshness: Ts encodes µs before expiry.
+        expiry = res_info.expiry
+        if now > expiry + MAX_CLOCK_SKEW:
+            return self._finish(packet, Verdict.DROP_EXPIRED)
+        if abs(now - (expiry - packet.timestamp.micros_before_expiry / 1e6)) > FRESHNESS_WINDOW:
+            return self._finish(packet, Verdict.DROP_STALE)
+        # 2. Policing blocklist — cheap, before any crypto.
+        reservation = res_info.reservation
+        if self.blocklist._blocked and self.blocklist.is_blocked(reservation.src_as, now):
+            return self._finish(packet, Verdict.DROP_BLOCKED)
+        # 3. Cryptographic validation (Eq. 3 or Eq. 4+6) over PktSize.
+        if packet.packet_type != PacketType.EER_DATA:
+            # SegR control traffic: the local CServ authenticates the
+            # payload (DRKey) and re-injects requests in transit.
+            if self._authenticate(packet, now, b"") is None:
+                return self._finish(packet, Verdict.DROP_BAD_HVF)
+            self.stats[Verdict.DELIVER_CSERV] += 1
+            return RouterResult(Verdict.DELIVER_CSERV, packet)
+        size = packet.total_size
+        identifier = self._authenticate(packet, now, packet.timestamp.packed + _pack_size(size))
+        if identifier is None:
+            return self._finish(packet, Verdict.DROP_BAD_HVF)
+        # 4. Replay suppression on the MAC as the packet's unique name.
+        if not self.duplicates.check_and_insert(identifier, now):
+            return self._finish(packet, Verdict.DROP_DUPLICATE)
+        # 5. Overuse detection.
+        suspect = self.ofd.observe(reservation.packed, size, res_info.bandwidth, now)
+        return self._policed(packet, size, suspect, now)
+
+    def _policed(self, packet: ColibriPacket, size: int, suspect: bool, now: float) -> RouterResult:
+        """Steps 5b-6 of a packet the OFD has seen: the monitor checks the
+        OFD's suspects exactly, a confirmed overuser's AS is blocked and
+        reported (§4.8); then forward towards the destination."""
+        monitor, reservation = self.monitor, packet.res_info.reservation
+        flow_label = reservation.packed
+        if suspect and not monitor.is_watched(flow_label):
+            monitor.watch(flow_label, packet.res_info.bandwidth, now)
+        if not monitor._buckets:
+            monitor.packets_passed += 1
+        elif not monitor.check(flow_label, size, now):
+            if monitor.is_confirmed_overuser(flow_label):
+                self.blocklist.block(reservation.src_as)
+                if self.on_offense is not None:
+                    self.on_offense(reservation.src_as, reservation)
+            return self._finish(packet, Verdict.DROP_OVERUSE)
+        hop_index, pairs = packet.hop_index, packet.path.interface_pairs
+        if hop_index == len(pairs) - 1:
+            self.stats[_DELIVER_HOST] += 1
+            return RouterResult(_DELIVER_HOST, packet)
+        packet.hop_index = hop_index + 1
+        self.stats[_FORWARD] += 1
+        return RouterResult(_FORWARD, packet, pairs[hop_index][1])
+
     # -- the fast path -----------------------------------------------------------------
 
     def process(self, packet: ColibriPacket) -> RouterResult:
@@ -261,220 +267,141 @@ class BorderRouter:
         return self._burst(packets)
 
     def _burst(self, packets) -> List[RouterResult]:
-        """Steps 1-6 per packet in arrival order, the pipeline's only body, so
-        its set-up is what a lone packet pays: the clock, the live blocklist and
-        bucket dicts (no call while empty), and — at the first packet, again
-        after the trio ran (looked up on the instances: tracers shadow it) —
-        whether ``colibri_hop`` may police (not while a rotation or roll is due).
-        Tallies kept in locals reach their counters even if a packet raises."""
+        """Steps 1-6 per packet in arrival order, the pipeline's only loop: one
+        kernel call per stretch between the packets it hands back.  Tallies
+        kept in locals reach their counters even if a packet raises."""
         now = self.clock.now()
-        epoch = int(now // DRKEY_VALIDITY)
-        cache, blocked = self.sigma_cache, self.blocklist._blocked
-        duplicates, ofd, suspects = self.duplicates, self.ofd, self.ofd._suspects
-        monitor, buckets = self.monitor, self.monitor._buckets
-        policer = self._policer
-        police, hop, recheck = None, policer and policer.hop, policer is not None
-        header_sizes = ColibriPacket._HEADER_SIZES
-        forwarded = delivered = policed = passed = 0
+        kernel = self.kernel
+        if kernel is None:
+            return [self._packet(packet, now) for packet in packets]
+        egresses, flagged = self._pack(kernel, packets)
+        count, verdicts, rows = len(packets), kernel.verdicts, kernel.rows
+        run, state, (rows_c, verdicts_c) = kernel.run, kernel.state, kernel.buffers
         results = []
         append = results.append
+        start = forwarded = delivered = over = 0
         try:
-            for packet in packets:
-                if recheck:  # the trio's own compares: a due rotation or roll is its to do
-                    recheck, due = False, now - duplicates._rotated_at >= duplicates.window
-                    police = None if due or now - ofd._window_start >= ofd.window else policer.state
-                res_info = packet.res_info
-                timestamp = packet.timestamp
-                # 1. Reservation expiry (allow the paper's assumed clock skew).
-                expiry = res_info.expiry
-                if now > expiry + MAX_CLOCK_SKEW:
-                    append(self._finish(packet, Verdict.DROP_EXPIRED))
-                    continue
-                # 1b. Packet freshness: Ts encodes µs before expiry.
-                created = expiry - timestamp.micros_before_expiry / 1e6
-                if abs(now - created) > FRESHNESS_WINDOW:
-                    append(self._finish(packet, Verdict.DROP_STALE))
-                    continue
-                # 2. Policing blocklist — cheap, before any crypto.
-                reservation = res_info.reservation
-                if blocked and self.blocklist.is_blocked(reservation.src_as, now):
-                    append(self._finish(packet, Verdict.DROP_BLOCKED))
-                    continue
-                # 3. Cryptographic validation (Eq. 3 or Eq. 4+6) over PktSize.
-                if packet.packet_type != PacketType.EER_DATA:
-                    # SegR control traffic: the local CServ authenticates the
-                    # payload (DRKey) and re-injects requests in transit.
-                    if self._authenticate(packet, now, b""):
-                        self.stats[Verdict.DELIVER_CSERV] += 1
-                        append(RouterResult(Verdict.DELIVER_CSERV, packet))
+            while start < count:
+                stop = run(state, rows_c, count, start, verdicts_c, now, 0)
+                if stop < count:
+                    stop = kernel.resume(count, stop, now, 0)
+                for index in range(start, stop):
+                    code = verdicts[index]
+                    if code == _V_FORWARD:
+                        packet = packets[index]
+                        packet.hop_index += 1
+                        forwarded += 1
+                        append(_new(RouterResult, (_FORWARD, packet, egresses[index])))
+                    elif code == _V_DELIVER:
+                        delivered += 1
+                        append(_new(RouterResult, (_DELIVER_HOST, packets[index], None)))
                     else:
-                        append(self._finish(packet, Verdict.DROP_BAD_HVF))
-                    continue
-                pairs = packet.path.interface_pairs
-                size = header_sizes.get((len(pairs), True))
-                size = packet.total_size if size is None else size + len(packet.payload)
-                message = timestamp.packed + _pack_size(size)
-                hop_index = packet.hop_index
-                pair = pairs[hop_index]
-                hvf = packet.hvfs[hop_index]
-                eer_info = packet.eer_info
-                flow_label = reservation.packed
-                bandwidth = res_info.bandwidth
-                # The flow's record, if bound to this very Eq. (4) input and its
-                # σ explains the HVF, else the stateless recompute's (bound by
-                # construction); either is policed the same way.
-                hint = entry = None
-                if cache is not None:
-                    hint = entry = cache.lookup(flow_label, res_info.version, epoch)
-                while True:
-                    if entry is None:
-                        entry = self._recompute(res_info, eer_info, pair, message, hvf, now)
-                        if entry is None:
-                            outcome = _BAD_HVF
-                            break
-                    if entry.detector is not ofd:
-                        entry.detector, entry.cells = ofd, ofd.cells_for(flow_label)
-                    cells = entry.cells
-                    # 3-5. Verify, replay suppression on the MAC as the packet's
-                    # unique name, overuse detection: one C call, or the trio.
-                    if not (
-                        (entry.res_info is res_info or entry.res_info == res_info)
-                        and (entry.eer_info is eer_info or entry.eer_info == eer_info)
-                        and entry.pair == pair
-                    ):
-                        outcome = _BAD_HVF
-                    elif police is not None and bandwidth > 0:
-                        outcome = hop(
-                            police, entry.schedule, message, len(message), hvf, len(hvf),
-                            cells, len(cells), size * 8 / bandwidth,
-                        )
-                        if outcome >= _POLICED:
-                            policed += 1
-                            over = outcome > _POLICED
-                            suspect = (over or suspects) and ofd._judge(flow_label, over, now)
-                        elif outcome == _DUPLICATE:
-                            duplicates._caught(policer.mac[:])
-                        elif outcome < _BAD_HVF:
-                            raise IndexError(f"policing tables or cells {list(cells)} refused")
-                    else:
-                        mac = entry.verify(message, hvf)
-                        if mac is None:
-                            outcome = _BAD_HVF
-                        elif not duplicates.check_and_insert(mac, now):
-                            outcome = _DUPLICATE
-                        else:
-                            outcome = _POLICED
-                            suspect = ofd.observe(flow_label, size, bandwidth, now, cells)
-                        recheck = policer is not None  # did it rotate or roll?
-                    if outcome != _BAD_HVF or entry is not hint:
-                        break
-                    cache.rejected_hints += 1
-                    entry = None
-                if outcome < _POLICED:
-                    append(self._finish(packet, _DROPS[outcome]))
-                    continue
-                # 5b. The monitor checks the OFD's suspects exactly; a confirmed
-                # overuser's AS is blocked and reported (§4.8).
-                if suspect and not monitor.is_watched(flow_label):
-                    monitor.watch(flow_label, bandwidth, now)
-                if not buckets:
-                    passed += 1
-                elif not monitor.check(flow_label, size, now):
-                    if monitor.is_confirmed_overuser(flow_label):
-                        self.blocklist.block(reservation.src_as)
-                        if self.on_offense is not None:
-                            self.on_offense(reservation.src_as, reservation)
-                    append(self._finish(packet, Verdict.DROP_OVERUSE))
-                    continue
-                # 6. Forward towards the destination.
-                if hop_index == len(pairs) - 1:
-                    delivered += 1
-                    append(RouterResult(_DELIVER_HOST, packet))
+                        if code == native.DUPLICATE:  # the kernel left the MAC in the row
+                            at = native.ROW.size * index
+                            self.duplicates._caught(bytes(rows[at : at + 16]))
+                        append(self._finish(packets[index], _DROPPED[code]))
+                if stop == count:
+                    break
+                packet, code, start = packets[stop], verdicts[stop], stop + 1
+                if code == native.PYTHON:
+                    append(self._packet(packet, now))
+                elif code == native.OVER:  # policed over the threshold: the OFD judges
+                    over += 1
+                    suspect = self.ofd._judge(packet.res_info.reservation.packed, True, now)
+                    append(self._policed(packet, packet.total_size, suspect, now))
                 else:
-                    packet.hop_index = hop_index + 1
-                    forwarded += 1
-                    append(RouterResult(_FORWARD, packet, pair[1]))
+                    raise IndexError("a flow's sketch cells lie outside the sketch")
+                if flagged or self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects:
+                    flagged = self._flag(packets, rows, start)
         finally:
             self.stats[_FORWARD] += forwarded
             self.stats[_DELIVER_HOST] += delivered
-            duplicates._current.insertions += policed
-            ofd.packets_seen += policed
-            monitor.packets_passed += passed
+            policed = forwarded + delivered + over
+            self.duplicates._current.insertions += policed
+            self.ofd.packets_seen += policed
+            self.monitor.packets_passed += forwarded + delivered
         return results
 
-    # -- bench support --------------------------------------------------------------------
+    def _pack(self, kernel, packets, police: bool = True) -> tuple:
+        """One :data:`native.ROW` per packet into the kernel's buffer; returns
+        the egress interfaces and whether :meth:`_flag` marked a row."""
+        if len(packets) > len(kernel.verdicts):
+            kernel.reserve(len(packets))
+        rows, pack, sizes = kernel.rows, _PACK_ROW, ColibriPacket._HEADER_SIZES
+        egresses = []
+        append = egresses.append
+        offset = 0
+        for packet in packets:
+            reservation, bandwidth, expiry, version = packet.res_info
+            pairs = packet.path.interface_pairs
+            hop_index = packet.hop_index
+            ingress, egress = pairs[hop_index]
+            append(egress)
+            hvf = packet.hvfs
+            if hvf.__class__ is HvfVector:  # its slice, without the method call
+                at = hvf.start + 4 * hop_index
+                hvf = hvf.buffer[at : at + 4]
+            else:
+                hvf = hvf[hop_index]
+            flags = _LAST if hop_index == len(pairs) - 1 else 0
+            if packet.packet_type == _EER and len(hvf) == 4:
+                (source,), (destination,) = packet.eer_info
+                size = sizes.get((len(pairs), True))
+                size = packet.total_size if size is None else size + len(packet.payload)
+            else:  # a SegR packet (Eq. 3), or a tag of another width: Python's
+                flags, source, destination, size, hvf = flags | _PYTHON, 0, 0, 0, b""
+            pack(
+                rows, offset, reservation.packed, bandwidth, expiry, version, source,
+                destination, ingress, egress, packet.timestamp.packed, size, hvf, flags,
+            )
+            offset += 64
+        flagged = police and (self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects)
+        return egresses, bool(flagged) and self._flag(packets, rows, 0)
+
+    def _flag(self, packets, rows, start: int) -> bool:
+        """Mark the rows from ``start`` on whose source is blocked or whose
+        flow is watched or suspect — the kernel hands those to :meth:`_packet`
+        — and unmark the rest; whether any is marked."""
+        blocked, watched, suspects = self.blocklist._blocked, self.monitor._buckets, self.ofd._suspects
+        marked = False
+        for index in range(start, len(packets)):
+            reservation = packets[index].res_info.reservation
+            label, at = reservation.packed, native.ROW.size * index + 58  # its flags byte
+            if reservation.src_as in blocked or label in watched or label in suspects:
+                rows[at] |= native.F_FLAGGED
+                marked = True
+            else:
+                rows[at] &= ~native.F_FLAGGED
+        return marked
+
+    # -- bench support ---------------------------------------------------------------
 
     def validate_only(self, packet: ColibriPacket) -> bool:
-        """Just the cryptographic hot loop (expiry + freshness + MAC), the
-        cost Figs. 5-6 measure for the border router."""
-        return self._validate_one(packet, self.clock.now())
+        """Expiry, freshness and the MAC: the cost Figs. 5-6 measure for a router."""
+        return self.validate_batch((packet,))[0]
 
     def validate_batch(self, packets) -> List[bool]:
-        """:meth:`validate_only` over a burst, clock read hoisted."""
+        """:meth:`validate_only` over a burst: steps 1 and 3, tables untouched."""
         now = self.clock.now()
-        validate_one = self._validate_one
-        return [validate_one(packet, now) for packet in packets]
+        kernel = self.kernel
+        if kernel is None:
+            return [self._validate_one(packet, now) for packet in packets]
+        self._pack(kernel, packets, police=False)
+        count, verdicts, valid, start = len(packets), kernel.verdicts, [], 0
+        run, state, (rows_c, verdicts_c) = kernel.run, kernel.state, kernel.buffers
+        while start < count:
+            stop = kernel.resume(count, run(state, rows_c, count, start, verdicts_c, now, 1), now, 1)
+            valid += [code == native.FORWARD for code in verdicts[start:stop]]
+            if stop < count:
+                valid.append(self._validate_one(packets[stop], now))
+            start = stop + 1
+        return valid
 
     def _validate_one(self, packet: ColibriPacket, now: float) -> bool:
         expiry = packet.res_info.expiry
         if now > expiry + MAX_CLOCK_SKEW:
             return False
-        # Freshness: created at expiry - µs/1e6, Ts encoding µs before expiry.
-        if abs(now - expiry + packet.timestamp.micros_before_expiry / 1e6) > FRESHNESS_WINDOW:
+        if abs(now - (expiry - packet.timestamp.micros_before_expiry / 1e6)) > FRESHNESS_WINDOW:
             return False
-        message = eer_hvf_message(packet.timestamp, packet.total_size)
-        return self._authenticate(packet, now, message)
-
-    def validate_wire_batch(self, views) -> List[bool]:
-        """:meth:`validate_batch` over zero-copy wire packets.
-
-        Takes the :class:`~repro.packets.colibri.WirePacketView` bursts
-        the gateway's ``send_batch_wire`` produces and validates each
-        packet *in place* inside its arena slot: expiry, freshness and
-        the σ-cache hit (bound-input compare, Eq. (6) check) read header
-        fields straight from the wire buffer; only a miss or rejected
-        hint parses the packet, for the stateless Eq. (4) recompute.
-        Verdicts (and cache counters) equal :meth:`validate_batch`'s.
-        """
-        now = self.clock.now()
-        validate_one = self._validate_wire_one
-        return [validate_one(view, now) for view in views]
-
-    def _validate_wire_one(self, view, now: float) -> bool:
-        buffer = view.buffer
-        base = view.offset
-        if buffer[base + 3] & 0x0F != PacketType.EER_DATA:
-            # Control traffic is off the wire fast path entirely.
-            return self._validate_one(ColibriPacket.from_bytes(view.materialize()), now)
-        hop_count = buffer[base + 4]
-        hop_index = buffer[base + 5]
-        offsets = ColibriPacket.wire_offsets(hop_count, True)
-        reservation_packed, _bandwidth, expiry, version = ResInfo.WIRE.unpack_from(
-            buffer, base + offsets.res
-        )
-        if now > expiry + MAX_CLOCK_SKEW:
-            return False
-        (ts_word,) = _TS_WIRE.unpack_from(buffer, base + offsets.ts)
-        if abs(now - expiry + (ts_word >> _SEQ_BITS) / 1e6) > FRESHNESS_WINDOW:
-            return False
-        (tag,) = _HVF_TAG.unpack_from(buffer, base + offsets.hvf + hop_index * L_HVF)
-        message = _WIRE_MESSAGE.pack(ts_word, view.length)
-        cache = self.sigma_cache
-        if cache is not None:
-            entry = cache.lookup(reservation_packed, version, int(now // DRKEY_VALIDITY))
-            if entry is not None:
-                # Bound input: ResInfo || EERInfo as one header slice, and (In, Eg).
-                pair_at = base + offsets.path + 4 * hop_index
-                if (
-                    buffer[base + offsets.res : base + offsets.ts] == entry.wire
-                    and _PAIR_WIRE.unpack_from(buffer, pair_at) == entry.pair
-                    and entry.verify(message, tag) is not None
-                ):
-                    return True
-                cache.rejected_hints += 1
-        # Cold half: parse the packet out of the arena only here, where
-        # the MAC recompute already dominates the copy.
-        packet = ColibriPacket.from_bytes(view.materialize())
-        return self._recompute(
-            packet.res_info, packet.eer_info, packet.current_pair(), message, tag, now
-        ) is not None
+        message = packet.timestamp.packed + _pack_size(packet.total_size)
+        return self._authenticate(packet, now, message) is not None

@@ -113,7 +113,7 @@ class ShardOutcome:
     elapsed: float  # seconds inside the timed loop only
     pps: float
     #: Telemetry counters of the shard's private stack (gateway/monitor
-    #: packet counts, σ-cache hits/misses), snapshotted in the worker and
+    #: packet counts; none for a router), snapshotted in the worker and
     #: shipped back across the process boundary.  Before this field
     #: existed the per-process counters died with the worker, so a
     #: sharded run reported throughput with a blank forensic record.
@@ -255,15 +255,11 @@ def _router_workload(spec: ShardSpec):
     loop.
 
     Returns ``(loop, snapshot)`` like :func:`_gateway_workload`; the
-    router's counters are its σ-cache statistics (the validation loop
-    bypasses the verdict pipeline, so cache behaviour *is* its telemetry)."""
+    validation loop bypasses the verdict pipeline, so a router shard has
+    no counters to report."""
     router, packets = _router_stack(spec)
     rng = random.Random(spec.seed + spec.shard_index)
-
-    def snapshot() -> dict:
-        cache = router.sigma_cache
-        return dict(cache.snapshot()) if cache is not None else {}
-
+    snapshot = dict
     if not packets:
         return (lambda: 0), snapshot
     batches = [
@@ -305,7 +301,7 @@ def run_shard(spec: ShardSpec) -> ShardOutcome:
     """
     loop, snapshot = _workload(spec)
     # One untimed warm-up pass brings soft state to steady state — the
-    # router's σ-cache fills, lazily packed header fields materialize —
+    # router's flow table fills, lazily packed header fields materialize —
     # so the timed pass measures sustained throughput, the quantity the
     # paper's Fig. 6 reports.  Counters cover warm-up + timed pass — the
     # shard's whole life — and are read inside the worker, before the

@@ -3,7 +3,7 @@ exposition renderer.
 
 Instruments cover what the paper's evaluation measures — latency
 *distributions* (admission percentiles, §6.1), point-in-time *levels*
-(token-bucket occupancy, σ-cache fill) and event counts.  Components
+(token-bucket occupancy, flow-table fill) and event counts.  Components
 that already keep plain per-entity counters (the per-AS
 :meth:`~repro.sim.scenario.ColibriNetwork.telemetry` snapshot, the shard
 executor's per-shard counters) are not copied in: the registry exports

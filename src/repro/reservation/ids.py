@@ -32,7 +32,7 @@ class ReservationId(namedtuple("ReservationId", "src_as local_id")):
     def packed(self) -> bytes:
         """12-byte wire form: 8 bytes SrcAS + 4 bytes counter.
 
-        Cached: the wire form is the flow label (§4.8), the σ-cache key
+        Cached: the wire form is the flow label (§4.8), the flow-table key
         component, and the replay identifier prefix, so the router reads
         it several times per data packet.  (``cached_property`` writes
         the instance ``__dict__`` directly; the fields are tuple items.)

@@ -57,7 +57,7 @@ TELEMETRY_HELP = {
     "router_forwarded": "Packets forwarded or delivered by the border router",
     "blocked_sources": "Source ASes currently on the policing blocklist",
     "offenses": "Confirmed overuse offenses reported to the CServ",
-    "sigma_cache_entries": "Live HopAuth entries in the border-router sigma cache",
+    "sigma_cache_entries": "Flows in the border-router kernel's flow table",
 }
 
 
@@ -572,11 +572,11 @@ class ColibriNetwork:
                 "offenses": stack.cserv.offenses_reported,
                 "replays": stack.cserv.replays,
             }
-            # σ-cache effectiveness of this AS's border router (absent
-            # when the cache is disabled): hits/misses/evictions plus
-            # rejected hints, prefixed ``sigma_cache_``.
-            if stack.router.sigma_cache is not None:
-                snapshot.update(stack.router.sigma_cache.snapshot())
+            # The flow table of this AS's border router (absent without
+            # the kernel): hits/misses/evictions plus rejected entries,
+            # prefixed ``sigma_cache_``.
+            if stack.router.kernel is not None:
+                snapshot.update(stack.router.kernel.snapshot())
             per_as[str(isd_as)] = snapshot
             for key, value in snapshot.items():
                 total[key] = total.get(key, 0) + value

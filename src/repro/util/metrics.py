@@ -6,7 +6,7 @@ import math
 
 
 def merge_counters(snapshots: list) -> dict:
-    """Key-wise sum of counter snapshots (the ``SigmaCache.snapshot`` /
+    """Key-wise sum of counter snapshots (the ``BurstKernel.snapshot`` /
     router ``stats`` shape): how the shard executor folds per-process
     telemetry back into one view.  Associative and commutative, so the
     merge order across shards cannot change the result."""

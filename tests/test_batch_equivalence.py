@@ -18,7 +18,6 @@ contract:
 """
 
 import collections
-import hashlib
 import multiprocessing
 import os
 import random
@@ -33,7 +32,6 @@ from repro.dataplane.gateway import ColibriGateway, split_batch
 from repro.dataplane.router import BorderRouter, Verdict
 from repro.dataplane import shards
 from repro.dataplane.shards import ShardExecutor, ShardSpec, run_shard, shard_of
-from repro.dataplane.sigma_cache import SigmaCache, SigmaEntry
 from repro.errors import BandwidthExceeded, ReservationNotFound, SimulationError
 from repro.packets.colibri import ColibriPacket, WirePacketView
 from repro.packets.fields import EerInfo, PathField, ResInfo
@@ -41,6 +39,7 @@ from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.util.clock import PerfClock, SimClock
 from repro.util.units import gbps, mbps
+from tests import test_router_differential as differential
 
 SRC = IsdAs.parse("1-ff00:0:110")
 MID = IsdAs.parse("1-ff00:0:111")
@@ -49,15 +48,17 @@ PATH = PathField(((0, 1), (2, 3), (4, 0)))
 EER = EerInfo(HostAddr(1), HostAddr(2))
 
 
-def make_stack(now=1000.0, cache=True, capacity=None):
-    """A source gateway plus the middle AS's router (hop index 1)."""
+def make_stack(now=1000.0, kernel=True, capacity=None):
+    """A source gateway plus the middle AS's router (hop index 1); without
+    ``kernel``, a router that runs the Python body alone."""
     clock = SimClock(now)
     mid_keys = ColibriKeys(DrkeyDeriver(MID, clock, seed=b"mid" * 6))
     gateway = ColibriGateway(SRC, clock)
-    if capacity is not None:
-        router = BorderRouter(MID, mid_keys, clock, sigma_cache=SigmaCache(capacity=capacity))
-    else:
-        router = BorderRouter(MID, mid_keys, clock, enable_sigma_cache=cache)
+    router = BorderRouter(MID, mid_keys, clock)
+    if not kernel:
+        router.kernel = None
+    elif capacity is not None:
+        router.kernel.capacity = capacity
     return clock, gateway, router, mid_keys
 
 
@@ -83,15 +84,28 @@ def arriving(gateway, res_id, payload=b"data"):
     return packet
 
 
+def _native_backend():
+    from repro.crypto import native
+
+    return native.backend()
+
+
+def schedule_of(slot) -> bytes:
+    return _native_backend().ffi.buffer(slot.sched)[:]
+
+
+@pytest.mark.skipif(_native_backend() is None, reason="the flow table is the kernel's")
 class TestSigmaCacheInvalidation:
+    """The kernel's flow table, (ResId, Ver, epoch) -> σ's schedule and cells:
+    soft state that answers only for the input it was minted from."""
+
     def test_renewal_misses_and_stores_fresh_sigma(self):
         clock, gateway, router, mid_keys = make_stack()
-        cache = router.sigma_cache
+        table = router.kernel
         res_id, _ = install(gateway, mid_keys, clock, version=1)
         assert router.validate_only(arriving(gateway, res_id))
         assert router.validate_only(arriving(gateway, res_id))
-        assert cache.hits == 1
-        assert cache.misses == 1
+        assert (table.state.hits, table.state.misses) == (1, 1)
 
         # Renewal: version 2 has a different ResInfo, hence different σs.
         install(gateway, mid_keys, clock, local_id=5, version=2)
@@ -99,22 +113,21 @@ class TestSigmaCacheInvalidation:
         assert packet.res_info.version == 2
         assert router.validate_only(packet)
         # The new version missed (fresh recompute), it did not reuse v1.
-        assert cache.misses == 2
-        assert len(cache) == 2
+        assert table.state.misses == 2
+        assert table.state.count == 2
         epoch = int(clock.now() // DRKEY_VALIDITY)
-        v1 = cache.lookup(res_id.packed, 1, epoch)
-        v2 = cache.lookup(res_id.packed, 2, epoch)
-        assert v1 is not None and v2 is not None
-        assert v1.sigma != v2.sigma
+        flows = differential.flows(table)
+        v1, v2 = flows[(res_id.packed, 1, epoch)], flows[(res_id.packed, 2, epoch)]
+        assert schedule_of(v1) != schedule_of(v2)
 
     def test_epoch_rollover_hits_previous_epoch_entry(self):
         # Install and validate just before a DRKey epoch boundary...
         start = DRKEY_VALIDITY - 5.0
         clock, gateway, router, mid_keys = make_stack(now=start)
-        cache = router.sigma_cache
+        table = router.kernel
         res_id, _ = install(gateway, mid_keys, clock)
         assert router.validate_only(arriving(gateway, res_id))
-        assert len(cache) == 1
+        assert table.state.count == 1
 
         # ...then cross it.  The reservation (and its σs, minted from the
         # old epoch's hop key) is still live; the lookup probes the new
@@ -122,13 +135,13 @@ class TestSigmaCacheInvalidation:
         clock.advance(7.0)
         assert int(clock.now() // DRKEY_VALIDITY) == 1
         assert router.validate_only(arriving(gateway, res_id))
-        assert cache.hits == 1
-        assert len(cache) == 1  # no duplicate entry under the new epoch
+        assert table.state.hits == 1
+        assert table.state.count == 1  # no duplicate entry under the new epoch
 
     def test_epoch_rollover_cold_cache_recomputes_with_old_key(self):
-        # Same straddle, but the router has no cached entry: the
-        # stateless recompute must itself fall back to the previous
-        # epoch's hop key (§4.5 key rotation) and then cache under it.
+        # Same straddle, but the table holds nothing: the derivation must
+        # itself fall back to the previous epoch's hop key (§4.5 key
+        # rotation) and then store under it.
         start = DRKEY_VALIDITY - 5.0
         clock, gateway, router, mid_keys = make_stack(now=start)
         res_id, _ = install(gateway, mid_keys, clock)
@@ -136,100 +149,105 @@ class TestSigmaCacheInvalidation:
         packet.hop_index = 1
         clock.advance(7.0)
         assert router.validate_only(arriving(gateway, res_id))
-        cache = router.sigma_cache
-        assert cache.misses == 1
+        assert router.kernel.state.misses == 1
         # Stored under the minting epoch, addressable via the fallback.
-        assert (res_id.packed, 1, 0) in cache._entries
+        assert list(differential.flows(router.kernel)) == [(res_id.packed, 1, 0)]
 
     def test_poisoned_entry_never_changes_a_verdict(self):
+        """A slot with the wrong schedule, or bound to other bytes, is
+        refused: a forged packet still fails, an honest one still passes
+        (derived afresh) and heals the slot; a forged one stores nothing."""
         clock, gateway, router, mid_keys = make_stack()
-        cache = router.sigma_cache
+        table = router.kernel
         res_id, res_info = install(gateway, mid_keys, clock)
         assert router.validate_only(arriving(gateway, res_id))
-        epoch = int(clock.now() // DRKEY_VALIDITY)
-        key = (res_id.packed, 1, epoch)
-        assert cache.lookup(*key) is not None
-
-        # Corrupt the entry behind the router's back: the right bound
-        # input (so the hint is tried) under the wrong σ.
-        cache._entries[key] = SigmaEntry(b"poisoned-sigma!!", res_info, EER, (2, 3))
-        # A forged packet is still rejected...
-        forged = arriving(gateway, res_id)
-        forged.hvfs[1] = bytes(L_HVF)
-        assert not router.validate_only(forged)
-        # ...and an honest packet is still accepted (stateless fallback),
-        # with the rejected hint counted and the entry healed.
-        assert router.validate_only(arriving(gateway, res_id))
-        assert cache.rejected_hints >= 2
-        honest = hop_authenticator(
-            mid_keys.hop_key(clock.now()), res_info, EER, 2, 3
+        honest = _native_backend().key_schedule(
+            hop_authenticator(mid_keys.hop_key(clock.now()), res_info, EER, 2, 3)
         )
-        assert cache.lookup(*key).sigma == honest
+        ((key, slot),) = differential.flows(table).items()
+        for poison in ("schedule", "bound input"):
+            if poison == "schedule":
+                table._ffi.memmove(slot.sched, _native_backend().key_schedule(b"poisoned-sigma!!"), 32)
+            else:
+                slot.input[13] ^= 1  # the bandwidth it was minted for
+            forged = arriving(gateway, res_id)
+            forged.hvfs[1] = bytes(L_HVF)
+            rejected = table.state.rejected_hints
+            assert not router.validate_only(forged)
+            assert table.state.rejected_hints == rejected + 1
+            assert router.validate_only(arriving(gateway, res_id))
+            assert table.state.rejected_hints == rejected + 2
+            ((healed, slot),) = differential.flows(table).items()
+            assert healed == key and schedule_of(slot) == honest
+        # A forged packet of a flow the table does not hold stores nothing.
+        other, _ = install(gateway, mid_keys, clock, local_id=6)
+        forged = arriving(gateway, other)
+        forged.hvfs[1] = bytes(L_HVF)
+        assert not router.validate_only(forged) and list(differential.flows(table)) == [key]
 
     def test_eviction_never_changes_a_verdict(self):
         clock, gateway, router, mid_keys = make_stack(capacity=1)
-        cache = router.sigma_cache
+        table = router.kernel
         a, _ = install(gateway, mid_keys, clock, local_id=5)
         b, _ = install(gateway, mid_keys, clock, local_id=6)
-        # Alternating reservations through a one-entry cache: every
-        # lookup after the first evicts the other entry, and every
-        # packet still validates.
+        # Alternating reservations through a one-flow table: every lookup
+        # after the first evicts the other entry, and every packet still
+        # validates.
         for _ in range(4):
             assert router.validate_only(arriving(gateway, a))
             assert router.validate_only(arriving(gateway, b))
-        assert cache.evictions >= 6
-        assert len(cache) == 1
+        assert table.state.evictions >= 6
+        assert table.state.count == 1
 
     def test_renewed_flow_holds_at_most_two_versions(self):
-        """Storing version v pops v-2 (under the minting epoch or the one
-        before): a renewed flow never sits in the cache more than twice,
-        the pops are not evictions, and what stays is in LRU order."""
+        """Storing version v drops v-2 (under the minting epoch or the one
+        before): a renewed flow never sits in the table more than twice,
+        and the drops are not evictions."""
         start = DRKEY_VALIDITY - 30.0  # renewals straddle the epoch boundary
         clock, gateway, router, mid_keys = make_stack(now=start)
-        cache = router.sigma_cache
+        table = router.kernel
         other, _ = install(gateway, mid_keys, clock, local_id=6)
         assert router.validate_only(arriving(gateway, other))
         for version in range(1, 9):
             res_id, _ = install(gateway, mid_keys, clock, version=version)
             assert router.validate_only(arriving(gateway, res_id))
             assert router.validate_only(arriving(gateway, res_id))
-            held = [key for key in cache._entries if key[0] == res_id.packed]
+            held = sorted(key for key in differential.flows(table) if key[0] == res_id.packed)
             epoch = int(clock.now() // DRKEY_VALIDITY)
             assert [v for _, v, _ in held] == [max(1, version - 1), version][-len(held):]
             assert all(minted in (epoch, epoch - 1) for _, _, minted in held)
             assert len(held) <= 2
             clock.advance(10.0)
-        assert {minted for _, _, minted in cache._entries} == {0, 1}
-        assert cache.evictions == 0
-        assert cache.misses == 1 + 8 and cache.hits == 8
-        # The bystander was stored first and never touched again: still
-        # the least recently used, then the two live versions in order.
-        assert [(key[0], key[1]) for key in cache._entries] == [
+        assert {minted for _, _, minted in differential.flows(table)} == {0, 1}
+        assert table.state.evictions == 0
+        assert table.state.misses == 1 + 8 and table.state.hits == 8
+        assert {(key[0], key[1]) for key in differential.flows(table)} == {
             (other.packed, 1), (res_id.packed, 7), (res_id.packed, 8)
-        ]
-        assert set(cache.snapshot()) == {
+        }
+        assert set(table.snapshot()) == {
             "sigma_cache_hits", "sigma_cache_misses", "sigma_cache_entries"
         }
 
-    def test_explicit_invalidate_drops_all_versions(self):
+    def test_table_grows_with_the_working_set(self):
+        """64 slots at first, doubled whenever a stored flow would fill more
+        than half of them, up to twice the capacity; every packet validates
+        and no flow is evicted below the capacity."""
         clock, gateway, router, mid_keys = make_stack()
-        cache = router.sigma_cache
-        res_id, _ = install(gateway, mid_keys, clock, version=1)
-        install(gateway, mid_keys, clock, local_id=5, version=2)
-        assert router.validate_only(arriving(gateway, res_id))
-        before = len(cache)
-        assert before >= 1
-        assert cache.invalidate(res_id.packed) == before
-        assert len(cache) == 0
-        # Correctness is unaffected: the next packet recomputes and re-caches.
-        assert router.validate_only(arriving(gateway, res_id))
-        assert len(cache) == 1
+        table = router.kernel
+        assert table.state.nslots == 64
+        ids = [install(gateway, mid_keys, clock, local_id=100 + index)[0] for index in range(200)]
+        assert all(router.validate_batch([arriving(gateway, res_id) for res_id in ids]))
+        assert (table.state.count, table.state.nslots, table.state.evictions) == (200, 512, 0)
+        table.capacity = 100
+        assert (table.state.count, table.state.nslots) == (0, 64)
+        assert all(router.validate_batch([arriving(gateway, res_id) for res_id in ids]))
+        assert (table.state.count, table.state.nslots, table.state.evictions) == (100, 256, 100)
 
 
 WORKLOAD_IDS = (5, 6, 7)
 
 
-def run_workload(mode, cache=True):
+def run_workload(mode, kernel=True):
     """One fixed randomized workload through a fresh stack.
 
     ``mode`` is ``"serial"`` (send + process per packet) or ``"batch"``
@@ -237,7 +255,7 @@ def run_workload(mode, cache=True):
     everything observable: packet bytes, drop types, verdict names, and
     the stack's counters.
     """
-    clock, gateway, router, mid_keys = make_stack(cache=cache)
+    clock, gateway, router, mid_keys = make_stack(kernel=kernel)
     for local_id in WORKLOAD_IDS:
         install(gateway, mid_keys, clock, bandwidth=mbps(1), local_id=local_id)
     rng = random.Random(2026)
@@ -285,12 +303,12 @@ def run_workload(mode, cache=True):
 
 
 class TestBatchEquivalence:
-    """send/process ≡ send_batch/process_batch ≡ cache-disabled."""
+    """send/process ≡ send_batch/process_batch ≡ the Python body alone."""
 
     def test_equivalence_property(self):
         serial = run_workload("serial")
         batch = run_workload("batch")
-        batch_nocache = run_workload("batch", cache=False)
+        batch_nocache = run_workload("batch", kernel=False)
 
         # Byte-identical packets: same Ts sequence, same HVFs, same
         # serialization — the batch path is a pure loop reordering.
@@ -328,10 +346,10 @@ class TestBatchEquivalence:
         assert results["serial"] == [Verdict.FORWARD, Verdict.DROP_DUPLICATE]
 
     def test_warm_cache_second_pass_identical(self):
-        """Cache hits on a warm second pass change nothing observable."""
+        """Flow-table hits on a warm second pass change nothing observable."""
         passes = {}
         for cache in (True, False):
-            clock, gateway, router, mid_keys = make_stack(cache=cache)
+            clock, gateway, router, mid_keys = make_stack(kernel=cache)
             res_id, _ = install(gateway, mid_keys, clock)
             rounds = []
             for _ in range(3):
@@ -344,8 +362,8 @@ class TestBatchEquivalence:
                     [r.verdict.name for r in router.process_batch(packets)]
                 )
             passes[cache] = rounds
-            if cache:
-                assert router.sigma_cache.hits >= 23
+            if cache and router.kernel is not None:  # the first packet opened the sketch window
+                assert router.kernel.state.hits == 22
         assert passes[True] == passes[False]
 
 
@@ -369,8 +387,7 @@ class TestBurstOfOne:
     across filter rotations and sketch rolls."""
 
     def test_one_at_a_time_equals_bursts(self):
-        from tests import test_router_differential as differential
-        from tests.test_policing_native import scripted_world
+        from tests.test_policing_native import scripted_world, tables_of
 
         kernel = _native_backend() is not None  # else the trio alone, against the reference
         one_at_a_time, bursts = differential.run_serial, differential.run_batches(64)
@@ -380,7 +397,7 @@ class TestBurstOfOne:
             for label, run in (("process", one_at_a_time), ("process_batch", bursts)):
                 modes[f"{body}/{label}"] = (scripted_world(body == "kernel"), run)
         real = [world for label, (world, _) in modes.items() if label != "reference"]
-        assert [w.router._policer is not None for w in real] == [b == "kernel" for b in bodies for _ in "ab"]
+        assert [w.router.kernel is not None for w in real] == [b == "kernel" for b in bodies for _ in "ab"]
         trio_calls = collections.Counter()
 
         def counted(label, check_and_insert):
@@ -406,7 +423,7 @@ class TestBurstOfOne:
                 world.clock.advance(step)
             assert all(trace == traces[0] for trace in traces), (sends, replays)
             states = [
-                (differential.full_state(w.router), w.router.ofd._counts.tobytes(), w.router.obs.journal.export_jsonl())
+                (tables_of(w.router), w.router.ofd._counts.tobytes(), w.router.obs.journal.export_jsonl())
                 for w in real
             ]
             assert all(state == states[0] for state in states)
@@ -464,7 +481,8 @@ class TestPipelineBatch:
         wires = [None if isinstance(o, WirePacketView) else (False, src) for o in outcomes]
         wave = [(index, o) for index, o in enumerate(outcomes) if isinstance(o, WirePacketView)]
         for hop in handle.hops:  # one burst, one path: the wave sits at one AS
-            valid = net.router(hop.isd_as).validate_wire_batch([view for _, view in wave])
+            parsed = [ColibriPacket.from_bytes(view.materialize()) for _, view in wave]
+            valid = net.router(hop.isd_as).validate_batch(parsed)
             next_wave = []
             for (index, view), ok in zip(wave, valid):
                 if not ok:
@@ -599,16 +617,6 @@ class TestShardExecutor:
         assert set(telemetry) == {"shard-0", "shard-1", "total"}
         assert telemetry["total"]["gateway_sent"] == 2 * 2 * 512  # warm-up + timed
         assert telemetry["total"]["gateway_dropped"] == 0
-
-    def test_router_shard_counters_surface_sigma_cache(self):
-        executor = ShardExecutor("router", reservations=64, packets=512, batch=32)
-        result = executor.run(1)
-        total = result.telemetry()["total"]
-        # Warm-up misses once per owned reservation, then the timed pass
-        # hits: the counters prove the cache actually worked per shard.
-        assert total["sigma_cache_misses"] == 64
-        assert total["sigma_cache_hits"] > 0
-        assert total["sigma_cache_entries"] == 64
 
     def test_available_cpus_reads_affinity(self, monkeypatch):
         import os as os_module
@@ -766,7 +774,7 @@ class TestWireEquivalence:
 
         first = gateway.send_batch_wire([(res_id, b"honest")], arena)[0]
         first.advance_hop()  # arriving at the middle AS
-        assert router.validate_wire_batch([first]) == [True]
+        assert router.validate_only(ColibriPacket.from_bytes(first.materialize()))
 
         # The next burst reclaims the only slot, then the attacker (or
         # a stale write) flips the current hop's HVF bytes in place.
@@ -778,13 +786,13 @@ class TestWireEquivalence:
         arena.buffer[hvf_at : hvf_at + L_HVF] = bytes(
             byte ^ 0xFF for byte in arena.buffer[hvf_at : hvf_at + L_HVF]
         )
-        assert router.validate_wire_batch([second]) == [False]
+        assert not router.validate_only(ColibriPacket.from_bytes(second.materialize()))
 
         # And an honest packet through the same slot verifies again —
         # the False above came from the bytes, not a poisoned slot.
         third = gateway.send_batch_wire([(res_id, b"honest")], arena)[0]
         third.advance_hop()
-        assert router.validate_wire_batch([third]) == [True]
+        assert router.validate_only(ColibriPacket.from_bytes(third.materialize()))
 
     def test_wire_equals_object_for_every_backend(self, monkeypatch):
         """Identity holds on the pure-Python fallback too."""
@@ -800,12 +808,6 @@ class TestWireEquivalence:
             assert wire["drops"] == obj["drops"]
         finally:
             native.reset_for_tests()
-
-
-def _native_backend():
-    from repro.crypto import native
-
-    return native.backend()
 
 
 @pytest.mark.skipif(_native_backend() is None, reason="native backend unavailable")
@@ -865,20 +867,6 @@ class TestNativeBatchIdentity:
         for (start, width), schedule, message in zip(rows, schedules, messages):
             assert flat[start : start + width] == schedule.stamp_flat(message)
 
-
-    def test_verify_returns_the_untruncated_mac(self):
-        """``colibri_verify`` over a schedule given as plain bytes: the
-        full MAC on a match (whatever the tag width), nothing otherwise."""
-        (sigma,) = self._sigmas(1, seed=9)
-        res_info = ResInfo(ReservationId(SRC, 5), gbps(1), 1016.0, 1)
-        entry = SigmaEntry(sigma, res_info, EER, (2, 3))
-        assert type(entry.schedule) is bytes and len(entry.schedule) == 32
-        for message in (b"t" * 12, b"s" * 64, b"m" * 200):
-            mac = hashlib.blake2s(message, key=sigma, digest_size=16).digest()
-            for width in (1, L_HVF, 16):
-                assert entry.verify(message, mac[:width]) == mac
-            assert entry.verify(message, bytes([mac[0] ^ 1]) + mac[1:L_HVF]) is None
-            assert entry.verify(message, mac + b"x") is None
 
     def test_compile_sweeps_builds_of_older_sources(self, tmp_path, monkeypatch):
         from repro.crypto import native

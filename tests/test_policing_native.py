@@ -1,22 +1,25 @@
-"""The router's policing body across the Python/C boundary.
+"""The router's burst loop across the Python/C boundary.
 
 With :mod:`repro.crypto.native` loaded, ``BorderRouter._burst`` runs §4.6
-steps 3-5 of a packet as one ``colibri_hop`` call on the tables the
-router's ``DuplicateSuppressor`` and ``OveruseFlowDetector`` own; without
-it (and for the packet on which a rotation or roll is due) it runs the
-Python trio ``entry.verify`` / ``check_and_insert`` / ``observe``.  Here the
-two bodies are held to each other, at the router:
+steps 1 and 3-5 of a burst as ``colibri_burst`` calls on the tables the
+router's ``DuplicateSuppressor`` and ``OveruseFlowDetector`` own, σ from
+the kernel's flow table; without it (and for each packet the kernel
+hands back) it runs the Python body, which recomputes σ and calls
+``check_and_insert`` / ``observe``.  Here the two bodies are held to each
+other, at the router:
 
-* what the trio refuses, the kernel refuses — same exception type, and the
-  kernel writes nothing;
+* what the Python body refuses, the kernel refuses — same exception type,
+  and the kernel writes nothing;
 * a replaced buffer is the one the next packet lands in (no stale pointer);
+* the flow table is sound: a poisoned slot changes no verdict, a forged
+  header stores nothing;
 * any sequence of bursts and clock steps leaves a kernel router, a
   ``COLIBRI_NATIVE=0`` router and the reference router with equal verdicts
   and policing state, and the first two bit-equal, journals included.
 """
 
-import hashlib
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -26,14 +29,15 @@ from repro.constants import OFD_OVERUSE_FACTOR
 from repro.crypto import native
 from repro.dataplane import DuplicateSuppressor, OveruseFlowDetector
 from repro.dataplane.monitor import DeterministicMonitor
-from repro.dataplane.router import Verdict
+from repro.dataplane.router import BorderRouter, Verdict
 from repro.obs import ObsContext
 from repro.topology.addresses import IsdAs
 from repro.util.clock import SimClock
 from repro.util.units import kbps
 from tests import test_dataplane
+from tests.test_control_hop import REPRO
 from tests import test_router_differential as differential
-from tests.test_router_differential import HOP, ROGUE, SRC, World, copy_of
+from tests.test_router_differential import HERE, HOP, ROGUE, SRC, World, copy_of
 
 
 def build(use_native, build_fn):
@@ -64,18 +68,19 @@ def warm_world(make):
     world = make(lambda: World(reference=False))
     world.reserve("flow", SRC, hops=3, lifetime=600.0)
     assert world.router.process(world.stamp("flow")).verdict is Verdict.FORWARD
-    world.kernel = world.router._policer is not None
+    world.kernel = world.router.kernel is not None
     assert_aimed(world.router)
     return world
 
 
 def assert_aimed(router):
-    """The kernel's struct names the router's live buffers, geometry and
-    threshold — as the tables left it, no packet sent, nothing polled."""
-    policer = router._policer
-    if policer is None:
+    """The kernel's struct names the router's live buffers, geometry,
+    windows and threshold — as the tables left it, no packet sent, nothing
+    polled."""
+    kernel = router.kernel
+    if kernel is None:
         return
-    ffi, state = policer._ffi, policer.state
+    ffi, state = kernel._ffi, kernel.state
     duplicates, ofd = router.duplicates, router.ofd
 
     def address(cdata):
@@ -89,6 +94,8 @@ def assert_aimed(router):
     current = duplicates._current
     assert (state.bits, state.hashes) == (current.bits, current.hashes)
     assert state.threshold == ofd.window * ofd.overuse_factor
+    assert (state.width, state.depth) == (ofd.width, ofd.depth)
+    assert (state.rotated_at, state.window_start) == (duplicates._rotated_at, ofd._window_start)
 
 
 def tables(router):
@@ -154,13 +161,20 @@ class TestRefusals:
         assert send(world) is Verdict.FORWARD
 
     def test_cell_outside_the_sketch(self, make):
+        """Cells planted where each body reads them: the kernel's flow
+        table, ``cells_for`` for the Python body."""
         world = warm_world(make)
         router, ofd = world.router, world.router.ofd
-        (entry,) = router.sigma_cache._entries.values()
+        world.clock.advance(0.01)  # the window the warm-up opened, not due
+        assert send(world) is Verdict.FORWARD  # the kernel's first: it stores the flow
         last = ofd.width * ofd.depth - 1
 
-        def plant(*cells):  # as cells_for hands them out on this backend
-            entry.cells = cells if ofd._backend is None else ofd._backend.ffi.new("uint32_t[]", cells)
+        def plant(*cells):
+            ofd.cells_for = lambda label: cells
+            if world.kernel:
+                (slot,) = differential.flows(router.kernel).values()
+                for row in range(ofd.depth):
+                    slot.cells[row] = cells[row % len(cells)]
 
         before = tables(router)
         for cells in [(last + 1,), (0, last + 1), (last, 1 << 31)]:
@@ -185,20 +199,21 @@ class TestViewsFollowTheirBuffers:
         """Steady packets re-point nothing; a rotation re-points once, from
         the filter it clears, and a roll once, from the sketch."""
         world = warm_world(make)
-        policer, calls = world.router._policer, []
+        kernel, calls = world.router.kernel, []
 
         def hook(table):
-            return lambda: calls.append(table) or (policer and policer.point())
+            return lambda: calls.append(table) or (kernel and kernel.point())
 
         for table in (world.router.duplicates._current, world.router.duplicates._previous):
             table._repoint = hook("filter")
+        world.router.duplicates._repoint = hook("clock")
         world.router.ofd._repoint = hook("sketch")
         for _ in range(5):
             assert send(world) is Verdict.FORWARD
         assert calls == []
         world.clock.advance(1.25)
         assert send(world) is Verdict.FORWARD
-        assert calls == ["filter", "sketch"]
+        assert calls == ["filter", "clock", "sketch"]
         assert_aimed(world.router)
 
     def test_rotation_and_clear(self, make):
@@ -273,32 +288,80 @@ class TestViewsFollowTheirBuffers:
 def test_bit_positions_on_both_backends(make):
     """``TestDuplicateSuppressor.test_bit_positions_are_the_digest_words``
     (4,999- and 1,000-bit filters included): as is on the Python body, and
-    the same rule read off the filter ``colibri_hop`` wrote."""
+    the same rule read off the filter a router's kernel wrote, a packet
+    dropped as a duplicate exactly when its MAC's bits were all set."""
     make(test_dataplane.TestDuplicateSuppressor().test_bit_positions_are_the_digest_words)
-    backend = make(native.backend)
-    if backend is None:
-        return
-    key = b"k" * 16
-    schedule = backend.key_schedule(key)
-    cells = backend.ffi.new("uint32_t[]", [0])
     for bits, hashes in [(1 << 12, 4), (1 << 12, 3), (4999, 7), (1000, 1)]:
-        suppressor = DuplicateSuppressor(SimClock(0.0), bits=bits, hashes=hashes)
-        ofd = OveruseFlowDetector(width=1, depth=1)
-        policer = native.HopPolicer(backend, suppressor, ofd)
-        ofd._roll(0.0)  # the new rows re-point the struct
-        state = policer.state
+
+        def geometry():
+            world = World(reference=False)
+            world.router = BorderRouter(
+                HERE, world.keys, world.clock, ofd=OveruseFlowDetector(width=1, depth=1),
+                duplicates=DuplicateSuppressor(world.clock, bits=bits, hashes=hashes),
+            )
+            return world
+
+        world = make(geometry)
+        world.reserve("flow", SRC, hops=3, lifetime=600.0)
+        sigma = world.flows["flow"][2]
         expected = bytearray((bits + 7) // 8)
         for index in range(300):
-            message = b"id-%d" % index
-            identifier = hashlib.blake2s(message, key=key, digest_size=16).digest()
-            positions = test_dataplane.bloom_bits(identifier, bits, hashes)
+            packet = world.stamp("flow", b"p" * (index % 7))
+            message = packet.timestamp.packed + struct.pack("!I", packet.total_size)
+            positions = test_dataplane.bloom_bits(differential.mac(sigma, message), bits, hashes)
             seen = all(expected[p >> 3] & (1 << (p & 7)) for p in positions)
-            outcome = policer.hop(state, schedule, message, len(message), identifier[:4], 4, cells, 1, 0.001)
-            assert outcome == (1 if seen else 2) and policer.mac[:] == identifier
+            verdict = world.router.process(packet).verdict
+            assert verdict is (Verdict.DROP_DUPLICATE if seen else Verdict.FORWARD)
             for position in positions:
                 expected[position >> 3] |= 1 << (position & 7)
-        assert suppressor._current._array == expected
-        assert state.estimate == ofd._counts[0] > 0
+        assert world.router.duplicates._current._array == expected
+        assert world.router.ofd._counts[0] > 0
+
+
+# ------------------------------------------------------- work per packet ----
+
+
+def calls_of(operation) -> tuple:
+    """Python calls into ``repro`` (as ``tests.test_control_hop.work_of``
+    counts them) and builtin calls that ``operation()`` makes."""
+    python = builtin = 0
+
+    def profile(frame, event, arg):
+        nonlocal python, builtin
+        if event == "call":
+            filename = frame.f_code.co_filename
+            python += filename == "<string>" or filename.startswith(REPRO)
+        builtin += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        operation()
+    finally:
+        sys.setprofile(None)
+    return python, builtin
+
+
+#: Ceilings per burst on a warm router, honest traffic, nobody blocked:
+#: ``(python, builtin)`` calls as ``per burst + per packet * packets``, the
+#: per-burst term two above the count on CPython 3.11.  A helper call or a
+#: ``dict.get`` per packet-hop that creeps back raises the per-packet term
+#: and fails the 64-packet burst.
+WORK = {"native": ((6, 7), (0, 9)), "python": ((6, 3), (25, 22))}
+
+
+@pytest.mark.parametrize("size", [1, 64])
+def test_calls_per_packet(make, size):
+    """``process`` (a burst of one) and ``process_batch`` (64 packets)."""
+    world = warm_world(make)
+    world.router.blocklist.unblock(differential.BANNED)
+    send(world)  # the kernel stores the flow
+    packets = [world.stamp("flow") for _ in range(size)]
+    run = world.router.process if size == 1 else world.router.process_batch
+    work = calls_of(lambda: run(packets[0] if size == 1 else packets))
+    base, per_packet = WORK["native" if world.kernel else "python"]
+    assert world.router.stats[Verdict.FORWARD] == size + 2
+    ceilings = [fixed + each * size for fixed, each in zip(base, per_packet)]
+    assert work[0] <= ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
 
 
 def test_a_burst_that_raises_keeps_its_tallies():
@@ -348,6 +411,7 @@ steps = st.one_of(
     st.tuples(st.just("send"), names, st.integers(0, 600)),
     st.tuples(st.just("replay"), st.integers(0, 30)),
     st.tuples(st.just("forge"), names),
+    st.tuples(st.just("control"), names),
     st.tuples(st.just("renew"), names),
     st.tuples(st.just("cut")),
     st.tuples(st.just("advance"), st.sampled_from(ADVANCES)),
@@ -370,6 +434,10 @@ PREFIX = (
     + [("send", "a", 0), ("send", "zero", 0), ("send", "rogue", 0), ("renew", "a")]
     + [("advance", 1.0), ("advance", 0.001), ("send", "a", 0), ("send", "b", 0)]  # a roll alone
     + [("advance", 0.3), ("send", "a", 0), ("send", "b", 0), ("cut",)]  # a rotation alone
+    # Past the DRKey epoch boundary: "a" and "b" verify under the previous
+    # epoch's K_i only, "b" renewed under the new one; a SegR packet among them.
+    + [("advance", 3.0), ("send", "a", 0), ("control", "a"), ("send", "b", 0)]
+    + [("renew", "b"), ("send", "b", 0), ("send", "a", 9), ("cut",)]
 )
 
 
@@ -412,6 +480,8 @@ def apply(world, step):
         packet = world.stamp(step[1])
         packet.hvfs[HOP] = bytes([packet.hvfs[HOP][0] ^ 1]) + packet.hvfs[HOP][1:]
         world.burst.append(packet)
+    elif kind == "control":
+        world.burst.append(world.control(step[1]))
     elif kind == "replay":
         if world.sent:
             world.burst.append(copy_of(world.sent[-1 - step[1] % len(world.sent)]))
@@ -423,11 +493,16 @@ def apply(world, step):
     return None
 
 
+def tables_of(router):
+    """``full_state`` but the flow table, which only a kernel router has."""
+    return {k: v for k, v in differential.full_state(router).items() if not k.startswith("sigma")}
+
+
 @settings(max_examples=50, deadline=None)
 @given(script=st.lists(steps, max_size=60))
 def test_native_and_python_bodies_agree(script):
     kernel, trio, reference = scripted_world(True), scripted_world(False), scripted_world()
-    assert kernel.router._policer is not None and trio.router._policer is None
+    assert kernel.router.kernel is not None and trio.router.kernel is None
     runs = (differential.run_batches(64), differential.run_batches(64), differential.run_reference)
     seen = set()
     for step in PREFIX + script + [("cut",)]:
@@ -444,7 +519,7 @@ def test_native_and_python_bodies_agree(script):
                 ))
         if traces:
             assert traces[0] == traces[1] == traces[2], step
-            assert differential.full_state(kernel.router) == differential.full_state(trio.router), step
+            assert tables_of(kernel.router) == tables_of(trio.router), step
             lines = [world.router.obs.journal.export_jsonl() for world in (kernel, trio)]
             assert lines[0] == lines[1], step
             seen.update(verdict for verdict, _ in traces[0][0])
@@ -452,6 +527,7 @@ def test_native_and_python_bodies_agree(script):
             for world in (kernel, trio, reference):
                 world.clock.advance(step[1])
     assert {Verdict.DROP_DUPLICATE, Verdict.DROP_BAD_HVF, Verdict.DROP_OVERUSE, Verdict.DROP_BLOCKED} <= seen
+    assert Verdict.DELIVER_CSERV in seen and kernel.clock.now() > differential.DRKEY_VALIDITY * 3
     journal = kernel.router.obs.journal
     assert journal.total_count("DuplicateSuppressed") >= 2 and journal.total_count("OfdFlagged") >= 4
     assert kernel.router.duplicates._rotated_at > differential.START

@@ -1,7 +1,7 @@
 """Differential test of the border router's burst loop against §4.6.
 
 ``BorderRouter`` has one fused per-burst loop behind ``process`` and
-``process_batch``, a σ-cache, a Bloom-filter pair and an array sketch.
+``process_batch``, a flow table, a Bloom-filter pair and an array sketch.
 :class:`ReferenceRouter` below is the same pipeline written straight
 from the paper with none of that: the stateless Eq. (3)/(4)+(6)
 recompute, a ``set`` of seen packet MACs, a dict-of-floats count-min
@@ -10,24 +10,25 @@ runs through the reference, through ``process`` packet by packet and
 through ``process_batch`` in bursts of 1, 7 and 64, each on a fresh
 router, and after every burst compares the verdict sequence, egress,
 hop pointers and policing state with the reference, and *everything*
-(filter bytes, sketch rows, bucket levels, σ-cache counters and LRU
-order) between the optimized modes — on the native backend and on
-``COLIBRI_NATIVE=0``.  The script's warm-cache tamper block and
-``test_warm_cache_verdicts_equal_cold_cache_verdicts`` pin that a σ-cache
+(filter bytes, sketch rows, bucket levels, flow-table counters and
+flows) between the optimized modes — on the native backend and on
+``COLIBRI_NATIVE=0``.  The script's warm-table tamper block and
+``test_warm_cache_verdicts_equal_cold_cache_verdicts`` pin that a flow
 entry answers only for the Eq. (4) input it was minted from.
 
-Mutants.  With the kernel loaded, steps 3-5 of a packet are one
-``colibri_hop`` call; the packet on which a filter rotation or a sketch
-roll is due takes the Python trio, whatever the build.  The script is
-written so that a one-line mutant of either body changes something
-compared here, and docs/performance.md lists them (§11: fourteen, applied to
-``_burst`` and the trio; §14: those again in C where they have a C form,
-and the kernel's own).  Three of the latter shaped this file:
+Mutants.  With the kernel loaded, the burst is one ``colibri_burst``
+call; the packets it hands back (a rotation or roll due, a flagged flow,
+no bandwidth, over the threshold) take the Python body, whatever the
+build.  The script is written so that a one-line mutant of either body
+changes something compared here, and docs/performance.md lists them
+(§11: fourteen, applied to ``_burst`` and the trio; §14: those again in
+C where they have a C form, and the kernel's own).  Three of the latter
+shaped this file:
 
 * *previous filter not consulted* (``colibri_bloom_check``): the replay of
   ``recent[0]`` sits **behind** the packet that rotates the filters, where
   the kernel decides it;
-* *sketch added before the duplicate test* (``colibri_hop``): a duplicate
+* *sketch added before the duplicate test* (``colibri_burst``): a duplicate
   inside a burst would leave its size in the sketch cells;
 * ``>=`` *for* ``>`` *at the threshold*: flow "edge" lands on the threshold
   exactly, one packet before it exceeds it.
@@ -63,7 +64,7 @@ from repro.dataplane.monitor import (
 )
 from repro.dataplane.router import BorderRouter, Verdict
 from repro.dataplane.token_bucket import TokenBucket
-from repro.packets.colibri import ColibriPacket, PacketType, WirePacketView
+from repro.packets.colibri import ColibriPacket, PacketType
 from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
@@ -390,6 +391,18 @@ def run_batches(size):
     return run
 
 
+def flows(kernel) -> dict:
+    """``{(ResId bytes, Ver, epoch): slot}`` for every flow a router's
+    kernel holds, read off its table."""
+    buffer, table, state = kernel._ffi.buffer, kernel._table[1], kernel.state
+    slots = (table[index] for index in range(state.nslots))
+    return {
+        (buffer(slot.input, 12)[:], slot.input[28] << 8 | slot.input[29], slot.epoch): slot
+        for slot in slots
+        if slot.used
+    }
+
+
 def policing_state(router):
     """What the reference and the real router must agree on."""
     if isinstance(router, ReferenceRouter):
@@ -413,7 +426,7 @@ def policing_state(router):
 
 def full_state(router):
     """Everything the optimized modes must agree on among themselves."""
-    duplicates, ofd, cache = router.duplicates, router.ofd, router.sigma_cache
+    duplicates, ofd, kernel = router.duplicates, router.ofd, router.kernel
     return {
         "filters": (bytes(duplicates._current._array), bytes(duplicates._previous._array)),
         "insertions": (duplicates._current.insertions, duplicates._previous.insertions),
@@ -422,8 +435,8 @@ def full_state(router):
         "ofd": (ofd._window_start, ofd.packets_seen, ofd.reports, dict(ofd._hits)),
         "monitor": (router.monitor.packets_passed, router.monitor.packets_dropped),
         "blocks_imposed": router.blocklist.blocks_imposed,
-        "sigma_counters": cache.snapshot(),
-        "sigma_lru": list(cache._entries),
+        "sigma_counters": kernel and kernel.snapshot(),
+        "sigma_flows": kernel and sorted(flows(kernel)),
     }
 
 
@@ -480,51 +493,52 @@ def test_burst_loop_matches_the_reference(backend):
     assert verdicts.count(Verdict.DROP_BLOCKED) > 10
     assert verdicts.index(Verdict.DROP_OVERUSE) < verdicts.index(Verdict.DROP_BLOCKED) < 64
     assert len(reference[-1][2]) == 1
-    # σ-cache: nine cold misses (one per flow version that got as far as
-    # step 3), warm hits, the forged tag and the four tampered headers as
-    # the rejected hints, and σs under both DRKey epochs; the filters
-    # rotated at four instants or more.
+    # The flow table: eight cold misses (one per flow version that got as
+    # far as step 3 in the kernel — "brief"'s one such packet comes as a
+    # sketch roll is due, so the Python body takes it), warm hits, the forged
+    # tag and the four tampered headers as rejected entries, and σs under
+    # both DRKey epochs; the filters rotated at four instants or more.
     final = serial[-1][4]
-    assert final["sigma_counters"]["sigma_cache_misses"] == 9
-    assert final["sigma_counters"]["sigma_cache_hits"] > 100
-    assert final["sigma_counters"]["sigma_cache_rejected_hints"] == 1 + 4
-    assert {epoch for _, _, epoch in final["sigma_lru"]} == {2, 3}
+    if backend == "native":
+        assert final["sigma_counters"]["sigma_cache_misses"] == 8
+        assert final["sigma_counters"]["sigma_cache_hits"] > 100
+        assert final["sigma_counters"]["sigma_cache_rejected_hints"] == 1 + 4
+        assert {epoch for _, _, epoch in final["sigma_flows"]} == {2, 3}
     assert len({step[4]["rotated_at"] for step in serial}) >= 4
 
 
 def test_warm_cache_verdicts_equal_cold_cache_verdicts(backend):
-    """Every path that consults the σ-cache gives a tampered header the
-    verdict a cold cache gives it, and counts the hint it refused."""
+    """Every path that consults the flow table gives a tampered header the
+    verdict an empty table gives it, counts the entry it refused, and
+    stores nothing for it."""
     expected = [Verdict.FORWARD, Verdict.DROP_STALE] + [Verdict.DROP_BAD_HVF] * 4 + [Verdict.FORWARD]
     tamper_burst, reference = next(
         (index, step[0])
         for index, step in enumerate(replay(run_reference, reference=True))
         if [verdict for verdict, _ in step[0]] == expected
     )
+
+    def rejected(router):
+        return router.kernel and router.kernel.state.rejected_hints
+
     for label, run in [("process", run_serial)] + [
         (f"process_batch/{n}", run_batches(n)) for n in (1, 7, 64)
     ]:
         world, before = World(reference=False), None
         for index, burst in enumerate(script(world)):
             if index == tamper_burst:
-                before = world.router.sigma_cache.rejected_hints
+                before, held = rejected(world.router), world.router.kernel and flows(world.router.kernel)
             outcomes = run(world.router, burst)
             if index == tamper_burst:
                 assert outcomes == reference, label
-                assert world.router.sigma_cache.rejected_hints == before + 4, label
+                if backend == "native":
+                    assert rejected(world.router) == before + 4, label
+                    assert flows(world.router.kernel).keys() == held.keys(), label
                 break
-
-    def as_views(packets):
-        views, buffer = [], bytearray()
-        for packet in packets:
-            wire = packet.to_bytes()
-            views.append((len(buffer), len(wire)))
-            buffer += wire
-        return [WirePacketView(buffer, offset, length) for offset, length in views]
 
     validators = {
         "validate_batch": lambda router, packets: router.validate_batch(packets),
-        "validate_wire_batch": lambda router, packets: router.validate_wire_batch(as_views(packets)),
+        "validate_only": lambda router, packets: [router.validate_only(p) for p in packets],
     }
     for label, validate in validators.items():
         world = World(reference=False)
@@ -535,13 +549,15 @@ def test_warm_cache_verdicts_equal_cold_cache_verdicts(backend):
         age = FRESHNESS_WINDOW + 2 * DUPLICATE_WINDOW + 4.4
         world.clock.advance(age)
         cases = tamper_cases(world, captured, age)
-        cache = world.router.sigma_cache
-        assert len(cache) == 2 and cache.rejected_hints == 0
+        kernel = world.router.kernel
+        assert kernel is None or (kernel.state.count, rejected(world.router)) == (2, 0)
         warm = validate(world.router, cases + [world.stamp("late")])
-        assert cache.rejected_hints == 4, label
-        cache.clear()
+        if kernel is not None:
+            assert (kernel.state.count, rejected(world.router)) == (2, 4), label
+            kernel.clear()
         cold = validate(world.router, cases + [world.stamp("late")])
         assert warm == cold == [False] * 4 + [True], label
+        assert kernel is None or kernel.state.count == 1
 
 
 def test_the_filter_is_keyed_on_the_untruncated_mac(backend):

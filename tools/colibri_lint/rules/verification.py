@@ -52,10 +52,9 @@ VERDICT_RETURNING = frozenset(
     {
         "validate_batch",
         "validate_only",
-        "validate_wire_batch",
         "_validate_one",
         "_authenticate",
-        "_recompute",
+        "_packet",
         "process",
         "process_batch",
     }

@@ -38,7 +38,7 @@ END = "<!-- loc-ledger:end -->"
 WATCHED = (
     "dataplane/gateway.py",
     "dataplane/router.py",
-    "dataplane/{duplicate,ofd,sigma_cache}.py",
+    "dataplane/{duplicate,ofd}.py",
     "crypto/native.py",
     "control/cserv.py",
     "dataplane/shards.py",
@@ -63,8 +63,8 @@ BUDGETS = {
     "`obs/`": 2_002,
     "`control/`": 2_877,
     "`dataplane/gateway.py` + `dataplane/router.py`": 985,
-    "`dataplane/{duplicate,ofd,sigma_cache}.py`": 523,
-    "`crypto/native.py`": 890,
+    "`dataplane/{duplicate,ofd}.py`": 356,
+    "`crypto/native.py`": 1_140,
     "`dataplane/shards.py`": 394,
     "`sim/campaign.py`": 739,
     "`sim/` + `topology/`": 3_692,

@@ -15,15 +15,22 @@ side — hashlib for the MACs, the ``COLIBRI_NATIVE=0`` bodies of
 
 * Eq. (6) verify (good tag, bad tag) and ``colibri_stamp_t`` /
   ``_many_t`` / ``_scatter_t`` over 1, 8, 9 and 16 hops;
-* ``colibri_hop`` over a script of fresh, repeated and forged packets for
-  ``hashes`` 1…8, power-of-two and odd ``bits`` (4,999 and 1,000) and
-  sketches from 1x1 to 1024x6 — every return value, the final filter
-  bytes and the final counts — with a rotation and a roll half way: the
-  old buffers are freed and the struct re-bound to fresh ones, so a write
-  through a stale pointer aborts;
-* the refused inputs — zero ``bits``, ``bits`` past the buffer, a cell
-  past ``ncounts`` — answered with -1, and a 17-byte tag answered as a
-  bad HVF, all without a write; a full 16-byte tag verifies.
+* ``colibri_burst`` over one 400-row script — fresh, replayed, forged,
+  stale, expired, flagged and SegR packets, a flow of no bandwidth, one
+  minted under the previous epoch's key, versions that drop v - 2 — in
+  bursts of 0, 1, 63, 64 and 65 rows, for ``hashes`` 1…8, power-of-two
+  and odd ``bits`` and sketches from 1x1 to 1024x6 and 2x8: every verdict
+  byte, the duplicates' MACs, the final filters, counts and flow-table
+  counters.  The driver does what Python does at each stop: ``V_REKEY``
+  loads the keys, ``V_GROW`` moves the table into a fresh allocation and
+  frees the old one, and half way a due rotation and roll free and
+  re-bind the filters and the sketch, so a stale pointer aborts;
+* a table that must stay reachable from every flow's home slot after
+  each burst and through ~400 evictions and drops at capacity 3;
+* ``V_REFUSED`` for a cell outside the sketch, and -1 for a geometry that
+  does not fit (zero ``bits``, ``bits`` past the buffer, ``depth`` 0 or
+  9, a table not a power of two or over half full), all without a write;
+* validate mode over the whole script, the filters and sketch untouched.
 
 Usage (from the repo root)::
 
@@ -34,9 +41,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import os
+import random
 import shutil
-import struct
 import subprocess
 import sys
 import tempfile
@@ -52,7 +60,7 @@ from repro.util.clock import SimClock  # noqa: E402
 CFLAGS = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
 HOP_COUNTS = (1, 8, 9, 16)
 BLOOM_CASES = [(1 << 10, hashes) for hashes in range(1, 9)] + [(4999, 7), (1000, 1), (4999, 4)]
-SKETCHES = [(1, 1), (16, 4), (1024, 6)]  # width, depth; a hop case takes them in turn
+SKETCHES = [(1, 1), (16, 4), (1024, 6), (2, 8)]  # width, depth; a case takes them in turn
 MESSAGE = bytes(range(12))  # Ts || PktSize, one block
 LONG_MESSAGE = bytes(range(150))  # three blocks: the cold multi-block path
 
@@ -98,10 +106,6 @@ def key(index: int) -> bytes:
 
 def mac(key_bytes: bytes, message: bytes) -> bytes:
     return hashlib.blake2s(message, key=key_bytes, digest_size=16).digest()
-
-
-def identifier(index: int) -> bytes:
-    return hashlib.blake2s(b"packet-%d" % index, digest_size=16).digest()
 
 
 def crypto_section() -> tuple:
@@ -151,117 +155,321 @@ def crypto_section() -> tuple:
     return decls, body
 
 
-def hop_section() -> tuple:
-    """``colibri_hop`` against the Python trio: one script per filter case."""
-    decls, body = [], []
-    messages = [struct.pack("!QI", index, 1000) for index in range(150)]
-    macs = [mac(key(0), message) for message in messages]
-    script = [(index * 7) % 150 for index in range(400)]  # repeats included
-    forged = {index for index in range(400) if index % 13 == 5}
-    decls.append(
-        c_bytes("HOP_MSGS", b"".join(messages))
-        + c_bytes("HOP_TAGS", b"".join(m[:4] for m in macs))
-        + c_bytes("HOP_SCRIPT", bytes(script))
-        + c_bytes("HOP_FORGED", bytes(index in forged for index in range(400)))
-        + c_bytes("HOP_WIDE", macs[149] + b"\0")  # the whole MAC as a tag, and one byte more
-    )
+# -- colibri_burst: one script of rows, the Python bodies as the model ------
+
+NOW, EXPIRY, EPOCH = 1000.0, 1100.0, 5
+FRESH, OLD = 100_000_000, 200_000_000  # µs before expiry: created at NOW, and 100 s before
+BURSTS = (1, 63, 64, 65, 0)  # burst sizes, in turn
+DUE_FROM = 200  # the first burst starting here finds a rotation and a roll due
+#: ResId index, Ver, Bw, the K_i that minted σ (0: this epoch's, 1: the last one's), ExpT
+FLOWS = (
+    [(0, 1, 8e6, 0, EXPIRY), (0, 2, 8e6, 0, EXPIRY), (0, 3, 8e6, 0, EXPIRY)]  # v3 drops v1
+    + [(1, 1, 8e6, 1, EXPIRY), (2, 1, 2e4, 0, EXPIRY)]  # the last epoch's key; a small one
+    + [(3, 1, 0.0, 0, EXPIRY), (4, 1, 8e6, 0, NOW - 1.0)]  # no bandwidth; expired
+    + [(20, 1, 8e6, 1, EXPIRY), (20, 3, 8e6, 0, EXPIRY)]  # v3 drops v1 of the last epoch
+    + [(5 + index, 1, 8e6, 0, EXPIRY) for index in range(9)]  # collisions and growth
+)
+
+
+def resid(index: int) -> bytes:
+    return b"\x00\x01" + bytes(6) + index.to_bytes(4, "big")
+
+
+def burst_script() -> list:
+    """``(row bytes, full MAC, flow)`` for 400 packets: fresh, replayed,
+    forged, stale, flagged, SegR, some at their last hop."""
+    rng, rows, sequence = random.Random(7), [], [0] * len(FLOWS)
+    for _ in range(400):
+        draw, flow = rng.random(), rng.randrange(len(FLOWS))
+        if draw < 0.1 and rows:
+            rows.append(rows[rng.randrange(len(rows))])
+            continue
+        index, version, bandwidth, which, expiry = FLOWS[flow]
+        sequence[flow] += 1
+        flags = native.F_LAST if rng.random() < 0.2 else 0
+        flags |= native.F_FLAGGED if 0.1 <= draw < 0.14 else native.F_PYTHON if 0.14 <= draw < 0.17 else 0
+        micros = OLD if 0.17 <= draw < 0.21 else FRESH
+        fields = [resid(index), bandwidth, expiry, version, 1, 2, 2, 3]
+        sigma = mac(key(which), native.ROW.pack(*fields, bytes(8), 0, bytes(4), 0)[:42])
+        ts = ((micros << 16) | sequence[flow]).to_bytes(8, "big")
+        size = rng.randrange(100, 1500)
+        full = mac(sigma, ts + size.to_bytes(4, "big"))
+        tag = bytes([full[0] ^ (0.21 <= draw < 0.26)]) + full[1:4]
+        rows.append((native.ROW.pack(*fields, ts, size, tag, flags), full, flow))
+    return rows
+
+
+def burst_model(script, bits, hashes, width, depth):
+    """What colibri_burst must leave, from the Python bodies: a verdict per
+    row, the filters, the counts and the table's counters and size."""
+    suppressor = DuplicateSuppressor(SimClock(NOW), bits=bits, hashes=hashes)
+    ofd = OveruseFlowDetector(width=width, depth=depth)
+    ofd._roll(NOW)
+    threshold, table, nslots = ofd.window * ofd.overuse_factor, {}, 4
+    counters = dict(hits=0, misses=0, rejected_hints=0)
+    codes, start, due, done = [], 0, False, False
+    policed = (native.FORWARD, native.DELIVER, native.DUPLICATE, native.OVER)
+    for burst in itertools.cycle(BURSTS):
+        if start >= DUE_FROM and not done:
+            due = done = True
+        for row, full, flow in script[start : start + burst]:
+            _, bandwidth, expiry, version, *_, ts, size, tag, flags = native.ROW.unpack(row)
+            index, _, _, which, _ = FLOWS[flow]
+            if NOW > expiry + 0.1:
+                codes.append(native.EXPIRED)
+            elif (int.from_bytes(ts, "big") >> 16) != FRESH:
+                codes.append(native.STALE)
+            elif flags & (native.F_PYTHON | native.F_FLAGGED) or due or not bandwidth > 0:
+                codes.append(native.PYTHON)
+                if due:  # Python's trio rotates and rolls; the driver does the same
+                    suppressor._rotate(NOW)
+                    ofd._roll(NOW)
+                    due = False
+            else:
+                found = [k for k in ((index, version, EPOCH), (index, version, EPOCH - 1)) if k in table]
+                good = tag == full[:4]
+                counters["hits" if found else "misses"] += 1
+                counters["rejected_hints"] += bool(found) and not good
+                if good and not found:
+                    if nslots < 64 and 2 * (len(table) + 1) > nslots:
+                        nslots *= 2
+                    for epoch in (EPOCH, EPOCH - 1):
+                        table.pop((index, version - 2, epoch), None)
+                    table[(index, version, EPOCH - which)] = row[:42]
+                if not good:
+                    codes.append(native.BAD_HVF)
+                elif not suppressor.check_and_insert(full, NOW):
+                    codes.append(native.DUPLICATE)
+                else:
+                    cells = ofd.cells_for(resid(index))
+                    for cell in cells:
+                        ofd._counts[cell] += size * 8 / bandwidth
+                    over = min(ofd._counts[cell] for cell in cells) > threshold
+                    codes.append(native.OVER if over else native.DELIVER if flags & native.F_LAST else native.FORWARD)
+        start += burst
+        if start >= len(script):
+            break
+    tables = (bytes(suppressor._current._array), bytes(suppressor._previous._array), ofd._counts)
+    refused = next(i for i, code in enumerate(codes) if code in policed and key_of(script[i]) in table)
+    return codes, tables, counters, len(table), nslots, refused
+
+
+def key_of(entry) -> tuple:
+    index, version, _, which, _ = FLOWS[entry[2]]
+    return index, version, EPOCH - which
+
+
+def new_flow_row() -> bytes:
+    """An honest packet of a flow the script never sends."""
+    fields = [resid(99), 8e6, EXPIRY, 1, 1, 2, 2, 3]
+    sigma = mac(key(0), native.ROW.pack(*fields, bytes(8), 0, bytes(4), 0)[:42])
+    ts, size = (FRESH << 16).to_bytes(8, "big"), 500
+    return native.ROW.pack(*fields, ts, size, mac(sigma, ts + size.to_bytes(4, "big"))[:4], 0)
+
+
+def validate_model(script) -> bytes:
+    """Validate mode's verdicts: policing and bandwidth play no part."""
+    codes = []
+    for row, full, _ in script:
+        _, _, expiry, _, *_, ts, _, tag, flags = native.ROW.unpack(row)
+        if NOW > expiry + 0.1:
+            codes.append(native.EXPIRED)
+        elif (int.from_bytes(ts, "big") >> 16) != FRESH:
+            codes.append(native.STALE)
+        elif flags & (native.F_PYTHON | native.F_FLAGGED):
+            codes.append(native.PYTHON)
+        else:
+            codes.append(native.FORWARD if tag == full[:4] else native.BAD_HVF)
+    return bytes(codes)
+
+
+PRELUDE_BURST = r"""
+/* A fresh table of n zeroed slots, the old one freed: what Python's GROW does. */
+static void grow(colibri_police_t *p, size_t n)
+{
+    colibri_flow_t *old = p->slots;
+    colibri_flows_move(p, calloc(n, sizeof(colibri_flow_t)), n);
+    free(old);
+}
+
+/* Every flow is reachable from its home slot: no empty slot in between. */
+static int table_ok(const colibri_police_t *p)
+{
+    size_t i, j, used = 0;
+    for (i = 0; i < p->nslots; i++) {
+        if (!p->slots[i].used) continue;
+        used++;
+        for (j = flow_home(p, p->slots[i].input, p->slots[i].epoch); j != i; j = (j + 1) % p->nslots)
+            if (!p->slots[j].used) return 0;
+    }
+    return used == p->count;
+}
+
+/* Set up a police struct over exact-size heap tables, the keys unloaded. */
+static colibri_police_t *police_new(size_t nbytes, uint64_t bits, size_t hashes,
+                                    size_t width, size_t depth, double threshold)
+{
+    colibri_police_t *p = calloc(1, sizeof *p);
+    p->current = calloc(nbytes, 1); p->previous = calloc(nbytes, 1); p->nbytes = nbytes;
+    p->bits = bits; p->hashes = hashes; p->width = width; p->depth = depth;
+    p->counts = calloc(width * depth, sizeof(double)); p->ncounts = width * depth;
+    p->threshold = threshold; p->skew = 0.1; p->freshness = 1.2;
+    p->rotated_at = p->window_start = 1000.0; p->duplicate_window = 1.2; p->sketch_window = 1.0;
+    p->slots = calloc(4, sizeof(colibri_flow_t)); p->nslots = 4; p->max_slots = 64;
+    p->capacity = 1000;
+    return p;
+}
+
+/* Run rows [0, n) of a heap copy of `rows`, doing what Python does at each
+   stop except the row itself; the verdicts land in `out`. */
+static void run_burst(colibri_police_t *p, uint8_t *rows, size_t n, uint8_t *out,
+                      const uint8_t *keys)
+{
+    uint8_t *heap_rows = heap(rows, 64 * n), *verdicts = malloc(n ? n : 1);
+    long stop = 0;
+    while ((stop = colibri_burst(p, heap_rows, n, (size_t)stop, verdicts, 1000.0, 0)) < (long)n) {
+        CHECK(stop >= 0);
+        if (stop < 0) break;
+        if (verdicts[stop] == V_GROW) { grow(p, 2 * p->nslots); continue; }
+        if (verdicts[stop] == V_REKEY) {
+            p->epoch = 5; p->prev_epoch = 4; p->has_prev = 1;
+            p->epoch_start = 900.0; p->epoch_end = 1100.0;
+            colibri_b2s_key_schedule(keys, 16, 16, p->key);
+            colibri_b2s_key_schedule(keys + 16, 16, 16, p->prev_key);
+            continue;
+        }
+        if (verdicts[stop] == V_PYTHON && p->rotated_at < 1000.0) {  /* the trio's rotation and roll */
+            free((void *)p->previous); p->previous = p->current;
+            p->current = calloc(p->nbytes, 1);
+            free(p->counts); p->counts = calloc(p->ncounts, sizeof(double));
+            p->rotated_at = p->window_start = 1000.0;
+        }
+        stop++;
+    }
+    CHECK(table_ok(p));
+    memcpy(out, verdicts, n);
+    memcpy(rows, heap_rows, 64 * n);  /* the duplicates' MACs, for the caller */
+    free(heap_rows); free(verdicts);
+}
+"""
+
+
+def burst_section() -> tuple:
+    """``colibri_burst`` over one script per filter and sketch case, bursts
+    of 0, 1, 63, 64 and 65 rows, every stop code, the refusals."""
+    script = burst_script()
+    decls = [
+        c_bytes("B_ROWS", b"".join(row for row, _, _ in script))
+        + c_bytes("B_MACS", b"".join(full for _, full, _ in script))
+        + c_bytes("B_KEYS", key(0) + key(1))
+        + f"static const size_t B_SIZES[] = {{{','.join(map(str, BURSTS))}}};\n"
+        + c_bytes("B_VALID", validate_model(script))
+        + c_bytes("B_NEW_FLOW", new_flow_row())
+    ]
+    body = []
     for case, (bits, hashes) in enumerate(BLOOM_CASES):
         width, depth = SKETCHES[case % len(SKETCHES)]
-        suppressor = DuplicateSuppressor(SimClock(0.0), bits=bits, hashes=hashes)
-        ofd = OveruseFlowDetector(width=width, depth=depth)
-        threshold = ofd.window * ofd.overuse_factor
-        flows = [ofd.cells_for(b"flow-%d" % flow) for flow in range(5)]
-        for packet in script[:40]:  # the previous window already holds some of them
-            suppressor.check_and_insert(macs[packet], 0.0)
-        suppressor._rotate(1.0)
-        previous = bytes(suppressor._previous._array)
-        outcomes, now = [], 1.0
-        for step, packet in enumerate(script):
-            if step == 200:  # the driver frees and re-binds all three buffers here
-                now = 2.5
-                suppressor._rotate(now)
-                ofd._roll(now)
-            cells = flows[packet % 5]
-            if step in forged:
-                outcomes.append(0)
-            elif not suppressor.check_and_insert(macs[packet], now):
-                outcomes.append(1)
-            else:
-                ofd.observe(b"flow-%d" % (packet % 5), 1000, 8e4, now, cells)
-                outcomes.append(3 if min(ofd._counts[cell] for cell in cells) > threshold else 2)
-        assert {0, 1, 2, 3} <= set(outcomes), (bits, hashes, set(outcomes))
-        decls.append(
-            c_bytes(f"PREV_{case}", previous)
-            + c_bytes(f"WANT_{case}", bytes(suppressor._current._array))
-            + c_bytes(f"WANT_PREV_{case}", bytes(suppressor._previous._array))
-            + c_bytes(f"OUTCOMES_{case}", bytes(outcomes))
-            + f"static const uint32_t CELLS_{case}[] = {{{','.join(str(c) for f in flows for c in f)}}};\n"
-            + f"static const double COUNTS_{case}[] = {{{','.join(repr(c) for c in ofd._counts)}}};\n"
+        codes, (current, previous, counts), counters, flows, nslots, refused = burst_model(
+            script, bits, hashes, width, depth
         )
-        ncounts = width * depth
+        assert {native.EXPIRED, native.STALE, native.BAD_HVF, native.PYTHON} <= set(codes), case
+        assert {native.DUPLICATE, native.OVER} <= set(codes) and set(codes) & {native.FORWARD, native.DELIVER}
+        threshold = OveruseFlowDetector(width=width, depth=depth).window * OveruseFlowDetector().overuse_factor
+        decls.append(
+            c_bytes(f"B_CODES_{case}", bytes(codes))
+            + c_bytes(f"B_CUR_{case}", current) + c_bytes(f"B_PREV_{case}", previous)
+            + f"static const double B_COUNTS_{case}[] = {{{','.join(repr(c) for c in counts)}}};\n"
+        )
         body.append(f"""
     {{
-        size_t nbytes = sizeof PREV_{case}, p;
-        colibri_police_t *police = calloc(1, sizeof *police);
-        uint32_t *sched = malloc(32);
-        uint8_t *key = heap(KEYS, 16);
-        uint8_t *previous = heap(PREV_{case}, nbytes);
-        colibri_b2s_key_schedule(key, 16, 16, sched);
-        police->current = calloc(nbytes, 1); police->previous = previous; police->nbytes = nbytes;
-        police->bits = {bits}; police->hashes = {hashes};
-        police->counts = calloc({ncounts}, sizeof(double)); police->ncounts = {ncounts};
-        police->threshold = {threshold!r};
-        for (p = 0; p < 400; p++) {{
-            uint8_t *msg = heap(HOP_MSGS + 12 * HOP_SCRIPT[p], 12);
-            uint8_t *tag = heap(HOP_TAGS + 4 * HOP_SCRIPT[p], 4);
-            uint32_t *cells = heap(CELLS_{case} + {depth} * (HOP_SCRIPT[p] % 5), {4 * depth});
-            if (p == 200) {{   /* rotation and roll: old buffers gone, struct re-bound */
-                free(previous); free(police->counts);
-                previous = police->current;
-                police->previous = previous;
-                police->current = calloc(nbytes, 1);
-                police->counts = calloc({ncounts}, sizeof(double));
+        size_t nbytes = sizeof B_CUR_{case}, start = 0, b = 0, n, i;
+        uint8_t *rows = heap(B_ROWS, sizeof B_ROWS), *out = malloc(400), *probe;
+        uint32_t cells[64][8];
+        int due = 0;
+        colibri_police_t *p = police_new(nbytes, {bits}, {hashes}, {width}, {depth}, {threshold!r});
+        for (; start < 400; start += n, b++) {{
+            n = B_SIZES[b % 5] < 400 - start ? B_SIZES[b % 5] : 400 - start;
+            if (start >= {DUE_FROM} && !due) {{  /* a rotation and a roll due */
+                p->rotated_at = 1000.0 - 1.2;
+                due = 1;
             }}
-            tag[0] ^= HOP_FORGED[p];
-            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, tag, 4, cells, {depth}, {1000 * 8 / 8e4!r})
-                  == OUTCOMES_{case}[p]);
-            free(msg); free(tag); free(cells);
+            run_burst(p, rows + 64 * start, n, out + start, B_KEYS);
         }}
-        CHECK(memcmp(police->current, WANT_{case}, nbytes) == 0);
-        CHECK(memcmp(previous, WANT_PREV_{case}, nbytes) == 0);
-        CHECK(memcmp(police->counts, COUNTS_{case}, sizeof COUNTS_{case}) == 0);
-        {{   /* refused, or a tag no MAC can match: nothing written */
-            uint8_t *msg = heap(HOP_MSGS + 12 * 149, 12), *wide = heap(HOP_WIDE, 17);
-            uint32_t *cells = heap(CELLS_{case}, {4 * depth});
-            uint32_t past[] = {{0, {ncounts}}}, far[] = {{UINT32_MAX}};
-            uint8_t mac_before[16];
-            uint64_t bits = police->bits;
-            memcpy(mac_before, police->mac, 16);
-            police->bits = 0;
-            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, cells, {depth}, 1.0) == -1);
-            police->bits = 8 * nbytes + 1;
-            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, cells, {depth}, 1.0) == -1);
-            police->bits = UINT64_MAX;
-            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, cells, {depth}, 1.0) == -1);
-            police->bits = bits;
-            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, past, 2, 1.0) == -1);
-            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, far, 1, 1.0) == -1);
-            CHECK(memcmp(police->mac, mac_before, 16) == 0);
-            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 17, cells, {depth}, 1.0) == 0);
-            CHECK(memcmp(police->current, WANT_{case}, nbytes) == 0);
-            CHECK(memcmp(police->counts, COUNTS_{case}, sizeof COUNTS_{case}) == 0);
-            /* the untruncated MAC is a tag too; with no cells the estimate is +inf */
-            CHECK(colibri_hop(police, (uint8_t *)sched, msg, 12, wide, 16, far, 0, 1.0)
-                  == HOP_WIDE_OUTCOME_{case});
-            free(msg); free(wide); free(cells);
+        CHECK(memcmp(out, B_CODES_{case}, 400) == 0);
+        for (i = 0; i < 400; i++)
+            if (out[i] == V_DUPLICATE) CHECK(memcmp(rows + 64 * i, B_MACS + 16 * i, 16) == 0);
+        CHECK(memcmp(p->current, B_CUR_{case}, nbytes) == 0);
+        CHECK(memcmp(p->previous, B_PREV_{case}, nbytes) == 0);
+        CHECK(memcmp(p->counts, B_COUNTS_{case}, sizeof B_COUNTS_{case}) == 0);
+        CHECK(p->hits == {counters['hits']} && p->misses == {counters['misses']});
+        CHECK(p->rejected_hints == {counters['rejected_hints']} && p->evictions == 0);
+        CHECK(p->count == {flows} && p->nslots == {nslots});
+        /* refusals before any write: verdicts, filters, sketch and table as they were */
+        probe = heap(B_ROWS, 64);
+        memset(out, 0xAA, 400);
+        p->bits = 0;
+        CHECK(colibri_burst(p, probe, 1, 0, out, 1000.0, 0) == -1);
+        p->bits = 8 * nbytes + 1;
+        CHECK(colibri_burst(p, probe, 1, 0, out, 1000.0, 0) == -1);
+        p->bits = {bits}; p->depth = 9;
+        CHECK(colibri_burst(p, probe, 1, 0, out, 1000.0, 1) == -1);
+        p->depth = 0;
+        CHECK(colibri_burst(p, probe, 1, 0, out, 1000.0, 0) == -1);
+        p->depth = {depth}; p->nslots--;
+        CHECK(colibri_burst(p, probe, 1, 0, out, 1000.0, 0) == -1);
+        p->nslots++; p->count = p->nslots / 2 + 1;
+        CHECK(colibri_burst(p, probe, 1, 0, out, 1000.0, 0) == -1);
+        p->count = {flows};
+        CHECK(out[0] == 0xAA && memcmp(p->current, B_CUR_{case}, nbytes) == 0);
+        CHECK(memcmp(p->counts, B_COUNTS_{case}, sizeof B_COUNTS_{case}) == 0);
+        CHECK(memcmp(probe, B_ROWS, 64) == 0 && p->hits == {counters['hits']});
+        free(probe);
+        /* a cell outside the sketch: V_REFUSED at that row, nothing written */
+        for (i = 0; i < p->nslots; i++) {{
+            memcpy(cells[i], p->slots[i].cells, 32);
+            p->slots[i].cells[{depth} - 1] = (uint32_t)p->ncounts;
         }}
-        free(police->current); free(previous); free(police->counts);
-        free(police); free(sched); free(key);
+        probe = heap(B_ROWS + 64 * {refused}, 64);
+        CHECK(colibri_burst(p, probe, 1, 0, out, 1000.0, 0) == 0 && out[0] == V_REFUSED);
+        CHECK(memcmp(p->current, B_CUR_{case}, nbytes) == 0);
+        CHECK(memcmp(p->counts, B_COUNTS_{case}, sizeof B_COUNTS_{case}) == 0);
+        for (i = 0; i < p->nslots; i++) memcpy(p->slots[i].cells, cells[i], 32);
+        free(probe);
+        /* a full table evicts: one flow out, one in */
+        p->capacity = p->count;
+        probe = heap(B_NEW_FLOW, 64);
+        while (colibri_burst(p, probe, 1, 0, out, 1000.0, 1) == 0 && out[0] == V_GROW)
+            grow(p, 2 * p->nslots);
+        CHECK(out[0] == V_FORWARD && p->evictions == 1 && p->count == p->capacity && table_ok(p));
+        free(probe);
+        /* a table of three flows under the whole script: evictions and drops
+           shift runs back, and every flow stays reachable */
+        free(p->slots);  /* as BurstKernel.capacity = 3 leaves it */
+        p->slots = calloc(4, sizeof(colibri_flow_t)); p->nslots = 4; p->count = 0;
+        p->capacity = 3; p->max_slots = 8; p->evictions = 0;
+        for (i = 0; i < 400; i++) {{
+            probe = heap(B_ROWS + 64 * i, 64);
+            while (colibri_burst(p, probe, 1, 0, out, 1000.0, 1) == 0 && out[0] == V_GROW)
+                grow(p, 2 * p->nslots);
+            CHECK(p->count <= 3 && table_ok(p));
+            free(probe);
+        }}
+        CHECK(p->evictions > 20);
+        /* validate mode: steps 1 and 3 over the whole script, tables untouched */
+        memcpy(rows, B_ROWS, sizeof B_ROWS);
+        for (start = 0; start < 400;) {{
+            long stop = colibri_burst(p, rows, 400, start, out, 1000.0, 1);
+            CHECK(stop >= 0 && (stop == 400 || out[stop] != V_REKEY));
+            if (stop < 0 || stop == 400) break;
+            if (out[stop] == V_GROW) grow(p, 2 * p->nslots); else stop++;
+            start = (size_t)stop;
+        }}
+        CHECK(memcmp(out, B_VALID, 400) == 0);
+        CHECK(memcmp(p->current, B_CUR_{case}, nbytes) == 0);
+        CHECK(memcmp(p->counts, B_COUNTS_{case}, sizeof B_COUNTS_{case}) == 0);
+        free(p->current); free((void *)p->previous); free(p->counts); free(p->slots); free(p);
+        free(rows); free(out);
     }}""")
-        # Message 149 once more, whole MAC as the tag, no cells: a duplicate if the
-        # script's second half already carried it, else fresh with an infinite estimate.
-        fresh = suppressor.check_and_insert(macs[149], now)
-        decls.append(f"enum {{ HOP_WIDE_OUTCOME_{case} = {3 if fresh else 1} }};\n")
     return decls, body
 
 
@@ -269,12 +477,12 @@ def driver_source() -> str:
     os.environ["COLIBRI_NATIVE"] = "0"  # expected tables come from the Python bodies
     native.reset_for_tests()
     decls, body = [], []
-    for section in (crypto_section, hop_section):
+    for section in (crypto_section, burst_section):
         section_decls, section_body = section()
         decls += section_decls
         body += section_body
     return (
-        native._SOURCE + PRELUDE + "".join(decls)
+        native._SOURCE + PRELUDE + PRELUDE_BURST + "".join(decls)
         + "\nint main(void)\n{" + "".join(body)
         + '\n    printf("%s\\n", failures ? "native-asan: FAILED" : "native-asan: ok");'
         + "\n    return failures != 0;\n}\n"
