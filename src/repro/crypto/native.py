@@ -67,6 +67,8 @@ typedef struct {
     double epoch_start, epoch_end;  /* where `key` is the current K_i */
     uint32_t epoch, prev_epoch, has_prev;
     uint32_t key[8], prev_key[8];   /* K_i's schedule, this epoch and the last */
+    uint8_t label[12];        /* a flow label and its sketch cells, as */
+    uint32_t cells[8];        /*   OveruseFlowDetector.cells_for gives them */
     colibri_flow_t *slots;    /* the flow table: linear probing */
     size_t nslots, max_slots, count, capacity;
     uint64_t hits, misses, evictions, rejected_hints;
@@ -506,48 +508,6 @@ static double be_double(const uint8_t *p)
     return *(double *)memcpy(&d, &x, 8);
 }
 
-/* ---- BLAKE2b of a flow label: the sketch cells' digest ------------------ */
-
-static const uint64_t B2B_IV[8] = {
-    0x6A09E667F3BCC908ULL, 0xBB67AE8584CAA73BULL, 0x3C6EF372FE94F82BULL,
-    0xA54FF53A5F1D36F1ULL, 0x510E527FADE682D1ULL, 0x9B05688C2B3E6C1FULL,
-    0x1F83D9ABFB41BD6BULL, 0x5BE0CD19137E2179ULL
-};
-
-#define ROTR64(x, n) (((x) >> (n)) | ((x) << (64 - (n))))
-#define GB(a, b, c, d, x, y)                                              \
-    do {                                                                  \
-        a = a + b + (x); d = ROTR64(d ^ a, 32); c = c + d; b = ROTR64(b ^ c, 24); \
-        a = a + b + (y); d = ROTR64(d ^ a, 16); c = c + d; b = ROTR64(b ^ c, 63); \
-    } while (0)
-
-/* Unkeyed BLAKE2b of one message of at most 128 bytes, `outlen` bytes of it. */
-static void b2b_one_block(const uint8_t *msg, size_t len, uint8_t *out, size_t outlen)
-{
-    uint64_t h[8], v[16], m[16] = {0};
-    size_t i;
-    int r;
-    for (i = 0; i < len; i++) m[i / 8] |= (uint64_t)msg[i] << (8 * (i % 8));
-    for (i = 0; i < 8; i++) v[i] = h[i] = B2B_IV[i];
-    v[0] = h[0] ^= 0x01010000ULL ^ outlen;
-    for (i = 0; i < 8; i++) v[i + 8] = B2B_IV[i];
-    v[12] ^= len;
-    v[14] = ~v[14];
-    for (r = 0; r < 12; r++) {
-        const uint8_t *s = B2S_SIGMA[r % 10];
-        GB(v[0], v[4], v[ 8], v[12], m[s[ 0]], m[s[ 1]]);
-        GB(v[1], v[5], v[ 9], v[13], m[s[ 2]], m[s[ 3]]);
-        GB(v[2], v[6], v[10], v[14], m[s[ 4]], m[s[ 5]]);
-        GB(v[3], v[7], v[11], v[15], m[s[ 6]], m[s[ 7]]);
-        GB(v[0], v[5], v[10], v[15], m[s[ 8]], m[s[ 9]]);
-        GB(v[1], v[6], v[11], v[12], m[s[10]], m[s[11]]);
-        GB(v[2], v[7], v[ 8], v[13], m[s[12]], m[s[13]]);
-        GB(v[3], v[4], v[ 9], v[14], m[s[14]], m[s[15]]);
-    }
-    for (i = 0; i < outlen; i++)
-        out[i] = (uint8_t)((h[i / 8] ^ v[i / 8] ^ v[i / 8 + 8]) >> (8 * (i % 8)));
-}
-
 /* Rotating-Bloom test-and-set on a 16-byte MAC: bit i is (h1 + i*h2) mod
    bits over its two big-endian halves, both reduced first so the running
    sum never wraps.  1 = fresh and now recorded in `current`, 0 = seen (in
@@ -639,7 +599,7 @@ static void flow_delete(colibri_police_t *p, colibri_flow_t *f)
 static colibri_flow_t *flow_store(colibri_police_t *p, const uint8_t *input,
                                   uint32_t epoch, const uint32_t sched[8])
 {
-    uint8_t key[42], digest[32];
+    uint8_t key[42];
     colibri_flow_t *f;
     size_t i, version = ((size_t)input[28] << 8) | input[29];
     if (version >= 2) {
@@ -661,9 +621,7 @@ static colibri_flow_t *flow_store(colibri_police_t *p, const uint8_t *input,
     }
     memcpy(f->input, input, 42), memcpy(f->sched, sched, 32);
     f->epoch = epoch;
-    b2b_one_block(input, 12, digest, 4 * p->depth);
-    for (i = 0; i < p->depth; i++)
-        f->cells[i] = (uint32_t)(i * p->width + be32(digest + 4 * i) % p->width);
+    memcpy(f->cells, p->cells, sizeof f->cells);  /* colibri_burst checked the label */
     return f;
 }
 
@@ -690,10 +648,11 @@ void colibri_flows_move(colibri_police_t *p, colibri_flow_t *slots, size_t nslot
    V_PYTHON (flagged, SegR, no bandwidth, a rotation or roll due: past step
    1 untouched), V_OVER (policed, over the threshold), V_REFUSED (a cell
    outside the sketch), V_GROW (the table needs room), V_REKEY (`now` left
-   `key`'s epoch); -1: the geometry does not fit, nothing written.
+   `key`'s epoch), V_CELLS (a flow to store of a label not `label`);
+   -1: the geometry does not fit, nothing written.
    `validate`: steps 1 and 3 only, filters and sketch untouched. */
 enum { V_FORWARD = 1, V_DELIVER, V_EXPIRED, V_STALE, V_BAD_HVF, V_DUPLICATE,
-       V_PYTHON, V_OVER, V_REFUSED, V_GROW, V_REKEY };
+       V_PYTHON, V_OVER, V_REFUSED, V_GROW, V_REKEY, V_CELLS };
 enum { F_PYTHON = 1, F_FLAGGED = 2, F_LAST = 4 };
 
 long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
@@ -738,6 +697,10 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
                     continue;
                 if (p->nslots < p->max_slots && 2 * (p->count + 1) > p->nslots) {
                     verdicts[i] = V_GROW;
+                    return (long)i;
+                }
+                if (memcmp(p->label, row, 12)) {
+                    verdicts[i] = V_CELLS;
                     return (long)i;
                 }
                 f = flow_store(p, row, e ? p->prev_epoch : p->epoch, sched);
@@ -1024,10 +987,12 @@ def repointing(name: str) -> property:
 #: SrcHost, DstHost, In, Eg (the Eq. (4) input), Ts, PktSize, HVF, flags.
 ROW = struct.Struct("!12sddHIIHH8sI4sB5x")
 #: Its verdict bytes and row flags (the C enums).
-FORWARD, DELIVER, EXPIRED, STALE, BAD_HVF, DUPLICATE, PYTHON, OVER, REFUSED, GROW, REKEY = range(1, 12)
+FORWARD, DELIVER, EXPIRED, STALE, BAD_HVF, DUPLICATE, PYTHON, OVER, REFUSED, GROW, REKEY, CELLS = range(1, 13)
 F_PYTHON, F_FLAGGED, F_LAST = 1, 2, 4
 #: The flow table's bound, in flows: soft state for the working set only.
 FLOW_CAPACITY = 65536
+#: The most sketch rows a flow's entry holds (``colibri_flow_t.cells``).
+SKETCH_DEPTH = 8
 
 
 class BurstKernel:
@@ -1039,8 +1004,9 @@ class BurstKernel:
     ``_BloomFilter.clear`` (so every rotation), ``_roll``, a
     :func:`repointing` attribute (``bits``, ``hashes``, ``overuse_factor``,
     ``_rotated_at``).  The flow table and the buffers are bytearrays (a
-    heap walk sees them); :meth:`resume` grows the table or loads the
-    epoch's keys when the kernel stops for it.  Weak proxies to the tables
+    heap walk sees them); :meth:`resume` grows the table, loads the
+    epoch's keys or hands over a new flow's sketch cells (computed only by
+    ``cells_for``) when the kernel stops for it.  Weak proxies to the tables
     avoid a cycle.  Not thread-safe: one router, one burst at a time.
     """
 
@@ -1058,6 +1024,7 @@ class BurstKernel:
         for table in (duplicates, duplicates._current, duplicates._previous, ofd):
             table._repoint = self.point
         self.point()
+        self._label(bytes(12))
         self.reserve(64)
         self.capacity = FLOW_CAPACITY
 
@@ -1102,20 +1069,30 @@ class BurstKernel:
 
     def _move(self, slots: int) -> None:
         table = bytearray(slots * self._ffi.sizeof("colibri_flow_t"))
-        self._table = (table, self._ffi.from_buffer("colibri_flow_t[]", table))
-        self._move_flows(self.state, self._table[1], slots)
+        cdata = self._ffi.from_buffer("colibri_flow_t[]", table)
+        self._move_flows(self.state, cdata, slots)  # reads the old table: still pinned
+        self._table = (table, cdata)
+
+    def _label(self, label: bytes) -> None:
+        """Give the struct flow ``label``'s sketch cells, for the flows of it
+        the kernel stores next."""
+        self._ffi.memmove(self.state.label, label, 12)
+        self.state.cells = self._ofd.cells_for(label)
 
     def resume(self, count: int, stop: int, now: float, validate: int) -> int:
         """After ``colibri_burst`` over rows ``:count`` returned ``stop``: do
         what it stopped for before touching a row — double the flow table
         (``GROW``), load the K_i of ``now``'s DRKey epoch and the one before
-        (``REKEY``) — and run on; the row Python takes (``count`` if none)."""
+        (``REKEY``), the cells of the row's flow (``CELLS``) — and run on;
+        the row Python takes (``count`` if none)."""
         state, memmove, hop_key = self.state, self._ffi.memmove, self._keys.hop_key
         while stop < 0 or (stop < count and self.verdicts[stop] >= GROW):
             if stop < 0:
                 raise IndexError("the policing tables' geometry was refused")
             if self.verdicts[stop] == GROW:
                 self._move(2 * state.nslots)
+            elif self.verdicts[stop] == CELLS:
+                self._label(bytes(self.rows[ROW.size * stop : ROW.size * stop + 12]))
             else:
                 epoch, previous = int(now // DRKEY_VALIDITY), now - DRKEY_VALIDITY
                 state.epoch, state.has_prev = epoch, previous >= 0

@@ -60,8 +60,10 @@ class OveruseFlowDetector:
         window: float = OFD_DEFAULT_WINDOW,
         overuse_factor: float = OFD_OVERUSE_FACTOR,
     ):
-        if width <= 0 or depth <= 0:
-            raise ValueError(f"sketch geometry must be positive: {width}x{depth}")
+        if width <= 0 or not 0 < depth <= native.SKETCH_DEPTH:
+            raise ValueError(
+                f"sketch geometry must be positive, depth at most {native.SKETCH_DEPTH}: {width}x{depth}"
+            )
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         self.width = width

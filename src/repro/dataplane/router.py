@@ -323,10 +323,13 @@ class BorderRouter:
         return results
 
     def _pack(self, kernel, packets, police: bool = True) -> tuple:
-        """One :data:`native.ROW` per packet into the kernel's buffer; returns
-        the egress interfaces and whether :meth:`_flag` marked a row."""
-        if len(packets) > len(kernel.verdicts):
-            kernel.reserve(len(packets))
+        """One :data:`native.ROW` per packet into the kernel's buffer, a packet
+        object's second and later copies marked for Python, which reads the
+        hop its earlier copies forwarded it to; returns the egress
+        interfaces and whether :meth:`_flag` marked a row."""
+        count = len(packets)
+        if count > len(kernel.verdicts):
+            kernel.reserve(count)
         rows, pack, sizes = kernel.rows, _PACK_ROW, ColibriPacket._HEADER_SIZES
         egresses = []
         append = egresses.append
@@ -355,6 +358,12 @@ class BorderRouter:
                 destination, ingress, egress, packet.timestamp.packed, size, hvf, flags,
             )
             offset += 64
+        if count > 1 and len(set(map(id, packets))) < count:
+            seen = set()
+            for index, packet in enumerate(packets):
+                if id(packet) in seen:
+                    rows[64 * index + 58] |= _PYTHON
+                seen.add(id(packet))
         flagged = police and (self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects)
         return egresses, bool(flagged) and self._flag(packets, rows, 0)
 

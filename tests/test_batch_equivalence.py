@@ -243,6 +243,23 @@ class TestSigmaCacheInvalidation:
         assert all(router.validate_batch([arriving(gateway, res_id) for res_id in ids]))
         assert (table.state.count, table.state.nslots, table.state.evictions) == (100, 256, 100)
 
+    def test_every_flow_survives_the_doublings(self):
+        """Each move reads the old table whole (it is freed only after): 300
+        flows stored one burst of one at a time through 64 -> 1,024 slots all
+        hit afterwards, each under its own bytes and ``cells_for``'s cells."""
+        clock, gateway, router, mid_keys = make_stack()
+        table, epoch = router.kernel, int(clock.now() // DRKEY_VALIDITY)
+        ids = [install(gateway, mid_keys, clock, local_id=100 + index)[0] for index in range(300)]
+        for res_id in ids:
+            assert router.validate_only(arriving(gateway, res_id))
+        assert (table.state.count, table.state.nslots, table.state.misses) == (300, 1024, 300)
+        assert all(router.validate_batch([arriving(gateway, res_id) for res_id in ids]))
+        assert (table.state.hits, table.state.misses, table.state.count) == (300, 300, 300)
+        flows = differential.flows(table)
+        assert sorted(flows) == sorted((res_id.packed, 1, epoch) for res_id in ids)
+        for (label, _, _), slot in flows.items():
+            assert tuple(slot.cells)[: router.ofd.depth] == router.ofd.cells_for(label)
+
 
 WORKLOAD_IDS = (5, 6, 7)
 

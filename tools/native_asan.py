@@ -23,7 +23,8 @@ side — hashlib for the MACs, the ``COLIBRI_NATIVE=0`` bodies of
   byte, the duplicates' MACs, the final filters, counts and flow-table
   counters.  The driver does what Python does at each stop: ``V_REKEY``
   loads the keys, ``V_GROW`` moves the table into a fresh allocation and
-  frees the old one, and half way a due rotation and roll free and
+  frees the old one, ``V_CELLS`` hands over the row's cells from a table
+  ``cells_for`` made, and half way a due rotation and roll free and
   re-bind the filters and the sketch, so a stale pointer aborts;
 * a table that must stay reachable from every flow's home slot after
   each burst and through ~400 evictions and drops at capacity 3;
@@ -292,6 +293,37 @@ static void grow(colibri_police_t *p, size_t n)
     free(old);
 }
 
+/* Every flow label the script sends with its cells, as cells_for gives them. */
+typedef struct { uint8_t label[12]; uint32_t cells[8]; } cells_entry_t;
+static const cells_entry_t *CELLS;
+static size_t NCELLS, cells_served;
+
+/* Every stored flow holds its label's cells. */
+static int cells_ok(const colibri_police_t *p)
+{
+    size_t i, j;
+    for (i = 0; i < p->nslots; i++) {
+        if (!p->slots[i].used) continue;
+        for (j = 0; j < NCELLS && memcmp(CELLS[j].label, p->slots[i].input, 12); j++);
+        if (j == NCELLS || memcmp(CELLS[j].cells, p->slots[i].cells, 4 * p->depth)) return 0;
+    }
+    return 1;
+}
+
+/* What Python does when the kernel stops for the table, row `row`: 1 if it did. */
+static int serve(colibri_police_t *p, uint8_t verdict, const uint8_t *row)
+{
+    size_t i;
+    if (verdict == V_GROW) { grow(p, 2 * p->nslots); return 1; }
+    if (verdict != V_CELLS) return 0;
+    for (i = 0; i < NCELLS && memcmp(CELLS[i].label, row, 12); i++);
+    CHECK(i < NCELLS);
+    if (i == NCELLS) return 0;
+    memcpy(p->label, CELLS[i].label, 12); memcpy(p->cells, CELLS[i].cells, 32);
+    cells_served++;
+    return 1;
+}
+
 /* Every flow is reachable from its home slot: no empty slot in between. */
 static int table_ok(const colibri_police_t *p)
 {
@@ -330,7 +362,7 @@ static void run_burst(colibri_police_t *p, uint8_t *rows, size_t n, uint8_t *out
     while ((stop = colibri_burst(p, heap_rows, n, (size_t)stop, verdicts, 1000.0, 0)) < (long)n) {
         CHECK(stop >= 0);
         if (stop < 0) break;
-        if (verdicts[stop] == V_GROW) { grow(p, 2 * p->nslots); continue; }
+        if (serve(p, verdicts[stop], heap_rows + 64 * stop)) continue;
         if (verdicts[stop] == V_REKEY) {
             p->epoch = 5; p->prev_epoch = 4; p->has_prev = 1;
             p->epoch_start = 900.0; p->epoch_end = 1100.0;
@@ -374,9 +406,15 @@ def burst_section() -> tuple:
         )
         assert {native.EXPIRED, native.STALE, native.BAD_HVF, native.PYTHON} <= set(codes), case
         assert {native.DUPLICATE, native.OVER} <= set(codes) and set(codes) & {native.FORWARD, native.DELIVER}
-        threshold = OveruseFlowDetector(width=width, depth=depth).window * OveruseFlowDetector().overuse_factor
+        ofd = OveruseFlowDetector(width=width, depth=depth)
+        threshold = ofd.window * ofd.overuse_factor
+        entries = (
+            "{{%s}, {%s}}" % (",".join(map(str, label)), ",".join(map(str, ofd.cells_for(label))))
+            for label in sorted({resid(flow[0]) for flow in FLOWS} | {resid(99)})
+        )
         decls.append(
-            c_bytes(f"B_CODES_{case}", bytes(codes))
+            f"static const cells_entry_t B_CELLS_{case}[] = {{{','.join(entries)}}};\n"
+            + c_bytes(f"B_CODES_{case}", bytes(codes))
             + c_bytes(f"B_CUR_{case}", current) + c_bytes(f"B_PREV_{case}", previous)
             + f"static const double B_COUNTS_{case}[] = {{{','.join(repr(c) for c in counts)}}};\n"
         )
@@ -387,6 +425,7 @@ def burst_section() -> tuple:
         uint32_t cells[64][8];
         int due = 0;
         colibri_police_t *p = police_new(nbytes, {bits}, {hashes}, {width}, {depth}, {threshold!r});
+        CELLS = B_CELLS_{case}, NCELLS = sizeof B_CELLS_{case} / sizeof *CELLS, cells_served = 0;
         for (; start < 400; start += n, b++) {{
             n = B_SIZES[b % 5] < 400 - start ? B_SIZES[b % 5] : 400 - start;
             if (start >= {DUE_FROM} && !due) {{  /* a rotation and a roll due */
@@ -403,7 +442,7 @@ def burst_section() -> tuple:
         CHECK(memcmp(p->counts, B_COUNTS_{case}, sizeof B_COUNTS_{case}) == 0);
         CHECK(p->hits == {counters['hits']} && p->misses == {counters['misses']});
         CHECK(p->rejected_hints == {counters['rejected_hints']} && p->evictions == 0);
-        CHECK(p->count == {flows} && p->nslots == {nslots});
+        CHECK(p->count == {flows} && p->nslots == {nslots} && cells_served > 0 && cells_ok(p));
         /* refusals before any write: verdicts, filters, sketch and table as they were */
         probe = heap(B_ROWS, 64);
         memset(out, 0xAA, 400);
@@ -438,8 +477,7 @@ def burst_section() -> tuple:
         /* a full table evicts: one flow out, one in */
         p->capacity = p->count;
         probe = heap(B_NEW_FLOW, 64);
-        while (colibri_burst(p, probe, 1, 0, out, 1000.0, 1) == 0 && out[0] == V_GROW)
-            grow(p, 2 * p->nslots);
+        while (colibri_burst(p, probe, 1, 0, out, 1000.0, 1) == 0 && serve(p, out[0], probe));
         CHECK(out[0] == V_FORWARD && p->evictions == 1 && p->count == p->capacity && table_ok(p));
         free(probe);
         /* a table of three flows under the whole script: evictions and drops
@@ -449,8 +487,7 @@ def burst_section() -> tuple:
         p->capacity = 3; p->max_slots = 8; p->evictions = 0;
         for (i = 0; i < 400; i++) {{
             probe = heap(B_ROWS + 64 * i, 64);
-            while (colibri_burst(p, probe, 1, 0, out, 1000.0, 1) == 0 && out[0] == V_GROW)
-                grow(p, 2 * p->nslots);
+            while (colibri_burst(p, probe, 1, 0, out, 1000.0, 1) == 0 && serve(p, out[0], probe));
             CHECK(p->count <= 3 && table_ok(p));
             free(probe);
         }}
@@ -461,7 +498,7 @@ def burst_section() -> tuple:
             long stop = colibri_burst(p, rows, 400, start, out, 1000.0, 1);
             CHECK(stop >= 0 && (stop == 400 || out[stop] != V_REKEY));
             if (stop < 0 || stop == 400) break;
-            if (out[stop] == V_GROW) grow(p, 2 * p->nslots); else stop++;
+            if (!serve(p, out[stop], rows + 64 * stop)) stop++;
             start = (size_t)stop;
         }}
         CHECK(memcmp(out, B_VALID, 400) == 0);
