@@ -32,7 +32,11 @@ import hashlib
 import random
 import sys
 import time
+from array import array
+from collections import Counter
+from enum import Enum
 from pathlib import Path
+from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 from typing import Callable, NamedTuple
 
 HERE = Path(__file__).resolve().parent
@@ -46,20 +50,16 @@ from repro.admission.eer_admission import AsRole  # noqa: E402
 from repro.attacks import DocAttack, ReplayAttack, SpoofingAttack, VolumetricAttack  # noqa: E402
 from repro.baselines import DiffServRouter, DscpClass, IntServNetwork  # noqa: E402
 from repro.constants import EER_LIFETIME, L_HVF  # noqa: E402
+from repro.crypto import native  # noqa: E402
+from repro.crypto.drkey import DrkeyDeriver  # noqa: E402
 from repro.crypto.mac import mac, truncated_mac  # noqa: E402
 from repro.dataplane.gateway import ColibriGateway  # noqa: E402
-from repro.dataplane.hvf import backend_name, eer_hvf, hop_authenticator  # noqa: E402
+from repro.dataplane.hvf import ColibriKeys, backend_name, eer_hvf, hop_authenticator  # noqa: E402
 from repro.dataplane.queueing import PriorityScheduler, TrafficClass  # noqa: E402
-from repro.dataplane.router import Verdict  # noqa: E402
-from repro.dataplane.shards import (  # noqa: E402
-    ShardExecutor,
-    ShardRunResult,
-    ShardSpec,
-    _router_stack,
-    run_shard,
-)
+from repro.dataplane.router import BorderRouter, Verdict  # noqa: E402
 from repro.errors import SimulationError  # noqa: E402
-from repro.packets.fields import EerInfo, PathField, ResInfo  # noqa: E402
+from repro.packets.colibri import ColibriPacket, PacketType  # noqa: E402
+from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp  # noqa: E402
 from repro.reservation import (  # noqa: E402
     ReservationId,
     ReservationStore,
@@ -342,23 +342,46 @@ BATCH = 64  # packets per send_batch burst (a NIC burst)
 _MESSAGE_SIZE = 12  # Eq. (6) input, Ts || PktSize
 
 
-def stamping_gateway(path_length: int, reservations: int):
-    """``(gateway, ids)``: ``reservations`` EERs on ``path_length``-AS paths.
-    HopAuths are random: the gateway only ever MACs under them."""
+def stamping_gateway(path_length: int, reservations: int, shard: tuple = (0, 1)):
+    """``(gateway, ids)``: the EERs of ``reservations`` that ``shard`` (index,
+    count) owns, on ``path_length``-AS paths.  HopAuths are random: the
+    gateway only ever MACs under them."""
     clock = SimClock(1000.0)
     gateway = ColibriGateway(_SRC, clock)
     rng = random.Random(42)
     path = PathField(((0, 1), *[(2, 3)] * (path_length - 2), (4, 0)))
     eer_info = EerInfo(HostAddr(1), HostAddr(2))
     expiry = clock.now() + EER_LIFETIME * 1000
-    ids = []
-    for index in range(reservations):
-        res_id = ReservationId(_SRC, index + 1)
+    ids = _owned(reservations, shard)
+    for res_id in ids:
         res_info = ResInfo(reservation=res_id, bandwidth=gbps(1000), expiry=expiry, version=1)
         hop_auths = tuple(rng.getrandbits(128).to_bytes(16, "big") for _ in range(path_length))
         gateway.install(res_id, path, eer_info, res_info, hop_auths)
-        ids.append(res_id)
     return gateway, ids
+
+
+def router_stack(flows: int, shard: tuple = (0, 1)):
+    """``(router, packets)``: the border router of the second AS of a 4-AS
+    path, and one honestly stamped packet arriving at it (hop 1) for each
+    reservation of ``flows`` that ``shard`` (index, count) owns."""
+    clock = SimClock(1000.0)
+    keys = ColibriKeys(DrkeyDeriver(_FAR, clock, seed=b"shard-router-key"))
+    router = BorderRouter(_FAR, keys, clock)
+    path = PathField(((0, 1), (2, 3), (2, 3), (4, 0)))
+    eer_info = EerInfo(HostAddr(1), HostAddr(2))
+    expiry = clock.now() + EER_LIFETIME
+    packets = []
+    for res_id in _owned(flows, shard):
+        res_info = ResInfo(reservation=res_id, bandwidth=gbps(1), expiry=expiry, version=1)
+        sigma = hop_authenticator(keys.hop_key(), res_info, eer_info, 2, 3)
+        timestamp = Timestamp.create(clock.now(), expiry)
+        packet = ColibriPacket(
+            packet_type=PacketType.EER_DATA, path=path, res_info=res_info, timestamp=timestamp,
+            hvfs=[ColibriPacket.EMPTY_HVF] * 4, eer_info=eer_info, payload=b"", hop_index=1,
+        )
+        packet.hvfs[1] = eer_hvf(sigma, timestamp, packet.total_size)
+        packets.append(packet)
+    return router, packets
 
 
 def rekeying_gateway(path_length: int, reservations: int):
@@ -447,67 +470,198 @@ def fig5(scale: str, build=stamping_gateway) -> Figure:
 
 # -- Fig. 6: throughput vs. cores ---------------------------------------------
 
-def shard_executor(component: str, reservations: int, packets: int) -> ShardExecutor:
-    return ShardExecutor(component, reservations=reservations, packets=packets)
+#: Shard counts of the sweep.  Every shard runs in this process: what scales
+#: with cores is shown by construction (shards share no mutable object and
+#: count the same as lone stacks), not by timing processes on a shared host.
+CORES = (1, 2, 4, 8, 16)
+_COUNT_FLOWS, _COUNT_BURSTS = 2**10, 16
 
 
-class SerialExecutor:
-    """Mutant: the shards run one after another in this process, so a
-    burst completes after the sum of their loop times."""
-
-    def __init__(self, component: str, reservations: int, packets: int):
-        self._specs = shard_executor(component, reservations, packets)._specs
-
-    def run(self, num_shards: int) -> ShardRunResult:
-        outcomes = [run_shard(spec) for spec in self._specs(num_shards)]
-        busy = sum(outcome.elapsed for outcome in outcomes if outcome.packets)
-        return ShardRunResult("serial", outcomes, sum(o.packets for o in outcomes) / busy)
+def shard_of(reservation_id: ReservationId, num_shards: int) -> int:
+    """The shard owning ``reservation_id``: unkeyed BLAKE2s of its wire
+    form, so every run agrees (the builtin ``hash`` is salted per process)."""
+    if num_shards <= 0:
+        raise ValueError(f"shard count must be positive, got {num_shards}")
+    digest = hashlib.blake2s(reservation_id.packed, digest_size=4).digest()
+    return int.from_bytes(digest, "big") % num_shards
 
 
-def fig6(scale: str, build=shard_executor) -> Figure:
+def _owned(flows: int, shard: tuple) -> list:
+    """Reservation ids 1..``flows`` of ``_SRC`` that shard ``(index, count)`` owns."""
+    index, count = shard
+    ids = (ReservationId(_SRC, n + 1) for n in range(flows))
+    return [res_id for res_id in ids if shard_of(res_id, count) == index]
+
+
+def _stack(component: str, flows: int, shard: tuple):
+    """One shard's stack: :func:`router_stack` or :func:`stamping_gateway`."""
+    if component == "router":
+        return router_stack(flows, shard)
+    return stamping_gateway(4, flows, shard)
+
+
+def shard_stacks(component: str, flows: int, k: int) -> list:
+    """``k`` shard stacks of ``component``, shard j holding the reservations
+    :func:`shard_of` gives it."""
+    return [_stack(component, flows, (index, k)) for index in range(k)]
+
+
+def shared_monitor_stacks(component: str, flows: int, k: int) -> list:
+    """Mutant: every shard polices through the first shard's monitor."""
+    stacks = shard_stacks(component, flows, k)
+    shared = stacks[0][0].monitor
+    for node, _ in stacks[1:]:
+        shared._buckets.update(node.monitor._buckets)
+        node.monitor = shared
+    return stacks
+
+
+def _counts(node) -> dict:
+    """The program-side counts of a gateway or a router."""
+    counts = {"monitor_passed": node.monitor.packets_passed}
+    if isinstance(node, ColibriGateway):
+        counts.update(sent=node.packets_sent, dropped=node.packets_dropped)
+        return counts
+    counts.update({verdict.name: count for verdict, count in node.stats.items()})
+    counts.update(insertions=node.duplicates._current.insertions, ofd=node.ofd.packets_seen)
+    if node.kernel is not None:
+        counts.update(node.kernel.snapshot())
+    return counts
+
+
+def _fed(stacks: list, stream: list) -> list:
+    """The counts of ``stacks`` after each burst of ``stream`` went, in
+    turn, to every stack as the part of it that stack owns: a router gets
+    its packets (a replay re-arrives at hop 1), a gateway its ids."""
+    tables = []
+    for node, items in stacks:
+        if isinstance(node, ColibriGateway):
+            tables.append({res_id: (res_id, b"") for res_id in items})
+        else:
+            tables.append({packet.res_info.reservation: packet for packet in items})
+    for burst in stream:
+        for (node, _), table in zip(stacks, tables):
+            mine = [table[res_id] for res_id in burst if res_id in table]
+            if isinstance(node, ColibriGateway):
+                node.send_batch(mine)
+            elif mine:
+                for packet in mine:
+                    packet.hop_index = 1
+                node.process_batch(mine)
+            node.clock.advance(1e-6)
+    return [_counts(node) for node, _ in stacks]
+
+
+#: What the disjointness walk treats as code, not state: the loaded C
+#: library is one per process and read-only.
+_CODE = (type, ModuleType, FunctionType, BuiltinFunctionType, Enum, str, bytes, int, float,
+         type(None), native.NativeBackend)
+
+
+def _state(root) -> set:
+    """Ids of the mutable objects reachable from ``root``: containers and
+    instances, walked like ``deep_size``; a bound method is its instance."""
+    seen, state, todo = set(), set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, _CODE):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, MethodType):
+            todo.append(obj.__self__)
+        elif isinstance(obj, (tuple, frozenset)):
+            todo += obj
+        elif isinstance(obj, (dict, list, set, bytearray, array)):
+            state.add(id(obj))
+            if isinstance(obj, dict):
+                todo += [*obj, *obj.values()]
+            elif isinstance(obj, (list, set)):
+                todo += obj
+        elif hasattr(obj, "__dict__") or hasattr(obj, "__slots__"):
+            state.add(id(obj))
+            todo += [getattr(obj, name) for name in getattr(obj, "__slots__", ()) if hasattr(obj, name)]
+            todo.append(getattr(obj, "__dict__", None))
+    return state
+
+
+def shard_pass(flows: int, cores=CORES, build=shard_stacks) -> dict:
+    """``{k: (counts predicate, disjointness predicate)}``: ``k`` router and
+    ``k`` gateway shards from ``build`` are fed one stream of 64-packet
+    bursts over ``flows`` reservations, interleaved burst by burst; each
+    shard's counts must equal those of a lone stack fed only its packets,
+    and no mutable object may be reachable from two shards.  Untimed."""
+    rng = random.Random(6)
+    ids = _owned(flows, (0, 1))
+    stream = [rng.sample(ids, BATCH) for _ in range(_COUNT_BURSTS)]
+    passes = {}
+    for k in cores:
+        differing = shared = 0
+        for component in ("router", "gateway"):
+            stacks = build(component, flows, k)
+            counts = _fed(stacks, stream)
+            reached = Counter(obj for node, _ in stacks for obj in _state(node))
+            shared += sum(times > 1 for times in reached.values())
+            del stacks
+            differing += sum(
+                got != _fed([_stack(component, flows, (index, k))], stream)[0]
+                for index, got in enumerate(counts)
+            )
+        passes[k] = (
+            Predicate(f"shard counts equal a lone stack's (k={k})", OK if differing == 0 else VIOLATED,
+                      f"{differing} of {2 * k} shards differ"),
+            Predicate(f"shards share no mutable object (k={k})", OK if shared == 0 else VIOLATED,
+                      f"{shared} objects reachable from two shards"),
+        )
+    return passes
+
+
+def _validate_op(router, packets: list) -> Callable:
+    """One ``validate_batch`` of random honest packets per call."""
+    rng = random.Random(7)
+    bursts = [[packets[rng.randrange(len(packets))] for _ in range(BATCH)] for _ in range(64)]
+    cursor = [0]
+
+    def op():
+        if not all(router.validate_batch(bursts[cursor[0] & 63])):
+            raise SimulationError("an honest packet failed validation")
+        cursor[0] += 1
+
+    return op
+
+
+def fig6(scale: str, build=shard_stacks) -> Figure:
     table_sizes = {"quick": (1, 2**15), "full": (1, 2**10, 2**15)}[scale]
-    packets = 16384
-    cpus = ShardExecutor.available_cpus()
-    cores = [k for k in (1, 2, 4, 8, 16) if k <= cpus]
-    executors = {"BR": build("router", 2**10, packets)}
-    executors.update({f"GW r={r:,}": build("gateway", r, packets) for r in table_sizes})
-    modes = {}
-
-    def aggregate(label: str, k: int) -> Callable:
-        def measure() -> float:
-            result = executors[label].run(k)
-            modes[k] = result.mode
-            return result.aggregate_pps
-
-        return measure
-
-    cells = interleaved({(label, k): aggregate(label, k) for label in executors for k in cores})
+    measures = {"BR": per_call(_validate_op(*build("router", _COUNT_FLOWS, 1)[0]))}
+    measures.update({f"GW r={r:,}": per_call(_burst_op(*build("gateway", r, 1)[0])) for r in table_sizes})
+    cells = interleaved(measures)
+    flows = {"BR": _COUNT_FLOWS, **{f"GW r={r:,}": r for r in table_sizes}}
     largest = f"GW r={table_sizes[-1]:,}"
-    shape = [
-        ratio_at_least("border router above the gateway at the largest table",
-                       cells["BR", 1], cells[largest, 1], 1.0),
-        monotone("gateway rate ordered by table size",
-                 [cells[f"GW r={r:,}", 1] for r in table_sizes], "falling", 0.05),
-    ]
-    for label in ("BR", largest):
-        name = f"{label} aggregate grows with shards"
-        if len(cores) == 1:
-            shape.append(Predicate(name, UNRESOLVED, "this process may run on one CPU"))
-        shape += [
-            ratio_at_least(f"{name} ({k} to {more})", cells[label, more], cells[label, k], 1.4)
-            for k, more in zip(cores, cores[1:])
-        ]
+    passes = shard_pass(_COUNT_FLOWS, CORES, build)
+
+    def modeled(label: str, k: int) -> str:
+        busy = len({shard_of(res_id, k) for res_id in _owned(flows[label], (0, 1))})
+        return f"{busy * BATCH / cells[label]['median'] * 1e3:.1f}k modeled"
+
     return Figure(
         "Fig. 6 — border-router and gateway throughput vs. cores",
-        ("cores", "mode", *executors),
+        ("cores", *flows, "shard counts", "shared objects"),
         [
-            [k, modes[k], *(_kpps(cells[label, k]) for label in executors)]
-            for k in cores
+            [k, *(_kpps(cells[label], BATCH) if k == 1 else modeled(label, k) for label in flows),
+             *(p.detail for p in passes[k])]
+            for k in CORES
         ],
-        shape,
-        f"aggregate packets/s over k shared-nothing shards, one OS process each "
-        f"(repro.dataplane.shards); this process may run on {cpus} CPU(s), so the sweep "
-        f"stops at {cores[-1]}; median of {REPETITIONS} interleaved runs [IQR / median]",
+        [
+            ratio_at_least("border router above the gateway at the largest table",
+                           cells[largest], cells["BR"], 1.0),
+            monotone("gateway rate ordered by table size",
+                     [cells[f"GW r={r:,}"] for r in table_sizes], "rising", 0.05),
+            *(predicate for k in CORES for predicate in passes[k]),
+        ],
+        f"packets/s; k = 1 measured on one stack ({BATCH}-packet bursts: BR validate_batch over "
+        f"{_COUNT_FLOWS:,} flows, GW send_batch; {TIMED_NOTE}); k ≥ 2 modeled: the sum of per-shard "
+        "rates, the one-core rate for each shard that owns a reservation.  The count columns are "
+        f"measured, untimed: {_COUNT_BURSTS} bursts over {_COUNT_FLOWS:,} reservations fed to k "
+        "router and k gateway shards in turn, compared with lone stacks",
     )
 
 
@@ -794,13 +948,13 @@ def _validated(router, packets, capacity: int):
 def bounded_router(flows: int):
     """A border router that has validated one packet of each of ``flows``
     reservations; its flow table (soft state) holds 64 flows."""
-    return _validated(*_router_stack(ShardSpec("router", 0, 1, reservations=flows)), _CACHE_FLOWS)
+    return _validated(*router_stack(flows), _CACHE_FLOWS)
 
 
 def remembering_router(flows: int):
     """Mutant: the router keeps a record of every flow it has seen — an
     unbounded flow table, or without the kernel each packet's ResInfo."""
-    router, packets = _router_stack(ShardSpec("router", 0, 1, reservations=flows))
+    router, packets = router_stack(flows)
     if router.kernel is None:
         router.seen = [packet.res_info for packet in packets]
     return _validated(router, packets, 10**9)
@@ -897,7 +1051,7 @@ def forwarding_stack(reservations: int):
         return op
 
     def validate(payload: int) -> Callable:
-        router, packets = _router_stack(ShardSpec("router", 0, 1, reservations=64))
+        router, packets = router_stack(64)
         hop_key = router.keys.hop_key()
         for packet in packets:
             packet.payload = bytes(payload)
@@ -970,7 +1124,7 @@ REGISTRY = (
     Entry("fig3", fig3, {"memoization off": (naive_segr_admission, "SegR admission flat")}),
     Entry("fig4", fig4, {"allocation sum not kept": (summing_transit_admission, "EER admission flat in existing EERs")}),
     Entry("fig5", fig5, {"per-packet re-keying": (rekeying_gateway, "an added hop costs under")}),
-    Entry("fig6", fig6, {"shards one after another": (SerialExecutor, "BR aggregate grows")}),
+    Entry("fig6", fig6, {"one monitor shared by all shards": (shared_monitor_stacks, "shard counts equal")}),
     Entry("table2", table2, {
         "token bucket off": (unpoliced_port, "phase 3: the overuser is clamped"),
         "HVF check off": (unauthenticated_port, "phase 2: unauthentic Colibri output is zero"),

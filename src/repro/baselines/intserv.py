@@ -143,10 +143,6 @@ class IntServNetwork:
             raise
         return session
 
-    def refresh(self, session: RsvpSession, now: float) -> None:
-        session.refreshed_at = now
-        self.signaling_messages += 2 * len(self.path)
-
     def teardown(self, session_id: int, claimed_source: Optional[IsdAs] = None) -> None:
         """RSVP teardown — unauthenticated: any party naming the session
         can kill it.  ``claimed_source`` is deliberately not verified,

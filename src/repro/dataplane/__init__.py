@@ -15,7 +15,6 @@ from repro.dataplane.monitor import DeterministicMonitor
 from repro.dataplane.ofd import OveruseFlowDetector
 from repro.dataplane.queueing import PriorityScheduler, TrafficClass
 from repro.dataplane.router import BorderRouter
-from repro.dataplane.shards import ShardExecutor, shard_of
 from repro.dataplane.token_bucket import TokenBucket
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "verify_segment_token",
     "ColibriGateway",
     "BorderRouter",
-    "ShardExecutor",
-    "shard_of",
     "TokenBucket",
     "DuplicateSuppressor",
     "OveruseFlowDetector",

@@ -20,9 +20,7 @@ is one of each kind, behind :class:`ObsContext`:
 
 Beside them, :mod:`repro.obs.slo` evaluates burn-rate alerts over
 registry snapshots and :mod:`repro.obs.forensics` joins journal events
-into §5 complaint evidence.  All of it is per-process: a shard worker of
-:mod:`repro.dataplane.shards` returns plain numbers (packets, loop time,
-counters), not telemetry.
+into §5 complaint evidence.
 
 Wall time per layer is not a sink here: the end-to-end benchmark's
 ``--trace 1`` budget attaches its timers from outside for one run, so

@@ -34,10 +34,6 @@ class WorkloadStats:
     packets_delivered: int = 0
 
     @property
-    def admission_ratio(self) -> float:
-        return self.admitted / self.arrivals if self.arrivals else 0.0
-
-    @property
     def delivery_ratio(self) -> float:
         return self.packets_delivered / self.packets_sent if self.packets_sent else 0.0
 

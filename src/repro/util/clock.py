@@ -33,9 +33,9 @@ class WallClock(Clock):
 
 
 class PerfClock(Clock):
-    """High-resolution monotonic time, for throughput measurement only.
+    """High-resolution monotonic time, for measuring wall durations only.
 
-    The shard executor (:mod:`repro.dataplane.shards`) times its workers
+    :class:`repro.obs.ObsContext` times calls into its latency histograms
     with one of these; it is *not* an epoch clock and must never feed
     protocol logic (expiry, freshness, monitoring), which always takes a
     :class:`WallClock`/:class:`SimClock`.

@@ -1,20 +1,8 @@
-"""Small statistics helpers used across tests and benchmarks."""
+"""Small statistics helpers for the tests (fairness, percentiles, means)."""
 
 from __future__ import annotations
 
 import math
-
-
-def merge_counters(snapshots: list) -> dict:
-    """Key-wise sum of counter snapshots (the ``BurstKernel.snapshot`` /
-    router ``stats`` shape): how the shard executor folds per-process
-    telemetry back into one view.  Associative and commutative, so the
-    merge order across shards cannot change the result."""
-    merged: dict = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.items():
-            merged[name] = merged.get(name, 0) + value
-    return merged
 
 
 def jain_fairness(allocations: list) -> float:

@@ -12,16 +12,12 @@ contract:
 * the equivalence property — the same workload through ``send``/
   ``process``, ``send_batch``/``process_batch``, and a cache-disabled
   router produces byte-identical packets, identical verdict sequences,
-  and identical counters;
-* the shard executor — a deterministic partition rule, one process
-  per shard, and a dead or hung worker surfacing as a typed error.
+  and identical counters.
 """
 
 import collections
-import multiprocessing
 import os
 import random
-import time
 
 import pytest
 
@@ -30,14 +26,12 @@ from repro.crypto.drkey import DrkeyDeriver
 from repro.dataplane import ColibriKeys, hop_authenticator
 from repro.dataplane.gateway import ColibriGateway, split_batch
 from repro.dataplane.router import BorderRouter, Verdict
-from repro.dataplane import shards
-from repro.dataplane.shards import ShardExecutor, ShardSpec, run_shard, shard_of
-from repro.errors import BandwidthExceeded, ReservationNotFound, SimulationError
+from repro.errors import BandwidthExceeded, ReservationNotFound
 from repro.packets.colibri import ColibriPacket, WirePacketView
 from repro.packets.fields import EerInfo, PathField, ResInfo
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
-from repro.util.clock import PerfClock, SimClock
+from repro.util.clock import SimClock
 from repro.util.units import gbps, mbps
 from tests import test_router_differential as differential
 
@@ -513,137 +507,6 @@ class TestPipelineBatch:
         assert not wave
         assert (True, None) in wires and (False, src) in wires
         assert wires == objects
-
-
-class TestShardExecutor:
-    def test_shard_of_deterministic_and_total(self):
-        ids = [ReservationId(SRC, index + 1) for index in range(512)]
-        assignment = [shard_of(res_id, 4) for res_id in ids]
-        assert assignment == [shard_of(res_id, 4) for res_id in ids]
-        assert all(0 <= shard < 4 for shard in assignment)
-        # Every shard gets a share (blake2s spreads the counter well).
-        counts = [assignment.count(shard) for shard in range(4)]
-        assert min(counts) > 0
-        assert max(counts) < 2.5 * min(counts)
-
-    def test_shard_of_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            shard_of(ReservationId(SRC, 1), 0)
-
-    def test_shards_partition_disjointly(self):
-        ids = [ReservationId(SRC, index + 1) for index in range(128)]
-        owned = [
-            {res_id for res_id in ids if shard_of(res_id, 3) == shard}
-            for shard in range(3)
-        ]
-        assert sum(len(part) for part in owned) == len(ids)
-        assert owned[0] | owned[1] | owned[2] == set(ids)
-
-    @pytest.mark.parametrize("path_length", [2, 3, 4, 5])
-    @pytest.mark.parametrize("component", ["router", "gateway"])
-    def test_single_shard_is_measured(self, component, path_length):
-        executor = ShardExecutor(
-            component, path_length=path_length, reservations=64, packets=512,
-            batch=32,
-        )
-        result = executor.run(1)
-        assert result.mode == "measured"
-        assert len(result.shards) == 1
-        assert result.shards[0].packets == 512
-        assert result.aggregate_pps > 0
-
-    @pytest.mark.parametrize("component", ["router", "gateway"])
-    def test_one_hop_path_is_rejected(self, component):
-        with pytest.raises(ValueError, match="at least 2 hops"):
-            ShardExecutor(component, path_length=1)
-
-    def test_oversubscribed_host_is_labeled(self, monkeypatch):
-        executor = ShardExecutor("router", reservations=64, packets=512, batch=32)
-        monkeypatch.setattr(ShardExecutor, "available_cpus", staticmethod(lambda: 1))
-        result = executor.run(2)
-        assert result.mode == "oversubscribed"
-        assert len(result.shards) == 2  # every shard still ran
-
-    def test_forced_processes_really_dispatch(self):
-        executor = ShardExecutor("gateway", reservations=64, packets=512, batch=32)
-        result = executor.run(2)
-        assert len(result.shards) == 2
-        assert sum(outcome.packets for outcome in result.shards) >= 512
-        assert all(outcome.pps > 0 for outcome in result.shards if outcome.packets)
-
-    @pytest.mark.parametrize(
-        "fate",
-        [lambda spec: os._exit(1), lambda spec: time.sleep(60)],
-        ids=["killed", "hung"],
-    )
-    def test_lost_worker_is_a_typed_error(self, monkeypatch, fate):
-        """ROADMAP 6(c): a worker that dies or hangs mid-run must not
-        block the caller — the run fails at its deadline, named, and
-        leaves no child process behind."""
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched workload reaches workers by fork only")
-        monkeypatch.setattr(shards, "_RUN_DEADLINE", 1.0)
-        monkeypatch.setattr(shards, "_workload", fate)
-        executor = ShardExecutor("router", reservations=64, packets=512, batch=32)
-        wall = PerfClock()
-        started = wall.now()
-        with pytest.raises(
-            SimulationError, match=r"router run over 2 shard.*within 1 s"
-        ):
-            executor.run(2)
-        assert wall.now() - started < 5.0
-        assert multiprocessing.active_children() == []
-
-    def test_empty_shard_idles(self):
-        # One reservation, many shards: all but one shard own nothing.
-        spec = ShardSpec(
-            component="router", shard_index=0, num_shards=64,
-            reservations=1, packets=64, batch=8,
-        )
-        owner = shard_of(ReservationId(IsdAs(1, 0xFF00_0000_0000 + 1), 1), 64)
-        outcomes = [
-            run_shard(ShardSpec(
-                component="router", shard_index=index, num_shards=64,
-                reservations=1, packets=64, batch=8,
-            ))
-            for index in (owner, (owner + 1) % 64)
-        ]
-        assert outcomes[0].packets > 0
-        assert outcomes[1].packets == 0
-
-    def test_sharded_telemetry_equals_serial(self):
-        """The per-process counters must come back across the process
-        boundary and merge exactly: dispatching the same specs through
-        OS processes yields the same telemetry as running them serially
-        in-process (the workloads are fully seeded).  Before outcomes
-        carried counters, sharded runs silently reported nothing."""
-        from repro.util.metrics import merge_counters
-
-        executor = ShardExecutor("gateway", reservations=64, packets=512, batch=32)
-        serial = [run_shard(spec) for spec in executor._specs(2)]
-        sharded = executor.run(2)
-        assert [outcome.counters for outcome in sharded.shards] == [
-            outcome.counters for outcome in serial
-        ]
-        telemetry = sharded.telemetry()
-        assert telemetry["total"] == merge_counters(
-            [outcome.counters for outcome in serial]
-        )
-        # The shape feeds render_metrics directly: per-shard entries
-        # plus the merged total, every packet accounted for.
-        assert set(telemetry) == {"shard-0", "shard-1", "total"}
-        assert telemetry["total"]["gateway_sent"] == 2 * 2 * 512  # warm-up + timed
-        assert telemetry["total"]["gateway_dropped"] == 0
-
-    def test_available_cpus_reads_affinity(self, monkeypatch):
-        import os as os_module
-
-        if not hasattr(os_module, "sched_getaffinity"):
-            pytest.skip("platform exposes no affinity mask")
-        monkeypatch.setattr(
-            os_module, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=True
-        )
-        assert ShardExecutor.available_cpus() == 3
 
 
 def run_wire_workload(mode):

@@ -9,12 +9,12 @@ import doctest
 import pytest
 
 import repro.topology.addresses
-import repro.util.metrics
 import repro.util.units
+from tests import _metrics
 
 MODULES_WITH_EXAMPLES = [
     repro.util.units,
-    repro.util.metrics,
+    _metrics,
     repro.topology.addresses,
 ]
 

@@ -27,7 +27,6 @@ from repro.obs.metrics import (
 )
 from repro.sim import ColibriNetwork
 from repro.topology import build_line_topology, build_two_isd_topology
-from repro.util.metrics import merge_counters
 from repro.util.units import gbps, mbps
 
 # ------------------------------------------------------------ line grammar --
@@ -165,13 +164,6 @@ class TestRegistry:
             registry.histogram("h", buckets=(1.0, 3.0))
         # Omitting buckets accepts the existing registration.
         assert registry.histogram("h").buckets == (1.0, 2.0)
-
-    def test_merge_counters_is_plain_keywise_addition(self):
-        snapshots = [{"a": 1, "b": 2}, {"b": 3, "c": 4}, {}]
-        merged = merge_counters(snapshots)
-        assert merged == {"a": 1, "b": 5, "c": 4}
-        backward = merge_counters(list(reversed(snapshots)))
-        assert merged == backward
 
     def test_state_round_trip_freezes_callback_gauges(self):
         reading = [0.75]

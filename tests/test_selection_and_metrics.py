@@ -7,8 +7,8 @@ import pytest
 from repro.errors import InsufficientBandwidth
 from repro.sim import ColibriNetwork
 from repro.topology import IsdAs, build_core_mesh
-from repro.util.metrics import jain_fairness, mean, percentile
 from repro.util.units import gbps
+from tests._metrics import jain_fairness, mean, percentile
 
 BASE = 0xFF00_0000_0000
 

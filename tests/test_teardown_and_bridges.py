@@ -9,8 +9,8 @@ from repro.constants import SEGR_LIFETIME
 from repro.errors import ColibriError
 from repro.sim import ColibriNetwork
 from repro.topology import IsdAs, build_two_isd_topology
-from repro.util.metrics import jain_fairness
 from repro.util.units import gbps, mbps
+from tests._metrics import jain_fairness
 
 BASE = 0xFF00_0000_0000
 

@@ -1,15 +1,13 @@
 """CL010 — no mutable module-level state in the data plane or crypto.
 
-The shard executor's shared-nothing claim (paper §7.1: linear multi-core
-scaling) assumes that the code a shard worker runs reaches no
-cross-process shared state.  A module-scope ``dict``/``list``/``set`` is
-exactly that: under ``fork`` every worker silently inherits (and can
-diverge from) one copy, under ``spawn`` re-import re-creates it, and
-either way mutation from two shards is a race the type system never
-sees.  This rule keeps the two packages where workers live free of such
-bindings; the real pool dispatch in
-``tests/test_batch_equivalence.py::TestShardExecutor`` covers that what
-a worker is handed pickles.
+Fig. 6's shared-nothing claim (paper §7.1: linear multi-core scaling)
+is that no mutable state is shared between the stacks the fast path
+runs on.  ``tests/test_fig6_shards.py`` builds k shard stacks in one
+interpreter and checks that no mutable object is reachable from two of
+them — but it walks from each stack's objects, and a module-scope
+``dict``/``list``/``set`` is reached through code, not through an
+object: every shard in the interpreter would share it unseen.  This
+rule keeps the two packages the shards run free of such bindings.
 
 Module-level *immutable* tables stay legal: tuples, ``frozenset``, and
 ``types.MappingProxyType(...)``-wrapped mappings.

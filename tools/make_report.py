@@ -30,7 +30,7 @@ REPORT = ROOT / "REPRODUCTION_REPORT.md"
 HEADER = """# Reproduction report
 
 Written by `python tools/make_report.py{flag}` ({scale} scale, {backend}
-Eq. 6 backend, {cpus} CPU(s)) from the rows the figure functions of
+Eq. 6 backend) from the rows the figure functions of
 `benchmarks/figures.py` returned on this machine.  Each block is a
 figure's table, then its shape predicates with their verdicts: *ok*,
 *violated* (fails the command) or *unresolved* (the cells' quartiles
@@ -80,7 +80,6 @@ def main(argv=None) -> int:
             flag=" --quick" if args.quick else "",
             scale=scale,
             backend=figures.backend_name(),
-            cpus=figures.ShardExecutor.available_cpus(),
         )
     ]
     verdicts = []
