@@ -751,8 +751,9 @@ def _compile_extension(name: str) -> str:
     """Build the extension into ``_BUILD_DIR`` and return its path.
 
     Compiles in a per-process scratch directory and atomically renames
-    the result, so concurrent first-callers (e.g. spawned shard workers)
-    cannot corrupt each other's build; older revisions' builds then go.
+    the result, so concurrent first-callers (two test or benchmark
+    processes) cannot corrupt each other's build; older revisions' builds
+    then go.
     """
     from cffi import FFI, VerificationError
 
@@ -798,8 +799,7 @@ def _probe() -> tuple:
     Memoized probe of the environment (``COLIBRI_NATIVE=0`` disables, else
     load a cached build or compile one): a host without a compiler pays it
     once.  The memo lives on the function, not in a module global, and is a
-    pure function of the process environment, so shard workers stay
-    shared-nothing.
+    pure function of the process environment.
     """
     if os.environ.get("COLIBRI_NATIVE", "1").lower() in ("0", "no", "off"):
         return None, "disabled via COLIBRI_NATIVE"

@@ -99,6 +99,8 @@ class GatewayVersion:
     #: Serialized header prefix up to (excluding) Ts — constant per
     #: version, copied into each arena slot by the wire emitter.
     _wire_template: Optional[bytes] = field(default=None, repr=False, compare=False)
+    #: ResInfo ‖ EERInfo, the template's tail: the head of each packet's ``_row``.
+    _row_head: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     @property
     def version(self) -> int:
@@ -325,10 +327,11 @@ class ColibriGateway:
 
         Returns ``(outcomes, rows, version, tag_bytes)``: one outcome per
         request — its drop error, or the ``(entry, version, Ts word,
-        PktSize, payload, tag offset)`` row an emitter replaces with the
-        packet; the number of rows; the one version every row resolved
-        to, else ``None``; the burst's total HVF bytes.  One list for
-        both keeps a lone packet's allocations to what it needs.
+        PktSize, payload, tag offset, Eq. 6 message)`` row an emitter
+        replaces with the packet; the number of rows; the one version
+        every row resolved to, else ``None``; the burst's total HVF bytes.
+        One list for both keeps a lone packet's allocations to what it
+        needs.
         """
         table = self._reservations
         monitor = self.monitor
@@ -394,8 +397,9 @@ class ColibriGateway:
                         BandwidthExceeded(f"EER {reservation_id} exceeded its reserved rate")
                     )
                     continue
+            word = (micros << _SEQ_BITS) | sequence
             outcomes.append(
-                (entry, version, (micros << _SEQ_BITS) | sequence, size, payload, position)
+                (entry, version, word, size, payload, position, _HVF_MESSAGE.pack(word, size))
             )
             position += entry.tag_bytes
             rows += 1
@@ -413,9 +417,9 @@ class ColibriGateway:
             return b""
         if len(outcomes) == 1:  # a lone packet, as every send is
             row = outcomes[0]
-            return row[1].stamp(_HVF_MESSAGE.pack(row[2], row[3]))
+            return row[1].stamp(row[6])
         rows = [row for row in outcomes if type(row) is tuple]
-        messages = [_HVF_MESSAGE.pack(row[2], row[3]) for row in rows]
+        messages = [row[6] for row in rows]
         size = _HVF_MESSAGE.size
         if only is not None and only._schedule is not None:
             return only._schedule.stamp_many_flat(b"".join(messages), size, count)
@@ -440,22 +444,29 @@ class ColibriGateway:
         return b"".join([row[1].stamp(message) for row, message in zip(rows, messages)])
 
     def _emit_packets(self, plan: tuple, flat: bytes) -> List[SendOutcome]:
-        """Packet objects over zero-copy windows of the flat tags."""
+        """Packet objects over zero-copy windows of the flat tags, each with
+        the ``_row`` memo of the bytes it was stamped over."""
         outcomes = plan[0]
         trusted = ColibriPacket.trusted
         eer_data = PacketType.EER_DATA
         index = 0
         for row in outcomes:
             if type(row) is tuple:
-                entry, version, ts_word, _size, payload, position = row
+                entry, version, ts_word, _size, payload, position, message = row
+                hops, path, head = len(version.hop_auths), entry.path, version._row_head
+                if head is None:
+                    head = version._row_head = version.res_info.packed + entry.eer_info.packed
                 outcomes[index] = trusted(
                     eer_data,
-                    entry.path,
+                    path,
                     version.res_info,
                     Timestamp.from_word(ts_word),
-                    HvfVector(flat, position, len(version.hop_auths)),
+                    HvfVector(flat, position, hops),
                     entry.eer_info,
                     payload,
+                    (head, message, path.interface_pairs, hops - 1, 0)
+                    if payload.__class__ is bytes
+                    else None,
                 )
             index += 1
         return outcomes
@@ -468,7 +479,7 @@ class ColibriGateway:
         index = 0
         for row in outcomes:
             if type(row) is tuple:
-                entry, version, ts_word, size, payload, position = row
+                entry, version, ts_word, size, payload, position, _message = row
                 template = version._wire_template
                 if template is None:
                     template = version._wire_template = ColibriPacket.wire_template(

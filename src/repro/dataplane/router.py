@@ -36,6 +36,10 @@ rotation or sketch roll, an estimate over the OFD threshold — and then
 resumes with the next one.  That body, stateless like the paper's
 router, is the whole loop under ``COLIBRI_NATIVE=0`` and the oracle.
 
+A row's ResInfo ‖ EERInfo and Ts ‖ PktSize are the packet's ``_row`` memo
+(``ColibriPacket``): the bytes its gateway stamped it over, or its first
+router's build; (In, Eg), the HVF and the flags are read at each hop.
+
 Every drop reason is an explicit enum member so tests, the simulator,
 and Table 2 accounting can distinguish *why* traffic died.
 """
@@ -61,6 +65,9 @@ from repro.topology.addresses import IsdAs
 from repro.util.clock import Clock
 
 _pack_size = struct.Struct("!I").pack  # Eq. (6)'s PktSize, after ``Ts.packed``
+#: :data:`native.ROW` around a packet's ``_row`` memo, byte for byte.
+_ROW = struct.Struct("!38sHH12s4sB5x")
+_HEAD, _TAIL = struct.Struct("!12sddHII").pack, struct.Struct("!8sI").pack
 _new = tuple.__new__
 
 
@@ -99,7 +106,7 @@ for _verdict in Verdict:
 del _verdict
 _FORWARD, _DELIVER_HOST = Verdict.FORWARD, Verdict.DELIVER_HOST  # a member read is ~0.1 µs
 _V_FORWARD, _V_DELIVER, _LAST, _PYTHON = native.FORWARD, native.DELIVER, native.F_LAST, native.F_PYTHON
-_PACK_ROW, _EER = native.ROW.pack_into, PacketType.EER_DATA  # per-packet reads, hoisted
+_PACK_ROW, _EER = _ROW.pack_into, PacketType.EER_DATA  # per-packet reads, hoisted
 #: The drop a kernel verdict byte means, at its value (EXPIRED to DUPLICATE).
 _DROPPED = (None,) * native.EXPIRED + (
     Verdict.DROP_EXPIRED, Verdict.DROP_STALE, Verdict.DROP_BAD_HVF, Verdict.DROP_DUPLICATE)
@@ -323,10 +330,12 @@ class BorderRouter:
         return results
 
     def _pack(self, kernel, packets, police: bool = True) -> tuple:
-        """One :data:`native.ROW` per packet into the kernel's buffer, a packet
-        object's second and later copies marked for Python, which reads the
-        hop its earlier copies forwarded it to; returns the egress
-        interfaces and whether :meth:`_flag` marked a row."""
+        """One :data:`native.ROW` per packet into the kernel's buffer, its
+        ``_row`` memo (built here if missing, kept if the payload is
+        ``bytes``) around this hop's fields; a packet object's second and
+        later copies marked for Python, which reads the hop its earlier
+        copies forwarded it to; returns the egress interfaces and whether
+        :meth:`_flag` marked a row."""
         count = len(packets)
         if count > len(kernel.verdicts):
             kernel.reserve(count)
@@ -335,8 +344,21 @@ class BorderRouter:
         append = egresses.append
         offset = 0
         for packet in packets:
-            reservation, bandwidth, expiry, version = packet.res_info
-            pairs = packet.path.interface_pairs
+            row = packet._row
+            if row is None:
+                reservation, bandwidth, expiry, version = packet.res_info
+                pairs, payload = packet.path.interface_pairs, packet.payload
+                last = len(pairs) - 1
+                if packet.packet_type == _EER:
+                    (source,), (destination,) = packet.eer_info
+                    size, flags = sizes[last + 1, True] + len(payload), 0
+                else:  # a SegR packet (Eq. 3): Python's
+                    source, destination, size, flags = 0, 0, 0, _PYTHON
+                row = (_HEAD(reservation.packed, bandwidth, expiry, version, source, destination),
+                       _TAIL(packet.timestamp.packed, size), pairs, last, flags)
+                if payload.__class__ is bytes:
+                    packet._row = row
+            head, tail, pairs, last, flags = row
             hop_index = packet.hop_index
             ingress, egress = pairs[hop_index]
             append(egress)
@@ -346,17 +368,11 @@ class BorderRouter:
                 hvf = hvf.buffer[at : at + 4]
             else:
                 hvf = hvf[hop_index]
-            flags = _LAST if hop_index == len(pairs) - 1 else 0
-            if packet.packet_type == _EER and len(hvf) == 4:
-                (source,), (destination,) = packet.eer_info
-                size = sizes.get((len(pairs), True))
-                size = packet.total_size if size is None else size + len(packet.payload)
-            else:  # a SegR packet (Eq. 3), or a tag of another width: Python's
-                flags, source, destination, size, hvf = flags | _PYTHON, 0, 0, 0, b""
-            pack(
-                rows, offset, reservation.packed, bandwidth, expiry, version, source,
-                destination, ingress, egress, packet.timestamp.packed, size, hvf, flags,
-            )
+            if hop_index == last:
+                flags |= _LAST
+            if len(hvf) != 4:  # a tag of another width: Python's
+                flags, hvf = flags | _PYTHON, b""
+            pack(rows, offset, head, ingress, egress, tail, hvf, flags)
             offset += 64
         if count > 1 and len(set(map(id, packets))) < count:
             seen = set()

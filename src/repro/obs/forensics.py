@@ -155,12 +155,6 @@ class EvidenceBuilder:
             + tuple(event.seq for event in ofd_events),
         )
 
-    def build_all(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> List[OveruseEvidence]:
-        return [
-            self.build(flow, max_samples=max_samples)
-            for flow in self.confirmed_flows()
-        ]
-
     def _verified_drops(self, flow: str, start: float, end: float) -> list:
         """Identity-verified overuse drops for ``flow`` in the streak
         window (inclusive end: the confirming drop happens *at*

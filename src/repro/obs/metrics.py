@@ -5,10 +5,9 @@ Instruments cover what the paper's evaluation measures — latency
 *distributions* (admission percentiles, §6.1), point-in-time *levels*
 (token-bucket occupancy, flow-table fill) and event counts.  Components
 that already keep plain per-entity counters (the per-AS
-:meth:`~repro.sim.scenario.ColibriNetwork.telemetry` snapshot, the shard
-executor's per-shard counters) are not copied in: the registry exports
-such a snapshot as labelled gauge families through
-:meth:`MetricsRegistry.family_source`, reading it once per
+:meth:`~repro.sim.scenario.ColibriNetwork.telemetry` snapshot) are not
+copied in: the registry exports such a snapshot as labelled gauge
+families through :meth:`MetricsRegistry.family_source`, reading it once per
 :meth:`~MetricsRegistry.state` or :meth:`~MetricsRegistry.render`.
 Everything renders in the Prometheus exposition format; histograms
 follow the standard ``_bucket{le=…}/_sum/_count`` encoding with

@@ -189,31 +189,10 @@ class TraceCollector:
     def roots(self) -> list:
         return [s for s in self._spans if s.parent_id is None]
 
-    def trace_ids(self) -> list:
-        seen: dict = {}
-        for span in self._spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     def open_spans(self) -> list:
         """Spans started but never finished — must be empty after any
         completed workflow (asserted by tests/test_obs_tracing.py)."""
         return [s for s in self._spans if not s.closed]
-
-    def critical_path(self, trace_id: str) -> list:
-        """Root-to-leaf chain that determines the trace's wall duration:
-        from each span, descend into the child that finishes last."""
-        roots = [s for s in self.roots() if s.trace_id == trace_id]
-        if not roots:
-            raise ValueError(f"no trace {trace_id!r} recorded")
-        current = max(roots, key=lambda s: s.end if s.closed else float("inf"))
-        path = [current]
-        while True:
-            closed_children = [c for c in self.children(current) if c.closed]
-            if not closed_children:
-                return path
-            current = max(closed_children, key=lambda s: s.end)
-            path.append(current)
 
     # -- export ---------------------------------------------------------------
 

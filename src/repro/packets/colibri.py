@@ -21,6 +21,11 @@ The header layout (big-endian)::
 the packet crosses the AS, the way SCION moves its current-hop pointer.
 It is deliberately *not* covered by any MAC — a router can always set it
 to its own position, so authenticating it would add nothing.
+
+A packet object also carries ``_row``: ResInfo ‖ EERInfo and Ts ‖ PktSize,
+the hop-invariant bytes of the router's kernel row, as its gateway stamped
+it over them or its first router built them.  A write to any header field
+but ``hvfs`` and ``hop_index`` drops it (:class:`_HeaderField`).
 """
 
 from __future__ import annotations
@@ -131,6 +136,29 @@ class HvfVector:
         return f"HvfVector({self.count} tags)"
 
 
+class _HeaderField:
+    """A header field whose every write drops the packet's ``_row`` memo; with
+    no ``__get__``, reads go to the instance dict as for a plain attribute."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __set__(self, packet, value) -> None:
+        state = packet.__dict__
+        state[self.name] = value
+        state["_row"] = None
+
+
+class _HeaderSizes(dict):
+    """``(hop_count, is_eer_data) -> header bytes``, computed on first use."""
+
+    def __missing__(self, key):
+        size = self[key] = ColibriPacket.wire_offsets(*key).header
+        return size
+
+
 class PacketType:
     """Packet type carried in the flags byte."""
 
@@ -160,6 +188,9 @@ class ColibriPacket:
     hop_index: int = 0
 
     EMPTY_HVF = b"\x00" * L_HVF
+    #: ``(ResInfo ‖ EERInfo, Ts ‖ PktSize, interface pairs, last hop index,
+    #: flags)`` for ``BorderRouter._pack``, or ``None`` until one is built.
+    _row = None
 
     def __post_init__(self):
         if self.packet_type not in PacketType._VALID:
@@ -211,25 +242,21 @@ class ColibriPacket:
         hvfs: list,
         eer_info: Optional[EerInfo] = None,
         payload: bytes = b"",
+        row: Optional[tuple] = None,
     ) -> "ColibriPacket":
         """Construct without re-running ``__post_init__`` validation.
 
         For components that computed every field themselves and already
         guarantee the invariants — the gateway stamps exactly one
-        ``L_HVF``-byte HVF per hop by construction, so re-checking each
-        on the Fig. 5 fast path is pure overhead.  Anything built from
-        external input (``from_bytes``, hosts, tests) must use the
-        normal validating constructor.
+        ``L_HVF``-byte HVF per hop by construction, so re-checking each on
+        the Fig. 5 fast path is pure overhead — and may hand over their
+        ``_row`` memo.  Anything built from external input (``from_bytes``,
+        hosts, tests) must use the normal validating constructor.
         """
         packet = object.__new__(cls)
-        packet.packet_type = packet_type
-        packet.path = path
-        packet.res_info = res_info
-        packet.timestamp = timestamp
-        packet.hvfs = hvfs
-        packet.eer_info = eer_info
-        packet.payload = payload
-        packet.hop_index = 0
+        packet.__dict__ = {
+            "packet_type": packet_type, "path": path, "res_info": res_info, "timestamp": timestamp,
+            "hvfs": hvfs, "eer_info": eer_info, "payload": payload, "hop_index": 0, "_row": row}
         return packet
 
     # -- properties -----------------------------------------------------------
@@ -242,25 +269,21 @@ class ColibriPacket:
     def is_eer_data(self) -> bool:
         return self.packet_type == PacketType.EER_DATA
 
-    #: Memoized ``(hop_count, is_eer_data) -> header bytes``.  Header
-    #: sizes are pure arithmetic over a handful of hop counts, and the
-    #: router reads ``total_size`` once per validated packet (PktSize,
-    #: Eq. 6), so the table turns that into one dict probe.
-    _HEADER_SIZES: ClassVar[dict] = {}
+    #: ``(hop_count, is_eer_data) -> header bytes``, one subscript: PktSize
+    #: (Eq. 6) less the payload, for :attr:`total_size` and a ``_row`` build.
+    _HEADER_SIZES: ClassVar[dict] = _HeaderSizes()
 
     #: Memoized ``(hop_count, is_eer_data) -> WireOffsets`` — the field
-    #: positions the zero-copy paths patch in place (Ts, HVFs) or read
-    #: with ``unpack_from`` (router wire validation).
+    #: positions the zero-copy gateway path patches in place (Ts, HVFs).
     _WIRE_OFFSETS: ClassVar[dict] = {}
 
     @staticmethod
     def wire_offsets(hop_count: int, is_eer_data: bool = True) -> WireOffsets:
         """Field offsets within the serialized header.
 
-        The arena fast paths never re-derive the layout per packet: the
+        The arena fast path never re-derives the layout per packet: the
         gateway patches Ts and stamps HVFs at these fixed positions in a
-        prebuilt header template, and the router ``unpack_from``s the
-        fields it authenticates straight out of the wire buffer.
+        prebuilt header template.
         """
         key = (hop_count, is_eer_data)
         offsets = ColibriPacket._WIRE_OFFSETS.get(key)
@@ -306,21 +329,7 @@ class ColibriPacket:
         PktSize (Eq. 6) must be known *before* the packet object exists
         for the monitor to reject non-conforming traffic cheaply.
         """
-        key = (hop_count, is_eer_data)
-        size = ColibriPacket._HEADER_SIZES.get(key)
-        if size is None:
-            eer = EerInfo.SIZE if is_eer_data else 0
-            size = (
-                _FIXED.size
-                + hop_count * PathField.WIRE_PAIR.size
-                + ResInfo.SIZE
-                + eer
-                + Timestamp.SIZE
-                + hop_count * L_HVF
-                + _PAYLOAD_LEN.size
-            )
-            ColibriPacket._HEADER_SIZES[key] = size
-        return size
+        return ColibriPacket._HEADER_SIZES[hop_count, is_eer_data]
 
     @staticmethod
     def wire_template(
@@ -348,29 +357,16 @@ class ColibriPacket:
         return b"".join(parts)
 
     @property
-    def header_size(self) -> int:
-        key = (len(self.path), self.packet_type == PacketType.EER_DATA)
-        size = self._HEADER_SIZES.get(key)
-        return size if size is not None else self.header_size_for(*key)
-
-    @property
     def total_size(self) -> int:
         """Packet size including the Colibri header — the PktSize of Eq. (6)."""
         key = (len(self.path), self.packet_type == PacketType.EER_DATA)
-        size = self._HEADER_SIZES.get(key)
-        if size is None:
-            size = self.header_size_for(*key)
-        return size + len(self.payload)
+        return self._HEADER_SIZES[key] + len(self.payload)
 
     def advance_hop(self) -> None:
         """Move the current-hop pointer past this AS."""
         if self.hop_index + 1 >= len(self.path):
             raise PacketFieldError("cannot advance past the last hop")
         self.hop_index += 1
-
-    def current_pair(self) -> tuple:
-        """(In, Eg) interface pair at the current hop."""
-        return self.path.pair(self.hop_index)
 
     # -- serialization --------------------------------------------------------
 
@@ -456,6 +452,11 @@ class ColibriPacket:
         )
 
 
+for _name in ("packet_type", "path", "res_info", "timestamp", "eer_info", "payload"):
+    setattr(ColibriPacket, _name, _HeaderField(_name))
+del _name
+
+
 class WirePacketView:
     """A serialized packet living inside a shared arena buffer.
 
@@ -464,9 +465,8 @@ class WirePacketView:
     hands out these views instead of ``bytes``.  A view stays valid
     until the arena is ``reset()`` for the next burst — the same
     lifetime contract as a DPDK mbuf.  ``view()`` exposes the bytes
-    without copying (what the router's wire validation reads);
-    ``materialize()`` copies them out for anything that must outlive
-    the burst.
+    without copying; ``materialize()`` copies them out for anything that
+    must outlive the burst.
     """
 
     __slots__ = ("buffer", "offset", "length")

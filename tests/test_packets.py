@@ -193,9 +193,9 @@ class TestColibriPacket:
 
     def test_advance_hop(self):
         packet = sample_packet()
-        assert packet.current_pair() == (0, 1)
+        assert packet.path.pair(packet.hop_index) == (0, 1)
         packet.advance_hop()
-        assert packet.current_pair() == (2, 3)
+        assert packet.path.pair(packet.hop_index) == (2, 3)
         packet.advance_hop()
         with pytest.raises(PacketFieldError):
             packet.advance_hop()

@@ -31,9 +31,11 @@ from repro.dataplane import DuplicateSuppressor, OveruseFlowDetector
 from repro.dataplane.monitor import DeterministicMonitor
 from repro.dataplane.router import BorderRouter, Verdict
 from repro.obs import ObsContext
+from repro.sim import ColibriNetwork
+from repro.topology import build_two_isd_topology
 from repro.topology.addresses import IsdAs
 from repro.util.clock import SimClock
-from repro.util.units import kbps
+from repro.util.units import gbps, kbps, mbps
 from tests import test_dataplane
 from tests.test_control_hop import REPRO
 from tests import test_router_differential as differential
@@ -373,6 +375,68 @@ def test_calls_per_packet(make, size):
     assert world.router.stats[Verdict.FORWARD] == size + 2
     ceilings = [fixed + each * size for fixed, each in zip(base, per_packet)]
     assert work[0] <= ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
+
+
+#: The same for packets that arrive with their gateway's ``_row`` memo
+#: (stamped, then forwarded by hop 0): the native body packs each row from
+#: it, five builtin calls per packet instead of nine.
+WARM_WORK = {"native": ((6, 8), (0, 5)), "python": ((6, 3), (26, 21))}
+
+
+@pytest.mark.parametrize("size", [1, 64])
+def test_calls_per_packet_with_the_gateway_row(make, size):
+    """``process`` and a 64-packet ``process_batch`` at hop 1 of packets a
+    gateway stamped; the Python body reads HVFs through ``HvfVector``."""
+    path = make(differential.GatewayPath)
+    router = path.routers[HOP]
+    router.process(path.at_hop_one(1)[0])  # the kernel stores the flow
+    packets = path.at_hop_one(size)
+    run = router.process if size == 1 else router.process_batch
+    work = calls_of(lambda: run(packets[0] if size == 1 else packets))
+    base, per_packet = WARM_WORK["native" if router.kernel else "python"]
+    assert router.stats[Verdict.FORWARD] == size + 2
+    ceilings = [fixed + each * size for fixed, each in zip(base, per_packet)]
+    assert work[0] <= ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
+
+
+#: ``(python, builtin)`` calls per ``gateway.send`` and per
+#: ``ColibriNetwork.forward`` as ``fixed + per hop * hops``, on a warm EER
+#: of the two-ISD topology.  Python calls are pinned exactly, builtin
+#: calls' fixed terms two above the count on CPython 3.11.  The Python
+#: body's gateway stamps with one hashlib MAC per hop.
+SEND_WORK = {"native": ((10, 16), (0, 0)), "python": ((10, 15), (0, 4))}
+FORWARD_WORK = {"native": ((5, 6), (4, 10)), "python": ((5, 6), (30, 22))}
+
+
+def two_isd_as(isd, index):
+    """An AS of ``build_two_isd_topology``."""
+    return IsdAs(isd, 0xFF00_0000_0000 + index)
+
+
+@pytest.mark.parametrize("destination", [(1, 1), (2, 101)])
+def test_calls_per_send_and_per_forward_hop(make, destination):
+    """A host's packet end to end: stamped by its gateway, then walked over
+    3 or 6 on-path routers."""
+    source, target = two_isd_as(1, 101), two_isd_as(*destination)
+
+    def build():
+        net = ColibriNetwork(build_two_isd_topology())
+        net.reserve_segments(source, target, gbps(1))
+        return net, net.establish_eer(source, target, mbps(10))
+
+    net, handle = make(build)
+    gateway, kind = net.gateway(source), "native" if net.router(source).kernel else "python"
+    for _ in range(3):  # every memo and table warm
+        assert net.forward(gateway.send(handle.reservation_id, b"x" * 100)).delivered
+        net.advance(0.001)
+    sent, reports = [], []
+    send = calls_of(lambda: sent.append(gateway.send(handle.reservation_id, b"x" * 100)))
+    forward = calls_of(lambda: reports.append(net.forward(sent[0])))
+    hops = len(reports[0].verdicts)
+    assert reports[0].delivered and hops == len(handle.hops) == (3 if destination[0] == 1 else 6)
+    for work, (base, per_hop) in ((send, SEND_WORK[kind]), (forward, FORWARD_WORK[kind])):
+        ceilings = [fixed + each * hops for fixed, each in zip(base, per_hop)]
+        assert work[0] == ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
 
 
 def test_one_packet_object_twice_in_a_burst(make):

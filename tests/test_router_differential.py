@@ -35,7 +35,10 @@ shaped this file:
 """
 
 import collections
+import copy
+import dataclasses
 import hashlib
+import pickle
 import random
 import struct
 
@@ -56,6 +59,7 @@ from repro.crypto import native
 from repro.crypto.drkey import DrkeyDeriver
 from repro.crypto.mac import mac
 from repro.dataplane.duplicate import DuplicateSuppressor
+from repro.dataplane.gateway import ColibriGateway
 from repro.dataplane.hvf import ColibriKeys, eer_hvf, hop_authenticator, segment_token
 from repro.dataplane.ofd import OveruseFlowDetector
 from repro.dataplane.monitor import (
@@ -589,3 +593,96 @@ def test_the_filter_is_keyed_on_the_untruncated_mac(backend):
         assert world.router.duplicates._current._array == oracle._current._array
         assert world.router.duplicates._current.insertions == 3
     assert [packet.hvfs[HOP] for packet in packets] == [m[:L_HVF] for m in expected]
+
+
+# ------------------------------------------------- the gateway's row memo ----
+
+
+FIRST = IsdAs.parse("1-ff00:0:112")  # hop 0 of the gateway's path
+
+
+class GatewayPath:
+    """A gateway at SRC stamping a 3-hop EER whose hop 0 (FIRST) and hop 1
+    (HERE, with ``World``'s keys) run real routers, and the reference
+    router for hop 1: its packets reach hop 1 with the ``_row`` memo their
+    gateway minted and hop 0 packed its row from."""
+
+    PATH = PathField(((0, 1), (2, 3), (4, 0)))
+
+    def __init__(self):
+        self.clock = clock = SimClock(START)
+        keys = [ColibriKeys(DrkeyDeriver(isd_as, clock, seed=seed * 4))
+                for isd_as, seed in ((FIRST, b"frst"), (HERE, b"here"))]
+        self.routers = [BorderRouter(isd_as, key, clock, ofd=OveruseFlowDetector(width=OFD_WIDTH))
+                        for isd_as, key in zip((FIRST, HERE), keys)]
+        self.reference = ReferenceRouter(keys[HOP], clock, [BANNED])
+        self.id = ReservationId(SRC, 7)
+        res_info = ResInfo(self.id, gbps(1), clock.now() + 600.0, 1)
+        sigmas = [hop_authenticator(key.hop_key(clock.now()), res_info, EER, *self.PATH.pair(hop))
+                  for hop, key in enumerate(keys)]
+        self.gateway = ColibriGateway(SRC, clock)
+        self.gateway.install(self.id, self.PATH, EER, res_info, sigmas + [b"s" * 16])
+        # Hop 1's first packet opens its sketch window (the Python body's):
+        # from the next one on, its kernel, if built, takes the packets.
+        (packet,) = self.at_hop_one(1)
+        assert self.routers[HOP].process(copy.copy(packet)).verdict is Verdict.FORWARD
+        assert self.reference.process(packet)[0] is Verdict.FORWARD
+
+    def at_hop_one(self, count, payload=b"gw"):
+        """``count`` packets stamped in one burst and forwarded by hop 0."""
+        packets = self.gateway.send_batch([(self.id, payload)] * count)
+        assert [r.verdict for r in self.routers[0].process_batch(packets)] == [Verdict.FORWARD] * count
+        return packets
+
+
+def _flipped(tags):
+    tags = list(tags)
+    tags[HOP] = bytes([tags[HOP][0] ^ 1]) + tags[HOP][1:]
+    return tags
+
+
+def _set(name, value):
+    return lambda packet: setattr(packet, name, value(packet)) or packet
+
+
+#: What a packet can meet between hop 0 and hop 1: each header field
+#: rewritten, an HVF rewritten two ways, and three copies, which keep it.
+REWRITES = {
+    "packet_type": _set("packet_type", lambda p: PacketType.SEGMENT),
+    "path": _set("path", lambda p: PathField(((0, 1), (2, 7), (4, 0)))),
+    "res_info": _set("res_info", lambda p: p.res_info._replace(bandwidth=gbps(1000))),
+    "timestamp": _set("timestamp", lambda p: Timestamp(
+        p.timestamp.micros_before_expiry, p.timestamp.sequence + 100)),
+    "eer_info": _set("eer_info", lambda p: EerInfo(EER.dst_host, EER.src_host)),
+    "payload": _set("payload", lambda p: p.payload + b"!"),
+    "hvf item": lambda p: p.hvfs.__setitem__(HOP, _flipped(p.hvfs)[HOP]) or p,
+    "hvf list": _set("hvfs", lambda p: _flipped(p.hvfs)),
+    "copy.copy": copy.copy,
+    "dataclasses.replace": dataclasses.replace,
+    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+    "untouched": lambda p: p,
+}
+
+
+@pytest.mark.parametrize("mode", ["process", "process_batch"])
+def test_a_rewritten_header_drops_the_gateway_row(backend, mode):
+    """A gateway-stamped packet carries the bytes it was stamped over
+    (``_row``), and hop 0 packed its row from them.  Any header field
+    rewritten after that, or an HVF, gets the reference router's verdict
+    at hop 1; a copy keeps every verdict.  A mutant whose
+    ``_HeaderField.__set__`` keeps ``_row`` fails here (run: the six
+    header-field rewrites read FORWARD at hop 1 on the native backend)."""
+    world = GatewayPath()
+    packets = world.at_hop_one(len(REWRITES))
+    (head, tail, pairs, last, flags) = packets[0]._row
+    assert (pairs, last, flags) == (world.PATH.interface_pairs, 2, 0)
+    assert head == packets[0].res_info.packed + EER.packed
+    assert tail == packets[0].timestamp.packed + struct.pack("!I", packets[0].total_size)
+    sent = [rewrite(packet) for rewrite, packet in zip(REWRITES.values(), packets)]
+    expected = [world.reference.process(ColibriPacket.from_bytes(p.to_bytes())) for p in sent]
+    router = world.routers[HOP]
+    results = router.process_batch(sent) if mode == "process_batch" else map(router.process, sent)
+    actual = {how: (r.verdict, r.egress) for how, r in zip(REWRITES, results)}
+    assert actual == dict(zip(REWRITES, expected))
+    assert [how for how, (verdict, _) in actual.items() if verdict is Verdict.FORWARD] == [
+        "copy.copy", "dataclasses.replace", "pickle", "untouched"]
