@@ -36,7 +36,9 @@ e2e-smoke:
 
 # The native kernel (MAC verify and stamps, colibri_burst and its flow table
 # against the Python policing bodies, every stop, the inputs it must refuse,
-# buffers freed and re-bound mid-script) under ASan + UBSan, ~20 s.
+# buffers freed and re-bound mid-script) under ASan + UBSan, then the whole
+# extension with the router's glue under both, the router's differential,
+# hostile-object and refcount tests against it, ~40 s.
 native-asan:
 	PYTHONPATH=src $(PYTHON) tools/native_asan.py
 

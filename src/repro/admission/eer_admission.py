@@ -74,8 +74,8 @@ class TransferDistributor:
     ) -> float:
         """Accumulate demand from ``up_segment``; returns the *applied*
         increment after the ``up_capacity`` cap.  With ``key`` (the EER
-        id) the applied increment is recorded so :meth:`release_demand`
-        and :meth:`release_key` can return exactly it later."""
+        id) the applied increment is recorded so :meth:`release_key` can
+        return exactly it later."""
         demands = self._demands[core_segment]
         previous = demands[up_segment]
         demands[up_segment] = min(previous + amount, up_capacity)
@@ -85,34 +85,6 @@ class TransferDistributor:
             pair = (core_segment, up_segment)
             pairs[pair] = pairs.get(pair, 0.0) + applied
         return applied
-
-    def release_demand(
-        self,
-        core_segment: ReservationId,
-        up_segment: ReservationId,
-        amount: Optional[float] = None,
-        key=None,
-    ) -> None:
-        """Return previously registered demand.
-
-        With ``key``, exactly the increment recorded for that key on
-        this (core, up) pair is released — the only release that is
-        symmetric when registration hit the ``up_capacity`` cap.  The
-        ``amount`` form remains for callers without a ledger entry, but
-        releasing an uncapped amount against a capped registration
-        under-counts surviving demand (the cap-then-release bug).
-        """
-        if key is not None:
-            pairs = self._registered.get(key)
-            if pairs is None:
-                return
-            amount = pairs.pop((core_segment, up_segment), 0.0)
-            if not pairs:
-                del self._registered[key]
-        demands = self._demands.get(core_segment)
-        if not demands or not amount or up_segment not in demands:
-            return
-        demands[up_segment] = max(0.0, demands[up_segment] - amount)
 
     def release_key(self, key) -> float:
         """Release every registration recorded under ``key`` (the EER

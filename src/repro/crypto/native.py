@@ -8,11 +8,14 @@ the reproduction's "hardware": keyed BLAKE2s in C, compiled on demand
 through cffi.  The gateway crosses once per packet (``colibri_stamp_t``:
 all hops), per single-reservation burst (``colibri_stamp_many_t``) or per
 mixed burst (``colibri_stamp_scatter_t``, see :class:`BurstStamper`).  The
-router crosses once per burst: ``colibri_burst`` runs steps 1 and 3-5 over
-one 64-byte row per packet (:data:`ROW`) on the router's own tables — a
-``bytearray`` pair, an ``array('d')``, Python's to read and replace —
+router crosses once per stretch: ``colibri_burst`` runs steps 1 and 3-5
+over one 64-byte row per packet (:data:`ROW`) on the router's own tables —
+a ``bytearray`` pair, an ``array('d')``, Python's to read and replace —
 through a ``colibri_police_t`` they re-point as they change, with σ from a
-flow table in the same struct (:class:`BurstKernel`).
+flow table in the same struct (:class:`BurstKernel`).  A second module in
+the same extension, ``_colibri_glue`` (:data:`_GLUE`, CPython API), packs
+the rows from the packets (``gather``) and turns FORWARD and DELIVER
+verdicts into ``RouterResult`` objects (``scatter``).
 
 Byte-identity is the admission contract (docs/performance.md): for every
 key and message, ``ScheduleBlock(backend, [key]).stamp_flat(msg) ==
@@ -24,8 +27,9 @@ output when the backend is unavailable.
 Availability is best-effort: no cffi, no C compiler, or
 ``COLIBRI_NATIVE=0`` mean :func:`backend` returns ``None`` and callers
 keep their pure-Python paths.  Builds are cached under ``_native_build/``
-(gitignored) keyed by a hash of the C source; concurrent builders compile
+(gitignored) keyed by a hash of the C sources; concurrent builders compile
 into a private directory and atomically rename the extension into place.
+:func:`backend` is ``None`` unless both modules load.
 """
 
 from __future__ import annotations
@@ -75,6 +79,12 @@ typedef struct {
 } colibri_police_t;
 """
 
+#: The verdict bytes and row flags, for the kernel and the glue (:data:`FORWARD`).
+_CODES = """enum { V_FORWARD = 1, V_DELIVER, V_EXPIRED, V_STALE, V_BAD_HVF, V_DUPLICATE,
+       V_PYTHON, V_OVER, V_REFUSED, V_GROW, V_REKEY, V_CELLS };
+enum { F_PYTHON = 1, F_FLAGGED = 2, F_LAST = 4 };
+"""
+
 _CDEF = _POLICE_T + """
 void colibri_b2s_key_schedule(const uint8_t *key, size_t keylen,
                               size_t outlen, uint32_t *h_out);
@@ -100,7 +110,7 @@ void colibri_stamp_scatter_t(uint32_t * const *scheds_t,
 _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
-""" + _POLICE_T + r"""
+""" + _POLICE_T + _CODES + r"""
 static const uint32_t B2S_IV[8] = {
     0x6A09E667UL, 0xBB67AE85UL, 0x3C6EF372UL, 0xA54FF53AUL,
     0x510E527FUL, 0x9B05688CUL, 0x1F83D9ABUL, 0x5BE0CD19UL
@@ -593,21 +603,27 @@ static void flow_delete(colibri_police_t *p, colibri_flow_t *f)
     p->count--;
 }
 
-/* Store a σ that just validated a packet (and only then).  Version v - 2
-   leaves first, under either epoch (not an eviction); a full table evicts
-   the first flow at or after the new key's home slot. */
-static colibri_flow_t *flow_store(colibri_police_t *p, const uint8_t *input,
-                                  uint32_t epoch, const uint32_t sched[8])
+/* Version v - 2 of a flow about to be stored leaves under either epoch (not
+   an eviction), before the table is judged full: a renewed set keeps its size. */
+static void flow_retire(colibri_police_t *p, const uint8_t *input, uint32_t epoch)
 {
     uint8_t key[42];
     colibri_flow_t *f;
-    size_t i, version = ((size_t)input[28] << 8) | input[29];
-    if (version >= 2) {
-        memcpy(key, input, 30);
-        key[28] = (uint8_t)((version - 2) >> 8), key[29] = (uint8_t)(version - 2);
-        if ((f = flow_find(p, key, epoch)) != NULL) flow_delete(p, f);
-        if ((f = flow_find(p, key, epoch - 1)) != NULL) flow_delete(p, f);
-    }
+    size_t version = ((size_t)input[28] << 8) | input[29];
+    if (version < 2) return;
+    memcpy(key, input, 30);
+    key[28] = (uint8_t)((version - 2) >> 8), key[29] = (uint8_t)(version - 2);
+    if ((f = flow_find(p, key, epoch)) != NULL) flow_delete(p, f);
+    if ((f = flow_find(p, key, epoch - 1)) != NULL) flow_delete(p, f);
+}
+
+/* Store a σ that just validated a packet (and only then); a full table
+   evicts the first flow at or after the new key's home slot. */
+static colibri_flow_t *flow_store(colibri_police_t *p, const uint8_t *input,
+                                  uint32_t epoch, const uint32_t sched[8])
+{
+    colibri_flow_t *f;
+    size_t i;
     f = flow_find(p, input, epoch);
     if (f == NULL) {
         if (p->count && (p->count >= p->capacity || 2 * (p->count + 1) > p->nslots)) {
@@ -651,10 +667,6 @@ void colibri_flows_move(colibri_police_t *p, colibri_flow_t *slots, size_t nslot
    `key`'s epoch), V_CELLS (a flow to store of a label not `label`);
    -1: the geometry does not fit, nothing written.
    `validate`: steps 1 and 3 only, filters and sketch untouched. */
-enum { V_FORWARD = 1, V_DELIVER, V_EXPIRED, V_STALE, V_BAD_HVF, V_DUPLICATE,
-       V_PYTHON, V_OVER, V_REFUSED, V_GROW, V_REKEY, V_CELLS };
-enum { F_PYTHON = 1, F_FLAGGED = 2, F_LAST = 4 };
-
 long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
                    size_t start, uint8_t *verdicts, double now, int validate)
 {
@@ -695,6 +707,7 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
                 colibri_b2s_key_schedule(sigma, 16, 16, sched);
                 if (!colibri_verify((const uint8_t *)sched, row + 42, 12, row + 54, 4, mac))
                     continue;
+                flow_retire(p, row, e ? p->prev_epoch : p->epoch);
                 if (p->nslots < p->max_slots && 2 * (p->count + 1) > p->nslots) {
                     verdicts[i] = V_GROW;
                     return (long)i;
@@ -729,13 +742,171 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
 }
 """
 
+#: ``BorderRouter._pack``'s gather and ``_burst``'s FORWARD / DELIVER scatter:
+#: a CPython module in the same extension, since cffi takes no Python objects.
+_GLUE = r"""
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <structmember.h>
+#include <stdint.h>
+""" + _CODES + r"""
+#define BYTES(o, n) (PyBytes_CheckExact(o) && PyBytes_GET_SIZE(o) == (n))
+#define HELD(s) (PyList_Check(s) || PyTuple_Check(s) ? PySequence_Fast_GET_SIZE(s) : 0)
+static PyObject *Packet, *Vector, *Result, *Verdicts[3], *ROW_, *HOP, *HVFS, *ONE;
+static Py_ssize_t buffer_at, start_at;  /* HvfVector's slots */
+
+/* An exact int in [0, most], else -1. */
+static long small(PyObject *o, long most)
+{
+    int overflow = 0;
+    long v = o != NULL && PyLong_CheckExact(o) ? PyLong_AsLongAndOverflow(o, &overflow) : -1;
+    return overflow || v < 0 || v > most ? -1 : v;
+}
+
+/* _pack's row of an exact ColibriPacket whose `_row` memo, `hop_index`
+   and HVF (an HvfVector's bytes, or a list's or tuple's item) are exactly
+   what _pack reads from its instance dict: 1.  Else 0, nothing written. */
+static int gather_one(PyObject *packet, uint8_t *row)
+{
+    PyObject *state, *memo, *hvfs, *pairs, *pair, *buffer;
+    long hop, in, eg, last, flags, at;
+    const char *hvf = NULL;
+    if (!Py_IS_TYPE(packet, (PyTypeObject *)Packet) || (state = PyObject_GenericGetDict(packet, NULL)) == NULL)
+        return PyErr_Clear(), 0;
+    Py_XINCREF(memo = PyDict_GetItemWithError(state, ROW_));
+    Py_XINCREF(hvfs = PyDict_GetItemWithError(state, HVFS));
+    hop = small(PyDict_GetItemWithError(state, HOP), LONG_MAX / 8);
+    PyErr_Clear();
+    if (memo && hvfs && hop >= 0 && PyTuple_CheckExact(memo) && PyTuple_GET_SIZE(memo) == 5
+        && BYTES(PyTuple_GET_ITEM(memo, 0), 38) && BYTES(PyTuple_GET_ITEM(memo, 1), 12)
+        && PyTuple_CheckExact(pairs = PyTuple_GET_ITEM(memo, 2)) && hop < PyTuple_GET_SIZE(pairs)
+        && PyTuple_CheckExact(pair = PyTuple_GET_ITEM(pairs, hop)) && PyTuple_GET_SIZE(pair) == 2
+        && (in = small(PyTuple_GET_ITEM(pair, 0), 0xFFFF)) >= 0 && (eg = small(PyTuple_GET_ITEM(pair, 1), 0xFFFF)) >= 0
+        && (last = small(PyTuple_GET_ITEM(memo, 3), 0xFF)) >= 0 && (flags = small(PyTuple_GET_ITEM(memo, 4), 0xFF)) >= 0) {
+        buffer = Py_IS_TYPE(hvfs, (PyTypeObject *)Vector) ? *(PyObject **)((char *)hvfs + buffer_at) : NULL;
+        at = buffer ? small(*(PyObject **)((char *)hvfs + start_at), LONG_MAX / 8) + 4 * hop : -1;
+        if (buffer && PyBytes_CheckExact(buffer) && at >= 4 * hop && at + 4 <= PyBytes_GET_SIZE(buffer))
+            hvf = PyBytes_AS_STRING(buffer) + at;
+        else if ((PyList_CheckExact(hvfs) || PyTuple_CheckExact(hvfs)) && hop < PySequence_Fast_GET_SIZE(hvfs)
+                 && BYTES(PySequence_Fast_GET_ITEM(hvfs, hop), 4))
+            hvf = PyBytes_AS_STRING(PySequence_Fast_GET_ITEM(hvfs, hop));
+    }
+    if (hvf != NULL) {
+        memcpy(row, PyBytes_AS_STRING(PyTuple_GET_ITEM(memo, 0)), 38);
+        row[38] = (uint8_t)(in >> 8), row[39] = (uint8_t)in, row[40] = (uint8_t)(eg >> 8), row[41] = (uint8_t)eg;
+        memcpy(row + 42, PyBytes_AS_STRING(PyTuple_GET_ITEM(memo, 1)), 12);
+        memcpy(row + 54, hvf, 4);
+        row[58] = (uint8_t)(flags | (hop == last ? F_LAST : 0));
+        memset(row + 59, 0, 5);
+    }
+    Py_XDECREF(memo), Py_XDECREF(hvfs), Py_DECREF(state);
+    return hvf != NULL;
+}
+
+/* gather(packets, rows, start) -> the first packet from `start` on that
+   gather_one does not take (len(packets) if none), every row before it
+   written.  `packets` other than a list or tuple: none taken. */
+static PyObject *gather(PyObject *self, PyObject *const *args, Py_ssize_t n)
+{
+    Py_ssize_t i;
+    if (n != 3 || Packet == NULL || !PyByteArray_Check(args[1]))
+        return PyErr_Format(PyExc_TypeError, "gather(packets, rows, start) after bind()");
+    if ((i = PyLong_AsSsize_t(args[2])) < 0) return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_IndexError, "start");
+    while (i < HELD(args[0]) && PyByteArray_GET_SIZE(args[1]) >= 64 * (i + 1)
+           && gather_one(PySequence_Fast_ITEMS(args[0])[i], (uint8_t *)PyByteArray_AS_STRING(args[1]) + 64 * i))
+        i++;
+    return PyLong_FromSsize_t(i);
+}
+
+/* scatter(packets, verdicts, start, stop, rows, results, tally) -> the first
+   row from `start` whose verdict is neither FORWARD nor DELIVER, or `stop`.
+   Each one before it appends its RouterResult to `results`, FORWARD after
+   `packet.hop_index += 1` and with the egress off the row; tally[0] and
+   [1] count them, also when a packet raises.  Sizes are re-read per packet:
+   a hop pointer's setter may run Python code. */
+static PyObject *scatter(PyObject *self, PyObject *const *args, Py_ssize_t n)
+{
+    Py_ssize_t i, stop, counted[2] = {0, 0};
+    PyObject *packet, *hop, *next, *result, *type, *value, *trace;
+    const uint8_t *row;
+    int code = 0;
+    if (n != 7 || Packet == NULL || !PyByteArray_Check(args[1]) || !PyByteArray_Check(args[4])
+        || !PyList_Check(args[5]) || !PyList_Check(args[6]) || PyList_GET_SIZE(args[6]) != 2)
+        return PyErr_Format(PyExc_TypeError, "scatter(packets, verdicts, start, stop, rows, results, tally) after bind()");
+    if ((i = PyLong_AsSsize_t(args[2])) < 0 || (stop = PyLong_AsSsize_t(args[3])) < 0)
+        return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_IndexError, "start or stop");
+    for (; i < stop && i < PyByteArray_GET_SIZE(args[1]); i++) {
+        if ((code = ((uint8_t *)PyByteArray_AS_STRING(args[1]))[i]) != V_FORWARD && code != V_DELIVER) break;
+        if (i >= HELD(args[0]) || PyByteArray_GET_SIZE(args[4]) < 64 * (i + 1)) {
+            PyErr_SetString(PyExc_IndexError, "a verdict past the burst or its rows"), code = -1;
+            break;
+        }
+        Py_INCREF(packet = PySequence_Fast_ITEMS(args[0])[i]);
+        next = result = NULL;
+        if (code == V_FORWARD && (hop = PyObject_GetAttr(packet, HOP)) != NULL) {
+            if ((next = PyNumber_Add(hop, ONE)) != NULL && PyObject_SetAttr(packet, HOP, next) < 0)
+                Py_CLEAR(next);
+            Py_DECREF(hop);
+        }
+        if (code == V_DELIVER || next != NULL) {
+            counted[code - V_FORWARD]++;
+            result = ((PyTypeObject *)Result)->tp_alloc((PyTypeObject *)Result, 3);
+        }
+        if (result != NULL) {
+            row = (const uint8_t *)PyByteArray_AS_STRING(args[4]) + 64 * i;
+            Py_INCREF(Verdicts[code]);
+            PyTuple_SET_ITEM(result, 0, Verdicts[code]);
+            PyTuple_SET_ITEM(result, 1, packet);
+            PyTuple_SET_ITEM(result, 2, code == V_DELIVER ? (Py_INCREF(Py_None), Py_None) : PyLong_FromLong(row[40] << 8 | row[41]));
+            packet = NULL;
+        }
+        Py_XDECREF(packet), Py_XDECREF(next);
+        if (result == NULL || PyTuple_GET_ITEM(result, 2) == NULL || PyList_Append(args[5], result) < 0)
+            code = -1;
+        Py_XDECREF(result);
+        if (code < 0) break;
+    }
+    PyErr_Fetch(&type, &value, &trace);
+    for (n = 0; n < 2; n++)
+        if ((next = PyLong_FromSsize_t(PyLong_AsSsize_t(PyList_GET_ITEM(args[6], n)) + counted[n])) != NULL)
+            PyList_SetItem(args[6], n, next);
+    PyErr_Restore(type, value, trace);
+    return code < 0 ? NULL : PyLong_FromSsize_t(i);
+}
+
+/* bind(ColibriPacket, HvfVector, RouterResult, FORWARD, DELIVER_HOST). */
+static PyObject *bind(PyObject *self, PyObject *const *args, Py_ssize_t n)
+{
+    PyObject *buffer = n == 5 ? PyObject_GetAttrString(args[1], "buffer") : NULL;
+    PyObject *start = n == 5 ? PyObject_GetAttrString(args[1], "start") : NULL;
+    if (buffer && start && Py_IS_TYPE(buffer, &PyMemberDescr_Type) && Py_IS_TYPE(start, &PyMemberDescr_Type)
+        && PyType_Check(args[0]) && PyType_Check(args[2]) && PyType_IsSubtype((PyTypeObject *)args[2], &PyTuple_Type)) {
+        buffer_at = ((PyMemberDescrObject *)buffer)->d_member->offset;
+        start_at = ((PyMemberDescrObject *)start)->d_member->offset;
+        for (n = 0; n < 5; n++) Py_INCREF(args[n]);
+        Packet = args[0], Vector = args[1], Result = args[2], Verdicts[1] = args[3], Verdicts[2] = args[4];
+    } else if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_TypeError, "bind(ColibriPacket, HvfVector with slots, RouterResult, FORWARD, DELIVER_HOST)");
+    Py_XDECREF(buffer), Py_XDECREF(start);
+    return PyErr_Occurred() ? NULL : (Py_INCREF(Py_None), Py_None);
+}
+
+#define METHOD(f) {#f, (PyCFunction)(void (*)(void))f, METH_FASTCALL, NULL}
+static PyMethodDef methods[] = {METHOD(bind), METHOD(gather), METHOD(scatter), {NULL, NULL, 0, NULL}};
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_colibri_glue", NULL, -1, methods};
+
+PyMODINIT_FUNC PyInit__colibri_glue(void)
+{
+    ROW_ = PyUnicode_InternFromString("_row"), HOP = PyUnicode_InternFromString("hop_index");
+    HVFS = PyUnicode_InternFromString("hvfs"), ONE = PyLong_FromLong(1);
+    return ROW_ && HOP && HVFS && ONE ? PyModule_Create(&module) : NULL;
+}
+"""
+
 _BUILD_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_native_build")
 
 def _module_name() -> str:
-    digest = hashlib.blake2s(
-        (_CDEF + _SOURCE).encode("utf-8"), digest_size=6
-    ).hexdigest()
-    return f"_colibri_b2s_{digest}"
+    return "_colibri_b2s_" + hashlib.blake2s((_CDEF + _SOURCE + _GLUE).encode("utf-8"), digest_size=6).hexdigest()
 
 
 def _find_extension(name: str) -> Optional[str]:
@@ -748,7 +919,8 @@ def _find_extension(name: str) -> Optional[str]:
 
 
 def _compile_extension(name: str) -> str:
-    """Build the extension into ``_BUILD_DIR`` and return its path.
+    """Build the extension (the kernel, and the glue as a C file of its own)
+    into ``_BUILD_DIR`` and return its path.
 
     Compiles in a per-process scratch directory and atomically renames
     the result, so concurrent first-callers (two test or benchmark
@@ -757,11 +929,13 @@ def _compile_extension(name: str) -> str:
     """
     from cffi import FFI, VerificationError
 
-    ffi = FFI()
-    ffi.cdef(_CDEF)
-    ffi.set_source(name, _SOURCE, extra_compile_args=["-O3"])
     scratch = os.path.join(_BUILD_DIR, f"tmp-{os.getpid()}")
     os.makedirs(scratch, exist_ok=True)
+    with open(os.path.join(scratch, "_colibri_glue.c"), "w") as glue:
+        glue.write(_GLUE)
+    ffi = FFI()
+    ffi.cdef(_CDEF)
+    ffi.set_source(name, _SOURCE, sources=[glue.name], extra_compile_args=["-O3"])
     try:
         built = ffi.compile(tmpdir=scratch, verbose=False)
         final = os.path.join(_BUILD_DIR, os.path.basename(built))
@@ -781,15 +955,14 @@ def _compile_extension(name: str) -> str:
 
 def _load() -> "NativeBackend":
     name = _module_name()
-    path = _find_extension(name)
-    if path is None:
-        path = _compile_extension(name)
-    spec = importlib.util.spec_from_file_location(name, path)
-    if spec is None or spec.loader is None:
-        raise ImportError(f"cannot load native extension at {path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return NativeBackend(module.ffi, module.lib)
+    path, modules = _find_extension(name) or _compile_extension(name), []
+    for module in (name, "_colibri_glue"):  # one extension, two PyInit_ functions
+        spec = importlib.util.spec_from_file_location(module, path)
+        if spec is None or spec.loader is None:
+            raise ImportError(f"cannot load native extension at {path}")
+        modules.append(importlib.util.module_from_spec(spec))
+        spec.loader.exec_module(modules[-1])
+    return NativeBackend(modules[0].ffi, modules[0].lib, modules[1])
 
 
 @functools.lru_cache(maxsize=1)
@@ -832,12 +1005,12 @@ def _normalize_key(key: bytes) -> bytes:
 
 
 class NativeBackend:
-    """A loaded kernel: the cffi ``ffi``/``lib`` pair."""
+    """A loaded kernel: the cffi ``ffi``/``lib`` pair and the glue module."""
 
-    __slots__ = ("ffi", "lib")
+    __slots__ = ("ffi", "lib", "glue")
 
-    def __init__(self, ffi, lib):
-        self.ffi, self.lib = ffi, lib
+    def __init__(self, ffi, lib, glue):
+        self.ffi, self.lib, self.glue = ffi, lib, glue
 
     def key_schedule(self, key: bytes) -> bytes:
         """One key's 32-byte chaining state, as the kernel keys a MAC with it."""
@@ -1011,13 +1184,14 @@ class BurstKernel:
     """
 
     __slots__ = (
-        "state", "run", "rows", "verdicts", "buffers",
+        "state", "run", "gather", "scatter", "rows", "verdicts", "buffers",
         "_ffi", "_schedule", "_move_flows", "_keys", "_pins", "_table", "_duplicates", "_ofd",
     )
 
     def __init__(self, backend: NativeBackend, keys, duplicates, ofd):
         self._ffi, self._schedule, self._keys = backend.ffi, backend.key_schedule, keys
         self.run, self._move_flows = backend.lib.colibri_burst, backend.lib.colibri_flows_move
+        self.gather, self.scatter = backend.glue.gather, backend.glue.scatter
         self.state = state = backend.ffi.new("colibri_police_t *")
         state.skew, state.freshness = MAX_CLOCK_SKEW, FRESHNESS_WINDOW
         self._duplicates, self._ofd = weakref.proxy(duplicates), weakref.proxy(ofd)

@@ -21,24 +21,21 @@ The loop is fused, not staged in columns: a duplicate or an escalation
 acts on the *next* packet of the same burst, exactly as under serial
 processing (docs/performance.md §9).
 
-With :mod:`repro.crypto.native` loaded the loop is one C call,
-``colibri_burst``, over a 64-byte row per packet (:data:`native.ROW`):
-steps 1 and 3-5 in arrival order, one verdict byte per packet, on the
-tables ``DuplicateSuppressor`` and ``OveruseFlowDetector`` own.  σ comes
-from the kernel's flow table, keyed by (ResId, Ver, DRKey epoch): an
-entry counts only if the packet carries the very Eq. (4) input it was
-minted from and its HVF verifies under it; anything else derives σ from
-K_i, and an entry is stored only after its σ validated a packet, so
-verdicts never depend on the table (docs/performance.md §1).  The
-kernel hands a packet back to the Python body below — a SegR packet,
-a blocked source, a watched or suspect flow, no bandwidth, a due filter
-rotation or sketch roll, an estimate over the OFD threshold — and then
-resumes with the next one.  That body, stateless like the paper's
-router, is the whole loop under ``COLIBRI_NATIVE=0`` and the oracle.
-
-A row's ResInfo ‖ EERInfo and Ts ‖ PktSize are the packet's ``_row`` memo
-(``ColibriPacket``): the bytes its gateway stamped it over, or its first
-router's build; (In, Eg), the HVF and the flags are read at each hop.
+With :mod:`repro.crypto.native` loaded no Python runs per honest
+packet-hop.  The glue's ``gather`` packs a 64-byte row per packet
+(:data:`native.ROW`) from its ``_row`` memo (ResInfo ‖ EERInfo and Ts ‖
+PktSize: the bytes its gateway stamped it over, or its first router's
+build), hop pointer and HVF; one ``colibri_burst`` call runs steps 1 and
+3-5 over the rows in arrival order, one verdict byte per packet, on the
+tables ``DuplicateSuppressor`` and ``OveruseFlowDetector`` own; the glue's
+``scatter`` advances each forwarded packet and builds its result.  σ comes
+from the kernel's flow table, keyed by (ResId, Ver, DRKey epoch), which
+never decides a verdict (docs/performance.md §1).  The kernel hands a
+packet back to the Python body below — a SegR packet, a blocked source, a
+watched or suspect flow, no bandwidth, a due filter rotation or sketch
+roll, an estimate over the OFD threshold — and resumes with the next one.
+That body, stateless like the paper's router, is the whole loop under
+``COLIBRI_NATIVE=0`` and the oracle.
 
 Every drop reason is an explicit enum member so tests, the simulator,
 and Table 2 accounting can distinguish *why* traffic died.
@@ -65,10 +62,8 @@ from repro.topology.addresses import IsdAs
 from repro.util.clock import Clock
 
 _pack_size = struct.Struct("!I").pack  # Eq. (6)'s PktSize, after ``Ts.packed``
-#: :data:`native.ROW` around a packet's ``_row`` memo, byte for byte.
-_ROW = struct.Struct("!38sHH12s4sB5x")
-_HEAD, _TAIL = struct.Struct("!12sddHII").pack, struct.Struct("!8sI").pack
-_new = tuple.__new__
+_HEAD, _TAIL = struct.Struct("!12sddHII").pack, struct.Struct("!8sI").pack  # a ``_row`` memo's bytes
+_ROW = struct.Struct("!38sHH12s4sB5x")  # :data:`native.ROW` around them
 
 
 class Verdict(enum.Enum):
@@ -105,8 +100,7 @@ for _verdict in Verdict:
     )
 del _verdict
 _FORWARD, _DELIVER_HOST = Verdict.FORWARD, Verdict.DELIVER_HOST  # a member read is ~0.1 µs
-_V_FORWARD, _V_DELIVER, _LAST, _PYTHON = native.FORWARD, native.DELIVER, native.F_LAST, native.F_PYTHON
-_PACK_ROW, _EER = _ROW.pack_into, PacketType.EER_DATA  # per-packet reads, hoisted
+_EER = PacketType.EER_DATA  # a per-packet read, hoisted
 #: The drop a kernel verdict byte means, at its value (EXPIRED to DUPLICATE).
 _DROPPED = (None,) * native.EXPIRED + (
     Verdict.DROP_EXPIRED, Verdict.DROP_STALE, Verdict.DROP_BAD_HVF, Verdict.DROP_DUPLICATE)
@@ -150,6 +144,8 @@ class BorderRouter:
         #: The burst kernel and its flow table (soft state), if loaded.
         backend = native.backend()
         self.kernel = backend and native.BurstKernel(backend, keys, self.duplicates, self.ofd)
+        if backend:
+            backend.glue.bind(ColibriPacket, HvfVector, RouterResult, _FORWARD, _DELIVER_HOST)
         self.stats = {verdict: 0 for verdict in Verdict}
 
     # -- the Python body ----------------------------------------------------------------
@@ -275,52 +271,44 @@ class BorderRouter:
 
     def _burst(self, packets) -> List[RouterResult]:
         """Steps 1-6 per packet in arrival order, the pipeline's only loop: one
-        kernel call per stretch between the packets it hands back.  Tallies
-        kept in locals reach their counters even if a packet raises."""
+        kernel call per stretch between the packets it hands back, and one
+        ``scatter`` per run of FORWARD / DELIVER verdicts.  Tallies reach
+        their counters even if a packet raises."""
         now = self.clock.now()
         kernel = self.kernel
         if kernel is None:
             return [self._packet(packet, now) for packet in packets]
-        egresses, flagged = self._pack(kernel, packets)
-        count, verdicts, rows = len(packets), kernel.verdicts, kernel.rows
+        flagged = self._pack(kernel, packets)
+        count, verdicts, rows, scatter = len(packets), kernel.verdicts, kernel.rows, kernel.scatter
         run, state, (rows_c, verdicts_c) = kernel.run, kernel.state, kernel.buffers
-        results = []
-        append = results.append
-        start = forwarded = delivered = over = 0
+        results, tally, start, over = [], [0, 0], 0, 0  # tally: FORWARDs, DELIVERs
         try:
             while start < count:
                 stop = run(state, rows_c, count, start, verdicts_c, now, 0)
                 if stop < count:
                     stop = kernel.resume(count, stop, now, 0)
-                for index in range(start, stop):
+                index = scatter(packets, verdicts, start, stop, rows, results, tally)
+                while index < stop:  # a drop
                     code = verdicts[index]
-                    if code == _V_FORWARD:
-                        packet = packets[index]
-                        packet.hop_index += 1
-                        forwarded += 1
-                        append(_new(RouterResult, (_FORWARD, packet, egresses[index])))
-                    elif code == _V_DELIVER:
-                        delivered += 1
-                        append(_new(RouterResult, (_DELIVER_HOST, packets[index], None)))
-                    else:
-                        if code == native.DUPLICATE:  # the kernel left the MAC in the row
-                            at = native.ROW.size * index
-                            self.duplicates._caught(bytes(rows[at : at + 16]))
-                        append(self._finish(packets[index], _DROPPED[code]))
+                    if code == native.DUPLICATE:  # the kernel left the MAC in the row
+                        self.duplicates._caught(bytes(rows[64 * index : 64 * index + 16]))
+                    results.append(self._finish(packets[index], _DROPPED[code]))
+                    index = scatter(packets, verdicts, index + 1, stop, rows, results, tally)
                 if stop == count:
                     break
                 packet, code, start = packets[stop], verdicts[stop], stop + 1
                 if code == native.PYTHON:
-                    append(self._packet(packet, now))
+                    results.append(self._packet(packet, now))
                 elif code == native.OVER:  # policed over the threshold: the OFD judges
                     over += 1
                     suspect = self.ofd._judge(packet.res_info.reservation.packed, True, now)
-                    append(self._policed(packet, packet.total_size, suspect, now))
+                    results.append(self._policed(packet, packet.total_size, suspect, now))
                 else:
                     raise IndexError("a flow's sketch cells lie outside the sketch")
                 if flagged or self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects:
                     flagged = self._flag(packets, rows, start)
         finally:
+            forwarded, delivered = tally
             self.stats[_FORWARD] += forwarded
             self.stats[_DELIVER_HOST] += delivered
             policed = forwarded + delivered + over
@@ -329,59 +317,46 @@ class BorderRouter:
             self.monitor.packets_passed += forwarded + delivered
         return results
 
-    def _pack(self, kernel, packets, police: bool = True) -> tuple:
-        """One :data:`native.ROW` per packet into the kernel's buffer, its
-        ``_row`` memo (built here if missing, kept if the payload is
-        ``bytes``) around this hop's fields; a packet object's second and
-        later copies marked for Python, which reads the hop its earlier
-        copies forwarded it to; returns the egress interfaces and whether
-        :meth:`_flag` marked a row."""
+    def _pack(self, kernel, packets, police: bool = True) -> bool:
+        """One :data:`native.ROW` per packet into the kernel's buffer: the
+        ``gather`` reads each from its ``_row`` memo; a packet it does not
+        take gets the memo built here (kept if the payload is ``bytes``), and
+        one it still does not take a row the kernel hands to :meth:`_packet`
+        after step 1.  A packet object's second and later copies are marked
+        for Python, which reads the hop its earlier copies forwarded it to;
+        whether :meth:`_flag` marked a row."""
         count = len(packets)
         if count > len(kernel.verdicts):
             kernel.reserve(count)
-        rows, pack, sizes = kernel.rows, _PACK_ROW, ColibriPacket._HEADER_SIZES
-        egresses = []
-        append = egresses.append
-        offset = 0
-        for packet in packets:
-            row = packet._row
-            if row is None:
-                reservation, bandwidth, expiry, version = packet.res_info
-                pairs, payload = packet.path.interface_pairs, packet.payload
-                last = len(pairs) - 1
-                if packet.packet_type == _EER:
-                    (source,), (destination,) = packet.eer_info
-                    size, flags = sizes[last + 1, True] + len(payload), 0
-                else:  # a SegR packet (Eq. 3): Python's
-                    source, destination, size, flags = 0, 0, 0, _PYTHON
-                row = (_HEAD(reservation.packed, bandwidth, expiry, version, source, destination),
-                       _TAIL(packet.timestamp.packed, size), pairs, last, flags)
-                if payload.__class__ is bytes:
-                    packet._row = row
-            head, tail, pairs, last, flags = row
-            hop_index = packet.hop_index
-            ingress, egress = pairs[hop_index]
-            append(egress)
-            hvf = packet.hvfs
-            if hvf.__class__ is HvfVector:  # its slice, without the method call
-                at = hvf.start + 4 * hop_index
-                hvf = hvf.buffer[at : at + 4]
-            else:
-                hvf = hvf[hop_index]
-            if hop_index == last:
-                flags |= _LAST
-            if len(hvf) != 4:  # a tag of another width: Python's
-                flags, hvf = flags | _PYTHON, b""
-            pack(rows, offset, head, ingress, egress, tail, hvf, flags)
-            offset += 64
+        rows, gather, sizes = kernel.rows, kernel.gather, ColibriPacket._HEADER_SIZES
+        index = gather(packets, rows, 0)
+        while index < count:
+            packet = packets[index]
+            reservation, bandwidth, expiry, version = packet.res_info
+            pairs, payload = packet.path.interface_pairs, packet.payload
+            last = len(pairs) - 1
+            if packet.packet_type == _EER:
+                (source,), (destination,) = packet.eer_info
+                size, flags = sizes[last + 1, True] + len(payload), 0
+            else:  # a SegR packet (Eq. 3): Python's
+                source, destination, size, flags = 0, 0, 0, native.F_PYTHON
+            head = _HEAD(reservation.packed, bandwidth, expiry, version, source, destination)
+            tail = _TAIL(packet.timestamp.packed, size)
+            if payload.__class__ is bytes:
+                packet._row = (head, tail, pairs, last, flags)
+            resumed = gather(packets, rows, index)
+            if resumed == index:  # a hop pointer, HVF or packet class of its own: Python's
+                _ROW.pack_into(rows, 64 * index, head, 0, 0, tail, b"", native.F_PYTHON)
+                resumed = gather(packets, rows, index + 1)
+            index = resumed
         if count > 1 and len(set(map(id, packets))) < count:
             seen = set()
             for index, packet in enumerate(packets):
                 if id(packet) in seen:
-                    rows[64 * index + 58] |= _PYTHON
+                    rows[64 * index + 58] |= native.F_PYTHON
                 seen.add(id(packet))
         flagged = police and (self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects)
-        return egresses, bool(flagged) and self._flag(packets, rows, 0)
+        return bool(flagged) and self._flag(packets, rows, 0)
 
     def _flag(self, packets, rows, start: int) -> bool:
         """Mark the rows from ``start`` on whose source is blocked or whose

@@ -241,18 +241,6 @@ class EventJournal:
             for event in self._events
         )
 
-    @classmethod
-    def import_jsonl(
-        cls, text: str, clock: Clock, capacity: int = 65_536
-    ) -> "EventJournal":
-        """Rebuild a journal from :meth:`export_jsonl` output.  The
-        imported journal re-exports byte-identically; ``clock`` is only
-        consulted for events recorded *after* the import."""
-        journal = cls(clock, capacity=capacity)
-        for event in parse_jsonl(text):
-            journal._append(event)
-        return journal
-
 
 def parse_jsonl(text: str) -> List[Event]:
     """Parse an :meth:`EventJournal.export_jsonl` export into events; a

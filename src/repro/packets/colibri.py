@@ -189,7 +189,7 @@ class ColibriPacket:
 
     EMPTY_HVF = b"\x00" * L_HVF
     #: ``(ResInfo ‖ EERInfo, Ts ‖ PktSize, interface pairs, last hop index,
-    #: flags)`` for ``BorderRouter._pack``, or ``None`` until one is built.
+    #: flags)`` for the router's native gather, or ``None`` until one is built.
     _row = None
 
     def __post_init__(self):
@@ -210,27 +210,6 @@ class ColibriPacket:
             )
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def blank(
-        cls,
-        packet_type: int,
-        path: PathField,
-        res_info: ResInfo,
-        timestamp: Timestamp,
-        eer_info: Optional[EerInfo] = None,
-        payload: bytes = b"",
-    ) -> "ColibriPacket":
-        """A packet with all-zero HVFs, as an end host hands to the gateway."""
-        return cls(
-            packet_type=packet_type,
-            path=path,
-            res_info=res_info,
-            timestamp=timestamp,
-            hvfs=[cls.EMPTY_HVF] * len(path),
-            eer_info=eer_info,
-            payload=payload,
-        )
 
     @classmethod
     def trusted(

@@ -172,22 +172,6 @@ class Topology:
         self._links.append(link)
         return link
 
-    def remove_link(self, link: Link) -> None:
-        """Take an inter-domain link down (fibre cut, depeering).
-
-        Forwarding state already in packet headers keeps working only if
-        the physical link exists, so simulations model a cut by removing
-        the link *and* having the affected border routers drop; what this
-        method guarantees is that re-running beaconing will no longer
-        offer paths across the link (§2.1: routing reacts, existing
-        reservations elsewhere are untouched).
-        """
-        if link not in self._links:
-            raise TopologyError(f"link {link} is not part of this topology")
-        self._links.remove(link)
-        del self.node(link.a.owner).interfaces[link.a.ifid]
-        del self.node(link.b.owner).interfaces[link.b.ifid]
-
     @staticmethod
     def _validate_link(node_a: ASNode, node_b: ASNode, link_type: LinkType) -> None:
         if link_type is LinkType.CORE:
@@ -257,15 +241,6 @@ class Topology:
         for link in node.interfaces.values():
             if link.link_type is LinkType.PARENT_CHILD and link.b.owner == child:
                 result.append(link.a.owner)
-        return result
-
-    def core_neighbors(self, core: IsdAs) -> list[IsdAs]:
-        """Core ASes adjacent to ``core`` via core links."""
-        node = self.node(core)
-        result = []
-        for link in node.interfaces.values():
-            if link.link_type is LinkType.CORE:
-                result.append(link.other_end(core).owner)
         return result
 
     def __len__(self) -> int:

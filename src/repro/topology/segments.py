@@ -21,7 +21,7 @@ from typing import Iterable
 
 from repro.errors import PathError
 from repro.topology.addresses import IsdAs
-from repro.topology.graph import NO_INTERFACE, Topology
+from repro.topology.graph import NO_INTERFACE
 
 
 class SegmentType(enum.Enum):
@@ -118,22 +118,6 @@ class Segment:
             segment_type=segment_type,
             hops=tuple(hop.reversed() for hop in reversed(self.hops)),
         )
-
-    def validate_against(self, topology: Topology) -> None:
-        """Check every consecutive hop pair is joined by a real link.
-
-        Guards synthetic or deserialized segments against referring to
-        interfaces that do not exist or that do not connect where the
-        segment claims.
-        """
-        for prev, nxt in zip(self.hops, self.hops[1:]):
-            prev_node = topology.node(prev.isd_as)
-            link = prev_node.link_on(prev.egress)
-            far = link.other_end(prev.isd_as)
-            if far.owner != nxt.isd_as or far.ifid != nxt.ingress:
-                raise PathError(
-                    f"hop {prev} does not connect to {nxt}: link leads to {far}"
-                )
 
     def __str__(self) -> str:
         path = " -> ".join(str(hop) for hop in self.hops)

@@ -300,8 +300,9 @@ class TestTransferDistributor:
         distributor = TransferDistributor()
         core = ReservationId(SRC, 1)
         up = ReservationId(OTHER, 2)
-        distributor.register_demand(core, up, gbps(4), up_capacity=gbps(10))
-        distributor.release_demand(core, up, gbps(4))
+        flow = ReservationId(SRC, 100)
+        distributor.register_demand(core, up, gbps(4), up_capacity=gbps(10), key=flow)
+        assert distributor.release_key(flow) == pytest.approx(gbps(4))
         assert distributor.total_demand(core) == 0.0
 
 
@@ -502,7 +503,7 @@ class TestDistributorLedger:
             self.core, self.up, gbps(8), up_capacity=gbps(10), key=flow2
         )
         assert applied == pytest.approx(gbps(2))
-        self.distributor.release_demand(self.core, self.up, key=flow2)
+        assert self.distributor.release_key(flow2) == pytest.approx(gbps(2))
         # Amount-based release of the uncapped 8 would leave 2 — the
         # under-count that inflated every later quota.
         assert self.distributor.total_demand(self.core) == pytest.approx(gbps(8))
@@ -524,9 +525,6 @@ class TestDistributorLedger:
             self.core, self.up, gbps(3), up_capacity=gbps(10)
         )
         assert self.distributor.release_key(ReservationId(SRC, 404)) == 0.0
-        self.distributor.release_demand(
-            self.core, self.up, key=ReservationId(SRC, 404)
-        )
         assert self.distributor.total_demand(self.core) == pytest.approx(gbps(3))
 
     def test_forget_segment_drops_core_row_and_up_entries(self):
@@ -548,16 +546,8 @@ class TestDistributorLedger:
         # The EERs outlived their SegRs: releasing them must neither
         # raise nor bring a dropped row back.
         assert self.distributor.release_key(flow1) == 0.0
-        self.distributor.release_demand(other_core, other_up, key=flow2)
         assert self.distributor.release_key(flow2) == 0.0
         assert self.distributor.segments() == {self.core}
-
-    def test_amount_release_still_supported(self):
-        self.distributor.register_demand(
-            self.core, self.up, gbps(4), up_capacity=gbps(10)
-        )
-        self.distributor.release_demand(self.core, self.up, gbps(4))
-        assert self.distributor.total_demand(self.core) == 0.0
 
 
 class TestTransferContention:

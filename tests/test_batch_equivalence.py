@@ -237,6 +237,23 @@ class TestSigmaCacheInvalidation:
         assert all(router.validate_batch([arriving(gateway, res_id) for res_id in ids]))
         assert (table.state.count, table.state.nslots, table.state.evictions) == (100, 256, 100)
 
+    def test_renewal_rounds_keep_the_table_size(self, monkeypatch):
+        """Storing v + 1 retires v - 1 before the table is judged full: once
+        the first renewal round of 32 flows has grown it, three more leave
+        ``nslots`` as it was, with no GROW stop (the second used to double it)."""
+        from repro.crypto import native
+
+        clock, gateway, router, mid_keys = make_stack()
+        table, grown, move = router.kernel, [], native.BurstKernel._move
+        monkeypatch.setattr(native.BurstKernel, "_move", lambda kernel, slots: grown.append(slots) or move(kernel, slots))
+        sizes = []
+        for version in range(1, 6):
+            ids = [install(gateway, mid_keys, clock, local_id=100 + index, version=version)[0] for index in range(32)]
+            assert all(router.validate_batch([arriving(gateway, res_id) for res_id in ids]))
+            sizes.append((table.state.count, table.state.nslots, len(grown)))
+        assert sizes == [(32, 64, 0)] + [(64, 128, 1)] * 4
+        assert table.state.evictions == 0
+
     def test_every_flow_survives_the_doublings(self):
         """Each move reads the old table whole (it is freed only after): 300
         flows stored one burst of one at a time through 64 -> 1,024 slots all

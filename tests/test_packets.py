@@ -200,15 +200,6 @@ class TestColibriPacket:
         with pytest.raises(PacketFieldError):
             packet.advance_hop()
 
-    def test_blank_has_empty_hvfs(self):
-        packet = ColibriPacket.blank(
-            PacketType.SEGMENT,
-            PathField(((0, 1), (1, 0))),
-            res_info(),
-            Timestamp(0),
-        )
-        assert all(hvf == ColibriPacket.EMPTY_HVF for hvf in packet.hvfs)
-
     def test_bad_magic(self):
         data = bytearray(sample_packet().to_bytes())
         data[0] ^= 0xFF

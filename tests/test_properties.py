@@ -379,6 +379,7 @@ class TestBeaconingProperties:
         """Every segment beaconing produces is structurally valid against
         its topology, on arbitrary generated hierarchies."""
         from repro.topology import Beaconing, build_internet_like
+        from tests.test_topology import assert_joined
 
         topology = build_internet_like(
             isd_count=isds, cores_per_isd=cores, depth=depth, seed=seed
@@ -386,12 +387,12 @@ class TestBeaconingProperties:
         beaconing = Beaconing(topology)
         for (core, leaf), segments in beaconing._down.items():
             for segment in segments:
-                segment.validate_against(topology)
+                assert_joined(segment, topology)
                 assert segment.first_as == core
                 assert segment.last_as == leaf
         for (first, last), segments in beaconing._core.items():
             for segment in segments:
-                segment.validate_against(topology)
+                assert_joined(segment, topology)
                 assert segment.first_as == first
                 assert segment.last_as == last
 

@@ -242,8 +242,8 @@ class World:
         path, res_info, sigma = self.flows[name]
         self.sequence[name] += 1
         timestamp = Timestamp.create(self.clock.now(), res_info.expiry, self.sequence[name])
-        packet = ColibriPacket.blank(
-            PacketType.EER_DATA, path, res_info, timestamp, EER, payload
+        packet = ColibriPacket(
+            PacketType.EER_DATA, path, res_info, timestamp, [ColibriPacket.EMPTY_HVF] * len(path), EER, payload
         )
         packet.hvfs[HOP] = eer_hvf(sigma, timestamp, packet.total_size)
         packet.hop_index = HOP
@@ -253,7 +253,9 @@ class World:
         """A SegR control packet over the flow's path (Eq. 3 token)."""
         path, res_info, _ = self.flows[name]
         timestamp = Timestamp.create(self.clock.now(), res_info.expiry)
-        packet = ColibriPacket.blank(PacketType.SEGMENT, path, res_info, timestamp, payload=b"ctl")
+        packet = ColibriPacket(
+            PacketType.SEGMENT, path, res_info, timestamp, [ColibriPacket.EMPTY_HVF] * len(path), payload=b"ctl"
+        )
         key = self.keys.hop_key(self.clock.now()) if honest else b"k" * 16
         packet.hvfs[HOP] = segment_token(key, res_info, *path.pair(HOP))
         packet.hop_index = HOP
@@ -686,3 +688,90 @@ def test_a_rewritten_header_drops_the_gateway_row(backend, mode):
     assert actual == dict(zip(REWRITES, expected))
     assert [how for how, (verdict, _) in actual.items() if verdict is Verdict.FORWARD] == [
         "copy.copy", "dataclasses.replace", "pickle", "untouched"]
+
+
+# ------------------------------------------- objects the gather does not take ----
+
+
+class _PointerProperty(ColibriPacket):
+    """A packet whose hop pointer is a property (kept under ``_hop``)."""
+
+    hop_index = property(lambda self: self._hop, lambda self, value: setattr(self, "_hop", value))
+
+
+def _subclassed(packet):
+    twin = object.__new__(_PointerProperty)
+    twin.__dict__.update(packet.__dict__, _hop=packet.hop_index)
+    return twin
+
+
+def _tag(tag):
+    return _set("hvfs", lambda p: [tag(t) if i == HOP else t for i, t in enumerate(p.hvfs)])
+
+
+def _copied_on_write(packet):
+    packet.hvfs[0] = packet.hvfs[0]
+    return packet
+
+
+#: Packets at hop 1 with their gateway's ``_row`` memo and ``HvfVector``,
+#: spoiled the ways ``BorderRouter._pack``'s native gather must refuse (or,
+#: the last two of the memo and the copied vector, take as they are).
+HOSTILE = {
+    "_row None": _set("_row", lambda p: None),
+    "_row too short": _set("_row", lambda p: p._row[:3]),
+    "_row head of 30 bytes": _set("_row", lambda p: (p._row[0][:30],) + p._row[1:]),
+    "_row tail of 13 bytes": _set("_row", lambda p: (p._row[0], p._row[1] + b"\0") + p._row[2:]),
+    "hop_index -1": _set("hop_index", lambda p: -1),
+    "hop_index = hops": _set("hop_index", lambda p: len(p.path)),
+    "hop_index True": _set("hop_index", lambda p: True),
+    "hop_index 1.0": _set("hop_index", lambda p: 1.0),
+    "3-byte tag": _tag(lambda tag: tag[:3]),
+    "str tag": _tag(lambda tag: "abcd"),
+    "HvfVector copied on write": _copied_on_write,
+    "subclass, hop_index a property": _subclassed,
+    "bytearray payload": _set("payload", lambda p: bytearray(p.payload)),
+    "untouched": lambda p: p,
+}
+
+
+def build(use_native, build_fn):
+    """``build_fn()`` with the kernel probed as asked; a router keeps the
+    policing body it was built with, so both kinds can then run side by side."""
+    patch = pytest.MonkeyPatch()
+    if not use_native:
+        patch.setenv("COLIBRI_NATIVE", "0")
+    native.reset_for_tests()
+    try:
+        if use_native and native.backend() is None:
+            pytest.skip("native backend unavailable")
+        return build_fn()
+    finally:
+        patch.undo()
+        native.reset_for_tests()
+
+
+@pytest.mark.parametrize("mode", ["process", "process_batch"])
+def test_hostile_objects_get_the_python_bodys_verdict(backend, mode):
+    """Each spoiled packet, between two honest ones, gets the verdicts, egress
+    and hop pointers the ``COLIBRI_NATIVE=0`` body gives it, or the same
+    exception type, and nothing crashes.  A gather that skips the shape check
+    fails here: without the 38-byte test on the memo's head, "_row head of 30
+    bytes" reads DROP_BAD_HVF on the native backend (its row's Eq. 4 input
+    ends in the bytes past the object) and FORWARD on the Python body, and
+    ``make native-asan`` aborts on the read."""
+    worlds = [GatewayPath(), build(False, GatewayPath)]
+    for name, spoil in HOSTILE.items():
+        outcomes = []
+        for world in worlds:
+            packets = world.at_hop_one(3)
+            packets[1] = spoil(packets[1])
+            router = world.routers[HOP]
+            try:
+                results = router.process_batch(packets) if mode == "process_batch" else [
+                    router.process(packet) for packet in packets]
+                outcomes.append([(r.verdict, r.egress, r.packet.hop_index) for r in results])
+            except (IndexError, TypeError, ValueError, struct.error) as error:  # the type is compared
+                outcomes.append(type(error))
+        assert outcomes[0] == outcomes[1], name
+    assert worlds[0].routers[HOP].stats == worlds[1].routers[HOP].stats

@@ -58,12 +58,12 @@ CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
-    TOTAL: 17_405,
+    TOTAL: 17_455,
     "`obs/`": 2_002,
     "`control/`": 2_877,
     "`dataplane/gateway.py` + `dataplane/router.py`": 985,
     "`dataplane/{duplicate,ofd}.py`": 356,
-    "`crypto/native.py`": 1_140,
+    "`crypto/native.py`": 1_300,
     "`sim/campaign.py`": 739,
     "`sim/` + `topology/`": 3_692,
     "`sim/{pipeline,netsim}.py`": 190,

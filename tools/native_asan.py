@@ -31,7 +31,15 @@ side — hashlib for the MACs, the ``COLIBRI_NATIVE=0`` bodies of
 * ``V_REFUSED`` for a cell outside the sketch, and -1 for a geometry that
   does not fit (zero ``bits``, ``bits`` past the buffer, ``depth`` 0 or
   9, a table not a power of two or over half full), all without a write;
-* validate mode over the whole script, the filters and sketch untouched.
+* validate mode over the whole script, the filters and sketch untouched;
+* four renewal rounds of four flows: after the first, the table keeps its size.
+
+Then it builds the extension itself — the kernel's cffi module and the
+router's glue (``native._GLUE``, CPython API) — under the same sanitizers
+and runs ``tests/test_router_differential.py`` (the differential and
+hostile-object tests) and ``test_policing_native.py -k glue`` (the refcount
+test) against it in a subprocess with libasan preloaded and
+``PYTHONMALLOC=malloc``, so a read past a Python object's end aborts too.
 
 Usage (from the repo root)::
 
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import sysconfig
 import itertools
 import os
 import random
@@ -232,10 +241,10 @@ def burst_model(script, bits, hashes, width, depth):
                 counters["hits" if found else "misses"] += 1
                 counters["rejected_hints"] += bool(found) and not good
                 if good and not found:
+                    for epoch in (EPOCH, EPOCH - 1):  # v - 2 retires before the table is judged full
+                        table.pop((index, version - 2, epoch), None)
                     if nslots < 64 and 2 * (len(table) + 1) > nslots:
                         nslots *= 2
-                    for epoch in (EPOCH, EPOCH - 1):
-                        table.pop((index, version - 2, epoch), None)
                     table[(index, version, EPOCH - which)] = row[:42]
                 if not good:
                     codes.append(native.BAD_HVF)
@@ -510,11 +519,44 @@ def burst_section() -> tuple:
     return decls, body
 
 
+def renewal_section() -> tuple:
+    """Four rounds of four flows, versions 1 to 4: storing v + 1 retires
+    v - 1 before the table is judged full, so after the first renewal
+    round (4 -> 8 -> 16 slots) the table keeps its size."""
+    ofd, rows = OveruseFlowDetector(width=16, depth=4), b""
+    for version in range(1, 5):
+        for index in range(30, 34):
+            fields = [resid(index), 8e6, EXPIRY, version, 1, 2, 2, 3]
+            sigma = mac(key(0), native.ROW.pack(*fields, bytes(8), 0, bytes(4), 0)[:42])
+            ts = ((FRESH << 16) | version).to_bytes(8, "big")
+            rows += native.ROW.pack(*fields, ts, 500, mac(sigma, ts + (500).to_bytes(4, "big"))[:4], 0)
+    entries = ",".join(
+        "{{%s}, {%s}}" % (",".join(map(str, resid(index))), ",".join(map(str, ofd.cells_for(resid(index)))))
+        for index in range(30, 34)
+    )
+    decls = [c_bytes("R_ROWS", rows) + f"static const cells_entry_t R_CELLS[] = {{{entries}}};\n"]
+    body = ["""
+    {
+        uint8_t *rows = heap(R_ROWS, sizeof R_ROWS), out[4];
+        size_t round, sizes[4];
+        colibri_police_t *p = police_new(128, 1024, 4, 16, 4, 1e9);
+        CELLS = R_CELLS, NCELLS = 4;
+        for (round = 0; round < 4; round++) {
+            run_burst(p, rows + 256 * round, 4, out, B_KEYS);
+            CHECK(out[0] == V_FORWARD && out[1] == V_FORWARD && out[2] == V_FORWARD && out[3] == V_FORWARD);
+            sizes[round] = p->nslots;
+        }
+        CHECK(p->count == 8 && sizes[0] == 8 && sizes[1] == 16 && sizes[2] == 16 && sizes[3] == 16);
+        free(p->current); free((void *)p->previous); free(p->counts); free(p->slots); free(p); free(rows);
+    }"""]
+    return decls, body
+
+
 def driver_source() -> str:
     os.environ["COLIBRI_NATIVE"] = "0"  # expected tables come from the Python bodies
     native.reset_for_tests()
     decls, body = [], []
-    for section in (crypto_section, burst_section):
+    for section in (crypto_section, burst_section, renewal_section):
         section_decls, section_body = section()
         decls += section_decls
         body += section_body
@@ -524,6 +566,46 @@ def driver_source() -> str:
         + '\n    printf("%s\\n", failures ? "native-asan: FAILED" : "native-asan: ok");'
         + "\n    return failures != 0;\n}\n"
     )
+
+
+#: Loaded by the subprocess (``-p``): the build directory is the sanitized one.
+PLUGIN = """
+from repro.crypto import native
+native._BUILD_DIR = {directory!r}
+native.reset_for_tests()
+assert native.backend().glue.__file__.startswith(native._BUILD_DIR), native._probe()
+"""
+
+
+def run_glue(compiler: str, workdir: Path) -> int:
+    """The extension under ASan + UBSan, the router's tests against it."""
+    runtime = subprocess.run([compiler, "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        print("native-asan: no libasan.so to preload; the glue is not checked", file=sys.stderr)
+        return 2
+    from cffi import FFI
+
+    name, build = native._module_name(), workdir / "build"
+    build.mkdir(exist_ok=True)
+    ffi = FFI()
+    ffi.cdef(native._CDEF)
+    ffi.set_source(name, native._SOURCE)
+    ffi.emit_c_code(str(workdir / "kernel.c"))
+    (workdir / "glue.c").write_text(native._GLUE)
+    subprocess.run([compiler, *CFLAGS, "-shared", "-fPIC", "-I", sysconfig.get_paths()["include"], "-o",
+                    str(build / (name + sysconfig.get_config_var("EXT_SUFFIX"))),
+                    str(workdir / "kernel.c"), str(workdir / "glue.c")], check=True)
+    (workdir / "asan_glue.py").write_text(PLUGIN.format(directory=str(build)))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0", PYTHONMALLOC="malloc",
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(workdir), str(root)]))
+    env.pop("COLIBRI_NATIVE")
+    print("[glue] ", end="", flush=True)
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--capture=sys", "-p", "asan_glue", "-p", "no:cacheprovider",
+         "tests/test_router_differential.py", "tests/test_policing_native.py", "-k", "not policing or glue"],
+        cwd=root, env=env,
+    ).returncode
 
 
 def main(argv=None) -> int:
@@ -548,7 +630,7 @@ def main(argv=None) -> int:
             status = subprocess.run([str(binary)]).returncode
             if status:
                 return status
-        return 0
+        return run_glue(compiler, workdir)
     finally:
         if not args.keep:
             shutil.rmtree(workdir, ignore_errors=True)
