@@ -47,7 +47,6 @@ class TrafficMatrix:
             raise ValueError(f"colibri share must be in (0, 1], got {colibri_share}")
         self.node = node
         self.colibri_share = colibri_share
-        self._overrides: dict[tuple, float] = {}
         self._interface_capacity: dict[int, float] = {
             ifid: link.capacity * colibri_share
             for ifid, link in node.interfaces.items()
@@ -65,24 +64,12 @@ class TrafficMatrix:
             )
         return capacity
 
-    def set_pair_capacity(self, ingress: int, egress: int, capacity: float) -> None:
-        """Override the Colibri allocation for one ingress-egress pair."""
-        if capacity < 0:
-            raise ValueError(f"pair capacity must be non-negative, got {capacity}")
-        # Validate both interfaces exist.
-        self.interface_capacity(ingress)
-        self.interface_capacity(egress)
-        self._overrides[(ingress, egress)] = capacity
-
     def pair_capacity(self, ingress: int, egress: int) -> float:
         """Colibri bandwidth between an interface pair.
 
         Defaults to ``min(capacity(ingress), capacity(egress))`` — traffic
         through the pair can exceed neither side.
         """
-        override = self._overrides.get((ingress, egress))
-        if override is not None:
-            return override
         return min(self.interface_capacity(ingress), self.interface_capacity(egress))
 
     def interfaces(self) -> list:

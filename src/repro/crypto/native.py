@@ -8,14 +8,12 @@ the reproduction's "hardware": keyed BLAKE2s in C, compiled on demand
 through cffi.  The gateway crosses once per packet (``colibri_stamp_t``:
 all hops), per single-reservation burst (``colibri_stamp_many_t``) or per
 mixed burst (``colibri_stamp_scatter_t``, see :class:`BurstStamper`).  The
-router crosses once per stretch: ``colibri_burst`` runs steps 1 and 3-5
-over one 64-byte row per packet (:data:`ROW`) on the router's own tables —
-a ``bytearray`` pair, an ``array('d')``, Python's to read and replace —
-through a ``colibri_police_t`` they re-point as they change, with σ from a
-flow table in the same struct (:class:`BurstKernel`).  A second module in
-the same extension, ``_colibri_glue`` (:data:`_GLUE`, CPython API), packs
-the rows from the packets (``gather``) and turns FORWARD and DELIVER
-verdicts into ``RouterResult`` objects (``scatter``).
+router crosses once per burst, into ``_colibri_glue`` (:data:`_GLUE`, CPython
+API, a second module in the same extension): it packs one 64-byte row per
+packet (:data:`ROW`), calls ``colibri_burst`` — steps 1 and 3-5 on the
+router's own tables through a ``colibri_police_t`` they re-point as they
+change, σ from a flow table in the same struct (:class:`BurstKernel`) — and
+builds the FORWARD and DELIVER ``RouterResult`` objects.
 
 Byte-identity is the admission contract (docs/performance.md): for every
 key and message, ``ScheduleBlock(backend, [key]).stamp_flat(msg) ==
@@ -76,20 +74,19 @@ typedef struct {
     colibri_flow_t *slots;    /* the flow table: linear probing */
     size_t nslots, max_slots, count, capacity;
     uint64_t hits, misses, evictions, rejected_hints;
+    uint64_t stops[16];       /* colibri_burst's returns, by verdict byte */
 } colibri_police_t;
 """
 
 #: The verdict bytes and row flags, for the kernel and the glue (:data:`FORWARD`).
 _CODES = """enum { V_FORWARD = 1, V_DELIVER, V_EXPIRED, V_STALE, V_BAD_HVF, V_DUPLICATE,
-       V_PYTHON, V_OVER, V_REFUSED, V_GROW, V_REKEY, V_CELLS };
+       V_PYTHON, V_OVER, V_REFUSED, V_GROW, V_REKEY, V_CELLS, V_GATHER, V_FLAG };
 enum { F_PYTHON = 1, F_FLAGGED = 2, F_LAST = 4 };
 """
 
 _CDEF = _POLICE_T + """
 void colibri_b2s_key_schedule(const uint8_t *key, size_t keylen,
                               size_t outlen, uint32_t *h_out);
-long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
-                   size_t start, uint8_t *verdicts, double now, int validate);
 void colibri_flows_move(colibri_police_t *p, colibri_flow_t *slots,
                         size_t nslots);
 void colibri_b2s_transpose(const uint32_t *scheds, size_t nscheds,
@@ -660,13 +657,15 @@ void colibri_flows_move(colibri_police_t *p, colibri_flow_t *slots, size_t nslot
    Row i (native.ROW) holds ResInfo || EERInfo || (In, Eg), the 42-byte
    Eq. (4) input; Ts || PktSize, the Eq. (6) input; the HVF; the flags.
    Steps 1 and 3-5 in arrival order from `start`, a verdict byte per row.
-   Returns the row it stopped at (nrows when done), whose verdict says why:
-   V_PYTHON (flagged, SegR, no bandwidth, a rotation or roll due: past step
-   1 untouched), V_OVER (policed, over the threshold), V_REFUSED (a cell
-   outside the sketch), V_GROW (the table needs room), V_REKEY (`now` left
-   `key`'s epoch), V_CELLS (a flow to store of a label not `label`);
-   -1: the geometry does not fit, nothing written.
+   Returns the first row not forwarded or delivered (nrows when done), whose
+   verdict says why and is counted in `stops`: a drop (V_EXPIRED to
+   V_DUPLICATE), V_PYTHON (flagged, SegR, no bandwidth, a rotation or roll
+   due: past step 1 untouched), V_OVER (policed, over the threshold),
+   V_REFUSED (a cell outside the sketch), V_GROW (the table needs room),
+   V_REKEY (`now` left `key`'s epoch), V_CELLS (a flow to store of a label
+   not `label`); -1: the geometry does not fit, nothing written.
    `validate`: steps 1 and 3 only, filters and sketch untouched. */
+#define STOP(code) do { verdicts[i] = (code); p->stops[code]++; return (long)i; } while (0)
 long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
                    size_t start, uint8_t *verdicts, double now, int validate)
 {
@@ -677,23 +676,17 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
         || 2 * p->count > p->nslots
         || (!validate && (p->bits == 0 || (p->bits - 1) / 8 >= p->nbytes)))
         return -1;
-    if (start < nrows && (now < p->epoch_start || now >= p->epoch_end)) {
-        verdicts[start] = V_REKEY;
-        return (long)start;
-    }
-    for (i = start; i < nrows; i++) {
+    if ((i = start) < nrows && (now < p->epoch_start || now >= p->epoch_end)) STOP(V_REKEY);
+    for (; i < nrows; i++) {
         uint8_t *row = rows + 64 * i, mac[16], sigma[16];
         double expiry = be_double(row + 20), bandwidth = be_double(row + 12);
         double age = now - (expiry - (double)(be64(row + 42) >> 16) / 1e6), estimate;
         uint32_t sched[8];
         colibri_flow_t *f;
         int hit;
-        if (now > expiry + p->skew) { verdicts[i] = V_EXPIRED; continue; }
-        if (age > p->freshness || -age > p->freshness) { verdicts[i] = V_STALE; continue; }
-        if ((row[58] & (F_PYTHON | F_FLAGGED)) || (!validate && (due || !(bandwidth > 0)))) {
-            verdicts[i] = V_PYTHON;
-            return (long)i;
-        }
+        if (now > expiry + p->skew) STOP(V_EXPIRED);
+        if (age > p->freshness || -age > p->freshness) STOP(V_STALE);
+        if ((row[58] & (F_PYTHON | F_FLAGGED)) || (!validate && (due || !(bandwidth > 0)))) STOP(V_PYTHON);
         /* 3. σ from the table if bound to this very input and it explains
            the HVF, else derived from K_i (this epoch, then the last) and
            stored only now that it validated the packet. */
@@ -708,52 +701,51 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
                 if (!colibri_verify((const uint8_t *)sched, row + 42, 12, row + 54, 4, mac))
                     continue;
                 flow_retire(p, row, e ? p->prev_epoch : p->epoch);
-                if (p->nslots < p->max_slots && 2 * (p->count + 1) > p->nslots) {
-                    verdicts[i] = V_GROW;
-                    return (long)i;
-                }
-                if (memcmp(p->label, row, 12)) {
-                    verdicts[i] = V_CELLS;
-                    return (long)i;
-                }
+                if (p->nslots < p->max_slots && 2 * (p->count + 1) > p->nslots) STOP(V_GROW);
+                if (memcmp(p->label, row, 12)) STOP(V_CELLS);
                 f = flow_store(p, row, e ? p->prev_epoch : p->epoch, sched);
             }
             p->rejected_hints += hit;
         }
         p->hits += hit;
         p->misses += !hit;
-        if (f == NULL) { verdicts[i] = V_BAD_HVF; continue; }
+        if (f == NULL) STOP(V_BAD_HVF);
         if (validate) { verdicts[i] = V_FORWARD; continue; }
         for (r = 0; r < p->depth; r++)
-            if (f->cells[r] >= p->ncounts) { verdicts[i] = V_REFUSED; return (long)i; }
+            if (f->cells[r] >= p->ncounts) STOP(V_REFUSED);
         /* 4. The full MAC names the packet to the duplicate filter. */
         if (!colibri_bloom_check(p->current, p->previous, p->bits, p->hashes, mac)) {
             memcpy(row, mac, 16);  /* for the journal */
-            verdicts[i] = V_DUPLICATE;
-            continue;
+            STOP(V_DUPLICATE);
         }
         /* 5. The sketch, over the normalized size. */
         estimate = colibri_sketch_add(p->counts, f->cells, p->depth,
                                       (double)((uint64_t)be32(row + 50) * 8) / bandwidth);
-        if (estimate > p->threshold) { verdicts[i] = V_OVER; return (long)i; }
+        if (estimate > p->threshold) STOP(V_OVER);
         verdicts[i] = row[58] & F_LAST ? V_DELIVER : V_FORWARD;
     }
     return (long)nrows;
 }
 """
 
-#: ``BorderRouter._pack``'s gather and ``_burst``'s FORWARD / DELIVER scatter:
-#: a CPython module in the same extension, since cffi takes no Python objects.
+#: ``BorderRouter._burst``'s one native call, ``burst``: rows, ``colibri_burst`` and the
+#: FORWARD / DELIVER results in one call, back to Python only at a row it must
+#: see; a CPython module in the same extension, since cffi takes no Python objects.
 _GLUE = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
 #include <stdint.h>
-""" + _CODES + r"""
+""" + _POLICE_T + _CODES + r"""
+long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
+                   size_t start, uint8_t *verdicts, double now, int validate);
 #define BYTES(o, n) (PyBytes_CheckExact(o) && PyBytes_GET_SIZE(o) == (n))
-#define HELD(s) (PyList_Check(s) || PyTuple_Check(s) ? PySequence_Fast_GET_SIZE(s) : 0)
-static PyObject *Packet, *Vector, *Result, *Verdicts[3], *ROW_, *HOP, *HVFS, *ONE;
-static Py_ssize_t buffer_at, start_at;  /* HvfVector's slots */
+#define SLOT(o, at) (*(PyObject **)((char *)(o) + (at)))
+enum { ROW_, HOP, HVFS, KERNEL, STATS, DUPLICATES, CURRENT, INSERTIONS, OFD, SEEN, MONITOR, PASSED, NAMES };
+static const char *names[NAMES] = {"_row", "hop_index", "hvfs", "kernel", "stats", "duplicates", "_current",
+                                   "insertions", "ofd", "packets_seen", "monitor", "packets_passed"};
+static PyObject *Name[NAMES], *ONE, *Bound[6];  /* ColibriPacket, HvfVector, RouterResult, FORWARD, DELIVER_HOST, BurstKernel */
+static Py_ssize_t at[5];  /* HvfVector's buffer and start slots, BurstKernel's _struct, rows and verdicts */
 
 /* An exact int in [0, most], else -1. */
 static long small(PyObject *o, long most)
@@ -763,19 +755,19 @@ static long small(PyObject *o, long most)
     return overflow || v < 0 || v > most ? -1 : v;
 }
 
-/* _pack's row of an exact ColibriPacket whose `_row` memo, `hop_index`
-   and HVF (an HvfVector's bytes, or a list's or tuple's item) are exactly
-   what _pack reads from its instance dict: 1.  Else 0, nothing written. */
+/* Row i of an exact ColibriPacket whose `_row` memo, `hop_index` and HVF
+   (an HvfVector's bytes, or a list's or tuple's item) are exactly what
+   _burst's memo build reads from its instance dict: 1.  Else 0, nothing written. */
 static int gather_one(PyObject *packet, uint8_t *row)
 {
     PyObject *state, *memo, *hvfs, *pairs, *pair, *buffer;
-    long hop, in, eg, last, flags, at;
+    long hop, in, eg, last, flags, start;
     const char *hvf = NULL;
-    if (!Py_IS_TYPE(packet, (PyTypeObject *)Packet) || (state = PyObject_GenericGetDict(packet, NULL)) == NULL)
+    if (!Py_IS_TYPE(packet, (PyTypeObject *)Bound[0]) || (state = PyObject_GenericGetDict(packet, NULL)) == NULL)
         return PyErr_Clear(), 0;
-    Py_XINCREF(memo = PyDict_GetItemWithError(state, ROW_));
-    Py_XINCREF(hvfs = PyDict_GetItemWithError(state, HVFS));
-    hop = small(PyDict_GetItemWithError(state, HOP), LONG_MAX / 8);
+    Py_XINCREF(memo = PyDict_GetItemWithError(state, Name[ROW_]));
+    Py_XINCREF(hvfs = PyDict_GetItemWithError(state, Name[HVFS]));
+    hop = small(PyDict_GetItemWithError(state, Name[HOP]), LONG_MAX / 8);
     PyErr_Clear();
     if (memo && hvfs && hop >= 0 && PyTuple_CheckExact(memo) && PyTuple_GET_SIZE(memo) == 5
         && BYTES(PyTuple_GET_ITEM(memo, 0), 38) && BYTES(PyTuple_GET_ITEM(memo, 1), 12)
@@ -783,10 +775,10 @@ static int gather_one(PyObject *packet, uint8_t *row)
         && PyTuple_CheckExact(pair = PyTuple_GET_ITEM(pairs, hop)) && PyTuple_GET_SIZE(pair) == 2
         && (in = small(PyTuple_GET_ITEM(pair, 0), 0xFFFF)) >= 0 && (eg = small(PyTuple_GET_ITEM(pair, 1), 0xFFFF)) >= 0
         && (last = small(PyTuple_GET_ITEM(memo, 3), 0xFF)) >= 0 && (flags = small(PyTuple_GET_ITEM(memo, 4), 0xFF)) >= 0) {
-        buffer = Py_IS_TYPE(hvfs, (PyTypeObject *)Vector) ? *(PyObject **)((char *)hvfs + buffer_at) : NULL;
-        at = buffer ? small(*(PyObject **)((char *)hvfs + start_at), LONG_MAX / 8) + 4 * hop : -1;
-        if (buffer && PyBytes_CheckExact(buffer) && at >= 4 * hop && at + 4 <= PyBytes_GET_SIZE(buffer))
-            hvf = PyBytes_AS_STRING(buffer) + at;
+        buffer = Py_IS_TYPE(hvfs, (PyTypeObject *)Bound[1]) ? SLOT(hvfs, at[0]) : NULL;
+        start = buffer ? small(SLOT(hvfs, at[1]), LONG_MAX / 8) + 4 * hop : -1;
+        if (buffer && PyBytes_CheckExact(buffer) && start >= 4 * hop && start + 4 <= PyBytes_GET_SIZE(buffer))
+            hvf = PyBytes_AS_STRING(buffer) + start;
         else if ((PyList_CheckExact(hvfs) || PyTuple_CheckExact(hvfs)) && hop < PySequence_Fast_GET_SIZE(hvfs)
                  && BYTES(PySequence_Fast_GET_ITEM(hvfs, hop), 4))
             hvf = PyBytes_AS_STRING(PySequence_Fast_GET_ITEM(hvfs, hop));
@@ -803,103 +795,206 @@ static int gather_one(PyObject *packet, uint8_t *row)
     return hvf != NULL;
 }
 
-/* gather(packets, rows, start) -> the first packet from `start` on that
-   gather_one does not take (len(packets) if none), every row before it
-   written.  `packets` other than a list or tuple: none taken. */
-static PyObject *gather(PyObject *self, PyObject *const *args, Py_ssize_t n)
+/* F_PYTHON on each later copy of a packet object in rows [0, count): it meets
+   the hop its first copy was forwarded to.  A pointer set on the stack, on the
+   heap past 64 packets.  0, or -1 with an error. */
+static int repeats(PyObject *const *packets, Py_ssize_t count, uint8_t *rows)
 {
-    Py_ssize_t i;
-    if (n != 3 || Packet == NULL || !PyByteArray_Check(args[1]))
-        return PyErr_Format(PyExc_TypeError, "gather(packets, rows, start) after bind()");
-    if ((i = PyLong_AsSsize_t(args[2])) < 0) return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_IndexError, "start");
-    while (i < HELD(args[0]) && PyByteArray_GET_SIZE(args[1]) >= 64 * (i + 1)
-           && gather_one(PySequence_Fast_ITEMS(args[0])[i], (uint8_t *)PyByteArray_AS_STRING(args[1]) + 64 * i))
-        i++;
-    return PyLong_FromSsize_t(i);
+    PyObject *stack[128], **seen = stack, *packet;
+    size_t size = 128, i, h;
+    while (size < 2 * (size_t)count) size *= 2;
+    if (size == 128) memset(stack, 0, sizeof stack);
+    else if ((seen = PyMem_Calloc(size, sizeof *seen)) == NULL) return PyErr_NoMemory(), -1;
+    for (i = 0; i < (size_t)count; i++) {
+        packet = packets[i];
+        for (h = (size_t)((uintptr_t)packet * 0x9E3779B97F4A7C15ULL >> 32) & (size - 1);
+             seen[h] != NULL && seen[h] != packet; h = (h + 1) & (size - 1));
+        rows[64 * i + 58] |= seen[h] != NULL ? F_PYTHON : 0;
+        seen[h] = packet;
+    }
+    if (seen != stack) PyMem_Free(seen);
+    return 0;
 }
 
-/* scatter(packets, verdicts, start, stop, rows, results, tally) -> the first
-   row from `start` whose verdict is neither FORWARD nor DELIVER, or `stop`.
-   Each one before it appends its RouterResult to `results`, FORWARD after
-   `packet.hop_index += 1` and with the egress off the row; tally[0] and
-   [1] count them, also when a packet raises.  Sizes are re-read per packet:
-   a hop pointer's setter may run Python code. */
-static PyObject *scatter(PyObject *self, PyObject *const *args, Py_ssize_t n)
+/* router.<a>, or router.<a>.<b> for b > 0: a new reference, or NULL with an error. */
+static PyObject *attr(PyObject *router, int a, int b)
 {
-    Py_ssize_t i, stop, counted[2] = {0, 0};
-    PyObject *packet, *hop, *next, *result, *type, *value, *trace;
-    const uint8_t *row;
-    int code = 0;
-    if (n != 7 || Packet == NULL || !PyByteArray_Check(args[1]) || !PyByteArray_Check(args[4])
-        || !PyList_Check(args[5]) || !PyList_Check(args[6]) || PyList_GET_SIZE(args[6]) != 2)
-        return PyErr_Format(PyExc_TypeError, "scatter(packets, verdicts, start, stop, rows, results, tally) after bind()");
-    if ((i = PyLong_AsSsize_t(args[2])) < 0 || (stop = PyLong_AsSsize_t(args[3])) < 0)
-        return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_IndexError, "start or stop");
-    for (; i < stop && i < PyByteArray_GET_SIZE(args[1]); i++) {
-        if ((code = ((uint8_t *)PyByteArray_AS_STRING(args[1]))[i]) != V_FORWARD && code != V_DELIVER) break;
-        if (i >= HELD(args[0]) || PyByteArray_GET_SIZE(args[4]) < 64 * (i + 1)) {
-            PyErr_SetString(PyExc_IndexError, "a verdict past the burst or its rows"), code = -1;
+    PyObject *first = PyObject_GetAttr(router, Name[a]), *second = first && b ? PyObject_GetAttr(first, Name[b]) : first;
+    if (b) Py_XDECREF(first);
+    return second;
+}
+
+/* holder.<name> += n, or holder[key] += n; `holder` is stolen.  0, or -1 with an error. */
+static int bump(PyObject *holder, PyObject *key, int name, Py_ssize_t n)
+{
+    PyObject *old = NULL, *delta = PyLong_FromSsize_t(n), *sum = NULL;
+    int status = -1;
+    if (holder && delta && (old = key ? PyObject_GetItem(holder, key) : PyObject_GetAttr(holder, Name[name])))
+        sum = PyNumber_Add(old, delta);
+    if (sum) status = key ? PyObject_SetItem(holder, key, sum) : PyObject_SetAttr(holder, Name[name], sum);
+    Py_XDECREF(holder), Py_XDECREF(delta), Py_XDECREF(old), Py_XDECREF(sum);
+    return status;
+}
+
+/* What the Python body counts for the rows a call forwarded, delivered
+   (counted[0], [1]) or handed over at OVER ([2]), up to the first that
+   fails: stats, the filter's insertions, the OFD's packets_seen, the
+   monitor's packets_passed.  A pending error stays the one raised. */
+static void flush(PyObject *router, const Py_ssize_t counted[3])
+{
+    PyObject *type, *value, *trace, *stats;
+    Py_ssize_t passed = counted[0] + counted[1], policed = passed + counted[2];
+    if (policed == 0) return;
+    PyErr_Fetch(&type, &value, &trace);
+    if ((stats = attr(router, STATS, 0)) != NULL
+        && (!counted[0] || !bump((Py_INCREF(stats), stats), Bound[3], 0, counted[0]))
+        && (!counted[1] || !bump((Py_INCREF(stats), stats), Bound[4], 0, counted[1]))
+        && !bump(attr(router, DUPLICATES, CURRENT), NULL, INSERTIONS, policed)
+        && !bump(attr(router, OFD, 0), NULL, SEEN, policed) && passed)
+        bump(attr(router, MONITOR, 0), NULL, PASSED, passed);
+    Py_XDECREF(stats);
+    if (type != NULL) PyErr_Restore(type, value, trace);
+}
+
+/* A FORWARD or DELIVER row's result onto `results`: FORWARD after
+   `packet.hop_index += 1`, the egress off the row; True when validating.
+   counted[0] or [1] once the pointer moved.  0, or -1 with an error. */
+static int emit(PyObject *packet, const uint8_t *row, int code, int validate, PyObject *results, Py_ssize_t counted[3])
+{
+    PyObject *hop, *next = NULL, *result = NULL;
+    long egress = row[40] << 8 | row[41];
+    int status = -1;
+    if (code != V_FORWARD && code != V_DELIVER)
+        return PyErr_SetString(PyExc_IndexError, "a stop the kernel ran past"), -1;
+    if (validate) return PyList_Append(results, Py_True);
+    if (code == V_FORWARD && (hop = PyObject_GetAttr(packet, Name[HOP])) != NULL) {
+        if ((next = PyNumber_Add(hop, ONE)) != NULL && PyObject_SetAttr(packet, Name[HOP], next) < 0)
+            Py_CLEAR(next);
+        Py_DECREF(hop);
+    }
+    if (code == V_DELIVER || next != NULL) {
+        counted[code - V_FORWARD]++;
+        result = ((PyTypeObject *)Bound[2])->tp_alloc((PyTypeObject *)Bound[2], 3);
+    }
+    if (result != NULL) {
+        Py_INCREF(Bound[code + 2]), Py_INCREF(packet);
+        PyTuple_SET_ITEM(result, 0, Bound[code + 2]);
+        PyTuple_SET_ITEM(result, 1, packet);
+        PyTuple_SET_ITEM(result, 2, code == V_DELIVER ? (Py_INCREF(Py_None), Py_None) : PyLong_FromLong(egress));
+        status = PyTuple_GET_ITEM(result, 2) == NULL ? -1 : PyList_Append(results, result);
+    }
+    Py_XDECREF(next), Py_XDECREF(result);
+    return status;
+}
+
+/* burst(router, packets, results, now, validate, start, gathered, flag) -> the
+   row Python must see, why in router.kernel.verdicts at that row, or -1: done.
+   Rows [gathered, len) are packed into kernel.rows, grown to fit (GATHER: a
+   packet the gather does not take); once all are, repeats are marked and,
+   if `flag` (a policing set holds anything), the call stops for the flags
+   (FLAG at row 0).  Then colibri_burst runs from `start`, each FORWARD /
+   DELIVER row's RouterResult goes onto `results` (validating: True, and
+   False for a drop), up to a drop, a PYTHON, OVER or REFUSED row or a GROW,
+   REKEY or CELLS stop.  The packets are a tuple and the buffers pinned for
+   the call, whatever Python code runs in it; its tallies are flushed, also
+   when it raises. */
+static PyObject *burst(PyObject *self, PyObject *const *args, Py_ssize_t n)
+{
+    PyObject *router = n == 8 ? args[0] : NULL, *kernel, *seq = NULL, *state, *rows, *verdicts, *const *packets;
+    Py_buffer row_view = {0}, verdict_view = {0};
+    Py_ssize_t count = 0, start, gathered, i, counted[3] = {0, 0, 0};
+    uint8_t *row, *verdict;
+    double now;
+    long stop = -1;
+    int validate, flag, code;
+    if (router == NULL || Bound[5] == NULL || !PyList_Check(args[2]))
+        return PyErr_Format(PyExc_TypeError, "burst(router, packets, results, now, validate, start, gathered, flag) after bind()");
+    now = PyFloat_AsDouble(args[3]), validate = PyObject_IsTrue(args[4]), flag = PyObject_IsTrue(args[7]);
+    start = PyLong_AsSsize_t(args[5]), gathered = PyLong_AsSsize_t(args[6]);
+    if (validate < 0 || flag < 0 || PyErr_Occurred() || (kernel = PyObject_GetAttr(router, Name[KERNEL])) == NULL)
+        return NULL;
+    state = Py_IS_TYPE(kernel, (PyTypeObject *)Bound[5]) ? SLOT(kernel, at[2]) : NULL;
+    rows = state ? SLOT(kernel, at[3]) : NULL, verdicts = state ? SLOT(kernel, at[4]) : NULL;
+    Py_XINCREF(state);
+    if (!rows || !verdicts || !PyByteArray_Check(rows) || !PyByteArray_Check(verdicts)
+        || !PyByteArray_Check(state) || PyByteArray_GET_SIZE(state) != sizeof(colibri_police_t))
+        PyErr_SetString(PyExc_TypeError, "router.kernel is not a bound BurstKernel");
+    else if ((seq = PySequence_Tuple(args[1])) != NULL
+             && ((count = PyTuple_GET_SIZE(seq)) < start || start < 0 || count < gathered || gathered < 0))
+        PyErr_SetString(PyExc_IndexError, "start or gathered outside the burst");
+    if (PyErr_Occurred() || (PyByteArray_GET_SIZE(verdicts) < count && PyByteArray_Resize(verdicts, count) < 0)
+        || (PyByteArray_GET_SIZE(rows) < 64 * count && PyByteArray_Resize(rows, 64 * count) < 0)
+        || PyObject_GetBuffer(rows, &row_view, PyBUF_WRITABLE) < 0 || PyObject_GetBuffer(verdicts, &verdict_view, PyBUF_WRITABLE) < 0)
+        goto done;
+    packets = &PyTuple_GET_ITEM(seq, 0), row = row_view.buf, verdict = verdict_view.buf;
+    for (i = gathered; i < count; i++)
+        if (!gather_one(packets[i], row + 64 * i)) {  /* its memo is built in Python */
+            verdict[i] = V_GATHER, stop = (long)i;
+            goto done;
+        }
+    if (gathered < count && count > 1 && repeats(packets, count, row) < 0) goto done;
+    if (gathered < count && flag && !validate) {
+        verdict[0] = V_FLAG, stop = 0;
+        goto done;
+    }
+    for (;;) {
+        if ((stop = colibri_burst((colibri_police_t *)PyByteArray_AS_STRING(state), row, count, start, verdict, now, validate)) < 0) {
+            PyErr_SetString(PyExc_IndexError, "the policing tables' geometry was refused");
+            goto done;
+        }
+        for (i = start; i < stop; i++)
+            if (emit(packets[i], row + 64 * i, verdict[i], validate, args[2], counted) < 0) goto done;
+        if (stop == count) break;
+        code = verdict[stop];
+        if (!validate) {
+            counted[2] += code == V_OVER;
             break;
         }
-        Py_INCREF(packet = PySequence_Fast_ITEMS(args[0])[i]);
-        next = result = NULL;
-        if (code == V_FORWARD && (hop = PyObject_GetAttr(packet, HOP)) != NULL) {
-            if ((next = PyNumber_Add(hop, ONE)) != NULL && PyObject_SetAttr(packet, HOP, next) < 0)
-                Py_CLEAR(next);
-            Py_DECREF(hop);
-        }
-        if (code == V_DELIVER || next != NULL) {
-            counted[code - V_FORWARD]++;
-            result = ((PyTypeObject *)Result)->tp_alloc((PyTypeObject *)Result, 3);
-        }
-        if (result != NULL) {
-            row = (const uint8_t *)PyByteArray_AS_STRING(args[4]) + 64 * i;
-            Py_INCREF(Verdicts[code]);
-            PyTuple_SET_ITEM(result, 0, Verdicts[code]);
-            PyTuple_SET_ITEM(result, 1, packet);
-            PyTuple_SET_ITEM(result, 2, code == V_DELIVER ? (Py_INCREF(Py_None), Py_None) : PyLong_FromLong(row[40] << 8 | row[41]));
-            packet = NULL;
-        }
-        Py_XDECREF(packet), Py_XDECREF(next);
-        if (result == NULL || PyTuple_GET_ITEM(result, 2) == NULL || PyList_Append(args[5], result) < 0)
-            code = -1;
-        Py_XDECREF(result);
-        if (code < 0) break;
+        if (code < V_EXPIRED || code > V_DUPLICATE || PyList_Append(args[2], Py_False) < 0) break;
+        start = stop + 1;
     }
-    PyErr_Fetch(&type, &value, &trace);
-    for (n = 0; n < 2; n++)
-        if ((next = PyLong_FromSsize_t(PyLong_AsSsize_t(PyList_GET_ITEM(args[6], n)) + counted[n])) != NULL)
-            PyList_SetItem(args[6], n, next);
-    PyErr_Restore(type, value, trace);
-    return code < 0 ? NULL : PyLong_FromSsize_t(i);
+    stop = stop == count ? -1 : stop;
+done:
+    if (!validate) flush(router, counted);
+    PyBuffer_Release(&row_view), PyBuffer_Release(&verdict_view);
+    Py_XDECREF(seq), Py_XDECREF(state), Py_DECREF(kernel);
+    return PyErr_Occurred() ? NULL : PyLong_FromLong(stop);
 }
 
-/* bind(ColibriPacket, HvfVector, RouterResult, FORWARD, DELIVER_HOST). */
+/* bind(ColibriPacket, HvfVector, RouterResult, FORWARD, DELIVER_HOST, BurstKernel). */
 static PyObject *bind(PyObject *self, PyObject *const *args, Py_ssize_t n)
 {
-    PyObject *buffer = n == 5 ? PyObject_GetAttrString(args[1], "buffer") : NULL;
-    PyObject *start = n == 5 ? PyObject_GetAttrString(args[1], "start") : NULL;
-    if (buffer && start && Py_IS_TYPE(buffer, &PyMemberDescr_Type) && Py_IS_TYPE(start, &PyMemberDescr_Type)
-        && PyType_Check(args[0]) && PyType_Check(args[2]) && PyType_IsSubtype((PyTypeObject *)args[2], &PyTuple_Type)) {
-        buffer_at = ((PyMemberDescrObject *)buffer)->d_member->offset;
-        start_at = ((PyMemberDescrObject *)start)->d_member->offset;
-        for (n = 0; n < 5; n++) Py_INCREF(args[n]);
-        Packet = args[0], Vector = args[1], Result = args[2], Verdicts[1] = args[3], Verdicts[2] = args[4];
-    } else if (!PyErr_Occurred())
-        PyErr_SetString(PyExc_TypeError, "bind(ColibriPacket, HvfVector with slots, RouterResult, FORWARD, DELIVER_HOST)");
-    Py_XDECREF(buffer), Py_XDECREF(start);
-    return PyErr_Occurred() ? NULL : (Py_INCREF(Py_None), Py_None);
+    static const char *slots[5] = {"buffer", "start", "_struct", "rows", "verdicts"};
+    PyObject *member;
+    Py_ssize_t found[5], k;
+    for (k = 0; n == 6 && k < 5 && PyType_Check(args[k < 2 ? 1 : 5]); k++) {
+        member = PyObject_GetAttrString(args[k < 2 ? 1 : 5], slots[k]);
+        found[k] = member && Py_IS_TYPE(member, &PyMemberDescr_Type) ? ((PyMemberDescrObject *)member)->d_member->offset : -1;
+        Py_XDECREF(member);
+        if (found[k] < 0) break;
+    }
+    if (k < 5 || !PyType_Check(args[0]) || !PyType_Check(args[2]) || !PyType_IsSubtype((PyTypeObject *)args[2], &PyTuple_Type)) {
+        PyErr_Clear();
+        return PyErr_Format(PyExc_TypeError, "bind(ColibriPacket, HvfVector, RouterResult, FORWARD, DELIVER_HOST, BurstKernel)");
+    }
+    memcpy(at, found, sizeof at);
+    for (k = 0; k < 6; k++) {
+        Py_INCREF(args[k]);
+        Py_XSETREF(Bound[k], args[k]);
+    }
+    Py_RETURN_NONE;
 }
 
 #define METHOD(f) {#f, (PyCFunction)(void (*)(void))f, METH_FASTCALL, NULL}
-static PyMethodDef methods[] = {METHOD(bind), METHOD(gather), METHOD(scatter), {NULL, NULL, 0, NULL}};
+static PyMethodDef methods[] = {METHOD(bind), METHOD(burst), {NULL, NULL, 0, NULL}};
 static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_colibri_glue", NULL, -1, methods};
 
 PyMODINIT_FUNC PyInit__colibri_glue(void)
 {
-    ROW_ = PyUnicode_InternFromString("_row"), HOP = PyUnicode_InternFromString("hop_index");
-    HVFS = PyUnicode_InternFromString("hvfs"), ONE = PyLong_FromLong(1);
-    return ROW_ && HOP && HVFS && ONE ? PyModule_Create(&module) : NULL;
+    int i;
+    for (i = 0; i < NAMES; i++)
+        if ((Name[i] = PyUnicode_InternFromString(names[i])) == NULL) return NULL;
+    return (ONE = PyLong_FromLong(1)) != NULL ? PyModule_Create(&module) : NULL;
 }
 """
 
@@ -1159,9 +1254,11 @@ def repointing(name: str) -> property:
 #: A packet's row as ``colibri_burst`` reads it: ResId, Bw, ExpT, Ver,
 #: SrcHost, DstHost, In, Eg (the Eq. (4) input), Ts, PktSize, HVF, flags.
 ROW = struct.Struct("!12sddHIIHH8sI4sB5x")
-#: Its verdict bytes and row flags (the C enums).
-FORWARD, DELIVER, EXPIRED, STALE, BAD_HVF, DUPLICATE, PYTHON, OVER, REFUSED, GROW, REKEY, CELLS = range(1, 13)
+#: Its verdict bytes, the glue's two stops and the row flags (the C enums).
+FORWARD, DELIVER, EXPIRED, STALE, BAD_HVF, DUPLICATE, PYTHON, OVER, REFUSED, GROW, REKEY, CELLS, GATHER, FLAG = range(1, 15)
 F_PYTHON, F_FLAGGED, F_LAST = 1, 2, 4
+#: The kernel stops ``burst`` returns to Python for, as :meth:`BurstKernel.snapshot` names them.
+STOPS = (("grow", GROW), ("rekey", REKEY), ("cells", CELLS), ("over", OVER), ("python", PYTHON))
 #: The flow table's bound, in flows: soft state for the working set only.
 FLOW_CAPACITY = 65536
 #: The most sketch rows a flow's entry holds (``colibri_flow_t.cells``).
@@ -1170,36 +1267,37 @@ SKETCH_DEPTH = 8
 
 class BurstKernel:
     """One router's ``colibri_police_t``: its filters and sketch, its flow
-    table and the row and verdict buffers of a burst.
+    table and the row and verdict buffers of a burst, which the glue's
+    ``burst`` (:attr:`drive`) grows to fit.
 
     Push-bound, nothing polls: :meth:`point` is the ``_repoint`` of the
     suppressor, both filters and the sketch, called where they change —
     ``_BloomFilter.clear`` (so every rotation), ``_roll``, a
     :func:`repointing` attribute (``bits``, ``hashes``, ``overuse_factor``,
-    ``_rotated_at``).  The flow table and the buffers are bytearrays (a
-    heap walk sees them); :meth:`resume` grows the table, loads the
-    epoch's keys or hands over a new flow's sketch cells (computed only by
-    ``cells_for``) when the kernel stops for it.  Weak proxies to the tables
-    avoid a cycle.  Not thread-safe: one router, one burst at a time.
+    ``_rotated_at``).  The struct, the flow table and the buffers are
+    bytearrays (a heap walk sees them); :meth:`resume` grows the table,
+    loads the epoch's keys or hands over a new flow's sketch cells (computed
+    only by ``cells_for``) when the kernel stops for it.  Weak proxies to the
+    tables avoid a cycle.  Not thread-safe: one router, one burst at a time.
     """
 
     __slots__ = (
-        "state", "run", "gather", "scatter", "rows", "verdicts", "buffers",
+        "state", "drive", "rows", "verdicts", "_struct",
         "_ffi", "_schedule", "_move_flows", "_keys", "_pins", "_table", "_duplicates", "_ofd",
     )
 
     def __init__(self, backend: NativeBackend, keys, duplicates, ofd):
         self._ffi, self._schedule, self._keys = backend.ffi, backend.key_schedule, keys
-        self.run, self._move_flows = backend.lib.colibri_burst, backend.lib.colibri_flows_move
-        self.gather, self.scatter = backend.glue.gather, backend.glue.scatter
-        self.state = state = backend.ffi.new("colibri_police_t *")
+        self.drive, self._move_flows = backend.glue.burst, backend.lib.colibri_flows_move
+        self._struct = bytearray(backend.ffi.sizeof("colibri_police_t"))
+        self.state = state = backend.ffi.from_buffer("colibri_police_t *", self._struct)
+        self.rows, self.verdicts = bytearray(), bytearray()
         state.skew, state.freshness = MAX_CLOCK_SKEW, FRESHNESS_WINDOW
         self._duplicates, self._ofd = weakref.proxy(duplicates), weakref.proxy(ofd)
         for table in (duplicates, duplicates._current, duplicates._previous, ofd):
             table._repoint = self.point
         self.point()
         self._label(bytes(12))
-        self.reserve(64)
         self.capacity = FLOW_CAPACITY
 
     def point(self) -> None:
@@ -1218,11 +1316,6 @@ class BurstKernel:
         state.threshold = ofd.window * ofd.overuse_factor  # what observe() compares with
         state.rotated_at, state.duplicate_window = duplicates._rotated_at, duplicates.window
         state.window_start, state.sketch_window = ofd._window_start, ofd.window
-
-    def reserve(self, count: int) -> None:
-        """Row and verdict buffers for a burst of ``count`` packets."""
-        self.rows, self.verdicts = bytearray(ROW.size * count), bytearray(count)
-        self.buffers = (self._ffi.from_buffer(self.rows), self._ffi.from_buffer(self.verdicts))
 
     @property
     def capacity(self) -> int:
@@ -1253,39 +1346,35 @@ class BurstKernel:
         self._ffi.memmove(self.state.label, label, 12)
         self.state.cells = self._ofd.cells_for(label)
 
-    def resume(self, count: int, stop: int, now: float, validate: int) -> int:
-        """After ``colibri_burst`` over rows ``:count`` returned ``stop``: do
-        what it stopped for before touching a row — double the flow table
-        (``GROW``), load the K_i of ``now``'s DRKey epoch and the one before
-        (``REKEY``), the cells of the row's flow (``CELLS``) — and run on;
-        the row Python takes (``count`` if none)."""
-        state, memmove, hop_key = self.state, self._ffi.memmove, self._keys.hop_key
-        while stop < 0 or (stop < count and self.verdicts[stop] >= GROW):
-            if stop < 0:
-                raise IndexError("the policing tables' geometry was refused")
-            if self.verdicts[stop] == GROW:
-                self._move(2 * state.nslots)
-            elif self.verdicts[stop] == CELLS:
-                self._label(bytes(self.rows[ROW.size * stop : ROW.size * stop + 12]))
-            else:
-                epoch, previous = int(now // DRKEY_VALIDITY), now - DRKEY_VALIDITY
-                state.epoch, state.has_prev = epoch, previous >= 0
-                state.epoch_start, state.epoch_end = epoch * DRKEY_VALIDITY, (epoch + 1) * DRKEY_VALIDITY
-                memmove(state.key, self._schedule(hop_key(now)), 32)
-                if previous >= 0:
-                    state.prev_epoch = int(previous // DRKEY_VALIDITY)
-                    memmove(state.prev_key, self._schedule(hop_key(previous)), 32)
-            stop = self.run(state, self.buffers[0], count, stop, self.buffers[1], now, validate)
-        return stop
+    def resume(self, stop: int, now: float) -> None:
+        """Do what the kernel stopped at row ``stop`` for, before it runs that
+        row again: double the flow table (``GROW``), load the K_i of ``now``'s
+        DRKey epoch and the one before (``REKEY``), or hand over the cells of
+        the row's flow (``CELLS``)."""
+        state, code = self.state, self.verdicts[stop]
+        if code == GROW:
+            self._move(2 * state.nslots)
+        elif code == CELLS:
+            self._label(bytes(self.rows[ROW.size * stop : ROW.size * stop + 12]))
+        else:
+            epoch, previous, hop_key = int(now // DRKEY_VALIDITY), now - DRKEY_VALIDITY, self._keys.hop_key
+            state.epoch, state.has_prev = epoch, previous >= 0
+            state.epoch_start, state.epoch_end = epoch * DRKEY_VALIDITY, (epoch + 1) * DRKEY_VALIDITY
+            self._ffi.memmove(state.key, self._schedule(hop_key(now)), 32)
+            if previous >= 0:
+                state.prev_epoch = int(previous // DRKEY_VALIDITY)
+                self._ffi.memmove(state.prev_key, self._schedule(hop_key(previous)), 32)
 
     def snapshot(self) -> dict:
-        """The ``sigma_cache_*`` telemetry: the counters that have moved and
-        the flows held."""
+        """The ``sigma_cache_*`` telemetry and the kernel's ``router_stops_*``
+        by reason (:data:`STOPS`): the counters that have moved, and the
+        flows held."""
         state = self.state
         values = {
             f"sigma_cache_{name}": getattr(state, name)
             for name in ("hits", "misses", "evictions", "rejected_hints")
             if getattr(state, name)
         }
+        values.update((f"router_stops_{name}", state.stops[code]) for name, code in STOPS if state.stops[code])
         values["sigma_cache_entries"] = state.count
         return values

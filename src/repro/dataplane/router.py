@@ -21,19 +21,16 @@ The loop is fused, not staged in columns: a duplicate or an escalation
 acts on the *next* packet of the same burst, exactly as under serial
 processing (docs/performance.md §9).
 
-With :mod:`repro.crypto.native` loaded no Python runs per honest
-packet-hop.  The glue's ``gather`` packs a 64-byte row per packet
-(:data:`native.ROW`) from its ``_row`` memo (ResInfo ‖ EERInfo and Ts ‖
-PktSize: the bytes its gateway stamped it over, or its first router's
-build), hop pointer and HVF; one ``colibri_burst`` call runs steps 1 and
-3-5 over the rows in arrival order, one verdict byte per packet, on the
-tables ``DuplicateSuppressor`` and ``OveruseFlowDetector`` own; the glue's
-``scatter`` advances each forwarded packet and builds its result.  σ comes
-from the kernel's flow table, keyed by (ResId, Ver, DRKey epoch), which
-never decides a verdict (docs/performance.md §1).  The kernel hands a
-packet back to the Python body below — a SegR packet, a blocked source, a
-watched or suspect flow, no bandwidth, a due filter rotation or sketch
-roll, an estimate over the OFD threshold — and resumes with the next one.
+With :mod:`repro.crypto.native` loaded a burst is one call of the glue's
+``burst``: it packs a 64-byte row per packet (:data:`native.ROW`) from its
+``_row`` memo (the bytes its gateway stamped it over, or its first
+router's build), hop pointer and HVF; runs steps 1 and 3-5 in C over the
+tables ``DuplicateSuppressor`` and ``OveruseFlowDetector`` own, σ from the
+kernel's flow table (docs/performance.md §1); and advances each forwarded
+packet and builds its result.  It returns to Python only at a drop (for
+the journal), a kernel stop of its own, or a packet for the Python body
+below — a SegR packet, a blocked source, a watched or suspect flow, no
+bandwidth, a due rotation or roll, an estimate over the OFD threshold.
 That body, stateless like the paper's router, is the whole loop under
 ``COLIBRI_NATIVE=0`` and the oracle.
 
@@ -145,7 +142,7 @@ class BorderRouter:
         backend = native.backend()
         self.kernel = backend and native.BurstKernel(backend, keys, self.duplicates, self.ofd)
         if backend:
-            backend.glue.bind(ColibriPacket, HvfVector, RouterResult, _FORWARD, _DELIVER_HOST)
+            backend.glue.bind(ColibriPacket, HvfVector, RouterResult, _FORWARD, _DELIVER_HOST, native.BurstKernel)
         self.stats = {verdict: 0 for verdict in Verdict}
 
     # -- the Python body ----------------------------------------------------------------
@@ -267,96 +264,67 @@ class BorderRouter:
         what a deployed router amortizes across a NIC burst (paper §7.1
         processes DPDK bursts the same way) is the per-burst set-up.
         """
-        return self._burst(packets)
+        return self._burst(tuple(packets))  # one snapshot for every call into the glue
 
-    def _burst(self, packets) -> List[RouterResult]:
-        """Steps 1-6 per packet in arrival order, the pipeline's only loop: one
-        kernel call per stretch between the packets it hands back, and one
-        ``scatter`` per run of FORWARD / DELIVER verdicts.  Tallies reach
-        their counters even if a packet raises."""
-        now = self.clock.now()
-        kernel = self.kernel
+    def _burst(self, packets, validate: int = 0) -> list:
+        """Steps 1-6 per packet in arrival order (``validate``: steps 1 and 3,
+        a bool per packet, tables untouched), the pipeline's only loop.  With
+        the kernel, one glue call (:attr:`native.BurstKernel.drive`) packs the
+        rows, runs ``colibri_burst``, builds the FORWARD / DELIVER results and
+        flushes their counters.  It returns only at a row Python must see; the
+        loop below serves that row and calls again from there."""
+        now, kernel = self.clock.now(), self.kernel
         if kernel is None:
-            return [self._packet(packet, now) for packet in packets]
-        flagged = self._pack(kernel, packets)
-        count, verdicts, rows, scatter = len(packets), kernel.verdicts, kernel.rows, kernel.scatter
-        run, state, (rows_c, verdicts_c) = kernel.run, kernel.state, kernel.buffers
-        results, tally, start, over = [], [0, 0], 0, 0  # tally: FORWARDs, DELIVERs
-        try:
-            while start < count:
-                stop = run(state, rows_c, count, start, verdicts_c, now, 0)
-                if stop < count:
-                    stop = kernel.resume(count, stop, now, 0)
-                index = scatter(packets, verdicts, start, stop, rows, results, tally)
-                while index < stop:  # a drop
-                    code = verdicts[index]
-                    if code == native.DUPLICATE:  # the kernel left the MAC in the row
-                        self.duplicates._caught(bytes(rows[64 * index : 64 * index + 16]))
-                    results.append(self._finish(packets[index], _DROPPED[code]))
-                    index = scatter(packets, verdicts, index + 1, stop, rows, results, tally)
-                if stop == count:
-                    break
-                packet, code, start = packets[stop], verdicts[stop], stop + 1
+            judge = self._validate_one if validate else self._packet
+            return [judge(packet, now) for packet in packets]
+        results, drive = [], kernel.drive
+        flag = self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects
+        stop = drive(self, packets, results, now, validate, 0, 0, flag)
+        if stop < 0:
+            return results
+        count, retried, flagged = len(packets), -1, False
+        while stop >= 0:
+            packet, code, start, gathered = packets[stop], kernel.verdicts[stop], stop + 1, count
+            if code == native.GATHER:  # the gather took no row: the memo is built here
+                reservation, bandwidth, expiry, version = packet.res_info
+                pairs, payload = packet.path.interface_pairs, packet.payload
+                last = len(pairs) - 1
+                if packet.packet_type == _EER:
+                    (source,), (destination,) = packet.eer_info
+                    size, flags = ColibriPacket._HEADER_SIZES[last + 1, True] + len(payload), 0
+                else:  # a SegR packet (Eq. 3): Python's
+                    source, destination, size, flags = 0, 0, 0, native.F_PYTHON
+                head = _HEAD(reservation.packed, bandwidth, expiry, version, source, destination)
+                tail = _TAIL(packet.timestamp.packed, size)
+                start, gathered = 0, stop
+                if payload.__class__ is bytes and stop != retried:  # the gather reads it from here
+                    packet._row, retried = (head, tail, pairs, last, flags), stop
+                else:  # a hop pointer, HVF, payload or packet class of its own: Python's
+                    _ROW.pack_into(kernel.rows, 64 * stop, head, 0, 0, tail, b"", native.F_PYTHON)
+                    gathered += 1
+            elif code == native.FLAG:
+                start, flagged = 0, self._flag(packets, kernel.rows, 0)
+            elif code >= native.GROW:  # GROW, REKEY, CELLS: the kernel's, then the row again
+                kernel.resume(stop, now)
+                start = stop
+            elif code == native.REFUSED:
+                raise IndexError("a flow's sketch cells lie outside the sketch")
+            elif validate:
+                results.append(self._validate_one(packet, now))
+            elif code <= native.DUPLICATE:  # a drop
+                if code == native.DUPLICATE:  # the kernel left the MAC in the row
+                    self.duplicates._caught(bytes(kernel.rows[64 * stop : 64 * stop + 16]))
+                results.append(self._finish(packet, _DROPPED[code]))
+            else:
                 if code == native.PYTHON:
                     results.append(self._packet(packet, now))
-                elif code == native.OVER:  # policed over the threshold: the OFD judges
-                    over += 1
+                else:  # OVER: policed over the threshold, the OFD judges
                     suspect = self.ofd._judge(packet.res_info.reservation.packed, True, now)
                     results.append(self._policed(packet, packet.total_size, suspect, now))
-                else:
-                    raise IndexError("a flow's sketch cells lie outside the sketch")
                 if flagged or self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects:
-                    flagged = self._flag(packets, rows, start)
-        finally:
-            forwarded, delivered = tally
-            self.stats[_FORWARD] += forwarded
-            self.stats[_DELIVER_HOST] += delivered
-            policed = forwarded + delivered + over
-            self.duplicates._current.insertions += policed
-            self.ofd.packets_seen += policed
-            self.monitor.packets_passed += forwarded + delivered
+                    flagged = self._flag(packets, kernel.rows, start)
+            stop = drive(self, packets, results, now, validate, start, gathered, flag)
         return results
-
-    def _pack(self, kernel, packets, police: bool = True) -> bool:
-        """One :data:`native.ROW` per packet into the kernel's buffer: the
-        ``gather`` reads each from its ``_row`` memo; a packet it does not
-        take gets the memo built here (kept if the payload is ``bytes``), and
-        one it still does not take a row the kernel hands to :meth:`_packet`
-        after step 1.  A packet object's second and later copies are marked
-        for Python, which reads the hop its earlier copies forwarded it to;
-        whether :meth:`_flag` marked a row."""
-        count = len(packets)
-        if count > len(kernel.verdicts):
-            kernel.reserve(count)
-        rows, gather, sizes = kernel.rows, kernel.gather, ColibriPacket._HEADER_SIZES
-        index = gather(packets, rows, 0)
-        while index < count:
-            packet = packets[index]
-            reservation, bandwidth, expiry, version = packet.res_info
-            pairs, payload = packet.path.interface_pairs, packet.payload
-            last = len(pairs) - 1
-            if packet.packet_type == _EER:
-                (source,), (destination,) = packet.eer_info
-                size, flags = sizes[last + 1, True] + len(payload), 0
-            else:  # a SegR packet (Eq. 3): Python's
-                source, destination, size, flags = 0, 0, 0, native.F_PYTHON
-            head = _HEAD(reservation.packed, bandwidth, expiry, version, source, destination)
-            tail = _TAIL(packet.timestamp.packed, size)
-            if payload.__class__ is bytes:
-                packet._row = (head, tail, pairs, last, flags)
-            resumed = gather(packets, rows, index)
-            if resumed == index:  # a hop pointer, HVF or packet class of its own: Python's
-                _ROW.pack_into(rows, 64 * index, head, 0, 0, tail, b"", native.F_PYTHON)
-                resumed = gather(packets, rows, index + 1)
-            index = resumed
-        if count > 1 and len(set(map(id, packets))) < count:
-            seen = set()
-            for index, packet in enumerate(packets):
-                if id(packet) in seen:
-                    rows[64 * index + 58] |= native.F_PYTHON
-                seen.add(id(packet))
-        flagged = police and (self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects)
-        return bool(flagged) and self._flag(packets, rows, 0)
 
     def _flag(self, packets, rows, start: int) -> bool:
         """Mark the rows from ``start`` on whose source is blocked or whose
@@ -378,24 +346,11 @@ class BorderRouter:
 
     def validate_only(self, packet: ColibriPacket) -> bool:
         """Expiry, freshness and the MAC: the cost Figs. 5-6 measure for a router."""
-        return self.validate_batch((packet,))[0]
+        return self._burst((packet,), 1)[0]
 
     def validate_batch(self, packets) -> List[bool]:
         """:meth:`validate_only` over a burst: steps 1 and 3, tables untouched."""
-        now = self.clock.now()
-        kernel = self.kernel
-        if kernel is None:
-            return [self._validate_one(packet, now) for packet in packets]
-        self._pack(kernel, packets, police=False)
-        count, verdicts, valid, start = len(packets), kernel.verdicts, [], 0
-        run, state, (rows_c, verdicts_c) = kernel.run, kernel.state, kernel.buffers
-        while start < count:
-            stop = kernel.resume(count, run(state, rows_c, count, start, verdicts_c, now, 1), now, 1)
-            valid += [code == native.FORWARD for code in verdicts[start:stop]]
-            if stop < count:
-                valid.append(self._validate_one(packets[stop], now))
-            start = stop + 1
-        return valid
+        return self._burst(tuple(packets), 1)
 
     def _validate_one(self, packet: ColibriPacket, now: float) -> bool:
         expiry = packet.res_info.expiry

@@ -112,6 +112,8 @@ class ResInfo(namedtuple("ResInfo", "reservation bandwidth expiry version")):
         if len(data) < cls.WIRE.size:
             raise PacketDecodeError(f"ResInfo truncated: {len(data)} < {cls.WIRE.size}")
         res_id_bytes, bandwidth, expiry, version = cls.WIRE.unpack(data[: cls.WIRE.size])
+        if bandwidth < 0:  # a sign bit on the wire is a decode error, not a field error
+            raise PacketDecodeError(f"ResInfo bandwidth is negative: {bandwidth}")
         return cls(ReservationId.unpack(res_id_bytes), bandwidth, expiry, version)
 
 

@@ -101,13 +101,6 @@ class E2EReservation:
         one) to send traffic", §4.2)."""
         return self._versions[-1]
 
-    def latest_live_version(self, now: float):
-        """The highest-numbered unexpired version, or ``None``."""
-        for version in reversed(self._versions):
-            if now < version.expiry:
-                return version
-        return None
-
     def effective_bandwidth(self, now: float) -> float:
         """Max bandwidth over all live versions — the monitored budget (§4.8)."""
         return max((v.bandwidth for v in self._versions if now < v.expiry), default=0.0)

@@ -79,12 +79,6 @@ class TestTrafficMatrix:
         matrix = make_matrix()
         assert matrix.pair_capacity(1, 2) == pytest.approx(gbps(32))
 
-    def test_pair_override(self):
-        matrix = make_matrix()
-        matrix.set_pair_capacity(1, 2, gbps(5))
-        assert matrix.pair_capacity(1, 2) == pytest.approx(gbps(5))
-        assert matrix.pair_capacity(2, 1) == pytest.approx(gbps(32))
-
     def test_unknown_interface(self):
         matrix = make_matrix()
         with pytest.raises(TopologyError):

@@ -218,9 +218,13 @@ class TestSigmaCacheInvalidation:
         assert {(key[0], key[1]) for key in differential.flows(table)} == {
             (other.packed, 1), (res_id.packed, 7), (res_id.packed, 8)
         }
-        assert set(table.snapshot()) == {
-            "sigma_cache_hits", "sigma_cache_misses", "sigma_cache_entries"
+        # The counters that moved: one key load per DRKey epoch, cells per label.
+        snapshot = table.snapshot()
+        assert set(snapshot) == {
+            "sigma_cache_hits", "sigma_cache_misses", "sigma_cache_entries",
+            "router_stops_rekey", "router_stops_cells",
         }
+        assert (snapshot["router_stops_rekey"], snapshot["router_stops_cells"]) == (2, 2)
 
     def test_table_grows_with_the_working_set(self):
         """64 slots at first, doubled whenever a stored flow would fill more

@@ -344,8 +344,9 @@ def calls_of(operation) -> tuple:
 #: native body's was counted on 3.11.  A helper call or a ``dict.get`` per
 #: packet-hop that creeps back raises the per-packet term and fails the
 #: 64-packet burst.  These packets carry no ``_row`` memo: the native body
-#: builds it (``len`` twice, the two ``pack`` calls) and resumes the gather.
-WORK = {"native": ((6, 10), (0, 5)), "python": ((6, 3), (25, 22))}
+#: builds it (``len`` twice, the two ``pack`` calls) and calls the glue's
+#: ``burst`` again, which gathers on from there.
+WORK = {"native": ((5, 5), (0, 5)), "python": ((6, 3), (25, 22))}
 
 
 @pytest.mark.parametrize("size", [1, 64])
@@ -364,9 +365,9 @@ def test_calls_per_packet(make, size):
 
 
 #: The same for packets that arrive with their gateway's ``_row`` memo
-#: (stamped, then forwarded by hop 0): the native gather packs each row
-#: from it and the scatter builds each result, no call per packet-hop.
-WARM_WORK = {"native": ((6, 10), (0, 0)), "python": ((6, 3), (26, 21))}
+#: (stamped, then forwarded by hop 0): one call of the glue's ``burst``
+#: packs each row from it and builds each result, no call per packet-hop.
+WARM_WORK = {"native": ((5, 4), (0, 0)), "python": ((6, 3), (26, 21))}
 
 
 @pytest.mark.parametrize("size", [1, 64])
@@ -389,9 +390,11 @@ def test_calls_per_packet_with_the_gateway_row(make, size):
 #: ``ColibriNetwork.forward`` as ``fixed + per hop * hops``, on a warm EER
 #: of the two-ISD topology.  Python calls are pinned exactly, builtin
 #: calls' fixed terms two above the count on CPython 3.11.  The Python
-#: body's gateway stamps with one hashlib MAC per hop.
+#: body's gateway stamps with one hashlib MAC per hop.  A native hop is
+#: ``process``, ``_burst`` and the clock, and the glue's ``burst`` plus the
+#: walk's own ``append``.
 SEND_WORK = {"native": ((10, 16), (0, 0)), "python": ((10, 15), (0, 4))}
-FORWARD_WORK = {"native": ((5, 5), (4, 7)), "python": ((5, 6), (30, 22))}
+FORWARD_WORK = {"native": ((5, 5), (3, 2)), "python": ((5, 6), (30, 22))}
 
 
 def two_isd_as(isd, index):
@@ -436,9 +439,77 @@ def test_one_packet_object_twice_in_a_burst(make):
     assert twice.hop_index == once.hop_index == differential.HOP + 1
 
 
+def test_a_repeat_after_a_python_row(make):
+    """``[a, b, a]`` with b's source blocked: the burst returns to Python at
+    b, and a's second copy, past that return, still meets the hop its first
+    copy was forwarded to, as under three ``process`` calls."""
+    world = warm_world(make)
+    world.reserve("banned", differential.BANNED, hops=3, lifetime=600.0)
+    twice, once = world.stamp("flow"), world.stamp("flow")
+    batch = world.router.process_batch([twice, world.stamp("banned"), twice])
+    serial = [world.router.process(packet) for packet in (once, world.stamp("banned"), once)]
+    assert [r.verdict for r in batch] == [r.verdict for r in serial] == [
+        Verdict.FORWARD, Verdict.DROP_BLOCKED, Verdict.DROP_BAD_HVF]
+    assert [r.egress for r in batch] == [r.egress for r in serial]
+    assert twice.hop_index == once.hop_index == differential.HOP + 1
+
+
+def test_the_glue_serves_grow_rekey_and_cells_in_one_burst(make):
+    """A fresh router's first burst, 40 new flows: the kernel stops for the
+    DRKey epoch's keys, for each flow's cells and for room once 32 flows
+    fill half the table, each served between two calls of the glue's
+    ``burst``; every packet is forwarded, as by the Python body."""
+    world = make(lambda: World(reference=False))
+    names = [f"f{index}" for index in range(40)]
+    for name in names:
+        world.reserve(name, SRC, hops=3, lifetime=600.0)
+    results = world.router.process_batch([world.stamp(name) for name in names])
+    assert [r.verdict for r in results] == [Verdict.FORWARD] * 40
+    kernel = world.router.kernel
+    if kernel is not None:
+        stops = {name: count for name, count in kernel.snapshot().items() if name.startswith("router_stops")}
+        assert stops == {"router_stops_rekey": 1, "router_stops_python": 1,
+                         "router_stops_cells": 39, "router_stops_grow": 1}
+        assert kernel.state.count == 39 and kernel.state.nslots == 128
+
+
+def test_a_renewal_round_stops_for_cells_once_per_flow_and_router():
+    """ROADMAP item 19(a)'s cost, pinned: 6 EERs over the two-ISD path, a
+    packet each per round, then each renewed.  Every on-path router's kernel
+    stops with CELLS exactly 6 times per round (a renewed flow's label is not
+    the one it was last handed cells for), and ``net.telemetry()`` reads
+    the same stops on a second run.  A round's first packet, on a flow never
+    renewed, takes the due rotation to the Python body."""
+    source, target, flows = two_isd_as(1, 101), two_isd_as(2, 101), 6
+
+    def run():
+        net = build(True, lambda: ColibriNetwork(build_two_isd_topology()))
+        net.reserve_segments(source, target, gbps(1))
+        warm, *handles = [net.establish_eer(source, target, mbps(1)) for _ in range(flows + 1)]
+        gateway, cserv, rounds = net.gateway(source), net.cserv(source), []
+        for _ in range(3):
+            for handle in [warm] + handles:
+                assert net.forward(gateway.send(handle.reservation_id, b"x")).delivered
+            rounds.append({isd_as: {name: count for name, count in telemetry.items() if "stops" in name}
+                           for isd_as, telemetry in net.telemetry().items()})
+            handles = [cserv.renew_eer(handle) for handle in handles]
+            net.advance(1.5)  # past the renewal rate limit and the filter window
+        return rounds, [str(hop.isd_as) for hop in warm.hops]
+
+    rounds, path = run()
+    assert len(path) == 6
+    for before, after in zip([{}] + rounds, rounds):
+        for isd_as in path:
+            cells = after[isd_as]["router_stops_cells"] - before.get(isd_as, {}).get("router_stops_cells", 0)
+            assert cells == flows, (isd_as, after[isd_as])
+    assert rounds[-1]["total"]["router_stops_cells"] == 3 * flows * len(path)
+    assert run() == (rounds, path)
+
+
 def test_the_glue_keeps_no_reference():
-    """2,000 bursts through the native gather and scatter — a FORWARD, a
-    DELIVER and a duplicate each — leave the refcounts of a sampled packet,
+    """2,000 bursts through the glue's ``burst`` — a FORWARD, a DELIVER and a
+    duplicate each, so each burst returns to Python at the flags (a source is
+    blocked) and at the duplicate — leave the refcounts of a sampled packet,
     of ``Verdict.FORWARD`` and of ``RouterResult`` as they were, and the
     objects the collector tracks within a small constant."""
     world = build(True, lambda: World(reference=False))

@@ -169,13 +169,6 @@ class TestE2EReservation:
         eer.add_version(E2EVersion(version=2, bandwidth=5e6, expiry=30.0))
         assert eer.latest_version().version == 2
 
-    def test_latest_live_version(self):
-        eer = make_eer(expiry=16.0)
-        eer.add_version(E2EVersion(version=2, bandwidth=5e6, expiry=10.0))
-        # v2 expires before v1: at t=12 the latest live is v1
-        assert eer.latest_live_version(12.0).version == 1
-        assert eer.latest_live_version(20.0) is None
-
     def test_versions_cannot_regress(self):
         eer = make_eer()
         eer.add_version(E2EVersion(version=3, bandwidth=1, expiry=30.0))

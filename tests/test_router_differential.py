@@ -715,7 +715,7 @@ def _copied_on_write(packet):
 
 
 #: Packets at hop 1 with their gateway's ``_row`` memo and ``HvfVector``,
-#: spoiled the ways ``BorderRouter._pack``'s native gather must refuse (or,
+#: spoiled the ways the native gather (the glue's ``burst``) must refuse (or,
 #: the last two of the memo and the copied vector, take as they are).
 HOSTILE = {
     "_row None": _set("_row", lambda p: None),

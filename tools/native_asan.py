@@ -35,11 +35,13 @@ side — hashlib for the MACs, the ``COLIBRI_NATIVE=0`` bodies of
 * four renewal rounds of four flows: after the first, the table keeps its size.
 
 Then it builds the extension itself — the kernel's cffi module and the
-router's glue (``native._GLUE``, CPython API) — under the same sanitizers
-and runs ``tests/test_router_differential.py`` (the differential and
-hostile-object tests) and ``test_policing_native.py -k glue`` (the refcount
-test) against it in a subprocess with libasan preloaded and
-``PYTHONMALLOC=malloc``, so a read past a Python object's end aborts too.
+router's glue (``native._GLUE``, CPython API: the router's whole burst in one
+``burst`` call) — under the same sanitizers and runs
+``tests/test_router_differential.py`` (the differential and hostile-object
+tests) and ``test_policing_native.py -k glue`` (the refcounts, and a GROW,
+REKEY and CELLS stop served in one burst) against it in a subprocess with
+libasan preloaded and ``PYTHONMALLOC=malloc``, so a read past a Python
+object's end aborts too.
 
 Usage (from the repo root)::
 
