@@ -7,11 +7,12 @@ Two variants of the off-path adversary's forged Colibri traffic:
   check (the adversary lacks every key involved);
 * **tag reuse** — take an authentic packet and modify any authenticated
   field (source, bandwidth, payload size); defeated because Eqs. (4)/(6)
-  bind all of them (tests/test_attacks.py tampers captured packets).
+  bind all of them.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 
@@ -70,6 +71,32 @@ class SpoofingAttack:
             )
             report.sent += 1
             self._classify(router.process(packet).verdict, report)
+        return report
+
+    def mutate_authentic(self, packet: ColibriPacket, count: int) -> SpoofingReport:
+        """Field-tampering attempts against one captured authentic packet."""
+        report = SpoofingReport()
+        router = self.network.router(self.target)
+        mutations = [
+            lambda p: setattr(p, "res_info", p.res_info._replace(bandwidth=1e12)),
+            lambda p: setattr(p, "payload", p.payload + b"pad"),
+            lambda p: setattr(
+                p,
+                "res_info",
+                p.res_info._replace(
+                    reservation=ReservationId(
+                        self.victim, (p.res_info.reservation.local_id + 1) % (1 << 31)
+                    ),
+                ),
+            ),
+            lambda p: setattr(p, "eer_info", EerInfo(HostAddr(66), HostAddr(67))),
+        ]
+        for index in range(count):
+            mutant = copy.deepcopy(packet)
+            mutant.hop_index = packet.hop_index
+            mutations[index % len(mutations)](mutant)
+            report.sent += 1
+            self._classify(router.process(mutant).verdict, report)
         return report
 
     @staticmethod

@@ -13,7 +13,7 @@ API, a second module in the same extension): it packs one 64-byte row per
 packet (:data:`ROW`), calls ``colibri_burst`` — steps 1 and 3-5 on the
 router's own tables through a ``colibri_police_t`` they re-point as they
 change, σ from a flow table in the same struct (:class:`BurstKernel`) — and
-builds the FORWARD and DELIVER ``RouterResult`` objects.
+builds each packet's ``RouterResult``, a drop's through ``_finish``.
 
 Byte-identity is the admission contract (docs/performance.md): for every
 key and message, ``ScheduleBlock(backend, [key]).stamp_flat(msg) ==
@@ -80,7 +80,7 @@ typedef struct {
 
 #: The verdict bytes and row flags, for the kernel and the glue (:data:`FORWARD`).
 _CODES = """enum { V_FORWARD = 1, V_DELIVER, V_EXPIRED, V_STALE, V_BAD_HVF, V_DUPLICATE,
-       V_PYTHON, V_OVER, V_REFUSED, V_GROW, V_REKEY, V_CELLS, V_GATHER, V_FLAG };
+       V_PYTHON, V_OVER, V_REFUSED, V_GROW, V_REKEY, V_CELLS, V_GATHER };
 enum { F_PYTHON = 1, F_FLAGGED = 2, F_LAST = 4 };
 """
 
@@ -356,30 +356,6 @@ static void b2s_tails_words_x8(const uint32_t *group, const uint32_t m[16],
     b2s_emit_x8(h, out, lanes, tag_len);
 }
 
-/* 8 tails over an arbitrary-length shared message (cold generality). */
-__attribute__((target("avx2")))
-static void b2s_tails_x8(const uint32_t *group, const uint8_t *msg,
-                         size_t msglen, uint8_t *out, size_t lanes,
-                         size_t tag_len)
-{
-    __m256i h[8];
-    uint32_t m[16];
-    uint64_t t = 64;
-    int i;
-    for (i = 0; i < 8; i++)
-        h[i] = _mm256_loadu_si256((const __m256i *)(group + 8 * i));
-    while (msglen > 64) {
-        t += 64;
-        b2s_block_words(msg, 64, m);
-        b2s_compress_x8(h, m, t, 0);
-        msg += 64;
-        msglen -= 64;
-    }
-    b2s_block_words(msg, msglen, m);
-    t += msglen;
-    b2s_compress_x8(h, m, t, 0xFFFFFFFFUL);
-    b2s_emit_x8(h, out, lanes, tag_len);
-}
 #endif
 
 /* One message, many key schedules: all hop HVFs of one packet (Eq. 6),
@@ -390,24 +366,15 @@ void colibri_stamp_t(const uint32_t *scheds_t, size_t nscheds,
 {
     size_t i;
 #ifdef COLIBRI_AVX2
-    if (colibri_has_avx2()) {
-        if (msglen <= 64) {
-            uint32_t m[16];
-            uint64_t t = 64 + msglen;
-            b2s_block_words(msg, msglen, m);
-            for (i = 0; i < nscheds; i += 8) {
-                size_t lanes = nscheds - i;
-                if (lanes > 8) lanes = 8;
-                b2s_tails_words_x8(scheds_t + i * 8, m, t, out + i * tag_len,
-                                   lanes, tag_len);
-            }
-            return;
-        }
+    if (colibri_has_avx2() && msglen <= 64) {  /* longer messages: the scalar tail */
+        uint32_t m[16];
+        uint64_t t = 64 + msglen;
+        b2s_block_words(msg, msglen, m);
         for (i = 0; i < nscheds; i += 8) {
             size_t lanes = nscheds - i;
             if (lanes > 8) lanes = 8;
-            b2s_tails_x8(scheds_t + i * 8, msg, msglen, out + i * tag_len,
-                         lanes, tag_len);
+            b2s_tails_words_x8(scheds_t + i * 8, m, t, out + i * tag_len,
+                               lanes, tag_len);
         }
         return;
     }
@@ -657,13 +624,13 @@ void colibri_flows_move(colibri_police_t *p, colibri_flow_t *slots, size_t nslot
    Row i (native.ROW) holds ResInfo || EERInfo || (In, Eg), the 42-byte
    Eq. (4) input; Ts || PktSize, the Eq. (6) input; the HVF; the flags.
    Steps 1 and 3-5 in arrival order from `start`, a verdict byte per row.
-   Returns the first row not forwarded or delivered (nrows when done), whose
-   verdict says why and is counted in `stops`: a drop (V_EXPIRED to
-   V_DUPLICATE), V_PYTHON (flagged, SegR, no bandwidth, a rotation or roll
-   due: past step 1 untouched), V_OVER (policed, over the threshold),
-   V_REFUSED (a cell outside the sketch), V_GROW (the table needs room),
-   V_REKEY (`now` left `key`'s epoch), V_CELLS (a flow to store of a label
-   not `label`); -1: the geometry does not fit, nothing written.
+   Returns the row it stopped at (nrows when done), whose verdict says why
+   and is counted in `stops`: V_PYTHON (flagged, SegR, no bandwidth, a
+   rotation or roll due: past step 1 untouched), V_OVER (policed, over the
+   threshold), V_REFUSED (a cell outside the sketch), V_GROW (the table
+   needs room), V_REKEY (`now` left `key`'s epoch), V_CELLS (a flow to store
+   of a label not `label`); -1: the geometry does not fit, nothing written.
+   A drop (V_EXPIRED to V_DUPLICATE) is a verdict byte, not a stop.
    `validate`: steps 1 and 3 only, filters and sketch untouched. */
 #define STOP(code) do { verdicts[i] = (code); p->stops[code]++; return (long)i; } while (0)
 long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
@@ -684,8 +651,8 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
         uint32_t sched[8];
         colibri_flow_t *f;
         int hit;
-        if (now > expiry + p->skew) STOP(V_EXPIRED);
-        if (age > p->freshness || -age > p->freshness) STOP(V_STALE);
+        if (now > expiry + p->skew) { verdicts[i] = V_EXPIRED; continue; }
+        if (age > p->freshness || -age > p->freshness) { verdicts[i] = V_STALE; continue; }
         if ((row[58] & (F_PYTHON | F_FLAGGED)) || (!validate && (due || !(bandwidth > 0)))) STOP(V_PYTHON);
         /* 3. σ from the table if bound to this very input and it explains
            the HVF, else derived from K_i (this epoch, then the last) and
@@ -709,14 +676,15 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
         }
         p->hits += hit;
         p->misses += !hit;
-        if (f == NULL) STOP(V_BAD_HVF);
+        if (f == NULL) { verdicts[i] = V_BAD_HVF; continue; }
         if (validate) { verdicts[i] = V_FORWARD; continue; }
         for (r = 0; r < p->depth; r++)
             if (f->cells[r] >= p->ncounts) STOP(V_REFUSED);
         /* 4. The full MAC names the packet to the duplicate filter. */
         if (!colibri_bloom_check(p->current, p->previous, p->bits, p->hashes, mac)) {
             memcpy(row, mac, 16);  /* for the journal */
-            STOP(V_DUPLICATE);
+            verdicts[i] = V_DUPLICATE;
+            continue;
         }
         /* 5. The sketch, over the normalized size. */
         estimate = colibri_sketch_add(p->counts, f->cells, p->depth,
@@ -729,8 +697,8 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
 """
 
 #: ``BorderRouter._burst``'s one native call, ``burst``: rows, ``colibri_burst`` and the
-#: FORWARD / DELIVER results in one call, back to Python only at a row it must
-#: see; a CPython module in the same extension, since cffi takes no Python objects.
+#: results in one call, back to Python only at a row it must see; a CPython
+#: module in the same extension, since cffi takes no Python objects.
 _GLUE = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -741,10 +709,10 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
                    size_t start, uint8_t *verdicts, double now, int validate);
 #define BYTES(o, n) (PyBytes_CheckExact(o) && PyBytes_GET_SIZE(o) == (n))
 #define SLOT(o, at) (*(PyObject **)((char *)(o) + (at)))
-enum { ROW_, HOP, HVFS, KERNEL, STATS, DUPLICATES, CURRENT, INSERTIONS, OFD, SEEN, MONITOR, PASSED, NAMES };
+enum { ROW_, HOP, HVFS, KERNEL, STATS, DUPLICATES, CURRENT, INSERTIONS, OFD, SEEN, MONITOR, PASSED, FINISH, NAMES };
 static const char *names[NAMES] = {"_row", "hop_index", "hvfs", "kernel", "stats", "duplicates", "_current",
-                                   "insertions", "ofd", "packets_seen", "monitor", "packets_passed"};
-static PyObject *Name[NAMES], *ONE, *Bound[6];  /* ColibriPacket, HvfVector, RouterResult, FORWARD, DELIVER_HOST, BurstKernel */
+                                   "insertions", "ofd", "packets_seen", "monitor", "packets_passed", "_finish"};
+static PyObject *Name[NAMES], *ONE, *Bound[5];  /* ColibriPacket, HvfVector, RouterResult, the Verdict of each code, BurstKernel */
 static Py_ssize_t at[5];  /* HvfVector's buffer and start slots, BurstKernel's _struct, rows and verdicts */
 
 /* An exact int in [0, most], else -1. */
@@ -816,57 +784,47 @@ static int repeats(PyObject *const *packets, Py_ssize_t count, uint8_t *rows)
     return 0;
 }
 
-/* router.<a>, or router.<a>.<b> for b > 0: a new reference, or NULL with an error. */
-static PyObject *attr(PyObject *router, int a, int b)
-{
-    PyObject *first = PyObject_GetAttr(router, Name[a]), *second = first && b ? PyObject_GetAttr(first, Name[b]) : first;
-    if (b) Py_XDECREF(first);
-    return second;
-}
-
-/* holder.<name> += n, or holder[key] += n; `holder` is stolen.  0, or -1 with an error. */
-static int bump(PyObject *holder, PyObject *key, int name, Py_ssize_t n)
-{
-    PyObject *old = NULL, *delta = PyLong_FromSsize_t(n), *sum = NULL;
-    int status = -1;
-    if (holder && delta && (old = key ? PyObject_GetItem(holder, key) : PyObject_GetAttr(holder, Name[name])))
-        sum = PyNumber_Add(old, delta);
-    if (sum) status = key ? PyObject_SetItem(holder, key, sum) : PyObject_SetAttr(holder, Name[name], sum);
-    Py_XDECREF(holder), Py_XDECREF(delta), Py_XDECREF(old), Py_XDECREF(sum);
-    return status;
-}
-
 /* What the Python body counts for the rows a call forwarded, delivered
-   (counted[0], [1]) or handed over at OVER ([2]), up to the first that
-   fails: stats, the filter's insertions, the OFD's packets_seen, the
-   monitor's packets_passed.  A pending error stays the one raised. */
-static void flush(PyObject *router, const Py_ssize_t counted[3])
+   (n[0], n[1]) or handed over at OVER (n[2]), up to the first that fails:
+   stats[FORWARD], stats[DELIVER_HOST], duplicates._current.insertions,
+   ofd.packets_seen, monitor.packets_passed.  A pending error stays the one raised. */
+static void flush(PyObject *router, const Py_ssize_t n[3])
 {
-    PyObject *type, *value, *trace, *stats;
-    Py_ssize_t passed = counted[0] + counted[1], policed = passed + counted[2];
-    if (policed == 0) return;
+    static const int path[5][3] = {{STATS, 0, -V_FORWARD}, {STATS, 0, -V_DELIVER}, {DUPLICATES, CURRENT, INSERTIONS},
+                                   {OFD, 0, SEEN}, {MONITOR, 0, PASSED}};
+    Py_ssize_t by[5] = {n[0], n[1], n[0] + n[1] + n[2], n[0] + n[1] + n[2], n[0] + n[1]};
+    PyObject *type, *value, *trace, *holder, *key, *old, *delta, *sum;
+    int k;
     PyErr_Fetch(&type, &value, &trace);
-    if ((stats = attr(router, STATS, 0)) != NULL
-        && (!counted[0] || !bump((Py_INCREF(stats), stats), Bound[3], 0, counted[0]))
-        && (!counted[1] || !bump((Py_INCREF(stats), stats), Bound[4], 0, counted[1]))
-        && !bump(attr(router, DUPLICATES, CURRENT), NULL, INSERTIONS, policed)
-        && !bump(attr(router, OFD, 0), NULL, SEEN, policed) && passed)
-        bump(attr(router, MONITOR, 0), NULL, PASSED, passed);
-    Py_XDECREF(stats);
+    for (k = 0; k < 5 && !PyErr_Occurred(); k++) {
+        if (by[k] == 0) continue;
+        holder = PyObject_GetAttr(router, Name[path[k][0]]);
+        if (holder != NULL && path[k][1]) Py_SETREF(holder, PyObject_GetAttr(holder, Name[path[k][1]]));
+        key = path[k][2] < 0 ? PyTuple_GET_ITEM(Bound[3], -path[k][2]) : Name[path[k][2]];
+        old = holder ? (path[k][2] < 0 ? PyObject_GetItem(holder, key) : PyObject_GetAttr(holder, key)) : NULL;
+        delta = old ? PyLong_FromSsize_t(by[k]) : NULL;
+        if ((sum = delta ? PyNumber_Add(old, delta) : NULL) != NULL)
+            path[k][2] < 0 ? PyObject_SetItem(holder, key, sum) : PyObject_SetAttr(holder, key, sum);
+        Py_XDECREF(holder), Py_XDECREF(old), Py_XDECREF(delta), Py_XDECREF(sum);
+    }
     if (type != NULL) PyErr_Restore(type, value, trace);
 }
 
-/* A FORWARD or DELIVER row's result onto `results`: FORWARD after
-   `packet.hop_index += 1`, the egress off the row; True when validating.
-   counted[0] or [1] once the pointer moved.  0, or -1 with an error. */
-static int emit(PyObject *packet, const uint8_t *row, int code, int validate, PyObject *results, Py_ssize_t counted[3])
+/* Row i's result onto `results`.  Validating, True or False.  Else a drop is
+   router._finish's, after duplicates._caught for a DUPLICATE (the kernel left
+   its MAC in the row); FORWARD is after `packet.hop_index += 1`, the egress
+   off the row.  counted[0] or [1] once the pointer moved.  0, or -1 with an error. */
+static int emit(PyObject *router, PyObject *packet, const uint8_t *row, int code, int validate, PyObject *results, Py_ssize_t counted[3])
 {
-    PyObject *hop, *next = NULL, *result = NULL;
-    long egress = row[40] << 8 | row[41];
+    PyObject *hop, *next = NULL, *result = NULL, *caught = NULL;
     int status = -1;
-    if (code != V_FORWARD && code != V_DELIVER)
+    if (code < V_FORWARD || code > V_DUPLICATE)
         return PyErr_SetString(PyExc_IndexError, "a stop the kernel ran past"), -1;
-    if (validate) return PyList_Append(results, Py_True);
+    if (validate) return PyList_Append(results, code == V_FORWARD ? Py_True : Py_False);
+    if (code == V_DUPLICATE && (caught = PyObject_GetAttr(router, Name[DUPLICATES])) != NULL)
+        Py_SETREF(caught, PyObject_CallMethod(caught, "_caught", "y#", (const char *)row, (Py_ssize_t)16));
+    if (code >= V_EXPIRED && (code != V_DUPLICATE || caught != NULL))
+        result = PyObject_CallMethodObjArgs(router, Name[FINISH], packet, PyTuple_GET_ITEM(Bound[3], code), NULL);
     if (code == V_FORWARD && (hop = PyObject_GetAttr(packet, Name[HOP])) != NULL) {
         if ((next = PyNumber_Add(hop, ONE)) != NULL && PyObject_SetAttr(packet, Name[HOP], next) < 0)
             Py_CLEAR(next);
@@ -875,84 +833,74 @@ static int emit(PyObject *packet, const uint8_t *row, int code, int validate, Py
     if (code == V_DELIVER || next != NULL) {
         counted[code - V_FORWARD]++;
         result = ((PyTypeObject *)Bound[2])->tp_alloc((PyTypeObject *)Bound[2], 3);
+        if (result != NULL) {
+            Py_INCREF(PyTuple_GET_ITEM(Bound[3], code)), Py_INCREF(packet);
+            PyTuple_SET_ITEM(result, 0, PyTuple_GET_ITEM(Bound[3], code));
+            PyTuple_SET_ITEM(result, 1, packet);
+            PyTuple_SET_ITEM(result, 2, code == V_DELIVER ? (Py_INCREF(Py_None), Py_None) : PyLong_FromLong(row[40] << 8 | row[41]));
+            if (PyTuple_GET_ITEM(result, 2) == NULL) Py_CLEAR(result);
+        }
     }
-    if (result != NULL) {
-        Py_INCREF(Bound[code + 2]), Py_INCREF(packet);
-        PyTuple_SET_ITEM(result, 0, Bound[code + 2]);
-        PyTuple_SET_ITEM(result, 1, packet);
-        PyTuple_SET_ITEM(result, 2, code == V_DELIVER ? (Py_INCREF(Py_None), Py_None) : PyLong_FromLong(egress));
-        status = PyTuple_GET_ITEM(result, 2) == NULL ? -1 : PyList_Append(results, result);
-    }
-    Py_XDECREF(next), Py_XDECREF(result);
+    status = result == NULL ? -1 : PyList_Append(results, result);
+    Py_XDECREF(next), Py_XDECREF(result), Py_XDECREF(caught);
     return status;
 }
 
 /* burst(router, packets, results, now, validate, start, gathered, flag) -> the
    row Python must see, why in router.kernel.verdicts at that row, or -1: done.
-   Rows [gathered, len) are packed into kernel.rows, grown to fit (GATHER: a
-   packet the gather does not take); once all are, repeats are marked and,
-   if `flag` (a policing set holds anything), the call stops for the flags
-   (FLAG at row 0).  Then colibri_burst runs from `start`, each FORWARD /
-   DELIVER row's RouterResult goes onto `results` (validating: True, and
-   False for a drop), up to a drop, a PYTHON, OVER or REFUSED row or a GROW,
-   REKEY or CELLS stop.  The packets are a tuple and the buffers pinned for
-   the call, whatever Python code runs in it; its tallies are flushed, also
-   when it raises. */
+   Unless `gathered` is -1 (every row packed and marked), rows [gathered, len)
+   are packed into kernel.rows, grown to fit (GATHER: a packet the gather does
+   not take), then repeats are marked and, if `flag` (a policing set holds
+   anything), router._flag(packets, 0) marks the flagged rows.  colibri_burst
+   runs from `start` and each row up to its stop gets its result onto
+   `results`.  The packets are a tuple and the buffers pinned for the call,
+   whatever Python code runs in it; its tallies are flushed, also when it raises. */
 static PyObject *burst(PyObject *self, PyObject *const *args, Py_ssize_t n)
 {
-    PyObject *router = n == 8 ? args[0] : NULL, *kernel, *seq = NULL, *state, *rows, *verdicts, *const *packets;
+    PyObject *router = n == 8 ? args[0] : NULL, *kernel, *seq = NULL, *state, *rows, *verdicts, *flags, *const *packets;
     Py_buffer row_view = {0}, verdict_view = {0};
     Py_ssize_t count = 0, start, gathered, i, counted[3] = {0, 0, 0};
     uint8_t *row, *verdict;
     double now;
     long stop = -1;
-    int validate, flag, code;
-    if (router == NULL || Bound[5] == NULL || !PyList_Check(args[2]))
+    int validate, flag;
+    if (router == NULL || Bound[4] == NULL || !PyList_Check(args[2]))
         return PyErr_Format(PyExc_TypeError, "burst(router, packets, results, now, validate, start, gathered, flag) after bind()");
     now = PyFloat_AsDouble(args[3]), validate = PyObject_IsTrue(args[4]), flag = PyObject_IsTrue(args[7]);
     start = PyLong_AsSsize_t(args[5]), gathered = PyLong_AsSsize_t(args[6]);
     if (validate < 0 || flag < 0 || PyErr_Occurred() || (kernel = PyObject_GetAttr(router, Name[KERNEL])) == NULL)
         return NULL;
-    state = Py_IS_TYPE(kernel, (PyTypeObject *)Bound[5]) ? SLOT(kernel, at[2]) : NULL;
+    state = Py_IS_TYPE(kernel, (PyTypeObject *)Bound[4]) ? SLOT(kernel, at[2]) : NULL;
     rows = state ? SLOT(kernel, at[3]) : NULL, verdicts = state ? SLOT(kernel, at[4]) : NULL;
     Py_XINCREF(state);
     if (!rows || !verdicts || !PyByteArray_Check(rows) || !PyByteArray_Check(verdicts)
         || !PyByteArray_Check(state) || PyByteArray_GET_SIZE(state) != sizeof(colibri_police_t))
         PyErr_SetString(PyExc_TypeError, "router.kernel is not a bound BurstKernel");
     else if ((seq = PySequence_Tuple(args[1])) != NULL
-             && ((count = PyTuple_GET_SIZE(seq)) < start || start < 0 || count < gathered || gathered < 0))
+             && ((count = PyTuple_GET_SIZE(seq)) < start || start < 0 || count < gathered || gathered < -1))
         PyErr_SetString(PyExc_IndexError, "start or gathered outside the burst");
     if (PyErr_Occurred() || (PyByteArray_GET_SIZE(verdicts) < count && PyByteArray_Resize(verdicts, count) < 0)
         || (PyByteArray_GET_SIZE(rows) < 64 * count && PyByteArray_Resize(rows, 64 * count) < 0)
         || PyObject_GetBuffer(rows, &row_view, PyBUF_WRITABLE) < 0 || PyObject_GetBuffer(verdicts, &verdict_view, PyBUF_WRITABLE) < 0)
         goto done;
     packets = &PyTuple_GET_ITEM(seq, 0), row = row_view.buf, verdict = verdict_view.buf;
-    for (i = gathered; i < count; i++)
+    for (i = gathered < 0 ? count : gathered; i < count; i++)
         if (!gather_one(packets[i], row + 64 * i)) {  /* its memo is built in Python */
             verdict[i] = V_GATHER, stop = (long)i;
             goto done;
         }
-    if (gathered < count && count > 1 && repeats(packets, count, row) < 0) goto done;
-    if (gathered < count && flag && !validate) {
-        verdict[0] = V_FLAG, stop = 0;
+    if (gathered >= 0 && count > 1 && repeats(packets, count, row) < 0) goto done;
+    if (gathered >= 0 && flag && !validate) {
+        if ((flags = PyObject_CallMethod(router, "_flag", "Oi", seq, 0)) == NULL) goto done;
+        Py_DECREF(flags);
+    }
+    if ((stop = colibri_burst((colibri_police_t *)PyByteArray_AS_STRING(state), row, count, start, verdict, now, validate)) < 0) {
+        PyErr_SetString(PyExc_IndexError, "the policing tables' geometry was refused");
         goto done;
     }
-    for (;;) {
-        if ((stop = colibri_burst((colibri_police_t *)PyByteArray_AS_STRING(state), row, count, start, verdict, now, validate)) < 0) {
-            PyErr_SetString(PyExc_IndexError, "the policing tables' geometry was refused");
-            goto done;
-        }
-        for (i = start; i < stop; i++)
-            if (emit(packets[i], row + 64 * i, verdict[i], validate, args[2], counted) < 0) goto done;
-        if (stop == count) break;
-        code = verdict[stop];
-        if (!validate) {
-            counted[2] += code == V_OVER;
-            break;
-        }
-        if (code < V_EXPIRED || code > V_DUPLICATE || PyList_Append(args[2], Py_False) < 0) break;
-        start = stop + 1;
-    }
+    for (i = start; i < stop; i++)
+        if (emit(router, packets[i], row + 64 * i, verdict[i], validate, args[2], counted) < 0) goto done;
+    counted[2] += stop < count && verdict[stop] == V_OVER;
     stop = stop == count ? -1 : stop;
 done:
     if (!validate) flush(router, counted);
@@ -961,24 +909,26 @@ done:
     return PyErr_Occurred() ? NULL : PyLong_FromLong(stop);
 }
 
-/* bind(ColibriPacket, HvfVector, RouterResult, FORWARD, DELIVER_HOST, BurstKernel). */
+/* bind(ColibriPacket, HvfVector, RouterResult, verdicts, BurstKernel): `verdicts`
+   is a tuple of the Verdict each code FORWARD to DUPLICATE means, at its value. */
 static PyObject *bind(PyObject *self, PyObject *const *args, Py_ssize_t n)
 {
     static const char *slots[5] = {"buffer", "start", "_struct", "rows", "verdicts"};
     PyObject *member;
     Py_ssize_t found[5], k;
-    for (k = 0; n == 6 && k < 5 && PyType_Check(args[k < 2 ? 1 : 5]); k++) {
-        member = PyObject_GetAttrString(args[k < 2 ? 1 : 5], slots[k]);
+    for (k = 0; n == 5 && k < 5 && PyType_Check(args[k < 2 ? 1 : 4]); k++) {
+        member = PyObject_GetAttrString(args[k < 2 ? 1 : 4], slots[k]);
         found[k] = member && Py_IS_TYPE(member, &PyMemberDescr_Type) ? ((PyMemberDescrObject *)member)->d_member->offset : -1;
         Py_XDECREF(member);
         if (found[k] < 0) break;
     }
-    if (k < 5 || !PyType_Check(args[0]) || !PyType_Check(args[2]) || !PyType_IsSubtype((PyTypeObject *)args[2], &PyTuple_Type)) {
+    if (k < 5 || !PyType_Check(args[0]) || !PyType_Check(args[2]) || !PyType_IsSubtype((PyTypeObject *)args[2], &PyTuple_Type)
+        || !PyTuple_CheckExact(args[3]) || PyTuple_GET_SIZE(args[3]) != V_DUPLICATE + 1) {
         PyErr_Clear();
-        return PyErr_Format(PyExc_TypeError, "bind(ColibriPacket, HvfVector, RouterResult, FORWARD, DELIVER_HOST, BurstKernel)");
+        return PyErr_Format(PyExc_TypeError, "bind(ColibriPacket, HvfVector, RouterResult, verdicts, BurstKernel)");
     }
     memcpy(at, found, sizeof at);
-    for (k = 0; k < 6; k++) {
+    for (k = 0; k < 5; k++) {
         Py_INCREF(args[k]);
         Py_XSETREF(Bound[k], args[k]);
     }
@@ -1255,7 +1205,7 @@ def repointing(name: str) -> property:
 #: SrcHost, DstHost, In, Eg (the Eq. (4) input), Ts, PktSize, HVF, flags.
 ROW = struct.Struct("!12sddHIIHH8sI4sB5x")
 #: Its verdict bytes, the glue's two stops and the row flags (the C enums).
-FORWARD, DELIVER, EXPIRED, STALE, BAD_HVF, DUPLICATE, PYTHON, OVER, REFUSED, GROW, REKEY, CELLS, GATHER, FLAG = range(1, 15)
+FORWARD, DELIVER, EXPIRED, STALE, BAD_HVF, DUPLICATE, PYTHON, OVER, REFUSED, GROW, REKEY, CELLS, GATHER = range(1, 14)
 F_PYTHON, F_FLAGGED, F_LAST = 1, 2, 4
 #: The kernel stops ``burst`` returns to Python for, as :meth:`BurstKernel.snapshot` names them.
 STOPS = (("grow", GROW), ("rekey", REKEY), ("cells", CELLS), ("over", OVER), ("python", PYTHON))

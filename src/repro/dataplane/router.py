@@ -27,10 +27,10 @@ With :mod:`repro.crypto.native` loaded a burst is one call of the glue's
 router's build), hop pointer and HVF; runs steps 1 and 3-5 in C over the
 tables ``DuplicateSuppressor`` and ``OveruseFlowDetector`` own, σ from the
 kernel's flow table (docs/performance.md §1); and advances each forwarded
-packet and builds its result.  It returns to Python only at a drop (for
-the journal), a kernel stop of its own, or a packet for the Python body
-below — a SegR packet, a blocked source, a watched or suspect flow, no
-bandwidth, a due rotation or roll, an estimate over the OFD threshold.
+packet and builds each result, a drop's through ``_finish`` (the journal).
+It returns to Python only at a kernel stop of its own or a packet for the
+Python body below — a SegR packet, a blocked source, a watched or suspect
+flow, no bandwidth, a due rotation or roll, an estimate over the OFD threshold.
 That body, stateless like the paper's router, is the whole loop under
 ``COLIBRI_NATIVE=0`` and the oracle.
 
@@ -98,9 +98,9 @@ for _verdict in Verdict:
 del _verdict
 _FORWARD, _DELIVER_HOST = Verdict.FORWARD, Verdict.DELIVER_HOST  # a member read is ~0.1 µs
 _EER = PacketType.EER_DATA  # a per-packet read, hoisted
-#: The drop a kernel verdict byte means, at its value (EXPIRED to DUPLICATE).
-_DROPPED = (None,) * native.EXPIRED + (
-    Verdict.DROP_EXPIRED, Verdict.DROP_STALE, Verdict.DROP_BAD_HVF, Verdict.DROP_DUPLICATE)
+#: The verdict a kernel verdict byte means, at its value (FORWARD to DUPLICATE).
+_VERDICTS = (None, _FORWARD, _DELIVER_HOST, Verdict.DROP_EXPIRED, Verdict.DROP_STALE, Verdict.DROP_BAD_HVF,
+             Verdict.DROP_DUPLICATE)
 
 
 #: A packet's verdict and, for FORWARD only, the interface to forward on.
@@ -142,7 +142,7 @@ class BorderRouter:
         backend = native.backend()
         self.kernel = backend and native.BurstKernel(backend, keys, self.duplicates, self.ofd)
         if backend:
-            backend.glue.bind(ColibriPacket, HvfVector, RouterResult, _FORWARD, _DELIVER_HOST, native.BurstKernel)
+            backend.glue.bind(ColibriPacket, HvfVector, RouterResult, _VERDICTS, native.BurstKernel)
         self.stats = {verdict: 0 for verdict in Verdict}
 
     # -- the Python body ----------------------------------------------------------------
@@ -270,21 +270,20 @@ class BorderRouter:
         """Steps 1-6 per packet in arrival order (``validate``: steps 1 and 3,
         a bool per packet, tables untouched), the pipeline's only loop.  With
         the kernel, one glue call (:attr:`native.BurstKernel.drive`) packs the
-        rows, runs ``colibri_burst``, builds the FORWARD / DELIVER results and
-        flushes their counters.  It returns only at a row Python must see; the
-        loop below serves that row and calls again from there."""
+        rows (and calls :meth:`_flag` if a policing set holds anything), runs
+        ``colibri_burst``, builds each row's result (a drop's through
+        :meth:`_finish`) and flushes the counters.  It returns only at a row
+        Python must see; the loop below serves that row and calls again from
+        there (``gathered`` -1: every row is packed and marked)."""
         now, kernel = self.clock.now(), self.kernel
         if kernel is None:
             judge = self._validate_one if validate else self._packet
             return [judge(packet, now) for packet in packets]
         results, drive = [], kernel.drive
-        flag = self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects
-        stop = drive(self, packets, results, now, validate, 0, 0, flag)
-        if stop < 0:
-            return results
-        count, retried, flagged = len(packets), -1, False
+        flagged = self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects
+        stop, retried = drive(self, packets, results, now, validate, 0, 0, flagged), -1
         while stop >= 0:
-            packet, code, start, gathered = packets[stop], kernel.verdicts[stop], stop + 1, count
+            packet, code, start, gathered = packets[stop], kernel.verdicts[stop], stop + 1, -1
             if code == native.GATHER:  # the gather took no row: the memo is built here
                 reservation, bandwidth, expiry, version = packet.res_info
                 pairs, payload = packet.path.interface_pairs, packet.payload
@@ -302,8 +301,6 @@ class BorderRouter:
                 else:  # a hop pointer, HVF, payload or packet class of its own: Python's
                     _ROW.pack_into(kernel.rows, 64 * stop, head, 0, 0, tail, b"", native.F_PYTHON)
                     gathered += 1
-            elif code == native.FLAG:
-                start, flagged = 0, self._flag(packets, kernel.rows, 0)
             elif code >= native.GROW:  # GROW, REKEY, CELLS: the kernel's, then the row again
                 kernel.resume(stop, now)
                 start = stop
@@ -311,10 +308,6 @@ class BorderRouter:
                 raise IndexError("a flow's sketch cells lie outside the sketch")
             elif validate:
                 results.append(self._validate_one(packet, now))
-            elif code <= native.DUPLICATE:  # a drop
-                if code == native.DUPLICATE:  # the kernel left the MAC in the row
-                    self.duplicates._caught(bytes(kernel.rows[64 * stop : 64 * stop + 16]))
-                results.append(self._finish(packet, _DROPPED[code]))
             else:
                 if code == native.PYTHON:
                     results.append(self._packet(packet, now))
@@ -322,16 +315,16 @@ class BorderRouter:
                     suspect = self.ofd._judge(packet.res_info.reservation.packed, True, now)
                     results.append(self._policed(packet, packet.total_size, suspect, now))
                 if flagged or self.blocklist._blocked or self.monitor._buckets or self.ofd._suspects:
-                    flagged = self._flag(packets, kernel.rows, start)
-            stop = drive(self, packets, results, now, validate, start, gathered, flag)
+                    flagged = self._flag(packets, start)
+            stop = drive(self, packets, results, now, validate, start, gathered, flagged)
         return results
 
-    def _flag(self, packets, rows, start: int) -> bool:
+    def _flag(self, packets, start: int) -> bool:
         """Mark the rows from ``start`` on whose source is blocked or whose
         flow is watched or suspect — the kernel hands those to :meth:`_packet`
         — and unmark the rest; whether any is marked."""
         blocked, watched, suspects = self.blocklist._blocked, self.monitor._buckets, self.ofd._suspects
-        marked = False
+        rows, marked = self.kernel.rows, False
         for index in range(start, len(packets)):
             reservation = packets[index].res_info.reservation
             label, at = reservation.packed, native.ROW.size * index + 58  # its flags byte

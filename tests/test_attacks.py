@@ -1,17 +1,11 @@
 """Security tests: the §5 DDoS-resilience claims, attack by attack."""
 
-import copy
-
 import pytest
 
 from benchmarks import figures
 from repro.attacks import DocAttack, ReplayAttack, SpoofingAttack, VolumetricAttack
-from repro.attacks.spoofing import SpoofingReport
-from repro.packets.fields import EerInfo
-from repro.reservation.ids import ReservationId
 from repro.sim import ColibriNetwork
 from repro.topology import IsdAs, build_two_isd_topology
-from repro.topology.addresses import HostAddr
 from repro.util.units import gbps, mbps
 
 BASE = 0xFF00_0000_0000
@@ -60,27 +54,6 @@ class TestReplayAttack:
         assert net.send(SRC, handle, b"after the attack").delivered
 
 
-def mutate_authentic(net, target, packet, count):
-    """§5.1's tag reuse: field-tampering attempts at ``target`` against one
-    captured authentic packet."""
-    report, router = SpoofingReport(), net.router(target)
-    victim = packet.res_info.reservation.src_as
-    mutations = [
-        lambda p: setattr(p, "res_info", p.res_info._replace(bandwidth=1e12)),
-        lambda p: setattr(p, "payload", p.payload + b"pad"),
-        lambda p: setattr(p, "res_info", p.res_info._replace(
-            reservation=ReservationId(victim, (p.res_info.reservation.local_id + 1) % (1 << 31)))),
-        lambda p: setattr(p, "eer_info", EerInfo(HostAddr(66), HostAddr(67))),
-    ]
-    for index in range(count):
-        mutant = copy.deepcopy(packet)
-        mutant.hop_index = packet.hop_index
-        mutations[index % len(mutations)](mutant)
-        report.sent += 1
-        SpoofingAttack._classify(router.process(mutant).verdict, report)
-    return report
-
-
 class TestSpoofingAttack:
     def test_forged_packets_all_rejected(self, net):
         """§5.1: source authentication defeats spoofing; §7.1 threat 2:
@@ -95,7 +68,8 @@ class TestSpoofingAttack:
         handle = net.establish_eer(SRC, DST, mbps(10))
         packet = net.gateway(SRC).send(handle.reservation_id, b"genuine")
         packet.hop_index = 1
-        report = mutate_authentic(net, asid(1, 11), packet, count=40)
+        attack = SpoofingAttack(net, victim=SRC, target=asid(1, 11))
+        report = attack.mutate_authentic(packet, count=40)
         assert report.accepted == 0
         assert report.rejected_bad_hvf == 40
 

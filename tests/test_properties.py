@@ -110,6 +110,14 @@ class TestPacketProperties:
         except PacketDecodeError:
             pass
 
+    def test_a_negative_bandwidth_on_the_wire_is_a_decode_error(self):
+        """Bytes the property above once drew: a SegSetupRequest whose ResInfo
+        carries bandwidth -1.0 raised ResInfo's PacketFieldError out of
+        ``decode_message`` instead of a PacketDecodeError."""
+        data = b"\x01" + ResInfo.WIRE.pack(bytes(12), -1.0, 0.0, 0)
+        with pytest.raises(PacketDecodeError, match="negative"):
+            decode_message(data)
+
 
 class TestIdProperties:
     """``IsdAs``, ``ReservationId`` and ``HostAddr`` are tuples of their

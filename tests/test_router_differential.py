@@ -751,27 +751,45 @@ def build(use_native, build_fn):
         native.reset_for_tests()
 
 
+#: Where a spoiled packet ``x`` sits among honest ``a``, ``b``: between two,
+#: or last (the gather refuses the burst's last row), alone or after a
+#: blocked source's packets or a packet object's second copy.
+SHAPES = {
+    "between": lambda a, b, x: [a, x, b],
+    "last": lambda a, b, x: [a, b, x],
+    "last, source blocked": lambda a, b, x: [a, b, x],
+    "last, after a repeat": lambda a, b, x: [a, b, a, x],
+}
+
+
 @pytest.mark.parametrize("mode", ["process", "process_batch"])
 def test_hostile_objects_get_the_python_bodys_verdict(backend, mode):
-    """Each spoiled packet, between two honest ones, gets the verdicts, egress
-    and hop pointers the ``COLIBRI_NATIVE=0`` body gives it, or the same
-    exception type, and nothing crashes.  A gather that skips the shape check
-    fails here: without the 38-byte test on the memo's head, "_row head of 30
-    bytes" reads DROP_BAD_HVF on the native backend (its row's Eq. 4 input
-    ends in the bytes past the object) and FORWARD on the Python body, and
-    ``make native-asan`` aborts on the read."""
+    """Each spoiled packet, in each of the :data:`SHAPES`, gets the verdicts,
+    egress and hop pointers the ``COLIBRI_NATIVE=0`` body gives it and the
+    packets around it, or the same exception type, and nothing crashes.  A
+    gather that skips the shape check fails here: without the 38-byte test on
+    the memo's head, "_row head of 30 bytes" reads DROP_BAD_HVF on the native
+    backend (its row's Eq. 4 input ends in the bytes past the object) and
+    FORWARD on the Python body, and ``make native-asan`` aborts on the read.
+    So does a glue that marks the rows only when it packed the last one
+    itself: in ``process_batch`` the blocked source's packets read FORWARD
+    and the second copy DROP_DUPLICATE."""
     worlds = [GatewayPath(), build(False, GatewayPath)]
     for name, spoil in HOSTILE.items():
-        outcomes = []
-        for world in worlds:
-            packets = world.at_hop_one(3)
-            packets[1] = spoil(packets[1])
-            router = world.routers[HOP]
-            try:
-                results = router.process_batch(packets) if mode == "process_batch" else [
-                    router.process(packet) for packet in packets]
-                outcomes.append([(r.verdict, r.egress, r.packet.hop_index) for r in results])
-            except (IndexError, TypeError, ValueError, struct.error) as error:  # the type is compared
-                outcomes.append(type(error))
-        assert outcomes[0] == outcomes[1], name
+        for shape, arrange in SHAPES.items():
+            outcomes = []
+            for world in worlds:
+                router = world.routers[HOP]
+                a, b, x = world.at_hop_one(3)
+                packets = arrange(a, b, spoil(x))
+                if shape == "last, source blocked":
+                    router.blocklist.block(SRC)
+                try:
+                    results = router.process_batch(packets) if mode == "process_batch" else [
+                        router.process(packet) for packet in packets]
+                    outcomes.append([(r.verdict, r.egress, r.packet.hop_index) for r in results])
+                except (IndexError, TypeError, ValueError, struct.error) as error:  # the type is compared
+                    outcomes.append(type(error))
+                router.blocklist.unblock(SRC)
+            assert outcomes[0] == outcomes[1], (name, shape)
     assert worlds[0].routers[HOP].stats == worlds[1].routers[HOP].stats

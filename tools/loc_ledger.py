@@ -63,7 +63,7 @@ BUDGETS = {
     "`control/`": 2_877,
     "`dataplane/gateway.py` + `dataplane/router.py`": 985,
     "`dataplane/{duplicate,ofd}.py`": 356,
-    "`crypto/native.py`": 1_380,
+    "`crypto/native.py`": 1_345,
     "`sim/campaign.py`": 739,
     "`sim/` + `topology/`": 3_692,
     "`sim/{pipeline,netsim}.py`": 190,
