@@ -390,10 +390,10 @@ def rekeying_gateway(path_length: int, reservations: int):
     gateway, ids = stamping_gateway(path_length, reservations)
 
     def stamp(plan) -> bytes:
-        # A plan row is (entry, version, Ts word, PktSize, ...); a drop
-        # is its error.
+        # A plan row is (entry, version, Ts word, payload, tag offset,
+        # Ts ‖ PktSize); a drop is its error.
         return b"".join(
-            truncated_mac(sigma, row[2].to_bytes(8, "big") + row[3].to_bytes(4, "big"), L_HVF)
+            truncated_mac(sigma, row[5], L_HVF)
             for row in plan[0]
             if type(row) is tuple
             for sigma in row[1].hop_auths

@@ -17,9 +17,9 @@ stamps packets with the latest live version (§4.2) while the monitor
 keys on the reservation ID alone, so using several versions can never
 exceed the maximum version bandwidth (§4.8).
 
-One pipeline (docs/performance.md §8) serves all three APIs —
-:meth:`ColibriGateway.send` (a burst of one: the host path),
-:meth:`ColibriGateway.send_batch` and :meth:`ColibriGateway.send_batch_wire`:
+One pipeline (docs/performance.md §8) serves both APIs —
+:meth:`ColibriGateway.send` (a burst of one: the host path) and
+:meth:`ColibriGateway.send_batch`:
 
 1. **plan** (:meth:`ColibriGateway._plan`) — the only per-request loop:
    table lookup, latest live version, Ts assignment and range check,
@@ -29,15 +29,14 @@ One pipeline (docs/performance.md §8) serves all three APIs —
    one ``stamp_many`` call when the whole burst resolved to a single
    version, else one native scatter call, and on hosts without the
    native kernel the same row loop over hashlib;
-3. **emit** — :class:`~repro.packets.colibri.ColibriPacket` objects over
-   windows of that string (``send``, ``send_batch``), or wire bytes
-   written in place into :class:`~repro.packets.wire.PacketArena` slots
-   (``send_batch_wire``).
+3. **emit** (:meth:`ColibriGateway._emit_packets`) —
+   :class:`~repro.packets.colibri.ColibriPacket` objects over windows of
+   that string.
 
 The reference lives in tests/test_gateway_differential.py:
 ``ReferenceGateway`` writes §4.3 and §4.6 down per packet, with its own
-token buckets and Eq. (6) per σ, sharing no code with this module; all
-three APIs are byte-, counter- and state-identical to it.  Installation
+token buckets and Eq. (6) per σ, sharing no code with this module; both
+APIs are byte-, counter- and state-identical to it.  Installation
 pays the key schedules (a native schedule block, or prehashed hashlib
 states per σ) at control-plane rate, so no data packet ever does.
 """
@@ -63,9 +62,8 @@ from repro.errors import (
     ReservationExpired,
     ReservationNotFound,
 )
-from repro.packets.colibri import ColibriPacket, HvfVector, PacketType, WirePacketView
+from repro.packets.colibri import ColibriPacket, HvfVector, PacketType
 from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp
-from repro.packets.wire import PacketArena
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import IsdAs
 from repro.util.clock import Clock
@@ -96,10 +94,7 @@ class GatewayVersion:
     #: Native key-schedule block (all σs contiguous in C memory), when
     #: the cffi kernel is available; byte-identical to ``_states``.
     _schedule: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Serialized header prefix up to (excluding) Ts — constant per
-    #: version, copied into each arena slot by the wire emitter.
-    _wire_template: Optional[bytes] = field(default=None, repr=False, compare=False)
-    #: ResInfo ‖ EERInfo, the template's tail: the head of each packet's ``_row``.
+    #: ResInfo ‖ EERInfo, constant per version: the head of each packet's ``_row``.
     _row_head: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     @property
@@ -146,10 +141,6 @@ class GatewayReservation:
     header_size: int
     #: HVF bytes of every packet on this EER (one tag per hop).
     tag_bytes: int
-    #: :meth:`~repro.packets.colibri.ColibriPacket.wire_header` of this
-    #: EER's packets — fixed by path length, resolved once at install so
-    #: the wire emitter never pays the per-packet layout lookup.
-    wire_header: struct.Struct
     #: ``reservation_id.packed``, computed once: the table key, the
     #: monitor's flow label and part of every replay identifier —
     #: packing 12 bytes per packet would shadow the MAC cost on short
@@ -228,7 +219,6 @@ class ColibriGateway:
                 versions={},
                 header_size=ColibriPacket.header_size_for(len(path)),
                 tag_bytes=len(path) * L_HVF,
-                wire_header=ColibriPacket.wire_header(len(path)),
                 packed_id=packed_id,
             )
             self._reservations[packed_id] = entry
@@ -295,25 +285,6 @@ class ColibriGateway:
         plan = self._plan(requests, self.clock.now())
         return self._emit_packets(plan, self._stamp(plan))
 
-    def send_batch_wire(self, requests, arena: PacketArena) -> list:
-        """Stamp a burst straight into ``arena`` as wire-form packets.
-
-        The same plan and stamp steps as :meth:`send_batch`; only the
-        emitter differs.  Each conforming request claims an arena slot
-        and gets the per-version header template, the Ts word, its HVF
-        row, the payload length and the payload written in place.
-        Outcomes are request-aligned like :meth:`send_batch`, but
-        successes are :class:`~repro.packets.colibri.WirePacketView`
-        objects whose bytes equal ``packet.to_bytes()`` of the object
-        form — no packet-sized ``bytes`` is ever materialized.
-
-        The arena is ``reset()`` at entry, so views from the previous
-        burst die here (the mbuf lifetime contract).
-        """
-        arena.reset()
-        plan = self._plan(requests, self.clock.now())
-        return self._emit_wire(plan, self._stamp(plan), arena)
-
     def _plan(self, requests, now: float) -> tuple:
         """Resolve every request of a burst, in order (§4.3, §4.6).
 
@@ -327,8 +298,8 @@ class ColibriGateway:
 
         Returns ``(outcomes, rows, version, tag_bytes)``: one outcome per
         request — its drop error, or the ``(entry, version, Ts word,
-        PktSize, payload, tag offset, Eq. 6 message)`` row an emitter
-        replaces with the packet; the number of rows; the one version
+        payload, tag offset, Eq. 6 message)`` row the emitter replaces
+        with the packet; the number of rows; the one version
         every row resolved to, else ``None``; the burst's total HVF bytes.
         One list for both keeps a lone packet's allocations to what it
         needs.
@@ -399,7 +370,7 @@ class ColibriGateway:
                     continue
             word = (micros << _SEQ_BITS) | sequence
             outcomes.append(
-                (entry, version, word, size, payload, position, _HVF_MESSAGE.pack(word, size))
+                (entry, version, word, payload, position, _HVF_MESSAGE.pack(word, size))
             )
             position += entry.tag_bytes
             rows += 1
@@ -417,9 +388,9 @@ class ColibriGateway:
             return b""
         if len(outcomes) == 1:  # a lone packet, as every send is
             row = outcomes[0]
-            return row[1].stamp(row[6])
+            return row[1].stamp(row[5])
         rows = [row for row in outcomes if type(row) is tuple]
-        messages = [row[6] for row in rows]
+        messages = [row[5] for row in rows]
         size = _HVF_MESSAGE.size
         if only is not None and only._schedule is not None:
             return only._schedule.stamp_many_flat(b"".join(messages), size, count)
@@ -437,7 +408,7 @@ class ColibriGateway:
                     break  # installed while the native probe was off
                 scheds[number] = schedule._scatter
                 counts[number] = schedule.count
-                offsets[number] = row[5]
+                offsets[number] = row[4]
             else:
                 stamper.messages[:] = b"".join(messages)
                 return stamper.stamp_flat(count, size, tag_bytes)
@@ -452,7 +423,7 @@ class ColibriGateway:
         index = 0
         for row in outcomes:
             if type(row) is tuple:
-                entry, version, ts_word, _size, payload, position, message = row
+                entry, version, ts_word, payload, position, message = row
                 hops, path, head = len(version.hop_auths), entry.path, version._row_head
                 if head is None:
                     head = version._row_head = version.res_info.packed + entry.eer_info.packed
@@ -468,34 +439,6 @@ class ColibriGateway:
                     if payload.__class__ is bytes
                     else None,
                 )
-            index += 1
-        return outcomes
-
-    def _emit_wire(self, plan: tuple, flat: bytes, arena: PacketArena) -> list:
-        """Wire bytes written in place, one arena slot per packet."""
-        outcomes = plan[0]
-        buffer = arena.buffer
-        take = arena.take
-        index = 0
-        for row in outcomes:
-            if type(row) is tuple:
-                entry, version, ts_word, size, payload, position, _message = row
-                template = version._wire_template
-                if template is None:
-                    template = version._wire_template = ColibriPacket.wire_template(
-                        PacketType.EER_DATA, entry.path, version.res_info, entry.eer_info
-                    )
-                slot = take(size)
-                entry.wire_header.pack_into(
-                    buffer,
-                    slot,
-                    template,
-                    ts_word,
-                    flat[position : position + entry.tag_bytes],
-                    len(payload),
-                )
-                buffer[slot + entry.header_size : slot + size] = payload
-                outcomes[index] = WirePacketView(buffer, slot, size)
             index += 1
         return outcomes
 

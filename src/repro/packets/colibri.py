@@ -31,7 +31,6 @@ but ``hvfs`` and ``hop_index`` drops it (:class:`_HeaderField`).
 from __future__ import annotations
 
 import struct
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
@@ -44,13 +43,6 @@ FORMAT_VERSION = 1
 
 _FIXED = struct.Struct("!HBBBB")
 _PAYLOAD_LEN = struct.Struct("!I")
-
-#: Byte offsets of every header field within a serialized packet, plus
-#: the total header size.  ``eer`` equals ``ts`` for SEGMENT packets
-#: (the EERInfo field has zero width there).
-WireOffsets = namedtuple(
-    "WireOffsets", ("path", "res", "eer", "ts", "hvf", "payload_len", "header")
-)
 
 
 class HvfVector:
@@ -155,7 +147,15 @@ class _HeaderSizes(dict):
     """``(hop_count, is_eer_data) -> header bytes``, computed on first use."""
 
     def __missing__(self, key):
-        size = self[key] = ColibriPacket.wire_offsets(*key).header
+        hop_count, is_eer_data = key
+        size = self[key] = (
+            _FIXED.size
+            + hop_count * (PathField.WIRE_PAIR.size + L_HVF)
+            + ResInfo.SIZE
+            + (EerInfo.SIZE if is_eer_data else 0)
+            + Timestamp.SIZE
+            + _PAYLOAD_LEN.size
+        )
         return size
 
 
@@ -252,53 +252,6 @@ class ColibriPacket:
     #: (Eq. 6) less the payload, for :attr:`total_size` and a ``_row`` build.
     _HEADER_SIZES: ClassVar[dict] = _HeaderSizes()
 
-    #: Memoized ``(hop_count, is_eer_data) -> WireOffsets`` — the field
-    #: positions the zero-copy gateway path patches in place (Ts, HVFs).
-    _WIRE_OFFSETS: ClassVar[dict] = {}
-
-    @staticmethod
-    def wire_offsets(hop_count: int, is_eer_data: bool = True) -> WireOffsets:
-        """Field offsets within the serialized header.
-
-        The arena fast path never re-derives the layout per packet: the
-        gateway patches Ts and stamps HVFs at these fixed positions in a
-        prebuilt header template.
-        """
-        key = (hop_count, is_eer_data)
-        offsets = ColibriPacket._WIRE_OFFSETS.get(key)
-        if offsets is None:
-            path = _FIXED.size
-            res = path + hop_count * PathField.WIRE_PAIR.size
-            eer = res + ResInfo.SIZE
-            ts = eer + (EerInfo.SIZE if is_eer_data else 0)
-            hvf = ts + Timestamp.SIZE
-            payload_len = hvf + hop_count * L_HVF
-            header = payload_len + _PAYLOAD_LEN.size
-            offsets = WireOffsets(path, res, eer, ts, hvf, payload_len, header)
-            ColibriPacket._WIRE_OFFSETS[key] = offsets
-        return offsets
-
-    #: Memoized ``hop_count -> Struct`` of a whole EER data header.
-    _WIRE_HEADERS: ClassVar[dict] = {}
-
-    @staticmethod
-    def wire_header(hop_count: int) -> struct.Struct:
-        """An EER data packet's header as one struct, in the four pieces
-        the gateway's arena emitter holds: the :meth:`wire_template`
-        prefix, the Ts word, the flat HVFs and the payload length.
-
-        One ``pack_into`` then writes a header into an arena slot — a
-        ``bytearray`` slice assignment costs about three ``pack_into``
-        calls, so patching the fields one by one would dominate the
-        emitter.
-        """
-        header = ColibriPacket._WIRE_HEADERS.get(hop_count)
-        if header is None:
-            prefix = ColibriPacket.wire_offsets(hop_count).ts
-            header = struct.Struct(f"!{prefix}sQ{hop_count * L_HVF}sI")
-            ColibriPacket._WIRE_HEADERS[hop_count] = header
-        return header
-
     @staticmethod
     def header_size_for(hop_count: int, is_eer_data: bool = True) -> int:
         """Header bytes of a packet with ``hop_count`` hops.
@@ -309,31 +262,6 @@ class ColibriPacket:
         for the monitor to reject non-conforming traffic cheaply.
         """
         return ColibriPacket._HEADER_SIZES[hop_count, is_eer_data]
-
-    @staticmethod
-    def wire_template(
-        packet_type: int,
-        path: PathField,
-        res_info: ResInfo,
-        eer_info: Optional[EerInfo] = None,
-    ) -> bytes:
-        """Serialized header up to (excluding) Ts, at ``hop_index`` 0.
-
-        Everything before the Ts field is constant for one reservation
-        version, so the zero-copy gateway builds this prefix once and
-        copies it into each arena slot, then patches only Ts, HVFs and
-        the payload section in place — byte-identical to
-        :meth:`to_bytes` of the equivalent packet object.
-        """
-        flags = packet_type & 0x0F
-        parts = [
-            _FIXED.pack(MAGIC, FORMAT_VERSION, flags, len(path), 0),
-            path.packed,
-            res_info.packed,
-        ]
-        if eer_info is not None:
-            parts.append(eer_info.packed)
-        return b"".join(parts)
 
     @property
     def total_size(self) -> int:
@@ -435,59 +363,3 @@ for _name in ("packet_type", "path", "res_info", "timestamp", "eer_info", "paylo
     setattr(ColibriPacket, _name, _HeaderField(_name))
 del _name
 
-
-class WirePacketView:
-    """A serialized packet living inside a shared arena buffer.
-
-    The zero-copy gateway path (``send_batch_wire``) writes each packet
-    straight into a :class:`~repro.packets.wire.PacketArena` slot and
-    hands out these views instead of ``bytes``.  A view stays valid
-    until the arena is ``reset()`` for the next burst — the same
-    lifetime contract as a DPDK mbuf.  ``view()`` exposes the bytes
-    without copying; ``materialize()`` copies them out for anything that
-    must outlive the burst.
-    """
-
-    __slots__ = ("buffer", "offset", "length")
-
-    def __init__(self, buffer: bytearray, offset: int, length: int):
-        self.buffer = buffer
-        self.offset = offset
-        self.length = length
-
-    def view(self) -> memoryview:
-        """Zero-copy window onto the packet's wire bytes."""
-        return memoryview(self.buffer)[self.offset : self.offset + self.length]
-
-    @property
-    def hop_index(self) -> int:
-        """Current-hop pointer, read straight off the wire."""
-        return self.buffer[self.offset + 5]
-
-    @property
-    def hop_count(self) -> int:
-        return self.buffer[self.offset + 4]
-
-    @property
-    def total_size(self) -> int:
-        """PktSize of Eq. (6), as :attr:`ColibriPacket.total_size`."""
-        return self.length
-
-    def advance_hop(self) -> None:
-        """Patch the hop pointer in place — the per-hop header mutation
-        a forwarding router performs, without reserializing anything
-        (``hop_index`` is the only mutable wire field)."""
-        hop_index = self.buffer[self.offset + 5]
-        if hop_index + 1 >= self.buffer[self.offset + 4]:
-            raise PacketFieldError("cannot advance past the last hop")
-        self.buffer[self.offset + 5] = hop_index + 1
-
-    def materialize(self) -> bytes:
-        """Copy the packet out of the arena (cold path only)."""
-        return bytes(self.buffer[self.offset : self.offset + self.length])
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __repr__(self) -> str:
-        return f"WirePacketView({self.length} B @ {self.offset})"

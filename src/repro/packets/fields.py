@@ -57,11 +57,6 @@ class PathField:
             for ingress, egress in self.interface_pairs
         )
 
-    def packed_pair(self, index: int) -> bytes:
-        """Wire form of one (In_i, Eg_i) pair — MAC input for AS_i (Eq. 3/4)."""
-        ingress, egress = self.interface_pairs[index]
-        return self.WIRE_PAIR.pack(ingress, egress)
-
     @classmethod
     def unpack(cls, data: bytes, hop_count: int) -> "PathField":
         need = cls.WIRE_PAIR.size * hop_count

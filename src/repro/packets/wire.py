@@ -15,64 +15,7 @@ from repro.errors import PacketDecodeError
 _U8 = struct.Struct("!B")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
 _F64 = struct.Struct("!d")
-
-
-class PacketArena:
-    """Preallocated slab of fixed-size packet slots, reused per burst.
-
-    The zero-copy counterpart of building a fresh ``bytes`` per packet:
-    the gateway writes each outgoing packet of a burst into the next
-    slot in place (header template copy + Ts patch + HVF stamp), and
-    the router validates straight out of the slab.  ``reset()`` between
-    bursts recycles every slot without touching the memory — like a
-    DPDK mempool, a slot's old bytes are garbage until overwritten, so
-    consumers must honor the recorded packet length (the aliasing
-    property test pins this down).
-
-    The backing ``bytearray`` is allocated once and never resized,
-    which keeps its base address stable — the native stamper caches a
-    C pointer into it across calls.
-    """
-
-    __slots__ = ("buffer", "slot_size", "slots", "_cursor")
-
-    def __init__(self, slots: int = 64, slot_size: int = 2048):
-        if slots <= 0 or slot_size <= 0:
-            raise ValueError(
-                f"arena needs positive dimensions, got {slots} x {slot_size}"
-            )
-        self.buffer = bytearray(slots * slot_size)
-        self.slot_size = slot_size
-        self.slots = slots
-        self._cursor = 0
-
-    def reset(self) -> None:
-        """Recycle every slot for the next burst (no memory traffic)."""
-        self._cursor = 0
-
-    @property
-    def in_use(self) -> int:
-        return self._cursor
-
-    def take(self, length: int) -> int:
-        """Claim the next slot for a ``length``-byte packet; returns its
-        byte offset into :attr:`buffer`.
-
-        Callers size the arena for their burst (slot count) and MTU
-        (slot size); exceeding either is a programming error, not a
-        runtime condition, hence ``ValueError``.
-        """
-        if length > self.slot_size:
-            raise ValueError(
-                f"packet of {length} B exceeds arena slot size {self.slot_size}"
-            )
-        cursor = self._cursor
-        if cursor >= self.slots:
-            raise ValueError(f"arena exhausted: all {self.slots} slots in use")
-        self._cursor = cursor + 1
-        return cursor * self.slot_size
 
 
 class Writer:
@@ -87,14 +30,6 @@ class Writer:
 
     def u16(self, value: int) -> "Writer":
         self._parts.append(_U16.pack(value))
-        return self
-
-    def u32(self, value: int) -> "Writer":
-        self._parts.append(_U32.pack(value))
-        return self
-
-    def u64(self, value: int) -> "Writer":
-        self._parts.append(_U64.pack(value))
         return self
 
     def f64(self, value: float) -> "Writer":
@@ -140,12 +75,6 @@ class Reader:
     def u16(self) -> int:
         return _U16.unpack(self._take(2))[0]
 
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
-
     def f64(self) -> float:
         return _F64.unpack(self._take(8))[0]
 
@@ -153,7 +82,7 @@ class Reader:
         return self._take(size)
 
     def blob(self) -> bytes:
-        size = self.u32()
+        (size,) = _U32.unpack(self._take(4))
         return self._take(size)
 
     @property

@@ -27,7 +27,7 @@ from repro.dataplane import ColibriKeys, hop_authenticator
 from repro.dataplane.gateway import ColibriGateway, split_batch
 from repro.dataplane.router import BorderRouter, Verdict
 from repro.errors import BandwidthExceeded, ReservationNotFound
-from repro.packets.colibri import ColibriPacket, WirePacketView
+from repro.packets.colibri import ColibriPacket
 from repro.packets.fields import EerInfo, PathField, ResInfo
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
@@ -470,245 +470,6 @@ class TestBurstOfOne:
         assert trio_calls["trio/process"] == trio_calls["trio/process_batch"] > 100
         if kernel:
             assert 0 < trio_calls["kernel/process"] == trio_calls["kernel/process_batch"] < 20
-
-
-class TestPipelineBatch:
-    """The gateway's wire burst, carried router to router, gets the verdicts
-    ``ColibriNetwork.forward`` gives its object burst."""
-
-    @staticmethod
-    def _network():
-        from repro.sim import ColibriNetwork
-        from repro.topology import build_two_isd_topology
-
-        base = 0xFF00_0000_0000
-        src, dst = IsdAs(1, base + 101), IsdAs(2, base + 101)
-        net = ColibriNetwork(build_two_isd_topology())
-        net.reserve_segments(src, dst, gbps(1))
-        return src, net, net.establish_eer(src, dst, mbps(10))
-
-    def test_wire_walk_matches_object_walk(self):
-        """Each wire view is validated in place at every on-path router
-        and its hop pointer advanced; it must deliver or drop where
-        ``forward`` delivers or drops the same request's packet object."""
-        from repro.packets.wire import PacketArena
-
-        payloads = [b"w" * (64 + 29 * index) for index in range(8)]
-        payloads += [b"q" * 10_000] * 14  # the tail overruns the bucket
-        src, net, handle = self._network()
-        objects = []
-        for outcome in net.gateway(src).send_batch([(handle.reservation_id, p) for p in payloads]):
-            if isinstance(outcome, ColibriPacket):
-                report = net.forward(outcome)
-                objects.append((report.delivered, report.dropped_at))
-            else:
-                objects.append((False, src))
-
-        src, net, handle = self._network()
-        header = ColibriPacket.header_size_for(len(handle.hops), is_eer_data=True)
-        arena = PacketArena(slots=len(payloads), slot_size=header + max(map(len, payloads)))
-        outcomes = net.gateway(src).send_batch_wire(
-            [(handle.reservation_id, p) for p in payloads], arena
-        )
-        wires = [None if isinstance(o, WirePacketView) else (False, src) for o in outcomes]
-        wave = [(index, o) for index, o in enumerate(outcomes) if isinstance(o, WirePacketView)]
-        for hop in handle.hops:  # one burst, one path: the wave sits at one AS
-            parsed = [ColibriPacket.from_bytes(view.materialize()) for _, view in wave]
-            valid = net.router(hop.isd_as).validate_batch(parsed)
-            next_wave = []
-            for (index, view), ok in zip(wave, valid):
-                if not ok:
-                    wires[index] = (False, hop.isd_as)
-                elif view.hop_index + 1 == view.hop_count:
-                    wires[index] = (True, None)
-                else:
-                    view.advance_hop()
-                    next_wave.append((index, view))
-            wave = next_wave
-        assert not wave
-        assert (True, None) in wires and (False, src) in wires
-        assert wires == objects
-
-
-def run_wire_workload(mode):
-    """The randomized workload of :func:`run_workload`, through either
-    ``send_batch`` (``"object"``) or ``send_batch_wire`` (``"wire"``).
-
-    Halfway through, one reservation is renewed in place (version 2,
-    fresh σ, fresh bucket) — both paths must pick up the new schedule
-    at exactly the same packet.  Wire successes are returned as their
-    raw bytes (copied out before the next burst reclaims the arena), so
-    the equivalence assertion is exactly
-    ``view.materialize() == packet.to_bytes()`` across the workload.
-    """
-    from repro.packets.wire import PacketArena
-
-    clock, gateway, router, mid_keys = make_stack()
-    for local_id in WORKLOAD_IDS:
-        install(gateway, mid_keys, clock, bandwidth=mbps(1), local_id=local_id)
-    rng = random.Random(2026)
-    requests = []
-    for index in range(64):
-        if index % 17 == 13:
-            requests.append((ReservationId(SRC, 99), b""))  # never installed
-        else:
-            local_id = WORKLOAD_IDS[rng.randrange(len(WORKLOAD_IDS))]
-            requests.append(
-                (ReservationId(SRC, local_id), b"z" * rng.randrange(400, 1400))
-            )
-    RENEW_AT = 32  # burst boundary where WORKLOAD_IDS[0] renews to v2
-
-    wire_bytes = []
-    drops = []
-    position = 0
-    if mode == "wire":
-        arena = PacketArena(slots=16, slot_size=4096)
-        for start in range(0, len(requests), 16):
-            if start == RENEW_AT:
-                install(
-                    gateway, mid_keys, clock, bandwidth=mbps(1),
-                    local_id=WORKLOAD_IDS[0], version=2,
-                )
-            outcomes = gateway.send_batch_wire(requests[start : start + 16], arena)
-            for outcome in outcomes:
-                if isinstance(outcome, Exception):
-                    drops.append((position, type(outcome).__name__))
-                else:
-                    wire_bytes.append(outcome.materialize())
-                position += 1
-    else:
-        for start in range(0, len(requests), 16):
-            if start == RENEW_AT:
-                install(
-                    gateway, mid_keys, clock, bandwidth=mbps(1),
-                    local_id=WORKLOAD_IDS[0], version=2,
-                )
-            for outcome in gateway.send_batch(requests[start : start + 16]):
-                if isinstance(outcome, Exception):
-                    drops.append((position, type(outcome).__name__))
-                else:
-                    wire_bytes.append(outcome.to_bytes())
-                position += 1
-    return {
-        "bytes": wire_bytes,
-        "drops": drops,
-        "sent": gateway.packets_sent,
-        "dropped": gateway.packets_dropped,
-        "passed": gateway.monitor.packets_passed,
-    }
-
-
-class TestWireEquivalence:
-    """send_batch_wire ≡ send_batch: bytes, drops, counters, lifetimes."""
-
-    def test_wire_property_matches_object_path(self):
-        wire = run_wire_workload("wire")
-        obj = run_wire_workload("object")
-        assert wire["bytes"] == obj["bytes"]
-        assert wire["drops"] == obj["drops"]
-        assert len(wire["drops"]) > 0  # the workload exercises drops
-        assert wire["sent"] == obj["sent"]
-        assert wire["dropped"] == obj["dropped"]
-        assert wire["passed"] == obj["passed"]
-        # The mid-workload renewal really happened: the renewed id's
-        # packets carry both versions across the run.
-        renewed = ReservationId(SRC, WORKLOAD_IDS[0])
-        versions = {
-            packet.res_info.version
-            for packet in map(ColibriPacket.from_bytes, wire["bytes"])
-            if packet.res_info.reservation == renewed
-        }
-        assert versions == {1, 2}
-
-    def test_wire_packets_parse_and_verify_at_router(self):
-        from repro.packets.wire import PacketArena
-
-        clock, gateway, router, mid_keys = make_stack()
-        res_id, _ = install(gateway, mid_keys, clock)
-        arena = PacketArena(slots=8, slot_size=2048)
-        views = gateway.send_batch_wire([(res_id, b"pay")] * 4, arena)
-        for view in views:
-            packet = ColibriPacket.from_bytes(view.materialize())
-            packet.hop_index = 1
-            assert router.process(packet).verdict is Verdict.FORWARD
-
-    def test_views_occupy_disjoint_slots(self):
-        from repro.packets.wire import PacketArena
-
-        clock, gateway, router, mid_keys = make_stack()
-        res_id, _ = install(gateway, mid_keys, clock)
-        arena = PacketArena(slots=8, slot_size=2048)
-        views = gateway.send_batch_wire([(res_id, b"pay")] * 8, arena)
-        spans = sorted((view.offset, view.offset + view.length) for view in views)
-        for (_, end), (start, _) in zip(spans, spans[1:]):
-            assert end <= start
-        # All views window the one arena buffer — no copies were made.
-        assert all(view.buffer is arena.buffer for view in views)
-
-    def test_views_die_at_the_next_burst(self):
-        """The mbuf lifetime contract: send_batch_wire resets the arena,
-        so views from the previous burst alias the new burst's slots."""
-        from repro.packets.wire import PacketArena
-
-        clock, gateway, router, mid_keys = make_stack()
-        res_id, _ = install(gateway, mid_keys, clock)
-        arena = PacketArena(slots=8, slot_size=2048)
-        first = gateway.send_batch_wire([(res_id, b"A" * 64)], arena)[0]
-        kept = first.materialize()
-        second = gateway.send_batch_wire([(res_id, b"B" * 64)], arena)[0]
-        # Same storage, new packet: the stale view now shows new bytes.
-        assert first.offset == second.offset
-        assert first.materialize() == second.materialize()
-        assert first.materialize() != kept
-
-    def test_reused_slot_never_leaks_into_verdict(self):
-        """Buffer aliasing must not launder authenticity: after a slot
-        held a valid packet, a forged packet written into the *same*
-        slot must still verify False — the router may only read the
-        current bytes, never a verdict (or σ-cache hint) earned by the
-        slot's previous occupant."""
-        from repro.packets.wire import PacketArena
-
-        clock, gateway, router, mid_keys = make_stack()
-        res_id, _ = install(gateway, mid_keys, clock)
-        arena = PacketArena(slots=1, slot_size=2048)
-
-        first = gateway.send_batch_wire([(res_id, b"honest")], arena)[0]
-        first.advance_hop()  # arriving at the middle AS
-        assert router.validate_only(ColibriPacket.from_bytes(first.materialize()))
-
-        # The next burst reclaims the only slot, then the attacker (or
-        # a stale write) flips the current hop's HVF bytes in place.
-        second = gateway.send_batch_wire([(res_id, b"honest")], arena)[0]
-        assert second.offset == first.offset  # really the same storage
-        second.advance_hop()
-        offsets = ColibriPacket.wire_offsets(second.hop_count, True)
-        hvf_at = second.offset + offsets.hvf + second.hop_index * L_HVF
-        arena.buffer[hvf_at : hvf_at + L_HVF] = bytes(
-            byte ^ 0xFF for byte in arena.buffer[hvf_at : hvf_at + L_HVF]
-        )
-        assert not router.validate_only(ColibriPacket.from_bytes(second.materialize()))
-
-        # And an honest packet through the same slot verifies again —
-        # the False above came from the bytes, not a poisoned slot.
-        third = gateway.send_batch_wire([(res_id, b"honest")], arena)[0]
-        third.advance_hop()
-        assert router.validate_only(ColibriPacket.from_bytes(third.materialize()))
-
-    def test_wire_equals_object_for_every_backend(self, monkeypatch):
-        """Identity holds on the pure-Python fallback too."""
-        from repro.crypto import native
-        from repro.packets.wire import PacketArena
-
-        monkeypatch.setenv("COLIBRI_NATIVE", "0")
-        native.reset_for_tests()
-        try:
-            wire = run_wire_workload("wire")
-            obj = run_wire_workload("object")
-            assert wire["bytes"] == obj["bytes"]
-            assert wire["drops"] == obj["drops"]
-        finally:
-            native.reset_for_tests()
 
 
 @pytest.mark.skipif(_native_backend() is None, reason="native backend unavailable")

@@ -23,6 +23,7 @@ from repro.topology.addresses import HostAddr, IsdAs
 from repro.topology.graph import NO_INTERFACE
 from repro.topology.segments import HopField, Segment, SegmentType
 from repro.util.clock import SimClock
+from tests.test_topology import assert_joined
 
 SRC = IsdAs.parse("1-ff00:0:110")
 
@@ -387,7 +388,6 @@ class TestBeaconingProperties:
         """Every segment beaconing produces is structurally valid against
         its topology, on arbitrary generated hierarchies."""
         from repro.topology import Beaconing, build_internet_like
-        from tests.test_topology import assert_joined
 
         topology = build_internet_like(
             isd_count=isds, cores_per_isd=cores, depth=depth, seed=seed

@@ -14,7 +14,6 @@ from repro.errors import (
 )
 from repro.packets.colibri import ColibriPacket, PacketType
 from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp
-from repro.packets.wire import PacketArena
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
 from repro.util.clock import SimClock
@@ -144,14 +143,13 @@ class TestGateway:
             gateway.send(ReservationId(SRC, 99), b"c")
         assert plans == [[(res_id, b"a")], [(res_id, b"b")], [(ReservationId(SRC, 99), b"c")]]
 
-    @pytest.mark.parametrize("api", ["send", "send_batch", "send_batch_wire"])
+    @pytest.mark.parametrize("api", ["send", "send_batch"])
     def test_unwatched_flow_is_not_policed(self, api):
         """The monitor decides what is policed, live: a flow it stops
-        watching passes on every API, and policing resumes the moment it
+        watching passes on both APIs, and policing resumes the moment it
         watches the flow again."""
         clock, gateway, router, *_ = make_stack()
         res_id, _ = install(gateway, router.keys, clock, bandwidth=mbps(1))
-        arena = PacketArena(slots=200, slot_size=1200)
 
         def passed(count):
             requests = [(res_id, b"z" * 1000)] * count
@@ -164,10 +162,7 @@ class TestGateway:
                     except BandwidthExceeded:
                         pass
                 return sent
-            if api == "send_batch":
-                outcomes = gateway.send_batch(requests)
-            else:
-                outcomes = gateway.send_batch_wire(requests, arena)
+            outcomes = gateway.send_batch(requests)
             return sum(not isinstance(outcome, Exception) for outcome in outcomes)
 
         gateway.monitor.unwatch(res_id.packed)

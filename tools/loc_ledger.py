@@ -58,10 +58,10 @@ CHANGES_LINE_LIMIT = 800
 
 #: Upper bounds ROADMAP states, by row label; ``--check`` enforces them.
 BUDGETS = {
-    TOTAL: 17_455,
+    TOTAL: 17_159,
     "`obs/`": 2_002,
     "`control/`": 2_877,
-    "`dataplane/gateway.py` + `dataplane/router.py`": 985,
+    "`dataplane/gateway.py` + `dataplane/router.py`": 814,
     "`dataplane/{duplicate,ofd}.py`": 356,
     "`crypto/native.py`": 1_345,
     "`sim/campaign.py`": 739,
