@@ -34,11 +34,12 @@ e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e/test_smoke.py -q --noconftest
 	COLIBRI_NATIVE=0 $(PYTHON) benchmarks/e2e/run.py --workload burst_long_path --quick --blocks 2
 
-# The native kernel (MAC verify and stamps, colibri_burst and its flow table
-# against the Python policing bodies, every stop, the inputs it must refuse,
-# buffers freed and re-bound mid-script) under ASan + UBSan, then the whole
-# extension with the router's glue under both, the router's differential,
-# hostile-object and refcount tests against it, ~40 s.
+# The kernel and the glue compiled with -Wall -Wextra -Werror; the native
+# kernel (MAC verify and stamps, colibri_burst and its flow table against the
+# Python policing bodies, every stop, the inputs it must refuse, buffers freed
+# and re-bound mid-script) under ASan + UBSan, then the whole extension with
+# the glue under both, the router's and the gateway's differential,
+# hostile-input and refcount tests against it, ~60 s.
 native-asan:
 	PYTHONPATH=src $(PYTHON) tools/native_asan.py
 

@@ -389,17 +389,17 @@ def rekeying_gateway(path_length: int, reservations: int):
     hop, instead of the schedule prehashed at install."""
     gateway, ids = stamping_gateway(path_length, reservations)
 
-    def stamp(plan) -> bytes:
+    def stamp(outcomes) -> bytes:
         # A plan row is (entry, version, Ts word, payload, tag offset,
         # Ts ‖ PktSize); a drop is its error.
         return b"".join(
             truncated_mac(sigma, row[5], L_HVF)
-            for row in plan[0]
+            for row in outcomes
             if type(row) is tuple
             for sigma in row[1].hop_auths
         )
 
-    gateway._stamp = stamp
+    gateway._stamp, gateway._drive = stamp, None  # the Python body, which stamps through _stamp
     return gateway, ids
 
 

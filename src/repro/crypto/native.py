@@ -5,15 +5,15 @@ The paper's DPDK prototype reaches line rate because AES-NI computes a
 per-packet MAC in tens of cycles; the pure-Python data plane pays
 ``hashlib`` calls per hop plus Python glue around each.  This module is
 the reproduction's "hardware": keyed BLAKE2s in C, compiled on demand
-through cffi.  The gateway crosses once per packet (``colibri_stamp_t``:
-all hops), per single-reservation burst (``colibri_stamp_many_t``) or per
-mixed burst (``colibri_stamp_scatter_t``, see :class:`BurstStamper`).  The
-router crosses once per burst, into ``_colibri_glue`` (:data:`_GLUE`, CPython
-API, a second module in the same extension): it packs one 64-byte row per
-packet (:data:`ROW`), calls ``colibri_burst`` — steps 1 and 3-5 on the
-router's own tables through a ``colibri_police_t`` they re-point as they
-change, σ from a flow table in the same struct (:class:`BurstKernel`) — and
-builds each packet's ``RouterResult``, a drop's through ``_finish``.
+through cffi.  The gateway and the router each cross once per burst, into
+``_colibri_glue`` (:data:`_GLUE`, CPython API, a second module in the same
+extension).  The gateway's ``send`` plans each request as ``_plan`` does,
+stamps its hops with ``colibri_stamp_t`` and builds its packet.  The router's
+``burst`` packs one 64-byte row per packet (:data:`ROW`), calls
+``colibri_burst`` — steps 1 and 3-5 on the router's own tables through a
+``colibri_police_t`` they re-point as they change, σ from a flow table in the
+same struct (:class:`BurstKernel`) — and builds each packet's
+``RouterResult``, a drop's through ``_finish``.
 
 Byte-identity is the admission contract (docs/performance.md): for every
 key and message, ``ScheduleBlock(backend, [key]).stamp_flat(msg) ==
@@ -97,11 +97,6 @@ void colibri_stamp_t(const uint32_t *scheds_t, size_t nscheds,
 void colibri_stamp_many_t(const uint32_t *scheds_t, size_t nscheds,
                           const uint8_t *msgs, size_t msglen, size_t nmsgs,
                           uint8_t *out, size_t tag_len);
-void colibri_stamp_scatter_t(uint32_t * const *scheds_t,
-                             const int32_t *nscheds,
-                             const uint8_t *msgs, size_t msglen, size_t npkts,
-                             uint8_t *out, const int64_t *offsets,
-                             size_t tag_len);
 """
 
 _SOURCE = r"""
@@ -390,9 +385,10 @@ void colibri_stamp_many_t(const uint32_t *scheds_t, size_t nscheds,
                           const uint8_t *msgs, size_t msglen, size_t nmsgs,
                           uint8_t *out, size_t tag_len)
 {
-    size_t p, i;
+    size_t p;
 #ifdef COLIBRI_AVX2
     if (colibri_has_avx2() && msglen <= 64) {
+        size_t i;
         uint32_t m[16];
         uint64_t t = 64 + msglen;
         for (p = 0; p < nmsgs; p++) {
@@ -411,44 +407,6 @@ void colibri_stamp_many_t(const uint32_t *scheds_t, size_t nscheds,
     for (p = 0; p < nmsgs; p++)
         colibri_stamp_t(scheds_t, nscheds, msgs + p * msglen, msglen,
                         out + p * nscheds * tag_len, tag_len);
-}
-
-void colibri_stamp_scatter_t(uint32_t * const *scheds_t,
-                             const int32_t *nscheds,
-                             const uint8_t *msgs, size_t msglen, size_t npkts,
-                             uint8_t *out, const int64_t *offsets,
-                             size_t tag_len)
-{
-    size_t p, i;
-#ifdef COLIBRI_AVX2
-    if (colibri_has_avx2() && msglen <= 64) {
-        uint32_t m[16];
-        uint64_t t = 64 + msglen;
-        for (p = 0; p < npkts; p++) {
-            const uint32_t *st = scheds_t[p];
-            uint8_t *row = out + offsets[p];
-            size_t hops = (size_t)nscheds[p];
-            if (p + 1 < npkts) {
-                const char *next = (const char *)scheds_t[p + 1];
-                size_t nbytes = (((size_t)nscheds[p + 1] + 7) / 8) * 256;
-                size_t line;
-                for (line = 0; line < nbytes; line += 64)
-                    __builtin_prefetch(next + line, 0, 1);
-            }
-            b2s_block_words(msgs + p * msglen, msglen, m);
-            for (i = 0; i < hops; i += 8) {
-                size_t lanes = hops - i;
-                if (lanes > 8) lanes = 8;
-                b2s_tails_words_x8(st + i * 8, m, t, row + i * tag_len,
-                                   lanes, tag_len);
-            }
-        }
-        return;
-    }
-#endif
-    for (p = 0; p < npkts; p++)
-        colibri_stamp_t(scheds_t[p], (size_t)nscheds[p], msgs + p * msglen,
-                        msglen, out + offsets[p], tag_len);
 }
 
 /* Constant-time verify of one (truncated) tag; mac_out gets all 16 bytes. */
@@ -697,8 +655,9 @@ long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
 """
 
 #: ``BorderRouter._burst``'s one native call, ``burst``: rows, ``colibri_burst`` and the
-#: results in one call, back to Python only at a row it must see; a CPython
-#: module in the same extension, since cffi takes no Python objects.
+#: results in one call; ``ColibriGateway.send_batch``'s, ``send``: plan, Eq. (6)
+#: and packets in one call.  Each goes back to Python only at a row it must see;
+#: a CPython module in the same extension, since cffi takes no Python objects.
 _GLUE = r"""
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -707,13 +666,34 @@ _GLUE = r"""
 """ + _POLICE_T + _CODES + r"""
 long colibri_burst(colibri_police_t *p, uint8_t *rows, size_t nrows,
                    size_t start, uint8_t *verdicts, double now, int validate);
-#define BYTES(o, n) (PyBytes_CheckExact(o) && PyBytes_GET_SIZE(o) == (n))
+void colibri_stamp_t(const uint32_t *scheds_t, size_t nscheds, const uint8_t *msg, size_t msglen,
+                     uint8_t *out, size_t tag_len);
+#define BYTES(o, n) ((o) != NULL && PyBytes_CheckExact(o) && PyBytes_GET_SIZE(o) == (n))
 #define SLOT(o, at) (*(PyObject **)((char *)(o) + (at)))
-enum { ROW_, HOP, HVFS, KERNEL, STATS, DUPLICATES, CURRENT, INSERTIONS, OFD, SEEN, MONITOR, PASSED, FINISH, NAMES };
+#define TYPE(k) ((PyTypeObject *)Bound[k])
+enum { ROW_, HOP, HVFS, KERNEL, STATS, DUPLICATES, CURRENT, INSERTIONS, OFD, SEEN, MONITOR, PASSED, FINISH, PACKED,
+       TABLE, BUCKETS, SENT, LATEST, RES, SCHEDULE, HEAD, LAST, HEADER, LABEL, PATH, PAIRS, EER, TYPE_, TS, PAYLOAD,
+       MICROS, SEQUENCE, NAMES };
 static const char *names[NAMES] = {"_row", "hop_index", "hvfs", "kernel", "stats", "duplicates", "_current",
-                                   "insertions", "ofd", "packets_seen", "monitor", "packets_passed", "_finish"};
-static PyObject *Name[NAMES], *ONE, *Bound[5];  /* ColibriPacket, HvfVector, RouterResult, the Verdict of each code, BurstKernel */
-static Py_ssize_t at[5];  /* HvfVector's buffer and start slots, BurstKernel's _struct, rows and verdicts */
+                                   "insertions", "ofd", "packets_seen", "monitor", "packets_passed", "_finish", "packed",
+                                   "_reservations", "_buckets", "packets_sent", "_latest", "res_info", "_schedule",
+                                   "_row_head", "last_micros", "header_size", "packed_id", "path", "interface_pairs",
+                                   "eer_info", "packet_type", "timestamp", "payload", "micros_before_expiry", "sequence"};
+static const int keys[9] = {TYPE_, PATH, RES, TS, HVFS, EER, PAYLOAD, HOP, ROW_};  /* ColibriPacket.trusted's dict */
+/* What bind() takes, each by its class name (the Verdict of each code: a tuple), and the slots read off them. */
+enum { K_PACKET, K_HVFS, K_RESULT, K_VERDICTS, K_KERNEL, K_TS, K_ENTRY, K_VERSION, K_ID, K_RES, K_PATH, K_BUCKET,
+       K_SCHEDULE, KINDS };
+static const char *kinds[KINDS] = {"ColibriPacket", "HvfVector", "RouterResult", "tuple", "BurstKernel", "Timestamp",
+                                   "GatewayReservation", "GatewayVersion", "ReservationId", "ResInfo", "PathField",
+                                   "TokenBucket", "ScheduleBlock"};
+enum { S_BUFFER, S_START, S_STRUCT, S_ROWS, S_VERDICTS, S_COUNT, S_RATE, S_DEPTH, S_TOKENS, S_UPDATED, S_HOPS, S_TAG,
+       S_LANES, SLOTS };
+static const struct { int kind; const char *name; } slots[SLOTS] = {
+    {K_HVFS, "buffer"}, {K_HVFS, "start"}, {K_KERNEL, "_struct"}, {K_KERNEL, "rows"}, {K_KERNEL, "verdicts"},
+    {K_HVFS, "count"}, {K_BUCKET, "rate"}, {K_BUCKET, "depth"}, {K_BUCKET, "_tokens"}, {K_BUCKET, "_updated"},
+    {K_SCHEDULE, "count"}, {K_SCHEDULE, "tag_len"}, {K_SCHEDULE, "_lanes"}};
+static PyObject *Name[NAMES], *ZERO, *ONE, *EMPTY, *Packet, *Bound[KINDS];  /* Packet: a packet dict's keys, in order */
+static Py_ssize_t at[SLOTS];
 
 /* An exact int in [0, most], else -1. */
 static long small(PyObject *o, long most)
@@ -731,7 +711,7 @@ static int gather_one(PyObject *packet, uint8_t *row)
     PyObject *state, *memo, *hvfs, *pairs, *pair, *buffer;
     long hop, in, eg, last, flags, start;
     const char *hvf = NULL;
-    if (!Py_IS_TYPE(packet, (PyTypeObject *)Bound[0]) || (state = PyObject_GenericGetDict(packet, NULL)) == NULL)
+    if (!Py_IS_TYPE(packet, TYPE(K_PACKET)) || (state = PyObject_GenericGetDict(packet, NULL)) == NULL)
         return PyErr_Clear(), 0;
     Py_XINCREF(memo = PyDict_GetItemWithError(state, Name[ROW_]));
     Py_XINCREF(hvfs = PyDict_GetItemWithError(state, Name[HVFS]));
@@ -743,8 +723,8 @@ static int gather_one(PyObject *packet, uint8_t *row)
         && PyTuple_CheckExact(pair = PyTuple_GET_ITEM(pairs, hop)) && PyTuple_GET_SIZE(pair) == 2
         && (in = small(PyTuple_GET_ITEM(pair, 0), 0xFFFF)) >= 0 && (eg = small(PyTuple_GET_ITEM(pair, 1), 0xFFFF)) >= 0
         && (last = small(PyTuple_GET_ITEM(memo, 3), 0xFF)) >= 0 && (flags = small(PyTuple_GET_ITEM(memo, 4), 0xFF)) >= 0) {
-        buffer = Py_IS_TYPE(hvfs, (PyTypeObject *)Bound[1]) ? SLOT(hvfs, at[0]) : NULL;
-        start = buffer ? small(SLOT(hvfs, at[1]), LONG_MAX / 8) + 4 * hop : -1;
+        buffer = Py_IS_TYPE(hvfs, TYPE(K_HVFS)) ? SLOT(hvfs, at[S_BUFFER]) : NULL;
+        start = buffer ? small(SLOT(hvfs, at[S_START]), LONG_MAX / 8) + 4 * hop : -1;
         if (buffer && PyBytes_CheckExact(buffer) && start >= 4 * hop && start + 4 <= PyBytes_GET_SIZE(buffer))
             hvf = PyBytes_AS_STRING(buffer) + start;
         else if ((PyList_CheckExact(hvfs) || PyTuple_CheckExact(hvfs)) && hop < PySequence_Fast_GET_SIZE(hvfs)
@@ -784,23 +764,21 @@ static int repeats(PyObject *const *packets, Py_ssize_t count, uint8_t *rows)
     return 0;
 }
 
-/* What the Python body counts for the rows a call forwarded, delivered
-   (n[0], n[1]) or handed over at OVER (n[2]), up to the first that fails:
-   stats[FORWARD], stats[DELIVER_HOST], duplicates._current.insertions,
-   ofd.packets_seen, monitor.packets_passed.  A pending error stays the one raised. */
-static void flush(PyObject *router, const Py_ssize_t n[3])
+/* owner.<path[k]> += by[k] for each of `count` counters with a count, up to
+   the first that fails: path[k] names the holder, an attribute of the owner
+   (-1: the owner itself), an attribute of that (0: none) and the counter, an
+   attribute or, negated, a verdict code whose Verdict keys the holder's item.
+   A pending error stays the one raised. */
+static void flush(PyObject *owner, const int (*path)[3], const Py_ssize_t *by, int count)
 {
-    static const int path[5][3] = {{STATS, 0, -V_FORWARD}, {STATS, 0, -V_DELIVER}, {DUPLICATES, CURRENT, INSERTIONS},
-                                   {OFD, 0, SEEN}, {MONITOR, 0, PASSED}};
-    Py_ssize_t by[5] = {n[0], n[1], n[0] + n[1] + n[2], n[0] + n[1] + n[2], n[0] + n[1]};
     PyObject *type, *value, *trace, *holder, *key, *old, *delta, *sum;
     int k;
     PyErr_Fetch(&type, &value, &trace);
-    for (k = 0; k < 5 && !PyErr_Occurred(); k++) {
+    for (k = 0; k < count && !PyErr_Occurred(); k++) {
         if (by[k] == 0) continue;
-        holder = PyObject_GetAttr(router, Name[path[k][0]]);
+        holder = path[k][0] < 0 ? (Py_INCREF(owner), owner) : PyObject_GetAttr(owner, Name[path[k][0]]);
         if (holder != NULL && path[k][1]) Py_SETREF(holder, PyObject_GetAttr(holder, Name[path[k][1]]));
-        key = path[k][2] < 0 ? PyTuple_GET_ITEM(Bound[3], -path[k][2]) : Name[path[k][2]];
+        key = path[k][2] < 0 ? PyTuple_GET_ITEM(Bound[K_VERDICTS], -path[k][2]) : Name[path[k][2]];
         old = holder ? (path[k][2] < 0 ? PyObject_GetItem(holder, key) : PyObject_GetAttr(holder, key)) : NULL;
         delta = old ? PyLong_FromSsize_t(by[k]) : NULL;
         if ((sum = delta ? PyNumber_Add(old, delta) : NULL) != NULL)
@@ -824,7 +802,7 @@ static int emit(PyObject *router, PyObject *packet, const uint8_t *row, int code
     if (code == V_DUPLICATE && (caught = PyObject_GetAttr(router, Name[DUPLICATES])) != NULL)
         Py_SETREF(caught, PyObject_CallMethod(caught, "_caught", "y#", (const char *)row, (Py_ssize_t)16));
     if (code >= V_EXPIRED && (code != V_DUPLICATE || caught != NULL))
-        result = PyObject_CallMethodObjArgs(router, Name[FINISH], packet, PyTuple_GET_ITEM(Bound[3], code), NULL);
+        result = PyObject_CallMethodObjArgs(router, Name[FINISH], packet, PyTuple_GET_ITEM(Bound[K_VERDICTS], code), NULL);
     if (code == V_FORWARD && (hop = PyObject_GetAttr(packet, Name[HOP])) != NULL) {
         if ((next = PyNumber_Add(hop, ONE)) != NULL && PyObject_SetAttr(packet, Name[HOP], next) < 0)
             Py_CLEAR(next);
@@ -832,10 +810,10 @@ static int emit(PyObject *router, PyObject *packet, const uint8_t *row, int code
     }
     if (code == V_DELIVER || next != NULL) {
         counted[code - V_FORWARD]++;
-        result = ((PyTypeObject *)Bound[2])->tp_alloc((PyTypeObject *)Bound[2], 3);
+        result = TYPE(K_RESULT)->tp_alloc(TYPE(K_RESULT), 3);
         if (result != NULL) {
-            Py_INCREF(PyTuple_GET_ITEM(Bound[3], code)), Py_INCREF(packet);
-            PyTuple_SET_ITEM(result, 0, PyTuple_GET_ITEM(Bound[3], code));
+            Py_INCREF(PyTuple_GET_ITEM(Bound[K_VERDICTS], code)), Py_INCREF(packet);
+            PyTuple_SET_ITEM(result, 0, PyTuple_GET_ITEM(Bound[K_VERDICTS], code));
             PyTuple_SET_ITEM(result, 1, packet);
             PyTuple_SET_ITEM(result, 2, code == V_DELIVER ? (Py_INCREF(Py_None), Py_None) : PyLong_FromLong(row[40] << 8 | row[41]));
             if (PyTuple_GET_ITEM(result, 2) == NULL) Py_CLEAR(result);
@@ -857,6 +835,8 @@ static int emit(PyObject *router, PyObject *packet, const uint8_t *row, int code
    whatever Python code runs in it; its tallies are flushed, also when it raises. */
 static PyObject *burst(PyObject *self, PyObject *const *args, Py_ssize_t n)
 {
+    static const int counters[5][3] = {{STATS, 0, -V_FORWARD}, {STATS, 0, -V_DELIVER}, {DUPLICATES, CURRENT, INSERTIONS},
+                                       {OFD, 0, SEEN}, {MONITOR, 0, PASSED}};
     PyObject *router = n == 8 ? args[0] : NULL, *kernel, *seq = NULL, *state, *rows, *verdicts, *flags, *const *packets;
     Py_buffer row_view = {0}, verdict_view = {0};
     Py_ssize_t count = 0, start, gathered, i, counted[3] = {0, 0, 0};
@@ -864,14 +844,15 @@ static PyObject *burst(PyObject *self, PyObject *const *args, Py_ssize_t n)
     double now;
     long stop = -1;
     int validate, flag;
-    if (router == NULL || Bound[4] == NULL || !PyList_Check(args[2]))
+    (void)self;
+    if (router == NULL || Bound[K_KERNEL] == NULL || !PyList_Check(args[2]))
         return PyErr_Format(PyExc_TypeError, "burst(router, packets, results, now, validate, start, gathered, flag) after bind()");
     now = PyFloat_AsDouble(args[3]), validate = PyObject_IsTrue(args[4]), flag = PyObject_IsTrue(args[7]);
     start = PyLong_AsSsize_t(args[5]), gathered = PyLong_AsSsize_t(args[6]);
     if (validate < 0 || flag < 0 || PyErr_Occurred() || (kernel = PyObject_GetAttr(router, Name[KERNEL])) == NULL)
         return NULL;
-    state = Py_IS_TYPE(kernel, (PyTypeObject *)Bound[4]) ? SLOT(kernel, at[2]) : NULL;
-    rows = state ? SLOT(kernel, at[3]) : NULL, verdicts = state ? SLOT(kernel, at[4]) : NULL;
+    state = Py_IS_TYPE(kernel, TYPE(K_KERNEL)) ? SLOT(kernel, at[S_STRUCT]) : NULL;
+    rows = state ? SLOT(kernel, at[S_ROWS]) : NULL, verdicts = state ? SLOT(kernel, at[S_VERDICTS]) : NULL;
     Py_XINCREF(state);
     if (!rows || !verdicts || !PyByteArray_Check(rows) || !PyByteArray_Check(verdicts)
         || !PyByteArray_Check(state) || PyByteArray_GET_SIZE(state) != sizeof(colibri_police_t))
@@ -903,48 +884,224 @@ static PyObject *burst(PyObject *self, PyObject *const *args, Py_ssize_t n)
     counted[2] += stop < count && verdict[stop] == V_OVER;
     stop = stop == count ? -1 : stop;
 done:
-    if (!validate) flush(router, counted);
+    if (!validate) {  /* what the Python body counts for the rows forwarded, delivered or handed over at OVER */
+        Py_ssize_t by[5] = {counted[0], counted[1], counted[0] + counted[1] + counted[2], counted[0] + counted[1] + counted[2],
+                            counted[0] + counted[1]};
+        flush(router, counters, by, 5);
+    }
     PyBuffer_Release(&row_view), PyBuffer_Release(&verdict_view);
     Py_XDECREF(seq), Py_XDECREF(state), Py_DECREF(kernel);
     return PyErr_Occurred() ? NULL : PyLong_FromLong(stop);
 }
 
-/* bind(ColibriPacket, HvfVector, RouterResult, verdicts, BurstKernel): `verdicts`
-   is a tuple of the Verdict each code FORWARD to DUPLICATE means, at its value. */
+/* ---- the gateway: ColibriGateway.send_batch in one call ---------------------- */
+
+/* `owner`'s instance dict, borrowed (the owner keeps it) until Python code runs; NULL and no error if none. */
+static PyObject *state_of(PyObject *owner)
+{
+    PyObject *state = owner != NULL ? PyObject_GenericGetDict(owner, NULL) : NULL;
+    Py_XDECREF(state);
+    PyErr_Clear();
+    return state;
+}
+
+/* A new reference to item `name` of the instance dict `state` if exactly a `type` (any, if NULL), else NULL. */
+static PyObject *item(PyObject *state, int name, PyTypeObject *type)
+{
+    PyObject *value = state != NULL ? PyDict_GetItemWithError(state, Name[name]) : NULL;
+    if (value == NULL || (type != NULL && !Py_IS_TYPE(value, type))) return NULL;
+    Py_INCREF(value);
+    return value;
+}
+
+/* An exact float's value into d: 1, else 0. */
+#define REAL(o, d) ((o) != NULL && PyFloat_CheckExact(o) && ((d) = PyFloat_AS_DOUBLE(o), 1))
+
+/* A new object of a class bind() took, as object.__new__ makes it; ALLOC: no
+   instance dict made yet (ColibriPacket.trusted sets one). */
+#define NEW(k) PyBaseObject_Type.tp_new(TYPE(k), EMPTY, NULL)
+#define ALLOC(k) TYPE(k)->tp_alloc(TYPE(k), 0)
+
+/* The packet _plan, _stamp and _emit_packets make of `request` at `when`: an
+   exact ColibriPacket (EER_DATA) with its `_row` memo and a tag string of its
+   own, its EER's last_micros and token bucket moved as _plan moves them
+   (*moved set once they are).  NULL and no error: the request is Python's -- a
+   missing or expired latest version, an out-of-range Ts, a bucket drop, a
+   version without a native schedule, or any object not exactly as the gateway
+   writes it -- and nothing moved. */
+static PyObject *stamp_one(PyObject *request, PyObject *table, PyObject *buckets, PyObject *when, int *moved)
+{
+    enum { ENTRY, VERSION, RES_, PATH_, PAIRS_, EER_, HEAD_, SCHED, LANES, LAST_, SIZE_, LABEL_, BUCKET, HELD };
+    enum { M_MICROS, M_SEQ, M_LAST, M_TOKENS, M_TAGS, M_MESSAGE, M_PACKED, M_TS, M_HVFS, M_COUNT, M_HOP, M_ROW, M_DICT, MADE };
+    PyObject *held[HELD] = {NULL}, *made[MADE] = {NULL}, *state, *id, *payload, *key, *lanes = NULL, *packet = NULL;
+    double now = PyFloat_AS_DOUBLE(when), expiry = 0, span = 0, tokens = 0, updated = 0, rate = 0, depth = 0;
+    long long micros, sequence = 0, hops = -1, size = -1, previous;
+    unsigned long long word;
+    int k, overflow = 0, refill = 0, ok;
+    uint8_t message[12], tags[4 * 255];
+    if (!PyTuple_CheckExact(request) || PyTuple_GET_SIZE(request) != 2 || !Py_IS_TYPE(id = PyTuple_GET_ITEM(request, 0), TYPE(K_ID))
+        || !PyBytes_CheckExact(payload = PyTuple_GET_ITEM(request, 1)) || (key = item(state_of(id), PACKED, &PyBytes_Type)) == NULL)
+        return NULL;
+    held[ENTRY] = PyDict_GetItemWithError(table, key);
+    Py_DECREF(key);
+    if (held[ENTRY] == NULL || !Py_IS_TYPE(held[ENTRY], TYPE(K_ENTRY)))
+        return PyErr_Clear(), NULL;
+    Py_INCREF(held[ENTRY]);
+    state = state_of(held[ENTRY]);
+    held[VERSION] = item(state, LATEST, TYPE(K_VERSION)), held[PATH_] = item(state, PATH, TYPE(K_PATH));
+    held[EER_] = item(state, EER, NULL), held[LAST_] = item(state, LAST, NULL);
+    held[SIZE_] = item(state, HEADER, &PyLong_Type), held[LABEL_] = item(state, LABEL, &PyBytes_Type);
+    state = state_of(held[VERSION]);
+    held[RES_] = item(state, RES, TYPE(K_RES)), held[HEAD_] = item(state, HEAD, &PyBytes_Type);
+    held[SCHED] = item(state, SCHEDULE, TYPE(K_SCHEDULE)), held[PAIRS_] = item(state_of(held[PATH_]), PAIRS, &PyTuple_Type);
+    if ((held[BUCKET] = held[LABEL_] ? PyDict_GetItemWithError(buckets, held[LABEL_]) : NULL) != NULL) Py_INCREF(held[BUCKET]);
+    PyErr_Clear();
+    if (held[SCHED] != NULL)
+        hops = small(SLOT(held[SCHED], at[S_HOPS]), 255), Py_XINCREF(held[LANES] = lanes = SLOT(held[SCHED], at[S_LANES]));
+    /* The latest live version, the Ts word and its range, PktSize, as _plan reads them. */
+    ok = held[RES_] && PyTuple_GET_SIZE(held[RES_]) == 4 && held[PAIRS_] && held[EER_] && BYTES(held[HEAD_], 38)
+         && held[LAST_] && held[LABEL_] && hops > 0 && PyTuple_GET_SIZE(held[PAIRS_]) == hops
+         && small(SLOT(held[SCHED], at[S_TAG]), 16) == 4 && lanes && PyByteArray_CheckExact(lanes)
+         && PyByteArray_GET_SIZE(lanes) >= 256 * ((hops + 7) / 8)
+         && REAL(PyTuple_GET_ITEM(held[RES_], 2), expiry) && now < expiry && (span = (expiry - now) * 1e6) < 281474976710656.0
+         && (size = small(held[SIZE_], 0xFFFF)) >= 0 && (size += PyBytes_GET_SIZE(payload)) <= 0xFFFFFFFFLL;
+    micros = ok ? (long long)span : 0;  /* int() of a float in [0, 2^48): truncated */
+    if (ok && held[LAST_] != Py_None) {
+        ok = PyTuple_CheckExact(held[LAST_]) && PyTuple_GET_SIZE(held[LAST_]) == 2 && PyLong_CheckExact(PyTuple_GET_ITEM(held[LAST_], 0));
+        previous = ok ? PyLong_AsLongLongAndOverflow(PyTuple_GET_ITEM(held[LAST_], 0), &overflow) : -1;
+        if (ok && !overflow && previous == micros)
+            ok = (sequence = small(PyTuple_GET_ITEM(held[LAST_], 1), 0xFFFE) + 1) > 0;
+    }
+    /* TokenBucket.conforms as _plan inlines it: the same double operations in the same order. */
+    if (ok && held[BUCKET] != NULL) {
+        ok = Py_IS_TYPE(held[BUCKET], TYPE(K_BUCKET)) && REAL(SLOT(held[BUCKET], at[S_TOKENS]), tokens)
+             && REAL(SLOT(held[BUCKET], at[S_UPDATED]), updated);
+        if (ok && now > updated) {
+            ok = REAL(SLOT(held[BUCKET], at[S_DEPTH]), depth) && REAL(SLOT(held[BUCKET], at[S_RATE]), rate);
+            tokens += (now - updated) * rate;
+            if (tokens > depth) tokens = depth;
+            refill = 1;
+        }
+        ok = ok && (double)(size * 8) <= tokens;  /* else a drop: monitor.record_drop is Python's */
+    }
+    if (!ok) goto done;
+    /* Eq. (6) over Ts || PktSize, one tag per hop, before any Python code can run. */
+    word = (unsigned long long)micros << 16 | (unsigned long long)sequence;
+    for (k = 0; k < 12; k++) message[k] = (uint8_t)(k < 8 ? word >> (56 - 8 * k) : (unsigned long long)size >> (88 - 8 * k));
+    colibri_stamp_t((const uint32_t *)PyByteArray_AS_STRING(lanes), (size_t)hops, message, 12, tags, 4);
+    *moved = 1;
+    if ((made[M_MICROS] = PyLong_FromLongLong(micros)) == NULL || (made[M_SEQ] = PyLong_FromLongLong(sequence)) == NULL
+        || (made[M_LAST] = PyTuple_Pack(2, made[M_MICROS], made[M_SEQ])) == NULL
+        || PyObject_SetAttr(held[ENTRY], Name[LAST], made[M_LAST]) < 0
+        || (held[BUCKET] != NULL && (made[M_TOKENS] = PyFloat_FromDouble(tokens - (double)(size * 8))) == NULL))
+        goto done;
+    if (held[BUCKET] != NULL) {
+        Py_INCREF(made[M_TOKENS]);
+        Py_XSETREF(SLOT(held[BUCKET], at[S_TOKENS]), made[M_TOKENS]);
+        if (refill) {
+            Py_INCREF(when);
+            Py_XSETREF(SLOT(held[BUCKET], at[S_UPDATED]), when);
+        }
+    }
+    if ((made[M_TAGS] = PyBytes_FromStringAndSize((const char *)tags, 4 * hops)) == NULL
+        || (made[M_MESSAGE] = PyBytes_FromStringAndSize((const char *)message, 12)) == NULL
+        || (made[M_PACKED] = PyBytes_FromStringAndSize((const char *)message, 8)) == NULL
+        || (made[M_TS] = NEW(K_TS)) == NULL || PyObject_SetAttr(made[M_TS], Name[MICROS], made[M_MICROS]) < 0
+        || PyObject_SetAttr(made[M_TS], Name[SEQUENCE], made[M_SEQ]) < 0 || PyObject_SetAttr(made[M_TS], Name[PACKED], made[M_PACKED]) < 0
+        || (made[M_COUNT] = PyLong_FromLongLong(hops)) == NULL || (made[M_HOP] = PyLong_FromLongLong(hops - 1)) == NULL
+        || (made[M_HVFS] = ALLOC(K_HVFS)) == NULL
+        || (made[M_ROW] = PyTuple_Pack(5, held[HEAD_], made[M_MESSAGE], held[PAIRS_], made[M_HOP], ZERO)) == NULL
+        || (made[M_DICT] = PyDict_Copy(Packet)) == NULL)
+        goto done;
+    Py_INCREF(made[M_TAGS]), Py_INCREF(ZERO), Py_INCREF(made[M_COUNT]);  /* HvfVector(tags, 0, hops) */
+    SLOT(made[M_HVFS], at[S_BUFFER]) = made[M_TAGS], SLOT(made[M_HVFS], at[S_START]) = ZERO, SLOT(made[M_HVFS], at[S_COUNT]) = made[M_COUNT];
+    {
+        PyObject *values[9] = {ONE, held[PATH_], held[RES_], made[M_TS], made[M_HVFS], held[EER_], payload, ZERO, made[M_ROW]};
+        for (k = 0; k < 9; k++)
+            if (PyDict_SetItem(made[M_DICT], Name[keys[k]], values[k]) < 0) goto done;
+    }
+    if ((packet = ALLOC(K_PACKET)) != NULL && PyObject_GenericSetDict(packet, made[M_DICT], NULL) < 0) Py_CLEAR(packet);
+done:
+    for (k = 0; k < HELD; k++) Py_XDECREF(held[k]);
+    for (k = 0; k < MADE; k++) Py_XDECREF(made[k]);
+    return packet;
+}
+
+/* send(gateway, requests, outcomes, now, start) -> the request Python must
+   serve, or -1: done.  ColibriGateway.send_batch's native call: from `start`,
+   each request of the tuple becomes stamp_one's packet on `outcomes` until one
+   is Python's; gateway.packets_sent and monitor.packets_passed count what
+   stamp_one moved, also when it raises. */
+static PyObject *send(PyObject *self, PyObject *const *args, Py_ssize_t n)
+{
+    static const int counters[2][3] = {{-1, 0, SENT}, {MONITOR, 0, PASSED}};
+    PyObject *gateway = n == 5 ? args[0] : NULL, *table = NULL, *monitor = NULL, *buckets = NULL, *packet;
+    Py_ssize_t start = gateway ? PyLong_AsSsize_t(args[4]) : -1, i, count = 0, sent[2] = {0, 0};
+    int k, moved;
+    (void)self;
+    for (k = K_TS; k < KINDS && Bound[k] != NULL; k++);
+    if (gateway == NULL || k < KINDS || Bound[K_PACKET] == NULL || Bound[K_HVFS] == NULL || !PyTuple_CheckExact(args[1])
+        || !PyList_Check(args[2]) || start < 0 || start > (count = PyTuple_GET_SIZE(args[1])))
+        return PyErr_Occurred() ? NULL : PyErr_Format(PyExc_TypeError, "send(gateway, requests, outcomes, now, start) after bind()");
+    if ((table = PyObject_GetAttr(gateway, Name[TABLE])) != NULL && (monitor = PyObject_GetAttr(gateway, Name[MONITOR])) != NULL)
+        buckets = PyObject_GetAttr(monitor, Name[BUCKETS]);
+    for (i = start; buckets && PyDict_CheckExact(table) && PyDict_CheckExact(buckets) && PyFloat_CheckExact(args[3]) && i < count; i++) {
+        moved = 0, packet = stamp_one(PyTuple_GET_ITEM(args[1], i), table, buckets, args[3], &moved);
+        sent[0] += moved, sent[1] += moved;
+        k = packet != NULL ? PyList_Append(args[2], packet) : -1;
+        Py_XDECREF(packet);
+        if (k < 0) break;
+    }
+    flush(gateway, counters, sent, 2);
+    Py_XDECREF(table), Py_XDECREF(monitor), Py_XDECREF(buckets);
+    return PyErr_Occurred() ? NULL : PyLong_FromSsize_t(i < count ? i : -1);
+}
+
+/* bind(*classes): the classes the glue reads and builds, each by its name in
+   `kinds`, and the offsets of their slots it reads; the router's `verdicts`
+   is the tuple of the Verdict each code FORWARD to DUPLICATE means, at its value. */
 static PyObject *bind(PyObject *self, PyObject *const *args, Py_ssize_t n)
 {
-    static const char *slots[5] = {"buffer", "start", "_struct", "rows", "verdicts"};
     PyObject *member;
-    Py_ssize_t found[5], k;
-    for (k = 0; n == 5 && k < 5 && PyType_Check(args[k < 2 ? 1 : 4]); k++) {
-        member = PyObject_GetAttrString(args[k < 2 ? 1 : 4], slots[k]);
-        found[k] = member && Py_IS_TYPE(member, &PyMemberDescr_Type) ? ((PyMemberDescrObject *)member)->d_member->offset : -1;
-        Py_XDECREF(member);
-        if (found[k] < 0) break;
-    }
-    if (k < 5 || !PyType_Check(args[0]) || !PyType_Check(args[2]) || !PyType_IsSubtype((PyTypeObject *)args[2], &PyTuple_Type)
-        || !PyTuple_CheckExact(args[3]) || PyTuple_GET_SIZE(args[3]) != V_DUPLICATE + 1) {
-        PyErr_Clear();
-        return PyErr_Format(PyExc_TypeError, "bind(ColibriPacket, HvfVector, RouterResult, verdicts, BurstKernel)");
-    }
-    memcpy(at, found, sizeof at);
-    for (k = 0; k < 5; k++) {
-        Py_INCREF(args[k]);
-        Py_XSETREF(Bound[k], args[k]);
+    Py_ssize_t i, found[SLOTS];
+    int k, s;
+    (void)self;
+    for (i = 0; i < n; i++) {
+        const char *name = PyTuple_CheckExact(args[i]) ? "tuple" : PyType_Check(args[i]) ? ((PyTypeObject *)args[i])->tp_name : "";
+        for (k = 0; k < KINDS && strcmp(name, kinds[k]); k++);
+        for (s = 0; k < KINDS && s < SLOTS; s++) {
+            if (slots[s].kind != k) continue;
+            member = PyObject_GetAttrString(args[i], slots[s].name);
+            found[s] = member && Py_IS_TYPE(member, &PyMemberDescr_Type) ? ((PyMemberDescrObject *)member)->d_member->offset : -1;
+            Py_XDECREF(member);
+            k = found[s] < 0 ? KINDS : k;
+        }
+        if (k == KINDS || (k == K_VERDICTS && PyTuple_GET_SIZE(args[i]) != V_DUPLICATE + 1)
+            || ((k == K_RESULT || k == K_RES) && !PyType_IsSubtype((PyTypeObject *)args[i], &PyTuple_Type))) {
+            PyErr_Clear();
+            return PyErr_Format(PyExc_TypeError, "bind() takes the classes the glue reads, not %R", args[i]);
+        }
+        for (s = 0; s < SLOTS; s++)
+            if (slots[s].kind == k) at[s] = found[s];
+        Py_INCREF(args[i]);
+        Py_XSETREF(Bound[k], args[i]);
     }
     Py_RETURN_NONE;
 }
 
 #define METHOD(f) {#f, (PyCFunction)(void (*)(void))f, METH_FASTCALL, NULL}
-static PyMethodDef methods[] = {METHOD(bind), METHOD(burst), {NULL, NULL, 0, NULL}};
-static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_colibri_glue", NULL, -1, methods};
+static PyMethodDef methods[] = {METHOD(bind), METHOD(burst), METHOD(send), {NULL, NULL, 0, NULL}};
+static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_colibri_glue", NULL, -1, methods, NULL, NULL, NULL, NULL};
 
 PyMODINIT_FUNC PyInit__colibri_glue(void)
 {
     int i;
     for (i = 0; i < NAMES; i++)
         if ((Name[i] = PyUnicode_InternFromString(names[i])) == NULL) return NULL;
-    return (ONE = PyLong_FromLong(1)) != NULL ? PyModule_Create(&module) : NULL;
+    ZERO = PyLong_FromLong(0), ONE = PyLong_FromLong(1), EMPTY = PyTuple_New(0), Packet = PyDict_New();
+    for (i = 0; Packet != NULL && i < 9; i++)
+        if (PyDict_SetItem(Packet, Name[keys[i]], Py_None) < 0) Py_CLEAR(Packet);
+    return ZERO && ONE && EMPTY && Packet ? PyModule_Create(&module) : NULL;
 }
 """
 
@@ -980,7 +1137,7 @@ def _compile_extension(name: str) -> str:
         glue.write(_GLUE)
     ffi = FFI()
     ffi.cdef(_CDEF)
-    ffi.set_source(name, _SOURCE, sources=[glue.name], extra_compile_args=["-O3"])
+    ffi.set_source(name, _SOURCE, sources=[glue.name], extra_compile_args=["-O3", "-ffp-contract=off"])
     try:
         built = ffi.compile(tmpdir=scratch, verbose=False)
         final = os.path.join(_BUILD_DIR, os.path.basename(built))
@@ -1074,37 +1231,29 @@ class ScheduleBlock:
     thread-safe (the output scratch is reused per call).
     """
 
-    __slots__ = ("count", "tag_len", "_ffi", "_lib", "_scatter", "_out", "_view")
+    __slots__ = ("count", "tag_len", "_ffi", "_lib", "_lanes", "_out", "_view")
 
     def __init__(self, backend: NativeBackend, keys, tag_len: int = L_HVF):
         if not 0 < tag_len <= MAC_LENGTH:
-            raise ValueError(
-                f"tag length must be in (0, {MAC_LENGTH}], got {tag_len}"
-            )
-        ffi = backend.ffi
-        lib = backend.lib
-        keys = tuple(keys)
+            raise ValueError(f"tag length must be in (0, {MAC_LENGTH}], got {tag_len}")
+        ffi, lib, keys = backend.ffi, backend.lib, tuple(keys)
         scheds = ffi.new("uint32_t[]", 8 * len(keys))
         for index, key in enumerate(keys):
             key = _normalize_key(key)
             lib.colibri_b2s_key_schedule(key, len(key), MAC_LENGTH, scheds + 8 * index)
-        self.count = len(keys)
-        self.tag_len = tag_len
-        self._ffi = ffi
-        self._lib = lib
-        # The 8-way lane layout (see the C side), built once at install; a
-        # BurstStamper plan references it too.
+        self.count, self.tag_len, self._ffi, self._lib = len(keys), tag_len, ffi, lib
+        # The 8-way lane layout (see the C side), built once at install in a
+        # bytearray the gateway's glue reads; cffi views of it are per call.
         groups = (len(keys) + 7) // 8
-        self._scatter = ffi.new("uint32_t[]", max(64, groups * 64))
-        lib.colibri_b2s_transpose(scheds, len(keys), self._scatter)
+        self._lanes = bytearray(4 * max(64, groups * 64))
+        lib.colibri_b2s_transpose(scheds, len(keys), ffi.from_buffer("uint32_t[]", self._lanes))
         self._out = ffi.new("uint8_t[]", max(1, self.count * tag_len))
         self._view = ffi.buffer(self._out)
 
     def stamp_flat(self, message: bytes) -> bytes:
         """All per-key tags over ``message``, concatenated (one C call)."""
-        self._lib.colibri_stamp_t(
-            self._scatter, self.count, message, len(message), self._out, self.tag_len
-        )
+        lanes = self._ffi.from_buffer("uint32_t[]", self._lanes)
+        self._lib.colibri_stamp_t(lanes, self.count, message, len(message), self._out, self.tag_len)
         return self._view[:]
 
     def stamp_many_flat(self, messages, message_len: int, count: int) -> bytes:
@@ -1114,81 +1263,10 @@ class ScheduleBlock:
         the result is message-major: packet p's tags occupy
         ``[p*count_keys*tag_len, (p+1)*count_keys*tag_len)``.
         """
-        ffi = self._ffi
-        row = self.count * self.tag_len
-        out = ffi.new("uint8_t[]", max(1, count * row))
-        self._lib.colibri_stamp_many_t(
-            self._scatter,
-            self.count,
-            ffi.from_buffer(messages),
-            message_len,
-            count,
-            out,
-            self.tag_len,
-        )
+        ffi, lanes = self._ffi, self._ffi.from_buffer("uint32_t[]", self._lanes)
+        out = ffi.new("uint8_t[]", max(1, count * self.count * self.tag_len))
+        self._lib.colibri_stamp_many_t(lanes, self.count, ffi.from_buffer(messages), message_len, count, out, self.tag_len)
         return ffi.buffer(out)[:]
-
-
-class BurstStamper:
-    """Scatter plan for stamping one *mixed* burst with a single C call.
-
-    The caller's per-packet loop writes each packet's plan straight into
-    the cdata arrays — ``scheds[p]`` (its version's
-    :attr:`ScheduleBlock._scatter`), ``counts[p]`` (its hop count),
-    ``offsets[p]`` (where its tags go in the flat result) — and appends
-    its Eq. (6) message to :attr:`messages`; one
-    ``colibri_stamp_scatter_t`` call (:meth:`stamp_flat`) then stamps the
-    burst.  Plain attributes, not an ``add()`` method: a per-packet call
-    would give back what the single C call saves.  Not thread-safe.
-    """
-
-    __slots__ = (
-        "tag_len", "scheds", "counts", "offsets", "messages",
-        "_ffi", "_lib", "_capacity", "_out", "_out_size",
-    )
-
-    def __init__(self, backend: NativeBackend, tag_len: int = L_HVF, slots: int = 64):
-        if not 0 < tag_len <= MAC_LENGTH:
-            raise ValueError(
-                f"tag length must be in (0, {MAC_LENGTH}], got {tag_len}"
-            )
-        self._ffi = backend.ffi
-        self._lib = backend.lib
-        self.tag_len = tag_len
-        self._capacity = 0
-        self._out = None
-        self._out_size = 0
-        self.messages = bytearray()
-        self.reserve(max(1, slots))
-
-    def reserve(self, capacity: int) -> None:
-        """Grow the plan arrays to hold ``capacity`` packets (never
-        shrinks; reallocation invalidates previously written plans)."""
-        if capacity > self._capacity:
-            ffi = self._ffi
-            self.scheds = ffi.new("uint32_t *[]", capacity)
-            self.counts = ffi.new("int32_t[]", capacity)
-            self.offsets = ffi.new("int64_t[]", capacity)
-            self._capacity = capacity
-
-    def stamp_flat(self, npkts: int, message_len: int, size: int) -> bytes:
-        """Stamp the planned burst into scratch and return it as one
-        ``bytes`` of ``size`` total tag bytes — packet p's row sits at
-        ``offsets[p]``, ready for zero-copy ``HvfVector`` windows."""
-        if size > self._out_size:
-            self._out = self._ffi.new("uint8_t[]", max(1, size))
-            self._out_size = max(1, size)
-        self._lib.colibri_stamp_scatter_t(
-            self.scheds,
-            self.counts,
-            self._ffi.from_buffer(self.messages),
-            message_len,
-            npkts,
-            self._out,
-            self.offsets,
-            self.tag_len,
-        )
-        return self._ffi.buffer(self._out, size)[:]
 
 
 def repointing(name: str) -> property:

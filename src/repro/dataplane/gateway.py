@@ -17,18 +17,22 @@ stamps packets with the latest live version (§4.2) while the monitor
 keys on the reservation ID alone, so using several versions can never
 exceed the maximum version bandwidth (§4.8).
 
-One pipeline (docs/performance.md §8) serves both APIs —
-:meth:`ColibriGateway.send` (a burst of one: the host path) and
-:meth:`ColibriGateway.send_batch`:
+One pipeline serves both APIs — :meth:`ColibriGateway.send` (a burst of
+one: the host path) and :meth:`ColibriGateway.send_batch`.  With the native
+kernel loaded it is one call of the glue's ``send`` (C in
+:data:`repro.crypto.native._GLUE`): per request the table probe, the latest
+live version, the Ts word, the token bucket and the counters, then Eq. (6)
+for every hop and the packet with its ``_row`` memo.  It returns to Python
+only at a request Python must see — a drop, an out-of-range Ts, a version
+without a native schedule, an object not as this module writes it — which
+the Python body serves before the glue goes on from the next.  That body,
+and the whole pipeline without the kernel (``COLIBRI_NATIVE=0``), is:
 
 1. **plan** (:meth:`ColibriGateway._plan`) — the only per-request loop:
    table lookup, latest live version, Ts assignment and range check,
    token bucket, counters, and request-aligned error outcomes;
 2. **stamp** (:meth:`ColibriGateway._stamp`) — every Eq. (6) tag of the
-   burst as one flat string: one ``stamp_flat`` call for a lone packet,
-   one ``stamp_many`` call when the whole burst resolved to a single
-   version, else one native scatter call, and on hosts without the
-   native kernel the same row loop over hashlib;
+   burst as one flat string, a ``version.stamp`` per row;
 3. **emit** (:meth:`ColibriGateway._emit_packets`) —
    :class:`~repro.packets.colibri.ColibriPacket` objects over windows of
    that string.
@@ -48,13 +52,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from repro.constants import L_HVF
-from repro.dataplane.hvf import (
-    burst_stamper,
-    sigma_schedule,
-    sigma_states,
-    stamp_hvfs,
-)
+from repro.crypto import native
+from repro.dataplane.hvf import sigma_schedule, sigma_states, stamp_hvfs
 from repro.dataplane.monitor import DeterministicMonitor
+from repro.dataplane.token_bucket import TokenBucket
 from repro.errors import (
     BandwidthExceeded,
     DataPlaneError,
@@ -94,7 +95,8 @@ class GatewayVersion:
     #: Native key-schedule block (all σs contiguous in C memory), when
     #: the cffi kernel is available; byte-identical to ``_states``.
     _schedule: Optional[object] = field(default=None, repr=False, compare=False)
-    #: ResInfo ‖ EERInfo, constant per version: the head of each packet's ``_row``.
+    #: ResInfo ‖ EERInfo, constant per version: the head of each packet's
+    #: ``_row``, packed by the version's first packet (the glue leaves that one to Python).
     _row_head: Optional[bytes] = field(default=None, repr=False, compare=False)
 
     @property
@@ -182,20 +184,17 @@ class ColibriGateway:
         self._reservations: dict[bytes, GatewayReservation] = {}
         self.packets_sent = 0
         self.packets_dropped = 0
-        #: Lazily built native scatter stamper shared across bursts
-        #: (stays ``None`` without the native backend).
-        self._burst = None
+        #: The glue's ``send`` (``native._GLUE``) with the kernel loaded, else ``None``.
+        backend = native.backend()
+        self._drive = backend and backend.glue.send
+        if backend:
+            backend.glue.bind(ColibriPacket, HvfVector, Timestamp, GatewayReservation, GatewayVersion,
+                              ReservationId, ResInfo, PathField, TokenBucket, native.ScheduleBlock)
 
     # -- reservation installation (fed by the CServ after EER setup) -----------
 
-    def install(
-        self,
-        reservation_id: ReservationId,
-        path: PathField,
-        eer_info: EerInfo,
-        res_info: ResInfo,
-        hop_auths: tuple,
-    ) -> None:
+    def install(self, reservation_id: ReservationId, path: PathField, eer_info: EerInfo, res_info: ResInfo,
+                hop_auths: tuple) -> None:
         """Install a new EER or an additional version of an existing one.
 
         Called by the CServ with the HopAuths it decrypted from the setup
@@ -205,29 +204,17 @@ class ColibriGateway:
         how often it was renewed.
         """
         if len(hop_auths) != len(path):
-            raise ValueError(
-                f"need one HopAuth per hop: {len(hop_auths)} vs {len(path)} hops"
-            )
+            raise ValueError(f"need one HopAuth per hop: {len(hop_auths)} vs {len(path)} hops")
         now = self.clock.now()
         packed_id = reservation_id.packed
         entry = self._reservations.get(packed_id)
         if entry is None:
-            entry = GatewayReservation(
-                reservation_id=reservation_id,
-                path=path,
-                eer_info=eer_info,
-                versions={},
-                header_size=ColibriPacket.header_size_for(len(path)),
-                tag_bytes=len(path) * L_HVF,
-                packed_id=packed_id,
-            )
+            entry = GatewayReservation(reservation_id=reservation_id, path=path, eer_info=eer_info, versions={},
+                                       header_size=ColibriPacket.header_size_for(len(path)),
+                                       tag_bytes=len(path) * L_HVF, packed_id=packed_id)
             self._reservations[packed_id] = entry
         else:
-            entry.versions = {
-                number: version
-                for number, version in entry.versions.items()
-                if version.is_live(now)
-            }
+            entry.versions = {number: version for number, version in entry.versions.items() if version.is_live(now)}
         version = GatewayVersion(res_info=res_info, hop_auths=tuple(hop_auths))
         version.prepare()
         entry.versions[res_info.version] = version
@@ -237,10 +224,7 @@ class ColibriGateway:
         # high-bandwidth version stops counting at the next renewal.
         entry._latest = None
         entry.latest_live(now)
-        bandwidth = max(
-            (v.res_info.bandwidth for v in entry.versions.values() if v.is_live(now)),
-            default=0.0,
-        )
+        bandwidth = max((v.res_info.bandwidth for v in entry.versions.values() if v.is_live(now)), default=0.0)
         self.monitor.watch(packed_id, bandwidth, now)
 
     def uninstall(self, reservation_id: ReservationId) -> None:
@@ -266,10 +250,10 @@ class ColibriGateway:
         Payload").  Returns the fully stamped packet ready for the border
         router, or raises — a raise is a drop.
         """
-        plan = self._plan(((reservation_id, payload),), self.clock.now())
-        if not plan[1]:
-            raise plan[0][0]
-        return self._emit_packets(plan, self._stamp(plan))[0]
+        (outcome,) = self.send_batch(((reservation_id, payload),))
+        if outcome.__class__ is ColibriPacket:
+            return outcome
+        raise outcome
 
     def send_batch(self, requests) -> List[SendOutcome]:
         """Stamp a burst of ``(reservation_id, payload)`` requests.
@@ -282,10 +266,19 @@ class ColibriGateway:
         amortizes across NIC bursts.  A request that passed monitoring
         counts as sent once planned.
         """
-        plan = self._plan(requests, self.clock.now())
-        return self._emit_packets(plan, self._stamp(plan))
+        requests, now, drive = tuple(requests), self.clock.now(), self._drive
+        if drive is None:
+            outcomes = self._plan(requests, now)
+            return self._emit_packets(outcomes, self._stamp(outcomes))
+        outcomes = []
+        stop = drive(self, requests, outcomes, now, 0)
+        while stop >= 0:  # a request the glue leaves to the Python body; then on from the next
+            served = self._plan(requests[stop : stop + 1], now)
+            outcomes += self._emit_packets(served, self._stamp(served))
+            stop = drive(self, requests, outcomes, now, stop + 1)
+        return outcomes
 
-    def _plan(self, requests, now: float) -> tuple:
+    def _plan(self, requests, now: float) -> list:
         """Resolve every request of a burst, in order (§4.3, §4.6).
 
         The pipeline's only per-request loop, so its set-up is what a
@@ -296,21 +289,17 @@ class ColibriGateway:
         accounted), the flow's token bucket as the monitor holds it now
         (an unwatched flow passes), and the counters.
 
-        Returns ``(outcomes, rows, version, tag_bytes)``: one outcome per
-        request — its drop error, or the ``(entry, version, Ts word,
-        payload, tag offset, Eq. 6 message)`` row the emitter replaces
-        with the packet; the number of rows; the one version
-        every row resolved to, else ``None``; the burst's total HVF bytes.
-        One list for both keeps a lone packet's allocations to what it
-        needs.
+        Returns one outcome per request: its drop error, or the ``(entry,
+        version, Ts word, payload, tag offset, Eq. 6 message)`` row the
+        emitter replaces with the packet.  The glue's ``send`` is this loop
+        in C for the requests it recognises.
         """
         table = self._reservations
         monitor = self.monitor
         buckets = monitor._buckets
         outcomes: list = []
         current = None  # version of the previous row
-        switches = 0  # version changes along the burst (1 = single version)
-        position = rows = 0
+        position = 0
         for reservation_id, payload in requests:
             entry = table.get(reservation_id.packed)
             if entry is None:
@@ -325,15 +314,12 @@ class ColibriGateway:
                 version = entry.latest_live(now)
                 if version is None:
                     self.packets_dropped += 1
-                    outcomes.append(
-                        ReservationExpired(f"all versions of EER {reservation_id} expired")
-                    )
+                    outcomes.append(ReservationExpired(f"all versions of EER {reservation_id} expired"))
                     continue
             if version is not current:
                 # ``now`` is fixed for the burst, so Ts microseconds
                 # only change when the version does.
                 current = version
-                switches += 1
                 micros = int((version.res_info.expiry - now) * 1e6)
             last = entry.last_micros
             sequence = last[1] + 1 if last is not None and last[0] == micros else 0
@@ -364,60 +350,29 @@ class ColibriGateway:
                     bucket._tokens = tokens
                     monitor.record_drop(entry.packed_id, now, bucket)
                     self.packets_dropped += 1
-                    outcomes.append(
-                        BandwidthExceeded(f"EER {reservation_id} exceeded its reserved rate")
-                    )
+                    outcomes.append(BandwidthExceeded(f"EER {reservation_id} exceeded its reserved rate"))
                     continue
             word = (micros << _SEQ_BITS) | sequence
-            outcomes.append(
-                (entry, version, word, payload, position, _HVF_MESSAGE.pack(word, size))
-            )
+            outcomes.append((entry, version, word, payload, position, _HVF_MESSAGE.pack(word, size)))
             position += entry.tag_bytes
-            rows += 1
             # Counted as they happen, so a raise mid-burst leaves every
             # counter exact for the requests before it.
             monitor.packets_passed += 1
             self.packets_sent += 1
-        return outcomes, rows, current if switches == 1 else None, position
+        return outcomes
 
-    def _stamp(self, plan: tuple) -> bytes:
+    def _stamp(self, outcomes: list) -> bytes:
         """Eq. (6) for every planned packet, as one flat string: a row's
         per-hop tags start at its recorded tag offset."""
-        outcomes, count, only, tag_bytes = plan
-        if not count:
-            return b""
-        if len(outcomes) == 1:  # a lone packet, as every send is
-            row = outcomes[0]
-            return row[1].stamp(row[5])
-        rows = [row for row in outcomes if type(row) is tuple]
-        messages = [row[5] for row in rows]
-        size = _HVF_MESSAGE.size
-        if only is not None and only._schedule is not None:
-            return only._schedule.stamp_many_flat(b"".join(messages), size, count)
-        stamper = self._burst
-        if stamper is None:
-            stamper = self._burst = burst_stamper(slots=count)
-        if stamper is not None:
-            stamper.reserve(count)
-            scheds = stamper.scheds
-            counts = stamper.counts
-            offsets = stamper.offsets
-            for number, row in enumerate(rows):
-                schedule = row[1]._schedule
-                if schedule is None:
-                    break  # installed while the native probe was off
-                scheds[number] = schedule._scatter
-                counts[number] = schedule.count
-                offsets[number] = row[4]
-            else:
-                stamper.messages[:] = b"".join(messages)
-                return stamper.stamp_flat(count, size, tag_bytes)
-        return b"".join([row[1].stamp(message) for row, message in zip(rows, messages)])
+        tags = []
+        for row in outcomes:
+            if type(row) is tuple:
+                tags.append(row[1].stamp(row[5]))
+        return b"".join(tags)
 
-    def _emit_packets(self, plan: tuple, flat: bytes) -> List[SendOutcome]:
+    def _emit_packets(self, outcomes: list, flat: bytes) -> List[SendOutcome]:
         """Packet objects over zero-copy windows of the flat tags, each with
         the ``_row`` memo of the bytes it was stamped over."""
-        outcomes = plan[0]
         trusted = ColibriPacket.trusted
         eer_data = PacketType.EER_DATA
         index = 0
@@ -427,18 +382,10 @@ class ColibriGateway:
                 hops, path, head = len(version.hop_auths), entry.path, version._row_head
                 if head is None:
                     head = version._row_head = version.res_info.packed + entry.eer_info.packed
-                outcomes[index] = trusted(
-                    eer_data,
-                    path,
-                    version.res_info,
-                    Timestamp.from_word(ts_word),
-                    HvfVector(flat, position, hops),
-                    entry.eer_info,
-                    payload,
-                    (head, message, path.interface_pairs, hops - 1, 0)
-                    if payload.__class__ is bytes
-                    else None,
-                )
+                memo = (head, message, path.interface_pairs, hops - 1, 0)
+                outcomes[index] = trusted(eer_data, path, version.res_info, Timestamp.from_word(ts_word),
+                                          HvfVector(flat, position, hops), entry.eer_info, payload,
+                                          memo if payload.__class__ is bytes else None)
             index += 1
         return outcomes
 

@@ -150,23 +150,6 @@ def sigma_schedule(hop_auths, tag_len: int = L_HVF):
     return native.ScheduleBlock(backend, hop_auths, tag_len)
 
 
-def burst_stamper(tag_len: int = L_HVF, slots: int = 64):
-    """A native scatter stamper for mixed bursts, or ``None``.
-
-    One :class:`~repro.crypto.native.BurstStamper` per data-plane
-    component (the gateway holds one across bursts): the per-packet loop
-    fills its plan arrays, then a single ``colibri_stamp_scatter_t`` call
-    stamps every packet of the burst — the mixed-burst counterpart of
-    :meth:`~repro.crypto.native.ScheduleBlock.stamp_many_flat`, with the
-    same byte-identity contract.  ``None`` when the native backend is
-    unavailable, in which case callers keep the per-packet paths.
-    """
-    backend = native.backend()
-    if backend is None:
-        return None
-    return native.BurstStamper(backend, tag_len, slots)
-
-
 def stamp_hvfs_batch(states, messages, length: int = L_HVF) -> list:
     """Eq. (6) for a whole burst: one flat HVF string per message.
 
@@ -186,17 +169,7 @@ def stamp_hvfs_batch(states, messages, length: int = L_HVF) -> list:
         flat = states.stamp_many_flat(b"".join(messages), message_len, len(messages))
         row = states.count * states.tag_len
         return [flat[offset : offset + row] for offset in range(0, len(flat), row)]
-    out = []
-    append = out.append
-    join = b"".join
-    for message in messages:
-        tags = []
-        for state in states:
-            clone = state.copy()
-            clone.update(message)
-            tags.append(clone.digest()[:length])
-        append(join(tags))
-    return out
+    return [b"".join(stamp_hvfs(states, message, length)) for message in messages]
 
 
 class ColibriKeys:

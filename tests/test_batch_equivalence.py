@@ -503,33 +503,6 @@ class TestNativeBatchIdentity:
         python_rows = stamp_hvfs_batch(sigma_states(sigmas), messages)
         assert native_rows == python_rows
 
-    def test_burst_stamper_scatter_equals_per_packet(self):
-        """The scatter plan (mixed hop counts, interleaved output rows)
-        produces exactly what per-packet stamp_flat calls produce."""
-        from repro.dataplane.hvf import burst_stamper, sigma_schedule
-
-        rng = random.Random(9)
-        schedules = [
-            sigma_schedule(self._sigmas(rng.choice((1, 3, 8, 13, 16)), seed=n))
-            for n in range(24)
-        ]
-        messages = [bytes(rng.randrange(256) for _ in range(12)) for _ in schedules]
-        stamper = burst_stamper(slots=len(schedules))
-        assert stamper is not None
-        position = 0
-        rows = []
-        for index, (schedule, message) in enumerate(zip(schedules, messages)):
-            stamper.scheds[index] = schedule._scatter
-            stamper.counts[index] = schedule.count
-            stamper.offsets[index] = position
-            rows.append((position, schedule.count * stamper.tag_len))
-            position += schedule.count * stamper.tag_len
-        stamper.messages[:] = b"".join(messages)
-        flat = stamper.stamp_flat(len(schedules), 12, position)
-        for (start, width), schedule, message in zip(rows, schedules, messages):
-            assert flat[start : start + width] == schedule.stamp_flat(message)
-
-
     def test_compile_sweeps_builds_of_older_sources(self, tmp_path, monkeypatch):
         from repro.crypto import native
 

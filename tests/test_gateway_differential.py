@@ -15,9 +15,17 @@ and a Ts sequence crossing 2^16 inside one microsecond — and compares
 messages, the raised ``PacketFieldError``, both gateway counters, the
 monitor's counters, every bucket's level and every entry's Ts state
 after every step, on the native backend and on ``COLIBRI_NATIVE=0``.
+Every packet's ``_row`` memo, which no byte form shows but every router's
+native gather trusts as its MAC input, must equal the one rebuilt from the
+packet's own fields.  With the kernel loaded both APIs run the glue's
+``send``; requests it does not take (hostile ones below) get the Python
+body's outcome, and it keeps no reference.
 """
 
+import gc
 import random
+import struct
+import sys
 
 import pytest
 
@@ -45,8 +53,8 @@ SRC = IsdAs.parse("1-ff00:0:110")
 EER = EerInfo(HostAddr(1), HostAddr(2))
 START = 1000.0
 
-#: local id -> hop count.  Mixed path lengths make the scatter plan's
-#: tag offsets irregular.
+#: local id -> hop count.  Mixed path lengths make the Python body's tag
+#: offsets irregular and give the glue's tag strings different sizes.
 HOPS = {1: 2, 2: 3, 3: 8, 4: 16, 5: 3, 6: 2}
 STREAM, SECOND, LONG, LONGEST, SLOW, DOOMED = (ReservationId(SRC, n) for n in HOPS)
 UNKNOWN = ReservationId(SRC, 99)
@@ -82,7 +90,13 @@ class ReferenceGateway:
     * a row's tag offset counts a policed request (``_plan``:
       ``position += entry.tag_bytes`` before its ``continue``), so the
       emitter reads past tags the stamps wrote back to back (hashlib
-      only: the native scatter writes at the skewed offsets too).
+      only: the glue gives each packet a tag string of its own);
+    * a memo head cached per entry across renewals (``_emit_packets``:
+      ``head = version._row_head = entry.__dict__.setdefault("head", …)``),
+      caught by the memo check only: the bytes are right;
+    * a memo Ts with its sequence dropped (``_emit_packets``: ``message``
+      → ``message[:6] + bytes(2) + message[8:]`` in the memo), also on
+      native: the Python body emits each version's first packet.
     """
 
     def __init__(self, clock):
@@ -268,25 +282,41 @@ def state_of(target):
     return counters, entries
 
 
+def memo_of(packet):
+    """The ``_row`` memo a router's GATHER build makes of ``packet``'s own
+    fields: ResInfo ‖ EERInfo, Ts ‖ PktSize, the interface pairs, the last
+    hop's index and no flags; ``None`` for a payload that is not bytes."""
+    if packet.payload.__class__ is not bytes:
+        return None
+    head = packet.res_info.packed + packet.eer_info.packed
+    tail = packet.timestamp.packed + struct.pack("!I", packet.total_size)
+    return (head, tail, packet.path.interface_pairs, len(packet.path) - 1, 0)
+
+
+def observed(target, outcome):
+    """A packet's bytes (its memo checked, if ``target`` is a gateway), or a
+    drop's type and message."""
+    if not isinstance(outcome, ColibriPacket):
+        return (type(outcome).__name__, str(outcome))
+    if isinstance(target, ColibriGateway):
+        assert outcome._row == memo_of(outcome), outcome
+    return outcome.to_bytes()
+
+
 def send_serial(target, requests):
     """``send`` per request.  A drop is an outcome; any other error
     propagates and ends the burst, as it does out of a burst's plan."""
     outcomes = []
     for res_id, payload in requests:
         try:
-            outcomes.append(target.send(res_id, payload).to_bytes())
+            outcomes.append(observed(target, target.send(res_id, payload)))
         except (ReservationError, DataPlaneError) as error:
-            outcomes.append((type(error).__name__, str(error)))
+            outcomes.append(observed(target, error))
     return outcomes
 
 
 def send_object(gateway, requests):
-    return [
-        outcome.to_bytes()
-        if isinstance(outcome, ColibriPacket)
-        else (type(outcome).__name__, str(outcome))
-        for outcome in gateway.send_batch(requests)
-    ]
+    return [observed(gateway, outcome) for outcome in gateway.send_batch(requests)]
 
 
 def saturate(target, res_id):
@@ -421,3 +451,121 @@ def test_backends_agree_on_the_reference(monkeypatch):
         monkeypatch.undo()
         native.reset_for_tests()
     assert with_native == with_hashlib == replay(ReferenceGateway, send_serial)
+
+
+class Sneaky(ReservationId):
+    """A ReservationId whose ``packed`` runs Python: ``hook`` on every read."""
+
+    hook = None
+
+    @property
+    def packed(self):
+        if Sneaky.hook is not None:
+            Sneaky.hook()
+        return self.src_as.packed + self.local_id.to_bytes(4, "big")
+
+
+def hostile(gateway, api):
+    """One burst of requests the glue does not take, or takes around code
+    that runs Python, through ``api`` after a packet on each EER: ``(outcomes,
+    state, hooks fired, payloads the Python body planned)``.  A policed
+    request's ``record_drop`` installs SECOND's version 7 on its first drop;
+    a Sneaky id's ``packed`` leaves LONG with one expired version on its
+    first read."""
+    clock = gateway.clock
+    for res_id in (STREAM, SECOND, LONG, LONGEST):
+        install(gateway, res_id)
+    install(gateway, SLOW, bandwidth=SLOW_RATE)
+    warm = MODES[api](gateway, [(res_id, b"") for res_id in (STREAM, SECOND, LONG, LONGEST, SLOW)])
+    fired, planned, record_drop, plan = [], [], gateway.monitor.record_drop, gateway._plan
+
+    def renew(flow, now, bucket=None):
+        record_drop(flow, now, bucket)
+        if "renew" not in fired:
+            fired.append("renew")
+            install(gateway, SECOND, version=7)
+
+    def expire():
+        if "expire" not in fired:
+            fired.append("expire")
+            gateway.uninstall(LONG)
+            install(gateway, LONG, version=9, lifetime=0.0)
+
+    def counting(requests, now):
+        planned.extend(requests)
+        return plan(requests, now)
+
+    gateway.monitor.record_drop, gateway._plan, Sneaky.hook = renew, counting, expire
+    twice = (STREAM, b"twice")
+    requests = [
+        (LONG, b"before"), twice, (STREAM, bytearray(b"not bytes")), twice, (LONGEST, b"")
+    ] + [(SLOW, b"x" * 1400)] * 4 + [
+        (SECOND, b"renewed"), (Sneaky(SRC, 2), b"sneaky"), (LONG, b"after"), [STREAM, b"a list"],
+        (Sneaky(SRC, 99), b"unknown"), (STREAM, memoryview(b"a view")), twice, (SECOND, b"last"),
+    ]
+    try:
+        outcomes = MODES[api](gateway, requests)
+        clock.advance(1e-6)
+        outcomes += MODES[api](gateway, [twice, (Sneaky(SRC, 1), b"again"), (SECOND, b"")])
+    finally:
+        Sneaky.hook = None
+    return warm + outcomes, state_of(gateway), fired, [request[1] for request in planned]
+
+
+@pytest.mark.parametrize("api", sorted(MODES))
+def test_hostile_requests_get_the_python_bodys_outcome(backend, api):
+    """A non-bytes payload, a ReservationId subclass, a request that is a
+    list, one request object thrice, a renewal installed by a drop's
+    ``record_drop`` and an EER left expired by a ``packed`` hook, all mid-
+    burst: packets, memos, drops, counters, buckets and Ts state as the
+    Python body makes them, and the glue served every other request but a
+    new version's first (its memo head is packed in Python)."""
+    glued = ColibriGateway(SRC, SimClock(START))
+    body = ColibriGateway(SRC, SimClock(START))
+    body._drive = None
+    outcomes, state, fired, planned = hostile(glued, api)
+    assert (outcomes, state, fired) == hostile(body, api)[:3]
+    assert fired == ["renew", "expire"]
+    kinds = {o[0] for o in outcomes if isinstance(o, tuple)}
+    assert kinds == {"ReservationNotFound", "ReservationExpired", "BandwidthExceeded"}
+    if glued._drive is not None:  # the Python body planned only these (``send`` makes the list a tuple)
+        assert planned == [b"not bytes", b"x" * 1400, b"renewed", b"sneaky", b"after"] + [b"a list"] * (
+            api == "send_batch") + [b"unknown", memoryview(b"a view"), b"again"]
+
+
+def test_the_glue_keeps_no_reference():
+    """2,000 bursts through the glue's ``send`` — packets, a policed request
+    and an unknown id each, so each returns to Python twice — and as many
+    ``send`` calls leave the refcounts of the requests and of the entry's
+    objects as they were, and the objects the collector tracks within a
+    small constant."""
+    native.reset_for_tests()
+    if native.backend() is None:
+        pytest.skip("native backend unavailable")
+    clock = SimClock(START)
+    gateway = ColibriGateway(SRC, clock)
+    install(gateway, STREAM, lifetime=600.0)
+    install(gateway, SLOW, bandwidth=SLOW_RATE, lifetime=600.0)
+    payload = b"p" * 10
+    request, over, unknown = (STREAM, payload), (SLOW, b"x" * 1400), (UNKNOWN, b"")
+
+    def bursts(count):
+        for _ in range(count):
+            outcomes = gateway.send_batch([request, over, request, unknown])
+            assert [type(o) for o in outcomes[::2]] == [ColibriPacket, ColibriPacket]
+            assert gateway.send(STREAM, payload).payload is payload
+            clock.advance(1e-6)
+
+    bursts(100)
+    gc.collect()
+    entry = gateway._reservations[STREAM.packed]
+    version = entry._latest
+    things = (STREAM, payload, request, entry, version, version.res_info, version._row_head, version._schedule,
+              entry.path, entry.path.interface_pairs, entry.eer_info, gateway.monitor._buckets[SLOW.packed])
+    before = [sys.getrefcount(thing) for thing in things]
+    tracked = len(gc.get_objects())
+    bursts(1000)
+    bursts(1000)
+    gc.collect()
+    assert [sys.getrefcount(thing) for thing in things] == before
+    assert len(gc.get_objects()) - tracked < 50

@@ -31,6 +31,7 @@ from repro.crypto import native
 from repro.dataplane import DuplicateSuppressor, OveruseFlowDetector
 from repro.dataplane.monitor import DeterministicMonitor
 from repro.dataplane.router import BorderRouter, RouterResult, Verdict
+from repro.packets.colibri import ColibriPacket
 from repro.obs import ObsContext
 from repro.sim import ColibriNetwork
 from repro.topology import build_two_isd_topology
@@ -389,11 +390,12 @@ def test_calls_per_packet_with_the_gateway_row(make, size):
 #: ``(python, builtin)`` calls per ``gateway.send`` and per
 #: ``ColibriNetwork.forward`` as ``fixed + per hop * hops``, on a warm EER
 #: of the two-ISD topology.  Python calls are pinned exactly, builtin
-#: calls' fixed terms two above the count on CPython 3.11.  The Python
+#: calls' fixed terms two above the count on CPython 3.11.  A native send is
+#: ``send``, ``send_batch`` and the clock, and the glue's ``send``; the Python
 #: body's gateway stamps with one hashlib MAC per hop.  A native hop is
 #: ``process``, ``_burst`` and the clock, and the glue's ``burst`` plus the
 #: walk's own ``append``.
-SEND_WORK = {"native": ((10, 16), (0, 0)), "python": ((10, 15), (0, 4))}
+SEND_WORK = {"native": ((3, 5), (0, 0)), "python": ((11, 16), (0, 4))}
 FORWARD_WORK = {"native": ((5, 5), (3, 2)), "python": ((5, 6), (30, 22))}
 
 
@@ -426,6 +428,37 @@ def test_calls_per_send_and_per_forward_hop(make, destination):
     for work, (base, per_hop) in ((send, SEND_WORK[kind]), (forward, FORWARD_WORK[kind])):
         ceilings = [fixed + each * hops for fixed, each in zip(base, per_hop)]
         assert work[0] == ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
+
+
+#: The same per ``send_batch`` on that topology's six-hop EER, as ``fixed + per
+#: packet * packets``: a native burst is ``send_batch``, the clock, ``tuple`` and
+#: the glue's ``send`` at any size; the Python body pays its plan, stamp and
+#: emit per packet.
+SEND_BATCH_WORK = {"native": ((2, 4), (0, 0)), "python": ((5, 4), (5, 35))}
+
+
+@pytest.mark.parametrize("size", [1, 64])
+def test_calls_per_packet_of_send_batch(make, size):
+    """``send_batch`` of 1 and of 64 requests on a warm EER: no call per
+    packet on native."""
+    source, target = two_isd_as(1, 101), two_isd_as(2, 101)
+
+    def build():
+        net = ColibriNetwork(build_two_isd_topology())
+        net.reserve_segments(source, target, gbps(1))
+        return net, net.establish_eer(source, target, mbps(10))
+
+    net, handle = make(build)
+    gateway, requests = net.gateway(source), [(handle.reservation_id, b"x" * 100)] * size
+    for _ in range(3):  # every memo and table warm
+        gateway.send_batch(requests)
+        net.advance(0.001)
+    sent = []
+    work = calls_of(lambda: sent.extend(gateway.send_batch(requests)))
+    assert len(handle.hops) == 6 and [type(packet) for packet in sent] == [ColibriPacket] * size
+    base, per_packet = SEND_BATCH_WORK["native" if gateway._drive else "python"]
+    ceilings = [fixed + each * size for fixed, each in zip(base, per_packet)]
+    assert work[0] == ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
 
 
 def test_one_packet_object_twice_in_a_burst(make):

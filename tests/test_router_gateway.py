@@ -125,23 +125,23 @@ class TestGateway:
             gateway.send(res_id, b"")
 
     def test_send_is_a_burst_of_one(self):
-        """``send`` runs the burst pipeline's one per-request loop, once
-        per call, for a drop as for a stamped packet."""
+        """``send`` runs the burst pipeline once per call, over a burst of
+        its one request, for a drop as for a stamped packet."""
         clock, gateway, router, *_ = make_stack()
         res_id, _ = install(gateway, router.keys, clock)
-        plans = []
-        plan = gateway._plan
+        bursts = []
+        batch = gateway.send_batch
 
-        def counting(requests, now):
-            plans.append(list(requests))
-            return plan(requests, now)
+        def counting(requests):
+            bursts.append(list(requests))
+            return batch(requests)
 
-        gateway._plan = counting
+        gateway.send_batch = counting
         gateway.send(res_id, b"a")
         gateway.send(res_id, b"b")
         with pytest.raises(ReservationNotFound):
             gateway.send(ReservationId(SRC, 99), b"c")
-        assert plans == [[(res_id, b"a")], [(res_id, b"b")], [(ReservationId(SRC, 99), b"c")]]
+        assert bursts == [[(res_id, b"a")], [(res_id, b"b")], [(ReservationId(SRC, 99), b"c")]]
 
     @pytest.mark.parametrize("api", ["send", "send_batch"])
     def test_unwatched_flow_is_not_policed(self, api):

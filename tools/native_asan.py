@@ -3,7 +3,10 @@
 
 ``repro.crypto.native`` hands C the addresses of buffers Python owns; a
 wrong index there corrupts the interpreter's heap instead of raising.
-This tool compiles ``native._SOURCE`` together with a generated C driver
+First the kernel (``native._SOURCE``, as shipped and with
+``-DCOLIBRI_SCALAR``) and the glue (``native._GLUE``) are compiled with
+``-Wall -Wextra -Werror``, so neither gains a warning.  Then this tool
+compiles ``native._SOURCE`` together with a generated C driver
 using ``gcc -fsanitize=address,undefined -fno-sanitize-recover=all`` and
 runs it, twice: as shipped (AVX2 lanes where the CPU has them) and with
 ``-DCOLIBRI_SCALAR`` (the scalar fallback over the same schedule layout).
@@ -14,7 +17,7 @@ side — hashlib for the MACs, the ``COLIBRI_NATIVE=0`` bodies of
 ``DuplicateSuppressor`` / ``OveruseFlowDetector`` for the tables:
 
 * Eq. (6) verify (good tag, bad tag) and ``colibri_stamp_t`` /
-  ``_many_t`` / ``_scatter_t`` over 1, 8, 9 and 16 hops;
+  ``_many_t`` over 1, 8, 9 and 16 hops;
 * ``colibri_burst`` over one 400-row script — fresh, replayed, forged,
   stale, expired, flagged and SegR packets, a flow of no bandwidth, one
   minted under the previous epoch's key, versions that drop v - 2 — in
@@ -35,13 +38,15 @@ side — hashlib for the MACs, the ``COLIBRI_NATIVE=0`` bodies of
 * four renewal rounds of four flows: after the first, the table keeps its size.
 
 Then it builds the extension itself — the kernel's cffi module and the
-router's glue (``native._GLUE``, CPython API: the router's whole burst in one
-``burst`` call) — under the same sanitizers and runs
-``tests/test_router_differential.py`` (the differential and hostile-object
-tests) and ``test_policing_native.py -k glue`` (the refcounts, and a GROW,
-REKEY and CELLS stop served in one burst) against it in a subprocess with
-libasan preloaded and ``PYTHONMALLOC=malloc``, so a read past a Python
-object's end aborts too.
+glue (``native._GLUE``, CPython API: the router's whole burst in one
+``burst`` call, the gateway's in one ``send`` call) — under the same
+sanitizers and runs ``tests/test_router_differential.py`` (the differential
+and hostile-object tests), ``test_policing_native.py -k glue`` (the
+refcounts, and a GROW, REKEY and CELLS stop served in one burst) and
+``tests/test_gateway_differential.py`` (the gateway's differential, its
+hostile requests and refcounts) against it in a subprocess with libasan
+preloaded and ``PYTHONMALLOC=malloc``, so a read past a Python object's end
+aborts too.
 
 Usage (from the repo root)::
 
@@ -70,6 +75,7 @@ from repro.dataplane.ofd import OveruseFlowDetector  # noqa: E402
 from repro.util.clock import SimClock  # noqa: E402
 
 CFLAGS = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+STRICT = ["-O2", "-Wall", "-Wextra", "-Werror"]
 HOP_COUNTS = (1, 8, 9, 16)
 BLOOM_CASES = [(1 << 10, hashes) for hashes in range(1, 9)] + [(4999, 7), (1000, 1), (4999, 4)]
 SKETCHES = [(1, 1), (16, 4), (1024, 6), (2, 8)]  # width, depth; a case takes them in turn
@@ -147,19 +153,12 @@ def crypto_section() -> tuple:
     {{
         uint32_t *scheds = transposed(KEYS, {hops});
         uint8_t *msgs = malloc(2 * sizeof {label}), *out = malloc(2 * {4 * hops});
-        uint32_t *plan[2] = {{scheds, scheds}};
-        int32_t counts[2] = {{{hops}, {hops}}};
-        int64_t offsets[2] = {{{4 * hops}, 0}};
         memcpy(msgs, {label}, sizeof {label});
         memcpy(msgs + sizeof {label}, {label}, sizeof {label});
         colibri_stamp_t(scheds, {hops}, msgs, sizeof {label}, out, 4);
         CHECK(memcmp(out, TAGS_{label}_{hops}, {4 * hops}) == 0);
         memset(out, 0, 2 * {4 * hops});
         colibri_stamp_many_t(scheds, {hops}, msgs, sizeof {label}, 2, out, 4);
-        CHECK(memcmp(out, TAGS_{label}_{hops}, {4 * hops}) == 0);
-        CHECK(memcmp(out + {4 * hops}, TAGS_{label}_{hops}, {4 * hops}) == 0);
-        memset(out, 0, 2 * {4 * hops});
-        colibri_stamp_scatter_t(plan, counts, msgs, sizeof {label}, 2, out, offsets, 4);
         CHECK(memcmp(out, TAGS_{label}_{hops}, {4 * hops}) == 0);
         CHECK(memcmp(out + {4 * hops}, TAGS_{label}_{hops}, {4 * hops}) == 0);
         free(scheds); free(msgs); free(out);
@@ -579,6 +578,21 @@ assert native.backend().glue.__file__.startswith(native._BUILD_DIR), native._pro
 """
 
 
+def strict(compiler: str, workdir: Path) -> int:
+    """The kernel, as shipped and scalar-only, and the glue with every warning an error."""
+    (workdir / "strict-kernel.c").write_text(native._SOURCE)
+    (workdir / "strict-glue.c").write_text(native._GLUE)
+    builds = (("kernel", "strict-kernel.c", []), ("kernel-scalar", "strict-kernel.c", ["-DCOLIBRI_SCALAR"]),
+              ("glue", "strict-glue.c", ["-I", sysconfig.get_paths()["include"]]))
+    for label, source, flags in builds:
+        print(f"[strict {label}] ", end="", flush=True)
+        status = subprocess.run([compiler, *STRICT, *flags, "-c", str(workdir / source), "-o", os.devnull]).returncode
+        print("failed" if status else "ok")
+        if status:
+            return status
+    return 0
+
+
 def run_glue(compiler: str, workdir: Path) -> int:
     """The extension under ASan + UBSan, the router's tests against it."""
     runtime = subprocess.run([compiler, "-print-file-name=libasan.so"], capture_output=True, text=True).stdout.strip()
@@ -605,7 +619,8 @@ def run_glue(compiler: str, workdir: Path) -> int:
     print("[glue] ", end="", flush=True)
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--capture=sys", "-p", "asan_glue", "-p", "no:cacheprovider",
-         "tests/test_router_differential.py", "tests/test_policing_native.py", "-k", "not policing or glue"],
+         "tests/test_router_differential.py", "tests/test_policing_native.py", "tests/test_gateway_differential.py",
+         "-k", "not policing or glue"],
         cwd=root, env=env,
     ).returncode
 
@@ -621,6 +636,9 @@ def main(argv=None) -> int:
     workdir = Path(args.keep or tempfile.mkdtemp(prefix="colibri-asan-"))
     workdir.mkdir(parents=True, exist_ok=True)
     try:
+        status = strict(compiler, workdir)
+        if status:
+            return status
         source = workdir / "driver.c"
         source.write_text(driver_source())
         for label, defines in (("avx2-if-present", []), ("scalar", ["-DCOLIBRI_SCALAR"])):
