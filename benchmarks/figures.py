@@ -45,7 +45,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "e2e")]
 import probes  # noqa: E402
 from noise import summarize  # noqa: E402
 
-from repro.admission import EerAdmission, SegmentAdmission, TrafficMatrix  # noqa: E402
+from repro.admission import EerAdmission, PerHostCapPolicy, SegmentAdmission, TrafficMatrix  # noqa: E402
 from repro.admission.eer_admission import AsRole  # noqa: E402
 from repro.attacks import DocAttack, ReplayAttack, SpoofingAttack, VolumetricAttack  # noqa: E402
 from repro.baselines import DiffServRouter, DscpClass, IntServNetwork  # noqa: E402
@@ -57,7 +57,7 @@ from repro.dataplane.gateway import ColibriGateway  # noqa: E402
 from repro.dataplane.hvf import ColibriKeys, backend_name, eer_hvf, hop_authenticator  # noqa: E402
 from repro.dataplane.queueing import PriorityScheduler, TrafficClass  # noqa: E402
 from repro.dataplane.router import BorderRouter, Verdict  # noqa: E402
-from repro.errors import SimulationError  # noqa: E402
+from repro.errors import AdmissionDenied, SimulationError  # noqa: E402
 from repro.packets.colibri import ColibriPacket, PacketType  # noqa: E402
 from repro.packets.fields import EerInfo, PathField, ResInfo, Timestamp  # noqa: E402
 from repro.reservation import (  # noqa: E402
@@ -883,6 +883,16 @@ def security(scale: str, build=attacked_network) -> Figure:
         replay.observe_delivery(net.send(_SRC1, handle, f"packet {index}".encode()))
     replayed = replay.replay(copies=20)
     forged = SpoofingAttack(net, victim=_SRC1, target=IsdAs(1, BASE + 1)).forge_fresh(count=500)
+    packet = net.gateway(_SRC1).send(handle.reservation_id, b"authentic")
+    tampered = SpoofingAttack(net, victim=_SRC1, target=_SRC1).mutate_authentic(packet, count=40)
+    policy, host = PerHostCapPolicy(mbps(3)), HostAddr(7)
+    net.cserv(_SRC1).eer_admission.source_policy = policy
+    net.establish_eer(_SRC1, _DST, mbps(2), src_host=host)
+    held, refused_at = policy.in_use(host), None
+    try:  # 2 + 2 Mbps is past the host's 3 Mbps cap
+        net.establish_eer(_SRC1, _DST, mbps(2), src_host=host)
+    except AdmissionDenied as denial:
+        refused_at = denial.at_as
 
     net = build()
     benign = net.establish_eer(_SRC1, _DST, mbps(8))
@@ -905,6 +915,10 @@ def security(scale: str, build=attacked_network) -> Figure:
              f"{replayed.replays_suppressed} suppressed, source framed: {replayed.victim_blocked}"],
             ["spoofed source (§5.1)", forged.sent, forged.accepted,
              f"{forged.rejected_bad_hvf} dropped at the HVF check"],
+            ["tag reuse (§5.1)", tampered.sent, tampered.accepted,
+             f"{tampered.rejected_bad_hvf} dropped at the HVF check"],
+            ["per-host cap (§5.2)", 2, 1 + (refused_at is None),
+             f"refused at {refused_at}; host's charge {held / 1e6:g} -> {policy.in_use(host) / 1e6:g} of 3 Mbps"],
             ["reservation overuse x10 (§5.1)", overuse.attack_sent, overuse.attack_delivered,
              f"rogue AS blocked: {overuse.attacker_blocked}; benign flow delivered "
              f"{overuse.benign_delivered}/{overuse.benign_sent}"],
@@ -915,6 +929,9 @@ def security(scale: str, build=attacked_network) -> Figure:
             equal("every replayed copy is suppressed", replayed.replays_suppressed, replayed.replayed),
             equal("the replayed source is not framed", replayed.victim_blocked, False),
             equal("every forged packet dies at the HVF check", forged.rejected_bad_hvf, forged.sent),
+            equal("every tampered packet dies at the HVF check", tampered.rejected_bad_hvf, tampered.sent),
+            equal("a host past its cap is refused at the source AS", str(refused_at), str(_SRC1)),
+            equal("the refused setup leaves the host's charge unchanged", policy.in_use(host), held),
             equal("the overusing AS ends up blocked", overuse.attacker_blocked, True),
             ratio_at_least("most of the overuse dies in the network",
                            exact(overuse.attack_sent), exact(overuse.attack_delivered), 2.0),

@@ -45,9 +45,7 @@ def spoofing_demo(network):
     print(f"forged packets sent: {report.sent}")
     print(f"rejected by HVF check: {report.rejected_bad_hvf}")
     print(f"accepted: {report.accepted}")
-    blocked = network.router(IsdAs(1, BASE + 1)).blocklist.is_blocked(
-        VICTIM, network.clock.now()
-    )
+    blocked = network.router(IsdAs(1, BASE + 1)).blocklist.is_blocked(VICTIM)
     print(f"victim blocked by framing: {blocked}")
 
 

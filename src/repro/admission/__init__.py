@@ -6,7 +6,6 @@ from repro.admission.eer_admission import EerAdmission, TransferDistributor
 from repro.admission.policy import (
     AdmissionPolicy,
     AllowAllPolicy,
-    DenyListPolicy,
     PerHostCapPolicy,
 )
 from repro.admission.traffic_matrix import TrafficMatrix
@@ -21,6 +20,5 @@ __all__ = [
     "TransferDistributor",
     "AdmissionPolicy",
     "AllowAllPolicy",
-    "DenyListPolicy",
     "PerHostCapPolicy",
 ]

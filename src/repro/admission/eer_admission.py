@@ -128,9 +128,6 @@ class TransferDistributor:
             return 0.0
         return demands.get(up_segment, 0.0)
 
-    def total_demand(self, core_segment: ReservationId) -> float:
-        return sum(self._demands.get(core_segment, {}).values())
-
     def quota(
         self,
         core_segment: ReservationId,

@@ -126,9 +126,8 @@ class VolumetricAttack:
             self.network.advance(tick)
 
         on_path = [hop.isd_as for hop in attack_handle.hops[1:]]
-        now = self.network.clock.now()
         outcome.attacker_blocked = any(
-            self.network.router(isd_as).blocklist.is_blocked(self.attacker, now)
+            self.network.router(isd_as).blocklist.is_blocked(self.attacker)
             for isd_as in on_path
         )
         return outcome

@@ -29,10 +29,6 @@ class DocReport:
     flood_rejected: int = 0
     victim_renewal_succeeded: bool = False
 
-    @property
-    def rejection_rate(self) -> float:
-        return self.flood_rejected / self.flood_sent if self.flood_sent else 0.0
-
 
 class DocAttack:
     """Request-flood the CServ of ``target`` from ``attacker``."""

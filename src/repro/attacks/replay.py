@@ -70,9 +70,7 @@ class ReplayAttack:
                     report.replays_delivered += 1
         victim = self._captured[0].res_info.src_as if self._captured else None
         if victim is not None:
-            report.victim_blocked = router.blocklist.is_blocked(
-                victim, self.network.clock.now()
-            )
+            report.victim_blocked = router.blocklist.is_blocked(victim)
         return report
 
     def _vantage_index(self, packet: ColibriPacket) -> int:

@@ -56,8 +56,6 @@ class IntServRouter:
         self.capacity = capacity
         self._flows: dict[int, RsvpSession] = {}
         self._reserved = 0.0
-        self.packets_forwarded = 0
-        self.packets_dropped = 0
         self.refresh_work = 0  # control-plane operations performed
 
     def admit(self, session: RsvpSession) -> None:
@@ -75,15 +73,6 @@ class IntServRouter:
         session = self._flows.pop(session_id, None)
         if session is not None:
             self._reserved -= session.rate
-
-    def forward(self, session_id: int) -> bool:
-        """Per-packet processing: the per-flow state lookup IS the cost."""
-        session = self._flows.get(session_id)
-        if session is None:
-            self.packets_dropped += 1
-            return False
-        self.packets_forwarded += 1
-        return True
 
     def refresh_sweep(self, now: float) -> int:
         """Soft-state maintenance: touch every flow, expire the stale.
@@ -151,11 +140,3 @@ class IntServNetwork:
         for router in self.routers.values():
             router.remove(session_id)
         self.signaling_messages += len(self.path)
-
-    def forward_packet(self, session: RsvpSession) -> bool:
-        return all(
-            self.routers[isd_as].forward(session.session_id) for isd_as in self.path
-        )
-
-    def total_state(self) -> int:
-        return sum(router.state_size for router in self.routers.values())

@@ -16,7 +16,6 @@ from repro.control.rate_limit import RateLimiter
 from repro.control.renewal import RenewalScheduler
 from repro.control.retry import (
     CircuitBreaker,
-    PolicyTable,
     RetryingCaller,
     RetryPolicy,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "RateLimiter",
     "RenewalScheduler",
     "RetryPolicy",
-    "PolicyTable",
     "RetryingCaller",
     "CircuitBreaker",
     "DistributedCServ",

@@ -62,7 +62,7 @@ from repro.control.dissemination import (
     SegmentRegistry,
 )
 from repro.control.rate_limit import RateLimiter
-from repro.control.retry import PolicyTable, RetryingCaller
+from repro.control.retry import RetryingCaller
 from repro.control.rpc import MessageBus
 from repro.crypto.keyserver import KeyServerDirectory
 from repro.dataplane.gateway import ColibriGateway
@@ -235,8 +235,6 @@ class ColibriService:
         source_policy: Optional[AdmissionPolicy] = None,
         destination_policy: Optional[AdmissionPolicy] = None,
         host_acceptor: Optional[Callable] = None,
-        request_rate: float = DEFAULT_REQUEST_RATE,
-        retry_policies: Optional[PolicyTable] = None,
         retry_sleeper: Optional[Callable[[float], None]] = None,
     ):
         self.node = node
@@ -249,13 +247,7 @@ class ColibriService:
         self.gateway = gateway
         #: Client-side fault tolerance: retries with backoff, latency
         #: budgets, and per-destination circuit breaking (§3.3, §4.2).
-        self.caller = RetryingCaller(
-            bus,
-            clock,
-            self.isd_as,
-            policies=retry_policies,
-            sleeper=retry_sleeper,
-        )
+        self.caller = RetryingCaller(bus, clock, self.isd_as, sleeper=retry_sleeper)
         self.replays = 0  # retries answered from a stored version's record
 
         #: One store per AS: sweep and accounting costs are bounded by
@@ -274,7 +266,7 @@ class ColibriService:
         self._ids = SequenceAllocator()
         self._segment_tokens: dict[ReservationId, tuple] = {}
         self._chain_paths: dict = {}  # see _combine_chain
-        self.request_limiter = RateLimiter(request_rate)
+        self.request_limiter = RateLimiter(DEFAULT_REQUEST_RATE)
         self.renewal_limiter = RateLimiter(1.0 / EER_RENEWAL_MIN_INTERVAL)
         #: ASes caught overusing: future reservations are denied (§4.8).
         self.denied_sources: set = set()
@@ -1303,9 +1295,6 @@ class ColibriService:
         """
         self.offenses_reported += 1
         self.denied_sources.add(source)
-
-    def pardon(self, source: IsdAs) -> None:
-        self.denied_sources.discard(source)
 
     # ========================================================== housekeeping ==
 

@@ -163,13 +163,11 @@ class RemoteQueryClient:
         registry: SegmentRegistry,
         clock: Clock,
         isd_as: IsdAs,
-        cache_ttl: float = REMOTE_CACHE_TTL,
     ):
         self.caller = caller
         self.registry = registry
         self.clock = clock
         self.isd_as = isd_as
-        self.cache_ttl = cache_ttl
         self._cache: dict = {}  # (first, last) -> (descriptors, fetched_at)
         self.remote_queries = 0
         self.remote_failures = 0
@@ -196,7 +194,7 @@ class RemoteQueryClient:
         if cached is not None:
             descriptors, fetched_at = cached
             fresh = [d for d in descriptors if not d.is_expired(now)]
-            if fresh and now - fetched_at < self.cache_ttl:
+            if fresh and now - fetched_at < REMOTE_CACHE_TTL:
                 return fresh
         self.remote_queries += 1
         try:
@@ -223,6 +221,3 @@ class RemoteQueryClient:
         the retry refetches fresh state (Appendix C)."""
         for descriptor in descriptors:
             self._cache.pop((descriptor.first_as, descriptor.last_as), None)
-
-    def cached_pairs(self) -> list:
-        return sorted(self._cache)

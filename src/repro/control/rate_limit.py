@@ -45,6 +45,3 @@ class RateLimiter:
     def forget(self, key) -> None:
         """Drop state for a key (e.g. an expired reservation)."""
         self._state.pop(key, None)
-
-    def tracked_keys(self) -> int:
-        return len(self._state)

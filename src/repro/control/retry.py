@@ -8,7 +8,7 @@ of that robustness:
 
 * :class:`RetryPolicy` — capped exponential backoff with deterministic
   (seeded) jitter and a per-call virtual-latency budget;
-* :class:`PolicyTable` — maps control-plane methods to timeout classes
+* ``_DEFAULT_CLASSES`` — maps control-plane methods to timeout classes
   (setup, renewal, cleanup, query);
 * :class:`CircuitBreaker` — per-destination fail-fast once an AS looks
   persistently dead, with clock-injected half-open probing;
@@ -92,23 +92,6 @@ _DEFAULT_CLASSES = {
     "handle_eer_abort": CLEANUP_POLICY,
     "query_registry": QUERY_POLICY,
 }
-
-
-class PolicyTable:
-    """Per-method retry policies with a fallback default."""
-
-    def __init__(
-        self,
-        overrides: Optional[dict] = None,
-        default: RetryPolicy = SETUP_POLICY,
-    ):
-        self._policies = dict(_DEFAULT_CLASSES)
-        if overrides:
-            self._policies.update(overrides)
-        self._default = default
-
-    def for_method(self, method: str) -> RetryPolicy:
-        return self._policies.get(method, self._default)
 
 
 class CircuitBreaker:
@@ -208,7 +191,6 @@ class RetryingCaller:
         bus,
         clock: Clock,
         source: IsdAs,
-        policies: Optional[PolicyTable] = None,
         seed: Optional[int] = None,
         sleeper: Optional[Callable[[float], None]] = None,
         failure_threshold: int = CIRCUIT_FAILURE_THRESHOLD,
@@ -217,7 +199,6 @@ class RetryingCaller:
         self.bus = bus
         self.clock = clock
         self.source = source
-        self.policies = policies or PolicyTable()
         if seed is None:
             # Deterministic per-AS seed: replays never depend on hash
             # randomization or interpreter state.
@@ -274,7 +255,7 @@ class RetryingCaller:
             span = tracer.start("retry.call", {"method": method, "dest": str(isd_as)})
             attempts_before = stats.attempts
         try:
-            policy = self.policies.for_method(method)
+            policy = _DEFAULT_CLASSES.get(method, SETUP_POLICY)
             breaker = self._breakers.get(isd_as) or self.breaker(isd_as)
             stats.calls += 1
             stats.by_method[method] = stats.by_method.get(method, 0) + 1

@@ -152,10 +152,6 @@ class MessageBus:
     def register(self, isd_as: IsdAs, service: object) -> None:
         self._services[isd_as] = service
 
-    def install_faults(self, faults: Optional[FaultInjector]) -> None:
-        """Attach (or clear) the failure plan driving this bus."""
-        self.faults = faults
-
     def call(
         self,
         isd_as: IsdAs,

@@ -51,9 +51,9 @@ def derive_as_key(secret_value: bytes, remote: EntityId) -> bytes:
     return prf(secret_value, b"as|" + encode_entity(remote))
 
 
-def derive_host_key(as_key: bytes, host: EntityId, protocol: bytes = b"colibri") -> bytes:
-    """Protocol- and host-specific key below ``K_{A->B}`` (footnote 2)."""
-    return prf(as_key, b"host|" + protocol + b"|" + encode_entity(host))
+def derive_host_key(as_key: bytes, host: EntityId) -> bytes:
+    """Colibri's host-specific key below ``K_{A->B}`` (footnote 2)."""
+    return prf(as_key, b"host|colibri|" + encode_entity(host))
 
 
 @dataclass(frozen=True)
@@ -66,18 +66,6 @@ class DrkeySecret:
 
     value: bytes
     epoch: int
-
-    @property
-    def not_before(self) -> float:
-        return self.epoch * DRKEY_VALIDITY
-
-    @property
-    def not_after(self) -> float:
-        return (self.epoch + 1) * DRKEY_VALIDITY
-
-    def covers(self, when: float) -> bool:
-        """Whether ``when`` falls inside this secret's validity epoch."""
-        return self.not_before <= when < self.not_after
 
 
 class DrkeyDeriver:
@@ -115,9 +103,3 @@ class DrkeyDeriver:
     def as_key(self, remote: EntityId, when: float = None) -> bytes:
         """Derive ``K_{local->remote}`` for the epoch covering ``when``."""
         return derive_as_key(self.secret_for(when).value, remote)
-
-    def host_key(
-        self, remote: EntityId, host: EntityId, when: float = None, protocol: bytes = b"colibri"
-    ) -> bytes:
-        """Derive the host-level key under ``K_{local->remote}``."""
-        return derive_host_key(self.as_key(remote, when), host, protocol)

@@ -9,7 +9,6 @@ from repro.dataplane.hvf import (
     eer_hvf,
     hop_authenticator,
     segment_token,
-    verify_segment_token,
 )
 from repro.dataplane.monitor import DeterministicMonitor
 from repro.dataplane.ofd import OveruseFlowDetector
@@ -22,7 +21,6 @@ __all__ = [
     "segment_token",
     "hop_authenticator",
     "eer_hvf",
-    "verify_segment_token",
     "ColibriGateway",
     "BorderRouter",
     "TokenBucket",

@@ -7,45 +7,28 @@ is very short — only a tiny share of the 70 000 ASes is expected to
 misbehave at any point in time — it can be implemented as a simple hash
 set."
 
-Entries carry an optional expiry so an operator can impose time-boxed
-penalties; permanent blocks use ``expiry=None``.  The router consults
-:meth:`is_blocked` on every packet — an O(1) set lookup, keeping the
-fast path fast.
+A block is for good.  The router's Python body reads ``_blocked`` per
+packet (an O(1) set lookup), ``BorderRouter._flag`` per glue burst.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.topology.addresses import IsdAs
 
 
 class Blocklist:
-    """A hash set of blocked source ASes with optional per-entry expiry."""
+    """A hash set of blocked source ASes."""
 
     def __init__(self):
-        self._blocked: dict[IsdAs, Optional[float]] = {}
+        self._blocked: set = set()
         self.blocks_imposed = 0
 
-    def block(self, source: IsdAs, until: Optional[float] = None) -> None:
-        """Block a source AS, permanently or until an absolute time."""
-        self._blocked[source] = until
+    def block(self, source: IsdAs) -> None:
+        self._blocked.add(source)
         self.blocks_imposed += 1
 
-    def unblock(self, source: IsdAs) -> None:
-        self._blocked.pop(source, None)
-
-    def is_blocked(self, source: IsdAs, now: float) -> bool:
-        until = self._blocked.get(source, _MISSING)
-        if until is _MISSING:
-            return False
-        if until is None:
-            return True
-        if now >= until:
-            # Lazy expiry: drop the stale entry on first consultation.
-            del self._blocked[source]
-            return False
-        return True
+    def is_blocked(self, source: IsdAs) -> bool:
+        return source in self._blocked
 
     def __len__(self) -> int:
         return len(self._blocked)
@@ -53,5 +36,3 @@ class Blocklist:
     def blocked_ases(self) -> list:
         return sorted(self._blocked)
 
-
-_MISSING = object()

@@ -26,7 +26,6 @@ buffers, this body then being the oracle; a rotation a new buffer.
 
 from __future__ import annotations
 
-import math
 import struct
 
 from repro.constants import DUPLICATE_WINDOW
@@ -138,11 +137,6 @@ class DuplicateSuppressor:
             )
         return False
 
-    @property
-    def memory_bytes(self) -> int:
-        """Total filter memory — constant, independent of traffic volume."""
-        return len(self._current._array) + len(self._previous._array)
-
     def false_positive_rate(self) -> float:
         """Probability a *fresh* packet is wrongly suppressed, from the
         filters' actual fill fractions (``fill^k`` per filter).
@@ -167,18 +161,3 @@ class DuplicateSuppressor:
         p_current = per_filter(self._current)
         p_previous = per_filter(self._previous)
         return 1.0 - (1.0 - p_current) * (1.0 - p_previous)
-
-    @classmethod
-    def size_for(
-        cls, packets_per_window: int, target_fp_rate: float, hashes: int = 4
-    ) -> int:
-        """Bits needed so a window of ``packets_per_window`` insertions
-        stays under ``target_fp_rate`` — the provisioning formula."""
-        if not 0 < target_fp_rate < 1:
-            raise ValueError(f"target rate must be in (0,1), got {target_fp_rate}")
-        if packets_per_window <= 0:
-            raise ValueError("packets per window must be positive")
-        # Invert (1 - e^{-kn/m})^k = p  ->  m = -kn / ln(1 - p^{1/k}).
-        per_filter_target = target_fp_rate / 2  # two filters consulted
-        root = per_filter_target ** (1.0 / hashes)
-        return math.ceil(-hashes * packets_per_window / math.log(1.0 - root))

@@ -234,12 +234,6 @@ class ColibriGateway:
         self._reservations.pop(packed_id, None)
         self.monitor.unwatch(packed_id)
 
-    def reservation_count(self) -> int:
-        return len(self._reservations)
-
-    def known_reservations(self) -> list:
-        return [entry.reservation_id for entry in self._reservations.values()]
-
     # -- the burst pipeline: plan -> stamp -> emit -----------------------------------
 
     def send(self, reservation_id: ReservationId, payload: bytes) -> ColibriPacket:

@@ -33,9 +33,8 @@ from repro.constants import DRKEY_VALIDITY, L_HVF
 from repro.crypto import native
 from repro.crypto.aead import KeyContext
 from repro.crypto.drkey import DrkeyDeriver, EntityId, encode_entity
-from repro.crypto.mac import constant_time_equal, mac, truncated_mac
+from repro.crypto.mac import mac, truncated_mac
 from repro.crypto.prf import prf, prf_context
-from repro.errors import HvfMismatch
 from repro.packets.fields import EerInfo, ResInfo, Timestamp
 
 _PAIR = struct.Struct("!HH")
@@ -52,18 +51,6 @@ def segment_token(
 ) -> bytes:
     """Eq. (3): the truncated SegR token for one AS."""
     return truncated_mac(hop_key, res_info.packed + _pair_bytes(ingress, egress), L_HVF)
-
-
-def verify_segment_token(
-    hop_key: bytes, res_info: ResInfo, ingress: int, egress: int, token: bytes
-) -> None:
-    """Recompute Eq. (3) on the fly and compare; raises on mismatch."""
-    expected = segment_token(hop_key, res_info, ingress, egress)
-    if not constant_time_equal(expected, token):
-        raise HvfMismatch(
-            f"SegR token mismatch for reservation {res_info.reservation} "
-            f"at interface pair ({ingress}, {egress})"
-        )
 
 
 def hop_authenticator(

@@ -145,9 +145,6 @@ class OveruseFlowDetector:
                 hits=self._hits[flow_label],
             )
 
-    def is_suspect(self, flow_label: bytes) -> bool:
-        return flow_label in self._suspects
-
     def suspect_count(self) -> int:
         """Flows flagged in the current window — feeds the
         ``ofd_suspects`` registry gauge."""
@@ -162,8 +159,3 @@ class OveruseFlowDetector:
         """Flows flagged in the current window, for handoff to the
         deterministic monitor (§4.8)."""
         return set(self._suspects)
-
-    @property
-    def memory_cells(self) -> int:
-        """Sketch size — fixed, independent of the number of flows."""
-        return self.width * self.depth

@@ -52,7 +52,6 @@ class PriorityScheduler:
         self._now = 0.0  # the port's time as of its last transit_delay
         self.enqueued = {cls: 0 for cls in TrafficClass}
         self.tail_dropped = {cls: 0 for cls in TrafficClass}
-        self.sent_bytes = {cls: 0 for cls in TrafficClass}
         self.sent_by_label = defaultdict(int)
 
     def enqueue(self, size_bytes: int, traffic_class: TrafficClass, label=None) -> bool:
@@ -93,7 +92,6 @@ class PriorityScheduler:
                 self._queued_bytes[traffic_class] -= size
                 budget_bits -= size * 8
                 sent[traffic_class] += size
-                self.sent_bytes[traffic_class] += size
                 self.sent_by_label[label] += size
         self._credit_bits = budget_bits if any(self._queues.values()) else 0.0
         return sent
@@ -113,15 +111,3 @@ class PriorityScheduler:
         if not self.enqueue(size_bytes, traffic_class):
             return math.inf
         return (ahead + size_bytes) * 8 / self.capacity
-
-    def backlog_bytes(self, traffic_class: TrafficClass) -> int:
-        return self._queued_bytes[traffic_class]
-
-    def total_backlog(self) -> int:
-        return sum(self._queued_bytes.values())
-
-    def output_rate(self, traffic_class: TrafficClass, elapsed: float) -> float:
-        """Average output in bits per second over ``elapsed`` seconds."""
-        if elapsed <= 0:
-            raise ValueError(f"elapsed must be positive, got {elapsed}")
-        return self.sent_bytes[traffic_class] * 8 / elapsed

@@ -205,7 +205,7 @@ class BorderRouter:
             return self._finish(packet, Verdict.DROP_STALE)
         # 2. Policing blocklist — cheap, before any crypto.
         reservation = res_info.reservation
-        if self.blocklist._blocked and self.blocklist.is_blocked(reservation.src_as, now):
+        if reservation.src_as in self.blocklist._blocked:
             return self._finish(packet, Verdict.DROP_BLOCKED)
         # 3. Cryptographic validation (Eq. 3 or Eq. 4+6) over PktSize.
         if packet.packet_type != PacketType.EER_DATA:

@@ -27,10 +27,6 @@ class UnknownASError(TopologyError):
     """An ISD-AS address does not exist in the topology."""
 
 
-class UnknownInterfaceError(TopologyError):
-    """An interface ID does not exist at the given AS."""
-
-
 class PathError(ColibriError):
     """A path or segment could not be constructed or is malformed."""
 
@@ -198,10 +194,6 @@ class StoreConflict(ReservationError):
 
 class DataPlaneError(ColibriError):
     """Base class for forwarding-time failures."""
-
-
-class HvfMismatch(DataPlaneError):
-    """The hop validation field in the packet does not match Eq. (3)/(6)."""
 
 
 class BandwidthExceeded(DataPlaneError):

@@ -22,8 +22,7 @@ victim, but could not authenticate them).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import List
 
 from repro.constants import DRKEY_VALIDITY
@@ -34,9 +33,9 @@ from repro.obs.events import (
     EventJournal,
 )
 
-#: Sample packets attached to an evidence record by default: enough to
-#: spot-check, small enough to ship in a complaint.
-DEFAULT_MAX_SAMPLES = 5
+#: Sample packets attached to an evidence record: enough to spot-check,
+#: small enough to ship in a complaint.
+MAX_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -65,21 +64,6 @@ class OveruseEvidence:
     sample_packets: tuple
     journal_refs: tuple
 
-    def to_json(self) -> str:
-        """Deterministic serialization (sorted keys, no whitespace
-        churn) — two builds over the same journal are byte-identical."""
-        payload = asdict(self)
-        payload["sample_packets"] = list(self.sample_packets)
-        payload["journal_refs"] = list(self.journal_refs)
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OveruseEvidence":
-        data = json.loads(text)
-        data["sample_packets"] = tuple(data["sample_packets"])
-        data["journal_refs"] = tuple(data["journal_refs"])
-        return cls(**data)
-
 
 class EvidenceBuilder:
     """Assembles :class:`OveruseEvidence` from an :class:`EventJournal`."""
@@ -95,9 +79,7 @@ class EvidenceBuilder:
             seen.setdefault(event.attrs["flow"], None)
         return list(seen)
 
-    def build(
-        self, flow: str, max_samples: int = DEFAULT_MAX_SAMPLES
-    ) -> OveruseEvidence:
+    def build(self, flow: str) -> OveruseEvidence:
         """Evidence for one flow label (reservation id, packed hex).
 
         Raises :class:`ValueError` when the journal holds no confirmed
@@ -149,7 +131,7 @@ class EvidenceBuilder:
             dropped_bytes=sum(int(event.attrs["size"]) for event in drops),
             sample_packets=tuple(
                 {"seq": event.seq, "time": event.time, "size": event.attrs["size"]}
-                for event in drops[:max_samples]
+                for event in drops[:MAX_SAMPLES]
             ),
             journal_refs=(confirmation.seq,)
             + tuple(event.seq for event in ofd_events),

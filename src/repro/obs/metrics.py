@@ -254,9 +254,6 @@ class MetricsRegistry:
             for name in sorted(names):
                 yield name, help_texts.get(name, f"Colibri counter {name}"), snapshot
 
-    def instruments(self) -> list:
-        return [self._instruments[name] for name in sorted(self._instruments)]
-
     def get(self, name: str):
         return self._instruments.get(name)
 

@@ -98,7 +98,7 @@ def run_health_scenario(
 # -- report assembly ---------------------------------------------------------------
 
 
-def health_report(network, obs, top_n: int = 5) -> dict:
+def health_report(network, obs) -> dict:
     """The full health snapshot as one JSON-serializable dict."""
     alerts = [
         {
@@ -139,14 +139,14 @@ def health_report(network, obs, top_n: int = 5) -> dict:
             **journal.stats(),
             "by_type": journal.count_by_type(),
         },
-        "noisy_reservations": _noisy_reservations(journal, top_n),
+        "noisy_reservations": _noisy_reservations(journal),
         "evidence": evidence,
         "telemetry_total": network.telemetry()["total"],
     }
 
 
-def _noisy_reservations(journal, top_n: int) -> list:
-    """Reservations by journal event volume, noisiest first."""
+def _noisy_reservations(journal) -> list:
+    """The five reservations with the most journal events, noisiest first."""
     counts: dict = {}
     for event in journal.events():
         reservation = event.attrs.get("reservation")
@@ -155,7 +155,7 @@ def _noisy_reservations(journal, top_n: int) -> list:
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return [
         {"reservation": reservation, "events": count}
-        for reservation, count in ranked[:top_n]
+        for reservation, count in ranked[:5]
     ]
 
 

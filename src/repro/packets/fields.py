@@ -169,10 +169,6 @@ class Timestamp:
             raise PacketFieldError(f"packet created after expiry ({delta:.6f} s late)")
         return cls(int(delta * 1e6), sequence)
 
-    def absolute(self, expiry: float) -> float:
-        """Recover the absolute creation time given the expiry from ResInfo."""
-        return expiry - self.micros_before_expiry / 1e6
-
     @classmethod
     def from_word(cls, word: int) -> "Timestamp":
         """The Ts packed in the 64-bit ``word``: every such word is in

@@ -92,9 +92,6 @@ class E2EReservation:
     def versions(self) -> dict:
         return {version.version: version for version in self._versions}
 
-    def live_versions(self, now: float) -> list:
-        return [v for v in self._versions if now < v.expiry]
-
     def latest_version(self) -> E2EVersion:
         """The highest-numbered version — what the gateway stamps packets
         with ("the gateway generally uses a single version (the latest

@@ -76,9 +76,6 @@ class SegmentReservation:
         """The highest-numbered version (they are added in that order)."""
         return self._versions[max(self._versions)]
 
-    def pending_versions(self) -> list:
-        return [v for v in self._versions.values() if v.state is VersionState.PENDING]
-
     def is_expired(self, now: float) -> bool:
         """A SegR is dead when its active version has expired.
 

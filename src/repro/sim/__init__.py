@@ -11,7 +11,6 @@ from repro.sim.campaign import (
     RenewalStormSpec,
     WorkloadSpec,
     campaign_slos,
-    run_campaign,
 )
 from repro.sim.campaigns import CANONICAL
 from repro.sim.events import Event, EventLoop
@@ -50,6 +49,5 @@ __all__ = [
     "BogusSpec",
     "RenewalStormSpec",
     "campaign_slos",
-    "run_campaign",
     "CANONICAL",
 ]

@@ -732,8 +732,3 @@ class CampaignRunner:
 
 def _host(index: int) -> HostAddr:
     return HostAddr(index % (1 << 32))
-
-
-def run_campaign(spec: CampaignSpec) -> CampaignResult:
-    """Convenience one-shot: build a runner, run it, return the result."""
-    return CampaignRunner(spec).run()

@@ -22,10 +22,6 @@ class Event:
     time: float
     sequence: int
     callback: Callable = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class EventLoop:
@@ -80,8 +76,6 @@ class EventLoop:
         fired_before = self.fired
         while self._heap and self._heap[0].time <= when:
             event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             if event.time > self.clock.now():
                 self.clock.set(event.time)
             event.callback()
@@ -89,6 +83,3 @@ class EventLoop:
         if when > self.clock.now():
             self.clock.set(when)
         return self.fired - fired_before
-
-    def pending(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)

@@ -33,10 +33,6 @@ class WorkloadStats:
     packets_sent: int = 0
     packets_delivered: int = 0
 
-    @property
-    def delivery_ratio(self) -> float:
-        return self.packets_delivered / self.packets_sent if self.packets_sent else 0.0
-
 
 @dataclass(eq=False)
 class _Session:
@@ -176,7 +172,3 @@ class EerWorkload:
             self.stats.renewal_failures += 1
             self.stats.completed += 1
             self._sessions.pop(session, None)
-
-    @property
-    def active_sessions(self) -> int:
-        return len(self._sessions)

@@ -11,7 +11,6 @@ from repro.topology.beaconing import Beaconing
 from repro.topology.generator import (
     add_multihoming,
     build_caida_like,
-    build_core_mesh,
     build_internet_like,
     build_line_topology,
     build_two_isd_topology,
@@ -42,7 +41,6 @@ __all__ = [
     "combine_segments",
     "build_line_topology",
     "build_two_isd_topology",
-    "build_core_mesh",
     "build_internet_like",
     "build_caida_like",
     "add_multihoming",

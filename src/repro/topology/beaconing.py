@@ -24,26 +24,19 @@ from repro.topology.segments import HopField, Segment, SegmentType
 
 #: Bound on core-segment length during discovery; real deployments bound
 #: beacon propagation similarly to tame path explosion.
-DEFAULT_MAX_CORE_HOPS = 6
+MAX_CORE_HOPS = 6
 
 #: How many distinct segments to retain per (first AS, last AS) pair.
 #: Keeping several preserves the path choice Colibri exploits when the
 #: first path has no reservation space (§2.1).
-DEFAULT_SEGMENTS_PER_PAIR = 5
+SEGMENTS_PER_PAIR = 5
 
 
 class Beaconing:
     """Discovers and serves up-, down-, and core-segments for a topology."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        max_core_hops: int = DEFAULT_MAX_CORE_HOPS,
-        segments_per_pair: int = DEFAULT_SEGMENTS_PER_PAIR,
-    ):
+    def __init__(self, topology: Topology):
         self.topology = topology
-        self.max_core_hops = max_core_hops
-        self.segments_per_pair = segments_per_pair
         # down: core AS -> leaf AS -> [Segment]; up is derived by reversal.
         self._down: dict = defaultdict(list)
         self._core: dict = defaultdict(list)
@@ -90,7 +83,7 @@ class Beaconing:
                 ]
                 segment = Segment.from_hops(SegmentType.DOWN, extended)
                 bucket = self._down[(core_as, child)]
-                if len(bucket) < self.segments_per_pair:
+                if len(bucket) < SEGMENTS_PER_PAIR:
                     bucket.append(segment)
                 walk(child, extended, visited | {child})
 
@@ -101,14 +94,14 @@ class Beaconing:
         """Discover core-segments between every pair of core ASes.
 
         Bounded depth-first search over core links, keeping up to
-        ``segments_per_pair`` simple paths per ordered pair, shortest
+        ``SEGMENTS_PER_PAIR`` simple paths per ordered pair, shortest
         first (the DFS enumerates by increasing depth via iterative
         deepening to keep the retained set shortest-biased).
         """
         cores = [node.isd_as for node in self.topology.core_ases()]
         for origin in cores:
             found: dict = defaultdict(list)
-            for depth in range(1, self.max_core_hops + 1):
+            for depth in range(1, MAX_CORE_HOPS + 1):
                 self._core_dfs(
                     origin,
                     [HopField(isd_as=origin, ingress=NO_INTERFACE, egress=NO_INTERFACE)],
@@ -117,7 +110,7 @@ class Beaconing:
                     found,
                 )
             for (first, last), segments in found.items():
-                self._core[(first, last)] = segments[: self.segments_per_pair]
+                self._core[(first, last)] = segments[:SEGMENTS_PER_PAIR]
 
     def _core_dfs(
         self, current: IsdAs, hops: list, visited: set, budget: int, found: dict
@@ -139,7 +132,7 @@ class Beaconing:
             key = (hops[0].isd_as, neighbor)
             bucket = found[key]
             segment = Segment.from_hops(SegmentType.CORE, extended)
-            if segment not in bucket and len(bucket) < self.segments_per_pair:
+            if segment not in bucket and len(bucket) < SEGMENTS_PER_PAIR:
                 bucket.append(segment)
             self._core_dfs(neighbor, extended, visited | {neighbor}, budget - 1, found)
 

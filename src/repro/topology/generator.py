@@ -1,13 +1,12 @@
 """Synthetic topology generators.
 
 The paper evaluates on commodity hardware with synthetic workloads; the
-reproduction needs topologies of controlled shape.  Five generators cover
+reproduction needs topologies of controlled shape.  Four generators cover
 the spectrum:
 
 * :func:`build_line_topology` — a chain of core ASes, the minimal shape
   for admission and forwarding benches with exact path lengths (Figs. 3-6
   sweep path length and reservation counts on such chains);
-* :func:`build_core_mesh` — fully meshed core, for path-choice tests;
 * :func:`build_two_isd_topology` — the canonical integration fixture: two
   ISDs, trees of non-core ASes, matching Fig. 1's S - X - Y - Z shape;
 * :func:`build_internet_like` — a hierarchy of ISDs, several cores each,
@@ -184,15 +183,6 @@ def build_line_topology(length: int, capacity: float = DEFAULT_CAPACITY) -> Topo
         if previous is not None:
             topology.add_link(previous, isd_as, LinkType.CORE, capacity)
         previous = isd_as
-    return topology
-
-
-def build_core_mesh(size: int, capacity: float = DEFAULT_CAPACITY) -> Topology:
-    """``size`` core ASes of ISD 1, fully meshed: maximal path choice."""
-    if size < 1:
-        raise ValueError(f"core mesh needs at least 1 AS, got {size}")
-    topology = Topology()
-    _meshed_cores(topology, 1, size, capacity)
     return topology
 
 

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.errors import TopologyError, UnknownASError, UnknownInterfaceError
+from repro.errors import TopologyError, UnknownASError
 from repro.topology.addresses import IsdAs
 from repro.util.sequence import SequenceAllocator
 from repro.util.units import gbps
@@ -87,16 +87,6 @@ class ASNode:
     def allocate_ifid(self) -> int:
         """Pick a fresh interface ID, unique within this AS (§2.2)."""
         return self._ifid_alloc.allocate()
-
-    def link_on(self, ifid: int) -> Link:
-        link = self.interfaces.get(ifid)
-        if link is None:
-            raise UnknownInterfaceError(f"AS {self.isd_as} has no interface {ifid}")
-        return link
-
-    def neighbor_on(self, ifid: int) -> IsdAs:
-        """The AS at the far end of interface ``ifid``."""
-        return self.link_on(ifid).other_end(self.isd_as).owner
 
     def __str__(self) -> str:
         kind = "core" if self.is_core else "non-core"

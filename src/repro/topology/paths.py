@@ -34,14 +34,6 @@ class EndToEndPath:
     transfer_ases: tuple
 
     @property
-    def source_as(self) -> IsdAs:
-        return self.hops[0].isd_as
-
-    @property
-    def destination_as(self) -> IsdAs:
-        return self.hops[-1].isd_as
-
-    @property
     def ases(self) -> tuple:
         return tuple(hop.isd_as for hop in self.hops)
 

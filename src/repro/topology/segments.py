@@ -38,10 +38,6 @@ class HopField:
     ingress: int
     egress: int
 
-    @property
-    def interface_pair(self) -> tuple:
-        return (self.ingress, self.egress)
-
     def reversed(self) -> "HopField":
         """The same hop traversed in the opposite direction."""
         return HopField(isd_as=self.isd_as, ingress=self.egress, egress=self.ingress)

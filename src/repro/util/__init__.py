@@ -1,13 +1,11 @@
 """Utility substrates: clocks, bandwidth units, ID sequences."""
 
-from repro.util.clock import Clock, PerfClock, SimClock, SkewedClock, WallClock
+from repro.util.clock import Clock, PerfClock, SimClock, SkewedClock
 from repro.util.sequence import SequenceAllocator
 from repro.util.units import (
     GBPS,
     KBPS,
     MBPS,
-    bits_to_bytes,
-    bytes_to_bits,
     format_bandwidth,
     gbps,
     kbps,
@@ -19,7 +17,6 @@ __all__ = [
     "PerfClock",
     "SimClock",
     "SkewedClock",
-    "WallClock",
     "SequenceAllocator",
     "GBPS",
     "MBPS",
@@ -27,7 +24,5 @@ __all__ = [
     "gbps",
     "mbps",
     "kbps",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "format_bandwidth",
 ]

@@ -3,9 +3,8 @@
 The paper assumes all ASes are synchronized within ±0.1 s (§2.3).  To test
 behaviour under that assumption — reservation start/end scheduling,
 duplicate detection, traffic monitoring — the library never calls
-``time.time()`` directly.  Components take a :class:`Clock`, which in
-production is a :class:`WallClock` and in tests/simulations a
-:class:`SimClock` (manually advanced) optionally wrapped in a
+``time.time()`` directly.  Components take a :class:`Clock`: a
+:class:`SimClock` (manually advanced), optionally wrapped in a
 :class:`SkewedClock` to model per-AS synchronization error.
 """
 
@@ -25,20 +24,13 @@ class Clock(ABC):
         """Return the current time in seconds."""
 
 
-class WallClock(Clock):
-    """Real system time, for live deployments and wall-clock benchmarks."""
-
-    def now(self) -> float:
-        return time.time()
-
-
 class PerfClock(Clock):
     """High-resolution monotonic time, for measuring wall durations only.
 
     :class:`repro.obs.ObsContext` times calls into its latency histograms
     with one of these; it is *not* an epoch clock and must never feed
     protocol logic (expiry, freshness, monitoring), which always takes a
-    :class:`WallClock`/:class:`SimClock`.
+    :class:`SimClock`.
     """
 
     def now(self) -> float:

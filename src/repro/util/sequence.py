@@ -23,11 +23,6 @@ class SequenceAllocator:
         self._next = first
         self._limit = 1 << width_bits
 
-    @property
-    def peek(self) -> int:
-        """The value the next call to :meth:`allocate` will return."""
-        return self._next
-
     def allocate(self) -> int:
         """Return the next ID and advance the sequence."""
         value = self._next

@@ -29,16 +29,6 @@ def gbps(value: float) -> float:
     return value * GBPS
 
 
-def bytes_to_bits(num_bytes: int) -> int:
-    """Size in bytes to size in bits."""
-    return num_bytes * 8
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Size in bits to size in bytes (may be fractional for rates)."""
-    return num_bits / 8
-
-
 def format_bandwidth(bits_per_second: float) -> str:
     """Render a rate with the largest sensible unit, e.g. ``'0.400 Gbps'``.
 

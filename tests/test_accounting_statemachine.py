@@ -44,6 +44,7 @@ from repro.topology.addresses import HostAddr, IsdAs
 from repro.topology.graph import NO_INTERFACE
 from repro.topology.segments import HopField, Segment, SegmentType
 from repro.util.units import gbps
+from tests.test_admission import total_demand
 
 SRC = IsdAs.parse("1-ff00:0:110")
 FAR = IsdAs.parse("1-ff00:0:111")
@@ -280,7 +281,7 @@ class AccountingMachine(RuleBasedStateMachine):
 
     @invariant()
     def demand_matches(self):
-        actual = self.admission.distributor.total_demand(self.core.reservation_id)
+        actual = total_demand(self.admission.distributor, self.core.reservation_id)
         assert actual == pytest.approx(self.demand, abs=1e-3)
         assert actual == pytest.approx(
             sum(self.registered.values()), abs=1e-3
@@ -329,8 +330,6 @@ def test_campaign_churn_drains_to_zero():
     assert machine.store.eer_count() == 0
     for sid in machine.segment_ids:
         assert machine.store.allocated_on_segment(sid) == pytest.approx(0.0)
-    assert machine.admission.distributor.total_demand(
-        machine.core.reservation_id
-    ) == pytest.approx(0.0, abs=1e-6)
+    assert total_demand(machine.admission.distributor, machine.core.reservation_id) == pytest.approx(0.0, abs=1e-6)
     assert machine.registered == {}
     machine.no_journal_left_behind()

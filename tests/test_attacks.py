@@ -79,7 +79,7 @@ class TestSpoofingAttack:
         attack = SpoofingAttack(net, victim=SRC, target=asid(1, 1))
         attack.forge_fresh(count=500)
         router = net.router(asid(1, 1))
-        assert not router.blocklist.is_blocked(SRC, net.clock.now())
+        assert not router.blocklist.is_blocked(SRC)
 
 
 class TestVolumetricAttack:
@@ -110,7 +110,7 @@ class TestVolumetricAttack:
             assert net.send(SRC, handle, payload).delivered
             net.advance(tick)
         for isd_as in [hop.isd_as for hop in handle.hops[1:]]:
-            assert not net.router(isd_as).blocklist.is_blocked(SRC, net.clock.now())
+            assert not net.router(isd_as).blocklist.is_blocked(SRC)
 
 
 class TestDocAttack:
@@ -121,7 +121,7 @@ class TestDocAttack:
         net.cserv(asid(2, 1)).request_limiter.burst = 5.0
         report = attack.flood_requests(count=50)
         assert report.flood_rejected > 0
-        assert report.rejection_rate > 0.5
+        assert report.flood_rejected > 0.5 * report.flood_sent
 
     def test_victim_renewal_survives_flood(self, net):
         """§5.3: renewals over existing reservations are protected
@@ -193,7 +193,7 @@ class TestUnauthenticControlFlood:
 
 
 def test_the_security_figure_holds_and_its_mutants_are_caught():
-    """The §5 table ``tools/make_report.py`` prints: the four adversaries
+    """The §5 table ``tools/make_report.py`` prints: the adversaries
     over the whole path, unbroken and with a defence switched off."""
     entry = next(entry for entry in figures.REGISTRY if entry.key == "security")
     assert figures.self_test(entry) == []

@@ -20,7 +20,6 @@ from repro.sim.campaign import (
     WorkloadSpec,
     campaign_slos,
     check_no_residual_eers,
-    run_campaign,
 )
 from repro.sim.campaigns import CANONICAL, QUICK, endpoints, flash_crowd
 from repro.sim.scenario import ColibriNetwork
@@ -31,8 +30,8 @@ from repro.topology.generator import build_two_isd_topology
 def twin_runs():
     """The same quick campaign run twice from one seed."""
     return (
-        run_campaign(flash_crowd(QUICK, seed=3)),
-        run_campaign(flash_crowd(QUICK, seed=3)),
+        CampaignRunner(flash_crowd(QUICK, seed=3)).run(),
+        CampaignRunner(flash_crowd(QUICK, seed=3)).run(),
     )
 
 
@@ -66,7 +65,7 @@ def test_campaign_green_and_replay_equivalent(twin_runs):
 
 
 def test_different_seed_diverges(twin_runs):
-    other = run_campaign(flash_crowd(QUICK, seed=4))
+    other = CampaignRunner(flash_crowd(QUICK, seed=4)).run()
     assert other.journal_jsonl != twin_runs[0].journal_jsonl
 
 

@@ -21,11 +21,13 @@ from repro.errors import (
 )
 from repro.packets.control import AsGrant, SegActivationRequest
 from repro.reservation.ids import ReservationId
+from repro.reservation.segment import VersionState
 from repro.sim import ColibriNetwork
 from repro.topology import build_line_topology, build_two_isd_topology, IsdAs
 from repro.topology.addresses import HostAddr
 from repro.util.clock import SimClock
 from repro.util.units import gbps, mbps
+from tests.test_admission import total_demand
 
 BASE = 0xFF00_0000_0000
 
@@ -121,7 +123,7 @@ class TestSegmentRenewal:
         for isd_as in (asid(1, 1), asid(2, 1)):
             stored = net.cserv(isd_as).store.get_segment(segr.reservation_id)
             assert stored.active.version == 1  # not yet switched
-            assert len(stored.pending_versions()) == 1
+            assert [v.state for v in stored.versions.values()].count(VersionState.PENDING) == 1
 
     def test_activation_switches_everywhere(self, net):
         (segr,) = net.reserve_segments(asid(1, 1), asid(2, 1), gbps(2))
@@ -181,7 +183,7 @@ class TestEerSetup:
         net.reserve_segments(SRC, DST, gbps(1))
         handle = net.establish_eer(SRC, DST, mbps(10))
         gateway = net.gateway(SRC)
-        assert handle.reservation_id in gateway.known_reservations()
+        assert handle.reservation_id.packed in gateway._reservations
 
     def test_hopauths_differ_per_as(self, net):
         net.reserve_segments(SRC, DST, gbps(1))
@@ -202,7 +204,7 @@ class TestEerSetup:
 
     def test_source_policy_enforced(self, net):
         net.reserve_segments(SRC, DST, gbps(1))
-        policy = PerHostCapPolicy(default_cap=mbps(20))
+        policy = PerHostCapPolicy(cap=mbps(20))
         net.cserv(SRC).eer_admission.source_policy = policy
         with pytest.raises(ColibriError):
             net.establish_eer(SRC, DST, mbps(50), src_host=HostAddr(7))
@@ -233,7 +235,7 @@ class TestEerRenewal:
         renewed = net.cserv(SRC).renew_eer(handle)
         assert renewed.res_info.version == 2
         stored = net.cserv(SRC).store.get_eer(handle.reservation_id)
-        assert len(stored.live_versions(net.clock.now())) == 2
+        assert sum(net.clock.now() < v.expiry for v in stored.versions.values()) == 2
 
     def test_renewal_rate_limited(self, net):
         net.reserve_segments(SRC, DST, gbps(1))
@@ -356,7 +358,7 @@ class TestControlPlaneSecurity:
     def test_pardon_restores_service(self, net):
         net.reserve_segments(SRC, DST, gbps(1))
         net.cserv(asid(1, 11)).report_offense(SRC, ReservationId(SRC, 1))
-        net.cserv(asid(1, 11)).pardon(SRC)
+        net.cserv(asid(1, 11)).denied_sources.discard(SRC)
         handle = net.establish_eer(SRC, DST, mbps(10))
         assert handle.granted > 0
 
@@ -420,16 +422,16 @@ class TestHousekeeping:
         assert gateway.send(handle.reservation_id, b"still flowing")
         net.advance(EER_LIFETIME + 1)
         net.housekeeping()
-        assert gateway.reservation_count() == 0
+        assert len(gateway._reservations) == 0
         assert gateway.monitor.watched_count() == 0
 
     def test_setup_abort_uninstalls_from_gateway(self, net):
         net.reserve_segments(SRC, DST, gbps(1))
         handle = net.establish_eer(SRC, DST, mbps(10))
         gateway = net.gateway(SRC)
-        assert gateway.reservation_count() == 1
+        assert len(gateway._reservations) == 1
         net.cserv(SRC)._local_eer_abort(handle.reservation_id, 1)
-        assert gateway.reservation_count() == 0
+        assert len(gateway._reservations) == 0
         assert gateway.monitor.watched_count() == 0
 
     def test_capacity_reusable_after_expiry(self, net):
@@ -591,6 +593,4 @@ class TestTransferContention:
         assert refused > 0
         # The transfer AS (core 1) registered per-up-SegR demand.
         transfer = net.cserv(asid(1, 1))
-        assert transfer.eer_admission.distributor.total_demand(
-            core_segr.reservation_id
-        ) > 0
+        assert total_demand(transfer.eer_admission.distributor, core_segr.reservation_id) > 0

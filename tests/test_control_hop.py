@@ -15,15 +15,11 @@ emptied before every hop, which must change no byte.
 """
 
 import copy
-import hashlib
-import os
-import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-import repro
 from repro.constants import DRKEY_VALIDITY
 from repro.control.auth import AuthenticatedRequest
 from repro.crypto.mac import mac
@@ -36,6 +32,7 @@ from repro.topology.generator import build_two_isd_topology
 from repro.util.clock import SimClock
 from repro.util.units import gbps, mbps
 from tests import test_cserv_observability_cost as golden
+from tests._work import work_of
 
 SRC = IsdAs.parse("1-ff00:0:65")
 DST = IsdAs.parse("2-ff00:0:65")
@@ -482,31 +479,6 @@ def test_emptying_every_memo_keeps_the_golden_journal():
 
 # ------------------------------------------------- work per request ----
 
-BLAKE2S = type(hashlib.blake2s())
-REPRO = os.path.dirname(repro.__file__) + os.sep
-
-
-def work_of(operation) -> tuple:
-    """BLAKE2s digests, and Python calls into ``repro`` code (generated
-    ``<string>`` methods included), that ``operation()`` makes."""
-    digests = calls = 0
-
-    def profile(frame, event, arg):
-        nonlocal digests, calls
-        if event == "call":
-            filename = frame.f_code.co_filename
-            calls += filename == "<string>" or filename.startswith(REPRO)
-        elif event == "c_call" and type(getattr(arg, "__self__", None)) is BLAKE2S:
-            digests += arg.__name__ == "digest"
-
-    sys.setprofile(profile)
-    try:
-        operation()
-    finally:
-        sys.setprofile(None)
-    return digests, calls
-
-
 def refused(cserv, bandwidth):
     def setup():
         with pytest.raises(InsufficientBandwidth):
@@ -533,7 +505,7 @@ def test_work_per_request_on_a_warm_path():
         nonlocal handle
         handle = cserv.setup_eer(DST, SRC_HOST, DST_HOST, mbps(8))
 
-    assert work_of(setup)[0] == 69
+    assert work_of(setup).digests == 69
     net.advance(0.5)
     measured = {"setup": work_of(setup)}
     net.advance(3.0)
@@ -541,8 +513,8 @@ def test_work_per_request_on_a_warm_path():
     net.advance(0.5)
     measured["far refusal"] = work_of(refused(cserv, gbps(2)))
     measured["near refusal"] = work_of(refused(cserv, gbps(20)))
-    digests = {name: work[0] for name, work in measured.items()}
+    digests = {name: work.digests for name, work in measured.items()}
     assert digests == {"setup": 51, "renewal": 51, "far refusal": 15, "near refusal": 6}
     ceilings = {"setup": 656, "renewal": 647, "far refusal": 338, "near refusal": 175}
-    for name, (_, calls) in measured.items():
-        assert calls <= ceilings[name], (name, calls)
+    for name, work in measured.items():
+        assert work.python <= ceilings[name], (name, work)

@@ -13,6 +13,7 @@ from repro.crypto import (
     aead_seal,
     constant_time_equal,
     derive_as_key,
+    derive_host_key,
     mac,
     prf,
     random_key,
@@ -184,12 +185,14 @@ class TestDrkey:
     def test_secret_covers(self):
         deriver = self.make_deriver()
         secret = deriver.secret_for(100.0)
-        assert secret.covers(100.0)
-        assert not secret.covers(DRKEY_VALIDITY + 5)
+        assert secret.epoch == 0
+        assert deriver.secret_for(DRKEY_VALIDITY - 1) is secret
+        assert deriver.secret_for(DRKEY_VALIDITY + 5).epoch == 1
 
     def test_host_key_depends_on_host(self):
         deriver = self.make_deriver()
-        assert deriver.host_key(b"AS-B", b"host1") != deriver.host_key(b"AS-B", b"host2")
+        as_key = deriver.as_key(b"AS-B")
+        assert derive_host_key(as_key, b"host1") != derive_host_key(as_key, b"host2")
 
     def test_derive_as_key_function(self):
         assert derive_as_key(b"s" * 16, b"B") == derive_as_key(b"s" * 16, b"B")

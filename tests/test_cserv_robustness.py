@@ -177,7 +177,7 @@ class TestHandlerRobustness:
         net.reserve_segments(SRC, DST, gbps(1))
         cserv = net.cserv(SRC)
         cserv.find_segment_chain(DST)  # warm the remote-descriptor cache
-        assert cserv.remote_client.cached_pairs()
+        assert cserv.remote_client._cache
         net.advance(SEGR_LIFETIME + 1)  # everything expired, caches stale
         with pytest.raises(ColibriError):
             net.establish_eer(SRC, DST, mbps(10))
@@ -186,8 +186,7 @@ class TestHandlerRobustness:
         """§4.5: tokens include the globally unique (SrcAS, ResId), so no
         chaining is needed — a token minted for one SegR never validates
         for another, even on the same interfaces."""
-        from repro.dataplane.hvf import verify_segment_token
-        from repro.errors import HvfMismatch
+        from repro.dataplane.hvf import segment_token
         from repro.packets.fields import ResInfo
 
         net.reserve_segments(SRC, DST, gbps(1))
@@ -202,19 +201,14 @@ class TestHandlerRobustness:
             expiry=segr.expiry,
             version=1,
         )
-        verify_segment_token(
-            keys.hop_key(), legit, hop.ingress, hop.egress, tokens[1]
-        )
+        assert segment_token(keys.hop_key(), legit, hop.ingress, hop.egress) == tokens[1]
         spliced = ResInfo(
             reservation=ReservationId(SRC, segr.reservation_id.local_id + 1),
             bandwidth=segr.bandwidth,
             expiry=segr.expiry,
             version=1,
         )
-        with pytest.raises(HvfMismatch):
-            verify_segment_token(
-                keys.hop_key(), spliced, hop.ingress, hop.egress, tokens[1]
-            )
+        assert segment_token(keys.hop_key(), spliced, hop.ingress, hop.egress) != tokens[1]
 
     def test_activation_propagates_downstream_first(self, net):
         """If a downstream AS refuses activation, upstream ASes keep the
@@ -292,7 +286,7 @@ class TestTamperedResponsePath:
         assert excinfo.value.at_as is not None
         # Nothing usable leaked: the gateway holds no reservation, and no
         # AS on the path still holds the EER or its bandwidth.
-        assert net.gateway(SRC).reservation_count() == 0
+        assert len(net.gateway(SRC)._reservations) == 0
         assert_nothing_reserved(net)
 
     def test_truncated_hopauth_list_rejected(self, net):
@@ -316,7 +310,7 @@ class TestTamperedResponsePath:
                 net.establish_eer(SRC, DST, mbps(10))
         finally:
             cserv.handle_eer_setup = original
-        assert net.gateway(SRC).reservation_count() == 0
+        assert len(net.gateway(SRC)._reservations) == 0
         assert_nothing_reserved(net)
 
 
@@ -394,10 +388,10 @@ class TestRenewalLimiterForgets:
         handle = net.establish_eer(SRC, DST, mbps(10))
         net.advance(2.0)
         cserv.renew_eer(handle)
-        assert cserv.renewal_limiter.tracked_keys() == 1
+        assert len(cserv.renewal_limiter._state) == 1
         net.advance(EER_LIFETIME + 1.0)
         assert net.housekeeping()["eers"] == 6
-        assert cserv.renewal_limiter.tracked_keys() == 0
+        assert len(cserv.renewal_limiter._state) == 0
 
     def test_live_eer_keeps_its_bucket(self, net):
         net.reserve_segments(SRC, DST, gbps(1))
@@ -406,7 +400,7 @@ class TestRenewalLimiterForgets:
         net.advance(2.0)
         handle = cserv.renew_eer(handle)
         net.housekeeping()  # nothing is due: the bucket must survive it
-        assert cserv.renewal_limiter.tracked_keys() == 1
+        assert len(cserv.renewal_limiter._state) == 1
         net.advance(EER_RENEWAL_MIN_INTERVAL / 2)
         with pytest.raises(RateLimited):
             cserv.renew_eer(handle)
@@ -423,7 +417,7 @@ class TestRenewalLimiterForgets:
         for handle in handles:
             with pytest.raises(ReservationNotFound):
                 cserv.renew_eer(handle)
-        assert cserv.renewal_limiter.tracked_keys() == 0
+        assert len(cserv.renewal_limiter._state) == 0
 
     def test_aborted_setup_is_forgotten(self, net):
         net.reserve_segments(SRC, DST, gbps(1))
@@ -432,7 +426,7 @@ class TestRenewalLimiterForgets:
         net.advance(2.0)
         cserv.renew_eer(handle)
         cserv._abort_eer(handle.reservation_id, 1, handle.hops)
-        assert cserv.renewal_limiter.tracked_keys() == 0
+        assert len(cserv.renewal_limiter._state) == 0
         assert net.audit() == []
 
 
@@ -597,7 +591,7 @@ class TestForgedGrantAbortsPathWide:
             lambda: net.establish_eer(SRC, DST, mbps(10), src_host=HostAddr(3)),
         )
         assert aborted == {"segments": 0, "eers": 1, "undeliverable": 0}
-        assert net.gateway(SRC).reservation_count() == 1
+        assert len(net.gateway(SRC)._reservations) == 1
 
     def test_eer_renewal(self, net):
         net.reserve_segments(SRC, DST, mbps(100))

@@ -21,12 +21,10 @@ from repro.dataplane import (
     eer_hvf,
     hop_authenticator,
     segment_token,
-    verify_segment_token,
 )
 from repro.crypto.drkey import DrkeyDeriver
 from repro.crypto.mac import truncated_mac
 from repro.dataplane.hvf import eer_hvf_message
-from repro.errors import HvfMismatch
 from repro.packets.fields import EerInfo, ResInfo, Timestamp
 from repro.reservation.ids import ReservationId
 from repro.topology.addresses import HostAddr, IsdAs
@@ -68,19 +66,17 @@ class TestHvfCrypto:
         keys = make_keys()
         token = segment_token(keys.hop_key(), res_info(), 2, 5)
         assert len(token) == L_HVF
-        verify_segment_token(keys.hop_key(), res_info(), 2, 5, token)
+        assert segment_token(keys.hop_key(), res_info(), 2, 5) == token
 
     def test_segment_token_binds_interfaces(self):
         keys = make_keys()
         token = segment_token(keys.hop_key(), res_info(), 2, 5)
-        with pytest.raises(HvfMismatch):
-            verify_segment_token(keys.hop_key(), res_info(), 2, 6, token)
+        assert segment_token(keys.hop_key(), res_info(), 2, 6) != token
 
     def test_segment_token_binds_res_info(self):
         keys = make_keys()
         token = segment_token(keys.hop_key(), res_info(bw=1e9), 2, 5)
-        with pytest.raises(HvfMismatch):
-            verify_segment_token(keys.hop_key(), res_info(bw=2e9), 2, 5, token)
+        assert segment_token(keys.hop_key(), res_info(bw=2e9), 2, 5) != token
 
     def test_hop_authenticator_full_width(self):
         keys = make_keys()
@@ -214,10 +210,13 @@ class TestDuplicateSuppressor:
 
     def test_memory_constant(self):
         suppressor = DuplicateSuppressor(SimClock(0.0), bits=1 << 10)
-        before = suppressor.memory_bytes
+        def memory():
+            return len(suppressor._current._array) + len(suppressor._previous._array)
+
+        before = memory()
         for index in range(500):
             suppressor.check_and_insert(mac_like(f"p{index}"), 0.0)
-        assert suppressor.memory_bytes == before
+        assert memory() == before
 
     def test_no_false_negatives_property(self):
         """Within two windows a duplicate is always caught."""
@@ -290,7 +289,7 @@ class TestOveruseFlowDetector:
         for step in range(1000):
             flagged = flagged or ofd.observe(b"flow-1", 375, mbps(1), now=step * 0.001)
         assert flagged
-        assert ofd.is_suspect(b"flow-1")
+        assert b"flow-1" in ofd._suspects
 
     def test_no_false_negatives(self):
         """Count-min never undercounts: every true overuser is reported."""
@@ -301,7 +300,7 @@ class TestOveruseFlowDetector:
             for flow in overusers:
                 ofd.observe(flow, 500, mbps(1), now=now)  # 4x reserved
         for flow in overusers:
-            assert ofd.is_suspect(flow)
+            assert flow in ofd._suspects
 
     def test_false_positives_possible_with_tiny_sketch(self):
         """Collisions in a tiny sketch can flag innocents — why §4.8
@@ -318,9 +317,9 @@ class TestOveruseFlowDetector:
         ofd = OveruseFlowDetector(window=1.0)
         for step in range(1000):
             ofd.observe(b"flow-1", 500, mbps(1), now=step * 0.001)
-        assert ofd.is_suspect(b"flow-1")
+        assert b"flow-1" in ofd._suspects
         ofd.observe(b"flow-2", 100, mbps(1), now=2.5)  # new window
-        assert not ofd.is_suspect(b"flow-1")
+        assert b"flow-1" not in ofd._suspects
 
     def test_zero_bandwidth_is_overuse(self):
         ofd = OveruseFlowDetector()
@@ -328,10 +327,9 @@ class TestOveruseFlowDetector:
 
     def test_memory_independent_of_flow_count(self):
         ofd = OveruseFlowDetector(width=128, depth=2)
-        cells = ofd.memory_cells
         for index in range(10_000):
             ofd.observe(f"flow-{index}".encode(), 100, gbps(1), now=0.0)
-        assert ofd.memory_cells == cells
+        assert len(ofd._counts) == 128 * 2
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -344,28 +342,24 @@ class TestBlocklist:
     def test_block_and_check(self):
         blocklist = Blocklist()
         blocklist.block(SRC)
-        assert blocklist.is_blocked(SRC, now=0.0)
+        assert blocklist.is_blocked(SRC)
 
     def test_unblocked_by_default(self):
-        assert not Blocklist().is_blocked(SRC, now=0.0)
-
-    def test_timed_block_expires(self):
-        blocklist = Blocklist()
-        blocklist.block(SRC, until=10.0)
-        assert blocklist.is_blocked(SRC, now=5.0)
-        assert not blocklist.is_blocked(SRC, now=10.0)
-        assert len(blocklist) == 0  # lazy cleanup happened
+        assert not Blocklist().is_blocked(SRC)
 
     def test_unblock(self):
+        """An operator's unblock is a discard from the set both router
+        bodies read; nothing else holds the block."""
         blocklist = Blocklist()
         blocklist.block(SRC)
-        blocklist.unblock(SRC)
-        assert not blocklist.is_blocked(SRC, now=0.0)
+        blocklist._blocked.discard(SRC)
+        assert not blocklist.is_blocked(SRC)
 
     def test_permanent_block_never_expires(self):
         blocklist = Blocklist()
-        blocklist.block(SRC, until=None)
-        assert blocklist.is_blocked(SRC, now=1e12)
+        blocklist.block(SRC)
+        assert blocklist.is_blocked(SRC)
+        assert blocklist.blocked_ases() == [SRC]
 
 
 class TestDeterministicMonitor:
@@ -472,7 +466,7 @@ class TestPriorityScheduler:
         scheduler.enqueue(100, TrafficClass.BEST_EFFORT)
         assert scheduler.drain(1.0)[TrafficClass.BEST_EFFORT] == 0
         assert scheduler.drain(1.0)[TrafficClass.BEST_EFFORT] == 1600
-        assert scheduler.total_backlog() == 0
+        assert sum(scheduler._queued_bytes.values()) == 0
 
     def test_idle_port_banks_no_budget(self):
         scheduler = PriorityScheduler(capacity=8000.0)
@@ -496,14 +490,14 @@ class TestPriorityScheduler:
         scheduler = PriorityScheduler(capacity=80_000.0)
         for _ in range(10):
             scheduler.enqueue(1000, TrafficClass.EER_DATA)
-        scheduler.drain(1.0)
-        assert scheduler.output_rate(TrafficClass.EER_DATA, 1.0) == pytest.approx(80_000.0)
+        sent = scheduler.drain(1.0)
+        assert sent[TrafficClass.EER_DATA] * 8 / 1.0 == pytest.approx(80_000.0)
 
     def test_backlog_accounting(self):
         scheduler = PriorityScheduler(capacity=8.0)
         scheduler.enqueue(100, TrafficClass.BEST_EFFORT)
-        assert scheduler.backlog_bytes(TrafficClass.BEST_EFFORT) == 100
-        assert scheduler.total_backlog() == 100
+        assert scheduler._queued_bytes[TrafficClass.BEST_EFFORT] == 100
+        assert sum(scheduler._queued_bytes.values()) == 100
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -557,18 +551,3 @@ class TestBloomSizing:
         )
         observed = false_hits / trials
         assert observed == pytest.approx(predicted, abs=0.05)
-
-    def test_size_for_meets_target(self):
-        bits = DuplicateSuppressor.size_for(
-            packets_per_window=10_000, target_fp_rate=1e-3
-        )
-        suppressor = DuplicateSuppressor(SimClock(0.0), bits=bits)
-        for index in range(10_000):
-            suppressor.check_and_insert(mac_like(f"p{index}"), 0.0)
-        assert suppressor.false_positive_rate() <= 1e-3 * 1.1
-
-    def test_size_for_validates_arguments(self):
-        with pytest.raises(ValueError):
-            DuplicateSuppressor.size_for(1000, 0.0)
-        with pytest.raises(ValueError):
-            DuplicateSuppressor.size_for(0, 0.01)

@@ -21,7 +21,6 @@ from repro.control.renewal import RenewalScheduler
 from repro.control.retry import (
     CLEANUP_POLICY,
     CircuitBreaker,
-    PolicyTable,
     RetryingCaller,
     RetryPolicy,
 )
@@ -40,6 +39,7 @@ from repro.topology import IsdAs, build_two_isd_topology
 from repro.topology.addresses import HostAddr
 from repro.util.clock import SimClock
 from repro.util.units import gbps, kbps, mbps
+from tests.test_admission import total_demand
 
 BASE = 0xFF00_0000_0000
 
@@ -325,7 +325,7 @@ class TestResponseLossIdempotency:
         net = lossy_network()
         segrs = net.reserve_segments(SRC, DST, mbps(100))
         injector.set_link(asid(2, 11), DST, LinkFaults(response_loss=0.6))
-        net.bus.install_faults(injector)
+        net.bus.faults = injector
 
         handle = net.establish_eer(SRC, DST, mbps(10))
 
@@ -348,7 +348,7 @@ class TestAbortAfterExhaustion:
         net = lossy_network()
         net.reserve_segments(SRC, DST, mbps(100))
         injector.set_link(asid(2, 11), DST, LinkFaults(response_loss=1.0))
-        net.bus.install_faults(injector)
+        net.bus.faults = injector
         before = allocation_snapshot(net)
 
         with pytest.raises(Unreachable):
@@ -367,10 +367,10 @@ class TestAbortAfterExhaustion:
         net = lossy_network()
         net.reserve_segments(SRC, DST, mbps(100))
         injector.set_link(asid(2, 11), DST, LinkFaults(response_loss=1.0))
-        net.bus.install_faults(injector)
+        net.bus.faults = injector
         with pytest.raises(Unreachable):
             net.establish_eer(SRC, DST, mbps(10))
-        net.bus.install_faults(None)
+        net.bus.faults = None
         handle = net.establish_eer(SRC, DST, mbps(10))
         assert handle.granted == pytest.approx(mbps(10))
         assert net.send(SRC, handle, b"recovered").delivered
@@ -408,7 +408,7 @@ class TestLossyConvergence:
         injector.set_default(self.LOSS)
         net = lossy_network()
         net.reserve_segments(SRC, DST, gbps(1))
-        net.bus.install_faults(injector)
+        net.bus.faults = injector
         outcomes = []
         for _ in range(setups):
             before = allocation_snapshot(net)
@@ -457,7 +457,7 @@ class TestFlapConvergence:
         # call is the forward to the first hop — the flap window below is
         # keyed to bus call numbers and must land on that chain.
         net.establish_eer(SRC, DST, mbps(10))
-        net.bus.install_faults(injector)
+        net.bus.faults = injector
         # Two consecutive calls to the first-hop AS fail; the retry
         # budget (4) covers the outage.
         injector.flap(asid(1, 11), net.bus.calls + 1, 2)
@@ -525,7 +525,7 @@ class TestDistributedPassthroughs:
         net.reserve_segments(SRC, DST, mbps(100))
         distributed = DistributedCServ(net.cserv(asid(2, 11)), eer_workers=2)
         injector.set_link(asid(2, 11), DST, LinkFaults(response_loss=1.0))
-        net.bus.install_faults(injector)
+        net.bus.faults = injector
         with pytest.raises(Unreachable):
             net.establish_eer(SRC, DST, mbps(10))
         for isd_as in net.ases():
@@ -566,7 +566,7 @@ def control_state(net):
                 ),
                 store.allocated_on_segment(sid),
                 index.entry(sid).granted if sid in index else None,
-                cserv.eer_admission.distributor.total_demand(sid),
+                total_demand(cserv.eer_admission.distributor, sid),
             )
         eers = {
             eer.reservation_id: sorted(
@@ -586,13 +586,13 @@ def inject(net, link, mode):
     injector = FaultInjector(seed=0)
     loss = "request_loss" if mode == "request_lost_once" else "response_loss"
     injector.set_link(upstream, downstream, LinkFaults(**{loss: 1.0}))
-    net.bus.install_faults(injector)
+    net.bus.faults = injector
     if mode != "responses_lost":
         caller = net.cserv(upstream).caller
         backoff = caller.sleeper
 
         def heal_then_back_off(delay):
-            net.bus.install_faults(None)
+            net.bus.faults = None
             backoff(delay)
 
         caller.sleeper = heal_then_back_off
@@ -704,7 +704,7 @@ class TestWorkflowLossMatrix:
             if mode == "responses_lost":
                 with pytest.raises(RetriesExhausted):
                     workflow.run(net, prepared)
-                net.bus.install_faults(None)
+                net.bus.faults = None
                 if workflow.walk:
                     net.advance(4 * EER_LIFETIME)  # no replay record helps
                     workflow.run(net, prepared)
@@ -749,7 +749,7 @@ class TestActivationIdempotentByState:
         with pytest.raises(RetriesExhausted):
             owner.activate_segment(segr.reservation_id, version)
         assert self.versions(net, segr) == [1, version]  # downstream first
-        net.bus.install_faults(None)
+        net.bus.faults = None
         net.advance(wait)
         owner.activate_segment(segr.reservation_id, version)
         assert self.versions(net, segr) == [version, version]
@@ -877,12 +877,12 @@ class TestReplayIndependentOfLoad:
         dest, last = net.cserv(DST), len(handle.hops) - 1
         injector = FaultInjector(seed=1)  # first draw 0.134: lost
         injector.set_link(PATH[-2], DST, LinkFaults(response_loss=0.6))
-        net.bus.install_faults(injector)
+        net.bus.faults = injector
         upstream = net.cserv(PATH[-2]).caller
         backoff = upstream.sleeper
 
         def busy_then_back_off(delay):
-            net.bus.install_faults(None)
+            net.bus.faults = None
             now = net.clock.now()
             for local_id in range(4097):
                 other = EerSetupRequest(

@@ -1,17 +1,30 @@
 """Nothing in ``src/repro`` without a caller (DESIGN.md §3, "What lives
-in ``src/repro``").
+in ``src/repro``"), per module and per function.
 
 The import graph is walked from what actually runs — ``repro.cli``,
-``repro.__main__``, ``benchmarks/e2e/*.py``, ``benchmarks/figures.py``
-(the registry ``tools/make_report.py`` runs) and ``tools/*.py`` — and a
-``from repro.pkg import Name`` is followed through the package
-``__init__`` to the module that defines ``Name``, so a re-export keeps
-nothing alive by itself.  Every module is then either reached, or listed
-in :data:`UNWIRED` with the reason it stays.  The table can only shrink:
-an entry that has become reachable, or whose file is gone, fails too.
+``repro.__main__``, ``benchmarks/e2e/*.py`` (its smoke test aside),
+``benchmarks/figures.py`` (the registry ``tools/make_report.py`` runs),
+``tools/*.py`` and ``examples/*.py`` — and a ``from repro.pkg import
+Name`` is followed through the package ``__init__`` to the module that
+defines ``Name``, so a re-export keeps nothing alive by itself.  Every
+module is then either reached, or listed in :data:`UNWIRED` with the
+reason it stays.
+
+Inside a reached module every class, function and method (dunders
+aside) must be named by the code of a reached module, a root file or an
+``UNWIRED`` module (what a module kept for its reason calls is kept with
+it): as a ``Name``, an ``Attribute``, or an identifier string — a ``getattr``
+name, or a ``"quoted"`` identifier inside a string such as the C glue's
+attribute names in ``native._GLUE``.  Docstrings, ``__all__`` entries
+and import lists name nothing.  Matching by bare name over-approximates:
+a def that shares its name with a live one counts as reached.  A def no
+reached code names is listed in :data:`UNREACHED` with its reason, or
+deleted.  Both tables can only shrink: an entry that has become
+reachable, or whose module or def is gone, fails too.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -34,6 +47,27 @@ UNWIRED = {
     "repro.topology.serialization":
         "topology half of the same crash/reload snapshot (ROADMAP item 7)",
 }
+
+#: Defs in reached modules that no reached code names, and why each
+#: stays: the open ROADMAP item that will give it a caller, or the test
+#: that uses it as its reference (DESIGN.md §3).
+UNREACHED = {
+    "repro.control.cserv.ColibriService.teardown_segment":
+        "SegR teardown; ROADMAP items 7 (the machine tears SegRs down) "
+        "and 9(e)",
+    "repro.packets.control.decode_message":
+        "the hop's parse of a MAC'd control message; ROADMAP item 12",
+    "repro.control.rpc.FaultInjector.set_default":
+        "loss on every link for ROADMAP item 7's machine under faults",
+    "repro.control.rpc.MessageBus.heal":
+        "the undo of partition for ROADMAP item 7's machine under faults",
+    "repro.dataplane.hvf.eer_hvf_message":
+        "Eq. 6 reference: tests/test_dataplane.py checks the gateway's "
+        "HVF against it",
+}
+
+#: A ``"quoted"`` identifier inside a longer string (C source, messages).
+_QUOTED = re.compile(r'"([A-Za-z_]\w*)"')
 
 
 def _module_name(path: Path) -> str:
@@ -118,20 +152,89 @@ class _Graph:
 
 
 def _roots() -> list:
+    e2e = ROOT / "benchmarks" / "e2e"
     return [
         PACKAGE_ROOT / "cli.py",
         PACKAGE_ROOT / "__main__.py",
-        *sorted((ROOT / "benchmarks" / "e2e").glob("*.py")),
+        *sorted(set(e2e.glob("*.py")) - set(e2e.glob("test_*.py"))),
         ROOT / "benchmarks" / "figures.py",
         *sorted((ROOT / "tools").glob("*.py")),
+        *sorted((ROOT / "examples").glob("*.py")),
     ]
 
 
+def _named(tree: ast.Module) -> set:
+    """Every identifier one file's code names (see the module docstring)."""
+    silent = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (
+            isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and body
+            and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+        ):
+            silent.add(id(body[0].value))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            silent.update(id(item) for item in ast.walk(node.value))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in silent
+        ):
+            if node.value.isidentifier():
+                names.add(node.value)
+            else:
+                names.update(_QUOTED.findall(node.value))
+    return names
+
+
+def _defs(body, prefix: str):
+    """``(qualified name, name)`` of each class, function and method."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualified = f"{prefix}.{node.name}"
+            yield qualified, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _defs(node.body, qualified)
+
+
 @pytest.fixture(scope="module")
-def unreached() -> set:
-    graph = _Graph()
+def graph() -> _Graph:
+    return _Graph()
+
+
+@pytest.fixture(scope="module")
+def reached(graph) -> set:
+    return graph.reachable(_roots())
+
+
+@pytest.fixture(scope="module")
+def unreached(graph, reached) -> set:
     modules = {name for name in graph.paths if not graph.is_package(name)}
-    return modules - graph.reachable(_roots())
+    return modules - reached
+
+
+@pytest.fixture(scope="module")
+def unreached_defs(graph, reached) -> set:
+    named = set()
+    for path in [graph.paths[name] for name in reached | set(UNWIRED)] + _roots():
+        named |= _named(graph.tree(path))
+    return {
+        qualified
+        for module in reached
+        for qualified, name in _defs(graph.tree(graph.paths[module]).body, module)
+        if name not in named and not (name.startswith("__") and name.endswith("__"))
+    }
 
 
 def test_every_module_is_reached_or_listed_with_a_reason(unreached):
@@ -147,3 +250,18 @@ def test_the_unwired_table_only_shrinks(unreached):
     assert not stale, f"reachable or gone, drop from UNWIRED: {stale}"
     assert len(UNWIRED) <= 4
     assert all(reason.strip() for reason in UNWIRED.values())
+
+
+def test_every_def_is_reached_or_listed_with_a_reason(unreached_defs):
+    stray = sorted(unreached_defs - set(UNREACHED))
+    assert not stray, (
+        f"nothing that runs names {stray}: give each a caller, or delete "
+        "it and re-point its tests at the state they check (DESIGN.md §3)"
+    )
+
+
+def test_the_unreached_table_only_shrinks(unreached_defs):
+    stale = sorted(name for name in UNREACHED if name not in unreached_defs)
+    assert not stale, f"reached or gone, drop from UNREACHED: {stale}"
+    assert len(UNREACHED) <= 5
+    assert all("ROADMAP item" in reason or "tests/" in reason for reason in UNREACHED.values())

@@ -188,7 +188,7 @@ class TestExpositionRoundTrip:
         registry = random_registry(rng, gauge_value=rng.random())
         types, samples = parse_exposition(registry.render())
 
-        for inst in registry.instruments():
+        for inst in registry._instruments.values():
             full = f"colibri_{inst.name}"
             assert types[full] == inst.kind
         histogram = registry.get("admission_latency_seconds")

@@ -320,7 +320,7 @@ class TestTracePropagationUnderFaults:
         net = lossy_network()
         obs = net.enable_observability(seed=seed)
         net.reserve_segments(SRC, DST, gbps(1))
-        net.bus.install_faults(injector)
+        net.bus.faults = injector
         for _ in range(setups):
             try:
                 net.establish_eer(SRC, DST, mbps(1))
@@ -476,7 +476,7 @@ class TestPacketTracerIdentity:
         assert self.drops(journal, handle) == []
         # Post-authentication drops (duplicate) keep proven identity.
         report = net.send(SRC, handle, b"fresh")
-        net.router(victim_hop).blocklist.unblock(SRC)
+        net.router(victim_hop).blocklist._blocked.discard(SRC)
         replay = copy.deepcopy(report.packet)
         replay.hop_index = 0
         net.forward(replay)

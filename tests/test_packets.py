@@ -121,7 +121,7 @@ class TestResInfo:
 class TestTimestamp:
     def test_create_and_recover(self):
         ts = Timestamp.create(now=84.0, expiry=100.0)
-        assert ts.absolute(100.0) == pytest.approx(84.0, abs=1e-5)
+        assert 100.0 - ts.micros_before_expiry / 1e6 == pytest.approx(84.0, abs=1e-5)
 
     def test_after_expiry_rejected(self):
         with pytest.raises(PacketFieldError):

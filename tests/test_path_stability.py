@@ -16,7 +16,8 @@ import pytest
 from repro.constants import EER_LIFETIME
 from repro.errors import NoPathError, TopologyError
 from repro.sim import ColibriNetwork
-from repro.topology import Beaconing, IsdAs, PathLookup, build_core_mesh, build_two_isd_topology
+from repro.topology import Beaconing, IsdAs, PathLookup, build_two_isd_topology
+from tests._topologies import build_core_mesh
 from repro.util.units import gbps, mbps
 
 BASE = 0xFF00_0000_0000

@@ -139,11 +139,11 @@ class TestPersistence:
         upstream = net.cserv(handle.hops[-2].isd_as).caller
         injector = FaultInjector(seed=0)
         injector.set_link(upstream.source, DST, LinkFaults(response_loss=1.0))
-        net.bus.install_faults(injector)
+        net.bus.faults = injector
         backoff = upstream.sleeper
 
         def crash_reload_then_back_off(delay):
-            net.bus.install_faults(None)
+            net.bus.faults = None
             dest.store = dest.eer_admission.store = loads_store(dumps_store(dest.store))
             backoff(delay)
 
@@ -205,10 +205,10 @@ class TestGatewayPersistence:
         snapshot = json.loads(json.dumps(dump_gateway(gateway)))
         fresh = ColibriGateway(SRC, loaded_net.stack(SRC).clock)
         restored = load_gateway(fresh, snapshot)
-        assert restored == gateway.reservation_count()
+        assert restored == len(gateway._reservations)
         # Swap the fresh gateway in and send over every reservation.
         loaded_net.stack(SRC).gateway = fresh
-        for reservation_id in fresh.known_reservations():
+        for reservation_id in [entry.reservation_id for entry in fresh._reservations.values()]:
             packet = fresh.send(reservation_id, b"after restart")
             report = loaded_net.forward(packet)
             assert report.delivered, report.verdicts

@@ -39,7 +39,7 @@ from repro.topology.addresses import IsdAs
 from repro.util.clock import SimClock
 from repro.util.units import gbps, kbps, mbps
 from tests import test_dataplane
-from tests.test_control_hop import REPRO
+from tests._work import work_of
 from tests import test_router_differential as differential
 from tests.test_router_differential import HERE, HOP, ROGUE, SRC, World, build, copy_of
 
@@ -318,26 +318,6 @@ def test_bit_positions_on_both_backends(make):
 # ------------------------------------------------------- work per packet ----
 
 
-def calls_of(operation) -> tuple:
-    """Python calls into ``repro`` (as ``tests.test_control_hop.work_of``
-    counts them) and builtin calls that ``operation()`` makes."""
-    python = builtin = 0
-
-    def profile(frame, event, arg):
-        nonlocal python, builtin
-        if event == "call":
-            filename = frame.f_code.co_filename
-            python += filename == "<string>" or filename.startswith(REPRO)
-        builtin += event == "c_call"
-
-    sys.setprofile(profile)
-    try:
-        operation()
-    finally:
-        sys.setprofile(None)
-    return python, builtin
-
-
 #: Ceilings per burst on a warm router, honest traffic, nobody blocked:
 #: ``(python, builtin)`` calls as ``per burst + per packet * packets``, the
 #: per-burst term two above the count on CPython 3.11.  The Python body's
@@ -354,15 +334,15 @@ WORK = {"native": ((5, 4), (0, 5)), "python": ((6, 3), (25, 22))}
 def test_calls_per_packet(make, size):
     """``process`` (a burst of one) and ``process_batch`` (64 packets)."""
     world = warm_world(make)
-    world.router.blocklist.unblock(differential.BANNED)
+    world.router.blocklist._blocked.discard(differential.BANNED)
     send(world)  # the kernel stores the flow
     packets = [world.stamp("flow") for _ in range(size)]
     run = world.router.process if size == 1 else world.router.process_batch
-    work = calls_of(lambda: run(packets[0] if size == 1 else packets))
+    work = work_of(lambda: run(packets[0] if size == 1 else packets))
     base, per_packet = WORK["native" if world.kernel else "python"]
     assert world.router.stats[Verdict.FORWARD] == size + 2
     ceilings = [fixed + each * size for fixed, each in zip(base, per_packet)]
-    assert work[0] <= ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
+    assert work.python <= ceilings[0] and work.builtin <= ceilings[1], (work, ceilings)
 
 
 #: The same for packets that arrive with their gateway's ``_row`` memo
@@ -380,11 +360,11 @@ def test_calls_per_packet_with_the_gateway_row(make, size):
     router.process(path.at_hop_one(1)[0])  # the kernel stores the flow
     packets = path.at_hop_one(size)
     run = router.process if size == 1 else router.process_batch
-    work = calls_of(lambda: run(packets[0] if size == 1 else packets))
+    work = work_of(lambda: run(packets[0] if size == 1 else packets))
     base, per_packet = WARM_WORK["native" if router.kernel else "python"]
     assert router.stats[Verdict.FORWARD] == size + 2
     ceilings = [fixed + each * size for fixed, each in zip(base, per_packet)]
-    assert work[0] <= ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
+    assert work.python <= ceilings[0] and work.builtin <= ceilings[1], (work, ceilings)
 
 
 #: ``(python, builtin)`` calls per ``gateway.send`` and per
@@ -421,13 +401,13 @@ def test_calls_per_send_and_per_forward_hop(make, destination):
         assert net.forward(gateway.send(handle.reservation_id, b"x" * 100)).delivered
         net.advance(0.001)
     sent, reports = [], []
-    send = calls_of(lambda: sent.append(gateway.send(handle.reservation_id, b"x" * 100)))
-    forward = calls_of(lambda: reports.append(net.forward(sent[0])))
+    send = work_of(lambda: sent.append(gateway.send(handle.reservation_id, b"x" * 100)))
+    forward = work_of(lambda: reports.append(net.forward(sent[0])))
     hops = len(reports[0].verdicts)
     assert reports[0].delivered and hops == len(handle.hops) == (3 if destination[0] == 1 else 6)
     for work, (base, per_hop) in ((send, SEND_WORK[kind]), (forward, FORWARD_WORK[kind])):
         ceilings = [fixed + each * hops for fixed, each in zip(base, per_hop)]
-        assert work[0] == ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
+        assert work.python == ceilings[0] and work.builtin <= ceilings[1], (work, ceilings)
 
 
 #: The same per ``send_batch`` on that topology's six-hop EER, as ``fixed + per
@@ -454,11 +434,11 @@ def test_calls_per_packet_of_send_batch(make, size):
         gateway.send_batch(requests)
         net.advance(0.001)
     sent = []
-    work = calls_of(lambda: sent.extend(gateway.send_batch(requests)))
+    work = work_of(lambda: sent.extend(gateway.send_batch(requests)))
     assert len(handle.hops) == 6 and [type(packet) for packet in sent] == [ColibriPacket] * size
     base, per_packet = SEND_BATCH_WORK["native" if gateway._drive else "python"]
     ceilings = [fixed + each * size for fixed, each in zip(base, per_packet)]
-    assert work[0] == ceilings[0] and work[1] <= ceilings[1], (work, ceilings)
+    assert work.python == ceilings[0] and work.builtin <= ceilings[1], (work, ceilings)
 
 
 def test_one_packet_object_twice_in_a_burst(make):
@@ -655,7 +635,7 @@ def scripted_world(use_native=None):
     else:
         world = build(use_native, lambda: World(reference=False))
         router = world.router
-        router.blocklist.unblock(differential.BANNED)
+        router.blocklist._blocked.discard(differential.BANNED)
         obs = ObsContext.create(world.clock, journal=True)
         for part in (router, router.duplicates, router.ofd, router.monitor):
             part.obs, part.isd_as = obs, "here"

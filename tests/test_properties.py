@@ -335,16 +335,16 @@ class TestSchedulerProperties:
             sent += sum(scheduler.drain(duration).values())
             elapsed += duration
             assert sent * 8 <= capacity * (elapsed + 1e-9)  # a nanosecond's rounding
-            assert sent + scheduler.total_backlog() == enqueued
+            assert sent + sum(scheduler._queued_bytes.values()) == enqueued
 
         for traffic_class, size, duration in arrivals:
             if scheduler.enqueue(size, traffic_class):
                 enqueued += size
             drain(duration)
         # 10 ms slices carry 100 B, less than most packets.
-        for _ in range(math.ceil(scheduler.total_backlog() * 8 / (capacity * 0.01)) + 1):
+        for _ in range(math.ceil(sum(scheduler._queued_bytes.values()) * 8 / (capacity * 0.01)) + 1):
             drain(0.01)
-        assert scheduler.total_backlog() == 0
+        assert sum(scheduler._queued_bytes.values()) == 0
         assert sent == enqueued
 
 
@@ -427,7 +427,7 @@ class TestBeaconingProperties:
             ases = [hop.isd_as for hop in path.hops]
             assert len(set(ases)) == len(ases)
             for prev, nxt in zip(path.hops, path.hops[1:]):
-                link = topology.node(prev.isd_as).link_on(prev.egress)
+                link = topology.node(prev.isd_as).interfaces[prev.egress]
                 far = link.other_end(prev.isd_as)
                 assert far.owner == nxt.isd_as
                 assert far.ifid == nxt.ingress

@@ -90,7 +90,7 @@ class TestSegmentReservation:
         segr = make_segr()
         segr.add_pending(SegmentVersion(version=2, bandwidth=2e9, expiry=600.0))
         assert segr.bandwidth == 1e9
-        assert len(segr.pending_versions()) == 1
+        assert [v.state for v in segr.versions.values()].count(VersionState.PENDING) == 1
 
     def test_explicit_activation_switches(self):
         segr = make_segr()
@@ -155,7 +155,7 @@ class TestE2EReservation:
     def test_multiple_live_versions(self):
         eer = make_eer(bw=1e7, expiry=16.0)
         eer.add_version(E2EVersion(version=2, bandwidth=2e7, expiry=30.0))
-        assert len(eer.live_versions(10.0)) == 2
+        assert sum(10.0 < v.expiry for v in eer.versions.values()) == 2
 
     def test_effective_bandwidth_is_max(self):
         eer = make_eer(bw=1e7, expiry=16.0)

@@ -171,7 +171,7 @@ class ReferenceRouter:
         size = len(packet.to_bytes())
         if now > info.expiry + MAX_CLOCK_SKEW:
             return Verdict.DROP_EXPIRED, None
-        if abs(now - packet.timestamp.absolute(info.expiry)) > FRESHNESS_WINDOW:
+        if abs(now - (info.expiry - packet.timestamp.micros_before_expiry / 1e6)) > FRESHNESS_WINDOW:
             return Verdict.DROP_STALE, None
         if info.src_as in self.blocked:
             return Verdict.DROP_BLOCKED, None
@@ -790,6 +790,6 @@ def test_hostile_objects_get_the_python_bodys_verdict(backend, mode):
                     outcomes.append([(r.verdict, r.egress, r.packet.hop_index) for r in results])
                 except (IndexError, TypeError, ValueError, struct.error) as error:  # the type is compared
                     outcomes.append(type(error))
-                router.blocklist.unblock(SRC)
+                router.blocklist._blocked.discard(SRC)
             assert outcomes[0] == outcomes[1], (name, shape)
     assert worlds[0].routers[HOP].stats == worlds[1].routers[HOP].stats

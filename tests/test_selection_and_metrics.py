@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import InsufficientBandwidth
 from repro.sim import ColibriNetwork
-from repro.topology import IsdAs, build_core_mesh
+from repro.topology import IsdAs
+from tests._topologies import build_core_mesh
 from repro.util.units import gbps
 from tests._metrics import jain_fairness, mean, percentile
 

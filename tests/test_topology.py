@@ -10,7 +10,6 @@ from repro.errors import (
     SegmentCombinationError,
     TopologyError,
     UnknownASError,
-    UnknownInterfaceError,
 )
 from repro.topology import (
     Beaconing,
@@ -20,7 +19,6 @@ from repro.topology import (
     Segment,
     SegmentType,
     Topology,
-    build_core_mesh,
     build_internet_like,
     build_line_topology,
     build_two_isd_topology,
@@ -28,6 +26,7 @@ from repro.topology import (
 )
 from repro.topology.graph import NO_INTERFACE, LinkType
 from repro.topology.segments import HopField
+from tests._topologies import build_core_mesh
 
 BASE = 0xFF00_0000_0000
 
@@ -41,7 +40,7 @@ def assert_joined(segment, topology):
     """Every consecutive hop pair of ``segment`` is joined by a link of
     ``topology``, on the interfaces the segment names."""
     for prev, nxt in zip(segment.hops, segment.hops[1:]):
-        far = topology.node(prev.isd_as).link_on(prev.egress).other_end(prev.isd_as)
+        far = topology.node(prev.isd_as).interfaces[prev.egress].other_end(prev.isd_as)
         assert (far.owner, far.ifid) == (nxt.isd_as, nxt.ingress), (prev, nxt)
 
 class TestIsdAs:
@@ -120,7 +119,7 @@ class TestTopologyGraph:
         topology.add_as(asid(1, 2), is_core=True)
         link = topology.add_link(asid(1, 1), asid(1, 2))
         assert link.link_type is LinkType.CORE
-        assert topology.node(asid(1, 1)).neighbor_on(link.a.ifid) == asid(1, 2)
+        assert topology.node(asid(1, 1)).interfaces[link.a.ifid].other_end(asid(1, 1)).owner == asid(1, 2)
 
     def test_core_link_requires_core_ases(self):
         topology = Topology()
@@ -149,12 +148,6 @@ class TestTopologyGraph:
         topology.add_as(asid(1, 2), is_core=True)
         with pytest.raises(TopologyError):
             topology.add_link(asid(1, 1), asid(1, 2), capacity=0)
-
-    def test_unknown_interface(self):
-        topology = Topology()
-        topology.add_as(asid(1, 1))
-        with pytest.raises(UnknownInterfaceError):
-            topology.node(asid(1, 1)).link_on(99)
 
     def test_children_and_parents(self):
         topology = build_two_isd_topology()
@@ -223,7 +216,7 @@ class TestSegments:
 
     def test_hop_of(self):
         segment = self.make_segment()
-        assert segment.hop_of(asid(1, 11)).interface_pair == (2, 1)
+        assert (segment.hop_of(asid(1, 11)).ingress, segment.hop_of(asid(1, 11)).egress) == (2, 1)
         with pytest.raises(PathError):
             segment.hop_of(asid(9, 9))
 
@@ -310,8 +303,8 @@ class TestCombineSegments:
         core = beaconing.core_segments(asid(1, 1), asid(2, 1))[0]
         down = beaconing.down_segments(asid(2, 1), asid(2, 101))[0]
         path = combine_segments([up, core, down])
-        assert path.source_as == asid(1, 101)
-        assert path.destination_as == asid(2, 101)
+        assert path.hops[0].isd_as == asid(1, 101)
+        assert path.hops[-1].isd_as == asid(2, 101)
         assert path.transfer_ases == (asid(1, 1), asid(2, 1))
         # transfer hop merges ingress from one segment, egress from next
         joint = path.hops[path.hop_index(asid(1, 1))]
@@ -372,8 +365,8 @@ class TestPathLookup:
         paths = lookup.paths(asid(1, 101), asid(2, 101))
         assert paths
         best = paths[0]
-        assert best.source_as == asid(1, 101)
-        assert best.destination_as == asid(2, 101)
+        assert best.hops[0].isd_as == asid(1, 101)
+        assert best.hops[-1].isd_as == asid(2, 101)
         assert len(best) == 6
 
     def test_intra_isd_shortcut(self):
@@ -389,7 +382,7 @@ class TestPathLookup:
     def test_leaf_to_core(self):
         lookup = PathLookup(Beaconing(build_two_isd_topology()))
         paths = lookup.paths(asid(1, 101), asid(2, 1))
-        assert paths[0].destination_as == asid(2, 1)
+        assert paths[0].hops[-1].isd_as == asid(2, 1)
 
     def test_same_as_rejected(self):
         lookup = PathLookup(Beaconing(build_two_isd_topology()))
@@ -409,8 +402,8 @@ class TestPathLookup:
         src = [a for a in leaves if a.isd == 1][0]
         dst = [a for a in leaves if a.isd == 3][0]
         paths = lookup.paths(src, dst)
-        assert paths[0].source_as == src
-        assert paths[0].destination_as == dst
+        assert paths[0].hops[0].isd_as == src
+        assert paths[0].hops[-1].isd_as == dst
 
 
 class TestGenerators:

@@ -64,7 +64,8 @@ class TestSoak:
     def test_probe_traffic_delivered(self, soaked):
         net, workload, _ = soaked
         assert workload.stats.packets_sent > 100
-        assert workload.stats.delivery_ratio > 0.99
+        stats = workload.stats
+        assert stats.packets_delivered > 0.99 * stats.packets_sent
 
     def test_segr_chain_survived_the_horizon(self, soaked):
         net, _, segments = soaked
@@ -79,7 +80,7 @@ class TestSoak:
         housekeeping)."""
         net, workload, _ = soaked
         net.housekeeping()
-        live = workload.active_sessions
+        live = len(workload._sessions)
         for isd_as in net.ases():
             count = net.cserv(isd_as).store.eer_count()
             assert count <= live + 5, (isd_as, count, live)

@@ -14,8 +14,8 @@ Three ways a check can silently become a no-op:
   shard loop's ``validate_batch(burst)`` through a local alias, which the
   name catches as well as an attribute call.
 
-The repro's own verifiers (``verify_mac``, ``verify_segment_token``,
-``AuthenticatedRequest.verify_at``, ``verify_grants``) raise on failure,
+The repro's own verifiers (``verify_mac``, ``AuthenticatedRequest.verify_at``,
+``verify_grants``) raise on failure,
 so statement position is exactly right for them — they are allowlisted,
 as raising validators such as ``_validate_link`` are simply not named.
 If a new raising verifier is added, extend the allowlist (or suppress
@@ -39,7 +39,6 @@ RAISING_VERIFIERS = frozenset(
         "verify_mac",
         "verify_at",
         "verify_grants",
-        "verify_segment_token",
     }
 )
 
